@@ -1,39 +1,31 @@
-"""Experiment INC — Z-set delta execution vs re-evaluation.
+"""Experiment INC — incremental window evaluation vs re-evaluation.
 
-The incremental mode's performance claim (DBSP, and the paper's §3.1
+The incremental performance claim (DBSP, and the paper's §3.1
 "incremental evaluation ... avoids processing the already known stream
-data"): per-firing cost is ``O(|delta|)``, independent of window size.
+data"): per-firing cost follows the delta, not the window size.
 Re-evaluation rescans the whole window on every slide, so its cost per
 tuple grows with the overlap ratio ``size/slide`` — at 100:1 and up the
-delta route must win by well over the 5x acceptance floor.
+engine's pane-table ``WindowAggregatePlan`` must win by well over the 5x
+acceptance floor.
 
 Series reported to ``BENCH_incremental.json``:
 
 * ``INC_window`` — sliding COUNT-window aggregates (COUNT and SUM) at
-  10:1 / 100:1 / 1000:1 overlap, delta plan vs re-eval plan;
-* ``INC_join`` — the sliding equi-join as a Z-set circuit vs the
-  symmetric-hash plan (both are incremental; the circuit must hold
-  parity while adding retraction bookkeeping).
-"""
+  10:1 / 100:1 / 1000:1 overlap, the window plan vs the re-eval
+  reference in ``baselines/reeval.py``.
 
-import time
+(``INC_join``, the Z-set sliding join against the symmetric-hash plan,
+was retired with that join plan in PR 21.)
+"""
 
 import numpy as np
 
+from repro.baselines.reeval import ReEvalWindowAggregatePlan
 from repro.bench import print_table, record_bench_incremental
 from repro.core.basket import Basket
 from repro.core.clock import LogicalClock
 from repro.core.factory import ConsumeMode, Factory, InputBinding
-from repro.core.windows import (
-    ReEvalWindowAggregatePlan,
-    SlidingWindowJoinPlan,
-    WindowMode,
-    WindowSpec,
-)
-from repro.incremental.windows import (
-    DeltaWindowAggregatePlan,
-    DeltaWindowJoinPlan,
-)
+from repro.core.windows import WindowAggregatePlan, WindowMode, WindowSpec
 from repro.kernel.types import AtomType
 
 N_TUPLES = 250_000
@@ -44,9 +36,6 @@ GEOMETRIES = [  # (window, slide) — overlap 10:1, 100:1, 1000:1
     (50_000, 50),
 ]
 AGGREGATES = ("count", "sum")
-
-N_JOIN = 8_000
-JOIN_WINDOW_S = 4.0
 
 
 def run_window(plan_cls, size, slide, aggregate):
@@ -78,44 +67,7 @@ def run_window(plan_cls, size, slide, aggregate):
     return plan_seconds, plan
 
 
-def run_join(plan_cls):
-    clock = LogicalClock()
-    left = Basket("jl", [("k", AtomType.LNG)], clock)
-    right = Basket("jr", [("k", AtomType.LNG)], clock)
-    plan = plan_cls("jl", "jr", "k", "k", JOIN_WINDOW_S, "j_out")
-    out = Basket(
-        "j_out",
-        [
-            ("key", AtomType.LNG),
-            ("left_time", AtomType.TIMESTAMP),
-            ("right_time", AtomType.TIMESTAMP),
-        ],
-        clock,
-    )
-    factory = Factory(
-        "j",
-        plan,
-        [
-            InputBinding(left, ConsumeMode.ALL),
-            InputBinding(right, ConsumeMode.ALL),
-        ],
-        [out],
-    )
-    rng = np.random.default_rng(13)
-    keys = rng.integers(0, 200, 2 * N_JOIN)
-    started = time.perf_counter()
-    for i in range(0, N_JOIN, CHUNK):
-        clock.advance(1.0)
-        left.insert_rows([(int(k),) for k in keys[i : i + CHUNK]])
-        right.insert_rows(
-            [(int(k),) for k in keys[N_JOIN + i : N_JOIN + i + CHUNK]]
-        )
-        factory.activate()
-        out.consume_all()
-    return time.perf_counter() - started, plan
-
-
-def test_delta_window_aggregates_beat_reevaluation(benchmark):
+def test_window_plan_beats_reevaluation(benchmark):
     table = []
     series = []
     for aggregate in AGGREGATES:
@@ -124,7 +76,7 @@ def test_delta_window_aggregates_beat_reevaluation(benchmark):
                 ReEvalWindowAggregatePlan, size, slide, aggregate
             )
             inc_time, inc_plan = run_window(
-                DeltaWindowAggregatePlan, size, slide, aggregate
+                WindowAggregatePlan, size, slide, aggregate
             )
             assert re_plan.windows_emitted == inc_plan.windows_emitted
             speedup = re_time / inc_time
@@ -154,9 +106,9 @@ def test_delta_window_aggregates_beat_reevaluation(benchmark):
                 }
             )
     print_table(
-        "INC: sliding COUNT-window aggregates, delta (Z-set) vs re-eval",
-        ["agg window/slide", "overlap", "reeval work", "delta work",
-         "reeval plan s", "delta plan s", "speedup"],
+        "INC: sliding COUNT-window aggregates, window plan vs re-eval",
+        ["agg window/slide", "overlap", "reeval work", "plan work",
+         "reeval plan s", "plan s", "speedup"],
         table,
     )
     floor = min(
@@ -165,7 +117,7 @@ def test_delta_window_aggregates_beat_reevaluation(benchmark):
     record_bench_incremental(
         "INC_window",
         {
-            "claim": "delta window is O(|delta|): >=5x over re-eval "
+            "claim": "window plan is O(|delta|): >=5x over re-eval "
             "at overlap >=100:1",
             "tuples": N_TUPLES,
             "min_speedup_at_100x": floor,
@@ -175,46 +127,5 @@ def test_delta_window_aggregates_beat_reevaluation(benchmark):
     # the acceptance floor: every >=100:1 geometry, both aggregates
     assert floor >= 5.0, f"speedup floor {floor:.2f} < 5x"
     benchmark(
-        lambda: run_window(DeltaWindowAggregatePlan, 50_000, 500, "sum")
+        lambda: run_window(WindowAggregatePlan, 50_000, 500, "sum")
     )
-
-
-def test_delta_join_holds_parity_with_symmetric_hash(benchmark):
-    hash_time, hash_plan = run_join(SlidingWindowJoinPlan)
-    delta_time, delta_plan = run_join(DeltaWindowJoinPlan)
-    assert hash_plan.pairs_emitted == delta_plan.pairs_emitted
-    ratio = delta_time / hash_time
-    print_table(
-        "INC: sliding equi-join, Z-set circuit vs symmetric hash",
-        ["route", "pairs", "wall s", "ktuples/s"],
-        [
-            (
-                "symmetric-hash",
-                hash_plan.pairs_emitted,
-                hash_time,
-                2 * N_JOIN / hash_time / 1e3,
-            ),
-            (
-                "zset-circuit",
-                delta_plan.pairs_emitted,
-                delta_time,
-                2 * N_JOIN / delta_time / 1e3,
-            ),
-        ],
-    )
-    record_bench_incremental(
-        "INC_join",
-        {
-            "claim": "Z-set join circuit holds parity with the "
-            "symmetric-hash plan (identical pairs)",
-            "tuples": 2 * N_JOIN,
-            "pairs": int(delta_plan.pairs_emitted),
-            "hash_s": hash_time,
-            "circuit_s": delta_time,
-            "circuit_over_hash": ratio,
-        },
-    )
-    # parity contract: the circuit's retraction bookkeeping must not
-    # cost more than ~3x the direct plan (generous: both are O(|delta|))
-    assert ratio < 3.0, f"circuit {ratio:.2f}x slower than hash join"
-    benchmark(lambda: run_join(DeltaWindowJoinPlan))

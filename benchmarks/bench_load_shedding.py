@@ -20,11 +20,7 @@ from repro.core.basket import Basket
 from repro.core.clock import LogicalClock
 from repro.core.factory import ConsumeMode, Factory, InputBinding
 from repro.core.shedding import SHEDDING_POLICIES, LoadShedController
-from repro.core.windows import (
-    IncrementalWindowAggregatePlan,
-    WindowMode,
-    WindowSpec,
-)
+from repro.core.windows import WindowAggregatePlan, WindowMode, WindowSpec
 from repro.kernel.types import AtomType
 
 N_TUPLES = 20_000
@@ -37,7 +33,7 @@ TRUE_MEAN = 50.0
 def run(policy):
     clock = LogicalClock()
     inp = Basket("s", [("v", AtomType.DBL)], clock)
-    plan = IncrementalWindowAggregatePlan(
+    plan = WindowAggregatePlan(
         "s", "v", ["avg", "count"], WindowSpec(WindowMode.COUNT, 100), "o"
     )
     out = Basket("o", plan.output_schema(), clock)

@@ -8,6 +8,7 @@ monitor the number of tuples in baskets."
 We compare the same tumbling-window factory driven two ways: gated
 (``min_tuples`` = tuples still needed for the next window, updated from
 the plan's ``tuples_needed()``) vs naive (fire on any non-empty basket).
+The engine does not wire this gate; the bench sets it by hand.
 Same results either way; the gated scheduler activates the factory
 windows-many times instead of chunks-many times.
 
@@ -21,11 +22,7 @@ from repro.bench import print_table, record_result
 from repro.core.basket import Basket
 from repro.core.clock import LogicalClock
 from repro.core.factory import ConsumeMode, Factory, InputBinding
-from repro.core.windows import (
-    IncrementalWindowAggregatePlan,
-    WindowMode,
-    WindowSpec,
-)
+from repro.core.windows import WindowAggregatePlan, WindowMode, WindowSpec
 from repro.kernel.types import AtomType
 
 N_TUPLES = 20_000
@@ -36,7 +33,7 @@ CHUNKS = [10, 50, 200]
 def run(chunk: int, gated: bool):
     clock = LogicalClock()
     inp = Basket("w_in", [("v", AtomType.DBL)], clock)
-    plan = IncrementalWindowAggregatePlan(
+    plan = WindowAggregatePlan(
         "w_in", "v", ["avg"], WindowSpec(WindowMode.COUNT, WINDOW), "w_out"
     )
     out = Basket("w_out", plan.output_schema(), clock)

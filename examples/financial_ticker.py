@@ -3,18 +3,21 @@
 
 Demonstrates:
 
-* per-symbol sliding-window statistics (avg/min/max price) using the
-  incremental basic-window route;
+* per-symbol sliding-window statistics (avg/min/max price) on the
+  engine's window plan (a table of per-basic-window partials);
 * a large-trade alert joining ticks against a static reference table to
   enrich alerts with the sector (continuous stream-table join in SQL);
-* both evaluation routes (§3.1) side by side on identical input, with
-  their work counters, to show the incremental route's advantage live.
+* the window plan beside §3.1's re-evaluation reference on identical
+  input, with their work counters, to show the incremental advantage.
 
 Run:  python examples/financial_ticker.py
 """
 
+import math
+
 from repro import DataCell, LogicalClock, WindowMode, WindowSpec
 from repro.adapters.generators import stock_ticks
+from repro.baselines.reeval import ReEvalWindowAggregatePlan
 
 TICK_SCHEMA = "(sym varchar(10), price double, qty int)"
 
@@ -35,9 +38,13 @@ def main() -> None:
         "ticks_stats", "price", ["avg", "min", "max"],
         spec, group_by="sym", name="stats",
     )
-    stats_reeval = cell.submit_window_aggregate(
-        "ticks_reeval", "price", ["avg", "min", "max"],
-        spec, group_by="sym", incremental=False, name="stats_reeval",
+    reference = ReEvalWindowAggregatePlan(
+        "ticks_reeval", "price", ["avg", "min", "max"], spec,
+        "stats_reeval_out", group_column="sym",
+    )
+    stats_reeval = cell.submit_plan(
+        "stats_reeval", reference, ["ticks_reeval"],
+        reference.output_schema(),
     )
 
     big_trades = cell.submit_continuous(
@@ -67,26 +74,22 @@ def main() -> None:
     for sym, sector, price, qty in alerts[:4]:
         print(f"  {sym:10s} [{sector}] {qty} @ {price:.2f}")
 
-    # both §3.1 routes computed identical answers (up to float summation
-    # order: the incremental route adds partial sums per basic window)...
-    import math
-
+    # the plan and the reference computed the same rows in the same order
+    # (up to float summation order: the plan adds per-pane partial sums)...
     reeval_rows = stats_reeval.fetch()
-    si = sorted(rows, key=lambda r: (r[0], r[1]))
-    sr = sorted(reeval_rows, key=lambda r: (r[0], r[1]))
-    same = len(si) == len(sr) and all(
+    same = len(rows) == len(reeval_rows) and all(
         x[:2] == y[:2]
         and all(
             math.isclose(a, b, rel_tol=1e-9) for a, b in zip(x[2:], y[2:])
         )
-        for x, y in zip(si, sr)
+        for x, y in zip(rows, reeval_rows)
     )
     print(f"\nincremental == re-evaluation results: {same}")
     # ...but did very different amounts of work:
     inc_plan = cell.scheduler.get("stats").plan
     re_plan = cell.scheduler.get("stats_reeval").plan
     print(
-        f"tuples touched — incremental: {inc_plan.values_processed}, "
+        f"tuples touched — window plan: {inc_plan.values_processed}, "
         f"re-evaluation: {re_plan.values_processed} "
         f"({re_plan.values_processed / inc_plan.values_processed:.1f}x)"
     )

@@ -1,7 +1,7 @@
-"""Baseline comparators for the benchmarks (tuple-at-a-time DSMS, naive
-window re-evaluation)."""
+"""Baseline comparators for the benchmarks and oracles (tuple-at-a-time
+DSMS, window re-evaluation references)."""
 
-from .reeval import NaiveReEvalWindow
+from .reeval import NaiveReEvalWindow, ReEvalWindowAggregatePlan
 from .tuple_engine import (
     MapOperator,
     Operator,
@@ -14,6 +14,7 @@ from .tuple_engine import (
 
 __all__ = [
     "NaiveReEvalWindow",
+    "ReEvalWindowAggregatePlan",
     "TupleEngine",
     "Operator",
     "SelectOperator",

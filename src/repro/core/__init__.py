@@ -20,9 +20,8 @@ from .scheduler import FiringPolicy, PriorityPolicy, Scheduler
 from .shedding import LoadShedController, apply_shedding_policy
 from .topology import NetworkTopology, build_topology
 from .windows import (
-    IncrementalWindowAggregatePlan,
-    ReEvalWindowAggregatePlan,
     SlidingWindowJoinPlan,
+    WindowAggregatePlan,
     WindowMode,
     WindowSpec,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "build_topology",
     "WindowSpec",
     "WindowMode",
-    "IncrementalWindowAggregatePlan",
-    "ReEvalWindowAggregatePlan",
+    "WindowAggregatePlan",
     "SlidingWindowJoinPlan",
 ]

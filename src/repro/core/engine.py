@@ -73,8 +73,7 @@ from .factory import ConsumeMode, ContinuousPlan, Factory, InputBinding
 from .receptor import Receptor
 from .scheduler import Scheduler
 from .windows import (
-    IncrementalWindowAggregatePlan,
-    ReEvalWindowAggregatePlan,
+    WindowAggregatePlan,
     WindowMode,
     WindowSpec,
 )
@@ -115,7 +114,8 @@ class DataCell:
         # every firing over the full MAL program; "incremental" compiles
         # supported shapes to Z-set circuits (repro.incremental) and
         # falls back to re-eval per query, recording the reason in
-        # ``incremental_fallbacks`` as (query name, reason) pairs.
+        # ``incremental_fallbacks`` as (query name, reason) pairs.  Window
+        # queries run on the one window plan in either mode.
         if execution not in ("reeval", "incremental"):
             raise DataCellError(
                 f"execution must be 'reeval' or 'incremental', "
@@ -401,7 +401,7 @@ class DataCell:
                 f"got {execution!r}"
             )
         if stmt.window is not None:
-            return self._submit_window_select(stmt, name, tenant, execution)
+            return self._submit_window_select(stmt, name, tenant)
         name = name or self._fresh_name("q")
         if execution == "incremental":
             from ..incremental.compile import IncrementalUnsupported
@@ -505,10 +505,9 @@ class DataCell:
         stmt: Select,
         name: Optional[str],
         tenant: str = "default",
-        execution: Optional[str] = None,
     ) -> ContinuousQuery:
         """Lower ``SELECT aggs FROM [select * from B] as x [GROUP BY g]
-        WINDOW n [SLIDE m]`` onto the incremental window executor.
+        WINDOW n [SLIDE m]`` onto the window aggregate plan.
 
         This is the §3.1 goal made syntax: windows are realized by
         scheduling and plan choice, not by new kernel operators.
@@ -600,7 +599,6 @@ class DataCell:
             group_by=group_column,
             name=name,
             tenant=tenant,
-            execution=execution,
         )
 
     def submit_plan(
@@ -639,62 +637,31 @@ class DataCell:
         aggregates: Sequence[str],
         spec: WindowSpec,
         group_by: Optional[str] = None,
-        incremental: bool = True,
         name: Optional[str] = None,
         tenant: str = "default",
-        execution: Optional[str] = None,
     ) -> ContinuousQuery:
         """Register a sliding/tumbling window aggregate over a stream.
 
-        ``execution`` selects the route: ``"incremental"`` the Z-set
-        delta plan (:class:`~repro.incremental.windows
-        .DeltaWindowAggregatePlan`, retraction on expiry), ``"basic"``
-        the basic-window route, ``"reeval"`` full re-evaluation (paper
-        §3.1).  When ``execution`` is None the legacy ``incremental``
-        flag picks basic vs re-eval — unless the engine itself runs in
-        incremental mode, which selects the delta plan.
+        Every window query runs on :class:`~repro.core.windows
+        .WindowAggregatePlan` (paper §3.1), whatever the engine's
+        ``execution`` mode; the group key keeps its basket atom.
         """
-        if execution is None:
-            if self.execution == "incremental":
-                execution = "incremental"
-            else:
-                execution = "basic" if incremental else "reeval"
-        if execution == "incremental":
-            from ..incremental.windows import DeltaWindowAggregatePlan
-
-            plan_cls = DeltaWindowAggregatePlan
-        elif execution == "basic":
-            plan_cls = IncrementalWindowAggregatePlan
-        elif execution == "reeval":
-            plan_cls = ReEvalWindowAggregatePlan
-        else:
-            raise DataCellError(
-                f"window execution must be 'incremental', 'basic' or "
-                f"'reeval', got {execution!r}"
-            )
         name = name or self._fresh_name("w")
-        plan = plan_cls(
+        plan = WindowAggregatePlan(
             input_basket,
             value_column,
             aggregates,
             spec,
             f"{name}_out",
             group_column=group_by,
+            group_atom=(
+                self.basket(input_basket).schema.atom(group_by)
+                if group_by else AtomType.STR
+            ),
         )
-        if group_by is not None:
-            group_atom = self.basket(input_basket).schema.atom(group_by)
-            columns = [
-                (n, group_atom if n == group_by.lower() else a)
-                for n, a in plan.output_schema()
-            ]
-        else:
-            columns = plan.output_schema()
-        handle = self.submit_plan(
-            name, plan, [input_basket], columns, tenant=tenant
+        return self.submit_plan(
+            name, plan, [input_basket], plan.output_schema(), tenant=tenant
         )
-        if execution == "incremental":
-            handle.execution = "incremental"
-        return handle
 
     def _register_query(
         self,

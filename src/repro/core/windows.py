@@ -5,29 +5,22 @@ feasible.  The DataCell does **not** add windowed operators to the kernel;
 windows are realized at the query-plan/scheduling level, on top of plain
 relational primitives — exactly the paper's design goal.
 
-Two evaluation routes are implemented, as §3.1 describes:
-
-``re-evaluation``
-    data is processed one full window at a time; on every slide the query
-    is evaluated from scratch on the new window extent
-    (:class:`ReEvalWindowAggregatePlan`).
-
-``incremental``
-    the basic-window model (Zhu & Shasha [25]): a window of size ``w``
-    sliding by ``s`` is split into basic windows of ``bw = gcd(w, s)``
-    tuples (or seconds).  Each basic window keeps a mergeable *summary*
-    (:class:`~repro.kernel.aggregate.AggregateState`); sliding drops
-    expired summaries and merges the survivors — already-seen tuples are
-    never rescanned (:class:`IncrementalWindowAggregatePlan`).
-
-Both plans expose ``values_processed`` / ``merges_done`` counters so the
-benchmarks can report *work*, not just wall-time, and property tests assert
-the two routes produce identical answers.
+One plan evaluates every window aggregate, :class:`WindowAggregatePlan`.
+Its unit is the paper's basic window (Zhu & Shasha [25]), here called a
+*pane*: a window of size ``w`` sliding by ``s`` is cut into panes of
+``bw = gcd(w, s)`` tuples (COUNT) or seconds (TIME).  Each snapshot is
+reduced once into a table of per-(pane, group) partials, and a window is
+the fold of the ``w/bw`` panes it covers, so a tuple is aggregated once
+however much the windows overlap.  In DBSP terms (PAPERS.md) the window
+is an integrated collection: each entering pane is added, each leaving
+pane retracted.  Full re-evaluation survives only as the differential
+reference, :class:`repro.baselines.reeval.ReEvalWindowAggregatePlan`.
 
 Window boundaries are aligned to the stream origin: count window ``k``
 covers tuple positions ``[k*slide, k*slide + size)``; time window ``k``
-covers ``[k*slide, k*slide + size)`` seconds.  A time window is considered
-complete once the watermark (max ingest timestamp seen) passes its end.
+covers ``[k*slide, k*slide + size)`` seconds.  A time window is complete
+once the watermark (max ingest timestamp seen) reaches its end; a tuple
+older than the open window's start is late and dropped.
 """
 
 from __future__ import annotations
@@ -39,19 +32,24 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..durability.serde import (
+    decode_column,
+    encode_column,
+    frames_with_tail,
+    pack_frame,
+)
 from ..errors import DataCellError
-from ..kernel.aggregate import AggregateState
-from ..kernel.bat import bat_from_values
+from ..kernel.bat import BAT, bat_from_values
+from ..kernel.group import group
 from ..kernel.mal import ResultSet
-from ..kernel.types import AtomType
+from ..kernel.types import AtomType, nil_mask, numpy_dtype
 from .basket import BasketSnapshot, TIME_COLUMN
 from .factory import ContinuousPlan, PlanOutput
 
 __all__ = [
     "WindowMode",
     "WindowSpec",
-    "ReEvalWindowAggregatePlan",
-    "IncrementalWindowAggregatePlan",
+    "WindowAggregatePlan",
     "SlidingWindowJoinPlan",
     "basic_window_width",
 ]
@@ -99,7 +97,7 @@ class WindowSpec:
 
 
 def basic_window_width(spec: WindowSpec) -> float:
-    """The basic-window width ``bw = gcd(size, slide)``.
+    """The basic-window (pane) width ``bw = gcd(size, slide)``.
 
     For TIME mode the gcd is computed on microsecond-scaled integers so
     fractional second sizes still partition exactly.
@@ -116,8 +114,21 @@ def _aggregate_atom(name: str) -> AtomType:
     return AtomType.LNG if name in ("count", "count_star") else AtomType.DBL
 
 
+def _key_list(atom: AtomType, keys: np.ndarray) -> List[Any]:
+    """Hashable group keys: storage values, with every NIL as ``None``
+    (a DBL NIL is NaN, which never equals itself)."""
+    return [
+        None if nil else key
+        for key, nil in zip(keys.tolist(), nil_mask(atom, keys).tolist())
+    ]
+
+
 class _WindowAggregateBase(ContinuousPlan):
-    """Shared buffering/emission logic of the two evaluation routes."""
+    """Configuration and output schema, shared with the re-eval reference.
+
+    ``group_atom`` is the atom of the group column: keys keep it from
+    basket to output row.
+    """
 
     def __init__(
         self,
@@ -127,6 +138,7 @@ class _WindowAggregateBase(ContinuousPlan):
         spec: WindowSpec,
         output_basket: str,
         group_column: Optional[str] = None,
+        group_atom: AtomType = AtomType.STR,
     ):
         bad = [a for a in aggregates if a not in
                ("sum", "count", "count_star", "avg", "min", "max")]
@@ -140,556 +152,326 @@ class _WindowAggregateBase(ContinuousPlan):
         self.spec = spec
         self.output_basket = output_basket.lower()
         self.group_column = group_column.lower() if group_column else None
+        self.group_atom = group_atom
         self.next_window = 0
         self.values_processed = 0  # tuples touched by aggregation work
-        self.merges_done = 0  # summary merges (incremental route only)
         self.windows_emitted = 0
 
-    # ------------------------------------------------------------------
-    # durability: window buffers are exactly the factory saved-state the
-    # paper's co-routine model carries between activations, so they are
-    # what a checkpoint must capture.  The whole __dict__ is pickled —
-    # numpy buffers, _BasicWindow summaries (plain __slots__ objects),
-    # and counters round-trip; config fields travel too but the restored
-    # plan was rebuilt with identical parameters, so they only re-assert
-    # what is already true.
-    def export_state(self) -> bytes:
-        import pickle
-
-        return pickle.dumps(self.__dict__, protocol=4)
-
-    def import_state(self, blob: Optional[bytes]) -> None:
-        if blob is None:
-            raise DataCellError(
-                f"window plan {self.describe()!r} expected saved state in "
-                "the checkpoint but found none"
-            )
-        import pickle
-
-        self.__dict__.update(pickle.loads(blob))
-
-    def nbytes(self) -> int:
-        """Estimate of the buffered window state (same scope as
-        :meth:`export_state`): numpy buffers, per-window summaries,
-        group lists.  Config fields contribute ~nothing."""
-        from ..obs.resources import estimate_nbytes
-
-        return estimate_nbytes(self.__dict__)
-
-    # ------------------------------------------------------------------
     def output_schema(self) -> List[Tuple[str, AtomType]]:
         """Schema of the rows this plan emits (window id, group?, aggs)."""
         cols: List[Tuple[str, AtomType]] = [("window_id", AtomType.LNG)]
         if self.group_column:
-            cols.append((self.group_column, AtomType.STR))
+            cols.append((self.group_column, self.group_atom))
         for name in self.aggregates:
             cols.append((name, _aggregate_atom(name)))
         return cols
 
-    def _extract(self, snap: BasketSnapshot):
-        """Pull (values, nil mask, times, groups) from a snapshot."""
+
+#: pane-table planes.  Counts are float64 too (exact below 2**53), so the
+#: table is one array that grows, trims and checkpoints as a unit.
+STARS, COUNT, SUM, MIN, MAX, FIRST = range(6)
+_IDENTITY = np.array([0.0, 0.0, 0.0, np.inf, -np.inf, np.inf])[:, None, None]
+#: format version of :meth:`WindowAggregatePlan.export_state`
+STATE_VERSION = 1
+
+
+def _time_panes(times: np.ndarray, bw: float) -> np.ndarray:
+    """Pane of each timestamp by the exact half-open rule
+    ``p*bw <= t < (p+1)*bw`` — the re-eval reference's window mask.
+    ``floor(t/bw)`` alone can round across an integer."""
+    panes = np.floor(times / bw)
+    panes -= times < panes * bw
+    panes += times >= (panes + 1) * bw
+    return panes.astype(np.int64)
+
+
+class WindowAggregatePlan(_WindowAggregateBase):
+    """Sliding/tumbling window aggregate over a pane table.
+
+    The table has one row per pane and one column per group key; its
+    planes hold, per cell, the tuple count (``count(*)``), the non-NULL
+    count, sum, min, max and the first arrival seq.  Group keys are
+    factorised per snapshot by the kernel's ``group.group`` and mapped to
+    persistent columns.  A firing folds every window that closed in one
+    vectorised pass: sums and counts as differences of prefix sums over
+    the pane axis (restarted at the firing's first live pane, so nothing
+    drifts across firings), min/max as a reduction over each window's
+    panes, and groups emitted in order of first arrival — the re-eval
+    reference's row order.  ``values_processed`` counts tuples reduced
+    into the table: each tuple once, whatever the overlap.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bw = basic_window_width(self.spec)
+        self._slide_panes = int(round(self.spec.slide / self.bw))
+        self._size_panes = int(round(self.spec.size / self.bw))
+        self._table = np.empty((6, 0, 1))
+        self._origin = 0  # absolute pane of table row 0
+        self._top = 0  # one past the highest pane holding data
+        self._codes: Dict[Any, int] = {}  # group key -> table column
+        self._keys = np.empty(0, dtype=numpy_dtype(self.group_atom))
+        self._position = 0  # tuples ingested: stream position, arrival seq
+        self._watermark = -math.inf
+
+    def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
+        snap = snapshots[self.input_basket]
+        if snap.count:
+            self._ingest(snap)
+        return self._emit()
+
+    # -- ingest ---------------------------------------------------------
+    def _ingest(self, snap: BasketSnapshot) -> None:
         value_bat = snap.column(self.value_column)
         nils = value_bat.nil_positions()
-        values = np.where(nils, 0.0, value_bat.tail.astype(np.float64))
-        times = snap.column(TIME_COLUMN).tail.astype(np.float64)
-        if self.group_column:
-            groups = [
-                None if g is None else str(g)
-                for g in snap.column(self.group_column).python_list()
-            ]
+        values = value_bat.tail.astype(np.float64)
+        seq = np.arange(self._position, self._position + len(values))
+        self._position += len(values)
+        self.values_processed += len(values)
+        if self.spec.mode is WindowMode.COUNT:
+            panes = seq // int(self.bw)
         else:
-            groups = None
-        return values, nils, times, groups
+            times = snap.column(TIME_COLUMN).tail
+            self._watermark = max(self._watermark, float(times.max()))
+            panes = _time_panes(times, self.bw)
+        codes = self._group_codes(snap) if self.group_column else 0
+        live = panes >= self.next_window * self._slide_panes
+        if not live.all():  # late: no open or future window holds them
+            panes, values, nils, seq = (
+                panes[live], values[live], nils[live], seq[live]
+            )
+            if self.group_column:
+                codes = codes[live]
+            if not len(panes):
+                return
+        top = int(panes.max()) + 1
+        self._reserve(top, max(len(self._keys), 1))
+        cells = (panes - self._origin) * self._table.shape[2] + codes
+        if (cells[1:] < cells[:-1]).any():
+            order = np.argsort(cells, kind="stable")
+            cells, values, nils, seq = (
+                cells[order], values[order], nils[order], seq[order]
+            )
+        edges = np.flatnonzero(cells[1:] != cells[:-1]) + 1
+        starts = np.concatenate(([0], edges))
+        part = np.empty((6, len(starts)))
+        part[STARS] = np.concatenate((edges, [len(cells)])) - starts
+        part[COUNT] = part[STARS] - np.add.reduceat(
+            nils, starts, dtype=np.int64
+        )
+        part[SUM] = np.add.reduceat(np.where(nils, 0.0, values), starts)
+        part[MIN] = np.minimum.reduceat(
+            np.where(nils, np.inf, values), starts
+        )
+        part[MAX] = np.maximum.reduceat(
+            np.where(nils, -np.inf, values), starts
+        )
+        part[FIRST] = seq[starts]
+        flat = self._table.reshape(6, -1)
+        at = cells[starts]
+        cur = flat[:, at]
+        cur[:MIN] += part[:MIN]
+        np.minimum(cur[MIN], part[MIN], out=cur[MIN])
+        np.maximum(cur[MAX], part[MAX], out=cur[MAX])
+        np.minimum(cur[FIRST], part[FIRST], out=cur[FIRST])
+        flat[:, at] = cur
+        self._top = max(self._top, top)
 
-    def _result_from_rows(self, rows: List[Tuple[Any, ...]]) -> PlanOutput:
-        if not rows:
+    def _group_codes(self, snap: BasketSnapshot) -> np.ndarray:
+        """Persistent table column of each tuple's group key."""
+        bat = snap.column(self.group_column)
+        if bat.atom is not self.group_atom:
+            raise DataCellError(
+                f"window group column {self.group_column!r} is "
+                f"{bat.atom.value}, the plan was built for "
+                f"{self.group_atom.value}"
+            )
+        gids, extents, _ = group(bat)
+        reps = bat.tail[extents]
+        local = np.empty(len(reps), dtype=np.int64)
+        fresh = []
+        for i, key in enumerate(_key_list(bat.atom, reps)):
+            code = self._codes.get(key)
+            if code is None:
+                code = self._codes[key] = len(self._codes)
+                fresh.append(i)
+            local[i] = code
+        if fresh:
+            self._keys = np.concatenate([self._keys, reps[fresh]])
+        return local[gids.tail]
+
+    def _reserve(self, top: int, groups: int) -> None:
+        """Make the table reach pane ``top`` (exclusive) and hold
+        ``groups`` columns; panes before the open window are dropped."""
+        _, rows, cols = self._table.shape
+        if top - self._origin <= rows and groups <= cols:
+            return
+        first = self.next_window * self._slide_panes
+        keep = self._table[:, first - self._origin : self._top - self._origin]
+        table = np.empty((
+            6,
+            max(2 * (max(top, self._top) - first), 8),
+            cols if groups <= cols else max(groups, 2 * cols),
+        ))
+        table[:] = _IDENTITY
+        table[:, : keep.shape[1], :cols] = keep
+        self._table, self._origin = table, first
+
+    # -- emission -------------------------------------------------------
+    def _closed(self) -> int:
+        """How many windows, counted from window 0, are complete."""
+        if not self._position:
+            return 0
+        spec = self.spec
+        reach = (
+            self._position if spec.mode is WindowMode.COUNT
+            else self._watermark
+        )
+        k = max(0, math.floor((reach - spec.size) / spec.slide) + 1)
+        while k > 0 and spec.window_end(k - 1) > reach:
+            k -= 1
+        while spec.window_end(k) <= reach:
+            k += 1
+        return k
+
+    def _emit(self) -> PlanOutput:
+        k0, k1 = self.next_window, self._closed()
+        if k1 <= k0:
             return PlanOutput()
+        slide, size = self._slide_panes, self._size_panes
+        first = k0 * slide
+        span = (k1 - k0 - 1) * slide + size
+        groups = max(len(self._keys), 1)
+        self._reserve(first + span, groups)
+        lo = first - self._origin
+        panes = self._table[:, lo : lo + span, :groups]
+        starts = np.arange(k1 - k0) * slide
+        ends = starts + size
+        prefix = np.zeros((MIN, span + 1, groups))
+        np.cumsum(panes[:MIN], axis=1, out=prefix[:, 1:])
+        stars, count, total = prefix[:, ends] - prefix[:, starts]
+        # reduceat folds [cuts[i], cuts[i+1]): the even slots are the
+        # windows (the last one runs to the end of the span), the odd
+        # slots span the gaps between windows and are discarded
+        cuts = np.empty(2 * len(starts) - 1, dtype=np.int64)
+        cuts[0::2], cuts[1::2] = starts, ends[:-1]
+
+        def fold(plane: int, reduce: np.ufunc) -> np.ndarray:
+            return reduce.reduceat(panes[plane], cuts, axis=0)[::2]
+
+        if self.group_column:
+            win, col = np.nonzero(stars)
+            order = np.lexsort((fold(FIRST, np.minimum)[win, col], win))
+            win, col = win[order], col[order]
+        else:
+            win = np.arange(k1 - k0)
+            col = np.zeros_like(win)
+        n = count[win, col]
+        empty = n == 0
+        columns = [k0 + win]
+        if self.group_column:
+            columns.append(self._keys[col])
+        for name in self.aggregates:
+            if name == "count_star":
+                columns.append(stars[win, col])
+                continue
+            if name == "count":
+                columns.append(n)
+                continue
+            if name == "min":
+                value = fold(MIN, np.minimum)[win, col]
+            elif name == "max":
+                value = fold(MAX, np.maximum)[win, col]
+            elif name == "sum":
+                value = total[win, col]
+            else:
+                value = total[win, col] / np.where(empty, 1.0, n)
+            columns.append(np.where(empty, np.nan, value))
+        self.next_window = k1
+        self.windows_emitted += k1 - k0
         schema = self.output_schema()
-        columns = list(zip(*rows))
-        bats = [
-            bat_from_values(atom, list(col))
-            for (name, atom), col in zip(schema, columns)
-        ]
+        bats = []
+        for (_, atom), values in zip(schema, columns):
+            bat = BAT(atom, capacity=len(values))
+            bat.append_array(values)
+            bats.append(bat)
         result = ResultSet([name for name, _ in schema], bats)
         return PlanOutput(results={self.output_basket: result})
 
     def tuples_needed(self) -> Optional[int]:
         """How many more tuples complete the next window (COUNT mode).
 
-        The scheduler's window trigger (paper §3.1: "trigger the evaluation
-        of the proper factories when there are enough tuples to fill one or
-        more windows") polls this to gate factory activation.  ``None``
-        means the plan cannot tell (TIME mode: the trigger watches
-        timestamps instead).
+        Paper §3.1's trigger — fire "when there are enough tuples to fill
+        one or more windows" — would gate the factory on this.  Nothing
+        in the engine wires it; the W2 bench sets ``min_tuples`` from it
+        by hand.  ``None`` in TIME mode, where timestamps decide.
         """
-        return None
-
-
-class ReEvalWindowAggregatePlan(_WindowAggregateBase):
-    """Route (a): full re-evaluation of every window extent.
-
-    Keeps the raw tuples of all open windows buffered; each emission scans
-    the complete window from scratch, which is exactly what a plain DBMS
-    plan would do when re-run — no state is reused between slides.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._values: List[np.ndarray] = []
-        self._nils: List[np.ndarray] = []
-        self._times: List[np.ndarray] = []
-        self._groups: List[List[Optional[str]]] = []
-        self._offset = 0  # stream position / time of the buffer head
-
-    # -- buffering ------------------------------------------------------
-    def _buffered(self):
-        values = (
-            np.concatenate(self._values)
-            if self._values
-            else np.empty(0, dtype=np.float64)
-        )
-        nils = (
-            np.concatenate(self._nils)
-            if self._nils
-            else np.empty(0, dtype=bool)
-        )
-        times = (
-            np.concatenate(self._times)
-            if self._times
-            else np.empty(0, dtype=np.float64)
-        )
-        groups: Optional[List[Optional[str]]]
-        if self.group_column:
-            groups = [g for chunk in self._groups for g in chunk]
-        else:
-            groups = None
-        return values, nils, times, groups
-
-    def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
-        snap = snapshots[self.input_basket]
-        if snap.count:
-            values, nils, times, groups = self._extract(snap)
-            self._values.append(values)
-            self._nils.append(nils)
-            self._times.append(times)
-            if groups is not None:
-                self._groups.append(groups)
-        rows: List[Tuple[Any, ...]] = []
-        while True:
-            row_batch = self._try_emit()
-            if row_batch is None:
-                break
-            rows.extend(row_batch)
-        return self._result_from_rows(rows)
-
-    # -- emission -------------------------------------------------------
-    def _try_emit(self) -> Optional[List[Tuple[Any, ...]]]:
-        values, nils, times, groups = self._buffered()
-        k = self.next_window
-        if self.spec.mode is WindowMode.COUNT:
-            start = int(self.spec.window_start(k)) - self._offset
-            end = int(self.spec.window_end(k)) - self._offset
-            if len(values) < end:
-                return None
-            in_window = slice(start, end)
-        else:
-            if len(times) == 0:
-                return None
-            watermark = float(times.max())
-            if watermark < self.spec.window_end(k):
-                return None
-            mask = (times >= self.spec.window_start(k)) & (
-                times < self.spec.window_end(k)
-            )
-            in_window = np.flatnonzero(mask)
-        rows = self._evaluate_window(k, values, nils, groups, in_window)
-        self.next_window += 1
-        self._expire()
-        self.windows_emitted += 1
-        return rows
-
-    def _evaluate_window(self, k, values, nils, groups, in_window):
-        wvals = values[in_window]
-        wnils = nils[in_window]
-        self.values_processed += int(len(wvals))
-        if groups is None:
-            state = AggregateState()
-            state.add_array(wvals[~wnils])
-            star = int(len(wvals))
-            return [self._row(k, None, state, star)]
-        if isinstance(in_window, slice):
-            wgroups = groups[in_window]
-        else:
-            wgroups = [groups[i] for i in in_window]
-        per_group: Dict[Optional[str], AggregateState] = {}
-        stars: Dict[Optional[str], int] = {}
-        for value, nil, grp in zip(wvals, wnils, wgroups):
-            stars[grp] = stars.get(grp, 0) + 1
-            state = per_group.setdefault(grp, AggregateState())
-            if not nil:
-                state.add_value(float(value))
-        return [
-            self._row(k, grp, per_group[grp], stars[grp])
-            for grp in per_group
-        ]
-
-    def _row(self, k, group, state: AggregateState, star: int):
-        row: List[Any] = [k]
-        if self.group_column:
-            row.append(group)
-        for name in self.aggregates:
-            if name == "count_star":
-                row.append(star)
-            else:
-                value = state.result(name)
-                if name == "count":
-                    row.append(value)
-                else:
-                    row.append(None if value is None else float(value))
-        return tuple(row)
-
-    def _expire(self) -> None:
-        """Drop buffer prefix no future window can reference."""
-        if self.spec.mode is WindowMode.COUNT:
-            keep_from = int(self.spec.window_start(self.next_window))
-            drop = keep_from - self._offset
-            if drop <= 0:
-                return
-            values, nils, times, groups = self._buffered()
-            self._values = [values[drop:]]
-            self._nils = [nils[drop:]]
-            self._times = [times[drop:]]
-            if groups is not None:
-                self._groups = [groups[drop:]]
-            self._offset = keep_from
-        else:
-            horizon = self.spec.window_start(self.next_window)
-            values, nils, times, groups = self._buffered()
-            keep = times >= horizon
-            self._values = [values[keep]]
-            self._nils = [nils[keep]]
-            self._times = [times[keep]]
-            if groups is not None:
-                self._groups = [
-                    [g for g, k_ in zip(groups, keep) if k_]
-                ]
-
-    def tuples_needed(self) -> Optional[int]:
-        if self.spec.mode is not WindowMode.COUNT:
-            return None
-        values, _, _, _ = self._buffered()
-        end = int(self.spec.window_end(self.next_window)) - self._offset
-        return max(0, end - len(values))
-
-    def describe(self) -> str:
-        return f"reeval-window({self.aggregates}, {self.spec})"
-
-
-class _BasicWindow:
-    """One ``bw`` with its summary (grouped or plain) and tuple count."""
-
-    __slots__ = ("state", "groups", "stars", "count", "end")
-
-    def __init__(self, grouped: bool, end: float):
-        self.state = None if grouped else AggregateState()
-        self.groups: Optional[Dict[Optional[str], AggregateState]] = (
-            {} if grouped else None
-        )
-        self.stars: Dict[Optional[str], int] = {}
-        self.count = 0
-        self.end = end  # COUNT: position end; TIME: timestamp end
-
-
-class IncrementalWindowAggregatePlan(_WindowAggregateBase):
-    """Route (b): basic-window incremental evaluation.
-
-    Every tuple is folded into exactly one basic-window summary when it
-    arrives; emissions merge ``size/bw`` summaries without revisiting any
-    tuple.  ``values_processed`` therefore grows with the *stream*, not
-    with ``windows × size`` as in re-evaluation.
-    """
-
-    def __init__(self, *args, bw_override: Optional[float] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        natural = basic_window_width(self.spec)
-        if bw_override is None:
-            self.bw = natural
-        else:
-            # ablation hook: any divisor of the natural bw partitions
-            # windows exactly (more summaries, finer granularity)
-            ratio = natural / bw_override
-            if bw_override <= 0 or abs(ratio - round(ratio)) > 1e-9:
-                raise DataCellError(
-                    "bw_override must evenly divide the natural basic "
-                    f"window width ({natural})"
-                )
-            self.bw = float(bw_override)
-        # A plain list with a base offset: deque random access is O(n),
-        # and emission indexes size/bw slots per window — with small bw
-        # that dominated the whole route.  The consumed prefix is trimmed
-        # in amortized batches.
-        self._complete: List[_BasicWindow] = []
-        self._complete_base = 0  # index of first retained complete bw
-        self._current: Optional[_BasicWindow] = None
-        self._position = 0  # tuples ingested so far (COUNT mode)
-
-    # ------------------------------------------------------------------
-    def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
-        snap = snapshots[self.input_basket]
-        if snap.count:
-            values, nils, times, groups = self._extract(snap)
-            self.values_processed += int(len(values))
-            if self.spec.mode is WindowMode.COUNT:
-                self._ingest_count(values, nils, groups)
-            else:
-                self._ingest_time(values, nils, times, groups)
-        rows: List[Tuple[Any, ...]] = []
-        while True:
-            batch = self._try_emit()
-            if batch is None:
-                break
-            rows.extend(batch)
-        return self._result_from_rows(rows)
-
-    # -- ingest ---------------------------------------------------------
-    def _fold(self, bw_slot: _BasicWindow, value, nil, group) -> None:
-        bw_slot.count += 1
-        bw_slot.stars[group] = bw_slot.stars.get(group, 0) + 1
-        if self.group_column:
-            state = bw_slot.groups.setdefault(group, AggregateState())
-        else:
-            state = bw_slot.state
-        if not nil:
-            state.add_value(float(value))
-
-    def _ingest_count(self, values, nils, groups) -> None:
-        width = int(self.bw)
-        if groups is None:
-            # vectorized fast path: fold whole bw-aligned chunks at once
-            i = 0
-            n = len(values)
-            while i < n:
-                if self._current is None:
-                    self._current = _BasicWindow(
-                        False, self._position + width
-                    )
-                space = width - self._current.count
-                chunk = slice(i, min(n, i + space))
-                vals = values[chunk]
-                nil_chunk = nils[chunk]
-                taken = len(vals)
-                self._current.state.add_array(vals[~nil_chunk])
-                self._current.count += taken
-                self._current.stars[None] = (
-                    self._current.stars.get(None, 0) + taken
-                )
-                self._position += taken
-                i += taken
-                if self._current.count == width:
-                    self._complete.append(self._current)
-                    self._current = None
-            return
-        for i in range(len(values)):
-            if self._current is None:
-                self._current = _BasicWindow(
-                    bool(self.group_column), self._position + width
-                )
-            group = groups[i]
-            self._fold(self._current, values[i], nils[i], group)
-            self._position += 1
-            if self._current.count == width:
-                self._complete.append(self._current)
-                self._current = None
-
-    def _ingest_time(self, values, nils, times, groups) -> None:
-        if groups is None and len(values):
-            # vectorized fast path: group positions by bw slot (arrival is
-            # time-ordered within a snapshot for in-order streams; fall
-            # back to the scalar path when it is not)
-            # exact half-open bucketing: slot i must satisfy
-            # i*bw <= t < (i+1)*bw — the same rule the re-eval route's
-            # mask applies, so the two routes agree tuple for tuple.
-            # floor(t/bw) alone can be off by one when the division
-            # rounds across an integer; correct against the products.
-            slots = np.floor(times / self.bw).astype(np.int64)
-            slots = np.where(times < slots * self.bw, slots - 1, slots)
-            slots = np.where(
-                times >= (slots + 1) * self.bw, slots + 1, slots
-            )
-            if np.all(slots[1:] >= slots[:-1]):
-                boundaries = np.flatnonzero(np.diff(slots)) + 1
-                starts = np.concatenate(([0], boundaries))
-                stops = np.concatenate((boundaries, [len(values)]))
-                for start, stop in zip(starts, stops):
-                    end = (int(slots[start]) + 1) * self.bw
-                    self._ensure_current(end)
-                    vals = values[start:stop]
-                    nil_chunk = nils[start:stop]
-                    self._current.state.add_array(vals[~nil_chunk])
-                    self._current.count += stop - start
-                    self._current.stars[None] = (
-                        self._current.stars.get(None, 0) + (stop - start)
-                    )
-                self._watermark = float(times.max())
-                return
-        for i in range(len(values)):
-            stamp = float(times[i])
-            slot = math.floor(stamp / self.bw)
-            # same exact half-open correction as the vectorized path
-            if stamp < slot * self.bw:
-                slot -= 1
-            elif stamp >= (slot + 1) * self.bw:
-                slot += 1
-            self._ensure_current((slot + 1) * self.bw)
-            group = groups[i] if groups is not None else None
-            self._fold(self._current, values[i], nils[i], group)
-        self._watermark = float(times.max()) if len(times) else None
-
-    def _append_complete(self, slot: _BasicWindow) -> None:
-        """Append a completed bw, padding any slot gap with empties.
-
-        Keeping ``_complete`` contiguous in bw-index space (entry ``i``
-        always ends at ``(base+i+1)*bw``) is the invariant that makes
-        window emission pure index arithmetic — and whose earlier absence
-        allowed sealed-across-a-gap windows to deadlock gap synthesis.
-        """
-        next_end = (
-            self._complete_base + len(self._complete) + 1
-        ) * self.bw
-        while slot.end > next_end + 1e-9:
-            self._complete.append(
-                _BasicWindow(bool(self.group_column), next_end)
-            )
-            next_end += self.bw
-        self._complete.append(slot)
-
-    def _ensure_current(self, end: float) -> None:
-        """Make the open bw the one ending at ``end`` (sealing as needed).
-
-        A tuple for an earlier, already-sealed range (out-of-order beyond
-        the open bw) is folded into the open bw — a documented
-        approximation; in-order streams never hit it.
-        """
-        if self._current is not None:
-            if abs(self._current.end - end) < 1e-9 or end < self._current.end:
-                return
-            self._append_complete(self._current)
-            self._current = None
-        self._current = _BasicWindow(bool(self.group_column), end)
-
-    def _seal_before(self, end: float) -> None:
-        """Close the open bw if a later one starts (time advanced)."""
-        if self._current is not None and self._current.end < end:
-            self._append_complete(self._current)
-            self._current = None
-
-    # -- emission -------------------------------------------------------
-    def _bw_index_range(self, k: int) -> Tuple[int, int]:
-        """Absolute bw indices [first, last) making up window ``k``."""
-        first = int(round(self.spec.window_start(k) / self.bw))
-        last = int(round(self.spec.window_end(k) / self.bw))
-        return first, last
-
-    def _try_emit(self) -> Optional[List[Tuple[Any, ...]]]:
-        k = self.next_window
-        first, last = self._bw_index_range(k)
-        have = self._complete_base + len(self._complete)
-        if self.spec.mode is WindowMode.TIME:
-            # time gaps: synthesize empty bws up to the watermark
-            watermark = getattr(self, "_watermark", None)
-            if watermark is None or watermark < self.spec.window_end(k):
-                return None
-            self._materialize_empty_up_to(last)
-            have = self._complete_base + len(self._complete)
-        if have < last:
-            return None
-        slots = self._complete[
-            first - self._complete_base : last - self._complete_base
-        ]
-        rows = self._merge_and_emit(k, slots)
-        self.next_window += 1
-        self._expire()
-        self.windows_emitted += 1
-        return rows
-
-    def _materialize_empty_up_to(self, last: int) -> None:
-        """Insert empty summaries for time ranges with no tuples.
-
-        ``_complete`` is contiguous by construction (`_append_complete`
-        pads gaps), so synthesis is a simple extension: seal the open bw
-        when its slot comes up, otherwise append an empty summary.  The
-        watermark check in ``_try_emit`` guarantees no tuple for these
-        ranges can still arrive.
-        """
-        while self._complete_base + len(self._complete) < last:
-            next_end = (
-                self._complete_base + len(self._complete) + 1
-            ) * self.bw
-            if self._current is not None and (
-                self._current.end <= next_end + 1e-9
-            ):
-                slot = self._current
-                self._current = None
-                self._append_complete(slot)
-            else:
-                self._complete.append(
-                    _BasicWindow(bool(self.group_column), next_end)
-                )
-
-    def _merge_and_emit(self, k: int, slots: List[_BasicWindow]):
-        self.merges_done += max(0, len(slots) - 1)
-        if not self.group_column:
-            # in-place accumulation: no AggregateState churn per merge
-            merged = AggregateState()
-            star = 0
-            for slot in slots:
-                state = slot.state
-                merged.count += state.count
-                merged.total += state.total
-                if state.minimum is not None and (
-                    merged.minimum is None or state.minimum < merged.minimum
-                ):
-                    merged.minimum = state.minimum
-                if state.maximum is not None and (
-                    merged.maximum is None or state.maximum > merged.maximum
-                ):
-                    merged.maximum = state.maximum
-                star += slot.count
-            return [self._row(k, None, merged, star)]
-        per_group: Dict[Optional[str], AggregateState] = {}
-        stars: Dict[Optional[str], int] = {}
-        for slot in slots:
-            for grp, state in slot.groups.items():
-                if grp in per_group:
-                    per_group[grp] = per_group[grp].merge(state)
-                else:
-                    per_group[grp] = state
-            for grp, n in slot.stars.items():
-                stars[grp] = stars.get(grp, 0) + n
-        return [
-            self._row(k, grp, per_group[grp], stars.get(grp, 0))
-            for grp in per_group
-        ]
-
-    _row = ReEvalWindowAggregatePlan._row
-
-    def _expire(self) -> None:
-        first, _ = self._bw_index_range(self.next_window)
-        drop = min(first - self._complete_base, len(self._complete))
-        if drop > 0 and (drop >= 256 or drop == len(self._complete)):
-            # amortized prefix trim; between trims, slicing with the base
-            # offset skips the logically-expired entries
-            del self._complete[:drop]
-            self._complete_base += drop
-
-    def tuples_needed(self) -> Optional[int]:
         if self.spec.mode is not WindowMode.COUNT:
             return None
         end = int(self.spec.window_end(self.next_window))
         return max(0, end - self._position)
 
+    # -- durability -----------------------------------------------------
+    # The pane table is exactly the factory saved-state the paper's
+    # co-routine model carries between activations.  It is checkpointed
+    # as CRC-framed serde columns, never pickled: loading a checkpoint
+    # decodes arrays and cannot execute code.
+    def export_state(self) -> bytes:
+        first = self.next_window * self._slide_panes
+        live = self._table[:, first - self._origin : self._top - self._origin]
+        header = [
+            STATE_VERSION, self.next_window, self.windows_emitted,
+            self.values_processed, self._position, live.shape[1],
+            live.shape[2],
+        ]
+        return b"".join(pack_frame(column) for column in (
+            encode_column(AtomType.LNG, np.array(header)),
+            encode_column(AtomType.DBL, np.array([self._watermark])),
+            encode_column(AtomType.DBL, live.ravel()),
+            encode_column(self.group_atom, self._keys),
+        ))
+
+    def import_state(self, blob: Optional[bytes]) -> None:
+        def corrupt(reason: str) -> DataCellError:
+            return DataCellError(
+                f"window plan {self.describe()!r}: saved state {reason}"
+            )
+
+        if blob is None:
+            raise corrupt("expected in the checkpoint but not found")
+        frames, torn = frames_with_tail(blob)
+        if torn or len(frames) != 4:
+            raise corrupt("is corrupt (CRC or framing mismatch)")
+        header = decode_column(AtomType.LNG, frames[0]).tolist()
+        if len(header) != 7 or header[0] != STATE_VERSION:
+            raise corrupt(f"has an unsupported format version {header[:1]}")
+        _, k, emitted, processed, position, rows, cols = header
+        watermark = decode_column(AtomType.DBL, frames[1])
+        table = decode_column(AtomType.DBL, frames[2])
+        keys = decode_column(self.group_atom, frames[3])
+        if (len(watermark) != 1 or cols < max(len(keys), 1)
+                or table.size != 6 * rows * cols):
+            raise corrupt("does not match its header")
+        self.next_window, self.windows_emitted = k, emitted
+        self.values_processed, self._position = processed, position
+        self._watermark = float(watermark[0])
+        self._table = table.reshape(6, rows, cols)
+        self._origin = k * self._slide_panes
+        self._top = self._origin + rows
+        self._keys = keys
+        self._codes = {
+            key: i for i, key in enumerate(_key_list(self.group_atom, keys))
+        }
+
+    def nbytes(self) -> int:
+        """Bytes of the pane table and the group keys (what
+        :meth:`export_state` captures, plus growth slack)."""
+        from ..obs.resources import estimate_nbytes
+
+        return int(self._table.nbytes) + estimate_nbytes(self._keys)
+
     def describe(self) -> str:
-        return f"incremental-window({self.aggregates}, {self.spec}, bw={self.bw})"
+        return f"window({self.aggregates}, {self.spec}, bw={self.bw})"
 
 
 class SlidingWindowJoinPlan(ContinuousPlan):
@@ -728,7 +510,8 @@ class SlidingWindowJoinPlan(ContinuousPlan):
         self.pairs_emitted = 0
         self.probes = 0
 
-    # join buffers are factory saved-state too (see _WindowAggregateBase)
+    # join buffers are factory saved-state too (still pickled, unlike the
+    # pane table of WindowAggregatePlan)
     def export_state(self) -> bytes:
         import pickle
 

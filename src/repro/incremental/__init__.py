@@ -4,7 +4,7 @@ This package implements the incremental execution mode selected with
 ``DataCell(execution="incremental")``: streams are modelled as sequences
 of *Z-sets* (weighted multisets where a weight of ``+1`` is an insert and
 ``-1`` a retraction), operators are *lifted* to work on deltas, and
-stateful operators (aggregates, joins, windows) maintain integrated
+stateful operators (aggregates, joins) maintain integrated
 state so the cost of each firing is ``O(|delta|)`` instead of
 ``O(|state|)``.
 
@@ -14,14 +14,14 @@ Layers:
 * :mod:`~repro.incremental.circuit` — stream operators (lift, delay
   z⁻¹, integrate, differentiate, incremental group-aggregate,
   incremental equi-join) and the retraction-capable aggregate state;
-* :mod:`~repro.incremental.windows` — window aggregates and the
-  sliding-window join as delta producers (retraction on expiry);
 * :mod:`~repro.incremental.compile` — the SQL shape detector that turns
   a continuous query into an incremental circuit, with per-query
   fallback to the re-evaluation (MAL) path.
 
 Every operator here has a re-evaluation twin; ``repro.simtest.incremental``
 is the differential harness proving the two produce identical output.
+Window aggregates are not here: every mode runs them on
+:class:`repro.core.windows.WindowAggregatePlan`.
 See ``docs/incremental.md``.
 """
 
@@ -39,7 +39,6 @@ from .compile import (
     IncrementalUnsupported,
     compile_incremental,
 )
-from .windows import DeltaWindowAggregatePlan, DeltaWindowJoinPlan
 from .zset import WEIGHT_COLUMN, ZSet, integrate_weighted_rows
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "IncrementalGroupAggregate",
     "IncrementalJoin",
     "RetractableAggState",
-    "DeltaWindowAggregatePlan",
-    "DeltaWindowJoinPlan",
     "CircuitContinuousPlan",
     "IncrementalUnsupported",
     "compile_incremental",

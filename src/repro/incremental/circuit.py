@@ -181,27 +181,6 @@ class RetractableAggState:
                 heapq.heappush(self.min_heap, value)
                 heapq.heappush(self.max_heap, -value)
 
-    def add_array(self, values, nils, weight: int = 1) -> None:
-        """Fold an array of ``weight``-weighted values (vectorized).
-
-        ``values`` is a float array, ``nils`` the aligned NULL mask.  The
-        count/sum/avg fields update in O(1) numpy reductions; min/max
-        tracking (when enabled) falls back to the per-value path since
-        the counter needs every distinct value.
-        """
-        n = int(len(values))
-        if n == 0:
-            return
-        if self.track_minmax:
-            for i in range(n):
-                self.add(None if nils[i] else float(values[i]), weight)
-            return
-        valid = values[~nils]
-        self.star += n * weight
-        self.count += int(len(valid)) * weight
-        if len(valid):
-            self.total += float(valid.sum()) * weight
-
     # ------------------------------------------------------------------
     def is_empty(self) -> bool:
         return self.star == 0 and self.count == 0 and not self.value_weights

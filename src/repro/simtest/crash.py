@@ -100,9 +100,10 @@ class CrashSpec:
     #: user-visible output must stay byte-identical, since system
     #: streams never enter the WAL or the checkpoints
     sampling: bool = False
-    #: execution route ("reeval" or "incremental"): incremental circuit
-    #: and delta-window state rides the same checkpoint/WAL machinery,
-    #: so kill-and-restart must be byte-identical on both routes
+    #: execution route ("reeval" or "incremental") of non-window cases:
+    #: incremental circuit state rides the same checkpoint/WAL machinery,
+    #: so kill-and-restart must be byte-identical on both routes (window
+    #: cases run the one window plan either way)
     execution: str = "reeval"
     #: ingest through the server's wire seam (frame encode/decode +
     #: ingest queue + pump) instead of a receptor — recovery must be
@@ -214,11 +215,7 @@ def _build(
             "v",
             [spec.window_aggregate],
             WindowSpec(WindowMode.COUNT, size, slide),
-            incremental=True,
             name=QUERY,
-            execution=(
-                "incremental" if spec.execution == "incremental" else None
-            ),
         )
     else:
         handle = cell.submit_continuous(
@@ -350,7 +347,7 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
         window_aggregate=AGGREGATES[index % len(AGGREGATES)],
         sampling=(index % 2 == 1),
         # every third episode exercises the incremental route, so circuit
-        # and delta-window state recovery is continuously gated
+        # state recovery is continuously gated
         execution="incremental" if index % 3 == 2 else "reeval",
         # every 5th episode ingests through the server's wire seam
         via_server=(index % 5 == 3),

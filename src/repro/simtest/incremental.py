@@ -10,9 +10,9 @@ re-evaluation —
 * **aggregate/join** circuits emit weighted deltas whose integration at
   every quiescent point equals the one-shot query over everything
   delivered so far;
-* **delta windows** (count and time geometry, in-order and out-of-order
-  timestamps) emit the exact row sequence of the re-eval and naive
-  baselines;
+* **windows** (count and time geometry, in-order and out-of-order
+  timestamps): the one window plan emits the exact row sequence of the
+  re-eval and naive baselines;
 * **crash episodes** kill the incremental engine at a firing boundary
   and require recovered output to be byte-identical to an uninterrupted
   run (circuit state rides the checkpoint/WAL machinery).
@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adapters.channels import Channel, InMemoryChannel
+from ..baselines.reeval import ReEvalWindowAggregatePlan
 from ..core.engine import DataCell
 from ..core.windows import WindowMode, WindowSpec
 from ..incremental.zset import ZSet
@@ -374,57 +375,54 @@ def _check_join(spec: IncrementalEpisodeSpec) -> IncrementalResult:
 
 
 # ----------------------------------------------------------------------
-# kind: window_count — delta plan vs the naive per-tuple oracle
+# kind: window_count — the window plan vs the naive per-tuple oracle
 # ----------------------------------------------------------------------
 def _check_window_count(spec: IncrementalEpisodeSpec) -> IncrementalResult:
-    size, slide = int(spec.window[0]), int(spec.window[1])
-    rows = [r[0] for r in spec.rows]
-    for execution in ("incremental", "basic"):
-        streaming, naive, _ = run_window_differential(
-            size,
-            slide,
-            rows,
-            aggregate=spec.aggregates[0],
-            seed=spec.seed,
-            policy=spec.policy,
-            batch_size=spec.batch_size,
-            batch_fault_rate=spec.batch_fault_rate,
-            execution=execution,
-        )
-        if streaming != naive:
-            return IncrementalResult(
-                spec,
-                False,
-                f"[{execution}] {streaming} != naive {naive}",
-            )
+    streaming, naive, _ = run_window_differential(
+        int(spec.window[0]),
+        int(spec.window[1]),
+        [r[0] for r in spec.rows],
+        aggregate=spec.aggregates[0],
+        seed=spec.seed,
+        policy=spec.policy,
+        batch_size=spec.batch_size,
+        batch_fault_rate=spec.batch_fault_rate,
+    )
+    if streaming != naive:
+        return IncrementalResult(spec, False, f"{streaming} != naive {naive}")
     return IncrementalResult(spec, True)
 
 
 # ----------------------------------------------------------------------
-# kind: window_time — out-of-order stamps, delta vs re-eval plan
+# kind: window_time — out-of-order stamps, the window plan vs re-eval
 # ----------------------------------------------------------------------
 def _run_time_window(
-    spec: IncrementalEpisodeSpec, execution: str
+    spec: IncrementalEpisodeSpec, reference: bool
 ) -> List[Row]:
     """Direct (simulator-free) seeded drive with explicit timestamps.
 
     Out-of-order arrival needs explicit stamps — receptor ingest always
     stamps "now" — so this kind bypasses channels and inserts straight
-    into the basket, firing to quiescence on a seeded cadence.  Both
-    routes see the identical stamped sequence.
+    into the basket, firing to quiescence on a seeded cadence.  The
+    engine's plan and the re-eval reference (registered by hand) see the
+    identical stamped sequence.
     """
     size, slide = spec.window
     cell = DataCell(metrics=_quiet_metrics())
     cell.create_basket("s", [("v", AtomType.LNG), ("g", AtomType.STR)])
-    handle = cell.submit_window_aggregate(
-        "s",
-        "v",
-        list(spec.aggregates),
-        WindowSpec(WindowMode.TIME, size, slide),
-        group_by="g" if spec.grouped else None,
-        execution=execution,
-        name="w",
-    )
+    window = WindowSpec(WindowMode.TIME, size, slide)
+    group_by = "g" if spec.grouped else None
+    if reference:
+        plan = ReEvalWindowAggregatePlan(
+            "s", "v", list(spec.aggregates), window, "w_out",
+            group_column=group_by,
+        )
+        handle = cell.submit_plan("w", plan, ["s"], plan.output_schema())
+    else:
+        handle = cell.submit_window_aggregate(
+            "s", "v", list(spec.aggregates), window,
+            group_by=group_by, name="w",
+        )
     basket = cell.basket("s")
     rng = random.Random(f"datacell-time-window:{spec.seed}")
     out: List[Row] = []
@@ -443,19 +441,19 @@ def _run_time_window(
 
 
 def _check_window_time(spec: IncrementalEpisodeSpec) -> IncrementalResult:
-    inc = _run_time_window(spec, "incremental")
-    ree = _run_time_window(spec, "reeval")
-    if inc != ree:
+    plan = _run_time_window(spec, reference=False)
+    ree = _run_time_window(spec, reference=True)
+    if plan != ree:
         diverge = next(
-            (i for i, (a, b) in enumerate(zip(inc, ree)) if a != b),
-            min(len(inc), len(ree)),
+            (i for i, (a, b) in enumerate(zip(plan, ree)) if a != b),
+            min(len(plan), len(ree)),
         )
         return IncrementalResult(
             spec,
             False,
-            f"row {diverge}: incremental={inc[diverge:diverge + 3]} "
+            f"row {diverge}: plan={plan[diverge:diverge + 3]} "
             f"reeval={ree[diverge:diverge + 3]} "
-            f"(lengths {len(inc)}/{len(ree)})",
+            f"(lengths {len(plan)}/{len(ree)})",
         )
     return IncrementalResult(spec, True)
 
@@ -644,7 +642,7 @@ def incremental_episode_spec(
                 for _ in range(rng.randint(10, 70))
             ),
         )
-    # crash: cycle the oracle cases plus the delta-window case
+    # crash: cycle the oracle cases plus the window case
     cases = sorted(ORACLE_CASES) + ["window"]
     case = cases[cycle % len(cases)]
     batch = spec.batch_size

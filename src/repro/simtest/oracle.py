@@ -356,8 +356,6 @@ def run_window_differential(
     batch_size: int = 4,
     min_tuples: int = 1,
     batch_fault_rate: float = 0.0,
-    incremental: bool = True,
-    execution: Optional[str] = None,
 ) -> Tuple[List[float], List[float], EpisodeResult]:
     """Window aggregate through the engine vs the naive per-tuple oracle.
 
@@ -390,8 +388,6 @@ def run_window_differential(
         "v",
         [aggregate],
         WindowSpec(WindowMode.COUNT, size, slide),
-        incremental=incremental,
-        execution=execution,
     )
     handle.factory.inputs[0].min_tuples = min_tuples
     events = [

@@ -71,9 +71,7 @@ def _episode_spec(
     )
 
 
-def _run_window_episode(
-    index: int, base_seed: int, execution: Optional[str] = None
-) -> Optional[str]:
+def _run_window_episode(index: int, base_seed: int) -> Optional[str]:
     """One window differential; returns a failure description or None."""
     seed = base_seed + index
     rng = random.Random(f"datacell-window-episode:{seed}")
@@ -93,7 +91,6 @@ def _run_window_episode(
         batch_size=rng.choice((1, 3, 7)),
         min_tuples=rng.choice((1, 1, 1, size + 2)),
         batch_fault_rate=0.3 if index % 3 == 0 else 0.0,
-        execution=execution,
     )
     if streaming == naive:
         return None
@@ -151,15 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     shrunk_artifact = None
     for index in range(args.episodes):
         if index % 5 == 4:
-            message = _run_window_episode(
-                index,
-                args.seed,
-                execution=(
-                    "incremental"
-                    if args.execution == "incremental"
-                    else None
-                ),
-            )
+            message = _run_window_episode(index, args.seed)
             if message is not None:
                 failures.append(message)
             continue

@@ -123,13 +123,13 @@ class TestNaiveReEval:
         st.data(),
     )
     def test_agrees_with_datacell_incremental(self, values, size, data):
-        """The naive baseline and the DataCell incremental plan agree."""
+        """The naive baseline and the DataCell window plan agree."""
         slide = data.draw(st.integers(1, size))
         from repro.core.basket import Basket
         from repro.core.clock import LogicalClock
         from repro.core.factory import ConsumeMode, Factory, InputBinding
         from repro.core.windows import (
-            IncrementalWindowAggregatePlan,
+            WindowAggregatePlan,
             WindowMode,
             WindowSpec,
         )
@@ -141,7 +141,7 @@ class TestNaiveReEval:
 
         clock = LogicalClock()
         inp = Basket("i", [("v", AtomType.DBL)], clock)
-        plan = IncrementalWindowAggregatePlan(
+        plan = WindowAggregatePlan(
             "i", "v", ["sum"], WindowSpec(WindowMode.COUNT, size, slide), "o"
         )
         out = Basket("o", plan.output_schema(), clock)

@@ -202,15 +202,19 @@ class TestWindowApi:
         assert q.fetch() == [(0, 1.5), (1, 3.5), (2, 5.5)]
 
     def test_window_routes_agree_through_engine(self, cell):
+        """The engine plan and the re-eval reference, registered side by
+        side, emit the same rows."""
+        from repro.baselines.reeval import ReEvalWindowAggregatePlan
+
         cell.execute("create basket t1 (v double)")
         cell.execute("create basket t2 (v double)")
-        qi = cell.submit_window_aggregate(
-            "t1", "v", ["sum", "max"], WindowSpec(WindowMode.COUNT, 6, 3),
-            incremental=True,
+        spec = WindowSpec(WindowMode.COUNT, 6, 3)
+        qi = cell.submit_window_aggregate("t1", "v", ["sum", "max"], spec)
+        reference = ReEvalWindowAggregatePlan(
+            "t2", "v", ["sum", "max"], spec, "ref_out"
         )
-        qr = cell.submit_window_aggregate(
-            "t2", "v", ["sum", "max"], WindowSpec(WindowMode.COUNT, 6, 3),
-            incremental=False,
+        qr = cell.submit_plan(
+            "ref", reference, ["t2"], reference.output_schema()
         )
         for i in range(20):
             cell.insert("t1", [(float(i % 7),)])

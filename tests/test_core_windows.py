@@ -1,8 +1,8 @@
 """Tests for windowed query processing (§3.1).
 
-The load-bearing property: the *incremental* (basic-window) route and the
-*re-evaluation* route must produce byte-identical answers, while the
-incremental route touches each tuple at most once.
+The load-bearing property: the engine's one window plan (a pane table)
+and the *re-evaluation* reference must produce the same answers, in the
+same row order, while the plan touches each tuple once.
 """
 
 import math
@@ -15,13 +15,19 @@ from hypothesis import strategies as st
 from repro.core.basket import Basket
 from repro.core.clock import LogicalClock
 from repro.core.factory import ConsumeMode, Factory, InputBinding
+from repro.baselines.reeval import ReEvalWindowAggregatePlan
 from repro.core.windows import (
-    IncrementalWindowAggregatePlan,
-    ReEvalWindowAggregatePlan,
     SlidingWindowJoinPlan,
+    WindowAggregatePlan,
     WindowMode,
     WindowSpec,
     basic_window_width,
+)
+from repro.durability.serde import (
+    decode_column,
+    encode_column,
+    frames_with_tail,
+    pack_frame,
 )
 from repro.errors import DataCellError
 from repro.kernel.types import AtomType
@@ -60,16 +66,30 @@ class TestWindowSpec:
         assert basic_window_width(WindowSpec(WindowMode.TIME, 1.5, 0.5)) == 0.5
 
 
+def assert_rows_close(expected, got, key_columns=1):
+    """Same rows in the same order; aggregates equal up to float
+    rounding (the plan sums panes, the reference sums tuples)."""
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert a[:key_columns] == b[:key_columns]
+        for x, y in zip(a[key_columns:], b[key_columns:]):
+            if x is None or y is None:
+                assert x == y
+            else:
+                assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+
+
 def drive_count_window(plan_cls, spec, values, chunks=5, aggs=None,
-                       groups=None):
+                       groups=None, group_atom=AtomType.STR):
     clock = LogicalClock()
     columns = [("v", AtomType.DBL)]
     if groups is not None:
-        columns.append(("g", AtomType.STR))
+        columns.append(("g", group_atom))
     inp = Basket("w_in", columns, clock)
     plan = plan_cls(
         "w_in", "v", aggs or AGGS, spec, "w_out",
         group_column="g" if groups is not None else None,
+        group_atom=group_atom,
     )
     out = Basket("w_out", plan.output_schema(), clock)
     factory = Factory("w", plan, [InputBinding(inp, ConsumeMode.ALL)], [out])
@@ -93,7 +113,7 @@ def drive_count_window(plan_cls, spec, values, chunks=5, aggs=None,
 class TestCountWindows:
     def test_tumbling_sums(self):
         rows, _ = drive_count_window(
-            IncrementalWindowAggregatePlan,
+            WindowAggregatePlan,
             WindowSpec(WindowMode.COUNT, 4),
             [1.0] * 12,
             aggs=["sum"],
@@ -102,7 +122,7 @@ class TestCountWindows:
 
     def test_sliding_window_ids(self):
         rows, _ = drive_count_window(
-            IncrementalWindowAggregatePlan,
+            WindowAggregatePlan,
             WindowSpec(WindowMode.COUNT, 4, 2),
             list(map(float, range(10))),
             aggs=["min", "max"],
@@ -123,7 +143,7 @@ class TestCountWindows:
     def test_nulls_skipped_by_value_aggs_counted_by_star(self):
         values = [1.0, None, 3.0, None]
         rows, _ = drive_count_window(
-            IncrementalWindowAggregatePlan,
+            WindowAggregatePlan,
             WindowSpec(WindowMode.COUNT, 4),
             values,
             aggs=["count", "count_star", "sum"],
@@ -144,26 +164,17 @@ class TestCountWindows:
         slide = data.draw(st.integers(1, size))
         chunks = data.draw(st.integers(1, 6))
         spec = WindowSpec(WindowMode.COUNT, size, slide)
-        r1, p1 = drive_count_window(
+        r1, _ = drive_count_window(
             ReEvalWindowAggregatePlan, spec, values, chunks
         )
-        r2, p2 = drive_count_window(
-            IncrementalWindowAggregatePlan, spec, values, chunks
-        )
-        assert len(r1) == len(r2)
-        for a, b in zip(r1, r2):
-            assert a[0] == b[0]
-            for x, y in zip(a[1:], b[1:]):
-                if x is None or y is None:
-                    assert x == y
-                else:
-                    assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+        r2, _ = drive_count_window(WindowAggregatePlan, spec, values, chunks)
+        assert_rows_close(r1, r2)
 
     def test_incremental_touches_each_tuple_once(self):
         values = list(map(float, range(100)))
         spec = WindowSpec(WindowMode.COUNT, 20, 5)
         _, plan = drive_count_window(
-            IncrementalWindowAggregatePlan, spec, values, chunks=10
+            WindowAggregatePlan, spec, values, chunks=10
         )
         assert plan.values_processed == len(values)
 
@@ -180,7 +191,7 @@ class TestCountWindows:
         spec = WindowSpec(WindowMode.COUNT, 10, 10)
         clock = LogicalClock()
         inp = Basket("w_in", [("v", AtomType.DBL)], clock)
-        plan = IncrementalWindowAggregatePlan(
+        plan = WindowAggregatePlan(
             "w_in", "v", ["sum"], spec, "w_out"
         )
         assert plan.tuples_needed() == 10
@@ -194,55 +205,59 @@ class TestCountWindows:
 class TestGroupedWindows:
     @settings(max_examples=20, deadline=None)
     @given(
-        st.lists(st.floats(-50, 50), min_size=0, max_size=60),
+        st.lists(
+            st.one_of(st.floats(-50, 50), st.none()), min_size=0, max_size=60
+        ),
+        st.sampled_from([
+            (AtomType.STR, ["a", "b", "c", None]),
+            (AtomType.INT, [1, 2, 7, None]),
+            (AtomType.LNG, [-(2**40), 0, 5]),
+            (AtomType.DBL, [0.5, -1.0, None]),
+        ]),
+        st.sampled_from([(8, 4), (6, 3), (5, 5), (9, 2)]),
         st.data(),
     )
-    def test_grouped_routes_equivalent(self, values, data):
-        groups = [
-            data.draw(st.sampled_from(["a", "b", "c"]))
-            for _ in values
-        ]
-        spec = WindowSpec(WindowMode.COUNT, 8, 4)
+    def test_grouped_routes_equivalent(self, values, keys, window, data):
+        atom, domain = keys
+        groups = [data.draw(st.sampled_from(domain)) for _ in values]
+        spec = WindowSpec(WindowMode.COUNT, *window)
+        chunks = data.draw(st.integers(1, 6))
         r1, _ = drive_count_window(
-            ReEvalWindowAggregatePlan, spec, values, 4, ["sum", "count"],
-            groups,
+            ReEvalWindowAggregatePlan, spec, values, chunks, AGGS, groups,
+            atom,
         )
         r2, _ = drive_count_window(
-            IncrementalWindowAggregatePlan, spec, values, 4,
-            ["sum", "count"], groups,
+            WindowAggregatePlan, spec, values, chunks, AGGS, groups, atom,
         )
-        s1, s2 = sorted(r1, key=str), sorted(r2, key=str)
-        assert len(s1) == len(s2)
-        for a, b in zip(s1, s2):
-            assert a[:2] == b[:2]  # window id, group key
-            for x, y in zip(a[2:], b[2:]):
-                if x is None or y is None:
-                    assert x == y
-                else:
-                    assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+        # same rows in the same order: groups by first arrival per window
+        assert_rows_close(r1, r2, key_columns=2)
 
     def test_grouped_sums(self):
         values = [1.0, 2.0, 10.0, 20.0]
         groups = ["a", "a", "b", "b"]
         rows, _ = drive_count_window(
-            IncrementalWindowAggregatePlan,
+            WindowAggregatePlan,
             WindowSpec(WindowMode.COUNT, 4),
             values, 1, ["sum"], groups,
         )
         assert sorted(rows) == [(0, "a", 3.0), (0, "b", 30.0)]
 
 
-def drive_time_window(plan_cls, spec, events, aggs=("sum",)):
-    """events: list of (timestamp, value)."""
+def drive_time_window(plan_cls, spec, events, aggs=("sum",), grouped=False):
+    """events: list of (timestamp, value) or (timestamp, value, group)."""
     clock = LogicalClock()
-    inp = Basket("w_in", [("v", AtomType.DBL)], clock)
-    plan = plan_cls("w_in", "v", list(aggs), spec, "w_out")
+    columns = [("v", AtomType.DBL)] + ([("g", AtomType.INT)] * grouped)
+    inp = Basket("w_in", columns, clock)
+    plan = plan_cls(
+        "w_in", "v", list(aggs), spec, "w_out",
+        group_column="g" if grouped else None, group_atom=AtomType.INT,
+    )
     out = Basket("w_out", plan.output_schema(), clock)
     factory = Factory("w", plan, [InputBinding(inp, ConsumeMode.ALL)], [out])
-    for stamp, value in events:
+    for stamp, *row in events:
         if stamp > clock.now():
             clock.set(stamp)
-        inp.insert_rows([(value,)], timestamp=stamp)
+        inp.insert_rows([tuple(row)], timestamp=stamp)
         factory.activate()
     return [r[:-1] for r in out.rows()], plan
 
@@ -252,7 +267,7 @@ class TestTimeWindows:
         events = [(0.5, 1.0), (1.5, 2.0), (2.5, 4.0), (4.2, 8.0)]
         spec = WindowSpec(WindowMode.TIME, 2.0)
         rows, _ = drive_time_window(
-            IncrementalWindowAggregatePlan, spec, events
+            WindowAggregatePlan, spec, events
         )
         # window 0 = [0,2): 1.0; window 1 = [2,4): 4.0 (closed by the 4.2
         # watermark)
@@ -268,7 +283,7 @@ class TestTimeWindows:
             ReEvalWindowAggregatePlan, spec, events, aggs=("sum", "count")
         )
         r2, _ = drive_time_window(
-            IncrementalWindowAggregatePlan, spec, events,
+            WindowAggregatePlan, spec, events,
             aggs=("sum", "count"),
         )
         assert r1 == r2
@@ -279,7 +294,7 @@ class TestTimeWindows:
         events = [(0.5, 1.0), (6.5, 2.0)]
         spec = WindowSpec(WindowMode.TIME, 2.0)
         rows, _ = drive_time_window(
-            IncrementalWindowAggregatePlan, spec, events, aggs=("sum", "count")
+            WindowAggregatePlan, spec, events, aggs=("sum", "count")
         )
         assert rows[0] == (0, 1.0, 1)
         assert rows[1] == (1, None, 0), "gap window has NULL sum, 0 count"
@@ -299,7 +314,7 @@ class TestTimeWindows:
             aggs=("sum", "count", "min", "max"),
         )
         r2, _ = drive_time_window(
-            IncrementalWindowAggregatePlan, spec, events,
+            WindowAggregatePlan, spec, events,
             aggs=("sum", "count", "min", "max"),
         )
         assert r1 == r2 == [(0, 0.0, 1, 0.0, 0.0)]
@@ -321,17 +336,119 @@ class TestTimeWindows:
             aggs=("sum", "count", "min", "max"),
         )
         r2, _ = drive_time_window(
-            IncrementalWindowAggregatePlan, spec, events,
+            WindowAggregatePlan, spec, events,
             aggs=("sum", "count", "min", "max"),
         )
-        assert len(r1) == len(r2)
+        assert_rows_close(r1, r2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0, 30), st.floats(-10, 10), st.integers(0, 20)
+            ),
+            max_size=50,
+        ),
+        st.sampled_from([(2.0, 1.0), (4.0, 2.0), (3.0, 3.0), (4.0, 1.0)]),
+    )
+    def test_time_grouped_out_of_order_equivalent(self, events, window):
+        """Arrival order is the drawn order, so timestamps go backwards:
+        a tuple older than the open window's start is late and dropped,
+        as re-evaluation drops it."""
+        spec = WindowSpec(WindowMode.TIME, *window)
+        aggs = ("count_star", "sum", "avg", "min", "max")
+        r1, _ = drive_time_window(
+            ReEvalWindowAggregatePlan, spec, events, aggs, grouped=True
+        )
+        r2, _ = drive_time_window(
+            WindowAggregatePlan, spec, events, aggs, grouped=True
+        )
+        assert_rows_close(r1, r2, key_columns=2)
+
+
+class TestPaneTable:
+    def test_new_key_below_the_top_pane_keeps_buffered_panes(self):
+        """Regression: a new group key arriving late (below the highest
+        filled pane) grew the table to the late tuple's pane and lost
+        the panes above it."""
+        events = [(50.0, 1.0, 1), (10.0, 2.0, 2), (120.0, 3.0, 3),
+                  (101.0, 4.0, 4), (5.0, 1.0, 5), (102.0, 1.0, 6),
+                  (200.0, 1.0, 1)]
+        spec = WindowSpec(WindowMode.TIME, 100.0, 1.0)
+        aggs = ("sum", "count")
+        r1, _ = drive_time_window(
+            ReEvalWindowAggregatePlan, spec, events, aggs, grouped=True
+        )
+        r2, _ = drive_time_window(
+            WindowAggregatePlan, spec, events, aggs, grouped=True
+        )
+        assert r2 and r1 == r2
+
+    def test_sums_do_not_drift(self):
+        """100k values near 1e12 and 1e-3: each firing restarts the
+        prefix sums at its first live pane, so no running total carries
+        rounding error from one firing to the next."""
+        rng = np.random.default_rng(5)
+        n = 100_000
+        values = np.where(
+            rng.random(n) < 0.5,
+            1e12 + rng.uniform(-1e3, 1e3, n),
+            rng.uniform(0, 2e-3, n),
+        ).tolist()
+        spec = WindowSpec(WindowMode.COUNT, 1_000, 10)
+        aggs = ["sum", "avg"]
+        r1, _ = drive_count_window(
+            ReEvalWindowAggregatePlan, spec, values, 50, aggs
+        )
+        r2, plan = drive_count_window(WindowAggregatePlan, spec, values, 50, aggs)
+        assert len(r2) == (n - 1_000) // 10 + 1
+        assert plan.values_processed == n
         for a, b in zip(r1, r2):
             assert a[0] == b[0]
             for x, y in zip(a[1:], b[1:]):
-                if x is None or y is None:
-                    assert x == y
-                else:
-                    assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                assert math.isclose(x, y, rel_tol=1e-9)
+
+    def test_state_round_trips_without_pickle(self):
+        spec = WindowSpec(WindowMode.COUNT, 6, 2)
+        values = [float(i % 5) for i in range(23)]
+        groups = [i % 3 if i % 4 else None for i in range(23)]
+        _, plan = drive_count_window(
+            WindowAggregatePlan, spec, values, 3, ["sum", "max"], groups,
+            AtomType.INT,
+        )
+        blob = plan.export_state()
+        frames, torn = frames_with_tail(blob)  # serde frames, not pickle
+        assert not torn and len(frames) == 4
+        twin = WindowAggregatePlan(
+            "w_in", "v", ["sum", "max"], spec, "w_out",
+            group_column="g", group_atom=AtomType.INT,
+        )
+        twin.import_state(blob)
+        assert twin.export_state() == blob
+        assert twin.next_window == plan.next_window
+        assert twin._codes == plan._codes
+
+    def test_tampered_state_is_rejected(self):
+        spec = WindowSpec(WindowMode.COUNT, 4, 2)
+        _, plan = drive_count_window(
+            WindowAggregatePlan, spec, [1.0] * 9, 2, ["sum"]
+        )
+        blob = bytearray(plan.export_state())
+        fresh = WindowAggregatePlan("w_in", "v", ["sum"], spec, "w_out")
+        for tampered in (
+            bytes(blob[:-1]),  # torn tail
+            bytes(blob[:20]) + bytes([blob[20] ^ 0xFF]) + bytes(blob[21:]),
+            None,
+        ):
+            with pytest.raises(DataCellError):
+                fresh.import_state(tampered)
+        # a well-formed blob of another format version is refused too
+        frames, _ = frames_with_tail(bytes(blob))
+        header = decode_column(AtomType.LNG, frames[0])
+        header[0] = 99
+        frames[0] = encode_column(AtomType.LNG, header)
+        with pytest.raises(DataCellError, match="version"):
+            fresh.import_state(b"".join(pack_frame(f) for f in frames))
 
 
 class TestWindowJoin:

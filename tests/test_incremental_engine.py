@@ -4,7 +4,8 @@ Every incremental route must be indistinguishable from its re-eval twin
 at the API surface: linear circuits emit identical rows, weighted
 circuits (aggregate, join) integrate to the one-shot answer over the
 same input, unsupported shapes fall back with a recorded reason, and
-window aggregates on the delta plan match the re-eval plan row for row.
+window aggregates run the one window plan in either mode, matching the
+re-eval reference row for row.
 """
 
 from collections import Counter
@@ -12,6 +13,8 @@ from collections import Counter
 import pytest
 
 from repro import DataCell, WindowMode, WindowSpec
+from repro.baselines.reeval import ReEvalWindowAggregatePlan
+from repro.core.windows import WindowAggregatePlan
 from repro.errors import DataCellError
 from repro.incremental import WEIGHT_COLUMN
 from repro.kernel.types import AtomType
@@ -162,32 +165,45 @@ class TestFallback:
 class TestDeltaWindows:
     @pytest.mark.parametrize("size,slide", [(4, 4), (5, 2), (8, 3)])
     def test_count_window_matches_reeval(self, size, slide):
+        """On an incremental engine the window plan matches the re-eval
+        reference row for row (both registered on the same engine)."""
         values = [(i * 7) % 23 for i in range(40)]
-        outputs = {}
-        for execution in ("incremental", "reeval"):
-            cell = DataCell()
-            cell.create_basket("s", [("v", AtomType.LNG)])
-            handle = cell.submit_window_aggregate(
-                "s",
-                "v",
-                ["sum", "count", "min", "max"],
-                WindowSpec(WindowMode.COUNT, size, slide),
-                execution=execution,
-                name="w",
-            )
-            for i in range(0, len(values), 3):
-                cell.insert("s", [[v] for v in values[i : i + 3]])
-                cell.run_until_quiescent()
-            outputs[execution] = [tuple(r) for r in handle.fetch()]
-        assert outputs["incremental"] == outputs["reeval"]
-
-    def test_delta_window_handle_reports_incremental(self):
         cell = DataCell(execution="incremental")
         cell.create_basket("s", [("v", AtomType.LNG)])
-        handle = cell.submit_window_aggregate(
-            "s", "v", ["sum"], WindowSpec(WindowMode.COUNT, 4, 2)
+        cell.create_basket("r", [("v", AtomType.LNG)])
+        aggs = ["sum", "count", "min", "max"]
+        spec = WindowSpec(WindowMode.COUNT, size, slide)
+        handle = cell.submit_window_aggregate("s", "v", aggs, spec, name="w")
+        reference = ReEvalWindowAggregatePlan("r", "v", aggs, spec, "ref_out")
+        ref = cell.submit_plan(
+            "ref", reference, ["r"], reference.output_schema()
         )
-        assert handle.execution == "incremental"
+        for i in range(0, len(values), 3):
+            for basket in ("s", "r"):
+                cell.insert(basket, [[v] for v in values[i : i + 3]])
+            cell.run_until_quiescent()
+        rows = handle.fetch()
+        assert rows and rows == ref.fetch()
+
+    def test_window_plan_is_mode_independent(self):
+        """Both engine modes register the same plan class for a SQL
+        window and return identical rows, int group key included."""
+        sql = (
+            "select x.k, sum(x.v), min(x.v), count(*) "
+            "from [select * from s] as x group by x.k window 5 slide 2"
+        )
+        outputs, plans = {}, set()
+        for execution in ("reeval", "incremental"):
+            cell = DataCell(execution=execution)
+            cell.create_basket("s", [("k", AtomType.INT), ("v", AtomType.INT)])
+            handle = cell.submit_continuous(sql)
+            plans.add(type(handle.factory.plan))
+            _drive(cell, rows=ROWS, basket="s")
+            outputs[execution] = handle.fetch()
+            assert not cell.incremental_fallbacks
+        assert plans == {WindowAggregatePlan}
+        assert outputs["reeval"] == outputs["incremental"]
+        assert outputs["reeval"][0] == (0, 0, -6.0, -5.0, 2)
 
     def test_explain_analyze_renders_circuit_state(self):
         cell = _feed_cell("incremental")

@@ -104,6 +104,37 @@ class TestExecution:
             (0, "A", 4.0), (0, "B", 2.0), (1, "A", 12.0), (1, "B", 10.0),
         ]
 
+    @pytest.mark.parametrize("execution", ["reeval", "incremental"])
+    @pytest.mark.parametrize(
+        "ddl,keys",
+        [
+            ("int", [3, None, 7]),
+            ("bigint", [2**40, None, -1]),
+            ("double", [0.5, None, -2.25]),
+            ("varchar(4)", ["a", None, "b"]),
+        ],
+    )
+    def test_group_key_keeps_its_atom(self, execution, ddl, keys):
+        """Regression: window GROUP BY stringified its keys, so an ``int``
+        key raised ``TypeMismatchError: cannot append str BAT to int
+        BAT`` at the first emit.  A NIL key forms one group."""
+        cell = DataCell(clock=LogicalClock(), execution=execution)
+        cell.execute(f"create basket s (k {ddl}, v int)")
+        q = cell.submit_continuous(
+            "select x.k, sum(x.v), count(*) from [select * from s] as x "
+            "group by x.k window 4 slide 2"
+        )
+        a, nil, b = keys
+        cell.insert("s", [(a, 1), (nil, 2), (a, 3), (nil, 4), (b, 5), (b, 6)])
+        cell.run_until_quiescent()
+        assert q.fetch() == [
+            (0, a, 4.0, 2), (0, None, 6.0, 2),
+            (1, a, 3.0, 1), (1, None, 4.0, 1), (1, b, 11.0, 2),
+        ]
+        assert cell.basket(f"{q.name}_out").schema.atom("k") is (
+            cell.basket("s").schema.atom("k")
+        )
+
     def test_time_window_execution(self, cell):
         q = cell.submit_continuous(
             "select sum(x.price) from [select * from ticks] as x "
