@@ -29,6 +29,8 @@ from typing import Any, Dict, List, Tuple
 
 #: Payload keys rendered in their own leading columns (most-telling first).
 HEADLINE_KEYS = ("claim", "overhead_pct", "tuples", "seed")
+#: heading of the hand-recorded suite section kept across regenerations
+SUITE_HEADING = "## Suite medians (benchmarks/suite)"
 
 
 def _fmt(value: Any) -> str:
@@ -107,6 +109,21 @@ def render_markdown(files: List[Tuple[str, Dict[str, Any]]]) -> str:
     return "\n".join(lines)
 
 
+def keep_suite_section(path: str) -> str:
+    """The hand-recorded ``SUITE_HEADING`` section of ``path``, if any.
+
+    Suite medians come from ``benchmarks/suite`` runs, not from a
+    ``BENCH_*.json`` file, so regenerating the page carries them over.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError:
+        return ""
+    start = text.find(SUITE_HEADING)
+    return "\n" + text[start:].rstrip("\n") if start >= 0 else ""
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -123,7 +140,7 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     files = load_bench_files(args.root)
-    doc = render_markdown(files)
+    doc = render_markdown(files) + keep_suite_section(args.out)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as handle:
         handle.write(doc + "\n")

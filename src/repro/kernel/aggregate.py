@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import KernelError, TypeMismatchError
 from .bat import BAT
 from .candidates import resolve_positions
+from .group import str_codes
 from .types import AtomType, nil_value, numpy_dtype
 
 __all__ = [
@@ -57,24 +58,23 @@ def scalar_aggregate(
     if len(valid) == 0:
         return None
     if bat.atom is AtomType.STR:
-        if name == "min":
-            return min(valid)
-        if name == "max":
-            return max(valid)
-        raise TypeMismatchError(f"aggregate {name} undefined on str")
-    values = valid.astype(np.float64)
-    if name == "sum":
-        total = float(values.sum())
-        return int(total) if bat.atom.is_integral else total
+        if name not in ("min", "max"):
+            raise TypeMismatchError(f"aggregate {name} undefined on str")
+        (codes,), strings = str_codes(valid, ordered=True)
+        return strings[codes.min() if name == "min" else codes.max()]
     if name == "avg":
-        return float(values.mean())
-    if name == "min":
+        return float(valid.astype(np.float64).mean())
+    exact = bat.atom.is_integral
+    values = valid.astype(np.int64 if exact else np.float64)
+    if name == "sum":
+        res = values.sum()
+    elif name == "min":
         res = values.min()
-        return int(res) if bat.atom.is_integral else float(res)
-    if name == "max":
+    elif name == "max":
         res = values.max()
-        return int(res) if bat.atom.is_integral else float(res)
-    raise KernelError(f"unhandled aggregate {name!r}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise KernelError(f"unhandled aggregate {name!r}")
+    return int(res) if exact else float(res)
 
 
 def grouped_aggregate(
@@ -108,27 +108,35 @@ def grouped_aggregate(
         out = BAT(AtomType.LNG, capacity=max(ngroups, 1))
         out.append_array(counts)
         return out
+    gids, tail = gids[valid_mask], tail[valid_mask]
     if bat.atom is AtomType.STR:
-        return _grouped_str(name, tail, valid_mask, gids, ngroups)
-    values = tail.astype(np.float64)
-    counts = np.bincount(gids[valid_mask], minlength=ngroups)
-    if name in ("sum", "avg"):
+        return _grouped_str(name, tail, gids, ngroups)
+    counts = np.bincount(gids, minlength=ngroups)
+    if name == "avg":
         sums = np.bincount(
-            gids[valid_mask], weights=values[valid_mask], minlength=ngroups
+            gids, weights=tail.astype(np.float64), minlength=ngroups
         )
-        if name == "avg":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                res = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-            out = BAT(AtomType.DBL, capacity=max(ngroups, 1))
-            out.append_array(res)
-            return out
-        sum_atom = AtomType.LNG if bat.atom.is_integral else AtomType.DBL
-        return _store_numeric(sum_atom, sums, counts)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            res = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        out = BAT(AtomType.DBL, capacity=max(ngroups, 1))
+        out.append_array(res)
+        return out
+    # integral atoms reduce in int64 so SUM/MIN/MAX stay exact past 2**53
+    exact = bat.atom.is_integral
+    values = tail.astype(np.int64 if exact else np.float64)
+    if name == "sum":
+        res = np.zeros(ngroups, dtype=values.dtype)
+        np.add.at(res, gids, values)
+        return _store_numeric(
+            AtomType.LNG if exact else AtomType.DBL, res, counts
+        )
     if name in ("min", "max"):
-        fill = np.inf if name == "min" else -np.inf
-        res = np.full(ngroups, fill, dtype=np.float64)
-        fn = np.minimum if name == "min" else np.maximum
-        fn.at(res, gids[valid_mask], values[valid_mask])
+        if name == "min":
+            fill = np.iinfo(np.int64).max if exact else np.inf
+        else:
+            fill = np.iinfo(np.int64).min if exact else -np.inf
+        res = np.full(ngroups, fill, dtype=values.dtype)
+        (np.minimum if name == "min" else np.maximum).at(res, gids, values)
         # min/max preserve the input atom: the declared output column of a
         # continuous GROUP BY is the input atom, and append_bat rejects
         # any widening at the emitter boundary.
@@ -150,18 +158,24 @@ def _store_numeric(atom: AtomType, values: np.ndarray, counts: np.ndarray) -> BA
     return out
 
 
-def _grouped_str(name, tail, valid_mask, gids, ngroups) -> BAT:
+def _grouped_str(name, tail, gids, ngroups) -> BAT:
+    """Per-group MIN/MAX of non-NULL strings, reduced over value-ordered codes."""
     if name not in ("min", "max"):
         raise TypeMismatchError(f"aggregate {name} undefined on str")
-    best = [None] * ngroups
-    for idx in np.flatnonzero(valid_mask):
-        gid = gids[idx]
-        val = tail[idx]
-        cur = best[gid]
-        if cur is None or (val < cur if name == "min" else val > cur):
-            best[gid] = val
+    (codes,), strings = str_codes(tail, ordered=True)
+    if name == "min":
+        best = np.full(ngroups, len(strings), dtype=np.int64)
+        np.minimum.at(best, gids, codes)
+    else:
+        best = np.full(ngroups, -1, dtype=np.int64)
+        np.maximum.at(best, gids, codes)
+    found = (best >= 0) & (best < len(strings))
+    values = np.empty(len(strings), dtype=object)
+    values[:] = strings
+    res = np.full(ngroups, None, dtype=object)
+    res[found] = values[best[found]]
     out = BAT(AtomType.STR, capacity=max(ngroups, 1))
-    out.append_many(best)
+    out.append_array(res)
     return out
 
 

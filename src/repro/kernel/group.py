@@ -10,34 +10,122 @@ MonetDB:
 ``ngroups``
     number of distinct groups.
 
-Multi-column grouping refines an existing grouping with
-:func:`subgroup`, exactly how the MAL plans chain ``group.subgroup`` calls.
-NULL is a regular group key (SQL GROUP BY semantics: NULLs group together).
+Group ids are numbered by first occurrence.  Multi-column grouping
+refines an existing grouping with :func:`subgroup`, exactly how the MAL
+plans chain ``group.subgroup`` calls.  NULL is a regular group key (SQL
+GROUP BY semantics: NULLs group together).
+
+Both are bulk operators: keys are factorised to integer codes — through a
+direct-address table when the integer keys span at most
+``DENSE_SPAN`` × the row count, otherwise by sorting — and the codes are
+re-ranked by first occurrence.  STR keys become integer codes first, in
+:func:`str_codes`, the one place the kernel's bulk operators touch python
+string objects; joins and STR MIN/MAX use it too.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from itertools import chain
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .bat import BAT
 from .candidates import resolve_positions
-from .types import AtomType
+from .types import AtomType, nil_mask
 
-__all__ = ["group", "subgroup", "distinct_positions"]
+__all__ = ["group", "subgroup", "distinct_positions", "str_codes", "dense_span"]
+
+#: integer keys whose span is at most this multiple of the row count are
+#: looked up in a direct-address table instead of by sorting
+DENSE_SPAN = 4
 
 
-def _group_keys(bat: BAT, positions: np.ndarray):
+def str_codes(
+    *tails: np.ndarray, ordered: bool = False
+) -> Tuple[List[np.ndarray], List[str]]:
+    """Factorise STR tails jointly to ``int64`` codes, NIL → ``-1``.
+
+    Returns one code array per tail and the list of distinct strings
+    indexed by code.  Codes number the strings by first occurrence across
+    the tails, or, with ``ordered``, in value order, so that comparing
+    codes compares the strings.  One hash pass over the rows; only
+    ``ordered`` sorts, and then only the distinct strings.
+    """
+    rows = [tail.tolist() for tail in tails]  # lists iterate faster
+    seen = dict.fromkeys(chain.from_iterable(rows))
+    seen.pop(None, None)
+    keys = list(seen)
+    if ordered:
+        keys.sort()
+    lookup = dict(zip(keys, range(len(keys))))
+    lookup[None] = -1
+    codes = [
+        np.fromiter(map(lookup.__getitem__, part), np.int64, len(part))
+        for part in rows
+    ]
+    return codes, keys
+
+
+def dense_span(keys: np.ndarray, rows: int) -> Optional[Tuple[int, int]]:
+    """``(lo, span)`` when integer ``keys`` fit a direct-address table.
+
+    ``span`` is ``max - min + 1``; the table is used when that is at most
+    ``DENSE_SPAN * rows``.  ``None`` sends the caller to the sort path.
+    """
+    if keys.dtype.kind not in "iu" or not len(keys):
+        return None
+    lo, hi = int(keys.min()), int(keys.max())
+    span = hi - lo + 1
+    return (lo, span) if span <= DENSE_SPAN * max(rows, 1) else None
+
+
+def _group_codes(bat: BAT, positions: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Codes in ``[0, ncodes)`` of the tail values; all NILs share one."""
     tail = bat.tail[positions]
     if bat.atom is AtomType.STR:
-        return [("\0NULL\0" if v is None else v) for v in tail]
-    nil = bat.nil_positions()[positions]
-    # Use a float view so NULL sentinels hash consistently; replace NaN.
-    keys = tail.astype(object)
-    for idx in np.flatnonzero(nil):
-        keys[idx] = "\0NULL\0"
-    return list(keys)
+        (codes,), strings = str_codes(tail)
+        if len(codes) and codes.min() < 0:
+            return codes + 1, len(strings) + 1  # NIL's -1 becomes code 0
+        return codes, len(strings)
+    if tail.dtype.kind == "f":
+        return _factorise(tail)  # np.unique folds every NaN into one key
+    keys = tail.astype(np.int64)
+    nil = nil_mask(bat.atom, tail)
+    if nil.any():
+        # below every valid key, so NILs group together and the span
+        # stays the valid keys' span plus one
+        keys[nil] = keys[~nil].min() - 1 if not nil.all() else 0
+    return _factorise(keys)
+
+
+def _factorise(keys: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Codes in ``[0, ncodes)``: equal keys, and only they, share a code."""
+    dense = dense_span(keys, len(keys))
+    if dense is not None:
+        lo, span = dense
+        return keys - lo, span
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return inverse.reshape(-1), len(uniq)
+
+
+def _by_first_occurrence(
+    codes: np.ndarray, ncodes: int
+) -> Tuple[BAT, np.ndarray, int]:
+    """Renumber codes as group ids in first-occurrence order."""
+    rows = len(codes)
+    first = np.full(ncodes, rows, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(rows, dtype=np.int64))
+    if ncodes and first[-1] < rows and (first[1:] > first[:-1]).all():
+        extents = first  # every code present, numbered by first occurrence
+    else:
+        extents = np.sort(first[first < rows])
+        gid_of = np.empty(ncodes, dtype=np.int64)
+        gid_of[codes[extents]] = np.arange(len(extents), dtype=np.int64)
+        codes = gid_of[codes]
+    groups = BAT(AtomType.OID, hseqbase=0, capacity=max(rows, 1))
+    groups.append_array(codes)
+    return groups, extents, len(extents)
 
 
 def group(
@@ -50,20 +138,7 @@ def group(
     candidate-order position of group ``g``'s first tuple.
     """
     positions = resolve_positions(bat, candidates)
-    keys = _group_keys(bat, positions)
-    mapping = {}
-    gids = np.empty(len(positions), dtype=np.int64)
-    extents = []
-    for i, key in enumerate(keys):
-        gid = mapping.get(key)
-        if gid is None:
-            gid = len(mapping)
-            mapping[key] = gid
-            extents.append(i)
-        gids[i] = gid
-    groups = BAT(AtomType.OID, hseqbase=0, capacity=max(len(gids), 1))
-    groups.append_array(gids)
-    return groups, np.asarray(extents, dtype=np.int64), len(mapping)
+    return _by_first_occurrence(*_group_codes(bat, positions))
 
 
 def subgroup(
@@ -77,22 +152,9 @@ def subgroup(
     ``groups`` output of a previous :func:`group`/:func:`subgroup`).
     """
     positions = resolve_positions(bat, candidates)
-    keys = _group_keys(bat, positions)
-    prev = prev_groups.tail
-    mapping = {}
-    gids = np.empty(len(positions), dtype=np.int64)
-    extents = []
-    for i, key in enumerate(keys):
-        composite = (int(prev[i]), key)
-        gid = mapping.get(composite)
-        if gid is None:
-            gid = len(mapping)
-            mapping[composite] = gid
-            extents.append(i)
-        gids[i] = gid
-    groups = BAT(AtomType.OID, hseqbase=0, capacity=max(len(gids), 1))
-    groups.append_array(gids)
-    return groups, np.asarray(extents, dtype=np.int64), len(mapping)
+    codes, ncodes = _group_codes(bat, positions)
+    combined = prev_groups.tail.astype(np.int64) * ncodes + codes
+    return _by_first_occurrence(*_factorise(combined))
 
 
 def distinct_positions(

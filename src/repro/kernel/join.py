@@ -6,14 +6,24 @@ candidate order, producing a new dense-headed BAT.  It is the workhorse of
 column-at-a-time execution: selections produce oids, projections turn them
 back into columns.
 
-``hash_join`` / ``theta_join`` are value-based joins returning *pairs of
-position arrays* into the left and right inputs, like MonetDB's
-``algebra.join`` returning two oid BATs.
+``hash_join`` / ``left_outer_join`` / ``theta_join`` are value-based joins
+returning *pairs of oid arrays* into the left and right inputs, like
+MonetDB's ``algebra.join`` returning two oid BATs.  They are bulk
+operators: each left (probe) row gets a ``(start, count)`` run of matches
+in an index of the right (build) side, and one expansion step turns the
+runs into pairs.  The index is a direct-address table when the integer
+keys span at most ``group.DENSE_SPAN`` × the build rows, otherwise a
+stable sort searched with ``searchsorted``.
+
+Output contract: pairs come out in probe-side scan order; one probe row's
+equi-join matches come out in build-side position order, its theta-join
+matches in build-side value order (ties by position).  NULL never joins.
+Mixed numeric keys compare as ``int64`` when both sides are integral and
+as ``float64`` otherwise; STR keys compare as :func:`group.str_codes`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,6 +31,7 @@ import numpy as np
 from ..errors import KernelError, TypeMismatchError
 from .bat import BAT
 from .candidates import resolve_positions
+from .group import dense_span, str_codes
 from .types import AtomType, nil_mask
 
 __all__ = [
@@ -31,27 +42,82 @@ __all__ = [
     "cross_positions",
 ]
 
+_THETA_OPS = ("<", "<=", ">", ">=", "!=", "<>")
+
 
 def projection(candidates: np.ndarray, tail: BAT, hseqbase: int = 0) -> BAT:
     """Fetch ``tail`` values for each candidate oid, in candidate order."""
     return tail.take_oids(np.asarray(candidates, dtype=np.int64), hseqbase=hseqbase)
 
 
-def _join_tails(
-    left: BAT,
-    right: BAT,
-    left_cands: Optional[np.ndarray],
-    right_cands: Optional[np.ndarray],
-):
-    if left.atom is not right.atom and not (
-        left.atom.is_numeric and right.atom.is_numeric
-    ):
-        raise TypeMismatchError(
-            f"cannot join {left.atom.value} with {right.atom.value}"
-        )
-    lpos = resolve_positions(left, left_cands)
-    rpos = resolve_positions(right, right_cands)
-    return lpos, left.tail[lpos], rpos, right.tail[rpos]
+class _Sides:
+    """Both join inputs as comparable keys.
+
+    ``lkeys`` holds every probe row (``lnil`` marks the NULL ones);
+    ``rkeys`` holds only the build side's non-NULL rows, and
+    ``roids[i]`` is the right oid of ``rkeys[i]``.
+    """
+
+    __slots__ = ("loids", "lkeys", "lnil", "roids", "rkeys")
+
+    def __init__(self, left, right, left_cands, right_cands, ordered):
+        if left.atom is not right.atom and not (
+            left.atom.is_numeric and right.atom.is_numeric
+        ):
+            raise TypeMismatchError(
+                f"cannot join {left.atom.value} with {right.atom.value}"
+            )
+        lpos = resolve_positions(left, left_cands)
+        rpos = resolve_positions(right, right_cands)
+        ltail, rtail = left.tail[lpos], right.tail[rpos]
+        if left.atom is AtomType.STR:
+            # build side first: its codes stay dense for the lookup table
+            (rkeys, lkeys), _ = str_codes(rtail, ltail, ordered=ordered)
+            lnil, rnil = lkeys < 0, rkeys < 0
+        else:
+            lnil = nil_mask(left.atom, ltail)
+            rnil = nil_mask(right.atom, rtail)
+            integral = ltail.dtype.kind in "iu" and rtail.dtype.kind in "iu"
+            dtype = np.int64 if integral else np.float64
+            lkeys, rkeys = ltail.astype(dtype), rtail.astype(dtype)
+        self.loids = lpos + left.hseqbase
+        self.lkeys, self.lnil = lkeys, lnil
+        self.roids = rpos[~rnil] + right.hseqbase
+        self.rkeys = rkeys[~rnil]
+
+
+def _equi_runs(sides: _Sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(build order, starts, counts)``: probe row ``i`` matches the build
+    rows ``order[starts[i] : starts[i] + counts[i]]``, in position order."""
+    rkeys, lkeys = sides.rkeys, sides.lkeys
+    dense = dense_span(rkeys, len(rkeys))
+    if dense is not None:
+        lo, span = dense
+        hi = lo + span - 1
+        slots = rkeys - lo
+        order = np.argsort(slots, kind="stable")
+        sizes = np.bincount(slots, minlength=span)
+        firsts = np.cumsum(sizes) - sizes
+        probe = np.clip(lkeys, lo, hi) - lo
+        starts = firsts[probe]
+        counts = np.where((lkeys >= lo) & (lkeys <= hi), sizes[probe], 0)
+    else:
+        order = np.argsort(rkeys, kind="stable")
+        ordered = rkeys[order]
+        starts = np.searchsorted(ordered, lkeys, "left")
+        counts = np.searchsorted(ordered, lkeys, "right") - starts
+    counts[sides.lnil] = 0
+    return order, starts, counts
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand runs into ``(run index, build index)`` of every match."""
+    if counts.max(initial=0) <= 1:  # e.g. a key join: no run to widen
+        runs = np.flatnonzero(counts)
+        return runs, starts[runs]
+    runs = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return runs, np.arange(len(runs), dtype=np.int64) + shift[runs]
 
 
 def hash_join(
@@ -64,26 +130,13 @@ def hash_join(
 
     Returns ``(left_oids, right_oids)``: parallel arrays such that
     ``left[left_oids[i]] == right[right_oids[i]]``.  NULLs never match.
-    The smaller side is hashed; output order follows the probe side scan
-    order (left side), matching MonetDB's join result properties closely
-    enough for plan correctness.
+    Pairs come out in left (probe) scan order, and one left row's matches
+    in right position order.
     """
-    lpos, ltail, rpos, rtail = _join_tails(left, right, left_cands, right_cands)
-    lnil = nil_mask(left.atom, ltail)
-    rnil = nil_mask(right.atom, rtail)
-    table = defaultdict(list)
-    for idx in np.flatnonzero(~rnil):
-        table[rtail[idx]].append(idx)
-    out_l, out_r = [], []
-    for idx in np.flatnonzero(~lnil):
-        matches = table.get(ltail[idx])
-        if matches:
-            for ridx in matches:
-                out_l.append(lpos[idx])
-                out_r.append(rpos[ridx])
-    left_oids = np.asarray(out_l, dtype=np.int64) + left.hseqbase
-    right_oids = np.asarray(out_r, dtype=np.int64) + right.hseqbase
-    return left_oids, right_oids
+    sides = _Sides(left, right, left_cands, right_cands, ordered=False)
+    order, starts, counts = _equi_runs(sides)
+    runs, build = _expand(starts, counts)
+    return sides.loids[runs], sides.roids[order[build]]
 
 
 def left_outer_join(
@@ -98,28 +151,13 @@ def left_outer_join(
     unmatched left tuples pair with right oid ``-1`` (the caller projects
     NULL for those).
     """
-    lpos, ltail, rpos, rtail = _join_tails(left, right, left_cands, right_cands)
-    rnil = nil_mask(right.atom, rtail)
-    lnil = nil_mask(left.atom, ltail)
-    table = defaultdict(list)
-    for idx in np.flatnonzero(~rnil):
-        table[rtail[idx]].append(idx)
-    out_l, out_r = [], []
-    for idx in range(len(lpos)):
-        matches = None if lnil[idx] else table.get(ltail[idx])
-        if matches:
-            for ridx in matches:
-                out_l.append(lpos[idx])
-                out_r.append(rpos[ridx])
-        else:
-            out_l.append(lpos[idx])
-            out_r.append(-1 - left.hseqbase)  # sentinel, corrected below
-    left_oids = np.asarray(out_l, dtype=np.int64) + left.hseqbase
-    right_oids = np.asarray(out_r, dtype=np.int64)
-    matched = right_oids >= 0
-    right_oids[matched] += right.hseqbase
-    right_oids[~matched] = -1
-    return left_oids, right_oids
+    sides = _Sides(left, right, left_cands, right_cands, ordered=False)
+    order, starts, counts = _equi_runs(sides)
+    runs, build = _expand(starts, np.maximum(counts, 1))
+    matched = counts[runs] > 0
+    right_oids = np.full(len(runs), -1, dtype=np.int64)
+    right_oids[matched] = sides.roids[order[build[matched]]]
+    return sides.loids[runs], right_oids
 
 
 def theta_join(
@@ -129,58 +167,39 @@ def theta_join(
     left_cands: Optional[np.ndarray] = None,
     right_cands: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """General theta join (``< <= > >= != ==``) via sorted-side pruning.
+    """General theta join (``< <= > >= != ==``) over the sorted right side.
 
-    For inequality operators the right side is sorted so each left value
-    finds its matching run with a binary search; equality delegates to the
+    Each left value matches one run of the sorted right side — two for
+    ``!=``, the values below and above it; equality delegates to the
     hash join.
     """
     if op in ("==", "="):
         return hash_join(left, right, left_cands, right_cands)
-    lpos, ltail, rpos, rtail = _join_tails(left, right, left_cands, right_cands)
-    lnil = nil_mask(left.atom, ltail)
-    rnil = nil_mask(right.atom, rtail)
-    rvalid = np.flatnonzero(~rnil)
-    if left.atom is AtomType.STR:
-        order = sorted(rvalid, key=lambda i: rtail[i])
-        rsorted = np.asarray(order, dtype=np.int64)
-        rvals = [rtail[i] for i in rsorted]
-    else:
-        rvals_raw = rtail[rvalid].astype(np.float64)
-        order = np.argsort(rvals_raw, kind="stable")
-        rsorted = rvalid[order]
-        rvals = rvals_raw[order]
-    out_l, out_r = [], []
-    import bisect
-
-    for idx in np.flatnonzero(~lnil):
-        val = ltail[idx]
-        if left.atom is not AtomType.STR:
-            val = float(val)
-        if op == "<":
-            start = bisect.bisect_right(rvals, val)
-            chosen = rsorted[start:]
-        elif op == "<=":
-            start = bisect.bisect_left(rvals, val)
-            chosen = rsorted[start:]
-        elif op == ">":
-            stop = bisect.bisect_left(rvals, val)
-            chosen = rsorted[:stop]
-        elif op == ">=":
-            stop = bisect.bisect_right(rvals, val)
-            chosen = rsorted[:stop]
-        elif op in ("!=", "<>"):
-            lo = bisect.bisect_left(rvals, val)
-            hi = bisect.bisect_right(rvals, val)
-            chosen = np.concatenate([rsorted[:lo], rsorted[hi:]])
-        else:
-            raise KernelError(f"unknown join operator {op!r}")
-        for ridx in chosen:
-            out_l.append(lpos[idx])
-            out_r.append(rpos[ridx])
-    left_oids = np.asarray(out_l, dtype=np.int64) + left.hseqbase
-    right_oids = np.asarray(out_r, dtype=np.int64) + right.hseqbase
-    return left_oids, right_oids
+    if op not in _THETA_OPS:
+        raise KernelError(f"unknown join operator {op!r}")
+    sides = _Sides(left, right, left_cands, right_cands, ordered=True)
+    order = np.argsort(sides.rkeys, kind="stable")
+    ordered = sides.rkeys[order]
+    below = np.searchsorted(ordered, sides.lkeys, "left")
+    upto = np.searchsorted(ordered, sides.lkeys, "right")
+    total = len(ordered)
+    zero = np.zeros_like(below)
+    if op == "<":
+        starts, counts = upto, total - upto
+    elif op == "<=":
+        starts, counts = below, total - below
+    elif op == ">":
+        starts, counts = zero, below
+    elif op == ">=":
+        starts, counts = zero, upto
+    else:  # != : the run below the value, then the run above it
+        starts = np.column_stack([zero, upto])
+        counts = np.column_stack([below, total - upto])
+    counts[sides.lnil] = 0
+    runs, build = _expand(starts.reshape(-1), counts.reshape(-1))
+    if op in ("!=", "<>"):
+        runs //= 2
+    return sides.loids[runs], sides.roids[order[build]]
 
 
 def cross_positions(left_count: int, right_count: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -187,10 +187,10 @@ class _SelectCompiler:
         implements — the EXPLAIN ANALYZE aggregation key.
         """
         with self.prog.node("from"):
-            rel = self._compile_sources(select.sources)
-        if select.where is not None:
+            rel, where = self._compile_sources(select.sources, select.where)
+        if where is not None:
             with self.prog.node("where"):
-                rel = self._compile_filter(rel, select.where)
+                rel = self._compile_filter(rel, where)
         has_aggregates = self._uses_aggregates(select)
         pre_projection: Optional[Relation] = None
         if has_aggregates or select.group_by:
@@ -217,14 +217,30 @@ class _SelectCompiler:
     # ------------------------------------------------------------------
     # sources
     # ------------------------------------------------------------------
-    def _compile_sources(self, sources: Sequence[Source]) -> Relation:
+    def _compile_sources(
+        self, sources: Sequence[Source], where: Optional[Expr]
+    ) -> Tuple[Relation, Optional[Expr]]:
+        """Join the FROM items left to right; returns (relation, rest of WHERE).
+
+        Each comma-joined item takes one WHERE conjunct ``a.x = b.y``
+        linking it to the items before it as an equi-join key; the other
+        conjuncts stay in WHERE.  Without such a conjunct it is a cross
+        product.
+        """
         if not sources:
             raise BindError("FROM clause is empty")
         relations = [self._compile_source(s) for s in sources]
         rel = relations[0]
         for other in relations[1:]:
-            rel = self._cross_join(rel, other)
-        return rel
+            eq = None if where is None else self._find_equi_pair(
+                where, rel, other
+            )
+            if eq is None:
+                rel = self._cross_join(rel, other)
+            else:
+                lcol, rcol, where = eq
+                rel = self._equi_join(rel, other, lcol, rcol)
+        return rel, where
 
     def _compile_source(self, source: Source) -> Relation:
         if isinstance(source, TableSource):
@@ -389,55 +405,43 @@ class _SelectCompiler:
                 "LEFT JOIN projection of unmatched rows is not supported "
                 "yet; use INNER JOIN"
             )
-        loids, roids = self.prog.emit(
-            "algebra", "join", [Var(lcol.var), Var(rcol.var)], results=2
-        )
-        rel = Relation()
-        for col in left:
-            var = self.prog.emit(
-                "algebra", "projection", [Var(loids), Var(col.var)]
-            )
-            rel.add(BoundColumn(col.qualifier, col.name, var, col.atom,
-                                col.hidden))
-        for col in right:
-            var = self.prog.emit(
-                "algebra", "projection", [Var(roids), Var(col.var)]
-            )
-            rel.add(BoundColumn(col.qualifier, col.name, var, col.atom,
-                                col.hidden))
+        rel = self._equi_join(left, right, lcol, rcol)
         if residual is not None:
             rel = self._compile_filter(rel, residual)
         return rel
 
     def _find_equi_pair(self, condition: Expr, left: Relation, right: Relation):
-        """Extract one ``l.col = r.col`` conjunct; returns residual rest."""
+        """Extract one ``l.col = r.col`` conjunct; returns residual rest.
+
+        A reference that resolves on both sides is ambiguous: its conjunct
+        stays in the residual, whose binding reports it.
+        """
         conjuncts = _split_and(condition)
         for i, conj in enumerate(conjuncts):
-            if (
+            if not (
                 isinstance(conj, BinaryOp)
                 and conj.op == "=="
                 and isinstance(conj.left, ColumnRef)
                 and isinstance(conj.right, ColumnRef)
             ):
-                sides = []
-                for ref in (conj.left, conj.right):
-                    try:
-                        sides.append(("l", left.resolve(ref)))
-                    except BindError:
-                        try:
-                            sides.append(("r", right.resolve(ref)))
-                        except BindError:
-                            sides.append(None)
-                if None in sides:
-                    continue
-                tags = {s[0] for s in sides}
-                if tags == {"l", "r"}:
-                    lcol = next(s[1] for s in sides if s[0] == "l")
-                    rcol = next(s[1] for s in sides if s[0] == "r")
-                    rest = conjuncts[:i] + conjuncts[i + 1 :]
-                    residual = _join_and(rest)
-                    return lcol, rcol, residual
+                continue
+            a = _resolve_side(conj.left, left, right)
+            b = _resolve_side(conj.right, left, right)
+            if a is None or b is None or a[0] == b[0]:
+                continue
+            lcol, rcol = (a[1], b[1]) if a[0] == "l" else (b[1], a[1])
+            return lcol, rcol, _join_and(conjuncts[:i] + conjuncts[i + 1 :])
         return None
+
+    def _equi_join(
+        self, left: Relation, right: Relation, lcol: BoundColumn,
+        rcol: BoundColumn,
+    ) -> Relation:
+        """Inner equi-join on ``lcol = rcol`` via ``algebra.join``."""
+        loids, roids = self.prog.emit(
+            "algebra", "join", [Var(lcol.var), Var(rcol.var)], results=2
+        )
+        return self._project_pairs(left, right, loids, roids)
 
     def _cross_join(self, left: Relation, right: Relation) -> Relation:
         """Cross product via position fan-out (small sides expected)."""
@@ -445,19 +449,20 @@ class _SelectCompiler:
         loids, roids = self.prog.emit(
             "algebra", "crossproduct", [Var(lvar), Var(rvar)], results=2
         )
+        return self._project_pairs(left, right, loids, roids)
+
+    def _project_pairs(
+        self, left: Relation, right: Relation, loids: str, roids: str
+    ) -> Relation:
+        """Both sides' columns fetched through a join's oid pairs."""
         rel = Relation()
-        for col in left:
-            var = self.prog.emit(
-                "algebra", "projection", [Var(loids), Var(col.var)]
-            )
-            rel.add(BoundColumn(col.qualifier, col.name, var, col.atom,
-                                col.hidden))
-        for col in right:
-            var = self.prog.emit(
-                "algebra", "projection", [Var(roids), Var(col.var)]
-            )
-            rel.add(BoundColumn(col.qualifier, col.name, var, col.atom,
-                                col.hidden))
+        for oids, side in ((loids, left), (roids, right)):
+            for col in side:
+                var = self.prog.emit(
+                    "algebra", "projection", [Var(oids), Var(col.var)]
+                )
+                rel.add(BoundColumn(col.qualifier, col.name, var, col.atom,
+                                    col.hidden))
         return rel
 
     # ------------------------------------------------------------------
@@ -1245,6 +1250,15 @@ def compile_continuous(catalog: Catalog, select: Select) -> CompiledQuery:
 # ======================================================================
 # helpers
 # ======================================================================
+def _resolve_side(ref: ColumnRef, left: Relation, right: Relation):
+    """``("l"|"r", column)`` when ``ref`` binds unambiguously across both."""
+    try:
+        col = Relation(left.columns + right.columns).resolve(ref)
+    except BindError:
+        return None
+    return ("l" if any(c is col for c in left) else "r"), col
+
+
 def _split_and(expr: Expr) -> List[Expr]:
     if isinstance(expr, BinaryOp) and expr.op == "and":
         return _split_and(expr.left) + _split_and(expr.right)

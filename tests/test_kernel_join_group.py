@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError, TypeMismatchError
@@ -323,3 +323,247 @@ class TestSort:
         perm = order(b)
         got = [values[i] for i in perm.tolist()]
         assert got == sorted(values)
+
+
+class TestExactIntegerAggregates:
+    """SUM/MIN/MAX over integral atoms reduce in int64, not float64."""
+
+    def test_grouped_sum_exact_past_2_53(self):
+        groups, _, n = group(ints([0, 0]))
+        out = grouped_aggregate("sum", ints([2**53, 1]), groups, n)
+        assert out.python_list() == [2**53 + 1]
+
+    def test_scalar_sum_exact_past_2_53(self):
+        assert scalar_aggregate("sum", ints([2**53, 1])) == 2**53 + 1
+
+    def test_min_max_exact_near_2_62(self):
+        vals = ints([2**62 + 1, -(2**62) - 1, None])
+        groups, _, n = group(ints([0, 0, 0]))
+        assert scalar_aggregate("max", vals) == 2**62 + 1
+        assert scalar_aggregate("min", vals) == -(2**62) - 1
+        assert grouped_aggregate("max", vals, groups, n).python_list() == [
+            2**62 + 1
+        ]
+        assert grouped_aggregate("min", vals, groups, n).python_list() == [
+            -(2**62) - 1
+        ]
+
+
+# ----------------------------------------------------------------------
+# differential: the bulk kernels against a nested-loop / dict reference
+# ----------------------------------------------------------------------
+_POOLS = {
+    "small": st.integers(-4, 6),
+    "int32": st.integers(-(2**31) + 1, 2**31 - 1),
+    # a span far wider than any row count forces the sort path; the
+    # neighbours of 2**62 are equal once rounded to float64
+    "wide": st.sampled_from(
+        [2**62, 2**62 + 1, -(2**62), -(2**62) - 1, 2**63 - 1, 0]
+    ),
+    "float": st.sampled_from([-0.0, 0.0, 0.5, 1.0, -3.0, 2.0**53, 1e300])
+    | st.floats(-10, 10),
+    "str": st.text("ab\x00é", max_size=3),
+}
+_INTEGRAL = (AtomType.INT, AtomType.LNG)
+_JOIN_CASES = [
+    (AtomType.INT, AtomType.INT, ("small", "int32")),
+    (AtomType.LNG, AtomType.LNG, ("small", "wide")),
+    (AtomType.DBL, AtomType.DBL, ("small", "float")),
+    (AtomType.STR, AtomType.STR, ("str",)),
+    (AtomType.INT, AtomType.DBL, ("small", "float")),
+    (AtomType.DBL, AtomType.INT, ("small", "float")),
+    (AtomType.INT, AtomType.LNG, ("small",)),
+]
+_THETA = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "!=": lambda a, b: a != b,
+    "==": lambda a, b: a == b,
+}
+
+
+def _fits(atom, value):
+    """Whether a pool value is storable as ``atom``."""
+    if atom is AtomType.STR:
+        return isinstance(value, str)
+    if isinstance(value, str):
+        return False
+    if atom is AtomType.INT:
+        return float(value).is_integer() and abs(value) < 2**31
+    if atom is AtomType.LNG:
+        return isinstance(value, int)
+    return True
+
+
+@st.composite
+def _column(draw, atom, pool, min_size=0):
+    """A BAT of ``atom`` drawn from ``pool`` (duplicates likely) plus NILs,
+    a random ``hseqbase`` and maybe a candidate list."""
+    choices = [v for v in pool if _fits(atom, v)] + [None]
+    values = draw(st.lists(st.sampled_from(choices), min_size=min_size,
+                           max_size=12))
+    base = draw(st.integers(0, 40))
+    bat = bat_from_values(atom, values, hseqbase=base)
+    cands = None
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(values),
+                             max_size=len(values)))
+        cands = np.array(
+            [base + i for i, k in enumerate(keep) if k], dtype=np.int64
+        )
+    return bat, cands
+
+
+@st.composite
+def _join_inputs(draw):
+    latom, ratom, kinds = draw(st.sampled_from(_JOIN_CASES))
+    pool = draw(st.lists(_POOLS[draw(st.sampled_from(kinds))], min_size=1,
+                         max_size=6))
+    return draw(_column(latom, pool)), draw(_column(ratom, pool))
+
+
+def _positions(bat, cands):
+    if cands is None:
+        return list(range(len(bat)))
+    return [int(c) - bat.hseqbase for c in cands]
+
+
+def _comparable(left, right):
+    """The reference's common type: int when both sides are integral."""
+    if left.atom is AtomType.STR:
+        return lambda v: v
+    if left.atom in _INTEGRAL and right.atom in _INTEGRAL:
+        return int
+    return float
+
+
+def ref_join(left, lcands, right, rcands, op, outer=False):
+    """Nested loop: probe order; matches by (value, position) for theta,
+    by position for equality."""
+    conv = _comparable(left, right)
+    lv, rv = left.python_list(), right.python_list()
+    pairs = []
+    for i in _positions(left, lcands):
+        matches = [
+            j for j in _positions(right, rcands)
+            if lv[i] is not None and rv[j] is not None
+            and _THETA[op](conv(lv[i]), conv(rv[j]))
+        ]
+        if op != "==":
+            matches.sort(key=lambda j: conv(rv[j]))
+        pairs += [(i + left.hseqbase, j + right.hseqbase) for j in matches]
+        if outer and not matches:
+            pairs.append((i + left.hseqbase, -1))
+    return pairs
+
+
+def ref_group(keys, prev=None):
+    """Dict reference: group ids by first occurrence, NILs together."""
+    mapping, gids, extents = {}, [], []
+    for i, key in enumerate(keys):
+        composite = (None if prev is None else prev[i], key is None, key)
+        if composite not in mapping:
+            mapping[composite] = len(mapping)
+            extents.append(i)
+        gids.append(mapping[composite])
+    return gids, extents
+
+
+def _pairs(result):
+    left, right = result
+    return list(zip(left.tolist(), right.tolist()))
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_join_inputs())
+    def test_hash_and_outer_join(self, inputs):
+        (left, lc), (right, rc) = inputs
+        assert _pairs(hash_join(left, right, lc, rc)) == ref_join(
+            left, lc, right, rc, "=="
+        )
+        assert _pairs(left_outer_join(left, right, lc, rc)) == ref_join(
+            left, lc, right, rc, "==", outer=True
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_join_inputs(), st.sampled_from(sorted(_THETA)))
+    def test_theta_join(self, inputs, op):
+        (left, lc), (right, rc) = inputs
+        assert _pairs(theta_join(left, right, op, lc, rc)) == ref_join(
+            left, lc, right, rc, op
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_group_and_subgroup(self, data):
+        first_atom, second_atom = (
+            data.draw(st.sampled_from([AtomType.INT, AtomType.LNG,
+                                       AtomType.DBL, AtomType.STR]))
+            for _ in range(2)
+        )
+        pools = {
+            AtomType.INT: ("small", "int32"), AtomType.LNG: ("small", "wide"),
+            AtomType.DBL: ("small", "float"), AtomType.STR: ("str",),
+        }
+        columns = []
+        for atom in (first_atom, second_atom):
+            kind = data.draw(st.sampled_from(pools[atom]))
+            pool = data.draw(st.lists(_POOLS[kind], min_size=1, max_size=6))
+            columns.append(pool)
+        first, cands = data.draw(_column(first_atom, columns[0]))
+        rows = len(_positions(first, cands))
+        # the refining column is aligned with the first one's candidates
+        second = bat_from_values(
+            second_atom,
+            data.draw(st.lists(
+                st.sampled_from(
+                    [v for v in columns[1] if _fits(second_atom, v)] + [None]
+                ),
+                min_size=rows, max_size=rows,
+            )),
+        )
+        keys = [first.python_list()[p] for p in _positions(first, cands)]
+        groups, extents, n = group(first, cands)
+        ref_ids, ref_extents = ref_group(keys)
+        assert groups.python_list() == ref_ids
+        assert extents.tolist() == ref_extents and n == len(ref_extents)
+
+        refined, extents, n = subgroup(second, groups)
+        ref_ids, ref_extents = ref_group(second.python_list(), prev=ref_ids)
+        assert refined.python_list() == ref_ids
+        assert extents.tolist() == ref_extents and n == len(ref_extents)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_grouped_str_min_max(self, data):
+        words = data.draw(st.lists(_POOLS["str"], min_size=1, max_size=6))
+        values = data.draw(st.lists(st.sampled_from(words + [None]),
+                                    max_size=15))
+        keys = data.draw(st.lists(st.integers(0, 3), min_size=len(values),
+                                  max_size=len(values)))
+        groups, _, n = group(ints(keys))
+        gids = groups.python_list()
+        for name, pick in (("min", min), ("max", max)):
+            expect = [
+                pick((v for g, v in zip(gids, values)
+                      if g == gid and v is not None), default=None)
+                for gid in range(n)
+            ]
+            got = grouped_aggregate(name, strs(values), groups, n)
+            assert got.python_list() == expect
+            present = [v for v in values if v is not None]
+            assert scalar_aggregate(name, strs(values)) == (
+                pick(present) if present else None
+            )
+
+    def test_wide_keys_take_the_sort_path(self):
+        from repro.kernel.group import dense_span
+
+        keys = np.array([2**62, -(2**62)], dtype=np.int64)
+        assert dense_span(keys, len(keys)) is None
+        assert dense_span(np.array([3, 9, 4]), 3) == (3, 7)
+        l, r = hash_join(ints([2**62, -(2**62), 5]), ints([-(2**62), 2**62]))
+        assert _pairs((l, r)) == [(0, 1), (1, 0)]

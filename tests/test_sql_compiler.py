@@ -224,6 +224,47 @@ class TestJoins:
         )
         assert rows == [("A", "tech")]
 
+    def test_comma_join_compiles_to_join_not_crossproduct(self):
+        """The suite's join_agg query written as a comma-join joins on its
+        WHERE equality and answers exactly like the JOIN ... ON form."""
+        from repro import DataCell
+
+        body = (
+            "select d.region, sum(t.v), count(t.v), max(t.v) from "
+            "[select * from {b} where {b}.v >= 100] as t"
+        )
+        forms = {
+            "on": body + " join dim d on t.k = d.k group by d.region",
+            "comma": body + ", dim d where t.k = d.k group by d.region",
+        }
+        cell = DataCell()
+        cell.execute("create table dim (k int, region int)")
+        cell.insert("dim", [(k, k % 7) for k in range(50)] + [(None, 3)])
+        rows = [(k % 60, 90 + 3 * k) for k in range(120)] + [(None, 500)]
+        queries = {}
+        for name, sql in forms.items():
+            cell.execute(f"create basket {name}_s (k int, v int)")
+            sql = sql.format(b=f"{name}_s")
+            program = compile_continuous(
+                cell.catalog, parse_select(sql)
+            ).program
+            ops = {(i.module, i.fn) for i in program.instructions}
+            assert ("algebra", "join") in ops
+            assert ("algebra", "crossproduct") not in ops
+            queries[name] = cell.submit_continuous(sql, name=name)
+            cell.insert(f"{name}_s", rows)
+        cell.run_until_quiescent()
+        on, comma = (queries[n].fetch() for n in ("on", "comma"))
+        assert on and comma == on
+
+    def test_comma_join_keeps_other_conjuncts(self, catalog):
+        rows = run(
+            catalog,
+            "select t.sym, s.sector from trades t, syms s "
+            "where t.price > 11 and t.sym = s.sym order by t.sym",
+        )
+        assert rows == [("A", "tech"), ("B", "energy"), ("B", "energy")]
+
     def test_cross_join_count(self, catalog):
         rows = run(
             catalog,
