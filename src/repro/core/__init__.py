@@ -3,7 +3,7 @@
 from .basket import Basket, BasketSnapshot, TIME_COLUMN
 from .clock import Clock, LogicalClock, VirtualClock, WallClock
 from .continuous import ContinuousQuery
-from .emitter import CollectingClient, Emitter
+from .emitter import CollectingClient, DeliveryBatch, Emitter
 from .engine import DataCell
 from .factory import (
     ActivationResult,
@@ -36,6 +36,7 @@ __all__ = [
     "WallClock",
     "ContinuousQuery",
     "CollectingClient",
+    "DeliveryBatch",
     "Emitter",
     "DataCell",
     "ActivationResult",

@@ -55,13 +55,11 @@ class ContinuousQuery:
     # ------------------------------------------------------------------
     def fetch(self) -> List[Row]:
         """Drain and return the rows delivered since the last fetch."""
-        rows = self._collector.rows
-        self._collector.rows = []
-        return rows
+        return self._collector.take()
 
     def peek(self) -> List[Row]:
         """Delivered-but-unfetched rows, without draining."""
-        return list(self._collector.rows)
+        return self._collector.rows
 
     def fetch_integrated(self) -> List[Row]:
         """The integrated (current) result of a weighted delta stream.

@@ -10,40 +10,134 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Protocol, Tuple, Union,
+)
 
 import numpy as np
 
 from ..adapters.channels import Channel, format_tuple
+from ..kernel.types import AtomType, python_values
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.spans import SpanRecorder
 from .basket import Basket, TIME_COLUMN
 from .factory import ActivationResult
 
-__all__ = ["Emitter", "CollectingClient"]
+__all__ = ["Emitter", "CollectingClient", "DeliveryBatch"]
 
 Row = Tuple[Any, ...]
 ClientCallback = Callable[[List[Row]], None]
 
 
+class BatchConsumer(Protocol):
+    """A subscriber that takes the columnar batch instead of rows."""
+
+    def deliver_batch(self, batch: DeliveryBatch) -> None: ...
+
+
+Subscriber = Union[ClientCallback, BatchConsumer]
+
+
+class DeliveryBatch:
+    """One firing's delivery, kept columnar.
+
+    ``tails`` are the storage arrays of the emitter's snapshot, so NILs
+    are the kernel's sentinels (``None`` only in STR columns) and a
+    consumer that ships columns — the server's DATA frames — reads them
+    as they are.  :meth:`rows` builds python tuples at most once; every
+    row subscriber of the firing, and a later ``fetch()``, shares them.
+    :meth:`memo` shares any other derived form (an encoded frame) among
+    the firing's subscribers.
+    """
+
+    __slots__ = ("names", "atoms", "tails", "count", "_rows", "_memo")
+
+    def __init__(
+        self,
+        names: List[str],
+        atoms: List[AtomType],
+        tails: List[np.ndarray],
+    ):
+        self.names = names
+        self.atoms = atoms
+        self.tails = tails
+        self.count = len(tails[0]) if tails else 0
+        self._rows: Optional[List[Row]] = None
+        self._memo: Optional[Dict[Hashable, Any]] = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def rows(self) -> List[Row]:
+        """The batch as python tuples (NIL → ``None``), built once."""
+        rows = self._rows
+        if rows is None:
+            columns = [
+                python_values(atom, tail)
+                for atom, tail in zip(self.atoms, self.tails)
+            ]
+            rows = self._rows = list(zip(*columns)) if self.count else []
+        return rows
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``'s result, computed once per key for this firing."""
+        if self._memo is None:
+            self._memo = {}
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+
 class CollectingClient:
-    """A trivial client that accumulates delivered rows (tests, examples)."""
+    """A batch subscriber that keeps every delivery (``fetch()``, tests,
+    examples).
+
+    Batches stay columnar until :attr:`rows` or :meth:`take` asks for
+    tuples; a row subscriber on the same emitter has then already built
+    them, and this reuses that one materialisation.
+    """
 
     def __init__(self) -> None:
-        self.rows: List[Row] = []
+        self.batches: List[DeliveryBatch] = []
         self.deliveries = 0
+        # the emitter thread delivers while a reader thread may take()
+        self._lock = threading.Lock()
 
-    def __call__(self, rows: List[Row]) -> None:
-        self.rows.extend(rows)
-        self.deliveries += 1
+    def deliver_batch(self, batch: DeliveryBatch) -> None:
+        with self._lock:
+            self.batches.append(batch)
+            self.deliveries += 1
+
+    @property
+    def rows(self) -> List[Row]:
+        """Every row delivered so far, in delivery order."""
+        with self._lock:
+            batches = list(self.batches)
+        return _flatten(batches)
+
+    def take(self) -> List[Row]:
+        """Drain: the rows delivered since the last ``take``."""
+        with self._lock:
+            batches, self.batches = self.batches, []
+        return _flatten(batches)
+
+
+def _flatten(batches: List[DeliveryBatch]) -> List[Row]:
+    rows: List[Row] = []
+    for batch in batches:
+        rows.extend(batch.rows())
+    return rows
 
 
 class Emitter:
     """Delivers an output basket's content to subscribed clients.
 
-    Clients are callables receiving a list of row tuples; channels can
+    Each firing builds one :class:`DeliveryBatch`.  Clients are callables
+    receiving a list of row tuples, or batch consumers (anything with a
+    ``deliver_batch`` method) receiving the batch itself; channels can
     also subscribe, in which case rows are serialized to the textual wire
-    format.  The implicit ``dc_time`` column is stripped unless
+    format.  Rows are built only if a callable or channel needs them.
+    The implicit ``dc_time`` column is stripped unless
     ``include_time=True``.
     """
 
@@ -72,9 +166,13 @@ class Emitter:
         # subscriber lists are copy-on-write under _sub_lock: activate()
         # reads one immutable snapshot per firing, so a network session
         # may subscribe/unsubscribe concurrently with deliveries without
-        # ever mutating a list a firing is iterating
+        # ever mutating a list a firing is iterating.  Each client entry
+        # carries its bound ``deliver_batch`` (None for row callables),
+        # resolved once at subscribe time
         self._sub_lock = threading.Lock()
-        self._clients: List[ClientCallback] = []
+        self._clients: List[
+            Tuple[Subscriber, Optional[Callable[[DeliveryBatch], None]]]
+        ] = []
         self._channels: List[Channel] = []
         self.total_delivered = 0
         self.activations = 0
@@ -104,17 +202,19 @@ class Emitter:
         self._measure_latency = self.metrics.enabled
 
     # ------------------------------------------------------------------
-    def subscribe(self, client: ClientCallback) -> None:
-        """Add a callback client."""
+    def subscribe(self, client: Subscriber) -> None:
+        """Add a callback client: a row callable, or a batch consumer
+        with a ``deliver_batch(batch)`` method."""
+        entry = (client, getattr(client, "deliver_batch", None))
         with self._sub_lock:
-            self._clients = self._clients + [client]
+            self._clients = self._clients + [entry]
 
     def subscribe_channel(self, channel: Channel) -> None:
         """Add a channel client (textual delivery)."""
         with self._sub_lock:
             self._channels = self._channels + [channel]
 
-    def unsubscribe(self, client: ClientCallback) -> bool:
+    def unsubscribe(self, client: Subscriber) -> bool:
         """Remove a callback client; True iff it was subscribed.
 
         Safe while firings are in flight: a firing that already took its
@@ -122,12 +222,11 @@ class Emitter:
         client; no later firing will.
         """
         with self._sub_lock:
-            if client not in self._clients:
-                return False
-            remaining = list(self._clients)
-            remaining.remove(client)
-            self._clients = remaining
-            return True
+            for i, (subscribed, _) in enumerate(self._clients):
+                if subscribed == client:
+                    self._clients = self._clients[:i] + self._clients[i + 1 :]
+                    return True
+            return False
 
     def unsubscribe_channel(self, channel: Channel) -> bool:
         """Remove a channel client; True iff it was subscribed."""
@@ -183,10 +282,13 @@ class Emitter:
             if token
             else None
         )
-        rows = self._project(snapshot, fresh_positions)
+        batch = self._batch(snapshot, fresh_positions)
         clients, channels = self._clients, self._channels
-        for client in clients:
-            client(rows)
+        for client, deliver_batch in clients:
+            if deliver_batch is not None:
+                deliver_batch(batch)
+            else:
+                client(batch.rows())
         for channel in channels:
             if channel.closed:
                 # a dead peer (disconnected session, closed adapter)
@@ -194,10 +296,14 @@ class Emitter:
                 if self.unsubscribe_channel(channel):
                     self.channels_detached += 1
                 continue
-            for row in rows:
+            for row in batch.rows():
                 channel.push(format_tuple(row))
+        # shared encodings served this firing's subscribers; a collected
+        # batch keeps only its columns (and rows, if they were built)
+        batch._memo = None
+        delivered = batch.count
         if span is not None:
-            self.tracer.end_stage(span, delivered=len(rows))
+            self.tracer.end_stage(span, delivered=delivered)
             self.tracer.close_root(token, emitter=self.name)
         if snapshot.count and self._measure_latency:
             # insert→emit latency: monotonic now minus each tuple's
@@ -206,41 +312,33 @@ class Emitter:
                 time.monotonic() - snapshot.monos
             )
         self.activations += 1
-        self.total_delivered += len(rows)
-        self._m_delivered.inc(len(rows))
+        self.total_delivered += delivered
+        self._m_delivered.inc(delivered)
         return ActivationResult(
             fired=True,
             tuples_in=snapshot.count,
-            tuples_out=len(rows) * max(1, self.subscriber_count),
+            tuples_out=delivered * max(1, self.subscriber_count),
             consumed=snapshot.count,
             elapsed=time.perf_counter() - started,
         )
 
-    def _project(
+    def _batch(
         self, snapshot, positions: Optional[np.ndarray] = None
-    ) -> List[Row]:
-        """Snapshot → python rows; ``positions`` restricts to a subset
-        (recovery's fresh-rows filter).  ``None`` keeps everything —
-        the common case pays no indexing cost."""
-        from ..kernel.types import python_value
-
-        keep = [
-            (name, bat)
-            for name, bat in zip(snapshot.names, snapshot.bats)
-            if self.include_time or name != TIME_COLUMN
-        ]
-        if not keep:
-            return []
-        cols = [
-            [
-                python_value(bat.atom, v)
-                for v in (
-                    bat.tail if positions is None else bat.tail[positions]
-                )
-            ]
-            for _, bat in keep
-        ]
-        return list(zip(*cols)) if snapshot.count else []
+    ) -> DeliveryBatch:
+        """Snapshot → this firing's batch, sharing the snapshot's tails;
+        ``positions`` restricts it to a subset (recovery's fresh-rows
+        filter).  ``None`` keeps everything — the common case pays no
+        indexing cost."""
+        names: List[str] = []
+        atoms: List[AtomType] = []
+        tails: List[np.ndarray] = []
+        for name, bat in zip(snapshot.names, snapshot.bats):
+            if name == TIME_COLUMN and not self.include_time:
+                continue
+            names.append(name)
+            atoms.append(bat.atom)
+            tails.append(bat.tail if positions is None else bat.tail[positions])
+        return DeliveryBatch(names, atoms, tails)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..errors import AlignmentError, KernelError, TypeMismatchError
-from .types import AtomType, coerce_scalar, nil_mask, numpy_dtype, python_value
+from .types import AtomType, coerce_scalar, nil_mask, numpy_dtype, python_values
 
 __all__ = ["BAT", "bat_from_values", "empty_bat", "check_aligned"]
 
@@ -113,7 +113,7 @@ class BAT:
 
     def python_list(self) -> List[Any]:
         """Tail as plain python values (NULLs become ``None``)."""
-        return [python_value(self.atom, v) for v in self.tail]
+        return python_values(self.atom, self.tail)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.tail)

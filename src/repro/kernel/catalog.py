@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import CatalogError
 from .bat import BAT, check_aligned
-from .types import AtomType, python_value
+from .types import AtomType, python_values
 
 __all__ = ["ColumnDef", "Schema", "Table", "Catalog"]
 
@@ -188,9 +188,7 @@ class Table:
         with self.lock:
             bats = self.bats()
             n = self.count if limit is None else min(limit, self.count)
-            cols = [
-                [python_value(b.atom, v) for v in b.tail[:n]] for b in bats
-            ]
+            cols = [python_values(b.atom, b.tail[:n]) for b in bats]
         return list(zip(*cols)) if cols and n else []
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -28,7 +28,7 @@ from . import sort as _sort
 from .bat import BAT, bat_from_values
 from .catalog import Catalog, Table
 from .mal import Const, Instr, Program, ResultSet, Var
-from .types import AtomType
+from .types import AtomType, python_values
 
 __all__ = ["MalInterpreter", "MalContext"]
 
@@ -541,13 +541,9 @@ def _batcalc_ifthenelse(ctx, cond, then_val, else_val):
 @primitive("batcalc.cast")
 def _batcalc_cast(ctx, operand: BAT, atom: str) -> BAT:
     """Cast a column to another atom type (NULL-preserving)."""
-    from .types import nil_value, numpy_dtype, python_value
-
     target = AtomType(atom)
     out = BAT(target, hseqbase=operand.hseqbase, capacity=max(operand.count, 1))
-    out.append_many(
-        python_value(operand.atom, v) for v in operand.tail
-    )
+    out.append_many(python_values(operand.atom, operand.tail))
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import MalError
 from .bat import BAT
-from .types import AtomType, python_value
+from .types import AtomType, python_values
 
 __all__ = ["Var", "Const", "Instr", "PlanNode", "Program", "ResultSet"]
 
@@ -299,9 +299,7 @@ class ResultSet:
 
     def rows(self) -> List[Tuple[Any, ...]]:
         """Materialize as python tuples (NULL → None)."""
-        cols = [
-            [python_value(b.atom, v) for v in b.tail] for b in self.bats
-        ]
+        cols = [python_values(b.atom, b.tail) for b in self.bats]
         return list(zip(*cols)) if cols and self.count else []
 
     def atoms(self) -> List[AtomType]:

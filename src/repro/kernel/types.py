@@ -43,6 +43,7 @@ __all__ = [
     "coerce_scalar",
     "common_type",
     "python_value",
+    "python_values",
     "parse_atom",
 ]
 
@@ -144,12 +145,12 @@ def is_nil(atom: AtomType, value: Any) -> bool:
 
 def nil_mask(atom: AtomType, values: np.ndarray) -> np.ndarray:
     """Boolean mask of NULL positions in a tail array of type ``atom``."""
+    if atom is AtomType.DBL or atom is AtomType.TIMESTAMP:
+        return np.isnan(values)
     if atom is AtomType.STR:
         return np.fromiter(
             (v is None for v in values), dtype=bool, count=len(values)
         )
-    if atom in (AtomType.DBL, AtomType.TIMESTAMP):
-        return np.isnan(values)
     return values == _NILS[atom]
 
 
@@ -213,7 +214,10 @@ def coerce_scalar(atom: AtomType, value: Any) -> Any:
 
 
 def python_value(atom: AtomType, value: Any) -> Optional[Any]:
-    """Convert a storage atom back to a plain python value (NULL → None)."""
+    """Convert a storage atom back to a plain python value (NULL → None).
+
+    The scalar definition; columns go through :func:`python_values`.
+    """
     if is_nil(atom, value):
         return None
     if atom is AtomType.STR:
@@ -223,6 +227,30 @@ def python_value(atom: AtomType, value: Any) -> Optional[Any]:
     if atom in (AtomType.DBL, AtomType.TIMESTAMP):
         return float(value)
     return int(value)
+
+
+def python_values(atom: AtomType, tail: np.ndarray) -> list:
+    """A whole tail as plain python values: ``[python_value(atom, v) for v
+    in tail]``, in one ``tolist()`` plus a NIL patch.
+
+    STR tails already hold ``None`` for NIL; every other atom is masked
+    and the patch loop runs only over the NIL positions, if any.
+    """
+    if atom is AtomType.STR:
+        return tail.tolist()
+    if atom is AtomType.BOOL:
+        values = (tail != 0).tolist()
+        # BOOL_NIL (-1) is the only value with a 0xff byte: a memchr
+        # proves "no NIL" for less than the mask costs on short tails
+        if b"\xff" not in tail.tobytes():
+            return values
+    else:
+        values = tail.tolist()
+    mask = nil_mask(atom, tail)
+    if np.count_nonzero(mask):
+        for position in np.flatnonzero(mask).tolist():
+            values[position] = None
+    return values
 
 
 def parse_atom(atom: AtomType, text: str) -> Any:

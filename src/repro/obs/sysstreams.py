@@ -535,15 +535,14 @@ def tail_rows(
     Returns ``(column_names, rows)`` with the implicit ``dc_time``
     column included last — JSON-serializable by construction.
     """
-    from ..kernel.types import python_value
+    from ..kernel.types import python_values
 
-    snapshot = basket.snapshot()
-    names = list(snapshot.names)
-    count = snapshot.count
-    start = max(0, count - int(limit))
-    rows: List[List[Any]] = []
-    for i in range(start, count):
-        rows.append([
-            python_value(bat.atom, bat.tail[i]) for bat in snapshot.bats
-        ])
-    return names, rows
+    with basket.lock:
+        names = [c.name.lower() for c in basket.schema]
+        count = basket.count
+        start = max(0, count - int(limit))
+        columns = [
+            python_values(bat.atom, bat.tail[start:count])
+            for bat in basket.bats()
+        ]
+    return names, [list(row) for row in zip(*columns)]

@@ -39,7 +39,7 @@ from ..durability.serde import (
     pack_frame,
 )
 from ..errors import ProtocolError
-from ..kernel.types import AtomType, numpy_dtype, python_value
+from ..kernel.types import AtomType, numpy_dtype, python_values
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -231,8 +231,7 @@ def rows_from_arrays(
 ) -> List[Row]:
     """Storage arrays → python rows (inverse of :func:`arrays_from_rows`)."""
     cols = [
-        [python_value(atom, value) for value in array]
-        for (_, atom), array in zip(columns, arrays)
+        python_values(atom, array) for (_, atom), array in zip(columns, arrays)
     ]
     if not cols or not cols[0]:
         return []
@@ -259,14 +258,11 @@ def insert_message(
 def data_message(
     query: str,
     columns: Sequence[ColumnSpec],
-    rows: Sequence[Sequence[Any]],
+    arrays: Sequence[np.ndarray],
 ) -> Message:
-    return Message(
-        Command.DATA,
-        {"query": query},
-        list(columns),
-        arrays_from_rows(columns, rows),
-    )
+    """A DATA frame over storage arrays (an emitted batch's tails): NILs
+    travel as their sentinels and decode to ``None``."""
+    return Message(Command.DATA, {"query": query}, list(columns), list(arrays))
 
 
 def error_message(

@@ -33,7 +33,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple,
+)
 
 from ..errors import ServerError
 from .protocol import (
@@ -44,6 +46,9 @@ from .protocol import (
     encode_message,
     error_message,
 )
+
+if TYPE_CHECKING:
+    from ..core.emitter import DeliveryBatch
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
@@ -333,13 +338,14 @@ class ClientSession:
 
 
 class SubscriptionBinding:
-    """The emitter-side callable attaching a session to a query.
+    """The emitter-side batch consumer attaching a session to a query.
 
-    Subscribed via :meth:`Emitter.subscribe`; each delivery encodes the
-    rows as one ``DATA`` frame and offers it to the session queue.
-    Never raises into the emitter — queue overflow is resolved by the
-    session's policy, and drops are folded back into the emitter's
-    ``deliveries_dropped`` accounting.
+    Subscribed via :meth:`Emitter.subscribe`; each delivered batch is
+    encoded from its tails as one ``DATA`` frame — once per batch, the
+    same bytes for every session bound to the query — and offered to
+    the session queue.  Never raises into the emitter — queue overflow
+    is resolved by the session's policy, and drops are folded back into
+    the emitter's ``deliveries_dropped`` accounting.
     """
 
     def __init__(
@@ -358,18 +364,24 @@ class SubscriptionBinding:
         self.deliveries = 0
         self.rows_delivered = 0
 
-    def __call__(self, rows: List[Tuple[Any, ...]]) -> None:
+    def deliver_batch(self, batch: DeliveryBatch) -> None:
+        rows = len(batch)
         if not rows or self.session.closed:
             return
-        frame = encode_message(data_message(self.query, self.columns, rows))
-        outcome = self.session.deliver_data(frame, len(rows))
+        frame = batch.memo(
+            ("DATA", self.query),
+            lambda: encode_message(
+                data_message(self.query, self.columns, batch.tails)
+            ),
+        )
+        outcome = self.session.deliver_data(frame, rows)
         if outcome in ("queued", "dropped"):
             self.deliveries += 1
-            self.rows_delivered += len(rows)
+            self.rows_delivered += rows
         if outcome in ("dropped", "disconnect") and self.on_drop is not None:
-            self.on_drop(self.query, len(rows), outcome)
+            self.on_drop(self.query, rows, outcome)
         if outcome in ("dropped", "disconnect") and self.emitter is not None:
-            self.emitter.note_dropped(len(rows))
+            self.emitter.note_dropped(rows)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -240,6 +240,89 @@ class TestEmitter:
         assert e.deliveries_dropped == 5
 
 
+class _BatchConsumer:
+    def __init__(self):
+        self.batches = []
+
+    def deliver_batch(self, batch):
+        self.batches.append(batch)
+
+
+class TestDeliveryBatch:
+    """One columnar batch per firing; python rows built at most once."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        import repro.core.emitter as emitter_module
+
+        calls = []
+        real = emitter_module.python_values
+
+        def counting(atom, tail):
+            calls.append(atom)
+            return real(atom, tail)
+
+        monkeypatch.setattr(emitter_module, "python_values", counting)
+        return calls
+
+    def _emitter(self, clock):
+        basket = Basket(
+            "out", [("v", AtomType.INT), ("x", AtomType.DBL)], clock
+        )
+        return basket, Emitter("e", basket)
+
+    def test_batch_consumers_build_no_rows(self, clock, conversions):
+        basket, e = self._emitter(clock)
+        consumer, collector = _BatchConsumer(), CollectingClient()
+        e.subscribe(consumer)
+        e.subscribe(collector)
+        basket.insert_rows([(1, None), (None, 2.5)])
+        e.activate()
+        assert conversions == []
+        (batch,) = consumer.batches
+        assert batch.names == ["v", "x"] and len(batch) == 2
+        assert batch.tails[0].tolist() == [1, -(2**31)]  # NIL stays a sentinel
+        assert collector.rows == [(1, None), (None, 2.5)]
+        assert collector.take() == [(1, None), (None, 2.5)]
+        assert len(conversions) == 2  # one per column, built once
+        assert collector.take() == []
+
+    def test_row_callbacks_and_fetch_share_one_materialisation(
+        self, clock, conversions
+    ):
+        basket, e = self._emitter(clock)
+        first, second, collector = [], [], CollectingClient()
+        e.subscribe(collector)
+        e.subscribe(first.append)
+        e.subscribe(second.append)
+        basket.insert_rows([(1, 0.5)])
+        e.activate()
+        assert first[0] is second[0] == [(1, 0.5)]
+        assert collector.take() == [(1, 0.5)]
+        assert len(conversions) == 2
+
+    def test_unsubscribe_matches_by_equality(self, clock):
+        basket, e = self._emitter(clock)
+        out = []
+        e.subscribe(out.extend)
+        assert e.unsubscribe(out.extend) is True  # a fresh bound method
+        assert e.subscriber_count == 0
+
+    def test_high_water_filter_applies_to_the_batch(self, clock):
+        """Exactly-once after recovery: rows at or below the mark are
+        dropped once, for batch consumers and row callbacks alike."""
+        basket, e = self._emitter(clock)
+        consumer, rows = _BatchConsumer(), []
+        e.subscribe(consumer)
+        e.subscribe(rows.extend)
+        e.high_water_seq = 0
+        basket.insert_rows([(1, 1.0), (2, 2.0)])
+        e.activate()
+        assert consumer.batches[0].tails[0].tolist() == [2]
+        assert rows == [(2, 2.0)]
+        assert e.total_delivered == 1 and e.high_water_seq == 1
+
+
 def _pipeline(clock):
     """Figure 1: receptor -> B1 -> factory -> B2 -> emitter."""
     b1 = Basket("b1", [("v", AtomType.INT)], clock)

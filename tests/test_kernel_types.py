@@ -1,8 +1,11 @@
 """Unit tests for the kernel atom-type system."""
 
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TypeMismatchError
 from repro.kernel.types import (
@@ -19,6 +22,7 @@ from repro.kernel.types import (
     numpy_dtype,
     parse_atom,
     python_value,
+    python_values,
 )
 
 
@@ -155,6 +159,68 @@ class TestPythonValue:
     def test_dbl_returns_python_float(self):
         out = python_value(AtomType.DBL, np.float64(2.5))
         assert out == 2.5 and isinstance(out, float)
+
+
+def _int_values(bits):
+    low, high = -(2**(bits - 1)), 2**(bits - 1) - 1
+    edges = [low, high, 0, -1, 1, 2**62, -(2**62)] if bits == 64 else [
+        low, high, 0, -1, 1,
+    ]
+    return st.one_of(st.integers(low, high), st.sampled_from(edges))
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), -0.0, 0.0, 2.0**62, -(2.0**62)]),
+)
+
+#: every atom with values covering its NIL sentinel and its edges
+_TAILS = {
+    AtomType.OID: _int_values(64),
+    AtomType.LNG: _int_values(64),
+    AtomType.INT: _int_values(32),
+    AtomType.BOOL: st.sampled_from([-1, 0, 1]),
+    AtomType.DBL: _FLOATS,
+    AtomType.TIMESTAMP: _FLOATS,
+    AtomType.STR: st.one_of(st.none(), st.just(""), st.text(max_size=8)),
+}
+
+
+@st.composite
+def _atom_tail(draw):
+    atom = draw(st.sampled_from(sorted(_TAILS, key=lambda a: a.value)))
+    values = draw(st.lists(_TAILS[atom], max_size=40))
+    tail = np.empty(len(values), dtype=numpy_dtype(atom))
+    tail[:] = values
+    view = draw(st.sampled_from(["whole", "strided", "positions"]))
+    if view == "strided":
+        tail = tail[::2]
+    elif view == "positions":
+        positions = draw(st.permutations(range(len(tail))))
+        tail = tail[np.asarray(positions, dtype=np.int64)]
+    return atom, tail
+
+
+class TestPythonValues:
+    """The vectorised converter is the scalar definition, column-wise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_atom_tail())
+    def test_matches_python_value(self, case):
+        atom, tail = case
+        got = python_values(atom, tail)
+        expected = [python_value(atom, v) for v in tail]
+        assert repr(got) == repr(expected)  # -0.0 keeps its sign
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        json.dumps(got)  # /sys/<basket> and /stats serialise it
+
+    def test_every_atom_is_covered(self):
+        assert set(_TAILS) == set(AtomType)
+
+    def test_nil_sentinels_become_none(self):
+        for atom in AtomType:
+            tail = np.array([nil_value(atom)] * 3, dtype=numpy_dtype(atom))
+            assert python_values(atom, tail) == [None, None, None]
 
 
 class TestParseAtom:

@@ -2,11 +2,12 @@
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.durability.serde import pack_frame
 from repro.errors import ProtocolError
-from repro.kernel.types import AtomType
+from repro.kernel.types import INT_NIL, AtomType
 from repro.server.protocol import (
     Command,
     FrameDecoder,
@@ -46,10 +47,24 @@ class TestFraming:
         assert message.row_count == 3
 
     def test_data_roundtrip_empty(self):
-        frame = encode_message(data_message("q", COLUMNS, []))
+        frame = encode_message(
+            data_message("q", COLUMNS, arrays_from_rows(COLUMNS, []))
+        )
         (message,) = FrameDecoder().feed(frame)
         assert message.rows() == []
         assert message.row_count == 0
+
+    def test_data_carries_nils_as_sentinels(self):
+        """DATA frames are encoded from tails: a numeric NIL travels as
+        its sentinel and decodes to ``None``."""
+        columns = [("a", AtomType.INT), ("b", AtomType.DBL)]
+        arrays = [
+            np.array([INT_NIL, 1], dtype=np.int32),
+            np.array([np.nan, 2.0]),
+        ]
+        frame = encode_message(data_message("q", columns, arrays))
+        (message,) = FrameDecoder().feed(frame)
+        assert message.rows() == [(None, None), (1, 2.0)]
 
     def test_control_roundtrip(self):
         frame = encode_message(error_message("boom", "it broke", seq=9))

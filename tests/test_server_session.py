@@ -9,10 +9,14 @@ transport wiring.
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.basket import Basket
+from repro.core.emitter import DeliveryBatch, Emitter
 from repro.errors import ServerError
 from repro.kernel.types import AtomType
+from repro.server import session as session_module
 from repro.server.protocol import Command, FrameDecoder
 from repro.server.session import (
     ClientSession,
@@ -28,6 +32,13 @@ def _decode(frames):
     for frame in frames:
         out.extend(decoder.feed(frame))
     return out
+
+
+def _batch(values):
+    """A one-INT-column emitted batch ``v``."""
+    return DeliveryBatch(
+        ["v"], [AtomType.INT], [np.asarray(values, dtype=np.int32)]
+    )
 
 
 class TestServerConfig:
@@ -147,7 +158,9 @@ class TestClientSession:
         from repro.server.protocol import data_message, encode_message
 
         frame = encode_message(
-            data_message("q", [("v", AtomType.INT)], [(1,), (2,)])
+            data_message(
+                "q", [("v", AtomType.INT)], [np.array([1, 2], np.int32)]
+            )
         )
         session, _, closed = self._session("disconnect")
         assert session.deliver_data(frame, 2) == "queued"
@@ -183,7 +196,7 @@ class TestSubscriptionBinding:
     def test_delivers_encoded_data_frames(self):
         session = ClientSession(1, ServerConfig())
         binding = SubscriptionBinding(session, "q1", self.COLUMNS)
-        binding([(1,), (2,)])
+        binding.deliver_batch(_batch([1, 2]))
         (message,) = _decode(session.queue.drain())
         assert message.command is Command.DATA
         assert message.meta["query"] == "q1"
@@ -194,7 +207,7 @@ class TestSubscriptionBinding:
     def test_empty_delivery_is_a_noop(self):
         session = ClientSession(1, ServerConfig())
         binding = SubscriptionBinding(session, "q1", self.COLUMNS)
-        binding([])
+        binding.deliver_batch(_batch([]))
         assert session.queue.depth == 0
 
     def test_drop_accounting_reaches_emitter_and_callback(self):
@@ -209,8 +222,8 @@ class TestSubscriptionBinding:
             emitter=emitter,
             on_drop=lambda q, rows, outcome: drops.append((q, rows, outcome)),
         )
-        binding([(1,)])
-        binding([(2,), (3,)])  # sheds the first frame
+        binding.deliver_batch(_batch([1]))
+        binding.deliver_batch(_batch([2, 3]))  # sheds the first frame
         assert drops == [("q1", 2, "dropped")]
         assert emitter.dropped == 2
         assert session.dropped_frames == 1
@@ -219,5 +232,60 @@ class TestSubscriptionBinding:
         session = ClientSession(1, ServerConfig())
         binding = SubscriptionBinding(session, "q1", self.COLUMNS)
         session.close()
-        binding([(1,)])  # must not raise into the emitter
+        binding.deliver_batch(_batch([1]))  # must not raise into the emitter
         assert binding.deliveries == 0
+
+
+class TestSharedEncode:
+    """One emitted batch is encoded once; every session gets those bytes."""
+
+    COLUMNS = [("v", AtomType.INT), ("s", AtomType.STR)]
+
+    def _emitter(self):
+        basket = Basket("q_out", self.COLUMNS)
+        return basket, Emitter("q_e", basket)
+
+    def _bind(self, emitter, config):
+        session = ClientSession(1, config)
+        binding = SubscriptionBinding(
+            session, "q", self.COLUMNS, emitter=emitter
+        )
+        emitter.subscribe(binding)
+        return session
+
+    def test_sessions_share_one_encoded_frame(self, monkeypatch):
+        calls = []
+        real = session_module.encode_message
+
+        def counting(message):
+            calls.append(message.command)
+            return real(message)
+
+        monkeypatch.setattr(session_module, "encode_message", counting)
+        basket, emitter = self._emitter()
+        a = self._bind(emitter, ServerConfig())
+        b = self._bind(emitter, ServerConfig())
+        basket.insert_rows([(1, "x"), (2, None)])
+        emitter.activate()
+        assert calls == [Command.DATA]
+        frames_a, frames_b = a.queue.drain(), b.queue.drain()
+        assert frames_a == frames_b and len(frames_a) == 1
+        (message,) = _decode(frames_a)
+        assert message.rows() == [(1, "x"), (2, None)]
+
+    def test_drop_oldest_drops_stay_per_session(self):
+        basket, emitter = self._emitter()
+        fast = self._bind(emitter, ServerConfig())
+        slow = self._bind(
+            emitter, ServerConfig(backpressure="drop-oldest", queue_frames=1)
+        )
+        for value in (1, 2, 3):
+            basket.insert_rows([(value, "x"), (value, "y")])
+            emitter.activate()
+            fast.queue.drain()  # only the fast client keeps up
+        assert fast.dropped_frames == 0
+        assert slow.dropped_frames == 2
+        assert slow.queue.dropped_rows == 4
+        assert emitter.deliveries_dropped == 4
+        (message,) = _decode(slow.queue.drain())
+        assert message.rows() == [(3, "x"), (3, "y")]

@@ -17,7 +17,7 @@ import pytest
 from repro import DataCell, LogicalClock
 from repro.durability import DurabilityConfig
 from repro.errors import ServerError
-from repro.kernel.types import AtomType
+from repro.kernel.types import INT_NIL, AtomType
 from repro.server.client import DataCellClient
 from repro.server.protocol import (
     Command,
@@ -70,6 +70,27 @@ def test_full_lifecycle_over_tcp():
         assert cell.stop() == []
     # session-owned query is torn down with the session
     assert cell.continuous_queries() == []
+
+
+def test_null_numeric_columns_reach_the_client():
+    """A delivered NULL INT and NULL DBL arrive as ``None``: DATA frames
+    carry the tails' sentinels instead of re-packing python ``None``."""
+    cell = DataCell(clock=LogicalClock())
+    cell.execute("create basket readings (a int, b double)")
+    cell.start()
+    server = cell.serve()
+    columns = [("a", AtomType.INT), ("b", AtomType.DBL)]
+    try:
+        with DataCellClient(*server.address) as db:
+            db.subscribe(
+                "select r.a, r.b from [select * from readings] as r",
+                name="nulls",
+            )
+            db.insert("readings", columns, [(INT_NIL, float("nan")), (1, 2.0)])
+            rows = db.poll("nulls", timeout=5.0, min_rows=2)
+            assert rows == [(None, None), (1, 2.0)]
+    finally:
+        cell.stop()
 
 
 def test_create_basket_over_the_wire():

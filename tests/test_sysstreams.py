@@ -469,6 +469,29 @@ class TestTailRows:
         columns, rows = tail_rows(basket, 100)
         assert rows == []
 
+    def test_json_matches_a_per_cell_reference(self):
+        """The columnar tail renders exactly what a per-cell walk over a
+        full snapshot did (``/sys/<basket>?n=`` is byte-stable)."""
+        import json
+
+        from repro.kernel.types import python_value
+
+        cell, clock = build_cell()
+        for _ in range(3):
+            tick(cell, clock)
+        basket = cell.basket(SYS_METRICS)
+        for limit in (0, 1, 5, basket.count, basket.count + 7):
+            snapshot = basket.snapshot()
+            start = max(0, snapshot.count - limit)
+            expected = (
+                list(snapshot.names),
+                [
+                    [python_value(b.atom, b.tail[i]) for b in snapshot.bats]
+                    for i in range(start, snapshot.count)
+                ],
+            )
+            assert json.dumps(tail_rows(basket, limit)) == json.dumps(expected)
+
 
 def test_system_basket_constructor_rejects_duplicates():
     from repro.kernel.types import AtomType
