@@ -14,7 +14,9 @@ Implementation notes
   - the implicit ``dc_time`` timestamp column;
   - a hidden, monotonically increasing per-tuple sequence number used to
     give tuples a stable identity across consume cycles;
-  - consumption primitives (:meth:`consume_all`, :meth:`consume_positions`);
+  - consumption primitives (:meth:`Basket.consume_all`,
+    :meth:`Basket.consume_positions`, and :meth:`Basket.consume_seqs` for
+    snapshots the basket has moved on from);
   - per-reader cursors implementing the *shared baskets* strategy, where a
     tuple stays in the basket until every registered reader has seen it.
 
@@ -22,6 +24,26 @@ Implementation notes
   caller imposes: the paper treats a basket as a multi-set and considers
   arrival order a semantic issue.  Sequence numbers reflect ingest order at
   this node, which window operators may use, but nothing reorders tuples.
+
+* **Sequence numbers ascend.**  Every append stamps ``next_seq,
+  next_seq + 1, ...`` after the last buffered tuple, and every removal
+  (consumption, shedding, retention trimming, shared-reader GC) keeps the
+  survivors in their order — so the hidden seq column is strictly
+  ascending at all times.  Several steps rely on it: a ``since_seq``
+  snapshot is the contiguous suffix starting at
+  ``searchsorted(seqs, since_seq, "right")``; :meth:`Basket.unseen_count`
+  and :meth:`Basket.gc_shared` find their cut the same way; a snapshot's
+  last seq is its largest; tuples a reader has not seen yet form a suffix.
+
+* **Consume by position.**  Every mutation bumps the basket's
+  ``generation``.  A snapshot records the generation it was cut at and
+  the basket position of its first row (``start``).  While the generation
+  is unchanged, snapshot position *p* is basket position ``start + p``; a
+  factory holds the basket lock from snapshot to consume (Algorithm 1),
+  so its consumption is one boolean keep-mask over the basket, or an O(1)
+  :meth:`Basket.consume_all` when it takes a whole-basket snapshot in
+  full.  A snapshot from an older generation is consumed by sequence
+  number instead (:meth:`Basket.consume_seqs`).
 """
 
 from __future__ import annotations
@@ -48,10 +70,13 @@ TIME_COLUMN = "dc_time"
 class BasketSnapshot:
     """An immutable view of a basket's content at activation time.
 
-    Columns are the basket's BATs re-based to a dense 0..n-1 head, so
-    candidate lists produced by plans are directly usable as positions when
-    telling the basket which tuples were consumed.  ``seqs`` carries the
-    stable per-tuple sequence numbers for the same positions.
+    Columns are one copy of a contiguous run of the basket's rows,
+    re-based to a dense 0..n-1 head, so candidate lists produced by plans
+    are directly usable as positions when telling the basket which tuples
+    were consumed (:meth:`Basket.consume_positions`).  ``seqs`` carries
+    the stable, ascending per-tuple sequence numbers for the same
+    positions; ``generation`` and ``start`` say which basket state the
+    snapshot was cut from and where in it row 0 sat.
     """
 
     def __init__(
@@ -61,12 +86,17 @@ class BasketSnapshot:
         seqs: np.ndarray,
         monos: Optional[np.ndarray] = None,
         tokens: Optional[np.ndarray] = None,
+        generation: int = -1,
+        start: int = 0,
     ):
         self.names = list(names)
         self.bats = list(bats)
         self.seqs = seqs
         self._monos = monos
         self.tokens = tokens
+        self.generation = generation
+        self.start = start
+        self.count = len(seqs)
 
     def first_token(self) -> int:
         """The first sampled trace token among the snapshot's tuples.
@@ -75,10 +105,10 @@ class BasketSnapshot:
         of the oldest sampled tuple they process.  ``0`` when nothing in
         view is part of a sampled batch (or tokens are not tracked).
         """
-        if self.tokens is None or not len(self.tokens):
+        if self.tokens is None:
             return 0
-        nonzero = self.tokens[self.tokens != 0]
-        return int(nonzero[0]) if nonzero.size else 0
+        sampled = self.tokens.nonzero()[0]
+        return int(self.tokens[sampled[0]]) if len(sampled) else 0
 
     @property
     def monos(self) -> np.ndarray:
@@ -91,10 +121,6 @@ class BasketSnapshot:
         if self._monos is None:
             self._monos = np.full(len(self.seqs), time.monotonic())
         return self._monos
-
-    @property
-    def count(self) -> int:
-        return self.bats[0].count if self.bats else 0
 
     def __len__(self) -> int:
         return self.count
@@ -141,6 +167,7 @@ class Basket(Table):
         defs = [ColumnDef(n, a) for n, a in columns]
         defs.append(ColumnDef(TIME_COLUMN, AtomType.TIMESTAMP))
         super().__init__(name, Schema(defs), is_basket=True)
+        self._names = [c.name.lower() for c in self.schema]
         self.clock = clock or WallClock()
         self._seq = BAT(AtomType.LNG)
         # hidden monotonic arrival stamps, aligned with ``_seq``: latency
@@ -148,6 +175,9 @@ class Basket(Table):
         # is user-facing and this column feeds the histograms
         self._mono = BAT(AtomType.DBL)
         self._next_seq = 0
+        # bumped by every mutation; a snapshot cut at the current
+        # generation still maps its positions 1:1 onto the basket's
+        self.generation = 0
         self.min_count = 1  # scheduler firing threshold (paper §2.4)
         self.capacity: Optional[int] = None  # load-shedding high watermark
         # system streams (repro.obs.sysstreams): reserved sys.* baskets
@@ -250,25 +280,8 @@ class Basket(Table):
             for col, values in zip(user_cols, columns):
                 self.bat(col.name).append_many(values)
             n = len(rows)
-            self.bat(TIME_COLUMN).append_array(np.full(n, stamp))
-            if self._stamping:
-                self._mono.append_array(np.full(n, time.monotonic()))
-            if self._token_tracking:
-                self._tokens.append_array(
-                    np.full(n, trace_token, dtype=np.int64)
-                )
-            self._seq.append_array(
-                np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
-            )
-            self._next_seq += n
-            self.total_in += n
-            self._m_in.inc(n)
-            if self.wal_sink is not None:
-                self._log_ingest(n, stamp)
-            shed = self._shed_if_over_capacity()
-            self._trim_to_retention()
-            self._record_depth()
-        return len(rows) - shed
+            shed = self._ingested(n, stamp, trace_token)
+        return n - shed
 
     def insert_columns(
         self,
@@ -282,7 +295,7 @@ class Basket(Table):
         numbers are filled in here.
         """
         stamp = self.clock.now() if timestamp is None else float(timestamp)
-        user_names = {c.name.lower() for c in self.user_columns}
+        user_names = set(self._names[:-1])  # dc_time is the last column
         provided = {k.lower() for k in columns}
         if provided != user_names:
             raise BasketError(
@@ -296,25 +309,36 @@ class Basket(Table):
         with self.lock:
             for name, values in columns.items():
                 self.bat(name).append_array(np.asarray(values))
-            self.bat(TIME_COLUMN).append_array(np.full(n, stamp))
-            if self._stamping:
-                self._mono.append_array(np.full(n, time.monotonic()))
-            if self._token_tracking:
-                self._tokens.append_array(
-                    np.full(n, trace_token, dtype=np.int64)
-                )
-            self._seq.append_array(
-                np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
-            )
-            self._next_seq += n
-            self.total_in += n
-            self._m_in.inc(n)
-            if self.wal_sink is not None:
-                self._log_ingest(n, stamp)
-            shed = self._shed_if_over_capacity()
-            self._trim_to_retention()
-            self._record_depth()
+            shed = self._ingested(n, stamp, trace_token)
         return n - shed
+
+    def _ingested(self, n: int, stamp: float, trace_token: int) -> int:
+        """Finish an ingest whose user columns are appended (under the
+        lock): stamp, sequence, WAL, shed, trim.  Returns rows shed."""
+        self.bat(TIME_COLUMN).append_fill(stamp, n)
+        self._sequence(n, time.monotonic() if self._stamping else 0.0,
+                       trace_token)
+        if self.wal_sink is not None:
+            self._log_ingest(n, stamp)
+        shed = self._shed_if_over_capacity()
+        self._trim_to_retention()
+        self._record_depth()
+        return shed
+
+    def _sequence(self, n: int, mono: float, trace_token: int) -> None:
+        """Give the ``n`` rows just appended their hidden columns — arrival
+        stamp, trace token, ascending seqs — and count them in."""
+        if self._stamping:
+            self._mono.append_fill(mono, n)
+        if self._token_tracking:
+            self._tokens.append_fill(trace_token, n)
+        self._seq.append_array(
+            np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
+        )
+        self._next_seq += n
+        self.total_in += n
+        self._m_in.inc(n)
+        self.generation += 1
 
     def _log_ingest(self, n: int, stamp: float) -> None:
         """WAL the batch just appended (call under ``self.lock``).
@@ -339,7 +363,7 @@ class Basket(Table):
         if self.capacity is None or self.count <= self.capacity:
             return 0
         overflow = self.count - self.capacity
-        self._rebuild_keeping(np.arange(overflow, self.count, dtype=np.int64))
+        self._rebuild_keeping(slice(overflow, None))
         self.total_shed += overflow
         self._m_shed.inc(overflow)
         return overflow
@@ -352,7 +376,7 @@ class Basket(Table):
         if self.retention is None or self.count <= self.retention:
             return 0
         overflow = self.count - self.retention
-        self._rebuild_keeping(np.arange(overflow, self.count, dtype=np.int64))
+        self._rebuild_keeping(slice(overflow, None))
         self.total_trimmed += overflow
         return overflow
 
@@ -362,83 +386,128 @@ class Basket(Table):
     def snapshot(self, since_seq: Optional[int] = None) -> BasketSnapshot:
         """Current content (optionally only tuples with seq > ``since_seq``).
 
+        One copy per column of one contiguous run: the whole basket, or —
+        seqs ascend — the suffix after the ``since_seq`` watermark.
         Caller should hold the basket lock for a consistent multi-column
         view; factories do (Algorithm 1 locks before reading).
         """
         with self.lock:
-            seqs = self._seq.tail.copy()
-            if since_seq is None:
-                positions = np.arange(len(seqs), dtype=np.int64)
-            else:
-                positions = np.flatnonzero(seqs > since_seq).astype(np.int64)
-            names = [c.name.lower() for c in self.schema]
-            bats = [
-                self.bat(c.name).take_positions(positions, hseqbase=0)
-                for c in self.schema
-            ]
-            monos = (
-                self._mono.tail[positions].copy() if self._stamping else None
+            seqs = self._seq.tail
+            n = len(seqs)
+            start = (
+                0 if since_seq is None
+                else int(seqs.searchsorted(since_seq, side="right"))
             )
+            bats = [bat.slice(start, n, 0) for bat in self._bats.values()]
+            monos = self._mono.tail[start:].copy() if self._stamping else None
             tokens = (
-                self._tokens.tail[positions].copy()
+                self._tokens.tail[start:].copy()
                 if self._token_tracking
                 else None
             )
-            return BasketSnapshot(names, bats, seqs[positions], monos, tokens)
+            return BasketSnapshot(
+                self._names, bats, seqs[start:].copy(), monos, tokens,
+                self.generation, start,
+            )
 
     def consume_all(self) -> int:
         """Remove every tuple (the bulk ``basket.empty`` of Algorithm 1)."""
         with self.lock:
             removed = self.count
-            self._rebuild_keeping(np.empty(0, dtype=np.int64))
-            self.total_out += removed
-            self._m_out.inc(removed)
-            self._record_depth()
+            self._bats = {k: BAT(b.atom) for k, b in self._bats.items()}
+            self._seq = BAT(AtomType.LNG)
+            if self._stamping:
+                self._mono = BAT(AtomType.DBL)
+            if self._token_tracking:
+                self._tokens = BAT(AtomType.LNG)
+            self.generation += 1
+            self._note_removed(removed)
             return removed
 
-    def consume_seqs(self, seqs: np.ndarray) -> int:
-        """Remove the tuples with the given sequence numbers.
+    truncate = consume_all  # Table-compatible; also clears the seqs
 
-        This is the basket-expression side effect (§2.6): only referenced
-        tuples are removed, leaving a partially emptied basket behind.
+    def consume_positions(
+        self,
+        snapshot: BasketSnapshot,
+        positions: Optional[np.ndarray] = None,
+    ) -> int:
+        """Remove the ``snapshot`` tuples at ``positions`` (all of them
+        when ``None``) — the basket-expression side effect (§2.6).
+
+        ``positions`` index the snapshot, as the candidate list a plan's
+        basket expression produced.  While the basket is still at the
+        snapshot's generation they are basket positions shifted by
+        ``snapshot.start``, so the removal is one boolean keep-mask and
+        no sequence-number search; a whole-basket snapshot consumed in
+        full is :meth:`consume_all`.  A snapshot from an older generation
+        is consumed through :meth:`consume_seqs`.
         """
+        if not snapshot.count:
+            return 0
+        with self.lock:
+            if snapshot.generation != self.generation:
+                seqs = snapshot.seqs
+                if positions is not None:
+                    seqs = seqs[np.asarray(positions, dtype=np.int64)]
+                return self.consume_seqs(seqs)
+            start = snapshot.start
+            if positions is None:
+                if not start:
+                    return self.consume_all()
+                keep: Any = slice(0, start)
+                kept = start
+            else:
+                if not len(positions):
+                    return 0
+                index = np.asarray(positions, dtype=np.int64)
+                keep = np.empty(len(self._seq), dtype=bool)
+                keep.fill(True)
+                keep[index + start if start else index] = False
+                kept = int(np.count_nonzero(keep))
+            return self._remove(keep, kept)
+
+    def consume_seqs(self, seqs: np.ndarray) -> int:
+        """Remove the tuples with the given sequence numbers (a snapshot
+        the basket has changed since, or one that is not this basket's)."""
         if len(seqs) == 0:
             return 0
         with self.lock:
-            current = self._seq.tail
-            keep_mask = ~np.isin(current, np.asarray(seqs, dtype=np.int64))
-            keep = np.flatnonzero(keep_mask).astype(np.int64)
-            removed = self.count - len(keep)
+            keep = ~np.isin(self._seq.tail, np.asarray(seqs, dtype=np.int64))
+            return self._remove(keep, int(np.count_nonzero(keep)))
+
+    def _remove(self, keep: Any, kept: int) -> int:
+        """Keep the ``kept`` rows ``keep`` selects; count the rest out."""
+        removed = self.count - kept
+        if removed:
             self._rebuild_keeping(keep)
-            self.total_out += removed
-            self._m_out.inc(removed)
-            self._record_depth()
-            return removed
+        self._note_removed(removed)
+        return removed
 
-    def _rebuild_keeping(self, positions: np.ndarray) -> None:
-        """Swap in a new BAT generation holding only ``positions``."""
-        new_bats = {}
-        for col in self.schema:
-            old = self.bat(col.name)
-            new_bats[col.name.lower()] = old.take_positions(
-                positions, hseqbase=0
-            )
-        self._seq = self._seq.take_positions(positions, hseqbase=0)
+    def _note_removed(self, removed: int) -> None:
+        self.total_out += removed
+        self._m_out.inc(removed)
+        self._record_depth()
+
+    def _rebuild_keeping(self, keep: Any) -> None:
+        """Swap in new BATs holding only the ``keep`` rows (under the lock).
+
+        ``keep`` selects sequenced positions: a boolean mask, an index
+        array or a slice.  Each column is copied once, by the selection.
+        """
+        n = len(self._seq)
+        view = isinstance(keep, slice)  # basic slicing does not copy
+
+        def kept(bat: BAT) -> BAT:
+            part = bat.tail[:n][keep]
+            return BAT.adopt(bat.atom, part.copy() if view else part)
+
+        self._bats = {k: kept(b) for k, b in self._bats.items()}
+        self._seq = kept(self._seq)
         if self._stamping:
-            self._mono = self._mono.take_positions(positions, hseqbase=0)
+            self._mono = kept(self._mono)
         if self._token_tracking:
-            self._tokens = self._tokens.take_positions(positions, hseqbase=0)
-        self.replace_bats(new_bats)
-
-    def truncate(self) -> int:
-        """Table-compatible truncate that also clears sequence numbers."""
-        with self.lock:
-            removed = self.count
-            self._rebuild_keeping(np.empty(0, dtype=np.int64))
-            self.total_out += removed
-            self._m_out.inc(removed)
-            self._record_depth()
-            return removed
+            self._tokens = kept(self._tokens)
+        self.generation += 1
 
     def frontier_seq(self) -> int:
         """The highest sequence number ever assigned (-1 when empty)."""
@@ -577,6 +646,7 @@ class Basket(Table):
             self.total_in = int(state.total_in)
             self.total_out = int(state.total_out)
             self.total_shed = int(state.total_shed)
+            self.generation += 1
             self._record_depth()
 
     # ------------------------------------------------------------------
@@ -632,8 +702,9 @@ class Basket(Table):
                 raise BasketError(
                     f"reader {reader!r} not registered on {self.name!r}"
                 )
+            seqs = self._seq.tail
             cursor = self._readers[reader]
-            return int(np.count_nonzero(self._seq.tail > cursor))
+            return len(seqs) - int(seqs.searchsorted(cursor, side="right"))
 
     def gc_shared(self) -> int:
         """Drop tuples every registered reader has seen (low-water mark).
@@ -645,14 +716,12 @@ class Basket(Table):
         with self.lock:
             if not self._readers or self.count == 0:
                 return 0
-            low_water = min(self._readers.values())
-            keep = np.flatnonzero(self._seq.tail > low_water).astype(np.int64)
-            removed = self.count - len(keep)
+            seqs = self._seq.tail
+            cut = int(seqs.searchsorted(min(self._readers.values()), "right"))
+            removed = self.count - (len(seqs) - cut)
             if removed:
-                self._rebuild_keeping(keep)
-                self.total_out += removed
-                self._m_out.inc(removed)
-                self._record_depth()
+                self._rebuild_keeping(slice(cut, None))
+                self._note_removed(removed)
             return removed
 
     # ------------------------------------------------------------------
@@ -675,39 +744,24 @@ class Basket(Table):
         rows_added = result.count
         if rows_added == 0:
             return 0
-        user_cols = self.user_columns
-        provides_time = len(result.names) == len(user_cols) + 1
-        expected = len(user_cols) + (1 if provides_time else 0)
-        if len(result.names) != expected:
+        n_user = len(self._names) - 1
+        provides_time = len(result.names) == n_user + 1
+        if len(result.names) != n_user and not provides_time:
             raise BasketError(
                 f"result arity {len(result.names)} does not match basket "
-                f"{self.name!r} ({len(user_cols)} user columns)"
+                f"{self.name!r} ({n_user} user columns)"
             )
         stamp = self.clock.now() if timestamp is None else float(timestamp)
         with self.lock:
-            for col, bat in zip(self.schema, result.bats):
-                self.bat(col.name).append_bat(bat)
+            for bat, appended in zip(self._bats.values(), result.bats):
+                bat.append_bat(appended)
             if not provides_time:
-                self.bat(TIME_COLUMN).append_array(
-                    np.full(rows_added, stamp)
-                )
-            if self._stamping:
-                mono_stamp = (
-                    time.monotonic() if mono is None else float(mono)
-                )
-                self._mono.append_array(np.full(rows_added, mono_stamp))
-            if self._token_tracking:
-                self._tokens.append_array(
-                    np.full(rows_added, trace_token, dtype=np.int64)
-                )
-            self._seq.append_array(
-                np.arange(
-                    self._next_seq, self._next_seq + rows_added, dtype=np.int64
-                )
+                self.bat(TIME_COLUMN).append_fill(stamp, rows_added)
+            self._sequence(
+                rows_added,
+                time.monotonic() if mono is None else float(mono),
+                trace_token,
             )
-            self._next_seq += rows_added
-            self.total_in += rows_added
-            self._m_in.inc(rows_added)
             self._shed_if_over_capacity()
             self._trim_to_retention()
             self._record_depth()

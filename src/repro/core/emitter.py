@@ -256,7 +256,7 @@ class Emitter:
     def activate(self) -> ActivationResult:
         """Consume waiting results and fan them out to all subscribers."""
         started = time.perf_counter()
-        fresh_positions: Optional[np.ndarray] = None
+        fresh_from = 0
         with self.source.lock:
             snapshot = self.source.snapshot()
             self.source.consume_all()
@@ -265,13 +265,13 @@ class Emitter:
             ):
                 # replayed rows at or below the recovered high-water mark
                 # were delivered before the crash: drop them here, inside
-                # the lock, so the mark and the consumption stay atomic
-                fresh = snapshot.seqs > self.high_water_seq
-                if not fresh.all():
-                    fresh_positions = np.flatnonzero(fresh)
-                self.high_water_seq = max(
-                    self.high_water_seq, int(snapshot.seqs.max())
+                # the lock, so the mark and the consumption stay atomic.
+                # Seqs ascend: the rows above the mark are a suffix
+                seqs = snapshot.seqs
+                fresh_from = int(
+                    seqs.searchsorted(self.high_water_seq, side="right")
                 )
+                self.high_water_seq = max(self.high_water_seq, int(seqs[-1]))
                 if self.wal_sink is not None:
                     self.wal_sink.log_emit(self.name, self.high_water_seq)
         token = snapshot.first_token() if self._tracing else 0
@@ -282,7 +282,7 @@ class Emitter:
             if token
             else None
         )
-        batch = self._batch(snapshot, fresh_positions)
+        batch = self._batch(snapshot, fresh_from)
         clients, channels = self._clients, self._channels
         for client, deliver_batch in clients:
             if deliver_batch is not None:
@@ -322,13 +322,10 @@ class Emitter:
             elapsed=time.perf_counter() - started,
         )
 
-    def _batch(
-        self, snapshot, positions: Optional[np.ndarray] = None
-    ) -> DeliveryBatch:
+    def _batch(self, snapshot, start: int = 0) -> DeliveryBatch:
         """Snapshot → this firing's batch, sharing the snapshot's tails;
-        ``positions`` restricts it to a subset (recovery's fresh-rows
-        filter).  ``None`` keeps everything — the common case pays no
-        indexing cost."""
+        a ``start`` drops the rows before it (recovery's fresh-rows
+        filter).  The common case, 0, pays no slicing."""
         names: List[str] = []
         atoms: List[AtomType] = []
         tails: List[np.ndarray] = []
@@ -337,7 +334,7 @@ class Emitter:
                 continue
             names.append(name)
             atoms.append(bat.atom)
-            tails.append(bat.tail if positions is None else bat.tail[positions])
+            tails.append(bat.tail[start:] if start else bat.tail)
         return DeliveryBatch(names, atoms, tails)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import DataCellError
 from ..kernel.mal import ResultSet
-from ..obs.metrics import MetricsRegistry, default_registry
+from ..obs.metrics import SMALL_BATCH, MetricsRegistry, default_registry
 from ..obs.spans import SpanRecorder
 from .basket import Basket, BasketSnapshot
 
@@ -44,6 +44,24 @@ __all__ = [
     "Factory",
     "ActivationResult",
 ]
+
+
+# Per-firing accounting over a trickle of tuples stays in python up to
+# SMALL_BATCH values, where a loop beats the fixed cost of numpy calls
+# (the same min; a sum that may differ from numpy's in rounding).
+def _smallest(values: np.ndarray) -> float:
+    if len(values) <= SMALL_BATCH:
+        return min(values.tolist())
+    return float(values.min())
+
+
+def _total_wait(now: float, stamps: np.ndarray) -> float:
+    """Sum of ``now - stamp`` over arrival stamps, clamped at zero."""
+    if len(stamps) <= SMALL_BATCH:
+        return sum([now - s if s < now else 0.0 for s in stamps.tolist()])
+    waits = now - stamps
+    np.maximum(waits, 0.0, out=waits)
+    return float(waits.sum())
 
 
 class ConsumeMode(enum.Enum):
@@ -248,6 +266,12 @@ class Factory:
         for binding in self.inputs:
             if binding.mode is ConsumeMode.SHARED:
                 binding.basket.register_reader(self.name)
+        # a factory's baskets are fixed: lock order and output map are
+        # computed once, not per activation
+        touched = {id(b.basket): b.basket for b in self.inputs}
+        touched.update((id(b), b) for b in self.outputs)
+        self._locks = sorted(touched.values(), key=lambda b: b.name.lower())
+        self._outputs_by_name = {b.name.lower(): b for b in self.outputs}
         # The saved-state co-routine: created lazily on first activation,
         # then resumed forever (the paper: "the first time that the factory
         # is called, a thread is created ... the next time it is called it
@@ -347,12 +371,7 @@ class Factory:
     # ------------------------------------------------------------------
     def _lock_order(self) -> List[Basket]:
         """All touched baskets, deduped, in global (name) lock order."""
-        seen: Dict[int, Basket] = {}
-        for binding in self.inputs:
-            seen[id(binding.basket)] = binding.basket
-        for basket in self.outputs:
-            seen[id(basket)] = basket
-        return sorted(seen.values(), key=lambda b: b.name.lower())
+        return self._locks
 
     def _loop(self) -> Iterator[ActivationResult]:
         """The infinite factory loop of Algorithm 1.
@@ -361,6 +380,7 @@ class Factory:
         scheduler with all locks released, and the next activation resumes
         right after it.
         """
+        ordered = self._lock_order()
         while True:
             started = time.perf_counter()
             account = (
@@ -375,7 +395,6 @@ class Factory:
             bytes_out = 0
             plan_cpu = 0.0
             now_mono = time.monotonic() if account is not None else 0.0
-            ordered = self._lock_order()
             acquired = []
             try:
                 for basket in ordered:
@@ -392,48 +411,45 @@ class Factory:
                 origin_mono: Optional[float] = None
                 origin_token = 0
                 for binding in self.inputs:
+                    basket = binding.basket
                     prev_seen = binding.last_seen_seq
                     if binding.mode is ConsumeMode.SHARED:
-                        snap = binding.basket.read_new(self.name)
+                        snap = basket.read_new(self.name)
                     else:
-                        snap = binding.basket.snapshot()
-                    if snap.count:
-                        binding.last_seen_seq = max(
-                            binding.last_seen_seq, int(snap.seqs.max())
-                        )
-                        if binding.basket._stamping:
-                            oldest = float(snap.monos.min())
+                        snap = basket.snapshot()
+                    count = snap.count
+                    if count:
+                        seqs = snap.seqs
+                        newest = int(seqs[-1])  # seqs ascend
+                        if newest > prev_seen:
+                            binding.last_seen_seq = newest
+                        if basket._stamping:
+                            oldest = _smallest(snap.monos)
                             if origin_mono is None or oldest < origin_mono:
                                 origin_mono = oldest
                         if self._tracing and not origin_token:
                             origin_token = snap.first_token()
                         if account is not None:
                             # queue-wait/flow charge each tuple once: on
-                            # first observation by this query (fresh seqs),
-                            # so re-snapshotted PLAN-mode leftovers do not
-                            # inflate the account.  The common SHARED-mode
-                            # case (everything in view is new) skips the
-                            # mask entirely.
-                            if prev_seen < int(snap.seqs[0]):
-                                fresh = None
-                                n_fresh = snap.count
-                            else:
-                                fresh = snap.seqs > prev_seen
-                                n_fresh = int(np.count_nonzero(fresh))
+                            # first observation by this query.  Seqs
+                            # ascend, so the fresh tuples are the suffix
+                            # after the previous high-water mark and
+                            # re-snapshotted PLAN-mode leftovers are never
+                            # charged twice.
+                            first = (
+                                0 if prev_seen < seqs[0]
+                                else int(seqs.searchsorted(prev_seen, "right"))
+                            )
+                            n_fresh = count - first
                             if n_fresh:
                                 rows_fresh += n_fresh
-                                source = binding.basket
-                                bytes_in += n_fresh * source.row_nbytes()
-                                if source._stamping:
-                                    monos = (
-                                        snap.monos if fresh is None
-                                        else snap.monos[fresh]
+                                bytes_in += n_fresh * basket.row_nbytes()
+                                if basket._stamping:
+                                    queue_wait += _total_wait(
+                                        now_mono, snap.monos[first:]
                                     )
-                                    waits = now_mono - monos
-                                    np.maximum(waits, 0.0, out=waits)
-                                    queue_wait += float(waits.sum())
                                     waited += n_fresh
-                    snapshots[binding.basket.name.lower()] = snap
+                    snapshots[basket.name.lower()] = snap
                 tuples_in = sum(s.count for s in snapshots.values())
                 fspan = (
                     self.tracer.begin_stage(
@@ -444,9 +460,10 @@ class Factory:
                     else None
                 )
                 plan_started = time.perf_counter()
-                plan_cpu_started = (
-                    time.thread_time() if account is not None else 0.0
-                )
+                if account is not None:
+                    # one reading for two boundaries: the plan's start is
+                    # the start of the interpreter's opcode chain
+                    plan_cpu_started = account.cpu_mark = time.thread_time()
                 if fspan is not None:
                     # publish this activation as the thread's current
                     # stage so the MAL interpreter can hang opcode spans
@@ -456,6 +473,7 @@ class Factory:
                 else:
                     output = self.plan.run(snapshots)
                 if account is not None:
+                    account.cpu_mark = None
                     plan_cpu = time.thread_time() - plan_cpu_started
                 plan_seconds = time.perf_counter() - plan_started
                 consumed = self._consume(snapshots, output)
@@ -502,26 +520,28 @@ class Factory:
         snapshots: Dict[str, BasketSnapshot],
         output: PlanOutput,
     ) -> int:
-        """Apply each input's consumption mode after the plan ran."""
+        """Apply each input's consumption mode after the plan ran.
+
+        The basket locks are still held, so each snapshot's positions are
+        its basket's: ALL and PLAN consume by position.
+        """
         removed = 0
         for binding in self.inputs:
             key = binding.basket.name.lower()
             snap = snapshots[key]
             if binding.mode is ConsumeMode.ALL:
-                removed += binding.basket.consume_seqs(snap.seqs)
+                removed += binding.basket.consume_positions(snap)
             elif binding.mode is ConsumeMode.PLAN:
                 positions = output.consumed.get(key)
                 binding.last_consumed = 0
                 if positions is not None and len(positions):
-                    taken = binding.basket.consume_seqs(
-                        snap.seqs[np.asarray(positions, dtype=np.int64)]
-                    )
+                    taken = binding.basket.consume_positions(snap, positions)
                     binding.last_consumed = taken
                     removed += taken
             elif binding.mode is ConsumeMode.SHARED:
                 if snap.count:
                     binding.basket.advance_reader(
-                        self.name, int(snap.seqs.max())
+                        self.name, int(snap.seqs[-1])
                     )
                 removed += binding.basket.gc_shared()
             # PEEK consumes nothing
@@ -541,9 +561,8 @@ class Factory:
         carries the sampled trace token the same way.
         """
         produced = 0
-        by_name = {b.name.lower(): b for b in self.outputs}
         for name, result in output.results.items():
-            basket = by_name.get(name.lower())
+            basket = self._outputs_by_name.get(name.lower())
             if basket is None:
                 raise DataCellError(
                     f"factory {self.name!r} produced rows for unknown "

@@ -103,16 +103,31 @@ class PriorityPolicy(FiringPolicy):
     and ``run_until_quiescent`` treats equally-prioritized transitions
     fairly — every sweep visits all of them, in one fixed, documented
     order.
+
+    The order is memoised: a sweep over the same transitions (by
+    identity, in registration order) with the same priorities as the
+    previous sweep reuses its order instead of sorting again.
     """
+
+    def __init__(self) -> None:
+        # (key, order): the memoised order holds every keyed transition,
+        # so no id in the key can be reused while the memo lives
+        self._memo: Tuple[List[Tuple[int, int]], List[SchedulableTransition]]
+        self._memo = ([], [])
 
     def sweep_order(
         self, transitions: List[SchedulableTransition]
     ) -> List[SchedulableTransition]:
-        # enumerate() makes the registration-order tie-break explicit
-        # rather than an accident of sort stability
-        indexed = list(enumerate(transitions))
-        indexed.sort(key=lambda pair: (-pair[1].priority, pair[0]))
-        return [t for _, t in indexed]
+        key = [(id(t), t.priority) for t in transitions]
+        memo_key, order = self._memo
+        if key != memo_key:
+            # enumerate() makes the registration-order tie-break explicit
+            # rather than an accident of sort stability
+            indexed = list(enumerate(transitions))
+            indexed.sort(key=lambda pair: (-pair[1].priority, pair[0]))
+            order = [t for _, t in indexed]
+            self._memo = (key, order)
+        return list(order)
 
 
 class Scheduler:

@@ -7,9 +7,12 @@ relational table of ``k`` attributes is ``k`` BATs that share the same head
 sequence — the *tuple-order alignment* the paper relies on for cheap tuple
 reconstruction.
 
-BATs are append-only at this level; deletion happens by creating new BATs
-(which is exactly how baskets "consume" tuples: the basket swaps in a new,
-emptied BAT generation).
+BATs are append-only at this level: a tail position, once written, is never
+written again.  Deletion happens by deriving a new BAT that holds only the
+surviving positions — a basket consumes tuples by swapping in such a BAT
+per column (:mod:`repro.core.basket`).  Derivations (:meth:`BAT.slice`,
+:meth:`BAT.take_positions`) *adopt* the array their indexing produced, so
+deriving a BAT costs exactly one copy of the selected values.
 """
 
 from __future__ import annotations
@@ -49,6 +52,22 @@ class BAT:
             max(capacity, _INITIAL_CAPACITY), dtype=numpy_dtype(atom)
         )
         self._count = 0
+
+    @classmethod
+    def adopt(cls, atom: AtomType, array: np.ndarray, hseqbase: int = 0) -> "BAT":
+        """A BAT whose tail *is* ``array`` — no copy is made.
+
+        ``array`` must already be in ``atom``'s storage dtype, and the
+        caller hands it over: nothing else may write to it afterwards.
+        Its length is both count and capacity, so the first append
+        reallocates rather than writing into a shared buffer.
+        """
+        out = cls.__new__(cls)
+        out.atom = atom
+        out.hseqbase = int(hseqbase)
+        out._data = array
+        out._count = len(array)
+        return out
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -182,6 +201,12 @@ class BAT:
         self._data[self._count : self._count + len(array)] = array
         self._count += len(array)
 
+    def append_fill(self, value: Any, n: int) -> None:
+        """Append ``n`` copies of one storage-representation value."""
+        self._reserve(n)
+        self._data[self._count : self._count + n] = value
+        self._count += n
+
     def append_bat(self, other: "BAT") -> None:
         """Append another BAT's tail (types must match)."""
         if other.atom is not self.atom:
@@ -203,17 +228,13 @@ class BAT:
         stop = min(self._count, stop)
         if hseqbase is None:
             hseqbase = self.hseqbase + start
-        out = BAT(self.atom, hseqbase=hseqbase, capacity=max(stop - start, 1))
-        if stop > start:
-            out.append_array(self._data[start:stop])
-        return out
+        return BAT.adopt(self.atom, self._data[start:stop].copy(), hseqbase)
 
     def take_positions(self, positions: np.ndarray, hseqbase: int = 0) -> "BAT":
         """New BAT with the tail values at the given 0-based positions."""
-        out = BAT(self.atom, hseqbase=hseqbase, capacity=max(len(positions), 1))
-        if len(positions):
-            out.append_array(self.tail[positions])
-        return out
+        if not len(positions):  # also covers an untyped (float) empty list
+            return BAT(self.atom, hseqbase=hseqbase)
+        return BAT.adopt(self.atom, self.tail[positions], hseqbase)
 
     def take_oids(self, oids: np.ndarray, hseqbase: int = 0) -> "BAT":
         """New BAT with tail values for the given head oids (fetch join)."""
@@ -227,9 +248,7 @@ class BAT:
 
     def copy(self) -> "BAT":
         """Deep copy (same head sequence)."""
-        out = BAT(self.atom, hseqbase=self.hseqbase, capacity=max(self._count, 1))
-        out.append_array(self.tail)
-        return out
+        return BAT.adopt(self.atom, self.tail.copy(), self.hseqbase)
 
     def nil_positions(self) -> np.ndarray:
         """Boolean mask of NULL tail positions."""

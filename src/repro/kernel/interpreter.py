@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,21 +50,109 @@ def primitive(name: str) -> Callable[[Primitive], Primitive]:
 
 
 class MalContext:
-    """Runtime context passed to primitives: catalog plus statistics."""
+    """Runtime context passed to primitives: the catalog."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.instructions_executed = 0
+
+
+class _Step:
+    """One instruction, resolved for execution.
+
+    ``fn`` is the primitive (``None`` if the opcode is unknown),
+    ``template`` the argument list with every constant in place and
+    ``slots`` the ``(position, variable)`` pairs filled from the
+    environment; ``key`` and ``node`` index the program's profile-key and
+    plan-node tables (:class:`_Bound`).
+    """
+
+    __slots__ = ("fn", "template", "slots", "results", "single", "key",
+                 "node", "ins")
+
+    def __init__(self, ins: Instr, key: int, node: int):
+        self.fn = _REGISTRY.get(f"{ins.module}.{ins.fn}")
+        self.template = [
+            None if isinstance(arg, Var) else _const(arg, ins)
+            for arg in ins.args
+        ]
+        self.slots = tuple(
+            (i, arg.name) for i, arg in enumerate(ins.args)
+            if isinstance(arg, Var)
+        )
+        self.results = ins.results
+        self.single = ins.results[0] if len(ins.results) == 1 else None
+        self.key = key
+        self.node = node
+        self.ins = ins
+
+
+def _const(arg: Any, ins: Instr) -> Any:
+    if not isinstance(arg, Const):  # pragma: no cover - defensive
+        raise MalError(f"bad argument {arg!r} in {ins.render()}")
+    return arg.value
+
+
+class _Bound:
+    """A program's instructions bound once, on first execution.
+
+    ``keys`` holds each distinct ``module.fn`` profile key with its call
+    count per execution; ``nodes`` each plan node id with its call count
+    and its instructions' result variables, last first (a node's row count
+    is what its final row-producing instruction produced).  Kept on the
+    :class:`Program` as ``_bound``; a program whose instruction list is
+    replaced or grows is bound again.
+    """
+
+    __slots__ = ("instructions", "length", "steps", "keys", "nodes")
+
+    def __init__(self, program: Program):
+        self.instructions = program.instructions
+        self.length = len(program.instructions)
+        key_index: Dict[str, int] = {}
+        node_index: Dict[Optional[int], int] = {}
+        keys: List[List[Any]] = []
+        nodes: List[List[Any]] = []
+        self.steps: List[_Step] = []
+        for ins in program.instructions:
+            key = f"{ins.module}.{ins.fn}"
+            k = key_index.setdefault(key, len(keys))
+            if k == len(keys):
+                keys.append([key, 0])
+            keys[k][1] += 1
+            n = node_index.setdefault(ins.node, len(nodes))
+            if n == len(nodes):
+                nodes.append([ins.node, 0, []])
+            nodes[n][1] += 1
+            if ins.results:
+                nodes[n][2].insert(0, ins.results[0])
+            self.steps.append(_Step(ins, k, n))
+        self.keys = [(key, calls) for key, calls in keys]
+        self.nodes = [(node, calls, tuple(rows)) for node, calls, rows in nodes]
+
+
+def _bound(program: Program) -> _Bound:
+    bound = program._bound
+    if (
+        bound is None
+        or bound.instructions is not program.instructions
+        or bound.length != len(program.instructions)
+    ):
+        bound = program._bound = _Bound(program)
+    return bound
 
 
 class MalInterpreter:
     """Executes MAL programs against a catalog.
 
-    When built against an enabled metrics registry the interpreter keeps
-    an opcode profile: per-``module.fn`` invocation counts and cumulative
-    wall time, accumulated locally per ``execute`` and flushed once, so
-    the per-instruction overhead is two ``perf_counter`` calls and a dict
-    update.  :meth:`render_profile` is the ``explain``-style view.
+    Each program is bound once (:class:`_Bound`): primitives resolved,
+    constants placed, profile keys and plan nodes numbered.  When built
+    against an enabled metrics registry the interpreter keeps an opcode
+    profile: per-``module.fn`` invocation counts and cumulative wall time.
+    An execution brackets each instruction with two ``perf_counter``
+    readings into per-key and per-node slots and flushes them once at the
+    end; under resource accounting it reads the thread-CPU clock only at
+    the two ends of the instruction chain.
+    :meth:`render_profile` is the ``explain``-style view.
     """
 
     def __init__(
@@ -105,6 +193,8 @@ class MalInterpreter:
             "Cumulative thread CPU inside each MAL primitive",
             ("opcode",),
         )
+        # per-opcode [calls, seconds, cpu] counter children, resolved once
+        self._counters: Dict[str, List[Any]] = {}
 
     def execute(
         self,
@@ -120,112 +210,113 @@ class MalInterpreter:
         if missing:
             raise MalError(f"missing program inputs: {missing}")
         ctx = MalContext(self.catalog)
+        bound = _bound(program)
+        run = self._run
         if not self._profiling:
-            for ins in program.instructions:
-                self._step(ctx, ins, env)
+            for step in bound.steps:
+                run(ctx, step, env)
             return env
-        local: Dict[str, List[float]] = {}
-        # per-plan-node accumulation: [calls, seconds, last rows-out].
-        # rows-out overwrites rather than sums within one execution — a
-        # node's row count is what its *final* instruction produced.
-        node_local: Dict[Optional[int], List[float]] = {}
+        key_secs = [0.0] * len(bound.keys)
+        node_secs = [0.0] * len(bound.nodes)
         stage = self.tracer.current_stage() if self._tracing else None
-        # opcode thread-CPU is only sampled when a resource account is on
-        # the thread (i.e. inside an accounted continuous-query firing);
-        # readings are chained — one clock call per instruction boundary —
-        # so interpreter bookkeeping between steps stays inside the plan's
-        # attributed total instead of leaking out of it
+        # opcode thread-CPU is only measured when a resource account is on
+        # the thread (i.e. inside an accounted continuous-query firing),
+        # and only at the chain's two ends: the start is the factory's
+        # plan-boundary reading when it handed one over.  The chain's CPU
+        # — interpreter bookkeeping between steps included, so it stays
+        # inside the plan's attributed total — is shared out over the
+        # opcodes in proportion to their wall time.
         account = (
             self.accountant.current() if self.accountant is not None else None
         )
-        measure_cpu = account is not None
-        cpu_prev = time.thread_time() if measure_cpu else 0.0
-        for ins in program.instructions:
-            started = time.perf_counter()
-            self._step(ctx, ins, env)
-            elapsed = time.perf_counter() - started
-            if measure_cpu:
-                cpu_now = time.thread_time()
-                cpu_elapsed = cpu_now - cpu_prev
-                cpu_prev = cpu_now
+        if account is not None:
+            cpu_started = account.cpu_mark
+            if cpu_started is None:
+                cpu_started = time.thread_time()
             else:
-                cpu_elapsed = 0.0
-            key = f"{ins.module}.{ins.fn}"
-            slot = local.get(key)
-            if slot is None:
-                local[key] = [1, elapsed, cpu_elapsed]
-            else:
-                slot[0] += 1
-                slot[1] += elapsed
-                slot[2] += cpu_elapsed
-            node_slot = node_local.get(ins.node)
-            if node_slot is None:
-                node_local[ins.node] = node_slot = [0, 0.0, 0.0]
-            node_slot[0] += 1
-            node_slot[1] += elapsed
-            rows = self._rows_out(ins, env)
-            if rows is not None:
-                node_slot[2] = rows
+                account.cpu_mark = None  # a reading is shared once
+        clock = time.perf_counter
+        for step in bound.steps:
+            started = clock()
+            run(ctx, step, env)
+            elapsed = clock() - started
+            key_secs[step.key] += elapsed
+            node_secs[step.node] += elapsed
             if stage is not None:
                 self.tracer.add_opcode(
-                    stage, key, started, elapsed,
-                    node=ins.node,
+                    stage, bound.keys[step.key][0], started, elapsed,
+                    node=step.ins.node,
                 )
-        self._flush_profile(local)
-        self._flush_node_stats(program, node_local)
-        if measure_cpu:
-            cpu_by_op = {k: v[2] for k, v in local.items() if v[2]}
-            self.accountant.fold_opcode_cpu(
-                account, cpu_by_op, sum(cpu_by_op.values())
-            )
+        key_cpu = None
+        if account is not None:
+            chain_cpu = time.thread_time() - cpu_started
+            wall = sum(key_secs)
+            if wall > 0.0:
+                key_cpu = [chain_cpu * seconds / wall for seconds in key_secs]
+        self._flush(program, bound, env, key_secs, key_cpu, node_secs,
+                    account)
         return env
 
-    @staticmethod
-    def _rows_out(ins: Instr, env: Dict[str, Any]) -> Optional[float]:
-        """Row-count estimate of an instruction's primary result."""
-        if not ins.results:
-            return None
-        value = env.get(ins.results[0])
-        if isinstance(value, (BAT, ResultSet)):
-            return float(value.count)
-        if isinstance(value, np.ndarray):
-            return float(len(value))
-        return None
-
-    def _flush_node_stats(
+    def _flush(
         self,
         program: Program,
-        node_local: Dict[Optional[int], List[float]],
+        bound: _Bound,
+        env: Dict[str, Any],
+        key_secs: List[float],
+        key_cpu: Optional[List[float]],
+        node_secs: List[float],
+        account: Optional[Any],
     ) -> None:
-        """Fold one execution's per-node timings into the program.
-
-        The program object is the natural per-query aggregation point: a
-        continuous query owns its compiled program, so cumulative node
-        stats *are* the query's EXPLAIN ANALYZE state.
-        """
+        """Fold one execution's slots into the opcode profile and the
+        program's per-node EXPLAIN ANALYZE stats under one lock (the
+        program is the natural per-query aggregation point: cumulative
+        node stats *are* the query's EXPLAIN ANALYZE state), then into the
+        opcode counters and the firing's resource account."""
+        cpus = key_cpu if key_cpu is not None else [0.0] * len(key_secs)
         with self._profile_lock:
-            stats = program.node_stats
-            for node_id, (calls, seconds, rows) in node_local.items():
-                slot = stats.get(node_id)
+            stats = self._opcode_stats
+            for (key, calls), seconds, cpu in zip(bound.keys, key_secs, cpus):
+                slot = stats.get(key)
                 if slot is None:
-                    stats[node_id] = [calls, seconds, rows]
+                    stats[key] = [calls, seconds, cpu]
+                else:
+                    slot[0] += calls
+                    slot[1] += seconds
+                    slot[2] += cpu
+            node_stats = program.node_stats
+            for (node_id, calls, results), seconds in zip(
+                bound.nodes, node_secs
+            ):
+                rows = _rows_out(results, env)
+                slot = node_stats.get(node_id)
+                if slot is None:
+                    node_stats[node_id] = [calls, seconds, rows]
                 else:
                     slot[0] += calls
                     slot[1] += seconds
                     slot[2] += rows
-
-    def _flush_profile(self, local: Dict[str, List[float]]) -> None:
-        with self._profile_lock:
-            for key, (calls, seconds, cpu) in local.items():
-                slot = self._opcode_stats.setdefault(key, [0, 0.0, 0.0])
-                slot[0] += calls
-                slot[1] += seconds
-                slot[2] += cpu
-        for key, (calls, seconds, cpu) in local.items():
-            self._m_calls.labels(key).inc(calls)
-            self._m_seconds.labels(key).inc(seconds)
+        counters = self._counters
+        for (key, calls), seconds, cpu in zip(bound.keys, key_secs, cpus):
+            children = counters.get(key)
+            if children is None:
+                children = counters[key] = [
+                    self._m_calls.labels(key),
+                    self._m_seconds.labels(key),
+                    None,  # the CPU series exists once CPU is measured
+                ]
+            children[0].inc(calls)
+            children[1].inc(seconds)
             if cpu:
-                self._m_cpu_seconds.labels(key).inc(cpu)
+                if children[2] is None:
+                    children[2] = self._m_cpu_seconds.labels(key)
+                children[2].inc(cpu)
+        if key_cpu is not None:
+            cpu_by_op = {
+                key: cpu for (key, _), cpu in zip(bound.keys, key_cpu) if cpu
+            }
+            self.accountant.fold_opcode_cpu(
+                account, cpu_by_op, sum(cpu_by_op.values())
+            )
 
     # ------------------------------------------------------------------
     # opcode profile surface
@@ -281,40 +372,49 @@ class MalInterpreter:
                 f"program never bound output {program.output!r}"
             ) from None
 
-    def _step(self, ctx: MalContext, ins: Instr, env: Dict[str, Any]) -> None:
-        fn = _REGISTRY.get(f"{ins.module}.{ins.fn}")
-        if fn is None:
+    @staticmethod
+    def _run(ctx: MalContext, step: _Step, env: Dict[str, Any]) -> None:
+        ins = step.ins
+        if step.fn is None:
             raise MalError(f"unknown MAL primitive {ins.module}.{ins.fn}")
-        args = []
-        for arg in ins.args:
-            if isinstance(arg, Var):
-                try:
-                    args.append(env[arg.name])
-                except KeyError:
-                    raise MalError(
-                        f"undefined variable {arg.name!r} in {ins.render()}"
-                    ) from None
-            elif isinstance(arg, Const):
-                args.append(arg.value)
-            else:  # pragma: no cover - defensive
-                raise MalError(f"bad argument {arg!r}")
+        args = step.template
+        if step.slots:
+            args = args.copy()
+            try:
+                for position, name in step.slots:
+                    args[position] = env[name]
+            except KeyError as exc:
+                raise MalError(
+                    f"undefined variable {exc.args[0]!r} in {ins.render()}"
+                ) from None
         try:
-            value = fn(ctx, *args)
+            value = step.fn(ctx, *args)
         except MalError:
             raise
         except Exception as exc:
             raise MalError(f"primitive failed in {ins.render()}: {exc}") from exc
-        ctx.instructions_executed += 1
-        if len(ins.results) == 1:
-            env[ins.results[0]] = value
-        elif len(ins.results) > 1:
-            if not isinstance(value, tuple) or len(value) != len(ins.results):
+        if step.single is not None:
+            env[step.single] = value
+        elif step.results:
+            results = step.results
+            if not isinstance(value, tuple) or len(value) != len(results):
                 raise MalError(
                     f"{ins.module}.{ins.fn} returned wrong arity for "
-                    f"{ins.results}"
+                    f"{results}"
                 )
-            for name, item in zip(ins.results, value):
+            for name, item in zip(results, value):
                 env[name] = item
+
+
+def _rows_out(results: Tuple[str, ...], env: Dict[str, Any]) -> float:
+    """Row count of a node's last row-producing instruction (0 if none)."""
+    for name in results:
+        value = env.get(name)
+        if isinstance(value, (BAT, ResultSet)):
+            return float(value.count)
+        if isinstance(value, np.ndarray):
+            return float(len(value))
+    return 0.0
 
 
 # ----------------------------------------------------------------------

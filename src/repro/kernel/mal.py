@@ -114,6 +114,10 @@ class Program:
         self._node_stack: List[int] = []
         self._node_counter = 0
         self.node_stats: Dict[Optional[int], List[float]] = {}
+        # the interpreter's execution binding, built on first execution
+        # (kernel.interpreter._Bound) — not at compile time, so compiling
+        # a query pays nothing for it
+        self._bound: Any = None
 
     def fresh(self, prefix: str = "v") -> str:
         """Allocate a fresh variable name."""

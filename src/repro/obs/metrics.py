@@ -3,9 +3,12 @@
 Design constraints, in order:
 
 1. **Hot-path cheapness** — instruments are resolved once (at component
-   construction) and each observation is a single short critical section;
-   bulk observations (:meth:`Histogram.observe_many`) amortize the lock
-   over a numpy batch.
+   construction; a label-less family caches its one child) and each
+   observation is a single short critical section, entered with a bare
+   ``acquire``/``release`` rather than a ``with`` block; bulk
+   observations (:meth:`Histogram.observe_many`) amortize the lock over a
+   batch, in pure python for the handful of values one small firing
+   delivers and in numpy beyond that.
 2. **Thread safety** — every instrument may be hammered from the paper's
    one-thread-per-transition architecture; totals must be exact.
 3. **Zero-cost no-op mode** — a registry built with ``enabled=False``
@@ -50,6 +53,11 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
+
+#: Up to this many values a python loop beats the fixed cost of numpy
+#: calls: ``observe_many`` bins such batches in pure python (so does the
+#: factory's per-firing accounting)
+SMALL_BATCH = 16
 
 LabelValues = Tuple[str, ...]
 
@@ -104,10 +112,16 @@ class Counter:
         self._value = 0.0
 
     def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ObservabilityError("counters only go up")
-        with self._lock:
+        if amount <= 0:
+            if amount < 0:
+                raise ObservabilityError("counters only go up")
+            return
+        lock = self._lock
+        lock.acquire()
+        try:
             self._value += amount
+        finally:
+            lock.release()
 
     @property
     def value(self) -> float:
@@ -133,6 +147,8 @@ class Gauge:
 
     def set_max(self, value: float) -> None:
         """Ratchet upward: keep the maximum ever seen (high-water marks)."""
+        if value <= self._value:  # the common case: no new maximum
+            return
         with self._lock:
             if value > self._value:
                 self._value = float(value)
@@ -183,7 +199,9 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         idx = bisect_left(self._bounds, value)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._counts[idx] += 1
             self._count += 1
             self._sum += value
@@ -191,27 +209,64 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
+        finally:
+            lock.release()
 
     def observe_many(self, values: Any) -> None:
-        """Bulk observation: one lock acquisition for a whole numpy batch."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
+        """Bulk observation: one lock acquisition for a whole batch.
+
+        Up to :data:`SMALL_BATCH` values take a pure-python path — a
+        numpy call's fixed cost dwarfs binning a handful of values — that
+        leaves exactly what per-value :meth:`observe` calls would: same
+        buckets, count, min, max, and a sum accumulated value by value.
+        """
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        n = arr.size
+        if n == 0:
+            return
+        if n <= SMALL_BATCH:
+            self._observe_small(arr.tolist())
             return
         idx = np.searchsorted(self._bounds_arr, arr, side="left")
         binned = np.bincount(idx, minlength=len(self._counts))
         lo = float(arr.min())
         hi = float(arr.max())
         total = float(arr.sum())
-        with self._lock:
-            for i, n in enumerate(binned):
-                if n:
-                    self._counts[i] += int(n)
-            self._count += int(arr.size)
+        lock = self._lock
+        lock.acquire()
+        try:
+            counts = self._counts
+            for i, k in enumerate(binned.tolist()):
+                if k:
+                    counts[i] += k
+            self._count += n
             self._sum += total
             if lo < self._min:
                 self._min = lo
             if hi > self._max:
                 self._max = hi
+        finally:
+            lock.release()
+
+    def _observe_small(self, floats: List[float]) -> None:
+        """:meth:`observe` for each value, under one lock acquisition."""
+        bounds = self._bounds
+        lock = self._lock
+        lock.acquire()
+        try:
+            counts = self._counts
+            total, lo, hi = self._sum, self._min, self._max
+            for value in floats:
+                counts[bisect_left(bounds, value)] += 1
+                total += value
+                if value < lo:
+                    lo = value
+                if value > hi:
+                    hi = value
+            self._count += len(floats)
+            self._sum, self._min, self._max = total, lo, hi
+        finally:
+            lock.release()
 
     # ------------------------------------------------------------------
     @property
@@ -307,7 +362,8 @@ class _Family:
     """A named metric with a fixed label set; children are per label value.
 
     Label-less families delegate ``inc``/``set``/``observe`` straight to
-    their single child so call sites read naturally either way.
+    their single child (resolved once, then cached) so call sites read
+    naturally either way.
     """
 
     def __init__(
@@ -328,6 +384,7 @@ class _Family:
         self._overflow_warned = False
         self._lock = threading.Lock()
         self._children: Dict[LabelValues, Any] = {}
+        self._solo: Any = None  # a label-less family's one child
 
     def _make(self) -> Any:
         if self.kind == "histogram":
@@ -371,27 +428,33 @@ class _Family:
             return dict(self._children)
 
     # convenience delegation for label-less metrics -----------------------
+    def _only(self) -> Any:
+        child = self._solo
+        if child is None:
+            child = self._solo = self.labels()
+        return child
+
     def inc(self, amount: float = 1) -> None:
-        self.labels().inc(amount)
+        self._only().inc(amount)
 
     def dec(self, amount: float = 1) -> None:
-        self.labels().dec(amount)
+        self._only().dec(amount)
 
     def set(self, value: float) -> None:
-        self.labels().set(value)
+        self._only().set(value)
 
     def set_max(self, value: float) -> None:
-        self.labels().set_max(value)
+        self._only().set_max(value)
 
     def observe(self, value: float) -> None:
-        self.labels().observe(value)
+        self._only().observe(value)
 
     def observe_many(self, values: Any) -> None:
-        self.labels().observe_many(values)
+        self._only().observe_many(values)
 
     @property
     def value(self) -> float:
-        return self.labels().value
+        return self._only().value
 
 
 class MetricsRegistry:

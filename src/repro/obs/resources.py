@@ -141,6 +141,10 @@ class QueryResourceAccount:
         self.plan_cpu_seconds = 0.0  # inside plan.run alone
         self.opcode_cpu_seconds = 0.0  # folded per MAL opcode
         self.opcode_cpu: Dict[str, float] = {}
+        # a thread-CPU reading the factory took at its plan boundary,
+        # handed once to the MAL interpreter as the start of its opcode
+        # chain (one clock read for both); None outside that window
+        self.cpu_mark: Optional[float] = None
         # queue-wait: insert -> consuming snapshot, per tuple
         self.queue_wait_seconds = 0.0
         self.queue_wait_tuples = 0

@@ -16,7 +16,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 
@@ -51,14 +51,18 @@ class TraceLog:
 
     ``deque.append`` with a ``maxlen`` is atomic under the GIL, so the
     record path takes no lock; snapshot reads copy under a lock to get a
-    consistent view while writers keep appending.
+    consistent view while writers keep appending.  The ring holds plain
+    ``(ts, kind, component, detail)`` tuples — recording happens on every
+    firing, reading rarely — and readers get :class:`TraceEvent` objects.
     """
 
     def __init__(self, capacity: int = 2048):
         if capacity <= 0:
             raise ValueError("trace capacity must be positive")
         self._capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._events: Deque[Tuple[float, str, str, Dict[str, Any]]] = deque(
+            maxlen=capacity
+        )
         self._lock = threading.Lock()
         self.total_recorded = 0
 
@@ -67,9 +71,7 @@ class TraceLog:
         return self._capacity
 
     def record(self, kind: str, component: str, **detail: Any) -> None:
-        self._events.append(
-            TraceEvent(time.monotonic(), kind, component, detail)
-        )
+        self._events.append((time.monotonic(), kind, component, detail))
         self.total_recorded += 1
 
     def events(
@@ -79,7 +81,7 @@ class TraceLog:
     ) -> List[TraceEvent]:
         """Oldest-first snapshot, optionally filtered."""
         with self._lock:
-            snapshot = list(self._events)
+            snapshot = [TraceEvent(*event) for event in self._events]
         if kind is not None:
             snapshot = [e for e in snapshot if e.kind == kind]
         if component is not None:

@@ -121,15 +121,23 @@ class MalContinuousPlan:
         self.compiled = compiled
         self.interpreter = interpreter
         self.output_basket = output_basket.lower()
+        # per basket input, the program variable of each snapshot column
+        # (``alias.column``); a basket's columns are fixed, so the names
+        # are built on the first activation and reused
+        self._env_names: Optional[List[List[str]]] = None
 
     def run(self, snapshots):
         from ..core.factory import PlanOutput
 
+        inputs = self.compiled.basket_inputs
+        if self._env_names is None:
+            self._env_names = [
+                [f"{b.alias}.{name}" for name in snapshots[b.basket].names]
+                for b in inputs
+            ]
         env: Dict[str, Any] = {}
-        for binding in self.compiled.basket_inputs:
-            snap = snapshots[binding.basket]
-            for name, bat in zip(snap.names, snap.bats):
-                env[f"{binding.alias}.{name}"] = bat
+        for binding, names in zip(inputs, self._env_names):
+            env.update(zip(names, snapshots[binding.basket].bats))
         final = self.interpreter.execute(self.compiled.program, env)
         result: ResultSet = final[self.compiled.program.output]
         consumed: Dict[str, np.ndarray] = {}

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.basket import Basket, TIME_COLUMN
@@ -284,3 +284,216 @@ class TestProperties:
             if v % 3 == 0:
                 b.consume_all()
             assert b.total_in == b.count + b.total_out
+
+
+class BasketModel:
+    """A list-of-rows reference for a basket: every row is
+    ``(seq, v, s, dc_time)``; consumption removes rows by identity (seq)."""
+
+    def __init__(self):
+        self.rows = []
+        self.next_seq = 0
+        self.readers = {}
+        self.capacity = None
+        self.retention = None
+
+    def insert(self, values, stamp):
+        for v in values:
+            self.rows.append((self.next_seq, v, None if v % 4 == 0 else
+                              f"s{v}", stamp))
+            self.next_seq += 1
+        for bound in (self.capacity, self.retention):
+            if bound is not None and len(self.rows) > bound:
+                self.rows = self.rows[len(self.rows) - bound:]
+
+    def remove(self, seqs):
+        doomed = set(seqs)
+        before = len(self.rows)
+        self.rows = [r for r in self.rows if r[0] not in doomed]
+        return before - len(self.rows)
+
+    def since(self, since_seq):
+        return [r for r in self.rows if since_seq is None or r[0] > since_seq]
+
+    def gc_shared(self):
+        if not self.readers or not self.rows:
+            return 0
+        low = min(self.readers.values())
+        return self.remove(r[0] for r in self.rows if r[0] <= low)
+
+    def digest(self):
+        import hashlib
+
+        parts = [
+            repr(self.next_seq),
+            repr([r[0] for r in self.rows]),
+            repr(sorted(self.readers.items())),
+        ]
+        for name, column in (("v", 1), ("s", 2), (TIME_COLUMN, 3)):
+            parts.append(name)
+            parts.append(repr([r[column] for r in self.rows]))
+        return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+#: one step of the reference-model walk: (operation, a, b, c)
+OPS = st.tuples(
+    st.sampled_from((
+        "insert", "insert", "insert", "snapshot", "snapshot",
+        "snapshot_since", "snapshot_since", "consume_positions",
+        "consume_positions", "consume_snapshot", "consume_snapshot",
+        "consume_seqs", "consume_all", "register", "advance", "gc",
+        "unregister", "capacity", "retention",
+    )),
+    st.integers(0, 12),
+    st.integers(0, 2 ** 16),
+    st.integers(-1, 40),
+)
+
+
+class TestReferenceModel:
+    """Random walks over ingest, snapshots (whole and ``since_seq``),
+    consumption by position / sequence / in bulk, shared readers with
+    their GC, load shedding and retention trimming, checked against
+    :class:`BasketModel` after every step.  Snapshots are kept across
+    steps, so consuming one the basket has changed since — the
+    generation guard's stale path — is exercised as often as the
+    consume-by-position fast path."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(OPS, min_size=12, max_size=60))
+    def test_basket_matches_list_of_rows_model(self, ops):
+        basket = Basket("m", [("v", AtomType.INT), ("s", AtomType.STR)],
+                        LogicalClock())
+        model = BasketModel()
+        held = []  # (snapshot, the model rows it was cut from)
+        for step, (op, a, bits, c) in enumerate(ops):
+            if op == "insert":
+                values = [(c + i) % 50 for i in range(a + 1)]
+                basket.insert_columns(
+                    {
+                        "v": np.asarray(values, dtype=np.int32),
+                        "s": np.asarray(
+                            [None if v % 4 == 0 else f"s{v}" for v in values],
+                            dtype=object,
+                        ),
+                    },
+                    timestamp=float(step),
+                )
+                model.insert(values, float(step))
+            elif op in ("snapshot", "snapshot_since"):
+                since = (
+                    None if op == "snapshot"
+                    else c % (model.next_seq + 1) - 1
+                )
+                snap = basket.snapshot(since_seq=since)
+                expected = model.since(since)
+                assert snap.seqs.tolist() == [r[0] for r in expected]
+                assert [
+                    tuple(b.python_list()[i] for b in snap.bats)
+                    for i in range(snap.count)
+                ] == [r[1:] for r in expected]
+                held = (held + [snap])[-3:]
+            elif op in ("consume_positions", "consume_snapshot") and held:
+                # mostly the newest snapshot (the factory's case: nothing
+                # changed since the cut), sometimes an older, stale one
+                snap = held[-1] if a < 8 else held[a % len(held)]
+                if op == "consume_snapshot" or not snap.count:
+                    positions = None
+                    doomed = snap.seqs.tolist()
+                else:
+                    chosen = [
+                        i for i in range(snap.count) if bits >> (i % 16) & 1
+                    ] or [a % snap.count]
+                    positions = np.asarray(chosen, dtype=np.int64)
+                    doomed = snap.seqs[positions].tolist()
+                removed = basket.consume_positions(snap, positions)
+                assert removed == model.remove(doomed)
+            elif op == "consume_seqs":
+                seqs = [s for s in range(model.next_seq + 2)
+                        if bits >> (s % 16) & 1]
+                assert basket.consume_seqs(
+                    np.asarray(seqs, dtype=np.int64)) == model.remove(seqs)
+            elif op == "consume_all":
+                assert basket.consume_all() == model.remove(
+                    [r[0] for r in model.rows])
+            elif op == "register":
+                name = f"r{a % 3}"
+                if name in model.readers:
+                    with pytest.raises(BasketError):
+                        basket.register_reader(name)
+                else:
+                    basket.register_reader(name)
+                    model.readers[name] = (
+                        model.rows[0][0] - 1 if model.rows
+                        else model.next_seq - 1
+                    )
+            elif op == "advance" and model.readers:
+                name = sorted(model.readers)[a % len(model.readers)]
+                assert basket.read_new(name).seqs.tolist() == [
+                    r[0] for r in model.since(model.readers[name])]
+                basket.advance_reader(name, c)
+                model.readers[name] = max(model.readers[name], c)
+            elif op == "gc":
+                assert basket.gc_shared() == model.gc_shared()
+            elif op == "unregister" and model.readers:
+                name = sorted(model.readers)[a % len(model.readers)]
+                basket.unregister_reader(name)
+                del model.readers[name]
+                model.gc_shared()
+            elif op == "capacity":
+                model.capacity = basket.capacity = (
+                    None if a % 3 == 0 else a + 2)
+            elif op == "retention":
+                model.retention = basket.retention = (
+                    None if a % 3 == 0 else a + 4)
+            # the whole observable state, after every step
+            assert basket.count == len(model.rows)
+            assert basket.snapshot().seqs.tolist() == [
+                r[0] for r in model.rows]
+            assert basket.rows() == [r[1:] for r in model.rows]
+            assert basket.frontier_seq() == model.next_seq - 1
+            for name, cursor in model.readers.items():
+                assert basket.unseen_count(name) == len(model.since(cursor))
+            assert basket.state_digest() == model.digest()
+            assert basket.total_in == basket.count + basket.total_out + \
+                basket.total_shed + basket.total_trimmed
+
+    def test_whole_snapshot_consumed_in_full_is_consume_all(self):
+        basket = Basket("w", [("v", AtomType.INT)], LogicalClock())
+        basket.insert_rows([(1,), (2,), (3,)])
+        snap = basket.snapshot()
+        assert basket.consume_positions(snap) == 3
+        assert basket.count == 0 and basket.total_out == 3
+
+    def test_since_snapshot_positions_are_offset_by_its_start(self):
+        basket = Basket("w", [("v", AtomType.INT)], LogicalClock())
+        basket.insert_rows([(v,) for v in range(6)])
+        snap = basket.snapshot(since_seq=2)
+        assert (snap.start, snap.seqs.tolist()) == (3, [3, 4, 5])
+        assert basket.consume_positions(snap, np.asarray([0, 2])) == 2
+        assert [r[0] for r in basket.rows()] == [0, 1, 2, 4]
+        snap = basket.snapshot(since_seq=1)
+        assert basket.consume_positions(snap) == 2  # the whole suffix
+        assert [r[0] for r in basket.rows()] == [0, 1]
+
+    def test_stale_snapshot_falls_back_to_sequence_numbers(self):
+        basket = Basket("w", [("v", AtomType.INT)], LogicalClock())
+        basket.insert_rows([(1,), (2,), (3,)])
+        snap = basket.snapshot()
+        basket.consume_seqs(np.asarray([0]))  # positions shift by one
+        basket.insert_rows([(4,)])
+        assert basket.consume_positions(snap, np.asarray([1])) == 1
+        assert [r[0] for r in basket.rows()] == [3, 4]
+        # the whole (stale) snapshot: only its surviving rows go
+        assert basket.consume_positions(snap) == 1
+        assert [r[0] for r in basket.rows()] == [4]
+
+    def test_seqs_ascend_through_every_mutation(self):
+        basket = Basket("w", [("v", AtomType.INT)], LogicalClock())
+        basket.capacity = 7
+        for i in range(12):
+            basket.insert_rows([(i,), (i + 1,)])
+            snap = basket.snapshot()
+            basket.consume_positions(snap, np.asarray([i % snap.count]))
+            seqs = basket.snapshot().seqs
+            assert (np.diff(seqs) > 0).all()

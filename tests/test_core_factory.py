@@ -294,3 +294,19 @@ class TestCallablePlan:
         inp.insert_rows([(1,)])
         with pytest.raises(DataCellError):
             f.activate()
+
+
+class TestSmallArrayAccounting:
+    """The factory's queue-wait and origin-stamp helpers take a python
+    path for a handful of values; it must agree with the numpy path."""
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 17, 300])
+    def test_python_and_numpy_paths_agree(self, n):
+        from repro.core.factory import _smallest, _total_wait
+
+        rng = np.random.default_rng(n)
+        now = 1000.0
+        stamps = now - rng.uniform(-0.5, 2.0, n)  # some stamps after now
+        expected = float(np.maximum(now - stamps, 0.0).sum())
+        assert _total_wait(now, stamps) == pytest.approx(expected, rel=1e-12)
+        assert _smallest(stamps) == float(stamps.min())

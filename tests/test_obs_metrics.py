@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import (
@@ -11,6 +13,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     LATENCY_BUCKETS,
+    SMALL_BATCH,
     MetricsRegistry,
     NULL_INSTRUMENT,
     default_registry,
@@ -133,6 +136,42 @@ class TestHistogram:
         h = Histogram()
         h.observe_many(np.asarray([]))
         assert h.count == 0
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from((1.0, 10.0, 100.0, 100.5, 1e6)),  # bounds, +Inf
+                st.floats(-1e3, 1e3, allow_nan=False),  # negatives included
+            ),
+            min_size=1,
+            max_size=SMALL_BATCH,
+        ),
+        st.lists(st.floats(-5.0, 500.0, allow_nan=False), max_size=40),
+    )
+    def test_small_observe_many_is_per_value_observe(self, values, history):
+        # the <= SMALL_BATCH pure-python path leaves exactly what one
+        # observe() per value would, on top of any earlier history
+        a, b = Histogram(buckets=[1, 10, 100]), Histogram(buckets=[1, 10, 100])
+        for v in history:
+            a.observe(v)
+            b.observe(v)
+        for v in values:
+            a.observe(v)
+        b.observe_many(np.asarray(values))
+        assert a.bucket_counts() == b.bucket_counts()
+        assert (a.count, a.sum, a.snapshot()["min"], a.snapshot()["max"]) \
+            == (b.count, b.sum, b.snapshot()["min"], b.snapshot()["max"])
+
+    def test_small_and_numpy_paths_bin_alike(self):
+        values = [0.5, 1.0, 1.0 + 1e-12, 10.0, 99.0, 100.0, 101.0, -3.0]
+        small, large = Histogram(buckets=[1, 10, 100]), Histogram(
+            buckets=[1, 10, 100])
+        small.observe_many(values)
+        large.observe_many(values * 3)  # > SMALL_BATCH: the numpy path
+        assert [n * 3 for _, n in small.bucket_counts()] == [
+            n for _, n in large.bucket_counts()]
+        assert small.snapshot()["min"] == large.snapshot()["min"] == -3.0
+        assert small.snapshot()["max"] == large.snapshot()["max"] == 101.0
 
     def test_thread_safety_exact_count(self):
         h = Histogram(buckets=[1, 2, 3])

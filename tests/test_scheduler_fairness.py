@@ -10,6 +10,9 @@ all three agree on the firing sequence.  These tests pin the contract.
 from dataclasses import dataclass, field
 from typing import List
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.factory import ActivationResult
 from repro.core.scheduler import FiringPolicy, PriorityPolicy, Scheduler
 from repro.obs.metrics import MetricsRegistry
@@ -112,3 +115,100 @@ class TestSimulatorAgreesWithSynchronous:
             sched.register(Stub(name, 0, log))
         sched.step()
         assert log == ["three", "two", "one"]
+
+
+def fresh_sort(transitions):
+    """The documented order, computed from scratch (no memo)."""
+    indexed = sorted(
+        enumerate(transitions), key=lambda pair: (-pair[1].priority, pair[0])
+    )
+    return [t for _, t in indexed]
+
+
+def same_objects(left, right):
+    return len(left) == len(right) and all(
+        a is b for a, b in zip(left, right)
+    )
+
+
+class TestMemoisedOrder:
+    """PriorityPolicy memoises its sweep order; the memo must always equal
+    a fresh sort of the scheduler's current transitions."""
+
+    def assert_memo_fresh(self, sched):
+        transitions = sched.transitions()
+        assert same_objects(
+            sched.policy.sweep_order(transitions), fresh_sort(transitions)
+        )
+
+    def test_register_unregister_and_priority_change(self):
+        log: List[str] = []
+        sched = Scheduler(metrics=quiet())
+        stubs = [Stub("a", 0, log), Stub("b", 3, log), Stub("c", 0, log)]
+        for stub in stubs:
+            sched.register(stub)
+            self.assert_memo_fresh(sched)
+        self.assert_memo_fresh(sched)  # a memo hit
+        sched.unregister("b")
+        self.assert_memo_fresh(sched)
+        stubs[2].priority = 9  # a priority change on a registered transition
+        self.assert_memo_fresh(sched)
+        assert [t.name for t in sched.policy.sweep_order(sched.transitions())] \
+            == ["c", "a"]
+        stubs[2].priority = 0
+        self.assert_memo_fresh(sched)
+        sched.register(Stub("b", 3, log))  # value-equal to the old "b"
+        self.assert_memo_fresh(sched)
+
+    def test_memo_keys_on_identity_not_equality(self):
+        # Stub is a dataclass: two distinct stubs with equal fields compare
+        # equal, yet the sweep must hand back the objects it was given
+        log: List[str] = []
+        policy = PriorityPolicy()
+        first = [Stub("x", 1, log), Stub("y", 2, log)]
+        second = [Stub("x", 1, log), Stub("y", 2, log)]
+        assert first == second
+        assert same_objects(policy.sweep_order(first), fresh_sort(first))
+        assert same_objects(policy.sweep_order(second), fresh_sort(second))
+
+    def test_returned_order_is_a_copy(self):
+        log: List[str] = []
+        policy = PriorityPolicy()
+        transitions = [Stub("x", 1, log), Stub("y", 2, log)]
+        policy.sweep_order(transitions).clear()
+        assert same_objects(
+            policy.sweep_order(transitions), fresh_sort(transitions)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(("register", "unregister", "priority")),
+                  st.integers(0, 4), st.integers(-3, 3)),
+        max_size=40,
+    ))
+    def test_random_churn_matches_fresh_sort(self, ops):
+        log: List[str] = []
+        sched = Scheduler(metrics=quiet())
+        registered = {}
+        for op, slot, priority in ops:
+            name = f"t{slot}"
+            if op == "register" and name not in registered:
+                registered[name] = Stub(name, priority, log)
+                sched.register(registered[name])
+            elif op == "unregister" and name in registered:
+                sched.unregister(name)
+                del registered[name]
+            elif op == "priority" and name in registered:
+                registered[name].priority = priority
+            self.assert_memo_fresh(sched)
+
+
+def test_simtest_episodes_clean_under_lock_order_recorder(capsys):
+    # the CI static-analysis gate, in tier-1: 30 seeded episodes (every
+    # firing policy, faults, the server wire seam) with the acquisition
+    # recorder installed; main() returns the number of failed episodes,
+    # lock-order violations included
+    from repro.simtest.run import main
+
+    assert main(["--episodes", "30", "--lock-order", "--seed", "0"]) == 0
+    assert "0 violation(s)" in capsys.readouterr().out
