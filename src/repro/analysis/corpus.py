@@ -288,6 +288,83 @@ def _bad_str_arithmetic() -> List[Diagnostic]:
     )
 
 
+def _bad_branch_clash() -> List[Diagnostic]:
+    # CASE WHEN with a STR branch and an LNG branch: no common atom
+    prog = _program(
+        [
+            Instr(
+                ("v1",), "batcalc", "ifthenelse",
+                (Var("c"), Var("s"), Var("n")), None,
+            ),
+            Instr(
+                ("out",), "sql", "resultset", (Const(("v",)), Var("v1")),
+                None,
+            ),
+        ],
+        inputs=["c", "s", "n"],
+        output="out",
+    )
+    from .signatures import AbstractValue, Kind
+
+    return verify_program(
+        prog,
+        input_values={
+            "c": AbstractValue(Kind.BAT, atom=AtomType.BOOL),
+            "s": AbstractValue(Kind.BAT, atom=AtomType.STR),
+            "n": AbstractValue(Kind.BAT, atom=AtomType.LNG),
+        },
+    )
+
+
+def _catalog():
+    from ..kernel.catalog import Catalog
+
+    catalog = Catalog()
+    catalog.create_table(
+        "trades", [("price", AtomType.DBL), ("sym", AtomType.STR)]
+    )
+    return catalog
+
+
+def _bad_unknown_table() -> List[Diagnostic]:
+    prog = _program(
+        [Instr(("t",), "sql", "bind_table", (Const("nosuch"),), None)],
+        output="t",
+    )
+    return verify_program(prog, catalog=_catalog())
+
+
+def _bad_unknown_column() -> List[Diagnostic]:
+    prog = _program(
+        [
+            Instr(
+                ("v1",), "sql", "bind", (Const("trades"), Const("volume")),
+                None,
+            )
+        ],
+        output="v1",
+    )
+    return verify_program(prog, catalog=_catalog())
+
+
+def _bad_schema_mismatch() -> List[Diagnostic]:
+    # two declared result names for one column
+    prog = _program(
+        [
+            Instr(
+                ("v1",), "sql", "bind", (Const("trades"), Const("price")),
+                None,
+            ),
+            Instr(
+                ("out",), "sql", "resultset",
+                (Const(("price", "sym")), Var("v1")), None,
+            ),
+        ],
+        output="out",
+    )
+    return verify_program(prog, catalog=_catalog())
+
+
 def _bad_candidate_swap() -> List[Diagnostic]:
     # projection's (cands, bat) order swapped — candidate invariant
     prog = _program(
@@ -411,6 +488,10 @@ PLANTED_BAD: Dict[str, Tuple[Callable[[], List[Diagnostic]], str]] = {
     "reassignment": (_bad_reassignment, "reassignment"),
     "emitter-type-clash": (_bad_emitter_type_clash, "emitter-boundary"),
     "str-arithmetic": (_bad_str_arithmetic, "type-check"),
+    "branch-clash": (_bad_branch_clash, "type-check"),
+    "unknown-table": (_bad_unknown_table, "unknown-table"),
+    "unknown-column": (_bad_unknown_column, "unknown-column"),
+    "schema-mismatch": (_bad_schema_mismatch, "schema-mismatch"),
     "candidate-swap": (_bad_candidate_swap, "bad-argument"),
     "result-arity": (_bad_result_arity, "result-arity"),
     "missing-output": (_bad_missing_output, "undefined-output"),

@@ -1,49 +1,37 @@
-"""Kernel opcode signatures for the static MAL verifier.
+"""What the MAL verifier knows about values, and the checks only it makes.
 
-Every primitive registered in :data:`repro.kernel.interpreter._REGISTRY`
-has an entry in :data:`SIGNATURES` describing its arity, the *kind* of
-each parameter (BAT, candidate list, scalar constant, table, result
-set), how many results it produces, and — where the kernel's behavior
-is deterministic in the input atom types — an abstract type-inference
-rule mirroring the runtime exactly (``calc_binary`` widening,
-``math_unary`` atom rules, aggregate output atoms, ...).
+Every opcode's arity, parameter kinds, result kinds and result-atom rule
+come from the interpreter's one opcode table,
+:data:`repro.kernel.interpreter.OPCODES`.  This module keeps what the
+kernel cannot say: the abstract values the verifier propagates, and the
+catalog and schema checks of the opcodes that read tables and build
+result sets (:data:`SCHEMA_RULES`).
 
-The inference rules are deliberately *false-positive safe*: an unknown
-atom propagates as ``None`` and disables downstream checks; a diagnostic
-is only reported when both sides are known and provably incompatible at
-runtime (the kernel would raise :class:`TypeMismatchError` or the
-emitter-boundary ``append_bat`` would reject the column).
+The rules are *false-positive safe*: an unknown atom propagates as
+``None`` and disables downstream checks; a diagnostic is only reported
+when the inputs are known and provably wrong at runtime.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..kernel.types import AtomType, common_type
-from ..errors import TypeMismatchError
+from ..errors import KernelError
+from ..kernel.interpreter import OPCODES
+from ..kernel.types import AtomType, atom_named
 
 __all__ = [
     "Kind",
     "AbstractValue",
-    "Signature",
-    "SIGNATURES",
-    "literal_atom",
-    "atom_of",
-    "registry_coverage",
+    "SCHEMA_RULES",
+    "accepts",
 ]
 
 
 class Kind(enum.Enum):
-    """Abstract kind of a MAL variable's value."""
+    """Abstract kind of a MAL variable's value (the opcode kind specs)."""
 
     BAT = "bat"
     CAND = "cand"
@@ -80,69 +68,12 @@ def bat(atom: Optional[AtomType] = None) -> AbstractValue:
     return AbstractValue(Kind.BAT, atom=atom)
 
 
-def cand() -> AbstractValue:
-    return AbstractValue(Kind.CAND)
-
-
 def scalar(atom: Optional[AtomType] = None) -> AbstractValue:
     return AbstractValue(Kind.SCALAR, atom=atom)
 
 
-def literal_atom(value: Any) -> Optional[AtomType]:
-    """Atom a python literal coerces to at runtime (None = unknown/NULL)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return AtomType.BOOL
-    if isinstance(value, int):
-        return AtomType.LNG
-    if isinstance(value, float):
-        return AtomType.DBL
-    if isinstance(value, str):
-        return AtomType.STR
-    return None
-
-
-def atom_of(value: Optional[AbstractValue]) -> Optional[AtomType]:
-    """Best-known atom of a value (consts fall back to literal typing)."""
-    if value is None:
-        return None
-    if value.atom is not None:
-        return value.atom
-    if value.has_const:
-        return literal_atom(value.const)
-    return None
-
-
 Report = Callable[..., None]
 Infer = Callable[[Any, List[Optional[AbstractValue]], Report], Any]
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Declared shape of one kernel primitive.
-
-    ``params`` entries are kind specs — ``bat``, ``cand``, ``candopt``
-    (a candidate list or a literal ``None``), ``scalar``, ``table``,
-    ``result``, ``any`` — with a ``?`` suffix marking the parameter
-    optional.  ``varargs`` accepts any number of trailing arguments of
-    that spec.  ``results`` is the exact number of MAL result variables
-    the primitive assigns.  ``infer`` computes the abstract result
-    value(s) and reports type clashes.
-    """
-
-    params: Tuple[str, ...]
-    results: int = 1
-    varargs: Optional[str] = None
-    infer: Optional[Infer] = None
-
-    @property
-    def min_arity(self) -> int:
-        return sum(1 for p in self.params if not p.endswith("?"))
-
-    @property
-    def max_arity(self) -> Optional[int]:
-        return None if self.varargs else len(self.params)
 
 
 _KIND_ACCEPTS: Dict[str, Tuple[Kind, ...]] = {
@@ -159,272 +90,16 @@ _KIND_ACCEPTS: Dict[str, Tuple[Kind, ...]] = {
 
 def accepts(spec: str, value: AbstractValue) -> bool:
     """Whether a value of this kind may bind the parameter spec."""
-    spec = spec.rstrip("?")
     if spec == "candopt" and value.kind is Kind.SCALAR:
         return value.has_const and value.const is None
     return value.kind in _KIND_ACCEPTS.get(spec, tuple(Kind))
 
 
-# ----------------------------------------------------------------------
-# inference helpers
-# ----------------------------------------------------------------------
-def _join_numeric(
-    a: Optional[AtomType],
-    b: Optional[AtomType],
-    report: Report,
-    what: str,
-) -> Optional[AtomType]:
-    """``common_type`` with unknowns propagating and STR clashes reported."""
-    if a is None or b is None:
-        return None
+def _atom_named(name: Any) -> Optional[AtomType]:
     try:
-        return common_type(a, b)
-    except TypeMismatchError:
-        report(f"{what}: incompatible atoms {a.name} and {b.name}")
+        return atom_named(name)
+    except KernelError:
         return None
-
-
-def _check_comparable(
-    a: Optional[AtomType], b: Optional[AtomType], report: Report, what: str
-) -> None:
-    if a is None or b is None:
-        return
-    if (a is AtomType.STR) != (b is AtomType.STR):
-        report(f"{what}: cannot compare {a.name} with {b.name}")
-
-
-def _infer_arith(op: str) -> Infer:
-    def infer(ctx, args, report):
-        a, b = atom_of(args[0]), atom_of(args[1])
-        if a is AtomType.STR or b is AtomType.STR:
-            if op == "+":
-                if a is AtomType.STR and b is AtomType.STR:
-                    return bat(AtomType.STR)
-                if a is not None and b is not None:
-                    report(
-                        f"batcalc.+: cannot concatenate "
-                        f"{a.name} with {b.name}"
-                    )
-                return bat()
-            if a is not None and b is not None:
-                report(
-                    f"batcalc.{op}: arithmetic between "
-                    f"{a.name} and {b.name}"
-                )
-            return bat()
-        out = _join_numeric(a, b, report, f"batcalc.{op}")
-        if op == "/":
-            return bat(AtomType.DBL if out is not None else None)
-        return bat(out)
-
-    return infer
-
-
-def _infer_compare(op: str) -> Infer:
-    def infer(ctx, args, report):
-        _check_comparable(
-            atom_of(args[0]), atom_of(args[1]), report, f"batcalc.{op}"
-        )
-        return bat(AtomType.BOOL)
-
-    return infer
-
-
-def _require_bool(value, report, what: str) -> None:
-    a = atom_of(value)
-    if a is not None and a is not AtomType.BOOL:
-        report(f"{what} requires a bool operand, got {a.name}")
-
-
-def _infer_boolop(name: str) -> Infer:
-    def infer(ctx, args, report):
-        for arg in args:
-            _require_bool(arg, report, f"batcalc.{name}")
-        return bat(AtomType.BOOL)
-
-    return infer
-
-
-def _infer_neg(ctx, args, report):
-    a = atom_of(args[0])
-    if a is AtomType.STR:
-        report("batcalc.neg: cannot negate a str column")
-        return bat()
-    return bat(a)
-
-
-def _infer_ifthenelse(ctx, args, report):
-    _require_bool(args[0], report, "batcalc.ifthenelse")
-    t, e = atom_of(args[1]), atom_of(args[2])
-    if t is None or e is None:
-        return bat()
-    if (t is AtomType.STR) != (e is AtomType.STR):
-        report(
-            f"batcalc.ifthenelse: branch atoms {t.name} and {e.name} "
-            f"have no common type"
-        )
-        return bat()
-    return bat(_join_numeric(t, e, report, "batcalc.ifthenelse"))
-
-
-def _parse_atom(text: Any) -> Optional[AtomType]:
-    if not isinstance(text, str):
-        return None
-    try:
-        return AtomType(text.lower())
-    except ValueError:
-        try:
-            return AtomType[text.upper()]
-        except KeyError:
-            return None
-
-
-def _infer_cast(ctx, args, report):
-    target = args[1]
-    if target is not None and target.has_const:
-        atom = _parse_atom(target.const)
-        if atom is None:
-            report(f"batcalc.cast: unknown atom {target.const!r}")
-            return bat()
-        return bat(atom)
-    return bat()
-
-
-def _infer_const(ctx, args, report):
-    explicit = args[2] if len(args) > 2 else None
-    if explicit is not None and explicit.has_const and explicit.const:
-        return bat(_parse_atom(explicit.const))
-    value = args[0]
-    if value is not None and value.has_const:
-        return bat(literal_atom(value.const))
-    return bat()
-
-
-def aggregate_result_atom(
-    name: str, input_atom: Optional[AtomType]
-) -> Optional[AtomType]:
-    """Output atom of aggregate ``name`` — mirrors the kernel exactly.
-
-    count/count_star → LNG; avg → DBL; sum widens integrals to LNG;
-    min/max preserve the input atom (including STR).
-    """
-    if name in ("count", "count_star"):
-        return AtomType.LNG
-    if name == "avg":
-        return AtomType.DBL
-    if input_atom is None:
-        return None
-    if name == "sum":
-        return AtomType.LNG if input_atom.is_integral else AtomType.DBL
-    return input_atom  # min / max
-
-
-def _infer_aggr(name: str, grouped: bool) -> Infer:
-    def infer(ctx, args, report):
-        a = atom_of(args[0])
-        if a is AtomType.STR and name not in ("min", "max", "count", "count_star"):
-            report(f"aggr.{name}: undefined on a str column")
-            return bat() if grouped else scalar()
-        out = aggregate_result_atom(name, a)
-        return bat(out) if grouped else scalar(out)
-
-    return infer
-
-
-def _infer_projection(ctx, args, report):
-    return bat(atom_of(args[1]))
-
-
-def _infer_slice(ctx, args, report):
-    return bat(atom_of(args[0]))
-
-
-def _infer_mask2cand(ctx, args, report):
-    _require_bool(args[0], report, "algebra.mask2cand")
-    return cand()
-
-
-def _infer_join(n_results: int) -> Infer:
-    def infer(ctx, args, report):
-        _check_comparable(
-            atom_of(args[0]), atom_of(args[1]), report, "join keys"
-        )
-        return tuple(cand() for _ in range(n_results))
-
-    return infer
-
-
-def _infer_select(ctx, args, report):
-    a = atom_of(args[0])
-    for bound in args[2:4]:
-        _check_comparable(a, atom_of(bound), report, "algebra.select bound")
-    return cand()
-
-
-_THETA_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def _infer_thetaselect(ctx, args, report):
-    op = args[2]
-    if op is not None and op.has_const and op.const not in _THETA_OPS:
-        report(f"algebra.thetaselect: unknown operator {op.const!r}")
-    _check_comparable(
-        atom_of(args[0]), atom_of(args[3]), report, "algebra.thetaselect"
-    )
-    return cand()
-
-
-def _require_str(value, report, what: str) -> None:
-    a = atom_of(value)
-    if a is not None and a is not AtomType.STR:
-        report(f"{what} requires a str column, got {a.name}")
-
-
-def _infer_batstr(result_atom: AtomType) -> Infer:
-    def infer(ctx, args, report):
-        _require_str(args[0], report, "batstr")
-        return bat(result_atom)
-
-    return infer
-
-
-def math_result_atom(
-    name: str,
-    input_atom: Optional[AtomType],
-    digits: Optional[int],
-) -> Optional[AtomType]:
-    """Mirror of :func:`repro.kernel.mathops.math_unary` atom rules."""
-    if name == "sqrt":
-        return AtomType.DBL
-    if input_atom is None:
-        return None
-    if name == "abs":
-        return input_atom
-    if name == "round" and digits is None:
-        return None  # digits unknown statically
-    if name == "round" and digits:
-        return AtomType.DBL
-    # floor / ceil / round(0)
-    return AtomType.LNG if input_atom.is_integral else AtomType.DBL
-
-
-def _infer_math(name: str) -> Infer:
-    def infer(ctx, args, report):
-        a = atom_of(args[0])
-        if a is not None and not a.is_numeric:
-            report(f"batmath.{name} requires a numeric column, got {a.name}")
-            return bat()
-        digits = None
-        if len(args) > 1 and args[1] is not None and args[1].has_const:
-            try:
-                digits = int(args[1].const)
-            except (TypeError, ValueError):
-                digits = None
-        if len(args) <= 1:
-            digits = 0
-        return bat(math_result_atom(name, a, digits))
-
-    return infer
 
 
 def _table_columns(ctx, name: Any) -> Optional[Columns]:
@@ -529,16 +204,6 @@ def _infer_snapshot(ctx, args, report):
     return bat()
 
 
-def _infer_concat(ctx, args, report):
-    a, b = atom_of(args[0]), atom_of(args[1])
-    if a is not None and b is not None and a is not b:
-        report(
-            f"bat.concat: atoms {a.name} and {b.name} differ "
-            f"(append_bat requires identical atoms)"
-        )
-    return bat(a or b)
-
-
 def _infer_resultset(ctx, args, report):
     names = args[0]
     bats = args[1:]
@@ -554,7 +219,7 @@ def _infer_resultset(ctx, args, report):
                 rule="schema-mismatch",
             )
         columns = tuple(
-            (name.lower(), atom_of(value))
+            (name.lower(), value.atom)
             for name, value in zip(declared, bats)
         )
     return AbstractValue(Kind.RESULT, columns=columns)
@@ -573,7 +238,7 @@ def _infer_single_row(ctx, args, report):
         and isinstance(atoms.const, (tuple, list))
     ):
         declared = [str(n) for n in names.const]
-        parsed = [_parse_atom(str(a)) for a in atoms.const]
+        parsed = [_atom_named(a) for a in atoms.const]
         if not (len(declared) == len(parsed) == len(values)):
             report(
                 f"sql.single_row: {len(declared)} names, "
@@ -582,7 +247,7 @@ def _infer_single_row(ctx, args, report):
             )
         columns = tuple(zip((n.lower() for n in declared), parsed))
         for pos, (value, atom) in enumerate(zip(values, parsed)):
-            got = atom_of(value)
+            got = value.atom
             if got is None or atom is None:
                 continue
             if (got is AtomType.STR) != (atom is AtomType.STR):
@@ -614,208 +279,29 @@ def _infer_result_column(ctx, args, report):
     return bat()
 
 
-def _infer_result_passthrough(ctx, args, report):
-    value = args[0]
-    if value is not None and value.kind is Kind.RESULT:
-        return value
-    return AbstractValue(Kind.RESULT)
-
-
 def _infer_pass(ctx, args, report):
     if args and args[0] is not None:
         return args[0]
     return UNKNOWN
 
 
-def _infer_group(ctx, args, report):
-    return (bat(AtomType.OID), UNKNOWN, scalar(AtomType.LNG))
-
-
-def _infer_likeselect(ctx, args, report):
-    _require_str(args[0], report, "algebra.likeselect")
-    return cand()
-
-
-SIGNATURES: Dict[str, Signature] = {
-    # --- sql -----------------------------------------------------------
-    "sql.bind": Signature(("any", "scalar"), infer=_infer_sql_bind),
-    "sql.bind_table": Signature(("scalar",), infer=_infer_bind_table),
-    "sql.resultset": Signature(
-        ("scalar",), varargs="bat", infer=_infer_resultset
-    ),
-    "sql.single_row": Signature(
-        ("scalar", "scalar"), varargs="scalar", infer=_infer_single_row
-    ),
-    "sql.result_column": Signature(
-        ("result", "scalar"), infer=_infer_result_column
-    ),
-    # --- algebra -------------------------------------------------------
-    "algebra.select": Signature(
-        ("bat", "candopt", "scalar", "scalar", "scalar", "scalar", "scalar"),
-        infer=_infer_select,
-    ),
-    "algebra.thetaselect": Signature(
-        ("bat", "candopt", "scalar", "scalar"), infer=_infer_thetaselect
-    ),
-    "algebra.selectnil": Signature(
-        ("bat", "candopt"), infer=lambda ctx, a, r: cand()
-    ),
-    "algebra.selectnotnil": Signature(
-        ("bat", "candopt"), infer=lambda ctx, a, r: cand()
-    ),
-    "algebra.projection": Signature(
-        ("cand", "bat"), infer=_infer_projection
-    ),
-    "algebra.join": Signature(("bat", "bat"), results=2, infer=_infer_join(2)),
-    "algebra.thetajoin": Signature(
-        ("bat", "bat", "scalar"), results=2, infer=_infer_join(2)
-    ),
-    "algebra.leftouterjoin": Signature(
-        ("bat", "bat"), results=2, infer=_infer_join(2)
-    ),
-    "algebra.crossproduct": Signature(
-        ("bat", "bat"), results=2,
-        infer=lambda ctx, a, r: (cand(), cand()),
-    ),
-    "algebra.sort": Signature(
-        ("bat", "candopt", "scalar"), infer=lambda ctx, a, r: cand()
-    ),
-    "algebra.refine": Signature(
-        ("bat", "cand", "scalar"), infer=lambda ctx, a, r: cand()
-    ),
-    "algebra.firstn": Signature(
-        ("cand", "scalar"), infer=lambda ctx, a, r: cand()
-    ),
-    "algebra.slice": Signature(
-        ("bat", "scalar", "scalar"), infer=_infer_slice
-    ),
-    "algebra.mask2cand": Signature(("bat",), infer=_infer_mask2cand),
-    "algebra.densecands": Signature(("bat",), infer=lambda ctx, a, r: cand()),
-    "algebra.compose": Signature(
-        ("cand", "cand"), infer=lambda ctx, a, r: cand()
-    ),
-    "algebra.likeselect": Signature(
-        ("bat", "candopt", "scalar", "scalar?"), infer=_infer_likeselect
-    ),
-    # --- cand ----------------------------------------------------------
-    "cand.intersect": Signature(
-        ("cand", "cand"), infer=lambda ctx, a, r: cand()
-    ),
-    "cand.union": Signature(("cand", "cand"), infer=lambda ctx, a, r: cand()),
-    "cand.difference": Signature(
-        ("cand", "cand"), infer=lambda ctx, a, r: cand()
-    ),
-    # --- batcalc -------------------------------------------------------
-    "batcalc.and": Signature(("any", "any"), infer=_infer_boolop("and")),
-    "batcalc.or": Signature(("any", "any"), infer=_infer_boolop("or")),
-    "batcalc.not": Signature(("bat",), infer=_infer_boolop("not")),
-    "batcalc.isnil": Signature(
-        ("bat",), infer=lambda ctx, a, r: bat(AtomType.BOOL)
-    ),
-    "batcalc.neg": Signature(("bat",), infer=_infer_neg),
-    "batcalc.ifthenelse": Signature(
-        ("bat", "any", "any"), infer=_infer_ifthenelse
-    ),
-    "batcalc.cast": Signature(("bat", "scalar"), infer=_infer_cast),
-    "batcalc.const": Signature(
-        ("scalar", "bat", "scalar?"), infer=_infer_const
-    ),
-    # --- group ---------------------------------------------------------
-    "group.group": Signature(
-        ("bat", "candopt?"), results=3, infer=_infer_group
-    ),
-    "group.subgroup": Signature(
-        ("bat", "bat", "candopt?"), results=3, infer=_infer_group
-    ),
-    # --- basket --------------------------------------------------------
-    "basket.bind": Signature(("scalar",), infer=_infer_bind_table),
-    "basket.lock": Signature(("table",), infer=_infer_table_passthrough),
-    "basket.unlock": Signature(("table",), infer=_infer_table_passthrough),
-    "basket.count": Signature(
-        ("table",), infer=lambda ctx, a, r: scalar(AtomType.LNG)
-    ),
-    "basket.empty": Signature(
-        ("table",), infer=lambda ctx, a, r: scalar(AtomType.LNG)
-    ),
-    "basket.append": Signature(
-        ("table", "result"), infer=_infer_basket_append
-    ),
-    "basket.snapshot": Signature(("table", "scalar"), infer=_infer_snapshot),
-    # --- bat -----------------------------------------------------------
-    "bat.concat": Signature(("bat", "bat"), infer=_infer_concat),
-    # --- delta (Z-set incremental) -------------------------------------
-    "delta.canonicalize": Signature(
-        ("result",), infer=_infer_result_passthrough
-    ),
-    "delta.expand": Signature(("result",), infer=_infer_result_passthrough),
-    "delta.subsum": Signature(
-        ("bat", "bat", "bat", "scalar"),
-        infer=lambda ctx, a, r: bat(AtomType.DBL),
-    ),
-    "delta.subcount": Signature(
-        ("bat", "bat", "scalar"),
-        infer=lambda ctx, a, r: bat(AtomType.LNG),
-    ),
-    # --- language ------------------------------------------------------
-    "language.pass": Signature(("any?",), infer=_infer_pass),
+#: the catalog and schema checks, by opcode: each computes the abstract
+#: result value(s) from the arguments and reports what would fail
+SCHEMA_RULES: Dict[str, Infer] = {
+    "sql.bind": _infer_sql_bind,
+    "sql.bind_table": _infer_bind_table,
+    "sql.resultset": _infer_resultset,
+    "sql.single_row": _infer_single_row,
+    "sql.result_column": _infer_result_column,
+    "basket.bind": _infer_bind_table,
+    "basket.lock": _infer_table_passthrough,
+    "basket.unlock": _infer_table_passthrough,
+    "basket.append": _infer_basket_append,
+    "basket.snapshot": _infer_snapshot,
+    # the value itself, columns included, passes through
+    "language.pass": _infer_pass,
 }
 
-
-def _install_families() -> None:
-    for op in ("+", "-", "*", "/", "%"):
-        SIGNATURES[f"batcalc.{op}"] = Signature(
-            ("any", "any"), infer=_infer_arith(op)
-        )
-    for op in _THETA_OPS:
-        SIGNATURES[f"batcalc.{op}"] = Signature(
-            ("any", "any"), infer=_infer_compare(op)
-        )
-    from ..kernel.aggregate import AGGREGATE_NAMES
-
-    for name in AGGREGATE_NAMES:
-        SIGNATURES[f"aggr.{name}"] = Signature(
-            ("bat", "candopt?"), infer=_infer_aggr(name, grouped=False)
-        )
-        SIGNATURES[f"aggr.sub{name}"] = Signature(
-            ("bat", "bat", "scalar", "candopt?"),
-            infer=_infer_aggr(name, grouped=True),
-        )
-    for fn_name, result_atom in (
-        ("upper", AtomType.STR),
-        ("lower", AtomType.STR),
-        ("trim", AtomType.STR),
-        ("length", AtomType.INT),
-    ):
-        SIGNATURES[f"batstr.{fn_name}"] = Signature(
-            ("bat",), infer=_infer_batstr(result_atom)
-        )
-    SIGNATURES["batstr.substring"] = Signature(
-        ("bat", "scalar", "scalar?"), infer=_infer_batstr(AtomType.STR)
-    )
-    SIGNATURES["batstr.like"] = Signature(
-        ("bat", "scalar", "scalar?"), infer=_infer_batstr(AtomType.BOOL)
-    )
-    from ..kernel.mathops import MATH_FUNCTIONS
-
-    for fn_name in MATH_FUNCTIONS:
-        SIGNATURES[f"batmath.{fn_name}"] = Signature(
-            ("bat", "scalar?"), infer=_infer_math(fn_name)
-        )
-
-
-_install_families()
-
-
-def registry_coverage() -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """(registered-but-unsigned, signed-but-unregistered) opcode names.
-
-    The first set means the verifier would wrongly reject a working
-    program (missing signature); the second means a signed opcode would
-    fail mid-firing with ``unknown MAL primitive`` — both are CI
-    failures in the analysis test suite.
-    """
-    from ..kernel.interpreter import _REGISTRY
-
-    unsigned = tuple(sorted(set(_REGISTRY) - set(SIGNATURES)))
-    unregistered = tuple(sorted(set(SIGNATURES) - set(_REGISTRY)))
-    return unsigned, unregistered
+_unregistered = sorted(set(SCHEMA_RULES) - set(OPCODES))
+if _unregistered:
+    raise KernelError(f"schema rules for unregistered opcodes: {_unregistered}")

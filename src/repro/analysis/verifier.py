@@ -5,13 +5,15 @@ would otherwise surface mid-firing as a ``KeyError``/``MalError``/
 ``TypeMismatchError`` inside a factory thread:
 
 * duplicate/shadowed inputs, single assignment, def-before-use;
-* unknown opcodes (cross-checked against the interpreter registry);
-* arity — argument count bounds and result count — per signature;
-* parameter-kind checks (which subsume the candidate-list invariants:
-  ``algebra.projection`` takes ``(cands, bat)`` in that order,
-  ``algebra.compose``/``firstn`` take candidate lists, ...);
-* abstract atom-type propagation mirroring the kernel exactly, with
-  clashes reported where the kernel would raise;
+* unknown opcodes, arity (argument count bounds and result count) and
+  parameter kinds, all read from the interpreter's opcode table
+  (:data:`~repro.kernel.interpreter.OPCODES`); the kind checks subsume
+  the candidate-list invariants: ``algebra.projection`` takes
+  ``(cands, bat)`` in that order, ``algebra.compose``/``firstn`` take
+  candidate lists, ...;
+* abstract atom-type propagation by the kernel's own result-atom rules,
+  with clashes reported where the kernel would raise;
+* catalog and schema checks (:data:`~repro.analysis.signatures.SCHEMA_RULES`);
 * schema compatibility at the emitter boundary (the program's output
   ``ResultSet`` columns vs the declared output basket schema);
 * dead instructions (warning) — cross-checked in tests against the
@@ -29,7 +31,7 @@ of free inputs resolved from catalog basket schemas), and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagnostics import (
     Diagnostic,
@@ -39,23 +41,23 @@ from .diagnostics import (
     node_path,
 )
 from .signatures import (
-    SIGNATURES,
+    SCHEMA_RULES,
     AbstractValue,
     Kind,
     UNKNOWN,
     accepts,
-    literal_atom,
 )
+from ..errors import KernelError
+from ..kernel.interpreter import OPCODES, Opcode
 from ..kernel.mal import Const, Instr, Program, Var
-from ..kernel.types import AtomType, common_type
-from ..errors import TypeMismatchError
+from ..kernel.types import AtomType, compare_atom, literal_atom
 
 __all__ = ["verify_program", "verify_continuous", "verify_circuit"]
 
 
 @dataclass
 class _Context:
-    """What the signature ``infer`` callbacks may consult."""
+    """What the :data:`SCHEMA_RULES` callbacks may consult."""
 
     catalog: object = None
 
@@ -169,7 +171,7 @@ def verify_program(
 
         # -- opcode / arity / kinds ----------------------------------------
         opcode = f"{ins.module}.{ins.fn}"
-        sig = SIGNATURES.get(opcode)
+        sig = OPCODES.get(opcode)
         if sig is None:
             report(
                 f"unknown MAL primitive {opcode!r} "
@@ -203,43 +205,23 @@ def verify_program(
             continue
 
         for pos, value in enumerate(args):
-            spec = (
-                sig.params[pos]
-                if pos < len(sig.params)
-                else (sig.varargs or "any")
-            )
-            if value is not None and not accepts(spec, value):
+            spec = sig.spec(pos)
+            if not accepts(spec, value):
                 report(
                     f"{opcode} argument {pos} expects "
-                    f"{spec.rstrip('?')}, got {value.kind.value}",
+                    f"{spec}, got {value.kind.value}",
                     rule="bad-argument",
                 )
 
-        if len(ins.results) != sig.results:
+        if len(ins.results) != len(sig.returns):
             report(
-                f"{opcode} produces {sig.results} result(s), "
+                f"{opcode} produces {len(sig.returns)} result(s), "
                 f"instruction assigns {len(ins.results)}",
                 rule="result-arity",
             )
 
         # -- abstract evaluation -------------------------------------------
-        produced: Tuple[AbstractValue, ...]
-        if sig.infer is not None and defined:
-            padded = list(args)
-            while len(padded) < len(sig.params):
-                padded.append(None)
-            try:
-                out = sig.infer(ctx, padded, report)
-            except Exception:  # infer bugs must never block registration
-                out = None
-            if out is None:
-                produced = tuple(UNKNOWN for _ in ins.results)
-            elif isinstance(out, tuple):
-                produced = out
-            else:
-                produced = (out,)
-        else:
-            produced = tuple(UNKNOWN for _ in ins.results)
+        produced = _evaluate(opcode, sig, args, ctx, report) if defined else ()
         for result, value in zip(ins.results, produced):
             env[result] = value
         for result in ins.results[len(produced):]:
@@ -284,6 +266,50 @@ def verify_program(
 
     sink.diagnostics.sort(key=lambda d: (not d.is_error, d.instr_index or 0))
     return sink.diagnostics
+
+
+def _evaluate(
+    opcode: str, sig: Opcode, args: List[AbstractValue], ctx: _Context, report
+) -> Tuple[AbstractValue, ...]:
+    """Abstract result values of one instruction.
+
+    A :data:`SCHEMA_RULES` entry computes them when the opcode has one.
+    Otherwise they take the declared result kinds, the first typed by the
+    opcode's atom rule; that rule runs only when every ``scalar``
+    argument is a known constant, and a :class:`KernelError` from it is
+    the error the kernel would raise mid-firing.  Rule bugs must never
+    block registration, so any other exception leaves the results unknown.
+    """
+    schema_rule = SCHEMA_RULES.get(opcode)
+    if schema_rule is not None:
+        padded: List[Optional[AbstractValue]] = list(args)
+        padded += [None] * (len(sig.params) - len(padded))
+        try:
+            out = schema_rule(ctx, padded, report)
+        except Exception:
+            return ()
+        return out if isinstance(out, tuple) else (out,)
+    produced = [AbstractValue(Kind(kind)) for kind in sig.returns]
+    if sig.atom is None or not produced:
+        return tuple(produced)
+    items: List[Any] = []
+    for pos, value in enumerate(args):
+        if sig.spec(pos) != "scalar":
+            items.append(value.atom)
+        elif value.has_const:
+            items.append(value.const)
+        else:
+            return tuple(produced)
+    try:
+        atom = sig.atom(*items)
+    except KernelError as exc:
+        report(f"{opcode}: {exc}")
+        return tuple(produced)
+    except Exception:
+        return tuple(produced)
+    if produced[0].kind in (Kind.BAT, Kind.SCALAR):
+        produced[0] = AbstractValue(produced[0].kind, atom=atom)
+    return tuple(produced)
 
 
 def _check_emitter_boundary(
@@ -523,8 +549,8 @@ def _check_join_shape(plan, sink: DiagnosticSink) -> None:
     right_key = stages[1].output_atoms[0] if stages[1].output_atoms else None
     if left_key is not None and right_key is not None:
         try:
-            common_type(left_key, right_key)
-        except TypeMismatchError:
+            compare_atom(left_key, right_key)
+        except KernelError:
             sink.report(
                 "circuit-structure",
                 f"join keys have incompatible atoms "

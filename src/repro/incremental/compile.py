@@ -47,7 +47,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import DataCellError
+from ..errors import BindError, DataCellError, TypeMismatchError
+from ..kernel.aggregate import aggregate_atom
 from ..kernel.catalog import Catalog
 from ..kernel.interpreter import MalInterpreter
 from ..kernel.mal import ResultSet
@@ -67,7 +68,6 @@ from ..sql.ast_nodes import (
 from ..sql.compiler import (
     AGGREGATES,
     CompiledQuery,
-    _aggregate_atom,
     _contains_aggregate,
     _default_name,
     _join_and,
@@ -470,11 +470,10 @@ def _compile_aggregate_shape(
         else:
             agg_name = aggregates[agg_index]
             agg_index += 1
-            atoms.append(
-                AtomType.LNG
-                if agg_name == "count_star"
-                else _aggregate_atom(agg_name, value_atom)
-            )
+            try:
+                atoms.append(aggregate_atom(agg_name, value_atom))
+            except TypeMismatchError as exc:
+                raise BindError(str(exc)) from None
     plan = CircuitContinuousPlan(
         "aggregate",
         [compiled],

@@ -6,11 +6,12 @@ and return a BAT of one value per group.
 
 SQL NULL semantics throughout: NULL inputs are skipped; an empty input
 yields NULL for SUM/AVG/MIN/MAX and 0 for COUNT.  ``count_star`` counts
-tuples regardless of NULLs.
+tuples regardless of NULLs.  Both forms type their output with
+:func:`aggregate_atom`.
 
-These primitives double as the *summary combinators* of the basic-window
-model: :class:`AggregateState` is a mergeable summary (count/sum/min/max)
-that the incremental window executor keeps per basic window.
+:class:`AggregateState` is a per-tuple mergeable summary
+(count/sum/min/max); only the re-evaluation reference
+(``repro.baselines.reeval``) uses it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from ..errors import KernelError, TypeMismatchError
 from .bat import BAT
 from .candidates import resolve_positions
 from .group import str_codes
-from .types import AtomType, nil_value, numpy_dtype
+from .types import AtomType, nil_value, numpy_dtype, python_value
 
 __all__ = [
+    "aggregate_atom",
     "scalar_aggregate",
     "grouped_aggregate",
     "AggregateState",
@@ -34,6 +36,28 @@ __all__ = [
 ]
 
 AGGREGATE_NAMES = ("sum", "count", "count_star", "avg", "min", "max")
+
+
+def aggregate_atom(
+    name: str, operand: Optional[AtomType]
+) -> Optional[AtomType]:
+    """Result atom of aggregate ``name`` over ``operand``.
+
+    The counts are LNG and avg is DBL; sum widens integral atoms to LNG
+    and the rest to DBL; min/max keep the operand's atom.  Of these only
+    the counts, min and max apply to STR.
+    """
+    if name not in AGGREGATE_NAMES:
+        raise KernelError(f"unknown aggregate {name!r}")
+    if name in ("count", "count_star"):
+        return AtomType.LNG
+    if operand is AtomType.STR and name not in ("min", "max"):
+        raise TypeMismatchError(f"aggregate {name} undefined on str")
+    if name == "avg":
+        return AtomType.DBL
+    if operand is None or name != "sum":
+        return operand
+    return AtomType.LNG if operand.is_integral else AtomType.DBL
 
 
 def _valid_tail(bat: BAT, candidates: Optional[np.ndarray]):
@@ -46,9 +70,9 @@ def _valid_tail(bat: BAT, candidates: Optional[np.ndarray]):
 def scalar_aggregate(
     name: str, bat: BAT, candidates: Optional[np.ndarray] = None
 ) -> Any:
-    """Reduce the BAT with aggregate ``name``; returns a python value."""
-    if name not in AGGREGATE_NAMES:
-        raise KernelError(f"unknown aggregate {name!r}")
+    """Reduce the BAT with aggregate ``name``; returns the python value of
+    an :func:`aggregate_atom` atom."""
+    out_atom = aggregate_atom(name, bat.atom)
     tail, nil = _valid_tail(bat, candidates)
     if name == "count_star":
         return int(len(tail))
@@ -58,23 +82,16 @@ def scalar_aggregate(
     if len(valid) == 0:
         return None
     if bat.atom is AtomType.STR:
-        if name not in ("min", "max"):
-            raise TypeMismatchError(f"aggregate {name} undefined on str")
         (codes,), strings = str_codes(valid, ordered=True)
         return strings[codes.min() if name == "min" else codes.max()]
     if name == "avg":
-        return float(valid.astype(np.float64).mean())
-    exact = bat.atom.is_integral
-    values = valid.astype(np.int64 if exact else np.float64)
-    if name == "sum":
-        res = values.sum()
-    elif name == "min":
-        res = values.min()
-    elif name == "max":
-        res = values.max()
-    else:  # pragma: no cover
-        raise KernelError(f"unhandled aggregate {name!r}")
-    return int(res) if exact else float(res)
+        res = valid.astype(np.float64).mean()
+    else:
+        values = valid.astype(
+            np.int64 if bat.atom.is_integral else np.float64
+        )
+        res = {"sum": np.sum, "min": np.min, "max": np.max}[name](values)
+    return python_value(out_atom, res)
 
 
 def grouped_aggregate(
@@ -89,25 +106,20 @@ def grouped_aggregate(
     ``groups`` is the aligned group-id BAT produced by
     :func:`repro.kernel.group.group` on the same candidate set.
     """
-    if name not in AGGREGATE_NAMES:
-        raise KernelError(f"unknown aggregate {name!r}")
+    out_atom = aggregate_atom(name, bat.atom)
     tail, nil = _valid_tail(bat, candidates)
     gids = groups.tail
     if len(gids) != len(tail):
         raise KernelError("groups BAT not aligned with aggregate input")
     if name == "count_star":
-        counts = np.bincount(gids, minlength=ngroups).astype(np.int64)
-        out = BAT(AtomType.LNG, capacity=max(ngroups, 1))
-        out.append_array(counts)
-        return out
+        return _store_numeric(
+            out_atom, np.bincount(gids, minlength=ngroups), None
+        )
     valid_mask = ~nil
     if name == "count":
-        counts = np.bincount(
-            gids[valid_mask], minlength=ngroups
-        ).astype(np.int64)
-        out = BAT(AtomType.LNG, capacity=max(ngroups, 1))
-        out.append_array(counts)
-        return out
+        return _store_numeric(
+            out_atom, np.bincount(gids[valid_mask], minlength=ngroups), None
+        )
     gids, tail = gids[valid_mask], tail[valid_mask]
     if bat.atom is AtomType.STR:
         return _grouped_str(name, tail, gids, ngroups)
@@ -117,36 +129,30 @@ def grouped_aggregate(
             gids, weights=tail.astype(np.float64), minlength=ngroups
         )
         with np.errstate(invalid="ignore", divide="ignore"):
-            res = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        out = BAT(AtomType.DBL, capacity=max(ngroups, 1))
-        out.append_array(res)
-        return out
+            res = sums / np.maximum(counts, 1)
+        return _store_numeric(out_atom, res, counts)
     # integral atoms reduce in int64 so SUM/MIN/MAX stay exact past 2**53
     exact = bat.atom.is_integral
     values = tail.astype(np.int64 if exact else np.float64)
     if name == "sum":
         res = np.zeros(ngroups, dtype=values.dtype)
         np.add.at(res, gids, values)
-        return _store_numeric(
-            AtomType.LNG if exact else AtomType.DBL, res, counts
-        )
-    if name in ("min", "max"):
+    else:
         if name == "min":
             fill = np.iinfo(np.int64).max if exact else np.inf
         else:
             fill = np.iinfo(np.int64).min if exact else -np.inf
         res = np.full(ngroups, fill, dtype=values.dtype)
         (np.minimum if name == "min" else np.maximum).at(res, gids, values)
-        # min/max preserve the input atom: the declared output column of a
-        # continuous GROUP BY is the input atom, and append_bat rejects
-        # any widening at the emitter boundary.
-        return _store_numeric(bat.atom, res, counts)
-    raise KernelError(f"unhandled aggregate {name!r}")  # pragma: no cover
+    return _store_numeric(out_atom, res, counts)
 
 
-def _store_numeric(atom: AtomType, values: np.ndarray, counts: np.ndarray) -> BAT:
-    """Store per-group numeric results as ``atom``, NULLing empty groups."""
-    empty = counts == 0
+def _store_numeric(
+    atom: AtomType, values: np.ndarray, counts: Optional[np.ndarray]
+) -> BAT:
+    """Store per-group numeric results as ``atom``, NULLing the groups
+    with no value (``counts`` 0; ``None`` keeps every group)."""
+    empty = np.zeros(len(values), dtype=bool) if counts is None else counts == 0
     out = BAT(atom, capacity=max(len(values), 1))
     if atom in (AtomType.DBL, AtomType.TIMESTAMP):
         stored = values.astype(np.float64)
@@ -160,8 +166,6 @@ def _store_numeric(atom: AtomType, values: np.ndarray, counts: np.ndarray) -> BA
 
 def _grouped_str(name, tail, gids, ngroups) -> BAT:
     """Per-group MIN/MAX of non-NULL strings, reduced over value-ordered codes."""
-    if name not in ("min", "max"):
-        raise TypeMismatchError(f"aggregate {name} undefined on str")
     (codes,), strings = str_codes(tail, ordered=True)
     if name == "min":
         best = np.full(ngroups, len(strings), dtype=np.int64)

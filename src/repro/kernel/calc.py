@@ -3,6 +3,13 @@
 All functions operate element-wise on whole BATs (or a BAT and a scalar) and
 return new BATs aligned with the left input.  NULL propagates through
 arithmetic; three-valued logic is used for AND/OR/NOT (NULL = unknown).
+
+Each operator types its result with a rule defined next to it
+(:func:`arith_atom`, :func:`logic_atom`, :func:`neg_atom`,
+:func:`ifthenelse_atom`, :func:`const_atom`; comparisons ask
+:func:`~repro.kernel.types.compare_atom`).  The interpreter registers the
+same rules with the opcodes, so the verifier and the SQL compiler type a
+plan exactly as these operators will.
 """
 
 from __future__ import annotations
@@ -16,14 +23,24 @@ from .bat import BAT, check_aligned
 from .types import (
     AtomType,
     BOOL_NIL,
+    atom_named,
     coerce_scalar,
     common_type,
+    compare_atom,
+    literal_atom,
     nil_mask,
     nil_value,
     numpy_dtype,
 )
 
 __all__ = [
+    "ARITHMETIC",
+    "COMPARISONS",
+    "arith_atom",
+    "logic_atom",
+    "neg_atom",
+    "ifthenelse_atom",
+    "const_atom",
     "calc_binary",
     "calc_compare",
     "calc_and",
@@ -36,6 +53,65 @@ __all__ = [
 ]
 
 Operand = Union[BAT, int, float, str, None]
+
+ARITHMETIC = ("+", "-", "*", "/", "%")
+COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def arith_atom(
+    op: str, left: Optional[AtomType], right: Optional[AtomType]
+) -> Optional[AtomType]:
+    """Result atom of ``left op right``: the operands' ``common_type``,
+    DBL for ``/`` and STR for ``str + str``; other STR operands raise."""
+    if left is None or right is None:
+        return None
+    if left is AtomType.STR or right is AtomType.STR:
+        if op == "+" and left is right:
+            return AtomType.STR
+        raise TypeMismatchError(
+            f"cannot apply {op} to {left.value} and {right.value}"
+        )
+    return AtomType.DBL if op == "/" else common_type(left, right)
+
+
+def logic_atom(*operands: Optional[AtomType]) -> AtomType:
+    """Result atom of AND/OR/NOT: BOOL, over BOOL operands only."""
+    for atom in operands:
+        if atom is not None and atom is not AtomType.BOOL:
+            raise TypeMismatchError(
+                f"boolean algebra requires bool operands, got {atom.value}"
+            )
+    return AtomType.BOOL
+
+
+def neg_atom(operand: Optional[AtomType]) -> Optional[AtomType]:
+    """Result atom of negation: the operand's own (STR raises)."""
+    if operand is AtomType.STR:
+        raise TypeMismatchError("cannot negate a str column")
+    return operand
+
+
+def ifthenelse_atom(
+    cond: Optional[AtomType],
+    then: Optional[AtomType],
+    otherwise: Optional[AtomType],
+) -> Optional[AtomType]:
+    """Result atom of ``CASE WHEN cond THEN then ELSE otherwise END``: the
+    branches' ``common_type`` (a STR branch needs a STR partner)."""
+    if cond is not None and cond is not AtomType.BOOL:
+        raise TypeMismatchError("ifthenelse requires a bool condition")
+    if then is None or otherwise is None:
+        return None
+    return then if then is otherwise else common_type(then, otherwise)
+
+
+def const_atom(value: Any, atom: Any = None) -> AtomType:
+    """Atom of a constant column of ``value``: ``atom`` (a name or an
+    :class:`AtomType`) when given, else the literal's, DBL for an untyped
+    NULL.  Raises when ``value`` cannot be stored as that atom."""
+    out = atom_named(atom) if atom else (literal_atom(value) or AtomType.DBL)
+    coerce_scalar(out, value)
+    return out
 
 
 def _broadcast(left: Operand, right: Operand):
@@ -51,7 +127,7 @@ def _broadcast(left: Operand, right: Operand):
             left.count,
         )
     if isinstance(left, BAT):
-        atom_r = _scalar_atom(right)
+        atom_r = const_atom(right)
         return (
             left.atom,
             left.tail,
@@ -61,7 +137,7 @@ def _broadcast(left: Operand, right: Operand):
             left.count,
         )
     if isinstance(right, BAT):
-        atom_l = _scalar_atom(left)
+        atom_l = const_atom(left)
         return (
             atom_l,
             coerce_scalar(atom_l, left),
@@ -73,20 +149,6 @@ def _broadcast(left: Operand, right: Operand):
     raise KernelError("at least one operand of a batcalc op must be a BAT")
 
 
-def _scalar_atom(value: Any) -> AtomType:
-    if value is None:
-        return AtomType.DBL
-    if isinstance(value, bool):
-        return AtomType.BOOL
-    if isinstance(value, (int, np.integer)):
-        return AtomType.LNG
-    if isinstance(value, (float, np.floating)):
-        return AtomType.DBL
-    if isinstance(value, str):
-        return AtomType.STR
-    raise TypeMismatchError(f"unsupported scalar {value!r}")
-
-
 def _operand_nils(atom: AtomType, values) -> np.ndarray:
     if isinstance(values, np.ndarray):
         return nil_mask(atom, values)
@@ -96,10 +158,8 @@ def _operand_nils(atom: AtomType, values) -> np.ndarray:
     return np.bool_(is_nil(atom, values))
 
 
-def _as_float(atom: AtomType, values):
+def _as_float(values):
     if isinstance(values, np.ndarray):
-        if atom is AtomType.STR:
-            raise TypeMismatchError("arithmetic on str column")
         return values.astype(np.float64)
     return float(values)
 
@@ -107,19 +167,17 @@ def _as_float(atom: AtomType, values):
 def calc_binary(op: str, left: Operand, right: Operand) -> BAT:
     """Element-wise arithmetic: ``op`` ∈ ``+ - * / %``.
 
-    The result type follows the widening lattice; division always yields
-    ``dbl``.  Division/modulo by zero yields NULL for the offending rows
-    (SQL would raise; NULL keeps streams flowing and is documented behavior).
+    The result atom is :func:`arith_atom`'s.  Division/modulo by zero
+    yields NULL for the offending rows (SQL would raise; NULL keeps streams
+    flowing and is documented behavior).
     """
     atom_l, vals_l, atom_r, vals_r, hseqbase, count = _broadcast(left, right)
-    if op == "+" and atom_l is AtomType.STR and atom_r is AtomType.STR:
+    out_atom = arith_atom(op, atom_l, atom_r)
+    if out_atom is AtomType.STR:
         return _concat_str(vals_l, vals_r, hseqbase, count)
-    out_atom = common_type(atom_l, atom_r)
-    if op == "/":
-        out_atom = AtomType.DBL
     nils = _operand_nils(atom_l, vals_l) | _operand_nils(atom_r, vals_r)
-    lf = _as_float(atom_l, vals_l)
-    rf = _as_float(atom_r, vals_r)
+    lf = _as_float(vals_l)
+    rf = _as_float(vals_r)
     with np.errstate(divide="ignore", invalid="ignore"):
         if op == "+":
             res = lf + rf
@@ -165,10 +223,9 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
     Any comparison involving NULL yields NULL (three-valued logic).
     """
     atom_l, vals_l, atom_r, vals_r, hseqbase, count = _broadcast(left, right)
+    out_atom = compare_atom(atom_l, atom_r)
     nils = _operand_nils(atom_l, vals_l) | _operand_nils(atom_r, vals_r)
-    if atom_l is AtomType.STR or atom_r is AtomType.STR:
-        if atom_l is not atom_r:
-            raise TypeMismatchError("cannot compare str with non-str")
+    if atom_l is AtomType.STR:
         left_seq = (
             vals_l if isinstance(vals_l, np.ndarray) else [vals_l] * count
         )
@@ -194,8 +251,8 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
             count=count,
         )
     else:
-        lf = _as_float(atom_l, vals_l)
-        rf = _as_float(atom_r, vals_r)
+        lf = _as_float(vals_l)
+        rf = _as_float(vals_r)
         with np.errstate(invalid="ignore"):
             if op == "==":
                 raw = lf == rf
@@ -215,65 +272,57 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
     nils = np.broadcast_to(nils, (count,))
     stored = raw.astype(np.int8).copy()
     stored[nils] = BOOL_NIL
-    out = BAT(AtomType.BOOL, hseqbase=hseqbase, capacity=max(count, 1))
+    out = BAT(out_atom, hseqbase=hseqbase, capacity=max(count, 1))
     out.append_array(stored)
     return out
 
 
-def _bool_tail(operand: Operand, reference: Optional[BAT]):
+def _bool_tail(operand: Operand):
     if isinstance(operand, BAT):
-        if operand.atom is not AtomType.BOOL:
-            raise TypeMismatchError("boolean algebra requires bool BATs")
-        return operand.tail, operand.hseqbase, operand.count
-    if reference is None:
+        return operand.tail
+    return BOOL_NIL if operand is None else np.int8(1 if operand else 0)
+
+
+def _logic(left: Operand, right: Operand, dominant: int) -> BAT:
+    """Three-valued AND (``dominant`` 0) or OR (``dominant`` 1): the
+    dominant value wins over NULL, NULL wins over the other value."""
+    ref = left if isinstance(left, BAT) else right
+    if not isinstance(ref, BAT):
         raise KernelError("boolean op needs at least one BAT operand")
-    value = BOOL_NIL if operand is None else np.int8(1 if operand else 0)
-    return value, reference.hseqbase, reference.count
+    out_atom = logic_atom(*(
+        x.atom if isinstance(x, BAT) else literal_atom(x)
+        for x in (left, right)
+    ))
+    if isinstance(left, BAT) and isinstance(right, BAT):
+        check_aligned(left, right)
+    lt = np.broadcast_to(_bool_tail(left), (ref.count,))
+    rt = np.broadcast_to(_bool_tail(right), (ref.count,))
+    res = np.full(ref.count, BOOL_NIL, dtype=np.int8)
+    res[(lt == dominant) | (rt == dominant)] = dominant
+    res[(lt == 1 - dominant) & (rt == 1 - dominant)] = 1 - dominant
+    out = BAT(out_atom, hseqbase=ref.hseqbase, capacity=max(ref.count, 1))
+    out.append_array(res)
+    return out
 
 
 def calc_and(left: Operand, right: Operand) -> BAT:
-    """Three-valued AND over bool BATs."""
-    ref = left if isinstance(left, BAT) else right
-    lt, hseqbase, count = _bool_tail(left, ref if isinstance(ref, BAT) else None)
-    rt, _, _ = _bool_tail(right, ref if isinstance(ref, BAT) else None)
-    if isinstance(left, BAT) and isinstance(right, BAT):
-        check_aligned(left, right)
-    lt = np.broadcast_to(lt, (count,))
-    rt = np.broadcast_to(rt, (count,))
-    res = np.full(count, BOOL_NIL, dtype=np.int8)
-    res[(lt == 0) | (rt == 0)] = 0
-    res[(lt == 1) & (rt == 1)] = 1
-    out = BAT(AtomType.BOOL, hseqbase=hseqbase, capacity=max(count, 1))
-    out.append_array(res)
-    return out
+    """Three-valued AND over bool BATs (or a BAT and a bool/None)."""
+    return _logic(left, right, 0)
 
 
 def calc_or(left: Operand, right: Operand) -> BAT:
-    """Three-valued OR over bool BATs."""
-    ref = left if isinstance(left, BAT) else right
-    lt, hseqbase, count = _bool_tail(left, ref if isinstance(ref, BAT) else None)
-    rt, _, _ = _bool_tail(right, ref if isinstance(ref, BAT) else None)
-    if isinstance(left, BAT) and isinstance(right, BAT):
-        check_aligned(left, right)
-    lt = np.broadcast_to(lt, (count,))
-    rt = np.broadcast_to(rt, (count,))
-    res = np.full(count, BOOL_NIL, dtype=np.int8)
-    res[(lt == 1) | (rt == 1)] = 1
-    res[(lt == 0) & (rt == 0)] = 0
-    out = BAT(AtomType.BOOL, hseqbase=hseqbase, capacity=max(count, 1))
-    out.append_array(res)
-    return out
+    """Three-valued OR over bool BATs (or a BAT and a bool/None)."""
+    return _logic(left, right, 1)
 
 
 def calc_not(operand: BAT) -> BAT:
     """Three-valued NOT over a bool BAT."""
-    if operand.atom is not AtomType.BOOL:
-        raise TypeMismatchError("NOT requires a bool BAT")
+    out_atom = logic_atom(operand.atom)
     tail = operand.tail
     res = np.full(operand.count, BOOL_NIL, dtype=np.int8)
     res[tail == 0] = 1
     res[tail == 1] = 0
-    out = BAT(AtomType.BOOL, hseqbase=operand.hseqbase, capacity=max(operand.count, 1))
+    out = BAT(out_atom, hseqbase=operand.hseqbase, capacity=max(operand.count, 1))
     out.append_array(res)
     return out
 
@@ -289,24 +338,21 @@ def calc_isnil(operand: BAT) -> BAT:
 def calc_neg(operand: BAT) -> BAT:
     """Arithmetic negation (NULL-preserving, atom-preserving).
 
-    The zero constant is minted with the operand's own atom: a bare
+    The zero constant is minted with :func:`neg_atom`'s atom: a bare
     ``const_bat(0, ...)`` would be LNG and ``common_type`` would widen
     an INT column to LNG, which the emitter-boundary ``append_bat``
     rejects against the compiler-declared (input-atom) output column.
     """
-    if operand.atom is AtomType.STR:
-        raise TypeMismatchError("cannot negate a str column")
-    return calc_binary("-", const_bat(0, operand, atom=operand.atom), operand)
+    zero = const_bat(0, operand, neg_atom(operand.atom))
+    return calc_binary("-", zero, operand)
 
 
 def calc_ifthenelse(cond: BAT, then_val: Operand, else_val: Operand) -> BAT:
     """Element-wise ``CASE WHEN cond THEN x ELSE y END``.
 
     NULL conditions select the else branch (SQL: non-true is false-like).
+    A scalar branch is a constant column (:func:`const_atom`).
     """
-    if cond.atom is not AtomType.BOOL:
-        raise TypeMismatchError("ifthenelse requires a bool condition BAT")
-    mask = cond.tail == 1
     then_bat = (
         then_val
         if isinstance(then_val, BAT)
@@ -317,11 +363,9 @@ def calc_ifthenelse(cond: BAT, then_val: Operand, else_val: Operand) -> BAT:
         if isinstance(else_val, BAT)
         else const_bat(else_val, cond)
     )
+    out_atom = ifthenelse_atom(cond.atom, then_bat.atom, else_bat.atom)
     check_aligned(cond, then_bat, else_bat)
-    if then_bat.atom is not else_bat.atom:
-        out_atom = common_type(then_bat.atom, else_bat.atom)
-    else:
-        out_atom = then_bat.atom
+    mask = cond.tail == 1
     out = BAT(out_atom, hseqbase=cond.hseqbase, capacity=max(cond.count, 1))
     if out_atom is AtomType.STR:
         out.append_many(
@@ -335,10 +379,9 @@ def calc_ifthenelse(cond: BAT, then_val: Operand, else_val: Operand) -> BAT:
     return out
 
 
-def const_bat(value: Any, like: BAT, atom: Optional[AtomType] = None) -> BAT:
-    """A constant column aligned with ``like`` (scalar broadcast helper)."""
-    if atom is None:
-        atom = _scalar_atom(value)
+def const_bat(value: Any, like: BAT, atom: Any = None) -> BAT:
+    """A constant column aligned with ``like``, typed by :func:`const_atom`."""
+    atom = const_atom(value, atom)
     out = BAT(atom, hseqbase=like.hseqbase, capacity=max(like.count, 1))
     stored = coerce_scalar(atom, value)
     if atom is AtomType.STR:

@@ -1,8 +1,11 @@
 """The MAL virtual machine: executes :class:`~repro.kernel.mal.Program`.
 
-The interpreter resolves each instruction's ``module.fn`` against a registry
-of primitives that wrap the kernel operator modules.  The environment maps
-variable names to values (BATs, candidate arrays, scalars, tables,
+The interpreter resolves each instruction's ``module.fn`` against
+:data:`OPCODES`, the one table of primitives that wrap the kernel operator
+modules.  Each entry also declares the primitive's signature and, where the
+kernel decides one, its result-atom rule; the plan verifier and the SQL
+compiler read those instead of keeping their own copies.  The environment
+maps variable names to values (BATs, candidate arrays, scalars, tables,
 result sets).  Factories re-execute the same program against fresh basket
 snapshots on every activation; the interpreter itself is stateless.
 """
@@ -11,39 +14,98 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import MalError
+from ..errors import MalError, TypeMismatchError
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.spans import SpanRecorder
 from . import aggregate as _aggregate
 from . import calc as _calc
 from . import candidates as _cand
+from . import delta as _delta
 from . import group as _group
 from . import join as _join
+from . import mathops as _mathops
 from . import select as _select
 from . import sort as _sort
+from . import strings as _strings
 from .bat import BAT, bat_from_values
 from .catalog import Catalog, Table
 from .mal import Const, Instr, Program, ResultSet, Var
-from .types import AtomType, python_values
+from .types import AtomType, atom_named, compare_atom, python_values
 
-__all__ = ["MalInterpreter", "MalContext"]
+__all__ = ["MalInterpreter", "MalContext", "Opcode", "OPCODES"]
 
 Primitive = Callable[..., Any]
+AtomRule = Callable[..., Optional[AtomType]]
 
-_REGISTRY: Dict[str, Primitive] = {}
+
+@dataclass(frozen=True)
+class Opcode:
+    """One MAL primitive: its implementation and its declared signature.
+
+    ``params`` holds one kind spec per parameter — ``bat``, ``cand``,
+    ``candopt`` (a candidate list or a literal ``None``), ``scalar``,
+    ``table``, ``result`` or ``any`` — a ``?`` suffix marking it optional;
+    ``varargs`` is the spec of any number of trailing arguments.
+    ``returns`` holds the kind of each result the primitive assigns.
+
+    ``atom``, where the kernel decides one, is the rule typing the first
+    result.  It takes one item per argument — a ``scalar`` argument's
+    value, any other argument's atom (``None``: unknown) — and returns an
+    atom (``None``: unknown) or raises :class:`~repro.errors.KernelError`.
+    The kernel operator behind ``fn`` types its output with the same rule.
+    """
+
+    fn: Primitive
+    params: Tuple[str, ...]
+    returns: Tuple[str, ...]
+    varargs: Optional[str] = None
+    atom: Optional[AtomRule] = None
+
+    @property
+    def min_arity(self) -> int:
+        return sum(1 for p in self.params if not p.endswith("?"))
+
+    @property
+    def max_arity(self) -> Optional[int]:
+        return None if self.varargs else len(self.params)
+
+    def spec(self, position: int) -> str:
+        """Kind spec of argument ``position``, without its ``?``."""
+        if position < len(self.params):
+            return self.params[position].rstrip("?")
+        return self.varargs or "any"
 
 
-def primitive(name: str) -> Callable[[Primitive], Primitive]:
-    """Register ``fn`` as the implementation of MAL ``module.fn``."""
+#: every MAL opcode, by ``module.fn``
+OPCODES: Dict[str, Opcode] = {}
+
+
+def primitive(
+    name: str,
+    params: str = "",
+    returns: str = "bat",
+    varargs: Optional[str] = None,
+    atom: Any = None,
+) -> Callable[[Primitive], Primitive]:
+    """Register ``fn`` as the implementation of MAL ``name``.
+
+    ``params`` and ``returns`` are space-separated kind specs (see
+    :class:`Opcode`); an :class:`AtomType` ``atom`` is a fixed result atom.
+    """
+    rule = (lambda *_: atom) if isinstance(atom, AtomType) else atom
 
     def wrap(fn: Primitive) -> Primitive:
-        if name in _REGISTRY:
+        if name in OPCODES:
             raise MalError(f"duplicate primitive {name}")
-        _REGISTRY[name] = fn
+        OPCODES[name] = Opcode(
+            fn, tuple(params.split()), tuple(returns.split()), varargs, rule
+        )
         return fn
 
     return wrap
@@ -70,7 +132,8 @@ class _Step:
                  "node", "ins")
 
     def __init__(self, ins: Instr, key: int, node: int):
-        self.fn = _REGISTRY.get(f"{ins.module}.{ins.fn}")
+        opcode = OPCODES.get(f"{ins.module}.{ins.fn}")
+        self.fn = opcode.fn if opcode is not None else None
         self.template = [
             None if isinstance(arg, Var) else _const(arg, ins)
             for arg in ins.args
@@ -420,37 +483,47 @@ def _rows_out(results: Tuple[str, ...], env: Dict[str, Any]) -> float:
 # ----------------------------------------------------------------------
 # sql module: catalog access and result construction
 # ----------------------------------------------------------------------
-@primitive("sql.bind")
+@primitive("sql.bind", "any scalar")
 def _sql_bind(ctx: MalContext, table: Any, column: str) -> BAT:
     """Bind a column BAT from the catalog (or directly from a Table)."""
     tbl = table if isinstance(table, Table) else ctx.catalog.get(table)
     return tbl.bat(column)
 
 
-@primitive("sql.bind_table")
+@primitive("sql.bind_table", "scalar", "table")
 def _sql_bind_table(ctx: MalContext, name: str) -> Table:
     return ctx.catalog.get(name)
 
 
-@primitive("sql.resultset")
+@primitive("sql.resultset", "scalar", "result", varargs="bat")
 def _sql_resultset(ctx: MalContext, names: Any, *bats: BAT) -> ResultSet:
     return ResultSet(list(names), list(bats))
 
 
-@primitive("sql.single_row")
+@primitive("sql.single_row", "scalar scalar", "result", varargs="scalar")
 def _sql_single_row(ctx: MalContext, names: Any, atoms: Any, *values: Any) -> ResultSet:
     """Build a one-row result from scalar values (scalar aggregates)."""
     out = [
-        bat_from_values(AtomType(atom), [value])
+        bat_from_values(atom_named(atom), [value])
         for atom, value in zip(atoms, values)
     ]
     return ResultSet(list(names), out)
 
 
+@primitive("sql.result_column", "result scalar")
+def _sql_result_column(ctx, result: ResultSet, index: int) -> BAT:
+    return result.bats[int(index)]
+
+
 # ----------------------------------------------------------------------
 # algebra module: selections, projections, joins, ordering
 # ----------------------------------------------------------------------
-@primitive("algebra.select")
+@primitive(
+    "algebra.select", "bat candopt scalar scalar scalar scalar scalar", "cand",
+    atom=lambda column, cands, low, high, *flags: _select.check_bounds(
+        column, low, high
+    ),
+)
 def _algebra_select(
     ctx: MalContext,
     bat: BAT,
@@ -464,85 +537,111 @@ def _algebra_select(
     return _select.range_select(bat, low, high, cands, li, hi, anti)
 
 
-@primitive("algebra.thetaselect")
+@primitive(
+    "algebra.thetaselect", "bat candopt scalar scalar", "cand",
+    atom=lambda column, cands, op, value: _select.theta_check(
+        column, op, value
+    ),
+)
 def _algebra_thetaselect(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray], op: str, value: Any
 ) -> np.ndarray:
     return _select.theta_select(bat, op, value, cands)
 
 
-@primitive("algebra.selectnil")
+@primitive("algebra.selectnil", "bat candopt", "cand")
 def _algebra_selectnil(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray]
 ) -> np.ndarray:
     return _select.select_nil(bat, cands)
 
 
-@primitive("algebra.selectnotnil")
+@primitive("algebra.selectnotnil", "bat candopt", "cand")
 def _algebra_selectnotnil(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray]
 ) -> np.ndarray:
     return _select.select_non_nil(bat, cands)
 
 
-@primitive("algebra.projection")
+@primitive(
+    "algebra.likeselect", "bat candopt scalar scalar?", "cand",
+    atom=lambda column, *_: _strings.str_atom("like", column),
+)
+def _algebra_likeselect(ctx, bat, cands, pattern, negated=False):
+    return _strings.like_select(bat, pattern, cands, bool(negated))
+
+
+@primitive("algebra.projection", "cand bat", atom=lambda cands, column: column)
 def _algebra_projection(ctx: MalContext, cands: np.ndarray, bat: BAT) -> BAT:
     return _join.projection(cands, bat)
 
 
-@primitive("algebra.join")
+@primitive("algebra.join", "bat bat", "cand cand", atom=compare_atom)
 def _algebra_join(ctx: MalContext, left: BAT, right: BAT):
     return _join.hash_join(left, right)
 
 
-@primitive("algebra.thetajoin")
+@primitive(
+    "algebra.thetajoin", "bat bat scalar", "cand cand",
+    atom=lambda left, right, op: compare_atom(left, right),
+)
 def _algebra_thetajoin(ctx: MalContext, left: BAT, right: BAT, op: str):
     return _join.theta_join(left, right, op)
 
 
-@primitive("algebra.leftouterjoin")
+@primitive("algebra.leftouterjoin", "bat bat", "cand cand", atom=compare_atom)
 def _algebra_leftouterjoin(ctx: MalContext, left: BAT, right: BAT):
     return _join.left_outer_join(left, right)
 
 
-@primitive("algebra.sort")
+@primitive("algebra.crossproduct", "bat bat", "cand cand")
+def _algebra_crossproduct(ctx, left: BAT, right: BAT):
+    """Cross-product position pairs for two dense-0 relations."""
+    return _join.cross_positions(left.count, right.count)
+
+
+@primitive("algebra.sort", "bat candopt scalar", "cand")
 def _algebra_sort(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray], descending: bool
 ) -> np.ndarray:
     return _sort.order(bat, cands, descending)
 
 
-@primitive("algebra.refine")
+@primitive("algebra.refine", "bat cand scalar", "cand")
 def _algebra_refine(
     ctx: MalContext, bat: BAT, ordered: np.ndarray, descending: bool
 ) -> np.ndarray:
     return _sort.refine(bat, ordered, descending)
 
 
-@primitive("algebra.firstn")
+@primitive("algebra.firstn", "cand scalar", "cand")
 def _algebra_firstn(
     ctx: MalContext, cands: np.ndarray, n: int
 ) -> np.ndarray:
     return np.asarray(cands, dtype=np.int64)[: max(int(n), 0)]
 
 
-@primitive("algebra.slice")
+@primitive(
+    "algebra.slice", "bat scalar scalar",
+    atom=lambda column, start, stop: column,
+)
 def _algebra_slice(ctx: MalContext, bat: BAT, start: int, stop: int) -> BAT:
     return bat.slice(int(start), int(stop))
 
 
-@primitive("algebra.mask2cand")
+@primitive("algebra.mask2cand", "bat", "cand", atom=_calc.logic_atom)
 def _algebra_mask2cand(ctx: MalContext, mask: BAT) -> np.ndarray:
     """Candidates where a bool BAT is true (NULL counts as false)."""
+    _calc.logic_atom(mask.atom)
     return _cand.from_mask(mask, mask.tail == 1)
 
 
-@primitive("algebra.densecands")
+@primitive("algebra.densecands", "bat", "cand")
 def _algebra_densecands(ctx: MalContext, bat: BAT) -> np.ndarray:
     return _cand.all_candidates(bat)
 
 
-@primitive("algebra.compose")
+@primitive("algebra.compose", "cand cand", "cand")
 def _algebra_compose(ctx, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Compose candidate lists: positions-of-positions.
 
@@ -554,31 +653,20 @@ def _algebra_compose(ctx, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return outer[inner]
 
 
-@primitive("algebra.crossproduct")
-def _algebra_crossproduct(ctx, left: BAT, right: BAT):
-    """Cross-product position pairs for two dense-0 relations."""
-    return _join.cross_positions(left.count, right.count)
-
-
-@primitive("sql.result_column")
-def _sql_result_column(ctx, result: ResultSet, index: int) -> BAT:
-    return result.bats[int(index)]
-
-
 # ----------------------------------------------------------------------
 # candidate-list algebra
 # ----------------------------------------------------------------------
-@primitive("cand.intersect")
+@primitive("cand.intersect", "cand cand", "cand")
 def _cand_intersect(ctx, left, right):
     return _cand.intersect(left, right)
 
 
-@primitive("cand.union")
+@primitive("cand.union", "cand cand", "cand")
 def _cand_union(ctx, left, right):
     return _cand.union(left, right)
 
 
-@primitive("cand.difference")
+@primitive("cand.difference", "cand cand", "cand")
 def _cand_difference(ctx, left, right):
     return _cand.difference(left, right)
 
@@ -586,187 +674,182 @@ def _cand_difference(ctx, left, right):
 # ----------------------------------------------------------------------
 # batcalc module
 # ----------------------------------------------------------------------
-def _register_batcalc() -> None:
-    for op in ("+", "-", "*", "/", "%"):
-        def make(o):
-            def fn(ctx, left, right):
-                return _calc.calc_binary(o, left, right)
-
-            return fn
-
-        _REGISTRY[f"batcalc.{op}"] = make(op)
-    for op in ("==", "!=", "<", "<=", ">", ">="):
-        def make_cmp(o):
-            def fn(ctx, left, right):
-                return _calc.calc_compare(o, left, right)
-
-            return fn
-
-        _REGISTRY[f"batcalc.{op}"] = make_cmp(op)
+def _register_batcalc(op: str, kernel_fn, rule: AtomRule) -> None:
+    @primitive(f"batcalc.{op}", "any any", atom=rule)
+    def fn(ctx, left, right):
+        return kernel_fn(op, left, right)
 
 
-_register_batcalc()
+for _op in _calc.ARITHMETIC:
+    _register_batcalc(
+        _op, _calc.calc_binary, partial(_calc.arith_atom, _op)
+    )
+for _op in _calc.COMPARISONS:
+    _register_batcalc(_op, _calc.calc_compare, compare_atom)
 
 
-@primitive("batcalc.and")
+@primitive("batcalc.and", "any any", atom=_calc.logic_atom)
 def _batcalc_and(ctx, left, right):
     return _calc.calc_and(left, right)
 
 
-@primitive("batcalc.or")
+@primitive("batcalc.or", "any any", atom=_calc.logic_atom)
 def _batcalc_or(ctx, left, right):
     return _calc.calc_or(left, right)
 
 
-@primitive("batcalc.not")
+@primitive("batcalc.not", "bat", atom=_calc.logic_atom)
 def _batcalc_not(ctx, operand):
     return _calc.calc_not(operand)
 
 
-@primitive("batcalc.isnil")
+@primitive("batcalc.isnil", "bat", atom=AtomType.BOOL)
 def _batcalc_isnil(ctx, operand):
     return _calc.calc_isnil(operand)
 
 
-@primitive("batcalc.neg")
+@primitive("batcalc.neg", "bat", atom=_calc.neg_atom)
 def _batcalc_neg(ctx, operand):
     return _calc.calc_neg(operand)
 
 
-@primitive("batcalc.ifthenelse")
+@primitive("batcalc.ifthenelse", "bat any any", atom=_calc.ifthenelse_atom)
 def _batcalc_ifthenelse(ctx, cond, then_val, else_val):
     return _calc.calc_ifthenelse(cond, then_val, else_val)
 
 
-@primitive("batcalc.cast")
+@primitive(
+    "batcalc.cast", "bat scalar",
+    atom=lambda operand, target: atom_named(target),
+)
 def _batcalc_cast(ctx, operand: BAT, atom: str) -> BAT:
     """Cast a column to another atom type (NULL-preserving)."""
-    target = AtomType(atom)
+    target = atom_named(atom)
     out = BAT(target, hseqbase=operand.hseqbase, capacity=max(operand.count, 1))
     out.append_many(python_values(operand.atom, operand.tail))
     return out
 
 
-@primitive("batcalc.const")
+@primitive(
+    "batcalc.const", "scalar bat scalar?",
+    atom=lambda value, like, atom=None: _calc.const_atom(value, atom),
+)
 def _batcalc_const(ctx, value, like, atom=None):
-    atom_type = AtomType(atom) if atom else None
-    return _calc.const_bat(value, like, atom_type)
+    return _calc.const_bat(value, like, atom)
 
 
 # ----------------------------------------------------------------------
 # group / aggr modules
 # ----------------------------------------------------------------------
-@primitive("group.group")
+@primitive("group.group", "bat candopt?", "bat cand scalar", atom=AtomType.OID)
 def _group_group(ctx, bat, cands=None):
     return _group.group(bat, cands)
 
 
-@primitive("group.subgroup")
+@primitive(
+    "group.subgroup", "bat bat candopt?", "bat cand scalar", atom=AtomType.OID
+)
 def _group_subgroup(ctx, bat, prev_groups, cands=None):
     return _group.subgroup(bat, prev_groups, cands)
 
 
-def _register_aggr() -> None:
-    for name in _aggregate.AGGREGATE_NAMES:
-        def make_scalar(agg):
-            def fn(ctx, bat, cands=None):
-                return _aggregate.scalar_aggregate(agg, bat, cands)
+def _register_aggr(name: str) -> None:
+    def rule(operand, *_):
+        return _aggregate.aggregate_atom(name, operand)
 
-            return fn
+    @primitive(f"aggr.{name}", "bat candopt?", "scalar", atom=rule)
+    def scalar(ctx, bat, cands=None):
+        return _aggregate.scalar_aggregate(name, bat, cands)
 
-        def make_grouped(agg):
-            def fn(ctx, bat, groups, ngroups, cands=None):
-                return _aggregate.grouped_aggregate(
-                    agg, bat, groups, int(ngroups), cands
-                )
-
-            return fn
-
-        _REGISTRY[f"aggr.{name}"] = make_scalar(name)
-        _REGISTRY[f"aggr.sub{name}"] = make_grouped(name)
+    @primitive(f"aggr.sub{name}", "bat bat scalar candopt?", atom=rule)
+    def grouped(ctx, bat, groups, ngroups, cands=None):
+        return _aggregate.grouped_aggregate(
+            name, bat, groups, int(ngroups), cands
+        )
 
 
-_register_aggr()
+for _name in _aggregate.AGGREGATE_NAMES:
+    _register_aggr(_name)
 
 
 # ----------------------------------------------------------------------
 # batstr / batmath modules — scalar functions over columns
 # ----------------------------------------------------------------------
-def _register_strings() -> None:
-    from . import strings as _strings
+def _str_rule(name: str) -> AtomRule:
+    return lambda operand, *_: _strings.str_atom(name, operand)
 
-    _REGISTRY["batstr.upper"] = lambda ctx, b: _strings.str_upper(b)
-    _REGISTRY["batstr.lower"] = lambda ctx, b: _strings.str_lower(b)
-    _REGISTRY["batstr.trim"] = lambda ctx, b: _strings.str_trim(b)
-    _REGISTRY["batstr.length"] = lambda ctx, b: _strings.str_length(b)
-    _REGISTRY["batstr.substring"] = (
-        lambda ctx, b, start, length=None: _strings.str_substring(
-            b, int(start), None if length is None else int(length)
-        )
+
+def _register_str(name: str, kernel_fn: Callable[[BAT], BAT]) -> None:
+    @primitive(f"batstr.{name}", "bat", atom=_str_rule(name))
+    def fn(ctx, bat):
+        return kernel_fn(bat)
+
+
+_register_str("upper", _strings.str_upper)
+_register_str("lower", _strings.str_lower)
+_register_str("trim", _strings.str_trim)
+_register_str("length", _strings.str_length)
+
+
+@primitive(
+    "batstr.substring", "bat scalar scalar?", atom=_str_rule("substring")
+)
+def _batstr_substring(ctx, bat, start, length=None):
+    return _strings.str_substring(
+        bat, int(start), None if length is None else int(length)
     )
-    _REGISTRY["batstr.like"] = (
-        lambda ctx, b, pattern, negated=False: _strings.like_mask(
-            b, pattern, bool(negated)
-        )
+
+
+@primitive("batstr.like", "bat scalar scalar?", atom=_str_rule("like"))
+def _batstr_like(ctx, bat, pattern, negated=False):
+    return _strings.like_mask(bat, pattern, bool(negated))
+
+
+def _register_math(name: str) -> None:
+    @primitive(
+        f"batmath.{name}", "bat scalar?",
+        atom=partial(_mathops.math_atom, name),
     )
-    _REGISTRY["algebra.likeselect"] = (
-        lambda ctx, b, cands, pattern, negated=False: _strings.like_select(
-            b, pattern, cands, bool(negated)
-        )
-    )
+    def fn(ctx, bat, digits=0):
+        return _mathops.math_unary(name, bat, digits)
 
 
-_register_strings()
-
-
-def _register_math() -> None:
-    from . import mathops as _mathops
-
-    for fn_name in _mathops.MATH_FUNCTIONS:
-        def make(n):
-            def fn(ctx, bat, digits=0):
-                return _mathops.math_unary(n, bat, int(digits))
-
-            return fn
-
-        _REGISTRY[f"batmath.{fn_name}"] = make(fn_name)
-
-
-_register_math()
+for _name in _mathops.MATH_FUNCTIONS:
+    _register_math(_name)
 
 
 # ----------------------------------------------------------------------
 # basket module — Algorithm 1's primitives, operating on basket Tables.
 # ----------------------------------------------------------------------
-@primitive("basket.bind")
+@primitive("basket.bind", "scalar", "table")
 def _basket_bind(ctx, name: str) -> Table:
     table = ctx.catalog.get(name)
     return table
 
 
-@primitive("basket.lock")
+@primitive("basket.lock", "table", "table")
 def _basket_lock(ctx, table: Table) -> Table:
     table.lock.acquire()
     return table
 
 
-@primitive("basket.unlock")
+@primitive("basket.unlock", "table", "table")
 def _basket_unlock(ctx, table: Table) -> Table:
     table.lock.release()
     return table
 
 
-@primitive("basket.count")
+@primitive("basket.count", "table", "scalar")
 def _basket_count(ctx, table: Table) -> int:
     return table.count
 
 
-@primitive("basket.empty")
+@primitive("basket.empty", "table", "scalar")
 def _basket_empty(ctx, table: Table) -> int:
     return table.truncate()
 
 
-@primitive("basket.append")
+@primitive("basket.append", "table result", "scalar")
 def _basket_append(ctx, table: Table, result: ResultSet) -> int:
     for col, bat in zip(table.schema, result.bats):
         table.bat(col.name).append_bat(bat)
@@ -774,15 +857,31 @@ def _basket_append(ctx, table: Table, result: ResultSet) -> int:
     return result.count
 
 
-@primitive("basket.snapshot")
+@primitive("basket.snapshot", "table scalar")
 def _basket_snapshot(ctx, table: Table, column: str) -> BAT:
     return table.bat(column)
 
 
-@primitive("bat.concat")
+def _concat_atom(
+    left: Optional[AtomType], right: Optional[AtomType]
+) -> Optional[AtomType]:
+    """Result atom of ``bat.concat``: the inputs' one atom
+    (``append_bat`` appends only identical atoms)."""
+    if left is not None and right is not None and left is not right:
+        raise TypeMismatchError(
+            f"cannot concatenate {left.value} with {right.value}"
+        )
+    return left or right
+
+
+@primitive("bat.concat", "bat bat", atom=_concat_atom)
 def _bat_concat(ctx, left: BAT, right: BAT) -> BAT:
     """Concatenate two columns (UNION ALL building block)."""
-    out = BAT(left.atom, hseqbase=0, capacity=max(left.count + right.count, 1))
+    out = BAT(
+        _concat_atom(left.atom, right.atom),
+        hseqbase=0,
+        capacity=max(left.count + right.count, 1),
+    )
     out.append_bat(left)
     out.append_bat(right)
     return out
@@ -791,41 +890,39 @@ def _bat_concat(ctx, left: BAT, right: BAT) -> BAT:
 # ----------------------------------------------------------------------
 # delta module — weighted (Z-set) relations for incremental execution
 # ----------------------------------------------------------------------
-def _register_delta() -> None:
-    from . import delta as _delta
-    from .bat import BAT as _BAT
+@primitive("delta.canonicalize", "result", "result")
+def _delta_canonicalize(ctx, result):
+    return _delta.canonicalize(result)
 
-    _REGISTRY["delta.canonicalize"] = (
-        lambda ctx, result: _delta.canonicalize(result)
+
+@primitive("delta.expand", "result", "result")
+def _delta_expand(ctx, result):
+    return _delta.expand(result)
+
+
+@primitive("delta.subsum", "bat bat bat scalar", atom=AtomType.DBL)
+def _delta_subsum(ctx, values: BAT, weights: BAT, gids, ngroups: int):
+    sums = _delta.weighted_grouped_sum(
+        values.tail, weights.tail, gids.tail, int(ngroups)
     )
-    _REGISTRY["delta.expand"] = lambda ctx, result: _delta.expand(result)
-
-    def _wsum(ctx, values: _BAT, weights: _BAT, gids, ngroups: int):
-        sums = _delta.weighted_grouped_sum(
-            values.tail, weights.tail, gids.tail, int(ngroups)
-        )
-        out = _BAT(AtomType.DBL, capacity=max(len(sums), 1))
-        out.append_array(sums)
-        return out
-
-    def _wcount(ctx, weights: _BAT, gids, ngroups: int):
-        counts = _delta.weighted_grouped_count(
-            weights.tail, gids.tail, int(ngroups)
-        )
-        out = _BAT(AtomType.LNG, capacity=max(len(counts), 1))
-        out.append_array(counts)
-        return out
-
-    _REGISTRY["delta.subsum"] = _wsum
-    _REGISTRY["delta.subcount"] = _wcount
+    out = BAT(AtomType.DBL, capacity=max(len(sums), 1))
+    out.append_array(sums)
+    return out
 
 
-_register_delta()
+@primitive("delta.subcount", "bat bat scalar", atom=AtomType.LNG)
+def _delta_subcount(ctx, weights: BAT, gids, ngroups: int):
+    counts = _delta.weighted_grouped_count(
+        weights.tail, gids.tail, int(ngroups)
+    )
+    out = BAT(AtomType.LNG, capacity=max(len(counts), 1))
+    out.append_array(counts)
+    return out
 
 
 # ----------------------------------------------------------------------
 # language niceties
 # ----------------------------------------------------------------------
-@primitive("language.pass")
+@primitive("language.pass", "any?", "any")
 def _language_pass(ctx, value=None):
     return value

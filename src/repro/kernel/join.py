@@ -28,11 +28,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import KernelError, TypeMismatchError
+from ..errors import KernelError
 from .bat import BAT
 from .candidates import resolve_positions
 from .group import dense_span, str_codes
-from .types import AtomType, nil_mask
+from .types import AtomType, compare_atom, nil_mask
 
 __all__ = [
     "projection",
@@ -61,12 +61,7 @@ class _Sides:
     __slots__ = ("loids", "lkeys", "lnil", "roids", "rkeys")
 
     def __init__(self, left, right, left_cands, right_cands, ordered):
-        if left.atom is not right.atom and not (
-            left.atom.is_numeric and right.atom.is_numeric
-        ):
-            raise TypeMismatchError(
-                f"cannot join {left.atom.value} with {right.atom.value}"
-            )
+        compare_atom(left.atom, right.atom)
         lpos = resolve_positions(left, left_cands)
         rpos = resolve_positions(right, right_cands)
         ltail, rtail = left.tail[lpos], right.tail[rpos]

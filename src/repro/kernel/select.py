@@ -6,7 +6,9 @@ This mirrors MonetDB's ``algebra.select`` / ``algebra.thetaselect`` and is
 what lets the DataCell evaluate predicate windows lazily.
 
 NULL semantics: NULL tail values never qualify for any comparison except the
-explicit :func:`select_nil` / inverse selections.
+explicit :func:`select_nil` / inverse selections.  A bound must compare with
+the column (:func:`~repro.kernel.types.compare_atom`): a STR column takes STR
+bounds only, a numeric column numeric ones.
 """
 
 from __future__ import annotations
@@ -19,9 +21,16 @@ import numpy as np
 from ..errors import KernelError
 from .bat import BAT
 from .candidates import resolve_positions
-from .types import AtomType, coerce_scalar, nil_mask
+from .types import AtomType, coerce_scalar, compare_atom, literal_atom, nil_mask
 
-__all__ = ["range_select", "theta_select", "select_nil", "select_non_nil"]
+__all__ = [
+    "range_select",
+    "theta_select",
+    "select_nil",
+    "select_non_nil",
+    "check_bounds",
+    "theta_check",
+]
 
 _THETA_OPS = {
     "==": operator.eq,
@@ -33,6 +42,22 @@ _THETA_OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+
+def check_bounds(atom: Optional[AtomType], *bounds: Any) -> None:
+    """Raise :class:`TypeMismatchError` unless every non-NULL bound
+    compares with a column of ``atom``."""
+    for bound in bounds:
+        if bound is not None:
+            compare_atom(atom, literal_atom(bound))
+
+
+def theta_check(atom: Optional[AtomType], op: str, value: Any) -> None:
+    """What :func:`theta_select` accepts: a known operator and a bound
+    that compares with the column."""
+    if op not in _THETA_OPS:
+        raise KernelError(f"unknown theta operator {op!r}")
+    check_bounds(atom, value)
 
 
 def _masked_tail(bat: BAT, candidates: Optional[np.ndarray]):
@@ -54,6 +79,7 @@ def range_select(
     ``None`` for either bound means unbounded on that side.  ``anti=True``
     inverts the range (but still never matches NULLs).
     """
+    check_bounds(bat.atom, low, high)
     positions, tail = _masked_tail(bat, candidates)
     mask = np.ones(len(tail), dtype=bool)
     if bat.atom is AtomType.STR:
@@ -98,8 +124,7 @@ def theta_select(
     ``op`` is one of ``== != < <= > >=`` (SQL spellings ``=`` and ``<>``
     accepted).  Comparing against NULL yields the empty candidate list.
     """
-    if op not in _THETA_OPS:
-        raise KernelError(f"unknown theta operator {op!r}")
+    theta_check(bat.atom, op, value)
     if value is None:
         return np.empty(0, dtype=np.int64)
     positions, tail = _masked_tail(bat, candidates)

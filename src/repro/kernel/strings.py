@@ -16,9 +16,10 @@ import numpy as np
 from ..errors import TypeMismatchError
 from .bat import BAT
 from .candidates import resolve_positions
-from .types import AtomType
+from .types import BOOL_NIL, AtomType
 
 __all__ = [
+    "str_atom",
     "str_upper",
     "str_lower",
     "str_length",
@@ -30,51 +31,55 @@ __all__ = [
 ]
 
 
-def _require_str(bat: BAT, op: str) -> None:
-    if bat.atom is not AtomType.STR:
-        raise TypeMismatchError(f"{op} requires a str column")
+_RESULT_ATOMS = {"length": AtomType.INT, "like": AtomType.BOOL}
 
 
-def _map_str(bat: BAT, fn) -> BAT:
-    out = BAT(AtomType.STR, hseqbase=bat.hseqbase, capacity=max(bat.count, 1))
+def str_atom(name: str, operand: Optional[AtomType]) -> AtomType:
+    """Result atom of batstr ``name`` over a STR ``operand``: INT for
+    ``length``, BOOL for ``like``, STR otherwise."""
+    if operand is not None and operand is not AtomType.STR:
+        raise TypeMismatchError(f"{name} requires a str column")
+    return _RESULT_ATOMS.get(name, AtomType.STR)
+
+
+def _map_str(name: str, bat: BAT, fn) -> BAT:
+    """``fn`` over the non-NULL strings, typed by :func:`str_atom`."""
+    out = BAT(
+        str_atom(name, bat.atom),
+        hseqbase=bat.hseqbase,
+        capacity=max(bat.count, 1),
+    )
     out.append_many(None if v is None else fn(v) for v in bat.tail)
     return out
 
 
 def str_upper(bat: BAT) -> BAT:
     """UPPER(column) — NULL-preserving."""
-    _require_str(bat, "upper")
-    return _map_str(bat, str.upper)
+    return _map_str("upper", bat, str.upper)
 
 
 def str_lower(bat: BAT) -> BAT:
     """LOWER(column) — NULL-preserving."""
-    _require_str(bat, "lower")
-    return _map_str(bat, str.lower)
+    return _map_str("lower", bat, str.lower)
 
 
 def str_trim(bat: BAT) -> BAT:
     """TRIM(column) — strips ASCII whitespace, NULL-preserving."""
-    _require_str(bat, "trim")
-    return _map_str(bat, str.strip)
+    return _map_str("trim", bat, str.strip)
 
 
 def str_length(bat: BAT) -> BAT:
     """LENGTH(column) — an INT column; NULL for NULL input."""
-    _require_str(bat, "length")
-    out = BAT(AtomType.INT, hseqbase=bat.hseqbase, capacity=max(bat.count, 1))
-    out.append_many(None if v is None else len(v) for v in bat.tail)
-    return out
+    return _map_str("length", bat, len)
 
 
 def str_substring(bat: BAT, start: int, length: Optional[int] = None) -> BAT:
     """SUBSTRING(column, start[, length]) — 1-based start, SQL style."""
-    _require_str(bat, "substring")
     begin = max(0, int(start) - 1)
     if length is None:
-        return _map_str(bat, lambda v: v[begin:])
+        return _map_str("substring", bat, lambda v: v[begin:])
     stop = begin + max(0, int(length))
-    return _map_str(bat, lambda v: v[begin:stop])
+    return _map_str("substring", bat, lambda v: v[begin:stop])
 
 
 def like_pattern_to_regex(pattern: str, escape: str = "\\") -> "re.Pattern":
@@ -106,9 +111,8 @@ def like_mask(bat: BAT, pattern: str, negated: bool = False) -> BAT:
 
     NULL inputs yield NULL (three-valued logic, as for any predicate).
     """
-    _require_str(bat, "like")
+    out_atom = str_atom("like", bat.atom)
     regex = like_pattern_to_regex(pattern)
-    from .types import BOOL_NIL
 
     stored = np.empty(bat.count, dtype=np.int8)
     for i, value in enumerate(bat.tail):
@@ -117,7 +121,7 @@ def like_mask(bat: BAT, pattern: str, negated: bool = False) -> BAT:
         else:
             hit = regex.match(value) is not None
             stored[i] = np.int8((not hit) if negated else hit)
-    out = BAT(AtomType.BOOL, hseqbase=bat.hseqbase, capacity=max(bat.count, 1))
+    out = BAT(out_atom, hseqbase=bat.hseqbase, capacity=max(bat.count, 1))
     out.append_array(stored)
     return out
 
@@ -132,7 +136,7 @@ def like_select(
 
     NULLs never qualify either way.
     """
-    _require_str(bat, "like")
+    str_atom("like", bat.atom)
     regex = like_pattern_to_regex(pattern)
     positions = resolve_positions(bat, candidates)
     hits = []

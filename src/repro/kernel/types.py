@@ -42,6 +42,9 @@ __all__ = [
     "numpy_dtype",
     "coerce_scalar",
     "common_type",
+    "compare_atom",
+    "literal_atom",
+    "atom_named",
     "python_value",
     "python_values",
     "parse_atom",
@@ -176,6 +179,52 @@ def common_type(left: AtomType, right: AtomType) -> AtomType:
     if winner in (AtomType.OID, AtomType.TIMESTAMP) and rank_l != rank_r:
         return winner
     return winner
+
+
+def compare_atom(
+    left: Optional[AtomType], right: Optional[AtomType]
+) -> AtomType:
+    """Atom of comparing two operands: BOOL.
+
+    Strings compare only with strings, so one STR side raises
+    :class:`TypeMismatchError`; ``None`` (unknown) compares with anything.
+    Comparisons, selections and joins all ask this rule.
+    """
+    if (
+        left is not None
+        and right is not None
+        and (left is AtomType.STR) != (right is AtomType.STR)
+    ):
+        raise TypeMismatchError(
+            f"cannot compare {left.value} with {right.value}"
+        )
+    return AtomType.BOOL
+
+
+def literal_atom(value: Any) -> Optional[AtomType]:
+    """Atom of a python literal; ``None`` for NULL and for non-literals.
+
+    A NULL literal has no atom of its own: the operator it feeds decides
+    (``calc.const_atom`` makes it DBL, a selection bound leaves the range
+    open).
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return AtomType.BOOL
+    if isinstance(value, (int, np.integer)):
+        return AtomType.LNG
+    if isinstance(value, (float, np.floating)):
+        return AtomType.DBL
+    if isinstance(value, str):
+        return AtomType.STR
+    return None
+
+
+def atom_named(name: Any) -> AtomType:
+    """The atom a MAL constant names (``"int"``, or an :class:`AtomType`)."""
+    try:
+        return AtomType(name)
+    except ValueError:
+        raise TypeMismatchError(f"unknown atom {name!r}") from None
 
 
 def coerce_scalar(atom: AtomType, value: Any) -> Any:

@@ -26,10 +26,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import BindError, SqlError
+from ..errors import BindError, SqlError, TypeMismatchError
+from ..kernel.calc import ARITHMETIC, COMPARISONS
 from ..kernel.catalog import Catalog
-from ..kernel.interpreter import MalInterpreter
-from ..kernel.mal import Const, Program, ResultSet, Var
+from ..kernel.interpreter import OPCODES, MalInterpreter
+from ..kernel.mal import Arg, Const, Program, ResultSet, Var
 from ..kernel.types import AtomType, common_type
 from .ast_nodes import (
     BasketExpr,
@@ -183,6 +184,14 @@ class _SelectCompiler:
         self.prog = program
         self.basket_inputs = basket_inputs
         self.allow_baskets = allow_baskets
+
+    def _typed(
+        self, module: str, fn: str, args: Sequence[Arg], *items: Any
+    ) -> Tuple[str, AtomType]:
+        """Emit ``module.fn(args)``, typed by the opcode's own atom rule
+        over ``items`` (see :class:`~repro.kernel.interpreter.Opcode`)."""
+        atom = _atom_rule(f"{module}.{fn}", *items)
+        return self.prog.emit(module, fn, list(args)), atom
 
     # ------------------------------------------------------------------
     # entry
@@ -774,18 +783,16 @@ class _SelectCompiler:
         if agg.distinct:
             raise BindError("DISTINCT aggregates are not supported")
         if agg.star:
-            anchor = rel.first_var()
-            var = self.prog.emit(
-                "aggr", "subcount_star", [Var(anchor), Var(grp_var), Var(n_var)]
-            )
-            return var, AtomType.LNG
-        if len(agg.args) != 1:
+            name, avar, aatom = "count_star", rel.first_var(), None
+        elif len(agg.args) != 1:
             raise BindError(f"{agg.name} takes exactly one argument")
-        avar, aatom = self._expr(rel, agg.args[0])
-        var = self.prog.emit(
-            "aggr", f"sub{agg.name}", [Var(avar), Var(grp_var), Var(n_var)]
+        else:
+            name = agg.name
+            avar, aatom = self._expr(rel, agg.args[0])
+        return self._typed(
+            "aggr", f"sub{name}", [Var(avar), Var(grp_var), Var(n_var)],
+            aatom, AtomType.OID, None,
         )
-        return var, _aggregate_atom(agg.name, aatom)
 
     def _emit_scalar_aggregate(
         self, rel: Relation, agg: FuncCall
@@ -793,15 +800,13 @@ class _SelectCompiler:
         if agg.distinct:
             raise BindError("DISTINCT aggregates are not supported")
         if agg.star:
-            var = self.prog.emit(
-                "aggr", "count_star", [Var(rel.first_var())]
-            )
-            return var, AtomType.LNG
-        if len(agg.args) != 1:
+            name, avar, aatom = "count_star", rel.first_var(), None
+        elif len(agg.args) != 1:
             raise BindError(f"{agg.name} takes exactly one argument")
-        avar, aatom = self._expr(rel, agg.args[0])
-        var = self.prog.emit("aggr", agg.name, [Var(avar)])
-        return var, _aggregate_atom(agg.name, aatom)
+        else:
+            name = agg.name
+            avar, aatom = self._expr(rel, agg.args[0])
+        return self._typed("aggr", name, [Var(avar)], aatom)
 
     def _expr_over_groups(
         self,
@@ -939,7 +944,7 @@ class _SelectCompiler:
     # expression compilation
     # ------------------------------------------------------------------
     def _const(self, rel: Relation, value: Any) -> Tuple[str, AtomType]:
-        atom = _literal_atom(value)
+        atom = _atom_rule("batcalc.const", value, None)
         var = self.prog.emit(
             "batcalc",
             "const",
@@ -965,11 +970,11 @@ class _SelectCompiler:
         if isinstance(expr, InList):
             return self._expr(rel, _desugar_inlist(expr))
         if isinstance(expr, IsNull):
-            var, _ = self._expr(rel, expr.operand)
-            out = self.prog.emit("batcalc", "isnil", [Var(var)])
+            var, atom = self._expr(rel, expr.operand)
+            out, out_atom = self._typed("batcalc", "isnil", [Var(var)], atom)
             if expr.negated:
-                out = self.prog.emit("batcalc", "not", [Var(out)])
-            return out, AtomType.BOOL
+                return self._typed("batcalc", "not", [Var(out)], out_atom)
+            return out, out_atom
         if isinstance(expr, Like):
             if not isinstance(expr.pattern, Literal) or not isinstance(
                 expr.pattern.value, str
@@ -978,12 +983,11 @@ class _SelectCompiler:
             var, atom = self._expr(rel, expr.operand)
             if atom is not AtomType.STR:
                 raise BindError("LIKE applies to string expressions")
-            out = self.prog.emit(
-                "batstr",
-                "like",
+            return self._typed(
+                "batstr", "like",
                 [Var(var), Const(expr.pattern.value), Const(expr.negated)],
+                atom, expr.pattern.value, expr.negated,
             )
-            return out, AtomType.BOOL
         if isinstance(expr, CaseWhen):
             return self._compile_case(rel, expr)
         if isinstance(expr, FuncCall):
@@ -994,54 +998,36 @@ class _SelectCompiler:
         if op == "-":
             if not atom.is_numeric:
                 raise BindError("unary minus needs a numeric operand")
-            return self.prog.emit("batcalc", "neg", [Var(var)]), atom
+            return self._typed("batcalc", "neg", [Var(var)], atom)
         if op == "not":
             if atom is not AtomType.BOOL:
                 raise BindError("NOT needs a boolean operand")
-            return self.prog.emit("batcalc", "not", [Var(var)]), AtomType.BOOL
+            return self._typed("batcalc", "not", [Var(var)], atom)
         raise BindError(f"unknown unary operator {op!r}")
 
     def _apply_binary(self, op, lvar, latom, rvar, ratom):
         if op in ("and", "or"):
             if latom is not AtomType.BOOL or ratom is not AtomType.BOOL:
                 raise BindError(f"{op.upper()} needs boolean operands")
-            var = self.prog.emit("batcalc", op, [Var(lvar), Var(rvar)])
-            return var, AtomType.BOOL
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            var = self.prog.emit("batcalc", op, [Var(lvar), Var(rvar)])
-            return var, AtomType.BOOL
-        if op in ("+", "-", "*", "/", "%"):
-            if latom is AtomType.STR and ratom is AtomType.STR and op == "+":
-                out_atom = AtomType.STR
-            else:
-                out_atom = common_type(latom, ratom)
-                if op == "/":
-                    out_atom = AtomType.DBL
-            var = self.prog.emit("batcalc", op, [Var(lvar), Var(rvar)])
-            return var, out_atom
-        raise BindError(f"unknown operator {op!r}")
+        elif op not in ARITHMETIC + COMPARISONS:
+            raise BindError(f"unknown operator {op!r}")
+        return self._typed(
+            "batcalc", op, [Var(lvar), Var(rvar)], latom, ratom
+        )
 
     def _compile_case(self, rel: Relation, expr: CaseWhen):
         otherwise = expr.otherwise or Literal(None)
         evar, eatom = self._expr(rel, otherwise)
-        result_atom = eatom
         for cond, value in reversed(expr.whens):
             cvar, catom = self._expr(rel, cond)
             if catom is not AtomType.BOOL:
                 raise BindError("CASE WHEN condition must be boolean")
             vvar, vatom = self._expr(rel, value)
-            try:
-                result_atom = (
-                    vatom
-                    if result_atom is AtomType.STR or vatom is result_atom
-                    else common_type(vatom, result_atom)
-                )
-            except SqlError:
-                result_atom = vatom
-            evar = self.prog.emit(
-                "batcalc", "ifthenelse", [Var(cvar), Var(vvar), Var(evar)]
+            evar, eatom = self._typed(
+                "batcalc", "ifthenelse", [Var(cvar), Var(vvar), Var(evar)],
+                catom, vatom, eatom,
             )
-        return evar, result_atom
+        return evar, eatom
 
     _STRING_FUNCTIONS = {"upper", "lower", "trim", "length", "substring"}
     _MATH_FUNCTIONS = {"abs", "floor", "ceil", "round", "sqrt"}
@@ -1053,15 +1039,13 @@ class _SelectCompiler:
                 "select list / HAVING of an aggregating query)"
             )
         if expr.name.startswith("cast_"):
-            target = expr.name[len("cast_"):]
             from .binder import type_name_to_atom
 
-            atom = type_name_to_atom(target)
-            var, _ = self._expr(rel, expr.args[0])
-            out = self.prog.emit(
-                "batcalc", "cast", [Var(var), Const(atom.value)]
+            target = type_name_to_atom(expr.name[len("cast_"):]).value
+            var, atom = self._expr(rel, expr.args[0])
+            return self._typed(
+                "batcalc", "cast", [Var(var), Const(target)], atom, target
             )
-            return out, atom
         if expr.name in self._STRING_FUNCTIONS:
             return self._compile_string_function(rel, expr)
         if expr.name in self._MATH_FUNCTIONS:
@@ -1074,10 +1058,10 @@ class _SelectCompiler:
         var, atom = self._expr(rel, expr.args[0])
         if atom is not AtomType.STR:
             raise BindError(f"{expr.name} applies to string expressions")
+        bounds: List[Any] = []
         if expr.name == "substring":
             if len(expr.args) not in (2, 3):
                 raise BindError("substring(str, start[, length])")
-            extra = []
             for arg in expr.args[1:]:
                 if not isinstance(arg, Literal) or not isinstance(
                     arg.value, int
@@ -1085,13 +1069,13 @@ class _SelectCompiler:
                     raise BindError(
                         "substring bounds must be integer literals"
                     )
-                extra.append(Const(arg.value))
-            out = self.prog.emit("batstr", "substring", [Var(var)] + extra)
-            return out, AtomType.STR
-        if len(expr.args) != 1:
+                bounds.append(arg.value)
+        elif len(expr.args) != 1:
             raise BindError(f"{expr.name} takes exactly one argument")
-        out = self.prog.emit("batstr", expr.name, [Var(var)])
-        return out, AtomType.INT if expr.name == "length" else AtomType.STR
+        return self._typed(
+            "batstr", expr.name, [Var(var)] + [Const(b) for b in bounds],
+            atom, *bounds,
+        )
 
     def _compile_math_function(self, rel: Relation, expr: FuncCall):
         if not expr.args:
@@ -1107,18 +1091,9 @@ class _SelectCompiler:
             digits = arg.value
         elif len(expr.args) != 1:
             raise BindError(f"{expr.name} takes exactly one argument")
-        out = self.prog.emit(
-            "batmath", expr.name, [Var(var), Const(digits)]
+        return self._typed(
+            "batmath", expr.name, [Var(var), Const(digits)], atom, digits
         )
-        if expr.name == "abs":
-            out_atom = atom
-        elif expr.name == "sqrt":
-            out_atom = AtomType.DBL
-        elif expr.name == "round" and digits:
-            out_atom = AtomType.DBL
-        else:
-            out_atom = AtomType.LNG if atom.is_integral else AtomType.DBL
-        return out, out_atom
 
 
 # ======================================================================
@@ -1306,28 +1281,13 @@ def _flip_op(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
 
 
-def _literal_atom(value: Any) -> AtomType:
-    if value is None:
-        return AtomType.DBL
-    if isinstance(value, bool):
-        return AtomType.BOOL
-    if isinstance(value, int):
-        return AtomType.LNG
-    if isinstance(value, float):
-        return AtomType.DBL
-    if isinstance(value, str):
-        return AtomType.STR
-    raise BindError(f"unsupported literal {value!r}")
-
-
-def _aggregate_atom(name: str, input_atom: AtomType) -> AtomType:
-    if name == "count":
-        return AtomType.LNG
-    if name == "avg":
-        return AtomType.DBL
-    if name == "sum":
-        return AtomType.LNG if input_atom.is_integral else AtomType.DBL
-    return input_atom  # min / max
+def _atom_rule(opcode: str, *items: Any) -> AtomType:
+    """The result atom ``opcode``'s rule gives ``items``; a clash is the
+    query's type error."""
+    try:
+        return OPCODES[opcode].atom(*items)
+    except TypeMismatchError as exc:
+        raise BindError(f"{opcode}: {exc}") from None
 
 
 def _default_name(expr: Expr, index: int) -> str:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.analysis.corpus import (
     GOOD_QUERIES,
@@ -9,19 +11,19 @@ from repro.analysis.corpus import (
     run_good_corpus,
 )
 from repro.analysis.diagnostics import PlanVerificationError
-from repro.analysis.signatures import (
-    AbstractValue,
-    Kind,
-    registry_coverage,
-)
+from repro.analysis.signatures import AbstractValue, Kind
 from repro.analysis.verifier import verify_continuous, verify_program
 from repro.core.engine import DataCell
+from repro.errors import TypeMismatchError
 from repro.kernel.aggregate import grouped_aggregate
 from repro.kernel.bat import BAT, bat_from_values
 from repro.kernel.calc import calc_neg
+from repro.kernel.catalog import Catalog
+from repro.kernel.interpreter import OPCODES, MalContext
 from repro.kernel.mal import Instr, Var
-from repro.kernel.types import AtomType
+from repro.kernel.types import AtomType, literal_atom, python_values
 from repro.sql.compiler import compile_continuous
+from repro.testing import current_seed
 from repro.sql.optimizer import eliminate_dead_code
 from repro.sql.parser import parse_select
 
@@ -39,14 +41,182 @@ def _cell():
     return cell
 
 
-class TestSignatureCatalog:
-    def test_signatures_cover_registry_exactly(self):
-        unsigned, unregistered = registry_coverage()
-        assert unsigned == (), f"registered opcodes missing signatures: {unsigned}"
-        assert unregistered == (), (
-            f"signed opcodes not in the interpreter registry "
-            f"(would fail mid-firing): {unregistered}"
+# ----------------------------------------------------------------------
+# declared vs runtime atoms: every opcode's atom rule against its primitive
+# ----------------------------------------------------------------------
+ATOMS = list(AtomType)
+# STR and BOOL are where most rules draw their lines: draw them more often
+COLUMN_ATOMS = ATOMS + [AtomType.STR, AtomType.BOOL] * 2
+ATOM_NAMES = st.sampled_from([a.value for a in ATOMS])
+LITERALS = st.sampled_from([False, True, 0, 1, 0.0, 1.0, "0", "1", "x"])
+THETA_OPS = st.sampled_from(["==", "!=", "<", "<=", ">", ">="])
+PATTERNS = st.sampled_from(["%", "0%", "_", "1"])
+OMIT = object()  # drop this (optional, trailing) argument
+
+
+def _bats(draw, n, atoms=COLUMN_ATOMS):
+    # every atom stores 0 and 1 (and "0"/"1" cast to any atom), so a drawn
+    # column never fails on its values, only on its atom
+    atom = draw(st.sampled_from(atoms))
+    cells = ["0", "1", None] if atom is AtomType.STR else [0, 1, None]
+    values = draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
+    return bat_from_values(atom, values)
+
+
+def _cands(draw, n):
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+def _groups(draw, n):
+    """An aligned OID group-id BAT and its group count."""
+    k = draw(st.integers(1, 3))
+    groups = BAT(AtomType.OID)
+    groups.append_array(np.array(
+        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    ))
+    return groups, k
+
+
+def _grouped(draw, n):
+    groups, k = _groups(draw, n)
+    return {1: groups, 2: k, 3: OMIT}
+
+
+def _delta(draw, n, first):
+    groups, k = _groups(draw, n)
+    weights = bat_from_values(AtomType.LNG, draw(
+        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    ))
+    return dict(enumerate(first + [weights, groups, k]))
+
+
+NULLABLE = st.one_of(st.none(), LITERALS)
+# arguments whose meaning a generic draw would miss, by opcode; a key
+# ending in "." or "sub" covers a family
+OVERRIDES = {
+    "batcalc.cast": lambda d, n: {1: d(ATOM_NAMES)},
+    "batcalc.const": lambda d, n: {
+        0: d(NULLABLE), 2: d(st.one_of(st.none(), ATOM_NAMES)),
+    },
+    "algebra.select": lambda d, n: {
+        2: d(NULLABLE), 3: d(NULLABLE),
+        4: d(st.booleans()), 5: d(st.booleans()), 6: d(st.booleans()),
+    },
+    "algebra.thetaselect": lambda d, n: {2: d(THETA_OPS), 3: d(NULLABLE)},
+    "algebra.thetajoin": lambda d, n: {2: d(THETA_OPS)},
+    "algebra.likeselect": lambda d, n: {2: d(PATTERNS), 3: d(st.booleans())},
+    "algebra.slice": lambda d, n: {
+        1: d(st.integers(0, n)), 2: d(st.integers(0, n)),
+    },
+    "batstr.substring": lambda d, n: {
+        1: d(st.integers(0, 3)), 2: d(st.integers(0, 3)),
+    },
+    "batstr.like": lambda d, n: {1: d(PATTERNS), 2: d(st.booleans())},
+    "batmath.": lambda d, n: {1: d(st.integers(0, 2))},
+    "aggr.sub": _grouped,
+    "group.subgroup": lambda d, n: {1: _groups(d, n)[0], 2: OMIT},
+    "delta.subsum": lambda d, n: _delta(d, n, [_bats(d, n, [
+        a for a in ATOMS if a.is_numeric
+    ])]),
+    "delta.subcount": lambda d, n: _delta(d, n, []),
+}
+
+
+def _override(name):
+    for key, build in OVERRIDES.items():
+        if name == key or (key.endswith((".", "sub")) and name.startswith(key)):
+            return build
+    return lambda d, n: {}
+
+
+def _draw_args(draw, name, opcode):
+    n = draw(st.integers(0, 4))
+    fixed = _override(name)(draw, n)
+    args = []
+    for pos, param in enumerate(opcode.params):
+        if pos in fixed:
+            if fixed[pos] is OMIT:
+                break
+            args.append(fixed[pos])
+            continue
+        if param.endswith("?") and draw(st.booleans()):
+            break
+        spec = opcode.spec(pos)
+        if spec == "bat":
+            args.append(_bats(draw, n))
+        elif spec == "cand":
+            args.append(_cands(draw, n))
+        elif spec == "candopt":
+            args.append(None if draw(st.booleans()) else _cands(draw, n))
+        elif spec == "any":
+            args.append(_bats(draw, n) if draw(st.booleans())
+                        else draw(LITERALS))
+        else:
+            args.append(draw(LITERALS))
+    if "any" in opcode.params and not any(isinstance(a, BAT) for a in args):
+        args[0] = _bats(draw, n)  # a batcalc op needs one column operand
+    return args
+
+
+def _rule_items(opcode, args):
+    """What the verifier hands the rule: a scalar's value, else an atom."""
+    items = []
+    for pos, arg in enumerate(args):
+        if opcode.spec(pos) == "scalar":
+            items.append(arg)
+        elif isinstance(arg, BAT):
+            items.append(arg.atom)
+        elif isinstance(arg, np.ndarray) or arg is None:
+            items.append(None)
+        else:
+            items.append(literal_atom(arg))
+    return items
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except TypeMismatchError as exc:
+        return None, exc
+
+
+TYPED_OPCODES = sorted(name for name, op in OPCODES.items() if op.atom)
+
+
+class TestDeclaredAtoms:
+    """Each opcode's atom rule is what its primitive produces: the same
+    atom, and a TypeMismatchError on exactly the same inputs."""
+
+    @pytest.mark.parametrize("name", TYPED_OPCODES)
+    @seed(current_seed())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rule_matches_primitive(self, name, data):
+        opcode = OPCODES[name]
+        args = _draw_args(data.draw, name, opcode)
+        ctx = MalContext(Catalog())
+        declared, rule_error = _outcome(
+            lambda: opcode.atom(*_rule_items(opcode, args))
         )
+        out, kernel_error = _outcome(lambda: opcode.fn(ctx, *args))
+        assert (rule_error is None) == (kernel_error is None), (
+            name, args, rule_error, kernel_error
+        )
+        if kernel_error is not None:
+            return
+        first = out[0] if isinstance(out, tuple) else out
+        if isinstance(first, BAT):
+            assert first.atom is declared, (name, args)
+        elif opcode.returns[0] == "scalar" and first is not None:
+            # a scalar aggregate is the python value of its declared atom
+            back = python_values(
+                declared, bat_from_values(declared, [first]).tail
+            )[0]
+            assert back == first and type(back) is type(first), (
+                name, args, first, declared
+            )
 
 
 class TestGoodCorpus:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import KernelError
+from repro.errors import KernelError, TypeMismatchError
 from repro.kernel.bat import bat_from_values
 from repro.kernel.select import (
     range_select,
@@ -70,6 +70,17 @@ class TestRangeSelect:
     def test_dbl_range(self):
         b = make([0.5, 1.5, 2.5], atom=AtomType.DBL)
         assert range_select(b, 1.0, 2.0).tolist() == [1]
+
+    def test_bound_must_compare_with_column(self):
+        """A numeric bound on a STR column (or the reverse) is a type
+        error, as for calc_compare and hash_join, not a python TypeError."""
+        strings = make(["a", "b"], atom=AtomType.STR)
+        with pytest.raises(TypeMismatchError):
+            range_select(strings, 1, None)
+        with pytest.raises(TypeMismatchError):
+            theta_select(strings, "<", 1)
+        with pytest.raises(TypeMismatchError):
+            range_select(make([1, 2]), None, "b")
 
 
 class TestThetaSelect:

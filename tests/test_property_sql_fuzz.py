@@ -106,6 +106,18 @@ def rows_strategy():
     return st.lists(st.tuples(cell_value, cell_value), max_size=40)
 
 
+def run(catalog, sql, rewrite=None):
+    """Compile ``sql``, optionally rewrite the program, run it; returns rows.
+
+    Every result column must carry the atom the compiler declared for it.
+    """
+    compiled = compile_select(catalog, parse_select(sql))
+    program = compiled.program if rewrite is None else rewrite(compiled.program)
+    result = MalInterpreter(catalog).run(program)
+    assert compiled.output_atoms == [b.atom for b in result.bats]
+    return result.rows()
+
+
 def build_catalog(rows):
     catalog = Catalog()
     table = catalog.create_table(
@@ -122,10 +134,7 @@ class TestWherePredicateFuzz:
     def test_where_matches_oracle(self, rows, pred):
         text, fn = pred
         catalog = build_catalog(rows)
-        compiled = compile_select(
-            catalog, parse_select(f"select a, b from d where {text}")
-        )
-        got = MalInterpreter(catalog).run(compiled.program).rows()
+        got = run(catalog, f"select a, b from d where {text}")
         expected = [
             (a, b) for a, b in rows if fn({"a": a, "b": b}) is True
         ]
@@ -137,13 +146,9 @@ class TestWherePredicateFuzz:
     def test_optimizer_preserves_semantics(self, rows, pred):
         text, _ = pred
         catalog = build_catalog(rows)
-        compiled = compile_select(
-            catalog,
-            parse_select(f"select b, a from d where {text} order by a, b"),
-        )
-        raw = MalInterpreter(catalog).run(compiled.program).rows()
-        optimized, _ = optimize(compiled.program)
-        opt = MalInterpreter(catalog).run(optimized).rows()
+        sql = f"select b, a from d where {text} order by a, b"
+        raw = run(catalog, sql)
+        opt = run(catalog, sql, lambda program: optimize(program)[0])
         assert raw == opt
 
 
@@ -160,10 +165,7 @@ class TestExpressionFuzz:
         p, q, m = coefficients
         catalog = build_catalog(rows)
         sql = f"select a * {p} + b * {q} - (a % {m}) from d"
-        compiled = compile_select(catalog, parse_select(sql))
-        got = [
-            r[0] for r in MalInterpreter(catalog).run(compiled.program).rows()
-        ]
+        got = [r[0] for r in run(catalog, sql)]
         expected = []
         for a, b in rows:
             if a is None or b is None:
@@ -182,8 +184,7 @@ class TestExpressionFuzz:
         sql = (
             "select count(*), count(a), sum(a), min(b), max(b) from d"
         )
-        compiled = compile_select(catalog, parse_select(sql))
-        got = MalInterpreter(catalog).run(compiled.program).rows()[0]
+        got = run(catalog, sql)[0]
         a_vals = [a for a, _ in rows if a is not None]
         b_vals = [b for _, b in rows if b is not None]
         expected = (
@@ -204,8 +205,7 @@ class TestExpressionFuzz:
             f"select a, count(*), sum(b) from d where a > {pivot} "
             "group by a order by a"
         )
-        compiled = compile_select(catalog, parse_select(sql))
-        got = MalInterpreter(catalog).run(compiled.program).rows()
+        got = run(catalog, sql)
         groups = {}
         for a, b in rows:
             if a is not None and a > pivot:

@@ -133,6 +133,20 @@ class TestProjectionsAndFilters:
         assert rows[0] == ("lo", "C")
         assert rows[-1] == ("hi", "B")
 
+    @pytest.mark.parametrize(
+        "branches", ["then 1 else 'x'", "then 'x' else 1"]
+    )
+    def test_case_branches_without_common_type_rejected(
+        self, catalog, branches
+    ):
+        """A STR branch beside an LNG one fails at compile time, in either
+        order, instead of typing the column LNG and failing mid-run."""
+        stmt = parse_select(
+            f"select case when qty > 0 {branches} end from trades"
+        )
+        with pytest.raises(BindError):
+            compile_select(catalog, stmt)
+
     def test_cast(self, catalog):
         rows = run(
             catalog,
