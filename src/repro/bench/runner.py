@@ -80,10 +80,8 @@ def build_figure1_pipeline(
     """
     clock = LogicalClock()
     metrics = metrics if metrics is not None else MetricsRegistry()
-    b1 = Basket("b1", [("v", AtomType.INT)], clock, metrics=metrics,
-                tracer=spans)
-    b2 = Basket("b2", [("v", AtomType.INT)], clock, metrics=metrics,
-                tracer=spans)
+    b1 = Basket("b1", [("v", AtomType.INT)], clock, metrics=metrics)
+    b2 = Basket("b2", [("v", AtomType.INT)], clock, metrics=metrics)
     channel = InMemoryChannel("stream")
     receptor = Receptor(
         "r", channel, [b1], batch_size=batch_size, metrics=metrics,

@@ -14,6 +14,8 @@ Implementation notes
   - the implicit ``dc_time`` timestamp column;
   - a hidden, monotonically increasing per-tuple sequence number used to
     give tuples a stable identity across consume cycles;
+  - hidden monotonic arrival stamps and trace tokens, stored per batch
+    as run-end encoded :class:`~repro.core.runs.Runs`, not per row;
   - consumption primitives (:meth:`Basket.consume_all`,
     :meth:`Basket.consume_positions`, and :meth:`Basket.consume_seqs` for
     snapshots the basket has moved on from);
@@ -58,9 +60,9 @@ from ..kernel.bat import BAT
 from ..kernel.catalog import ColumnDef, Schema, Table
 from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType
-from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.spans import SpanRecorder
+from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from .clock import Clock, WallClock
+from .runs import Runs
 
 __all__ = ["Basket", "BasketSnapshot", "TIME_COLUMN"]
 
@@ -75,8 +77,10 @@ class BasketSnapshot:
     are directly usable as positions when telling the basket which tuples
     were consumed (:meth:`Basket.consume_positions`).  ``seqs`` carries
     the stable, ascending per-tuple sequence numbers for the same
-    positions; ``generation`` and ``start`` say which basket state the
-    snapshot was cut from and where in it row 0 sat.
+    positions; ``runs`` the hidden arrival stamps and trace tokens of
+    the same rows, cut to the snapshot; ``generation`` and ``start`` say
+    which basket state the snapshot was cut from and where in it row 0
+    sat.
     """
 
     def __init__(
@@ -84,43 +88,17 @@ class BasketSnapshot:
         names: Sequence[str],
         bats: Sequence[BAT],
         seqs: np.ndarray,
-        monos: Optional[np.ndarray] = None,
-        tokens: Optional[np.ndarray] = None,
+        runs: Runs,
         generation: int = -1,
         start: int = 0,
     ):
         self.names = list(names)
         self.bats = list(bats)
         self.seqs = seqs
-        self._monos = monos
-        self.tokens = tokens
+        self.runs = runs
         self.generation = generation
         self.start = start
         self.count = len(seqs)
-
-    def first_token(self) -> int:
-        """The first sampled trace token among the snapshot's tuples.
-
-        Span causality plumbing: factories/emitters continue the trace
-        of the oldest sampled tuple they process.  ``0`` when nothing in
-        view is part of a sampled batch (or tokens are not tracked).
-        """
-        if self.tokens is None:
-            return 0
-        sampled = self.tokens.nonzero()[0]
-        return int(self.tokens[sampled[0]]) if len(sampled) else 0
-
-    @property
-    def monos(self) -> np.ndarray:
-        """Hidden monotonic arrival stamps (same positions as ``seqs``).
-
-        The end-to-end latency plumbing — never user-visible.  Baskets
-        with stamping disabled (no-op metrics) produce snapshots without
-        stamps; those materialize as "now" lazily, only if read.
-        """
-        if self._monos is None:
-            self._monos = np.full(len(self.seqs), time.monotonic())
-        return self._monos
 
     def __len__(self) -> int:
         return self.count
@@ -158,7 +136,6 @@ class Basket(Table):
         columns: Sequence[Tuple[str, AtomType]],
         clock: Optional[Clock] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanRecorder] = None,
     ):
         if any(col[0].lower() in (TIME_COLUMN, "dc_seq") for col in columns):
             raise BasketError(
@@ -170,10 +147,13 @@ class Basket(Table):
         self._names = [c.name.lower() for c in self.schema]
         self.clock = clock or WallClock()
         self._seq = BAT(AtomType.LNG)
-        # hidden monotonic arrival stamps, aligned with ``_seq``: latency
+        # hidden monotonic arrival stamps and trace tokens, one run per
+        # appended batch, covering the same rows as ``_seq``: latency
         # measurement must survive wall-clock jumps, so ``dc_time`` (wall)
-        # is user-facing and this column feeds the histograms
-        self._mono = BAT(AtomType.DBL)
+        # is user-facing and the stamps feed the histograms; a non-zero
+        # token marks a sampled batch, so span causality survives basket
+        # hops exactly like the origin stamp
+        self._runs = Runs()
         self._next_seq = 0
         # bumped by every mutation; a snapshot cut at the current
         # generation still maps its positions 1:1 onto the basket's
@@ -192,54 +172,68 @@ class Basket(Table):
         # load shedding, which replay re-applies deterministically)
         self.wal_sink = None
         self._readers: Dict[str, int] = {}
-        # statistics
-        self.total_in = 0
-        self.total_out = 0
-        self.total_shed = 0
-        self.high_water = 0
-        self.metrics = metrics if metrics is not None else default_registry()
-        # latency stamping is skipped entirely in no-op mode: nothing
-        # reads the stamps when every histogram is a null instrument
-        self._stamping = self.metrics.enabled
-        # trace tokens ride along only when a span recorder is attached:
-        # the column marks which tuples belong to a sampled batch, so
-        # causality survives basket hops exactly like the origin stamp
-        self._token_tracking = tracer is not None and tracer.enabled
-        self._tokens = BAT(AtomType.LNG)
         self._row_nbytes: Optional[int] = None  # row_nbytes() cache
-        self._m_in = self.metrics.counter(
+        # statistics, kept under the basket lock; the registry reads them
+        # when it exposes the basket's series
+        self._inserted = Tally()
+        self._consumed = Tally()
+        self._shed = Tally()
+        self._depth = Tally()
+        self._high_water = Tally()
+        self.metrics = metrics if metrics is not None else default_registry()
+        m = self.metrics
+        m.counter(
             "datacell_basket_inserted_total",
             "Tuples inserted into the basket",
             ("basket",),
-        ).labels(name)
-        self._m_out = self.metrics.counter(
+        ).read_from(self._inserted, name)
+        m.counter(
             "datacell_basket_consumed_total",
             "Tuples removed from the basket by consumption",
             ("basket",),
-        ).labels(name)
-        self._m_shed = self.metrics.counter(
+        ).read_from(self._consumed, name)
+        m.counter(
             "datacell_basket_shed_total",
             "Tuples dropped by load shedding",
             ("basket",),
-        ).labels(name)
-        self._m_depth = self.metrics.gauge(
+        ).read_from(self._shed, name)
+        m.gauge(
             "datacell_basket_depth",
             "Tuples currently buffered",
             ("basket",),
-        ).labels(name)
-        self._m_hwm = self.metrics.gauge(
+        ).read_from(self._depth, name)
+        m.gauge(
             "datacell_basket_high_water",
             "Maximum depth ever observed",
             ("basket",),
-        ).labels(name)
+        ).read_from(self._high_water, name)
+
+    @property
+    def total_in(self) -> int:
+        """Tuples ever appended (ingest and factory output)."""
+        return self._inserted.value
+
+    @property
+    def total_out(self) -> int:
+        """Tuples ever removed by consumption."""
+        return self._consumed.value
+
+    @property
+    def total_shed(self) -> int:
+        """Tuples ever dropped by load shedding."""
+        return self._shed.value
+
+    @property
+    def high_water(self) -> int:
+        """The largest depth ever recorded."""
+        return self._high_water.value
 
     def _record_depth(self) -> None:
-        """Refresh depth/high-water instruments (call under ``self.lock``)."""
+        """Refresh depth and high water (call under ``self.lock``)."""
         depth = self.count
-        if depth > self.high_water:
-            self.high_water = depth
-        self._m_depth.set(depth)
-        self._m_hwm.set_max(depth)
+        self._depth.value = depth
+        if depth > self._high_water.value:
+            self._high_water.value = depth
 
     # ------------------------------------------------------------------
     # schema helpers
@@ -316,8 +310,7 @@ class Basket(Table):
         """Finish an ingest whose user columns are appended (under the
         lock): stamp, sequence, WAL, shed, trim.  Returns rows shed."""
         self.bat(TIME_COLUMN).append_fill(stamp, n)
-        self._sequence(n, time.monotonic() if self._stamping else 0.0,
-                       trace_token)
+        self._sequence(n, time.monotonic(), trace_token)
         if self.wal_sink is not None:
             self._log_ingest(n, stamp)
         shed = self._shed_if_over_capacity()
@@ -326,18 +319,15 @@ class Basket(Table):
         return shed
 
     def _sequence(self, n: int, mono: float, trace_token: int) -> None:
-        """Give the ``n`` rows just appended their hidden columns — arrival
-        stamp, trace token, ascending seqs — and count them in."""
-        if self._stamping:
-            self._mono.append_fill(mono, n)
-        if self._token_tracking:
-            self._tokens.append_fill(trace_token, n)
+        """Give the ``n`` rows just appended their hidden columns — one
+        run of arrival stamp and trace token, ascending seqs — and count
+        them in."""
         self._seq.append_array(
             np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
         )
+        self._runs.append(len(self._seq), mono, trace_token)
         self._next_seq += n
-        self.total_in += n
-        self._m_in.inc(n)
+        self._inserted.value += n
         self.generation += 1
 
     def _log_ingest(self, n: int, stamp: float) -> None:
@@ -363,10 +353,15 @@ class Basket(Table):
         if self.capacity is None or self.count <= self.capacity:
             return 0
         overflow = self.count - self.capacity
-        self._rebuild_keeping(slice(overflow, None))
-        self.total_shed += overflow
-        self._m_shed.inc(overflow)
-        return overflow
+        return self._shed_keeping(slice(overflow, None), self.capacity)
+
+    def _shed_keeping(self, keep: Any, kept: int) -> int:
+        """Load shedding (under the lock): keep the ``kept`` rows ``keep``
+        selects and count the rest as shed.  Returns rows shed."""
+        shed = self.count - kept
+        self._rebuild_keeping(keep, kept)
+        self._shed.value += shed
+        return shed
 
     def _trim_to_retention(self) -> int:
         """Ring-buffer retention (call under ``self.lock``): drop oldest
@@ -376,7 +371,7 @@ class Basket(Table):
         if self.retention is None or self.count <= self.retention:
             return 0
         overflow = self.count - self.retention
-        self._rebuild_keeping(slice(overflow, None))
+        self._rebuild_keeping(slice(overflow, None), self.retention)
         self.total_trimmed += overflow
         return overflow
 
@@ -399,15 +394,9 @@ class Basket(Table):
                 else int(seqs.searchsorted(since_seq, side="right"))
             )
             bats = [bat.slice(start, n, 0) for bat in self._bats.values()]
-            monos = self._mono.tail[start:].copy() if self._stamping else None
-            tokens = (
-                self._tokens.tail[start:].copy()
-                if self._token_tracking
-                else None
-            )
             return BasketSnapshot(
-                self._names, bats, seqs[start:].copy(), monos, tokens,
-                self.generation, start,
+                self._names, bats, seqs[start:].copy(),
+                self._runs.cut(start, n), self.generation, start,
             )
 
     def consume_all(self) -> int:
@@ -416,10 +405,7 @@ class Basket(Table):
             removed = self.count
             self._bats = {k: BAT(b.atom) for k, b in self._bats.items()}
             self._seq = BAT(AtomType.LNG)
-            if self._stamping:
-                self._mono = BAT(AtomType.DBL)
-            if self._token_tracking:
-                self._tokens = BAT(AtomType.LNG)
+            self._runs = Runs()
             self.generation += 1
             self._note_removed(removed)
             return removed
@@ -479,34 +465,32 @@ class Basket(Table):
         """Keep the ``kept`` rows ``keep`` selects; count the rest out."""
         removed = self.count - kept
         if removed:
-            self._rebuild_keeping(keep)
+            self._rebuild_keeping(keep, kept)
         self._note_removed(removed)
         return removed
 
     def _note_removed(self, removed: int) -> None:
-        self.total_out += removed
-        self._m_out.inc(removed)
+        self._consumed.value += removed
         self._record_depth()
 
-    def _rebuild_keeping(self, keep: Any) -> None:
-        """Swap in new BATs holding only the ``keep`` rows (under the lock).
+    def _rebuild_keeping(self, keep: Any, kept: int) -> None:
+        """Swap in new BATs holding only the ``kept`` rows ``keep``
+        selects (under the lock).
 
-        ``keep`` selects sequenced positions: a boolean mask, an index
-        array or a slice.  Each column is copied once, by the selection.
+        ``keep`` selects sequenced positions: a boolean mask, an
+        ascending index array or a slice.  Each column is copied once,
+        by the selection; the hidden runs are re-cut.
         """
         n = len(self._seq)
         view = isinstance(keep, slice)  # basic slicing does not copy
 
-        def kept(bat: BAT) -> BAT:
+        def select(bat: BAT) -> BAT:
             part = bat.tail[:n][keep]
             return BAT.adopt(bat.atom, part.copy() if view else part)
 
-        self._bats = {k: kept(b) for k, b in self._bats.items()}
-        self._seq = kept(self._seq)
-        if self._stamping:
-            self._mono = kept(self._mono)
-        if self._token_tracking:
-            self._tokens = kept(self._tokens)
+        self._bats = {k: select(b) for k, b in self._bats.items()}
+        self._seq = select(self._seq)
+        self._runs = self._runs.keep(keep, kept)
         self.generation += 1
 
     def frontier_seq(self) -> int:
@@ -516,23 +500,19 @@ class Basket(Table):
 
     def nbytes(self) -> int:
         """Estimated bytes buffered: every schema column's BAT plus the
-        hidden sequence / arrival-stamp / trace-token BATs actually in
-        use.  O(columns), inherits the per-BAT estimate contract."""
+        hidden sequence BAT.  The arrival stamps and trace tokens are
+        stored per run, not per row, and are not charged.  O(columns),
+        inherits the per-BAT estimate contract."""
         with self.lock:
             total = sum(self.bat(c.name).nbytes() for c in self.schema)
-            total += self._seq.nbytes()
-            if self._stamping:
-                total += self._mono.nbytes()
-            if self._token_tracking:
-                total += self._tokens.nbytes()
-            return total
+            return total + self._seq.nbytes()
 
     def row_nbytes(self) -> int:
         """Estimated bytes per buffered tuple — the ``nbytes()`` contract
-        divided out.  Column dtypes and the hidden-BAT flags are fixed at
-        construction, so the width is computed once and cached; the
-        resource accountant charges ``rows * row_nbytes()`` per batch
-        without walking columns on the hot path."""
+        divided out.  Column dtypes are fixed at construction, so the
+        width is computed once and cached; the resource accountant
+        charges ``rows * row_nbytes()`` per batch without walking columns
+        on the hot path."""
         width = self._row_nbytes
         if width is None:
             with self.lock:
@@ -540,10 +520,6 @@ class Basket(Table):
                     self.bat(c.name).element_nbytes() for c in self.schema
                 )
                 width += self._seq.element_nbytes()
-                if self._stamping:
-                    width += self._mono.element_nbytes()
-                if self._token_tracking:
-                    width += self._tokens.element_nbytes()
             self._row_nbytes = width
         return width
 
@@ -634,18 +610,14 @@ class Basket(Table):
             seq_bat = BAT(AtomType.LNG)
             seq_bat.append_array(np.asarray(state.seqs, dtype=np.int64))
             self._seq = seq_bat
-            n = self._seq.count
-            if self._stamping:
-                self._mono = BAT(AtomType.DBL)
-                self._mono.append_array(np.full(n, time.monotonic()))
-            if self._token_tracking:
-                self._tokens = BAT(AtomType.LNG)
-                self._tokens.append_array(np.zeros(n, dtype=np.int64))
+            self._runs = Runs()
+            if seq_bat.count:
+                self._runs.append(seq_bat.count, time.monotonic(), 0)
             self._next_seq = int(state.next_seq)
             self._readers = dict(state.readers)
-            self.total_in = int(state.total_in)
-            self.total_out = int(state.total_out)
-            self.total_shed = int(state.total_shed)
+            self._inserted.value = int(state.total_in)
+            self._consumed.value = int(state.total_out)
+            self._shed.value = int(state.total_shed)
             self.generation += 1
             self._record_depth()
 
@@ -720,7 +692,7 @@ class Basket(Table):
             cut = int(seqs.searchsorted(min(self._readers.values()), "right"))
             removed = self.count - (len(seqs) - cut)
             if removed:
-                self._rebuild_keeping(slice(cut, None))
+                self._rebuild_keeping(slice(cut, None), len(seqs) - cut)
                 self._note_removed(removed)
             return removed
 

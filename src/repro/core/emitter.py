@@ -18,7 +18,7 @@ import numpy as np
 
 from ..adapters.channels import Channel, format_tuple
 from ..kernel.types import AtomType, python_values
-from ..obs.metrics import MetricsRegistry, default_registry
+from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.spans import SpanRecorder
 from .basket import Basket, TIME_COLUMN
 from .factory import ActivationResult
@@ -174,18 +174,18 @@ class Emitter:
             Tuple[Subscriber, Optional[Callable[[DeliveryBatch], None]]]
         ] = []
         self._channels: List[Channel] = []
-        self.total_delivered = 0
+        self._delivered = Tally()
         self.activations = 0
         self.channels_detached = 0
         self.deliveries_dropped = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self.tracer = tracer
         self._tracing = tracer is not None and tracer.enabled
-        self._m_delivered = self.metrics.counter(
+        self.metrics.counter(
             "datacell_emitter_delivered_total",
             "Result rows delivered to subscribers",
             ("emitter",),
-        ).labels(name)
+        ).read_from(self._delivered, name)
         # labeled by the source basket: a continuous query's end-to-end
         # latency lives on its output basket (``<query>_out``)
         self._m_latency = self.metrics.histogram(
@@ -200,6 +200,11 @@ class Emitter:
             ("emitter",),
         ).labels(name)
         self._measure_latency = self.metrics.enabled
+
+    @property
+    def total_delivered(self) -> int:
+        """Result rows delivered, over every activation."""
+        return self._delivered.value
 
     # ------------------------------------------------------------------
     def subscribe(self, client: Subscriber) -> None:
@@ -274,7 +279,7 @@ class Emitter:
                 self.high_water_seq = max(self.high_water_seq, int(seqs[-1]))
                 if self.wal_sink is not None:
                     self.wal_sink.log_emit(self.name, self.high_water_seq)
-        token = snapshot.first_token() if self._tracing else 0
+        token = snapshot.runs.first_token() if self._tracing else 0
         span = (
             self.tracer.begin_stage(
                 self.name, "emitter", token, rows=snapshot.count
@@ -307,13 +312,14 @@ class Emitter:
             self.tracer.close_root(token, emitter=self.name)
         if snapshot.count and self._measure_latency:
             # insert→emit latency: monotonic now minus each tuple's
-            # (propagated) monotonic origin stamp — immune to wall jumps
-            self._m_latency.observe_many(
-                time.monotonic() - snapshot.monos
-            )
+            # (propagated) monotonic origin stamp — immune to wall jumps;
+            # one weighted observation per run of equal stamps
+            now = time.monotonic()
+            observe = self._m_latency.observe
+            for stamp, rows in snapshot.runs.counted():
+                observe(now - stamp, rows)
         self.activations += 1
-        self.total_delivered += delivered
-        self._m_delivered.inc(delivered)
+        self._delivered.value += delivered
         return ActivationResult(
             fired=True,
             tuples_in=snapshot.count,

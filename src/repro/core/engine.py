@@ -305,10 +305,7 @@ class DataCell:
     ) -> Basket:
         """Create a stream basket and register it in the catalog."""
         self._reject_system_name(name)
-        basket = Basket(
-            name, columns, self.clock,
-            metrics=self.metrics, tracer=self.spans,
-        )
+        basket = Basket(name, columns, self.clock, metrics=self.metrics)
         if self.durability is not None:
             basket.wal_sink = self.durability
         self.catalog.register(basket)
@@ -335,10 +332,7 @@ class DataCell:
         """
         if self.catalog.has(name):
             raise DataCellError(f"system stream {name!r} already exists")
-        basket = Basket(
-            name, columns, self.clock,
-            metrics=self.metrics, tracer=self.spans,
-        )
+        basket = Basket(name, columns, self.clock, metrics=self.metrics)
         basket.is_system = True
         basket.retention = retention
         self.catalog.register(basket)
@@ -940,15 +934,10 @@ class DataCell:
         m = self.metrics
         transitions = {}
         for t in self.scheduler.transitions():
+            firings, idle_polls = self.scheduler.counts(t.name)
             transitions[t.name] = {
-                "firings": int(
-                    m.value("datacell_transition_firings_total", (t.name,))
-                    or 0
-                ),
-                "idle_polls": int(
-                    m.value("datacell_transition_idle_polls_total", (t.name,))
-                    or 0
-                ),
+                "firings": firings,
+                "idle_polls": idle_polls,
                 "activation_seconds": m.histogram_snapshot(
                     "datacell_transition_activation_seconds", (t.name,)
                 ) or {},

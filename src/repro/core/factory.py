@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import DataCellError
 from ..kernel.mal import ResultSet
-from ..obs.metrics import SMALL_BATCH, MetricsRegistry, default_registry
+from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.spans import SpanRecorder
 from .basket import Basket, BasketSnapshot
 
@@ -44,24 +44,6 @@ __all__ = [
     "Factory",
     "ActivationResult",
 ]
-
-
-# Per-firing accounting over a trickle of tuples stays in python up to
-# SMALL_BATCH values, where a loop beats the fixed cost of numpy calls
-# (the same min; a sum that may differ from numpy's in rounding).
-def _smallest(values: np.ndarray) -> float:
-    if len(values) <= SMALL_BATCH:
-        return min(values.tolist())
-    return float(values.min())
-
-
-def _total_wait(now: float, stamps: np.ndarray) -> float:
-    """Sum of ``now - stamp`` over arrival stamps, clamped at zero."""
-    if len(stamps) <= SMALL_BATCH:
-        return sum([now - s if s < now else 0.0 for s in stamps.tolist()])
-    waits = now - stamps
-    np.maximum(waits, 0.0, out=waits)
-    return float(waits.sum())
 
 
 class ConsumeMode(enum.Enum):
@@ -229,8 +211,8 @@ class Factory:
         self.outputs: List[Basket] = list(outputs)
         self.priority = priority
         self.activations = 0
-        self.total_in = 0
-        self.total_out = 0
+        self._tuples_in = Tally()
+        self._tuples_out = Tally()
         self.total_elapsed = 0.0
         self.metrics = metrics if metrics is not None else default_registry()
         self.tracer = tracer
@@ -243,16 +225,16 @@ class Factory:
         # durability is on.  Each productive activation is logged as a
         # firing boundary so recovery replays the same schedule.
         self.wal_sink = None
-        self._m_in = self.metrics.counter(
+        self.metrics.counter(
             "datacell_factory_tuples_in_total",
             "Tuples read from input baskets",
             ("factory",),
-        ).labels(name)
-        self._m_out = self.metrics.counter(
+        ).read_from(self._tuples_in, name)
+        self.metrics.counter(
             "datacell_factory_tuples_out_total",
             "Tuples emitted to output baskets",
             ("factory",),
-        ).labels(name)
+        ).read_from(self._tuples_out, name)
         self._m_plan = self.metrics.histogram(
             "datacell_factory_plan_seconds",
             "Time spent evaluating the continuous plan per activation",
@@ -277,6 +259,16 @@ class Factory:
         # is called, a thread is created ... the next time it is called it
         # continues from the point where it stopped").
         self._coroutine: Optional[Iterator[ActivationResult]] = None
+
+    @property
+    def total_in(self) -> int:
+        """Tuples read from the input baskets, over every activation."""
+        return self._tuples_in.value
+
+    @property
+    def total_out(self) -> int:
+        """Tuples appended to the output baskets, over every activation."""
+        return self._tuples_out.value
 
     # ------------------------------------------------------------------
     def enabled(self) -> bool:
@@ -320,8 +312,8 @@ class Factory:
             self._coroutine = self._loop()
         result = next(self._coroutine)
         self.activations += 1
-        self.total_in += result.tuples_in
-        self.total_out += result.tuples_out
+        self._tuples_in.value += result.tuples_in
+        self._tuples_out.value += result.tuples_out
         self.total_elapsed += result.elapsed
         return result
 
@@ -423,12 +415,11 @@ class Factory:
                         newest = int(seqs[-1])  # seqs ascend
                         if newest > prev_seen:
                             binding.last_seen_seq = newest
-                        if basket._stamping:
-                            oldest = _smallest(snap.monos)
-                            if origin_mono is None or oldest < origin_mono:
-                                origin_mono = oldest
+                        oldest = snap.runs.oldest()
+                        if origin_mono is None or oldest < origin_mono:
+                            origin_mono = oldest
                         if self._tracing and not origin_token:
-                            origin_token = snap.first_token()
+                            origin_token = snap.runs.first_token()
                         if account is not None:
                             # queue-wait/flow charge each tuple once: on
                             # first observation by this query.  Seqs
@@ -444,11 +435,8 @@ class Factory:
                             if n_fresh:
                                 rows_fresh += n_fresh
                                 bytes_in += n_fresh * basket.row_nbytes()
-                                if basket._stamping:
-                                    queue_wait += _total_wait(
-                                        now_mono, snap.monos[first:]
-                                    )
-                                    waited += n_fresh
+                                queue_wait += snap.runs.wait(now_mono, first)
+                                waited += n_fresh
                     snapshots[basket.name.lower()] = snap
                 tuples_in = sum(s.count for s in snapshots.values())
                 fspan = (
@@ -491,8 +479,6 @@ class Factory:
                 for basket in reversed(ordered):
                     basket.lock.release()
             elapsed = time.perf_counter() - started
-            self._m_in.inc(tuples_in)
-            self._m_out.inc(tuples_out)
             self._m_plan.observe(plan_seconds)
             self._m_io.observe(elapsed - plan_seconds)
             if account is not None:

@@ -16,12 +16,12 @@ Two driving modes:
   independent thread and data streams through the threads connected by
   baskets, exactly the paper's multi-threaded architecture.
 
-Observability: every firing bumps a per-transition counter and an
-activation wall-time histogram, every failed enablement check bumps an
-idle-poll counter, and each firing is appended to a bounded
-:class:`~repro.obs.tracing.TraceLog` for post-mortems.  ``total_firings``
-is backed by a thread-safe counter (N transition threads increment it
-concurrently in threaded mode).
+Observability: every firing bumps a per-transition firing tally and
+observes an activation wall-time histogram, every failed enablement check
+bumps an idle-poll tally, and each firing is appended to a bounded
+:class:`~repro.obs.tracing.TraceLog` for post-mortems.  A transition's
+tallies are written only by the thread driving it; the metrics registry
+reads them when it exposes the series, and ``total_firings`` sums them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -39,7 +40,7 @@ from typing import (
 )
 
 from ..errors import SchedulerError
-from ..obs.metrics import Counter, MetricsRegistry, default_registry
+from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.tracing import TraceLog
 from .factory import ActivationResult
 
@@ -157,10 +158,7 @@ class Scheduler:
         # brackets each bound transition's activation with thread-CPU
         # measurement and publishes the firing's account thread-locally
         self.accountant = None
-        # total_firings survives metrics-disabled mode: it is a standalone
-        # thread-safe counter, not a registry instrument.
-        self._firings = Counter()
-        self.total_iterations = 0  # synchronous mode only; step() is serial
+        self._iterations = Tally()  # synchronous mode only; step() is serial
         self._m_firings = self.metrics.counter(
             "datacell_transition_firings_total",
             "Transition activations, per transition",
@@ -176,17 +174,34 @@ class Scheduler:
             "Wall time of one transition activation",
             ("transition",),
         )
+        # exposed from the first step() on: simulated and threaded
+        # driving never step
         self._m_iterations = self.metrics.counter(
             "datacell_scheduler_iterations_total",
             "Synchronous scheduler iterations",
         )
-        # per-transition instrument cache: resolved once per registration
-        self._instruments: Dict[str, Tuple] = {}
+        # per transition name: (firings tally, idle-poll tally, activation
+        # histogram), opened once per registration and kept after
+        # unregister, so a thread still finishing a firing counts it and
+        # the tallies keep counting with the registry disabled
+        self._instruments: Dict[str, Tuple[Tally, Tally, Any]] = {}
+        self._all_firings: List[Tally] = []  # every registration's
 
     @property
     def total_firings(self) -> int:
-        """Lifetime transition firings (thread-safe, both driving modes)."""
-        return int(self._firings.value)
+        """Lifetime transition firings (both driving modes)."""
+        return int(sum(t.value for t in self._all_firings))
+
+    @property
+    def total_iterations(self) -> int:
+        """Synchronous :meth:`step` iterations so far."""
+        return self._iterations.value
+
+    def counts(self, name: str) -> Tuple[int, int]:
+        """``(firings, idle polls)`` of the transition registered as
+        ``name``, read from its tallies."""
+        firings, idle, _ = self._instruments[name]
+        return int(firings.value), int(idle.value)
 
     # ------------------------------------------------------------------
     # registration
@@ -198,10 +213,12 @@ class Scheduler:
                     f"transition {transition.name!r} already registered"
                 )
             self._transitions[transition.name] = transition
+            firings, idle = Tally(), Tally()
+            self._m_firings.read_from(firings, transition.name)
+            self._m_idle.read_from(idle, transition.name)
+            self._all_firings.append(firings)
             self._instruments[transition.name] = (
-                self._m_firings.labels(transition.name),
-                self._m_idle.labels(transition.name),
-                self._m_activation.labels(transition.name),
+                firings, idle, self._m_activation.labels(transition.name),
             )
             self.trace.record("register", transition.name)
             if self._running.is_set():
@@ -211,7 +228,6 @@ class Scheduler:
         with self._lock:
             if self._transitions.pop(name, None) is not None:
                 self.trace.record("unregister", name)
-            self._instruments.pop(name, None)
 
     def transitions(self) -> List[SchedulableTransition]:
         with self._lock:
@@ -227,18 +243,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     # firing (shared by both driving modes)
     # ------------------------------------------------------------------
-    def _instruments_for(self, name: str) -> Tuple:
-        inst = self._instruments.get(name)
-        if inst is None:  # raced with unregister; resolve ad hoc
-            inst = (
-                self._m_firings.labels(name),
-                self._m_idle.labels(name),
-                self._m_activation.labels(name),
-            )
-        return inst
-
     def _fire(self, transition: SchedulableTransition) -> ActivationResult:
-        firings, _, activation_hist = self._instruments_for(transition.name)
+        firings, _, activation_hist = self._instruments[transition.name]
         token = (
             self.accountant.begin_firing(transition.name)
             if self.accountant is not None
@@ -263,8 +269,7 @@ class Scheduler:
             if token is not None:
                 self.accountant.end_firing(token)
         elapsed = time.perf_counter() - started
-        self._firings.inc()
-        firings.inc()
+        firings.value += 1
         activation_hist.observe(elapsed)
         self.trace.record(
             "fire",
@@ -289,8 +294,9 @@ class Scheduler:
         """
         if self._running.is_set():
             raise SchedulerError("cannot step() while threads are running")
-        self.total_iterations += 1
-        self._m_iterations.inc()
+        if not self._iterations.value:
+            self._m_iterations.read_from(self._iterations)
+        self._iterations.value += 1
         ordered = self.policy.sweep_order(self.transitions())
         fired = 0
         for transition in ordered:
@@ -298,7 +304,7 @@ class Scheduler:
                 self._fire(transition)
                 fired += 1
             else:
-                self._instruments_for(transition.name)[1].inc()
+                self._instruments[transition.name][1].value += 1
         return fired
 
     def run_until_quiescent(self, max_steps: int = 100_000) -> int:
@@ -347,7 +353,7 @@ class Scheduler:
         thread.start()
 
     def _drive(self, transition: SchedulableTransition) -> None:
-        idle_counter = self._instruments_for(transition.name)[1]
+        idle = self._instruments[transition.name][1]
         while self._running.is_set():
             with self._lock:
                 alive = self._transitions.get(transition.name) is transition
@@ -356,7 +362,7 @@ class Scheduler:
             if transition.enabled():
                 self._fire(transition)
             else:
-                idle_counter.inc()
+                idle.value += 1
                 time.sleep(self.poll_interval)
 
     def stop(self, timeout: float = 5.0) -> List[str]:

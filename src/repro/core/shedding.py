@@ -68,9 +68,7 @@ def apply_shedding_policy(
             rng = rng or random.Random(0)
             kept = sorted(rng.sample(range(count), capacity))
             keep = np.asarray(kept, dtype=np.int64)
-        basket._rebuild_keeping(keep)
-        basket.total_shed += overflow
-        basket._m_shed.inc(overflow)
+        basket._shed_keeping(keep, capacity)
         basket._record_depth()
         return overflow
 

@@ -181,11 +181,7 @@ class ReplicatorTransition:
         )
         # propagate the earliest monotonic origin stamp so end-to-end
         # latency survives the replication hop
-        mono = (
-            float(snap.monos.min())
-            if snap.count and self.source._stamping
-            else None
-        )
+        mono = snap.runs.oldest() if snap.count else None
         for basket in self.targets:
             basket.append_result(result, mono=mono)
         self.activations += 1

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import MalError, TypeMismatchError
-from ..obs.metrics import MetricsRegistry, default_registry
+from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.spans import SpanRecorder
 from . import aggregate as _aggregate
 from . import calc as _calc
@@ -239,8 +239,10 @@ class MalInterpreter:
             else None
         )
         self._profile_lock = threading.Lock()
-        # [calls, wall seconds, thread-CPU seconds]
-        self._opcode_stats: Dict[str, List[float]] = {}
+        # per opcode: [calls, wall seconds, thread-CPU seconds] tallies,
+        # which the registry reads; the CPU tally (and its series) is
+        # opened when CPU is first measured for the opcode
+        self._opcode_stats: Dict[str, List[Optional[Tally]]] = {}
         self._m_calls = self.metrics.counter(
             "datacell_mal_opcode_invocations_total",
             "MAL primitive invocations, per opcode",
@@ -256,8 +258,6 @@ class MalInterpreter:
             "Cumulative thread CPU inside each MAL primitive",
             ("opcode",),
         )
-        # per-opcode [calls, seconds, cpu] counter children, resolved once
-        self._counters: Dict[str, List[Any]] = {}
 
     def execute(
         self,
@@ -330,22 +330,28 @@ class MalInterpreter:
         node_secs: List[float],
         account: Optional[Any],
     ) -> None:
-        """Fold one execution's slots into the opcode profile and the
-        program's per-node EXPLAIN ANALYZE stats under one lock (the
-        program is the natural per-query aggregation point: cumulative
-        node stats *are* the query's EXPLAIN ANALYZE state), then into the
-        opcode counters and the firing's resource account."""
+        """Fold one execution's slots into the opcode profile (whose
+        tallies the registry's opcode series read) and the program's
+        per-node EXPLAIN ANALYZE stats under one lock (the program is the
+        natural per-query aggregation point: cumulative node stats *are*
+        the query's EXPLAIN ANALYZE state), then into the firing's
+        resource account."""
         cpus = key_cpu if key_cpu is not None else [0.0] * len(key_secs)
         with self._profile_lock:
             stats = self._opcode_stats
             for (key, calls), seconds, cpu in zip(bound.keys, key_secs, cpus):
                 slot = stats.get(key)
                 if slot is None:
-                    stats[key] = [calls, seconds, cpu]
-                else:
-                    slot[0] += calls
-                    slot[1] += seconds
-                    slot[2] += cpu
+                    slot = stats[key] = [Tally(), Tally(), None]
+                    self._m_calls.read_from(slot[0], key)
+                    self._m_seconds.read_from(slot[1], key)
+                slot[0].value += calls
+                slot[1].value += seconds
+                if cpu:
+                    if slot[2] is None:
+                        slot[2] = Tally()
+                        self._m_cpu_seconds.read_from(slot[2], key)
+                    slot[2].value += cpu
             node_stats = program.node_stats
             for (node_id, calls, results), seconds in zip(
                 bound.nodes, node_secs
@@ -358,21 +364,6 @@ class MalInterpreter:
                     slot[0] += calls
                     slot[1] += seconds
                     slot[2] += rows
-        counters = self._counters
-        for (key, calls), seconds, cpu in zip(bound.keys, key_secs, cpus):
-            children = counters.get(key)
-            if children is None:
-                children = counters[key] = [
-                    self._m_calls.labels(key),
-                    self._m_seconds.labels(key),
-                    None,  # the CPU series exists once CPU is measured
-                ]
-            children[0].inc(calls)
-            children[1].inc(seconds)
-            if cpu:
-                if children[2] is None:
-                    children[2] = self._m_cpu_seconds.labels(key)
-                children[2].inc(cpu)
         if key_cpu is not None:
             cpu_by_op = {
                 key: cpu for (key, _), cpu in zip(bound.keys, key_cpu) if cpu
@@ -393,9 +384,9 @@ class MalInterpreter:
         with self._profile_lock:
             return {
                 key: {
-                    "calls": int(calls),
-                    "seconds": seconds,
-                    "cpu_seconds": cpu,
+                    "calls": int(calls.value),
+                    "seconds": seconds.value,
+                    "cpu_seconds": cpu.value if cpu is not None else 0.0,
                 }
                 for key, (calls, seconds, cpu) in sorted(
                     self._opcode_stats.items()

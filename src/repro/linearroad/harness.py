@@ -122,6 +122,10 @@ class LinearRoadHarness:
         self.balance_plan = AccountBalancePlan(self.toll_state)
 
         scheduler = cell.scheduler
+        # the cell's own registry and span recorder, so the network's
+        # series show in cell.prometheus_text() and two harnesses in one
+        # process never share them
+        telemetry = {"metrics": cell.metrics, "tracer": cell.spans}
         scheduler.register(
             Factory(
                 "lr_stats_f",
@@ -129,6 +133,7 @@ class LinearRoadHarness:
                 [InputBinding(self.positions, ConsumeMode.SHARED)],
                 [self.stats_basket],
                 priority=3,
+                **telemetry,
             )
         )
         scheduler.register(
@@ -138,6 +143,7 @@ class LinearRoadHarness:
                 [InputBinding(self.positions, ConsumeMode.SHARED)],
                 [self.accidents_basket],
                 priority=2,
+                **telemetry,
             )
         )
         scheduler.register(
@@ -155,6 +161,7 @@ class LinearRoadHarness:
                 ],
                 [self.tolls_basket, self.alerts_basket],
                 priority=1,
+                **telemetry,
             )
         )
         scheduler.register(
@@ -164,6 +171,7 @@ class LinearRoadHarness:
                 [InputBinding(self.balance_req, ConsumeMode.ALL)],
                 [self.balance_out],
                 priority=0,
+                **telemetry,
             )
         )
         self.toll_client = CollectingClient()
@@ -174,7 +182,7 @@ class LinearRoadHarness:
             ("lr_alert_e", self.alerts_basket, self.alert_client),
             ("lr_balance_e", self.balance_out, self.balance_client),
         ):
-            emitter = Emitter(name, basket)
+            emitter = Emitter(name, basket, **telemetry)
             emitter.subscribe(client)
             scheduler.register(emitter)
 

@@ -40,6 +40,7 @@ from .metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
     NULL_INSTRUMENT,
+    Tally,
     default_registry,
     set_default_registry,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "NULL_INSTRUMENT",
+    "Tally",
     "default_registry",
     "set_default_registry",
     "TraceEvent",

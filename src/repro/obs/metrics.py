@@ -5,10 +5,11 @@ Design constraints, in order:
 1. **Hot-path cheapness** — instruments are resolved once (at component
    construction; a label-less family caches its one child) and each
    observation is a single short critical section, entered with a bare
-   ``acquire``/``release`` rather than a ``with`` block; bulk
-   observations (:meth:`Histogram.observe_many`) amortize the lock over a
-   batch, in pure python for the handful of values one small firing
-   delivers and in numpy beyond that.
+   ``acquire``/``release`` rather than a ``with`` block; a weighted
+   :meth:`Histogram.observe` records ``count`` equal values at once.
+   Totals an engine component keeps anyway are not pushed at all: the
+   component counts into a single-writer :class:`Tally` and the registry
+   reads it when the series is exposed (:meth:`_Family.read_from`).
 2. **Thread safety** — every instrument may be hammered from the paper's
    one-thread-per-transition architecture; totals must be exact.
 3. **Zero-cost no-op mode** — a registry built with ``enabled=False``
@@ -27,8 +28,6 @@ import warnings
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..errors import ObservabilityError
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "NULL_INSTRUMENT",
+    "Tally",
     "default_registry",
     "set_default_registry",
 ]
@@ -53,11 +53,6 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
-
-#: Up to this many values a python loop beats the fixed cost of numpy
-#: calls: ``observe_many`` bins such batches in pure python (so does the
-#: factory's per-firing accounting)
-SMALL_BATCH = 16
 
 LabelValues = Tuple[str, ...]
 
@@ -82,10 +77,10 @@ class _NullInstrument:
     def set_max(self, value: float) -> None:
         pass
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
-    def observe_many(self, values: Any) -> None:
+    def read_from(self, tally: "Tally", *values: Any) -> None:
         pass
 
     @property
@@ -169,6 +164,48 @@ class Gauge:
         return {"value": self._value}
 
 
+class Tally:
+    """A running total one owner keeps and the registry reads.
+
+    An engine component counts into its tallies with plain ``+=`` (each
+    tally has one writer: the component's own firing thread, or its
+    basket lock's holder) and binds them to a series once
+    (:meth:`_Family.read_from`); nothing is pushed per observation.
+    The series holds only the tally, so a dropped component is freed
+    while its series keeps the last value.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float = 0) -> None:
+        self.value = value
+
+
+class _Reading:
+    """A counter or gauge series whose value is read from tallies.
+
+    A counter sums every tally bound under its labels, so an owner
+    re-created under the same name continues the series; a gauge reads
+    the newest one.
+    """
+
+    __slots__ = ("_summed", "tallies")
+
+    def __init__(self, summed: bool) -> None:
+        self._summed = summed
+        self.tallies: Tuple[Tally, ...] = ()
+
+    @property
+    def value(self) -> float:
+        tallies = self.tallies
+        if self._summed:
+            return float(sum(t.value for t in tallies))
+        return float(tallies[-1].value) if tallies else 0.0
+
+    def snapshot(self) -> Dict[str, float]:
+        return {"value": self.value}
+
+
 class Histogram:
     """A fixed-bucket histogram with percentile estimation.
 
@@ -179,8 +216,7 @@ class Histogram:
     """
 
     __slots__ = (
-        "_lock", "_bounds", "_bounds_arr", "_counts",
-        "_count", "_sum", "_min", "_max",
+        "_lock", "_bounds", "_counts", "_count", "_sum", "_min", "_max",
     )
 
     def __init__(self, buckets: Optional[Sequence[float]] = None):
@@ -189,82 +225,33 @@ class Histogram:
             raise ObservabilityError("a histogram needs at least one bucket")
         self._lock = threading.Lock()
         self._bounds = bounds
-        self._bounds_arr = np.asarray(bounds, dtype=np.float64)
         self._counts = [0] * (len(bounds) + 1)  # last = +Inf
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
         self._max = float("-inf")
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (one lock).
+
+        Leaves the same buckets, count, min and max as ``count`` calls
+        with one observation each; the sum grows by ``value * count``
+        (within rounding of ``count`` separate additions).
+        """
+        if count < 1:
+            return
         value = float(value)
         idx = bisect_left(self._bounds, value)
         lock = self._lock
         lock.acquire()
         try:
-            self._counts[idx] += 1
-            self._count += 1
-            self._sum += value
+            self._counts[idx] += count
+            self._count += count
+            self._sum += value * count
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
-        finally:
-            lock.release()
-
-    def observe_many(self, values: Any) -> None:
-        """Bulk observation: one lock acquisition for a whole batch.
-
-        Up to :data:`SMALL_BATCH` values take a pure-python path — a
-        numpy call's fixed cost dwarfs binning a handful of values — that
-        leaves exactly what per-value :meth:`observe` calls would: same
-        buckets, count, min, max, and a sum accumulated value by value.
-        """
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        n = arr.size
-        if n == 0:
-            return
-        if n <= SMALL_BATCH:
-            self._observe_small(arr.tolist())
-            return
-        idx = np.searchsorted(self._bounds_arr, arr, side="left")
-        binned = np.bincount(idx, minlength=len(self._counts))
-        lo = float(arr.min())
-        hi = float(arr.max())
-        total = float(arr.sum())
-        lock = self._lock
-        lock.acquire()
-        try:
-            counts = self._counts
-            for i, k in enumerate(binned.tolist()):
-                if k:
-                    counts[i] += k
-            self._count += n
-            self._sum += total
-            if lo < self._min:
-                self._min = lo
-            if hi > self._max:
-                self._max = hi
-        finally:
-            lock.release()
-
-    def _observe_small(self, floats: List[float]) -> None:
-        """:meth:`observe` for each value, under one lock acquisition."""
-        bounds = self._bounds
-        lock = self._lock
-        lock.acquire()
-        try:
-            counts = self._counts
-            total, lo, hi = self._sum, self._min, self._max
-            for value in floats:
-                counts[bisect_left(bounds, value)] += 1
-                total += value
-                if value < lo:
-                    lo = value
-                if value > hi:
-                    hi = value
-            self._count += len(floats)
-            self._sum, self._min, self._max = total, lo, hi
         finally:
             lock.release()
 
@@ -392,6 +379,35 @@ class _Family:
         return _KINDS[self.kind]()
 
     def labels(self, *values: Any) -> Any:
+        return self._child(values, self._make)
+
+    def read_from(self, tally: Tally, *values: Any) -> None:
+        """Serve the series at ``values`` from ``tally`` at exposition.
+
+        Counter and gauge families only.  The series keeps a reference
+        to the tally alone, never to its owner.
+        """
+        if self.kind == "histogram":
+            raise ObservabilityError(
+                f"histogram {self.name!r} cannot be read from a tally"
+            )
+        child = self._child(
+            values, lambda: _Reading(summed=self.kind == "counter")
+        )
+        if child is NULL_INSTRUMENT:
+            return
+        if not isinstance(child, _Reading):
+            raise ObservabilityError(
+                f"metric {self.name!r}{values} is updated directly, it "
+                "cannot also be read from a tally"
+            )
+        with self._lock:
+            if child._summed:
+                child.tallies = child.tallies + (tally,)
+            else:
+                child.tallies = (tally,)
+
+    def _child(self, values: Sequence[Any], make: Any) -> Any:
         key = tuple(str(v) for v in values)
         if len(key) != len(self.label_names):
             raise ObservabilityError(
@@ -416,10 +432,10 @@ class _Family:
                                 f"cap ({self._max_label_sets}) reached; "
                                 "dropping new label sets",
                                 RuntimeWarning,
-                                stacklevel=2,
+                                stacklevel=3,
                             )
                         return NULL_INSTRUMENT
-                    child = self._make()
+                    child = make()
                     self._children[key] = child
         return child
 
@@ -446,11 +462,8 @@ class _Family:
     def set_max(self, value: float) -> None:
         self._only().set_max(value)
 
-    def observe(self, value: float) -> None:
-        self._only().observe(value)
-
-    def observe_many(self, values: Any) -> None:
-        self._only().observe_many(values)
+    def observe(self, value: float, count: int = 1) -> None:
+        self._only().observe(value, count)
 
     @property
     def value(self) -> float:

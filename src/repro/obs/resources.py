@@ -14,11 +14,11 @@ what*.  This module closes that gap with one passive accounting seam:
   boundary (``plan.run`` alone), and the MAL interpreter's per-opcode
   fold.  ``opcode <= plan <= firing`` by construction, and the
   per-bucket breakdown is *exhaustive*: firing CPU the interpreter did
-  not claim as a real opcode is folded into synthetic
-  ``engine.factory`` / ``engine.emitter`` buckets, so the accuracy
-  contract (pinned by ``tests/test_obs_resources.py``) — the breakdown
-  sums to >= 90% of the scheduler-measured thread CPU — holds even on
-  plans whose snapshot/emit I/O dwarfs the columnar kernels.
+  not claim as a real opcode is reported, when the breakdown is read,
+  in synthetic ``engine.factory`` / ``engine.emitter`` buckets, so the
+  accuracy contract (pinned by ``tests/test_obs_resources.py``) — the
+  breakdown sums to >= 90% of the scheduler-measured thread CPU — holds
+  even on plans whose snapshot/emit I/O dwarfs the columnar kernels.
 * **Memory** — an ``nbytes()`` contract on BAT columns, baskets, and
   continuous plans, rolled up per query (output basket + plan state +
   an equal share of each input basket split across its reading
@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..errors import ObservabilityError
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, Tally
 
 __all__ = [
     "QueryResourceAccount",
@@ -125,7 +125,9 @@ class QueryResourceAccount:
     (the telemetry sampler keeps previous-sample values).  Mutated from
     the firing thread, read from anywhere — individual fields are
     consistent under the GIL, the set of fields is not an atomic cut
-    (same contract as :meth:`DataCell.stats`).
+    (same contract as :meth:`DataCell.stats`).  The totals the registry
+    exports (firing CPU and the four flow counters) live in tallies it
+    reads when it exposes them.
     """
 
     def __init__(self, name: str, tenant: str = "default"):
@@ -136,11 +138,15 @@ class QueryResourceAccount:
         self.emitter: Any = None
         self.output_basket: Any = None
         self.input_baskets: List[Any] = []
-        # CPU, outermost to innermost boundary
-        self.cpu_seconds = 0.0  # scheduler firing boundary (factory+emitter)
-        self.plan_cpu_seconds = 0.0  # inside plan.run alone
-        self.opcode_cpu_seconds = 0.0  # folded per MAL opcode
-        self.opcode_cpu: Dict[str, float] = {}
+        # CPU, outermost to innermost boundary: the scheduler's firing
+        # boundary, one tally per transition (in threaded mode each is
+        # written by its own thread), plan.run alone, and the per-MAL-
+        # opcode fold
+        self._factory_cpu = Tally(0.0)
+        self._emitter_cpu = Tally(0.0)
+        self.plan_cpu_seconds = 0.0
+        self.opcode_cpu_seconds = 0.0
+        self._opcode_cpu: Dict[str, float] = {}
         # a thread-CPU reading the factory took at its plan boundary,
         # handed once to the MAL interpreter as the start of its opcode
         # chain (one clock read for both); None outside that window
@@ -151,10 +157,52 @@ class QueryResourceAccount:
         # flow
         self.firings = 0  # scheduler firings (factory + emitter)
         self.activations = 0  # factory activations alone
-        self.rows_in = 0
-        self.rows_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
+        self._rows_in = Tally()
+        self._rows_out = Tally()
+        self._bytes_in = Tally()
+        self._bytes_out = Tally()
+
+    @property
+    def cpu_seconds(self) -> float:
+        """Thread CPU at the scheduler's firing boundary (factory and
+        emitter firings)."""
+        return self._factory_cpu.value + self._emitter_cpu.value
+
+    @property
+    def rows_in(self) -> int:
+        return self._rows_in.value
+
+    @property
+    def rows_out(self) -> int:
+        return self._rows_out.value
+
+    @property
+    def bytes_in(self) -> int:
+        return self._bytes_in.value
+
+    @property
+    def bytes_out(self) -> int:
+        return self._bytes_out.value
+
+    @property
+    def opcode_cpu(self) -> Dict[str, float]:
+        """Firing CPU broken down per MAL opcode, made exhaustive by two
+        synthetic buckets computed here: ``engine.factory`` is the
+        factory firings' CPU the interpreter did not claim as a real
+        opcode (basket snapshots, consumption, interpreter bookkeeping),
+        and ``engine.emitter`` the emitter firings' CPU (delivery) —
+        so the buckets sum to the scheduler-measured total, the >=90%
+        attribution contract pinned by ``tests/test_obs_resources.py``.
+        """
+        breakdown = dict(self._opcode_cpu)
+        for stage, residual in (
+            ("engine.factory",
+             self._factory_cpu.value - self.opcode_cpu_seconds),
+            ("engine.emitter", self._emitter_cpu.value),
+        ):
+            if residual > 0:
+                breakdown[stage] = residual
+        return breakdown
 
     def memory_bytes(self, input_shares: Dict[str, int]) -> int:
         """Current state footprint: output basket + plan state + the
@@ -360,11 +408,15 @@ class ResourceAccountant:
         account.input_baskets = [
             b.basket for b in handle.factory.inputs
         ]
-        account._m_cpu = self._m_cpu.labels(handle.name)
-        account._m_rows_in = self._m_rows_in.labels(handle.name)
-        account._m_rows_out = self._m_rows_out.labels(handle.name)
-        account._m_bytes_in = self._m_bytes_in.labels(handle.name)
-        account._m_bytes_out = self._m_bytes_out.labels(handle.name)
+        for family, tally in (
+            (self._m_cpu, account._factory_cpu),
+            (self._m_cpu, account._emitter_cpu),
+            (self._m_rows_in, account._rows_in),
+            (self._m_rows_out, account._rows_out),
+            (self._m_bytes_in, account._bytes_in),
+            (self._m_bytes_out, account._bytes_out),
+        ):
+            family.read_from(tally, handle.name)
         account._m_wait = self._m_wait.labels(handle.name)
         with self._lock:
             self._accounts[handle.name] = account
@@ -409,41 +461,18 @@ class ResourceAccountant:
         if account is None:
             return None
         self._tls.account = account
-        return (
-            account,
-            transition_name,
-            time.thread_time(),
-            account.opcode_cpu_seconds,
-        )
+        factory = account.factory
+        is_factory = factory is not None and transition_name == factory.name
+        return account, is_factory, time.thread_time()
 
     def end_firing(self, token) -> None:
-        """Close the firing boundary opened by :meth:`begin_firing`.
-
-        The breakdown in ``account.opcode_cpu`` is kept *exhaustive*:
-        whatever part of the firing's CPU the MAL interpreter did not
-        claim as a real opcode (basket snapshots, consumption, emitter
-        row conversion, interpreter bookkeeping) is folded into a
-        synthetic ``engine.factory`` / ``engine.emitter`` bucket, so the
-        per-bucket sum recovers the scheduler-measured total — the >=90%
-        attribution contract pinned by ``tests/test_obs_resources.py``.
-        """
-        account, transition_name, cpu_start, opcodes_before = token
-        delta = time.thread_time() - cpu_start
-        account.cpu_seconds += delta
+        """Close the firing boundary opened by :meth:`begin_firing`:
+        charge the firing's thread CPU to the account's factory or
+        emitter tally (see ``QueryResourceAccount.opcode_cpu``)."""
+        account, is_factory, cpu_start = token
+        cpu = account._factory_cpu if is_factory else account._emitter_cpu
+        cpu.value += time.thread_time() - cpu_start
         account.firings += 1
-        attributed = account.opcode_cpu_seconds - opcodes_before
-        residual = delta - attributed
-        if residual > 0:
-            factory = account.factory
-            stage = (
-                "engine.factory"
-                if factory is not None and transition_name == factory.name
-                else "engine.emitter"
-            )
-            with self._lock:
-                cpu = account.opcode_cpu
-                cpu[stage] = cpu.get(stage, 0.0) + residual
-        account._m_cpu.inc(delta)
         self._tls.account = None
 
     def current(self) -> Optional[QueryResourceAccount]:
@@ -468,16 +497,10 @@ class ResourceAccountant:
         account.queue_wait_seconds += queue_wait
         account.queue_wait_tuples += waited_tuples
         account.activations += 1
-        account.rows_in += rows_in
-        account.rows_out += rows_out
-        account.bytes_in += bytes_in
-        account.bytes_out += bytes_out
-        if rows_in:
-            account._m_rows_in.inc(rows_in)
-            account._m_bytes_in.inc(bytes_in)
-        if rows_out:
-            account._m_rows_out.inc(rows_out)
-            account._m_bytes_out.inc(bytes_out)
+        account._rows_in.value += rows_in
+        account._rows_out.value += rows_out
+        account._bytes_in.value += bytes_in
+        account._bytes_out.value += bytes_out
         if waited_tuples:
             account._m_wait.observe(queue_wait / waited_tuples)
 
@@ -494,7 +517,7 @@ class ResourceAccountant:
         (called once per ``execute``, not per instruction)."""
         with self._lock:
             account.opcode_cpu_seconds += total
-            cpu = account.opcode_cpu
+            cpu = account._opcode_cpu
             for key, seconds in local.items():
                 cpu[key] = cpu.get(key, 0.0) + seconds
 

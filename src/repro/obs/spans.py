@@ -9,8 +9,8 @@ same trace, the MAL interpreter nests one span per executed opcode, and
 the emitter closes the root when the results leave the engine.
 
 Propagation piggybacks on the baskets, exactly like the hidden monotonic
-origin-stamp column that feeds the latency histograms: a sampled batch's
-tuples carry a *trace token* through every basket hop, so causality
+origin stamp that feeds the latency histograms: a sampled batch carries a
+*trace token* in its basket run through every basket hop, so causality
 survives factory chains without any side channel.  The token is the root
 span's id; ``0`` means "not sampled" and costs one integer comparison.
 

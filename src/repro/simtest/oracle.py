@@ -195,8 +195,7 @@ class DifferentialResult:
 
 
 def _quiet_metrics() -> MetricsRegistry:
-    # no-op instruments keep 200-episode CI runs fast and keep hidden
-    # wall-clock stamp columns out of the deterministic state
+    # no-op instruments keep 200-episode CI runs fast
     return MetricsRegistry(enabled=False)
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for baskets (the key DataCell structure)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.basket import Basket, TIME_COLUMN
 from repro.core.clock import LogicalClock
+from repro.core.shedding import apply_shedding_policy
 from repro.errors import BasketError
 from repro.kernel.bat import bat_from_values
 from repro.kernel.mal import ResultSet
@@ -288,23 +291,50 @@ class TestProperties:
 
 class BasketModel:
     """A list-of-rows reference for a basket: every row is
-    ``(seq, v, s, dc_time)``; consumption removes rows by identity (seq)."""
+    ``(seq, v, s, dc_time)``; consumption removes rows by identity (seq).
+    ``hidden`` maps each seq to the row's ``(arrival stamp, trace
+    token)``, the values the basket keeps per run."""
 
     def __init__(self):
         self.rows = []
+        self.hidden = {}
         self.next_seq = 0
         self.readers = {}
         self.capacity = None
         self.retention = None
 
-    def insert(self, values, stamp):
+    def insert(self, values, stamp, mono=None, token=0):
         for v in values:
             self.rows.append((self.next_seq, v, None if v % 4 == 0 else
                               f"s{v}", stamp))
+            self.hidden[self.next_seq] = (mono, token)
             self.next_seq += 1
         for bound in (self.capacity, self.retention):
             if bound is not None and len(self.rows) > bound:
                 self.rows = self.rows[len(self.rows) - bound:]
+
+    def restamp(self, seqs, mono, token=None):
+        """Set the arrival stamp (and token) of the rows ``seqs``."""
+        for seq in seqs:
+            old = self.hidden[seq][1]
+            self.hidden[seq] = (mono, old if token is None else token)
+
+    def shed(self, capacity, policy, rng):
+        """:func:`apply_shedding_policy` on the list of rows."""
+        overflow = len(self.rows) - capacity
+        if overflow <= 0:
+            return 0
+        if policy == "oldest":
+            self.rows = self.rows[overflow:]
+        elif policy == "newest":
+            self.rows = self.rows[:capacity]
+        else:
+            kept = sorted(rng.sample(range(len(self.rows)), capacity))
+            self.rows = [self.rows[i] for i in kept]
+        return overflow
+
+    def expected_hidden(self, rows):
+        return [self.hidden[r[0]] for r in rows]
 
     def remove(self, seqs):
         doomed = set(seqs)
@@ -335,14 +365,27 @@ class BasketModel:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
+def expand(runs):
+    """A snapshot's runs as one ``(stamp, token)`` per row; also checks
+    the run invariant (ends strictly ascend: no empty run is kept)."""
+    assert all(b > a for a, b in zip([0] + runs.ends, runs.ends)), runs.ends
+    assert len(runs.stamps) == len(runs.tokens) == len(runs.ends)
+    rows, last = [], 0
+    for end, stamp, token in zip(runs.ends, runs.stamps, runs.tokens):
+        rows += [(stamp, token)] * (end - last)
+        last = end
+    return rows
+
+
 #: one step of the reference-model walk: (operation, a, b, c)
 OPS = st.tuples(
     st.sampled_from((
-        "insert", "insert", "insert", "snapshot", "snapshot",
+        "insert", "insert", "append", "append", "snapshot", "snapshot",
         "snapshot_since", "snapshot_since", "consume_positions",
         "consume_positions", "consume_snapshot", "consume_snapshot",
         "consume_seqs", "consume_all", "register", "advance", "gc",
-        "unregister", "capacity", "retention",
+        "unregister", "capacity", "retention", "shed_oldest",
+        "shed_newest", "shed_sample", "import",
     )),
     st.integers(0, 12),
     st.integers(0, 2 ** 16),
@@ -351,13 +394,17 @@ OPS = st.tuples(
 
 
 class TestReferenceModel:
-    """Random walks over ingest, snapshots (whole and ``since_seq``),
-    consumption by position / sequence / in bulk, shared readers with
-    their GC, load shedding and retention trimming, checked against
-    :class:`BasketModel` after every step.  Snapshots are kept across
-    steps, so consuming one the basket has changed since — the
-    generation guard's stale path — is exercised as often as the
-    consume-by-position fast path."""
+    """Random walks over ingest, factory output (``append_result`` with
+    a given origin stamp and trace token), snapshots (whole and
+    ``since_seq``), consumption by position / sequence / in bulk, shared
+    readers with their GC, load shedding (the capacity watermark and
+    every :func:`apply_shedding_policy` policy, which keep rows by index
+    array), retention trimming and a checkpoint round trip, checked
+    against :class:`BasketModel` after every step — the hidden runs
+    included: every snapshot's runs must expand to the model's per-row
+    stamps and tokens.  Snapshots are kept across steps, so consuming one
+    the basket has changed since — the generation guard's stale path —
+    is exercised as often as the consume-by-position fast path."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(OPS, min_size=12, max_size=60))
@@ -367,6 +414,7 @@ class TestReferenceModel:
         model = BasketModel()
         held = []  # (snapshot, the model rows it was cut from)
         for step, (op, a, bits, c) in enumerate(ops):
+            token = 0 if bits % 3 == 0 else step + 1
             if op == "insert":
                 values = [(c + i) % 50 for i in range(a + 1)]
                 basket.insert_columns(
@@ -378,8 +426,28 @@ class TestReferenceModel:
                         ),
                     },
                     timestamp=float(step),
+                    trace_token=token,
                 )
-                model.insert(values, float(step))
+                model.insert(values, float(step), token=token)
+                # ingest stamps "now": learn it from the newest run (the
+                # batch's newest rows always survive shedding)
+                newest = basket.snapshot().runs.stamps[-1]
+                model.restamp(
+                    [r[0] for r in model.rows
+                     if model.hidden[r[0]][0] is None], newest)
+            elif op == "append":
+                values = [(c + i) % 50 for i in range(a + 1)]
+                basket.append_result(
+                    ResultSet(["v", "s"], [
+                        bat_from_values(AtomType.INT, values),
+                        bat_from_values(AtomType.STR, [
+                            None if v % 4 == 0 else f"s{v}" for v in values]),
+                    ]),
+                    timestamp=float(step),
+                    mono=100.0 - step,  # factory output can be older
+                    trace_token=token,
+                )
+                model.insert(values, float(step), 100.0 - step, token)
             elif op in ("snapshot", "snapshot_since"):
                 since = (
                     None if op == "snapshot"
@@ -392,6 +460,7 @@ class TestReferenceModel:
                     tuple(b.python_list()[i] for b in snap.bats)
                     for i in range(snap.count)
                 ] == [r[1:] for r in expected]
+                assert expand(snap.runs) == model.expected_hidden(expected)
                 held = (held + [snap])[-3:]
             elif op in ("consume_positions", "consume_snapshot") and held:
                 # mostly the newest snapshot (the factory's case: nothing
@@ -446,11 +515,31 @@ class TestReferenceModel:
             elif op == "retention":
                 model.retention = basket.retention = (
                     None if a % 3 == 0 else a + 4)
+            elif op.startswith("shed_"):
+                policy = op[len("shed_"):]
+                capacity = a % (len(model.rows) + 2)
+                assert apply_shedding_policy(
+                    basket, capacity, policy, random.Random(bits)
+                ) == model.shed(capacity, policy, random.Random(bits))
+            elif op == "import":
+                basket.import_state(basket.export_state())
+                runs = basket.snapshot().runs
+                assert len(runs.ends) == (1 if model.rows else 0)
+                if model.rows:
+                    model.restamp(
+                        [r[0] for r in model.rows], runs.stamps[0], 0)
             # the whole observable state, after every step
             assert basket.count == len(model.rows)
             assert basket.snapshot().seqs.tolist() == [
                 r[0] for r in model.rows]
             assert basket.rows() == [r[1:] for r in model.rows]
+            runs = basket.snapshot().runs
+            hidden = model.expected_hidden(model.rows)
+            assert expand(runs) == hidden
+            assert runs.first_token() == next(
+                (t for _, t in hidden if t), 0)
+            if hidden:
+                assert runs.oldest() == min(stamp for stamp, _ in hidden)
             assert basket.frontier_seq() == model.next_seq - 1
             for name, cursor in model.readers.items():
                 assert basket.unseen_count(name) == len(model.since(cursor))

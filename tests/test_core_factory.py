@@ -297,16 +297,28 @@ class TestCallablePlan:
 
 
 class TestSmallArrayAccounting:
-    """The factory's queue-wait and origin-stamp helpers take a python
-    path for a handful of values; it must agree with the numpy path."""
+    """The factory's queue-wait and origin stamp are computed in python
+    over a snapshot's runs; they must agree with the numpy formula over
+    the per-row stamps the runs expand to, from any first fresh row."""
 
     @pytest.mark.parametrize("n", [1, 5, 16, 17, 300])
     def test_python_and_numpy_paths_agree(self, n):
-        from repro.core.factory import _smallest, _total_wait
+        from repro.core.runs import Runs
 
         rng = np.random.default_rng(n)
         now = 1000.0
-        stamps = now - rng.uniform(-0.5, 2.0, n)  # some stamps after now
-        expected = float(np.maximum(now - stamps, 0.0).sum())
-        assert _total_wait(now, stamps) == pytest.approx(expected, rel=1e-12)
-        assert _smallest(stamps) == float(stamps.min())
+        runs = Runs()
+        end = 0
+        while end < n:
+            end = min(n, end + int(rng.integers(1, 8)))
+            # some stamps after now
+            runs.append(end, now - float(rng.uniform(-0.5, 2.0)), 0)
+        stamps = np.repeat(
+            runs.stamps, np.diff([0] + runs.ends)
+        )
+        assert len(stamps) == n
+        assert runs.oldest() == float(stamps.min())
+        for first in {0, n // 3, n - 1}:
+            expected = float(np.maximum(now - stamps[first:], 0.0).sum())
+            assert runs.wait(now, first) == pytest.approx(
+                expected, rel=1e-12)

@@ -181,3 +181,23 @@ class TestHarness:
         assert result.throughput > 0
         assert result.max_response_time >= result.avg_response_time >= 0
         assert result.tick_latencies
+
+    def test_network_publishes_to_the_cell_registry(self):
+        from repro.obs.metrics import default_registry
+
+        def lr_series():
+            return {(f.name, key) for f in default_registry().families()
+                    for key in f.children()
+                    if any(v.startswith("lr_") for v in key)}
+
+        before = lr_series()
+        harness = LinearRoadHarness(SMALL)
+        harness.run(validate=False)
+        text = harness.cell.prometheus_text()
+        line = next(
+            line for line in text.splitlines() if line.startswith(
+                'datacell_factory_tuples_in_total{factory="lr_stats_f"}'))
+        assert float(line.split()[-1]) > 0
+        assert 'datacell_emitter_delivered_total{emitter="lr_toll_e"}' \
+            in text
+        assert lr_series() == before

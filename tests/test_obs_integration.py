@@ -82,6 +82,11 @@ class TestStatsShape:
         stats = cell.stats()
         # registry is a black hole but plain attributes keep counting
         assert stats["scheduler"]["firings"] >= 2
+        # per-transition counts come from the scheduler's own tallies
+        transitions = stats["scheduler"]["transitions"]
+        assert transitions["q1"]["firings"] == 1
+        assert sum(t["firings"] for t in transitions.values()) \
+            == stats["scheduler"]["firings"]
         assert stats["baskets"]["sensors"]["inserted"] == 1
         assert stats["queries"]["q1"]["delivered"] == 1
         assert stats["mal"] == {}
@@ -178,6 +183,85 @@ class TestDashboardAndExposition:
         a.run_until_quiescent()
         assert a.stats()["scheduler"]["firings"] >= 2
         assert b.stats()["scheduler"]["firings"] == 0
+
+
+class TestSeriesReadFromTallies:
+    def test_dropped_query_is_freed_and_keeps_its_series(self):
+        import gc
+        import weakref
+
+        cell, query = build_cell()
+        cell.insert("sensors", [(i, 45.0) for i in range(3)])
+        cell.run_until_quiescent()
+
+        def q1_series():
+            return [line for line in cell.prometheus_text().splitlines()
+                    if '"q1' in line]
+
+        before = q1_series()
+        assert 'datacell_factory_tuples_in_total{factory="q1"} 3' in before
+        assert 'datacell_basket_inserted_total{basket="q1_out"} 3' in before
+        assert 'datacell_query_rows_in_total{query="q1"} 3' in before
+        owners = [
+            query.factory, query.emitter, query.output_basket,
+            cell.resources.account(query.name),
+        ]
+        refs = [weakref.ref(owner) for owner in owners]
+        cell.remove_continuous(query)
+        del query, owners
+        cell.run_until_quiescent()  # a sweep forgets removed transitions
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert q1_series() == before
+
+
+    def test_threaded_tallies_stay_exact(self):
+        # more transition threads than cores, switching as often as the
+        # interpreter allows: every series read from a tally must still
+        # equal what was inserted and delivered, which a lost update to
+        # a shared tally would break
+        import sys
+
+        cell = DataCell()
+        queries = []
+        for i in range(4):
+            cell.execute(f"create basket s{i} (sensor int, temp double)")
+            queries.append(cell.submit_continuous(
+                f"select x.sensor from [select * from s{i} "
+                f"where s{i}.temp > 30.0] as x", name=f"t{i}"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cell.start()
+            for batch in range(50):
+                for i in range(4):
+                    cell.insert(f"s{i}", [(batch, 45.0), (batch, 20.0)])
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and any(
+                q.results_delivered < 50 for q in queries
+            ):
+                time.sleep(0.01)
+        finally:
+            leaked = cell.stop()
+            sys.setswitchinterval(interval)
+        assert leaked == []
+        metrics = cell.metrics
+        for i, query in enumerate(queries):
+            assert query.results_delivered == 50
+            assert metrics.value(
+                "datacell_basket_inserted_total", (f"s{i}",)) == 100
+            assert metrics.value(
+                "datacell_basket_consumed_total", (f"s{i}",)) == 50
+            assert metrics.value(
+                "datacell_factory_tuples_out_total", (f"t{i}",)) == 50
+            assert metrics.value(
+                "datacell_emitter_delivered_total",
+                (query.emitter.name,)) == 50
+            assert metrics.value(
+                "datacell_query_rows_out_total", (f"t{i}",)) == 50
+        firings = metrics.collect()["datacell_transition_firings_total"]
+        assert sum(s["value"] for s in firings["samples"].values()) \
+            == cell.scheduler.total_firings
 
 
 class TestShedControllerReadsRegistry:

@@ -13,12 +13,20 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     LATENCY_BUCKETS,
-    SMALL_BATCH,
     MetricsRegistry,
     NULL_INSTRUMENT,
+    Tally,
     default_registry,
     set_default_registry,
 )
+
+
+def observe_counted(h, values):
+    """Feed ``values`` to ``h`` as one weighted observation per distinct
+    value."""
+    distinct, counts = np.unique(np.asarray(values), return_counts=True)
+    for value, count in zip(distinct.tolist(), counts.tolist()):
+        h.observe(value, count)
 
 
 def hammer(fn, threads=8, iterations=10_000):
@@ -104,9 +112,11 @@ class TestHistogram:
         # Percentiles are bucket-interpolated: accuracy is bounded by the
         # width of the containing bucket, so compare within that tolerance.
         rng = np.random.default_rng(7)
-        values = rng.uniform(1e-4, 0.5, size=5_000)
+        # rounded, so most values repeat and carry a weight above one
+        values = np.round(rng.uniform(1e-4, 0.5, size=5_000), 3)
         h = Histogram()  # default LATENCY_BUCKETS
-        h.observe_many(values)
+        observe_counted(h, values)
+        assert h.count == len(values)
         for q in (50, 95, 99):
             exact = float(np.percentile(values, q))
             est = h.percentile(q)
@@ -123,55 +133,51 @@ class TestHistogram:
         assert 0.25 <= h.percentile(50) <= 0.75
         assert h.percentile(100) == 0.75
 
-    def test_observe_many_matches_observe(self):
+    def test_weighted_observe_matches_observe(self):
         a, b = Histogram(), Histogram()
-        values = [1e-4, 3e-3, 0.02, 0.9, 20.0]
-        for v in values:
-            a.observe(v)
-        b.observe_many(np.asarray(values))
+        values = [(1e-4, 3), (3e-3, 1), (0.02, 7), (0.9, 2), (20.0, 5)]
+        for v, k in values:
+            for _ in range(k):
+                a.observe(v)
+            b.observe(v, k)
         assert a.bucket_counts() == b.bucket_counts()
-        assert a.snapshot() == b.snapshot()
+        assert a.count == b.count == 18
+        assert a.sum == pytest.approx(b.sum, rel=1e-12)
+        for key in ("min", "max", "p50", "p95", "p99"):
+            assert a.snapshot()[key] == pytest.approx(b.snapshot()[key])
 
-    def test_observe_many_empty(self):
+    def test_weighted_observe_of_nothing_is_noop(self):
         h = Histogram()
-        h.observe_many(np.asarray([]))
+        h.observe(5.0, 0)
         assert h.count == 0
+        assert h.snapshot()["max"] == 0.0
+        h.observe(1.0)
+        assert (h.count, h.snapshot()["max"]) == (1, 1.0)
 
     @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from((1.0, 10.0, 100.0, 100.5, 1e6)),  # bounds, +Inf
-                st.floats(-1e3, 1e3, allow_nan=False),  # negatives included
-            ),
-            min_size=1,
-            max_size=SMALL_BATCH,
+        st.one_of(
+            st.sampled_from((1.0, 10.0, 100.0, 100.5, 1e6)),  # bounds, +Inf
+            st.floats(-1e3, 1e3, allow_nan=False),  # negatives included
         ),
+        st.integers(1, 1000),
         st.lists(st.floats(-5.0, 500.0, allow_nan=False), max_size=40),
     )
-    def test_small_observe_many_is_per_value_observe(self, values, history):
-        # the <= SMALL_BATCH pure-python path leaves exactly what one
-        # observe() per value would, on top of any earlier history
+    def test_weighted_observe_is_repeated_observe(self, value, k, history):
+        # observe(v, k) leaves what k observe(v) calls would, on top of
+        # any earlier history: same buckets, count, min and max, and a
+        # sum within rounding of the k separate additions
         a, b = Histogram(buckets=[1, 10, 100]), Histogram(buckets=[1, 10, 100])
         for v in history:
             a.observe(v)
             b.observe(v)
-        for v in values:
-            a.observe(v)
-        b.observe_many(np.asarray(values))
+        for _ in range(k):
+            a.observe(value)
+        b.observe(value, k)
         assert a.bucket_counts() == b.bucket_counts()
-        assert (a.count, a.sum, a.snapshot()["min"], a.snapshot()["max"]) \
-            == (b.count, b.sum, b.snapshot()["min"], b.snapshot()["max"])
-
-    def test_small_and_numpy_paths_bin_alike(self):
-        values = [0.5, 1.0, 1.0 + 1e-12, 10.0, 99.0, 100.0, 101.0, -3.0]
-        small, large = Histogram(buckets=[1, 10, 100]), Histogram(
-            buckets=[1, 10, 100])
-        small.observe_many(values)
-        large.observe_many(values * 3)  # > SMALL_BATCH: the numpy path
-        assert [n * 3 for _, n in small.bucket_counts()] == [
-            n for _, n in large.bucket_counts()]
-        assert small.snapshot()["min"] == large.snapshot()["min"] == -3.0
-        assert small.snapshot()["max"] == large.snapshot()["max"] == 101.0
+        assert (a.count, a.snapshot()["min"], a.snapshot()["max"]) \
+            == (b.count, b.snapshot()["min"], b.snapshot()["max"])
+        magnitude = sum(abs(v) for v in history) + k * abs(value)
+        assert abs(a.sum - b.sum) <= 1e-12 * magnitude
 
     def test_thread_safety_exact_count(self):
         h = Histogram(buckets=[1, 2, 3])
@@ -201,9 +207,10 @@ class TestPercentileAccuracyContract:
         # a heavy-tailed distribution stresses the sparse upper buckets,
         # where the bound is loosest — it must still hold
         rng = np.random.default_rng(11)
-        values = np.minimum(rng.lognormal(-4.0, 1.5, size=8_000), 50.0)
+        values = np.round(
+            np.minimum(rng.lognormal(-4.0, 1.5, size=8_000), 50.0), 4)
         h = Histogram()  # default LATENCY_BUCKETS
-        h.observe_many(values)
+        observe_counted(h, values)
         exact = float(np.percentile(values, q))
         est = h.percentile(q)
         idx = np.searchsorted(LATENCY_BUCKETS, exact)
@@ -217,7 +224,8 @@ class TestPercentileAccuracyContract:
         # interpolation drags the estimate toward the upper bound.  The
         # bias must stay inside the (1.0, 10.0] bucket.
         h = Histogram(buckets=[1.0, 10.0])
-        h.observe_many([1.0 + 1e-9] * 99 + [10.0])
+        h.observe(1.0 + 1e-9, 99)
+        h.observe(10.0)
         true_p50 = 1.0
         est = h.percentile(50)
         assert est > true_p50 + 1.0  # visibly biased upward...
@@ -226,7 +234,8 @@ class TestPercentileAccuracyContract:
 
     def test_upper_edge_mass_biases_downward_within_bucket(self):
         h = Histogram(buckets=[1.0, 10.0])
-        h.observe_many([10.0 - 1e-9] * 99 + [1.5])
+        h.observe(10.0 - 1e-9, 99)
+        h.observe(1.5)
         est = h.percentile(50)
         assert est < 10.0 - 1e-9  # biased downward
         assert 1.0 < est <= 10.0  # still inside the bucket
@@ -236,7 +245,7 @@ class TestPercentileAccuracyContract:
         # in for it: estimates stay within [min, max] of the open tail,
         # and the error bound widens to that whole tail
         h = Histogram(buckets=[1.0, 10.0])
-        h.observe_many([20.0, 30.0, 40.0, 400.0])
+        observe_counted(h, [20.0, 30.0, 30.0, 40.0, 400.0])
         for q in (1, 50, 99):
             assert 20.0 <= h.percentile(q) <= 400.0
         assert h.percentile(100) == 400.0
@@ -296,6 +305,36 @@ class TestRegistry:
         c.labels("a").observe(1)  # all absorb silently
         assert reg.value("x_total") is None
         assert reg.to_prometheus_text() == ""
+
+    def test_series_read_from_tallies(self):
+        reg = MetricsRegistry()
+        first, second, depth, newer = Tally(), Tally(), Tally(), Tally()
+        rows = reg.counter("rows_total", "rows", ("q",))
+        rows.read_from(first, "a")
+        gauge = reg.gauge("depth", "d", ("q",))
+        gauge.read_from(depth, "a")
+        first.value += 3
+        depth.value = 7
+        assert reg.value("rows_total", ("a",)) == 3
+        assert 'rows_total{q="a"} 3' in reg.to_prometheus_text()
+        # an owner re-created under the same labels continues a counter;
+        # a gauge reads the newest owner
+        rows.read_from(second, "a")
+        gauge.read_from(newer, "a")
+        second.value += 2
+        newer.value = 1
+        assert reg.value("rows_total", ("a",)) == 5
+        assert reg.collect()["depth"]["samples"][("a",)]["value"] == 1
+
+    def test_tally_series_rejects_histograms_and_direct_updates(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ObservabilityError):
+            reg.histogram("h_seconds").read_from(Tally())
+        family = reg.counter("c_total", labels=("l",))
+        family.labels("x").inc()
+        with pytest.raises(ObservabilityError):
+            family.read_from(Tally(), "x")
+        MetricsRegistry(enabled=False).counter("c_total").read_from(Tally())
 
     def test_default_registry_swap(self):
         fresh = MetricsRegistry()

@@ -7,7 +7,8 @@ The attribution contract under test:
   fold recovers >= 90% of the plan-boundary CPU on a realistic
   batch-heavy pipeline (the accuracy contract from the module docs);
 * **memory** — ``nbytes()`` is exact for fixed-width columns
-  (``count * itemsize``), baskets include their hidden columns, and a
+  (``count * itemsize``), baskets include their hidden sequence
+  column (not the per-run stamps and tokens), and a
   query's footprint splits shared input baskets fairly across readers;
 * **queue-wait** — charged per tuple exactly once, at first observation
   by the consuming factory;
@@ -92,12 +93,9 @@ class TestNbytesContract:
         basket = cell.basket("sensors")
         cell.insert("sensors", [(1, 1.0), (2, 2.0)])
         # sensor int32 (4) + temp float64 (8) + implicit dc_time (8) +
-        # _seq int64 (8) + _mono float64 (8, stamping on with a live
-        # registry) + _tokens int64 (8, only when a tracer is attached)
-        width = 4 + 8 + 8 + 8 + 8
-        if basket._token_tracking:
-            width += 8
-        assert basket.row_nbytes() == width
+        # _seq int64 (8); arrival stamps and trace tokens are stored per
+        # run, not per row, and are not charged
+        assert basket.row_nbytes() == 4 + 8 + 8 + 8
         assert basket.nbytes() == 2 * basket.row_nbytes()
 
     def test_estimate_nbytes_walks_plain_state(self):
