@@ -1,4 +1,4 @@
-"""Adapters at the DataCell periphery: channels, replay, generators, TCP."""
+"""Adapters at the DataCell periphery: channels, replay, generators."""
 
 from .channels import Channel, InMemoryChannel, format_tuple, parse_tuple_text
 from .replay import ReplaySource, load_csv_rows

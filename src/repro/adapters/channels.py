@@ -3,9 +3,8 @@
 The paper's interchange format is purposely simple: textual flat relational
 tuples.  A :class:`Channel` is anything events can be pushed into and
 polled from; receptors poll channels, emitters push into them.  The
-in-memory implementation keeps benchmarks deterministic and fast; the TCP
-adapters in :mod:`repro.adapters.tcpio` expose the same interface over
-sockets.
+in-memory implementation keeps tests and simulations deterministic;
+the network door is :mod:`repro.server`.
 """
 
 from __future__ import annotations

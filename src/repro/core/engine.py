@@ -32,7 +32,7 @@ from ..kernel.catalog import Catalog, Table
 from ..kernel.interpreter import MalInterpreter
 from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType
-from ..obs.dashboard import render_dashboard
+from ..obs.dashboard import format_table, render_dashboard
 from ..obs.flightrec import FlightRecorder
 from ..obs.httpd import TelemetryServer
 from ..obs.metrics import MetricsRegistry
@@ -93,7 +93,6 @@ class DataCell:
         spans: Optional[SpanRecorder] = None,
         durability: Optional[DurabilityConfig] = None,
         system_streams: Union[bool, SystemStreamsConfig, None] = None,
-        resources: Optional[bool] = None,
         execution: str = "reeval",
         verify: bool = True,
         lock_order: Optional[LockOrderRecorder] = None,
@@ -135,16 +134,11 @@ class DataCell:
             if spans is not None
             else SpanRecorder(enabled=self.metrics.enabled)
         )
-        # per-query resource accounting follows the metrics switch by
-        # default; resources=False runs it dark (no hot-path hooks at
-        # all), resources=True forces it on.  The accountant object
-        # always exists so stats()/top() have one surface to ask.
+        # per-query resource accounting follows the metrics switch too: a
+        # dark cell installs no hot-path hooks at all.  The accountant
+        # object always exists so stats()/top() have one surface to ask.
         self.resources = ResourceAccountant(
-            self,
-            enabled=(
-                self.metrics.enabled if resources is None else bool(resources)
-            ),
-            metrics=self.metrics,
+            self, enabled=self.metrics.enabled, metrics=self.metrics
         )
         self.interpreter = MalInterpreter(
             self.catalog, metrics=self.metrics, tracer=self.spans,
@@ -1011,10 +1005,8 @@ class DataCell:
         memory, mean queue-wait, rows in/out, firings.  Returns a
         one-line notice when resource accounting is disabled.
         """
-        from ..bench.reporting import format_table
-
         if not self.resources.enabled:
-            return "(resource accounting disabled: resources=False)\n"
+            return "(resource accounting disabled: metrics are off)\n"
         headers = (
             "query", "tenant", "cpu_ms", "plan_ms", "opcode_ms",
             "mem_kb", "wait_ms", "rows_in", "rows_out", "firings",
@@ -1056,7 +1048,7 @@ class DataCell:
         if not self.resources.enabled:
             raise DataCellError(
                 "resource budgets need resource accounting "
-                "(build the cell with resources=True or enabled metrics)"
+                "(build the cell with an enabled MetricsRegistry)"
             )
         return self.resources.add_budget(
             ResourceBudget(

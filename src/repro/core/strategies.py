@@ -58,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RangeQuery:
-    """A continuous range selection — the workhorse of the strategy benches.
+    """A continuous range selection — the workhorse of the §2.5 strategies.
 
     SQL shape: ``select * from [select * from S] as x where x.column
     between low and high``.

@@ -402,9 +402,9 @@ class WindowAggregatePlan(_WindowAggregateBase):
         """How many more tuples complete the next window (COUNT mode).
 
         Paper §3.1's trigger — fire "when there are enough tuples to fill
-        one or more windows" — would gate the factory on this.  Nothing
-        in the engine wires it; the W2 bench sets ``min_tuples`` from it
-        by hand.  ``None`` in TIME mode, where timestamps decide.
+        one or more windows" — would gate the factory on this, through
+        the input binding's ``min_tuples``.  Nothing in the engine wires
+        it.  ``None`` in TIME mode, where timestamps decide.
         """
         if self.spec.mode is not WindowMode.COUNT:
             return None

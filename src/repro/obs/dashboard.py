@@ -1,17 +1,17 @@
 """Render a :meth:`DataCell.stats` snapshot as an aligned text dashboard.
 
-Reuses the benchmark suite's table renderer so engine introspection and
-bench output share one visual language.  The dashboard is plain text on
-purpose: it works over ssh, in CI logs, and in a ``watch``-style loop.
+:func:`format_table` is the one table renderer, shared with
+:meth:`DataCell.top`.  The dashboard is plain text on purpose: it works
+over ssh, in CI logs, and in a ``watch``-style loop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .tracing import TraceLog
 
-__all__ = ["render_dashboard"]
+__all__ = ["format_table", "render_dashboard"]
 
 _MS = 1e3
 
@@ -20,15 +20,44 @@ def _ms(seconds: Any) -> float:
     return float(seconds or 0.0) * _MS
 
 
+def _fmt(cell: Any) -> str:
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        if abs(cell) >= 1000:
+            return f"{cell:,.0f}"
+        if abs(cell) >= 1:
+            return f"{cell:.2f}"
+        return f"{cell:.4f}"
+    return str(cell)
+
+
+def format_table(
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+) -> str:
+    """Render an aligned text table under a ``== title ==`` line."""
+    rendered = [[_fmt(cell) for cell in row] for row in rows]
+    widths = [
+        max(len(str(headers[i])), *(len(r[i]) for r in rendered))
+        if rendered
+        else len(str(headers[i]))
+        for i in range(len(headers))
+    ]
+    line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
+    out = [f"== {title} ==", line, "-" * len(line)]
+    for row in rendered:
+        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return "\n".join(out)
+
+
 def render_dashboard(
     stats: Dict[str, Any],
     trace: Optional[TraceLog] = None,
     trace_events: int = 10,
 ) -> str:
     """Build the full text dashboard from a ``stats()`` snapshot."""
-    # imported lazily: bench imports core which imports obs
-    from ..bench.reporting import format_table
-
     sections: List[str] = []
 
     scheduler = stats.get("scheduler", {})

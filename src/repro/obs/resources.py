@@ -154,8 +154,10 @@ class QueryResourceAccount:
         # queue-wait: insert -> consuming snapshot, per tuple
         self.queue_wait_seconds = 0.0
         self.queue_wait_tuples = 0
+        # scheduler firings, one tally per transition like the CPU above
+        self._factory_firings = Tally()
+        self._emitter_firings = Tally()
         # flow
-        self.firings = 0  # scheduler firings (factory + emitter)
         self.activations = 0  # factory activations alone
         self._rows_in = Tally()
         self._rows_out = Tally()
@@ -167,6 +169,11 @@ class QueryResourceAccount:
         """Thread CPU at the scheduler's firing boundary (factory and
         emitter firings)."""
         return self._factory_cpu.value + self._emitter_cpu.value
+
+    @property
+    def firings(self) -> int:
+        """Scheduler firings of the query's factory and emitter."""
+        return self._factory_firings.value + self._emitter_firings.value
 
     @property
     def rows_in(self) -> int:
@@ -470,9 +477,12 @@ class ResourceAccountant:
         charge the firing's thread CPU to the account's factory or
         emitter tally (see ``QueryResourceAccount.opcode_cpu``)."""
         account, is_factory, cpu_start = token
-        cpu = account._factory_cpu if is_factory else account._emitter_cpu
+        if is_factory:
+            cpu, firings = account._factory_cpu, account._factory_firings
+        else:
+            cpu, firings = account._emitter_cpu, account._emitter_firings
         cpu.value += time.thread_time() - cpu_start
-        account.firings += 1
+        firings.value += 1
         self._tls.account = None
 
     def current(self) -> Optional[QueryResourceAccount]:

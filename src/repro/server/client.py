@@ -143,9 +143,9 @@ class DataCellClient:
     ) -> Optional[Dict[str, Any]]:
         """Send one columnar INSERT batch.
 
-        ``wait=False`` streams without waiting for the ACK (the soak
-        bench's pipelined mode); ACKs are still consumed lazily by later
-        waits, keeping the sequence numbers matched.
+        ``wait=False`` streams without waiting for the ACK (pipelined
+        mode); ACKs are still consumed lazily by later waits, keeping the
+        sequence numbers matched.
         """
         seq = self._next_seq()
         message = insert_message(basket, columns, rows, seq=seq)

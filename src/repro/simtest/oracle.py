@@ -17,8 +17,8 @@ Equivalence rules (also in ``docs/testing.md``):
   dropped batch is absent from both sides, a duplicated one present
   twice in both);
 * window queries are instead checked against the naive per-tuple
-  baselines (``baselines.reeval`` / ``baselines.tuple_engine``), fed the
-  delivered stream in basket-ingest order, and compared as *sequences*
+  baseline (``baselines.reeval``), fed the delivered stream in
+  basket-ingest order, and compared as *sequences*
   (window results are ordered by window index).
 
 On failure, :func:`shrink_episode` minimizes ``(stream, schedule)``:

@@ -1,12 +1,12 @@
 """The one seeding path for every stochastic component.
 
-Property tests, fuzzers, workload generators and benchmark runs all draw
-their base seed from here, so a whole run is reproducible from a single
-number: set ``DATACELL_SEED`` (default 42) and every hypothesis example,
-generated workload and recorded benchmark replays identically.  The
-pytest header echoes the active seed and :func:`repro.bench.reporting.
-record_result` stamps it into ``benchmarks/results.json``, so any
-failure or figure can name the seed that produced it.
+Property tests, fuzzers and workload generators all draw their base
+seed from here, so a whole run is reproducible from a single number:
+set ``DATACELL_SEED`` (default 42) and every hypothesis example and
+generated workload replays identically.  The pytest header echoes the
+active seed, so any failure can name the seed that produced it.  (The
+benchmark suite takes its own ``--seed`` and records it in every
+result file.)
 
 The simulation harness (:mod:`repro.simtest`) keeps *per-episode* seeds
 on top of this — an episode must be reproducible in isolation from its

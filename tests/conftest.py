@@ -5,9 +5,9 @@ seeding path; override with ``DATACELL_SEED``) and echoes the seed in
 the pytest header so a failing run can be replayed exactly.
 
 The autouse fixture below makes threaded-mode tests hermetic: any
-scheduler or TCP adapter thread still alive after a test is a cleanup
-bug (a missing ``cell.stop()``/``close()``), and a leaked thread can
-corrupt whichever test runs next — so it fails loudly here instead.
+engine thread still alive after a test is a cleanup bug (a missing
+``cell.stop()``/``close()``), and a leaked thread can corrupt whichever
+test runs next — so it fails loudly here instead.
 """
 
 import threading
@@ -17,9 +17,9 @@ import pytest
 
 from repro.testing import seed_all
 
-# name prefixes owned by the engine: scheduler transition threads and
-# the TCP adapter's accept/connection threads
-ENGINE_THREAD_PREFIXES = ("datacell-", "tcp-ingress-", "tcp-egress-")
+# the name prefix every engine-owned thread carries (scheduler
+# transitions, checkpointer, flight recorder, HTTP endpoint, server loop)
+ENGINE_THREAD_PREFIX = "datacell-"
 
 
 def pytest_report_header(config):
@@ -30,7 +30,7 @@ def _engine_threads():
     return [
         t.name
         for t in threading.enumerate()
-        if t.is_alive() and t.name.startswith(ENGINE_THREAD_PREFIXES)
+        if t.is_alive() and t.name.startswith(ENGINE_THREAD_PREFIX)
     ]
 
 

@@ -1,7 +1,4 @@
-"""Tests for replay sources, generators, and the TCP adapters."""
-
-import socket
-import time
+"""Tests for replay sources and workload generators."""
 
 import pytest
 
@@ -15,7 +12,6 @@ from repro.adapters.generators import (
     zipf_ints,
 )
 from repro.adapters.replay import ReplaySource, load_csv_rows
-from repro.adapters.tcpio import TcpEgressClient, TcpIngressServer
 from repro.core.clock import LogicalClock
 from repro.errors import AdapterError
 
@@ -110,56 +106,3 @@ class TestGenerators:
         bad = [r for r in rows if r[2] == 31337]
         assert 20 < len(bad) < 150
 
-
-class TestTcp:
-    def test_ingress_to_channel(self):
-        server = TcpIngressServer()
-        server.start()
-        try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                sock.sendall(b"1,2.5\n3,4.5\n")
-            deadline = time.time() + 5
-            while server.channel.pending() < 2 and time.time() < deadline:
-                time.sleep(0.01)
-            assert server.channel.poll() == ["1,2.5", "3,4.5"]
-        finally:
-            server.stop()
-
-    def test_ingress_partial_lines_buffered(self):
-        server = TcpIngressServer()
-        server.start()
-        try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                sock.sendall(b"1,")
-                time.sleep(0.05)
-                sock.sendall(b"2\n")
-            deadline = time.time() + 5
-            while server.channel.pending() < 1 and time.time() < deadline:
-                time.sleep(0.01)
-            assert server.channel.poll() == ["1,2"]
-        finally:
-            server.stop()
-
-    def test_egress_roundtrip(self):
-        server = TcpIngressServer()
-        server.start()
-        try:
-            client = TcpEgressClient(*server.address)
-            client([(1, "a"), (2, "b")])
-            deadline = time.time() + 5
-            while server.channel.pending() < 2 and time.time() < deadline:
-                time.sleep(0.01)
-            assert server.channel.poll() == ["1,a", "2,b"]
-            assert client.rows_sent == 2
-            client.close()
-        finally:
-            server.stop()
-
-    def test_double_start_rejected(self):
-        server = TcpIngressServer()
-        server.start()
-        try:
-            with pytest.raises(AdapterError):
-                server.start()
-        finally:
-            server.stop()

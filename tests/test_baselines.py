@@ -1,90 +1,11 @@
-"""Tests for the baseline comparators (tuple engine, naive re-eval)."""
+"""Tests for the naive per-tuple window re-evaluation baseline."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    MapOperator,
-    NaiveReEvalWindow,
-    ProjectOperator,
-    SelectOperator,
-    TupleEngine,
-    WindowAggregateOperator,
-)
+from repro.baselines import NaiveReEvalWindow
 from repro.errors import DataCellError
-
-
-class TestOperators:
-    def test_select(self):
-        engine = TupleEngine()
-        sink = engine.register(
-            "q", SelectOperator(lambda row: row[0] > 10)
-        )
-        engine.push_many([(5,), (15,), (25,)])
-        assert sink.rows == [(15,), (25,)]
-
-    def test_project(self):
-        engine = TupleEngine()
-        head = SelectOperator(lambda row: True)
-        head.then(ProjectOperator([1]))
-        sink = engine.register("q", head)
-        engine.push((1, "x"))
-        assert sink.rows == [("x",)]
-
-    def test_map(self):
-        engine = TupleEngine()
-        sink = engine.register("q", MapOperator(lambda r: (r[0] * 2,)))
-        engine.push((21,))
-        assert sink.rows == [(42,)]
-
-    def test_chaining_counts_per_stage(self):
-        head = SelectOperator(lambda r: r[0] % 2 == 0)
-        project = ProjectOperator([0])
-        head.then(project)
-        engine = TupleEngine()
-        engine.register("q", head)
-        engine.push_many([(i,) for i in range(10)])
-        assert head.tuples_seen == 10
-        assert project.tuples_seen == 5
-
-    def test_every_pipeline_sees_every_tuple(self):
-        """The tuple-at-a-time model: each event hits each query."""
-        engine = TupleEngine()
-        a = SelectOperator(lambda r: True)
-        b = SelectOperator(lambda r: False)
-        engine.register("a", a)
-        engine.register("b", b)
-        engine.push_many([(1,), (2,)])
-        assert a.tuples_seen == b.tuples_seen == 2
-
-    def test_duplicate_pipeline_rejected(self):
-        engine = TupleEngine()
-        engine.register("q", SelectOperator(lambda r: True))
-        with pytest.raises(DataCellError):
-            engine.register("q", SelectOperator(lambda r: True))
-
-    def test_unknown_results(self):
-        with pytest.raises(DataCellError):
-            TupleEngine().results("ghost")
-
-
-class TestWindowOperator:
-    def test_grouped_sliding_sum(self):
-        engine = TupleEngine()
-        sink = engine.register(
-            "w", WindowAggregateOperator(0, 1, size=2, slide=2, aggregate="sum")
-        )
-        engine.push_many(
-            [("a", 1), ("a", 2), ("b", 10), ("a", 3), ("a", 4), ("b", 20)]
-        )
-        assert ("a", 3.0) in sink.rows
-        assert ("a", 7.0) in sink.rows
-        assert ("b", 30.0) in sink.rows
-
-    def test_bad_aggregate(self):
-        with pytest.raises(DataCellError):
-            WindowAggregateOperator(0, 1, 2, 2, aggregate="median")
 
 
 class TestNaiveReEval:

@@ -1,6 +1,6 @@
 """Direct unit tests for the text dashboard renderer."""
 
-from repro.obs.dashboard import render_dashboard
+from repro.obs.dashboard import format_table, render_dashboard
 from repro.obs.tracing import TraceLog
 
 
@@ -22,6 +22,17 @@ def _stats(
 
 HIST = {"count": 2, "sum": 0.01, "min": 0.004, "max": 0.006,
         "p50": 0.005, "p95": 0.006, "p99": 0.006}
+
+
+class TestFormatTable:
+    def test_format_table(self):
+        text = format_table("demo", ["a", "bb"], [[1, 2.5], ["xx", 12345.0]])
+        assert "== demo ==" in text
+        assert "a" in text and "bb" in text
+        assert "12,345" in text
+
+    def test_empty_table(self):
+        assert "empty" in format_table("empty", ["col"], [])
 
 
 class TestSectionPresence:

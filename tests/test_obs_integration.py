@@ -1,13 +1,8 @@
 """End-to-end observability: stats(), dashboard, latency, shed controller."""
 
-import json
-import os
 import time
 
-
 from repro import DataCell, MetricsRegistry
-from repro.bench.reporting import record_result
-from repro.testing import current_seed
 from repro.core.basket import Basket
 from repro.core.shedding import LoadShedController
 from repro.kernel.types import AtomType
@@ -286,35 +281,3 @@ class TestShedControllerReadsRegistry:
         controller = LoadShedController([b], budget=10, metrics=metrics)
         assert controller.buffered() == 30  # gauge absent; uses basket.count
         assert controller.tick() == 20
-
-
-class TestRecordResultAtomic:
-    def test_roundtrip_and_merge(self, tmp_path):
-        target = str(tmp_path / "results.json")
-        record_result("exp1", {"x": 1}, path=target)
-        record_result("exp2", {"y": 2}, path=target)
-        with open(target) as handle:
-            data = json.load(handle)
-        seed = current_seed()
-        assert data == {
-            "exp1": {"x": 1, "seed": seed},
-            "exp2": {"y": 2, "seed": seed},
-        }
-
-    def test_no_temp_file_left_behind(self, tmp_path):
-        target = str(tmp_path / "results.json")
-        record_result("exp", {"x": 1}, path=target)
-        leftovers = [
-            f for f in os.listdir(tmp_path) if f != "results.json"
-        ]
-        assert leftovers == []
-
-    def test_corrupt_existing_file_recovered(self, tmp_path):
-        target = str(tmp_path / "results.json")
-        with open(target, "w") as handle:
-            handle.write("{not json")
-        record_result("exp", {"x": 1}, path=target)
-        with open(target) as handle:
-            assert json.load(handle) == {
-                "exp": {"x": 1, "seed": current_seed()}
-            }

@@ -18,6 +18,9 @@ The attribution contract under test:
   firing exactly once per breach window into ``sys.events``.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.clock import LogicalClock
@@ -203,8 +206,37 @@ class TestAccounts:
         assert stats["engine"]["memory_bytes"] >= int(sensors.nbytes())
         assert stats["engine"]["accounts"] == 2
 
+    def test_threaded_firings_are_exact(self):
+        # the factory's and the emitter's scheduler threads both close
+        # firings on one account; each side counts into its own tally
+        cell = build_cell()
+        query = cell.submit_continuous(CQ)
+        resources = cell.resources
+        n = 20_000
+
+        def fire(transition_name):
+            for _ in range(n):
+                resources.end_firing(resources.begin_firing(transition_name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=fire, args=(t.name,))
+                for t in (query.factory, query.emitter)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert resources.account(query.name).firings == 2 * n
+
     def test_disabled_accounting_is_dark(self):
-        cell = build_cell(resources=False)
+        cell = DataCell(metrics=MetricsRegistry(enabled=False))
+        cell.execute("create basket sensors (sensor int, temp double)")
         query = cell.submit_continuous(CQ)
         cell.insert("sensors", [(1, 45.0)])
         cell.run_until_quiescent()

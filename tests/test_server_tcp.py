@@ -110,24 +110,116 @@ def test_create_basket_over_the_wire():
         cell.stop()
 
 
-def test_two_sessions_fan_out_one_query():
-    cell, server = _boot()
-    query = cell.submit_continuous(BIG_SQL, name="big")
+def _poll_until(db, name, rows, done, deadline):
+    """Poll ``name`` into ``rows`` until ``done(rows)``, failing at
+    ``deadline`` (a poll that sees no frame in time raises)."""
+    while not done(rows):
+        rows.extend(db.poll(name, timeout=deadline - time.monotonic()))
+
+
+def test_sessions_fan_out_queries_without_drops():
+    """8 sessions × 4 queries under ``block``: every session gets every
+    session's rows on every subscription and no frame is dropped.
+
+    One basket per query, because distinct queries over one basket
+    compete for its tuples.  Each session runs a fixed number of
+    closed-loop batches: insert into every basket, then wait for its own
+    rows on every subscription.
+    """
+    n_sessions, n_queries, n_batches, n_rows = 8, 4, 5, 4
+    columns = [
+        ("client", AtomType.INT), ("batch", AtomType.INT), ("v", AtomType.INT)
+    ]
+    cell, server = _boot(config=ServerConfig(backpressure="block"))
+    queries = []  # (handle, basket)
+    for i in range(n_queries):
+        cell.execute(f"create basket fan{i} (client int, batch int, v int)")
+        handle = cell.submit_continuous(
+            f"select s.client, s.batch, s.v from [select * from fan{i}] as s",
+            name=f"fan_q{i}",
+        )
+        queries.append((handle, f"fan{i}"))
     # the handle's own fetch() collector counts as one subscriber
-    baseline = query.emitter.subscriber_count
+    baselines = [q.emitter.subscriber_count for q, _ in queries]
+    expected = sorted(
+        (c, b, v)
+        for c in range(n_sessions)
+        for b in range(n_batches)
+        for v in range(n_rows)
+    )
+    host, port = server.address
+    # phases: all subscribed / all received / stats read
+    barrier = threading.Barrier(n_sessions + 1, timeout=60.0)
+    deadline = time.monotonic() + 60.0
+    received = {}
+    errors = []
+
+    def session(cid):
+        try:
+            with DataCellClient(
+                host, port, client=f"fan-{cid}", timeout=30.0
+            ) as db:
+                got = {db.subscribe(query=q.name): [] for q, _ in queries}
+                barrier.wait()
+                for batch in range(n_batches):
+                    for _, basket in queries:
+                        db.insert(
+                            basket, columns,
+                            [(cid, batch, v) for v in range(n_rows)],
+                        )
+                    for name, rows in got.items():
+                        _poll_until(
+                            db, name, rows,
+                            lambda rows, b=batch: sum(
+                                r[:2] == (cid, b) for r in rows
+                            ) == n_rows,
+                            deadline,
+                        )
+                for name, rows in got.items():
+                    _poll_until(
+                        db, name, rows,
+                        lambda rows: len(rows) >= len(expected), deadline,
+                    )
+                received[cid] = got
+                barrier.wait()
+                barrier.wait()
+        except Exception as exc:  # noqa: BLE001 - the assertion target
+            errors.append(f"session {cid}: {type(exc).__name__}: {exc}")
+            barrier.abort()
+
+    threads = [
+        threading.Thread(target=session, args=(cid,))
+        for cid in range(n_sessions)
+    ]
+    for t in threads:
+        t.start()
     try:
-        host, port = server.address
-        with DataCellClient(host, port) as a, DataCellClient(host, port) as b:
-            assert a.subscribe(query="big") == "big"
-            assert b.subscribe(query="big") == "big"
-            a.insert("trades", TRADE_COLUMNS, [(150, "A")])
-            assert a.poll("big", timeout=10.0) == [(150, "A")]
-            assert b.poll("big", timeout=10.0) == [(150, "A")]
+        barrier.wait()
+        barrier.wait()
+        stats = server.stats()
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        stats = None
     finally:
+        for t in threads:
+            t.join(60.0)
+        # closed clients detach asynchronously; stopping first would wait
+        # out the drain budget on their dead sockets
+        while server.stats()["sessions_open"] and time.monotonic() < deadline:
+            time.sleep(0.01)
         cell.stop()
-    # attached (not owned) subscriptions leave the query standing
-    assert [q.name for q in cell.continuous_queries()] == ["big"]
-    assert query.emitter.subscriber_count == baseline
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert stats["sessions_open"] == n_sessions
+    assert stats["dropped_frames"] == 0
+    for cid in range(n_sessions):
+        for q, _ in queries:
+            assert sorted(received[cid][q.name]) == expected, (cid, q.name)
+    # attached (not owned) subscriptions leave the queries standing
+    assert [q.name for q in cell.continuous_queries()] == [
+        q.name for q, _ in queries
+    ]
+    assert [q.emitter.subscriber_count for q, _ in queries] == baselines
 
 
 def test_unknown_basket_and_unknown_query_errors():
