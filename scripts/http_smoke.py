@@ -3,8 +3,8 @@
 Starts a cell with system streams enabled, drives a small continuous
 query so every surface has data, then serves HTTP until the hold time
 expires (or forever with ``--hold 0``).  CI backgrounds this script and
-curls ``/metrics`` and ``/dashboard`` against it; developers can point a
-browser at it.
+curls ``/metrics``, ``/dashboard``, ``/sys/metrics`` and ``/sys/events``
+against it; developers can point a browser at it.
 
 Usage::
 

@@ -44,7 +44,6 @@ from ..obs.sysstreams import (
     TelemetrySampler,
     is_system_name,
 )
-from ..obs.tracing import TraceLog
 from ..sql.ast_nodes import (
     CreateBasket,
     CreateTable,
@@ -89,7 +88,6 @@ class DataCell:
         clock: Optional[Clock] = None,
         scheduler: Optional[Scheduler] = None,
         metrics: Optional[MetricsRegistry] = None,
-        trace: Optional[TraceLog] = None,
         spans: Optional[SpanRecorder] = None,
         durability: Optional[DurabilityConfig] = None,
         system_streams: Union[bool, SystemStreamsConfig, None] = None,
@@ -122,11 +120,10 @@ class DataCell:
             )
         self.execution = execution
         self.incremental_fallbacks: List[Tuple[str, str]] = []
-        # every component this cell creates publishes into one registry
-        # and one trace ring, so stats()/render_dashboard() see the whole
-        # engine; pass MetricsRegistry(enabled=False) to run dark
+        # every component this cell creates publishes into one registry,
+        # so stats()/render_dashboard() see the whole engine; pass
+        # MetricsRegistry(enabled=False) to run dark
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace = trace if trace is not None else TraceLog()
         # the causal layer follows the metrics switch: a dark cell traces
         # nothing; pass an explicit SpanRecorder to control sampling
         self.spans = (
@@ -144,13 +141,13 @@ class DataCell:
             self.catalog, metrics=self.metrics, tracer=self.spans,
             accountant=self.resources,
         )
-        self.scheduler = scheduler or Scheduler(
-            metrics=self.metrics, trace=self.trace
-        )
+        self.scheduler = scheduler or Scheduler(metrics=self.metrics)
+        # the cell's one event log is its scheduler's: every event, the
+        # scheduler's firings and errors included, lands in one place
+        self.trace = self.scheduler.trace
         if self.resources.enabled:
             self.scheduler.accountant = self.resources
         self.flight = FlightRecorder(self)
-        self.scheduler.on_exception = self.flight.record_exception
         self._query_counter = 0
         self._queries: List[ContinuousQuery] = []
         # durability is opt-in: with no config the engine is pure
@@ -848,7 +845,7 @@ class DataCell:
         ``sql`` is a continuous query (normally over ``sys.*`` streams)
         whose non-empty deliveries constitute a breach; the rule fires
         once per breach window (see :class:`AlertRule`) into ``callback``
-        and ``sys.events``.
+        and an ``alert`` event.
         """
         if self.sys is None:
             raise DataCellError(
@@ -1039,8 +1036,8 @@ class DataCell:
 
         Caps are evaluated once per telemetry-sampler tick against the
         sample's deltas (CPU/queue-wait) or instantaneous footprint
-        (memory); breaches fire once per breach window into
-        ``sys.events`` (kind ``budget_breach``), the
+        (memory); breaches fire once per breach window into a
+        ``budget_breach`` event (in ``sys.events`` the same tick), the
         ``datacell_budget_breaches_total`` counter, and ``callback``.
         Requires resource accounting; system streams must be enabled for
         breaches to be *checked* (the sampler drives evaluation).

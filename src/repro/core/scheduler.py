@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -149,11 +149,6 @@ class Scheduler:
         self.poll_interval = poll_interval
         self.metrics = metrics if metrics is not None else default_registry()
         self.trace = trace if trace is not None else TraceLog()
-        # flight-recorder hook: called with (transition_name, exception)
-        # when an activation raises; the exception still propagates
-        self.on_exception: Optional[Callable[[str, BaseException], None]] = (
-            None
-        )
         # resource-accounting hook (ResourceAccountant); when set, _fire
         # brackets each bound transition's activation with thread-CPU
         # measurement and publishes the firing's account thread-locally
@@ -254,16 +249,17 @@ class Scheduler:
         try:
             result = transition.activate()
         except BaseException as exc:
+            # the exception still propagates; the event is what the
+            # flight recorder and sys.events see of it
             self.trace.record(
                 "error",
                 transition.name,
-                exception=f"{type(exc).__name__}: {exc}",
+                type=type(exc).__name__,
+                message=str(exc),
+                traceback=traceback.format_exception(
+                    type(exc), exc, exc.__traceback__
+                ),
             )
-            if self.on_exception is not None:
-                try:
-                    self.on_exception(transition.name, exc)
-                except Exception:  # pragma: no cover - recorder must not kill
-                    pass
             raise
         finally:
             if token is not None:

@@ -7,25 +7,29 @@ need measurements.  This package is the engine-wide measurement substrate:
 * :mod:`repro.obs.metrics` — a dependency-free metrics registry with
   thread-safe counters, gauges and fixed-bucket histograms (plus a
   zero-cost no-op mode and Prometheus text exposition);
-* :mod:`repro.obs.tracing` — a bounded ring buffer of scheduler decisions
-  and factory activations for post-morteming stalled networks;
+* :mod:`repro.obs.tracing` — the cell's one event log: every engine event
+  (firings, errors, registrations, stalls, checkpoints, breaches, client
+  sessions) is recorded once into ``cell.trace``, and ``sys.events``, the
+  flight record and the server's tenant throttle all read it;
 * :mod:`repro.obs.spans` — sampled causal span tracing: one root span per
   appended batch, continued across basket hand-offs, nested per MAL
   opcode, exportable as Chrome trace-event JSON (Perfetto);
 * :mod:`repro.obs.flightrec` — a stall-detecting watchdog writing JSON
-  post-mortems (basket depths, factory states, spans, thread stacks);
+  post-mortems (basket depths, factory states, the log's stall and error
+  events, spans, thread stacks);
 * :mod:`repro.obs.dashboard` — renders a :meth:`DataCell.stats` snapshot
   as an aligned text dashboard;
 * :mod:`repro.obs.sysstreams` — the engine monitoring itself: a sampler
-  transition turning registry readings into rows of reserved ``sys.*``
-  baskets, queryable with ordinary continuous SQL (meta-queries), plus
-  :class:`AlertRule` firing semantics on top;
+  transition turning registry readings and logged events into rows of
+  reserved ``sys.*`` baskets, queryable with ordinary continuous SQL
+  (meta-queries), plus :class:`AlertRule` firing semantics on top;
 * :mod:`repro.obs.httpd` — a stdlib HTTP endpoint serving ``/metrics``
   (Prometheus), ``/dashboard``, ``/stats``, ``/top``,
   ``/explain/<query>`` and ``/sys/<basket>`` from a live cell;
 * :mod:`repro.obs.resources` — per-query resource accounting: thread-CPU
   at firing/plan/opcode boundaries, ``nbytes()`` memory rollups,
-  queue-wait, and :class:`ResourceBudget` caps with breach events.
+  queue-wait, and :class:`ResourceBudget` caps with ``budget_breach``
+  events.
 
 Every core component (scheduler, factory, basket, receptor, emitter, MAL
 interpreter) accepts a ``metrics`` registry; components built without one
@@ -46,7 +50,7 @@ from .metrics import (
 )
 from .tracing import TraceEvent, TraceLog
 from .spans import Span, SpanRecorder
-from .flightrec import FlightRecorder, StallEvent
+from .flightrec import FlightRecorder
 from .dashboard import render_dashboard
 from .sysstreams import (
     SYS_BASKETS,
@@ -83,7 +87,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "FlightRecorder",
-    "StallEvent",
     "render_dashboard",
     "SYS_BASKETS",
     "SYS_EVENTS",

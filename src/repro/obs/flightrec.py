@@ -9,12 +9,16 @@ post-mortem any engineer can open without a debugger attached:
 
 * basket depths, high-waters, and flow counters,
 * factory states (activations, totals, per-input cursors),
-* the last N scheduler trace events,
+* the last N events of the cell's log,
 * the sampled causal spans (:mod:`repro.obs.spans`),
 * every thread's current stack via :func:`sys._current_frames`.
 
-The same dump fires on an unhandled transition exception (the scheduler's
-``on_exception`` hook) and on demand via
+The recorder keeps no event history of its own.  A detected stall is a
+``stall`` event in the cell's log (:mod:`repro.obs.tracing`), a failed
+activation is the scheduler's ``error`` event (with its traceback), and
+the dump's ``stalls``/``exceptions`` sections are built from those
+events.  Subscribed to the log, the recorder dumps on either event when
+``auto_dump_path`` is set; it also dumps on demand via
 :meth:`~repro.core.engine.DataCell.dump_flight_record`.
 
 The recorder never drives the engine: :meth:`sample` is called either by
@@ -33,40 +37,15 @@ import traceback
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-__all__ = ["FlightRecorder", "StallEvent"]
+from .tracing import TraceEvent
 
+__all__ = ["FlightRecorder"]
 
-class StallEvent:
-    """One detected stall: which baskets backed up, over what window."""
+#: the dump's ``exceptions`` section keeps this many newest errors
+MAX_EXCEPTIONS = 32
 
-    def __init__(
-        self,
-        baskets: List[str],
-        transitions: List[str],
-        window_seconds: float,
-        firings: int,
-    ):
-        self.baskets = baskets
-        self.transitions = transitions
-        self.window_seconds = window_seconds
-        self.firings = firings
-        # post-mortems are for humans: real wall time is the point here
-        self.detected_at = time.time()  # dc-lint: disable=wall-clock
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "baskets": self.baskets,
-            "transitions": self.transitions,
-            "window_seconds": self.window_seconds,
-            "firings_during_window": self.firings,
-            "detected_at": self.detected_at,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StallEvent(baskets={self.baskets}, "
-            f"transitions={self.transitions})"
-        )
+#: event kind -> the dump ``reason`` it auto-dumps with
+_DUMP_REASONS = {"stall": "stall", "error": "exception"}
 
 
 class FlightRecorder:
@@ -101,16 +80,16 @@ class FlightRecorder:
         )
         self._watchdog: Optional[threading.Thread] = None
         self._watch_stop = threading.Event()
-        self.stalls: List[StallEvent] = []
-        self.exceptions: List[Dict[str, Any]] = []
         self.last_dump: Optional[Dict[str, Any]] = None
+        cell.trace.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
     # sampling & stall detection
     # ------------------------------------------------------------------
-    def sample(self) -> Optional[StallEvent]:
-        """Record one observation; returns a stall event if the window
-        now shows the stall signature (depth rising, firings flat)."""
+    def sample(self) -> Optional[Dict[str, Any]]:
+        """Record one observation.  When the window now shows the stall
+        signature (depth rising, firings flat), records a ``stall``
+        event and returns its detail — the dump's ``stalls`` entry."""
         depths = {
             basket.name: basket.count
             for basket in self.cell.catalog.baskets()
@@ -124,17 +103,12 @@ class FlightRecorder:
             )
             stall = self._evaluate_locked()
         if stall is not None:
-            self.stalls.append(stall)
             self.cell.trace.record(
-                "stall",
-                ",".join(stall.baskets),
-                transitions=",".join(stall.transitions),
+                "stall", ",".join(stall["baskets"]), **stall
             )
-            if self.auto_dump_path:
-                self.dump(self.auto_dump_path, reason="stall")
         return stall
 
-    def _evaluate_locked(self) -> Optional[StallEvent]:
+    def _evaluate_locked(self) -> Optional[Dict[str, Any]]:
         if len(self._samples) < self.window:
             return None
         first_t, first_f, first_d = self._samples[0]
@@ -156,12 +130,14 @@ class FlightRecorder:
             return None
         # clear the window so one stall is reported once, not per sample
         self._samples.clear()
-        return StallEvent(
-            stalled,
-            self._transitions_reading(stalled),
-            last_t - first_t,
-            last_f - first_f,
-        )
+        return {
+            "baskets": stalled,
+            "transitions": self._transitions_reading(stalled),
+            "window_seconds": last_t - first_t,
+            "firings_during_window": last_f - first_f,
+            # post-mortems are for humans: real wall time is the point
+            "detected_at": time.time(),  # dc-lint: disable=wall-clock
+        }
 
     def _transitions_reading(self, baskets: List[str]) -> List[str]:
         """The factories/emitters whose inputs are the stalled baskets —
@@ -211,24 +187,36 @@ class FlightRecorder:
                 pass
 
     # ------------------------------------------------------------------
-    # exception capture (scheduler.on_exception hook)
+    # the log's stall and error events
     # ------------------------------------------------------------------
-    def record_exception(self, transition: str, exc: BaseException) -> None:
-        """Capture an unhandled transition exception (and auto-dump)."""
-        entry = {
-            "transition": transition,
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exception(
-                type(exc), exc, exc.__traceback__
-            ),
-            "time": time.time(),  # dc-lint: disable=wall-clock
-        }
-        with self._lock:
-            self.exceptions.append(entry)
-            del self.exceptions[:-32]  # bound memory on crash loops
-        if self.auto_dump_path:
-            self.dump(self.auto_dump_path, reason="exception")
+    def _on_event(self, event: TraceEvent) -> None:
+        """Log subscriber: auto-dump on a stall or a transition error."""
+        reason = _DUMP_REASONS.get(event.kind)
+        if reason is not None and self.auto_dump_path:
+            self.dump(self.auto_dump_path, reason=reason)
+
+    def stalls(self) -> List[Dict[str, Any]]:
+        """The retained ``stall`` events' details, oldest first."""
+        events, _ = self.cell.trace.since()
+        return [dict(e.detail) for e in events if e.kind == "stall"]
+
+    def exceptions(self) -> List[Dict[str, Any]]:
+        """The last :data:`MAX_EXCEPTIONS` retained ``error`` events,
+        oldest first, with the event's time on the wall clock."""
+        events, _ = self.cell.trace.since()
+        errors = [e for e in events if e.kind == "error"][-MAX_EXCEPTIONS:]
+        # monotonic event stamps -> wall time, for the human reading it
+        wall = time.time() - time.monotonic()  # dc-lint: disable=wall-clock
+        return [
+            {
+                "transition": e.component,
+                "type": e.detail.get("type"),
+                "message": e.detail.get("message"),
+                "traceback": e.detail.get("traceback", []),
+                "time": wall + e.ts,
+            }
+            for e in errors
+        ]
 
     # ------------------------------------------------------------------
     # the post-mortem itself
@@ -292,8 +280,6 @@ class FlightRecorder:
                 {"t": t, "firings": f, "depths": dict(d)}
                 for t, f, d in self._samples
             ]
-            stalls = [s.to_dict() for s in self.stalls]
-            exceptions = list(self.exceptions)
         doc = {
             "reason": reason,
             "generated_at": time.time(),  # dc-lint: disable=wall-clock
@@ -305,8 +291,8 @@ class FlightRecorder:
             "baskets": baskets,
             "factories": factories,
             "transitions": transitions,
-            "stalls": stalls,
-            "exceptions": exceptions,
+            "stalls": self.stalls(),
+            "exceptions": self.exceptions(),
             "sample_history": history,
             "trace_events": [
                 {

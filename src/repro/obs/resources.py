@@ -38,8 +38,8 @@ crash-recovery differentials stay byte-identical with accounting on.
 :class:`ResourceBudget` is the enforcement hook ROADMAP item 4 (tenant
 quotas / admission control) attaches to: a per-query or per-tenant cap
 on CPU-per-sample, memory, or queue-wait-per-sample, evaluated on each
-telemetry-sampler tick, with breaches emitted into ``sys.events`` (kind
-``budget_breach``) exactly once per breach window.
+telemetry-sampler tick, with each breach recorded once per
+:class:`BreachWindow` as a ``budget_breach`` event in the cell's log.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from ..errors import ObservabilityError
 from .metrics import MetricsRegistry, Tally
 
 __all__ = [
+    "BreachWindow",
     "QueryResourceAccount",
     "ResourceAccountant",
     "ResourceBudget",
@@ -251,15 +252,33 @@ class QueryResourceAccount:
         )
 
 
+class BreachWindow:
+    """Once-per-breach-window firing, shared by :class:`ResourceBudget`
+    and :class:`~repro.obs.sysstreams.AlertRule`.
+
+    Breaches are noted per telemetry-sampler tick.  The first breached
+    tick opens a window and fires; consecutive breached ticks extend it
+    silently; a tick gap (the condition cleared) lets the next breach
+    open a new window — so a sustained overload fires once, not once
+    per sample.
+    """
+
+    def __init__(self) -> None:
+        self._last_tick: Optional[int] = None
+
+    def opens(self, tick: int) -> bool:
+        """Note a breach at ``tick``; True when it opens a new window."""
+        new_window = self._last_tick is None or tick - self._last_tick > 1
+        self._last_tick = tick
+        return new_window
+
+
 class ResourceBudget:
     """A cap on one query's (or one tenant's) per-sample resource use.
 
     Caps are checked once per telemetry-sampler tick against the deltas
     since the previous tick (CPU and queue-wait) or the instantaneous
-    value (memory).  A breach fires exactly once per *breach window*:
-    the first breached tick alerts, consecutive breached ticks stay
-    silent, and a clean tick followed by a new breach alerts again —
-    the same once-per-window semantics as :class:`AlertRule`.
+    value (memory).  A breach fires exactly once per :class:`BreachWindow`.
     """
 
     def __init__(
@@ -291,7 +310,7 @@ class ResourceBudget:
         self.callback = callback
         self.breaches = 0
         self.last_breach: Optional[Dict[str, Any]] = None
-        self._last_breach_tick: Optional[int] = None
+        self.window = BreachWindow()
 
     def scope_key(self) -> str:
         return f"query:{self.query}" if self.query else f"tenant:{self.tenant}"
@@ -315,17 +334,6 @@ class ResourceBudget:
                     "observed": observed,
                 })
         return exceeded
-
-    def record_tick(self, tick: int, breached: bool) -> bool:
-        """Advance the breach-window state machine; True = fire now."""
-        if not breached:
-            return False
-        new_window = (
-            self._last_breach_tick is None
-            or tick - self._last_breach_tick > 1
-        )
-        self._last_breach_tick = tick
-        return new_window
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -359,9 +367,6 @@ class ResourceAccountant:
         self._accounts: Dict[str, QueryResourceAccount] = {}
         self._by_transition: Dict[str, QueryResourceAccount] = {}
         self.budgets: Dict[str, ResourceBudget] = {}
-        # engine-level breach observers (the network front door uses
-        # this to throttle over-budget tenants at the socket)
-        self._breach_listeners: List[Callable[..., Any]] = []
         m = self.metrics
         self._m_cpu = m.counter(
             "datacell_query_cpu_seconds_total",
@@ -589,45 +594,32 @@ class ResourceAccountant:
 
     def check_budgets(
         self, deltas: Dict[str, Dict[str, float]], tick: int
-    ) -> List[Dict[str, Any]]:
+    ) -> None:
         """Evaluate every budget against this tick's deltas.
 
-        Returns one breach record per budget that *fires* this tick
-        (first breached tick of a window); consecutive breached ticks
-        return nothing for that budget.
+        A budget whose :class:`BreachWindow` opens this tick counts a
+        breach, calls its callback and records a ``budget_breach`` event;
+        consecutive breached ticks do nothing for that budget.
         """
-        fired: List[Dict[str, Any]] = []
         for budget in list(self.budgets.values()):
-            usage = self.usage_for_scope(budget, deltas)
-            exceeded = budget.evaluate(usage)
-            if budget.record_tick(tick, bool(exceeded)):
-                budget.breaches += 1
-                record = {
-                    "budget": budget.name,
-                    "scope": budget.scope_key(),
-                    "exceeded": exceeded,
-                    "tick": tick,
-                }
-                budget.last_breach = record
-                self._m_breaches.labels(budget.name).inc()
-                if budget.callback is not None:
-                    budget.callback(budget, record)
-                for listener in list(self._breach_listeners):
-                    listener(budget, record)
-                fired.append(record)
-        return fired
-
-    def add_breach_listener(
-        self, listener: Callable[[ResourceBudget, Dict[str, Any]], None]
-    ) -> None:
-        """Register an engine-level observer fired on every budget
-        breach (after the budget's own callback)."""
-        if listener not in self._breach_listeners:
-            self._breach_listeners.append(listener)
-
-    def remove_breach_listener(self, listener: Callable[..., Any]) -> None:
-        if listener in self._breach_listeners:
-            self._breach_listeners.remove(listener)
+            exceeded = budget.evaluate(self.usage_for_scope(budget, deltas))
+            if not exceeded or not budget.window.opens(tick):
+                continue
+            budget.breaches += 1
+            record = {
+                "budget": budget.name,
+                "scope": budget.scope_key(),
+                "exceeded": exceeded,
+                "tick": tick,
+            }
+            budget.last_breach = record
+            self._m_breaches.labels(budget.name).inc()
+            if budget.callback is not None:
+                budget.callback(budget, record)
+            self.cell.trace.record(
+                "budget_breach", budget.name, scope=record["scope"],
+                exceeded=exceeded, tick=tick,
+            )
 
     # ------------------------------------------------------------------
     # reading

@@ -20,8 +20,13 @@ appended to four reserved baskets:
     deltas, high water) — the flight recorder's stall predicate
     becomes the one-liner ``depth_delta > 0 and consumed_delta = 0``;
 ``sys.events``
-    discrete occurrences: stall/checkpoint/recovery/error trace events
-    drained from the trace ring, plus alert firings.
+    every event of the cell's log (:mod:`repro.obs.tracing`) but
+    ``fire``: registrations, errors, stalls, checkpoints, alert
+    firings, budget breaches, client sessions — drained each tick.
+
+The sampler is the only writer of ``sys.*`` baskets: everything else
+raises an event with ``cell.trace.record`` and the next tick appends
+it.
 
 System baskets are deliberately *second-class citizens of durability
 and shedding*: they are exempt from WAL capture (their rows are derived
@@ -38,7 +43,7 @@ Because the baskets live in the ordinary catalog (under the reserved
         "and consumed_delta = 0] as b")
 
 :class:`AlertRule` wraps such a query with once-per-breach-window
-firing semantics and routes firings to callbacks and ``sys.events``.
+firing semantics and routes firings to callbacks and ``alert`` events.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..kernel.types import AtomType
 from .metrics import Histogram, MetricsRegistry
+from .resources import BreachWindow
 
 __all__ = [
     "SYS_SCHEMA",
@@ -145,10 +151,6 @@ class SystemStreamsConfig:
     interval: float = 1.0
     retention: int = 512
     include_histograms: bool = True
-    #: trace-ring event kinds forwarded into ``sys.events``
-    event_kinds: Tuple[str, ...] = (
-        "stall", "checkpoint", "recovery", "error", "shed",
-    )
 
 
 class TelemetrySampler:
@@ -163,8 +165,9 @@ class TelemetrySampler:
 
     Self-measurement is cut off at the source: instruments labeled with
     ``sys.*`` names (the system baskets' own depth/flow counters) and
-    with this transition's name are skipped, so a sample never makes the
-    next sample non-empty and ``run_until_quiescent`` still quiesces.
+    with this transition's name, and events about this transition, are
+    skipped, so a sample never makes the next sample non-empty and
+    ``run_until_quiescent`` still quiesces.
     """
 
     def __init__(self, cell: Any, config: Optional[SystemStreamsConfig] = None):
@@ -192,7 +195,8 @@ class TelemetrySampler:
         self._prev_resources: Dict[str, Dict[str, Any]] = {}
         # this sample's per-account deltas, for resource-budget checks
         self._last_resource_deltas: Dict[str, Dict[str, float]] = {}
-        self._trace_cursor = cell.trace.total_recorded
+        # sys.events starts with the events raised from here on
+        self._event_cursor = cell.trace.total_kept
         metrics: MetricsRegistry = cell.metrics
         self._m_samples = metrics.counter(
             "datacell_sys_samples_total",
@@ -222,11 +226,16 @@ class TelemetrySampler:
         rows_out += self._sample_metrics(now)
         rows_out += self._sample_queries(now)
         rows_out += self._sample_baskets(now)
-        rows_out += self._drain_trace_events(now)
         self.samples_taken += 1
+        # budgets before the drain, so a breach is in sys.events the
+        # tick that detects it
+        if self.cell.resources.enabled:
+            self.cell.resources.check_budgets(
+                self._last_resource_deltas, self.samples_taken
+            )
+        rows_out += self._drain_events(now)
         self.rows_emitted += rows_out
         self._m_samples.inc()
-        self._check_budgets()
         # one activation absorbs any number of elapsed intervals: deltas
         # are since-last-sample, so a late sample is coarse, never wrong
         self._next_due = now + self.config.interval
@@ -341,8 +350,8 @@ class TelemetrySampler:
         """One ``sys.resources`` row per query whose account changed.
 
         Also refreshes the engine-wide memory gauge and stashes this
-        sample's per-account deltas for the budget checks that run at
-        the end of the activation.
+        sample's per-account deltas for the budget checks that run
+        later in the activation.
         """
         accountant = getattr(self.cell, "resources", None)
         self._last_resource_deltas = {}
@@ -388,38 +397,15 @@ class TelemetrySampler:
         accountant._m_memory.set(accountant.engine_memory_bytes())
         return self._append(SYS_RESOURCES, rows, now)
 
-    def _check_budgets(self) -> None:
-        """Evaluate resource budgets against this sample's deltas and
-        emit one ``budget_breach`` event per budget per breach window."""
-        accountant = getattr(self.cell, "resources", None)
-        if accountant is None or not accountant.enabled \
-                or not accountant.budgets:
-            return
-        fired = accountant.check_budgets(
-            self._last_resource_deltas, self.samples_taken
+    def _drain_events(self, now: float) -> int:
+        """Every event but ``fire`` raised since the last tick."""
+        events, self._event_cursor = self.cell.trace.since(
+            self._event_cursor
         )
-        for record in fired:
-            self.emit_event(
-                "budget_breach",
-                record["budget"],
-                scope=record["scope"],
-                exceeded=record["exceeded"],
-                tick=record["tick"],
-            )
-
-    def _drain_trace_events(self, now: float) -> int:
-        trace = self.cell.trace
-        total = trace.total_recorded
-        fresh_count = total - self._trace_cursor
-        self._trace_cursor = total
-        if fresh_count <= 0:
-            return 0
-        events = trace.events()
-        fresh = events[-min(fresh_count, len(events)):]
         rows = [
             [e.kind, e.component, json.dumps(e.detail, default=str)]
-            for e in fresh
-            if e.kind in self.config.event_kinds
+            for e in events
+            if e.component != self.name
         ]
         return self._append(SYS_EVENTS, rows, now)
 
@@ -429,17 +415,6 @@ class TelemetrySampler:
         self.baskets[stream].insert_rows(rows, timestamp=now)
         self._m_rows.labels(stream).inc(len(rows))
         return len(rows)
-
-    # ------------------------------------------------------------------
-    # direct event ingestion (alerts, application events)
-    # ------------------------------------------------------------------
-    def emit_event(self, kind: str, component: str, **detail: Any) -> None:
-        """Append one row to ``sys.events`` directly (no trace-ring hop)."""
-        self._append(
-            SYS_EVENTS,
-            [[kind, component, json.dumps(detail, default=str)]],
-            float(self.cell.clock.now()),
-        )
 
     def close(self) -> None:
         """Unregister the sampler and drop the system baskets."""
@@ -456,14 +431,12 @@ class AlertRule:
     """A meta-query with once-per-breach-window firing semantics.
 
     Wraps a continuous query (normally over ``sys.*`` streams).  Every
-    non-empty delivery marks the current sampler tick as *breached*;
-    the rule fires on the first breached tick of a window and stays
-    silent while consecutive ticks keep matching.  A tick gap (the
-    condition cleared, then re-appeared) starts a new window and fires
-    again — so a sustained overload alerts once, not once per sample.
+    non-empty delivery marks the current sampler tick as *breached*,
+    and the rule fires once per
+    :class:`~repro.obs.resources.BreachWindow`.
 
-    Firings go to the optional ``callback(rule, rows)``, to
-    ``sys.events`` (kind ``alert``), and to the
+    Firings go to the optional ``callback(rule, rows)``, to an ``alert``
+    event (so to ``sys.events`` at the next tick), and to the
     ``datacell_alerts_fired_total`` counter.
     """
 
@@ -482,7 +455,7 @@ class AlertRule:
         self.firings = 0
         self.last_rows: List[Tuple] = []
         self.cancelled = False
-        self._last_match_tick: Optional[int] = None
+        self._window = BreachWindow()
         registry = metrics if metrics is not None else sampler.cell.metrics
         self._m_fired = registry.counter(
             "datacell_alerts_fired_total",
@@ -493,20 +466,13 @@ class AlertRule:
         sampler.alerts[name] = self
 
     def _on_delivery(self, rows: List[Tuple]) -> None:
-        if not rows or self.cancelled:
-            return
         tick = self.sampler.samples_taken
-        new_window = (
-            self._last_match_tick is None
-            or tick - self._last_match_tick > 1
-        )
-        self._last_match_tick = tick
-        if not new_window:
+        if not rows or self.cancelled or not self._window.opens(tick):
             return
         self.firings += 1
         self.last_rows = list(rows)
         self._m_fired.inc()
-        self.sampler.emit_event(
+        self.sampler.cell.trace.record(
             "alert", self.name, rows=len(rows), tick=tick
         )
         if self.callback is not None:

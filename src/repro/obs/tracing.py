@@ -1,33 +1,37 @@
-"""Bounded ring-buffer tracing of scheduler decisions and activations.
+"""The cell's event log: every engine event, recorded once.
 
-When a continuous-query network stalls or livelocks, counters tell you
-*that* something is wrong; the trace tells you *what happened last*.  The
-scheduler records one :class:`TraceEvent` per transition firing (and per
-registration change); the ring buffer keeps the most recent ``capacity``
-events at O(1) cost per record, so tracing can stay on in production.
+An event is one ``(ts, kind, component, detail)`` raised with
+:meth:`TraceLog.record`.  A cell has one log, its scheduler's
+(``cell.trace``): the sampler drains it into ``sys.events``, the flight
+recorder builds its ``stalls``/``exceptions`` from it, and
+:meth:`TraceLog.subscribe` is the one push seam.  It keeps two bounded
+retentions: a ring of the last ``capacity`` events of every kind (what
+happened last), and one of the same size of every kind but ``fire``, so
+a burst of firings cannot evict the rare events before they are read.
 
-Timestamps are ``time.monotonic()`` — traces order events, they do not
-tell wall-clock time (see ``docs/observability.md``).
+Timestamps are ``time.monotonic()`` — events order, they do not tell
+wall-clock time (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One recorded engine decision.
+    """One recorded engine event.
 
-    ``kind`` is a small vocabulary ("fire", "register", "unregister",
-    "shed", ...); ``component`` is the transition/basket name; ``detail``
-    carries kind-specific numbers (tuples in/out, elapsed seconds...).
+    ``kind`` is a small vocabulary ("fire", "register", "error",
+    "stall", ...); ``component`` is the transition/basket/subsystem
+    name; ``detail`` carries kind-specific values.
     """
 
     ts: float
@@ -47,13 +51,13 @@ def _fmt(value: Any) -> str:
 
 
 class TraceLog:
-    """A thread-safe ring buffer of :class:`TraceEvent`.
+    """A thread-safe event log.
 
-    ``deque.append`` with a ``maxlen`` is atomic under the GIL, so the
-    record path takes no lock; snapshot reads copy under a lock to get a
-    consistent view while writers keep appending.  The ring holds plain
-    ``(ts, kind, component, detail)`` tuples — recording happens on every
-    firing, reading rarely — and readers get :class:`TraceEvent` objects.
+    A ``fire`` record, one per activation, is a plain tuple appended to
+    the ring without a lock (``deque.append`` with a ``maxlen`` is atomic
+    under the GIL).  Any other kind also enters the second retention
+    under the lock, so :meth:`since` counts it exactly, and then goes to
+    every subscriber.  Readers get :class:`TraceEvent` objects.
     """
 
     def __init__(self, capacity: int = 2048):
@@ -63,23 +67,63 @@ class TraceLog:
         self._events: Deque[Tuple[float, str, str, Dict[str, Any]]] = deque(
             maxlen=capacity
         )
+        self._kept: Deque[Tuple[float, str, str, Dict[str, Any]]] = deque(
+            maxlen=capacity
+        )
+        self._subscribers: Tuple[Callable[[TraceEvent], Any], ...] = ()
         self._lock = threading.Lock()
         self.total_recorded = 0
+        self.total_kept = 0  # lifetime non-fire count: since()'s cursor
 
     @property
     def capacity(self) -> int:
         return self._capacity
 
     def record(self, kind: str, component: str, **detail: Any) -> None:
-        self._events.append((time.monotonic(), kind, component, detail))
+        event = (time.monotonic(), kind, component, detail)
+        self._events.append(event)
         self.total_recorded += 1
+        if kind == "fire":
+            return
+        with self._lock:
+            self._kept.append(event)
+            self.total_kept += 1
+        for subscriber in self._subscribers:
+            try:
+                subscriber(TraceEvent(*event))
+            except Exception as exc:
+                # a broken consumer must not break the recording code
+                warnings.warn(
+                    f"event subscriber {subscriber!r} raised on {kind!r}: "
+                    f"{type(exc).__name__}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+
+    def subscribe(
+        self, subscriber: Callable[[TraceEvent], Any]
+    ) -> Callable[[], None]:
+        """Call ``subscriber(event)`` on the recording thread for every
+        event but ``fire``, after it is retained; returns the function
+        that unsubscribes it.  An exception it raises becomes a
+        ``RuntimeWarning`` and does not reach the recording code."""
+        with self._lock:
+            self._subscribers = self._subscribers + (subscriber,)
+
+        def unsubscribe() -> None:
+            with self._lock:
+                self._subscribers = tuple(
+                    s for s in self._subscribers if s is not subscriber
+                )
+
+        return unsubscribe
 
     def events(
         self,
         kind: Optional[str] = None,
         component: Optional[str] = None,
     ) -> List[TraceEvent]:
-        """Oldest-first snapshot, optionally filtered."""
+        """Oldest-first snapshot of the ring, optionally filtered."""
         with self._lock:
             snapshot = [TraceEvent(*event) for event in self._events]
         if kind is not None:
@@ -88,9 +132,20 @@ class TraceLog:
             snapshot = [e for e in snapshot if e.component == component]
         return snapshot
 
+    def since(self, cursor: int = 0) -> Tuple[List[TraceEvent], int]:
+        """The retained non-``fire`` events recorded after the first
+        ``cursor`` of them, oldest first, and the cursor to pass next
+        time (``since(0)`` is everything still retained)."""
+        with self._lock:
+            fresh = min(self.total_kept - cursor, len(self._kept))
+            tail = list(self._kept)[-fresh:] if fresh > 0 else []
+            total = self.total_kept
+        return [TraceEvent(*event) for event in tail], total
+
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
+            self._kept.clear()
 
     def __len__(self) -> int:
         return len(self._events)

@@ -14,12 +14,16 @@ Admission control happens at the socket:
 * a per-tenant pending-ingest watermark pauses the reader coroutine
   (TCP flow control throttles the peer) until the pump drains;
 * tenant-scoped :class:`~repro.obs.resources.ResourceBudget` breaches
-  (reported by the accountant's breach-listener seam) throttle the
-  tenant's readers for ``admission_cooldown`` seconds per breach.
+  (``budget_breach`` events, heard through ``cell.trace.subscribe``)
+  throttle the tenant's readers for ``admission_cooldown`` seconds per
+  breach.
+
+Session lifecycle and admission decisions are events in the cell's log
+(component ``server``), whether or not system streams are on.
 
 This module is the one place the server may read the wall clock
-(session timestamps in ``HELLO_OK`` and ``sys.events``) — it is on the
-engine-invariant linter's approved list for exactly that.
+(``HELLO_OK`` session timestamps) — it is on the engine-invariant
+linter's approved list for exactly that.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError, ReproError, ServerError
+from ..obs.tracing import TraceEvent
 from ..sql.ast_nodes import CreateBasket, CreateTable
 from ..sql.parser import parse_statement
 from .ingest import IngestBatch, IngestQueue, ServerIngestPump
@@ -225,8 +230,7 @@ class DataCellServer:
             ("code",),
         )
         cell.scheduler.register(self.pump)
-        if cell.resources.enabled:
-            cell.resources.add_breach_listener(self._on_breach)
+        self._stop_listening = cell.trace.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -319,8 +323,7 @@ class DataCellServer:
         # the pump unregisters after sockets are gone: nothing new can
         # arrive, and whatever the scheduler already drained is applied
         self.cell.scheduler.unregister(self.pump.name)
-        if self.cell.resources.enabled:
-            self.cell.resources.remove_breach_listener(self._on_breach)
+        self._stop_listening()
 
     async def _shutdown_sessions(self, budget: float) -> None:
         if self._server is not None:
@@ -475,8 +478,9 @@ class DataCellServer:
             except ReproError:
                 pass  # engine already tore the query down
         self._m_sessions.dec()
-        self._emit_event(
+        self.cell.trace.record(
             "client_disconnect",
+            "server",
             session=session.id,
             tenant=session.tenant,
             **{
@@ -617,8 +621,9 @@ class DataCellServer:
                 },
             )
         )
-        self._emit_event(
+        self.cell.trace.record(
             "client_connect",
+            "server",
             session=session.id,
             tenant=tenant,
             client=session.client,
@@ -778,8 +783,8 @@ class DataCellServer:
                 self._throttled[tenant] = deadline
         self.tenants_throttled += 1
         self._m_throttled.labels(tenant).inc()
-        self._emit_event(
-            "tenant_throttled", tenant=tenant, seconds=seconds
+        self.cell.trace.record(
+            "tenant_throttled", "server", tenant=tenant, seconds=seconds
         )
 
     def _throttle_remaining(self, tenant: str) -> float:
@@ -793,15 +798,15 @@ class DataCellServer:
                 return 0.0
             return remaining
 
-    def _on_breach(self, budget: Any, record: Dict[str, Any]) -> None:
-        """Accountant breach listener: over-budget tenants lose socket
-        admission for a cooldown, throttling them at the edge instead of
-        inside the engine."""
-        if budget.tenant is None:
+    def _on_event(self, event: TraceEvent) -> None:
+        """Log subscriber: an over-budget tenant loses socket admission
+        for a cooldown, throttling it at the edge instead of inside the
+        engine."""
+        if event.kind != "budget_breach":
             return
-        self.throttle_tenant(
-            budget.tenant, self.config.admission_cooldown
-        )
+        scope, _, tenant = event.detail["scope"].partition(":")
+        if scope == "tenant":
+            self.throttle_tenant(tenant, self.config.admission_cooldown)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -827,18 +832,10 @@ class DataCellServer:
         """Session-queue overflow accounting (called by bindings)."""
         policy = self.config.backpressure
         self._m_dropped.labels(policy).inc()
-        self._emit_event(
-            "queue_full", query=query, rows=rows,
+        self.cell.trace.record(
+            "queue_full", "server", query=query, rows=rows,
             policy=policy, outcome=outcome,
         )
-
-    def _emit_event(self, kind: str, **detail: Any) -> None:
-        sampler = self.cell.sys
-        if sampler is not None:
-            try:
-                sampler.emit_event(kind, "server", **detail)
-            except ReproError:  # pragma: no cover - sampler torn down
-                pass
 
     def sessions(self) -> List[ClientSession]:
         with self._conns_lock:

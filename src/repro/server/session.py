@@ -18,7 +18,7 @@ is where the backpressure policy dial lives:
     The oldest queued ``DATA`` frame is shed to make room — bounded
     memory, freshest results win, drops are counted on the session,
     the emitter (:meth:`~repro.core.emitter.Emitter.note_dropped`), and
-    ``sys.events``.
+    the cell's log (a ``queue_full`` event).
 ``disconnect``
     The session is closed with an ``ERROR`` frame — strict clients that
     would rather re-subscribe than miss rows.

@@ -15,8 +15,8 @@ correctness substrate instead:
   reproducible from ``(seed, policy, fault plan)``.
 * :mod:`~repro.simtest.faults` injects drop/duplicate/reorder/delay
   faults at basket boundaries and raises exceptions inside transitions
-  (exercising the scheduler's ``on_exception`` hook and the flight
-  recorder).
+  (exercising the scheduler's ``error`` event and the flight recorder,
+  which reads it).
 * :mod:`~repro.simtest.oracle` replays every simulated input stream
   through both the continuous-query pipeline and a one-shot execution of
   the same SQL over the accumulated stream table (plus the ``baselines``

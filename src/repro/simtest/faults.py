@@ -8,8 +8,8 @@ The fault matrix (see ``docs/testing.md``):
 ``reorder``    the tuples of a polled batch arrive shuffled
 ``delay``      a polled batch is held back for a stretch of *virtual* time
 ``raise``      a transition activation raises :class:`InjectedFault` instead
-               of running (exercising ``Scheduler.on_exception``, the trace
-               'error' path, and the flight recorder)
+               of running (exercising the scheduler's ``error`` event and
+               the flight recorder, which reads it)
 =========  ==================================================================
 
 All decisions come from a :class:`FaultPlan` seeded independently of the

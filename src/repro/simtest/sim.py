@@ -80,8 +80,8 @@ class EpisodeResult:
 class _Raiser:
     """Stands in for a transition when the fault plan orders a crash.
 
-    Carries the victim's name and priority so traces, metrics and the
-    ``on_exception`` hook attribute the failure to the real transition;
+    Carries the victim's name and priority so metrics and the ``error``
+    event attribute the failure to the real transition;
     the victim's own state is untouched (the crash happens "before" its
     activation), so it stays enabled and retries on a later firing.
     """
@@ -205,7 +205,8 @@ class SimScheduler(Scheduler):
         if choice is self._ingest:
             delivered = self._deliver_next_input()
             self.result.firings.append((INGEST, delivered, 0))
-            self.trace.record("ingest", INGEST, events=delivered)
+            # a pseudo-firing, so a ``fire``: kept out of sys.events
+            self.trace.record("fire", INGEST, events=delivered)
             return INGEST
         if self.faults is not None and self.faults.should_raise(choice.name):
             try:

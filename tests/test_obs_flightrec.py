@@ -41,13 +41,15 @@ class TestStallDetection:
         recorder = FlightRecorder(cell, window=3)
         stall = drive_stall(cell, recorder)
         assert stall is not None
-        assert stall.baskets == ["sensors"]
-        assert "q1" in stall.transitions
-        assert stall.firings == 0
-        assert recorder.stalls == [stall]
-        # the stall is also visible in the engine-wide trace ring
-        kinds = [e.kind for e in cell.trace.events()]
-        assert "stall" in kinds
+        assert stall["baskets"] == ["sensors"]
+        assert "q1" in stall["transitions"]
+        assert stall["firings_during_window"] == 0
+        # the stall is a ``stall`` event of the cell's log, which is
+        # where the recorder reads it back from
+        assert recorder.stalls() == [stall]
+        (event,) = cell.trace.events(kind="stall")
+        assert event.component == "sensors"
+        assert event.detail == stall
 
     def test_healthy_pipeline_never_stalls(self):
         cell = DataCell()
@@ -58,7 +60,7 @@ class TestStallDetection:
             cell.insert("sensors", [(i, 45.0)])
             cell.run_until_quiescent()  # consumes: firings advance
             assert recorder.sample() is None
-        assert recorder.stalls == []
+        assert recorder.stalls() == []
 
     def test_flat_depth_is_not_a_stall(self):
         cell, _ = build_wedged_cell()
@@ -169,7 +171,9 @@ class TestDumpContents:
         cell.run_until_quiescent()
         clock.advance(1.0)
         cell.run_until_quiescent()  # one sampler tick fills sys.metrics
-        cell.sys.emit_event("error", "synthetic", detail="for the dump")
+        cell.trace.record("error", "synthetic", detail="for the dump")
+        clock.advance(1.0)
+        cell.run_until_quiescent()  # the next tick drains the event
 
         path = str(tmp_path / "f.json")
         doc = cell.dump_flight_record(path)
@@ -210,7 +214,7 @@ class TestDumpContents:
             clock.advance(1.0)
             cell.run_until_quiescent()  # sys.metrics grows monotonically
             assert recorder.sample() is None
-        assert recorder.stalls == []
+        assert recorder.stalls() == []
 
     def test_broken_enabled_survives_snapshot(self):
         cell, query = build_wedged_cell()
@@ -239,7 +243,7 @@ class TestExceptionCapture:
         cell.insert("src", [(1,)])
         with pytest.raises(RuntimeError, match="plan blew up"):
             cell.run_until_quiescent()
-        entries = cell.flight.exceptions
+        entries = cell.flight.exceptions()
         assert len(entries) == 1
         assert entries[0]["transition"] == "bad"
         assert entries[0]["type"] == "RuntimeError"
@@ -269,11 +273,50 @@ class TestExceptionCapture:
         assert doc["exceptions"][0]["type"] == "ValueError"
 
     def test_exception_log_bounded(self):
-        cell, _ = build_wedged_cell()
-        for i in range(50):
-            cell.flight.record_exception("t", RuntimeError(str(i)))
-        assert len(cell.flight.exceptions) == 32
-        assert cell.flight.exceptions[-1]["message"] == "49"
+        class CrashLoop:
+            name, priority, attempts = "t", 0, 0
+
+            def enabled(self):
+                return True
+
+            def activate(self):
+                self.attempts += 1
+                raise RuntimeError(str(self.attempts - 1))
+
+        cell = DataCell()
+        cell.scheduler.register(CrashLoop())
+        for _ in range(50):
+            with pytest.raises(RuntimeError):
+                cell.step()
+        assert len(cell.trace.events(kind="error")) == 50
+        entries = cell.flight.exceptions()
+        assert len(entries) == 32
+        assert entries[-1]["message"] == "49"
+        assert entries[0]["message"] == "18"
+        assert set(entries[-1]) == {
+            "transition", "type", "message", "traceback", "time",
+        }
+        assert abs(entries[-1]["time"] - time.time()) < 60.0
+
+    def test_raising_dump_does_not_break_the_firing(self, tmp_path):
+        # auto-dump runs as a log subscriber; a dump that fails (here: a
+        # path in a missing directory) must not mask the real error
+        cell = DataCell()
+        cell.execute("create basket src (v int)")
+        cell.flight.auto_dump_path = str(tmp_path / "missing" / "f.json")
+
+        def explode(snapshots):
+            raise ValueError("bad tuple")
+
+        cell.submit_plan(
+            "bad", CallablePlan(explode, default_output="bad_out"),
+            ["src"], [("v", AtomType.INT)],
+        )
+        cell.insert("src", [(1,)])
+        with pytest.warns(RuntimeWarning, match="FileNotFoundError"):
+            with pytest.raises(ValueError, match="bad tuple"):
+                cell.run_until_quiescent()
+        assert cell.flight.exceptions()[0]["type"] == "ValueError"
 
 
 class TestWatchdog:
@@ -299,11 +342,11 @@ class TestWatchdog:
         try:
             deadline = time.monotonic() + 2.0
             i = 0
-            while not recorder.stalls and time.monotonic() < deadline:
+            while not recorder.stalls() and time.monotonic() < deadline:
                 cell.insert("sensors", [(i, 45.0)])
                 i += 1
                 time.sleep(0.01)
         finally:
             recorder.stop()
-        assert recorder.stalls
-        assert recorder.stalls[0].baskets == ["sensors"]
+        assert recorder.stalls()
+        assert recorder.stalls()[0]["baskets"] == ["sensors"]

@@ -80,6 +80,63 @@ class TestTraceLog:
         assert len(log) == 1000  # ring stayed bounded under contention
 
 
+class TestKeptEvents:
+    def test_fire_is_ring_only(self):
+        log = TraceLog(capacity=4)
+        log.record("checkpoint", "durability", id=1)
+        for i in range(10):
+            log.record("fire", f"t{i}")
+        assert [e.kind for e in log.events()] == ["fire"] * 4
+        events, cursor = log.since()
+        assert [(e.kind, e.detail) for e in events] == [
+            ("checkpoint", {"id": 1})
+        ]
+        assert cursor == log.total_kept == 1
+
+    def test_since_is_a_cursor(self):
+        log = TraceLog()
+        log.record("register", "a")
+        _, cursor = log.since()
+        log.record("fire", "a")
+        log.record("unregister", "a")
+        events, cursor = log.since(cursor)
+        assert [e.kind for e in events] == ["unregister"]
+        assert log.since(cursor) == ([], cursor)
+
+    def test_kept_retention_is_bounded(self):
+        log = TraceLog(capacity=3)
+        for i in range(5):
+            log.record("stall", f"b{i}")
+        events, cursor = log.since()
+        assert [e.component for e in events] == ["b2", "b3", "b4"]
+        assert cursor == 5
+
+    def test_subscribers_see_every_kind_but_fire(self):
+        log = TraceLog()
+        seen = []
+        unsubscribe = log.subscribe(seen.append)
+        log.record("fire", "q")
+        log.record("error", "q", type="ValueError")
+        assert [(e.kind, e.component) for e in seen] == [("error", "q")]
+        unsubscribe()
+        log.record("stall", "b")
+        assert len(seen) == 1
+
+    def test_raising_subscriber_does_not_break_record(self):
+        log = TraceLog()
+        seen = []
+
+        def broken(event):
+            raise RuntimeError("consumer bug")
+
+        log.subscribe(broken)
+        log.subscribe(seen.append)
+        with pytest.warns(RuntimeWarning, match="consumer bug"):
+            log.record("checkpoint", "durability")
+        assert [e.kind for e in seen] == ["checkpoint"]
+        assert log.total_kept == 1
+
+
 def passthrough_network(trace):
     """in -> copy factory -> out, driven by a private scheduler."""
     metrics = MetricsRegistry()

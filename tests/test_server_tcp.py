@@ -293,6 +293,80 @@ def test_budget_breach_throttles_tenant_ingest():
         cell.stop()
 
 
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail("condition not reached in time")
+        time.sleep(0.01)
+
+
+def _session_kinds(events):
+    return [
+        e.kind for e in events
+        if e.kind in ("client_connect", "client_disconnect")
+    ]
+
+
+def test_session_events_reach_the_log_without_sys_streams():
+    cell, server = _boot()
+    try:
+        with DataCellClient(*server.address, tenant="acme") as db:
+            assert db.ping() < 10.0
+        _wait_for(lambda: cell.trace.events(kind="client_disconnect"))
+    finally:
+        cell.stop()
+    assert cell.sys is None
+    assert _session_kinds(cell.trace.events()) == [
+        "client_connect", "client_disconnect",
+    ]
+    connect = cell.trace.events(kind="client_connect")[0]
+    assert connect.component == "server"
+    assert connect.detail["tenant"] == "acme"
+
+
+def test_session_events_reach_sys_events_after_one_tick():
+    from repro.obs.sysstreams import SYS_EVENTS, tail_rows
+
+    cell, server = _boot(system_streams=True)
+    try:
+        with DataCellClient(*server.address, tenant="acme") as db:
+            assert db.ping() < 10.0
+        _wait_for(lambda: cell.trace.events(kind="client_disconnect"))
+        samples = cell.sys.samples_taken
+        cell.clock.advance(1.0)  # the sampler thread's next tick is due
+        _wait_for(lambda: cell.sys.samples_taken > samples)
+        columns, rows = tail_rows(cell.basket(SYS_EVENTS), 100)
+    finally:
+        cell.stop()
+    kind, component = columns.index("kind"), columns.index("component")
+    assert [
+        r[kind] for r in rows
+        if r[component] == "server"
+    ] == ["client_connect", "client_disconnect"]
+
+
+def test_budget_breach_event_throttles_the_tenant():
+    # the server hears breaches through its log subscription
+    cell, server = _boot(config=ServerConfig(admission_cooldown=5.0))
+    try:
+        cell.trace.record(
+            "budget_breach", "cap", scope="tenant:acme", tick=1
+        )
+        cell.trace.record(
+            "budget_breach", "qcap", scope="query:q1", tick=1
+        )
+        assert server.tenants_throttled == 1
+        assert set(server.stats()["throttled_tenants"]) == {"acme"}
+        (event,) = cell.trace.events(kind="tenant_throttled")
+        assert event.detail == {"tenant": "acme", "seconds": 5.0}
+    finally:
+        cell.stop()
+    # a closed server no longer listens
+    cell.trace.record("budget_breach", "cap", scope="tenant:acme", tick=2)
+    assert server.tenants_throttled == 1
+
+
 def test_shutdown_order_is_server_scheduler_durability_httpd(tmp_path):
     cell = DataCell(
         clock=LogicalClock(),

@@ -3,8 +3,8 @@
 Two layers under test: :class:`FaultableChannel` must implement each
 batch fault exactly (and keep the post-fault ``delivered`` ground
 truth), and injected transition exceptions must flow through the same
-paths a real crash would — ``Scheduler.on_exception``, the trace log's
-``error`` events, and the flight recorder.
+path a real crash would — the scheduler's ``error`` event in the cell's
+one log, which the flight recorder reads.
 """
 
 import pytest
@@ -127,7 +127,7 @@ class TestInjectedExceptions:
         )
         assert result.ok, result.explain()
 
-    def test_on_exception_hook_and_flight_recorder_fire(self):
+    def test_error_events_reach_the_flight_recorder(self, tmp_path):
         from repro.adapters.channels import InMemoryChannel as Chan
         from repro.core.engine import DataCell
         from repro.obs.metrics import MetricsRegistry
@@ -151,8 +151,12 @@ class TestInjectedExceptions:
         cell.submit_continuous(
             "select x.a from [select * from feed where feed.a > 1] as x"
         )
+        # a cell built on a simulator shares its log: one log per cell
+        assert cell.trace is sim.trace
         recorder = FlightRecorder(cell)
-        sim.on_exception = recorder.record_exception
+        dumps = []
+        recorder.dump = lambda path, reason: dumps.append(reason)
+        recorder.auto_dump_path = str(tmp_path / "f.json")
         episode = sim.run_episode(
             [
                 InputEvent.make(0.0, "wire", [(i, i) for i in range(30)]),
@@ -160,13 +164,22 @@ class TestInjectedExceptions:
             ]
         )
         assert episode.injected_exceptions > 0
-        assert len(recorder.exceptions) == episode.injected_exceptions
+        exceptions = recorder.exceptions()
+        assert len(exceptions) == episode.injected_exceptions
+        assert all(e["type"] == "InjectedFault" for e in exceptions)
         assert all(
-            e["type"] == "InjectedFault" for e in recorder.exceptions
+            any("InjectedFault" in line for line in e["traceback"])
+            for e in exceptions
         )
         # the injected crash is attributed to the real victim transition
-        victims = {e["transition"] for e in recorder.exceptions}
+        victims = {e["transition"] for e in exceptions}
         assert victims <= {t.name for t in sim.transitions()}
-        # and the shared trace saw the same error events
-        errors = [e for e in sim.trace.events() if e.kind == "error"]
+        # the log saw the same error events, each one auto-dumped
+        errors = cell.trace.events(kind="error")
         assert len(errors) == episode.injected_exceptions
+        assert dumps == ["exception"] * episode.injected_exceptions
+        # the cell's own recorder dumps the same section
+        dumped = cell.flight.snapshot()["exceptions"]
+        assert [(e["transition"], e["message"]) for e in dumped] == [
+            (e["transition"], e["message"]) for e in exceptions
+        ]

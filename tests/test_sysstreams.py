@@ -230,18 +230,49 @@ class TestSamplerDeterminism:
         assert names == {"sensors"}
 
     def test_trace_events_drained_by_kind(self):
+        # every kind but ``fire`` reaches sys.events
         cell, clock = build_cell()
         cell.trace.record("checkpoint", "durability", id=1)
-        cell.trace.record("firing", "noise")  # not in event_kinds
+        cell.trace.record("fire", "noise", tuples_in=1)
+        cell.trace.record("firing", "app")  # any other kind is included
         tick(cell, clock)
         events = cell.query("select kind, component from sys.events")
         assert ("checkpoint", "durability") in events
-        assert all(k != "firing" for k, _ in events)
+        assert ("firing", "app") in events
+        assert all(k != "fire" for k, _ in events)
 
-    def test_emit_event_direct(self):
-        cell, _ = build_cell()
-        cell.sys.emit_event("error", "test", detail="boom")
-        assert cell.query("select kind from sys.events") == [("error",)]
+    def test_recorded_event_lands_at_next_tick(self):
+        cell, clock = build_cell()
+        cell.trace.record("error", "test", detail="boom")
+        assert cell.query("select kind from sys.events") == []
+        tick(cell, clock)
+        assert cell.query(
+            "select kind, component, detail from sys.events"
+        ) == [("error", "test", '{"detail": "boom"}')]
+
+    def test_registrations_drained_but_not_the_samplers_own(self):
+        # sys.events fills only when the tick drains the log
+        cell, clock = build_cell()
+        cell.submit_continuous(CQ, name="hot")
+        assert cell.basket(SYS_EVENTS).total_in == 0
+        tick(cell, clock)
+        events = cell.query("select kind, component from sys.events")
+        assert ("register", "hot") in events
+        assert all(c != cell.sys.name for _, c in events)
+
+    def test_kept_events_survive_a_burst_of_firings(self):
+        # a checkpoint followed by more firings than the ring holds still
+        # reaches sys.events: non-fire events have their own retention
+        cell, clock = build_cell()
+        cell.trace.record("checkpoint", "durability", id=7)
+        for _ in range(cell.trace.capacity + 100):
+            cell.trace.record("fire", "q", tuples_in=1, tuples_out=1)
+        assert "checkpoint" not in {e.kind for e in cell.trace.events()}
+        tick(cell, clock)
+        assert cell.query(
+            "select kind, component from sys.events "
+            "where kind = 'checkpoint'"
+        ) == [("checkpoint", "durability")]
 
 
 class TestRingRetention:
