@@ -279,6 +279,10 @@ class Emitter:
                 self.high_water_seq = max(self.high_water_seq, int(seqs[-1]))
                 if self.wal_sink is not None:
                     self.wal_sink.log_emit(self.name, self.high_water_seq)
+        if self.wal_sink is not None:
+            # a commit point: the batch's INSERT, FIRING and EMIT records
+            # reach the disk (one fsync) before any subscriber sees it
+            self.wal_sink.commit()
         token = snapshot.runs.first_token() if self._tracing else 0
         span = (
             self.tracer.begin_stage(

@@ -178,7 +178,17 @@ class DataCell:
         DDL returns ``None``; one-time SELECTs return a
         :class:`ResultSet`; continuous SELECTs (containing a basket
         expression) are registered and return a :class:`ContinuousQuery`.
+        A commit point: with ``fsync="always"`` every WAL record written
+        so far is durable when it returns.
         """
+        result = self._execute_statement(sql)
+        if self.durability is not None:
+            self.durability.commit()
+        return result
+
+    def _execute_statement(
+        self, sql: str
+    ) -> Optional[Union[ResultSet, ContinuousQuery]]:
         stmt = parse_statement(sql)
         if isinstance(stmt, CreateTable):
             self.create_table(
@@ -741,8 +751,15 @@ class DataCell:
         return self.scheduler.step()
 
     def run_until_quiescent(self, max_steps: int = 100_000) -> int:
-        """Drive synchronously until the network drains."""
-        return self.scheduler.run_until_quiescent(max_steps)
+        """Drive synchronously until the network drains.
+
+        A commit point: with ``fsync="always"`` every WAL record written
+        so far is durable when it returns.
+        """
+        steps = self.scheduler.run_until_quiescent(max_steps)
+        if self.durability is not None:
+            self.durability.commit()
+        return steps
 
     def start(self) -> None:
         """Start threaded mode: every component becomes a thread."""

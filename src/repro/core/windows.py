@@ -173,6 +173,8 @@ STARS, COUNT, SUM, MIN, MAX, FIRST = range(6)
 _IDENTITY = np.array([0.0, 0.0, 0.0, np.inf, -np.inf, np.inf])[:, None, None]
 #: format version of :meth:`WindowAggregatePlan.export_state`
 STATE_VERSION = 1
+#: format version of :meth:`SlidingWindowJoinPlan.export_state`
+JOIN_STATE_VERSION = 1
 
 
 def _time_panes(times: np.ndarray, bw: float) -> np.ndarray:
@@ -414,8 +416,8 @@ class WindowAggregatePlan(_WindowAggregateBase):
     # -- durability -----------------------------------------------------
     # The pane table is exactly the factory saved-state the paper's
     # co-routine model carries between activations.  It is checkpointed
-    # as CRC-framed serde columns, never pickled: loading a checkpoint
-    # decodes arrays and cannot execute code.
+    # as CRC-framed serde columns: loading a checkpoint decodes arrays and
+    # cannot execute code.
     def export_state(self) -> bytes:
         first = self.next_window * self._slide_panes
         live = self._table[:, first - self._origin : self._top - self._origin]
@@ -510,22 +512,72 @@ class SlidingWindowJoinPlan(ContinuousPlan):
         self.pairs_emitted = 0
         self.probes = 0
 
-    # join buffers are factory saved-state too (still pickled, unlike the
-    # pane table of WindowAggregatePlan)
+    # join buffers are factory saved-state too, checkpointed like the pane
+    # table as CRC-framed serde columns: per side, one key and one stamp
+    # per buffered tuple, in buffer order.  The key atom is the one the
+    # plan learned from its inputs (``_key_atom``)
     def export_state(self) -> bytes:
-        import pickle
-
-        return pickle.dumps(self.__dict__, protocol=4)
+        atom = self._key_atom
+        frames = [
+            encode_column(AtomType.LNG, np.array([
+                JOIN_STATE_VERSION, self.pairs_emitted, self.probes,
+                sum(map(len, self._left.values())),
+                sum(map(len, self._right.values())),
+            ])),
+            encode_column(AtomType.DBL, np.array([self._watermark])),
+            encode_column(AtomType.STR, np.array([atom.value], dtype=object)),
+        ]
+        for buf in (self._left, self._right):
+            keys = [key for key, stamps in buf.items() for _ in stamps]
+            frames.append(encode_column(atom, np.array(
+                keys, dtype=object if atom is AtomType.STR
+                else numpy_dtype(atom),
+            )))
+            frames.append(encode_column(AtomType.DBL, np.array(
+                [stamp for stamps in buf.values() for stamp in stamps],
+                dtype=np.float64,
+            )))
+        return b"".join(pack_frame(frame) for frame in frames)
 
     def import_state(self, blob: Optional[bytes]) -> None:
-        if blob is None:
-            raise DataCellError(
-                "sliding-window join expected saved state in the "
-                "checkpoint but found none"
+        def corrupt(reason: str) -> DataCellError:
+            return DataCellError(
+                f"window join {self.describe()!r}: saved state {reason}"
             )
-        import pickle
 
-        self.__dict__.update(pickle.loads(blob))
+        if blob is None:
+            raise corrupt("expected in the checkpoint but not found")
+        frames, torn = frames_with_tail(blob)
+        if torn or len(frames) != 7:
+            raise corrupt("is corrupt (CRC or framing mismatch)")
+        header = decode_column(AtomType.LNG, frames[0]).tolist()
+        if len(header) != 5 or header[0] != JOIN_STATE_VERSION:
+            raise corrupt(f"has an unsupported format version {header[:1]}")
+        _, pairs, probes, n_left, n_right = header
+        watermark = decode_column(AtomType.DBL, frames[1])
+        atoms = decode_column(AtomType.STR, frames[2])
+        if len(watermark) != 1 or len(atoms) != 1:
+            raise corrupt("does not match its header")
+        try:
+            atom = AtomType(atoms[0])
+        except ValueError:
+            raise corrupt(f"names an unknown key atom {atoms[0]!r}") from None
+        buffers = []
+        for count, keys, stamps in (
+            (n_left, frames[3], frames[4]), (n_right, frames[5], frames[6])
+        ):
+            keys = decode_column(atom, keys).tolist()
+            stamps = decode_column(AtomType.DBL, stamps).tolist()
+            if len(keys) != count or len(stamps) != count:
+                raise corrupt("does not match its header")
+            buf: Dict[Any, List[float]] = {}
+            for key, stamp in zip(keys, stamps):
+                buf.setdefault(key, []).append(stamp)
+            buffers.append(buf)
+        self._left, self._right = buffers
+        self._watermark = float(watermark[0])
+        self._key_atom = atom
+        self.pairs_emitted, self.probes = pairs, probes
 
     def nbytes(self) -> int:
         from ..obs.resources import estimate_nbytes

@@ -5,7 +5,7 @@ A checkpoint is one directory ``ckpt-<id>/`` under ``checkpoints/``::
     ckpt-00000003/
         state.json     everything structural: per-basket schema order,
                        next-sequence frontiers, reader cursors, stats
-                       counters, factory bindings + pickled plan state,
+                       counters, factory bindings + saved plan state,
                        emitter high-water marks, clock time, the WAL
                        segment the replay suffix starts at, and a
                        state_digest per basket for post-recovery checks

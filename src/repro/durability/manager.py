@@ -162,6 +162,17 @@ class DurabilityManager:
             return
         self.wal.append_firing(factory)
 
+    def commit(self) -> None:
+        """A commit point: under ``fsync="always"``, one fsync makes every
+        record logged so far durable (free when nothing is new).
+
+        The engine calls it wherever a record's effects first leave the
+        engine: an emitter before it hands a batch to subscribers, the
+        server's ingest pump before it ACKs, ``run_until_quiescent`` and
+        a one-shot ``execute`` before they return.
+        """
+        self.wal.commit()
+
     # ------------------------------------------------------------------
     # checkpoint
     # ------------------------------------------------------------------

@@ -29,8 +29,13 @@ checkpoint made redundant.
 Fsync policy (the durability/throughput dial):
 
 ``always``
-    fsync after every record — survives power loss at single-record
-    granularity.
+    group commit: an append only marks the log dirty, and
+    :meth:`WalWriter.commit` fsyncs once for every record written since
+    the last fsync.  The engine commits wherever a record's effects
+    first leave it (before an emitter hands a batch to subscribers,
+    before the server ACKs, before ``run_until_quiescent``/``execute``
+    return), so nothing delivered, acknowledged or read is lost to a
+    power failure.
 ``interval``
     fsync when ``fsync_interval`` seconds passed since the last one —
     bounded loss window after power failure.
@@ -40,7 +45,9 @@ Fsync policy (the durability/throughput dial):
 All three policies ``flush()`` the python buffer to the OS per record,
 so a *process* crash (the failure the simulation harness injects) loses
 nothing under any policy; fsync only matters when the whole machine
-goes down.
+goes down.  Under ``always`` and ``interval`` a segment's first fsync
+also fsyncs the WAL directory, so a power loss cannot drop a whole
+segment whose records were already synced.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ import numpy as np
 
 from ..errors import DurabilityError
 from ..kernel.types import AtomType
+from .checkpoint import _fsync_dir
 from .serde import decode_column, encode_column, frames_with_tail, pack_frame
 
 __all__ = [
@@ -261,7 +269,11 @@ def list_segments(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
 
 
 class WalWriter:
-    """Appends framed records to the active segment (thread-safe)."""
+    """Appends framed records to the active segment (thread-safe).
+
+    ``_synced`` is the ``records_written`` count the newest completed
+    fsync covers, so the log is dirty exactly while it lags behind.
+    """
 
     def __init__(
         self,
@@ -281,7 +293,10 @@ class WalWriter:
         self._on_append = on_append
         self._on_fsync = on_fsync
         self._lock = threading.Lock()
+        # one committer at a time; taken before (never under) _lock
+        self._commit_lock = threading.Lock()
         self._last_fsync = time.monotonic()
+        self._synced = 0
         self.records_written = 0
         self.bytes_written = 0
         self.fsyncs = 0
@@ -296,12 +311,21 @@ class WalWriter:
     def current_segment(self) -> int:
         return self._segment_seq
 
+    @property
+    def dirty(self) -> bool:
+        """Whether anything was written since the newest fsync."""
+        return self._synced < self.records_written
+
     def _open_segment(self, seq: int) -> None:
         self._segment_seq = seq
         self._file = open(_segment_path(self.directory, seq), "ab")
         if self._file.tell() == 0:
             self._file.write(SEGMENT_MAGIC)
             self._file.flush()
+        # the new file's directory entry must reach the disk too, or a
+        # power loss drops the segment and every record synced in it:
+        # the segment's first fsync syncs the directory as well
+        self._entry_synced = self.fsync_policy is FsyncPolicy.OFF
 
     # ------------------------------------------------------------------
     def append_insert(
@@ -345,28 +369,71 @@ class WalWriter:
                 raise DurabilityError("WAL writer is closed")
             self._file.write(frame)
             # flush to the OS unconditionally: a process crash (kill -9)
-            # then loses nothing; fsync below is the power-loss dial
+            # then loses nothing; fsync is the power-loss dial
             self._file.flush()
             self.records_written += 1
             self.bytes_written += len(frame)
             if self._on_append is not None:
                 self._on_append(len(frame))
-            self._maybe_fsync()
+            if self.fsync_policy is FsyncPolicy.INTERVAL:
+                now = time.monotonic()
+                if now - self._last_fsync >= self.fsync_interval:
+                    self._last_fsync = now
+                    self._fsync_locked()
             if self._file.tell() >= self.segment_max_bytes:
                 self._rotate_locked()
 
-    def _maybe_fsync(self) -> None:
-        if self.fsync_policy is FsyncPolicy.OFF:
-            return
-        if self.fsync_policy is FsyncPolicy.INTERVAL:
-            now = time.monotonic()
-            if now - self._last_fsync < self.fsync_interval:
-                return
-            self._last_fsync = now
+    def _fsync_locked(self) -> None:
         os.fsync(self._file.fileno())
+        if not self._entry_synced:
+            _fsync_dir(self.directory)
+            self._entry_synced = True
+        self._synced = self.records_written
+        self._count_fsync()
+
+    def _count_fsync(self) -> None:
         self.fsyncs += 1
         if self._on_fsync is not None:
             self._on_fsync()
+
+    # ------------------------------------------------------------------
+    def commit(self) -> None:
+        """Make every record appended so far durable (``always`` only).
+
+        One fsync covers every record written since the previous one.
+        It runs outside the append lock, so other threads keep appending
+        during the disk wait; a commit whose records a concurrent
+        commit's fsync already covered returns without syncing — the
+        group in group commit.  A no-op under ``interval`` and ``off``.
+        """
+        if self.fsync_policy is not FsyncPolicy.ALWAYS:
+            return
+        # this thread's own appends are already counted
+        target = self.records_written
+        if self._synced >= target:
+            return
+        with self._commit_lock:
+            if self._synced >= target:
+                return
+            with self._lock:
+                if self._file is None:
+                    return
+                written = self.records_written
+                segment, entry_synced = self._segment_seq, self._entry_synced
+                # a rotation may close the segment during the wait: sync
+                # a duplicate descriptor of the same file
+                fd = os.dup(self._file.fileno())
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            if not entry_synced:
+                _fsync_dir(self.directory)
+            with self._lock:
+                if segment == self._segment_seq:
+                    self._entry_synced = True
+                self._synced = max(self._synced, written)
+                self._count_fsync()
 
     # ------------------------------------------------------------------
     def rotate(self) -> int:
@@ -384,11 +451,11 @@ class WalWriter:
 
     def _rotate_locked(self) -> int:
         self._file.flush()
+        # sealing is a commit, and an unconditional one: a segment that
+        # holds only its header must be durable too, or recovery's read
+        # would stop there before reaching the next segment
         if self.fsync_policy is not FsyncPolicy.OFF:
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
-            if self._on_fsync is not None:
-                self._on_fsync()
+            self._fsync_locked()
         self._file.close()
         self._open_segment(self._segment_seq + 1)
         return self._segment_seq
@@ -412,15 +479,15 @@ class WalWriter:
             if self._file is None:
                 return
             self._file.flush()
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
-            if self._on_fsync is not None:
-                self._on_fsync()
+            self._fsync_locked()
 
     def close(self) -> None:
+        """Close the active segment; under ``always`` this is a commit."""
         with self._lock:
             if self._file is not None:
                 self._file.flush()
+                if self.fsync_policy is FsyncPolicy.ALWAYS and self.dirty:
+                    self._fsync_locked()
                 self._file.close()
                 self._file = None
 

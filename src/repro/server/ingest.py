@@ -6,8 +6,10 @@ Network readers never touch baskets.  A decoded ``INSERT`` becomes an
 10 like a receptor — drains the queue *inside* the scheduler and applies
 each batch with :meth:`~repro.core.basket.Basket.insert_columns` (the
 columnar fast path, which also WAL-logs under the basket lock).  The
-``ACK`` is enqueued only after the apply, so an acknowledged batch is
-exactly as durable as any other logged insert.
+pump applies every batch it took, makes them durable with one WAL
+group commit, and only then sends the replies, in the order the batches
+were taken: an ``ACK`` means the batch survives a power loss under
+``fsync="always"``, at one fsync per pump activation.
 
 Because the pump is a normal transition, the seam works identically
 under the threaded scheduler, the synchronous driver, and the simulated
@@ -20,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,6 +111,12 @@ class IngestQueue:
             return self._pending_rows.get(tenant, 0)
 
 
+def _error(batch: IngestBatch, code: str, exc: Exception) -> Message:
+    return Message(
+        Command.ERROR, {"code": code, "message": str(exc), "seq": batch.seq}
+    )
+
+
 class ServerIngestPump:
     """The scheduler-side transition applying queued ingest batches.
 
@@ -152,6 +160,7 @@ class ServerIngestPump:
         started = time.perf_counter()
         batches = self.queue.take(self.batch_limit)
         applied = 0
+        replies: List[Tuple[IngestBatch, Message]] = []
         for batch in batches:
             try:
                 basket = self.cell.basket(batch.basket)
@@ -166,26 +175,27 @@ class ServerIngestPump:
             except Exception as exc:
                 self.total_errors += 1
                 self._m_errors.inc()
-                if batch.reply is not None:
-                    batch.reply(
-                        Message(
-                            Command.ERROR,
-                            {
-                                "code": "ingest",
-                                "message": str(exc),
-                                "seq": batch.seq,
-                            },
-                        )
-                    )
+                replies.append((batch, _error(batch, "ingest", exc)))
                 continue
             applied += inserted
+            replies.append(
+                (batch, Message(
+                    Command.ACK, {"seq": batch.seq, "rows": inserted}
+                ))
+            )
+        try:
+            if self.cell.durability is not None:
+                self.cell.durability.commit()
+        except OSError as exc:
+            # not durable, so not acknowledged
+            for i, (batch, message) in enumerate(replies):
+                if message.command is Command.ACK:
+                    self.total_errors += 1
+                    self._m_errors.inc()
+                    replies[i] = (batch, _error(batch, "durability", exc))
+        for batch, message in replies:
             if batch.reply is not None:
-                batch.reply(
-                    Message(
-                        Command.ACK,
-                        {"seq": batch.seq, "rows": inserted},
-                    )
-                )
+                batch.reply(message)
         self.activations += 1
         self.total_rows += applied
         if applied:

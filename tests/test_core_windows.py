@@ -452,13 +452,14 @@ class TestPaneTable:
 
 
 class TestWindowJoin:
-    def drive(self, left_events, right_events, window=2.0):
+    def drive(self, left_events, right_events, window=2.0,
+              key_atom=AtomType.LNG):
         clock = LogicalClock()
-        left = Basket("l", [("k", AtomType.LNG)], clock)
-        right = Basket("r", [("k", AtomType.LNG)], clock)
+        left = Basket("l", [("k", key_atom)], clock)
+        right = Basket("r", [("k", key_atom)], clock)
         out = Basket(
             "j_out",
-            [("key", AtomType.LNG), ("left_time", AtomType.TIMESTAMP),
+            [("key", key_atom), ("left_time", AtomType.TIMESTAMP),
              ("right_time", AtomType.TIMESTAMP)],
             clock,
         )
@@ -522,3 +523,50 @@ class TestWindowJoin:
     def test_window_must_be_positive(self):
         with pytest.raises(DataCellError):
             SlidingWindowJoinPlan("l", "r", "k", "k", 0, "o")
+
+    @pytest.mark.parametrize("keys", [(1, 2, 3), ("a", "b", "c")])
+    def test_state_round_trips_without_pickle(self, keys):
+        a, b, c = keys
+        _, plan = self.drive(
+            left_events=[(0.0, a), (0.5, b), (1.0, a)],
+            right_events=[(0.7, a), (1.2, c)],
+            window=5.0,
+            key_atom=AtomType.STR if a == "a" else AtomType.LNG,
+        )
+        blob = plan.export_state()
+        frames, torn = frames_with_tail(blob)  # serde frames, not pickle
+        assert not torn and len(frames) == 7
+        twin = SlidingWindowJoinPlan("l", "r", "k", "k", 5.0, "j_out")
+        twin.import_state(blob)
+        assert twin.export_state() == blob
+        assert (twin._left, twin._right) == (plan._left, plan._right)
+        assert twin._key_atom is plan._key_atom
+        assert (twin.pairs_emitted, twin.probes) == (2, 5)
+
+    def test_tampered_state_is_rejected(self):
+        _, plan = self.drive(
+            left_events=[(0.0, 1), (0.5, 2)], right_events=[(0.7, 1)],
+            window=5.0,
+        )
+        blob = plan.export_state()
+        fresh = SlidingWindowJoinPlan("l", "r", "k", "k", 5.0, "j_out")
+        for tampered in (
+            blob[:-1],  # torn tail
+            blob[:20] + bytes([blob[20] ^ 0xFF]) + blob[21:],  # CRC
+            None,
+        ):
+            with pytest.raises(DataCellError):
+                fresh.import_state(tampered)
+        frames, _ = frames_with_tail(blob)
+
+        def with_header(change):
+            header = decode_column(AtomType.LNG, frames[0])
+            change(header)
+            return b"".join(pack_frame(f) for f in (
+                encode_column(AtomType.LNG, header), *frames[1:]
+            ))
+
+        with pytest.raises(DataCellError, match="version"):
+            fresh.import_state(with_header(lambda h: h.__setitem__(0, 99)))
+        with pytest.raises(DataCellError, match="does not match"):
+            fresh.import_state(with_header(lambda h: h.__setitem__(3, 7)))

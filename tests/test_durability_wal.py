@@ -4,12 +4,18 @@ The contract under test: a crashed writer's log always decodes to an
 exact prefix of what was appended (torn tails detected, never invented
 records), a restarted writer never appends into a pre-crash segment,
 and the fsync policy dial only changes *when* fsync happens — every
-append is flushed to the OS regardless.
+append is flushed to the OS regardless.  Under ``always`` that moment is
+a commit point (group commit); ``fsync_ledger`` records what each fsync
+made durable.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.durability.serde import FRAME_HEADER, frames_with_tail
 from repro.durability.wal import (
     CheckpointRecord,
     DurabilityConfig,
@@ -18,6 +24,7 @@ from repro.durability.wal import (
     InsertRecord,
     SEGMENT_MAGIC,
     WalWriter,
+    decode_record,
     list_segments,
     read_wal,
 )
@@ -136,15 +143,23 @@ def test_size_based_rotation(tmp_path):
 
 
 def test_fsync_policies(tmp_path):
+    # always is group commit: appends only flush, commit() fsyncs once
+    # for everything new, and a commit with nothing new is free
     always = WalWriter(tmp_path / "a", fsync=FsyncPolicy.ALWAYS)
     for i in range(5):
         always.append_emit("e", i)
+    assert always.fsyncs == 0 and always.dirty
+    always.commit()
+    assert always.fsyncs == 1 and not always.dirty
+    always.commit()
+    assert always.fsyncs == 1
     always.close()
-    assert always.fsyncs == 5
+    assert always.fsyncs == 1
 
     off = WalWriter(tmp_path / "b", fsync=FsyncPolicy.OFF)
     for i in range(5):
         off.append_emit("e", i)
+    off.commit()
     off.close()
     assert off.fsyncs == 0
 
@@ -154,10 +169,98 @@ def test_fsync_policies(tmp_path):
     )
     for i in range(5):
         interval.append_emit("e", i)
+    interval.commit()
     assert interval.fsyncs == 0
     interval.sync()
     assert interval.fsyncs == 1
     interval.close()
+
+
+def test_close_fsyncs_dirty_data_under_always(tmp_path, fsync_ledger):
+    writer = WalWriter(tmp_path, fsync=FsyncPolicy.ALWAYS)
+    writer.append_emit("e", 1)
+    writer.append_emit("e", 2)
+    writer.close()
+    assert writer.fsyncs == 1
+    (_, path), = list_segments(tmp_path)
+    assert fsync_ledger.synced_length(path) == path.stat().st_size
+
+
+def test_rotate_leaves_nothing_dirty(tmp_path, fsync_ledger):
+    writer = WalWriter(tmp_path, fsync=FsyncPolicy.ALWAYS)
+    writer.append_emit("e", 1)
+    writer.rotate()
+    assert not writer.dirty
+    writer.commit()  # nothing new since the rotation's fsync
+    assert writer.fsyncs == 1
+    writer.close()
+    sealed, _ = list_segments(tmp_path)
+    assert fsync_ledger.synced_length(sealed[1]) == sealed[1].stat().st_size
+
+
+def test_new_segment_directory_entry_is_synced(tmp_path, fsync_ledger):
+    """A power loss must not drop a segment file whose records were
+    synced: each segment's directory entry is fsynced once, with the
+    segment's first fsync, under ``always`` and ``interval`` — never
+    under ``off``."""
+    for policy in FsyncPolicy:
+        directory = tmp_path / policy.value
+        writer = WalWriter(directory, fsync=policy, segment_max_bytes=1024)
+        assert fsync_ledger.dir_syncs(directory) == 0  # nothing to keep yet
+        for i in range(100):
+            writer.append_emit("some_emitter_name", i)
+        writer.rotate()
+        writer.append_emit("some_emitter_name", 100)
+        writer.commit()
+        writer.sync()
+        writer.close()
+        segments = len(list_segments(directory))
+        assert segments > 2
+        expected = 0 if policy is FsyncPolicy.OFF else segments
+        assert fsync_ledger.dir_syncs(directory) == expected
+
+
+def test_a_returned_commit_covers_its_own_threads_records(
+    tmp_path, fsync_ledger
+):
+    """Threads append and commit concurrently; when a thread's commit()
+    returns, the synced length covers that thread's records, whichever
+    thread's fsync did the work."""
+    writer = WalWriter(tmp_path, fsync=FsyncPolicy.ALWAYS)
+    (_, path), = list_segments(tmp_path)
+    returned = []  # (emitter, high_water, synced length at return)
+
+    def worker(name):
+        for i in range(40):
+            writer.append_emit(name, i)
+            writer.commit()
+            returned.append((name, i, fsync_ledger.synced_length(path)))
+
+    threads = [
+        threading.Thread(target=worker, args=(f"t{n}",)) for n in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave appends and commits finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    writer.close()
+
+    ends = {}
+    offset = len(SEGMENT_MAGIC)
+    for payload in frames_with_tail(path.read_bytes()[offset:])[0]:
+        offset += FRAME_HEADER.size + len(payload)
+        record = decode_record(payload)
+        ends[(record.emitter, record.high_water)] = offset
+    assert len(ends) == len(returned) == 160
+    for name, i, synced in returned:
+        assert ends[(name, i)] <= synced
+    assert writer.fsyncs <= 160
 
 
 def test_segment_files_carry_magic(tmp_path):

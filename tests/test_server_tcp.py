@@ -15,7 +15,9 @@ import time
 import pytest
 
 from repro import DataCell, LogicalClock
-from repro.durability import DurabilityConfig
+from repro.durability import DurabilityConfig, list_segments
+from repro.durability.serde import FRAME_HEADER, frames_with_tail
+from repro.durability.wal import SEGMENT_MAGIC, decode_record
 from repro.errors import ServerError
 from repro.kernel.types import INT_NIL, AtomType
 from repro.server.client import DataCellClient
@@ -422,6 +424,63 @@ def test_crash_recovery_with_server_attached(tmp_path):
     assert redelivered == []
     assert recovered.basket("trades").total_in == 2
     assert recovered.stats()["durability"]["recovered"] is True
+
+
+def test_acks_ride_the_pumps_group_commit(tmp_path, fsync_ledger):
+    """ACK after durable, one fsync per pump activation: every ACK the
+    client reads is covered by a completed fsync, a rejected batch's
+    ERROR keeps its place among the ACKs, and the WAL fsyncs at most
+    once per pump activation."""
+    cell = DataCell(
+        clock=LogicalClock(),
+        durability=DurabilityConfig(directory=tmp_path, fsync="always"),
+    )
+    cell.execute("create basket trades (price int, sym str)")
+    cell.start()
+    server = cell.serve()
+    try:
+        (_, segment), = list_segments(cell.durability.wal_dir)
+        with DataCellClient(*server.address) as db:
+            for n in range(24):
+                if n == 11:  # a column the basket lacks: the pump rejects it
+                    columns = [("price", AtomType.INT), ("nope", AtomType.STR)]
+                else:
+                    columns = TRADE_COLUMNS
+                db.insert("trades", columns, [(1000 + n, "A")], wait=False)
+            replies = []  # (reply, synced WAL length when it arrived)
+            deadline = time.monotonic() + 10
+            while len(replies) < 24:
+                for message in db._pump(deadline - time.monotonic()):
+                    if message.command in (Command.ACK, Command.ERROR):
+                        replies.append(
+                            (message, fsync_ledger.synced_length(segment))
+                        )
+        fsyncs = cell.stats()["durability"]["wal_fsyncs"]
+        activations = server.pump.activations
+    finally:
+        assert cell.stop() == []
+
+    seqs = [message.meta["seq"] for message, _ in replies]
+    assert seqs == sorted(seqs)
+    commands = [message.command for message, _ in replies]
+    assert commands == [Command.ACK] * 11 + [Command.ERROR] + [Command.ACK] * 12
+    # the i-th ACK is the i-th INSERT record: each ends inside the synced
+    # prefix the client could observe when that ACK arrived
+    data = segment.read_bytes()
+    offset = len(SEGMENT_MAGIC)
+    ends = []
+    for payload in frames_with_tail(data[offset:])[0]:
+        offset += FRAME_HEADER.size + len(payload)
+        record = decode_record(payload)
+        ends.append((int(record.arrays[0][0]), offset))
+    acked = [synced for message, synced in replies
+             if message.command is Command.ACK]
+    assert [price for price, _ in ends] == [
+        1000 + n for n in range(24) if n != 11
+    ]
+    for (_, end), synced in zip(ends, acked):
+        assert end <= synced
+    assert 1 <= fsyncs <= activations
 
 
 def test_websocket_upgrade_speaks_the_same_frames():

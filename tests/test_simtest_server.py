@@ -7,10 +7,13 @@ streaming ≡ one-shot claim covers the network ingest path — without
 sockets, fully deterministic.
 """
 
+import os
+
 import pytest
 
 from repro import DataCell, LogicalClock
 from repro.adapters.channels import InMemoryChannel
+from repro.durability import DurabilityConfig
 from repro.kernel.types import AtomType
 from repro.server.protocol import Command
 from repro.simtest.oracle import EpisodeSpec, check_episode
@@ -62,6 +65,32 @@ class TestWireIngress:
         channel.push((1, 2))
         cell.run_until_quiescent()
         assert [m.command for m in ingress.replies] == [Command.ERROR]
+
+    def test_failed_commit_turns_acks_into_errors(self, tmp_path, monkeypatch):
+        """ACK after durable: when the pump's group commit cannot fsync,
+        the batches it applied are answered with ERROR, not ACK."""
+        cell = DataCell(
+            clock=LogicalClock(),
+            durability=DurabilityConfig(directory=tmp_path, fsync="always"),
+        )
+        cell.execute("create basket feed (a int, b int)")
+        channel = InMemoryChannel()
+        ingress = attach_server_ingress(
+            cell, channel, "feed",
+            [("a", AtomType.INT), ("b", AtomType.INT)],
+        )
+
+        def failing_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        channel.push_many([(1, 2), (3, 4)])
+        with pytest.raises(OSError):  # the drive's own commit fails too
+            cell.run_until_quiescent()
+        monkeypatch.undo()
+        cell.durability.close()
+        assert [m.command for m in ingress.replies] == [Command.ERROR]
+        assert ingress.replies[0].meta["code"] == "durability"
 
 
 @pytest.mark.parametrize("case", ["filter", "passthrough"])
