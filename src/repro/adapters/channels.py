@@ -13,6 +13,7 @@ import threading
 from collections import deque
 from typing import Any, Deque, List, Optional, Sequence, Union
 
+from ..core.places import Place
 from ..errors import AdapterError
 
 __all__ = ["Channel", "InMemoryChannel", "format_tuple", "parse_tuple_text"]
@@ -63,8 +64,11 @@ def parse_tuple_text(line: str) -> List[str]:
     return fields
 
 
-class Channel:
-    """Interface: a stream of events between the engine and the world."""
+class Channel(Place):
+    """Interface: a stream of events between the engine and the world.
+
+    A channel is its receptor's input place: a push wakes the receptor.
+    """
 
     def push(self, event: Event) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -110,6 +114,7 @@ class InMemoryChannel(Channel):
                 self.total_dropped += 1
             self._queue.append(event)
             self.total_pushed += 1
+        self.changed()
 
     def push_many(self, events: Sequence[Event]) -> None:
         for event in events:

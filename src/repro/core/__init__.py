@@ -14,7 +14,7 @@ from .factory import (
     InputBinding,
     PlanOutput,
 )
-from .petrinet import MarkedPlace, PetriNet, Place, Transition
+from .places import Place
 from .receptor import Receptor
 from .scheduler import FiringPolicy, PriorityPolicy, Scheduler
 from .shedding import LoadShedController, apply_shedding_policy
@@ -46,10 +46,7 @@ __all__ = [
     "Factory",
     "InputBinding",
     "PlanOutput",
-    "MarkedPlace",
-    "PetriNet",
     "Place",
-    "Transition",
     "Receptor",
     "Scheduler",
     "FiringPolicy",

@@ -62,6 +62,7 @@ from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from .clock import Clock, WallClock
+from .places import Place
 from .runs import Runs
 
 __all__ = ["Basket", "BasketSnapshot", "TIME_COLUMN"]
@@ -117,8 +118,11 @@ class BasketSnapshot:
         return {f"{prefix}.{n}": b for n, b in zip(self.names, self.bats)}
 
 
-class Basket(Table):
+class Basket(Table, Place):
     """A stream buffer with consumption semantics (see module docstring).
+
+    As its readers' input place, every append and ``min_count`` change
+    wakes them (:class:`~repro.core.places.Place`).
 
     ``weighted`` marks weighted-delta (Z-set) mode: the last user column
     is ``dc_weight`` and each row is an insert (+1) or retract (−1) of
@@ -158,7 +162,7 @@ class Basket(Table):
         # bumped by every mutation; a snapshot cut at the current
         # generation still maps its positions 1:1 onto the basket's
         self.generation = 0
-        self.min_count = 1  # scheduler firing threshold (paper §2.4)
+        self._min_count = 1
         self.capacity: Optional[int] = None  # load-shedding high watermark
         # system streams (repro.obs.sysstreams): reserved sys.* baskets
         # are exempt from WAL capture, checkpoints, and load shedding;
@@ -207,6 +211,16 @@ class Basket(Table):
             "Maximum depth ever observed",
             ("basket",),
         ).read_from(self._high_water, name)
+
+    @property
+    def min_count(self) -> int:
+        """The scheduler's firing threshold (paper §2.4)."""
+        return self._min_count
+
+    @min_count.setter
+    def min_count(self, value: int) -> None:
+        self._min_count = value
+        self.changed()  # a lower threshold may enable a reader
 
     @property
     def total_in(self) -> int:
@@ -320,8 +334,8 @@ class Basket(Table):
 
     def _sequence(self, n: int, mono: float, trace_token: int) -> None:
         """Give the ``n`` rows just appended their hidden columns — one
-        run of arrival stamp and trace token, ascending seqs — and count
-        them in."""
+        run of arrival stamp and trace token, ascending seqs — count
+        them in, and wake the readers."""
         self._seq.append_array(
             np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
         )
@@ -329,6 +343,7 @@ class Basket(Table):
         self._next_seq += n
         self._inserted.value += n
         self.generation += 1
+        self.changed()
 
     def _log_ingest(self, n: int, stamp: float) -> None:
         """WAL the batch just appended (call under ``self.lock``).
@@ -620,6 +635,7 @@ class Basket(Table):
             self._shed.value = int(state.total_shed)
             self.generation += 1
             self._record_depth()
+        self.changed()
 
     # ------------------------------------------------------------------
     # shared-baskets reader protocol (paper §2.5, second strategy)

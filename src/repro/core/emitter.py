@@ -174,6 +174,7 @@ class Emitter:
             Tuple[Subscriber, Optional[Callable[[DeliveryBatch], None]]]
         ] = []
         self._channels: List[Channel] = []
+        self._gates: Tuple[Any, ...] = ()  # the clients' gates, same lock
         self._delivered = Tally()
         self.activations = 0
         self.channels_detached = 0
@@ -209,10 +210,15 @@ class Emitter:
     # ------------------------------------------------------------------
     def subscribe(self, client: Subscriber) -> None:
         """Add a callback client: a row callable, or a batch consumer
-        with a ``deliver_batch(batch)`` method."""
+        with a ``deliver_batch(batch)`` method.  A client's ``gate`` (a
+        place with ``has_room()``) holds the emitter back while full."""
         entry = (client, getattr(client, "deliver_batch", None))
+        gate = getattr(client, "gate", None)
         with self._sub_lock:
             self._clients = self._clients + [entry]
+            if gate is not None:
+                self._gates = self._gates + (gate,)
+                gate.watch(self.source.changed)
 
     def subscribe_channel(self, channel: Channel) -> None:
         """Add a channel client (textual delivery)."""
@@ -230,8 +236,15 @@ class Emitter:
             for i, (subscribed, _) in enumerate(self._clients):
                 if subscribed == client:
                     self._clients = self._clients[:i] + self._clients[i + 1 :]
-                    return True
-            return False
+                    break
+            else:
+                return False
+            gate = getattr(client, "gate", None)
+            if gate is not None:
+                self._gates = tuple(g for g in self._gates if g is not gate)
+                gate.unwatch(self.source.changed)
+                self.source.changed()  # no longer held back by it
+        return True
 
     def unsubscribe_channel(self, channel: Channel) -> bool:
         """Remove a channel client; True iff it was subscribed."""
@@ -254,9 +267,17 @@ class Emitter:
         return len(self._clients) + len(self._channels)
 
     # ------------------------------------------------------------------
+    def input_places(self) -> Tuple[Basket]:
+        """The source basket; a gate's freed room is relayed as its change."""
+        return (self.source,)
+
     def enabled(self) -> bool:
-        """Fires when results are waiting in the source basket."""
-        return self.source.count >= max(1, self.source.min_count)
+        """Fires when results are waiting in the source basket and every
+        gated subscriber has room for them."""
+        if self.source.count < max(1, self.source.min_count):
+            return False
+        gates = self._gates
+        return not gates or all(gate.has_room() for gate in gates)
 
     def activate(self) -> ActivationResult:
         """Consume waiting results and fan them out to all subscribers."""
@@ -330,6 +351,7 @@ class Emitter:
             tuples_out=delivered * max(1, self.subscriber_count),
             consumed=snapshot.count,
             elapsed=time.perf_counter() - started,
+            drained=True,  # the whole source was consumed
         )
 
     def _batch(self, snapshot, start: int = 0) -> DeliveryBatch:

@@ -762,7 +762,8 @@ class DataCell:
         return steps
 
     def start(self) -> None:
-        """Start threaded mode: every component becomes a thread."""
+        """Start threaded mode: one dispatcher thread fires transitions
+        as their input places change."""
         self.scheduler.start()
         if self.durability is not None:
             self.durability.start_checkpointer()
@@ -777,8 +778,8 @@ class DataCell:
            close sockets, then unregister the ingest pump.  Whatever
            the pump applied before this point is WAL-logged; whatever
            was still queued is unacknowledged and simply dropped.
-        2. **scheduler** — join factory/emitter/receptor threads, so no
-           basket mutates after this returns.
+        2. **scheduler** — join the dispatcher thread, so no basket
+           mutates after this returns.
         3. **durability** — stop the checkpointer and fsync the WAL
            tail; runs after the scheduler so the flushed log covers
            every applied firing.

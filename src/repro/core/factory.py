@@ -78,6 +78,18 @@ class InputBinding:
     last_consumed: int = 0
 
 
+def _set_min_tuples(binding: InputBinding, value: int) -> None:
+    binding.__dict__["min_tuples"] = value
+    if "basket" in binding.__dict__:  # a lower threshold may enable it
+        binding.basket.changed()
+
+
+# a property over the dataclass field: only a threshold change pays
+InputBinding.min_tuples = property(  # type: ignore[assignment]
+    lambda binding: binding.__dict__["min_tuples"], _set_min_tuples
+)
+
+
 @dataclass
 class PlanOutput:
     """What one plan execution produced.
@@ -175,6 +187,9 @@ class ActivationResult:
 
     ``plan_seconds`` is the time spent inside ``plan.run`` alone;
     ``elapsed - plan_seconds`` is basket I/O (snapshot, consume, append).
+    ``drained`` says the firing left the transition disabled until one of
+    its input places changes, so the scheduler need not check it again
+    before then; the default keeps a fired transition a candidate.
     """
 
     fired: bool
@@ -183,6 +198,7 @@ class ActivationResult:
     consumed: int = 0
     elapsed: float = 0.0
     plan_seconds: float = 0.0
+    drained: bool = False
 
 
 class Factory:
@@ -271,6 +287,10 @@ class Factory:
         return self._tuples_out.value
 
     # ------------------------------------------------------------------
+    def input_places(self) -> List[Basket]:
+        """The baskets whose changes can enable this factory."""
+        return [binding.basket for binding in self.inputs]
+
     def enabled(self) -> bool:
         """Petri-net firing condition: every input has enough tuples."""
         has_required = False
@@ -466,6 +486,14 @@ class Factory:
                 plan_seconds = time.perf_counter() - plan_started
                 consumed = self._consume(snapshots, output)
                 tuples_out = self._emit(output, origin_mono, origin_token)
+                # ALL and SHARED inputs are used up; only PLAN/PEEK
+                # leftovers it may refire on keep the factory enabled
+                drained = not any(
+                    b.mode in (ConsumeMode.PLAN, ConsumeMode.PEEK)
+                    and (b.basket.frontier_seq() > b.last_seen_seq
+                         or b.refire_on_consumption and b.last_consumed > 0)
+                    for b in self.inputs
+                )
                 if self.wal_sink is not None and (tuples_in or tuples_out):
                     self.wal_sink.log_firing(self.name)
                 if account is not None:
@@ -499,6 +527,7 @@ class Factory:
                 consumed=consumed,
                 elapsed=elapsed,
                 plan_seconds=plan_seconds,
+                drained=drained,
             )
 
     def _consume(

@@ -2,15 +2,15 @@
 
 A receptor continuously picks up incoming events from a communication
 channel, validates their structure against the target basket's schema, and
-forwards the content into one or more baskets.  In threaded mode each
-receptor is its own thread; in synchronous mode the scheduler activates it
-like any other Petri-net transition (its input place is the channel).
+forwards the content into one or more baskets.  The scheduler activates
+it like any other Petri-net transition in every driving mode: its input
+place is the channel, and a push wakes it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..adapters.channels import Channel, parse_tuple_text
 from ..errors import AdapterError
@@ -81,6 +81,9 @@ class Receptor:
         ).labels(name)
 
     # ------------------------------------------------------------------
+    def input_places(self) -> Tuple[Channel]:
+        return (self.channel,)
+
     def enabled(self) -> bool:
         """Fires when the channel has events waiting (its input place)."""
         return self.channel.pending() > 0

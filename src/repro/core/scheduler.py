@@ -1,40 +1,55 @@
 """The DataCell scheduler (paper §2.4).
 
-The scheduler runs an infinite loop; every iteration it checks which
-transitions (receptors, factories, emitters) can be processed by analyzing
-their inputs, and fires the enabled ones.  Firing order respects
-per-transition priorities — the hook for query priorities and low-latency
-requirements.  The system may require a basket to hold at least *n* tuples
-before the relevant factory runs (``Basket.min_count`` / binding
-``min_tuples``); that check lives in each transition's ``enabled()``.
+Transitions (receptors, factories, emitters) fire when enabled, in the
+firing policy's order — priorities are the hook for query priorities and
+low-latency requirements.  ``enabled()`` is the only firing rule; it
+holds the minimum-*n*-tuples threshold (``Basket.min_count`` / binding
+``min_tuples``).
 
-Two driving modes:
+Enabling is local to a transition's input places, so the scheduler keeps
+a **ready set**: a transition names its places once (``input_places()``:
+a factory its bindings' baskets, an emitter its source, a receptor its
+channel), and a place change (:class:`~repro.core.places.Place`) makes
+its readers candidates.  A pass checks the candidates in the policy's
+order, re-checking before each firing; one found disabled waits for a
+place change, one that fired stays a candidate unless its activation
+reports it ``drained``, and one that declares no places is a candidate
+on every pass.  The set only skips checks that cannot pass, so firing
+sequences are those of checking everything.  One core, three drivers:
 
 * **synchronous** — :meth:`Scheduler.step` / :meth:`run_until_quiescent`;
-  deterministic, used by tests and benchmarks;
-* **threaded** — :meth:`Scheduler.start`; every single component is an
-  independent thread and data streams through the threads connected by
-  baskets, exactly the paper's multi-threaded architecture.
+* **threaded** — :meth:`Scheduler.start`: one dispatcher thread runs the
+  same pass and sleeps on a condition variable while nothing is marked
+  (or until a time-driven transition's ``due_in()``).  The paper makes
+  each component a thread; under one interpreter lock that buys only
+  polling and lock hand-overs;
+* **simulated** — :class:`repro.simtest.SimScheduler` fires one candidate
+  at a time against a virtual clock.
 
-Observability: every firing bumps a per-transition firing tally and
-observes an activation wall-time histogram, every failed enablement check
-bumps an idle-poll tally, and each firing is appended to a bounded
-:class:`~repro.obs.tracing.TraceLog` for post-mortems.  A transition's
-tallies are written only by the thread driving it; the metrics registry
-reads them when it exposes the series, and ``total_firings`` sums them.
+Every firing bumps a per-transition firing tally and observes an
+activation wall-time histogram, every failed check of a candidate bumps
+an idle-poll tally, and each firing is appended to the cell's
+:class:`~repro.obs.tracing.TraceLog`.  A transition's tallies are written
+only by the thread driving it; the metrics registry reads them when it
+exposes the series.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 import time
 import traceback
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Optional,
     Protocol,
+    Sequence,
+    Set,
     Tuple,
     runtime_checkable,
 )
@@ -43,13 +58,26 @@ from ..errors import SchedulerError
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.tracing import TraceLog
 from .factory import ActivationResult
+from .places import Place
 
 __all__ = [
     "SchedulableTransition",
     "FiringPolicy",
     "PriorityPolicy",
     "Scheduler",
+    "input_places",
 ]
+
+# how long an idle dispatcher sleeps before re-checking a transition
+# that declares no places: nothing can wake it, so it is polled
+PLACELESS_POLL = 0.001
+
+
+def input_places(transition: Any) -> Optional[Sequence[Place]]:
+    """The places ``transition`` declares, or ``None`` if it declares
+    none (then it is a candidate on every pass)."""
+    declare = getattr(transition, "input_places", None)
+    return None if declare is None else declare()
 
 
 @runtime_checkable
@@ -62,6 +90,10 @@ class SchedulableTransition(Protocol):
     def enabled(self) -> bool: ...
 
     def activate(self) -> ActivationResult: ...
+
+    # optional: ``input_places() -> Sequence[Place]`` (see the module
+    # docstring) and, for a time-driven transition, ``due_in() -> float``
+    # (seconds until it may be enabled; an idle dispatcher wakes then)
 
 
 class FiringPolicy:
@@ -99,11 +131,11 @@ class PriorityPolicy(FiringPolicy):
     The tie-break among equal priorities is part of the scheduler
     contract (documented here and asserted by
     ``tests/test_scheduler_fairness.py``): the sort is guaranteed stable
-    over the registration-ordered input, so synchronous stepping, the
-    Petri-net engine, and the simulator all agree on the firing sequence
-    and ``run_until_quiescent`` treats equally-prioritized transitions
-    fairly — every sweep visits all of them, in one fixed, documented
-    order.
+    over the registration-ordered input, so synchronous stepping,
+    threaded dispatching and the simulator all agree on the firing
+    sequence and ``run_until_quiescent`` treats equally-prioritized
+    transitions fairly — every sweep visits all of its candidates, in
+    one fixed, documented order.
 
     The order is memoised: a sweep over the same transitions (by
     identity, in registration order) with the same priorities as the
@@ -136,7 +168,6 @@ class Scheduler:
 
     def __init__(
         self,
-        poll_interval: float = 0.001,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceLog] = None,
         policy: Optional[FiringPolicy] = None,
@@ -144,9 +175,18 @@ class Scheduler:
         self.policy = policy if policy is not None else PriorityPolicy()
         self._transitions: Dict[str, SchedulableTransition] = {}
         self._lock = threading.RLock()
-        self._threads: List[threading.Thread] = []
+        # the ready set (module docstring), by name: a set add is atomic,
+        # so a place marks a reader from any thread without a lock
+        self._ready: Set[str] = set()
+        self._placeless: Set[str] = set()  # candidates on every pass
+        self._wakes: Dict[str, Tuple[Callable[[], None], Sequence[Place]]]
+        self._wakes = {}
+        self._failed: Set[str] = set()  # raised under the dispatcher
+        # the dispatcher sleeps on this; _sleeping says a mark must notify
+        self._wakeup = threading.Condition(threading.Lock())
+        self._sleeping = False
+        self._thread: Optional[threading.Thread] = None
         self._running = threading.Event()
-        self.poll_interval = poll_interval
         self.metrics = metrics if metrics is not None else default_registry()
         self.trace = trace if trace is not None else TraceLog()
         # resource-accounting hook (ResourceAccountant); when set, _fire
@@ -161,7 +201,7 @@ class Scheduler:
         )
         self._m_idle = self.metrics.counter(
             "datacell_transition_idle_polls_total",
-            "Enablement checks that found the transition not ready",
+            "Enablement checks of a candidate that found it not ready",
             ("transition",),
         )
         self._m_activation = self.metrics.histogram(
@@ -177,14 +217,14 @@ class Scheduler:
         )
         # per transition name: (firings tally, idle-poll tally, activation
         # histogram), opened once per registration and kept after
-        # unregister, so a thread still finishing a firing counts it and
-        # the tallies keep counting with the registry disabled
+        # unregister, so a firing still in flight counts and the tallies
+        # keep counting with the registry disabled
         self._instruments: Dict[str, Tuple[Tally, Tally, Any]] = {}
         self._all_firings: List[Tally] = []  # every registration's
 
     @property
     def total_firings(self) -> int:
-        """Lifetime transition firings (both driving modes)."""
+        """Lifetime transition firings (every driving mode)."""
         return int(sum(t.value for t in self._all_firings))
 
     @property
@@ -202,27 +242,42 @@ class Scheduler:
     # registration
     # ------------------------------------------------------------------
     def register(self, transition: SchedulableTransition) -> None:
+        name = transition.name
         with self._lock:
-            if transition.name in self._transitions:
+            if name in self._transitions:
                 raise SchedulerError(
-                    f"transition {transition.name!r} already registered"
+                    f"transition {name!r} already registered"
                 )
-            self._transitions[transition.name] = transition
+            self._transitions[name] = transition
             firings, idle = Tally(), Tally()
-            self._m_firings.read_from(firings, transition.name)
-            self._m_idle.read_from(idle, transition.name)
+            self._m_firings.read_from(firings, name)
+            self._m_idle.read_from(idle, name)
             self._all_firings.append(firings)
-            self._instruments[transition.name] = (
-                firings, idle, self._m_activation.labels(transition.name),
+            self._instruments[name] = (
+                firings, idle, self._m_activation.labels(name),
             )
-            self.trace.record("register", transition.name)
-            if self._running.is_set():
-                self._spawn(transition)
+            places = input_places(transition)
+            if places is None:
+                self._placeless.add(name)
+            else:
+                wake = functools.partial(self._mark, name)
+                for place in places:
+                    place.watch(wake)
+                self._wakes[name] = (wake, places)
+            self._failed.discard(name)
+            self.trace.record("register", name)
+            self._mark(name)
 
     def unregister(self, name: str) -> None:
         with self._lock:
-            if self._transitions.pop(name, None) is not None:
-                self.trace.record("unregister", name)
+            if self._transitions.pop(name, None) is None:
+                return
+            wake, places = self._wakes.pop(name, (None, ()))
+            for place in places:
+                place.unwatch(wake)
+            self._placeless.discard(name)
+            self._ready.discard(name)
+            self.trace.record("unregister", name)
 
     def transitions(self) -> List[SchedulableTransition]:
         with self._lock:
@@ -236,7 +291,19 @@ class Scheduler:
                 raise SchedulerError(f"unknown transition {name!r}") from None
 
     # ------------------------------------------------------------------
-    # firing (shared by both driving modes)
+    # the ready set
+    # ------------------------------------------------------------------
+    def _mark(self, name: str) -> None:
+        """A place of ``name`` changed: make it a candidate, and wake an
+        idle dispatcher.  The dispatcher sets ``_sleeping`` before it
+        looks at the set, so a mark it did not see always notifies."""
+        self._ready.add(name)
+        if self._sleeping:
+            with self._wakeup:
+                self._wakeup.notify()
+
+    # ------------------------------------------------------------------
+    # firing (shared by every driving mode)
     # ------------------------------------------------------------------
     def _fire(self, transition: SchedulableTransition) -> ActivationResult:
         firings, _, activation_hist = self._instruments[transition.name]
@@ -249,17 +316,7 @@ class Scheduler:
         try:
             result = transition.activate()
         except BaseException as exc:
-            # the exception still propagates; the event is what the
-            # flight recorder and sys.events see of it
-            self.trace.record(
-                "error",
-                transition.name,
-                type=type(exc).__name__,
-                message=str(exc),
-                traceback=traceback.format_exception(
-                    type(exc), exc, exc.__traceback__
-                ),
-            )
+            self._record_error(transition.name, exc)
             raise
         finally:
             if token is not None:
@@ -276,32 +333,90 @@ class Scheduler:
         )
         return result
 
+    def _record_error(self, name: str, exc: BaseException) -> None:
+        # the exception still propagates (or, under the dispatcher,
+        # retires the transition); the event is what the flight recorder
+        # and sys.events see of it
+        self.trace.record(
+            "error",
+            name,
+            type=type(exc).__name__,
+            message=str(exc),
+            traceback=traceback.format_exception(
+                type(exc), exc, exc.__traceback__
+            ),
+        )
+
+    def _pass(self, contain: bool = False) -> int:
+        """Visit the candidates in the policy's order and fire each one
+        that is enabled when its turn comes; returns the firings.
+
+        Enablement is re-checked immediately before each firing, because
+        earlier firings may have consumed the inputs (or produced new
+        ones: a reader marked by an earlier firing of this pass is
+        visited in it if its turn is still to come).  With ``contain``
+        (the dispatcher) a transition that raises stops being driven and
+        the rest keep running; otherwise the exception propagates.
+        """
+        ready, registered = self._ready, self._transitions
+        fired = 0
+        for transition in self.policy.sweep_order(self.transitions()):
+            name = transition.name
+            if name in ready:
+                # out before the check: a place change during it marks
+                # the transition again
+                ready.discard(name)
+            elif name not in self._placeless:
+                continue
+            if name in self._failed or registered.get(name) is not transition:
+                continue  # retired, or unregistered by an earlier firing
+            try:
+                enabled = transition.enabled()
+            except Exception as exc:
+                if not contain:
+                    ready.add(name)  # still a candidate next pass
+                    raise
+                self._record_error(name, exc)
+                self._failed.add(name)
+                continue
+            if not enabled:
+                self._instruments[name][1].value += 1
+                continue
+            try:
+                result = self._fire(transition)
+            except Exception:
+                if not contain:
+                    ready.add(name)  # still a candidate next pass
+                    raise
+                self._failed.add(name)  # _fire recorded the error event
+                continue
+            if contain:
+                # hand the core to any thread the firing woke: the server
+                # loop sends an ACK now, not after the rest of the pass
+                os.sched_yield()
+            if not getattr(result, "drained", False):
+                # a fired transition stays a candidate: PLAN refire and
+                # batch limits can leave it enabled
+                ready.add(name)
+            fired += 1
+        return fired
+
     # ------------------------------------------------------------------
     # synchronous driving
     # ------------------------------------------------------------------
     def step(self) -> int:
         """One scheduler iteration: fire every enabled transition once.
 
-        Transitions are visited in the order the firing policy dictates
+        Candidates are visited in the order the firing policy dictates
         (default :class:`PriorityPolicy`: priority descending, ties broken
-        by registration order); enablement is re-checked immediately
-        before each firing because earlier firings may have consumed the
-        inputs (or produced new ones).
+        by registration order); see :meth:`_pass`.
         """
         if self._running.is_set():
-            raise SchedulerError("cannot step() while threads are running")
+            raise SchedulerError("cannot step() while the dispatcher runs")
         if not self._iterations.value:
             self._m_iterations.read_from(self._iterations)
         self._iterations.value += 1
-        ordered = self.policy.sweep_order(self.transitions())
-        fired = 0
-        for transition in ordered:
-            if transition.enabled():
-                self._fire(transition)
-                fired += 1
-            else:
-                self._instruments[transition.name][1].value += 1
-        return fired
+        return self._pass()
 
     def run_until_quiescent(self, max_steps: int = 100_000) -> int:
         """Step until no transition is enabled; returns total firings.
@@ -309,8 +424,8 @@ class Scheduler:
         A continuous query network quiesces when all channels are drained,
         all baskets are below their thresholds, and all results delivered.
 
-        Fairness under equal priorities: each step sweeps *every*
-        transition (no transition is skipped because an earlier one
+        Fairness under equal priorities: each step visits *every*
+        candidate (no transition is skipped because an earlier one
         fired), and the in-sweep tie-break is the policy's documented
         registration order — so equally-prioritized transitions cannot
         starve each other and the simulated and synchronous modes agree
@@ -330,53 +445,56 @@ class Scheduler:
     # threaded driving
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn one thread per transition (the paper's architecture)."""
+        """Start the dispatcher thread (``datacell-scheduler``)."""
         with self._lock:
             if self._running.is_set():
                 raise SchedulerError("scheduler already running")
             self._running.set()
-            for transition in self._transitions.values():
-                self._spawn(transition)
+            self._ready.update(self._transitions)
+            self._thread = threading.Thread(
+                target=self._dispatch, name="datacell-scheduler", daemon=True
+            )
+            self._thread.start()
 
-    def _spawn(self, transition: SchedulableTransition) -> None:
-        thread = threading.Thread(
-            target=self._drive,
-            args=(transition,),
-            name=f"datacell-{transition.name}",
-            daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
-
-    def _drive(self, transition: SchedulableTransition) -> None:
-        idle = self._instruments[transition.name][1]
+    def _dispatch(self) -> None:
         while self._running.is_set():
-            with self._lock:
-                alive = self._transitions.get(transition.name) is transition
-            if not alive:
-                return
-            if transition.enabled():
-                self._fire(transition)
-            else:
-                idle.value += 1
-                time.sleep(self.poll_interval)
+            if not self._pass(contain=True):
+                self._idle()
+
+    def _idle(self) -> None:
+        """Sleep until a place changes, a placeless transition is due
+        for a re-check, or :meth:`stop`."""
+        timeout = None
+        for name in list(self._placeless):
+            transition = self._transitions.get(name)
+            if transition is None or name in self._failed:
+                continue
+            due_in = getattr(transition, "due_in", None)
+            wait = PLACELESS_POLL if due_in is None else max(0.0, due_in())
+            timeout = wait if timeout is None else min(timeout, wait)
+        with self._wakeup:
+            self._sleeping = True
+            if not self._ready and self._running.is_set():
+                self._wakeup.wait(timeout)
+            self._sleeping = False
 
     def stop(self, timeout: float = 5.0) -> List[str]:
-        """Stop all transition threads; join each with a bounded timeout.
+        """Stop the dispatcher; join it with a bounded timeout.
 
-        Returns the names of threads still alive after their join window
-        (empty on a clean shutdown) so callers — the hermetic-test
-        fixture in particular — can turn a wedged transition thread into
-        a hard failure instead of an indefinite hang.
+        Returns the thread's name if it is still alive after its join
+        window (empty on a clean shutdown) so callers — the
+        hermetic-test fixture in particular — can turn a wedged firing
+        into a hard failure instead of an indefinite hang.
         """
         self._running.clear()
-        leaked: List[str] = []
-        for thread in self._threads:
-            thread.join(timeout)
-            if thread.is_alive():
-                leaked.append(thread.name)
-        self._threads = []
-        return leaked
+        with self._wakeup:
+            self._wakeup.notify()
+        thread, self._thread = self._thread, None
+        if thread is None:
+            return []
+        thread.join(timeout)
+        self._failed.clear()  # only the dispatcher stops driving them
+        return [thread.name] if thread.is_alive() else []
 
     @property
     def running(self) -> bool:

@@ -167,6 +167,9 @@ class ReplicatorTransition:
         self.activations = 0
         self.tuples_copied = 0
 
+    def input_places(self) -> Tuple[Basket]:
+        return (self.source,)
+
     def enabled(self) -> bool:
         return self.source.count >= max(1, self.source.min_count)
 
@@ -192,6 +195,7 @@ class ReplicatorTransition:
             tuples_out=snap.count * len(self.targets),
             consumed=snap.count,
             elapsed=time.perf_counter() - started,
+            drained=True,  # the whole source was consumed
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

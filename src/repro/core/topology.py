@@ -12,13 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
+from .basket import Basket
 from .emitter import Emitter
 from .factory import Factory
 from .receptor import Receptor
-from .scheduler import Scheduler
+from .scheduler import Scheduler, input_places
 from .strategies import ReplicatorTransition
 
 __all__ = ["NetworkTopology", "build_topology"]
+
+_KINDS = (
+    (Receptor, "receptor"),
+    (Factory, "factory"),
+    (Emitter, "emitter"),
+    (ReplicatorTransition, "replicator"),
+)
 
 
 @dataclass
@@ -62,47 +70,29 @@ class NetworkTopology:
 
 
 def build_topology(scheduler: Scheduler) -> NetworkTopology:
-    """Recover the Petri net from the scheduler's registered transitions."""
+    """Recover the Petri net from the scheduler's registered transitions:
+    each transition's input places are the ones the ready set watches."""
     topo = NetworkTopology()
-    places: Set[str] = set()
-
-    def add_place(name: str) -> None:
-        if name not in places:
-            places.add(name)
-            topo.places.append(name)
-
     for transition in scheduler.transitions():
         name = transition.name
-        if isinstance(transition, Receptor):
-            topo.transitions.append((name, "receptor"))
-            channel = getattr(transition.channel, "name", "channel")
-            add_place(f"channel:{channel}")
-            topo.arcs.append((f"channel:{channel}", name))
-            for basket in transition.targets:
-                add_place(basket.name)
-                topo.arcs.append((name, basket.name))
-        elif isinstance(transition, Factory):
-            topo.transitions.append((name, "factory"))
-            for binding in transition.inputs:
-                add_place(binding.basket.name)
-                topo.arcs.append((binding.basket.name, name))
-            for basket in transition.outputs:
-                add_place(basket.name)
-                topo.arcs.append((name, basket.name))
-        elif isinstance(transition, Emitter):
-            topo.transitions.append((name, "emitter"))
-            add_place(transition.source.name)
-            topo.arcs.append((transition.source.name, name))
-            sink = f"clients:{name}"
-            add_place(sink)
-            topo.arcs.append((name, sink))
-        elif isinstance(transition, ReplicatorTransition):
-            topo.transitions.append((name, "replicator"))
-            add_place(transition.source.name)
-            topo.arcs.append((transition.source.name, name))
-            for basket in transition.targets:
-                add_place(basket.name)
-                topo.arcs.append((name, basket.name))
-        else:  # unknown custom transition: node only
-            topo.transitions.append((name, type(transition).__name__))
+        kind = next(
+            (k for cls, k in _KINDS if isinstance(transition, cls)),
+            type(transition).__name__,
+        )
+        topo.transitions.append((name, kind))
+        inputs = [
+            place.name if isinstance(place, Basket)
+            else f"channel:{getattr(place, 'name', 'channel')}"
+            for place in input_places(transition) or ()
+        ]
+        outputs = [f"clients:{name}"] if kind == "emitter" else [
+            basket.name
+            for basket in getattr(transition, "targets", None)
+            or getattr(transition, "outputs", ())
+        ]
+        for label in inputs + outputs:
+            if label not in topo.places:
+                topo.places.append(label)
+        topo.arcs += [(label, name) for label in inputs]
+        topo.arcs += [(name, label) for label in outputs]
     return topo

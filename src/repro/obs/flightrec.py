@@ -142,16 +142,18 @@ class FlightRecorder:
     def _transitions_reading(self, baskets: List[str]) -> List[str]:
         """The factories/emitters whose inputs are the stalled baskets —
         the transitions that should have been draining them."""
+        from ..core.basket import Basket
+        from ..core.scheduler import input_places
+
         wanted = {b.lower() for b in baskets}
         out: List[str] = []
         for transition in self.cell.scheduler.transitions():
-            reads: List[str] = []
-            for binding in getattr(transition, "inputs", []):
-                reads.append(binding.basket.name.lower())
-            source = getattr(transition, "source", None)
-            if source is not None:
-                reads.append(source.name.lower())
-            if wanted & set(reads):
+            reads = {
+                place.name.lower()
+                for place in input_places(transition) or ()
+                if isinstance(place, Basket)
+            }
+            if wanted & reads:
                 out.append(transition.name)
         return out
 

@@ -140,8 +140,8 @@ class QueryResourceAccount:
         self.output_basket: Any = None
         self.input_baskets: List[Any] = []
         # CPU, outermost to innermost boundary: the scheduler's firing
-        # boundary, one tally per transition (in threaded mode each is
-        # written by its own thread), plan.run alone, and the per-MAL-
+        # boundary, one tally per transition (each written only by the
+        # thread driving that transition), plan.run alone, and the per-MAL-
         # opcode fold
         self._factory_cpu = Tally(0.0)
         self._emitter_cpu = Tally(0.0)

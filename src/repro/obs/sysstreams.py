@@ -214,6 +214,11 @@ class TelemetrySampler:
     def enabled(self) -> bool:
         return self.cell.clock.now() >= self._next_due
 
+    def due_in(self) -> float:
+        """Seconds until the next sample: time-driven, the sampler has no
+        input places, and an idle dispatcher wakes for it then."""
+        return self._next_due - self.cell.clock.now()
+
     def activate(self):
         from ..core.factory import ActivationResult
 

@@ -27,6 +27,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.factory import ActivationResult
+from ..core.places import Place
 from .protocol import (
     ColumnSpec,
     Command,
@@ -62,8 +63,10 @@ class IngestBatch:
         self.reply = reply
 
 
-class IngestQueue:
+class IngestQueue(Place):
     """Thread-safe FIFO of batches with per-tenant pending-row counts.
+
+    The pump's input place: a put wakes the pump.
 
     The pending-row watermark is the admission-control lever: a reader
     coroutine checks :meth:`pending_rows` for its tenant before reading
@@ -86,6 +89,7 @@ class IngestQueue:
             )
             self.total_batches += 1
             self.total_rows += batch.rows
+        self.changed()
 
     def take(self, limit: int) -> List[IngestBatch]:
         with self._lock:
@@ -153,6 +157,9 @@ class ServerIngestPump:
         )
 
     # ------------------------------------------------------------------
+    def input_places(self) -> Tuple[IngestQueue]:
+        return (self.queue,)
+
     def enabled(self) -> bool:
         return self.queue.pending() > 0
 
@@ -206,6 +213,7 @@ class ServerIngestPump:
             tuples_out=applied,
             consumed=sum(b.rows for b in batches),
             elapsed=time.perf_counter() - started,
+            drained=len(batches) < self.batch_limit,  # the queue was empty
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

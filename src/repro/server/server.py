@@ -137,13 +137,17 @@ class _WsTransport:
 class _Connection:
     """Loop-side bookkeeping for one live session."""
 
-    __slots__ = ("session", "transport", "wakeup", "writer_task")
+    __slots__ = (
+        "session", "transport", "wakeup", "writer_task", "block_timer",
+    )
 
     def __init__(self, session, transport, wakeup):
         self.session = session
         self.transport = transport
         self.wakeup = wakeup
         self.writer_task: Optional[asyncio.Task] = None
+        # pending block_timeout check of a full ``block`` queue
+        self.block_timer: Optional[asyncio.TimerHandle] = None
 
 
 class DataCellServer:
@@ -406,12 +410,19 @@ class DataCellServer:
             except RuntimeError:
                 pass  # loop already closed; frames die with the session
 
+        def on_full() -> None:
+            try:
+                loop.call_soon_threadsafe(self._arm_block_timer, conn)
+            except RuntimeError:
+                pass
+
         session = ClientSession(
             session_id,
             config,
             remote=remote,
             wake=wake,
             request_close=lambda reason: wake_and_close(),
+            on_full=on_full,
         )
         conn = _Connection(session, transport, wakeup)
 
@@ -439,6 +450,29 @@ class DataCellServer:
             self._send_error(session, "protocol", str(exc))
         finally:
             await self._teardown(conn)
+
+    def _arm_block_timer(
+        self, conn: _Connection, delay: Optional[float] = None
+    ) -> None:
+        """Check a full ``block`` queue once ``block_timeout`` (or the
+        ``delay`` left of it) has passed; the check runs on this loop,
+        never on the scheduler's thread."""
+        if conn.block_timer is None and not conn.session.closed:
+            conn.block_timer = asyncio.get_running_loop().call_later(
+                self.config.block_timeout if delay is None else delay,
+                self._check_block, conn,
+            )
+
+    def _check_block(self, conn: _Connection) -> None:
+        conn.block_timer = None
+        left = conn.session.check_block_timeout()
+        if left:
+            self._arm_block_timer(conn, left)
+        elif left is not None:  # disconnected
+            self.cell.trace.record(
+                "queue_full", "server", session=conn.session.id,
+                policy="block", outcome="disconnect",
+            )
 
     def _abort_connection(self, conn: _Connection) -> None:
         conn.wakeup.set()
@@ -469,6 +503,8 @@ class DataCellServer:
                 return  # already released
         session.close()
         conn.transport.close()
+        if conn.block_timer is not None:
+            conn.block_timer.cancel()
         for _name, handle, binding, owned in session.drain_subscriptions():
             try:
                 handle.emitter.unsubscribe(binding)

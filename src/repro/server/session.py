@@ -7,13 +7,14 @@ the asyncio writer (or a fake transport in tests) drains it.  The queue
 is where the backpressure policy dial lives:
 
 ``block``
-    The *delivering* thread waits until the client drains below the
-    bound — lossless, and because the emitter thread is the one
-    blocked, backpressure propagates naturally into the scheduler (a
-    slow client slows its queries, not the whole engine... unless they
-    share a factory).  A ``block_timeout`` bounds the wait; timing out
-    escalates to disconnect so one dead client cannot wedge an emitter
-    forever.
+    A full queue holds back the emitters of the session's queries until
+    the client drains below the bound — lossless.  The queue is a
+    *gate* of those emitters (part of their enablement, a place whose
+    change is freed room), so no thread waits: a slow client slows its
+    own queries, not the whole engine (unless they share a factory).
+    A queue that stays full for ``block_timeout`` escalates to
+    disconnect (:meth:`ClientSession.check_block_timeout`, timed by the
+    transport), so one dead client cannot hold a query forever.
 ``drop-oldest``
     The oldest queued ``DATA`` frame is shed to make room — bounded
     memory, freshest results win, drops are counted on the session,
@@ -37,6 +38,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple,
 )
 
+from ..core.places import Place
 from ..errors import ServerError
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -106,14 +108,16 @@ class ServerConfig:
             raise ServerError("queue_frames must be >= 1")
 
 
-class OutputQueue:
+class OutputQueue(Place):
     """A bounded, policy-governed FIFO of encoded frames.
 
-    Producers are emitter/scheduler threads; the consumer is the
-    transport's writer.  ``offer_data`` returns what happened —
+    Producers are emitters firing under the scheduler; the consumer is
+    the transport's writer.  ``offer_data`` returns what happened —
     ``"queued"``, ``"dropped"`` (drop-oldest shed a frame),
-    ``"disconnect"`` (policy or block timeout demands closing), or
-    ``"closed"`` (the session is already gone).
+    ``"disconnect"`` (the policy demands closing), or ``"closed"`` (the
+    session is already gone).  Under ``block`` the queue never refuses
+    a frame: :meth:`has_room` gates the emitters, and a drain that frees
+    room (or a close) is a change of this place that wakes them.
     """
 
     def __init__(
@@ -128,22 +132,23 @@ class OutputQueue:
         # (is_data, frame bytes, row count)
         self._frames: Deque[Tuple[bool, bytes, int]] = deque()
         self._data_depth = 0
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._closed = False
+        self._full_since: Optional[float] = None  # block: when it filled
         self.dropped_frames = 0
         self.dropped_rows = 0
         self.blocks = 0
 
     # -- producers -----------------------------------------------------
     def offer_control(self, frame: bytes) -> str:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return "closed"
             self._frames.append((False, frame, 0))
             return "queued"
 
     def offer_data(self, frame: bytes, rows: int) -> str:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return "closed"
             shed = False
@@ -153,21 +158,15 @@ class OutputQueue:
                     shed = True
                 elif self.policy == "disconnect":
                     return "disconnect"
-                else:  # block
-                    self.blocks += 1
-                    deadline = time.monotonic() + self.block_timeout
-                    while (
-                        self._data_depth >= self.capacity
-                        and not self._closed
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            return "disconnect"
-                        self._cond.wait(remaining)
-                    if self._closed:
-                        return "closed"
             self._frames.append((True, frame, rows))
             self._data_depth += 1
+            if (
+                self.policy == "block"
+                and self._data_depth >= self.capacity
+                and self._full_since is None
+            ):
+                self._full_since = time.monotonic()
+                self.blocks += 1
             return "dropped" if shed else "queued"
 
     def _shed_oldest_locked(self) -> None:
@@ -179,24 +178,41 @@ class OutputQueue:
                 self.dropped_rows += rows
                 return
 
+    def has_room(self) -> bool:
+        """Whether a gated emitter may deliver: below the bound, or
+        closed (deliveries to a closed session are discarded)."""
+        return self._closed or self._data_depth < self.capacity
+
+    def full_for(self) -> Optional[float]:
+        """Seconds a ``block`` queue has been full, None when it is not."""
+        since = self._full_since
+        return None if since is None else time.monotonic() - since
+
     # -- the consumer --------------------------------------------------
     def drain(self, limit: int = 256) -> List[bytes]:
         """Pop up to ``limit`` frames (transport writer only)."""
-        with self._cond:
+        with self._lock:
             out: List[bytes] = []
             while self._frames and len(out) < limit:
                 is_data, frame, _ = self._frames.popleft()
                 if is_data:
                     self._data_depth -= 1
                 out.append(frame)
-            if out:
-                self._cond.notify_all()
-            return out
+            freed = (
+                self._full_since is not None
+                and self._data_depth < self.capacity
+            )
+            if freed:
+                self._full_since = None
+        if freed:
+            self.changed()
+        return out
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._full_since = None
+        self.changed()
 
     @property
     def closed(self) -> bool:
@@ -204,7 +220,7 @@ class OutputQueue:
 
     @property
     def depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._frames)
 
     @property
@@ -216,9 +232,11 @@ class ClientSession:
     """One connected client: identity, output queue, subscriptions.
 
     The transport layer (asyncio server, or a fake in tests) installs
-    two callbacks: ``wake`` (new frames are queued — schedule a writer
-    drain) and ``request_close`` (policy demands disconnecting).  Both
-    must be safe to call from any thread.
+    three callbacks: ``wake`` (new frames are queued — schedule a writer
+    drain), ``request_close`` (policy demands disconnecting) and
+    ``on_full`` (a ``block`` queue filled — call
+    :meth:`check_block_timeout` after ``block_timeout``).  All must be
+    safe to call from any thread.
     """
 
     def __init__(
@@ -230,6 +248,7 @@ class ClientSession:
         remote: str = "?",
         wake: Optional[Callable[[], None]] = None,
         request_close: Optional[Callable[[str], None]] = None,
+        on_full: Optional[Callable[[], None]] = None,
     ):
         self.id = session_id
         self.config = config
@@ -241,6 +260,7 @@ class ClientSession:
         )
         self.wake = wake or (lambda: None)
         self.request_close = request_close or (lambda reason: None)
+        self.on_full = on_full or (lambda: None)
         self.hello_done = False
         self.closed = False
         # name -> (handle or None, binding, owned-by-this-session)
@@ -271,14 +291,30 @@ class ClientSession:
         if outcome in ("queued", "dropped"):
             self.rows_out += rows
             self.wake()
+            if not self.queue.has_room() and self.queue.policy == "block":
+                self.on_full()
         elif outcome == "disconnect":
-            self.send_error(
-                "backpressure",
-                f"output queue overflowed under policy "
-                f"{self.queue.policy!r}",
-            )
-            self.request_close("backpressure")
+            self._overflowed()
         return outcome
+
+    def check_block_timeout(self) -> Optional[float]:
+        """Disconnect a ``block`` session whose queue has stayed full for
+        ``block_timeout`` and return 0; otherwise return the seconds left
+        before it would (None when the queue is not full)."""
+        full_for = self.queue.full_for()
+        if full_for is None:
+            return None
+        left = self.queue.block_timeout - full_for
+        if left <= 0:
+            self._overflowed()
+        return max(left, 0.0)
+
+    def _overflowed(self) -> None:
+        self.send_error(
+            "backpressure",
+            f"output queue overflowed under policy {self.queue.policy!r}",
+        )
+        self.request_close("backpressure")
 
     # -- subscriptions -------------------------------------------------
     def add_subscription(
@@ -345,7 +381,8 @@ class SubscriptionBinding:
     same bytes for every session bound to the query — and offered to
     the session queue.  Never raises into the emitter — queue overflow
     is resolved by the session's policy, and drops are folded back into
-    the emitter's ``deliveries_dropped`` accounting.
+    the emitter's ``deliveries_dropped`` accounting.  Under ``block``
+    the session queue is the emitter's :attr:`gate`.
     """
 
     def __init__(
@@ -363,6 +400,11 @@ class SubscriptionBinding:
         self.on_drop = on_drop
         self.deliveries = 0
         self.rows_delivered = 0
+
+    @property
+    def gate(self) -> Optional[OutputQueue]:
+        queue = self.session.queue
+        return queue if queue.policy == "block" else None
 
     def deliver_batch(self, batch: DeliveryBatch) -> None:
         rows = len(batch)

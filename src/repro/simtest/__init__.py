@@ -1,15 +1,16 @@
 """Deterministic simulation + differential testing for the DataCell.
 
-The paper's headline architecture (§2.4) is the multi-threaded scheduler:
-every receptor/factory/emitter an independent thread, data streaming
-through baskets.  Thread schedules are not reproducible, so interleaving
-bugs (lost wakeups, basket races, double consumption under the §2.5
-strategies) surface only as flakes.  This package provides the
-correctness substrate instead:
+The paper's headline architecture (§2.4) is the multi-threaded scheduler,
+data streaming through baskets between transitions.  Here threaded mode
+is one dispatcher thread woken by basket, channel and queue changes (the
+scheduler's ready set); real thread schedules are still not
+reproducible, so interleaving bugs (lost wakeups, basket races, double
+consumption under the §2.5 strategies) surface only as flakes.  This
+package provides the correctness substrate instead:
 
 * :class:`~repro.simtest.sim.SimScheduler` drives the *exact same*
-  transition objects under a seed-controlled virtual scheduler — one
-  firing at a time, ordering chosen by a pluggable
+  transition objects from the same ready set under a seed-controlled
+  virtual scheduler — one firing at a time, ordering chosen by a pluggable
   :class:`~repro.core.scheduler.FiringPolicy`, time supplied by a
   :class:`~repro.core.clock.VirtualClock`.  A whole episode is
   reproducible from ``(seed, policy, fault plan)``.

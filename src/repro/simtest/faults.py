@@ -128,6 +128,15 @@ class FaultableChannel(Channel):
         self.delivered: List[Any] = []
 
     # ------------------------------------------------------------------
+    # the proxy's place is the inner channel, which every push reaches;
+    # a delayed batch falls due with time, which wakes every simulated
+    # transition (SimScheduler)
+    def watch(self, wake) -> None:
+        self.inner.watch(wake)
+
+    def unwatch(self, wake) -> None:
+        self.inner.unwatch(wake)
+
     def push(self, event: Any) -> None:
         self.inner.push(event)
 

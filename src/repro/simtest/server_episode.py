@@ -76,6 +76,9 @@ class WireIngress:
         self.frames_sent = 0
         self._seq = 0
 
+    def input_places(self) -> Tuple[Channel]:
+        return (self.channel,)
+
     def enabled(self) -> bool:
         return self.channel.pending() > 0
 

@@ -2,8 +2,8 @@
 
 :class:`SimScheduler` is a :class:`~repro.core.scheduler.Scheduler` whose
 driving mode is *simulation*: it fires the exact transition objects of
-the threaded mode (receptors, factories, emitters — unmodified), but one
-activation at a time, in an order chosen by a pluggable firing policy,
+the threaded mode (receptors, factories, emitters — unmodified) from the
+same ready set, but one activation at a time, in an order chosen by a pluggable firing policy,
 against a :class:`~repro.core.clock.VirtualClock`.  Scripted input
 arrives at scheduled virtual instants and is itself a schedulable choice,
 so the policy explores interleavings of ingest and processing, not just
@@ -151,6 +151,7 @@ class SimScheduler(Scheduler):
         self._ingest = _IngestSource(self)
         self._pending_inputs: List[InputEvent] = []
         self._channels: Dict[str, Channel] = {}
+        self._marked_at: Optional[float] = None  # clock at the last mark-all
         self.result = EpisodeResult()
 
     # ------------------------------------------------------------------
@@ -189,14 +190,26 @@ class SimScheduler(Scheduler):
     # one simulated firing
     # ------------------------------------------------------------------
     def sim_fire(self) -> Optional[str]:
-        """Fire exactly one enabled transition (or deliver due input).
+        """Fire exactly one enabled transition (or deliver due input),
+        chosen by the policy among the ready set's enabled candidates.
 
         Returns the fired transition's name, or ``None`` when nothing is
         enabled at the current virtual time.
         """
-        candidates: List = [
-            t for t in self.transitions() if t.enabled()
-        ]
+        now = self.clock.now()
+        if now != self._marked_at:
+            # time moved: a delayed batch may have fallen due anywhere
+            self._ready.update(self._transitions)
+            self._marked_at = now
+        candidates: List = []
+        for transition in self.transitions():  # registration order
+            name = transition.name
+            if name not in self._ready and name not in self._placeless:
+                continue
+            if transition.enabled():
+                candidates.append(transition)
+            else:
+                self._ready.discard(name)
         if self._ingest.enabled():
             candidates.append(self._ingest)
         if not candidates:
@@ -216,7 +229,10 @@ class SimScheduler(Scheduler):
             self.result.firings.append((choice.name, -1, -1))
             self.result.injected_exceptions += 1
             return choice.name
+        self._ready.discard(choice.name)  # a mark while it fires re-adds it
         result = self._fire(choice)
+        if not getattr(result, "drained", False):
+            self._ready.add(choice.name)
         self.result.firings.append(
             (choice.name, result.tuples_in, result.tuples_out)
         )
@@ -288,6 +304,8 @@ class SimScheduler(Scheduler):
             # a due-now horizon means enablement was blocked on a timer
             # callback, not on time itself; set() fires those callbacks
             self.clock.set(max(horizon, self.clock.now()))
+            # timer callbacks report to no place: everything is a candidate
+            self._ready.update(self._transitions)
         self.result.clock_end = self.clock.now()
         return self.result
 

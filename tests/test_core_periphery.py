@@ -400,11 +400,16 @@ class TestScheduler:
 
     def test_threaded_mode_end_to_end(self, clock):
         ch, receptor, factory, emitter, client = _pipeline(clock)
-        s = Scheduler(poll_interval=0.0005)
+        s = Scheduler()
         for t in (receptor, factory, emitter):
             s.register(t)
         s.start()
         try:
+            # one dispatcher drives all three transitions
+            assert [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("datacell-")
+            ] == ["datacell-scheduler"]
             for v in ("5", "15", "25", "12", "18"):
                 ch.push(v)
             deadline = time.time() + 5
@@ -413,6 +418,44 @@ class TestScheduler:
         finally:
             s.stop()
         assert sorted(client.rows) == [(12,), (15,), (18,)]
+
+    def test_threaded_failure_stops_only_that_transition(self, clock):
+        ch, receptor, factory, emitter, client = _pipeline(clock)
+        calls = []
+
+        class Boom:
+            name, priority = "boom", 20
+
+            def enabled(self):
+                return True
+
+            def activate(self):
+                calls.append(1)
+                raise RuntimeError("boom")
+
+        class Broken:
+            name, priority = "broken", 20
+
+            def enabled(self):
+                raise RuntimeError("broken")
+
+        s = Scheduler()
+        for t in (Boom(), Broken(), receptor, factory, emitter):
+            s.register(t)
+        s.start()
+        try:
+            for v in ("15", "18"):
+                ch.push(v)
+            deadline = time.time() + 5
+            while len(client.rows) < 2 and time.time() < deadline:
+                time.sleep(0.005)
+        finally:
+            assert s.stop() == []
+        assert sorted(client.rows) == [(15,), (18,)]
+        assert calls == [1]  # no longer driven once it raised
+        assert sorted(
+            e.component for e in s.trace.events(kind="error")
+        ) == ["boom", "broken"]
 
     def test_stop_joins_threads(self, clock):
         s = Scheduler()

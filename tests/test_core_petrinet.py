@@ -1,198 +1,247 @@
-"""Unit and property tests for the Petri-net processing model (§2.4)."""
+"""Petri-net properties of the scheduler (paper §2.4).
+
+Places are baskets, channels and queues; transitions fire when their
+input places hold enough.  The scheduler's ready set *is* the enabling
+rule's index: a place change marks its readers, and only candidates are
+checked.  These tests run a pure token net — integer markings whose
+places notify like baskets do — on the real :class:`Scheduler`.
+"""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.petrinet import MarkedPlace, PetriNet, Transition
+from repro import DataCell, LogicalClock
+from repro.core.factory import ActivationResult
+from repro.core.places import Place
+from repro.core.scheduler import Scheduler
 from repro.errors import SchedulerError
+from repro.obs.metrics import MetricsRegistry
+
+
+class Tokens(Place):
+    """A place with an integer marking; adding tokens wakes readers."""
+
+    def __init__(self, marking=0):
+        self.marking = marking
+
+    def add(self, n=1):
+        self.marking += n
+        self.changed()
+
+
+class Move:
+    """Fires when each input holds ``threshold`` tokens; takes them and
+    puts one token on each output (the default firing of a token net)."""
+
+    def __init__(self, name, inputs, outputs=(), threshold=1, priority=0,
+                 log=None):
+        self.name = name
+        self.inputs = list(inputs)
+        self.outputs = list(outputs)
+        self.threshold = threshold
+        self.priority = priority
+        self.log = log
+        self.checks = 0
+
+    def input_places(self):
+        return self.inputs
+
+    def enabled(self):
+        self.checks += 1
+        return all(p.marking >= self.threshold for p in self.inputs)
+
+    def activate(self):
+        for place in self.inputs:
+            place.marking -= self.threshold
+        for place in self.outputs:
+            place.add()
+        if self.log is not None:
+            self.log.append(self.name)
+        return ActivationResult(fired=True, tuples_in=self.threshold)
+
+
+def quiet():
+    return MetricsRegistry(enabled=False)
 
 
 def simple_chain(initial=3):
-    """R -> B1 -> Q -> B2 -> E, the Figure 1 topology as a pure net."""
-    net = PetriNet()
-    stream = net.add_place(MarkedPlace("stream", initial))
-    b1 = net.add_place(MarkedPlace("B1"))
-    b2 = net.add_place(MarkedPlace("B2"))
-    delivered = net.add_place(MarkedPlace("delivered"))
-    net.add_transition(Transition("R", [(stream, 1)], [b1]))
-    net.add_transition(Transition("Q", [(b1, 1)], [b2]))
-    net.add_transition(Transition("E", [(b2, 1)], [delivered]))
-    return net
+    """stream -> R -> B1 -> Q -> B2 -> E -> delivered (Figure 1)."""
+    places = {n: Tokens() for n in ("stream", "B1", "B2", "delivered")}
+    places["stream"].marking = initial
+    sched = Scheduler(metrics=quiet())
+    sched.register(Move("R", [places["stream"]], [places["B1"]]))
+    sched.register(Move("Q", [places["B1"]], [places["B2"]]))
+    sched.register(Move("E", [places["B2"]], [places["delivered"]]))
+    return sched, places
 
 
-class TestPlace:
-    def test_marking(self):
-        p = MarkedPlace("p", 2)
-        assert p.tokens() == 2
-
-    def test_negative_marking_rejected(self):
-        with pytest.raises(SchedulerError):
-            MarkedPlace("p", -1)
-
-    def test_add_remove(self):
-        p = MarkedPlace("p")
-        p.add(3)
-        p.remove(2)
-        assert p.tokens() == 1
-
-    def test_remove_too_many(self):
-        p = MarkedPlace("p", 1)
-        with pytest.raises(SchedulerError):
-            p.remove(2)
-
-    def test_add_negative_rejected(self):
-        with pytest.raises(SchedulerError):
-            MarkedPlace("p").add(-1)
+def marking(places):
+    return {name: place.marking for name, place in places.items()}
 
 
 class TestTransition:
-    def test_needs_input(self):
-        with pytest.raises(SchedulerError):
-            Transition("t", [], [MarkedPlace("p")])
-
-    def test_threshold_validation(self):
-        with pytest.raises(SchedulerError):
-            Transition("t", [(MarkedPlace("p"), 0)], [])
-
     def test_enabled_requires_all_inputs(self):
         """Paper: when a transition has multiple inputs, all must have tuples."""
-        a, b = MarkedPlace("a", 1), MarkedPlace("b", 0)
-        t = Transition("t", [(a, 1), (b, 1)], [])
-        assert not t.enabled()
-        b.add()
-        assert t.enabled()
+        a, b, out = Tokens(1), Tokens(0), Tokens()
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("t", [a, b], [out]))
+        assert sched.run_until_quiescent() == 0
+        b.add()  # the second input's change wakes the transition
+        assert sched.run_until_quiescent() == 1
 
     def test_threshold_gating(self):
         """Paper: a basket may need a minimum of n tuples before firing."""
-        p = MarkedPlace("p", 2)
-        t = Transition("t", [(p, 3)], [])
-        assert not t.enabled()
+        p, out = Tokens(2), Tokens()
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("t", [p], [out], threshold=3))
+        assert sched.run_until_quiescent() == 0
         p.add()
-        assert t.enabled()
+        assert sched.run_until_quiescent() == 1
+        assert (p.marking, out.marking) == (0, 1)
 
     def test_fire_moves_tokens(self):
-        a, out = MarkedPlace("a", 2), MarkedPlace("out")
-        t = Transition("t", [(a, 2)], [out])
-        t.fire()
-        assert a.tokens() == 0 and out.tokens() == 1
-
-    def test_fire_disabled_raises(self):
-        t = Transition("t", [(MarkedPlace("a"), 1)], [])
-        with pytest.raises(SchedulerError):
-            t.fire()
-
-    def test_custom_action(self):
-        fired = []
-        p = MarkedPlace("p", 1)
-        t = Transition("t", [(p, 1)], [], action=lambda: fired.append(1))
-        t.fire()
-        assert fired == [1]
-        # custom action does not auto-move tokens
-        assert p.tokens() == 1
+        a, out = Tokens(2), Tokens()
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("t", [a], [out], threshold=2))
+        sched.step()
+        assert a.marking == 0 and out.marking == 1
 
     def test_firing_counter(self):
-        p = MarkedPlace("p", 2)
-        t = Transition("t", [(p, 1)], [])
-        t.fire()
-        t.fire()
-        assert t.firings == 2
+        p = Tokens(2)
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("t", [p]))
+        sched.run_until_quiescent()
+        assert sched.counts("t")[0] == 2
 
 
 class TestNet:
-    def test_duplicate_place(self):
-        net = PetriNet()
-        net.add_place(MarkedPlace("p"))
-        with pytest.raises(SchedulerError):
-            net.add_place(MarkedPlace("p"))
-
     def test_duplicate_transition(self):
-        net = simple_chain()
+        sched, places = simple_chain()
         with pytest.raises(SchedulerError):
-            net.add_transition(
-                Transition("R", [(net.places["stream"], 1)], [])
-            )
-
-    def test_foreign_place_rejected(self):
-        net = PetriNet()
-        foreign = MarkedPlace("x", 1)
-        with pytest.raises(SchedulerError):
-            net.add_transition(Transition("t", [(foreign, 1)], []))
+            sched.register(Move("R", [places["stream"]]))
 
     def test_chain_flows_to_completion(self):
-        net = simple_chain(initial=3)
-        net.run_until_quiescent()
-        assert net.marking() == {
+        sched, places = simple_chain(initial=3)
+        sched.run_until_quiescent()
+        assert marking(places) == {
             "stream": 0, "B1": 0, "B2": 0, "delivered": 3,
         }
 
     def test_step_fires_each_enabled_once(self):
-        net = simple_chain(initial=2)
-        fired = net.step()
-        assert fired == 1  # only R enabled initially
-        fired = net.step()
-        assert fired == 2  # R (one token left) and Q
+        log = []
+        sched, places = simple_chain(initial=2)
+        for t in sched.transitions():
+            t.log = log
+        # R's output marks Q, whose turn is still to come, and so on:
+        # one step moves a token down the chain, each transition once
+        assert sched.step() == 3
+        assert log == ["R", "Q", "E"]
+        assert marking(places)["delivered"] == 1
 
     def test_priority_ordering(self):
-        net = PetriNet()
-        src = net.add_place(MarkedPlace("src", 1))
-        sink = net.add_place(MarkedPlace("sink"))
-        order = []
-        low = Transition(
-            "low", [(src, 1)], [sink],
-            action=lambda: order.append("low"), priority=0,
-        )
-        high = Transition(
-            "high", [(src, 1)], [sink],
-            action=lambda: order.append("high"), priority=5,
-        )
-        net.add_transition(low)
-        net.add_transition(high)
-        net.step()
-        assert order[0] == "high"
+        log = []
+        src, sink = Tokens(), Tokens()
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("low", [src], [sink], priority=0, log=log))
+        sched.register(Move("first", [src], [sink], priority=5, log=log))
+        sched.register(Move("second", [src], [sink], priority=5, log=log))
+        src.add(2)
+        sched.step()
+        # priority first, registration order among equals; "low" found
+        # nothing left
+        assert log == ["first", "second"]
 
     def test_livelock_detection(self):
-        net = PetriNet()
-        a = net.add_place(MarkedPlace("a", 1))
-        b = net.add_place(MarkedPlace("b"))
-        net.add_transition(Transition("ab", [(a, 1)], [b]))
-        net.add_transition(Transition("ba", [(b, 1)], [a]))
+        a, b = Tokens(1), Tokens()
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("ab", [a], [b]))
+        sched.register(Move("ba", [b], [a]))
         with pytest.raises(SchedulerError):
-            net.run_until_quiescent(max_steps=100)
+            sched.run_until_quiescent(max_steps=100)
 
     def test_remove_transition(self):
-        net = simple_chain()
-        net.remove_transition("Q")
-        net.run_until_quiescent()
-        assert net.marking()["B1"] == 3  # Q gone, tokens stuck in B1
+        sched, places = simple_chain()
+        sched.unregister("Q")
+        sched.run_until_quiescent()
+        assert marking(places)["B1"] == 3  # Q gone, tokens stuck in B1
+        assert places["B1"]._wakers == ()  # and no longer woken
+
+
+class TestReadySet:
+    def test_disabled_transitions_are_not_rechecked(self):
+        sched, places = simple_chain(initial=1)
+        sched.run_until_quiescent()
+        checks = {t.name: t.checks for t in sched.transitions()}
+        idle = {t.name: sched.counts(t.name)[1] for t in sched.transitions()}
+        for _ in range(5):
+            assert sched.step() == 0
+        assert {t.name: t.checks for t in sched.transitions()} == checks
+        assert {
+            t.name: sched.counts(t.name)[1] for t in sched.transitions()
+        } == idle
+        places["stream"].add()  # one place changes: R is a candidate
+        assert sched.run_until_quiescent() == 3
+
+    def test_placeless_transition_is_checked_every_pass(self):
+        checks = []
+
+        class Placeless:
+            name, priority = "p", 0
+
+            def enabled(self):
+                checks.append(1)
+                return False
+
+        sched = Scheduler(metrics=quiet())
+        sched.register(Placeless())
+        for _ in range(3):
+            sched.step()
+        assert len(checks) == 3
+
+    def _filter_cell(self):
+        cell = DataCell(clock=LogicalClock(), metrics=quiet())
+        cell.execute("create basket s (v int)")
+        q = cell.submit_continuous("select * from [select * from s] as x")
+        cell.insert("s", [(1,), (2,)])
+        return cell, q
+
+    def test_lowered_min_count_wakes_the_factory(self):
+        cell, q = self._filter_cell()
+        cell.basket("s").min_count = 3
+        cell.run_until_quiescent()
+        assert q.fetch() == []
+        cell.basket("s").min_count = 2
+        cell.run_until_quiescent()
+        assert q.fetch() == [(1,), (2,)]
+
+    def test_lowered_min_tuples_wakes_the_factory(self):
+        cell, q = self._filter_cell()
+        q.factory.inputs[0].min_tuples = 3
+        cell.run_until_quiescent()
+        assert q.fetch() == []
+        q.factory.inputs[0].min_tuples = 1
+        cell.run_until_quiescent()
+        assert q.fetch() == [(1,), (2,)]
 
 
 class TestTokenConservation:
+    @settings(deadline=None)
     @given(st.integers(0, 30))
     def test_chain_conserves_tokens(self, n):
         """Total tokens in a 1-in/1-out chain is invariant under firing."""
-        net = simple_chain(initial=n)
-        before = sum(net.marking().values())
-        net.run_until_quiescent()
-        assert sum(net.marking().values()) == before
-        assert net.marking()["delivered"] == n
+        sched, places = simple_chain(initial=n)
+        sched.run_until_quiescent()
+        assert sum(marking(places).values()) == n
+        assert marking(places)["delivered"] == n
 
-    @given(
-        st.integers(1, 5), st.integers(0, 20),
-    )
+    @settings(deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 20))
     def test_threshold_leaves_remainder(self, threshold, tokens):
         """A threshold-n transition leaves tokens % n in its input place."""
-        net = PetriNet()
-        src = net.add_place(MarkedPlace("src", tokens))
-        sink = net.add_place(MarkedPlace("sink"))
-
-        def consume():
-            src.remove(threshold)
-            sink.add(1)
-
-        net.add_transition(
-            Transition("t", [(src, threshold)], [sink], action=consume)
-        )
-        net.run_until_quiescent()
-        assert net.marking()["src"] == tokens % threshold
-        assert net.marking()["sink"] == tokens // threshold
+        src, sink = Tokens(tokens), Tokens()
+        sched = Scheduler(metrics=quiet())
+        sched.register(Move("t", [src], [sink], threshold=threshold))
+        sched.run_until_quiescent()
+        assert src.marking == tokens % threshold
+        assert sink.marking == tokens // threshold

@@ -211,10 +211,10 @@ class TestSeriesReadFromTallies:
 
 
     def test_threaded_tallies_stay_exact(self):
-        # more transition threads than cores, switching as often as the
-        # interpreter allows: every series read from a tally must still
-        # equal what was inserted and delivered, which a lost update to
-        # a shared tally would break
+        # the dispatcher and an inserting thread, switching as often as
+        # the interpreter allows: every series read from a tally must
+        # still equal what was inserted and delivered, which a lost
+        # update to a shared tally would break
         import sys
 
         cell = DataCell()

@@ -14,10 +14,16 @@ import pytest
 
 from repro.core.basket import Basket
 from repro.core.emitter import DeliveryBatch, Emitter
+from repro.core.scheduler import Scheduler
 from repro.errors import ServerError
 from repro.kernel.types import AtomType
 from repro.server import session as session_module
-from repro.server.protocol import Command, FrameDecoder
+from repro.server.protocol import (
+    Command,
+    FrameDecoder,
+    data_message,
+    encode_message,
+)
 from repro.server.session import (
     ClientSession,
     OutputQueue,
@@ -52,43 +58,71 @@ class TestServerConfig:
 
 
 class TestOutputQueueBlock:
-    def test_blocks_until_drained(self):
-        q = OutputQueue("block", capacity=2, block_timeout=10.0)
-        assert q.offer_data(b"a", 1) == "queued"
-        assert q.offer_data(b"b", 1) == "queued"
-        outcome = []
-        producer = threading.Thread(
-            target=lambda: outcome.append(q.offer_data(b"c", 1))
+    """``block`` holds a full queue's emitter back (the queue is its
+    gate) instead of parking a thread in ``offer_data``."""
+
+    def _gated(self, capacity, block_timeout=10.0):
+        basket = Basket("q_out", [("v", AtomType.INT)])
+        emitter = Emitter("q_e", basket)
+        config = ServerConfig(
+            backpressure="block", queue_frames=capacity,
+            block_timeout=block_timeout,
         )
-        producer.start()
-        time.sleep(0.05)
-        assert not outcome  # still parked on the full queue
-        assert q.drain() == [b"a", b"b"]
-        producer.join(5.0)
-        assert outcome == ["queued"]
-        assert q.blocks == 1
-        assert q.drain() == [b"c"]
+        session = ClientSession(1, config)
+        emitter.subscribe(
+            SubscriptionBinding(session, "q", [("v", AtomType.INT)])
+        )
+        sched = Scheduler()
+        sched.register(emitter)
+        return basket, emitter, session, sched
+
+    def test_blocks_until_drained(self):
+        basket, emitter, session, sched = self._gated(capacity=2)
+        for value in (1, 2, 3):
+            basket.insert_rows([(value,)])
+            sched.run_until_quiescent()
+        # two frames fill the queue; the third batch waits in the basket
+        assert session.queue.data_depth == 2 and basket.count == 1
+        assert not emitter.enabled() and session.queue.blocks == 1
+        assert sched.run_until_quiescent() == 0
+        assert len(session.queue.drain()) == 2  # freed room wakes it
+        assert sched.run_until_quiescent() == 1
+        (message,) = _decode(session.queue.drain())
+        assert message.rows() == [(3,)]
 
     def test_block_timeout_escalates_to_disconnect(self):
-        q = OutputQueue("block", capacity=1, block_timeout=0.05)
-        assert q.offer_data(b"a", 1) == "queued"
-        started = time.monotonic()
-        assert q.offer_data(b"b", 1) == "disconnect"
-        assert time.monotonic() - started >= 0.04
-        assert q.dropped_frames == 0  # nothing shed, just refused
+        armed, closed = [], []
+        config = ServerConfig(queue_frames=1, block_timeout=0.05)
+        session = ClientSession(
+            1, config, request_close=closed.append,
+            on_full=lambda: armed.append(1),
+        )
+        frame = encode_message(
+            data_message("q", [("v", AtomType.INT)], [np.array([1], np.int32)])
+        )
+        assert session.check_block_timeout() is None  # not full
+        assert session.deliver_data(frame, 1) == "queued"
+        assert armed == [1]  # the transport starts its timer
+        assert 0 < session.check_block_timeout() <= 0.05
+        time.sleep(0.06)
+        assert session.check_block_timeout() == 0
+        assert closed == ["backpressure"]
+        errors = [
+            m for m in _decode(session.queue.drain())
+            if m.command is Command.ERROR
+        ]
+        assert [m.meta["code"] for m in errors] == ["backpressure"]
+        assert session.dropped_frames == 0  # nothing shed, just refused
 
     def test_close_releases_blocked_producer(self):
-        q = OutputQueue("block", capacity=1, block_timeout=10.0)
-        q.offer_data(b"a", 1)
-        outcome = []
-        producer = threading.Thread(
-            target=lambda: outcome.append(q.offer_data(b"b", 1))
-        )
-        producer.start()
-        time.sleep(0.05)
-        q.close()
-        producer.join(5.0)
-        assert outcome == ["closed"]
+        basket, emitter, session, sched = self._gated(capacity=1)
+        for value in (1, 2):
+            basket.insert_rows([(value,)])
+            sched.run_until_quiescent()
+        assert basket.count == 1 and not emitter.enabled()
+        session.close()  # a closed queue gates nothing
+        assert sched.run_until_quiescent() == 1
+        assert basket.count == 0
 
 
 class TestOutputQueueDropOldest:

@@ -627,3 +627,94 @@ def test_server_drains_queues_on_stop():
     events += [m.command for m in db.drain_events()]
     assert Command.BYE in events
     db.close(send_bye=False)
+
+
+def _engine_threads():
+    return sorted(
+        t.name for t in threading.enumerate()
+        if t.is_alive() and t.name.startswith("datacell-")
+    )
+
+
+def _await_sessions_closed(server, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while server.stats()["sessions_open"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_thread_count_does_not_grow_with_queries():
+    """One dispatcher drives every query: a serving cell runs the same
+    ``datacell-`` threads with 1 query as with 8."""
+    threads = []
+    for n_queries in (1, 8):
+        cell, server = _boot()
+        try:
+            with DataCellClient(*server.address) as db:
+                for i in range(n_queries):
+                    db.create(f"create basket t{i} (v int)")
+                    db.subscribe(
+                        f"select x.v from [select * from t{i}] as x",
+                        name=f"q{i}",
+                    )
+                    db.insert(f"t{i}", [("v", AtomType.INT)], [(i,)])
+                for i in range(n_queries):
+                    assert db.poll(f"q{i}", timeout=10.0) == [(i,)]
+                threads.append(_engine_threads())
+            _await_sessions_closed(server)
+        finally:
+            assert cell.stop() == []
+    assert threads[0] == threads[1]
+    assert "datacell-scheduler" in threads[0]
+
+
+def test_full_block_queue_stalls_only_its_own_session():
+    """Under ``block`` a session whose queue is full (its client never
+    reads) holds back its own query, not another session's, and is
+    disconnected once the queue has stayed full for ``block_timeout``."""
+    config = ServerConfig(
+        backpressure="block", queue_frames=2, block_timeout=1.5
+    )
+    cell, server = _boot(config=config)
+    columns = [("v", AtomType.INT)]
+    for name in ("slow_in", "fast_in"):
+        cell.execute(f"create basket {name} (v int)")
+    try:
+        with DataCellClient(*server.address) as slow, \
+                DataCellClient(*server.address) as fast:
+            slow.subscribe(
+                "select x.v from [select * from slow_in] as x", name="slow_q"
+            )
+            fast.subscribe(
+                "select x.v from [select * from fast_in] as x", name="fast_q"
+            )
+            (stuck,) = [
+                s for s in server.sessions() if "slow_q" in s.subscriptions
+            ]
+            stuck.wake = lambda: None  # its writer never drains the queue
+            deadline = time.monotonic() + 10.0
+            held = cell.basket("slow_q_out")
+            # two frames fill the queue, the third batch is held back
+            for v, filled in ((0, lambda: stuck.queue.data_depth == 1),
+                              (1, lambda: stuck.queue.data_depth == 2),
+                              (2, lambda: held.total_in == 3)):
+                slow.insert("slow_in", columns, [(v,)], wait=False)
+                while not filled():
+                    assert time.monotonic() < deadline, "queue never filled"
+                    time.sleep(0.005)
+                if v == 1:
+                    full_at = time.monotonic()
+            fast.insert("fast_in", columns, [(7,)])
+            assert fast.poll("fast_q", timeout=10.0) == [(7,)]
+            assert time.monotonic() - full_at < 0.75
+            assert held.count == 1 and not stuck.queue.has_room()
+            while not stuck.closed:
+                assert time.monotonic() < full_at + 10.0, "never disconnected"
+                time.sleep(0.01)
+            assert time.monotonic() - full_at >= 1.2
+            assert [
+                e.detail["outcome"] for e in cell.trace.events(kind="queue_full")
+            ] == ["disconnect"]
+            assert server.stats()["dropped_frames"] == 0
+        _await_sessions_closed(server)
+    finally:
+        assert cell.stop() == []
