@@ -19,7 +19,6 @@ import numpy as np
 from ..adapters.channels import Channel, format_tuple
 from ..kernel.types import AtomType, python_values
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
-from ..obs.spans import SpanRecorder
 from .basket import Basket, TIME_COLUMN
 from .factory import ActivationResult
 
@@ -148,7 +147,6 @@ class Emitter:
         include_time: bool = False,
         batch_size: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanRecorder] = None,
         priority: int = -10,
     ):
         self.name = name
@@ -180,8 +178,6 @@ class Emitter:
         self.channels_detached = 0
         self.deliveries_dropped = 0
         self.metrics = metrics if metrics is not None else default_registry()
-        self.tracer = tracer
-        self._tracing = tracer is not None and tracer.enabled
         self.metrics.counter(
             "datacell_emitter_delivered_total",
             "Result rows delivered to subscribers",
@@ -304,14 +300,6 @@ class Emitter:
             # a commit point: the batch's INSERT, FIRING and EMIT records
             # reach the disk (one fsync) before any subscriber sees it
             self.wal_sink.commit()
-        token = snapshot.runs.first_token() if self._tracing else 0
-        span = (
-            self.tracer.begin_stage(
-                self.name, "emitter", token, rows=snapshot.count
-            )
-            if token
-            else None
-        )
         batch = self._batch(snapshot, fresh_from)
         clients, channels = self._clients, self._channels
         for client, deliver_batch in clients:
@@ -332,9 +320,6 @@ class Emitter:
         # batch keeps only its columns (and rows, if they were built)
         batch._memo = None
         delivered = batch.count
-        if span is not None:
-            self.tracer.end_stage(span, delivered=delivered)
-            self.tracer.close_root(token, emitter=self.name)
         if snapshot.count and self._measure_latency:
             # insert→emit latency: monotonic now minus each tuple's
             # (propagated) monotonic origin stamp — immune to wall jumps;
@@ -352,6 +337,7 @@ class Emitter:
             consumed=snapshot.count,
             elapsed=time.perf_counter() - started,
             drained=True,  # the whole source was consumed
+            trace=snapshot.runs.first_token(),
         )
 
     def _batch(self, snapshot, start: int = 0) -> DeliveryBatch:

@@ -37,13 +37,13 @@ from ..obs.flightrec import FlightRecorder
 from ..obs.httpd import TelemetryServer
 from ..obs.metrics import MetricsRegistry
 from ..obs.resources import ResourceAccountant, ResourceBudget
-from ..obs.spans import SpanRecorder
 from ..obs.sysstreams import (
     AlertRule,
     SystemStreamsConfig,
     TelemetrySampler,
     is_system_name,
 )
+from ..obs.tracing import chrome_trace, write_json
 from ..sql.ast_nodes import (
     CreateBasket,
     CreateTable,
@@ -88,7 +88,6 @@ class DataCell:
         clock: Optional[Clock] = None,
         scheduler: Optional[Scheduler] = None,
         metrics: Optional[MetricsRegistry] = None,
-        spans: Optional[SpanRecorder] = None,
         durability: Optional[DurabilityConfig] = None,
         system_streams: Union[bool, SystemStreamsConfig, None] = None,
         execution: str = "reeval",
@@ -124,13 +123,6 @@ class DataCell:
         # so stats()/render_dashboard() see the whole engine; pass
         # MetricsRegistry(enabled=False) to run dark
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # the causal layer follows the metrics switch: a dark cell traces
-        # nothing; pass an explicit SpanRecorder to control sampling
-        self.spans = (
-            spans
-            if spans is not None
-            else SpanRecorder(enabled=self.metrics.enabled)
-        )
         # per-query resource accounting follows the metrics switch too: a
         # dark cell installs no hot-path hooks at all.  The accountant
         # object always exists so stats()/top() have one surface to ask.
@@ -138,8 +130,7 @@ class DataCell:
             self, enabled=self.metrics.enabled, metrics=self.metrics
         )
         self.interpreter = MalInterpreter(
-            self.catalog, metrics=self.metrics, tracer=self.spans,
-            accountant=self.resources,
+            self.catalog, metrics=self.metrics, accountant=self.resources,
         )
         self.scheduler = scheduler or Scheduler(metrics=self.metrics)
         # the cell's one event log is its scheduler's: every event, the
@@ -435,7 +426,7 @@ class DataCell:
         ]
         factory = Factory(
             name, plan, bindings, [output],
-            metrics=self.metrics, tracer=self.spans,
+            metrics=self.metrics,
         )
         return self._register_query(name, sql, factory, output, tenant)
 
@@ -488,7 +479,7 @@ class DataCell:
         ]
         factory = Factory(
             name, plan, bindings, [output],
-            metrics=self.metrics, tracer=self.spans,
+            metrics=self.metrics,
         )
         handle = self._register_query(name, sql, factory, output, tenant)
         handle.execution = "incremental"
@@ -621,7 +612,7 @@ class DataCell:
         output = self.create_basket(f"{name}_out", output_columns)
         factory = Factory(
             name, plan, bindings, [output],
-            priority=priority, metrics=self.metrics, tracer=self.spans,
+            priority=priority, metrics=self.metrics,
         )
         return self._register_query(name, None, factory, output, tenant)
 
@@ -669,7 +660,7 @@ class DataCell:
         collector = CollectingClient()
         emitter = Emitter(
             f"{name}_emitter", output,
-            metrics=self.metrics, tracer=self.spans,
+            metrics=self.metrics,
         )
         if self.durability is not None:
             emitter.wal_sink = self.durability
@@ -721,7 +712,7 @@ class DataCell:
         ]
         receptor = Receptor(
             name, channel, baskets, batch_size,
-            metrics=self.metrics, tracer=self.spans,
+            metrics=self.metrics,
         )
         self.scheduler.register(receptor)
         return receptor
@@ -736,7 +727,7 @@ class DataCell:
         basket = source if isinstance(source, Basket) else self.basket(source)
         emitter = Emitter(
             name, basket, include_time=include_time,
-            metrics=self.metrics, tracer=self.spans,
+            metrics=self.metrics,
         )
         if self.durability is not None:
             emitter.wal_sink = self.durability
@@ -933,8 +924,7 @@ class DataCell:
                                   "consumed", "shed"}},
              "queries":   {name: {"delivered", "activations", "latency"}},
              "mal":       {opcode: {"calls", "seconds"}},
-             "spans":     {"batches_seen", "sampled_batches", "finished",
-                           "open_roots"}}
+             "spans":     {"batches_seen", "sampled_batches", "finished"}}
 
         Histogram entries carry ``count/sum/min/max/p50/p95/p99``.  Works
         in both driving modes; safe to call while threads run (values are
@@ -942,7 +932,10 @@ class DataCell:
         """
         m = self.metrics
         transitions = {}
+        receptors = []
         for t in self.scheduler.transitions():
+            if isinstance(t, Receptor):
+                receptors.append(t)
             firings, idle_polls = self.scheduler.counts(t.name)
             transitions[t.name] = {
                 "firings": firings,
@@ -982,10 +975,13 @@ class DataCell:
             "queries": queries,
             "mal": self.interpreter.profile(),
             "spans": {
-                "batches_seen": self.spans.batches_seen,
-                "sampled_batches": self.spans.sampled_batches,
-                "finished": len(self.spans),
-                "open_roots": len(self.spans.open_roots()),
+                "batches_seen": sum(r.batches_seen for r in receptors),
+                "sampled_batches": sum(r.sampled_batches for r in receptors),
+                # the traced fire records still in the log's ring
+                "finished": sum(
+                    1 for e in self.trace.events(kind="fire")
+                    if "trace" in e.detail
+                ),
             },
         }
         if self.durability is not None:
@@ -1091,8 +1087,9 @@ class DataCell:
         return self.metrics.to_prometheus_text()
 
     def export_chrome_trace(self, path: str) -> None:
-        """Write sampled spans as Chrome trace-event JSON (Perfetto)."""
-        self.spans.export_chrome_trace(path)
+        """Write the sampled batches' spans — the traced ``fire`` records
+        in the log's ring — as Chrome trace-event JSON (Perfetto)."""
+        write_json(path, chrome_trace(self.trace.events()))
 
     def dump_flight_record(self, path: str) -> dict:
         """Write the flight-recorder post-mortem JSON; returns the doc."""

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import DataCellError
 from ..kernel.mal import ResultSet
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
-from ..obs.spans import SpanRecorder
+from ..obs.tracing import traced_firing
 from .basket import Basket, BasketSnapshot
 
 __all__ = [
@@ -190,6 +190,9 @@ class ActivationResult:
     ``drained`` says the firing left the transition disabled until one of
     its input places changes, so the scheduler need not check it again
     before then; the default keeps a fired transition a candidate.
+    ``trace`` is the token of the sampled batch the firing worked on (0:
+    none), which the scheduler puts in the firing's ``fire`` event
+    together with the ``opcodes`` a traced factory firing timed.
     """
 
     fired: bool
@@ -199,6 +202,8 @@ class ActivationResult:
     elapsed: float = 0.0
     plan_seconds: float = 0.0
     drained: bool = False
+    trace: int = 0
+    opcodes: Sequence[Any] = ()
 
 
 class Factory:
@@ -212,7 +217,6 @@ class Factory:
         outputs: Sequence[Basket],
         priority: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanRecorder] = None,
     ):
         if not inputs:
             raise DataCellError(
@@ -231,8 +235,6 @@ class Factory:
         self._tuples_out = Tally()
         self.total_elapsed = 0.0
         self.metrics = metrics if metrics is not None else default_registry()
-        self.tracer = tracer
-        self._tracing = tracer is not None and tracer.enabled
         # resource-accounting hub (ResourceAccountant); set by the engine
         # when accounting is enabled.  The factory reports plan thread-CPU,
         # queue-wait, and rows/bytes flow to its bound account.
@@ -438,7 +440,7 @@ class Factory:
                         oldest = snap.runs.oldest()
                         if origin_mono is None or oldest < origin_mono:
                             origin_mono = oldest
-                        if self._tracing and not origin_token:
+                        if not origin_token:
                             origin_token = snap.runs.first_token()
                         if account is not None:
                             # queue-wait/flow charge each tuple once: on
@@ -459,25 +461,20 @@ class Factory:
                                 waited += n_fresh
                     snapshots[basket.name.lower()] = snap
                 tuples_in = sum(s.count for s in snapshots.values())
-                fspan = (
-                    self.tracer.begin_stage(
-                        self.name, "factory", origin_token,
-                        tuples_in=tuples_in,
-                    )
-                    if self._tracing and origin_token
-                    else None
-                )
                 plan_started = time.perf_counter()
                 if account is not None:
                     # one reading for two boundaries: the plan's start is
                     # the start of the interpreter's opcode chain
                     plan_cpu_started = account.cpu_mark = time.thread_time()
-                if fspan is not None:
-                    # publish this activation as the thread's current
-                    # stage so the MAL interpreter can hang opcode spans
-                    # off it without parameter plumbing
-                    with self.tracer.stage(fspan):
+                opcodes: Sequence[Any] = ()
+                if origin_token:
+                    # a traced firing: the MAL interpreter hands over the
+                    # opcode timings it measures anyway
+                    opcodes = traced_firing.opcodes = []
+                    try:
                         output = self.plan.run(snapshots)
+                    finally:
+                        traced_firing.opcodes = None
                 else:
                     output = self.plan.run(snapshots)
                 if account is not None:
@@ -499,10 +496,6 @@ class Factory:
                 if account is not None:
                     for rs in output.results.values():
                         bytes_out += sum(b.nbytes() for b in rs.bats)
-                if fspan is not None:
-                    self.tracer.end_stage(
-                        fspan, handoff=True, tuples_out=tuples_out
-                    )
             finally:
                 for basket in reversed(ordered):
                     basket.lock.release()
@@ -528,6 +521,8 @@ class Factory:
                 elapsed=elapsed,
                 plan_seconds=plan_seconds,
                 drained=drained,
+                trace=origin_token,
+                opcodes=opcodes,
             )
 
     def _consume(

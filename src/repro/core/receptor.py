@@ -9,6 +9,7 @@ place is the channel, and a push wakes it.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -16,11 +17,19 @@ from ..adapters.channels import Channel, parse_tuple_text
 from ..errors import AdapterError
 from ..kernel.types import parse_atom
 from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.spans import SpanRecorder
 from .basket import Basket
 from .factory import ActivationResult
 
 __all__ = ["Receptor"]
+
+#: A receptor samples its batches 0, SAMPLE_EVERY, 2 * SAMPLE_EVERY, ...
+#: for causal tracing: a sampled batch carries a trace token through
+#: every basket hop, and each firing that touches it records the token
+#: in its ``fire`` event (see ``docs/observability.md``).
+SAMPLE_EVERY = 64
+
+#: trace tokens, unique in the process; 0 means "not sampled"
+_TOKENS = itertools.count(1)
 
 
 class Receptor:
@@ -43,7 +52,6 @@ class Receptor:
         targets: Sequence[Basket],
         batch_size: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanRecorder] = None,
         priority: int = 10,
     ):
         if not targets:
@@ -66,9 +74,10 @@ class Receptor:
         self.total_events = 0
         self.total_invalid = 0
         self.activations = 0
+        # non-empty batches seen and sampled (a dark registry samples none)
+        self.batches_seen = 0
+        self.sampled_batches = 0
         self.metrics = metrics if metrics is not None else default_registry()
-        self.tracer = tracer
-        self._tracing = tracer is not None and tracer.enabled
         self._m_events = self.metrics.counter(
             "datacell_receptor_events_total",
             "Valid events ingested from the channel",
@@ -97,22 +106,15 @@ class Receptor:
             row = self._validate(event)
             if row is not None:
                 rows.append(row)
+        token = 0
         if rows:
-            token = 0
-            span = None
-            if self._tracing:
-                # one root span per appended batch; the receptor's own
-                # work is the trace's first child stage
-                token = self.tracer.begin_batch(
-                    receptor=self.name, rows=len(rows)
-                )
-                span = self.tracer.begin_stage(
-                    self.name, "receptor", token, rows=len(rows)
-                )
+            if self.metrics.enabled:
+                if not self.batches_seen % SAMPLE_EVERY:
+                    token = next(_TOKENS)
+                    self.sampled_batches += 1
+                self.batches_seen += 1
             for basket in self.targets:
                 basket.insert_rows(rows, trace_token=token)
-            if span is not None:
-                self.tracer.end_stage(span, handoff=True)
         self.activations += 1
         self.total_events += len(rows)
         self._m_events.inc(len(rows))
@@ -121,6 +123,7 @@ class Receptor:
             tuples_in=len(events),
             tuples_out=len(rows) * len(self.targets),
             elapsed=time.perf_counter() - started,
+            trace=token,
         )
 
     # ------------------------------------------------------------------

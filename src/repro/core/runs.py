@@ -62,10 +62,8 @@ class Runs:
 
     def first_token(self) -> int:
         """The first sampled trace token, ``0`` when no run is sampled."""
-        for token in self.tokens:
-            if token:
-                return token
-        return 0
+        tokens = self.tokens
+        return next(filter(None, tokens)) if any(tokens) else 0
 
     def wait(self, now: float, first: int = 0) -> float:
         """Σ max(now − stamp, 0) over the rows from position ``first``."""

@@ -324,14 +324,43 @@ class Scheduler:
         elapsed = time.perf_counter() - started
         firings.value += 1
         activation_hist.observe(elapsed)
-        self.trace.record(
-            "fire",
-            transition.name,
-            tuples_in=result.tuples_in,
-            tuples_out=result.tuples_out,
-            elapsed=elapsed,
-        )
+        if result.trace:
+            self._record_span(transition, result, started, elapsed)
+        else:
+            self.trace.record(
+                "fire",
+                transition.name,
+                tuples_in=result.tuples_in,
+                tuples_out=result.tuples_out,
+                elapsed=elapsed,
+            )
         return result
+
+    def _record_span(
+        self,
+        transition: SchedulableTransition,
+        result: ActivationResult,
+        started: float,
+        elapsed: float,
+    ) -> None:
+        """The ``fire`` record of a firing that worked on a sampled batch
+        is one of its spans (``obs.tracing.chrome_trace``): it also
+        carries the batch's token, the transition's stage, and a
+        factory's opcode timings, their starts made relative to the
+        firing's."""
+        detail: Dict[str, Any] = {
+            "tuples_in": result.tuples_in,
+            "tuples_out": result.tuples_out,
+            "elapsed": elapsed,
+            "trace": result.trace,
+            "stage": type(transition).__name__.lower(),
+        }
+        if result.opcodes:
+            detail["opcodes"] = [
+                (opcode, start - started, seconds, node)
+                for opcode, start, seconds, node in result.opcodes
+            ]
+        self.trace.record("fire", transition.name, **detail)
 
     def _record_error(self, name: str, exc: BaseException) -> None:
         # the exception still propagates (or, under the dispatcher,

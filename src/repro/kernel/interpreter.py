@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import MalError, TypeMismatchError
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
-from ..obs.spans import SpanRecorder
+from ..obs.tracing import traced_firing
 from . import aggregate as _aggregate
 from . import calc as _calc
 from . import candidates as _cand
@@ -222,14 +222,11 @@ class MalInterpreter:
         self,
         catalog: Catalog,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanRecorder] = None,
         accountant: Optional[Any] = None,
     ):
         self.catalog = catalog
         self.metrics = metrics if metrics is not None else default_registry()
         self._profiling = self.metrics.enabled
-        self.tracer = tracer
-        self._tracing = tracer is not None and tracer.enabled
         # resource accounting: when enabled, per-instruction thread-CPU
         # deltas are captured alongside wall time and folded into the
         # currently-firing query's account (accountant.current()).
@@ -281,7 +278,8 @@ class MalInterpreter:
             return env
         key_secs = [0.0] * len(bound.keys)
         node_secs = [0.0] * len(bound.nodes)
-        stage = self.tracer.current_stage() if self._tracing else None
+        # a traced factory firing collects its opcode timings here
+        opcodes = getattr(traced_firing, "opcodes", None)
         # opcode thread-CPU is only measured when a resource account is on
         # the thread (i.e. inside an accounted continuous-query firing),
         # and only at the chain's two ends: the start is the factory's
@@ -305,10 +303,10 @@ class MalInterpreter:
             elapsed = clock() - started
             key_secs[step.key] += elapsed
             node_secs[step.node] += elapsed
-            if stage is not None:
-                self.tracer.add_opcode(
-                    stage, bound.keys[step.key][0], started, elapsed,
-                    node=step.ins.node,
+            if opcodes is not None:
+                opcodes.append(
+                    (bound.keys[step.key][0], started, elapsed,
+                     step.ins.node)
                 )
         key_cpu = None
         if account is not None:

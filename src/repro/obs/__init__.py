@@ -10,10 +10,10 @@ need measurements.  This package is the engine-wide measurement substrate:
 * :mod:`repro.obs.tracing` — the cell's one event log: every engine event
   (firings, errors, registrations, stalls, checkpoints, breaches, client
   sessions) is recorded once into ``cell.trace``, and ``sys.events``, the
-  flight record and the server's tenant throttle all read it;
-* :mod:`repro.obs.spans` — sampled causal span tracing: one root span per
-  appended batch, continued across basket hand-offs, nested per MAL
-  opcode, exportable as Chrome trace-event JSON (Perfetto);
+  flight record and the server's tenant throttle all read it; a sampled
+  batch's firings carry its trace token there, and
+  :func:`~repro.obs.tracing.chrome_trace` draws them as causal spans
+  (Chrome trace-event JSON, Perfetto);
 * :mod:`repro.obs.flightrec` — a stall-detecting watchdog writing JSON
   post-mortems (basket depths, factory states, the log's stall and error
   events, spans, thread stacks);
@@ -48,8 +48,7 @@ from .metrics import (
     default_registry,
     set_default_registry,
 )
-from .tracing import TraceEvent, TraceLog
-from .spans import Span, SpanRecorder
+from .tracing import TraceEvent, TraceLog, chrome_trace
 from .flightrec import FlightRecorder
 from .dashboard import render_dashboard
 from .sysstreams import (
@@ -84,8 +83,7 @@ __all__ = [
     "set_default_registry",
     "TraceEvent",
     "TraceLog",
-    "Span",
-    "SpanRecorder",
+    "chrome_trace",
     "FlightRecorder",
     "render_dashboard",
     "SYS_BASKETS",

@@ -10,7 +10,7 @@ post-mortem any engineer can open without a debugger attached:
 * basket depths, high-waters, and flow counters,
 * factory states (activations, totals, per-input cursors),
 * the last N events of the cell's log,
-* the sampled causal spans (:mod:`repro.obs.spans`),
+* the sampled batches' spans, drawn from the same events,
 * every thread's current stack via :func:`sys._current_frames`.
 
 The recorder keeps no event history of its own.  A detected stall is a
@@ -29,7 +29,6 @@ to be.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
@@ -37,7 +36,7 @@ import traceback
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .tracing import TraceEvent
+from .tracing import TraceEvent, chrome_trace, write_json
 
 __all__ = ["FlightRecorder"]
 
@@ -63,7 +62,6 @@ class FlightRecorder:
         cell: Any,
         window: int = 5,
         trace_events: int = 64,
-        span_limit: int = 256,
         auto_dump_path: Optional[str] = None,
     ):
         if window < 2:
@@ -71,7 +69,6 @@ class FlightRecorder:
         self.cell = cell
         self.window = window
         self.trace_events = trace_events
-        self.span_limit = span_limit
         self.auto_dump_path = auto_dump_path
         self._lock = threading.Lock()
         # (monotonic time, total firings, {basket: depth})
@@ -266,17 +263,11 @@ class FlightRecorder:
                 ],
                 "outputs": [b.name for b in transition.outputs],
             }
-        spans = getattr(cell, "spans", None)
-        span_dump: Dict[str, Any] = {}
-        if spans is not None:
-            span_dump = {
-                "batches_seen": spans.batches_seen,
-                "sampled_batches": spans.sampled_batches,
-                "finished": [
-                    s.to_dict() for s in spans.spans()[-self.span_limit:]
-                ],
-                "open_roots": [s.to_dict() for s in spans.open_roots()],
-            }
+        receptors = [
+            t for t in cell.scheduler.transitions()
+            if hasattr(t, "sampled_batches")
+        ]
+        events = cell.trace.events()
         with self._lock:
             history = [
                 {"t": t, "firings": f, "depths": dict(d)}
@@ -303,9 +294,13 @@ class FlightRecorder:
                     "component": e.component,
                     "detail": dict(e.detail),
                 }
-                for e in cell.trace.events()[-self.trace_events:]
+                for e in events[-self.trace_events:]
             ],
-            "spans": span_dump,
+            "spans": {
+                "batches_seen": sum(r.batches_seen for r in receptors),
+                "sampled_batches": sum(r.sampled_batches for r in receptors),
+                "finished": chrome_trace(events)["traceEvents"],
+            },
             "sys_streams": self._sys_tails(),
             "resources": self._resource_snapshot(),
             "thread_stacks": _thread_stacks(),
@@ -343,14 +338,9 @@ class FlightRecorder:
 
     def dump(self, path: str, reason: str = "manual") -> Dict[str, Any]:
         """Write the post-mortem JSON to ``path`` (atomic rename)."""
-        import os
-
         doc = self.snapshot(reason=reason)
         self.last_dump = doc
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle, indent=1, default=str)
-        os.replace(tmp, path)
+        write_json(path, doc)
         return doc
 
 

@@ -9,20 +9,37 @@ retentions: a ring of the last ``capacity`` events of every kind (what
 happened last), and one of the same size of every kind but ``fire``, so
 a burst of firings cannot evict the rare events before they are read.
 
+A sampled batch's firings are its spans: the receptor stamps a trace
+token on one batch in 64, and every ``fire`` record of a firing that
+worked on the batch carries the token as ``trace`` (a factory's also
+carries its ``opcodes`` timings).  :func:`chrome_trace` draws them as
+Chrome trace-event JSON, one root per token.
+
 Timestamps are ``time.monotonic()`` — events order, they do not tell
 wall-clock time (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+import os
 import threading
 import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+)
 
-__all__ = ["TraceEvent", "TraceLog"]
+__all__ = ["TraceEvent", "TraceLog", "chrome_trace", "write_json"]
+
+#: Hands a traced factory firing's opcode timings from the MAL interpreter
+#: to the factory: the factory sets ``opcodes`` to a list for the firing,
+#: and the interpreter appends ``(opcode, start, seconds, node)`` to it
+#: for every instruction it executes meanwhile.
+traced_firing = threading.local()
 
 
 @dataclass(frozen=True)
@@ -124,8 +141,10 @@ class TraceLog:
         component: Optional[str] = None,
     ) -> List[TraceEvent]:
         """Oldest-first snapshot of the ring, optionally filtered."""
-        with self._lock:
-            snapshot = [TraceEvent(*event) for event in self._events]
+        # one C-level copy first: record() appends to the ring without
+        # the lock, and a Python-level loop over the live deque would
+        # see it mutate between two bytecodes
+        snapshot = [TraceEvent(*event) for event in list(self._events)]
         if kind is not None:
             snapshot = [e for e in snapshot if e.kind == kind]
         if component is not None:
@@ -156,3 +175,66 @@ class TraceLog:
         if not events:
             return "(trace empty)"
         return "\n".join(e.render() for e in events)
+
+
+def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
+    """The sampled batches' spans as Chrome trace-event JSON (Perfetto).
+
+    Draws only the ``fire`` records that carry a ``trace`` token.  Each
+    token gets one ``batch`` root spanning its records; a receptor or
+    factory record hands off to the token's next record, in log order,
+    until the token's first emitter record — the batch left the engine —
+    after which records hang off the root.  Opcode events nest under
+    their factory.  ``args`` carry span, parent and token ids, so
+    causality survives where the timeline does not nest.
+    """
+    chains: Dict[int, List[TraceEvent]] = {}
+    for event in events:
+        token = event.detail.get("trace") if event.kind == "fire" else None
+        if token:
+            chains.setdefault(token, []).append(event)
+    ids = itertools.count(1)
+    out: List[Dict[str, Any]] = []
+
+    def span(name, cat, token, start, seconds, parent=None, **args):
+        span_id = next(ids)
+        args.update(span_id=span_id, token=token)
+        if parent is not None:
+            args["parent_id"] = parent
+        out.append({
+            "name": name, "cat": cat, "ph": "X",
+            "ts": start * 1e6, "dur": max(seconds, 0.0) * 1e6,
+            "pid": 1, "tid": token, "args": args,
+        })
+        return span_id
+
+    for token, records in chains.items():
+        start = min(r.ts - r.detail["elapsed"] for r in records)
+        end = max(r.ts for r in records)
+        root = handoff = span("batch", "batch", token, start, end - start)
+        for record in records:
+            detail = record.detail
+            began = record.ts - detail["elapsed"]
+            stage = detail["stage"]
+            span_id = span(
+                record.component, stage, token, began, detail["elapsed"],
+                handoff or root,
+                tuples_in=detail["tuples_in"],
+                tuples_out=detail["tuples_out"],
+            )
+            for opcode, offset, seconds, node in detail.get("opcodes", ()):
+                span(opcode, "opcode", token, began + offset, seconds,
+                     span_id, node=node)
+            if stage == "emitter":
+                handoff = None
+            elif handoff:
+                handoff = span_id
+    return {"traceEvents": out, "displayTimeUnit": "ms"}
+
+
+def write_json(path: str, doc: Any) -> None:
+    """Write ``doc`` as JSON to ``path`` through an atomic rename."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as handle:
+        json.dump(doc, handle, indent=1, default=str)
+    os.replace(tmp, path)

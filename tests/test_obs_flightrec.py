@@ -144,9 +144,7 @@ class TestDumpContents:
         assert doc["stalls"][0]["baskets"] == ["sensors"]
 
     def test_dump_includes_spans_and_trace(self, tmp_path):
-        from repro.obs.spans import SpanRecorder
-
-        cell = DataCell(spans=SpanRecorder(sample_rate=1))
+        cell = DataCell()  # a receptor samples its first batch
         cell.execute("create basket sensors (sensor int, temp double)")
         cell.submit_continuous(CQ, name="q1")
         rx = cell.add_receptor("rx", ["sensors"])
@@ -155,7 +153,7 @@ class TestDumpContents:
         doc = cell.dump_flight_record(str(tmp_path / "f.json"))
         assert doc["reason"] == "manual"
         assert doc["spans"]["sampled_batches"] == 1
-        kinds = {s["kind"] for s in doc["spans"]["finished"]}
+        kinds = {s["cat"] for s in doc["spans"]["finished"]}
         assert {"batch", "receptor", "factory", "emitter"} <= kinds
         assert doc["trace_events"]  # scheduler ring is populated
 

@@ -27,6 +27,9 @@ class TestStatsShape:
         assert set(stats) == {
             "scheduler", "baskets", "queries", "mal", "spans", "resources",
         }
+        assert set(stats["spans"]) == {
+            "batches_seen", "sampled_batches", "finished",
+        }
 
     def test_scheduler_section(self):
         cell, _ = build_cell()

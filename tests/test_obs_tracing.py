@@ -1,5 +1,6 @@
 """Tests for the bounded trace ring and its scheduler integration."""
 
+import sys
 import threading
 
 import pytest
@@ -78,6 +79,35 @@ class TestTraceLog:
         for t in pool:
             t.join()
         assert len(log) == 1000  # ring stayed bounded under contention
+
+    def test_events_while_another_thread_records(self):
+        """A reader (the dashboard, a flight dump, the Chrome export)
+        snapshots the ring while the dispatcher appends to it."""
+        log = TraceLog(capacity=256)
+        done = threading.Event()
+
+        def writer():
+            while not done.is_set():
+                log.record("fire", "t", tuples_in=1, tuples_out=1,
+                           elapsed=0.0)
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        thread.start()
+        errors = []
+        try:
+            for _ in range(2000):
+                try:
+                    log.events()
+                except RuntimeError as exc:
+                    errors.append(exc)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == []
 
 
 class TestKeptEvents:
