@@ -10,7 +10,7 @@ Two halves, both CI-gated:
   here is a CI failure.
 * a **planted-bad corpus** of hand-built broken programs/circuits
   (undefined variable, arity mismatch, emitter-boundary type clash,
-  missing retraction operator, weight-dropping stage, ...).  Every
+  missing retraction operator, misplaced weight column, ...).  Every
   entry must be *rejected* with the expected diagnostic rule — a false
   negative here is a CI failure.
 
@@ -441,19 +441,6 @@ def _bad_missing_retraction() -> List[Diagnostic]:
     return verify_circuit(plan)
 
 
-def _bad_weight_dropping() -> List[Diagnostic]:
-    # lift stage claims to emit dc_weight with no downstream consumer
-    from ..incremental.zset import WEIGHT_COLUMN
-
-    plan = _make_circuit(
-        "lift",
-        ["v", WEIGHT_COLUMN],
-        [AtomType.INT, AtomType.LNG],
-        with_agg=False,
-    )
-    return verify_circuit(plan)
-
-
 def _bad_weight_atom() -> List[Diagnostic]:
     from ..incremental.zset import WEIGHT_COLUMN
 
@@ -496,7 +483,6 @@ PLANTED_BAD: Dict[str, Tuple[Callable[[], List[Diagnostic]], str]] = {
     "result-arity": (_bad_result_arity, "result-arity"),
     "missing-output": (_bad_missing_output, "undefined-output"),
     "missing-retraction": (_bad_missing_retraction, "circuit-structure"),
-    "weight-dropping": (_bad_weight_dropping, "circuit-structure"),
     "weight-atom": (_bad_weight_atom, "circuit-structure"),
     "weight-position": (_bad_weight_position, "circuit-structure"),
 }

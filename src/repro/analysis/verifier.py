@@ -413,11 +413,10 @@ def verify_circuit(plan, catalog=None) -> List[Diagnostic]:
     """Structure checks for an incremental (Z-set) circuit plan.
 
     Beyond verifying each stage's MAL program, enforces the weight
-    discipline: a weighted circuit (aggregate/join) must carry the
-    ``dc_weight`` column as its last output with LNG atom and own a
-    retraction-capable operator (the integrate/delay pair lives inside
-    ``IncrementalGroupAggregate``/``IncrementalJoin`` state); a pure
-    lift circuit must *not* emit weights it cannot maintain.
+    discipline: a circuit (aggregate/join) must carry the ``dc_weight``
+    column as its last output with LNG atom and own a retraction-capable
+    operator (the integrate/delay pair lives inside
+    ``IncrementalGroupAggregate``/``IncrementalJoin`` state).
     """
     from ..incremental.zset import WEIGHT_COLUMN
 
@@ -425,7 +424,7 @@ def verify_circuit(plan, catalog=None) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
 
     kind = getattr(plan, "kind", None)
-    if kind not in ("lift", "aggregate", "join"):
+    if kind not in ("aggregate", "join"):
         sink.report(
             "circuit-structure", f"unknown circuit kind {kind!r}"
         )
@@ -448,39 +447,30 @@ def verify_circuit(plan, catalog=None) -> List[Diagnostic]:
 
     names = list(getattr(plan, "names", ()))
     atoms = list(getattr(plan, "atoms", ()))
-    if plan.weighted:
-        if not names or names[-1] != WEIGHT_COLUMN:
-            sink.report(
-                "circuit-structure",
-                f"weighted {kind} circuit must emit {WEIGHT_COLUMN!r} "
-                f"as its last column, got {names!r}",
-            )
-        elif atoms and atoms[-1] is not AtomType.LNG:
-            sink.report(
-                "circuit-structure",
-                f"{WEIGHT_COLUMN!r} column must be LNG, "
-                f"got {atoms[-1].name}",
-            )
-        if kind == "aggregate" and getattr(plan, "agg", None) is None:
-            sink.report(
-                "circuit-structure",
-                "aggregate circuit is missing its retraction operator "
-                "(IncrementalGroupAggregate integrate/delay state)",
-            )
-        if kind == "join" and getattr(plan, "join", None) is None:
-            sink.report(
-                "circuit-structure",
-                "join circuit is missing its retraction operator "
-                "(IncrementalJoin integrated state)",
-            )
-    else:
-        if WEIGHT_COLUMN in names:
-            sink.report(
-                "circuit-structure",
-                f"lift circuit emits {WEIGHT_COLUMN!r} but has no "
-                f"retraction operator downstream — weights would be "
-                f"dropped",
-            )
+    if not names or names[-1] != WEIGHT_COLUMN:
+        sink.report(
+            "circuit-structure",
+            f"weighted {kind} circuit must emit {WEIGHT_COLUMN!r} "
+            f"as its last column, got {names!r}",
+        )
+    elif atoms and atoms[-1] is not AtomType.LNG:
+        sink.report(
+            "circuit-structure",
+            f"{WEIGHT_COLUMN!r} column must be LNG, "
+            f"got {atoms[-1].name}",
+        )
+    if kind == "aggregate" and getattr(plan, "agg", None) is None:
+        sink.report(
+            "circuit-structure",
+            "aggregate circuit is missing its retraction operator "
+            "(IncrementalGroupAggregate integrate/delay state)",
+        )
+    if kind == "join" and getattr(plan, "join", None) is None:
+        sink.report(
+            "circuit-structure",
+            "join circuit is missing its retraction operator "
+            "(IncrementalJoin integrated state)",
+        )
 
     if kind == "aggregate" and getattr(plan, "agg", None) is not None:
         _check_aggregate_shape(plan, sink)

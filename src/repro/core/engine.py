@@ -56,26 +56,18 @@ from ..sql.ast_nodes import (
     contains_basket_expr,
 )
 from ..sql.binder import type_name_to_atom
-from ..sql.compiler import (
-    MalContinuousPlan,
-    compile_continuous,
-    compile_select,
-    compile_union,
-)
-from ..sql.optimizer import optimize
+from ..sql.compiler import CompiledQuery, compile_select, compile_union
+from ..sql.optimizer import OptimizerReport, optimize
 from ..sql.parser import parse_statement
 from .basket import Basket, TIME_COLUMN
 from .clock import Clock, WallClock
 from .continuous import ContinuousQuery
 from .emitter import CollectingClient, Emitter
 from .factory import ConsumeMode, ContinuousPlan, Factory, InputBinding
+from .lowering import lower_continuous
 from .receptor import Receptor
 from .scheduler import Scheduler
-from .windows import (
-    WindowAggregatePlan,
-    WindowMode,
-    WindowSpec,
-)
+from .windows import WindowAggregatePlan, WindowSpec
 
 __all__ = ["DataCell"]
 
@@ -205,14 +197,12 @@ class DataCell:
             return None
         if isinstance(stmt, UnionSelect):
             compiled = compile_union(self.catalog, stmt)
-            program, _ = optimize(compiled.program)
-            return self.interpreter.run(program)
-        assert isinstance(stmt, Select)
-        if contains_basket_expr(stmt):
+        elif contains_basket_expr(stmt):
             return self._submit_select(stmt, sql)
-        compiled = compile_select(self.catalog, stmt)
-        program, _ = optimize(compiled.program)
-        return self.interpreter.run(program)
+        else:
+            compiled = compile_select(self.catalog, stmt)
+        _optimize(compiled)
+        return self.interpreter.run(compiled.program)
 
     def query(self, sql: str) -> List[Tuple[Any, ...]]:
         """Run a one-time SELECT and return plain python rows."""
@@ -228,31 +218,38 @@ class DataCell:
         annotated plan tree — cumulative time, calls, and rows per
         operator, aggregated from interpreter opcode timings across every
         activation so far (the continuous EXPLAIN ANALYZE).  Given SQL
-        text, compiles it (without running) and returns the optimized MAL
-        program.
+        text, lowers it as registration would (without registering or
+        running) and returns each optimized MAL program, or the
+        description of a window plan.
         """
         for query in self._queries:
             if query.name == sql:
                 return query.explain_analyze()
         stmt = parse_statement(sql)
         if isinstance(stmt, UnionSelect):
-            compiled = compile_union(self.catalog, stmt)
-            protected: List[str] = []
+            stages = [compile_union(self.catalog, stmt)]
+        elif isinstance(stmt, Select) and contains_basket_expr(stmt):
+            plan = lower_continuous(
+                self.catalog, stmt, self.interpreter, "explain_out",
+                self.execution,
+            ).plan
+            if isinstance(plan, WindowAggregatePlan):
+                return plan.describe()
+            stages = plan.stages
         elif isinstance(stmt, Select):
-            if contains_basket_expr(stmt):
-                compiled = compile_continuous(self.catalog, stmt)
-            else:
-                compiled = compile_select(self.catalog, stmt)
-            protected = [b.consumed_var for b in compiled.basket_inputs]
+            stages = [compile_select(self.catalog, stmt)]
         else:
             raise SqlError("EXPLAIN applies to SELECT statements")
-        program, report = optimize(compiled.program, protected=protected)
-        header = (
-            f"-- optimizer: {report.instructions_before} -> "
-            f"{report.instructions_after} instructions "
-            f"(cse={report.cse_merged}, dce={report.dce_removed})"
-        )
-        return header + "\n" + program.render()
+        parts = []
+        for stage in stages:
+            report = _optimize(stage)
+            parts.append(
+                f"-- optimizer: {report.instructions_before} -> "
+                f"{report.instructions_after} instructions "
+                f"(cse={report.cse_merged}, dce={report.dce_removed})"
+            )
+            parts.append(stage.program.render())
+        return "\n".join(parts)
 
     def _execute_insert(self, stmt: Insert) -> None:
         if is_system_name(stmt.table):
@@ -380,212 +377,64 @@ class DataCell:
         tenant: str = "default",
         execution: Optional[str] = None,
     ) -> ContinuousQuery:
+        """Lower ``stmt`` (:func:`~repro.core.lowering.lower_continuous`)
+        and register its plan: the one registration path of SQL."""
         execution = execution or self.execution
         if execution not in ("reeval", "incremental"):
             raise DataCellError(
                 f"execution must be 'reeval' or 'incremental', "
                 f"got {execution!r}"
             )
-        if stmt.window is not None:
-            return self._submit_window_select(stmt, name, tenant)
-        name = name or self._fresh_name("q")
-        if execution == "incremental":
-            from ..incremental.compile import IncrementalUnsupported
-
-            try:
-                return self._submit_incremental(stmt, sql, name, tenant)
-            except IncrementalUnsupported as exc:
-                # per-query fallback: the shape has no circuit — run it
-                # on the re-eval path and record why
-                self.incremental_fallbacks.append((name, str(exc)))
-        compiled = compile_continuous(self.catalog, stmt)
-        compiled.program, _ = optimize(
-            compiled.program,
-            protected=[b.consumed_var for b in compiled.basket_inputs],
+        name = name or self._fresh_name("q" if stmt.window is None else "w")
+        lowered = lower_continuous(
+            self.catalog, stmt, self.interpreter, f"{name}_out", execution
         )
-        # EXPLAIN ANALYZE renders the program under the query's name
-        compiled.program.name = name
-        if self.verify:
-            raise_on_errors(
-                verify_continuous(compiled, self.catalog),
-                context=f"continuous query {name!r} failed verification",
-            )
-        columns = []
-        for col_name, atom in zip(compiled.output_names, compiled.output_atoms):
-            out_name = "ts" if col_name.lower() == TIME_COLUMN else col_name
-            columns.append((out_name, atom))
-        output = self.create_basket(f"{name}_out", columns)
-        plan = MalContinuousPlan(compiled, self.interpreter, output.name)
-        bindings = [
-            InputBinding(
-                self.basket(b.basket),
-                ConsumeMode.PLAN,
-                refire_on_consumption=b.result_constrained,
-            )
-            for b in compiled.basket_inputs
-        ]
-        factory = Factory(
-            name, plan, bindings, [output],
-            metrics=self.metrics,
-        )
-        return self._register_query(name, sql, factory, output, tenant)
-
-    def _submit_incremental(
-        self, stmt: Select, sql: str, name: str, tenant: str
-    ) -> ContinuousQuery:
-        """Register a continuous query on the incremental (Z-set) path.
-
-        Raises :class:`~repro.incremental.compile.IncrementalUnsupported`
-        when the shape has no circuit; the caller falls back to re-eval.
-        """
-        from ..incremental.compile import compile_incremental
-
-        plan = compile_incremental(
-            self.catalog, stmt, self.interpreter, f"{name}_out"
-        )
-        for i, stage in enumerate(plan.stages):
-            stage.program, _ = optimize(
-                stage.program,
-                protected=[b.consumed_var for b in stage.basket_inputs],
-            )
-            stage.program.name = (
-                name if len(plan.stages) == 1 else f"{name}[{i}]"
-            )
-        if self.verify:
-            raise_on_errors(
-                verify_circuit(plan, self.catalog),
-                context=f"incremental circuit {name!r} failed verification",
-            )
-        columns = []
-        for col_name, atom in zip(plan.names, plan.atoms):
-            out_name = "ts" if col_name.lower() == TIME_COLUMN else col_name
-            columns.append((out_name, atom))
-        output = self.create_basket(f"{name}_out", columns)
-        output.weighted = plan.weighted
-        # Multi-input circuits (delta joins) must fire when EITHER side
-        # has fresh tuples: a required binding on each side would stall
-        # the factory whenever one stream runs ahead of the other,
-        # leaving single-sided residue unprocessed at quiescence.  An
-        # empty side simply contributes an empty delta to the stage.
-        either_side = len(plan.basket_inputs) > 1
-        bindings = [
-            InputBinding(
-                self.basket(b.basket),
-                ConsumeMode.PLAN,
-                refire_on_consumption=b.result_constrained,
-                optional=either_side,
-            )
-            for b in plan.basket_inputs
-        ]
-        factory = Factory(
-            name, plan, bindings, [output],
-            metrics=self.metrics,
-        )
-        handle = self._register_query(name, sql, factory, output, tenant)
-        handle.execution = "incremental"
-        handle.weighted = plan.weighted
-        return handle
-
-    def _submit_window_select(
-        self,
-        stmt: Select,
-        name: Optional[str],
-        tenant: str = "default",
-    ) -> ContinuousQuery:
-        """Lower ``SELECT aggs FROM [select * from B] as x [GROUP BY g]
-        WINDOW n [SLIDE m]`` onto the window aggregate plan.
-
-        This is the §3.1 goal made syntax: windows are realized by
-        scheduling and plan choice, not by new kernel operators.
-        """
-        from ..sql.ast_nodes import (
-            BasketExpr,
-            ColumnRef,
-            FuncCall,
-            Star,
-            TableSource,
-        )
-
-        def fail(reason: str) -> "SqlError":
-            return SqlError(f"WINDOW queries: {reason}")
-
-        if stmt.where or stmt.having or stmt.order_by or stmt.limit \
-                or stmt.distinct:
-            raise fail(
-                "only aggregates, one stream, and GROUP BY are supported"
-            )
-        if len(stmt.sources) != 1 or not isinstance(
-            stmt.sources[0], BasketExpr
-        ):
-            raise fail("FROM must be a single basket expression")
-        inner = stmt.sources[0].select
-        if (
-            len(inner.sources) != 1
-            or not isinstance(inner.sources[0], TableSource)
-            or inner.where is not None
-            or inner.limit is not None
-            or len(inner.items) != 1
-            or not isinstance(inner.items[0].expr, Star)
-        ):
-            raise fail(
-                "the basket expression must be [select * from <basket>]"
-            )
-        basket = self.basket(inner.sources[0].name)
-        group_column: Optional[str] = None
-        if stmt.group_by:
-            if len(stmt.group_by) != 1 or not isinstance(
-                stmt.group_by[0], ColumnRef
-            ):
-                raise fail("GROUP BY must name a single stream column")
-            group_column = stmt.group_by[0].name.lower()
-        aggregates: List[str] = []
-        value_column: Optional[str] = None
-        for item in stmt.items:
-            expr = item.expr
-            if isinstance(expr, ColumnRef):
-                if group_column and expr.name.lower() == group_column:
-                    continue  # the group key is emitted automatically
-                raise fail(
-                    "select items must be aggregates (or the group key)"
+        if lowered.fallback is not None:
+            # per-query fallback: the shape has no circuit — it runs on
+            # the re-eval path, and the reason is recorded
+            self.incremental_fallbacks.append((name, lowered.fallback))
+        plan = lowered.plan
+        if isinstance(plan, WindowAggregatePlan):
+            bindings = [InputBinding(self.basket(plan.input_basket))]
+        else:
+            for i, stage in enumerate(plan.stages):
+                _optimize(stage)
+                # EXPLAIN ANALYZE renders each program under the query's name
+                stage.program.name = (
+                    name if len(plan.stages) == 1 else f"{name}[{i}]"
                 )
-            if not isinstance(expr, FuncCall) or expr.name not in (
-                "sum", "count", "avg", "min", "max",
-            ):
-                raise fail("select items must be aggregate calls")
-            if expr.star:
-                aggregates.append("count_star")
-                continue
-            if len(expr.args) != 1 or not isinstance(
-                expr.args[0], ColumnRef
-            ):
-                raise fail("aggregate arguments must be stream columns")
-            column = expr.args[0].name.lower()
-            if value_column is None:
-                value_column = column
-            elif column != value_column:
-                raise fail(
-                    "all aggregates must target the same stream column"
+            if self.verify:
+                raise_on_errors(
+                    verify_circuit(plan, self.catalog)
+                    if plan.weighted
+                    else verify_continuous(plan.compiled, self.catalog),
+                    context=f"continuous query {name!r} failed verification",
                 )
-            aggregates.append(expr.name)
-        if not aggregates:
-            raise fail("at least one aggregate is required")
-        if value_column is None:
-            # count(*)-only query: any numeric column works (values are
-            # never read); fall back to the implicit timestamp
-            numeric = [
-                c.name for c in basket.user_columns if c.atom.is_numeric
+            inputs = [b for stage in plan.stages for b in stage.basket_inputs]
+            # A multi-input weighted plan (a delta join) must fire when
+            # EITHER side has fresh tuples: a required binding on each side
+            # would stall the factory whenever one stream runs ahead of the
+            # other, leaving single-sided residue unprocessed at quiescence.
+            # An empty side simply contributes an empty delta to the stage.
+            bindings = [
+                InputBinding(
+                    self.basket(b.basket),
+                    ConsumeMode.PLAN,
+                    refire_on_consumption=b.result_constrained,
+                    optional=plan.weighted and len(inputs) > 1,
+                )
+                for b in inputs
             ]
-            value_column = numeric[0] if numeric else TIME_COLUMN
-        mode = WindowMode.TIME if stmt.window_time else WindowMode.COUNT
-        return self.submit_window_aggregate(
-            basket.name,
-            value_column,
-            aggregates,
-            WindowSpec(mode, stmt.window, stmt.window_slide),
-            group_by=group_column,
-            name=name,
-            tenant=tenant,
+        columns = [
+            ("ts" if col_name.lower() == TIME_COLUMN else col_name, atom)
+            for col_name, atom in plan.output_schema()
+        ]
+        handle = self._register_query(
+            name, sql, plan, bindings, columns, tenant=tenant
         )
+        handle.execution = lowered.execution
+        handle.weighted = handle.output_basket.weighted = plan.weighted
+        return handle
 
     def submit_plan(
         self,
@@ -609,12 +458,9 @@ class DataCell:
                 bindings.append(InputBinding(item))
             else:
                 bindings.append(InputBinding(self.basket(item)))
-        output = self.create_basket(f"{name}_out", output_columns)
-        factory = Factory(
-            name, plan, bindings, [output],
-            priority=priority, metrics=self.metrics,
+        return self._register_query(
+            name, None, plan, bindings, output_columns, priority, tenant
         )
-        return self._register_query(name, None, factory, output, tenant)
 
     def submit_window_aggregate(
         self,
@@ -653,10 +499,17 @@ class DataCell:
         self,
         name: str,
         sql: Optional[str],
-        factory: Factory,
-        output: Basket,
+        plan: ContinuousPlan,
+        bindings: Sequence[InputBinding],
+        output_columns: Sequence[Tuple[str, AtomType]],
+        priority: int = 0,
         tenant: str = "default",
     ) -> ContinuousQuery:
+        output = self.create_basket(f"{name}_out", output_columns)
+        factory = Factory(
+            name, plan, bindings, [output],
+            priority=priority, metrics=self.metrics,
+        )
         collector = CollectingClient()
         emitter = Emitter(
             f"{name}_emitter", output,
@@ -1113,3 +966,13 @@ def _literal_of(expr: Any) -> Any:
     ):
         return -expr.operand.value
     raise BindError("INSERT VALUES must be literals")
+
+
+def _optimize(compiled: CompiledQuery) -> OptimizerReport:
+    """Optimize ``compiled``'s program in place, keeping the variables
+    that carry its baskets' consumed positions."""
+    compiled.program, report = optimize(
+        compiled.program,
+        protected=[b.consumed_var for b in compiled.basket_inputs],
+    )
+    return report

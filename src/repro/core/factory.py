@@ -106,6 +106,9 @@ class PlanOutput:
 class ContinuousPlan:
     """Interface implemented by compiled continuous-query plans."""
 
+    # True when output rows carry a trailing ``dc_weight`` (Z-set deltas)
+    weighted = False
+
     def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
         raise NotImplementedError  # pragma: no cover - interface
 

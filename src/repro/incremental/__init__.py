@@ -14,9 +14,9 @@ Layers:
 * :mod:`~repro.incremental.circuit` — stream operators (lift, delay
   z⁻¹, integrate, differentiate, incremental group-aggregate,
   incremental equi-join) and the retraction-capable aggregate state;
-* :mod:`~repro.incremental.compile` — the SQL shape detector that turns
-  a continuous query into an incremental circuit, with per-query
-  fallback to the re-evaluation (MAL) path.
+* :mod:`~repro.incremental.compile` — the circuit code generator over
+  the shape :func:`repro.sql.shape.resolve_shape` resolves, with
+  per-query fallback to the re-evaluation (MAL) path.
 
 Every operator here has a re-evaluation twin; ``repro.simtest.incremental``
 is the differential harness proving the two produce identical output.

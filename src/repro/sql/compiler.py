@@ -110,8 +110,11 @@ class MalContinuousPlan:
 
     Each activation binds the current basket snapshots as program inputs,
     executes the program, and reports the consumed positions recorded by
-    the basket expressions.
+    the basket expressions.  ``stages`` is the one compiled program the
+    plan runs (an incremental circuit runs one or two).
     """
+
+    weighted = False
 
     def __init__(
         self,
@@ -120,6 +123,7 @@ class MalContinuousPlan:
         output_basket: str,
     ):
         self.compiled = compiled
+        self.stages = [compiled]
         self.interpreter = interpreter
         self.output_basket = output_basket.lower()
         # per basket input, the program variable of each snapshot column
@@ -127,9 +131,14 @@ class MalContinuousPlan:
         # are built on the first activation and reused
         self._env_names: Optional[List[List[str]]] = None
 
-    def run(self, snapshots):
-        from ..core.factory import PlanOutput
+    def output_schema(self) -> List[Tuple[str, AtomType]]:
+        return list(zip(self.compiled.output_names, self.compiled.output_atoms))
 
+    def evaluate(
+        self, snapshots, consumed: Dict[str, np.ndarray]
+    ) -> ResultSet:
+        """Run the program over ``snapshots``; records each basket's
+        consumed positions into ``consumed`` and returns the result."""
         inputs = self.compiled.basket_inputs
         if self._env_names is None:
             self._env_names = [
@@ -140,13 +149,17 @@ class MalContinuousPlan:
         for binding, names in zip(inputs, self._env_names):
             env.update(zip(names, snapshots[binding.basket].bats))
         final = self.interpreter.execute(self.compiled.program, env)
-        result: ResultSet = final[self.compiled.program.output]
-        consumed: Dict[str, np.ndarray] = {}
-        for binding in self.compiled.basket_inputs:
+        for binding in inputs:
             consumed[binding.basket] = np.asarray(
                 final[binding.consumed_var], dtype=np.int64
             )
-        output = PlanOutput(consumed=consumed)
+        return final[self.compiled.program.output]
+
+    def run(self, snapshots):
+        from ..core.factory import PlanOutput
+
+        output = PlanOutput()
+        result = self.evaluate(snapshots, output.consumed)
         if result.count:
             output.results[self.output_basket] = result
         return output
@@ -203,6 +216,10 @@ class _SelectCompiler:
         emitted instruction carries a back-pointer to the plan operator it
         implements — the EXPLAIN ANALYZE aggregation key.
         """
+        if select.window is not None:
+            raise SqlError(
+                "WINDOW applies only to the outer SELECT of a continuous query"
+            )
         with self.prog.node("from"):
             rel, where = self._compile_sources(select.sources, select.where)
         if where is not None:
@@ -333,7 +350,7 @@ class _SelectCompiler:
                 f"{table_src.name!r} is not a basket; basket expressions "
                 "apply to baskets/streams only"
             )
-        if inner.group_by or inner.having or inner.order_by:
+        if inner.group_by or inner.having or inner.order_by or inner.window:
             raise BindError(
                 "basket expressions support select-project-filter (and "
                 "LIMIT) only"

@@ -356,9 +356,9 @@ class TestEmitterBoundary:
 
     def test_engine_raises_plan_verification_error(self, monkeypatch):
         cell = _cell()
-        import repro.core.engine as engine_mod
+        import repro.core.lowering as lowering_mod
 
-        real = engine_mod.compile_continuous
+        real = lowering_mod.compile_continuous
 
         def sabotage(catalog, stmt):
             compiled = real(catalog, stmt)
@@ -367,7 +367,7 @@ class TestEmitterBoundary:
             compiled.output_atoms[0] = AtomType.INT
             return compiled
 
-        monkeypatch.setattr(engine_mod, "compile_continuous", sabotage)
+        monkeypatch.setattr(lowering_mod, "compile_continuous", sabotage)
         with pytest.raises(PlanVerificationError) as excinfo:
             cell.submit_continuous(
                 "select x.sym from [select * from trades] as x"

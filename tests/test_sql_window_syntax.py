@@ -199,3 +199,42 @@ class TestValidation:
         feed(cell, 4)
         assert sorted(q.fetch()) == [(0, "A", 1), (0, "B", 1),
                                      (1, "A", 1), (1, "B", 1)]
+
+    def test_rejects_window_on_one_time_query(self, cell):
+        cell.execute("create table plain (p double)")
+        cell.execute("insert into plain values (1.0), (2.0)")
+        with pytest.raises(SqlError):
+            cell.query("select sum(p) from plain window 4")
+
+    def test_rejects_window_on_subquery(self, cell):
+        cell.execute("create table plain (p double)")
+        with pytest.raises(SqlError):
+            cell.query("select z.p from (select * from plain window 1) as z")
+
+    def test_rejects_window_inside_basket_expression(self, cell):
+        with pytest.raises(SqlError):
+            cell.submit_continuous(
+                "select x.price from [select * from ticks window 2] as x"
+            )
+
+    def test_rejects_distinct_aggregates(self):
+        cell = DataCell(clock=LogicalClock())
+        cell.execute("create basket s (v int)")
+        with pytest.raises(SqlError):
+            cell.submit_continuous(
+                "select count(distinct x.v), sum(distinct x.v) "
+                "from [select * from s] as x window 4"
+            )
+
+
+class TestExplain:
+    def test_explain_renders_the_window_plan(self, cell):
+        sql = (
+            "select x.sym, sum(x.price) from [select * from ticks] as x "
+            "group by x.sym window 4 slide 2"
+        )
+        text = cell.explain(sql)
+        assert text == cell.submit_continuous(sql).explain()
+        assert text.startswith("window(['sum']")
+        assert "aggr." not in text
+
