@@ -33,6 +33,12 @@ simtest oracles and the durability cut depend on:
     The reserved ``sys.*`` basket namespace may only be minted by the
     system-streams module and the engine itself.
 
+``sql-structure``
+    Only the resolver (``sql/resolve.py``) reads a SELECT's clauses
+    (``.sources``, ``.group_by``, ``.having``, ``.order_by``); the code
+    generators read its ``ResolvedSelect``.  Approved: the resolver and
+    the parser and AST modules that build the clauses.
+
 Suppression: append ``# dc-lint: disable=rule[,rule]`` to the offending
 line, or put ``# dc-lint: disable-file=rule[,rule]`` (or a bare
 ``disable-file`` to silence the whole file) in the first ten lines.
@@ -342,6 +348,21 @@ class SysNameRule(Rule):
                         )
                     )
         return findings
+
+
+@register_rule
+class SqlStructureRule(Rule):
+    name = "sql-structure"
+    approved = ("*sql/resolve.py", "*sql/parser.py", "*sql/ast_nodes.py")
+    _clauses = {"sources", "group_by", "having", "order_by"}
+
+    def check(self, tree: ast.Module, relpath: str) -> List[Finding]:
+        message = "reads a SELECT clause; use the resolver's ResolvedSelect"
+        return [
+            _finding(self, relpath, node, f".{node.attr} {message}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in self._clauses
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -95,9 +95,10 @@ class ReEvalWindowAggregatePlan(_WindowAggregateBase):
         if not rows:
             return PlanOutput()
         schema = self.output_schema()
+        columns = self._arrange(list(zip(*rows)))
         bats = [
             bat_from_values(atom, list(col))
-            for (_, atom), col in zip(schema, zip(*rows))
+            for (_, atom), col in zip(schema, columns)
         ]
         result = ResultSet([name for name, _ in schema], bats)
         return PlanOutput(results={self.output_basket: result})

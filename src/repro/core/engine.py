@@ -389,10 +389,6 @@ class DataCell:
         lowered = lower_continuous(
             self.catalog, stmt, self.interpreter, f"{name}_out", execution
         )
-        if lowered.fallback is not None:
-            # per-query fallback: the shape has no circuit — it runs on
-            # the re-eval path, and the reason is recorded
-            self.incremental_fallbacks.append((name, lowered.fallback))
         plan = lowered.plan
         if isinstance(plan, WindowAggregatePlan):
             bindings = [InputBinding(self.basket(plan.input_basket))]
@@ -434,6 +430,10 @@ class DataCell:
         )
         handle.execution = lowered.execution
         handle.weighted = handle.output_basket.weighted = plan.weighted
+        if lowered.fallback is not None:
+            # per-query fallback: the shape has no circuit — it runs on
+            # the re-eval path, and the reason is recorded
+            self.incremental_fallbacks.append((name, lowered.fallback))
         return handle
 
     def submit_plan(

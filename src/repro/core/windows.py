@@ -156,15 +156,27 @@ class _WindowAggregateBase(ContinuousPlan):
         self.next_window = 0
         self.values_processed = 0  # tuples touched by aggregation work
         self.windows_emitted = 0
+        #: the columns after ``window_id`` as a SQL select list orders and
+        #: names them: (name, position in the plan's own order); None
+        #: keeps that order (window id, group?, aggregates)
+        self.layout: Optional[List[Tuple[str, int]]] = None
 
     def output_schema(self) -> List[Tuple[str, AtomType]]:
-        """Schema of the rows this plan emits (window id, group?, aggs)."""
+        """Schema of the rows this plan emits."""
         cols: List[Tuple[str, AtomType]] = [("window_id", AtomType.LNG)]
         if self.group_column:
             cols.append((self.group_column, self.group_atom))
         for name in self.aggregates:
             cols.append((name, _aggregate_atom(name)))
-        return cols
+        if self.layout is None:
+            return cols
+        return cols[:1] + [(name, cols[i][1]) for name, i in self.layout]
+
+    def _arrange(self, columns: List[Any]) -> List[Any]:
+        """Columns in the plan's own order → the output schema's."""
+        if self.layout is None:
+            return columns
+        return columns[:1] + [columns[i] for _, i in self.layout]
 
 
 #: pane-table planes.  Counts are float64 too (exact below 2**53), so the
@@ -393,7 +405,7 @@ class WindowAggregatePlan(_WindowAggregateBase):
         self.windows_emitted += k1 - k0
         schema = self.output_schema()
         bats = []
-        for (_, atom), values in zip(schema, columns):
+        for (_, atom), values in zip(schema, self._arrange(columns)):
             bat = BAT(atom, capacity=len(values))
             bat.append_array(values)
             bats.append(bat)

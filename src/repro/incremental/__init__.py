@@ -15,8 +15,8 @@ Layers:
   z⁻¹, integrate, differentiate, incremental group-aggregate,
   incremental equi-join) and the retraction-capable aggregate state;
 * :mod:`~repro.incremental.compile` — the circuit code generator over
-  the shape :func:`repro.sql.shape.resolve_shape` resolves, with
-  per-query fallback to the re-evaluation (MAL) path.
+  the query :func:`repro.sql.resolve.resolve` resolves, with per-query
+  fallback to the re-evaluation (MAL) path.
 
 Every operator here has a re-evaluation twin; ``repro.simtest.incremental``
 is the differential harness proving the two produce identical output.

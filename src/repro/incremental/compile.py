@@ -1,44 +1,36 @@
-"""SQL → incremental circuit lowering (circuit code generation + fallback).
+"""SQL → incremental circuit code generation (+ fallback).
 
-:func:`compile_incremental` reads a continuous ``SELECT``'s shape
-(:func:`repro.sql.shape.resolve_shape`) and, when it is in the supported
-matrix, lowers it to a :class:`CircuitContinuousPlan` — a factory plan
+:func:`compile_incremental` reads a resolved continuous ``SELECT``
+(:func:`repro.sql.resolve.resolve`) and, when it is in the supported
+matrix, generates a :class:`CircuitContinuousPlan` — a factory plan
 whose per-firing cost is O(|delta|).  Unsupported shapes raise
 :class:`IncrementalUnsupported` with a human-readable reason; the engine
-catches it and falls back to the re-evaluation (MAL) path *per query*,
-recording the reason.
+falls back to the re-evaluation (MAL) path *per query* and records it.
 
-Supported shapes
-----------------
+Supported shapes (``docs/incremental.md``, "Query compilation"):
+
 ``linear``
-    select/project/filter over basket expressions, no aggregates and no
-    DISTINCT/LIMIT.  Linear operators are their own incremental version
-    (lifting commutes with integration), and basket consumption already
-    makes each firing a pure delta — so there is no circuit to build:
-    :func:`compile_incremental` returns ``None`` and the query registers
-    the re-eval ``MalContinuousPlan``, row-for-row identical output.
-
+    select/project/filter without aggregates, DISTINCT or LIMIT.  Its
+    re-eval ``MalContinuousPlan`` already is its own incremental version
+    (basket consumption makes each firing a pure delta), so
+    :func:`compile_incremental` returns ``None``.
 ``aggregate``
-    ``SELECT [keys,] aggs FROM [select * from B ...] as x [WHERE ...]
-    [GROUP BY keys]`` with COUNT/SUM/AVG/MIN/MAX over one value column.
-    A synthesized lift stage (compiled MAL) produces ``(*keys, value)``
-    delta rows, folded by
+    ``SELECT [keys,] aggs FROM [..] as x [WHERE ...] [GROUP BY keys]``
+    with COUNT/SUM/AVG/MIN/MAX over one value column: a lift stage of
+    ``(*keys, value)`` delta rows folded by
     :class:`~repro.incremental.circuit.IncrementalGroupAggregate`.  The
-    output basket is *weighted*: each firing emits the retraction of a
-    group's previous result row (``dc_weight = -1``) and the insertion
-    of its new one (``+1``); integrating the output reproduces the
-    one-shot GROUP BY at every point in time.
-
+    output is *weighted*: per firing, the retraction of a group's
+    previous row (``dc_weight = -1``) and the insertion of its new one.
 ``join``
     ``SELECT cols FROM [..] as a, [..] as b WHERE a.k = b.k [AND
-    side-local filters]``.  Per-side lift stages feed
+    side-local filters]``: per-side lift stages feed
     :class:`~repro.incremental.circuit.IncrementalJoin`'s delta-probe
-    against integrated per-key state.  Output is weighted like the
-    aggregate shape.
+    against integrated per-key state; weighted output.
 
-Everything else — HAVING, DISTINCT, LIMIT, ORDER BY on aggregates,
-cross-side residual predicates, nested baskets in subqueries — falls
-back with a reason (``DataCell.incremental_fallbacks``).
+A lift stage is MAL generated from a resolved sub-query of the one
+basket expression it reads.  Everything else — HAVING, DISTINCT,
+LIMIT, ORDER BY on aggregates, cross-side residual predicates, nested
+baskets in subqueries — falls back with a reason.
 """
 
 from __future__ import annotations
@@ -48,13 +40,22 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import BindError, DataCellError, TypeMismatchError
 from ..kernel.aggregate import aggregate_atom
-from ..kernel.catalog import Catalog
 from ..kernel.interpreter import MalInterpreter
 from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType
-from ..sql.ast_nodes import ColumnRef, Expr, Literal, Select, SelectItem
-from ..sql.compiler import CompiledQuery, MalContinuousPlan, compile_continuous
-from ..sql.shape import QueryShape, ShapeError, resolve_shape
+from ..sql.ast_nodes import ColumnRef, Expr, Literal
+from ..sql.compiler import (
+    CompiledQuery,
+    MalContinuousPlan,
+    generate_continuous,
+)
+from ..sql.resolve import (
+    BasketFrom,
+    ResolvedSelect,
+    ShapeError,
+    column_refs,
+    stream_aggregate,
+)
 from .circuit import IncrementalGroupAggregate, IncrementalJoin
 from .zset import WEIGHT_COLUMN, ZSet
 
@@ -241,15 +242,15 @@ class CircuitContinuousPlan:
 
 
 # ======================================================================
-# circuit lowering
+# circuit code generation
 # ======================================================================
 def compile_incremental(
-    catalog: Catalog,
-    stmt: Select,
+    query: ResolvedSelect,
     interpreter: MalInterpreter,
     output_basket: str,
 ) -> Optional[CircuitContinuousPlan]:
-    """Lower a continuous SELECT onto an incremental circuit.
+    """Generate the incremental circuit of a resolved continuous SELECT
+    (a WINDOW query takes the window plan instead).
 
     Returns ``None`` for a linear query, whose re-eval MAL plan already
     is its own incremental version.  Raises :class:`IncrementalUnsupported`
@@ -257,54 +258,74 @@ def compile_incremental(
     module docstring) — the caller falls back to the re-evaluation path
     for this query only.
     """
-    try:
-        shape = resolve_shape(stmt)
-    except ShapeError as exc:
-        raise IncrementalUnsupported(str(exc)) from None
-    if shape.window is not None:
-        raise IncrementalUnsupported(
-            "WINDOW queries route through the window plan, not the "
-            "circuit compiler"
-        )
-    if shape.kind == "aggregate":
-        return _aggregate_circuit(catalog, shape, interpreter, output_basket)
-    if shape.kind == "join":
-        return _join_circuit(catalog, shape, interpreter, output_basket)
-    if stmt.distinct:
+    baskets = [s for s in query.leaves() if isinstance(s, BasketFrom)]
+    if not baskets:
+        raise IncrementalUnsupported("not a continuous query")
+    if query.aggregating:
+        return _aggregate_circuit(query, interpreter, output_basket)
+    if len(baskets) == 2 and len(query.from_items) == 2 and (
+        query.joins[0] is not None or query.where
+    ):
+        _plain_output(query, "join")
+        if query.joins[0] is not None:
+            return _join_circuit(query, interpreter, output_basket)
+    if query.distinct:
         raise IncrementalUnsupported(
             "DISTINCT is not linear over multisets (dedup needs "
             "integrated state)"
         )
-    if stmt.limit is not None:
+    if query.limit is not None:
         raise IncrementalUnsupported(
             "outer LIMIT truncates per firing, not per stream"
         )
     return None
 
 
+def _plain_output(query: ResolvedSelect, kind: str) -> None:
+    if query.order or query.limit is not None or query.distinct:
+        raise IncrementalUnsupported(
+            f"ORDER BY / LIMIT / DISTINCT do not compose with delta {kind} "
+            "output"
+        )
+
+
 def _aggregate_circuit(
-    catalog, shape: QueryShape, interpreter, output_basket
+    query: ResolvedSelect, interpreter, output_basket
 ) -> CircuitContinuousPlan:
+    if query.group_filter is not None:
+        raise IncrementalUnsupported(
+            "HAVING over incremental aggregates is not supported yet"
+        )
+    _plain_output(query, "aggregate")
+    source = query.from_items[0]
+    if len(query.from_items) != 1 or not isinstance(source, BasketFrom):
+        raise IncrementalUnsupported(
+            "aggregate circuits need exactly one basket expression source"
+        )
+    try:
+        shape = stream_aggregate(query)
+    except ShapeError as exc:
+        raise IncrementalUnsupported(str(exc)) from None
     # lift stage: (*keys, value) rows from the basket expression
-    alias = shape.sources[0].binding_name
-    value_expr: Expr = (
-        ColumnRef(shape.value_column, alias)
+    value: Expr = (
+        ColumnRef(shape.value_column, source.alias)
         if shape.value_column is not None
         else Literal(1)  # count(*)-only: the value is never read
     )
-    items = [
-        SelectItem(ColumnRef(k, alias), alias=f"__k{i}")
-        for i, k in enumerate(shape.keys)
-    ] + [SelectItem(value_expr, alias="__v")]
-    compiled = compile_continuous(
-        catalog,
-        Select(items=items, sources=shape.sources, where=shape.filters[0]),
+    items: List[Tuple[Expr, str]] = [
+        (ColumnRef(key, source.alias), f"__k{i}")
+        for i, key in enumerate(shape.keys)
+    ]
+    compiled = generate_continuous(
+        ResolvedSelect.lift(
+            source, items + [(value, "__v")], [c.expr for c in query.where]
+        )
     )
     # atoms come from the compiled lift, so projections/renames inside
     # the basket expression are handled the same way re-eval handles them
     value_atom = compiled.output_atoms[-1]
     atoms: List[AtomType] = []
-    for role, index in shape.item_plan:
+    for role, index in shape.layout:
         if role == "key":
             atoms.append(compiled.output_atoms[index])
             continue
@@ -317,60 +338,82 @@ def _aggregate_circuit(
         [compiled],
         interpreter,
         output_basket,
-        shape.names + [WEIGHT_COLUMN],
+        query.names + [WEIGHT_COLUMN],
         atoms + [AtomType.LNG],
     )
     plan.agg = IncrementalGroupAggregate(
-        shape.aggregates, grouped=bool(shape.keys)
+        list(shape.aggregates), grouped=bool(shape.keys)
     )
-    plan.item_plan = list(shape.item_plan)
+    plan.item_plan = list(shape.layout)
     plan.n_group_keys = len(shape.keys)
     return plan
 
 
 def _join_circuit(
-    catalog, shape: QueryShape, interpreter, output_basket
+    query: ResolvedSelect, interpreter, output_basket
 ) -> CircuitContinuousPlan:
-    # per-side lift stages: (key, *extras) with side-local filters
+    for conj in query.where:  # the conjuncts beside the equi key
+        bare = [ref for ref in column_refs(conj.expr) if ref.table is None]
+        if bare:
+            raise IncrementalUnsupported(
+                f"join circuits need qualified column references "
+                f"(got bare {bare[0].name!r})"
+            )
+        if len(conj.reads) > 1:
+            raise IncrementalUnsupported(
+                "predicates spanning both join sides (beyond the equi key) "
+                "are not supported"
+            )
+        if not conj.reads:
+            raise IncrementalUnsupported(
+                "constant predicates in join WHERE are not supported"
+            )
+    # per side, the columns its lift stage reads: the equi key first
+    aliases = [source.alias for source in query.from_items]
+    columns = [[ref.name.lower()] for ref in query.joins[0]]
+    picks: List[Tuple[int, str]] = []  # per select item: (side, column)
+    for item in query.items:
+        expr = item.expr
+        if item.star:
+            raise IncrementalUnsupported(
+                "join circuits need an explicit select list (no *)"
+            )
+        if not isinstance(expr, ColumnRef) or expr.table is None:
+            raise IncrementalUnsupported(
+                "join select items must be qualified column references"
+            )
+        side = aliases.index(expr.table.lower())
+        column = expr.name.lower()
+        if column not in columns[side]:
+            columns[side].append(column)
+        picks.append((side, column))
+    # per-side lift stages: (key, *extras) under side-local filters
     stages = [
-        compile_continuous(
-            catalog,
-            Select(
-                items=[
-                    SelectItem(ColumnRef(c, source.binding_name), f"__c{i}")
-                    for i, c in enumerate(columns)
+        generate_continuous(
+            ResolvedSelect.lift(
+                source,
+                [
+                    (ColumnRef(c, source.alias), f"__c{i}")
+                    for i, c in enumerate(columns[side])
                 ],
-                sources=[source],
-                where=where,
-            ),
+                [c.expr for c in query.where if c.reads == {side}],
+            )
         )
-        for source, where, columns in zip(
-            shape.sources, shape.filters, shape.columns
-        )
+        for side, source in enumerate(query.from_items)
     ]
-    atoms = [
-        stages[side].output_atoms[shape.columns[side].index(column)]
-        for side, column in shape.items
-    ]
-    # joined row layout: (*left_row, *right_row_without_key)
-    left_width = len(shape.columns[0])
-
-    def position(side: int, column: str) -> int:
-        index = shape.columns[side].index(column)
-        if side == 0:
-            return index
-        if index == 0:  # the key: identical on both sides, take left's
-            return 0
-        return left_width + index - 1
-
+    picked = [(side, columns[side].index(column)) for side, column in picks]
+    atoms = [stages[side].output_atoms[i] for side, i in picked]
     plan = CircuitContinuousPlan(
         "join",
         stages,
         interpreter,
         output_basket,
-        shape.names + [WEIGHT_COLUMN],
+        query.names + [WEIGHT_COLUMN],
         atoms + [AtomType.LNG],
     )
     plan.join = IncrementalJoin(left_key=0, right_key=0)
-    plan.out_positions = [position(s, c) for s, c in shape.items]
+    # joined row: (*left row, *right row without its key); the key is
+    # identical on both sides, so it is read from the left
+    offset = (0, len(columns[0]) - 1)
+    plan.out_positions = [offset[side] + i if i else 0 for side, i in picked]
     return plan

@@ -1,7 +1,8 @@
 """AST node definitions for the DataCell SQL dialect.
 
-Plain dataclasses; the parser builds them, the binder annotates/validates,
-and the compiler lowers them to MAL.  The DataCell extension is
+Plain dataclasses; the parser builds them, the resolver
+(:mod:`repro.sql.resolve`) reads them once, and the code generators
+lower what it resolved.  The DataCell extension is
 :class:`BasketExpr` — a bracketed sub-query with consumption side effects;
 a statement is *continuous* exactly when its FROM clause (transitively)
 contains one (paper §2.6: "basket expressions may be part only of

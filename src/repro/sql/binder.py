@@ -1,21 +1,23 @@
 """Name resolution and type checking helpers for the SQL compiler.
 
-The central structure is :class:`Relation`: the compiler's view of "the
-current intermediate table" — an ordered set of columns, each backed by a
-MAL variable holding a dense-headed BAT, with the qualifier (source alias)
-and atom type needed to resolve references and infer result types.
+The central structure is :data:`Relation`: the compiler's view of "the
+current intermediate table" — an ordered list of columns, each backed by
+a MAL variable holding a dense-headed BAT, with the qualifier (source
+alias) and atom type needed to resolve references and infer result
+types.  :func:`lookup` is the one name-resolution rule, for these and for
+the resolver's scopes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from ..errors import BindError
 from ..kernel.types import AtomType
 from .ast_nodes import ColumnRef
 
-__all__ = ["type_name_to_atom", "BoundColumn", "Relation"]
+__all__ = ["type_name_to_atom", "BoundColumn", "Relation", "lookup"]
 
 _TYPE_NAMES = {
     "int": AtomType.INT,
@@ -45,85 +47,37 @@ def type_name_to_atom(name: str) -> AtomType:
         raise BindError(f"unknown SQL type {name!r}") from None
 
 
+def lookup(columns: Sequence[Any], ref: ColumnRef) -> Any:
+    """The one column of ``columns`` (anything with a ``name`` and a
+    ``qualifier``) a (possibly qualified) reference names.
+
+    Raises :class:`BindError` for unknown or ambiguous names.
+    """
+    name = ref.name.lower()
+    qualifier = ref.table.lower() if ref.table else None
+    matches = [
+        c
+        for c in columns
+        if c.name == name
+        and (qualifier is None or c.qualifier == qualifier)
+    ]
+    if not matches:
+        raise BindError(f"unknown column {ref.display()!r}")
+    if len(matches) > 1:
+        raise BindError(f"ambiguous column {ref.display()!r}")
+    return matches[0]
+
+
 @dataclass
 class BoundColumn:
-    """One column of a :class:`Relation`."""
+    """One column of a :data:`Relation`."""
 
     qualifier: Optional[str]  # source alias (lower-cased), None after aggregation
     name: str  # column name (lower-cased)
     var: str  # MAL variable holding the column BAT
     atom: AtomType
-    hidden: bool = False  # excluded from * expansion (e.g. dc_time)
-
-    @property
-    def display(self) -> str:
-        return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-class Relation:
-    """An ordered collection of bound columns with SQL resolution rules."""
-
-    def __init__(self, columns: Optional[List[BoundColumn]] = None):
-        self.columns: List[BoundColumn] = list(columns or [])
-
-    def add(self, column: BoundColumn) -> None:
-        self.columns.append(column)
-
-    def extend(self, other: "Relation") -> None:
-        self.columns.extend(other.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __iter__(self):
-        return iter(self.columns)
-
-    def visible(self) -> List[BoundColumn]:
-        return [c for c in self.columns if not c.hidden]
-
-    def first_var(self) -> str:
-        """Any column variable — used as alignment anchor for constants."""
-        if not self.columns:
-            raise BindError("empty relation has no columns")
-        return self.columns[0].var
-
-    def resolve(self, ref: ColumnRef) -> BoundColumn:
-        """Resolve a (possibly qualified) column reference.
-
-        Raises :class:`BindError` for unknown or ambiguous names.
-        """
-        name = ref.name.lower()
-        qualifier = ref.table.lower() if ref.table else None
-        matches = [
-            c
-            for c in self.columns
-            if c.name == name
-            and (qualifier is None or c.qualifier == qualifier)
-        ]
-        if not matches:
-            raise BindError(f"unknown column {ref.display()!r}")
-        if len(matches) > 1:
-            raise BindError(f"ambiguous column {ref.display()!r}")
-        return matches[0]
-
-    def columns_of(self, qualifier: str) -> List[BoundColumn]:
-        """Visible columns belonging to one source alias (for ``alias.*``)."""
-        out = [
-            c
-            for c in self.visible()
-            if c.qualifier == qualifier.lower()
-        ]
-        if not out:
-            raise BindError(f"unknown source alias {qualifier!r} in *")
-        return out
-
-    def remap(self, mapping: Dict[str, str]) -> "Relation":
-        """A copy with each column's var replaced via ``mapping[var]``."""
-        return Relation(
-            [
-                BoundColumn(
-                    c.qualifier, c.name, mapping[c.var], c.atom, c.hidden
-                )
-                for c in self.columns
-            ]
-        )
+#: the compiler's view of "the current intermediate table": an ordered
+#: list of bound columns, resolved by :func:`lookup`
+Relation = List[BoundColumn]

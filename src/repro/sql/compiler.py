@@ -1,11 +1,12 @@
-"""SQL → MAL compiler.
+"""SQL → MAL code generation.
 
-Lowers a parsed :class:`~repro.sql.ast_nodes.Select` to a MAL
-:class:`~repro.kernel.mal.Program`, following the classic column-store plan
-shape: bind columns, derive candidate lists with selections, project, join
-via oid pairs, group/aggregate, order, slice, build the result set.
+Generates a MAL :class:`~repro.kernel.mal.Program` from a query the
+resolver (:func:`repro.sql.resolve.resolve`) has read, following the
+classic column-store plan shape: bind columns, derive candidate lists
+with selections, project, join via oid pairs, group/aggregate, order,
+slice, build the result set.
 
-Two entry points:
+Entry points:
 
 * :func:`compile_select` — one-time queries over catalog tables (and
   baskets read with table semantics);
@@ -33,7 +34,6 @@ from ..kernel.interpreter import OPCODES, MalInterpreter
 from ..kernel.mal import Arg, Const, Program, ResultSet, Var
 from ..kernel.types import AtomType, common_type
 from .ast_nodes import (
-    BasketExpr,
     Between,
     BinaryOp,
     CaseWhen,
@@ -43,19 +43,25 @@ from .ast_nodes import (
     InList,
     IsNull,
     Like,
-    JoinSource,
     Literal,
     OrderItem,
     Select,
-    SelectItem,
-    Source,
-    Star,
-    SubquerySource,
-    TableSource,
     UnaryOp,
     UnionSelect,
 )
-from .binder import BoundColumn, Relation
+from .binder import BoundColumn, Relation, lookup
+from .resolve import (
+    BasketFrom,
+    EquiPair,
+    From,
+    Item,
+    ResolvedSelect,
+    SubqueryFrom,
+    TableFrom,
+    expr_key,
+    is_aggregate,
+    resolve,
+)
 
 __all__ = [
     "CompiledQuery",
@@ -63,11 +69,8 @@ __all__ = [
     "MalContinuousPlan",
     "compile_select",
     "compile_continuous",
+    "generate_continuous",
 ]
-
-TIME_COLUMN = "dc_time"
-AGGREGATES = {"sum": "sum", "count": "count", "avg": "avg", "min": "min",
-              "max": "max"}
 
 
 @dataclass
@@ -184,19 +187,18 @@ class MalContinuousPlan:
 # compiler core
 # ======================================================================
 class _SelectCompiler:
-    """Compiles one Select into instructions appended to a shared program."""
+    """Generates one resolved SELECT's instructions into a shared program."""
 
     def __init__(
         self,
-        catalog: Catalog,
         program: Program,
         basket_inputs: List[BasketInput],
         allow_baskets: bool,
     ):
-        self.catalog = catalog
         self.prog = program
         self.basket_inputs = basket_inputs
         self.allow_baskets = allow_baskets
+        self.groups: Optional[Dict[str, BoundColumn]] = None
 
     def _typed(
         self, module: str, fn: str, args: Sequence[Arg], *items: Any
@@ -209,100 +211,80 @@ class _SelectCompiler:
     # ------------------------------------------------------------------
     # entry
     # ------------------------------------------------------------------
-    def compile(self, select: Select) -> Tuple[Relation, List[str]]:
-        """Compile; returns (output relation, output names).
+    def compile(self, query: ResolvedSelect) -> Relation:
+        """Generate ``query``; returns its output relation.
 
         Each logical phase opens a :meth:`Program.node` scope, so every
         emitted instruction carries a back-pointer to the plan operator it
         implements — the EXPLAIN ANALYZE aggregation key.
         """
-        if select.window is not None:
+        if query.window is not None:
             raise SqlError(
                 "WINDOW applies only to the outer SELECT of a continuous query"
             )
         with self.prog.node("from"):
-            rel, where = self._compile_sources(select.sources, select.where)
-        if where is not None:
+            rel = self._compile_sources(query)
+        if query.where:
             with self.prog.node("where"):
-                rel = self._compile_filter(rel, where)
-        has_aggregates = self._uses_aggregates(select)
+                rel, _ = self._filter_with_cands(
+                    rel, [c.expr for c in query.where]
+                )
         pre_projection: Optional[Relation] = None
-        if has_aggregates or select.group_by:
+        if query.aggregating:
             with self.prog.node("aggregate"):
-                rel, names = self._compile_aggregation(rel, select)
+                rel = self._compile_aggregation(rel, query)
         else:
             pre_projection = rel
             with self.prog.node("project"):
-                rel, names = self._compile_projection(rel, select.items)
-        if select.distinct:
+                rel = self._apply_select_items(rel, query.items)
+        if query.distinct:
             with self.prog.node("distinct"):
                 rel = self._compile_distinct(rel)
             pre_projection = None  # dedup breaks row alignment
-        if select.order_by:
+        if query.order:
             with self.prog.node("order by"):
-                rel = self._compile_order(
-                    rel, names, select.order_by, pre_projection
-                )
-        if select.limit is not None:
+                rel = self._compile_order(rel, query.order, pre_projection)
+        if query.limit is not None:
             with self.prog.node("limit"):
-                rel = self._compile_limit(rel, select.limit)
-        return rel, names
+                rel = self._compile_limit(rel, query.limit)
+        return rel
 
     # ------------------------------------------------------------------
     # sources
     # ------------------------------------------------------------------
-    def _compile_sources(
-        self, sources: Sequence[Source], where: Optional[Expr]
-    ) -> Tuple[Relation, Optional[Expr]]:
-        """Join the FROM items left to right; returns (relation, rest of WHERE).
-
-        Each comma-joined item takes one WHERE conjunct ``a.x = b.y``
-        linking it to the items before it as an equi-join key; the other
-        conjuncts stay in WHERE.  Without such a conjunct it is a cross
-        product.
-        """
-        if not sources:
-            raise BindError("FROM clause is empty")
-        relations = [self._compile_source(s) for s in sources]
+    def _compile_sources(self, query: ResolvedSelect) -> Relation:
+        """Join the FROM items left to right, each on its equi pair or
+        as a cross product."""
+        relations = [self._compile_source(s) for s in query.from_items]
         rel = relations[0]
-        for other in relations[1:]:
-            eq = None if where is None else self._find_equi_pair(
-                where, rel, other
-            )
-            if eq is None:
-                rel = self._cross_join(rel, other)
-            else:
-                lcol, rcol, where = eq
-                rel = self._equi_join(rel, other, lcol, rcol)
-        return rel, where
+        for other, pair in zip(relations[1:], query.joins):
+            rel = self._join(rel, other, pair)
+        return rel
 
-    def _compile_source(self, source: Source) -> Relation:
-        if isinstance(source, TableSource):
+    def _compile_source(self, source: From) -> Relation:
+        if isinstance(source, TableFrom):
             return self._compile_table(source)
-        if isinstance(source, BasketExpr):
+        if isinstance(source, BasketFrom):
             return self._compile_basket_expr(source)
-        if isinstance(source, SubquerySource):
-            inner = _SelectCompiler(
-                self.catalog, self.prog, self.basket_inputs,
-                self.allow_baskets,
-            )
+        if isinstance(source, SubqueryFrom):
             with self.prog.node("subquery"):
-                rel, names = inner.compile(source.select)
-            alias = source.binding_name
-            return Relation(
-                [
-                    BoundColumn(alias, n.lower(), c.var, c.atom)
-                    for n, c in zip(names, rel)
-                ]
+                rel = self.compile(source.select)
+            return [
+                BoundColumn(source.alias, c.name, c.var, c.atom) for c in rel
+            ]
+        with self.prog.node("join"):
+            rel = self._join(
+                self._compile_source(source.left),
+                self._compile_source(source.right),
+                source.equi,
             )
-        if isinstance(source, JoinSource):
-            return self._compile_join(source)
-        raise BindError(f"unsupported FROM item {type(source).__name__}")
+            if source.on:
+                rel, _ = self._filter_with_cands(rel, source.on)
+            return rel
 
-    def _compile_table(self, source: TableSource) -> Relation:
-        table = self.catalog.get(source.name)
-        alias = source.binding_name
-        rel = Relation()
+    def _compile_table(self, source: TableFrom) -> Relation:
+        table = source.table
+        rel = []
         with self.prog.node(f"scan {table.name}"):
             # Rebase to a dense-0 head so positions == candidate oids
             # throughout the plan (see module docstring invariant).
@@ -311,205 +293,103 @@ class _SelectCompiler:
                 [Const(table.name), Const(table.schema.columns[0].name)],
             )
             cands = self.prog.emit("algebra", "densecands", [Var(first)])
-            for col in table.schema:
-                bound = self.prog.emit(
+            for col, bound in zip(table.schema, source.columns):
+                var = self.prog.emit(
                     "sql", "bind", [Const(table.name), Const(col.name)]
                 )
                 rebased = self.prog.emit(
-                    "algebra", "projection", [Var(cands), Var(bound)]
+                    "algebra", "projection", [Var(cands), Var(var)]
                 )
-                rel.add(
-                    BoundColumn(
-                        alias,
-                        col.name.lower(),
-                        rebased,
-                        col.atom,
-                        hidden=(col.name.lower() == TIME_COLUMN),
-                    )
+                rel.append(
+                    BoundColumn(bound.qualifier, bound.name, rebased, col.atom)
                 )
         return rel
 
-    def _compile_basket_expr(self, source: BasketExpr) -> Relation:
+    def _compile_basket_expr(self, source: BasketFrom) -> Relation:
         """Compile ``[select ...] as alias``: snapshot scan + consumption."""
         if not self.allow_baskets:
             raise BindError(
                 "basket expressions are only allowed in continuous queries"
             )
-        inner = source.select
-        if (
-            len(inner.sources) != 1
-            or not isinstance(inner.sources[0], TableSource)
-        ):
-            raise BindError(
-                "a basket expression must read exactly one basket"
-            )
-        table_src = inner.sources[0]
-        basket = self.catalog.get(table_src.name)
-        if not basket.is_basket:
-            raise BindError(
-                f"{table_src.name!r} is not a basket; basket expressions "
-                "apply to baskets/streams only"
-            )
-        if inner.group_by or inner.having or inner.order_by or inner.window:
-            raise BindError(
-                "basket expressions support select-project-filter (and "
-                "LIMIT) only"
-            )
-        inner_alias = table_src.binding_name
-        # Snapshot columns arrive as program inputs "<outer alias>.<col>".
-        outer_alias = source.binding_name
+        basket = source.basket
         # one plan node per basket expression: its selections/limits are
         # the window predicate, reported as a unit by EXPLAIN ANALYZE
         self.prog.begin_node(f"basket {basket.name}")
-        rel = Relation()
-        for col in basket.schema:
-            var = f"{outer_alias}.{col.name.lower()}"
+        # Snapshot columns arrive as program inputs "<outer alias>.<col>".
+        rel = []
+        for col, base in zip(basket.schema, source.base):
+            var = f"{source.alias}.{base.name}"
             self.prog.inputs.append(var)
-            rel.add(
-                BoundColumn(
-                    inner_alias,
-                    col.name.lower(),
-                    var,
-                    col.atom,
-                    hidden=(col.name.lower() == TIME_COLUMN),
-                )
-            )
+            rel.append(BoundColumn(base.qualifier, base.name, var, col.atom))
         # WHERE inside the brackets = the predicate window: it decides
         # which snapshot positions are referenced (and hence consumed).
-        if inner.where is not None:
-            filtered, consumed_var = self._filter_with_cands(rel, inner.where)
+        if source.where:
+            filtered, consumed_var = self._filter_with_cands(rel, source.where)
         else:
             consumed_var = self.prog.emit(
-                "algebra", "densecands", [Var(rel.first_var())]
+                "algebra", "densecands", [Var(rel[0].var)]
             )
             filtered = rel
-        if inner.limit is not None:
+        if source.limit is not None:
             # result-set-constraint window (§2.6): the basket expression
             # references (and consumes) at most LIMIT tuples per firing
             consumed_var = self.prog.emit(
-                "algebra", "firstn", [Var(consumed_var), Const(inner.limit)]
+                "algebra", "firstn", [Var(consumed_var), Const(source.limit)]
             )
-            filtered = self._compile_limit(filtered, inner.limit)
+            filtered = self._compile_limit(filtered, source.limit)
         self.basket_inputs.append(
             BasketInput(
                 basket.name.lower(),
-                outer_alias,
+                source.alias,
                 consumed_var,
-                result_constrained=inner.limit is not None,
+                result_constrained=source.limit is not None,
             )
         )
         # consumed tuples must actually be the ones exposed through S:
-        projected = Relation()
-        for col in filtered:
-            projected.add(
-                BoundColumn(
-                    outer_alias, col.name, col.var, col.atom, col.hidden
-                )
-            )
-        # apply the inner select list (usually *)
-        inner_rel, names = self._apply_select_items(
-            projected, inner.items, default_alias=outer_alias
+        projected = [
+            BoundColumn(source.alias, c.name, c.var, c.atom) for c in filtered
+        ]
+        inner_rel = self._apply_select_items(
+            projected, source.items, default_alias=source.alias
         )
-        # keep the implicit timestamp reachable through the alias even
+        # the implicit timestamp stays reachable through the alias even
         # though * does not expand it (queries may order/window on it)
-        present = {c.name for c in inner_rel.columns}
-        for col in projected:
-            if col.hidden and col.name not in present:
-                inner_rel.add(col)
+        kept = {c.name for c in source.columns[len(source.items):]}
+        inner_rel += [c for c in projected if c.name in kept]
         self.prog.end_node()
         return inner_rel
 
-    def _compile_join(self, source: JoinSource) -> Relation:
-        with self.prog.node("join"):
-            return self._compile_join_body(source)
-
-    def _compile_join_body(self, source: JoinSource) -> Relation:
-        left = self._compile_source(source.left)
-        right = self._compile_source(source.right)
-        if source.kind == "cross" or source.condition is None:
-            return self._cross_join(left, right)
-        # Decompose the ON condition into equi pairs + residual.
-        eq = self._find_equi_pair(source.condition, left, right)
-        if eq is None:
-            rel = self._cross_join(left, right)
-            return self._compile_filter(rel, source.condition)
-        lcol, rcol, residual = eq
-        if source.kind == "left":
-            raise BindError(
-                "LEFT JOIN projection of unmatched rows is not supported "
-                "yet; use INNER JOIN"
-            )
-        rel = self._equi_join(left, right, lcol, rcol)
-        if residual is not None:
-            rel = self._compile_filter(rel, residual)
-        return rel
-
-    def _find_equi_pair(self, condition: Expr, left: Relation, right: Relation):
-        """Extract one ``l.col = r.col`` conjunct; returns residual rest.
-
-        A reference that resolves on both sides is ambiguous: its conjunct
-        stays in the residual, whose binding reports it.
-        """
-        conjuncts = _split_and(condition)
-        for i, conj in enumerate(conjuncts):
-            if not (
-                isinstance(conj, BinaryOp)
-                and conj.op == "=="
-                and isinstance(conj.left, ColumnRef)
-                and isinstance(conj.right, ColumnRef)
-            ):
-                continue
-            a = _resolve_side(conj.left, left, right)
-            b = _resolve_side(conj.right, left, right)
-            if a is None or b is None or a[0] == b[0]:
-                continue
-            lcol, rcol = (a[1], b[1]) if a[0] == "l" else (b[1], a[1])
-            return lcol, rcol, _join_and(conjuncts[:i] + conjuncts[i + 1 :])
-        return None
-
-    def _equi_join(
-        self, left: Relation, right: Relation, lcol: BoundColumn,
-        rcol: BoundColumn,
+    def _join(
+        self, left: Relation, right: Relation, pair: Optional[EquiPair]
     ) -> Relation:
-        """Inner equi-join on ``lcol = rcol`` via ``algebra.join``."""
-        loids, roids = self.prog.emit(
-            "algebra", "join", [Var(lcol.var), Var(rcol.var)], results=2
+        """The inner equi-join of ``left`` and ``right`` on ``pair`` via
+        ``algebra.join``, or without a pair their cross product (small
+        sides expected); both sides' columns are fetched through the
+        join's oid pairs."""
+        if pair is None:
+            fn, keys = "crossproduct", (left[0], right[0])
+        else:
+            fn, keys = "join", (lookup(left, pair[0]), lookup(right, pair[1]))
+        oids = self.prog.emit(
+            "algebra", fn, [Var(keys[0].var), Var(keys[1].var)], results=2
         )
-        return self._project_pairs(left, right, loids, roids)
-
-    def _cross_join(self, left: Relation, right: Relation) -> Relation:
-        """Cross product via position fan-out (small sides expected)."""
-        lvar, rvar = left.first_var(), right.first_var()
-        loids, roids = self.prog.emit(
-            "algebra", "crossproduct", [Var(lvar), Var(rvar)], results=2
-        )
-        return self._project_pairs(left, right, loids, roids)
-
-    def _project_pairs(
-        self, left: Relation, right: Relation, loids: str, roids: str
-    ) -> Relation:
-        """Both sides' columns fetched through a join's oid pairs."""
-        rel = Relation()
-        for oids, side in ((loids, left), (roids, right)):
+        rel = []
+        for side_oids, side in zip(oids, (left, right)):
             for col in side:
                 var = self.prog.emit(
-                    "algebra", "projection", [Var(oids), Var(col.var)]
+                    "algebra", "projection", [Var(side_oids), Var(col.var)]
                 )
-                rel.add(BoundColumn(col.qualifier, col.name, var, col.atom,
-                                    col.hidden))
+                rel.append(BoundColumn(col.qualifier, col.name, var, col.atom))
         return rel
 
     # ------------------------------------------------------------------
     # filtering
     # ------------------------------------------------------------------
-    def _compile_filter(self, rel: Relation, predicate: Expr) -> Relation:
-        filtered, _ = self._filter_with_cands(rel, predicate)
-        return filtered
-
     def _filter_with_cands(
-        self, rel: Relation, predicate: Expr
+        self, rel: Relation, conjuncts: Sequence[Expr]
     ) -> Tuple[Relation, str]:
-        """Filter ``rel``; returns (new relation, candidate var).
+        """Filter ``rel`` by the AND of ``conjuncts``; returns (new
+        relation, candidate var).
 
         Simple conjuncts (column ⟨op⟩ literal, BETWEEN) become kernel
         selections threaded through a candidate list; the residual is
@@ -517,7 +397,6 @@ class _SelectCompiler:
         holds the qualifying positions of the *input* relation — the
         consumption set for basket expressions.
         """
-        conjuncts = _split_and(predicate)
         cands: Optional[str] = None
         residual: List[Expr] = []
         for conj in conjuncts:
@@ -528,7 +407,6 @@ class _SelectCompiler:
                 residual.append(conj)
         if residual:
             rest = _join_and(residual)
-            assert rest is not None
             if cands is not None:
                 rel_mid = self._project_all(rel, cands)
             else:
@@ -548,12 +426,7 @@ class _SelectCompiler:
             else:
                 total = mask_cands
             return final_rel, total
-        if cands is None:
-            # constant-true corner (no conjuncts?) — all positions
-            cands = self.prog.emit(
-                "algebra", "densecands", [Var(rel.first_var())]
-            )
-            return rel, cands
+        assert cands is not None
         return self._project_all(rel, cands), cands
 
     def _try_simple_select(
@@ -564,7 +437,7 @@ class _SelectCompiler:
         if isinstance(conj, Between) and not conj.negated:
             if isinstance(conj.operand, ColumnRef) and _is_literal(conj.low) \
                     and _is_literal(conj.high):
-                col = rel.resolve(conj.operand)
+                col = lookup(rel, conj.operand)
                 return self.prog.emit(
                     "algebra",
                     "select",
@@ -580,7 +453,7 @@ class _SelectCompiler:
                 )
         if isinstance(conj, IsNull):
             if isinstance(conj.operand, ColumnRef):
-                col = rel.resolve(conj.operand)
+                col = lookup(rel, conj.operand)
                 fn = "selectnotnil" if conj.negated else "selectnil"
                 return self.prog.emit(
                     "algebra", fn, [Var(col.var), cand_arg]
@@ -589,7 +462,7 @@ class _SelectCompiler:
             if isinstance(conj.operand, ColumnRef) and isinstance(
                 conj.pattern, Literal
             ):
-                col = rel.resolve(conj.operand)
+                col = lookup(rel, conj.operand)
                 if col.atom is not AtomType.STR:
                     raise BindError("LIKE applies to string columns")
                 return self.prog.emit(
@@ -608,7 +481,7 @@ class _SelectCompiler:
                 ref, lit = conj.right, conj.left
                 op = _flip_op(op)
             if ref is not None:
-                col = rel.resolve(ref)
+                col = lookup(rel, ref)
                 return self.prog.emit(
                     "algebra",
                     "thetaselect",
@@ -618,14 +491,12 @@ class _SelectCompiler:
         return None
 
     def _project_all(self, rel: Relation, cands: str) -> Relation:
-        out = Relation()
+        out = []
         for col in rel:
             var = self.prog.emit(
                 "algebra", "projection", [Var(cands), Var(col.var)]
             )
-            out.add(
-                BoundColumn(col.qualifier, col.name, var, col.atom, col.hidden)
-            )
+            out.append(BoundColumn(col.qualifier, col.name, var, col.atom))
         return out
 
     # ------------------------------------------------------------------
@@ -634,261 +505,167 @@ class _SelectCompiler:
     def _apply_select_items(
         self,
         rel: Relation,
-        items: Sequence[SelectItem],
+        items: Sequence[Item],
         default_alias: Optional[str] = None,
-    ) -> Tuple[Relation, List[str]]:
-        out = Relation()
-        names: List[str] = []
-        for item in items:
-            if isinstance(item.expr, Star):
-                cols = (
-                    rel.columns_of(item.expr.table)
-                    if item.expr.table
-                    else rel.visible()
-                )
-                for col in cols:
-                    out.add(
-                        BoundColumn(
-                            default_alias or col.qualifier,
-                            col.name,
-                            col.var,
-                            col.atom,
-                        )
-                    )
-                    names.append(col.name)
-                continue
-            var, atom = self._expr(rel, item.expr)
-            name = (item.alias or _default_name(item.expr, len(names))).lower()
-            out.add(BoundColumn(default_alias, name, var, atom))
-            names.append(name)
-        if not names:
-            raise BindError("select list is empty")
-        return out, names
-
-    def _compile_projection(
-        self, rel: Relation, items: Sequence[SelectItem]
-    ) -> Tuple[Relation, List[str]]:
-        return self._apply_select_items(rel, items)
+    ) -> Relation:
+        return [
+            BoundColumn(
+                default_alias or item.qualifier, item.name,
+                *self._expr(rel, item.expr),
+            )
+            for item in items
+        ]
 
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    def _uses_aggregates(self, select: Select) -> bool:
-        exprs = [i.expr for i in select.items]
-        if select.having is not None:
-            exprs.append(select.having)
-        return any(_contains_aggregate(e) for e in exprs)
-
     def _compile_aggregation(
-        self, rel: Relation, select: Select
-    ) -> Tuple[Relation, List[str]]:
-        group_exprs = select.group_by
-        if not group_exprs:
-            return self._compile_scalar_aggregation(rel, select)
+        self, rel: Relation, query: ResolvedSelect
+    ) -> Relation:
+        if not query.keys:
+            return self._compile_scalar_aggregation(rel, query)
         # 1. group key columns
         key_vars: List[Tuple[str, str, AtomType]] = []  # (key, var, atom)
         grp_var: Optional[str] = None
-        n_var: Optional[str] = None
-        ext_var: Optional[str] = None
-        for gexpr in group_exprs:
+        for gexpr in query.keys:
             var, atom = self._expr(rel, gexpr)
-            key_vars.append((_expr_key(gexpr), var, atom))
-            if grp_var is None:
-                grp_var, ext_var, n_var = self.prog.emit(
-                    "group", "group", [Var(var)], results=3
-                )
-            else:
-                grp_var, ext_var, n_var = self.prog.emit(
-                    "group", "subgroup", [Var(var), Var(grp_var)], results=3
-                )
-        assert grp_var and ext_var and n_var
-        # 2. aggregate columns (unique by structural key)
-        agg_vars: Dict[str, Tuple[str, AtomType]] = {}
-        for agg in self._collect_aggregates(select):
-            key = _expr_key(agg)
-            if key in agg_vars:
-                continue
-            agg_vars[key] = self._emit_grouped_aggregate(
-                rel, agg, grp_var, n_var
-            )
+            key_vars.append((expr_key(gexpr), var, atom))
+            grp_var, ext_var, n_var = self._group(var, grp_var)
+        # 2. aggregate columns (each aggregate once)
+        aggs = [
+            (expr_key(agg), self._aggregate(rel, agg, (grp_var, n_var)))
+            for agg in query.aggregates
+        ]
         # 3. post-aggregation relation: keys projected through extents
-        post = Relation()
-        key_map: Dict[str, BoundColumn] = {}
-        for key, var, atom in key_vars:
-            kvar = self.prog.emit(
+        columns = [
+            (key, self.prog.emit(
                 "algebra", "projection", [Var(ext_var), Var(var)]
-            )
-            col = BoundColumn(None, f"__key_{len(key_map)}", kvar, atom)
-            post.add(col)
-            key_map[key] = col
-        agg_map: Dict[str, BoundColumn] = {}
-        for key, (var, atom) in agg_vars.items():
-            col = BoundColumn(None, f"__agg_{len(agg_map)}", var, atom)
-            post.add(col)
-            agg_map[key] = col
-        mapping = {**key_map, **agg_map}
+            ), atom)
+            for key, var, atom in key_vars
+        ] + [(key, var, atom) for key, (var, atom) in aggs]
+        keys = [key for key, _, _ in columns]
+        post = [
+            BoundColumn(None, f"__group_{i}", var, atom)
+            for i, (_, var, atom) in enumerate(columns)
+        ]
         # 4. HAVING
-        if select.having is not None:
-            hvar, hatom = self._expr_over_groups(post, select.having, mapping)
-            if hatom is not AtomType.BOOL:
-                raise BindError("HAVING predicate must be boolean")
-            cands = self.prog.emit("algebra", "mask2cand", [Var(hvar)])
+        if query.group_filter is not None:
+            cands = self._having(
+                post, query.group_filter, dict(zip(keys, post))
+            )
             post = self._project_all(post, cands)
-            mapping = {
-                key: post.columns[i]
-                for i, key in enumerate(list(key_map) + list(agg_map))
-            }
         # 5. select list over grouped relation
-        out = Relation()
-        names: List[str] = []
-        for item in select.items:
-            if isinstance(item.expr, Star):
-                raise BindError("* cannot appear with GROUP BY")
-            var, atom = self._expr_over_groups(post, item.expr, mapping)
-            name = (item.alias or _default_name(item.expr, len(names))).lower()
-            out.add(BoundColumn(None, name, var, atom))
-            names.append(name)
-        return out, names
+        mapping = dict(zip(keys, post))
+        return [
+            BoundColumn(
+                None, item.name,
+                *self._expr_over_groups(post, item.expr, mapping),
+            )
+            for item in query.items
+        ]
 
     def _compile_scalar_aggregation(
-        self, rel: Relation, select: Select
-    ) -> Tuple[Relation, List[str]]:
-        """Aggregates without GROUP BY: a single-row result."""
-        names: List[str] = []
-        atoms: List[AtomType] = []
-        value_vars: List[str] = []
-        for item in select.items:
-            expr = item.expr
-            if not isinstance(expr, FuncCall) or expr.name not in AGGREGATES:
-                raise BindError(
-                    "without GROUP BY the select list may contain only "
-                    "aggregates"
-                )
-            var, atom = self._emit_scalar_aggregate(rel, expr)
-            names.append(
-                (item.alias or _default_name(expr, len(names))).lower()
+        self, rel: Relation, query: ResolvedSelect
+    ) -> Relation:
+        """Aggregates without GROUP BY: a single-row result, which HAVING
+        keeps or drops.  Aggregates only HAVING reads ride along as extra
+        columns of the row."""
+        exprs = [item.expr for item in query.items]
+        if not all(is_aggregate(e) for e in exprs):
+            raise BindError(
+                "without GROUP BY the select list may contain only "
+                "aggregates"
             )
-            atoms.append(atom)
-            value_vars.append(var)
-        result_var = self.prog.emit(
+        names = query.names
+        if query.group_filter is not None:
+            listed = {expr_key(e) for e in exprs}
+            extra = [a for a in query.aggregates if expr_key(a) not in listed]
+            exprs += extra
+            names += [f"__having_{i}" for i in range(len(extra))]
+        values = [self._aggregate(rel, expr) for expr in exprs]
+        row = self.prog.emit(
             "sql",
             "single_row",
-            [Const(tuple(names)), Const(tuple(a.value for a in atoms))]
-            + [Var(v) for v in value_vars],
+            [Const(tuple(names)), Const(tuple(a.value for _, a in values))]
+            + [Var(v) for v, _ in values],
         )
         # wrap: represent as relation of one-row columns for order/limit
-        out = Relation()
-        for i, (name, atom) in enumerate(zip(names, atoms)):
-            cvar = self.prog.emit(
-                "sql", "result_column", [Var(result_var), Const(i)]
-            )
-            out.add(BoundColumn(None, name, cvar, atom))
-        return out, names
-
-    def _collect_aggregates(self, select: Select) -> List[FuncCall]:
-        out: List[FuncCall] = []
-        exprs = [i.expr for i in select.items]
-        if select.having is not None:
-            exprs.append(select.having)
-        for expr in exprs:
-            _walk_aggregates(expr, out)
+        out = [
+            BoundColumn(None, name, self.prog.emit(
+                "sql", "result_column", [Var(row), Const(i)]
+            ), atom)
+            for i, (name, (_, atom)) in enumerate(zip(names, values))
+        ]
+        if query.group_filter is not None:
+            mapping = {expr_key(e): col for e, col in zip(exprs, out)}
+            cands = self._having(out, query.group_filter, mapping)
+            out = self._project_all(out[: len(query.items)], cands)
         return out
 
-    def _emit_grouped_aggregate(
-        self, rel: Relation, agg: FuncCall, grp_var: str, n_var: str
+    def _group(
+        self, var: str, grp_var: Optional[str]
+    ) -> Tuple[str, str, str]:
+        """Group by ``var`` (within the groups ``grp_var``); returns the
+        group ids, extents and count."""
+        if grp_var is None:
+            return self.prog.emit("group", "group", [Var(var)], results=3)
+        return self.prog.emit(
+            "group", "subgroup", [Var(var), Var(grp_var)], results=3
+        )
+
+    def _aggregate(
+        self,
+        rel: Relation,
+        agg: FuncCall,
+        groups: Optional[Tuple[str, str]] = None,
     ) -> Tuple[str, AtomType]:
-        if agg.distinct:
-            raise BindError("DISTINCT aggregates are not supported")
+        """One aggregate call, over all of ``rel`` or per group of
+        ``groups`` (group ids, group count)."""
         if agg.star:
-            name, avar, aatom = "count_star", rel.first_var(), None
-        elif len(agg.args) != 1:
-            raise BindError(f"{agg.name} takes exactly one argument")
+            name, avar, aatom = "count_star", rel[0].var, None
         else:
             name = agg.name
             avar, aatom = self._expr(rel, agg.args[0])
+        if groups is None:
+            return self._typed("aggr", name, [Var(avar)], aatom)
         return self._typed(
-            "aggr", f"sub{name}", [Var(avar), Var(grp_var), Var(n_var)],
+            "aggr", f"sub{name}", [Var(avar), Var(groups[0]), Var(groups[1])],
             aatom, AtomType.OID, None,
         )
 
-    def _emit_scalar_aggregate(
-        self, rel: Relation, agg: FuncCall
-    ) -> Tuple[str, AtomType]:
-        if agg.distinct:
-            raise BindError("DISTINCT aggregates are not supported")
-        if agg.star:
-            name, avar, aatom = "count_star", rel.first_var(), None
-        elif len(agg.args) != 1:
-            raise BindError(f"{agg.name} takes exactly one argument")
-        else:
-            name = agg.name
-            avar, aatom = self._expr(rel, agg.args[0])
-        return self._typed("aggr", name, [Var(avar)], aatom)
+    def _having(
+        self, post: Relation, having: Expr, mapping: Dict[str, BoundColumn]
+    ) -> str:
+        """The candidates of the groups ``having`` keeps."""
+        hvar, hatom = self._expr_over_groups(post, having, mapping)
+        if hatom is not AtomType.BOOL:
+            raise BindError("HAVING predicate must be boolean")
+        return self.prog.emit("algebra", "mask2cand", [Var(hvar)])
 
     def _expr_over_groups(
-        self,
-        post: Relation,
-        expr: Expr,
-        mapping: Dict[str, BoundColumn],
+        self, post: Relation, expr: Expr, groups: Dict[str, BoundColumn]
     ) -> Tuple[str, AtomType]:
-        """Evaluate a select/having expression over the grouped relation.
-
-        Aggregate calls and group-key expressions are replaced by their
-        materialized columns; anything else must be built from those.
-        """
-        key = _expr_key(expr)
-        if key in mapping:
-            col = mapping[key]
-            return col.var, col.atom
-        if isinstance(expr, FuncCall) and expr.name in AGGREGATES:
-            raise BindError(
-                f"aggregate {expr.name} was not pre-computed (internal)"
-            )
-        if isinstance(expr, ColumnRef):
-            raise BindError(
-                f"column {expr.display()!r} must appear in GROUP BY or "
-                "inside an aggregate"
-            )
-        if isinstance(expr, Literal):
-            return self._const(post, expr.value)
-        if isinstance(expr, UnaryOp):
-            ovar, oatom = self._expr_over_groups(post, expr.operand, mapping)
-            return self._apply_unary(expr.op, ovar, oatom)
-        if isinstance(expr, BinaryOp):
-            lvar, latom = self._expr_over_groups(post, expr.left, mapping)
-            rvar, ratom = self._expr_over_groups(post, expr.right, mapping)
-            return self._apply_binary(expr.op, lvar, latom, rvar, ratom)
-        if isinstance(expr, Between):
-            return self._expr_over_groups(
-                post, _desugar_between(expr), mapping
-            )
-        raise BindError(
-            f"unsupported expression over groups: {type(expr).__name__}"
-        )
+        """Evaluate a select/having expression over the grouped relation,
+        where ``groups`` maps each aggregate and group key (by structural
+        key) to its materialized column."""
+        self.groups = groups
+        try:
+            return self._expr(post, expr)
+        finally:
+            self.groups = None
 
     # ------------------------------------------------------------------
     # distinct / order / limit
     # ------------------------------------------------------------------
     def _compile_distinct(self, rel: Relation) -> Relation:
         grp_var: Optional[str] = None
-        ext_var = n_var = None
         for col in rel:
-            if grp_var is None:
-                grp_var, ext_var, n_var = self.prog.emit(
-                    "group", "group", [Var(col.var)], results=3
-                )
-            else:
-                grp_var, ext_var, n_var = self.prog.emit(
-                    "group", "subgroup", [Var(col.var), Var(grp_var)],
-                    results=3,
-                )
-        assert ext_var is not None
+            grp_var, ext_var, _ = self._group(col.var, grp_var)
         return self._project_all(rel, ext_var)
 
     def _compile_order(
         self,
         rel: Relation,
-        names: List[str],
         order_by: Sequence[OrderItem],
         pre_projection: Optional[Relation] = None,
     ) -> Relation:
@@ -896,9 +673,7 @@ class _SelectCompiler:
         # standard SQL) input columns not kept by the select list — the
         # pre-projection relation is row-aligned with the output, so its
         # columns are valid sort keys.
-        alias_map = {
-            name: col for name, col in zip(names, rel.columns)
-        }
+        alias_map = {col.name: col for col in rel}
         perm: Optional[str] = None
         for item in reversed(order_by):
             var = self._order_key_var(rel, alias_map, item.expr,
@@ -921,23 +696,20 @@ class _SelectCompiler:
     def _order_key_var(self, rel, alias_map, expr, pre_projection=None) -> str:
         if isinstance(expr, ColumnRef):
             col = alias_map.get(expr.name.lower())
-            if col is not None:
-                return col.var
-            # qualified references survive projection only by name: the
-            # select list stripped qualifiers, so fall back to the bare
-            # name, then to the row-aligned pre-projection relation
-            for relation in (rel, pre_projection):
-                if relation is None:
-                    continue
-                try:
-                    return relation.resolve(expr).var
-                except BindError:
-                    if expr.table is not None:
-                        try:
-                            return relation.resolve(ColumnRef(expr.name)).var
-                        except BindError:
-                            pass
-            raise BindError(f"cannot resolve ORDER BY column {expr.display()!r}")
+            # an input column the select list dropped: the pre-projection
+            # relation is row-aligned with the output (a qualifier that
+            # does not bind falls back to the bare name)
+            for ref in (expr, ColumnRef(expr.name)):
+                if col is None and pre_projection is not None:
+                    try:
+                        col = lookup(pre_projection, ref)
+                    except BindError:
+                        pass
+            if col is None:
+                raise BindError(
+                    f"cannot resolve ORDER BY column {expr.display()!r}"
+                )
+            return col.var
         if pre_projection is not None:
             try:
                 var, _ = self._expr(pre_projection, expr)
@@ -948,13 +720,12 @@ class _SelectCompiler:
         return var
 
     def _compile_limit(self, rel: Relation, limit: int) -> Relation:
-        out = Relation()
+        out = []
         for col in rel:
             var = self.prog.emit(
                 "algebra", "slice", [Var(col.var), Const(0), Const(limit)]
             )
-            out.add(BoundColumn(col.qualifier, col.name, var, col.atom,
-                                col.hidden))
+            out.append(BoundColumn(col.qualifier, col.name, var, col.atom))
         return out
 
     # ------------------------------------------------------------------
@@ -965,15 +736,26 @@ class _SelectCompiler:
         var = self.prog.emit(
             "batcalc",
             "const",
-            [Const(value), Var(rel.first_var()), Const(atom.value)],
+            [Const(value), Var(rel[0].var), Const(atom.value)],
         )
         return var, atom
 
     def _expr(self, rel: Relation, expr: Expr) -> Tuple[str, AtomType]:
+        if self.groups is not None:
+            # over groups, aggregates and group keys are materialized
+            # columns; everything else is built from those
+            col = self.groups.get(expr_key(expr))
+            if col is not None:
+                return col.var, col.atom
+            if isinstance(expr, ColumnRef):
+                raise BindError(
+                    f"column {expr.display()!r} must appear in GROUP BY or "
+                    "inside an aggregate"
+                )
         if isinstance(expr, Literal):
             return self._const(rel, expr.value)
         if isinstance(expr, ColumnRef):
-            col = rel.resolve(expr)
+            col = lookup(rel, expr)
             return col.var, col.atom
         if isinstance(expr, UnaryOp):
             ovar, oatom = self._expr(rel, expr.operand)
@@ -1050,7 +832,7 @@ class _SelectCompiler:
     _MATH_FUNCTIONS = {"abs", "floor", "ceil", "round", "sqrt"}
 
     def _compile_function(self, rel: Relation, expr: FuncCall):
-        if expr.name in AGGREGATES:
+        if is_aggregate(expr):
             raise BindError(
                 f"aggregate {expr.name}() is not allowed here (only in the "
                 "select list / HAVING of an aggregating query)"
@@ -1118,20 +900,7 @@ class _SelectCompiler:
 # ======================================================================
 def compile_select(catalog: Catalog, select: Select) -> CompiledQuery:
     """Compile a one-time SELECT over catalog tables."""
-    program = Program(name="query")
-    compiler = _SelectCompiler(catalog, program, [], allow_baskets=False)
-    with program.node("select"):
-        rel, names = compiler.compile(select)
-        with program.node("result"):
-            program.output = program.emit(
-                "sql",
-                "resultset",
-                [Const(tuple(names))] + [Var(c.var) for c in rel.columns],
-            )
-    program.validate()
-    return CompiledQuery(
-        program, names, [c.atom for c in rel.columns], []
-    )
+    return _generate(resolve(catalog, select), continuous=False)
 
 
 def compile_union(catalog: Catalog, union: UnionSelect) -> CompiledQuery:
@@ -1144,36 +913,32 @@ def compile_union(catalog: Catalog, union: UnionSelect) -> CompiledQuery:
     any member is non-ALL, rather than per prefix.
     """
     members: List[Select] = []
-
-    def flatten(stmt) -> None:
-        if isinstance(stmt, UnionSelect):
-            flatten(stmt.left)
-            members.append(stmt.right)
-        else:
-            members.append(stmt)
-
-    flatten(union)
+    node, dedup = union, False
+    while isinstance(node, UnionSelect):  # left-deep: members right to left
+        members.insert(0, node.right)
+        dedup = dedup or not node.all
+        node = node.left
+    members.insert(0, node)
     program = Program(name="union_query")
     program.begin_node("union")
-    compiled_members = []
-    for member in members:
-        compiler = _SelectCompiler(catalog, program, [], allow_baskets=False)
-        rel, names = compiler.compile(member)
-        compiled_members.append((rel, names))
-    first_rel, first_names = compiled_members[0]
-    arity = len(first_rel.columns)
-    out_atoms: List[AtomType] = [c.atom for c in first_rel.columns]
-    for rel, _ in compiled_members[1:]:
-        if len(rel.columns) != arity:
+    compiler = _SelectCompiler(program, [], allow_baskets=False)
+    queries = [resolve(catalog, member) for member in members]
+    first_names = queries[0].names
+    relations = [compiler.compile(query) for query in queries]
+    first_rel = relations[0]
+    arity = len(first_rel)
+    out_atoms: List[AtomType] = [c.atom for c in first_rel]
+    for rel in relations[1:]:
+        if len(rel) != arity:
             raise BindError(
                 "UNION members must have the same number of columns"
             )
-        for i, col in enumerate(rel.columns):
+        for i, col in enumerate(rel):
             if col.atom is not out_atoms[i]:
                 out_atoms[i] = common_type(col.atom, out_atoms[i])
     # concat member columns (casting where the common type widened)
     def column_var(rel, i) -> str:
-        col = rel.columns[i]
+        col = rel[i]
         if col.atom is out_atoms[i]:
             return col.var
         return program.emit(
@@ -1181,56 +946,48 @@ def compile_union(catalog: Catalog, union: UnionSelect) -> CompiledQuery:
         )
 
     merged = [column_var(first_rel, i) for i in range(arity)]
-    for rel, _ in compiled_members[1:]:
+    for rel in relations[1:]:
         merged = [
             program.emit(
                 "bat", "concat", [Var(acc), Var(column_var(rel, i))]
             )
             for i, acc in enumerate(merged)
         ]
-    out_rel = Relation(
-        [
-            BoundColumn(None, name.lower(), var, atom)
-            for name, var, atom in zip(first_names, merged, out_atoms)
-        ]
-    )
-    is_all = all(
-        stmt.all for stmt in _union_nodes(union)
-    )
-    if not is_all:
-        helper = _SelectCompiler(catalog, program, [], allow_baskets=False)
-        out_rel = helper._compile_distinct(out_rel)
+    out_rel = [
+        BoundColumn(None, name, var, atom)
+        for name, var, atom in zip(first_names, merged, out_atoms)
+    ]
+    if dedup:
+        out_rel = compiler._compile_distinct(out_rel)
     with program.node("result"):
         program.output = program.emit(
             "sql",
             "resultset",
             [Const(tuple(first_names))]
-            + [Var(c.var) for c in out_rel.columns],
+            + [Var(c.var) for c in out_rel],
         )
     program.end_node()
     program.validate()
     return CompiledQuery(program, first_names, out_atoms, [])
 
 
-def _union_nodes(union):
-    out = []
-    node = union
-    while isinstance(node, UnionSelect):
-        out.append(node)
-        node = node.left
-    return out
-
-
 def compile_continuous(catalog: Catalog, select: Select) -> CompiledQuery:
     """Compile a continuous SELECT (must contain a basket expression)."""
-    program = Program(name="continuous_query")
+    return generate_continuous(resolve(catalog, select))
+
+
+def generate_continuous(query: ResolvedSelect) -> CompiledQuery:
+    """Generate the MAL program of a resolved continuous SELECT."""
+    return _generate(query, continuous=True)
+
+
+def _generate(query: ResolvedSelect, continuous: bool) -> CompiledQuery:
+    program = Program(name="continuous_query" if continuous else "query")
     basket_inputs: List[BasketInput] = []
-    compiler = _SelectCompiler(
-        catalog, program, basket_inputs, allow_baskets=True
-    )
-    with program.node("continuous select"):
-        rel, names = compiler.compile(select)
-        if not basket_inputs:
+    compiler = _SelectCompiler(program, basket_inputs, continuous)
+    with program.node("continuous select" if continuous else "select"):
+        rel = compiler.compile(query)
+        if continuous and not basket_inputs:
             raise BindError(
                 "a continuous query must contain a basket expression "
                 "([select ...])"
@@ -1239,35 +996,18 @@ def compile_continuous(catalog: Catalog, select: Select) -> CompiledQuery:
             program.output = program.emit(
                 "sql",
                 "resultset",
-                [Const(tuple(names))] + [Var(c.var) for c in rel.columns],
+                [Const(tuple(query.names))] + [Var(c.var) for c in rel],
             )
     program.validate()
     return CompiledQuery(
-        program, names, [c.atom for c in rel.columns], basket_inputs
+        program, query.names, [c.atom for c in rel], basket_inputs
     )
 
 
 # ======================================================================
 # helpers
 # ======================================================================
-def _resolve_side(ref: ColumnRef, left: Relation, right: Relation):
-    """``("l"|"r", column)`` when ``ref`` binds unambiguously across both."""
-    try:
-        col = Relation(left.columns + right.columns).resolve(ref)
-    except BindError:
-        return None
-    return ("l" if any(c is col for c in left) else "r"), col
-
-
-def _split_and(expr: Expr) -> List[Expr]:
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
-
-
-def _join_and(conjuncts: List[Expr]) -> Optional[Expr]:
-    if not conjuncts:
-        return None
+def _join_and(conjuncts: List[Expr]) -> Expr:
     out = conjuncts[0]
     for conj in conjuncts[1:]:
         out = BinaryOp("and", out, conj)
@@ -1305,91 +1045,6 @@ def _atom_rule(opcode: str, *items: Any) -> AtomType:
         return OPCODES[opcode].atom(*items)
     except TypeMismatchError as exc:
         raise BindError(f"{opcode}: {exc}") from None
-
-
-def _default_name(expr: Expr, index: int) -> str:
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    if isinstance(expr, FuncCall):
-        return expr.name
-    return f"col{index}"
-
-
-def _contains_aggregate(expr: Expr) -> bool:
-    found: List[FuncCall] = []
-    _walk_aggregates(expr, found)
-    return bool(found)
-
-
-def _walk_aggregates(expr: Expr, out: List[FuncCall]) -> None:
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATES:
-            out.append(expr)
-            return
-        for arg in expr.args:
-            _walk_aggregates(arg, out)
-    elif isinstance(expr, BinaryOp):
-        _walk_aggregates(expr.left, out)
-        _walk_aggregates(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        _walk_aggregates(expr.operand, out)
-    elif isinstance(expr, Between):
-        for sub in (expr.operand, expr.low, expr.high):
-            _walk_aggregates(sub, out)
-    elif isinstance(expr, InList):
-        _walk_aggregates(expr.operand, out)
-        for item in expr.items:
-            _walk_aggregates(item, out)
-    elif isinstance(expr, IsNull):
-        _walk_aggregates(expr.operand, out)
-    elif isinstance(expr, Like):
-        _walk_aggregates(expr.operand, out)
-        _walk_aggregates(expr.pattern, out)
-    elif isinstance(expr, CaseWhen):
-        for cond, value in expr.whens:
-            _walk_aggregates(cond, out)
-            _walk_aggregates(value, out)
-        if expr.otherwise is not None:
-            _walk_aggregates(expr.otherwise, out)
-
-
-def _expr_key(expr: Expr) -> str:
-    """A canonical structural key for expression deduplication."""
-    if isinstance(expr, Literal):
-        return f"lit:{expr.value!r}"
-    if isinstance(expr, ColumnRef):
-        return f"col:{expr.name.lower()}"  # qualifier-insensitive on purpose
-    if isinstance(expr, Star):
-        return "star"
-    if isinstance(expr, UnaryOp):
-        return f"({expr.op} {_expr_key(expr.operand)})"
-    if isinstance(expr, BinaryOp):
-        return f"({_expr_key(expr.left)} {expr.op} {_expr_key(expr.right)})"
-    if isinstance(expr, FuncCall):
-        inner = "*" if expr.star else ",".join(_expr_key(a) for a in expr.args)
-        return f"{expr.name}({inner})"
-    if isinstance(expr, Between):
-        return (
-            f"between({_expr_key(expr.operand)},{_expr_key(expr.low)},"
-            f"{_expr_key(expr.high)},{expr.negated})"
-        )
-    if isinstance(expr, InList):
-        items = ",".join(_expr_key(i) for i in expr.items)
-        return f"in({_expr_key(expr.operand)},[{items}],{expr.negated})"
-    if isinstance(expr, IsNull):
-        return f"isnull({_expr_key(expr.operand)},{expr.negated})"
-    if isinstance(expr, Like):
-        return (
-            f"like({_expr_key(expr.operand)},{_expr_key(expr.pattern)},"
-            f"{expr.negated})"
-        )
-    if isinstance(expr, CaseWhen):
-        whens = ";".join(
-            f"{_expr_key(c)}->{_expr_key(v)}" for c, v in expr.whens
-        )
-        other = _expr_key(expr.otherwise) if expr.otherwise else ""
-        return f"case({whens},{other})"
-    raise BindError(f"cannot key expression {type(expr).__name__}")
 
 
 def _desugar_between(expr: Between) -> Expr:

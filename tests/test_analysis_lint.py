@@ -165,6 +165,33 @@ class TestSysName:
         assert findings == []
 
 
+class TestSqlStructure:
+    def test_clause_read_outside_resolver_flagged(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "def lower(stmt):\n"
+            "    return stmt.group_by, stmt.where\n",
+            relname="repro/core/lowering.py",
+        )
+        assert [f.rule for f in findings] == ["sql-structure"]
+        assert findings[0].line == 2
+
+    def test_every_clause_flagged(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "def f(s):\n"
+            "    return s.sources, s.group_by, s.having, s.order_by\n",
+            relname="repro/incremental/compile.py",
+        )
+        assert [f.rule for f in findings] == ["sql-structure"] * 4
+
+    def test_resolver_and_parser_approved(self, tmp_path):
+        code = "def f(stmt):\n    return stmt.sources, stmt.having\n"
+        for relname in ("repro/sql/resolve.py", "repro/sql/parser.py",
+                        "repro/sql/ast_nodes.py"):
+            assert _lint_snippet(tmp_path, code, relname=relname) == []
+
+
 class TestSuppression:
     def test_line_suppression(self, tmp_path):
         findings = _lint_snippet(

@@ -358,16 +358,16 @@ class TestEmitterBoundary:
         cell = _cell()
         import repro.core.lowering as lowering_mod
 
-        real = lowering_mod.compile_continuous
+        real = lowering_mod.generate_continuous
 
-        def sabotage(catalog, stmt):
-            compiled = real(catalog, stmt)
+        def sabotage(query):
+            compiled = real(query)
             # miscompile the interface: declared output atom no longer
             # matches what the plan computes (STR column declared INT)
             compiled.output_atoms[0] = AtomType.INT
             return compiled
 
-        monkeypatch.setattr(lowering_mod, "compile_continuous", sabotage)
+        monkeypatch.setattr(lowering_mod, "generate_continuous", sabotage)
         with pytest.raises(PlanVerificationError) as excinfo:
             cell.submit_continuous(
                 "select x.sym from [select * from trades] as x"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BindError
+from repro.errors import BindError, CatalogError
 from repro.kernel.catalog import Catalog
 from repro.kernel.interpreter import MalInterpreter
 from repro.kernel.types import AtomType
@@ -180,6 +180,23 @@ class TestAggregation:
             "having sum(qty) > 4 order by sym",
         )
         assert rows == [("A", 2), ("C", 2)]
+
+    def test_having_without_group_by_filters_the_row(self, catalog):
+        """Regression: HAVING without GROUP BY was dropped, so the one
+        aggregate row came back whatever HAVING said."""
+        sql = "select sum(qty) from trades having sum(qty) > {}"
+        assert run(catalog, sql.format(100)) == []
+        assert run(catalog, sql.format(10)) == [(20,)]
+        # an aggregate only HAVING reads is computed all the same
+        sql = "select sum(qty) s from trades having count(*) > {}"
+        assert run(catalog, sql.format(9)) == []
+        assert run(catalog, sql.format(5)) == [(20,)]
+
+    def test_one_time_query_keeps_duplicate_names(self, catalog):
+        compiled = compile_select(
+            catalog, parse_select("select count(qty), count(*) from trades")
+        )
+        assert compiled.output_names == ["count", "count"]
 
     def test_aggregate_arithmetic(self, catalog):
         rows = run(
@@ -462,3 +479,70 @@ class TestAgainstPythonReference:
         t.append_rows([(v,) for v in values])
         got = run(cat, f"select v from d order by v limit {limit}")
         assert [r[0] for r in got] == sorted(values)[:limit]
+
+
+@pytest.mark.parametrize("execution", ["reeval", "incremental"])
+class TestContinuousQueries:
+    """Continuous queries on a cell, in both execution modes."""
+
+    def cell(self, execution):
+        from repro import DataCell
+
+        cell = DataCell(execution=execution)
+        cell.execute("create basket s (a int, v int)")
+        return cell
+
+    def test_having_without_group_by(self, execution):
+        """Regression: ungrouped HAVING was dropped in both modes (the
+        incremental one falls back to re-eval on HAVING)."""
+        cell = self.cell(execution)
+        q = cell.submit_continuous(
+            "select sum(x.v) from [select * from s] as x "
+            "having sum(x.v) > 100"
+        )
+        cell.insert("s", [(1, 10), (2, 20), (1, 5), (2, 7)])
+        cell.run_until_quiescent()
+        assert q.fetch() == []
+        cell.insert("s", [(1, 101)])
+        cell.run_until_quiescent()
+        assert q.fetch() == [(101,)]
+        cell.stop()
+
+    @pytest.mark.parametrize(
+        "items,tail,column",
+        [
+            ("count(x.v), count(*)", "", "count"),
+            ("sum(x.a), sum(x.a)", " window 2", "sum"),
+            ("distinct x.a, x.a", "", "a"),
+        ],
+    )
+    def test_duplicate_output_names_rejected(
+        self, execution, items, tail, column
+    ):
+        """Regression: a repeated output name failed late, at output
+        basket creation, after recording an incremental fallback."""
+        cell = self.cell(execution)
+        sql = "select {} from [select * from s] as x" + tail
+        with pytest.raises(BindError, match=f"'{column}'.*alias"):
+            cell.submit_continuous(sql.format(items), name="dup")
+        assert cell.incremental_fallbacks == []
+        assert not cell.catalog.has("dup_out")
+        # an alias on the second item makes the query legal
+        cell.submit_continuous(sql.format(items + " as other"), name="ok")
+        names = [c.name for c in cell.basket("ok_out").user_columns]
+        assert "other" in names
+        cell.stop()
+
+    def test_failed_registration_records_no_fallback(self, execution):
+        """A query that falls back and then fails to register (here on
+        the repeated ``k`` its ``*`` expands to) leaves no fallback."""
+        cell = self.cell(execution)
+        cell.execute("create basket lt (k int, a int)")
+        cell.execute("create basket rt (k int, b int)")
+        with pytest.raises(CatalogError, match="duplicate column"):
+            cell.submit_continuous(
+                "select * from [select * from lt] as x, "
+                "[select * from rt] as y where x.k = y.k"
+            )
+        assert cell.incremental_fallbacks == []
+        cell.stop()

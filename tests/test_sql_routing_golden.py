@@ -14,6 +14,11 @@ The one allowed difference is listed by name in ``LINEAR_INCREMENTAL``:
 a linear query in incremental mode used to be wrapped in a stateless
 ``CircuitContinuousPlan`` and now registers the ``MalContinuousPlan``
 re-eval registers, still reporting ``execution == "incremental"``.
+
+``PROGRAMS`` pins, per query and mode, each registered MAL stage's
+optimized program text and its plan-node tree, captured before the
+SELECT resolver replaced the per-generator clause readers.  A planner
+change that alters a program updates its entry on purpose.
 """
 
 import pytest
@@ -184,6 +189,28 @@ QUERIES = {
         "select x.k, y.b from [select * from lt] as x, "
         "[select * from rt] as y where x.a < y.b"
     ),
+    # added with the fixes for ungrouped HAVING, repeated output names
+    # and the window select list
+    "having:ungrouped": (
+        "select sum(x.v) from [select * from s] as x having sum(x.v) > 100"
+    ),
+    "names:repeated-aggregate": (
+        "select count(x.v), count(*) from [select * from s] as x"
+    ),
+    "names:repeated-window": (
+        "select sum(x.v), sum(x.v) from [select * from s] as x window 2"
+    ),
+    "names:repeated-distinct": (
+        "select distinct x.k, x.k from [select * from s] as x"
+    ),
+    "window:alias": (
+        "select x.k as key, sum(x.v) as total from [select * from s] as x "
+        "group by x.k window 2"
+    ),
+    "window:item-order": (
+        "select sum(x.v), x.k from [select * from s] as x "
+        "group by x.k window 2"
+    ),
 }
 
 #: linear queries whose incremental plan class changed from the wrapping
@@ -211,11 +238,16 @@ LINEAR_INCREMENTAL = {
 }
 
 
-def route(sql, execution):
-    """The routing record of ``sql`` registered on a fresh cell."""
+def _cell(execution):
     cell = DataCell(execution=execution)
     for statement in SCHEMA.split(";"):
         cell.execute(statement)
+    return cell
+
+
+def route(sql, execution):
+    """The routing record of ``sql`` registered on a fresh cell."""
+    cell = _cell(execution)
     try:
         handle = cell.submit_continuous(sql, name="q")
     except Exception as exc:  # a rejection is part of the routing
@@ -233,6 +265,41 @@ def route(sql, execution):
         handle.execution,
         fallback[0] if fallback else None,
     )
+
+
+def _render_stage(program):
+    """A stage's optimized program, then its plan-node tree: each node's
+    label and the number of instructions tagged with it."""
+    counts = {}
+    for ins in program.instructions:
+        counts[ins.node] = counts.get(ins.node, 0) + 1
+    lines = [program.render(), "--"]
+
+    def walk(node_id, depth):
+        node = program.nodes[node_id]
+        lines.append("  " * depth + f"{node.label} [{counts.get(node_id, 0)}]")
+        for child in node.children:
+            walk(child, depth + 1)
+
+    if program.plan_root is not None:
+        walk(program.plan_root, 0)
+    return "\n".join(lines)
+
+
+def stage_programs(sql, execution):
+    """The rendered MAL stages ``sql`` registers, or None for a window
+    plan or a rejected query."""
+    cell = _cell(execution)
+    try:
+        handle = cell.submit_continuous(sql, name="q")
+    except Exception:
+        return None
+    finally:
+        cell.stop()
+    stages = getattr(handle.factory.plan, "stages", None)
+    if stages is None:
+        return None
+    return tuple(_render_stage(stage.program) for stage in stages)
 
 
 GOLDEN = {
@@ -862,6 +929,1892 @@ GOLDEN = {
     ("window:tumbling", "incremental"): (
         "WindowAggregatePlan", "window_id:LNG sum:DBL", False, "reeval", None,
     ),
+    # added with the fixes for ungrouped HAVING, repeated output names
+    # and the window select list
+    ("having:ungrouped", "reeval"): (
+        "MalContinuousPlan",
+        "sum:LNG",
+        False,
+        "reeval",
+        None,
+    ),
+    ("having:ungrouped", "incremental"): (
+        "MalContinuousPlan",
+        "sum:LNG",
+        False,
+        "reeval",
+        "HAVING over incremental aggregates is not supported yet",
+    ),
+    ("names:repeated-aggregate", "reeval"): (
+        "error", "BindError",
+    ),
+    ("names:repeated-aggregate", "incremental"): (
+        "error", "BindError",
+    ),
+    ("names:repeated-distinct", "reeval"): (
+        "error", "BindError",
+    ),
+    ("names:repeated-distinct", "incremental"): (
+        "error", "BindError",
+    ),
+    ("names:repeated-window", "reeval"): (
+        "error", "BindError",
+    ),
+    ("names:repeated-window", "incremental"): (
+        "error", "BindError",
+    ),
+    ("window:alias", "reeval"): (
+        "WindowAggregatePlan",
+        "window_id:LNG key:INT total:DBL",
+        False,
+        "reeval",
+        None,
+    ),
+    ("window:alias", "incremental"): (
+        "WindowAggregatePlan",
+        "window_id:LNG key:INT total:DBL",
+        False,
+        "reeval",
+        None,
+    ),
+    ("window:item-order", "reeval"): (
+        "WindowAggregatePlan",
+        "window_id:LNG sum:DBL k:INT",
+        False,
+        "reeval",
+        None,
+    ),
+    ("window:item-order", "incremental"): (
+        "WindowAggregatePlan",
+        "window_id:LNG sum:DBL k:INT",
+        False,
+        "reeval",
+        None,
+    ),
+}
+
+
+#: each registered MAL stage, optimized, with its plan-node tree; a
+#: query absent here registers a window plan or is rejected
+PROGRAMS = {
+    ("corpus:arith-projection", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := batcalc.*(x.price, x.qty)
+    v3 := batcalc.neg(x.qty)
+    v4 := sql.resultset(('sym', 'col1', 'col2'), x.sym, v2, v3)
+    return v4;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [2]
+  result [1]""",
+    ),
+    ("corpus:arith-projection", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := batcalc.*(x.price, x.qty)
+    v3 := batcalc.neg(x.qty)
+    v4 := sql.resultset(('sym', 'col1', 'col2'), x.sym, v2, v3)
+    return v4;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [2]
+  result [1]""",
+    ),
+    ("corpus:between-in", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.select(x.price, None, 1.0, 9.0, True, True, False)
+    v3 := algebra.projection(v2, x.price)
+    v4 := algebra.projection(v2, x.qty)
+    v5 := algebra.projection(v2, x.sym)
+    v7 := batcalc.const(1, v3, 'lng')
+    v8 := batcalc.==(v4, v7)
+    v9 := batcalc.const(2, v3, 'lng')
+    v10 := batcalc.==(v4, v9)
+    v11 := batcalc.or(v8, v10)
+    v12 := batcalc.const(3, v3, 'lng')
+    v13 := batcalc.==(v4, v12)
+    v14 := batcalc.or(v11, v13)
+    v15 := algebra.mask2cand(v14)
+    v18 := algebra.projection(v15, v5)
+    v21 := sql.resultset(('sym',), v18)
+    return v21;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [14]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:between-in", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.select(x.price, None, 1.0, 9.0, True, True, False)
+    v3 := algebra.projection(v2, x.price)
+    v4 := algebra.projection(v2, x.qty)
+    v5 := algebra.projection(v2, x.sym)
+    v7 := batcalc.const(1, v3, 'lng')
+    v8 := batcalc.==(v4, v7)
+    v9 := batcalc.const(2, v3, 'lng')
+    v10 := batcalc.==(v4, v9)
+    v11 := batcalc.or(v8, v10)
+    v12 := batcalc.const(3, v3, 'lng')
+    v13 := batcalc.==(v4, v12)
+    v14 := batcalc.or(v11, v13)
+    v15 := algebra.mask2cand(v14)
+    v18 := algebra.projection(v15, v5)
+    v21 := sql.resultset(('sym',), v18)
+    return v21;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [14]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:case-when", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := batcalc.const(0, x.price, 'lng')
+    v3 := batcalc.const(50.0, x.price, 'dbl')
+    v4 := batcalc.>(x.price, v3)
+    v5 := batcalc.const(1, x.price, 'lng')
+    v6 := batcalc.ifthenelse(v4, v5, v2)
+    v7 := sql.resultset(('sym', 'col1'), x.sym, v6)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [5]
+  result [1]""",
+    ),
+    ("corpus:case-when", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := batcalc.const(0, x.price, 'lng')
+    v3 := batcalc.const(50.0, x.price, 'dbl')
+    v4 := batcalc.>(x.price, v3)
+    v5 := batcalc.const(1, x.price, 'lng')
+    v6 := batcalc.ifthenelse(v4, v5, v2)
+    v7 := sql.resultset(('sym', 'col1'), x.sym, v6)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [5]
+  result [1]""",
+    ),
+    ("corpus:distinct", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2, v3, v4 := group.group(x.sym)
+    v5 := algebra.projection(v3, x.sym)
+    v6 := sql.resultset(('sym',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  distinct [2]
+  result [1]""",
+    ),
+    ("corpus:distinct", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2, v3, v4 := group.group(x.sym)
+    v5 := algebra.projection(v3, x.sym)
+    v6 := sql.resultset(('sym',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  distinct [2]
+  result [1]""",
+    ),
+    ("corpus:group-by-all-aggregates", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2, v3, v4 := group.group(x.sym)
+    v5 := aggr.subsum(x.qty, v2, v4)
+    v6 := aggr.subcount(x.qty, v2, v4)
+    v7 := aggr.subavg(x.price, v2, v4)
+    v8 := aggr.submin(x.qty, v2, v4)
+    v9 := aggr.submax(x.price, v2, v4)
+    v10 := algebra.projection(v3, x.sym)
+    v11 := sql.resultset(('sym', 'sum', 'count', 'avg', 'min', 'max'), v10, v5, v6, v7, v8, v9)
+    return v11;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  aggregate [7]
+  result [1]""",
+    ),
+    ("corpus:group-by-all-aggregates", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2, v3, v4 := group.group(x.sym)
+    v5 := aggr.subsum(x.qty, v2, v4)
+    v6 := aggr.subcount(x.qty, v2, v4)
+    v7 := aggr.subavg(x.price, v2, v4)
+    v8 := aggr.submin(x.qty, v2, v4)
+    v9 := aggr.submax(x.price, v2, v4)
+    v10 := algebra.projection(v3, x.sym)
+    v11 := sql.resultset(('sym', 'sum', 'count', 'avg', 'min', 'max'), v10, v5, v6, v7, v8, v9)
+    return v11;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  aggregate [7]
+  result [1]""",
+    ),
+    ("corpus:group-min-int", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2, v3, v4 := group.group(x.sym)
+    v5 := aggr.submin(x.qty, v2, v4)
+    v6 := aggr.submax(x.qty, v2, v4)
+    v7 := algebra.projection(v3, x.sym)
+    v8 := sql.resultset(('sym', 'min', 'max'), v7, v5, v6)
+    return v8;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("corpus:group-min-int", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := sql.resultset(('__k0', '__v'), x.sym, x.qty)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:incremental-aggregate", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2, v3, v4 := group.group(x.sym)
+    v5 := aggr.subsum(x.qty, v2, v4)
+    v6 := aggr.subcount_star(x.price, v2, v4)
+    v7 := algebra.projection(v3, x.sym)
+    v8 := sql.resultset(('sym', 'sum', 'count'), v7, v5, v6)
+    return v8;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("corpus:incremental-aggregate", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := sql.resultset(('__k0', '__v'), x.sym, x.qty)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:incremental-join", "reeval"): (
+        """\
+function q(l.price, l.qty, l.sym, l.dc_time, r.sym, r.sector, r.dc_time):
+    v1 := algebra.densecands(l.price)
+    v2 := algebra.densecands(r.sym)
+    v3, v4 := algebra.join(l.sym, r.sym)
+    v5 := algebra.projection(v3, l.price)
+    v7 := algebra.projection(v3, l.sym)
+    v10 := algebra.projection(v4, r.sector)
+    v12 := sql.resultset(('sym', 'price', 'sector'), v7, v5, v10)
+    return v12;
+--
+continuous select [0]
+  from [4]
+    basket trades [1]
+    basket refs [1]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:incremental-join", "incremental"): (
+        """\
+function q[0](l.price, l.qty, l.sym, l.dc_time):
+    v1 := algebra.densecands(l.price)
+    v2 := sql.resultset(('__c0', '__c1'), l.sym, l.price)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  result [1]""",
+        """\
+function q[1](r.sym, r.sector, r.dc_time):
+    v1 := algebra.densecands(r.sym)
+    v2 := sql.resultset(('__c0', '__c1'), r.sym, r.sector)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket refs [1]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:incremental-lift", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.thetaselect(x.qty, None, '>', 0)
+    v2 := algebra.projection(v1, x.price)
+    v4 := algebra.projection(v1, x.sym)
+    v6 := sql.resultset(('sym', 'price'), v4, v2)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [3]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:incremental-lift", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.thetaselect(x.qty, None, '>', 0)
+    v2 := algebra.projection(v1, x.price)
+    v4 := algebra.projection(v1, x.sym)
+    v6 := sql.resultset(('sym', 'price'), v4, v2)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [3]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:inner-filter", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.thetaselect(x.price, None, '>', 5.0)
+    v2 := algebra.projection(v1, x.price)
+    v3 := algebra.projection(v1, x.qty)
+    v4 := algebra.projection(v1, x.sym)
+    v6 := sql.resultset(('price', 'qty', 'sym'), v2, v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [4]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:inner-filter", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.thetaselect(x.price, None, '>', 5.0)
+    v2 := algebra.projection(v1, x.price)
+    v3 := algebra.projection(v1, x.qty)
+    v4 := algebra.projection(v1, x.sym)
+    v6 := sql.resultset(('price', 'qty', 'sym'), v2, v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [4]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:inner-limit", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.firstn(v1, 3)
+    v3 := algebra.slice(x.price, 0, 3)
+    v4 := algebra.slice(x.qty, 0, 3)
+    v5 := algebra.slice(x.sym, 0, 3)
+    v7 := sql.resultset(('price', 'qty', 'sym'), v3, v4, v5)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket trades [5]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:inner-limit", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.firstn(v1, 3)
+    v3 := algebra.slice(x.price, 0, 3)
+    v4 := algebra.slice(x.qty, 0, 3)
+    v5 := algebra.slice(x.sym, 0, 3)
+    v7 := sql.resultset(('price', 'qty', 'sym'), v3, v4, v5)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket trades [5]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:isnull", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.selectnotnil(x.price, None)
+    v5 := algebra.projection(v2, x.sym)
+    v7 := sql.resultset(('sym',), v5)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [2]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:isnull", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.selectnotnil(x.price, None)
+    v5 := algebra.projection(v2, x.sym)
+    v7 := sql.resultset(('sym',), v5)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [2]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:math-functions", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := batmath.abs(x.price, 0)
+    v3 := batmath.sqrt(x.price, 0)
+    v4 := batmath.round(x.price, 2)
+    v5 := batmath.floor(x.qty, 0)
+    v6 := sql.resultset(('abs', 'sqrt', 'round', 'floor'), v2, v3, v4, v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [4]
+  result [1]""",
+    ),
+    ("corpus:math-functions", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := batmath.abs(x.price, 0)
+    v3 := batmath.sqrt(x.price, 0)
+    v4 := batmath.round(x.price, 2)
+    v5 := batmath.floor(x.qty, 0)
+    v6 := sql.resultset(('abs', 'sqrt', 'round', 'floor'), v2, v3, v4, v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [4]
+  result [1]""",
+    ),
+    ("corpus:outer-filter", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.thetaselect(x.qty, None, '>=', 10)
+    v3 := algebra.thetaselect(x.price, v2, '<', 100.0)
+    v4 := algebra.projection(v3, x.price)
+    v6 := algebra.projection(v3, x.sym)
+    v8 := sql.resultset(('sym', 'price'), v6, v4)
+    return v8;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:outer-filter", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.thetaselect(x.qty, None, '>=', 10)
+    v3 := algebra.thetaselect(x.price, v2, '<', 100.0)
+    v4 := algebra.projection(v3, x.price)
+    v6 := algebra.projection(v3, x.sym)
+    v8 := sql.resultset(('sym', 'price'), v6, v4)
+    return v8;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:passthrough", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := sql.resultset(('price', 'qty', 'sym'), x.price, x.qty, x.sym)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:passthrough", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := sql.resultset(('price', 'qty', 'sym'), x.price, x.qty, x.sym)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  project [0]
+  result [1]""",
+    ),
+    ("corpus:scalar-aggregates", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := aggr.sum(x.price)
+    v3 := aggr.count_star(x.price)
+    v4 := aggr.avg(x.qty)
+    v5 := sql.single_row(('sum', 'count', 'avg'), ('dbl', 'lng', 'dbl'), v2, v3, v4)
+    v6 := sql.result_column(v5, 0)
+    v7 := sql.result_column(v5, 1)
+    v8 := sql.result_column(v5, 2)
+    v9 := sql.resultset(('sum', 'count', 'avg'), v6, v7, v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  aggregate [7]
+  result [1]""",
+    ),
+    ("corpus:scalar-aggregates", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := aggr.sum(x.price)
+    v3 := aggr.count_star(x.price)
+    v4 := aggr.avg(x.qty)
+    v5 := sql.single_row(('sum', 'count', 'avg'), ('dbl', 'lng', 'dbl'), v2, v3, v4)
+    v6 := sql.result_column(v5, 0)
+    v7 := sql.result_column(v5, 1)
+    v8 := sql.result_column(v5, 2)
+    v9 := sql.resultset(('sum', 'count', 'avg'), v6, v7, v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  aggregate [7]
+  result [1]""",
+    ),
+    ("corpus:string-functions", "reeval"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.likeselect(x.sym, None, 'A%', False)
+    v5 := algebra.projection(v2, x.sym)
+    v7 := batstr.upper(v5)
+    v8 := batstr.length(v5)
+    v9 := batstr.substring(v5, 1, 2)
+    v10 := sql.resultset(('upper', 'length', 'substring'), v7, v8, v9)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [2]
+  project [3]
+  result [1]""",
+    ),
+    ("corpus:string-functions", "incremental"): (
+        """\
+function q(x.price, x.qty, x.sym, x.dc_time):
+    v1 := algebra.densecands(x.price)
+    v2 := algebra.likeselect(x.sym, None, 'A%', False)
+    v5 := algebra.projection(v2, x.sym)
+    v7 := batstr.upper(v5)
+    v8 := batstr.length(v5)
+    v9 := batstr.substring(v5, 1, 2)
+    v10 := sql.resultset(('upper', 'length', 'substring'), v7, v8, v9)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket trades [1]
+  where [2]
+  project [3]
+  result [1]""",
+    ),
+    ("engine:aggregate", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := aggr.subcount(x.b, v2, v4)
+    v7 := aggr.submin(x.b, v2, v4)
+    v8 := aggr.submax(x.b, v2, v4)
+    v9 := algebra.projection(v3, x.a)
+    v10 := sql.resultset(('a', 'sum', 'count', 'min', 'max'), v9, v5, v6, v7, v8)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [6]
+  result [1]""",
+    ),
+    ("engine:aggregate", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('__k0', '__v'), x.a, x.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:distinct", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := algebra.projection(v3, x.a)
+    v6 := sql.resultset(('a',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  distinct [2]
+  result [1]""",
+    ),
+    ("engine:distinct", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := algebra.projection(v3, x.a)
+    v6 := sql.resultset(('a',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  distinct [2]
+  result [1]""",
+    ),
+    ("engine:group-sum", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := algebra.projection(v3, x.a)
+    v7 := sql.resultset(('a', 'sum'), v6, v5)
+    return v7;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [3]
+  result [1]""",
+    ),
+    ("engine:group-sum", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('__k0', '__v'), x.a, x.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:join", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := sql.resultset(('k', 'a', 'b'), v5, v6, v9)
+    return v11;
+--
+continuous select [0]
+  from [4]
+    basket lt [1]
+    basket rt [1]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:join", "incremental"): (
+        """\
+function q[0](x.k, x.a, x.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := sql.resultset(('__c0', '__c1'), x.k, x.a)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket lt [1]
+  project [0]
+  result [1]""",
+        """\
+function q[1](y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(y.k)
+    v2 := sql.resultset(('__c0', '__c1'), y.k, y.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket rt [1]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:linear", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.thetaselect(x.b, None, '>', 2)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6 := sql.resultset(('a', 'b'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:linear", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.thetaselect(x.b, None, '>', 2)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6 := sql.resultset(('a', 'b'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:linear-one-column", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('a',), x.a)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("engine:linear-one-column", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('a',), x.a)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:agg_filtered", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.thetaselect(x.b, None, '>', 2)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6, v7, v8 := group.group(v3)
+    v9 := aggr.subsum(v4, v6, v8)
+    v10 := aggr.subavg(v4, v6, v8)
+    v11 := algebra.projection(v7, v3)
+    v12 := sql.resultset(('a', 'sum', 'avg'), v11, v9, v10)
+    return v12;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  where [3]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("oracle:agg_filtered", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.thetaselect(x.b, None, '>', 2)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6 := sql.resultset(('__k0', '__v'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:agg_global", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := aggr.count_star(x.a)
+    v3 := aggr.sum(x.b)
+    v4 := aggr.min(x.b)
+    v5 := sql.single_row(('count', 'sum', 'min'), ('lng', 'lng', 'int'), v2, v3, v4)
+    v6 := sql.result_column(v5, 0)
+    v7 := sql.result_column(v5, 1)
+    v8 := sql.result_column(v5, 2)
+    v9 := sql.resultset(('count', 'sum', 'min'), v6, v7, v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [7]
+  result [1]""",
+    ),
+    ("oracle:agg_global", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('__v',), x.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:agg_grouped", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := aggr.subcount(x.b, v2, v4)
+    v7 := aggr.submin(x.b, v2, v4)
+    v8 := aggr.submax(x.b, v2, v4)
+    v9 := algebra.projection(v3, x.a)
+    v10 := sql.resultset(('a', 'sum', 'count', 'min', 'max'), v9, v5, v6, v7, v8)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [6]
+  result [1]""",
+    ),
+    ("oracle:agg_grouped", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('__k0', '__v'), x.a, x.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:arith", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := batcalc.const(10, x.a, 'lng')
+    v2 := batcalc.>(x.a, v1)
+    v3 := batcalc.not(v2)
+    v4 := algebra.mask2cand(v3)
+    v5 := algebra.projection(v4, x.a)
+    v6 := algebra.projection(v4, x.b)
+    v8 := batcalc.+(v5, v6)
+    v9 := sql.resultset(('col0',), v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket feed [6]
+  project [1]
+  result [1]""",
+    ),
+    ("oracle:arith", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := batcalc.const(10, x.a, 'lng')
+    v2 := batcalc.>(x.a, v1)
+    v3 := batcalc.not(v2)
+    v4 := algebra.mask2cand(v3)
+    v5 := algebra.projection(v4, x.a)
+    v6 := algebra.projection(v4, x.b)
+    v8 := batcalc.+(v5, v6)
+    v9 := sql.resultset(('col0',), v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket feed [6]
+  project [1]
+  result [1]""",
+    ),
+    ("oracle:compound", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.thetaselect(x.a, None, '>', 10)
+    v2 := algebra.thetaselect(x.b, v1, '<', 5)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6 := sql.resultset(('a', 'b'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [4]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:compound", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.thetaselect(x.a, None, '>', 10)
+    v2 := algebra.thetaselect(x.b, v1, '<', 5)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6 := sql.resultset(('a', 'b'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [4]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:disjunct", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := batcalc.const(15, x.a, 'lng')
+    v2 := batcalc.>(x.a, v1)
+    v3 := batcalc.const(2, x.a, 'lng')
+    v4 := batcalc.==(x.b, v3)
+    v5 := batcalc.or(v2, v4)
+    v6 := algebra.mask2cand(v5)
+    v8 := algebra.projection(v6, x.b)
+    v10 := sql.resultset(('b',), v8)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket feed [7]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:disjunct", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := batcalc.const(15, x.a, 'lng')
+    v2 := batcalc.>(x.a, v1)
+    v3 := batcalc.const(2, x.a, 'lng')
+    v4 := batcalc.==(x.b, v3)
+    v5 := batcalc.or(v2, v4)
+    v6 := algebra.mask2cand(v5)
+    v8 := algebra.projection(v6, x.b)
+    v10 := sql.resultset(('b',), v8)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket feed [7]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:filter", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.thetaselect(x.a, None, '>', 10)
+    v2 := algebra.projection(v1, x.a)
+    v3 := algebra.projection(v1, x.b)
+    v5 := sql.resultset(('a', 'b'), v2, v3)
+    return v5;
+--
+continuous select [0]
+  from [0]
+    basket feed [3]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:filter", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.thetaselect(x.a, None, '>', 10)
+    v2 := algebra.projection(v1, x.a)
+    v3 := algebra.projection(v1, x.b)
+    v5 := sql.resultset(('a', 'b'), v2, v3)
+    return v5;
+--
+continuous select [0]
+  from [0]
+    basket feed [3]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:join", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := sql.resultset(('k', 'a', 'b'), v5, v6, v9)
+    return v11;
+--
+continuous select [0]
+  from [4]
+    basket jleft [1]
+    basket jright [1]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:join", "incremental"): (
+        """\
+function q[0](x.k, x.a, x.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := sql.resultset(('__c0', '__c1'), x.k, x.a)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket jleft [1]
+  project [0]
+  result [1]""",
+        """\
+function q[1](y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(y.k)
+    v2 := sql.resultset(('__c0', '__c1'), y.k, y.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket jright [1]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:passthrough", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('a', 'b'), x.a, x.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("oracle:passthrough", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('a', 'b'), x.a, x.b)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:aggregate-order", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := algebra.projection(v3, x.a)
+    v7 := algebra.sort(v6, None, False)
+    v8 := algebra.projection(v7, v6)
+    v9 := algebra.projection(v7, v5)
+    v10 := sql.resultset(('a', 'sum'), v8, v9)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [3]
+  order by [3]
+  result [1]""",
+    ),
+    ("shape:aggregate-order", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := algebra.projection(v3, x.a)
+    v7 := algebra.sort(v6, None, False)
+    v8 := algebra.projection(v7, v6)
+    v9 := algebra.projection(v7, v5)
+    v10 := sql.resultset(('a', 'sum'), v8, v9)
+    return v10;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [3]
+  order by [3]
+  result [1]""",
+    ),
+    ("shape:aggregate-over-join", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v6 := algebra.projection(v3, x.a)
+    v11 := aggr.sum(v6)
+    v12 := sql.single_row(('sum',), ('lng',), v11)
+    v13 := sql.result_column(v12, 0)
+    v14 := sql.resultset(('sum',), v13)
+    return v14;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  aggregate [3]
+  result [1]""",
+    ),
+    ("shape:aggregate-over-join", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v6 := algebra.projection(v3, x.a)
+    v11 := aggr.sum(v6)
+    v12 := sql.single_row(('sum',), ('lng',), v11)
+    v13 := sql.result_column(v12, 0)
+    v14 := sql.resultset(('sum',), v13)
+    return v14;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  aggregate [3]
+  result [1]""",
+    ),
+    ("shape:aggregate-over-subquery", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := aggr.sum(x.a)
+    v3 := sql.single_row(('sum',), ('lng',), v2)
+    v4 := sql.result_column(v3, 0)
+    v5 := sql.resultset(('sum',), v4)
+    return v5;
+--
+continuous select [0]
+  from [0]
+    subquery [0]
+      from [0]
+        basket feed [1]
+      project [0]
+  aggregate [3]
+  result [1]""",
+    ),
+    ("shape:aggregate-over-subquery", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := aggr.sum(x.a)
+    v3 := sql.single_row(('sum',), ('lng',), v2)
+    v4 := sql.result_column(v3, 0)
+    v5 := sql.resultset(('sum',), v4)
+    return v5;
+--
+continuous select [0]
+  from [0]
+    subquery [0]
+      from [0]
+        basket feed [1]
+      project [0]
+  aggregate [3]
+  result [1]""",
+    ),
+    ("shape:aliased-aggregate", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.thetaselect(x.b, None, '>', 0)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6, v7, v8 := group.group(v3)
+    v9 := aggr.subsum(v4, v6, v8)
+    v10 := aggr.subcount_star(v3, v6, v8)
+    v11 := algebra.projection(v7, v3)
+    v12 := sql.resultset(('key', 'total', 'count'), v11, v9, v10)
+    return v12;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  where [3]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("shape:aliased-aggregate", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.thetaselect(x.b, None, '>', 0)
+    v3 := algebra.projection(v2, x.a)
+    v4 := algebra.projection(v2, x.b)
+    v6 := sql.resultset(('__k0', '__v'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:cross-join", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.crossproduct(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := batcalc.<(v6, v9)
+    v12 := algebra.mask2cand(v11)
+    v13 := algebra.projection(v12, v5)
+    v17 := algebra.projection(v12, v9)
+    v19 := sql.resultset(('k', 'b'), v13, v17)
+    return v19;
+--
+continuous select [0]
+  from [4]
+    basket lt [1]
+    basket rt [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:cross-join", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.crossproduct(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := batcalc.<(v6, v9)
+    v12 := algebra.mask2cand(v11)
+    v13 := algebra.projection(v12, v5)
+    v17 := algebra.projection(v12, v9)
+    v19 := sql.resultset(('k', 'b'), v13, v17)
+    return v19;
+--
+continuous select [0]
+  from [4]
+    basket lt [1]
+    basket rt [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:expression-argument", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := batcalc.+(x.a, x.b)
+    v3 := aggr.sum(v2)
+    v4 := sql.single_row(('sum',), ('lng',), v3)
+    v5 := sql.result_column(v4, 0)
+    v6 := sql.resultset(('sum',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("shape:expression-argument", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := batcalc.+(x.a, x.b)
+    v3 := aggr.sum(v2)
+    v4 := sql.single_row(('sum',), ('lng',), v3)
+    v5 := sql.result_column(v4, 0)
+    v6 := sql.resultset(('sum',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("shape:group-expression", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := batcalc.const(1, x.a, 'lng')
+    v3 := batcalc.+(x.a, v2)
+    v4, v5, v6 := group.group(v3)
+    v7 := aggr.subsum(x.b, v4, v6)
+    v9 := sql.resultset(('sum',), v7)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("shape:group-expression", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := batcalc.const(1, x.a, 'lng')
+    v3 := batcalc.+(x.a, v2)
+    v4, v5, v6 := group.group(v3)
+    v7 := aggr.subsum(x.b, v4, v6)
+    v9 := sql.resultset(('sum',), v7)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("shape:group-without-aggregate", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := algebra.projection(v3, x.a)
+    v6 := sql.resultset(('a',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [2]
+  result [1]""",
+    ),
+    ("shape:group-without-aggregate", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := algebra.projection(v3, x.a)
+    v6 := sql.resultset(('a',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [2]
+  result [1]""",
+    ),
+    ("shape:having", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := algebra.projection(v3, x.a)
+    v7 := batcalc.const(3, v6, 'lng')
+    v8 := batcalc.>(v5, v7)
+    v9 := algebra.mask2cand(v8)
+    v10 := algebra.projection(v9, v6)
+    v11 := algebra.projection(v9, v5)
+    v12 := sql.resultset(('a', 'sum'), v10, v11)
+    return v12;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [8]
+  result [1]""",
+    ),
+    ("shape:having", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2, v3, v4 := group.group(x.a)
+    v5 := aggr.subsum(x.b, v2, v4)
+    v6 := algebra.projection(v3, x.a)
+    v7 := batcalc.const(3, v6, 'lng')
+    v8 := batcalc.>(v5, v7)
+    v9 := algebra.mask2cand(v8)
+    v10 := algebra.projection(v9, v6)
+    v11 := algebra.projection(v9, v5)
+    v12 := sql.resultset(('a', 'sum'), v10, v11)
+    return v12;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [8]
+  result [1]""",
+    ),
+    ("shape:join-bare-column", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v11 := algebra.thetaselect(v6, None, '>', 1)
+    v12 := algebra.projection(v11, v5)
+    v18 := sql.resultset(('k',), v12)
+    return v18;
+--
+continuous select [0]
+  from [3]
+    basket lt [1]
+    basket rt [1]
+  where [2]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-bare-column", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v11 := algebra.thetaselect(v6, None, '>', 1)
+    v12 := algebra.projection(v11, v5)
+    v18 := sql.resultset(('k',), v12)
+    return v18;
+--
+continuous select [0]
+  from [3]
+    basket lt [1]
+    basket rt [1]
+  where [2]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-constant", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v11 := batcalc.const(1, v5, 'lng')
+    v13 := batcalc.==(v11, v11)
+    v14 := algebra.mask2cand(v13)
+    v15 := algebra.projection(v14, v5)
+    v21 := sql.resultset(('k',), v15)
+    return v21;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-constant", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v11 := batcalc.const(1, v5, 'lng')
+    v13 := batcalc.==(v11, v11)
+    v14 := algebra.mask2cand(v13)
+    v15 := algebra.projection(v14, v5)
+    v21 := sql.resultset(('k',), v15)
+    return v21;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-cross-residual", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := batcalc.<(v6, v9)
+    v12 := algebra.mask2cand(v11)
+    v13 := algebra.projection(v12, v5)
+    v19 := sql.resultset(('k',), v13)
+    return v19;
+--
+continuous select [0]
+  from [4]
+    basket lt [1]
+    basket rt [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-cross-residual", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := batcalc.<(v6, v9)
+    v12 := algebra.mask2cand(v11)
+    v13 := algebra.projection(v12, v5)
+    v19 := sql.resultset(('k',), v13)
+    return v19;
+--
+continuous select [0]
+  from [4]
+    basket lt [1]
+    basket rt [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-distinct", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v11, v12, v13 := group.group(v5)
+    v14 := algebra.projection(v12, v5)
+    v15 := sql.resultset(('k',), v14)
+    return v15;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  project [0]
+  distinct [2]
+  result [1]""",
+    ),
+    ("shape:join-distinct", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v11, v12, v13 := group.group(v5)
+    v14 := algebra.projection(v12, v5)
+    v15 := sql.resultset(('k',), v14)
+    return v15;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  project [0]
+  distinct [2]
+  result [1]""",
+    ),
+    ("shape:join-expression-item", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v11 := batcalc.const(1, v5, 'lng')
+    v12 := batcalc.+(v5, v11)
+    v13 := sql.resultset(('col0',), v12)
+    return v13;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  project [2]
+  result [1]""",
+    ),
+    ("shape:join-expression-item", "incremental"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v11 := batcalc.const(1, v5, 'lng')
+    v12 := batcalc.+(v5, v11)
+    v13 := sql.resultset(('col0',), v12)
+    return v13;
+--
+continuous select [0]
+  from [2]
+    basket lt [1]
+    basket rt [1]
+  project [2]
+  result [1]""",
+    ),
+    ("shape:join-side-filters", "reeval"): (
+        """\
+function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.densecands(y.k)
+    v3, v4 := algebra.join(x.k, y.k)
+    v5 := algebra.projection(v3, x.k)
+    v6 := algebra.projection(v3, x.a)
+    v9 := algebra.projection(v4, y.b)
+    v11 := algebra.thetaselect(v6, None, '>', 1)
+    v12 := algebra.thetaselect(v9, v11, '<', 5)
+    v13 := algebra.projection(v12, v5)
+    v17 := algebra.projection(v12, v9)
+    v19 := sql.resultset(('k', 'bee'), v13, v17)
+    return v19;
+--
+continuous select [0]
+  from [4]
+    basket lt [1]
+    basket rt [1]
+  where [4]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:join-side-filters", "incremental"): (
+        """\
+function q[0](x.k, x.a, x.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := algebra.thetaselect(x.a, None, '>', 1)
+    v3 := algebra.projection(v2, x.k)
+    v6 := sql.resultset(('__c0',), v3)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket lt [1]
+  where [2]
+  project [0]
+  result [1]""",
+        """\
+function q[1](y.k, y.b, y.dc_time):
+    v1 := algebra.densecands(y.k)
+    v2 := algebra.thetaselect(y.b, None, '<', 5)
+    v3 := algebra.projection(v2, y.k)
+    v4 := algebra.projection(v2, y.b)
+    v6 := sql.resultset(('__c0', '__c1'), v3, v4)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket rt [1]
+  where [3]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:limit", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.slice(x.a, 0, 3)
+    v3 := sql.resultset(('a',), v2)
+    return v3;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  limit [1]
+  result [1]""",
+    ),
+    ("shape:limit", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := algebra.slice(x.a, 0, 3)
+    v3 := sql.resultset(('a',), v2)
+    return v3;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  project [0]
+  limit [1]
+  result [1]""",
+    ),
+    ("shape:subquery", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('a',), x.a)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    subquery [0]
+      from [0]
+        basket feed [1]
+      project [0]
+  project [0]
+  result [1]""",
+    ),
+    ("shape:subquery", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := sql.resultset(('a',), x.a)
+    return v2;
+--
+continuous select [0]
+  from [0]
+    subquery [0]
+      from [0]
+        basket feed [1]
+      project [0]
+  project [0]
+  result [1]""",
+    ),
+    # added with the fixes for ungrouped HAVING, repeated output names
+    # and the window select list
+    ("having:ungrouped", "reeval"): (
+        """\
+function q(x.k, x.v, x.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := aggr.sum(x.v)
+    v3 := sql.single_row(('sum',), ('lng',), v2)
+    v4 := sql.result_column(v3, 0)
+    v5 := batcalc.const(100, v4, 'lng')
+    v6 := batcalc.>(v4, v5)
+    v7 := algebra.mask2cand(v6)
+    v8 := algebra.projection(v7, v4)
+    v9 := sql.resultset(('sum',), v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket s [1]
+  aggregate [7]
+  result [1]""",
+    ),
+    ("having:ungrouped", "incremental"): (
+        """\
+function q(x.k, x.v, x.dc_time):
+    v1 := algebra.densecands(x.k)
+    v2 := aggr.sum(x.v)
+    v3 := sql.single_row(('sum',), ('lng',), v2)
+    v4 := sql.result_column(v3, 0)
+    v5 := batcalc.const(100, v4, 'lng')
+    v6 := batcalc.>(v4, v5)
+    v7 := algebra.mask2cand(v6)
+    v8 := algebra.projection(v7, v4)
+    v9 := sql.resultset(('sum',), v8)
+    return v9;
+--
+continuous select [0]
+  from [0]
+    basket s [1]
+  aggregate [7]
+  result [1]""",
+    ),
 }
 
 
@@ -877,3 +2830,11 @@ def test_routing_matches_golden(name, execution):
 
 def test_linear_list_names_golden_queries():
     assert LINEAR_INCREMENTAL <= set(QUERIES)
+
+
+@pytest.mark.parametrize("execution", ["reeval", "incremental"])
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_programs_match_golden(name, execution):
+    assert stage_programs(QUERIES[name], execution) == PROGRAMS.get(
+        (name, execution)
+    )

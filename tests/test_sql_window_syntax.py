@@ -135,6 +135,47 @@ class TestExecution:
             cell.basket("s").schema.atom("k")
         )
 
+    def test_select_list_aliases_name_the_columns(self, cell):
+        """Regression: WINDOW queries ignored select-list aliases."""
+        q = cell.submit_continuous(
+            "select x.sym as s, sum(x.price) as total from "
+            "[select * from ticks] as x group by x.sym window 4"
+        )
+        names = [c.name for c in cell.basket(f"{q.name}_out").user_columns]
+        assert names == ["window_id", "s", "total"]
+        feed(cell)
+        assert sorted(q.fetch())[:2] == [(0, "A", 4.0), (0, "B", 2.0)]
+
+    def test_columns_follow_the_select_list(self, cell):
+        """Regression: the window plan emitted (window_id, key, aggs)
+        whatever order the select list gave."""
+        q = cell.submit_continuous(
+            "select count(*), sum(x.price), x.sym from "
+            "[select * from ticks] as x group by x.sym window 4"
+        )
+        names = [c.name for c in cell.basket(f"{q.name}_out").user_columns]
+        assert names == ["window_id", "count_star", "sum", "sym"]
+        feed(cell)
+        assert sorted(q.fetch()) == [
+            (0, 2, 2.0, "B"), (0, 2, 4.0, "A"),
+            (1, 2, 10.0, "B"), (1, 2, 12.0, "A"),
+        ]
+
+    def test_repeated_aggregate_needs_an_alias(self, cell):
+        from repro.errors import BindError
+
+        with pytest.raises(BindError, match="'sum'.*alias"):
+            cell.submit_continuous(
+                "select sum(x.price), sum(x.price) from "
+                "[select * from ticks] as x window 2"
+            )
+        q = cell.submit_continuous(
+            "select sum(x.price), sum(x.price) as again from "
+            "[select * from ticks] as x window 2"
+        )
+        feed(cell, 4)
+        assert q.fetch() == [(0, 1.0, 1.0), (1, 5.0, 5.0)]
+
     def test_time_window_execution(self, cell):
         q = cell.submit_continuous(
             "select sum(x.price) from [select * from ticks] as x "
