@@ -39,6 +39,11 @@ simtest oracles and the durability cut depend on:
     generators read its ``ResolvedSelect``.  Approved: the resolver and
     the parser and AST modules that build the clauses.
 
+``lr-columnar``
+    The Linear Road plans (``linearroad/queries.py``) stay columnar: no
+    ``.python_list()`` and no ``bat_from_values`` there.  They read
+    snapshot tails as arrays and emit adopted arrays.
+
 Suppression: append ``# dc-lint: disable=rule[,rule]`` to the offending
 line, or put ``# dc-lint: disable-file=rule[,rule]`` (or a bare
 ``disable-file`` to silence the whole file) in the first ten lines.
@@ -363,6 +368,34 @@ class SqlStructureRule(Rule):
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in self._clauses
         ]
+
+
+@register_rule
+class LrColumnarRule(Rule):
+    name = "lr-columnar"
+    #: the one module the rule covers
+    scope = "*linearroad/queries.py"
+    _banned = {"python_list", "bat_from_values"}
+
+    def applies_to(self, relpath: str) -> bool:
+        return fnmatch.fnmatch(relpath, self.scope)
+
+    def check(self, tree: ast.Module, relpath: str) -> List[Finding]:
+        message = "in a Linear Road plan; read tails, emit adopted arrays"
+        findings = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", ""))
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & self._banned
+                name = min(names, default="")
+            else:
+                continue
+            if name in self._banned:
+                findings.append(
+                    _finding(self, relpath, node, f"{name} {message}"))
+        return findings
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,46 @@ class TestSqlStructure:
             assert _lint_snippet(tmp_path, code, relname=relname) == []
 
 
+class TestLrColumnar:
+    PLAN = "repro/linearroad/queries.py"
+
+    def test_python_list_flagged(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "def run(snap):\n"
+            "    return snap.column('t').python_list()\n",
+            relname=self.PLAN,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("lr-columnar", 2)]
+
+    def test_bat_from_values_call_and_import_flagged(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "from ..kernel.bat import BAT, bat_from_values\n"
+            "def result(atom, rows):\n"
+            "    return bat_from_values(atom, rows)\n",
+            relname=self.PLAN,
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("lr-columnar", 1), ("lr-columnar", 3)]
+
+    def test_only_the_plans_are_covered(self, tmp_path):
+        code = "def f(b):\n    return b.python_list()\n"
+        for relname in ("repro/linearroad/validator.py",
+                        "repro/linearroad/harness.py",
+                        "repro/core/windows.py"):
+            assert _lint_snippet(tmp_path, code, relname=relname) == []
+
+    def test_columnar_reads_allowed(self, tmp_path):
+        findings = _lint_snippet(
+            tmp_path,
+            "def run(snap):\n"
+            "    return snap.column('t').tail.tolist()\n",
+            relname=self.PLAN,
+        )
+        assert findings == []
+
+
 class TestSuppression:
     def test_line_suppression(self, tmp_path):
         findings = _lint_snippet(
@@ -269,4 +309,6 @@ class TestDriving:
             "bare-lock",
             "lock-order",
             "sys-name",
+            "sql-structure",
+            "lr-columnar",
         } <= names

@@ -6,8 +6,12 @@ yields identical tolls/alerts — and always match the independent
 sequential oracle.
 """
 
+import dataclasses
+from functools import lru_cache
+
 import pytest
 
+from repro.core.basket import Basket
 from repro.linearroad import (
     LinearRoadConfig,
     LinearRoadGenerator,
@@ -16,9 +20,17 @@ from repro.linearroad import (
     toll_formula,
 )
 from repro.linearroad.model import (
+    LAV_WINDOW_MINUTES,
     NUM_SEGMENTS,
+    POSITION_REPORT_COLUMNS,
     REPORT_INTERVAL,
     PositionReport,
+)
+from repro.linearroad.queries import (
+    AccidentDetectionPlan,
+    SegmentStatisticsPlan,
+    TollNotificationPlan,
+    TollState,
 )
 from repro.errors import LinearRoadError
 
@@ -32,6 +44,36 @@ CONGESTED = LinearRoadConfig(
     scale=0.5, duration=360, cars_per_minute=400,
     accident_probability=0.004, seed=11,
 )
+
+
+CONFIGS = {"SMALL": SMALL, "CONGESTED": CONGESTED}
+
+
+@lru_cache(maxsize=None)
+def _log(name):
+    """A config's reports and balance requests (rate 0.2)."""
+    gen = LinearRoadGenerator(CONFIGS[name])
+    reports = gen.generate()
+    return reports, gen.balance_requests(reports, rate=0.2)
+
+
+@lru_cache(maxsize=None)
+def _replay(name, ticks_per_batch):
+    reports, requests = _log(name)
+    return LinearRoadHarness(CONFIGS[name]).run(
+        reports, requests, ticks_per_batch=ticks_per_batch)
+
+
+def _positions(rows):
+    """A position-report snapshot holding ``rows`` (t, vid, speed, xway,
+    lane, dir, seg, pos), in order."""
+    basket = Basket("lr_position", POSITION_REPORT_COLUMNS)
+    basket.insert_rows(rows)
+    return {"lr_position": basket.snapshot()}
+
+
+def _report(t, vid, seg, speed=50, lane=1):
+    return (t, vid, speed, 0, lane, 0, seg, seg * 5280)
 
 
 class TestModel:
@@ -153,20 +195,23 @@ class TestHarness:
         assert any(t[3] > 0 for t in result.tolls)
         assert result.alerts
 
-    def test_batch_invariance(self):
-        """Same outputs whether replayed tick-by-tick or all at once."""
-        gen = LinearRoadGenerator(SMALL)
-        reports = gen.generate()
-        requests = gen.balance_requests(reports)
-        one = LinearRoadHarness(SMALL).run(
-            reports, requests, ticks_per_batch=1, validate=False
-        )
-        big = LinearRoadHarness(SMALL).run(
-            reports, requests, ticks_per_batch=10_000, validate=False
-        )
-        assert sorted(one.tolls) == sorted(big.tolls)
-        assert sorted(one.alerts) == sorted(big.alerts)
-        assert sorted(one.balances) == sorted(big.balances)
+    @pytest.mark.parametrize("name,ticks_per_batch", [
+        pytest.param(name, ticks, id=f"{name}-{ticks}")
+        for name in CONFIGS for ticks in (1, 2, 7, 10_000)
+    ])
+    def test_batch_invariance(self, name, ticks_per_batch):
+        """Same outputs, equal to the oracle's, for any batching."""
+        result = _replay(name, ticks_per_batch)
+        assert result.valid, result.validation_problems
+        one = _replay(name, 1)
+        assert sorted(result.tolls) == sorted(one.tolls)
+        assert sorted(result.alerts) == sorted(one.alerts)
+        assert sorted(result.balances) == sorted(one.balances)
+
+    def test_congested_balances_match_oracle_at_high_rate(self):
+        result = _replay("CONGESTED", 1)
+        assert result.valid, result.validation_problems
+        assert any(balance > 0 for _, _, balance in result.balances)
 
     def test_balance_responses_match_oracle(self):
         gen = LinearRoadGenerator(CONGESTED)
@@ -181,6 +226,34 @@ class TestHarness:
         assert result.throughput > 0
         assert result.max_response_time >= result.avg_response_time >= 0
         assert result.tick_latencies
+
+    def test_plan_state_is_bounded(self):
+        """Replaying D and then 2D ticks keeps state to what later
+        reports can read: LAV-window stats minutes and live spans."""
+        ticks = 40
+        config = dataclasses.replace(SMALL, duration=ticks * REPORT_INTERVAL)
+        reports = LinearRoadGenerator(config).generate()
+        harness = LinearRoadHarness(config)
+        bound = LAV_WINDOW_MINUTES + 2
+        for end in (ticks // 2, ticks):
+            for tick in range(end - ticks // 2, end):
+                harness.run([r for r in reports
+                             if r.t // REPORT_INTERVAL == tick],
+                            [], validate=False)
+                assert harness.stats_plan.retained_minutes <= bound
+                assert harness.toll_plan.retained_minutes <= bound
+            # the spans kept are exactly those a report at or after the
+            # watermark can see: open, or cleared at the watermark
+            seen = [r for r in reports if r.t // REPORT_INTERVAL < end]
+            watermark = max(r.t for r in seen)
+            spans = LinearRoadReference(seen).compute()._accident_spans
+            live = sum(1 for per_segment in spans.values()
+                       for _, clear in per_segment
+                       if clear is None or clear >= watermark)
+            assert harness.toll_plan.retained_spans == live
+            assert all(harness.accident_plan._stopped_at.values())
+        assert harness.toll_plan.retained_spans < (
+            harness.accident_plan.accidents_detected)
 
     def test_network_publishes_to_the_cell_registry(self):
         from repro.obs.metrics import default_registry
@@ -201,3 +274,91 @@ class TestHarness:
         assert 'datacell_emitter_delivered_total{emitter="lr_toll_e"}' \
             in text
         assert lr_series() == before
+
+
+class TestPlans:
+    """The columnar plans driven directly with hand-made batches."""
+
+    def test_two_reports_of_a_vid_crossing_in_one_batch(self):
+        plan = TollNotificationPlan()
+        # vid 2 interleaves, so the vids of the batch are not ascending
+        rows = [_report(0, 1, 10), _report(0, 2, 20),
+                _report(30, 1, 11), _report(30, 2, 20)]
+        out = plan.run(_positions(rows)).results["lr_tolls"].rows()
+        assert sorted(out) == [(1, 0, 0.0, 0), (1, 30, 0.0, 0),
+                               (2, 0, 0.0, 0)]
+
+    def test_two_reports_of_a_vid_in_one_segment_in_one_batch(self):
+        plan = TollNotificationPlan()
+        out = plan.run(_positions(
+            [_report(0, 5, 10), _report(30, 5, 10)])).results["lr_tolls"]
+        assert out.rows() == [(5, 0, 0.0, 0)]
+        # the next batch remembers the segment too
+        assert plan.run(_positions([_report(60, 5, 10)])).results == {}
+
+    def test_batched_and_one_by_one_agree(self):
+        rows = [_report(t, vid, seg)
+                for t, vid, seg in [(0, 3, 1), (0, 1, 1), (30, 3, 2),
+                                    (30, 1, 1), (60, 1, 2), (60, 3, 2)]]
+        batched = TollNotificationPlan().run(_positions(rows))
+        single = TollNotificationPlan()
+        one_by_one = []
+        for row in rows:
+            out = single.run(_positions([row])).results.get("lr_tolls")
+            one_by_one.extend(out.rows() if out else [])
+        assert sorted(batched.results["lr_tolls"].rows()) == sorted(
+            one_by_one)
+
+    def test_stats_report_behind_emitted_minute_raises(self):
+        plan = SegmentStatisticsPlan()
+        plan.run(_positions([_report(30, 1, 4), _report(150, 1, 5)]))
+        with pytest.raises(ValueError, match="t=30"):
+            plan.run(_positions([_report(30, 2, 4)]))
+
+    @pytest.mark.parametrize("plan", [
+        SegmentStatisticsPlan, AccidentDetectionPlan, TollNotificationPlan])
+    def test_negative_vid_raises(self, plan):
+        with pytest.raises(ValueError, match="-3"):
+            plan().run(_positions([_report(0, -3, 4, speed=0)]))
+
+    @pytest.mark.parametrize("plan", [
+        SegmentStatisticsPlan, TollNotificationPlan])
+    @pytest.mark.parametrize("seg,direction", [(NUM_SEGMENTS, 0), (-1, 0),
+                                               (4, 2)])
+    def test_segment_out_of_range_raises(self, plan, seg, direction):
+        row = (0, 1, 50, 0, 1, direction, seg, 0)
+        with pytest.raises(ValueError, match="segments need"):
+            plan().run(_positions([row]))
+
+    def test_toll_report_behind_watermark_raises(self):
+        plan = TollNotificationPlan()
+        plan.run(_positions([_report(120, 1, 4)]))
+        with pytest.raises(ValueError, match="t=90"):
+            plan.run(_positions([_report(90, 2, 4)]))
+
+
+class TestTollState:
+    def test_assessment_at_request_time_is_not_counted(self):
+        state = TollState()
+        state.assess(7, 10, 60)
+        state.assess(7, 0, 90)  # zero tolls are not assessed
+        state.assess(7, 5, 120)
+        assert state.balance_before(7, 60) == 0
+        assert state.balance_before(7, 61) == 10
+        assert state.balance_before(7, 120) == 10
+        assert state.balance_before(7, 121) == 15
+        assert state.balance_before(8, 121) == 0
+        assert state.balances == {7: 15}
+
+    def test_same_time_assessments_all_count_after_it(self):
+        state = TollState()
+        state.assess(7, 10, 60)
+        state.assess(7, 4, 60)
+        assert state.balance_before(7, 60) == 0
+        assert state.balance_before(7, 61) == 14
+
+    def test_out_of_order_assessment_raises(self):
+        state = TollState()
+        state.assess(7, 10, 60)
+        with pytest.raises(ValueError, match="t=30"):
+            state.assess(7, 10, 30)
