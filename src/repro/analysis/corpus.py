@@ -328,8 +328,9 @@ def _catalog():
 
 def _bad_unknown_table() -> List[Diagnostic]:
     prog = _program(
-        [Instr(("t",), "sql", "bind_table", (Const("nosuch"),), None)],
-        output="t",
+        [Instr(("c",), "sql", "bind", (Const("nosuch"), Const("price")),
+               None)],
+        output="c",
     )
     return verify_program(prog, catalog=_catalog())
 

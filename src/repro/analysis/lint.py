@@ -210,7 +210,6 @@ class BareLockRule(Rule):
     approved = (
         "*core/factory.py",
         "*durability/manager.py",
-        "*kernel/interpreter.py",
         "*analysis/lockorder.py",
     )
 

@@ -4,7 +4,7 @@ Every opcode's arity, parameter kinds, result kinds and result-atom rule
 come from the interpreter's one opcode table,
 :data:`repro.kernel.interpreter.OPCODES`.  This module keeps what the
 kernel cannot say: the abstract values the verifier propagates, and the
-catalog and schema checks of the opcodes that read tables and build
+catalog and schema checks of the opcodes that bind columns and build
 result sets (:data:`SCHEMA_RULES`).
 
 The rules are *false-positive safe*: an unknown atom propagates as
@@ -36,7 +36,6 @@ class Kind(enum.Enum):
     BAT = "bat"
     CAND = "cand"
     SCALAR = "scalar"
-    TABLE = "table"
     RESULT = "result"
     ANY = "any"
 
@@ -48,8 +47,8 @@ Columns = Tuple[Tuple[str, Optional[AtomType]], ...]
 class AbstractValue:
     """What the verifier knows about one MAL variable.
 
-    ``columns`` carries (lower-cased name, atom) pairs for TABLE and
-    RESULT kinds so emitter/factory-boundary checks can compare schemas;
+    ``columns`` carries (lower-cased name, atom) pairs for the RESULT
+    kind so emitter/factory-boundary checks can compare schemas;
     ``const``/``has_const`` carry literal argument values (``Const``
     operands and folded constants).
     """
@@ -82,7 +81,6 @@ _KIND_ACCEPTS: Dict[str, Tuple[Kind, ...]] = {
     # a candidate list, or the literal None meaning "all rows"
     "candopt": (Kind.CAND, Kind.SCALAR, Kind.ANY),
     "scalar": (Kind.SCALAR, Kind.ANY),
-    "table": (Kind.TABLE, Kind.ANY),
     "result": (Kind.RESULT, Kind.ANY),
     "any": tuple(Kind),
 }
@@ -115,26 +113,20 @@ def _table_columns(ctx, name: Any) -> Optional[Columns]:
     )
 
 
-def _infer_bind_table(ctx, args, report):
-    name = args[0]
-    if name is not None and name.has_const:
-        cols = _table_columns(ctx, name.const)
-        if cols is None and getattr(ctx, "catalog", None) is not None:
-            report(
-                f"unknown table or basket {name.const!r}",
-                rule="unknown-table",
-            )
-        return AbstractValue(Kind.TABLE, columns=cols)
-    return AbstractValue(Kind.TABLE)
-
-
 def _infer_sql_bind(ctx, args, report):
     table, column = args[0], args[1]
     cols: Optional[Columns] = None
-    if table is not None and table.kind is Kind.TABLE:
-        cols = table.columns
-    elif table is not None and table.has_const:
+    if table is not None and table.has_const:
         cols = _table_columns(ctx, table.const)
+        if (
+            cols is None
+            and isinstance(table.const, str)
+            and getattr(ctx, "catalog", None) is not None
+        ):
+            report(
+                f"unknown table or basket {table.const!r}",
+                rule="unknown-table",
+            )
     if (
         cols is not None
         and column is not None
@@ -148,59 +140,6 @@ def _infer_sql_bind(ctx, args, report):
         report(
             f"unknown column {column.const!r}", rule="unknown-column"
         )
-    return bat()
-
-
-def _infer_table_passthrough(ctx, args, report):
-    value = args[0]
-    if value is not None and value.kind is Kind.TABLE:
-        return value
-    return AbstractValue(Kind.TABLE)
-
-
-def _infer_basket_append(ctx, args, report):
-    table, result = args[0], args[1]
-    if (
-        table is not None
-        and result is not None
-        and table.columns is not None
-        and result.columns is not None
-    ):
-        # basket.append zips table.schema with result.bats; append_bat
-        # requires exact atom identity per position.
-        if len(result.columns) > len(table.columns):
-            report(
-                f"basket.append: result has {len(result.columns)} columns "
-                f"but the basket only {len(table.columns)}",
-                rule="schema-mismatch",
-            )
-        for pos, (tcol, rcol) in enumerate(zip(table.columns, result.columns)):
-            tname, tatom = tcol
-            _, ratom = rcol
-            if tatom is not None and ratom is not None and tatom is not ratom:
-                report(
-                    f"basket.append: column {pos} ({tname!r}) is "
-                    f"{tatom.name} but the appended result column is "
-                    f"{ratom.name}",
-                    rule="schema-mismatch",
-                )
-    return scalar(AtomType.LNG)
-
-
-def _infer_snapshot(ctx, args, report):
-    table, column = args[0], args[1]
-    if (
-        table is not None
-        and table.columns is not None
-        and column is not None
-        and column.has_const
-        and isinstance(column.const, str)
-    ):
-        wanted = column.const.lower()
-        for col_name, col_atom in table.columns:
-            if col_name == wanted:
-                return bat(col_atom)
-        report(f"unknown column {column.const!r}", rule="unknown-column")
     return bat()
 
 
@@ -289,15 +228,9 @@ def _infer_pass(ctx, args, report):
 #: result value(s) from the arguments and reports what would fail
 SCHEMA_RULES: Dict[str, Infer] = {
     "sql.bind": _infer_sql_bind,
-    "sql.bind_table": _infer_bind_table,
     "sql.resultset": _infer_resultset,
     "sql.single_row": _infer_single_row,
     "sql.result_column": _infer_result_column,
-    "basket.bind": _infer_bind_table,
-    "basket.lock": _infer_table_passthrough,
-    "basket.unlock": _infer_table_passthrough,
-    "basket.append": _infer_basket_append,
-    "basket.snapshot": _infer_snapshot,
     # the value itself, columns included, passes through
     "language.pass": _infer_pass,
 }

@@ -71,11 +71,6 @@ def _const_value(arg: Const) -> AbstractValue:
     )
 
 
-def _effectful(ins: Instr) -> bool:
-    """Instructions that must survive DCE (mirror the optimizer)."""
-    return ins.module == "basket"
-
-
 def _needed_instructions(
     program: Program, protected: Sequence[str]
 ) -> Set[int]:
@@ -86,7 +81,7 @@ def _needed_instructions(
     needed: Set[int] = set()
     for index in range(len(program.instructions) - 1, -1, -1):
         ins = program.instructions[index]
-        if _effectful(ins) or any(r in live for r in ins.results):
+        if any(r in live for r in ins.results):
             needed.add(index)
             for arg in ins.args:
                 if isinstance(arg, Var):
@@ -250,7 +245,7 @@ def verify_program(
     if check_dead:
         needed = _needed_instructions(program, protected)
         for index, ins in enumerate(program.instructions):
-            if _effectful(ins) or not ins.results:
+            if not ins.results:
                 continue
             if index not in needed:
                 sink.report(

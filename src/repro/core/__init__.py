@@ -17,7 +17,6 @@ from .factory import (
 from .places import Place
 from .receptor import Receptor
 from .scheduler import FiringPolicy, PriorityPolicy, Scheduler
-from .shedding import LoadShedController, apply_shedding_policy
 from .topology import NetworkTopology, build_topology
 from .windows import (
     SlidingWindowJoinPlan,
@@ -51,8 +50,6 @@ __all__ = [
     "Scheduler",
     "FiringPolicy",
     "PriorityPolicy",
-    "LoadShedController",
-    "apply_shedding_policy",
     "NetworkTopology",
     "build_topology",
     "WindowSpec",

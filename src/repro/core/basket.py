@@ -368,15 +368,9 @@ class Basket(Table, Place):
         if self.capacity is None or self.count <= self.capacity:
             return 0
         overflow = self.count - self.capacity
-        return self._shed_keeping(slice(overflow, None), self.capacity)
-
-    def _shed_keeping(self, keep: Any, kept: int) -> int:
-        """Load shedding (under the lock): keep the ``kept`` rows ``keep``
-        selects and count the rest as shed.  Returns rows shed."""
-        shed = self.count - kept
-        self._rebuild_keeping(keep, kept)
-        self._shed.value += shed
-        return shed
+        self._rebuild_keeping(slice(overflow, None), self.capacity)
+        self._shed.value += overflow
+        return overflow
 
     def _trim_to_retention(self) -> int:
         """Ring-buffer retention (call under ``self.lock``): drop oldest
@@ -415,7 +409,7 @@ class Basket(Table, Place):
             )
 
     def consume_all(self) -> int:
-        """Remove every tuple (the bulk ``basket.empty`` of Algorithm 1)."""
+        """Remove every tuple (the bulk ``empty(input)`` of Algorithm 1)."""
         with self.lock:
             removed = self.count
             self._bats = {k: BAT(b.atom) for k, b in self._bats.items()}
@@ -492,9 +486,9 @@ class Basket(Table, Place):
         """Swap in new BATs holding only the ``kept`` rows ``keep``
         selects (under the lock).
 
-        ``keep`` selects sequenced positions: a boolean mask, an
-        ascending index array or a slice.  Each column is copied once,
-        by the selection; the hidden runs are re-cut.
+        ``keep`` selects sequenced positions: a boolean mask or a slice.
+        Each column is copied once, by the selection; the hidden runs are
+        re-cut.
         """
         n = len(self._seq)
         view = isinstance(keep, slice)  # basic slicing does not copy

@@ -95,9 +95,8 @@ class Runs:
     def keep(self, selection: Any, kept: int) -> "Runs":
         """The runs of the ``kept`` rows ``selection`` picks.
 
-        ``selection`` is a slice, a boolean mask, or an ascending array
-        of the positions to keep — the three forms a basket rebuilds
-        its columns by.
+        ``selection`` is a slice or a boolean mask — the two forms a
+        basket rebuilds its columns by.
         """
         if not kept:
             return Runs()
@@ -108,18 +107,16 @@ class Runs:
         if isinstance(selection, slice):
             start, stop, _ = selection.indices(self.ends[-1])
             return self.cut(start, stop)
-        if selection.dtype == np.bool_:
-            # removed positions, ascending: only the runs from the first
-            # one hit change, and a consume usually hits the newest runs
-            gone = np.flatnonzero(~selection)
-            k = bisect_right(self.ends, int(gone[0]))
-            tail = self.ends[k:]
-            ends = [
-                end - removed
-                for end, removed in zip(tail, gone.searchsorted(tail).tolist())
-            ]
-            return self._recut(k, ends)
-        return self._recut(0, selection.searchsorted(self.ends).tolist())
+        # removed positions, ascending: only the runs from the first one
+        # hit change, and a consume usually hits the newest runs
+        gone = np.flatnonzero(~selection)
+        k = bisect_right(self.ends, int(gone[0]))
+        tail = self.ends[k:]
+        ends = [
+            end - removed
+            for end, removed in zip(tail, gone.searchsorted(tail).tolist())
+        ]
+        return self._recut(k, ends)
 
     def _recut(self, k: int, ends: List[int]) -> "Runs":
         """Runs ``[0, k)`` as they are, then runs ``k…`` with new

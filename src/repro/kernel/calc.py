@@ -167,43 +167,78 @@ def _as_float(values):
 def calc_binary(op: str, left: Operand, right: Operand) -> BAT:
     """Element-wise arithmetic: ``op`` ∈ ``+ - * / %``.
 
-    The result atom is :func:`arith_atom`'s.  Division/modulo by zero
-    yields NULL for the offending rows (SQL would raise; NULL keeps streams
-    flowing and is documented behavior).
+    The result atom is :func:`arith_atom`'s.  An integer result is
+    computed exactly in ``int64``; a row whose value falls outside the
+    result atom's range yields NULL, as does division/modulo by zero (SQL
+    would raise; NULL keeps streams flowing and is documented behavior).
+    ``/`` is always DOUBLE and ``%`` is floored (the divisor's sign).
     """
     atom_l, vals_l, atom_r, vals_r, hseqbase, count = _broadcast(left, right)
     out_atom = arith_atom(op, atom_l, atom_r)
     if out_atom is AtomType.STR:
         return _concat_str(vals_l, vals_r, hseqbase, count)
+    if op not in ARITHMETIC:
+        raise KernelError(f"unknown arithmetic operator {op!r}")
     nils = _operand_nils(atom_l, vals_l) | _operand_nils(atom_r, vals_r)
-    lf = _as_float(vals_l)
-    rf = _as_float(vals_r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if op == "+":
-            res = lf + rf
-        elif op == "-":
-            res = lf - rf
-        elif op == "*":
-            res = lf * rf
-        elif op == "/":
-            res = np.where(rf == 0, np.nan, lf) / np.where(rf == 0, 1, rf)
-            nils = nils | (rf == 0)
-        elif op == "%":
-            res = np.mod(lf, np.where(rf == 0, 1, rf))
-            nils = nils | (rf == 0)
-        else:
-            raise KernelError(f"unknown arithmetic operator {op!r}")
+    dtype = numpy_dtype(out_atom)
+    if dtype.kind == "i":
+        res, bad = _int_arith(op, vals_l, vals_r, nils)
+        info = np.iinfo(dtype)
+        nils = nils | bad | (res < info.min) | (res > info.max)
+    else:
+        lf = _as_float(vals_l)
+        rf = _as_float(vals_r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if op == "+":
+                res = lf + rf
+            elif op == "-":
+                res = lf - rf
+            elif op == "*":
+                res = lf * rf
+            elif op == "/":
+                res = np.where(rf == 0, np.nan, lf) / np.where(rf == 0, 1, rf)
+                nils = nils | (rf == 0)
+            else:
+                res = np.mod(lf, np.where(rf == 0, 1, rf))
+                nils = nils | (rf == 0)
     res = np.broadcast_to(res, (count,)).copy()
     nils = np.broadcast_to(nils, (count,))
     out = BAT(out_atom, hseqbase=hseqbase, capacity=max(count, 1))
-    if out_atom in (AtomType.DBL, AtomType.TIMESTAMP):
+    if dtype.kind == "f":
         res[nils] = np.nan
         out.append_array(res)
     else:
-        stored = np.where(nils, 0.0, res).astype(numpy_dtype(out_atom))
+        stored = np.where(nils, 0, res).astype(dtype)
         stored[nils] = nil_value(out_atom)
         out.append_array(stored)
     return out
+
+
+def _int_arith(op: str, vals_l, vals_r, nils):
+    """``vals_l op vals_r`` exactly in ``int64`` (``/`` excluded).
+
+    Returns ``(result, bad)``: ``bad`` marks the rows whose true value
+    does not fit ``int64`` and the rows ``%`` divides by zero.  NULL rows
+    compute on zeros, so their sentinels never take part.
+    """
+    a = np.where(nils, 0, vals_l).astype(np.int64)
+    b = np.where(nils, 0, vals_r).astype(np.int64)
+    with np.errstate(over="ignore", divide="ignore"):
+        if op == "%":
+            zero = b == 0
+            return np.mod(a, np.where(zero, 1, b)), zero
+        if op == "+":
+            res = a + b  # wraps on overflow; the sign test catches it
+            return res, ((a ^ res) & (b ^ res)) < 0
+        if op == "-":
+            res = a - b
+            return res, ((a ^ b) & (a ^ res)) < 0
+        res = a * b
+        # an exact product divides back; a wrapped one cannot, except
+        # -1 * -2**63, whose quotient wraps too
+        quotient = res // np.where(a == 0, 1, a)
+        bad = (quotient != b) | ((a == -1) & (res == np.iinfo(np.int64).min))
+        return res, bad & (a != 0)
 
 
 def _concat_str(vals_l, vals_r, hseqbase: int, count: int) -> BAT:

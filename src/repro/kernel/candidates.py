@@ -17,9 +17,6 @@ __all__ = [
     "all_candidates",
     "resolve_positions",
     "from_mask",
-    "intersect",
-    "union",
-    "difference",
     "validate",
 ]
 
@@ -39,21 +36,6 @@ def resolve_positions(bat: BAT, candidates: Optional[np.ndarray]) -> np.ndarray:
 def from_mask(bat: BAT, mask: np.ndarray) -> np.ndarray:
     """Candidate list of the tuples whose mask position is True."""
     return np.flatnonzero(mask).astype(np.int64) + bat.hseqbase
-
-
-def intersect(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Sorted intersection of two candidate lists."""
-    return np.intersect1d(left, right, assume_unique=True)
-
-
-def union(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Sorted union of two candidate lists."""
-    return np.union1d(left, right)
-
-
-def difference(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Sorted candidates in ``left`` but not ``right``."""
-    return np.setdiff1d(left, right, assume_unique=True)
 
 
 def validate(bat: BAT, candidates: Optional[np.ndarray]) -> None:

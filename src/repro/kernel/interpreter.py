@@ -479,11 +479,6 @@ def _sql_bind(ctx: MalContext, table: Any, column: str) -> BAT:
     return tbl.bat(column)
 
 
-@primitive("sql.bind_table", "scalar", "table")
-def _sql_bind_table(ctx: MalContext, name: str) -> Table:
-    return ctx.catalog.get(name)
-
-
 @primitive("sql.resultset", "scalar", "result", varargs="bat")
 def _sql_resultset(ctx: MalContext, names: Any, *bats: BAT) -> ResultSet:
     return ResultSet(list(names), list(bats))
@@ -570,19 +565,6 @@ def _algebra_join(ctx: MalContext, left: BAT, right: BAT):
     return _join.hash_join(left, right)
 
 
-@primitive(
-    "algebra.thetajoin", "bat bat scalar", "cand cand",
-    atom=lambda left, right, op: compare_atom(left, right),
-)
-def _algebra_thetajoin(ctx: MalContext, left: BAT, right: BAT, op: str):
-    return _join.theta_join(left, right, op)
-
-
-@primitive("algebra.leftouterjoin", "bat bat", "cand cand", atom=compare_atom)
-def _algebra_leftouterjoin(ctx: MalContext, left: BAT, right: BAT):
-    return _join.left_outer_join(left, right)
-
-
 @primitive("algebra.crossproduct", "bat bat", "cand cand")
 def _algebra_crossproduct(ctx, left: BAT, right: BAT):
     """Cross-product position pairs for two dense-0 relations."""
@@ -640,24 +622,6 @@ def _algebra_compose(ctx, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     outer = np.asarray(outer, dtype=np.int64)
     inner = np.asarray(inner, dtype=np.int64)
     return outer[inner]
-
-
-# ----------------------------------------------------------------------
-# candidate-list algebra
-# ----------------------------------------------------------------------
-@primitive("cand.intersect", "cand cand", "cand")
-def _cand_intersect(ctx, left, right):
-    return _cand.intersect(left, right)
-
-
-@primitive("cand.union", "cand cand", "cand")
-def _cand_union(ctx, left, right):
-    return _cand.union(left, right)
-
-
-@primitive("cand.difference", "cand cand", "cand")
-def _cand_difference(ctx, left, right):
-    return _cand.difference(left, right)
 
 
 # ----------------------------------------------------------------------
@@ -805,50 +769,6 @@ def _register_math(name: str) -> None:
 
 for _name in _mathops.MATH_FUNCTIONS:
     _register_math(_name)
-
-
-# ----------------------------------------------------------------------
-# basket module — Algorithm 1's primitives, operating on basket Tables.
-# ----------------------------------------------------------------------
-@primitive("basket.bind", "scalar", "table")
-def _basket_bind(ctx, name: str) -> Table:
-    table = ctx.catalog.get(name)
-    return table
-
-
-@primitive("basket.lock", "table", "table")
-def _basket_lock(ctx, table: Table) -> Table:
-    table.lock.acquire()
-    return table
-
-
-@primitive("basket.unlock", "table", "table")
-def _basket_unlock(ctx, table: Table) -> Table:
-    table.lock.release()
-    return table
-
-
-@primitive("basket.count", "table", "scalar")
-def _basket_count(ctx, table: Table) -> int:
-    return table.count
-
-
-@primitive("basket.empty", "table", "scalar")
-def _basket_empty(ctx, table: Table) -> int:
-    return table.truncate()
-
-
-@primitive("basket.append", "table result", "scalar")
-def _basket_append(ctx, table: Table, result: ResultSet) -> int:
-    for col, bat in zip(table.schema, result.bats):
-        table.bat(col.name).append_bat(bat)
-    table.check_alignment()
-    return result.count
-
-
-@primitive("basket.snapshot", "table scalar")
-def _basket_snapshot(ctx, table: Table, column: str) -> BAT:
-    return table.bat(column)
 
 
 def _concat_atom(

@@ -9,8 +9,8 @@ the passes that matter for the DataCell's plans:
     star-expansion and hidden-column plumbing leave plenty behind;
 
 ``common subexpression elimination``
-    structurally identical side-effect-free instructions reuse the first
-    result — repeated ``sql.bind``/``projection`` chains collapse, which
+    structurally identical instructions reuse the first result (every
+    primitive is pure) — repeated ``sql.bind``/``projection`` chains collapse, which
     is the compiler-level analogue of the paper's "similarities at the
     query plan level" (§3);
 
@@ -36,11 +36,6 @@ __all__ = [
     "eliminate_common_subexpressions",
     "OptimizerReport",
 ]
-
-# modules whose primitives have side effects or non-deterministic results:
-# never deduplicated, never dropped
-_EFFECTFUL_MODULES = frozenset(("basket",))
-
 
 class OptimizerReport:
     """What the pipeline did (exposed via EXPLAIN and tests)."""
@@ -99,9 +94,6 @@ def eliminate_common_subexpressions(
             for a in ins.args
         )
         renamed = Instr(ins.results, ins.module, ins.fn, args, node=ins.node)
-        if ins.module in _EFFECTFUL_MODULES:
-            kept.append(renamed)
-            continue
         key = (
             f"{ins.module}.{ins.fn}("
             + ",".join(_arg_key(a) for a in args)
@@ -138,11 +130,7 @@ def eliminate_dead_code(
     kept_reversed: List[Instr] = []
     removed = 0
     for ins in reversed(program.instructions):
-        is_live = (
-            ins.module in _EFFECTFUL_MODULES
-            or any(r in live for r in ins.results)
-        )
-        if not is_live:
+        if not any(r in live for r in ins.results):
             removed += 1
             continue
         for arg in ins.args:

@@ -1,8 +1,5 @@
-"""Tests for replay sources and workload generators."""
+"""Tests for the workload generators."""
 
-import pytest
-
-from repro.adapters.channels import InMemoryChannel
 from repro.adapters.generators import (
     gaussian_doubles,
     network_packets,
@@ -11,64 +8,6 @@ from repro.adapters.generators import (
     uniform_ints,
     zipf_ints,
 )
-from repro.adapters.replay import ReplaySource, load_csv_rows
-from repro.core.clock import LogicalClock
-from repro.errors import AdapterError
-
-
-class TestReplay:
-    def make(self, clock=None):
-        events = [(0.0, (1,)), (1.0, (2,)), (2.0, (3,)), (2.0, (4,))]
-        channel = InMemoryChannel()
-        return ReplaySource(events, channel, clock), channel
-
-    def test_requires_time_order(self):
-        with pytest.raises(AdapterError):
-            ReplaySource([(2.0, (1,)), (1.0, (2,))], InMemoryChannel())
-
-    def test_pump_all(self):
-        source, channel = self.make()
-        assert source.pump_all() == 4
-        assert channel.pending() == 4
-        assert source.exhausted
-
-    def test_pump_batch(self):
-        source, channel = self.make()
-        assert source.pump_batch(2) == 2
-        assert source.remaining == 2
-
-    def test_paced_pump(self):
-        clock = LogicalClock()
-        source, channel = self.make(clock)
-        assert source.pump() == 1  # t=0 event
-        clock.advance(1.0)
-        assert source.pump() == 1
-        clock.advance(5.0)
-        assert source.pump() == 2
-        assert source.pump() == 0
-
-    def test_pump_with_explicit_time(self):
-        source, channel = self.make()
-        assert source.pump(now=1.5) == 2
-
-    def test_pump_needs_clock_or_time(self):
-        source, _ = self.make()
-        with pytest.raises(AdapterError):
-            source.pump()
-
-    def test_next_timestamp(self):
-        source, _ = self.make()
-        assert source.next_timestamp() == 0.0
-        source.pump_all()
-        assert source.next_timestamp() is None
-
-    def test_load_csv_from_text(self):
-        rows = load_csv_rows("a,b\n1,2\n3,4\n", from_text=True)
-        assert rows == [["1", "2"], ["3", "4"]]
-
-    def test_load_csv_no_header(self):
-        rows = load_csv_rows("1,2\n", from_text=True, has_header=False)
-        assert rows == [["1", "2"]]
 
 
 class TestGenerators:

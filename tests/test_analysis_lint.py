@@ -105,6 +105,16 @@ class TestBareLock:
         )
         assert findings == []
 
+    def test_interpreter_not_approved(self, tmp_path):
+        # the MAL interpreter holds no basket lock of its own: a primitive
+        # that locked a table by hand would skip the name-order rule
+        findings = _lint_snippet(
+            tmp_path,
+            "def _lock(ctx, table):\n    table.lock.acquire()\n",
+            relname="repro/kernel/interpreter.py",
+        )
+        assert [f.rule for f in findings] == ["bare-lock"]
+
 
 class TestLockOrder:
     def test_unsorted_multi_acquire_flagged(self, tmp_path):

@@ -105,7 +105,6 @@ OVERRIDES = {
         4: d(st.booleans()), 5: d(st.booleans()), 6: d(st.booleans()),
     },
     "algebra.thetaselect": lambda d, n: {2: d(THETA_OPS), 3: d(NULLABLE)},
-    "algebra.thetajoin": lambda d, n: {2: d(THETA_OPS)},
     "algebra.likeselect": lambda d, n: {2: d(PATTERNS), 3: d(st.booleans())},
     "algebra.slice": lambda d, n: {
         1: d(st.integers(0, n)), 2: d(st.integers(0, n)),

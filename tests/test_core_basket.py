@@ -1,7 +1,5 @@
 """Unit and property tests for baskets (the key DataCell structure)."""
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.core.basket import Basket, TIME_COLUMN
 from repro.core.clock import LogicalClock
-from repro.core.shedding import apply_shedding_policy
 from repro.errors import BasketError
 from repro.kernel.bat import bat_from_values
 from repro.kernel.mal import ResultSet
 from repro.kernel.types import AtomType
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -215,6 +213,15 @@ class TestLoadShedding:
         basket.insert_rows([(i, "x") for i in range(100)])
         assert basket.total_shed == 0
 
+    def test_shared_reader_sees_survivors_in_order(self, clock):
+        metrics = MetricsRegistry()
+        basket = Basket("w", [("v", AtomType.INT)], clock, metrics=metrics)
+        basket.register_reader("q")
+        basket.capacity = 5
+        basket.insert_rows([(i,) for i in range(10)])
+        assert basket.read_new("q").seqs.tolist() == [5, 6, 7, 8, 9]
+        assert metrics.value("datacell_basket_shed_total", ("w",)) == 5
+
 
 class TestAppendResult:
     def test_append_result(self, basket, clock):
@@ -319,20 +326,6 @@ class BasketModel:
             old = self.hidden[seq][1]
             self.hidden[seq] = (mono, old if token is None else token)
 
-    def shed(self, capacity, policy, rng):
-        """:func:`apply_shedding_policy` on the list of rows."""
-        overflow = len(self.rows) - capacity
-        if overflow <= 0:
-            return 0
-        if policy == "oldest":
-            self.rows = self.rows[overflow:]
-        elif policy == "newest":
-            self.rows = self.rows[:capacity]
-        else:
-            kept = sorted(rng.sample(range(len(self.rows)), capacity))
-            self.rows = [self.rows[i] for i in kept]
-        return overflow
-
     def expected_hidden(self, rows):
         return [self.hidden[r[0]] for r in rows]
 
@@ -384,8 +377,7 @@ OPS = st.tuples(
         "snapshot_since", "snapshot_since", "consume_positions",
         "consume_positions", "consume_snapshot", "consume_snapshot",
         "consume_seqs", "consume_all", "register", "advance", "gc",
-        "unregister", "capacity", "retention", "shed_oldest",
-        "shed_newest", "shed_sample", "import",
+        "unregister", "capacity", "retention", "import",
     )),
     st.integers(0, 12),
     st.integers(0, 2 ** 16),
@@ -397,9 +389,8 @@ class TestReferenceModel:
     """Random walks over ingest, factory output (``append_result`` with
     a given origin stamp and trace token), snapshots (whole and
     ``since_seq``), consumption by position / sequence / in bulk, shared
-    readers with their GC, load shedding (the capacity watermark and
-    every :func:`apply_shedding_policy` policy, which keep rows by index
-    array), retention trimming and a checkpoint round trip, checked
+    readers with their GC, load shedding by the capacity watermark,
+    retention trimming and a checkpoint round trip, checked
     against :class:`BasketModel` after every step — the hidden runs
     included: every snapshot's runs must expand to the model's per-row
     stamps and tokens.  Snapshots are kept across steps, so consuming one
@@ -515,12 +506,6 @@ class TestReferenceModel:
             elif op == "retention":
                 model.retention = basket.retention = (
                     None if a % 3 == 0 else a + 4)
-            elif op.startswith("shed_"):
-                policy = op[len("shed_"):]
-                capacity = a % (len(model.rows) + 2)
-                assert apply_shedding_policy(
-                    basket, capacity, policy, random.Random(bits)
-                ) == model.shed(capacity, policy, random.Random(bits))
             elif op == "import":
                 basket.import_state(basket.export_state())
                 runs = basket.snapshot().runs

@@ -96,6 +96,83 @@ class TestArithmetic:
         assert out.hseqbase == 50
 
 
+class TestExactIntegerArithmetic:
+    """Integer results are computed in int64 and are exact; a row whose
+    value leaves the result atom's range is NULL, never a wrapped or
+    float-rounded number."""
+
+    LNG_MAX = 2**63 - 1
+
+    def test_bigint_beyond_float_precision(self):
+        x = ints([2**53 + 1])
+        assert calc_binary("+", x, 0).python_list() == [2**53 + 1]
+        assert calc_binary("-", x, 1).python_list() == [2**53]
+        assert calc_binary("*", x, 1).python_list() == [2**53 + 1]
+        assert calc_binary("%", x, 10).python_list() == [(2**53 + 1) % 10]
+
+    @pytest.mark.filterwarnings("error")
+    def test_int_overflow_is_null_without_warnings(self):
+        i = bat_from_values(AtomType.INT, [2**31 - 1, 5, -(2**31) + 1])
+        one = bat_from_values(AtomType.INT, [1, 1, 1])
+        assert calc_binary("+", i, one).python_list() == [
+            None, 6, -(2**31) + 2]
+        assert calc_binary("-", i, one).python_list() == [
+            2**31 - 2, 4, None]
+        assert calc_binary("*", i, i).python_list() == [None, 25, None]
+
+    @pytest.mark.filterwarnings("error")
+    def test_lng_overflow_is_null(self):
+        big = ints([self.LNG_MAX, -self.LNG_MAX, 2**62, None])
+        assert calc_binary("+", big, 1).python_list() == [
+            None, -self.LNG_MAX + 1, 2**62 + 1, None]
+        assert calc_binary("-", big, 2).python_list() == [
+            self.LNG_MAX - 2, None, 2**62 - 2, None]
+        assert calc_binary("*", big, 2).python_list() == [
+            None, None, None, None]
+        assert calc_binary("*", big, -1).python_list() == [
+            -self.LNG_MAX, self.LNG_MAX, -(2**62), None]
+
+    def test_div_and_mod_keep_their_semantics(self):
+        a = ints([-7, 7])
+        assert calc_binary("/", a, 2).python_list() == [-3.5, 3.5]
+        assert calc_binary("%", a, 2).python_list() == [1, 1]
+        assert calc_binary("%", a, -2).python_list() == [-1, -1]
+
+    @given(
+        st.lists(st.one_of(st.integers(-(2**63) + 1, 2**63 - 1), st.none()),
+                 max_size=40),
+        st.integers(-(2**63) + 1, 2**63 - 1),
+        st.sampled_from(["+", "-", "*"]),
+    )
+    def test_wide_values_match_python(self, values, scalar, op):
+        import operator as _op
+
+        fn = {"+": _op.add, "-": _op.sub, "*": _op.mul}[op]
+
+        def exact(v):
+            if v is None:
+                return None
+            r = fn(v, scalar)
+            return r if -(2**63) < r < 2**63 else None
+
+        out = calc_binary(op, ints(values), scalar)
+        assert out.python_list() == [exact(v) for v in values]
+
+    def test_sql_bigint_and_int_overflow(self):
+        import warnings
+
+        from repro import DataCell
+
+        cell = DataCell()
+        cell.execute("create table t (x bigint, i int, j int)")
+        cell.execute(
+            "insert into t values (9007199254740993, 2147483647, 1)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cell.query("select x + 0, x - 1, i + j from t") == [
+                (9007199254740993, 9007199254740992, None)]
+
+
 class TestComparison:
     def test_compare_bats(self):
         out = calc_compare("<", ints([1, 5]), ints([3, 3]))

@@ -1,19 +1,14 @@
-"""Tests for candidate-list algebra and the remaining MAL primitives."""
+"""Tests for candidate lists and the remaining MAL primitives."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.kernel.bat import bat_from_values
 from repro.kernel.candidates import (
     all_candidates,
-    difference,
     from_mask,
-    intersect,
     resolve_positions,
-    union,
     validate,
 )
 from repro.kernel.catalog import Catalog
@@ -41,12 +36,6 @@ class TestCandidates:
         mask = np.array([True, False, True])
         assert from_mask(b, mask).tolist() == [4, 6]
 
-    def test_set_algebra(self):
-        a, b = cands(1, 3, 5), cands(3, 4, 5)
-        assert intersect(a, b).tolist() == [3, 5]
-        assert union(a, b).tolist() == [1, 3, 4, 5]
-        assert difference(a, b).tolist() == [1]
-
     def test_validate_in_range(self):
         b = bat_from_values(AtomType.INT, [1, 2], hseqbase=10)
         validate(b, cands(10, 11))
@@ -59,17 +48,6 @@ class TestCandidates:
             validate(b, cands(9))
         with pytest.raises(KernelError):
             validate(b, cands(12))
-
-    @given(
-        st.lists(st.integers(0, 30), unique=True, max_size=20),
-        st.lists(st.integers(0, 30), unique=True, max_size=20),
-    )
-    def test_set_algebra_matches_python(self, left, right):
-        a = np.asarray(sorted(left), dtype=np.int64)
-        b = np.asarray(sorted(right), dtype=np.int64)
-        assert set(intersect(a, b).tolist()) == set(left) & set(right)
-        assert set(union(a, b).tolist()) == set(left) | set(right)
-        assert set(difference(a, b).tolist()) == set(left) - set(right)
 
 
 class TestMalStringMathPrimitives:
@@ -131,21 +109,6 @@ class TestMalStringMathPrimitives:
         p.output = p.emit("bat", "concat", [Var(a), Var(a)])
         out = MalInterpreter(catalog).run(p)
         assert out.count == 6
-
-    def test_cand_primitives(self, catalog):
-        p = Program()
-        col = p.emit("sql", "bind", [Const("w"), Const("x")])
-        lo = p.emit(
-            "algebra", "thetaselect",
-            [Var(col), Const(None), Const(">"), Const(0.0)],
-        )
-        hi = p.emit(
-            "algebra", "thetaselect",
-            [Var(col), Const(None), Const("<"), Const(3.0)],
-        )
-        p.output = p.emit("cand", "intersect", [Var(lo), Var(hi)])
-        out = MalInterpreter(catalog).run(p)
-        assert out.tolist() == [2]
 
     def test_compose(self, catalog):
         p = Program()

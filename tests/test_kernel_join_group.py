@@ -16,9 +16,7 @@ from repro.kernel.group import distinct_positions, group, subgroup
 from repro.kernel.join import (
     cross_positions,
     hash_join,
-    left_outer_join,
     projection,
-    theta_join,
 )
 from repro.kernel.sort import order, refine, topn
 from repro.kernel.types import AtomType
@@ -76,46 +74,6 @@ class TestHashJoin:
         cands = np.array([1], dtype=np.int64)
         l, r = hash_join(left, right, left_cands=cands)
         assert l.tolist() == [1]
-
-
-class TestOuterJoin:
-    def test_unmatched_left_gets_minus_one(self):
-        l, r = left_outer_join(ints([1, 9]), ints([1]))
-        assert list(zip(l.tolist(), r.tolist())) == [(0, 0), (1, -1)]
-
-    def test_null_left_is_unmatched(self):
-        l, r = left_outer_join(ints([None]), ints([None, 1]))
-        assert list(zip(l.tolist(), r.tolist())) == [(0, -1)]
-
-
-class TestThetaJoin:
-    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "!="])
-    def test_matches_nested_loop(self, op):
-        import operator as _op
-
-        fns = {
-            "<": _op.lt, "<=": _op.le, ">": _op.gt, ">=": _op.ge,
-            "!=": _op.ne,
-        }
-        lvals = [1, 3, None, 5]
-        rvals = [2, None, 5]
-        l, r = theta_join(ints(lvals), ints(rvals), op)
-        got = set(zip(l.tolist(), r.tolist()))
-        expect = {
-            (i, j)
-            for i, lv in enumerate(lvals)
-            for j, rv in enumerate(rvals)
-            if lv is not None and rv is not None and fns[op](lv, rv)
-        }
-        assert got == expect
-
-    def test_equality_delegates_to_hash(self):
-        l, r = theta_join(ints([1, 2]), ints([2]), "==")
-        assert set(zip(l.tolist(), r.tolist())) == {(1, 0)}
-
-    def test_bad_op(self):
-        with pytest.raises(KernelError):
-            theta_join(ints([1]), ints([1]), "~=")
 
 
 class TestCross:
@@ -374,14 +332,6 @@ _JOIN_CASES = [
     (AtomType.DBL, AtomType.INT, ("small", "float")),
     (AtomType.INT, AtomType.LNG, ("small",)),
 ]
-_THETA = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "!=": lambda a, b: a != b,
-    "==": lambda a, b: a == b,
-}
 
 
 def _fits(atom, value):
@@ -439,23 +389,18 @@ def _comparable(left, right):
     return float
 
 
-def ref_join(left, lcands, right, rcands, op, outer=False):
-    """Nested loop: probe order; matches by (value, position) for theta,
-    by position for equality."""
+def ref_join(left, lcands, right, rcands):
+    """Nested loop: equi-join pairs in probe order, matches by position."""
     conv = _comparable(left, right)
     lv, rv = left.python_list(), right.python_list()
     pairs = []
     for i in _positions(left, lcands):
-        matches = [
-            j for j in _positions(right, rcands)
+        pairs += [
+            (i + left.hseqbase, j + right.hseqbase)
+            for j in _positions(right, rcands)
             if lv[i] is not None and rv[j] is not None
-            and _THETA[op](conv(lv[i]), conv(rv[j]))
+            and conv(lv[i]) == conv(rv[j])
         ]
-        if op != "==":
-            matches.sort(key=lambda j: conv(rv[j]))
-        pairs += [(i + left.hseqbase, j + right.hseqbase) for j in matches]
-        if outer and not matches:
-            pairs.append((i + left.hseqbase, -1))
     return pairs
 
 
@@ -479,21 +424,10 @@ def _pairs(result):
 class TestKernelsMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(_join_inputs())
-    def test_hash_and_outer_join(self, inputs):
+    def test_hash_join(self, inputs):
         (left, lc), (right, rc) = inputs
         assert _pairs(hash_join(left, right, lc, rc)) == ref_join(
-            left, lc, right, rc, "=="
-        )
-        assert _pairs(left_outer_join(left, right, lc, rc)) == ref_join(
-            left, lc, right, rc, "==", outer=True
-        )
-
-    @settings(max_examples=300, deadline=None)
-    @given(_join_inputs(), st.sampled_from(sorted(_THETA)))
-    def test_theta_join(self, inputs, op):
-        (left, lc), (right, rc) = inputs
-        assert _pairs(theta_join(left, right, op, lc, rc)) == ref_join(
-            left, lc, right, rc, op
+            left, lc, right, rc
         )
 
     @settings(max_examples=300, deadline=None)

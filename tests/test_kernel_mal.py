@@ -172,37 +172,3 @@ class TestInterpreter:
         p.output = p.emit("algebra", "projection", [Var(cands), Var(temp)])
         out = MalInterpreter(catalog).run(p)
         assert out.python_list() == [35.0, 40.0]
-
-
-class TestAlgorithmOne:
-    """Algorithm 1 from the paper, executed through MAL basket primitives."""
-
-    def test_factory_body(self):
-        cat = Catalog()
-        inp = cat.create_table("x", [("v", AtomType.INT)], is_basket=True)
-        out = cat.create_table("y", [("v", AtomType.INT)], is_basket=True)
-        inp.append_rows([(5,), (15,), (25,)])
-
-        p = Program(name="simple_select_factory")
-        p.emit("basket", "bind", [Const("x")], results=["input"])
-        p.emit("basket", "bind", [Const("y")], results=["output"])
-        p.emit("basket", "lock", [Var("input")], results=["li"])
-        p.emit("basket", "lock", [Var("output")], results=["lo"])
-        col = p.emit("basket", "snapshot", [Var("input"), Const("v")])
-        cands = p.emit(
-            "algebra",
-            "select",
-            [Var(col), Const(None), Const(10), Const(20), Const(True),
-             Const(True), Const(False)],
-        )
-        vals = p.emit("algebra", "projection", [Var(cands), Var(col)])
-        res = p.emit("sql", "resultset", [Const(("v",)), Var(vals)])
-        p.emit("basket", "empty", [Var("input")])
-        p.emit("basket", "append", [Var("output"), Var(res)])
-        p.emit("basket", "unlock", [Var("input")])
-        p.emit("basket", "unlock", [Var("output")])
-        p.validate()
-
-        MalInterpreter(cat).execute(p)
-        assert inp.count == 0, "input basket emptied after consumption"
-        assert out.rows() == [(15,)], "qualifying tuple moved to output"

@@ -1,10 +1,9 @@
-"""End-to-end observability: stats(), dashboard, latency, shed controller."""
+"""End-to-end observability: stats(), dashboard, latency."""
 
 import time
 
 from repro import DataCell, MetricsRegistry
 from repro.core.basket import Basket
-from repro.core.shedding import LoadShedController
 from repro.kernel.types import AtomType
 
 CQ = (
@@ -260,27 +259,3 @@ class TestSeriesReadFromTallies:
         firings = metrics.collect()["datacell_transition_firings_total"]
         assert sum(s["value"] for s in firings["samples"].values()) \
             == cell.scheduler.total_firings
-
-
-class TestShedControllerReadsRegistry:
-    def test_depth_read_from_gauges(self):
-        metrics = MetricsRegistry()
-        b = Basket("b", [("v", AtomType.INT)], metrics=metrics)
-        b.insert_rows([(i,) for i in range(50)])
-        controller = LoadShedController([b], budget=10, metrics=metrics)
-        assert controller.buffered() == 50
-        dropped = controller.tick()
-        assert dropped == 40
-        assert controller.engaged
-        # control signals published back into the registry
-        assert metrics.value("datacell_shed_dropped_total", ("shed",)) == 40
-        assert metrics.value("datacell_shed_engaged", ("shed",)) == 1
-        assert metrics.value("datacell_basket_depth", ("b",)) == 10
-
-    def test_disabled_registry_falls_back_to_live_count(self):
-        metrics = MetricsRegistry(enabled=False)
-        b = Basket("b", [("v", AtomType.INT)], metrics=metrics)
-        b.insert_rows([(i,) for i in range(30)])
-        controller = LoadShedController([b], budget=10, metrics=metrics)
-        assert controller.buffered() == 30  # gauge absent; uses basket.count
-        assert controller.tick() == 20

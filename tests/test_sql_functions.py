@@ -242,17 +242,6 @@ class TestOptimizer:
         names = {r for ins in pruned.instructions for r in ins.results}
         assert "keepme" in names
 
-    def test_effectful_instructions_never_dropped(self, cell):
-        from repro.kernel.mal import Const, Program
-
-        p = Program()
-        p.emit("basket", "bind", [Const("t")])
-        p.output = p.emit("language", "pass", [Const(0)])
-        pruned, _ = eliminate_dead_code(p)
-        assert any(
-            ins.module == "basket" for ins in pruned.instructions
-        )
-
     def test_cse_keeps_output_alias(self, cell):
         from repro.kernel.mal import Const, Program
 

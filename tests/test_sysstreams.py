@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.clock import LogicalClock
 from repro.core.engine import DataCell
-from repro.core.shedding import apply_shedding_policy
 from repro.durability import DurabilityConfig
 from repro.errors import DataCellError, SqlError
 from repro.obs.metrics import MetricsRegistry
@@ -298,14 +297,6 @@ class TestRingRetention:
             r[0] for r in cell.query("select depth_delta from sys.baskets")
         ]
         assert len(depths) == 4  # only the newest 4 samples survive
-
-    def test_shedding_controller_exempts_system_baskets(self):
-        cell, clock = build_cell(retention=64)
-        tick(cell, clock, 3)
-        basket = cell.basket(SYS_METRICS)
-        assert basket.count > 0
-        assert apply_shedding_policy(basket, 0, "oldest") == 0
-        assert basket.count > 0
 
     def test_user_basket_retention_is_off(self):
         cell, _ = build_cell()
