@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import KernelError
 from ..kernel.interpreter import OPCODES
-from ..kernel.types import AtomType, atom_named
+from ..kernel.types import AtomType
 
 __all__ = [
     "Kind",
@@ -67,10 +67,6 @@ def bat(atom: Optional[AtomType] = None) -> AbstractValue:
     return AbstractValue(Kind.BAT, atom=atom)
 
 
-def scalar(atom: Optional[AtomType] = None) -> AbstractValue:
-    return AbstractValue(Kind.SCALAR, atom=atom)
-
-
 Report = Callable[..., None]
 Infer = Callable[[Any, List[Optional[AbstractValue]], Report], Any]
 
@@ -91,13 +87,6 @@ def accepts(spec: str, value: AbstractValue) -> bool:
     if spec == "candopt" and value.kind is Kind.SCALAR:
         return value.has_const and value.const is None
     return value.kind in _KIND_ACCEPTS.get(spec, tuple(Kind))
-
-
-def _atom_named(name: Any) -> Optional[AtomType]:
-    try:
-        return atom_named(name)
-    except KernelError:
-        return None
 
 
 def _table_columns(ctx, name: Any) -> Optional[Columns]:
@@ -164,60 +153,6 @@ def _infer_resultset(ctx, args, report):
     return AbstractValue(Kind.RESULT, columns=columns)
 
 
-def _infer_single_row(ctx, args, report):
-    names, atoms = args[0], args[1]
-    values = args[2:]
-    columns: Optional[Columns] = None
-    if (
-        names is not None
-        and names.has_const
-        and isinstance(names.const, (tuple, list))
-        and atoms is not None
-        and atoms.has_const
-        and isinstance(atoms.const, (tuple, list))
-    ):
-        declared = [str(n) for n in names.const]
-        parsed = [_atom_named(a) for a in atoms.const]
-        if not (len(declared) == len(parsed) == len(values)):
-            report(
-                f"sql.single_row: {len(declared)} names, "
-                f"{len(parsed)} atoms, {len(values)} values",
-                rule="schema-mismatch",
-            )
-        columns = tuple(zip((n.lower() for n in declared), parsed))
-        for pos, (value, atom) in enumerate(zip(values, parsed)):
-            got = value.atom
-            if got is None or atom is None:
-                continue
-            if (got is AtomType.STR) != (atom is AtomType.STR):
-                report(
-                    f"sql.single_row: value {pos} is {got.name} but "
-                    f"column declared {atom.name}",
-                    rule="schema-mismatch",
-                )
-    return AbstractValue(Kind.RESULT, columns=columns)
-
-
-def _infer_result_column(ctx, args, report):
-    result, index = args[0], args[1]
-    if (
-        result is not None
-        and result.columns is not None
-        and index is not None
-        and index.has_const
-        and isinstance(index.const, int)
-    ):
-        if not 0 <= index.const < len(result.columns):
-            report(
-                f"sql.result_column: index {index.const} out of range "
-                f"for {len(result.columns)} columns",
-                rule="schema-mismatch",
-            )
-            return bat()
-        return bat(result.columns[index.const][1])
-    return bat()
-
-
 def _infer_pass(ctx, args, report):
     if args and args[0] is not None:
         return args[0]
@@ -229,8 +164,6 @@ def _infer_pass(ctx, args, report):
 SCHEMA_RULES: Dict[str, Infer] = {
     "sql.bind": _infer_sql_bind,
     "sql.resultset": _infer_resultset,
-    "sql.single_row": _infer_single_row,
-    "sql.result_column": _infer_result_column,
     # the value itself, columns included, passes through
     "language.pass": _infer_pass,
 }

@@ -83,15 +83,10 @@ class DataCell:
         durability: Optional[DurabilityConfig] = None,
         system_streams: Union[bool, SystemStreamsConfig, None] = None,
         execution: str = "reeval",
-        verify: bool = True,
         lock_order: Optional[LockOrderRecorder] = None,
     ):
         self.clock = clock or WallClock()
         self.catalog = Catalog()
-        # static plan verification at registration (repro.analysis):
-        # a bad plan fails fast with a plan-node-anchored diagnostic
-        # instead of a mid-firing error in a factory thread
-        self.verify = verify
         # lock-order recorder seam: explicit instance, or whatever the
         # simtest harness installed process-wide (None = disabled)
         recorder = lock_order if lock_order is not None else global_recorder()
@@ -399,13 +394,15 @@ class DataCell:
                 stage.program.name = (
                     name if len(plan.stages) == 1 else f"{name}[{i}]"
                 )
-            if self.verify:
-                raise_on_errors(
-                    verify_circuit(plan, self.catalog)
-                    if plan.weighted
-                    else verify_continuous(plan.compiled, self.catalog),
-                    context=f"continuous query {name!r} failed verification",
-                )
+            # static plan verification (repro.analysis): a bad plan fails
+            # here with a plan-node-anchored diagnostic instead of
+            # mid-firing in a factory thread
+            raise_on_errors(
+                verify_circuit(plan, self.catalog)
+                if plan.weighted
+                else verify_continuous(plan.compiled, self.catalog),
+                context=f"continuous query {name!r} failed verification",
+            )
             inputs = [b for stage in plan.stages for b in stage.basket_inputs]
             # A multi-input weighted plan (a delta join) must fire when
             # EITHER side has fresh tuples: a required binding on each side

@@ -40,7 +40,7 @@ lazy-deletion heaps so retraction stays amortized O(log n).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from ..errors import DataCellError
 from .zset import Row, ZSet
@@ -258,21 +258,17 @@ class IncrementalGroupAggregate(Operator):
     """Incremental GROUP-BY aggregate over a keyed delta stream.
 
     Input rows are ``(*group_keys, value)`` (value may be ``None`` for
-    NULL); the key is empty for the scalar (ungrouped) case — the
-    caller's lift stage shapes rows accordingly.  The output delta
-    retracts the group's previous result row (weight −1) and inserts the
-    new one (+1); a group whose state empties only retracts.  Groups are
-    visited in the order the delta first touches them, retraction before
-    insertion, so output row order is deterministic.
+    NULL); without GROUP BY the key is empty, so every row folds into
+    the one group ``()``.  The output delta retracts the group's
+    previous result row (weight −1) and inserts the new one (+1); a
+    group whose state empties only retracts.  Groups are visited in the
+    order the delta first touches them, retraction before insertion, so
+    output row order is deterministic.
 
     Output rows: ``(*group_key, *aggregate_values)``.
     """
 
-    def __init__(
-        self,
-        aggregates: List[str],
-        grouped: bool = True,
-    ) -> None:
+    def __init__(self, aggregates: List[str]) -> None:
         bad = [a for a in aggregates if a not in
                ("sum", "count", "count_star", "avg", "min", "max")]
         if bad:
@@ -280,7 +276,6 @@ class IncrementalGroupAggregate(Operator):
         if not aggregates:
             raise DataCellError("need at least one aggregate")
         self.aggregates = list(aggregates)
-        self.grouped = grouped
         self.track_minmax = bool({"min", "max"} & set(aggregates))
         self.groups: Dict[Hashable, RetractableAggState] = {}
 
@@ -288,7 +283,6 @@ class IncrementalGroupAggregate(Operator):
         state = self.groups.get(key)
         if state is None or state.star == 0:
             return None
-        prefix: Tuple[Any, ...] = key if self.grouped else ()
         values = []
         for name in self.aggregates:
             value = state.result(name)
@@ -296,7 +290,7 @@ class IncrementalGroupAggregate(Operator):
                 values.append(int(value))
             else:
                 values.append(None if value is None else float(value))
-        return (*prefix, *values)
+        return (*key, *values)
 
     def step(self, delta: ZSet) -> ZSet:
         # snapshot the pre-delta result row of every touched group, in
@@ -304,10 +298,7 @@ class IncrementalGroupAggregate(Operator):
         touched: List[Hashable] = []
         before: Dict[Hashable, Optional[Row]] = {}
         for row, weight in delta.items():
-            if self.grouped:
-                key, value = row[:-1], row[-1]
-            else:
-                key, value = (), row[-1]
+            key, value = row[:-1], row[-1]
             if key not in before:
                 before[key] = self._current_row(key)
                 touched.append(key)
@@ -334,7 +325,6 @@ class IncrementalGroupAggregate(Operator):
     def export_state(self) -> Dict[str, Any]:
         return {
             "aggregates": self.aggregates,
-            "grouped": self.grouped,
             "groups": {
                 key: state.export_state()
                 for key, state in sorted(
@@ -345,7 +335,6 @@ class IncrementalGroupAggregate(Operator):
 
     def import_state(self, state: Dict[str, Any]) -> None:
         self.aggregates = list(state["aggregates"])
-        self.grouped = state["grouped"]
         self.track_minmax = bool({"min", "max"} & set(self.aggregates))
         self.groups = {
             key: RetractableAggState.from_state(blob)

@@ -174,8 +174,7 @@ class CircuitContinuousPlan:
         if self.agg is not None:
             lines.append(
                 f"  aggregate: {self.agg.aggregates} "
-                f"(grouped={self.agg.grouped}, "
-                f"groups={len(self.agg.groups)})"
+                f"(groups={len(self.agg.groups)})"
             )
         if self.join is not None:
             lines.append(
@@ -341,9 +340,7 @@ def _aggregate_circuit(
         query.names + [WEIGHT_COLUMN],
         atoms + [AtomType.LNG],
     )
-    plan.agg = IncrementalGroupAggregate(
-        list(shape.aggregates), grouped=bool(shape.keys)
-    )
+    plan.agg = IncrementalGroupAggregate(list(shape.aggregates))
     plan.item_plan = list(shape.layout)
     plan.n_group_keys = len(shape.keys)
     return plan

@@ -5,7 +5,7 @@ lists, a MAL-style operator algebra, a catalog, and a MAL interpreter that
 executes compiled query plans.  See DESIGN.md §"System inventory" item 1.
 """
 
-from .aggregate import AggregateState, grouped_aggregate, scalar_aggregate
+from .aggregate import AggregateState, grouped_aggregate
 from .bat import BAT, bat_from_values, check_aligned, empty_bat
 from .catalog import Catalog, ColumnDef, Schema, Table
 from .interpreter import MalInterpreter
@@ -29,6 +29,5 @@ __all__ = [
     "Var",
     "MalInterpreter",
     "AggregateState",
-    "scalar_aggregate",
     "grouped_aggregate",
 ]

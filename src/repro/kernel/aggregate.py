@@ -1,12 +1,12 @@
-"""Aggregate primitives: scalar and grouped SUM/COUNT/AVG/MIN/MAX.
+"""Aggregate primitives: grouped SUM/COUNT/AVG/MIN/MAX.
 
-Scalar aggregates reduce a whole BAT (optionally candidate-restricted) to a
-python value; grouped aggregates (``aggr.subsum`` etc.) reduce per group id
-and return a BAT of one value per group.
+``aggr.subsum`` etc. reduce per group id and return a BAT of one value
+per group.  An aggregate without GROUP BY is the one-group case: every
+row carries group id 0 and the group count is 1.
 
-SQL NULL semantics throughout: NULL inputs are skipped; an empty input
-yields NULL for SUM/AVG/MIN/MAX and 0 for COUNT.  ``count_star`` counts
-tuples regardless of NULLs.  Both forms type their output with
+SQL NULL semantics throughout: NULL inputs are skipped; a group with no
+value yields NULL for SUM/AVG/MIN/MAX and 0 for COUNT.  ``count_star``
+counts tuples regardless of NULLs.  Results are typed with
 :func:`aggregate_atom`.
 
 :class:`AggregateState` is a per-tuple mergeable summary
@@ -25,11 +25,10 @@ from ..errors import KernelError, TypeMismatchError
 from .bat import BAT
 from .candidates import resolve_positions
 from .group import str_codes
-from .types import AtomType, nil_value, numpy_dtype, python_value
+from .types import AtomType, nil_value, numpy_dtype
 
 __all__ = [
     "aggregate_atom",
-    "scalar_aggregate",
     "grouped_aggregate",
     "AggregateState",
     "AGGREGATE_NAMES",
@@ -61,37 +60,12 @@ def aggregate_atom(
 
 
 def _valid_tail(bat: BAT, candidates: Optional[np.ndarray]):
+    if candidates is None:
+        return bat.tail, bat.nil_positions()
     positions = resolve_positions(bat, candidates)
     tail = bat.tail[positions]
     nil = bat.nil_positions()[positions]
     return tail, nil
-
-
-def scalar_aggregate(
-    name: str, bat: BAT, candidates: Optional[np.ndarray] = None
-) -> Any:
-    """Reduce the BAT with aggregate ``name``; returns the python value of
-    an :func:`aggregate_atom` atom."""
-    out_atom = aggregate_atom(name, bat.atom)
-    tail, nil = _valid_tail(bat, candidates)
-    if name == "count_star":
-        return int(len(tail))
-    valid = tail[~nil]
-    if name == "count":
-        return int(len(valid))
-    if len(valid) == 0:
-        return None
-    if bat.atom is AtomType.STR:
-        (codes,), strings = str_codes(valid, ordered=True)
-        return strings[codes.min() if name == "min" else codes.max()]
-    if name == "avg":
-        res = valid.astype(np.float64).mean()
-    else:
-        values = valid.astype(
-            np.int64 if bat.atom.is_integral else np.float64
-        )
-        res = {"sum": np.sum, "min": np.min, "max": np.max}[name](values)
-    return python_value(out_atom, res)
 
 
 def grouped_aggregate(
@@ -112,67 +86,83 @@ def grouped_aggregate(
     if len(gids) != len(tail):
         raise KernelError("groups BAT not aligned with aggregate input")
     if name == "count_star":
-        return _store_numeric(
-            out_atom, np.bincount(gids, minlength=ngroups), None
-        )
-    valid_mask = ~nil
+        return _store_numeric(out_atom, _group_counts(gids, ngroups), None)
+    if nil.any():
+        valid = ~nil
+        gids, tail = gids[valid], tail[valid]
     if name == "count":
-        return _store_numeric(
-            out_atom, np.bincount(gids[valid_mask], minlength=ngroups), None
-        )
-    gids, tail = gids[valid_mask], tail[valid_mask]
+        return _store_numeric(out_atom, _group_counts(gids, ngroups), None)
     if bat.atom is AtomType.STR:
         return _grouped_str(name, tail, gids, ngroups)
-    counts = np.bincount(gids, minlength=ngroups)
+    counts = _group_counts(gids, ngroups)
     if name == "avg":
-        sums = np.bincount(
-            gids, weights=tail.astype(np.float64), minlength=ngroups
-        )
+        floats = tail.astype(np.float64, copy=False)
+        if ngroups == 1:
+            sums = floats.sum(keepdims=True)
+        else:
+            sums = np.bincount(gids, weights=floats, minlength=ngroups)
         with np.errstate(invalid="ignore", divide="ignore"):
             res = sums / np.maximum(counts, 1)
         return _store_numeric(out_atom, res, counts)
     # integral atoms reduce in int64 so SUM/MIN/MAX stay exact past 2**53
     exact = bat.atom.is_integral
-    values = tail.astype(np.int64 if exact else np.float64)
+    values = tail.astype(np.int64 if exact else np.float64, copy=False)
     if name == "sum":
-        res = np.zeros(ngroups, dtype=values.dtype)
-        np.add.at(res, gids, values)
+        res = _reduce(np.add, 0, gids, values, ngroups)
+    elif name == "min":
+        fill = np.iinfo(np.int64).max if exact else np.inf
+        res = _reduce(np.minimum, fill, gids, values, ngroups)
     else:
-        if name == "min":
-            fill = np.iinfo(np.int64).max if exact else np.inf
-        else:
-            fill = np.iinfo(np.int64).min if exact else -np.inf
-        res = np.full(ngroups, fill, dtype=values.dtype)
-        (np.minimum if name == "min" else np.maximum).at(res, gids, values)
+        fill = np.iinfo(np.int64).min if exact else -np.inf
+        res = _reduce(np.maximum, fill, gids, values, ngroups)
     return _store_numeric(out_atom, res, counts)
+
+
+def _group_counts(gids: np.ndarray, ngroups: int) -> np.ndarray:
+    """Rows per group; the one group of an aggregate without GROUP BY
+    holds every row."""
+    if ngroups == 1:
+        return np.array([len(gids)], dtype=np.int64)
+    return np.bincount(gids, minlength=ngroups)
+
+
+def _reduce(ufunc, fill, gids, values, ngroups) -> np.ndarray:
+    """Per-group ``ufunc`` reduction of ``values`` starting from
+    ``fill``.  One group (an aggregate without GROUP BY) reduces the
+    column directly, which is much cheaper than scattering into one
+    slot."""
+    if ngroups == 1:
+        return ufunc.reduce(values, initial=fill, keepdims=True)
+    res = np.full(ngroups, fill, dtype=values.dtype)
+    ufunc.at(res, gids, values)
+    return res
 
 
 def _store_numeric(
     atom: AtomType, values: np.ndarray, counts: Optional[np.ndarray]
 ) -> BAT:
     """Store per-group numeric results as ``atom``, NULLing the groups
-    with no value (``counts`` 0; ``None`` keeps every group)."""
-    empty = np.zeros(len(values), dtype=bool) if counts is None else counts == 0
-    out = BAT(atom, capacity=max(len(values), 1))
+    with no value (``counts`` 0; ``None`` keeps every group).  ``values``
+    is a fresh array the caller hands over."""
+    if counts is None:
+        return BAT.adopt(atom, values.astype(numpy_dtype(atom), copy=False))
+    empty = counts == 0
     if atom in (AtomType.DBL, AtomType.TIMESTAMP):
-        stored = values.astype(np.float64)
+        stored = values.astype(np.float64, copy=False)
         stored[empty] = np.nan
     else:
         stored = np.where(empty, 0, values).astype(numpy_dtype(atom))
         stored[empty] = nil_value(atom)
-    out.append_array(stored)
-    return out
+    return BAT.adopt(atom, stored)
 
 
 def _grouped_str(name, tail, gids, ngroups) -> BAT:
     """Per-group MIN/MAX of non-NULL strings, reduced over value-ordered codes."""
     (codes,), strings = str_codes(tail, ordered=True)
     if name == "min":
-        best = np.full(ngroups, len(strings), dtype=np.int64)
-        np.minimum.at(best, gids, codes)
+        best = _reduce(np.minimum, len(strings), gids, codes, ngroups)
     else:
-        best = np.full(ngroups, -1, dtype=np.int64)
-        np.maximum.at(best, gids, codes)
+        best = _reduce(np.maximum, -1, gids, codes, ngroups)
     found = (best >= 0) & (best < len(strings))
     values = np.empty(len(strings), dtype=object)
     values[:] = strings

@@ -14,6 +14,7 @@ plan exactly as these operators will.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -56,6 +57,10 @@ Operand = Union[BAT, int, float, str, None]
 
 ARITHMETIC = ("+", "-", "*", "/", "%")
 COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+_COMPARE_FNS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 def arith_atom(
@@ -255,10 +260,15 @@ def _concat_str(vals_l, vals_r, hseqbase: int, count: int) -> BAT:
 def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
     """Element-wise comparison producing a ``bool`` BAT (NULL-aware).
 
-    Any comparison involving NULL yields NULL (three-valued logic).
+    Any comparison involving NULL yields NULL (three-valued logic).  Two
+    integral operands compare exactly in ``int64``, as the kernel
+    selections do; any other numeric pair compares as ``float64``.
     """
     atom_l, vals_l, atom_r, vals_r, hseqbase, count = _broadcast(left, right)
     out_atom = compare_atom(atom_l, atom_r)
+    fn = _COMPARE_FNS.get(op)
+    if fn is None:
+        raise KernelError(f"unknown comparison operator {op!r}")
     nils = _operand_nils(atom_l, vals_l) | _operand_nils(atom_r, vals_r)
     if atom_l is AtomType.STR:
         left_seq = (
@@ -267,16 +277,6 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
         right_seq = (
             vals_r if isinstance(vals_r, np.ndarray) else [vals_r] * count
         )
-        import operator as _op
-
-        fn = {
-            "==": _op.eq,
-            "!=": _op.ne,
-            "<": _op.lt,
-            "<=": _op.le,
-            ">": _op.gt,
-            ">=": _op.ge,
-        }[op]
         raw = np.fromiter(
             (
                 False if (a is None or b is None) else fn(a, b)
@@ -286,24 +286,10 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
             count=count,
         )
     else:
-        lf = _as_float(vals_l)
-        rf = _as_float(vals_r)
+        if not (atom_l.is_integral and atom_r.is_integral):
+            vals_l, vals_r = _as_float(vals_l), _as_float(vals_r)
         with np.errstate(invalid="ignore"):
-            if op == "==":
-                raw = lf == rf
-            elif op == "!=":
-                raw = lf != rf
-            elif op == "<":
-                raw = lf < rf
-            elif op == "<=":
-                raw = lf <= rf
-            elif op == ">":
-                raw = lf > rf
-            elif op == ">=":
-                raw = lf >= rf
-            else:
-                raise KernelError(f"unknown comparison operator {op!r}")
-        raw = np.broadcast_to(raw, (count,))
+            raw = np.broadcast_to(fn(vals_l, vals_r), (count,))
     nils = np.broadcast_to(nils, (count,))
     stored = raw.astype(np.int8).copy()
     stored[nils] = BOOL_NIL
@@ -417,10 +403,12 @@ def calc_ifthenelse(cond: BAT, then_val: Operand, else_val: Operand) -> BAT:
 def const_bat(value: Any, like: BAT, atom: Any = None) -> BAT:
     """A constant column aligned with ``like``, typed by :func:`const_atom`."""
     atom = const_atom(value, atom)
-    out = BAT(atom, hseqbase=like.hseqbase, capacity=max(like.count, 1))
     stored = coerce_scalar(atom, value)
-    if atom is AtomType.STR:
-        out.append_many([stored] * like.count)
-    else:
-        out.append_array(np.full(like.count, stored, dtype=numpy_dtype(atom)))
+    if atom is not AtomType.STR:
+        return BAT.adopt(
+            atom, np.full(like.count, stored, dtype=numpy_dtype(atom)),
+            like.hseqbase,
+        )
+    out = BAT(atom, hseqbase=like.hseqbase, capacity=max(like.count, 1))
+    out.append_many([stored] * like.count)
     return out

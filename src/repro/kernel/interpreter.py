@@ -33,7 +33,7 @@ from . import mathops as _mathops
 from . import select as _select
 from . import sort as _sort
 from . import strings as _strings
-from .bat import BAT, bat_from_values
+from .bat import BAT
 from .catalog import Catalog, Table
 from .mal import Const, Instr, Program, ResultSet, Var
 from .types import AtomType, atom_named, compare_atom, python_values
@@ -484,21 +484,6 @@ def _sql_resultset(ctx: MalContext, names: Any, *bats: BAT) -> ResultSet:
     return ResultSet(list(names), list(bats))
 
 
-@primitive("sql.single_row", "scalar scalar", "result", varargs="scalar")
-def _sql_single_row(ctx: MalContext, names: Any, atoms: Any, *values: Any) -> ResultSet:
-    """Build a one-row result from scalar values (scalar aggregates)."""
-    out = [
-        bat_from_values(atom_named(atom), [value])
-        for atom, value in zip(atoms, values)
-    ]
-    return ResultSet(list(names), out)
-
-
-@primitive("sql.result_column", "result scalar")
-def _sql_result_column(ctx, result: ResultSet, index: int) -> BAT:
-    return result.bats[int(index)]
-
-
 # ----------------------------------------------------------------------
 # algebra module: selections, projections, joins, ordering
 # ----------------------------------------------------------------------
@@ -707,14 +692,10 @@ def _group_subgroup(ctx, bat, prev_groups, cands=None):
 
 
 def _register_aggr(name: str) -> None:
-    def rule(operand, *_):
-        return _aggregate.aggregate_atom(name, operand)
-
-    @primitive(f"aggr.{name}", "bat candopt?", "scalar", atom=rule)
-    def scalar(ctx, bat, cands=None):
-        return _aggregate.scalar_aggregate(name, bat, cands)
-
-    @primitive(f"aggr.sub{name}", "bat bat scalar candopt?", atom=rule)
+    @primitive(
+        f"aggr.sub{name}", "bat bat scalar candopt?",
+        atom=lambda operand, *_: _aggregate.aggregate_atom(name, operand),
+    )
     def grouped(ctx, bat, groups, ngroups, cands=None):
         return _aggregate.grouped_aggregate(
             name, bat, groups, int(ngroups), cands

@@ -150,7 +150,6 @@ class SystemStreamsConfig:
 
     interval: float = 1.0
     retention: int = 512
-    include_histograms: bool = True
 
 
 class TelemetrySampler:
@@ -273,8 +272,6 @@ class TelemetrySampler:
                     f"{n}={v}" for n, v in zip(family.label_names, key)
                 )
                 if isinstance(child, Histogram):
-                    if not self.config.include_histograms:
-                        continue
                     snap = child.snapshot()
                     points = (
                         ("_count", float(snap["count"])),

@@ -51,6 +51,11 @@ from .ws import WebSocketCodec, handshake_response, parse_http_headers
 
 __all__ = ["DataCellServer"]
 
+#: reader poll interval while paused on admission (seconds)
+ADMISSION_POLL = 0.02
+#: frames the writer drains per wakeup
+DRAIN_FRAMES = 256
+
 
 class _RawTransport:
     """Plain TCP: the socket carries protocol frames directly."""
@@ -171,9 +176,7 @@ class DataCellServer:
         self.host = host
         self.port = port
         self.ingest = IngestQueue()
-        self.pump = ServerIngestPump(
-            cell, self.ingest, batch_limit=self.config.ingest_batch
-        )
+        self.pump = ServerIngestPump(cell, self.ingest)
         self.address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -530,13 +533,12 @@ class DataCellServer:
         session, transport, wakeup = (
             conn.session, conn.transport, conn.wakeup,
         )
-        drain_frames = self.config.drain_frames
         try:
             while True:
                 await wakeup.wait()
                 wakeup.clear()
                 while True:
-                    frames = session.queue.drain(drain_frames)
+                    frames = session.queue.drain(DRAIN_FRAMES)
                     if not frames:
                         break
                     nbytes = transport.send_frames(frames)
@@ -581,7 +583,7 @@ class DataCellServer:
             if throttled <= 0.0 and not over:
                 return
             await asyncio.sleep(
-                min(max(throttled, config.admission_poll), 0.1)
+                min(max(throttled, ADMISSION_POLL), 0.1)
             )
 
     # ------------------------------------------------------------------

@@ -87,12 +87,6 @@ class ServerConfig:
     max_pending_rows_per_tenant: int = 200_000
     #: how long a budget breach throttles a tenant's ingest (seconds)
     admission_cooldown: float = 0.5
-    #: reader poll interval while paused on admission (seconds)
-    admission_poll: float = 0.02
-    #: ingest batches applied per pump activation
-    ingest_batch: int = 64
-    #: frames the writer drains per wakeup
-    drain_frames: int = 256
     #: decoder limit per frame
     max_frame_bytes: int = MAX_FRAME_BYTES
     #: stop()/close() budget for flushing client output queues

@@ -522,20 +522,40 @@ class _SelectCompiler:
     def _compile_aggregation(
         self, rel: Relation, query: ResolvedSelect
     ) -> Relation:
-        if not query.keys:
-            return self._compile_scalar_aggregation(rel, query)
         # 1. group key columns
         key_vars: List[Tuple[str, str, AtomType]] = []  # (key, var, atom)
-        grp_var: Optional[str] = None
-        for gexpr in query.keys:
-            var, atom = self._expr(rel, gexpr)
-            key_vars.append((expr_key(gexpr), var, atom))
-            grp_var, ext_var, n_var = self._group(var, grp_var)
-        # 2. aggregate columns (each aggregate once)
-        aggs = [
-            (expr_key(agg), self._aggregate(rel, agg, (grp_var, n_var)))
-            for agg in query.aggregates
-        ]
+        groups: Optional[Tuple[Arg, Arg]] = None  # (group ids, count)
+        if query.keys:
+            grp_var: Optional[str] = None
+            for gexpr in query.keys:
+                var, atom = self._expr(rel, gexpr)
+                key_vars.append((expr_key(gexpr), var, atom))
+                grp_var, ext_var, n_var = self._group(var, grp_var)
+            groups = (Var(grp_var), Var(n_var))
+        elif not all(is_aggregate(item.expr) for item in query.items):
+            raise BindError(
+                "without GROUP BY the select list may contain only "
+                "aggregates"
+            )
+        # 2. aggregate columns (each aggregate once).  Without GROUP BY
+        # every row is in group 0 of 1, so an empty input still gives
+        # one row; the group ids align with the first aggregate's input.
+        aggs = []
+        for agg in query.aggregates:
+            if agg.star:
+                name, var, atom = "count_star", rel[0].var, None
+            else:
+                name, (var, atom) = agg.name, self._expr(rel, agg.args[0])
+            if groups is None:
+                one_group = self.prog.emit(
+                    "batcalc", "const",
+                    [Const(0), Var(var), Const(AtomType.OID.value)],
+                )
+                groups = (Var(one_group), Const(1))
+            aggs.append((expr_key(agg), self._typed(
+                "aggr", f"sub{name}", [Var(var), *groups],
+                atom, AtomType.OID, None,
+            )))
         # 3. post-aggregation relation: keys projected through extents
         columns = [
             (key, self.prog.emit(
@@ -564,44 +584,6 @@ class _SelectCompiler:
             for item in query.items
         ]
 
-    def _compile_scalar_aggregation(
-        self, rel: Relation, query: ResolvedSelect
-    ) -> Relation:
-        """Aggregates without GROUP BY: a single-row result, which HAVING
-        keeps or drops.  Aggregates only HAVING reads ride along as extra
-        columns of the row."""
-        exprs = [item.expr for item in query.items]
-        if not all(is_aggregate(e) for e in exprs):
-            raise BindError(
-                "without GROUP BY the select list may contain only "
-                "aggregates"
-            )
-        names = query.names
-        if query.group_filter is not None:
-            listed = {expr_key(e) for e in exprs}
-            extra = [a for a in query.aggregates if expr_key(a) not in listed]
-            exprs += extra
-            names += [f"__having_{i}" for i in range(len(extra))]
-        values = [self._aggregate(rel, expr) for expr in exprs]
-        row = self.prog.emit(
-            "sql",
-            "single_row",
-            [Const(tuple(names)), Const(tuple(a.value for _, a in values))]
-            + [Var(v) for v, _ in values],
-        )
-        # wrap: represent as relation of one-row columns for order/limit
-        out = [
-            BoundColumn(None, name, self.prog.emit(
-                "sql", "result_column", [Var(row), Const(i)]
-            ), atom)
-            for i, (name, (_, atom)) in enumerate(zip(names, values))
-        ]
-        if query.group_filter is not None:
-            mapping = {expr_key(e): col for e, col in zip(exprs, out)}
-            cands = self._having(out, query.group_filter, mapping)
-            out = self._project_all(out[: len(query.items)], cands)
-        return out
-
     def _group(
         self, var: str, grp_var: Optional[str]
     ) -> Tuple[str, str, str]:
@@ -611,26 +593,6 @@ class _SelectCompiler:
             return self.prog.emit("group", "group", [Var(var)], results=3)
         return self.prog.emit(
             "group", "subgroup", [Var(var), Var(grp_var)], results=3
-        )
-
-    def _aggregate(
-        self,
-        rel: Relation,
-        agg: FuncCall,
-        groups: Optional[Tuple[str, str]] = None,
-    ) -> Tuple[str, AtomType]:
-        """One aggregate call, over all of ``rel`` or per group of
-        ``groups`` (group ids, group count)."""
-        if agg.star:
-            name, avar, aatom = "count_star", rel[0].var, None
-        else:
-            name = agg.name
-            avar, aatom = self._expr(rel, agg.args[0])
-        if groups is None:
-            return self._typed("aggr", name, [Var(avar)], aatom)
-        return self._typed(
-            "aggr", f"sub{name}", [Var(avar), Var(groups[0]), Var(groups[1])],
-            aatom, AtomType.OID, None,
         )
 
     def _having(

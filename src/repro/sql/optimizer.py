@@ -12,11 +12,8 @@ the passes that matter for the DataCell's plans:
     structurally identical instructions reuse the first result (every
     primitive is pure) — repeated ``sql.bind``/``projection`` chains collapse, which
     is the compiler-level analogue of the paper's "similarities at the
-    query plan level" (§3);
-
-``constant folding``
-    ``batcalc`` comparisons between two constants collapse into constant
-    booleans (a common artifact of generated queries).
+    query plan level" (§3).  A merged output or protected root keeps its
+    name through a ``language.pass`` alias.
 
 The passes are pure: they return a new :class:`Program` and never touch
 the input.  ``optimize`` wires them in the standard order and is safe for
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..kernel.mal import Arg, Const, Instr, Program, Var
+from ..kernel.mal import Arg, Instr, Program, Var
 
 __all__ = [
     "optimize",
@@ -140,63 +137,18 @@ def eliminate_dead_code(
     return _clone(program, list(reversed(kept_reversed))), removed
 
 
-def fold_constants(program: Program) -> Tuple[Program, int]:
-    """Evaluate batcalc comparisons/arithmetic over two constants.
-
-    The compiler rarely emits these directly, but rewrites (and hand-built
-    programs) do; folding keeps downstream DCE effective.  Only operations
-    with no BAT operand are folded (a ``batcalc.const`` of the result
-    cannot be formed without an alignment anchor, so we fold into
-    ``language.pass`` of the scalar — callers treating the var as a BAT
-    would have failed before the fold too).
-    """
-    import operator as _op
-
-    fns = {
-        "+": _op.add, "-": _op.sub, "*": _op.mul,
-        "==": _op.eq, "!=": _op.ne,
-        "<": _op.lt, "<=": _op.le, ">": _op.gt, ">=": _op.ge,
-    }
-    out: List[Instr] = []
-    folded = 0
-    for ins in program.instructions:
-        if (
-            ins.module == "batcalc"
-            and ins.fn in fns
-            and len(ins.args) == 2
-            and all(isinstance(a, Const) for a in ins.args)
-            and all(a.value is not None for a in ins.args)
-        ):
-            try:
-                value = fns[ins.fn](ins.args[0].value, ins.args[1].value)
-            except Exception:  # pragma: no cover - defensive
-                out.append(ins)
-                continue
-            out.append(
-                Instr(
-                    ins.results, "language", "pass", (Const(value),),
-                    node=ins.node,
-                )
-            )
-            folded += 1
-            continue
-        out.append(ins)
-    return _clone(program, out), folded
-
-
 def optimize(
     program: Program,
     protected: Sequence[str] = (),
 ) -> Tuple[Program, OptimizerReport]:
-    """Run the full pipeline: fold → CSE → DCE.
+    """Run the full pipeline: CSE → DCE.
 
     ``protected`` names extra live roots (the consumed-candidates
     variables of continuous plans).
     """
     report = OptimizerReport()
     report.instructions_before = len(program)
-    folded, _ = fold_constants(program)
-    merged_prog, merged = eliminate_common_subexpressions(folded, protected)
+    merged_prog, merged = eliminate_common_subexpressions(program, protected)
     report.cse_merged = merged
     final, removed = eliminate_dead_code(merged_prog, protected)
     report.dce_removed = removed

@@ -68,7 +68,7 @@ class TestAttribution:
         assert program.node_stats[result][2] == 3
 
     def test_stats_survive_the_optimizer(self):
-        # the submit path optimizes (fold/CSE/DCE rebuild instructions);
+        # the submit path optimizes (CSE/DCE rebuild instructions);
         # every surviving non-glue instruction must keep its node tag
         cell, query = build_cell()
         program = query.program()

@@ -182,7 +182,7 @@ def _expected_agg_rows(live, aggregates):
 
 
 def _drive_aggregate(ops, aggregates, batch=3):
-    op = IncrementalGroupAggregate(list(aggregates), grouped=True)
+    op = IncrementalGroupAggregate(list(aggregates))
     integrated = ZSet()
     live = []  # multiset of (key, value) currently inserted
     pending = ZSet()
@@ -232,13 +232,14 @@ def test_minmax_survive_adversarial_retraction(ops, batch):
 
 
 def test_minmax_retraction_explicit():
-    op = IncrementalGroupAggregate(["max"], grouped=False)
+    op = IncrementalGroupAggregate(["max"])
     out = ZSet()
-    out.merge(op.step(ZSet.from_rows([((), 5), ((), 9), ((), 3)])))
+    # ungrouped lift rows carry no key: ``(value,)``
+    out.merge(op.step(ZSet.from_rows([(5,), (9,), (3,)])))
     assert out.to_rows() == [(9.0,)]
-    out.merge(op.step(ZSet({((), 9): -1})))  # retract the max
+    out.merge(op.step(ZSet({(9,): -1})))  # retract the max
     assert out.to_rows() == [(5.0,)]
-    out.merge(op.step(ZSet({((), 5): -1, ((), 3): -1})))
+    out.merge(op.step(ZSet({(5,): -1, (3,): -1})))
     assert not out  # group emptied: only the retraction remains
 
 
@@ -320,13 +321,13 @@ def test_join_retraction_cancels_pairs():
 @given(agg_ops_st)
 def test_aggregate_state_round_trip_preserves_behaviour(ops):
     aggregates = ("sum", "min", "max", "count")
-    original = IncrementalGroupAggregate(list(aggregates), grouped=True)
+    original = IncrementalGroupAggregate(list(aggregates))
     for insert, key, value, _ in ops:
         weight = 1 if insert else -1
         if weight < 0:
             continue  # keep the state a valid multiset
         original.step(ZSet({(key, value): weight}))
-    clone = IncrementalGroupAggregate(list(aggregates), grouped=True)
+    clone = IncrementalGroupAggregate(list(aggregates))
     clone.import_state(original.export_state())
     probe = ZSet.from_rows([(0, 99), (1, -99)])
     assert original.step(probe.copy()) == clone.step(probe.copy())

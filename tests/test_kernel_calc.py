@@ -196,6 +196,48 @@ class TestComparison:
         with pytest.raises((TypeMismatchError, KernelError)):
             calc_compare("==", a, 1)
 
+    def test_bigint_compares_exactly(self):
+        x = ints([2**53 + 1, -(2**62) - 1])
+        assert calc_compare("==", x, 2**53).python_list() == [False, False]
+        assert calc_compare(">", x, 2**53).python_list() == [True, False]
+        assert calc_compare(
+            "<", ints([-(2**62), 2**53]), x
+        ).python_list() == [True, False]
+
+    @given(
+        st.lists(st.one_of(st.integers(-3, 3), st.none()), max_size=40),
+        st.integers(-(2**63) + 4, 2**63 - 4),
+        st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+    )
+    def test_wide_values_compare_like_python(self, offsets, scalar, op):
+        import operator as _op
+
+        fn = {"==": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
+              ">": _op.gt, ">=": _op.ge}[op]
+        # neighbours of the scalar: float64 cannot tell them apart
+        values = [None if d is None else scalar + d for d in offsets]
+        out = calc_compare(op, ints(values), scalar)
+        assert out.python_list() == [
+            None if v is None else fn(v, scalar) for v in values
+        ]
+
+    def test_sql_projection_case_and_where_agree(self):
+        """Regression: a projected or CASE comparison went through
+        float64, so 2**53 + 1 equalled 2**53 there but not in WHERE."""
+        from repro import DataCell
+
+        cell = DataCell()
+        cell.execute("create table t (x bigint)")
+        cell.execute("insert into t values (9007199254740993)")
+        for literal, equal in (("9007199254740992", False),
+                               ("9007199254740993", True)):
+            assert cell.query(f"select x = {literal} from t") == [(equal,)]
+            assert cell.query(
+                f"select case when x = {literal} then 1 else 0 end from t"
+            ) == [(int(equal),)]
+            assert cell.query(f"select x from t where x = {literal}") == (
+                [(9007199254740993,)] if equal else [])
+
 
 class TestBoolean:
     def test_and_truth_table(self):

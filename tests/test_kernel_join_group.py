@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError, TypeMismatchError
-from repro.kernel.aggregate import (
-    AggregateState,
-    grouped_aggregate,
-    scalar_aggregate,
-)
+from repro.kernel.aggregate import AggregateState, grouped_aggregate
 from repro.kernel.bat import bat_from_values
+from repro.kernel.calc import const_bat
 from repro.kernel.group import distinct_positions, group, subgroup
 from repro.kernel.join import (
     cross_positions,
@@ -28,6 +25,17 @@ def ints(values, hseqbase=0):
 
 def strs(values):
     return bat_from_values(AtomType.STR, values)
+
+
+def one_group(name, bat, ngroups=1):
+    """Aggregate ``name`` over every row of ``bat`` as group 0, the way an
+    aggregate without GROUP BY compiles (group ids ``batcalc.const(0)``,
+    group count 1); returns the group's value.  ``ngroups`` > 1 adds
+    empty groups, which takes the per-group scatter path instead."""
+    groups = const_bat(0, bat, AtomType.OID)
+    out = grouped_aggregate(name, bat, groups, ngroups)
+    assert len(out) == ngroups
+    return out.python_list()[0]
 
 
 class TestProjection:
@@ -113,43 +121,47 @@ class TestGroup:
 
 
 class TestScalarAggregates:
+    """An aggregate without GROUP BY: one group holding every row."""
+
     def test_sum_skips_nulls(self):
-        assert scalar_aggregate("sum", ints([1, None, 2])) == 3
+        assert one_group("sum", ints([1, None, 2])) == 3
 
     def test_count_vs_count_star(self):
         b = ints([1, None])
-        assert scalar_aggregate("count", b) == 1
-        assert scalar_aggregate("count_star", b) == 2
+        assert one_group("count", b) == 1
+        assert one_group("count_star", b) == 2
 
     def test_empty_aggregates_are_null(self):
         b = ints([])
         for name in ("sum", "avg", "min", "max"):
-            assert scalar_aggregate(name, b) is None
-        assert scalar_aggregate("count", b) == 0
+            assert one_group(name, b) is None
+        assert one_group("count", b) == 0
+        assert one_group("count_star", b) == 0
 
     def test_avg(self):
-        assert scalar_aggregate("avg", ints([1, 2, 3])) == 2.0
+        assert one_group("avg", ints([1, 2, 3])) == 2.0
 
     def test_min_max(self):
         b = ints([5, None, 1, 9])
-        assert scalar_aggregate("min", b) == 1
-        assert scalar_aggregate("max", b) == 9
+        assert one_group("min", b) == 1
+        assert one_group("max", b) == 9
 
     def test_str_min_max(self):
         b = strs(["pear", "apple", None])
-        assert scalar_aggregate("min", b) == "apple"
-        assert scalar_aggregate("max", b) == "pear"
+        assert one_group("min", b) == "apple"
+        assert one_group("max", b) == "pear"
+        assert one_group("min", strs([None])) is None
 
     def test_str_sum_raises(self):
         with pytest.raises(TypeMismatchError):
-            scalar_aggregate("sum", strs(["a"]))
+            one_group("sum", strs(["a"]))
 
     def test_unknown_aggregate(self):
         with pytest.raises(KernelError):
-            scalar_aggregate("median", ints([1]))
+            one_group("median", ints([1]))
 
     def test_integral_sum_is_int(self):
-        out = scalar_aggregate("sum", ints([1, 2]))
+        out = one_group("sum", ints([1, 2]))
         assert isinstance(out, int)
 
 
@@ -292,13 +304,13 @@ class TestExactIntegerAggregates:
         assert out.python_list() == [2**53 + 1]
 
     def test_scalar_sum_exact_past_2_53(self):
-        assert scalar_aggregate("sum", ints([2**53, 1])) == 2**53 + 1
+        assert one_group("sum", ints([2**53, 1])) == 2**53 + 1
 
     def test_min_max_exact_near_2_62(self):
         vals = ints([2**62 + 1, -(2**62) - 1, None])
         groups, _, n = group(ints([0, 0, 0]))
-        assert scalar_aggregate("max", vals) == 2**62 + 1
-        assert scalar_aggregate("min", vals) == -(2**62) - 1
+        assert one_group("max", vals) == 2**62 + 1
+        assert one_group("min", vals) == -(2**62) - 1
         assert grouped_aggregate("max", vals, groups, n).python_list() == [
             2**62 + 1
         ]
@@ -489,9 +501,33 @@ class TestKernelsMatchReference:
             got = grouped_aggregate(name, strs(values), groups, n)
             assert got.python_list() == expect
             present = [v for v in values if v is not None]
-            assert scalar_aggregate(name, strs(values)) == (
+            assert one_group(name, strs(values)) == (
                 pick(present) if present else None
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_group_matches_the_scatter_path(self, data):
+        """The one-group reduction and the per-group scatter agree."""
+        atom = data.draw(st.sampled_from(
+            [AtomType.INT, AtomType.LNG, AtomType.DBL, AtomType.STR]
+        ))
+        pool = {
+            # halves sum exactly in any order, so DBL compares exactly
+            AtomType.DBL: st.integers(-8, 8).map(lambda v: v / 2),
+            AtomType.INT: _POOLS["int32"],
+            AtomType.LNG: _POOLS["wide"],
+            AtomType.STR: _POOLS["str"],
+        }[atom]
+        values = data.draw(st.lists(st.one_of(st.none(), pool), max_size=12))
+        column = bat_from_values(atom, values)
+        names = ("count", "count_star", "min", "max")
+        if atom is not AtomType.STR:
+            names += ("sum", "avg")
+        if atom is AtomType.LNG:
+            names = tuple(n for n in names if n != "avg")  # float rounding
+        for name in names:
+            assert one_group(name, column) == one_group(name, column, 3)
 
     def test_wide_keys_take_the_sort_path(self):
         from repro.kernel.group import dense_span

@@ -58,10 +58,9 @@ ALLOWED_UNREACHED = {
 ALLOWED_UNEMITTED = {
     "delta.": "weighted Z-set primitives; ROADMAP item 8 decides whether "
               "the incremental circuits use them or they go",
-    "language.pass": "the optimizer's alias for a merged output or "
-                     "protected root and its constant-fold result; no "
-                     "compiled SQL program triggers either (literals "
-                     "compile to batcalc.const)",
+    "language.pass": "the optimizer's CSE alias for a merged output or "
+                     "protected root; no compiled SQL program merges "
+                     "one",
 }
 
 #: continuous queries over the routing golden's schema, for the opcodes

@@ -1522,40 +1522,34 @@ continuous select [0]
         """\
 function q(x.price, x.qty, x.sym, x.dc_time):
     v1 := algebra.densecands(x.price)
-    v2 := aggr.sum(x.price)
-    v3 := aggr.count_star(x.price)
-    v4 := aggr.avg(x.qty)
-    v5 := sql.single_row(('sum', 'count', 'avg'), ('dbl', 'lng', 'dbl'), v2, v3, v4)
-    v6 := sql.result_column(v5, 0)
-    v7 := sql.result_column(v5, 1)
-    v8 := sql.result_column(v5, 2)
-    v9 := sql.resultset(('sum', 'count', 'avg'), v6, v7, v8)
-    return v9;
+    v2 := batcalc.const(0, x.price, 'oid')
+    v3 := aggr.subsum(x.price, v2, 1)
+    v4 := aggr.subcount_star(x.price, v2, 1)
+    v5 := aggr.subavg(x.qty, v2, 1)
+    v6 := sql.resultset(('sum', 'count', 'avg'), v3, v4, v5)
+    return v6;
 --
 continuous select [0]
   from [0]
     basket trades [1]
-  aggregate [7]
+  aggregate [4]
   result [1]""",
     ),
     ("corpus:scalar-aggregates", "incremental"): (
         """\
 function q(x.price, x.qty, x.sym, x.dc_time):
     v1 := algebra.densecands(x.price)
-    v2 := aggr.sum(x.price)
-    v3 := aggr.count_star(x.price)
-    v4 := aggr.avg(x.qty)
-    v5 := sql.single_row(('sum', 'count', 'avg'), ('dbl', 'lng', 'dbl'), v2, v3, v4)
-    v6 := sql.result_column(v5, 0)
-    v7 := sql.result_column(v5, 1)
-    v8 := sql.result_column(v5, 2)
-    v9 := sql.resultset(('sum', 'count', 'avg'), v6, v7, v8)
-    return v9;
+    v2 := batcalc.const(0, x.price, 'oid')
+    v3 := aggr.subsum(x.price, v2, 1)
+    v4 := aggr.subcount_star(x.price, v2, 1)
+    v5 := aggr.subavg(x.qty, v2, 1)
+    v6 := sql.resultset(('sum', 'count', 'avg'), v3, v4, v5)
+    return v6;
 --
 continuous select [0]
   from [0]
     basket trades [1]
-  aggregate [7]
+  aggregate [4]
   result [1]""",
     ),
     ("corpus:string-functions", "reeval"): (
@@ -1834,20 +1828,17 @@ continuous select [0]
         """\
 function q(x.a, x.b, x.dc_time):
     v1 := algebra.densecands(x.a)
-    v2 := aggr.count_star(x.a)
-    v3 := aggr.sum(x.b)
-    v4 := aggr.min(x.b)
-    v5 := sql.single_row(('count', 'sum', 'min'), ('lng', 'lng', 'int'), v2, v3, v4)
-    v6 := sql.result_column(v5, 0)
-    v7 := sql.result_column(v5, 1)
-    v8 := sql.result_column(v5, 2)
-    v9 := sql.resultset(('count', 'sum', 'min'), v6, v7, v8)
-    return v9;
+    v2 := batcalc.const(0, x.a, 'oid')
+    v3 := aggr.subcount_star(x.a, v2, 1)
+    v4 := aggr.subsum(x.b, v2, 1)
+    v5 := aggr.submin(x.b, v2, 1)
+    v6 := sql.resultset(('count', 'sum', 'min'), v3, v4, v5)
+    return v6;
 --
 continuous select [0]
   from [0]
     basket feed [1]
-  aggregate [7]
+  aggregate [4]
   result [1]""",
     ),
     ("oracle:agg_global", "incremental"): (
@@ -2149,17 +2140,16 @@ function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
     v2 := algebra.densecands(y.k)
     v3, v4 := algebra.join(x.k, y.k)
     v6 := algebra.projection(v3, x.a)
-    v11 := aggr.sum(v6)
-    v12 := sql.single_row(('sum',), ('lng',), v11)
-    v13 := sql.result_column(v12, 0)
-    v14 := sql.resultset(('sum',), v13)
-    return v14;
+    v11 := batcalc.const(0, v6, 'oid')
+    v12 := aggr.subsum(v6, v11, 1)
+    v13 := sql.resultset(('sum',), v12)
+    return v13;
 --
 continuous select [0]
   from [2]
     basket lt [1]
     basket rt [1]
-  aggregate [3]
+  aggregate [2]
   result [1]""",
     ),
     ("shape:aggregate-over-join", "incremental"): (
@@ -2169,28 +2159,26 @@ function q(x.k, x.a, x.dc_time, y.k, y.b, y.dc_time):
     v2 := algebra.densecands(y.k)
     v3, v4 := algebra.join(x.k, y.k)
     v6 := algebra.projection(v3, x.a)
-    v11 := aggr.sum(v6)
-    v12 := sql.single_row(('sum',), ('lng',), v11)
-    v13 := sql.result_column(v12, 0)
-    v14 := sql.resultset(('sum',), v13)
-    return v14;
+    v11 := batcalc.const(0, v6, 'oid')
+    v12 := aggr.subsum(v6, v11, 1)
+    v13 := sql.resultset(('sum',), v12)
+    return v13;
 --
 continuous select [0]
   from [2]
     basket lt [1]
     basket rt [1]
-  aggregate [3]
+  aggregate [2]
   result [1]""",
     ),
     ("shape:aggregate-over-subquery", "reeval"): (
         """\
 function q(x.a, x.b, x.dc_time):
     v1 := algebra.densecands(x.a)
-    v2 := aggr.sum(x.a)
-    v3 := sql.single_row(('sum',), ('lng',), v2)
-    v4 := sql.result_column(v3, 0)
-    v5 := sql.resultset(('sum',), v4)
-    return v5;
+    v2 := batcalc.const(0, x.a, 'oid')
+    v3 := aggr.subsum(x.a, v2, 1)
+    v4 := sql.resultset(('sum',), v3)
+    return v4;
 --
 continuous select [0]
   from [0]
@@ -2198,18 +2186,17 @@ continuous select [0]
       from [0]
         basket feed [1]
       project [0]
-  aggregate [3]
+  aggregate [2]
   result [1]""",
     ),
     ("shape:aggregate-over-subquery", "incremental"): (
         """\
 function q(x.a, x.b, x.dc_time):
     v1 := algebra.densecands(x.a)
-    v2 := aggr.sum(x.a)
-    v3 := sql.single_row(('sum',), ('lng',), v2)
-    v4 := sql.result_column(v3, 0)
-    v5 := sql.resultset(('sum',), v4)
-    return v5;
+    v2 := batcalc.const(0, x.a, 'oid')
+    v3 := aggr.subsum(x.a, v2, 1)
+    v4 := sql.resultset(('sum',), v3)
+    return v4;
 --
 continuous select [0]
   from [0]
@@ -2217,7 +2204,7 @@ continuous select [0]
       from [0]
         basket feed [1]
       project [0]
-  aggregate [3]
+  aggregate [2]
   result [1]""",
     ),
     ("shape:aliased-aggregate", "reeval"): (
@@ -2311,16 +2298,15 @@ continuous select [0]
 function q(x.a, x.b, x.dc_time):
     v1 := algebra.densecands(x.a)
     v2 := batcalc.+(x.a, x.b)
-    v3 := aggr.sum(v2)
-    v4 := sql.single_row(('sum',), ('lng',), v3)
-    v5 := sql.result_column(v4, 0)
-    v6 := sql.resultset(('sum',), v5)
-    return v6;
+    v3 := batcalc.const(0, v2, 'oid')
+    v4 := aggr.subsum(v2, v3, 1)
+    v5 := sql.resultset(('sum',), v4)
+    return v5;
 --
 continuous select [0]
   from [0]
     basket feed [1]
-  aggregate [4]
+  aggregate [3]
   result [1]""",
     ),
     ("shape:expression-argument", "incremental"): (
@@ -2328,16 +2314,15 @@ continuous select [0]
 function q(x.a, x.b, x.dc_time):
     v1 := algebra.densecands(x.a)
     v2 := batcalc.+(x.a, x.b)
-    v3 := aggr.sum(v2)
-    v4 := sql.single_row(('sum',), ('lng',), v3)
-    v5 := sql.result_column(v4, 0)
-    v6 := sql.resultset(('sum',), v5)
-    return v6;
+    v3 := batcalc.const(0, v2, 'oid')
+    v4 := aggr.subsum(v2, v3, 1)
+    v5 := sql.resultset(('sum',), v4)
+    return v5;
 --
 continuous select [0]
   from [0]
     basket feed [1]
-  aggregate [4]
+  aggregate [3]
   result [1]""",
     ),
     ("shape:group-expression", "reeval"): (
@@ -2779,40 +2764,38 @@ continuous select [0]
         """\
 function q(x.k, x.v, x.dc_time):
     v1 := algebra.densecands(x.k)
-    v2 := aggr.sum(x.v)
-    v3 := sql.single_row(('sum',), ('lng',), v2)
-    v4 := sql.result_column(v3, 0)
-    v5 := batcalc.const(100, v4, 'lng')
-    v6 := batcalc.>(v4, v5)
-    v7 := algebra.mask2cand(v6)
-    v8 := algebra.projection(v7, v4)
-    v9 := sql.resultset(('sum',), v8)
-    return v9;
+    v2 := batcalc.const(0, x.v, 'oid')
+    v3 := aggr.subsum(x.v, v2, 1)
+    v4 := batcalc.const(100, v3, 'lng')
+    v5 := batcalc.>(v3, v4)
+    v6 := algebra.mask2cand(v5)
+    v7 := algebra.projection(v6, v3)
+    v8 := sql.resultset(('sum',), v7)
+    return v8;
 --
 continuous select [0]
   from [0]
     basket s [1]
-  aggregate [7]
+  aggregate [6]
   result [1]""",
     ),
     ("having:ungrouped", "incremental"): (
         """\
 function q(x.k, x.v, x.dc_time):
     v1 := algebra.densecands(x.k)
-    v2 := aggr.sum(x.v)
-    v3 := sql.single_row(('sum',), ('lng',), v2)
-    v4 := sql.result_column(v3, 0)
-    v5 := batcalc.const(100, v4, 'lng')
-    v6 := batcalc.>(v4, v5)
-    v7 := algebra.mask2cand(v6)
-    v8 := algebra.projection(v7, v4)
-    v9 := sql.resultset(('sum',), v8)
-    return v9;
+    v2 := batcalc.const(0, x.v, 'oid')
+    v3 := aggr.subsum(x.v, v2, 1)
+    v4 := batcalc.const(100, v3, 'lng')
+    v5 := batcalc.>(v3, v4)
+    v6 := algebra.mask2cand(v5)
+    v7 := algebra.projection(v6, v3)
+    v8 := sql.resultset(('sum',), v7)
+    return v8;
 --
 continuous select [0]
   from [0]
     basket s [1]
-  aggregate [7]
+  aggregate [6]
   result [1]""",
     ),
 }
