@@ -8,12 +8,13 @@ relational primitives — exactly the paper's design goal.
 One plan evaluates every window aggregate, :class:`WindowAggregatePlan`.
 Its unit is the paper's basic window (Zhu & Shasha [25]), here called a
 *pane*: a window of size ``w`` sliding by ``s`` is cut into panes of
-``bw = gcd(w, s)`` tuples (COUNT) or seconds (TIME).  Each snapshot is
-reduced once into a table of per-(pane, group) partials, and a window is
-the fold of the ``w/bw`` panes it covers, so a tuple is aggregated once
-however much the windows overlap.  In DBSP terms (PAPERS.md) the window
-is an integrated collection: each entering pane is added, each leaving
-pane retracted.  Full re-evaluation survives only as the differential
+``bw = gcd(w, s)`` tuples (COUNT) or seconds (TIME).  Each tuple of a
+snapshot is folded once into its cell of a table of per-(pane, group)
+partials, and a window is the fold of the ``w/bw`` panes it covers, so a
+tuple is aggregated once however much the windows overlap, and a firing
+costs its batch plus the windows it closes.  In DBSP terms (PAPERS.md)
+the window is an integrated collection: each entering pane is added,
+each leaving pane retracted.  Full re-evaluation survives only as the differential
 reference, :class:`repro.baselines.reeval.ReEvalWindowAggregatePlan`.
 
 Window boundaries are aligned to the stream origin: count window ``k``
@@ -28,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,15 +116,6 @@ def _aggregate_atom(name: str) -> AtomType:
     return AtomType.LNG if name in ("count", "count_star") else AtomType.DBL
 
 
-def _key_list(atom: AtomType, keys: np.ndarray) -> List[Any]:
-    """Hashable group keys: storage values, with every NIL as ``None``
-    (a DBL NIL is NaN, which never equals itself)."""
-    return [
-        None if nil else key
-        for key, nil in zip(keys.tolist(), nil_mask(atom, keys).tolist())
-    ]
-
-
 class _WindowAggregateBase(ContinuousPlan):
     """Configuration and output schema, shared with the re-eval reference.
 
@@ -204,13 +197,16 @@ class WindowAggregatePlan(_WindowAggregateBase):
 
     The table has one row per pane and one column per group key; its
     planes hold, per cell, the tuple count (``count(*)``), the non-NULL
-    count, sum, min, max and the first arrival seq.  Group keys are
-    factorised per snapshot by the kernel's ``group.group`` and mapped to
-    persistent columns.  A firing folds every window that closed in one
-    vectorised pass: sums and counts as differences of prefix sums over
-    the pane axis (restarted at the firing's first live pane, so nothing
-    drifts across firings), min/max as a reduction over each window's
-    panes, and groups emitted in order of first arrival — the re-eval
+    count, sum, min, max and the first arrival seq.  A group key maps to
+    its persistent column by a dict probe; only a snapshot with an unseen
+    key is factorised by the kernel's ``group.group``.  Each tuple folds
+    straight into its (pane, group) cell.  A firing folds every window
+    that closed in one vectorised pass: min/max, and sums and counts too
+    when ``W * size <= 4 * span`` (every one-window firing), as a
+    reduction over each window's panes; sums and counts of a catch-up
+    firing that closes many overlapping windows as differences of prefix
+    sums, restarted at its first live pane so nothing drifts across
+    firings.  Groups are emitted in order of first arrival — the re-eval
     reference's row order.  ``values_processed`` counts tuples reduced
     into the table: each tuple once, whatever the overlap.
     """
@@ -224,6 +220,7 @@ class WindowAggregatePlan(_WindowAggregateBase):
         self._origin = 0  # absolute pane of table row 0
         self._top = 0  # one past the highest pane holding data
         self._codes: Dict[Any, int] = {}  # group key -> table column
+        self._nil = -1  # the NIL key's table column, once seen
         self._keys = np.empty(0, dtype=numpy_dtype(self.group_atom))
         self._position = 0  # tuples ingested: stream position, arrival seq
         self._watermark = -math.inf
@@ -260,39 +257,23 @@ class WindowAggregatePlan(_WindowAggregateBase):
                 return
         top = int(panes.max()) + 1
         self._reserve(top, max(len(self._keys), 1))
+        # each tuple folds straight into its (pane, group) cell; every
+        # operand is float64, as a casting ufunc.at is many times slower
         cells = (panes - self._origin) * self._table.shape[2] + codes
-        if (cells[1:] < cells[:-1]).any():
-            order = np.argsort(cells, kind="stable")
-            cells, values, nils, seq = (
-                cells[order], values[order], nils[order], seq[order]
-            )
-        edges = np.flatnonzero(cells[1:] != cells[:-1]) + 1
-        starts = np.concatenate(([0], edges))
-        part = np.empty((6, len(starts)))
-        part[STARS] = np.concatenate((edges, [len(cells)])) - starts
-        part[COUNT] = part[STARS] - np.add.reduceat(
-            nils, starts, dtype=np.int64
-        )
-        part[SUM] = np.add.reduceat(np.where(nils, 0.0, values), starts)
-        part[MIN] = np.minimum.reduceat(
-            np.where(nils, np.inf, values), starts
-        )
-        part[MAX] = np.maximum.reduceat(
-            np.where(nils, -np.inf, values), starts
-        )
-        part[FIRST] = seq[starts]
         flat = self._table.reshape(6, -1)
-        at = cells[starts]
-        cur = flat[:, at]
-        cur[:MIN] += part[:MIN]
-        np.minimum(cur[MIN], part[MIN], out=cur[MIN])
-        np.maximum(cur[MAX], part[MAX], out=cur[MAX])
-        np.minimum(cur[FIRST], part[FIRST], out=cur[FIRST])
-        flat[:, at] = cur
+        np.add.at(flat[STARS], cells, 1.0)
+        np.add.at(flat[COUNT], cells, 1.0 - nils)
+        np.add.at(flat[SUM], cells, np.where(nils, 0.0, values))
+        np.minimum.at(flat[MIN], cells, np.where(nils, np.inf, values))
+        np.maximum.at(flat[MAX], cells, np.where(nils, -np.inf, values))
+        np.minimum.at(flat[FIRST], cells, seq.astype(np.float64))
         self._top = max(self._top, top)
 
     def _group_codes(self, snap: BasketSnapshot) -> np.ndarray:
-        """Persistent table column of each tuple's group key."""
+        """Persistent table column of each tuple's group key, by a dict
+        probe.  A snapshot with an unseen key is first factorised by the
+        kernel's ``group.group``, which gives its new keys columns in
+        order of first arrival."""
         bat = snap.column(self.group_column)
         if bat.atom is not self.group_atom:
             raise DataCellError(
@@ -300,19 +281,33 @@ class WindowAggregatePlan(_WindowAggregateBase):
                 f"{bat.atom.value}, the plan was built for "
                 f"{self.group_atom.value}"
             )
-        gids, extents, _ = group(bat)
-        reps = bat.tail[extents]
-        local = np.empty(len(reps), dtype=np.int64)
-        fresh = []
-        for i, key in enumerate(_key_list(bat.atom, reps)):
-            code = self._codes.get(key)
-            if code is None:
-                code = self._codes[key] = len(self._codes)
-                fresh.append(i)
-            local[i] = code
-        if fresh:
-            self._keys = np.concatenate([self._keys, reps[fresh]])
-        return local[gids.tail]
+        codes = self._probe(bat.tail)
+        if (codes < 0).any():
+            _, extents, _ = group(bat)
+            reps = bat.tail[extents]
+            self._learn(reps[self._probe(reps) < 0])
+            codes = self._probe(bat.tail)
+        return codes
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """Table column of each key, -1 for an unseen one."""
+        codes = np.fromiter(
+            map(self._codes.get, keys.tolist(), repeat(-1)),
+            dtype=np.int64, count=len(keys),
+        )
+        if self._nil >= 0 and keys.dtype.kind == "f":
+            codes[np.isnan(keys)] = self._nil  # NaN never equals itself
+        return codes
+
+    def _learn(self, keys: np.ndarray) -> None:
+        """Give distinct unseen ``keys`` the next table columns; a NIL's
+        column is also kept in ``_nil``, where a NaN probe finds it."""
+        first = len(self._keys)
+        self._keys = np.concatenate([self._keys, keys])
+        self._codes.update(zip(keys.tolist(), range(first, len(self._keys))))
+        nil = np.flatnonzero(nil_mask(self.group_atom, keys))
+        if len(nil):
+            self._nil = first + int(nil[0])
 
     def _reserve(self, top: int, groups: int) -> None:
         """Make the table reach pane ``top`` (exclusive) and hold
@@ -361,9 +356,6 @@ class WindowAggregatePlan(_WindowAggregateBase):
         panes = self._table[:, lo : lo + span, :groups]
         starts = np.arange(k1 - k0) * slide
         ends = starts + size
-        prefix = np.zeros((MIN, span + 1, groups))
-        np.cumsum(panes[:MIN], axis=1, out=prefix[:, 1:])
-        stars, count, total = prefix[:, ends] - prefix[:, starts]
         # reduceat folds [cuts[i], cuts[i+1]): the even slots are the
         # windows (the last one runs to the end of the span), the odd
         # slots span the gaps between windows and are discarded
@@ -373,6 +365,17 @@ class WindowAggregatePlan(_WindowAggregateBase):
         def fold(plane: int, reduce: np.ufunc) -> np.ndarray:
             return reduce.reduceat(panes[plane], cuts, axis=0)[::2]
 
+        # a choice on the firing's shape, like the kernel's DENSE_SPAN:
+        # a few windows fold their own panes, many overlapping ones
+        # share one prefix sum
+        if (k1 - k0) * size <= 4 * span:
+            stars, count, total = np.add.reduceat(
+                panes[:MIN], cuts, axis=1
+            )[:, ::2]
+        else:
+            prefix = np.zeros((MIN, span + 1, groups))
+            np.cumsum(panes[:MIN], axis=1, out=prefix[:, 1:])
+            stars, count, total = prefix[:, ends] - prefix[:, starts]
         if self.group_column:
             win, col = np.nonzero(stars)
             order = np.lexsort((fold(FIRST, np.minimum)[win, col], win))
@@ -404,11 +407,10 @@ class WindowAggregatePlan(_WindowAggregateBase):
         self.next_window = k1
         self.windows_emitted += k1 - k0
         schema = self.output_schema()
-        bats = []
-        for (_, atom), values in zip(schema, self._arrange(columns)):
-            bat = BAT(atom, capacity=len(values))
-            bat.append_array(values)
-            bats.append(bat)
+        bats = [
+            BAT.adopt(atom, values.astype(numpy_dtype(atom), copy=False))
+            for (_, atom), values in zip(schema, self._arrange(columns))
+        ]
         result = ResultSet([name for name, _ in schema], bats)
         return PlanOutput(results={self.output_basket: result})
 
@@ -472,10 +474,9 @@ class WindowAggregatePlan(_WindowAggregateBase):
         self._table = table.reshape(6, rows, cols)
         self._origin = k * self._slide_panes
         self._top = self._origin + rows
-        self._keys = keys
-        self._codes = {
-            key: i for i, key in enumerate(_key_list(self.group_atom, keys))
-        }
+        self._keys = keys[:0]
+        self._codes, self._nil = {}, -1
+        self._learn(keys)
 
     def nbytes(self) -> int:
         """Bytes of the pane table and the group keys (what

@@ -43,13 +43,13 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..adapters.channels import InMemoryChannel
 from ..core.engine import DataCell
 from ..core.windows import WindowMode, WindowSpec
 from ..durability import DurabilityConfig, RecoveryReport
-from ..kernel.types import AtomType
+from ..kernel.types import AtomType, nil_value
 from ..testing import current_seed
 from .oracle import CHANNEL, COLUMNS, ORACLE_CASES, STREAM, _quiet_metrics
 from .policies import policy_names
@@ -63,12 +63,13 @@ __all__ = [
     "crash_episode_spec",
 ]
 
-Row = Tuple[int, ...]
+Row = Tuple[Any, ...]
 
 QUERY = "q"  # fixed query name: recovery needs an identical topology
 
 WINDOW_GEOMETRIES = ((4, 2), (4, 4), (1, 1), (6, 3))
 AGGREGATES = ("sum", "count", "avg", "min", "max")
+GROUP_ATOMS = (AtomType.STR, AtomType.INT)
 FSYNC_CYCLE = ("interval", "off", "always")
 
 
@@ -82,7 +83,9 @@ class CrashSpec:
 
     ``case`` is an oracle case name (plain continuous query) or
     ``"window"`` (COUNT-window aggregate per ``window`` /
-    ``window_aggregate``).  No channel faults: the crash *is* the fault.
+    ``window_aggregate``, grouped by a second column ``k`` of atom
+    ``window_group`` when one is given).  No channel faults: the crash
+    *is* the fault.
     """
 
     seed: int
@@ -96,6 +99,7 @@ class CrashSpec:
     fsync: str = "interval"
     window: Tuple[int, int] = (4, 2)
     window_aggregate: str = "sum"
+    window_group: Optional[AtomType] = None
     #: run the telemetry sampler (sys.* streams) alongside the episode —
     #: user-visible output must stay byte-identical, since system
     #: streams never enter the WAL or the checkpoints
@@ -156,6 +160,7 @@ def render_crash_repro(spec: CrashSpec) -> str:
         f"checkpoint_every={spec.checkpoint_every}, "
         f"fsync={spec.fsync!r}, window={spec.window}, "
         f"window_aggregate={spec.window_aggregate!r}, "
+        f"window_group={spec.window_group}, "
         f"sampling={spec.sampling}, execution={spec.execution!r}, "
         f"via_server={spec.via_server}, rows={list(spec.rows)!r})"
     )
@@ -193,17 +198,16 @@ def _build(
             else None
         ),
     )
+    columns = COLUMNS
     if spec.case == "window":
-        cell.create_basket(STREAM, [("v", AtomType.INT)])
-    else:
-        cell.create_basket(STREAM, COLUMNS)
+        columns = [("v", AtomType.INT)]
+        if spec.window_group is not None:
+            columns.append(("k", spec.window_group))
+    cell.create_basket(STREAM, columns)
     channel = InMemoryChannel(CHANNEL)
     if spec.via_server:
         from .server_episode import attach_server_ingress
 
-        columns = (
-            [("v", AtomType.INT)] if spec.case == "window" else COLUMNS
-        )
         attach_server_ingress(cell, channel, STREAM, columns)
     else:
         cell.add_receptor("tap", [STREAM], channel=channel)
@@ -215,6 +219,7 @@ def _build(
             "v",
             [spec.window_aggregate],
             WindowSpec(WindowMode.COUNT, size, slide),
+            group_by="k" if spec.window_group is not None else None,
             name=QUERY,
         )
     else:
@@ -313,16 +318,28 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
 
     Cycles the oracle cases plus a window case, the firing policies, and
     the fsync modes; rows, batching, crash point, and checkpoint cadence
-    all derive from the seed.
+    all derive from the seed.  Every other window case is grouped, over
+    a varchar or an int key with rotating values and NILs drawn from a
+    stream of its own, so the values and the rest of the spec are the
+    ungrouped episode's.
     """
     seed = base_seed + index
     rng = random.Random(f"datacell-crash-episode:{seed}")
     cases = sorted(ORACLE_CASES) + ["window"]
     case = cases[index % len(cases)]
+    group = None
     if case == "window":
         rows: Tuple[Row, ...] = tuple(
             (rng.randint(0, 50),) for _ in range(rng.randint(8, 60))
         )
+        if index // len(cases) % 2:
+            group = GROUP_ATOMS[index // len(cases) // 2 % 2]
+            rows = tuple(
+                row + (key,) for row, key in zip(rows, _rotating_keys(
+                    random.Random(f"datacell-crash-keys:{seed}"),
+                    len(rows), group,
+                ))
+            )
     else:
         rows = tuple(
             (rng.randint(-5, 30), rng.randint(0, 10))
@@ -345,6 +362,7 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
         fsync=FSYNC_CYCLE[index % len(FSYNC_CYCLE)],
         window=WINDOW_GEOMETRIES[index % len(WINDOW_GEOMETRIES)],
         window_aggregate=AGGREGATES[index % len(AGGREGATES)],
+        window_group=group,
         sampling=(index % 2 == 1),
         # every third episode exercises the incremental route, so circuit
         # state recovery is continuously gated
@@ -352,6 +370,22 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
         # every 5th episode ingests through the server's wire seam
         via_server=(index % 5 == 3),
     )
+
+
+def _rotating_keys(rng: random.Random, n: int, atom: AtomType) -> List[Any]:
+    """``n`` group keys from a domain of three that moves on by one
+    every few rows; about one in six is NIL (an int NIL is its sentinel,
+    as the wire format carries it)."""
+    period = rng.randint(2, 8)
+    nil = None if atom is AtomType.STR else int(nil_value(atom))
+    keys = []
+    for i in range(n):
+        key = i // period + rng.randint(0, 2)
+        keys.append(
+            nil if rng.random() < 1 / 6
+            else f"k{key}" if atom is AtomType.STR else key
+        )
+    return keys
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -16,6 +16,7 @@ from repro.core.basket import Basket
 from repro.core.clock import LogicalClock
 from repro.core.factory import ConsumeMode, Factory, InputBinding
 from repro.baselines.reeval import ReEvalWindowAggregatePlan
+from repro.core import windows
 from repro.core.windows import (
     SlidingWindowJoinPlan,
     WindowAggregatePlan,
@@ -202,26 +203,64 @@ class TestCountWindows:
         assert plan.tuples_needed() == 6
 
 
+#: the n-th key of a rotating group-key domain, per group atom
+KEY_OF = {
+    AtomType.STR: lambda n: f"k{n}",
+    AtomType.INT: lambda n: n - 3,
+    AtomType.LNG: lambda n: n * 2**40,
+    AtomType.DBL: lambda n: n / 2,
+}
+
+
+GROUPED_CASE = given(
+    st.lists(
+        st.one_of(st.floats(-50, 50), st.none()), min_size=0, max_size=80
+    ),
+    st.sampled_from(list(KEY_OF)),
+    st.sampled_from([(8, 4), (6, 3), (5, 5), (9, 2)]),
+    st.data(),
+)
+
+
 class TestGroupedWindows:
     @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.floats(-50, 50), st.none()), min_size=0, max_size=60
-        ),
-        st.sampled_from([
-            (AtomType.STR, ["a", "b", "c", None]),
-            (AtomType.INT, [1, 2, 7, None]),
-            (AtomType.LNG, [-(2**40), 0, 5]),
-            (AtomType.DBL, [0.5, -1.0, None]),
-        ]),
-        st.sampled_from([(8, 4), (6, 3), (5, 5), (9, 2)]),
-        st.data(),
-    )
-    def test_grouped_routes_equivalent(self, values, keys, window, data):
-        atom, domain = keys
-        groups = [data.draw(st.sampled_from(domain)) for _ in values]
+    @GROUPED_CASE
+    def test_grouped_routes_equivalent(self, values, atom, window, data):
+        self.check_grouped("chunks", values, atom, window, data)
+
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.parametrize("firing", ["one-window", "catch-up"])
+    @GROUPED_CASE
+    def test_grouped_routes_equivalent_on_both_sides_of_the_fold_rule(
+        self, firing, values, atom, window, data
+    ):
+        """One-window firings fold each window's panes; one firing that
+        closes 20 or more windows of a small slide takes the
+        prefix-sum side of the plan's cost rule."""
+        self.check_grouped(firing, values, atom, window, data)
+
+    @staticmethod
+    def check_grouped(firing, values, atom, window, data):
+        if firing == "catch-up":
+            window = data.draw(st.sampled_from([(10, 1), (12, 2)]))
+            values = values + [1.0] * (50 - len(values))
+        chunks = {
+            "chunks": data.draw(st.integers(1, 6)),
+            "one-window": max(len(values), 1),  # one tuple per firing
+            "catch-up": 1,
+        }[firing]
+        # the key domain moves on every few chunks and holds a NIL
+        chunk_of = np.zeros(len(values), dtype=int)
+        for c, batch in enumerate(np.array_split(np.arange(len(values)),
+                                                 chunks)):
+            chunk_of[batch] = c
+        rotate = data.draw(st.integers(1, 3)) * max(chunks // 6, 1)
+        draws = [data.draw(st.sampled_from([None, 0, 1, 2])) for _ in values]
+        groups = [
+            None if n is None else KEY_OF[atom](n + c)
+            for n, c in zip(draws, (chunk_of // rotate).tolist())
+        ]
         spec = WindowSpec(WindowMode.COUNT, *window)
-        chunks = data.draw(st.integers(1, 6))
         r1, _ = drive_count_window(
             ReEvalWindowAggregatePlan, spec, values, chunks, AGGS, groups,
             atom,
@@ -231,6 +270,45 @@ class TestGroupedWindows:
         )
         # same rows in the same order: groups by first arrival per window
         assert_rows_close(r1, r2, key_columns=2)
+
+    @staticmethod
+    def count_group_calls(monkeypatch):
+        calls, group = [], windows.group
+
+        def counting(bat, *args):
+            calls.append(len(bat))
+            return group(bat, *args)
+
+        monkeypatch.setattr(windows, "group", counting)
+        return calls
+
+    def test_steady_state_firings_do_not_factorise(self, monkeypatch):
+        """Known keys are a dict probe: only a snapshot holding an unseen
+        key is factorised by the kernel's ``group``."""
+        calls = self.count_group_calls(monkeypatch)
+        spec = WindowSpec(WindowMode.COUNT, 40, 10)
+        keys = [f"k{i % 7}" for i in range(510)] + ["new"] * 10
+        rows, _ = drive_count_window(
+            WindowAggregatePlan, spec, [1.0] * 520, 52, ["count"], keys
+        )
+        assert len(calls) == 2  # the first firing and the "new" one
+        assert len(rows) == 7 * 49 + 1
+
+    @pytest.mark.parametrize("atom, key", [
+        (AtomType.INT, 4), (AtomType.DBL, 0.5), (AtomType.STR, "a"),
+    ])
+    def test_nil_keys_are_probed(self, monkeypatch, atom, key):
+        """An INT NIL is a sentinel and a DBL NIL a NaN: once seen, a
+        NIL key no longer sends a firing to ``group``."""
+        calls = self.count_group_calls(monkeypatch)
+        spec = WindowSpec(WindowMode.COUNT, 4, 2)
+        keys = [key, None] * 50
+        rows, _ = drive_count_window(
+            WindowAggregatePlan, spec, [1.0] * 100, 50, ["sum"], keys, atom
+        )
+        assert len(calls) == 1
+        assert [r[1] for r in rows[:2]] == [key, None]
+        assert len(rows) == 2 * 49
 
     def test_grouped_sums(self):
         values = [1.0, 2.0, 10.0, 20.0]
@@ -385,9 +463,10 @@ class TestPaneTable:
         assert r2 and r1 == r2
 
     def test_sums_do_not_drift(self):
-        """100k values near 1e12 and 1e-3: each firing restarts the
-        prefix sums at its first live pane, so no running total carries
-        rounding error from one firing to the next."""
+        """100k values near 1e12 and 1e-3: a firing folds the panes of
+        its windows, or takes differences of prefix sums restarted at
+        its first live pane, so no running total carries rounding error
+        from one firing to the next."""
         rng = np.random.default_rng(5)
         n = 100_000
         values = np.where(
@@ -395,18 +474,24 @@ class TestPaneTable:
             1e12 + rng.uniform(-1e3, 1e3, n),
             rng.uniform(0, 2e-3, n),
         ).tolist()
-        spec = WindowSpec(WindowMode.COUNT, 1_000, 10)
         aggs = ["sum", "avg"]
-        r1, _ = drive_count_window(
-            ReEvalWindowAggregatePlan, spec, values, 50, aggs
-        )
-        r2, plan = drive_count_window(WindowAggregatePlan, spec, values, 50, aggs)
-        assert len(r2) == (n - 1_000) // 10 + 1
-        assert plan.values_processed == n
-        for a, b in zip(r1, r2):
-            assert a[0] == b[0]
-            for x, y in zip(a[1:], b[1:]):
-                assert math.isclose(x, y, rel_tol=1e-9)
+        for size, slide in (
+            (1_000, 10),  # ~200 windows of 100 panes a firing: prefix sums
+            (1_000, 500),  # windows of 2 panes: each folded on its own
+        ):
+            spec = WindowSpec(WindowMode.COUNT, size, slide)
+            r1, _ = drive_count_window(
+                ReEvalWindowAggregatePlan, spec, values, 50, aggs
+            )
+            r2, plan = drive_count_window(
+                WindowAggregatePlan, spec, values, 50, aggs
+            )
+            assert len(r2) == (n - size) // slide + 1
+            assert plan.values_processed == n
+            for a, b in zip(r1, r2):
+                assert a[0] == b[0]
+                for x, y in zip(a[1:], b[1:]):
+                    assert math.isclose(x, y, rel_tol=1e-9)
 
     def test_state_round_trips_without_pickle(self):
         spec = WindowSpec(WindowMode.COUNT, 6, 2)

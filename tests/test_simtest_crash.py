@@ -11,6 +11,7 @@ duplicate-delivery bug (high-water suppression disabled) must be
 import pytest
 
 from repro.core.emitter import Emitter
+from repro.kernel.types import INT_NIL, AtomType
 from repro.simtest.crash import (
     CrashSpec,
     check_crash_episode,
@@ -42,6 +43,10 @@ def test_both_query_shapes_and_all_fsync_policies_are_exercised():
     # streams are exempt from WAL and checkpoints, so recovery with
     # sampling enabled is its own failure mode
     assert {s.sampling for s in specs} == {True, False}
+    # every other window episode is grouped, over a varchar or int key
+    assert {s.window_group for s in specs if s.case == "window"} == {
+        None, AtomType.STR, AtomType.INT,
+    }
 
 
 def test_explicit_mid_stream_crash_with_checkpoint():
@@ -78,6 +83,33 @@ def test_window_episode_recovers_partial_window_state():
     result = check_crash_episode(spec)
     assert result.crashed
     assert result.ok, result.explain()
+
+
+@pytest.mark.parametrize("atom", [AtomType.STR, AtomType.INT])
+def test_grouped_window_episode_recovers_its_key_map(atom):
+    """The checkpoint carries the group keys; after recovery the known
+    keys, the NIL key among them, map to their old pane-table columns."""
+    nil = None if atom is AtomType.STR else int(INT_NIL)
+    domain = ["a", "b", "c"] if atom is AtomType.STR else [4, 5, 6]
+    spec = CrashSpec(
+        seed=46,
+        rows=tuple(
+            (v, nil if v % 5 == 0 else domain[v // 7 % 3]) for v in range(40)
+        ),
+        case="window",
+        window=(6, 3),
+        window_aggregate="sum",
+        window_group=atom,
+        policy="round-robin",
+        batch_size=3,
+        crash_after=14,
+        checkpoint_every=4,
+    )
+    result = check_crash_episode(spec)
+    assert result.crashed
+    assert result.ok, result.explain()
+    assert result.pre_crash and result.post_recovery
+    assert None in {row[1] for row in result.post_recovery}
 
 
 def test_crash_with_telemetry_sampling_is_byte_identical():
