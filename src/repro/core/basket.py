@@ -42,10 +42,16 @@ Implementation notes
   the basket position of its first row (``start``).  While the generation
   is unchanged, snapshot position *p* is basket position ``start + p``; a
   factory holds the basket lock from snapshot to consume (Algorithm 1),
-  so its consumption is one boolean keep-mask over the basket, or an O(1)
+  so its consumption is one boolean keep-mask over the snapshot's rows —
+  the rows before ``start`` are kept without a selection — or an O(1)
   :meth:`Basket.consume_all` when it takes a whole-basket snapshot in
   full.  A snapshot from an older generation is consumed by sequence
   number instead (:meth:`Basket.consume_seqs`).
+
+* **Drain by adoption.**  A reader that takes everything (an emitter, a
+  replicator) calls :meth:`Basket.drain`: the snapshot it gets *is* the
+  basket's columns, and the basket starts over with empty ones, so
+  nothing is copied.
 """
 
 from __future__ import annotations
@@ -73,7 +79,8 @@ TIME_COLUMN = "dc_time"
 class BasketSnapshot:
     """An immutable view of a basket's content at activation time.
 
-    Columns are one copy of a contiguous run of the basket's rows,
+    Columns are one copy of a contiguous run of the basket's rows (or,
+    from :meth:`Basket.drain`, the basket's former columns themselves),
     re-based to a dense 0..n-1 head, so candidate lists produced by plans
     are directly usable as positions when telling the basket which tuples
     were consumed (:meth:`Basket.consume_positions`).  ``seqs`` carries
@@ -149,6 +156,7 @@ class Basket(Table, Place):
         defs.append(ColumnDef(TIME_COLUMN, AtomType.TIMESTAMP))
         super().__init__(name, Schema(defs), is_basket=True)
         self._names = [c.name.lower() for c in self.schema]
+        self._user_names = frozenset(self._names[:-1])  # not dc_time
         self.clock = clock or WallClock()
         self._seq = BAT(AtomType.LNG)
         # hidden monotonic arrival stamps and trace tokens, one run per
@@ -244,7 +252,7 @@ class Basket(Table, Place):
 
     def _record_depth(self) -> None:
         """Refresh depth and high water (call under ``self.lock``)."""
-        depth = self.count
+        depth = self._seq.count
         self._depth.value = depth
         if depth > self._high_water.value:
             self._high_water.value = depth
@@ -303,32 +311,33 @@ class Basket(Table, Place):
         numbers are filled in here.
         """
         stamp = self.clock.now() if timestamp is None else float(timestamp)
-        user_names = set(self._names[:-1])  # dc_time is the last column
-        provided = {k.lower() for k in columns}
-        if provided != user_names:
+        provided = set(map(str.lower, columns))
+        if provided != self._user_names:
             raise BasketError(
                 f"bulk insert must cover exactly the user columns "
-                f"{sorted(user_names)}, got {sorted(provided)}"
+                f"{sorted(self._user_names)}, got {sorted(provided)}"
             )
-        lengths = {len(v) for v in columns.values()}
+        lengths = set(map(len, columns.values()))
         if len(lengths) != 1:
             raise BasketError("bulk insert arrays differ in length")
         n = lengths.pop()
         with self.lock:
+            bats = self._bats
             for name, values in columns.items():
-                self.bat(name).append_array(np.asarray(values))
+                bats[name.lower()].append_array(values)
             shed = self._ingested(n, stamp, trace_token)
         return n - shed
 
     def _ingested(self, n: int, stamp: float, trace_token: int) -> int:
         """Finish an ingest whose user columns are appended (under the
         lock): stamp, sequence, WAL, shed, trim.  Returns rows shed."""
-        self.bat(TIME_COLUMN).append_fill(stamp, n)
+        self._bats[TIME_COLUMN].append_fill(stamp, n)
         self._sequence(n, time.monotonic(), trace_token)
         if self.wal_sink is not None:
             self._log_ingest(n, stamp)
-        shed = self._shed_if_over_capacity()
-        self._trim_to_retention()
+        shed = self._shed_if_over_capacity() if self.capacity is not None else 0
+        if self.retention is not None:
+            self._trim_to_retention()
         self._record_depth()
         return shed
 
@@ -339,7 +348,7 @@ class Basket(Table, Place):
         self._seq.append_array(
             np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
         )
-        self._runs.append(len(self._seq), mono, trace_token)
+        self._runs.append(self._seq.count, mono, trace_token)
         self._next_seq += n
         self._inserted.value += n
         self.generation += 1
@@ -421,6 +430,19 @@ class Basket(Table, Place):
 
     truncate = consume_all  # Table-compatible; also clears the seqs
 
+    def drain(self) -> BasketSnapshot:
+        """Take every tuple: :meth:`snapshot` then :meth:`consume_all`,
+        without a copy — the snapshot adopts the basket's columns, and the
+        basket starts over with empty ones."""
+        with self.lock:
+            seqs = self._seq.tail
+            snapshot = BasketSnapshot(
+                self._names, list(self._bats.values()), seqs, self._runs,
+                self.generation,
+            )
+            self.consume_all()
+            return snapshot
+
     def consume_positions(
         self,
         snapshot: BasketSnapshot,
@@ -449,17 +471,15 @@ class Basket(Table, Place):
             if positions is None:
                 if not start:
                     return self.consume_all()
-                keep: Any = slice(0, start)
-                kept = start
-            else:
-                if not len(positions):
-                    return 0
-                index = np.asarray(positions, dtype=np.int64)
-                keep = np.empty(len(self._seq), dtype=bool)
-                keep.fill(True)
-                keep[index + start if start else index] = False
-                kept = int(np.count_nonzero(keep))
-            return self._remove(keep, kept)
+                return self._remove(slice(0, start), start)
+            if not len(positions):
+                return 0
+            # a keep-mask over the snapshot's rows only: the rows before
+            # ``start`` (a ``since_seq`` snapshot's prefix) stay as they are
+            keep = np.ones(self._seq.count - start, dtype=bool)
+            keep[np.asarray(positions, dtype=np.int64)] = False
+            return self._remove(keep, start + int(np.count_nonzero(keep)),
+                                start)
 
     def consume_seqs(self, seqs: np.ndarray) -> int:
         """Remove the tuples with the given sequence numbers (a snapshot
@@ -470,11 +490,12 @@ class Basket(Table, Place):
             keep = ~np.isin(self._seq.tail, np.asarray(seqs, dtype=np.int64))
             return self._remove(keep, int(np.count_nonzero(keep)))
 
-    def _remove(self, keep: Any, kept: int) -> int:
-        """Keep the ``kept`` rows ``keep`` selects; count the rest out."""
-        removed = self.count - kept
+    def _remove(self, keep: Any, kept: int, start: int = 0) -> int:
+        """Keep the ``kept`` rows ``keep`` selects from position ``start``
+        on, and every row before it; count the rest out."""
+        removed = self._seq.count - kept
         if removed:
-            self._rebuild_keeping(keep, kept)
+            self._rebuild_keeping(keep, kept, start)
         self._note_removed(removed)
         return removed
 
@@ -482,24 +503,38 @@ class Basket(Table, Place):
         self._consumed.value += removed
         self._record_depth()
 
-    def _rebuild_keeping(self, keep: Any, kept: int) -> None:
+    def _rebuild_keeping(self, keep: Any, kept: int, start: int = 0) -> None:
         """Swap in new BATs holding only the ``kept`` rows ``keep``
         selects (under the lock).
 
-        ``keep`` selects sequenced positions: a boolean mask or a slice.
-        Each column is copied once, by the selection; the hidden runs are
-        re-cut.
+        ``keep`` selects sequenced positions: a slice, or a boolean mask
+        over the rows from ``start`` on, the rows before it all kept.
+        Each column is copied once; the hidden runs are re-cut.  New BATs
+        rather than a compaction in place: a one-time query may still
+        hold the old ones.
         """
-        n = len(self._seq)
-        view = isinstance(keep, slice)  # basic slicing does not copy
+        n = self._seq.count
+        if isinstance(keep, slice):  # basic slicing does not copy
 
-        def select(bat: BAT) -> BAT:
-            part = bat.tail[:n][keep]
-            return BAT.adopt(bat.atom, part.copy() if view else part)
+            def select(bat: BAT) -> BAT:
+                return BAT.adopt(bat.atom, bat.tail[:n][keep].copy())
+
+        elif start:
+
+            def select(bat: BAT) -> BAT:
+                tail = bat.tail
+                return BAT.adopt(
+                    bat.atom, np.concatenate((tail[:start], tail[start:n][keep]))
+                )
+
+        else:
+
+            def select(bat: BAT) -> BAT:
+                return BAT.adopt(bat.atom, bat.tail[:n][keep])
 
         self._bats = {k: select(b) for k, b in self._bats.items()}
         self._seq = select(self._seq)
-        self._runs = self._runs.keep(keep, kept)
+        self._runs = self._runs.keep(keep, kept, start)
         self.generation += 1
 
     def frontier_seq(self) -> int:
@@ -738,14 +773,16 @@ class Basket(Table, Place):
             for bat, appended in zip(self._bats.values(), result.bats):
                 bat.append_bat(appended)
             if not provides_time:
-                self.bat(TIME_COLUMN).append_fill(stamp, rows_added)
+                self._bats[TIME_COLUMN].append_fill(stamp, rows_added)
             self._sequence(
                 rows_added,
                 time.monotonic() if mono is None else float(mono),
                 trace_token,
             )
-            self._shed_if_over_capacity()
-            self._trim_to_retention()
+            if self.capacity is not None:
+                self._shed_if_over_capacity()
+            if self.retention is not None:
+                self._trim_to_retention()
             self._record_depth()
         return rows_added
 

@@ -280,8 +280,7 @@ class Emitter:
         started = time.perf_counter()
         fresh_from = 0
         with self.source.lock:
-            snapshot = self.source.snapshot()
-            self.source.consume_all()
+            snapshot = self.source.drain()
             if snapshot.count and (
                 self.wal_sink is not None or self.high_water_seq >= 0
             ):

@@ -47,12 +47,25 @@ __all__ = [
 
 
 class ConsumeMode(enum.Enum):
-    """What happens to input tuples after a factory has processed them."""
+    """What happens to input tuples after a factory has processed them.
+
+    A PLAN binding's plan decides per tuple, by a predicate over the
+    tuple alone (a basket expression's WHERE): a tuple it leaves behind
+    stays buffered for other readers, but this binding never reads it
+    again — each activation reads only the tuples past its
+    ``last_seen_seq`` watermark.  An inner LIMIT (``refire_on_consumption``)
+    leaves qualifying tuples behind, so such a binding re-reads them, as
+    PEEK does.
+    """
 
     ALL = "all"  # bulk empty — the Algorithm 1 default (separate baskets)
     PLAN = "plan"  # the plan's basket expression decides (predicate window)
     SHARED = "shared"  # per-reader cursor; removal at low-water mark (§2.5)
     PEEK = "peek"  # no consumption: basket read as a plain table (§2.6)
+
+
+# the modes whose leftovers can enable the factory again
+_REFIRING = (ConsumeMode.PLAN, ConsumeMode.PEEK)
 
 
 @dataclass
@@ -398,6 +411,9 @@ class Factory:
         right after it.
         """
         ordered = self._lock_order()
+        # bytes per result row, per output basket and arity: a result's
+        # atoms are its basket's, so the width is fixed
+        widths: Dict[Any, int] = {}
         while True:
             started = time.perf_counter()
             account = (
@@ -425,33 +441,46 @@ class Factory:
                 raise
             try:
                 snapshots: Dict[str, BasketSnapshot] = {}
+                tuples_in = 0
                 origin_mono: Optional[float] = None
                 origin_token = 0
                 for binding in self.inputs:
                     basket = binding.basket
                     prev_seen = binding.last_seen_seq
-                    if binding.mode is ConsumeMode.SHARED:
+                    mode = binding.mode
+                    if mode is ConsumeMode.SHARED:
                         snap = basket.read_new(self.name)
+                    elif (
+                        mode is ConsumeMode.PLAN
+                        and not binding.refire_on_consumption
+                    ):
+                        # a basket expression's WHERE is a per-tuple
+                        # predicate: a tuple it left behind never
+                        # qualifies later, so only the suffix past the
+                        # watermark is read
+                        snap = basket.snapshot(prev_seen)
                     else:
                         snap = basket.snapshot()
                     count = snap.count
                     if count:
+                        tuples_in += count
                         seqs = snap.seqs
                         newest = int(seqs[-1])  # seqs ascend
                         if newest > prev_seen:
                             binding.last_seen_seq = newest
-                        oldest = snap.runs.oldest()
+                        runs = snap.runs
+                        oldest = runs.oldest()
                         if origin_mono is None or oldest < origin_mono:
                             origin_mono = oldest
                         if not origin_token:
-                            origin_token = snap.runs.first_token()
+                            origin_token = runs.first_token()
                         if account is not None:
                             # queue-wait/flow charge each tuple once: on
                             # first observation by this query.  Seqs
                             # ascend, so the fresh tuples are the suffix
                             # after the previous high-water mark and
-                            # re-snapshotted PLAN-mode leftovers are never
-                            # charged twice.
+                            # re-read leftovers (inner LIMIT, PEEK) are
+                            # never charged twice.
                             first = (
                                 0 if prev_seen < seqs[0]
                                 else int(seqs.searchsorted(prev_seen, "right"))
@@ -460,10 +489,9 @@ class Factory:
                             if n_fresh:
                                 rows_fresh += n_fresh
                                 bytes_in += n_fresh * basket.row_nbytes()
-                                queue_wait += snap.runs.wait(now_mono, first)
+                                queue_wait += runs.wait(now_mono, first)
                                 waited += n_fresh
                     snapshots[basket.name.lower()] = snap
-                tuples_in = sum(s.count for s in snapshots.values())
                 plan_started = time.perf_counter()
                 if account is not None:
                     # one reading for two boundaries: the plan's start is
@@ -488,17 +516,25 @@ class Factory:
                 tuples_out = self._emit(output, origin_mono, origin_token)
                 # ALL and SHARED inputs are used up; only PLAN/PEEK
                 # leftovers it may refire on keep the factory enabled
-                drained = not any(
-                    b.mode in (ConsumeMode.PLAN, ConsumeMode.PEEK)
-                    and (b.basket.frontier_seq() > b.last_seen_seq
-                         or b.refire_on_consumption and b.last_consumed > 0)
-                    for b in self.inputs
-                )
+                drained = True
+                for b in self.inputs:
+                    if b.mode in _REFIRING and (
+                        b.basket.frontier_seq() > b.last_seen_seq
+                        or b.refire_on_consumption and b.last_consumed > 0
+                    ):
+                        drained = False
+                        break
                 if self.wal_sink is not None and (tuples_in or tuples_out):
                     self.wal_sink.log_firing(self.name)
                 if account is not None:
-                    for rs in output.results.values():
-                        bytes_out += sum(b.nbytes() for b in rs.bats)
+                    for name, rs in output.results.items():
+                        key = (name, len(rs.bats))
+                        width = widths.get(key)
+                        if width is None:
+                            width = widths[key] = sum(
+                                b.element_nbytes() for b in rs.bats
+                            )
+                        bytes_out += rs.count * width
             finally:
                 for basket in reversed(ordered):
                     basket.lock.release()

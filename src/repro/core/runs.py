@@ -92,24 +92,31 @@ class Runs:
         cut[-1] = stop - start
         return Runs(cut, self.stamps[k:j], self.tokens[k:j])
 
-    def keep(self, selection: Any, kept: int) -> "Runs":
+    def keep(self, selection: Any, kept: int, start: int = 0) -> "Runs":
         """The runs of the ``kept`` rows ``selection`` picks.
 
-        ``selection`` is a slice or a boolean mask — the two forms a
-        basket rebuilds its columns by.
+        ``selection`` is a slice or a boolean mask over the rows from
+        ``start`` on (the rows before it are kept) — the forms a basket
+        rebuilds its columns by.
         """
         if not kept:
             return Runs()
-        if len(self.ends) == 1:
+        ends = self.ends
+        if len(ends) == 1:
             return Runs([kept], self.stamps[:], self.tokens[:])
-        if kept == self.ends[-1]:
+        if kept == ends[-1] or start >= ends[-2]:
+            # nothing removed, or only rows of the last run (a consume of
+            # the newest batch): the runs before it stand, and it shrinks
+            # to end at ``kept`` — or goes, if nothing of it is kept
             return self.cut(0, kept)
         if isinstance(selection, slice):
-            start, stop, _ = selection.indices(self.ends[-1])
-            return self.cut(start, stop)
+            first, stop, _ = selection.indices(self.ends[-1])
+            return self.cut(first, stop)
         # removed positions, ascending: only the runs from the first one
         # hit change, and a consume usually hits the newest runs
         gone = np.flatnonzero(~selection)
+        if start:
+            gone += start
         k = bisect_right(self.ends, int(gone[0]))
         tail = self.ends[k:]
         ends = [

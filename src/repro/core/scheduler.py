@@ -120,6 +120,9 @@ class FiringPolicy:
     ) -> SchedulableTransition:
         return self.sweep_order(list(enabled))[0]
 
+    def forget(self, transition: SchedulableTransition) -> None:
+        """``transition`` was unregistered: drop any reference to it."""
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -161,6 +164,12 @@ class PriorityPolicy(FiringPolicy):
             order = [t for _, t in indexed]
             self._memo = (key, order)
         return list(order)
+
+    def forget(self, transition: SchedulableTransition) -> None:
+        # the memo would keep a removed transition alive until the next
+        # sweep, and an idle scheduler does not sweep
+        if any(t is transition for t in self._memo[1]):
+            self._memo = ([], [])
 
 
 class Scheduler:
@@ -270,8 +279,10 @@ class Scheduler:
 
     def unregister(self, name: str) -> None:
         with self._lock:
-            if self._transitions.pop(name, None) is None:
+            transition = self._transitions.pop(name, None)
+            if transition is None:
                 return
+            self.policy.forget(transition)
             wake, places = self._wakes.pop(name, (None, ()))
             for place in places:
                 place.unwatch(wake)
@@ -388,8 +399,11 @@ class Scheduler:
         the rest keep running; otherwise the exception propagates.
         """
         ready, registered = self._ready, self._transitions
+        if not ready and not self._placeless:
+            return 0  # nothing can be enabled: no sweep to order
         fired = 0
-        for transition in self.policy.sweep_order(self.transitions()):
+        # list() of a dict's values is atomic: no lock for a snapshot
+        for transition in self.policy.sweep_order(list(registered.values())):
             name = transition.name
             if name in ready:
                 # out before the check: a place change during it marks

@@ -175,9 +175,7 @@ class ReplicatorTransition:
 
     def activate(self) -> ActivationResult:
         started = time.perf_counter()
-        with self.source.lock:
-            snap = self.source.snapshot()
-            self.source.consume_all()
+        snap = self.source.drain()
         names = [n for n in snap.names if n != TIME_COLUMN]
         result = ResultSet(
             names, [snap.column(n) for n in names]

@@ -43,7 +43,10 @@ class BAT:
     receptors can append tuple batches cheaply.
     """
 
-    __slots__ = ("atom", "hseqbase", "_data", "_count")
+    # ``count`` is a plain slot, not a property: the per-firing path
+    # reads it on every basket, snapshot and operator; only the BAT
+    # itself writes it
+    __slots__ = ("atom", "hseqbase", "_data", "count")
 
     def __init__(self, atom: AtomType, hseqbase: int = 0, capacity: int = 0):
         self.atom = atom
@@ -51,7 +54,7 @@ class BAT:
         self._data = np.empty(
             max(capacity, _INITIAL_CAPACITY), dtype=numpy_dtype(atom)
         )
-        self._count = 0
+        self.count = 0
 
     @classmethod
     def adopt(cls, atom: AtomType, array: np.ndarray, hseqbase: int = 0) -> "BAT":
@@ -66,29 +69,24 @@ class BAT:
         out.atom = atom
         out.hseqbase = int(hseqbase)
         out._data = array
-        out._count = len(array)
+        out.count = len(array)
         return out
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._count
-
-    @property
-    def count(self) -> int:
-        """Number of tuples in the BAT."""
-        return self._count
+        return self.count
 
     @property
     def tail(self) -> np.ndarray:
         """A view of the valid portion of the tail array (do not mutate)."""
-        return self._data[: self._count]
+        return self._data[: self.count]
 
     @property
     def hseq_end(self) -> int:
         """One past the last head oid."""
-        return self.hseqbase + self._count
+        return self.hseqbase + self.count
 
     def element_nbytes(self) -> int:
         """Estimated bytes per tail element.
@@ -110,19 +108,19 @@ class BAT:
         not charged — it measures data held, not arena size.  See
         docs/observability.md, "Resource accounting".
         """
-        return self._count * self.element_nbytes()
+        return self.count * self.element_nbytes()
 
     def head_oids(self) -> np.ndarray:
         """Materialize the (normally virtual) head as an oid array."""
         return np.arange(
-            self.hseqbase, self.hseqbase + self._count, dtype=np.int64
+            self.hseqbase, self.hseqbase + self.count, dtype=np.int64
         )
 
     def value(self, position: int) -> Any:
         """Tail value at *position* (0-based, not oid)."""
-        if not 0 <= position < self._count:
+        if not 0 <= position < self.count:
             raise KernelError(
-                f"position {position} out of range [0, {self._count})"
+                f"position {position} out of range [0, {self.count})"
             )
         return self._data[position]
 
@@ -139,29 +137,29 @@ class BAT:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         preview = ", ".join(repr(v) for v in self.tail[:5])
-        suffix = ", ..." if self._count > 5 else ""
+        suffix = ", ..." if self.count > 5 else ""
         return (
             f"BAT({self.atom.value}, hseqbase={self.hseqbase}, "
-            f"count={self._count}, [{preview}{suffix}])"
+            f"count={self.count}, [{preview}{suffix}])"
         )
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def _reserve(self, extra: int) -> None:
-        needed = self._count + extra
+        needed = self.count + extra
         if needed <= len(self._data):
             return
         new_cap = max(len(self._data) * 2, needed)
         grown = np.empty(new_cap, dtype=self._data.dtype)
-        grown[: self._count] = self._data[: self._count]
+        grown[: self.count] = self._data[: self.count]
         self._data = grown
 
     def append(self, value: Any) -> None:
         """Append one (coerced) value to the tail."""
         self._reserve(1)
-        self._data[self._count] = coerce_scalar(self.atom, value)
-        self._count += 1
+        self._data[self.count] = coerce_scalar(self.atom, value)
+        self.count += 1
 
     def append_many(self, values: Iterable[Any]) -> None:
         """Append an iterable of python values, coercing each.
@@ -184,8 +182,8 @@ class BAT:
                 pass
         self._reserve(len(values))
         for value in values:
-            self._data[self._count] = coerce_scalar(self.atom, value)
-            self._count += 1
+            self._data[self.count] = coerce_scalar(self.atom, value)
+            self.count += 1
 
     def append_array(self, array: np.ndarray) -> None:
         """Append a numpy array already in storage representation."""
@@ -197,15 +195,20 @@ class BAT:
                 raise TypeMismatchError(
                     f"cannot append dtype {array.dtype} to {self.atom.value} BAT"
                 ) from exc
-        self._reserve(len(array))
-        self._data[self._count : self._count + len(array)] = array
-        self._count += len(array)
+        start = self.count
+        stop = start + len(array)
+        if stop > len(self._data):  # checked here: appends rarely grow
+            self._reserve(len(array))
+        self._data[start:stop] = array
+        self.count = stop
 
     def append_fill(self, value: Any, n: int) -> None:
         """Append ``n`` copies of one storage-representation value."""
-        self._reserve(n)
-        self._data[self._count : self._count + n] = value
-        self._count += n
+        start = self.count
+        if start + n > len(self._data):
+            self._reserve(n)
+        self._data[start : start + n] = value
+        self.count = start + n
 
     def append_bat(self, other: "BAT") -> None:
         """Append another BAT's tail (types must match)."""
@@ -225,7 +228,7 @@ class BAT:
         start``, preserving global oids).
         """
         start = max(0, start)
-        stop = min(self._count, stop)
+        stop = min(self.count, stop)
         if hseqbase is None:
             hseqbase = self.hseqbase + start
         return BAT.adopt(self.atom, self._data[start:stop].copy(), hseqbase)
@@ -241,7 +244,7 @@ class BAT:
         oids = np.asarray(oids, dtype=np.int64)
         if len(oids):
             positions = oids - self.hseqbase
-            if positions.min() < 0 or positions.max() >= self._count:
+            if positions.min() < 0 or positions.max() >= self.count:
                 raise KernelError("oid out of BAT head range")
             return self.take_positions(positions, hseqbase=hseqbase)
         return BAT(self.atom, hseqbase=hseqbase)

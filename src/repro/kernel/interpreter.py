@@ -16,6 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -211,10 +212,10 @@ class MalInterpreter:
     constants placed, profile keys and plan nodes numbered.  When built
     against an enabled metrics registry the interpreter keeps an opcode
     profile: per-``module.fn`` invocation counts and cumulative wall time.
-    An execution brackets each instruction with two ``perf_counter``
-    readings into per-key and per-node slots and flushes them once at the
-    end; under resource accounting it reads the thread-CPU clock only at
-    the two ends of the instruction chain.
+    An execution reads ``perf_counter`` once per instruction boundary
+    into per-key and per-node slots and flushes them once at the end;
+    under resource accounting it reads the thread-CPU clock only at the
+    two ends of the instruction chain.
     :meth:`render_profile` is the ``explain``-style view.
     """
 
@@ -266,8 +267,8 @@ class MalInterpreter:
         ``env`` must provide every name in ``program.inputs``.
         """
         env = dict(env or {})
-        missing = [name for name in program.inputs if name not in env]
-        if missing:
+        if not env.keys() >= set(program.inputs):
+            missing = [name for name in program.inputs if name not in env]
             raise MalError(f"missing program inputs: {missing}")
         ctx = MalContext(self.catalog)
         bound = _bound(program)
@@ -279,7 +280,7 @@ class MalInterpreter:
         key_secs = [0.0] * len(bound.keys)
         node_secs = [0.0] * len(bound.nodes)
         # a traced factory firing collects its opcode timings here
-        opcodes = getattr(traced_firing, "opcodes", None)
+        opcodes = traced_firing.opcodes
         # opcode thread-CPU is only measured when a resource account is on
         # the thread (i.e. inside an accounted continuous-query firing),
         # and only at the chain's two ends: the start is the factory's
@@ -296,11 +297,14 @@ class MalInterpreter:
                 cpu_started = time.thread_time()
             else:
                 account.cpu_mark = None  # a reading is shared once
+        # one clock reading per instruction boundary: an instruction's
+        # time runs from the previous one's end to its own
         clock = time.perf_counter
+        started = clock()
         for step in bound.steps:
-            started = clock()
             run(ctx, step, env)
-            elapsed = clock() - started
+            ended = clock()
+            elapsed = ended - started
             key_secs[step.key] += elapsed
             node_secs[step.node] += elapsed
             if opcodes is not None:
@@ -308,14 +312,17 @@ class MalInterpreter:
                     (bound.keys[step.key][0], started, elapsed,
                      step.ins.node)
                 )
+            started = ended
         key_cpu = None
         if account is not None:
             chain_cpu = time.thread_time() - cpu_started
             wall = sum(key_secs)
             if wall > 0.0:
-                key_cpu = [chain_cpu * seconds / wall for seconds in key_secs]
-        self._flush(program, bound, env, key_secs, key_cpu, node_secs,
-                    account)
+                scale = chain_cpu / wall
+                key_cpu = [seconds * scale for seconds in key_secs]
+        self._flush(program, bound, env, key_secs, key_cpu, node_secs)
+        if key_cpu is not None:
+            self.accountant.fold_opcode_cpu(account, bound.keys, key_cpu)
         return env
 
     def _flush(
@@ -326,15 +333,13 @@ class MalInterpreter:
         key_secs: List[float],
         key_cpu: Optional[List[float]],
         node_secs: List[float],
-        account: Optional[Any],
     ) -> None:
-        """Fold one execution's slots into the opcode profile (whose
-        tallies the registry's opcode series read) and the program's
-        per-node EXPLAIN ANALYZE stats under one lock (the program is the
-        natural per-query aggregation point: cumulative node stats *are*
-        the query's EXPLAIN ANALYZE state), then into the firing's
-        resource account."""
-        cpus = key_cpu if key_cpu is not None else [0.0] * len(key_secs)
+        """Fold one execution's measurements into the opcode profile
+        (whose tallies the registry's opcode series read) and the
+        program's per-node EXPLAIN ANALYZE stats under one lock (the
+        program is the natural per-query aggregation point: cumulative
+        node stats *are* the query's EXPLAIN ANALYZE state)."""
+        cpus = key_cpu if key_cpu is not None else repeat(0.0)
         with self._profile_lock:
             stats = self._opcode_stats
             for (key, calls), seconds, cpu in zip(bound.keys, key_secs, cpus):
@@ -362,13 +367,6 @@ class MalInterpreter:
                     slot[0] += calls
                     slot[1] += seconds
                     slot[2] += rows
-        if key_cpu is not None:
-            cpu_by_op = {
-                key: cpu for (key, _), cpu in zip(bound.keys, key_cpu) if cpu
-            }
-            self.accountant.fold_opcode_cpu(
-                account, cpu_by_op, sum(cpu_by_op.values())
-            )
 
     # ------------------------------------------------------------------
     # opcode profile surface
@@ -407,10 +405,6 @@ class MalInterpreter:
                 f"{stats['seconds'] * 1e3:>12.3f}"
             )
         return "\n".join(lines)
-
-    def reset_profile(self) -> None:
-        with self._profile_lock:
-            self._opcode_stats.clear()
 
     def run(self, program: Program, env: Optional[Dict[str, Any]] = None) -> Any:
         """Execute and return the program's declared output value."""

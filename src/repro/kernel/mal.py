@@ -16,6 +16,7 @@ generator's frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import MalError
@@ -23,6 +24,8 @@ from .bat import BAT
 from .types import AtomType, python_values
 
 __all__ = ["Var", "Const", "Instr", "PlanNode", "Program", "ResultSet"]
+
+_count = attrgetter("count")
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ class ResultSet:
     def __init__(self, names: Sequence[str], bats: Sequence[BAT]):
         if len(names) != len(bats):
             raise MalError("result set names/columns arity mismatch")
-        counts = {b.count for b in bats}
+        counts = set(map(_count, bats))
         if len(counts) > 1:
             raise MalError(f"result set columns differ in length: {counts}")
         self.names = list(names)

@@ -20,8 +20,15 @@ import numpy as np
 
 from ..errors import KernelError
 from .bat import BAT
-from .candidates import resolve_positions
-from .types import AtomType, coerce_scalar, compare_atom, literal_atom, nil_mask
+from .types import (
+    OID_NIL,
+    AtomType,
+    coerce_scalar,
+    compare_atom,
+    literal_atom,
+    nil_mask,
+    nil_value,
+)
 
 __all__ = [
     "range_select",
@@ -61,8 +68,25 @@ def theta_check(atom: Optional[AtomType], op: str, value: Any) -> None:
 
 
 def _masked_tail(bat: BAT, candidates: Optional[np.ndarray]):
-    positions = resolve_positions(bat, candidates)
+    """``(positions, values)`` of the candidates; without a candidate
+    list the positions are ``None`` and the values the whole tail (no
+    identity gather).  A selection's oids are then
+    ``(hits if positions is None else positions[hits]) + hseqbase``."""
+    if candidates is None:
+        return None, bat.tail
+    positions = np.asarray(candidates, dtype=np.int64) - bat.hseqbase
     return positions, bat.tail[positions]
+
+
+def _rejects_nil(atom: AtomType, low: Any, high: Any) -> bool:
+    """Whether the (coerced) bounds' comparisons are already false at
+    ``atom``'s NIL, so no NIL mask is needed: NaN compares false, INT/
+    LNG/BOOL's NIL is the smallest value and OID's the largest."""
+    if atom is AtomType.DBL or atom is AtomType.TIMESTAMP:
+        return low is not None or high is not None
+    if atom is AtomType.OID:
+        return high is not None and high != OID_NIL
+    return low is not None and low != nil_value(atom)
 
 
 def range_select(
@@ -81,9 +105,9 @@ def range_select(
     """
     check_bounds(bat.atom, low, high)
     positions, tail = _masked_tail(bat, candidates)
-    mask = np.ones(len(tail), dtype=bool)
     if bat.atom is AtomType.STR:
         # Object arrays: compare via python, skipping Nones.
+        mask = np.ones(len(tail), dtype=bool)
         nils = np.fromiter((v is None for v in tail), bool, count=len(tail))
         if low is not None:
             cmp_lo = operator.ge if low_inclusive else operator.gt
@@ -99,18 +123,27 @@ def range_select(
                 bool,
                 count=len(tail),
             )
+        if anti:
+            mask = ~mask
+        mask &= ~nils
     else:
-        nils = nil_mask(bat.atom, tail)
+        atom = bat.atom
+        mask = None
         if low is not None:
-            low = coerce_scalar(bat.atom, low)
-            mask &= (tail >= low) if low_inclusive else (tail > low)
+            low = coerce_scalar(atom, low)
+            mask = (tail >= low) if low_inclusive else (tail > low)
         if high is not None:
-            high = coerce_scalar(bat.atom, high)
-            mask &= (tail <= high) if high_inclusive else (tail < high)
-    if anti:
-        mask = ~mask
-    mask &= ~nils
-    return positions[np.flatnonzero(mask)] + bat.hseqbase
+            high = coerce_scalar(atom, high)
+            upper = (tail <= high) if high_inclusive else (tail < high)
+            mask = upper if mask is None else mask & upper
+        if mask is None:
+            mask = np.ones(len(tail), dtype=bool)
+        if anti:
+            mask = ~mask
+        if anti or not _rejects_nil(atom, low, high):
+            mask &= ~nil_mask(atom, tail)
+    hits = np.flatnonzero(mask)
+    return (hits if positions is None else positions[hits]) + bat.hseqbase
 
 
 def theta_select(
@@ -138,7 +171,8 @@ def theta_select(
     else:
         value = coerce_scalar(bat.atom, value)
         mask = fn(tail, value) & ~nil_mask(bat.atom, tail)
-    return positions[np.flatnonzero(mask)] + bat.hseqbase
+    hits = np.flatnonzero(mask)
+    return (hits if positions is None else positions[hits]) + bat.hseqbase
 
 
 def select_nil(
@@ -146,8 +180,8 @@ def select_nil(
 ) -> np.ndarray:
     """Oids of tuples whose tail is NULL (``IS NULL``)."""
     positions, tail = _masked_tail(bat, candidates)
-    mask = nil_mask(bat.atom, tail)
-    return positions[np.flatnonzero(mask)] + bat.hseqbase
+    hits = np.flatnonzero(nil_mask(bat.atom, tail))
+    return (hits if positions is None else positions[hits]) + bat.hseqbase
 
 
 def select_non_nil(
@@ -155,5 +189,5 @@ def select_non_nil(
 ) -> np.ndarray:
     """Oids of tuples whose tail is not NULL (``IS NOT NULL``)."""
     positions, tail = _masked_tail(bat, candidates)
-    mask = ~nil_mask(bat.atom, tail)
-    return positions[np.flatnonzero(mask)] + bat.hseqbase
+    hits = np.flatnonzero(~nil_mask(bat.atom, tail))
+    return (hits if positions is None else positions[hits]) + bat.hseqbase

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bat import BAT
 from .candidates import resolve_positions
-from .types import AtomType
+from .types import AtomType, nil_mask
 
 __all__ = ["order", "refine", "topn"]
 
@@ -32,8 +32,17 @@ def _sort_keys(bat: BAT, positions: np.ndarray, descending: bool):
         if descending:
             idx = idx[::-1]
         return idx
+    nil = nil_mask(bat.atom, tail)
+    if bat.atom.is_integral:
+        # exact in int64 (float64 would merge BIGINTs above 2**53): NULLs
+        # first ascending, last descending, ties in arrival order — lexsort
+        # is stable and its last key is the primary one.  A NULL's key is
+        # 0, so negating never meets the int64 minimum (LNG's NULL).
+        values = np.where(nil, 0, tail.astype(np.int64))
+        if descending:
+            return np.lexsort((-values, nil))
+        return np.lexsort((values, ~nil))
     values = tail.astype(np.float64)
-    nil = bat.nil_positions()[positions]
     if descending:
         # negate instead of reversing so ties keep arrival order (stable);
         # NULLs sort last descending

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -342,6 +342,13 @@ class ResourceBudget:
         )
 
 
+class _FiringAccount(threading.local):
+    """The account of the transition firing on this thread (``None``
+    outside a bound firing; a class default, so a read never raises)."""
+
+    account: Optional[QueryResourceAccount] = None
+
+
 class ResourceAccountant:
     """The engine's resource-attribution hub.
 
@@ -363,7 +370,7 @@ class ResourceAccountant:
         self.enabled = enabled
         self.metrics = metrics if metrics is not None else cell.metrics
         self._lock = threading.Lock()
-        self._tls = threading.local()
+        self._tls = _FiringAccount()
         self._accounts: Dict[str, QueryResourceAccount] = {}
         self._by_transition: Dict[str, QueryResourceAccount] = {}
         self.budgets: Dict[str, ResourceBudget] = {}
@@ -492,7 +499,7 @@ class ResourceAccountant:
 
     def current(self) -> Optional[QueryResourceAccount]:
         """The account of the transition firing on *this* thread."""
-        return getattr(self._tls, "account", None)
+        return self._tls.account
 
     # ------------------------------------------------------------------
     # factory hook: plan CPU, queue-wait, flow counters
@@ -525,16 +532,21 @@ class ResourceAccountant:
     def fold_opcode_cpu(
         self,
         account: QueryResourceAccount,
-        local: Dict[str, float],
-        total: float,
+        keys: Sequence[Tuple[str, int]],
+        cpus: Sequence[float],
     ) -> None:
-        """Fold one program execution's per-opcode CPU into the account
-        (called once per ``execute``, not per instruction)."""
-        with self._lock:
-            account.opcode_cpu_seconds += total
-            cpu = account._opcode_cpu
-            for key, seconds in local.items():
+        """Fold one program execution's CPU per opcode (``cpus`` aligned
+        with the bound program's ``(opcode, calls)`` ``keys``) into the
+        account — once per ``execute``, not per instruction.  Only the
+        account's factory thread folds, so there is no lock, as for its
+        tallies; readers copy the dict whole."""
+        cpu = account._opcode_cpu
+        total = 0.0
+        for (key, _), seconds in zip(keys, cpus):
+            if seconds:
+                total += seconds
                 cpu[key] = cpu.get(key, 0.0) + seconds
+        account.opcode_cpu_seconds += total
 
     # ------------------------------------------------------------------
     # memory rollup

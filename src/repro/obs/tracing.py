@@ -35,11 +35,17 @@ from typing import (
 
 __all__ = ["TraceEvent", "TraceLog", "chrome_trace", "write_json"]
 
-#: Hands a traced factory firing's opcode timings from the MAL interpreter
-#: to the factory: the factory sets ``opcodes`` to a list for the firing,
-#: and the interpreter appends ``(opcode, start, seconds, node)`` to it
-#: for every instruction it executes meanwhile.
-traced_firing = threading.local()
+class _TracedFiring(threading.local):
+    """Hands a traced factory firing's opcode timings from the MAL
+    interpreter to the factory: the factory sets ``opcodes`` to a list
+    for the firing, and the interpreter appends ``(opcode, start,
+    seconds, node)`` to it for every instruction it executes meanwhile.
+    ``None`` (a class default, so a read never raises) outside one."""
+
+    opcodes: Optional[List[Any]] = None
+
+
+traced_firing = _TracedFiring()
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,9 @@ class StarvePolicy(FiringPolicy):
         victims = [t for t in ordered if t.name == self.victim]
         return starved + victims
 
+    def forget(self, transition: SchedulableTransition) -> None:
+        self.base.forget(transition)
+
     def describe(self) -> str:
         return f"starve:{self.victim}"
 

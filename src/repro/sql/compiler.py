@@ -392,14 +392,15 @@ class _SelectCompiler:
         relation, candidate var).
 
         Simple conjuncts (column ⟨op⟩ literal, BETWEEN) become kernel
-        selections threaded through a candidate list; the residual is
+        selections threaded through a candidate list — a lower and an
+        upper bound on one column as one range select — the residual is
         evaluated as a boolean column.  The returned candidate variable
         holds the qualifying positions of the *input* relation — the
         consumption set for basket expressions.
         """
         cands: Optional[str] = None
         residual: List[Expr] = []
-        for conj in conjuncts:
+        for conj in _merge_ranges(rel, conjuncts):
             emitted = self._try_simple_select(rel, conj, cands)
             if emitted is not None:
                 cands = emitted
@@ -434,23 +435,21 @@ class _SelectCompiler:
     ) -> Optional[str]:
         """Emit a kernel selection for a simple conjunct, if possible."""
         cand_arg = Const(None) if cands is None else Var(cands)
-        if isinstance(conj, Between) and not conj.negated:
-            if isinstance(conj.operand, ColumnRef) and _is_literal(conj.low) \
-                    and _is_literal(conj.high):
-                col = lookup(rel, conj.operand)
-                return self.prog.emit(
-                    "algebra",
-                    "select",
-                    [
-                        Var(col.var),
-                        cand_arg,
-                        Const(_literal_value(conj.low)),
-                        Const(_literal_value(conj.high)),
-                        Const(True),
-                        Const(True),
-                        Const(False),
-                    ],
-                )
+        if isinstance(conj, _Range):
+            col = lookup(rel, conj.column)
+            return self.prog.emit(
+                "algebra",
+                "select",
+                [
+                    Var(col.var),
+                    cand_arg,
+                    Const(conj.low),
+                    Const(conj.high),
+                    Const(conj.low_inclusive),
+                    Const(conj.high_inclusive),
+                    Const(False),
+                ],
+            )
         if isinstance(conj, IsNull):
             if isinstance(conj.operand, ColumnRef):
                 col = lookup(rel, conj.operand)
@@ -998,6 +997,71 @@ def _literal_value(expr: Expr) -> Any:
 
 def _flip_op(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+
+
+@dataclass(frozen=True)
+class _Range:
+    """``column`` between ``low`` and ``high``: two bound conjuncts on
+    one column, compiled as one ``algebra.select``."""
+
+    column: ColumnRef
+    low: Any
+    high: Any
+    low_inclusive: bool
+    high_inclusive: bool
+
+
+def _bound(conj: Expr) -> Optional[Tuple[ColumnRef, str, Any]]:
+    """``(column, op, value)`` of a ``column < <= > >= literal``
+    conjunct (either side) with a non-NULL literal, the column on the
+    left of ``op``; otherwise ``None``."""
+    if not isinstance(conj, BinaryOp) or conj.op not in ("<", "<=", ">", ">="):
+        return None
+    if isinstance(conj.left, ColumnRef) and _is_literal(conj.right):
+        ref, lit, op = conj.left, conj.right, conj.op
+    elif isinstance(conj.right, ColumnRef) and _is_literal(conj.left):
+        ref, lit, op = conj.right, conj.left, _flip_op(conj.op)
+    else:
+        return None
+    value = _literal_value(lit)
+    return None if value is None else (ref, op, value)
+
+
+def _merge_ranges(rel: Relation, conjuncts: Sequence[Expr]) -> List[Expr]:
+    """``conjuncts`` with each range as one :class:`_Range`: a BETWEEN on
+    a column with literal bounds, and the first lower and the first
+    upper bound on each column merged at the earlier one's place
+    (candidate lists are ascending positions, so the order of
+    intersections does not change the result)."""
+    out: List[Any] = list(conjuncts)
+    open_bounds: Dict[Tuple[str, bool], Tuple[int, str, Any]] = {}
+    for i, conj in enumerate(conjuncts):
+        if (
+            isinstance(conj, Between) and not conj.negated
+            and isinstance(conj.operand, ColumnRef)
+            and _is_literal(conj.low) and _is_literal(conj.high)
+        ):
+            out[i] = _Range(conj.operand, _literal_value(conj.low),
+                            _literal_value(conj.high), True, True)
+            continue
+        bound = _bound(conj)
+        if bound is None:
+            continue
+        ref, op, value = bound
+        var = lookup(rel, ref).var
+        lower = op[0] == ">"
+        other = open_bounds.pop((var, not lower), None)
+        if other is None:
+            open_bounds.setdefault((var, lower), (i, op, value))
+            continue
+        j, other_op, other_value = other
+        (low_op, low), (high_op, high) = (
+            ((op, value), (other_op, other_value)) if lower
+            else ((other_op, other_value), (op, value))
+        )
+        out[j] = _Range(ref, low, high, low_op == ">=", high_op == "<=")
+        out[i] = None
+    return [conj for conj in out if conj is not None]
 
 
 def _atom_rule(opcode: str, *items: Any) -> AtomType:

@@ -186,14 +186,7 @@ class Parser:
         columns: List[Tuple[str, str]] = []
         while True:
             col = self._expect_ident()
-            type_token = self._advance()
-            if type_token.type not in (TokenType.KEYWORD, TokenType.IDENT):
-                raise self._error("expected a type name")
-            type_name = str(type_token.value).lower()
-            if type_name == "varchar" and self._accept_punct("("):
-                self._advance()  # length, ignored
-                self._expect_punct(")")
-            columns.append((col, type_name))
+            columns.append((col, self._type_name()))
             if not self._accept_punct(","):
                 break
         self._expect_punct(")")
@@ -569,10 +562,20 @@ class Parser:
         self._expect_punct("(")
         expr = self.expression()
         self._expect_keyword("as")
-        type_token = self._advance()
-        type_name = str(type_token.value).lower()
+        type_name = self._type_name()
         self._expect_punct(")")
         return FuncCall(f"cast_{type_name}", [expr])
+
+    def _type_name(self) -> str:
+        """A column or CAST type; ``varchar(n)``'s length is ignored."""
+        type_token = self._advance()
+        if type_token.type not in (TokenType.KEYWORD, TokenType.IDENT):
+            raise self._error("expected a type name")
+        type_name = str(type_token.value).lower()
+        if type_name == "varchar" and self._accept_punct("("):
+            self._advance()  # length, ignored
+            self._expect_punct(")")
+        return type_name
 
 
 _SOFT_KEYWORDS = frozenset(

@@ -1,0 +1,100 @@
+"""Call budgets per firing: a firing's cost that does not depend on the host.
+
+Wall-clock benches drift between sittings; python call counts do not.
+Each shape of ``scripts/firing_cost.py`` (one fig1 8-row firing, one
+win_slide 200-row firing, one wal_ingest 64-row firing under an
+fsync-always log, one server ingest pump activation; metrics lit and
+dark) makes a committed number of calls into ``src/repro`` frames, with
+±5 % slack for interpreter differences.  A change that lowers a count
+lowers its budget here; one that raises a count says why in CHANGES.md.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.core.factory import Factory
+
+_SPEC = importlib.util.spec_from_file_location(
+    "firing_cost", Path(__file__).parents[1] / "scripts" / "firing_cost.py"
+)
+firing_cost = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(firing_cost)
+
+#: (shape, metrics) -> calls into src/repro per firing, comprehension
+#: frames left out
+BUDGETS = {
+    ("fig1 8 rows", "lit"): 183,
+    ("fig1 8 rows", "dark"): 164,
+    ("win_slide 200 rows", "lit"): 182,
+    ("win_slide 200 rows", "dark"): 169,
+    ("wal_ingest 64 rows", "lit"): 242,
+    ("wal_ingest 64 rows", "dark"): 209,
+    ("server pump 16 rows", "lit"): 25,
+    ("server pump 16 rows", "dark"): 23,
+}
+SLACK = 0.05
+
+
+def calls(shape, mode):
+    built = firing_cost.SHAPES[shape](mode == "dark")
+    try:
+        return sum(firing_cost.count_calls(built.fire).values())
+    finally:
+        built.close()
+
+
+def within_budget(shape, mode, count):
+    budget = BUDGETS[shape, mode]
+    return abs(count - budget) <= SLACK * budget
+
+
+@pytest.mark.parametrize("shape, mode", sorted(BUDGETS))
+def test_firing_stays_within_its_call_budget(shape, mode):
+    count = calls(shape, mode)
+    assert within_budget(shape, mode, count), (
+        f"{shape} ({mode}): {count} calls per firing, budget "
+        f"{BUDGETS[shape, mode]} ±{SLACK:.0%}"
+    )
+
+
+@pytest.mark.parametrize("mode", ["lit", "dark"])
+def test_fig1_count_and_read_do_not_grow_with_residue(mode):
+    # 500 rows the filter rejected stay buffered: a firing still reads
+    # only its own 8 rows, and costs the same calls
+    plain = firing_cost.fig1(mode == "dark")
+    residue = firing_cost.fig1(mode == "dark", residue=500)
+    assert (firing_cost.count_calls(residue.fire)
+            == firing_cost.count_calls(plain.fire))
+    factory = residue.query.factory
+    residue.fire()
+    assert factory.inputs[0].basket.count >= 500
+    assert factory.total_in == 500 + 52 * 8
+    basket = factory.inputs[0].basket
+    basket.insert_columns({"k": firing_cost.np.arange(8, dtype="int32"),
+                           "v": firing_cost.FIG1_V})
+    assert factory.activate().tuples_in == 8
+
+
+def test_the_counter_sees_a_planted_call(monkeypatch):
+    # the budget's own mutation check: a call planted in Factory._loop
+    # (here, around its _emit) is counted once per firing, and a planted
+    # call of real work breaks the budget
+    base = calls("fig1 8 rows", "lit")
+    emit = Factory._emit
+
+    def one_more(self, *args):
+        self.input_places()
+        return emit(self, *args)
+
+    monkeypatch.setattr(Factory, "_emit", one_more)
+    assert calls("fig1 8 rows", "lit") == base + 1
+
+    def describe_too(self, *args):
+        self.plan.describe()
+        return emit(self, *args)
+
+    monkeypatch.setattr(Factory, "_emit", describe_too)
+    planted = calls("fig1 8 rows", "lit")
+    assert not within_budget("fig1 8 rows", "lit", planted)

@@ -287,6 +287,27 @@ class TestSort:
         b = strs(["pear", None, "apple"])
         assert order(b).tolist() == [1, 2, 0]
 
+    def test_bigint_sorts_exactly(self):
+        # float64 keys merged these: they sorted …987, …985, …986
+        values = [-(2**54) - 1, -(2**54) - 2, -(2**54) - 3]
+        b = bat_from_values(AtomType.LNG, values)
+        assert order(b).tolist() == [2, 1, 0]
+        assert order(b, descending=True).tolist() == [0, 1, 2]
+
+    @given(st.lists(st.one_of(st.none(), st.integers(2**62, 2**62 + 6)),
+                    max_size=40),
+           st.booleans())
+    def test_bigint_order_nulls_and_ties(self, values, descending):
+        b = bat_from_values(AtomType.LNG, values)
+        perm = order(b, descending=descending).tolist()
+        present = [i for i, v in enumerate(values) if v is not None]
+        nulls = [i for i, v in enumerate(values) if v is None]
+        # stable: ties keep arrival order in both directions
+        ranked = sorted(present, key=lambda i: -values[i] if descending
+                        else values[i])
+        expected = ranked + nulls if descending else nulls + ranked
+        assert perm == expected
+
     @given(st.lists(st.integers(-100, 100), max_size=80))
     def test_order_matches_sorted(self, values):
         b = ints(values)

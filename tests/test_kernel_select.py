@@ -152,6 +152,36 @@ class TestProperties:
         assert got == expect
 
     @given(
+        st.sampled_from([AtomType.INT, AtomType.LNG, AtomType.OID,
+                         AtomType.DBL, AtomType.TIMESTAMP]),
+        st.lists(st.one_of(st.integers(0, 9), st.none()), max_size=40),
+        st.one_of(st.none(), st.integers(-1, 10)),
+        st.one_of(st.none(), st.integers(-1, 10)),
+        st.booleans(), st.booleans(), st.booleans(),
+    )
+    def test_one_sided_ranges_never_match_nil(
+        self, atom, values, lo, hi, lo_inc, hi_inc, anti
+    ):
+        # NILs must stay out whichever bounds are open, on every atom
+        # (the NIL check is skipped where the comparison rejects it)
+        b = make(values, atom=atom)
+        got = range_select(b, lo, hi, None, lo_inc, hi_inc, anti).tolist()
+
+        def inside(v):
+            return ((lo is None or (v >= lo if lo_inc else v > lo))
+                    and (hi is None or (v <= hi if hi_inc else v < hi)))
+
+        expect = [i for i, v in enumerate(values)
+                  if v is not None and inside(v) != anti]
+        assert got == expect
+
+    def test_a_bound_at_the_nil_sentinel_keeps_nils_out(self):
+        b = make([None, -(2**31) + 1, 5], atom=AtomType.INT)
+        assert range_select(b, -(2**31), None).tolist() == [1, 2]
+        b = make([None, 3], atom=AtomType.LNG)
+        assert range_select(b, -(2**63), 10).tolist() == [1]
+
+    @given(
         st.lists(st.one_of(st.integers(-50, 50), st.none()), max_size=120),
         st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
         st.integers(-60, 60),

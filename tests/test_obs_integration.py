@@ -206,10 +206,36 @@ class TestSeriesReadFromTallies:
         refs = [weakref.ref(owner) for owner in owners]
         cell.remove_continuous(query)
         del query, owners
-        cell.run_until_quiescent()  # a sweep forgets removed transitions
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
         assert q1_series() == before
+
+    def test_queries_that_come_and_go_add_no_opcode_tally(self):
+        # the opcode profile is bounded by the opcodes, not by the
+        # queries a session ever ran
+        cell, query = build_cell()
+        cell.insert("sensors", [(1, 45.0)])
+        cell.run_until_quiescent()
+        family = cell.metrics.counter(
+            "datacell_mal_opcode_invocations_total", "", ("opcode",))
+
+        def tallies():
+            return {k: len(c.tallies) for k, c in family.children().items()}
+
+        before = tallies()
+        for i in range(5):
+            # its own basket: a query over sensors would race q1
+            cell.execute(f"create basket b{i} (sensor int, temp double)")
+            other = cell.submit_continuous(
+                f"select s.sensor from [select * from b{i} "
+                f"where b{i}.temp > 30.0] as s",
+                name=f"again{i}",
+            )
+            cell.insert(f"b{i}", [(i, 45.0)])
+            cell.run_until_quiescent()
+            assert other.fetch() == [(i,)]
+            cell.remove_continuous(other)
+        assert tallies() == before
 
 
     def test_threaded_tallies_stay_exact(self):
@@ -259,3 +285,71 @@ class TestSeriesReadFromTallies:
         firings = metrics.collect()["datacell_transition_firings_total"]
         assert sum(s["value"] for s in firings["samples"].values()) \
             == cell.scheduler.total_firings
+
+    def test_one_time_queries_beside_firings_lose_no_opcode_count(self):
+        # continuous programs profile on the dispatcher thread, one-time
+        # queries on the caller's thread: every opcode count survives
+        import sys
+        from collections import Counter
+
+        def build():
+            cell = DataCell()
+            cell.execute("create table t (x int)")
+            cell.execute("insert into t values (1), (2), (3)")
+            cell.execute("create basket s (sensor int, temp double)")
+            return cell
+
+        one_time = "select x from t where x > 1"
+        probe = build()
+        probe.query(one_time)
+        per_query = {k: v["calls"] for k, v in probe.interpreter.profile().items()}
+
+        cell = build()
+        query = cell.submit_continuous(
+            "select x.sensor from [select * from s where s.temp > 30.0] as x",
+            name="c",
+        )
+        per_firing = Counter(
+            f"{ins.module}.{ins.fn}"
+            for ins in query.factory.plan.compiled.program.instructions
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runs = 60
+        try:
+            cell.start()
+            for batch in range(runs):
+                cell.insert("s", [(batch, 45.0), (batch, 20.0)])
+                assert cell.query(one_time) == [(2,), (3,)]
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and query.results_delivered < runs:
+                time.sleep(0.01)
+        finally:
+            leaked = cell.stop()
+            sys.setswitchinterval(interval)
+        assert leaked == [] and query.results_delivered == runs
+        firings = query.factory.activations
+        expected = Counter()
+        for key, calls in per_firing.items():
+            expected[key] += calls * firings
+        for key, calls in per_query.items():
+            expected[key] += calls * runs
+        profile = cell.interpreter.profile()
+        assert {k: v["calls"] for k, v in profile.items()} == dict(expected)
+        for key, calls in expected.items():
+            assert cell.metrics.value(
+                "datacell_mal_opcode_invocations_total", (key,)) == calls
+
+    def test_one_time_execution_adds_no_tally(self):
+        cell = DataCell()
+        cell.execute("create table t (x int)")
+        cell.execute("insert into t values (1), (2)")
+        cell.query("select x from t where x > 1")
+        family = cell.metrics.counter(
+            "datacell_mal_opcode_invocations_total", "", ("opcode",))
+        before = {k: len(c.tallies) for k, c in family.children().items()}
+        for _ in range(5):
+            cell.query("select x from t where x > 1")
+        after = {k: len(c.tallies) for k, c in family.children().items()}
+        assert after == before
+        assert cell.interpreter.profile()["algebra.thetaselect"]["calls"] == 6

@@ -20,6 +20,7 @@ The attribution contract under test:
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -178,6 +179,42 @@ class TestAccounts:
         # the synthetic buckets make the breakdown exhaustive
         assert "engine.factory" in account.opcode_cpu
         assert "engine.emitter" in account.opcode_cpu
+
+    def test_plan_cpu_after_the_last_opcode_chain_is_the_plans(self):
+        # an incremental aggregate runs python after its MAL stage (the
+        # circuit's step): that CPU is inside the plan boundary, and no
+        # opcode is charged for it
+        burn = 0.02
+        cell = build_cell(execution="incremental")
+        query = cell.submit_continuous(
+            "select s.sensor, count(*) as n from "
+            "[select * from sensors where sensors.temp > 30.0] as s "
+            "group by s.sensor"
+        )
+        agg = query.factory.plan.agg
+        step = agg.step
+
+        def burning_step(delta):
+            started = time.thread_time()
+            while time.thread_time() - started < burn:
+                pass
+            return step(delta)
+
+        agg.step = burning_step
+        firings = 3
+        for _ in range(firings):
+            cell.insert("sensors", [(i, 45.0) for i in range(10)])
+            cell.run_until_quiescent()
+        account = cell.resources.account(query.name)
+        assert account.activations == firings
+        burned = burn * firings
+        assert account.plan_cpu_seconds >= burned
+        assert account.opcode_cpu_seconds < burned / 2
+        real = sum(
+            cpu for op, cpu in account.opcode_cpu.items()
+            if not op.startswith("engine.")
+        )
+        assert real < burned / 2
 
     def test_one_shot_queries_are_not_attributed(self):
         cell = build_cell()

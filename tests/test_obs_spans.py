@@ -348,21 +348,7 @@ batch batch
           sql.resultset opcode
           intrusion_emitter emitter
   volume_emitter emitter
-  blocked_emitter emitter
-  intrusion factory
-    algebra.thetaselect opcode
-    algebra.projection opcode
-    algebra.projection opcode
-    algebra.projection opcode
-    sql.resultset opcode
-  intrusion_emitter emitter
-  intrusion factory
-    algebra.thetaselect opcode
-    algebra.projection opcode
-    algebra.projection opcode
-    algebra.projection opcode
-    sql.resultset opcode
-  intrusion_emitter emitter"""
+  blocked_emitter emitter"""
 
 
 class TestSpanTreeGoldens:

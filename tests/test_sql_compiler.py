@@ -481,6 +481,76 @@ class TestAgainstPythonReference:
         assert [r[0] for r in got] == sorted(values)[:limit]
 
 
+def opcodes(catalog, sql):
+    program = compile_select(catalog, parse_select(sql)).program
+    return [f"{ins.module}.{ins.fn}" for ins in program.instructions]
+
+
+class TestRangeRule:
+    """A lower and an upper bound on one column are one range select."""
+
+    def test_two_bounds_one_select(self, catalog):
+        sql = "select sym from trades where price >= 10 and price < 20"
+        ops = opcodes(catalog, sql)
+        assert ops.count("algebra.select") == 1
+        assert "algebra.thetaselect" not in ops
+        assert run(catalog, sql) == [("A",), ("A",)]
+
+    def test_fig1_lowers_to_four_calls(self):
+        from repro import DataCell
+
+        cell = DataCell()
+        cell.execute("create basket s (k int, v int)")
+        query = cell.submit_continuous(
+            "select t.k, t.v from "
+            "[select * from s where s.v >= 100 and s.v < 200] as t"
+        )
+        cell.insert("s", [(1, 150), (2, 250), (3, 99), (4, 100)])
+        cell.run_until_quiescent()
+        assert sorted(query.fetch()) == [(1, 150), (4, 100)]
+        calls = sum(op["calls"] for op in cell.stats()["mal"].values())
+        assert calls == 4 and query.factory.activations == 1
+
+    def test_null_bound_and_other_columns_stay_apart(self, catalog):
+        ops = opcodes(
+            catalog,
+            "select sym from trades where price > null and price < 20",
+        )
+        assert ops.count("algebra.thetaselect") == 2
+        ops = opcodes(
+            catalog, "select sym from trades where price > 1 and qty < 20"
+        )
+        assert ops.count("algebra.thetaselect") == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(st.none(), st.integers(-6, 6)), max_size=30),
+        st.lists(
+            st.tuples(st.sampled_from(["<", "<=", ">", ">=", "="]),
+                      st.integers(-5, 5), st.booleans()),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_matches_python(self, values, bounds):
+        cat = Catalog()
+        cat.create_table("d", [("v", AtomType.LNG)]).append_rows(
+            [(v,) for v in values]
+        )
+        ops = {"<": int.__lt__, "<=": int.__le__, ">": int.__gt__,
+               ">=": int.__ge__, "=": int.__eq__}
+        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+        where = " and ".join(
+            f"{lit} {flip[op]} v" if literal_first else f"v {op} {lit}"
+            for op, lit, literal_first in bounds
+        )
+        got = run(cat, f"select v from d where {where}")
+        expected = [
+            (v,) for v in values
+            if v is not None and all(ops[op](v, lit) for op, lit, _ in bounds)
+        ]
+        assert got == expected
+
+
 @pytest.mark.parametrize("execution", ["reeval", "incremental"])
 class TestContinuousQueries:
     """Continuous queries on a cell, in both execution modes."""

@@ -126,6 +126,26 @@ class TestSqlFunctions:
         )
         assert rows[0] == ("GOODBYE", 7)
 
+    def test_cast_to_varchar_with_length(self, cell):
+        rows = cell.query(
+            "select cast(n as varchar(8)), cast(x as varchar) from t "
+            "order by x"
+        )
+        assert rows == [("-3", "-4.0"), ("16", "0.5"), ("4", "2.25"),
+                        (None, "9.0")]
+
+    def test_bigint_order_by_is_exact(self, cell):
+        cell.execute("create table big (v bigint, tag int)")
+        cell.execute(
+            "insert into big values (-18014398509481985, 1), "
+            "(-18014398509481986, 2), (null, 3), (-18014398509481987, 4), "
+            "(-18014398509481986, 5)"
+        )
+        assert cell.query("select tag from big order by v") == [
+            (3,), (4,), (2,), (5,), (1,)]
+        assert cell.query("select tag from big order by v desc") == [
+            (1,), (2,), (5,), (4,), (3,)]
+
     def test_trim_substring(self, cell):
         rows = cell.query(
             "select substring(trim(s), 1, 3) from t where x = 0.5"

@@ -183,6 +183,10 @@ class TestParserSelect:
         assert isinstance(s.items[0].expr, FuncCall)
         assert s.items[0].expr.name == "cast_int"
 
+    def test_cast_to_varchar_with_length(self):
+        s = parse_select("select cast(a as varchar(8)) from t")
+        assert s.items[0].expr.name == "cast_varchar"
+
     def test_literals(self):
         s = parse_select("select 1, 2.5, 'x', null, true, false from t")
         values = [i.expr.value for i in s.items]
