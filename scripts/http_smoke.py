@@ -1,10 +1,16 @@
-"""Serve a live DataCell's telemetry endpoint for smoke testing.
+"""Serve a live DataCell's telemetry views for smoke testing.
 
-Starts a cell with system streams enabled, drives a small continuous
-query so every surface has data, then serves HTTP until the hold time
-expires (or forever with ``--hold 0``).  CI backgrounds this script and
-curls ``/metrics``, ``/dashboard``, ``/sys/metrics`` and ``/sys/events``
-against it; developers can point a browser at it.
+Starts a threaded cell with system streams enabled, opens its network
+front door (``cell.serve``), drives a small continuous query so every
+view has data, and serves until the hold time expires (or forever with
+``--hold 0``).  The front door's one port answers the HTTP GETs
+(``/metrics``, ``/dashboard``, ``/top``, ``/explain/hot``,
+``/sys/metrics``, ``/sys/events``, ...) beside framed-TCP and WebSocket
+sessions; CI backgrounds this script and curls them, and developers
+can point a browser at it.
+
+The process prints ``threads: <names>`` (its live thread names) on
+``SIGUSR1`` and at exit, so a caller can check which threads serve.
 
 Usage::
 
@@ -12,8 +18,15 @@ Usage::
 """
 
 import argparse
+import signal
 import sys
+import threading
 import time
+
+
+def print_threads(*_args) -> None:
+    names = sorted(t.name for t in threading.enumerate())
+    print("threads: " + ",".join(names), flush=True)
 
 
 def main(argv=None) -> int:
@@ -42,23 +55,23 @@ def main(argv=None) -> int:
         "select b.basket, b.depth from "
         "[select * from sys.baskets where depth > 10000] as b",
     )
-    server = cell.serve_http(host=args.host, port=args.port)
-    print(f"serving {server.url}", flush=True)
+    cell.start()
+    host, port = cell.serve(host=args.host, port=args.port).address
+    print(f"serving http://{host}:{port}", flush=True)
+    signal.signal(signal.SIGUSR1, print_threads)
 
     deadline = time.monotonic() + args.hold if args.hold else None
     sensor = 0
     try:
         while deadline is None or time.monotonic() < deadline:
-            # keep the telemetry moving so the endpoints show live data
+            # keep the telemetry moving so the views show live data
             sensor += 1
-            cell.insert(
-                "sensors", [(sensor, 20.0 + (sensor % 30))]
-            )
-            cell.run_until_quiescent()
+            cell.insert("sensors", [(sensor, 20.0 + (sensor % 30))])
             time.sleep(0.05)
     except KeyboardInterrupt:
         pass
     finally:
+        print_threads()
         cell.stop()
     return 0
 

@@ -34,7 +34,6 @@ from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType
 from ..obs.dashboard import format_table, render_dashboard
 from ..obs.flightrec import FlightRecorder
-from ..obs.httpd import TelemetryServer
 from ..obs.metrics import MetricsRegistry
 from ..obs.resources import ResourceAccountant, ResourceBudget
 from ..obs.sysstreams import (
@@ -135,10 +134,10 @@ class DataCell:
             if durability is not None
             else None
         )
-        # self-monitoring (opt-in): the sys.* streams and the HTTP door
+        # self-monitoring (opt-in): the sys.* streams
         self.sys: Optional[TelemetrySampler] = None
-        self.httpd: Optional[TelemetryServer] = None
-        # the network front door (opt-in via serve())
+        # the network front door (opt-in via serve()), which also
+        # answers the telemetry GETs
         self.server: Optional[Any] = None
         if system_streams:
             self.enable_system_streams(
@@ -624,7 +623,6 @@ class DataCell:
         3. **durability** — stop the checkpointer and fsync the WAL
            tail; runs after the scheduler so the flushed log covers
            every applied firing.
-        4. **httpd** — the telemetry endpoint goes last; it only reads.
         """
         if self.server is not None:
             self.trace.record("shutdown", "engine", stage="server")
@@ -636,10 +634,6 @@ class DataCell:
             self.trace.record("shutdown", "engine", stage="durability")
             self.durability.stop_checkpointer(timeout)
             self.durability.flush()
-        if self.httpd is not None:
-            self.trace.record("shutdown", "engine", stage="httpd")
-            self.httpd.close(timeout)
-            self.httpd = None
         return leftovers
 
     # ------------------------------------------------------------------
@@ -656,8 +650,9 @@ class DataCell:
         Binds an asyncio TCP listener (port ``0`` = any free port; see
         ``cell.server.address`` for the resolved one) speaking the
         :mod:`repro.server.protocol` frame format, with a WebSocket
-        upgrade on the same port.  The engine should also be running in
-        threaded mode (:meth:`start`) so ingest and queries fire.
+        upgrade and the HTTP telemetry GETs (``/metrics``, ...) on the
+        same port.  The engine should also be running in threaded mode
+        (:meth:`start`) so ingest and queries fire.
         """
         if self.server is None:
             from ..server import DataCellServer
@@ -668,7 +663,7 @@ class DataCell:
         return self.server
 
     # ------------------------------------------------------------------
-    # self-monitoring surface (system streams, alerts, HTTP endpoint)
+    # self-monitoring surface (system streams, alerts)
     # ------------------------------------------------------------------
     def enable_system_streams(
         self, config: Optional[SystemStreamsConfig] = None
@@ -715,18 +710,6 @@ class DataCell:
             raise DataCellError(f"alert {name!r} already exists")
         query = self.submit_continuous(sql, name=f"alert_{name}")
         return AlertRule(name, query, self.sys, callback, self.metrics)
-
-    def serve_http(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> TelemetryServer:
-        """Start (or return) the background HTTP telemetry endpoint.
-
-        Port ``0`` binds any free port; see
-        :attr:`TelemetryServer.url` for the resolved address.
-        """
-        if self.httpd is None:
-            self.httpd = TelemetryServer(self, host=host, port=port).start()
-        return self.httpd
 
     # ------------------------------------------------------------------
     # durability surface
@@ -847,11 +830,6 @@ class DataCell:
                     name: rule.firings
                     for name, rule in self.sys.alerts.items()
                 },
-            }
-        if self.httpd is not None:
-            out["http"] = {
-                "url": self.httpd.url,
-                "requests": self.httpd.requests_served,
             }
         if self.server is not None:
             out["server"] = self.server.stats()

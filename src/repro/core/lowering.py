@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from ..errors import SqlError
+from ..errors import BindError, SqlError
 from ..incremental.compile import (
     CircuitContinuousPlan,
     IncrementalUnsupported,
@@ -103,11 +103,18 @@ def lower_window(
     if len(shape.keys) > 1:
         raise fail("GROUP BY must name a single stream column")
     basket = source.basket
+    value = shape.value_column
+    if value is not None and basket.schema.atom(value) is AtomType.STR:
+        # the pane table's partials are float64; a string has none
+        raise BindError(
+            f"WINDOW queries: aggregates over VARCHAR column {value!r} "
+            "are not supported"
+        )
     key = shape.keys[0] if shape.keys else None
     plan = WindowAggregatePlan(
         basket.name,
         # a count(*)-only query never reads its values
-        shape.value_column or TIME_COLUMN,
+        value or TIME_COLUMN,
         list(shape.aggregates),
         query.window,
         output_basket,

@@ -22,16 +22,16 @@ __all__ = ["order", "refine", "topn"]
 def _sort_keys(bat: BAT, positions: np.ndarray, descending: bool):
     tail = bat.tail[positions]
     if bat.atom is AtomType.STR:
-        # NULLs sort first ascending (SQL: NULLS FIRST default here).
+        # NULLs sort first ascending (SQL: NULLS FIRST default here);
+        # reverse=True keeps ties in arrival order, as refine() needs
         keyed = [
             ((v is not None), v if v is not None else "")
             for v in tail
         ]
-        order_idx = sorted(range(len(keyed)), key=lambda i: keyed[i])
-        idx = np.asarray(order_idx, dtype=np.int64)
-        if descending:
-            idx = idx[::-1]
-        return idx
+        order_idx = sorted(
+            range(len(keyed)), key=keyed.__getitem__, reverse=descending
+        )
+        return np.asarray(order_idx, dtype=np.int64)
     nil = nil_mask(bat.atom, tail)
     if bat.atom.is_integral:
         # exact in int64 (float64 would merge BIGINTs above 2**53): NULLs

@@ -23,9 +23,6 @@ need measurements.  This package is the engine-wide measurement substrate:
   transition turning registry readings and logged events into rows of
   reserved ``sys.*`` baskets, queryable with ordinary continuous SQL
   (meta-queries), plus :class:`AlertRule` firing semantics on top;
-* :mod:`repro.obs.httpd` — a stdlib HTTP endpoint serving ``/metrics``
-  (Prometheus), ``/dashboard``, ``/stats``, ``/top``,
-  ``/explain/<query>`` and ``/sys/<basket>`` from a live cell;
 * :mod:`repro.obs.resources` — per-query resource accounting: thread-CPU
   at firing/plan/opcode boundaries, ``nbytes()`` memory rollups,
   queue-wait, and :class:`ResourceBudget` caps with ``budget_breach``
@@ -34,7 +31,9 @@ need measurements.  This package is the engine-wide measurement substrate:
 Every core component (scheduler, factory, basket, receptor, emitter, MAL
 interpreter) accepts a ``metrics`` registry; components built without one
 share the process-wide default registry returned by
-:func:`default_registry`.
+:func:`default_registry`.  Over the network, ``cell.serve()`` answers
+HTTP GETs of these views (``/metrics``, ``/dashboard``, ``/stats``, ...)
+on its one port (:func:`repro.server.server.telemetry_response`).
 """
 
 from .metrics import (
@@ -69,7 +68,6 @@ from .resources import (
     ResourceBudget,
     estimate_nbytes,
 )
-from .httpd import TelemetryServer
 
 __all__ = [
     "Counter",
@@ -100,5 +98,4 @@ __all__ = [
     "ResourceAccountant",
     "ResourceBudget",
     "estimate_nbytes",
-    "TelemetryServer",
 ]

@@ -245,7 +245,8 @@ def render_dashboard(
             f"Server ({server_section.get('address')} "
             f"policy={server_section.get('backpressure')} "
             f"ingested={ingest.get('applied_rows', 0)} "
-            f"pending={ingest.get('pending_batches', 0)})",
+            f"pending={ingest.get('pending_batches', 0)} "
+            f"http={server_section.get('http_requests', 0)})",
             ["session", "tenant", "subs", "rows_in", "rows_out",
              "dropped", "queued"],
             rows,
@@ -257,13 +258,6 @@ def render_dashboard(
                 ["tenant", "remaining_s"],
                 sorted(throttled.items()),
             ))
-
-    http_section = stats.get("http")
-    if http_section:
-        sections.append(
-            f"http: {http_section.get('url')} "
-            f"requests={http_section.get('requests', 0)}"
-        )
 
     if trace is not None and len(trace):
         sections.append(

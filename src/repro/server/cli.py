@@ -2,13 +2,14 @@
 
 Example::
 
-    datacell-serve --port 9462 --init schema.sql --sys --http 8080
+    datacell-serve --port 9462 --init schema.sql --sys
 
 ``--init`` takes a file of semicolon-separated SQL executed at boot
 (DDL plus any standing queries clients will attach to with
-``SUBSCRIBE {"query": name}``).  The process runs until interrupted,
-then shuts down in the documented order (server → scheduler →
-durability → httpd).
+``SUBSCRIBE {"query": name}``).  The listen port also answers the HTTP
+telemetry GETs (``/metrics``, ``/dashboard``, ...); the process prints
+their base URL on stderr.  It runs until interrupted, then shuts down
+in the documented order (server → scheduler → durability).
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--sys", action="store_true",
         help="enable the sys.* self-monitoring streams",
     )
-    parser.add_argument(
-        "--http", type=int, default=None, metavar="PORT",
-        help="also serve the HTTP telemetry endpoint on PORT",
-    )
+    # inert: telemetry is served on --port.  Kept because the benchmark
+    # suite's server workload still passes ``--http 0`` (and reads the
+    # "telemetry at" line); it goes once the suite stops passing it
+    parser.add_argument("--http", type=int, help=argparse.SUPPRESS)
     opts = parser.parse_args(argv)
 
     cell = DataCell(
@@ -101,9 +102,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     server = cell.serve(host=opts.host, port=opts.port, config=config)
     assert server.address is not None
     print(f"datacell listening on {server.address[0]}:{server.address[1]}")
-    if opts.http is not None:
-        httpd = cell.serve_http(host=opts.host, port=opts.http)
-        print(f"telemetry at {httpd.url}", file=sys.stderr)
+    print(
+        f"telemetry at http://{server.address[0]}:{server.address[1]}",
+        file=sys.stderr,
+    )
     try:
         while True:
             time.sleep(1.0)

@@ -21,6 +21,10 @@ Admission control happens at the socket:
 Session lifecycle and admission decisions are events in the cell's log
 (component ``server``), whether or not system streams are on.
 
+A plain HTTP ``GET`` on the same port is answered from
+:func:`telemetry_response` in its connection's coroutine, then closed;
+it is not a session (no ``max_sessions`` check, no session series).
+
 This module is the one place the server may read the wall clock
 (``HELLO_OK`` session timestamps) — it is on the engine-invariant
 linter's approved list for exactly that.
@@ -29,11 +33,15 @@ linter's approved list for exactly that.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
+from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs, unquote, urlparse
 
 from ..errors import ProtocolError, ReproError, ServerError
+from ..obs.sysstreams import is_system_name, tail_rows
 from ..obs.tracing import TraceEvent
 from ..sql.ast_nodes import CreateBasket, CreateTable
 from ..sql.parser import parse_statement
@@ -49,18 +57,101 @@ from .protocol import (
 from .session import ClientSession, ServerConfig, SubscriptionBinding
 from .ws import WebSocketCodec, handshake_response, parse_http_headers
 
-__all__ = ["DataCellServer"]
+__all__ = ["DataCellServer", "telemetry_response"]
 
 #: reader poll interval while paused on admission (seconds)
 ADMISSION_POLL = 0.02
 #: frames the writer drains per wakeup
 DRAIN_FRAMES = 256
+#: rows a ``/sys/<basket>`` tail returns without ``?n=`` or ``?limit=``
+SYS_TAIL_LIMIT = 50
+
+
+def telemetry_response(cell: Any, target: str) -> Tuple[int, str, str]:
+    """Route one HTTP GET ``target`` to ``(status, content_type, body)``.
+
+    ``/metrics`` (Prometheus text), ``/dashboard``, ``/stats`` (JSON),
+    ``/top?n=`` (queries ranked by CPU), ``/explain/<q>`` (continuous
+    EXPLAIN ANALYZE), ``/sys/<basket>?n=`` (JSON tail of a system
+    stream; bare names resolve under ``sys.``, ``?limit=`` is the long
+    form of ``?n=``) and ``/healthz``.  Computed from live engine state;
+    the cell is never mutated, and an engine error is a 500.
+    """
+    parsed = urlparse(target)
+    path = unquote(parsed.path).rstrip("/") or "/"
+    query = parse_qs(parsed.query)
+    text = "text/plain"
+    try:
+        if path == "/metrics":
+            body = cell.prometheus_text() or "# (registry disabled)\n"
+            return 200, "text/plain; version=0.0.4", body
+        if path == "/dashboard":
+            return 200, text, cell.render_dashboard()
+        if path == "/stats":
+            stats = json.dumps(cell.stats(), indent=1, default=str)
+            return 200, "application/json", stats
+        if path == "/healthz":
+            return 200, text, "ok\n"
+        if path == "/top":
+            limit = _int_arg(query, "n", default=10)
+            if limit is None:
+                return 400, text, "n must be an integer\n"
+            return 200, text, cell.top(limit) + "\n"
+        if path.startswith("/explain/"):
+            name = path[len("/explain/"):]
+            if name not in {q.name for q in cell.continuous_queries()}:
+                return 404, text, f"no continuous query named {name!r}\n"
+            return 200, text, cell.explain(name)
+        if path.startswith("/sys/"):
+            name = path[len("/sys/"):]
+            name = name if is_system_name(name) else f"sys.{name}"
+            if not cell.catalog.has(name):
+                return 404, text, (
+                    f"no system stream {name!r} "
+                    "(are system streams enabled?)\n"
+                )
+            # ?n= is the short form; it wins over ?limit= when both given
+            limit = _int_arg(query, "n", "limit", default=SYS_TAIL_LIMIT)
+            if limit is None:
+                return 400, text, "limit must be an integer\n"
+            basket = cell.basket(name)
+            columns, rows = tail_rows(basket, max(0, limit))
+            return 200, "application/json", json.dumps({
+                "basket": basket.name, "columns": columns, "rows": rows,
+                "depth": basket.count, "total_in": basket.total_in,
+            }, default=str)
+    except Exception as exc:  # surface engine errors as 500s
+        return 500, text, f"{type(exc).__name__}: {exc}\n"
+    return 404, text, f"unknown path {path!r}\n"
+
+
+def _int_arg(
+    query: Dict[str, List[str]], *names: str, default: int
+) -> Optional[int]:
+    """First of ``names`` in ``query`` as an int (None if it is not one);
+    ``default`` when none is given."""
+    for name in names:
+        if name in query:
+            try:
+                return int(query[name][0])
+            except ValueError:
+                return None
+    return default
+
+
+def _http_reply(status: int, content_type: str, body: str) -> bytes:
+    """One complete HTTP/1.1 response; the connection closes after it."""
+    payload = body.encode("utf-8")
+    return (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Content-Type: {content_type}; charset=utf-8\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode("ascii") + payload
 
 
 class _RawTransport:
     """Plain TCP: the socket carries protocol frames directly."""
-
-    kind = "tcp"
 
     def __init__(
         self,
@@ -78,8 +169,11 @@ class _RawTransport:
             return head
         return await self._reader.read(65536)
 
+    def _encode(self, frames: List[bytes]) -> bytes:
+        return b"".join(frames)
+
     def send_frames(self, frames: List[bytes]) -> int:
-        data = b"".join(frames)
+        data = self._encode(frames)
         self._writer.write(data)
         return len(data)
 
@@ -91,10 +185,8 @@ class _RawTransport:
             self._writer.close()
 
 
-class _WsTransport:
+class _WsTransport(_RawTransport):
     """WebSocket: each protocol frame rides one binary WS message."""
-
-    kind = "websocket"
 
     def __init__(
         self,
@@ -102,8 +194,7 @@ class _WsTransport:
         writer: asyncio.StreamWriter,
         max_message_bytes: int,
     ):
-        self._reader = reader
-        self._writer = writer
+        super().__init__(reader, writer)
         self._codec = WebSocketCodec(max_message_bytes)
 
     async def read(self) -> bytes:
@@ -120,15 +211,8 @@ class _WsTransport:
             if messages:
                 return b"".join(messages)
 
-    def send_frames(self, frames: List[bytes]) -> int:
-        data = b"".join(
-            WebSocketCodec.encode_binary(frame) for frame in frames
-        )
-        self._writer.write(data)
-        return len(data)
-
-    async def drain(self) -> None:
-        await self._writer.drain()
+    def _encode(self, frames: List[bytes]) -> bytes:
+        return b"".join(WebSocketCodec.encode_binary(f) for f in frames)
 
     def close(self) -> None:
         if not self._writer.is_closing():
@@ -136,7 +220,7 @@ class _WsTransport:
                 self._writer.write(WebSocketCodec.encode_close())
             except Exception:
                 pass
-            self._writer.close()
+        super().close()
 
 
 class _Connection:
@@ -195,6 +279,7 @@ class DataCellServer:
         self._throttle_lock = threading.Lock()
         self.connections_total = 0
         self.tenants_throttled = 0
+        self.http_requests = 0
         m = cell.metrics
         self._m_sessions = m.gauge(
             "datacell_server_sessions", "Open client sessions"
@@ -300,7 +385,7 @@ class DataCellServer:
         """Stop accepting, drain client output queues, close sessions.
 
         Part of the engine shutdown order (server → scheduler →
-        durability → httpd, see ``docs/server.md``): queued ``DATA``
+        durability, see ``docs/server.md``): queued ``DATA``
         frames are flushed to sockets within ``timeout`` before
         transports close; queued-but-unapplied ingest batches are left
         un-ACKed (the at-least-once contract — an unacknowledged INSERT
@@ -357,35 +442,54 @@ class DataCellServer:
     ) -> None:
         peer = writer.get_extra_info("peername")
         remote = f"{peer[0]}:{peer[1]}" if peer else "?"
-        transport: Any = None
         try:
             head = await reader.readexactly(4)
         except (asyncio.IncompleteReadError, ConnectionError):
             writer.close()
             return
-        try:
-            if head == b"GET ":
-                raw = head + await reader.readuntil(b"\r\n\r\n")
-                _, headers = parse_http_headers(raw)
-                writer.write(handshake_response(headers))
-                await writer.drain()
-                transport = _WsTransport(
-                    reader, writer, self.config.max_frame_bytes
-                )
-            else:
-                transport = _RawTransport(reader, writer, initial=head)
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):
-            try:
-                writer.write(
-                    b"HTTP/1.1 400 Bad Request\r\n"
-                    b"Content-Length: 0\r\n\r\n"
-                )
-                await writer.drain()
-            except Exception:
-                pass
+        if head != b"GET ":
+            transport: Any = _RawTransport(reader, writer, initial=head)
+        elif await self._answer_http(reader, writer, head):
+            transport = _WsTransport(
+                reader, writer, self.config.max_frame_bytes
+            )
+        else:
             writer.close()
             return
         await self._session_loop(transport, remote)
+
+    async def _answer_http(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        head: bytes,
+    ) -> bool:
+        """Reply to an HTTP request head; True once a WebSocket upgrade
+        is accepted (the session follows), False when the connection
+        should close (a telemetry GET or a bad request)."""
+        try:
+            raw = head + await reader.readuntil(b"\r\n\r\n")
+            request_line, headers = parse_http_headers(raw)
+            if headers.get("upgrade", "").lower() == "websocket":
+                writer.write(handshake_response(headers))
+                await writer.drain()
+                return True
+            # counted before rendering, so a client that reads the
+            # reply and then the tally never races the increment
+            self.http_requests += 1
+            reply = _http_reply(*telemetry_response(
+                self.cell, request_line.split(" ")[1]
+            ))
+        except asyncio.LimitOverrunError:
+            reply = _http_reply(431, "text/plain", "request head too long\n")
+        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):
+            reply = _http_reply(400, "text/plain", "bad request\n")
+        try:
+            writer.write(reply)
+            await writer.drain()
+        except ConnectionError:
+            pass
+        return False
 
     async def _session_loop(self, transport: Any, remote: str) -> None:
         config = self.config
@@ -397,11 +501,14 @@ class DataCellServer:
                 self._session_counter += 1
                 session_id = self._session_counter
         if at_capacity:
-            self._refuse(
-                transport, "admission",
-                "server is at max_sessions or shutting down",
-            )
-            await transport.drain()
+            self._m_errors.labels("admission").inc()
+            transport.send_frames([encode_message(error_message(
+                "admission", "server is at max_sessions or shutting down"
+            ))])
+            try:
+                await transport.drain()
+            except ConnectionError:
+                pass
             transport.close()
             return
         loop = asyncio.get_running_loop()
@@ -849,13 +956,6 @@ class DataCellServer:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _refuse(self, transport: Any, code: str, text: str) -> None:
-        self._m_errors.labels(code).inc()
-        try:
-            transport.send_frames([encode_message(error_message(code, text))])
-        except Exception:
-            pass
-
     def _send_error(
         self,
         session: ClientSession,
@@ -897,6 +997,7 @@ class DataCellServer:
             "backpressure": self.config.backpressure,
             "sessions_open": len(sessions),
             "connections_total": self.connections_total,
+            "http_requests": self.http_requests,
             "sessions": {s.id: s.stats() for s in sessions},
             "ingest": {
                 "pending_batches": self.ingest.pending(),
@@ -909,9 +1010,3 @@ class DataCellServer:
             "backpressure_blocks": sum(s.queue.blocks for s in sessions),
             "throttled_tenants": throttled,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DataCellServer({self.address}, "
-            f"sessions={len(self._conns)})"
-        )

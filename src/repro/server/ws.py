@@ -45,11 +45,7 @@ def accept_key(key: str) -> str:
 def parse_http_headers(raw: bytes) -> Tuple[str, Dict[str, str]]:
     """Parse an HTTP request head; returns (request line, lowercase
     header map).  ``raw`` must end at the blank line."""
-    try:
-        text = raw.decode("latin-1")
-    except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-        raise ProtocolError(f"bad HTTP request: {exc}") from None
-    lines = text.split("\r\n")
+    lines = raw.decode("latin-1").split("\r\n")
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:

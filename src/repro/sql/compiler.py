@@ -22,7 +22,7 @@ permutations are interchangeable position sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -655,6 +655,13 @@ class _SelectCompiler:
         return self._project_all(rel, perm)
 
     def _order_key_var(self, rel, alias_map, expr, pre_projection=None) -> str:
+        if isinstance(expr, Literal) and type(expr.value) is int:
+            # ORDER BY <n>: the n-th output column (1-based)
+            if not 1 <= expr.value <= len(rel):
+                raise BindError(
+                    f"ORDER BY position {expr.value} is not in the select list"
+                )
+            return rel[expr.value - 1].var
         if isinstance(expr, ColumnRef):
             col = alias_map.get(expr.name.lower())
             # an input column the select list dropped: the pre-projection
@@ -868,22 +875,25 @@ def compile_union(catalog: Catalog, union: UnionSelect) -> CompiledQuery:
     """Compile a one-time UNION [ALL] chain.
 
     Members must agree on arity; numeric columns are widened to the common
-    type.  Non-ALL unions dedupe the concatenated result (DISTINCT over
-    all columns).  Simplification vs full SQL: in a mixed chain
-    (``a UNION b UNION ALL c``) the dedup applies to the whole chain when
-    any member is non-ALL, rather than per prefix.
+    type.  The chain is left-deep, as in SQL: each non-ALL step dedupes
+    everything merged so far (DISTINCT over all columns).  A trailing
+    ORDER BY / LIMIT belongs to the whole chain, not its last member; it
+    names output columns (the first member's names) or positions.
     """
     members: List[Select] = []
-    node, dedup = union, False
+    steps: List[bool] = []  # per member after the first: UNION ALL?
+    node: Any = union
     while isinstance(node, UnionSelect):  # left-deep: members right to left
         members.insert(0, node.right)
-        dedup = dedup or not node.all
+        steps.insert(0, node.all)
         node = node.left
     members.insert(0, node)
     program = Program(name="union_query")
     program.begin_node("union")
     compiler = _SelectCompiler(program, [], allow_baskets=False)
     queries = [resolve(catalog, member) for member in members]
+    last = queries[-1]
+    queries[-1] = replace(last, order=(), limit=None)
     first_names = queries[0].names
     relations = [compiler.compile(query) for query in queries]
     first_rel = relations[0]
@@ -906,20 +916,25 @@ def compile_union(catalog: Catalog, union: UnionSelect) -> CompiledQuery:
             "batcalc", "cast", [Var(col.var), Const(out_atoms[i].value)]
         )
 
-    merged = [column_var(first_rel, i) for i in range(arity)]
-    for rel in relations[1:]:
-        merged = [
-            program.emit(
-                "bat", "concat", [Var(acc), Var(column_var(rel, i))]
-            )
-            for i, acc in enumerate(merged)
-        ]
     out_rel = [
-        BoundColumn(None, name, var, atom)
-        for name, var, atom in zip(first_names, merged, out_atoms)
+        BoundColumn(None, name, column_var(first_rel, i), atom)
+        for i, (name, atom) in enumerate(zip(first_names, out_atoms))
     ]
-    if dedup:
-        out_rel = compiler._compile_distinct(out_rel)
+    for rel, all_rows in zip(relations[1:], steps):
+        out_rel = [
+            BoundColumn(None, col.name, program.emit(
+                "bat", "concat", [Var(col.var), Var(column_var(rel, i))]
+            ), col.atom)
+            for i, col in enumerate(out_rel)
+        ]
+        if not all_rows:
+            out_rel = compiler._compile_distinct(out_rel)
+    if last.order:
+        with program.node("order by"):
+            out_rel = compiler._compile_order(out_rel, last.order)
+    if last.limit is not None:
+        with program.node("limit"):
+            out_rel = compiler._compile_limit(out_rel, last.limit)
     with program.node("result"):
         program.output = program.emit(
             "sql",

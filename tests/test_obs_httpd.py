@@ -1,6 +1,20 @@
-"""The HTTP telemetry endpoint: routing, formats, and thread hygiene."""
+"""The HTTP telemetry views: routing, formats, and the one front door.
+
+Routing is :func:`telemetry_response`, a pure request→response function
+tested without a socket; the live tests GET the views from the
+server's own port, beside framed-TCP and WebSocket sessions.
+"""
 
 import json
+import logging
+import os
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -8,8 +22,14 @@ import pytest
 
 from repro.core.clock import LogicalClock
 from repro.core.engine import DataCell
+from repro.kernel.types import AtomType
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sysstreams import SystemStreamsConfig
+from repro.server.client import DataCellClient
+from repro.server.protocol import Command, FrameDecoder, Message, encode_message
+from repro.server.server import telemetry_response
+from repro.server.session import ServerConfig
+from repro.server.ws import OP_BINARY, WebSocketCodec
 
 CQ = (
     "select s.sensor, s.temp from "
@@ -33,18 +53,23 @@ def build_cell():
     return cell, clock
 
 
+class _Views:
+    """GETs against one cell through the pure routing function."""
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def handle(self, target):
+        return telemetry_response(self.cell, target)
+
+
 class TestRouting:
-    """handle() is pure request→response: no sockets needed."""
+    """telemetry_response() is pure request→response: no sockets."""
 
     @pytest.fixture()
     def server(self):
-        from repro.obs.httpd import TelemetryServer
-
         cell, _ = build_cell()
-        # never start()ed: handle() works without a live socket
-        server = TelemetryServer(cell)
-        yield server
-        server.close()
+        return _Views(cell)
 
     def test_metrics(self, server):
         status, ctype, body = server.handle("/metrics")
@@ -111,53 +136,259 @@ class TestRouting:
         assert "TypeError" in body
 
     def test_sys_disabled_is_404(self):
-        from repro.obs.httpd import TelemetryServer
-
         cell = DataCell(metrics=MetricsRegistry())
-        server = TelemetryServer(cell)
-        try:
-            status, _, body = server.handle("/sys/metrics")
-            assert status == 404
-            assert "enabled" in body
-        finally:
-            server.close()
+        status, _, body = telemetry_response(cell, "/sys/metrics")
+        assert status == 404
+        assert "enabled" in body
+
+
+def _get(base, path):
+    """(status, body) of one GET, error statuses included."""
+    try:
+        with urllib.request.urlopen(base + path, timeout=10) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read()
+
+
+def _raw_reply(address, request):
+    """Send raw request bytes; read the reply until the server closes."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+def _settled(read, timeout=10.0):
+    """``read()`` once it returns the same value three reads running."""
+    deadline = time.monotonic() + timeout
+    values = [read()]
+    while values[-3:] != [values[-1]] * 3 and time.monotonic() < deadline:
+        time.sleep(0.02)
+        values.append(read())
+    return values[-1]
+
+
+class _WsSession:
+    """A minimal WebSocket client speaking the server's frames."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=10)
+        self.sock.sendall(
+            b"GET / HTTP/1.1\r\n"
+            b"Host: x\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"
+            b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n"
+        )
+        head = b""
+        while b"\r\n\r\n" not in head:
+            head += self.sock.recv(65536)
+        head, _, tail = head.partition(b"\r\n\r\n")
+        assert b"101 Switching Protocols" in head
+        self.buffer = bytearray(tail)
+        self.decoder = FrameDecoder()
+
+    def send(self, message):
+        self.sock.sendall(WebSocketCodec.mask_client_frame(
+            OP_BINARY, encode_message(message), b"\x0a\x0b\x0c\x0d"
+        ))
+
+    def read(self):
+        while True:
+            if len(self.buffer) >= 2:
+                length, offset = self.buffer[1] & 0x7F, 2
+                if length == 126:
+                    (length,) = struct.unpack_from(">H", self.buffer, 2)
+                    offset = 4
+                if len(self.buffer) >= offset + length:
+                    payload = bytes(self.buffer[offset:offset + length])
+                    del self.buffer[:offset + length]
+                    messages = self.decoder.feed(payload)
+                    if messages:
+                        return messages[0]
+                    continue
+            self.buffer.extend(self.sock.recv(65536))
+
+    def close(self):
+        self.sock.close()
 
 
 class TestLiveServer:
     def test_round_trip_over_a_socket(self):
         cell, _ = build_cell()
-        server = cell.serve_http()
-        assert server.running
-        assert cell.serve_http() is server  # idempotent
+        cell.start()
+        server = cell.serve()
+        base = "http://{}:{}".format(*server.address)
         try:
-            with urllib.request.urlopen(server.url + "/metrics") as resp:
+            with urllib.request.urlopen(base + "/metrics") as resp:
                 assert resp.status == 200
                 assert "version=0.0.4" in resp.headers["Content-Type"]
+                assert resp.headers["Connection"] == "close"
                 assert b"datacell_" in resp.read()
-            with urllib.request.urlopen(
-                server.url + "/sys/queries?limit=1"
-            ) as resp:
+            with urllib.request.urlopen(base + "/sys/queries?limit=1") as resp:
                 doc = json.loads(resp.read())
                 assert doc["rows"][0][0] == "hot"
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(server.url + "/missing")
-            assert err.value.code == 404
-            assert server.requests_served >= 3
+            assert _get(base, "/missing")[0] == 404
+            assert server.stats()["http_requests"] == 3
         finally:
-            cell.stop()
-        assert not server.running
-        assert cell.httpd is None
+            assert cell.stop() == []
+        assert cell.server is None
 
     def test_stop_without_server_is_fine(self):
         cell, _ = build_cell()
         cell.stop()
 
-    def test_close_is_idempotent(self):
+    def test_cli_serves_telemetry_on_its_port(self):
+        # --http is inert: the telemetry URL is the listen port's
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server.cli",
+             "--port", "0", "--http", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            listening = proc.stdout.readline().strip()
+            assert listening.startswith("datacell listening on ")
+            address = listening.rsplit(" ", 1)[1]
+            telemetry = proc.stderr.readline().strip()
+            assert telemetry == f"telemetry at http://{address}"
+            status, body = _get(f"http://{address}", "/metrics")
+            assert status == 200 and b"datacell_" in body
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=30)
+        assert proc.returncode == 0
+
+
+class TestOneFrontDoor:
+    """Framed TCP, WebSocket and HTTP GET share the server's one port."""
+
+    @pytest.fixture()
+    def served(self):
         cell, _ = build_cell()
-        server = cell.serve_http()
-        server.close()
-        server.close()
-        assert not server.running
+        cell.start()
+        server = cell.serve(config=ServerConfig(max_sessions=2))
+        yield cell, server
+        assert cell.stop() == []
+
+    def test_three_kinds_of_client_concurrently(self, served):
+        cell, server = served
+        address = server.address
+        base = "http://{}:{}".format(*address)
+        results = {}
+
+        def tcp():
+            with DataCellClient(*address) as db:
+                # its own basket: queries over one basket compete
+                db.create("create basket wire (v int)")
+                db.subscribe(
+                    "select w.v from [select * from wire] as w", name="w"
+                )
+                db.insert("wire", [("v", AtomType.INT)], [(7,)])
+                results["tcp"] = db.poll("w", timeout=10.0)
+
+        def websocket():
+            ws = _WsSession(address)
+            try:
+                ws.send(Message(Command.HELLO, {"version": 1}))
+                assert ws.read().command is Command.HELLO_OK
+                ws.send(Message(Command.PING, {"seq": 9}))
+                results["ws"] = ws.read().meta["seq"]
+            finally:
+                ws.close()
+
+        def http():
+            for _ in range(5):
+                status, body = _get(base, "/metrics")
+                assert status == 200 and b"datacell_" in body
+                status, body = _get(base, "/sys/queries")
+                assert status == 200 and json.loads(body)["rows"]
+            results["http"] = True
+
+        errors = []
+
+        def run(fn):
+            try:
+                fn()
+            except BaseException as exc:  # reported on the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(fn,))
+            for fn in (tcp, websocket, http)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not errors, errors
+        assert results == {"tcp": [(7,)], "ws": 9, "http": True}
+        assert server.stats()["http_requests"] == 10
+
+    def test_get_is_not_a_session(self, served):
+        cell, server = served
+        base = "http://{}:{}".format(*server.address)
+        # fill the server to max_sessions: a GET must still be answered
+        with DataCellClient(*server.address), DataCellClient(
+            *server.address
+        ):
+            metrics = cell.metrics
+            # the writer counts a HELLO_OK after its client may read it
+            bytes_out = _settled(
+                lambda: metrics.value("datacell_server_bytes_out_total")
+            )
+            frames_out = metrics.value("datacell_server_frames_out_total")
+            assert frames_out == 2
+            before = server.stats()
+            assert before["sessions_open"] == 2
+            assert _get(base, "/healthz") == (200, b"ok\n")
+            after = server.stats()
+            assert after["sessions_open"] == before["sessions_open"]
+            assert after["connections_total"] == before["connections_total"]
+            assert after["http_requests"] == before["http_requests"] + 1
+            assert (
+                metrics.value("datacell_server_bytes_out_total") == bytes_out
+            )
+            assert (
+                metrics.value("datacell_server_frames_out_total")
+                == frames_out
+            )
+            assert metrics.value("datacell_server_sessions") == 2
+            status, body = _get(base, "/top")
+            assert status == 200 and b"Top queries by CPU" in body
+        dashboard = cell.render_dashboard()
+        assert f"http={server.stats()['http_requests']}" in dashboard
+
+    def test_upgrade_without_key_is_400(self, served):
+        _, server = served
+        reply = _raw_reply(
+            server.address,
+            b"GET / HTTP/1.1\r\nUpgrade: websocket\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert server.stats()["http_requests"] == 0
+
+    def test_oversized_head_is_431_not_an_unhandled_error(
+        self, served, caplog
+    ):
+        _, server = served
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        reply = _raw_reply(
+            server.address,
+            b"GET /metrics HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+            + b"\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert not [
+            r for r in caplog.records if "Unhandled exception" in r.message
+        ]
+        # the server still answers afterwards
+        base = "http://{}:{}".format(*server.address)
+        assert _get(base, "/healthz") == (200, b"ok\n")
 
 
 class TestRoutingResources:
@@ -165,12 +396,8 @@ class TestRoutingResources:
 
     @pytest.fixture()
     def server(self):
-        from repro.obs.httpd import TelemetryServer
-
         cell, _ = build_cell()
-        server = TelemetryServer(cell)
-        yield server
-        server.close()
+        return _Views(cell)
 
     def test_sys_tail_n_param(self, server):
         status, _, body = server.handle("/sys/metrics?n=2")
@@ -205,47 +432,34 @@ class TestRoutingResources:
 class TestEmptyStates:
     """The surface stays well-formed before any queries exist or fire."""
 
-    def _server(self, cell):
-        from repro.obs.httpd import TelemetryServer
-
-        return TelemetryServer(cell)
-
     def test_no_queries_registered(self):
         cell = DataCell(metrics=MetricsRegistry())
-        server = self._server(cell)
-        try:
-            status, _, body = server.handle("/stats")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["queries"] == {}
-            assert doc["resources"]["engine"]["accounts"] == 0
-            status, _, body = server.handle("/dashboard")
-            assert status == 200
-            assert "scheduler:" in body
-            status, _, body = server.handle("/top")
-            assert status == 200
-            assert "Top queries by CPU" in body
-        finally:
-            server.close()
+        status, _, body = telemetry_response(cell, "/stats")
+        assert status == 200
+        doc = json.loads(body)
+        assert doc["queries"] == {}
+        assert doc["resources"]["engine"]["accounts"] == 0
+        status, _, body = telemetry_response(cell, "/dashboard")
+        assert status == 200
+        assert "scheduler:" in body
+        status, _, body = telemetry_response(cell, "/top")
+        assert status == 200
+        assert "Top queries by CPU" in body
 
     def test_query_fired_zero_times(self):
         cell = DataCell(metrics=MetricsRegistry())
         cell.execute("create basket sensors (sensor int, temp double)")
         cell.submit_continuous(CQ, name="cold")
-        server = self._server(cell)
-        try:
-            status, _, body = server.handle("/stats")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["queries"]["cold"]["delivered"] == 0
-            resources = doc["resources"]["queries"]["cold"]
-            assert resources["firings"] == 0
-            assert resources["cpu_seconds"] == 0
-            status, _, body = server.handle("/dashboard")
-            assert status == 200
-            assert "cold" in body
-            status, _, body = server.handle("/top")
-            assert status == 200
-            assert "cold" in body  # listed with all-zero usage
-        finally:
-            server.close()
+        status, _, body = telemetry_response(cell, "/stats")
+        assert status == 200
+        doc = json.loads(body)
+        assert doc["queries"]["cold"]["delivered"] == 0
+        resources = doc["resources"]["queries"]["cold"]
+        assert resources["firings"] == 0
+        assert resources["cpu_seconds"] == 0
+        status, _, body = telemetry_response(cell, "/dashboard")
+        assert status == 200
+        assert "cold" in body
+        status, _, body = telemetry_response(cell, "/top")
+        assert status == 200
+        assert "cold" in body  # listed with all-zero usage

@@ -369,7 +369,7 @@ def test_budget_breach_event_throttles_the_tenant():
     assert server.tenants_throttled == 1
 
 
-def test_shutdown_order_is_server_scheduler_durability_httpd(tmp_path):
+def test_shutdown_order_is_server_scheduler_durability(tmp_path):
     cell = DataCell(
         clock=LogicalClock(),
         durability=DurabilityConfig(directory=tmp_path),
@@ -377,14 +377,13 @@ def test_shutdown_order_is_server_scheduler_durability_httpd(tmp_path):
     cell.execute("create basket trades (price int, sym str)")
     cell.start()
     cell.serve()
-    cell.serve_http()
     assert cell.stop() == []
     stages = [
         e.detail["stage"]
         for e in cell.trace.events()
         if e.kind == "shutdown"
     ]
-    assert stages == ["server", "scheduler", "durability", "httpd"]
+    assert stages == ["server", "scheduler", "durability"]
     assert cell.server is None
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import DataCell, LogicalClock
-from repro.errors import SqlError, SqlSyntaxError
+from repro.errors import BindError, SqlError, SqlSyntaxError
 from repro.sql.parser import parse_select
 
 
@@ -266,6 +266,25 @@ class TestValidation:
                 "select count(distinct x.v), sum(distinct x.v) "
                 "from [select * from s] as x window 4"
             )
+
+    @pytest.mark.parametrize("execution", ["reeval", "incremental"])
+    @pytest.mark.parametrize("agg", ["min", "max", "sum", "count"])
+    def test_rejects_aggregates_over_varchar_at_submit(self, execution, agg):
+        cell = DataCell(clock=LogicalClock(), execution=execution)
+        cell.execute("create basket b (s varchar(8), v int)")
+        with pytest.raises(BindError, match="VARCHAR column 's'"):
+            cell.submit_continuous(
+                f"select {agg}(w.s) from [select * from b] as w window 4"
+            )
+        assert cell.continuous_queries() == []
+        # a VARCHAR group key over a numeric value column still registers
+        query = cell.submit_continuous(
+            "select w.s, max(w.v) from [select * from b] as w "
+            "group by w.s window 2"
+        )
+        cell.insert("b", [("a", 1), ("a", 3)])
+        cell.run_until_quiescent()
+        assert [row[1:] for row in query.fetch()] == [("a", 3)]
 
 
 class TestExplain:

@@ -5,7 +5,9 @@ group.  Each query below runs on the engine and on sqlite over the same
 rows: as a one-time query over a 40-row table, and as a continuous query
 whose every firing must answer what sqlite answers over that firing's
 batch.  The rows carry NULLs in every column and BIGINT values above
-2**53, where a float64 reduction would round.
+2**53, where a float64 reduction would round.  The same rows check
+one-time UNION [ALL] chains whose trailing ORDER BY / LIMIT orders and
+cuts the whole chain.
 """
 
 import math
@@ -60,6 +62,34 @@ QUERIES = (
 )
 
 
+#: one-time UNION chains: a trailing ORDER BY / LIMIT binds to the whole
+#: chain and keys on output names or positions; each UNION step dedupes
+#: what was merged before it, a UNION ALL step appends.  Every ORDER BY
+#: is total over the output, so sqlite's answer is the only right one.
+UNION_QUERIES = (
+    "select i from t where i > 2 union all select i from t where i < 2 "
+    "order by i desc limit 1",
+    "select i from t where i > 2 union all select i from t where i < 2 "
+    "order by i desc limit 3",
+    "select i, s from t where i > 0 union all "
+    "select i, s from t where i < -10 order by 1 desc, 2 limit 5",
+    # mixed chains: (a UNION b) UNION ALL c, (a UNION ALL b) UNION c
+    "select s from t where i > 0 union select s from t where i < 0 "
+    "union all select s from t where d > 50 order by s limit 6",
+    "select i, x from t where i > 30 union all "
+    "select i, x from t where i < -30 union "
+    "select i, x from t where i > 40 order by 2, 1",
+    # a DESC string key keeps the next key's order among its ties
+    "select d, s from t where d > 80 union all "
+    "select d, s from t where d < -80 order by s desc, d",
+    "select x from t union select x from t order by x",
+    # the widened column sorts as BIGINT
+    "select i from t where i < 0 union all select x from t where i > 45 "
+    "order by i desc limit 4",
+    "select i, s from t where i > 40 order by 2 desc, 1",
+)
+
+
 def same(ours, theirs):
     assert len(ours) == len(theirs), (ours, theirs)
     for row, expected in zip(ours, theirs):
@@ -108,3 +138,11 @@ def test_each_firing_matches_sqlite_over_its_batch(template):
             same(query.fetch(), sqlite_answer(reference, batch))
     finally:
         cell.stop()
+
+
+@pytest.mark.parametrize("sql", UNION_QUERIES)
+def test_union_order_limit_matches_sqlite(sql):
+    cell = DataCell()
+    cell.execute(f"create table t {SCHEMA}")
+    cell.insert("t", ROWS)
+    same(cell.query(sql), sqlite_answer(sql, ROWS))
