@@ -39,6 +39,11 @@ FIG1_SQL = (
     "select t.k, t.v from "
     "[select * from s where s.v >= 100 and s.v < 200] as t"
 )
+JOIN_SQL = (
+    "select d.region, sum(t.v), count(t.v), max(t.v) from "
+    "[select * from s where s.v >= 100] as t "
+    "join dim d on t.k = d.k group by d.region"
+)
 WIN_SQL = (
     "select x.k, sum(x.v), count(x.v) from [select * from s] as x "
     "group by x.k window 20000 slide 200"
@@ -115,6 +120,19 @@ def win_slide(dark: bool) -> Shape:
     return _chain(cell, WIN_SQL, batches(), 105)
 
 
+def join(dark: bool) -> Shape:
+    """join_agg: one 64-row batch joined to a 10,000-row table on its key
+    and grouped into 200 regions."""
+    cell = _cell(dark)
+    cell.execute("create basket s (k int, v int)")
+    cell.execute("create table dim (k int, region int)")
+    rng = np.random.default_rng(42)
+    cell.insert("dim", list(enumerate(rng.integers(0, 200, 10_000).tolist())))
+    batch = {"k": rng.integers(0, 10_000, 64, dtype=np.int32),
+             "v": rng.integers(0, 1_000, 64, dtype=np.int32)}
+    return _chain(cell, JOIN_SQL, iter(lambda: batch, None), 5)
+
+
 def wal_ingest(dark: bool) -> Shape:
     """wal_ingest: one 64-row fig1 batch under an fsync-always WAL."""
     directory = tempfile.mkdtemp(prefix="firing-cost-")
@@ -154,6 +172,7 @@ SHAPES: Dict[str, Callable[[bool], Shape]] = {
     "fig1 8 rows": fig1,
     "win_slide 200 rows": win_slide,
     "wal_ingest 64 rows": wal_ingest,
+    "join 64 rows": join,
     "server pump 16 rows": server_pump,
 }
 

@@ -603,7 +603,10 @@ class DataCell:
 
     def start(self) -> None:
         """Start threaded mode: one dispatcher thread fires transitions
-        as their input places change."""
+        as their input places change.  A cell started again after
+        :meth:`stop` logs into a new WAL segment."""
+        if self.durability is not None:
+            self.durability.open()
         self.scheduler.start()
         if self.durability is not None:
             self.durability.start_checkpointer()
@@ -620,9 +623,10 @@ class DataCell:
            was still queued is unacknowledged and simply dropped.
         2. **scheduler** — join the dispatcher thread, so no basket
            mutates after this returns.
-        3. **durability** — stop the checkpointer and fsync the WAL
-           tail; runs after the scheduler so the flushed log covers
-           every applied firing.
+        3. **durability** — stop the checkpointer, fsync the WAL tail
+           and close its segment; runs after the scheduler so the
+           flushed log covers every applied firing.  Until the cell is
+           started again, nothing more can be logged.
         """
         if self.server is not None:
             self.trace.record("shutdown", "engine", stage="server")
@@ -634,6 +638,7 @@ class DataCell:
             self.trace.record("shutdown", "engine", stage="durability")
             self.durability.stop_checkpointer(timeout)
             self.durability.flush()
+            self.durability.close()
         return leftovers
 
     # ------------------------------------------------------------------

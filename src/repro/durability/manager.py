@@ -293,6 +293,10 @@ class DurabilityManager:
         """Force the WAL to stable storage (``DataCell.stop()`` path)."""
         self.wal.sync()
 
+    def open(self) -> None:
+        """Log into a new segment if :meth:`close` closed the log."""
+        self.wal.reopen()
+
     def close(self) -> None:
         self.stop_checkpointer()
         self.wal.close()

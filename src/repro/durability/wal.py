@@ -481,6 +481,13 @@ class WalWriter:
             self._file.flush()
             self._fsync_locked()
 
+    def reopen(self) -> None:
+        """After :meth:`close`, open the next segment (a no-op while
+        open)."""
+        with self._lock:
+            if self._file is None:
+                self._open_segment(self._segment_seq + 1)
+
     def close(self) -> None:
         """Close the active segment; under ``always`` this is a commit."""
         with self._lock:

@@ -23,9 +23,9 @@ import numpy as np
 
 from ..errors import KernelError, TypeMismatchError
 from .bat import BAT
-from .candidates import resolve_positions
+from .candidates import candidate_tail
 from .group import str_codes
-from .types import AtomType, nil_value, numpy_dtype
+from .types import AtomType, nil_mask, nil_value, numpy_dtype
 
 __all__ = [
     "aggregate_atom",
@@ -60,12 +60,8 @@ def aggregate_atom(
 
 
 def _valid_tail(bat: BAT, candidates: Optional[np.ndarray]):
-    if candidates is None:
-        return bat.tail, bat.nil_positions()
-    positions = resolve_positions(bat, candidates)
-    tail = bat.tail[positions]
-    nil = bat.nil_positions()[positions]
-    return tail, nil
+    tail = candidate_tail(bat, candidates)
+    return tail, nil_mask(bat.atom, tail)
 
 
 def grouped_aggregate(

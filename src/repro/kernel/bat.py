@@ -45,8 +45,11 @@ class BAT:
 
     # ``count`` is a plain slot, not a property: the per-firing path
     # reads it on every basket, snapshot and operator; only the BAT
-    # itself writes it
-    __slots__ = ("atom", "hseqbase", "_data", "count")
+    # itself writes it.  ``join_index`` is the equi-join index built on
+    # this BAT's tail (:class:`repro.kernel.join.JoinIndex`, or ``None``):
+    # it records the ``count`` it indexes, and an append moves ``count``
+    # past it, so a stale index is never used.
+    __slots__ = ("atom", "hseqbase", "_data", "count", "join_index")
 
     def __init__(self, atom: AtomType, hseqbase: int = 0, capacity: int = 0):
         self.atom = atom
@@ -55,6 +58,7 @@ class BAT:
             max(capacity, _INITIAL_CAPACITY), dtype=numpy_dtype(atom)
         )
         self.count = 0
+        self.join_index = None
 
     @classmethod
     def adopt(cls, atom: AtomType, array: np.ndarray, hseqbase: int = 0) -> "BAT":
@@ -70,6 +74,7 @@ class BAT:
         out.hseqbase = int(hseqbase)
         out._data = array
         out.count = len(array)
+        out.join_index = None
         return out
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .bat import BAT
 __all__ = [
     "all_candidates",
     "resolve_positions",
+    "candidate_tail",
     "from_mask",
     "validate",
 ]
@@ -31,6 +32,14 @@ def resolve_positions(bat: BAT, candidates: Optional[np.ndarray]) -> np.ndarray:
     if candidates is None:
         return np.arange(bat.count, dtype=np.int64)
     return np.asarray(candidates, dtype=np.int64) - bat.hseqbase
+
+
+def candidate_tail(bat: BAT, candidates: Optional[np.ndarray]) -> np.ndarray:
+    """Tail values of the candidates, in candidate order: the tail itself
+    (a view, no copy and no position array) when there are none."""
+    if candidates is None:
+        return bat.tail
+    return bat.tail[resolve_positions(bat, candidates)]
 
 
 def from_mask(bat: BAT, mask: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bat import BAT
-from .candidates import resolve_positions
+from .candidates import candidate_tail
 from .types import AtomType, nil_mask
 
 __all__ = ["group", "subgroup", "distinct_positions", "str_codes", "dense_span"]
@@ -80,9 +80,9 @@ def dense_span(keys: np.ndarray, rows: int) -> Optional[Tuple[int, int]]:
     return (lo, span) if span <= DENSE_SPAN * max(rows, 1) else None
 
 
-def _group_codes(bat: BAT, positions: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Codes in ``[0, ncodes)`` of the tail values; all NILs share one."""
-    tail = bat.tail[positions]
+def _group_codes(bat: BAT, tail: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Fresh codes in ``[0, ncodes)`` of ``bat``'s (candidate) ``tail``
+    values; all NILs share one."""
     if bat.atom is AtomType.STR:
         (codes,), strings = str_codes(tail)
         if len(codes) and codes.min() < 0:
@@ -123,9 +123,7 @@ def _by_first_occurrence(
         gid_of = np.empty(ncodes, dtype=np.int64)
         gid_of[codes[extents]] = np.arange(len(extents), dtype=np.int64)
         codes = gid_of[codes]
-    groups = BAT(AtomType.OID, hseqbase=0, capacity=max(rows, 1))
-    groups.append_array(codes)
-    return groups, extents, len(extents)
+    return BAT.adopt(AtomType.OID, codes), extents, len(extents)
 
 
 def group(
@@ -137,8 +135,9 @@ def group(
     aligned with the candidate order and ``extents[g]`` is the 0-based
     candidate-order position of group ``g``'s first tuple.
     """
-    positions = resolve_positions(bat, candidates)
-    return _by_first_occurrence(*_group_codes(bat, positions))
+    return _by_first_occurrence(
+        *_group_codes(bat, candidate_tail(bat, candidates))
+    )
 
 
 def subgroup(
@@ -151,8 +150,7 @@ def subgroup(
     ``prev_groups`` must be aligned with the candidate order (it is the
     ``groups`` output of a previous :func:`group`/:func:`subgroup`).
     """
-    positions = resolve_positions(bat, candidates)
-    codes, ncodes = _group_codes(bat, positions)
+    codes, ncodes = _group_codes(bat, candidate_tail(bat, candidates))
     combined = prev_groups.tail.astype(np.int64) * ncodes + codes
     return _by_first_occurrence(*_factorise(combined))
 

@@ -8,6 +8,22 @@ compiler read those instead of keeping their own copies.  The environment
 maps variable names to values (BATs, candidate arrays, scalars, tables,
 result sets).  Factories re-execute the same program against fresh basket
 snapshots on every activation; the interpreter itself is stateless.
+
+A program that reads a table runs its table-only steps once per table
+version, as a MAL factory keeps state between calls.  Binding a program
+(:class:`_Bound`) marks the *table steps*: the steps of a ``pure``
+(deterministic) opcode whose every variable input is the result of a
+``sql.bind`` with constant arguments or of another table step — a table
+scan's ``densecands``/``projection`` and any filter on table columns.
+Those binds and steps move ahead of the rest (they read nothing else).
+Every execution runs the binds; when each bound BAT is the same object
+with the same ``count`` as when the table steps last ran, their saved
+results go back into the environment and the steps are skipped
+(:class:`_TableSteps`).  That check is sound because BATs are
+append-only: an append moves ``count``, and ``Table.truncate`` and
+``Table.replace_bats`` swap in new BAT objects.  Skipped steps are not
+counted as invocations anywhere (profile, metrics, EXPLAIN ANALYZE, a
+traced firing's opcode spans).
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +71,11 @@ class Opcode:
     ``varargs`` is the spec of any number of trailing arguments.
     ``returns`` holds the kind of each result the primitive assigns.
 
+    ``pure`` marks a deterministic primitive — its results depend on its
+    arguments only, and it writes none of them — whose results may be
+    reused while its inputs are unchanged (table steps, see the module
+    docstring).
+
     ``atom``, where the kernel decides one, is the rule typing the first
     result.  It takes one item per argument — a ``scalar`` argument's
     value, any other argument's atom (``None``: unknown) — and returns an
@@ -67,6 +88,7 @@ class Opcode:
     returns: Tuple[str, ...]
     varargs: Optional[str] = None
     atom: Optional[AtomRule] = None
+    pure: bool = False
 
     @property
     def min_arity(self) -> int:
@@ -93,11 +115,13 @@ def primitive(
     returns: str = "bat",
     varargs: Optional[str] = None,
     atom: Any = None,
+    pure: bool = False,
 ) -> Callable[[Primitive], Primitive]:
     """Register ``fn`` as the implementation of MAL ``name``.
 
     ``params`` and ``returns`` are space-separated kind specs (see
-    :class:`Opcode`); an :class:`AtomType` ``atom`` is a fixed result atom.
+    :class:`Opcode`); an :class:`AtomType` ``atom`` is a fixed result atom;
+    ``pure`` marks a deterministic primitive.
     """
     rule = (lambda *_: atom) if isinstance(atom, AtomType) else atom
 
@@ -105,7 +129,8 @@ def primitive(
         if name in OPCODES:
             raise MalError(f"duplicate primitive {name}")
         OPCODES[name] = Opcode(
-            fn, tuple(params.split()), tuple(returns.split()), varargs, rule
+            fn, tuple(params.split()), tuple(returns.split()), varargs, rule,
+            pure,
         )
         return fn
 
@@ -162,12 +187,15 @@ class _Bound:
     ``keys`` holds each distinct ``module.fn`` profile key with its call
     count per execution; ``nodes`` each plan node id with its call count
     and its instructions' result variables, last first (a node's row count
-    is what its final row-producing instruction produced).  Kept on the
-    :class:`Program` as ``_bound``; a program whose instruction list is
-    replaced or grows is bound again.
+    is what its final row-producing instruction produced).  ``table`` is
+    the program's :class:`_TableSteps` (``None``: it has none), and
+    ``segments`` the one step list a program without them runs.  Kept on
+    the :class:`Program` as ``_bound``; a program whose instruction list
+    is replaced or grows is bound again.
     """
 
-    __slots__ = ("instructions", "length", "steps", "keys", "nodes")
+    __slots__ = ("instructions", "length", "steps", "keys", "nodes",
+                 "table", "segments")
 
     def __init__(self, program: Program):
         self.instructions = program.instructions
@@ -192,6 +220,93 @@ class _Bound:
             self.steps.append(_Step(ins, k, n))
         self.keys = [(key, calls) for key, calls in keys]
         self.nodes = [(node, calls, tuple(rows)) for node, calls, rows in nodes]
+        self.segments = (self.steps,)
+        self.table = _TableSteps.mark(program, self)
+
+
+class _TableSteps:
+    """A program's table steps (see the module docstring) and the results
+    they produced when they last ran.
+
+    ``binds`` are the program's ``sql.bind`` steps with constant arguments,
+    ``steps`` its table steps and ``rest`` every other step, each in
+    program order.  ``keys``/``nodes`` are the :class:`_Bound` tables less
+    the table steps' calls: what an execution that skips them ran.
+    ``node_ids`` are the plan nodes holding table steps.  ``values`` holds
+    each table step result, and ``versions`` each bind's BAT with its
+    ``count``, as of when the steps last ran; ``hit`` says whether the
+    latest execution reused them.
+    """
+
+    __slots__ = ("binds", "steps", "rest", "bind_results", "step_results",
+                 "keys", "nodes", "node_ids", "values", "versions", "hit")
+
+    @classmethod
+    def mark(cls, program: Program, bound: _Bound) -> Optional["_TableSteps"]:
+        """The table steps of ``bound``, or ``None`` if it has none."""
+        results = [name for ins in program.instructions for name in ins.results]
+        assigned = set(results)
+        if len(assigned) != len(results) or assigned & set(program.inputs):
+            return None  # a variable assigned twice: keep program order
+        table_vars: set = set()
+        binds, steps, rest = [], [], []
+        for step in bound.steps:
+            ins = step.ins
+            names = [name for _, name in step.slots]
+            opcode = OPCODES.get(f"{ins.module}.{ins.fn}")
+            if opcode is None:
+                rest.append(step)
+            elif opcode.fn is _sql_bind and not names:
+                binds.append(step)
+                table_vars.update(ins.results)
+            elif opcode.pure and names and table_vars.issuperset(names):
+                steps.append(step)
+                table_vars.update(ins.results)
+            else:
+                rest.append(step)
+        if not steps:
+            return None
+        table = cls()
+        table.binds, table.steps, table.rest = binds, steps, rest
+        table.bind_results = [step.single for step in binds]
+        table.step_results = [name for step in steps for name in step.results]
+        key_calls = [0] * len(bound.keys)
+        node_calls = [0] * len(bound.nodes)
+        for step in steps:
+            key_calls[step.key] += 1
+            node_calls[step.node] += 1
+        table.keys = [
+            (key, calls - skipped)
+            for (key, calls), skipped in zip(bound.keys, key_calls)
+        ]
+        table.nodes = [
+            (node, calls - skipped, rows)
+            for (node, calls, rows), skipped in zip(bound.nodes, node_calls)
+        ]
+        table.node_ids = sorted({step.ins.node for step in steps} - {None})
+        table.values = table.versions = None
+        table.hit = False
+        return table
+
+    def segments(self, env: Dict[str, Any]) -> Iterator[List[_Step]]:
+        """The step lists of one execution, in order: the binds; then,
+        once they ran, the table steps unless every bound BAT is the one
+        they last ran on, at the same count; then the rest."""
+        yield self.binds
+        bats = [env[name] for name in self.bind_results]
+        versions = self.versions
+        self.hit = versions is not None and all(
+            bat is seen and bat.count == count
+            for bat, (seen, count) in zip(bats, versions)
+        )
+        if self.hit:
+            env.update(self.values)
+        else:
+            self.values = self.versions = None  # one saved version at most
+            yield self.steps
+            self.values = {name: env[name] for name in self.step_results}
+            self.versions = [(bat, bat.count) for bat in bats]
+        yield self.rest
 
 
 def _bound(program: Program) -> _Bound:
@@ -272,10 +387,13 @@ class MalInterpreter:
             raise MalError(f"missing program inputs: {missing}")
         ctx = MalContext(self.catalog)
         bound = _bound(program)
+        table = bound.table
+        segments = bound.segments if table is None else table.segments(env)
         run = self._run
         if not self._profiling:
-            for step in bound.steps:
-                run(ctx, step, env)
+            for steps in segments:
+                for step in steps:
+                    run(ctx, step, env)
             return env
         key_secs = [0.0] * len(bound.keys)
         node_secs = [0.0] * len(bound.nodes)
@@ -301,18 +419,19 @@ class MalInterpreter:
         # time runs from the previous one's end to its own
         clock = time.perf_counter
         started = clock()
-        for step in bound.steps:
-            run(ctx, step, env)
-            ended = clock()
-            elapsed = ended - started
-            key_secs[step.key] += elapsed
-            node_secs[step.node] += elapsed
-            if opcodes is not None:
-                opcodes.append(
-                    (bound.keys[step.key][0], started, elapsed,
-                     step.ins.node)
-                )
-            started = ended
+        for steps in segments:
+            for step in steps:
+                run(ctx, step, env)
+                ended = clock()
+                elapsed = ended - started
+                key_secs[step.key] += elapsed
+                node_secs[step.node] += elapsed
+                if opcodes is not None:
+                    opcodes.append(
+                        (bound.keys[step.key][0], started, elapsed,
+                         step.ins.node)
+                    )
+                started = ended
         key_cpu = None
         if account is not None:
             chain_cpu = time.thread_time() - cpu_started
@@ -338,11 +457,16 @@ class MalInterpreter:
         (whose tallies the registry's opcode series read) and the
         program's per-node EXPLAIN ANALYZE stats under one lock (the
         program is the natural per-query aggregation point: cumulative
-        node stats *are* the query's EXPLAIN ANALYZE state)."""
+        node stats *are* the query's EXPLAIN ANALYZE state).  Only the
+        steps that ran are counted: skipped table steps are not."""
         cpus = key_cpu if key_cpu is not None else repeat(0.0)
+        table = bound.table
+        ran = table if table is not None and table.hit else bound
         with self._profile_lock:
             stats = self._opcode_stats
-            for (key, calls), seconds, cpu in zip(bound.keys, key_secs, cpus):
+            for (key, calls), seconds, cpu in zip(ran.keys, key_secs, cpus):
+                if not calls:
+                    continue
                 slot = stats.get(key)
                 if slot is None:
                     slot = stats[key] = [Tally(), Tally(), None]
@@ -357,8 +481,10 @@ class MalInterpreter:
                     slot[2].value += cpu
             node_stats = program.node_stats
             for (node_id, calls, results), seconds in zip(
-                bound.nodes, node_secs
+                ran.nodes, node_secs
             ):
+                if not calls:
+                    continue
                 rows = _rows_out(results, env)
                 slot = node_stats.get(node_id)
                 if slot is None:
@@ -367,6 +493,11 @@ class MalInterpreter:
                     slot[0] += calls
                     slot[1] += seconds
                     slot[2] += rows
+            if table is not None:
+                for node_id in table.node_ids:
+                    runs = program.table_runs.setdefault(node_id, [0, 0])
+                    runs[0] += not table.hit
+                    runs[1] += 1
 
     # ------------------------------------------------------------------
     # opcode profile surface
@@ -486,6 +617,7 @@ def _sql_resultset(ctx: MalContext, names: Any, *bats: BAT) -> ResultSet:
     atom=lambda column, cands, low, high, *flags: _select.check_bounds(
         column, low, high
     ),
+    pure=True,
 )
 def _algebra_select(
     ctx: MalContext,
@@ -505,6 +637,7 @@ def _algebra_select(
     atom=lambda column, cands, op, value: _select.theta_check(
         column, op, value
     ),
+    pure=True,
 )
 def _algebra_thetaselect(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray], op: str, value: Any
@@ -512,14 +645,14 @@ def _algebra_thetaselect(
     return _select.theta_select(bat, op, value, cands)
 
 
-@primitive("algebra.selectnil", "bat candopt", "cand")
+@primitive("algebra.selectnil", "bat candopt", "cand", pure=True)
 def _algebra_selectnil(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray]
 ) -> np.ndarray:
     return _select.select_nil(bat, cands)
 
 
-@primitive("algebra.selectnotnil", "bat candopt", "cand")
+@primitive("algebra.selectnotnil", "bat candopt", "cand", pure=True)
 def _algebra_selectnotnil(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray]
 ) -> np.ndarray:
@@ -528,43 +661,48 @@ def _algebra_selectnotnil(
 
 @primitive(
     "algebra.likeselect", "bat candopt scalar scalar?", "cand",
-    atom=lambda column, *_: _strings.str_atom("like", column),
+    atom=lambda column, *_: _strings.str_atom("like", column), pure=True,
 )
 def _algebra_likeselect(ctx, bat, cands, pattern, negated=False):
     return _strings.like_select(bat, pattern, cands, bool(negated))
 
 
-@primitive("algebra.projection", "cand bat", atom=lambda cands, column: column)
+@primitive(
+    "algebra.projection", "cand bat",
+    atom=lambda cands, column: column, pure=True,
+)
 def _algebra_projection(ctx: MalContext, cands: np.ndarray, bat: BAT) -> BAT:
     return _join.projection(cands, bat)
 
 
-@primitive("algebra.join", "bat bat", "cand cand", atom=compare_atom)
+@primitive(
+    "algebra.join", "bat bat", "cand cand", atom=compare_atom, pure=True
+)
 def _algebra_join(ctx: MalContext, left: BAT, right: BAT):
     return _join.hash_join(left, right)
 
 
-@primitive("algebra.crossproduct", "bat bat", "cand cand")
+@primitive("algebra.crossproduct", "bat bat", "cand cand", pure=True)
 def _algebra_crossproduct(ctx, left: BAT, right: BAT):
     """Cross-product position pairs for two dense-0 relations."""
     return _join.cross_positions(left.count, right.count)
 
 
-@primitive("algebra.sort", "bat candopt scalar", "cand")
+@primitive("algebra.sort", "bat candopt scalar", "cand", pure=True)
 def _algebra_sort(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray], descending: bool
 ) -> np.ndarray:
     return _sort.order(bat, cands, descending)
 
 
-@primitive("algebra.refine", "bat cand scalar", "cand")
+@primitive("algebra.refine", "bat cand scalar", "cand", pure=True)
 def _algebra_refine(
     ctx: MalContext, bat: BAT, ordered: np.ndarray, descending: bool
 ) -> np.ndarray:
     return _sort.refine(bat, ordered, descending)
 
 
-@primitive("algebra.firstn", "cand scalar", "cand")
+@primitive("algebra.firstn", "cand scalar", "cand", pure=True)
 def _algebra_firstn(
     ctx: MalContext, cands: np.ndarray, n: int
 ) -> np.ndarray:
@@ -573,25 +711,27 @@ def _algebra_firstn(
 
 @primitive(
     "algebra.slice", "bat scalar scalar",
-    atom=lambda column, start, stop: column,
+    atom=lambda column, start, stop: column, pure=True,
 )
 def _algebra_slice(ctx: MalContext, bat: BAT, start: int, stop: int) -> BAT:
     return bat.slice(int(start), int(stop))
 
 
-@primitive("algebra.mask2cand", "bat", "cand", atom=_calc.logic_atom)
+@primitive(
+    "algebra.mask2cand", "bat", "cand", atom=_calc.logic_atom, pure=True
+)
 def _algebra_mask2cand(ctx: MalContext, mask: BAT) -> np.ndarray:
     """Candidates where a bool BAT is true (NULL counts as false)."""
     _calc.logic_atom(mask.atom)
     return _cand.from_mask(mask, mask.tail == 1)
 
 
-@primitive("algebra.densecands", "bat", "cand")
+@primitive("algebra.densecands", "bat", "cand", pure=True)
 def _algebra_densecands(ctx: MalContext, bat: BAT) -> np.ndarray:
     return _cand.all_candidates(bat)
 
 
-@primitive("algebra.compose", "cand cand", "cand")
+@primitive("algebra.compose", "cand cand", "cand", pure=True)
 def _algebra_compose(ctx, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Compose candidate lists: positions-of-positions.
 
@@ -607,7 +747,7 @@ def _algebra_compose(ctx, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 # batcalc module
 # ----------------------------------------------------------------------
 def _register_batcalc(op: str, kernel_fn, rule: AtomRule) -> None:
-    @primitive(f"batcalc.{op}", "any any", atom=rule)
+    @primitive(f"batcalc.{op}", "any any", atom=rule, pure=True)
     def fn(ctx, left, right):
         return kernel_fn(op, left, right)
 
@@ -620,39 +760,42 @@ for _op in _calc.COMPARISONS:
     _register_batcalc(_op, _calc.calc_compare, compare_atom)
 
 
-@primitive("batcalc.and", "any any", atom=_calc.logic_atom)
+@primitive("batcalc.and", "any any", atom=_calc.logic_atom, pure=True)
 def _batcalc_and(ctx, left, right):
     return _calc.calc_and(left, right)
 
 
-@primitive("batcalc.or", "any any", atom=_calc.logic_atom)
+@primitive("batcalc.or", "any any", atom=_calc.logic_atom, pure=True)
 def _batcalc_or(ctx, left, right):
     return _calc.calc_or(left, right)
 
 
-@primitive("batcalc.not", "bat", atom=_calc.logic_atom)
+@primitive("batcalc.not", "bat", atom=_calc.logic_atom, pure=True)
 def _batcalc_not(ctx, operand):
     return _calc.calc_not(operand)
 
 
-@primitive("batcalc.isnil", "bat", atom=AtomType.BOOL)
+@primitive("batcalc.isnil", "bat", atom=AtomType.BOOL, pure=True)
 def _batcalc_isnil(ctx, operand):
     return _calc.calc_isnil(operand)
 
 
-@primitive("batcalc.neg", "bat", atom=_calc.neg_atom)
+@primitive("batcalc.neg", "bat", atom=_calc.neg_atom, pure=True)
 def _batcalc_neg(ctx, operand):
     return _calc.calc_neg(operand)
 
 
-@primitive("batcalc.ifthenelse", "bat any any", atom=_calc.ifthenelse_atom)
+@primitive(
+    "batcalc.ifthenelse", "bat any any", atom=_calc.ifthenelse_atom,
+    pure=True,
+)
 def _batcalc_ifthenelse(ctx, cond, then_val, else_val):
     return _calc.calc_ifthenelse(cond, then_val, else_val)
 
 
 @primitive(
     "batcalc.cast", "bat scalar",
-    atom=lambda operand, target: atom_named(target),
+    atom=lambda operand, target: atom_named(target), pure=True,
 )
 def _batcalc_cast(ctx, operand: BAT, atom: str) -> BAT:
     """Cast a column to another atom type (NULL-preserving)."""
@@ -665,6 +808,7 @@ def _batcalc_cast(ctx, operand: BAT, atom: str) -> BAT:
 @primitive(
     "batcalc.const", "scalar bat scalar?",
     atom=lambda value, like, atom=None: _calc.const_atom(value, atom),
+    pure=True,
 )
 def _batcalc_const(ctx, value, like, atom=None):
     return _calc.const_bat(value, like, atom)
@@ -673,13 +817,17 @@ def _batcalc_const(ctx, value, like, atom=None):
 # ----------------------------------------------------------------------
 # group / aggr modules
 # ----------------------------------------------------------------------
-@primitive("group.group", "bat candopt?", "bat cand scalar", atom=AtomType.OID)
+@primitive(
+    "group.group", "bat candopt?", "bat cand scalar", atom=AtomType.OID,
+    pure=True,
+)
 def _group_group(ctx, bat, cands=None):
     return _group.group(bat, cands)
 
 
 @primitive(
-    "group.subgroup", "bat bat candopt?", "bat cand scalar", atom=AtomType.OID
+    "group.subgroup", "bat bat candopt?", "bat cand scalar",
+    atom=AtomType.OID, pure=True,
 )
 def _group_subgroup(ctx, bat, prev_groups, cands=None):
     return _group.subgroup(bat, prev_groups, cands)
@@ -689,6 +837,7 @@ def _register_aggr(name: str) -> None:
     @primitive(
         f"aggr.sub{name}", "bat bat scalar candopt?",
         atom=lambda operand, *_: _aggregate.aggregate_atom(name, operand),
+        pure=True,
     )
     def grouped(ctx, bat, groups, ngroups, cands=None):
         return _aggregate.grouped_aggregate(
@@ -708,7 +857,7 @@ def _str_rule(name: str) -> AtomRule:
 
 
 def _register_str(name: str, kernel_fn: Callable[[BAT], BAT]) -> None:
-    @primitive(f"batstr.{name}", "bat", atom=_str_rule(name))
+    @primitive(f"batstr.{name}", "bat", atom=_str_rule(name), pure=True)
     def fn(ctx, bat):
         return kernel_fn(bat)
 
@@ -720,7 +869,8 @@ _register_str("length", _strings.str_length)
 
 
 @primitive(
-    "batstr.substring", "bat scalar scalar?", atom=_str_rule("substring")
+    "batstr.substring", "bat scalar scalar?", atom=_str_rule("substring"),
+    pure=True,
 )
 def _batstr_substring(ctx, bat, start, length=None):
     return _strings.str_substring(
@@ -728,7 +878,9 @@ def _batstr_substring(ctx, bat, start, length=None):
     )
 
 
-@primitive("batstr.like", "bat scalar scalar?", atom=_str_rule("like"))
+@primitive(
+    "batstr.like", "bat scalar scalar?", atom=_str_rule("like"), pure=True
+)
 def _batstr_like(ctx, bat, pattern, negated=False):
     return _strings.like_mask(bat, pattern, bool(negated))
 
@@ -736,7 +888,7 @@ def _batstr_like(ctx, bat, pattern, negated=False):
 def _register_math(name: str) -> None:
     @primitive(
         f"batmath.{name}", "bat scalar?",
-        atom=partial(_mathops.math_atom, name),
+        atom=partial(_mathops.math_atom, name), pure=True,
     )
     def fn(ctx, bat, digits=0):
         return _mathops.math_unary(name, bat, digits)
@@ -758,7 +910,7 @@ def _concat_atom(
     return left or right
 
 
-@primitive("bat.concat", "bat bat", atom=_concat_atom)
+@primitive("bat.concat", "bat bat", atom=_concat_atom, pure=True)
 def _bat_concat(ctx, left: BAT, right: BAT) -> BAT:
     """Concatenate two columns (UNION ALL building block)."""
     out = BAT(

@@ -117,6 +117,10 @@ class Program:
         self._node_stack: List[int] = []
         self._node_counter = 0
         self.node_stats: Dict[Optional[int], List[float]] = {}
+        # nodes holding table steps (run once per table version, see
+        # kernel.interpreter): {node_id: [executions that ran them,
+        # executions]}
+        self.table_runs: Dict[int, List[int]] = {}
         # the interpreter's execution binding, built on first execution
         # (kernel.interpreter._Bound) — not at compile time, so compiling
         # a query pays nothing for it
@@ -244,6 +248,13 @@ class Program:
             if stats is not None
             else "  (never executed)"
         )
+        runs = self.table_runs.get(node_id)
+        if runs is not None:
+            computed, executions = runs
+            suffix += (
+                f"  once per table version: computed {computed} of "
+                f"{executions} runs"
+            )
         lines.append("  " * depth + node.label + suffix)
         for child in node.children:
             self._render_node(child, depth + 1, lines)

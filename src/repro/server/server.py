@@ -534,6 +534,7 @@ class DataCellServer:
             request_close=lambda reason: wake_and_close(),
             on_full=on_full,
         )
+        self._m_blocks.read_from(session.queue.block_tally)
         conn = _Connection(session, transport, wakeup)
 
         def wake_and_close() -> None:

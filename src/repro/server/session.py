@@ -40,6 +40,7 @@ from typing import (
 
 from ..core.places import Place
 from ..errors import ServerError
+from ..obs.metrics import Tally
 from .protocol import (
     MAX_FRAME_BYTES,
     ColumnSpec,
@@ -131,7 +132,9 @@ class OutputQueue(Place):
         self._full_since: Optional[float] = None  # block: when it filled
         self.dropped_frames = 0
         self.dropped_rows = 0
-        self.blocks = 0
+        # times a block queue filled; the server's
+        # datacell_server_backpressure_blocks_total reads this tally
+        self.block_tally = Tally()
 
     # -- producers -----------------------------------------------------
     def offer_control(self, frame: bytes) -> str:
@@ -160,8 +163,13 @@ class OutputQueue(Place):
                 and self._full_since is None
             ):
                 self._full_since = time.monotonic()
-                self.blocks += 1
+                self.block_tally.value += 1
             return "dropped" if shed else "queued"
+
+    @property
+    def blocks(self) -> int:
+        """Times this ``block`` queue filled up."""
+        return int(self.block_tally.value)
 
     def _shed_oldest_locked(self) -> None:
         for i, (is_data, _, rows) in enumerate(self._frames):

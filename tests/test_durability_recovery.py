@@ -8,6 +8,10 @@ rows in flight at the crash are delivered after recovery (WAL replay),
 and nothing is lost or invented.
 """
 
+import gc
+import time
+import warnings
+
 import pytest
 
 from repro.core.engine import DataCell
@@ -200,3 +204,36 @@ def test_recovered_stats_surface(tmp_path):
     assert stats["recovery_seconds"] is not None
     assert "Durability" in cell2.render_dashboard()
     cell2.durability.close()
+
+
+def _stopped_cell_warnings(tmp_path, runs):
+    """ResourceWarnings raised once a cell started and stopped ``runs``
+    times (a row inserted per run) is dropped, and its recovered rows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        cell, handle = _build(tmp_path, fsync="always")
+        for run in range(runs):
+            cell.start()
+            cell.basket("feed").insert_rows([(run + 2, run)])
+            deadline = time.monotonic() + 10.0
+            while handle.results_delivered <= run:
+                assert time.monotonic() < deadline, "delivery stalled"
+                time.sleep(0.001)
+            assert cell.stop() == []
+        del cell, handle
+        gc.collect()
+    leaked = [str(w.message) for w in caught
+              if issubclass(w.category, ResourceWarning)]
+    cell2, _ = _build(tmp_path)
+    report = cell2.recover()
+    cell2.durability.close()
+    return leaked, report.rows_replayed
+
+
+def test_stop_closes_the_wal_segment(tmp_path):
+    assert _stopped_cell_warnings(tmp_path, 1) == ([], 1)
+
+
+def test_a_restarted_cell_logs_into_a_new_segment(tmp_path):
+    assert _stopped_cell_warnings(tmp_path, 2) == ([], 2)
+    assert len(list_segments(tmp_path / "wal")) == 3  # two runs + recovery

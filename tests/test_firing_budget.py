@@ -3,8 +3,8 @@
 Wall-clock benches drift between sittings; python call counts do not.
 Each shape of ``scripts/firing_cost.py`` (one fig1 8-row firing, one
 win_slide 200-row firing, one wal_ingest 64-row firing under an
-fsync-always log, one server ingest pump activation; metrics lit and
-dark) makes a committed number of calls into ``src/repro`` frames, with
+fsync-always log, one 64-row batch joined to a 10,000-row table and
+grouped, one server ingest pump activation; metrics lit and dark) makes a committed number of calls into ``src/repro`` frames, with
 ±5 % slack for interpreter differences.  A change that lowers a count
 lowers its budget here; one that raises a count says why in CHANGES.md.
 """
@@ -31,6 +31,8 @@ BUDGETS = {
     ("win_slide 200 rows", "dark"): 169,
     ("wal_ingest 64 rows", "lit"): 242,
     ("wal_ingest 64 rows", "dark"): 209,
+    ("join 64 rows", "lit"): 306,
+    ("join 64 rows", "dark"): 284,
     ("server pump 16 rows", "lit"): 25,
     ("server pump 16 rows", "dark"): 23,
 }
@@ -98,3 +100,20 @@ def test_the_counter_sees_a_planted_call(monkeypatch):
     monkeypatch.setattr(Factory, "_emit", describe_too)
     planted = calls("fig1 8 rows", "lit")
     assert not within_budget("fig1 8 rows", "lit", planted)
+
+
+@pytest.mark.parametrize("mode", ["lit", "dark"])
+def test_join_budget_sees_the_table_steps_rerun(mode):
+    # the join shape's own mutation check: forgetting the saved table
+    # steps before every firing re-runs the table scan and re-indexes
+    # the table's join key, which breaks the budget
+    built = firing_cost.SHAPES["join 64 rows"](mode == "dark")
+    table = built.query.program()._bound.table
+
+    def fire_forgetting():
+        table.versions = None
+        return built.fire()
+
+    assert within_budget("join 64 rows", mode, calls("join 64 rows", mode))
+    forgetting = sum(firing_cost.count_calls(fire_forgetting).values())
+    assert not within_budget("join 64 rows", mode, forgetting)

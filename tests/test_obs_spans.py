@@ -338,10 +338,10 @@ batch batch
       sql.resultset opcode
       volume factory
         blocked factory
-          algebra.densecands opcode
           sql.bind opcode
           algebra.densecands opcode
           algebra.projection opcode
+          algebra.densecands opcode
           algebra.join opcode
           algebra.projection opcode
           algebra.projection opcode

@@ -423,6 +423,7 @@ def test_crash_recovery_with_server_attached(tmp_path):
     assert redelivered == []
     assert recovered.basket("trades").total_in == 2
     assert recovered.stats()["durability"]["recovered"] is True
+    recovered.durability.close()
 
 
 def test_acks_ride_the_pumps_group_commit(tmp_path, fsync_ledger):
@@ -714,6 +715,35 @@ def test_full_block_queue_stalls_only_its_own_session():
                 e.detail["outcome"] for e in cell.trace.events(kind="queue_full")
             ] == ["disconnect"]
             assert server.stats()["dropped_frames"] == 0
+        _await_sessions_closed(server)
+    finally:
+        assert cell.stop() == []
+
+
+def test_backpressure_blocks_series_reads_the_session_queues():
+    """``datacell_server_backpressure_blocks_total`` counts the times a
+    ``block`` session queue filled: the tallies ``stats()`` sums."""
+    config = ServerConfig(
+        backpressure="block", queue_frames=1, block_timeout=30.0
+    )
+    cell, server = _boot(config=config)
+    cell.execute("create basket slow_in (v int)")
+    try:
+        with DataCellClient(*server.address) as slow:
+            slow.subscribe(
+                "select x.v from [select * from slow_in] as x", name="slow_q"
+            )
+            (stuck,) = server.sessions()
+            stuck.wake = lambda: None  # its writer never drains the queue
+            slow.insert("slow_in", [("v", AtomType.INT)], [(1,)], wait=False)
+            deadline = time.monotonic() + 10.0
+            while stuck.queue.blocks == 0:
+                assert time.monotonic() < deadline, "queue never filled"
+                time.sleep(0.005)
+            blocks = cell.metrics.value(
+                "datacell_server_backpressure_blocks_total"
+            )
+            assert blocks == server.stats()["backpressure_blocks"] == 1
         _await_sessions_closed(server)
     finally:
         assert cell.stop() == []
