@@ -603,10 +603,7 @@ class DataCell:
 
     def start(self) -> None:
         """Start threaded mode: one dispatcher thread fires transitions
-        as their input places change.  A cell started again after
-        :meth:`stop` logs into a new WAL segment."""
-        if self.durability is not None:
-            self.durability.open()
+        as their input places change."""
         self.scheduler.start()
         if self.durability is not None:
             self.durability.start_checkpointer()
@@ -625,8 +622,9 @@ class DataCell:
            mutates after this returns.
         3. **durability** — stop the checkpointer, fsync the WAL tail
            and close its segment; runs after the scheduler so the
-           flushed log covers every applied firing.  Until the cell is
-           started again, nothing more can be logged.
+           flushed log covers every applied firing.  A record logged
+           later (the cell started again, or driven synchronously)
+           opens a new segment.
         """
         if self.server is not None:
             self.trace.record("shutdown", "engine", stage="server")
@@ -638,7 +636,7 @@ class DataCell:
             self.trace.record("shutdown", "engine", stage="durability")
             self.durability.stop_checkpointer(timeout)
             self.durability.flush()
-            self.durability.close()
+            self.durability.suspend()
         return leftovers
 
     # ------------------------------------------------------------------

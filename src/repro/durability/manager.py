@@ -293,9 +293,10 @@ class DurabilityManager:
         """Force the WAL to stable storage (``DataCell.stop()`` path)."""
         self.wal.sync()
 
-    def open(self) -> None:
-        """Log into a new segment if :meth:`close` closed the log."""
-        self.wal.reopen()
+    def suspend(self) -> None:
+        """Close the WAL segment until the next record opens a new one
+        (``DataCell.stop()``: a stopped engine keeps no file open)."""
+        self.wal.suspend()
 
     def close(self) -> None:
         self.stop_checkpointer()

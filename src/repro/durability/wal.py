@@ -304,6 +304,9 @@ class WalWriter:
         # never reuse a pre-crash segment: its tail may be torn
         self._segment_seq = existing[-1][0] + 1 if existing else 0
         self._file = None
+        # closed by suspend(): the next record or rotation opens the
+        # next segment instead of failing
+        self._suspended = False
         self._open_segment(self._segment_seq)
 
     # ------------------------------------------------------------------
@@ -366,7 +369,7 @@ class WalWriter:
         frame = pack_frame(payload)
         with self._lock:
             if self._file is None:
-                raise DurabilityError("WAL writer is closed")
+                self._reopen_suspended_locked()
             self._file.write(frame)
             # flush to the OS unconditionally: a process crash (kill -9)
             # then loses nothing; fsync is the power-loss dial
@@ -446,7 +449,7 @@ class WalWriter:
         """
         with self._lock:
             if self._file is None:
-                raise DurabilityError("WAL writer is closed")
+                self._reopen_suspended_locked()
             return self._rotate_locked()
 
     def _rotate_locked(self) -> int:
@@ -481,15 +484,25 @@ class WalWriter:
             self._file.flush()
             self._fsync_locked()
 
-    def reopen(self) -> None:
-        """After :meth:`close`, open the next segment (a no-op while
-        open)."""
-        with self._lock:
-            if self._file is None:
-                self._open_segment(self._segment_seq + 1)
+    def _reopen_suspended_locked(self) -> None:
+        """With no segment open: open the next one after :meth:`suspend`,
+        refuse after :meth:`close`."""
+        if not self._suspended:
+            raise DurabilityError("WAL writer is closed")
+        self._suspended = False
+        self._open_segment(self._segment_seq + 1)
+
+    def suspend(self) -> None:
+        """Close the active segment like :meth:`close`, but let the next
+        record or rotation open the next segment: a stopped engine holds
+        no open file, and may still log."""
+        self._close(suspended=True)
 
     def close(self) -> None:
         """Close the active segment; under ``always`` this is a commit."""
+        self._close(suspended=False)
+
+    def _close(self, suspended: bool) -> None:
         with self._lock:
             if self._file is not None:
                 self._file.flush()
@@ -497,6 +510,7 @@ class WalWriter:
                     self._fsync_locked()
                 self._file.close()
                 self._file = None
+            self._suspended = suspended
 
     def abandon(self) -> None:
         """Drop the file handle without flushing — crash simulation only.
@@ -511,6 +525,7 @@ class WalWriter:
             if self._file is not None:
                 self._file.close()
                 self._file = None
+            self._suspended = False
 
 
 # ----------------------------------------------------------------------

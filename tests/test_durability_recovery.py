@@ -237,3 +237,16 @@ def test_stop_closes_the_wal_segment(tmp_path):
 def test_a_restarted_cell_logs_into_a_new_segment(tmp_path):
     assert _stopped_cell_warnings(tmp_path, 2) == ([], 2)
     assert len(list_segments(tmp_path / "wal")) == 3  # two runs + recovery
+
+
+def test_a_stopped_cell_driven_synchronously_still_logs(tmp_path):
+    cell, handle = _build(tmp_path)
+    cell.start()
+    assert cell.stop() == []
+    cell.basket("feed").insert_rows([(5, 50)])
+    cell.run_until_quiescent()
+    assert handle.fetch() == [(5, 50)]
+    cell.durability.abandon()
+    cell2, _ = _build(tmp_path)
+    assert cell2.recover().rows_replayed == 1
+    cell2.durability.close()
