@@ -3,8 +3,9 @@
 
 Demonstrates:
 
-* per-symbol sliding-window statistics (avg/min/max price) on the
-  engine's window plan (a table of per-basic-window partials);
+* per-symbol sliding-window statistics (avg/min/max price) as a SQL
+  ``WINDOW`` query, which runs on the engine's window plan (a table of
+  per-basic-window partials);
 * a large-trade alert joining ticks against a static reference table to
   enrich alerts with the sector (continuous stream-table join in SQL);
 * the window plan beside §3.1's re-evaluation reference on identical
@@ -33,13 +34,15 @@ def main() -> None:
         "('INITECH', 'software'), ('UMBRELLA', 'pharma')"
     )
 
-    spec = WindowSpec(WindowMode.COUNT, 200, 100)
-    stats_inc = cell.submit_window_aggregate(
-        "ticks_stats", "price", ["avg", "min", "max"],
-        spec, group_by="sym", name="stats",
+    stats_inc = cell.submit_continuous(
+        "select t.sym, avg(t.price), min(t.price), max(t.price) "
+        "from [select * from ticks_stats] as t "
+        "group by t.sym window 200 slide 100",
+        name="stats",
     )
     reference = ReEvalWindowAggregatePlan(
-        "ticks_reeval", "price", ["avg", "min", "max"], spec,
+        "ticks_reeval", "price", ["avg", "min", "max"],
+        WindowSpec(WindowMode.COUNT, 200, 100),
         "stats_reeval_out", group_column="sym",
     )
     stats_reeval = cell.submit_plan(

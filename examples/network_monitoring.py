@@ -18,7 +18,7 @@ format, exactly as a network tap would deliver it.
 Run:  python examples/network_monitoring.py
 """
 
-from repro import DataCell, LogicalClock, WindowMode, WindowSpec
+from repro import DataCell, LogicalClock
 from repro.adapters.channels import format_tuple
 from repro.adapters.generators import network_packets
 
@@ -41,10 +41,10 @@ def main() -> None:
     )
 
     # --- query 2: per-destination volume over sliding windows --------
-    volume = cell.submit_window_aggregate(
-        "pkts_vol", "size", ["sum", "count_star"],
-        WindowSpec(WindowMode.COUNT, 500, 250),
-        group_by="dst",
+    volume = cell.submit_continuous(
+        "select p.dst, sum(p.size), count(*) "
+        "from [select * from pkts_vol] as p "
+        "group by p.dst window 500 slide 250",
         name="volume",
     )
 

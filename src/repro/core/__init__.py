@@ -18,12 +18,7 @@ from .places import Place
 from .receptor import Receptor
 from .scheduler import FiringPolicy, PriorityPolicy, Scheduler
 from .topology import NetworkTopology, build_topology
-from .windows import (
-    SlidingWindowJoinPlan,
-    WindowAggregatePlan,
-    WindowMode,
-    WindowSpec,
-)
+from .windows import WindowAggregatePlan, WindowMode, WindowSpec
 
 __all__ = [
     "Basket",
@@ -55,5 +50,4 @@ __all__ = [
     "WindowSpec",
     "WindowMode",
     "WindowAggregatePlan",
-    "SlidingWindowJoinPlan",
 ]

@@ -66,7 +66,7 @@ from .factory import ConsumeMode, ContinuousPlan, Factory, InputBinding
 from .lowering import lower_continuous
 from .receptor import Receptor
 from .scheduler import Scheduler
-from .windows import WindowAggregatePlan, WindowSpec
+from .windows import WindowAggregatePlan
 
 __all__ = ["DataCell"]
 
@@ -441,7 +441,8 @@ class DataCell:
         priority: int = 0,
         tenant: str = "default",
     ) -> ContinuousQuery:
-        """Register a hand-built continuous plan (window plans, joins...).
+        """Register a hand-built continuous plan (a baseline reference,
+        an application's own operator).
 
         ``inputs`` may be baskets, bindings, or basket names; the output
         basket ``{name}_out`` is created with ``output_columns``.
@@ -456,39 +457,6 @@ class DataCell:
                 bindings.append(InputBinding(self.basket(item)))
         return self._register_query(
             name, None, plan, bindings, output_columns, priority, tenant
-        )
-
-    def submit_window_aggregate(
-        self,
-        input_basket: str,
-        value_column: str,
-        aggregates: Sequence[str],
-        spec: WindowSpec,
-        group_by: Optional[str] = None,
-        name: Optional[str] = None,
-        tenant: str = "default",
-    ) -> ContinuousQuery:
-        """Register a sliding/tumbling window aggregate over a stream.
-
-        Every window query runs on :class:`~repro.core.windows
-        .WindowAggregatePlan` (paper §3.1), whatever the engine's
-        ``execution`` mode; the group key keeps its basket atom.
-        """
-        name = name or self._fresh_name("w")
-        plan = WindowAggregatePlan(
-            input_basket,
-            value_column,
-            aggregates,
-            spec,
-            f"{name}_out",
-            group_column=group_by,
-            group_atom=(
-                self.basket(input_basket).schema.atom(group_by)
-                if group_by else AtomType.STR
-            ),
-        )
-        return self.submit_plan(
-            name, plan, [input_basket], plan.output_schema(), tenant=tenant
         )
 
     def _register_query(

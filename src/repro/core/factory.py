@@ -548,7 +548,6 @@ class Factory:
                     queue_wait=queue_wait,
                     waited_tuples=waited,
                     rows_in=rows_fresh,
-                    rows_out=tuples_out,
                     bytes_in=bytes_in,
                     bytes_out=bytes_out,
                 )

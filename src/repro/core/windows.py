@@ -41,7 +41,7 @@ from ..durability.serde import (
     pack_frame,
 )
 from ..errors import DataCellError
-from ..kernel.bat import BAT, bat_from_values
+from ..kernel.bat import BAT
 from ..kernel.group import group
 from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType, nil_mask, numpy_dtype
@@ -52,7 +52,6 @@ __all__ = [
     "WindowMode",
     "WindowSpec",
     "WindowAggregatePlan",
-    "SlidingWindowJoinPlan",
     "basic_window_width",
 ]
 
@@ -178,8 +177,6 @@ STARS, COUNT, SUM, MIN, MAX, FIRST = range(6)
 _IDENTITY = np.array([0.0, 0.0, 0.0, np.inf, -np.inf, np.inf])[:, None, None]
 #: format version of :meth:`WindowAggregatePlan.export_state`
 STATE_VERSION = 1
-#: format version of :meth:`SlidingWindowJoinPlan.export_state`
-JOIN_STATE_VERSION = 1
 
 
 def _time_panes(times: np.ndarray, bw: float) -> np.ndarray:
@@ -488,184 +485,3 @@ class WindowAggregatePlan(_WindowAggregateBase):
     def describe(self) -> str:
         return f"window({self.aggregates}, {self.spec}, bw={self.bw})"
 
-
-class SlidingWindowJoinPlan(ContinuousPlan):
-    """A symmetric incremental sliding-window equi-join of two streams.
-
-    Each stream keeps the tuples of the last ``window`` seconds.  On
-    activation, new left tuples probe the right buffer and vice versa —
-    already-matched pairs are never recomputed (pipelined symmetric hash
-    join).  Expired tuples are dropped by watermark.
-
-    Output rows: ``(key, left_time, right_time)`` appended to the output
-    basket, which must have schema ``(key <type>, left_time timestamp,
-    right_time timestamp)``.
-    """
-
-    def __init__(
-        self,
-        left_basket: str,
-        right_basket: str,
-        left_key: str,
-        right_key: str,
-        window_seconds: float,
-        output_basket: str,
-    ):
-        if window_seconds <= 0:
-            raise DataCellError("join window must be positive")
-        self.left_basket = left_basket.lower()
-        self.right_basket = right_basket.lower()
-        self.left_key = left_key.lower()
-        self.right_key = right_key.lower()
-        self.window = float(window_seconds)
-        self.output_basket = output_basket.lower()
-        self._left: Dict[Any, List[float]] = {}
-        self._right: Dict[Any, List[float]] = {}
-        self._watermark = -math.inf
-        self.pairs_emitted = 0
-        self.probes = 0
-
-    # join buffers are factory saved-state too, checkpointed like the pane
-    # table as CRC-framed serde columns: per side, one key and one stamp
-    # per buffered tuple, in buffer order.  The key atom is the one the
-    # plan learned from its inputs (``_key_atom``)
-    def export_state(self) -> bytes:
-        atom = self._key_atom
-        frames = [
-            encode_column(AtomType.LNG, np.array([
-                JOIN_STATE_VERSION, self.pairs_emitted, self.probes,
-                sum(map(len, self._left.values())),
-                sum(map(len, self._right.values())),
-            ])),
-            encode_column(AtomType.DBL, np.array([self._watermark])),
-            encode_column(AtomType.STR, np.array([atom.value], dtype=object)),
-        ]
-        for buf in (self._left, self._right):
-            keys = [key for key, stamps in buf.items() for _ in stamps]
-            frames.append(encode_column(atom, np.array(
-                keys, dtype=object if atom is AtomType.STR
-                else numpy_dtype(atom),
-            )))
-            frames.append(encode_column(AtomType.DBL, np.array(
-                [stamp for stamps in buf.values() for stamp in stamps],
-                dtype=np.float64,
-            )))
-        return b"".join(pack_frame(frame) for frame in frames)
-
-    def import_state(self, blob: Optional[bytes]) -> None:
-        def corrupt(reason: str) -> DataCellError:
-            return DataCellError(
-                f"window join {self.describe()!r}: saved state {reason}"
-            )
-
-        if blob is None:
-            raise corrupt("expected in the checkpoint but not found")
-        frames, torn = frames_with_tail(blob)
-        if torn or len(frames) != 7:
-            raise corrupt("is corrupt (CRC or framing mismatch)")
-        header = decode_column(AtomType.LNG, frames[0]).tolist()
-        if len(header) != 5 or header[0] != JOIN_STATE_VERSION:
-            raise corrupt(f"has an unsupported format version {header[:1]}")
-        _, pairs, probes, n_left, n_right = header
-        watermark = decode_column(AtomType.DBL, frames[1])
-        atoms = decode_column(AtomType.STR, frames[2])
-        if len(watermark) != 1 or len(atoms) != 1:
-            raise corrupt("does not match its header")
-        try:
-            atom = AtomType(atoms[0])
-        except ValueError:
-            raise corrupt(f"names an unknown key atom {atoms[0]!r}") from None
-        buffers = []
-        for count, keys, stamps in (
-            (n_left, frames[3], frames[4]), (n_right, frames[5], frames[6])
-        ):
-            keys = decode_column(atom, keys).tolist()
-            stamps = decode_column(AtomType.DBL, stamps).tolist()
-            if len(keys) != count or len(stamps) != count:
-                raise corrupt("does not match its header")
-            buf: Dict[Any, List[float]] = {}
-            for key, stamp in zip(keys, stamps):
-                buf.setdefault(key, []).append(stamp)
-            buffers.append(buf)
-        self._left, self._right = buffers
-        self._watermark = float(watermark[0])
-        self._key_atom = atom
-        self.pairs_emitted, self.probes = pairs, probes
-
-    def nbytes(self) -> int:
-        from ..obs.resources import estimate_nbytes
-
-        return estimate_nbytes(self.__dict__)
-
-    def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
-        new_left = self._pull(snapshots.get(self.left_basket), self.left_key)
-        new_right = self._pull(
-            snapshots.get(self.right_basket), self.right_key
-        )
-        rows: List[Tuple[Any, float, float]] = []
-        # New left tuples probe the right buffer *before* new rights are
-        # inserted, and new rights probe the left buffer *after* new lefts
-        # were: new-left x old-right pairs come from the first loop,
-        # (old+new)-left x new-right pairs from the second — each pair is
-        # found exactly once.
-        for key, stamp in new_left:
-            self.probes += 1
-            for rstamp in self._right.get(key, ()):
-                if abs(stamp - rstamp) <= self.window:
-                    rows.append((key, stamp, rstamp))
-            self._left.setdefault(key, []).append(stamp)
-        for key, stamp in new_right:
-            self.probes += 1
-            for lstamp in self._left.get(key, ()):
-                if abs(stamp - lstamp) <= self.window:
-                    rows.append((key, lstamp, stamp))
-            self._right.setdefault(key, []).append(stamp)
-        self._expire()
-        self.pairs_emitted += len(rows)
-        if not rows:
-            return PlanOutput()
-        keys, lts, rts = zip(*rows)
-        key_atom = self._key_atom
-        result = ResultSet(
-            ["key", "left_time", "right_time"],
-            [
-                bat_from_values(key_atom, list(keys)),
-                bat_from_values(AtomType.TIMESTAMP, list(lts)),
-                bat_from_values(AtomType.TIMESTAMP, list(rts)),
-            ],
-        )
-        return PlanOutput(results={self.output_basket: result})
-
-    _key_atom = AtomType.LNG
-
-    def _pull(self, snap: Optional[BasketSnapshot], key_col: str):
-        if snap is None or snap.count == 0:
-            return []
-        keys = snap.column(key_col).python_list()
-        times = snap.column(TIME_COLUMN).tail.astype(np.float64)
-        if len(times):
-            self._watermark = max(self._watermark, float(times.max()))
-        if snap.column(key_col).atom is AtomType.STR:
-            self._key_atom = AtomType.STR
-        elif snap.column(key_col).atom is AtomType.DBL:
-            self._key_atom = AtomType.DBL
-        return [
-            (k, float(t)) for k, t in zip(keys, times) if k is not None
-        ]
-
-    def _expire(self) -> None:
-        horizon = self._watermark - self.window
-        for buf in (self._left, self._right):
-            dead = []
-            for key, stamps in buf.items():
-                stamps[:] = [s for s in stamps if s >= horizon]
-                if not stamps:
-                    dead.append(key)
-            for key in dead:
-                del buf[key]
-
-    def describe(self) -> str:
-        return (
-            f"window-join({self.left_basket}.{self.left_key} = "
-            f"{self.right_basket}.{self.right_key}, w={self.window}s)"
-        )

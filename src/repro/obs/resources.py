@@ -128,7 +128,8 @@ class QueryResourceAccount:
     consistent under the GIL, the set of fields is not an atomic cut
     (same contract as :meth:`DataCell.stats`).  The totals the registry
     exports (firing CPU and the four flow counters) live in tallies it
-    reads when it exposes them.
+    reads when it exposes them; activations and rows out are the
+    factory's own counts.
     """
 
     def __init__(self, name: str, tenant: str = "default"):
@@ -158,10 +159,8 @@ class QueryResourceAccount:
         # scheduler firings, one tally per transition like the CPU above
         self._factory_firings = Tally()
         self._emitter_firings = Tally()
-        # flow
-        self.activations = 0  # factory activations alone
+        # flow (activations and rows out are the factory's own counts)
         self._rows_in = Tally()
-        self._rows_out = Tally()
         self._bytes_in = Tally()
         self._bytes_out = Tally()
 
@@ -181,8 +180,13 @@ class QueryResourceAccount:
         return self._rows_in.value
 
     @property
+    def activations(self) -> int:
+        """Factory activations alone."""
+        return self.factory.activations
+
+    @property
     def rows_out(self) -> int:
-        return self._rows_out.value
+        return self.factory.total_out
 
     @property
     def bytes_in(self) -> int:
@@ -431,7 +435,7 @@ class ResourceAccountant:
             (self._m_cpu, account._factory_cpu),
             (self._m_cpu, account._emitter_cpu),
             (self._m_rows_in, account._rows_in),
-            (self._m_rows_out, account._rows_out),
+            (self._m_rows_out, handle.factory._tuples_out),
             (self._m_bytes_in, account._bytes_in),
             (self._m_bytes_out, account._bytes_out),
         ):
@@ -511,16 +515,13 @@ class ResourceAccountant:
         queue_wait: float,
         waited_tuples: int,
         rows_in: int,
-        rows_out: int,
         bytes_in: int,
         bytes_out: int,
     ) -> None:
         account.plan_cpu_seconds += plan_cpu
         account.queue_wait_seconds += queue_wait
         account.queue_wait_tuples += waited_tuples
-        account.activations += 1
         account._rows_in.value += rows_in
-        account._rows_out.value += rows_out
         account._bytes_in.value += bytes_in
         account._bytes_out.value += bytes_out
         if waited_tuples:

@@ -22,8 +22,9 @@ Session lifecycle and admission decisions are events in the cell's log
 (component ``server``), whether or not system streams are on.
 
 A plain HTTP ``GET`` on the same port is answered from
-:func:`telemetry_response` in its connection's coroutine, then closed;
-it is not a session (no ``max_sessions`` check, no session series).
+:func:`telemetry_response`, rendered on the loop's executor threads
+(``datacell-server-http``) so a slow scrape stalls no session, then
+closed; it is not a session (no ``max_sessions`` check, no session series).
 
 This module is the one place the server may read the wall clock
 (``HELLO_OK`` session timestamps) — it is on the engine-invariant
@@ -36,6 +37,7 @@ import asyncio
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
@@ -348,6 +350,11 @@ class DataCellServer:
 
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
+        # telemetry GETs render on these threads (named like every
+        # engine thread, so one left running shows as a leak)
+        loop.set_default_executor(ThreadPoolExecutor(
+            2, thread_name_prefix="datacell-server-http"
+        ))
         self._loop = loop
         asyncio.set_event_loop(loop)
         try:
@@ -370,6 +377,7 @@ class DataCellServer:
                     asyncio.gather(*pending, return_exceptions=True)
                 )
             loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
         finally:
             asyncio.set_event_loop(None)
             loop.close()
@@ -477,9 +485,13 @@ class DataCellServer:
             # counted before rendering, so a client that reads the
             # reply and then the tally never races the increment
             self.http_requests += 1
-            reply = _http_reply(*telemetry_response(
-                self.cell, request_line.split(" ")[1]
-            ))
+            # rendered off the loop thread, so a scrape does not stall
+            # every session's socket I/O
+            response = await asyncio.get_running_loop().run_in_executor(
+                None, telemetry_response, self.cell,
+                request_line.split(" ")[1],
+            )
+            reply = _http_reply(*response)
         except asyncio.LimitOverrunError:
             reply = _http_reply(431, "text/plain", "request head too long\n")
         except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):

@@ -47,7 +47,6 @@ from typing import Any, List, Optional, Tuple
 
 from ..adapters.channels import InMemoryChannel
 from ..core.engine import DataCell
-from ..core.windows import WindowMode, WindowSpec
 from ..durability import DurabilityConfig, RecoveryReport
 from ..kernel.types import AtomType, nil_value
 from ..testing import current_seed
@@ -82,7 +81,7 @@ class CrashSpec:
     """Everything that determines one crash episode, and nothing else.
 
     ``case`` is an oracle case name (plain continuous query) or
-    ``"window"`` (COUNT-window aggregate per ``window`` /
+    ``"window"`` (a SQL COUNT-window aggregate per ``window`` /
     ``window_aggregate``, grouped by a second column ``k`` of atom
     ``window_group`` when one is given).  No channel faults: the crash
     *is* the fault.
@@ -212,22 +211,28 @@ def _build(
     else:
         cell.add_receptor("tap", [STREAM], channel=channel)
     sim.bind_channel(CHANNEL, channel)
-    if spec.case == "window":
-        size, slide = spec.window
-        handle = cell.submit_window_aggregate(
-            STREAM,
-            "v",
-            [spec.window_aggregate],
-            WindowSpec(WindowMode.COUNT, size, slide),
-            group_by="k" if spec.window_group is not None else None,
-            name=QUERY,
-        )
-    else:
-        handle = cell.submit_continuous(
-            ORACLE_CASES[spec.case].continuous_sql, name=QUERY,
-            execution=spec.execution,
-        )
+    sql = (
+        _window_sql(spec) if spec.case == "window"
+        else ORACLE_CASES[spec.case].continuous_sql
+    )
+    handle = cell.submit_continuous(
+        sql, name=QUERY, execution=spec.execution
+    )
     return sim, cell, handle
+
+
+def _window_sql(spec: CrashSpec) -> str:
+    """The window case's SQL.  A grouped one aliases its aggregate and
+    lists it before the key, so recovery re-lowers a select list whose
+    order is not the plan's own."""
+    size, slide = spec.window
+    items, group = f"{spec.window_aggregate}(x.v)", ""
+    if spec.window_group is not None:
+        items, group = f"{items} as total, x.k", " group by x.k"
+    return (
+        f"select {items} from [select * from {STREAM}] as x{group} "
+        f"window {size} slide {slide}"
+    )
 
 
 def _reference_run(spec: CrashSpec) -> List[Row]:

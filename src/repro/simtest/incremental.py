@@ -404,24 +404,28 @@ def _run_time_window(
     Out-of-order arrival needs explicit stamps — receptor ingest always
     stamps "now" — so this kind bypasses channels and inserts straight
     into the basket, firing to quiescence on a seeded cadence.  The
-    engine's plan and the re-eval reference (registered by hand) see the
-    identical stamped sequence.
+    SQL ``WINDOW n SECONDS SLIDE m`` query and the re-eval reference
+    (registered by hand) see the identical stamped sequence.
     """
     size, slide = spec.window
     cell = DataCell(metrics=_quiet_metrics())
     cell.create_basket("s", [("v", AtomType.LNG), ("g", AtomType.STR)])
-    window = WindowSpec(WindowMode.TIME, size, slide)
     group_by = "g" if spec.grouped else None
     if reference:
         plan = ReEvalWindowAggregatePlan(
-            "s", "v", list(spec.aggregates), window, "w_out",
+            "s", "v", list(spec.aggregates),
+            WindowSpec(WindowMode.TIME, size, slide), "w_out",
             group_column=group_by,
         )
         handle = cell.submit_plan("w", plan, ["s"], plan.output_schema())
     else:
-        handle = cell.submit_window_aggregate(
-            "s", "v", list(spec.aggregates), window,
-            group_by=group_by, name="w",
+        # the reference's column order: the key, then the aggregates
+        key, group = ("x.g, ", " group by x.g") if group_by else ("", "")
+        aggs = ", ".join(f"{agg}(x.v)" for agg in spec.aggregates)
+        handle = cell.submit_continuous(
+            f"select {key}{aggs} from [select * from s] as x{group} "
+            f"window {size} seconds slide {slide} seconds",
+            name="w",
         )
     basket = cell.basket("s")
     rng = random.Random(f"datacell-time-window:{spec.seed}")

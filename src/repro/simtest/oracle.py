@@ -38,7 +38,6 @@ from ..adapters.channels import Channel, InMemoryChannel
 from ..baselines.reeval import NaiveReEvalWindow
 from ..core.continuous import ContinuousQuery
 from ..core.engine import DataCell
-from ..core.windows import WindowMode, WindowSpec
 from ..kernel.types import AtomType
 from ..obs.metrics import MetricsRegistry
 from .faults import FaultPlan, FaultableChannel
@@ -382,11 +381,9 @@ def run_window_differential(
         channel = FaultableChannel(channel, faults, sim.clock)
     cell.add_receptor("tap", [STREAM], channel=channel)
     sim.bind_channel(CHANNEL, channel)
-    handle = cell.submit_window_aggregate(
-        STREAM,
-        "v",
-        [aggregate],
-        WindowSpec(WindowMode.COUNT, size, slide),
+    handle = cell.submit_continuous(
+        f"select {aggregate}(x.v) from [select * from {STREAM}] as x "
+        f"window {size} slide {slide}"
     )
     handle.factory.inputs[0].min_tuples = min_tuples
     events = [

@@ -193,8 +193,9 @@ class TestContinuousQueries:
 class TestWindowApi:
     def test_window_aggregate(self, cell):
         cell.execute("create basket ticks (price double)")
-        q = cell.submit_window_aggregate(
-            "ticks", "price", ["avg"], WindowSpec(WindowMode.COUNT, 4, 2)
+        q = cell.submit_continuous(
+            "select avg(t.price) from [select * from ticks] as t "
+            "window 4 slide 2"
         )
         for i in range(8):
             cell.insert("ticks", [(float(i),)])
@@ -208,10 +209,13 @@ class TestWindowApi:
 
         cell.execute("create basket t1 (v double)")
         cell.execute("create basket t2 (v double)")
-        spec = WindowSpec(WindowMode.COUNT, 6, 3)
-        qi = cell.submit_window_aggregate("t1", "v", ["sum", "max"], spec)
+        qi = cell.submit_continuous(
+            "select sum(t.v), max(t.v) from [select * from t1] as t "
+            "window 6 slide 3"
+        )
         reference = ReEvalWindowAggregatePlan(
-            "t2", "v", ["sum", "max"], spec, "ref_out"
+            "t2", "v", ["sum", "max"], WindowSpec(WindowMode.COUNT, 6, 3),
+            "ref_out",
         )
         qr = cell.submit_plan(
             "ref", reference, ["t2"], reference.output_schema()
@@ -224,9 +228,9 @@ class TestWindowApi:
 
     def test_grouped_window_through_engine(self, cell):
         cell.execute("create basket s (g varchar(3), v double)")
-        q = cell.submit_window_aggregate(
-            "s", "v", ["sum"], WindowSpec(WindowMode.COUNT, 4),
-            group_by="g",
+        q = cell.submit_continuous(
+            "select x.g, sum(x.v) from [select * from s] as x "
+            "group by x.g window 4"
         )
         cell.insert("s", [("a", 1.0), ("a", 2.0), ("b", 4.0), ("b", 8.0)])
         cell.run_until_quiescent()

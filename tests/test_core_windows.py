@@ -18,7 +18,6 @@ from repro.core.factory import ConsumeMode, Factory, InputBinding
 from repro.baselines.reeval import ReEvalWindowAggregatePlan
 from repro.core import windows
 from repro.core.windows import (
-    SlidingWindowJoinPlan,
     WindowAggregatePlan,
     WindowMode,
     WindowSpec,
@@ -535,123 +534,3 @@ class TestPaneTable:
         with pytest.raises(DataCellError, match="version"):
             fresh.import_state(b"".join(pack_frame(f) for f in frames))
 
-
-class TestWindowJoin:
-    def drive(self, left_events, right_events, window=2.0,
-              key_atom=AtomType.LNG):
-        clock = LogicalClock()
-        left = Basket("l", [("k", key_atom)], clock)
-        right = Basket("r", [("k", key_atom)], clock)
-        out = Basket(
-            "j_out",
-            [("key", key_atom), ("left_time", AtomType.TIMESTAMP),
-             ("right_time", AtomType.TIMESTAMP)],
-            clock,
-        )
-        plan = SlidingWindowJoinPlan("l", "r", "k", "k", window, "j_out")
-        f = Factory(
-            "j", plan,
-            [InputBinding(left, ConsumeMode.ALL, min_tuples=0),
-             InputBinding(right, ConsumeMode.ALL, min_tuples=0)],
-            [out],
-        )
-        merged = sorted(
-            [("l", t, k) for t, k in left_events]
-            + [("r", t, k) for t, k in right_events],
-            key=lambda e: e[1],
-        )
-        for side, stamp, key in merged:
-            target = left if side == "l" else right
-            target.insert_rows([(key,)], timestamp=stamp)
-            # activate manually (both inputs may be empty)
-            f.activate()
-        return [r[:3] for r in out.rows()], plan
-
-    def test_matches_within_window(self):
-        rows, _ = self.drive(
-            left_events=[(0.0, 1), (5.0, 1)],
-            right_events=[(1.0, 1)],
-            window=2.0,
-        )
-        assert rows == [(1, 0.0, 1.0)]
-
-    def test_no_cross_key_matches(self):
-        rows, _ = self.drive(
-            left_events=[(0.0, 1)], right_events=[(0.5, 2)], window=5.0
-        )
-        assert rows == []
-
-    def test_symmetric(self):
-        rows, _ = self.drive(
-            left_events=[(1.0, 7)], right_events=[(0.5, 7)], window=1.0
-        )
-        assert rows == [(7, 1.0, 0.5)]
-
-    def test_matches_brute_force(self):
-        import itertools
-        import random
-
-        rng = random.Random(7)
-        left = [(round(rng.uniform(0, 10), 2), rng.randint(1, 3))
-                for _ in range(20)]
-        right = [(round(rng.uniform(0, 10), 2), rng.randint(1, 3))
-                 for _ in range(20)]
-        window = 1.5
-        rows, _ = self.drive(left, right, window)
-        expected = {
-            (lk, lt, rt)
-            for (lt, lk), (rt, rk) in itertools.product(left, right)
-            if lk == rk and abs(lt - rt) <= window
-        }
-        assert set(rows) == expected
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(DataCellError):
-            SlidingWindowJoinPlan("l", "r", "k", "k", 0, "o")
-
-    @pytest.mark.parametrize("keys", [(1, 2, 3), ("a", "b", "c")])
-    def test_state_round_trips_without_pickle(self, keys):
-        a, b, c = keys
-        _, plan = self.drive(
-            left_events=[(0.0, a), (0.5, b), (1.0, a)],
-            right_events=[(0.7, a), (1.2, c)],
-            window=5.0,
-            key_atom=AtomType.STR if a == "a" else AtomType.LNG,
-        )
-        blob = plan.export_state()
-        frames, torn = frames_with_tail(blob)  # serde frames, not pickle
-        assert not torn and len(frames) == 7
-        twin = SlidingWindowJoinPlan("l", "r", "k", "k", 5.0, "j_out")
-        twin.import_state(blob)
-        assert twin.export_state() == blob
-        assert (twin._left, twin._right) == (plan._left, plan._right)
-        assert twin._key_atom is plan._key_atom
-        assert (twin.pairs_emitted, twin.probes) == (2, 5)
-
-    def test_tampered_state_is_rejected(self):
-        _, plan = self.drive(
-            left_events=[(0.0, 1), (0.5, 2)], right_events=[(0.7, 1)],
-            window=5.0,
-        )
-        blob = plan.export_state()
-        fresh = SlidingWindowJoinPlan("l", "r", "k", "k", 5.0, "j_out")
-        for tampered in (
-            blob[:-1],  # torn tail
-            blob[:20] + bytes([blob[20] ^ 0xFF]) + blob[21:],  # CRC
-            None,
-        ):
-            with pytest.raises(DataCellError):
-                fresh.import_state(tampered)
-        frames, _ = frames_with_tail(blob)
-
-        def with_header(change):
-            header = decode_column(AtomType.LNG, frames[0])
-            change(header)
-            return b"".join(pack_frame(f) for f in (
-                encode_column(AtomType.LNG, header), *frames[1:]
-            ))
-
-        with pytest.raises(DataCellError, match="version"):
-            fresh.import_state(with_header(lambda h: h.__setitem__(0, 99)))
-        with pytest.raises(DataCellError, match="does not match"):
-            fresh.import_state(with_header(lambda h: h.__setitem__(3, 7)))

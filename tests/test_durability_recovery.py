@@ -15,7 +15,6 @@ import warnings
 import pytest
 
 from repro.core.engine import DataCell
-from repro.core.windows import WindowMode, WindowSpec
 from repro.durability import DurabilityConfig
 from repro.durability.wal import list_segments
 from repro.errors import DataCellError
@@ -93,23 +92,21 @@ def test_no_duplicates_across_repeated_crashes(tmp_path):
     cell3.durability.close()
 
 
+WINDOW_SQL = "select sum(f.v) from [select * from feed] as f window 4 slide 2"
+
+
 def test_window_aggregate_recovers_mid_window(tmp_path):
     def build(path):
         cell = DataCell(durability=DurabilityConfig(directory=path))
         cell.create_basket("feed", [("v", AtomType.INT)])
-        handle = cell.submit_window_aggregate(
-            "feed", "v", ["sum"],
-            WindowSpec(WindowMode.COUNT, 4, 2), name="q",
-        )
+        handle = cell.submit_continuous(WINDOW_SQL, name="q")
         return cell, handle
 
     # uninterrupted reference over the same 10 values
     values = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     ref_cell = DataCell()
     ref_cell.create_basket("feed", [("v", AtomType.INT)])
-    ref = ref_cell.submit_window_aggregate(
-        "feed", "v", ["sum"], WindowSpec(WindowMode.COUNT, 4, 2), name="q"
-    )
+    ref = ref_cell.submit_continuous(WINDOW_SQL, name="q")
     ref_cell.basket("feed").insert_rows([(v,) for v in values])
     ref_cell.run_until_quiescent()
     reference = sorted(ref.fetch())

@@ -172,9 +172,15 @@ class TestDeltaWindows:
         cell.create_basket("s", [("v", AtomType.LNG)])
         cell.create_basket("r", [("v", AtomType.LNG)])
         aggs = ["sum", "count", "min", "max"]
-        spec = WindowSpec(WindowMode.COUNT, size, slide)
-        handle = cell.submit_window_aggregate("s", "v", aggs, spec, name="w")
-        reference = ReEvalWindowAggregatePlan("r", "v", aggs, spec, "ref_out")
+        handle = cell.submit_continuous(
+            "select sum(x.v), count(x.v), min(x.v), max(x.v) "
+            f"from [select * from s] as x window {size} slide {slide}",
+            name="w",
+        )
+        reference = ReEvalWindowAggregatePlan(
+            "r", "v", aggs, WindowSpec(WindowMode.COUNT, size, slide),
+            "ref_out",
+        )
         ref = cell.submit_plan(
             "ref", reference, ["r"], reference.output_schema()
         )

@@ -363,6 +363,31 @@ class TestOneFrontDoor:
         dashboard = cell.render_dashboard()
         assert f"http={server.stats()['http_requests']}" in dashboard
 
+    def test_slow_render_does_not_stall_sessions(self, served, monkeypatch):
+        """A GET renders off the loop thread: while a slow scrape is in
+        flight, a PING on another connection gets its PONG at once."""
+        from repro.server import server as server_mod
+
+        _, server = served
+        route, rendering = server_mod.telemetry_response, threading.Event()
+
+        def slow(cell, target):
+            rendering.set()
+            time.sleep(0.5)
+            return route(cell, target)
+
+        monkeypatch.setattr(server_mod, "telemetry_response", slow)
+        base = "http://{}:{}".format(*server.address)
+        with DataCellClient(*server.address) as db:
+            scrape = threading.Thread(target=_get, args=(base, "/metrics"))
+            scrape.start()
+            try:
+                assert rendering.wait(10)
+                rtt = db.ping()
+            finally:
+                scrape.join(10)
+        assert rtt < 0.25
+
     def test_upgrade_without_key_is_400(self, served):
         _, server = served
         reply = _raw_reply(

@@ -12,9 +12,7 @@ import time
 
 import pytest
 
-from repro import (
-    DataCell, LogicalClock, MetricsRegistry, WindowMode, WindowSpec,
-)
+from repro import DataCell, LogicalClock, MetricsRegistry
 from repro.adapters.channels import format_tuple
 from repro.adapters.generators import network_packets
 from repro.core import receptor as receptor_mod
@@ -385,10 +383,11 @@ class TestSpanTreeGoldens:
             "from [select * from pkts_ids where pkts_ids.port = 31337] as p",
             name="intrusion",
         )
-        cell.submit_window_aggregate(
-            "pkts_vol", "size", ["sum", "count_star"],
-            WindowSpec(WindowMode.COUNT, 500, 250),
-            group_by="dst", name="volume",
+        cell.submit_continuous(
+            "select p.dst, sum(p.size), count(*) "
+            "from [select * from pkts_vol] as p "
+            "group by p.dst window 500 slide 250",
+            name="volume",
         )
         cell.submit_continuous(
             "select p.src, p.port from [select * from pkts_blk] as p "

@@ -5,17 +5,10 @@
 arrival order or batch boundaries.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataCell, LogicalClock
-from repro.core.basket import Basket
-from repro.core.clock import LogicalClock as LC
-from repro.core.factory import ConsumeMode, Factory, InputBinding
-from repro.core.windows import SlidingWindowJoinPlan
-from repro.kernel.types import AtomType
 
 
 class TestSelectionOrderInsensitive:
@@ -73,49 +66,3 @@ class TestSelectionOrderInsensitive:
 
         assert run(batch) == run(len(rows) or 1)
 
-
-class TestWindowJoinOutOfOrder:
-    def test_join_pairs_insensitive_to_interleaving(self):
-        """The symmetric window join finds the same pairs regardless of
-        the order the two streams' tuples interleave (within the window
-        bound, as the paper's multiset semantics promise)."""
-        rng = random.Random(3)
-        left = [(round(rng.uniform(0, 5), 2), rng.randint(1, 3))
-                for _ in range(15)]
-        right = [(round(rng.uniform(0, 5), 2), rng.randint(1, 3))
-                 for _ in range(15)]
-
-        def run(order_seed):
-            clock = LC()
-            lb = Basket("l", [("k", AtomType.LNG)], clock)
-            rb = Basket("r", [("k", AtomType.LNG)], clock)
-            out = Basket(
-                "o",
-                [("key", AtomType.LNG), ("lt", AtomType.TIMESTAMP),
-                 ("rt", AtomType.TIMESTAMP)],
-                clock,
-            )
-            plan = SlidingWindowJoinPlan("l", "r", "k", "k", 10.0, "o")
-            f = Factory(
-                "j", plan,
-                [InputBinding(lb, ConsumeMode.ALL, min_tuples=0,
-                              optional=True),
-                 InputBinding(rb, ConsumeMode.ALL, min_tuples=0,
-                              optional=True)],
-                [out],
-            )
-            events = (
-                [("l", t, k) for t, k in left]
-                + [("r", t, k) for t, k in right]
-            )
-            random.Random(order_seed).shuffle(events)
-            for side, stamp, key in events:
-                target = lb if side == "l" else rb
-                target.insert_rows([(key,)], timestamp=stamp)
-                f.activate()
-            return sorted(r[:3] for r in out.rows())
-
-        first = run(1)
-        assert first, "fixture must produce matches"
-        for seed in (2, 3, 4):
-            assert run(seed) == first

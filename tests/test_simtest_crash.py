@@ -14,6 +14,7 @@ from repro.core.emitter import Emitter
 from repro.kernel.types import INT_NIL, AtomType
 from repro.simtest.crash import (
     CrashSpec,
+    _build,
     check_crash_episode,
     crash_episode_spec,
 )
@@ -109,7 +110,54 @@ def test_grouped_window_episode_recovers_its_key_map(atom):
     assert result.crashed
     assert result.ok, result.explain()
     assert result.pre_crash and result.post_recovery
-    assert None in {row[1] for row in result.post_recovery}
+    # rows are (window_id, total, k): the harness lists the key last
+    assert None in {row[2] for row in result.post_recovery}
+
+
+@pytest.mark.parametrize("atom", [AtomType.STR, AtomType.INT])
+def test_sql_window_with_reordered_select_list_recovers(atom):
+    """The window episodes register SQL text, so recovery re-lowers it:
+    an aliased aggregate listed before its key survives kill-and-restart
+    byte for byte, NIL keys included."""
+    nil = None if atom is AtomType.STR else int(INT_NIL)
+    domain = ["x", "y"] if atom is AtomType.STR else [1, 2]
+    spec = CrashSpec(
+        seed=47,
+        rows=tuple(
+            (v, nil if v % 4 == 0 else domain[v // 3 % 2]) for v in range(30)
+        ),
+        case="window",
+        window=(4, 2),
+        window_aggregate="sum",
+        window_group=atom,
+        policy="random",
+        batch_size=2,
+        crash_after=11,
+        checkpoint_every=3,
+        fsync="always",
+    )
+    _, _, handle = _build(spec, None)
+    assert handle.sql == (
+        "select sum(x.v) as total, x.k from [select * from feed] as x "
+        "group by x.k window 4 slide 2"
+    )
+    assert [c.name for c in handle.output_basket.schema.columns][:3] == [
+        "window_id", "total", "k",
+    ]
+    result = check_crash_episode(spec)
+    assert result.crashed
+    assert result.ok, result.explain()
+    assert result.pre_crash and result.post_recovery
+    assert None in {row[2] for row in result.reference}
+
+
+def test_window_episodes_register_sql():
+    """Window episodes take the users' route: SQL text, lowered."""
+    for index in range(40):
+        spec = crash_episode_spec(index, base_seed=0)
+        if spec.case == "window":
+            _, _, handle = _build(spec, None)
+            assert "window" in handle.sql
 
 
 def test_crash_with_telemetry_sampling_is_byte_identical():
