@@ -4,9 +4,10 @@ Two references bound the engine's :class:`~repro.core.windows
 .WindowAggregatePlan` from the slow side:
 
 * :class:`ReEvalWindowAggregatePlan` — §3.1's re-evaluation route as a
-  continuous plan: buffer the raw tuples, rescan every window extent from
-  scratch when it closes.  Same constructor and output rows as the engine
-  plan, so the oracles and property tests compare the two row for row;
+  continuous plan: buffer the raw tuples, answer every window extent
+  from scratch when it closes, with the kernel operators of a one-time
+  GROUP BY.  Same constructor and output rows as the engine plan, so
+  the oracles and property tests compare the two row for row;
 * :class:`NaiveReEvalWindow` — the worst case: re-evaluate the full
   window after *every* arriving tuple (no batching, no summaries).
 """
@@ -14,177 +15,144 @@ Two references bound the engine's :class:`~repro.core.windows
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.basket import BasketSnapshot, TIME_COLUMN
-from ..core.factory import PlanOutput
-from ..core.windows import WindowMode, _WindowAggregateBase
+from ..core.factory import ContinuousPlan, PlanOutput
+from ..core.windows import WindowMode, WindowSpec
 from ..errors import DataCellError
-from ..kernel.aggregate import AggregateState
-from ..kernel.bat import bat_from_values
+from ..kernel.aggregate import aggregate_atom, grouped_aggregate
+from ..kernel.bat import BAT, bat_from_values
+from ..kernel.group import group
 from ..kernel.mal import ResultSet
+from ..kernel.types import AtomType
 
 __all__ = ["ReEvalWindowAggregatePlan", "NaiveReEvalWindow"]
 
 
-class ReEvalWindowAggregatePlan(_WindowAggregateBase):
+class ReEvalWindowAggregatePlan(ContinuousPlan):
     """Full re-evaluation of every window extent.
 
-    Keeps the raw tuples of all open windows buffered; each emission scans
-    the complete window from scratch, which is exactly what a plain DBMS
-    plan would do when re-run — no state is reused between slides.
+    Keeps the raw tuples of all open windows buffered as BATs.  Each
+    window that closes is answered from its rows alone by the operators
+    behind a one-time GROUP BY — the kernel's ``group.group`` over the
+    window's keys (groups in order of first arrival) and
+    ``grouped_aggregate`` per aggregate — so no state is reused between
+    slides, and result atoms and NULLs are the kernel's.  The
+    constructor is the engine plan's.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._values: List[np.ndarray] = []
-        self._nils: List[np.ndarray] = []
-        self._times: List[np.ndarray] = []
-        self._groups: List[List[Any]] = []
+    def __init__(
+        self,
+        input_basket: str,
+        value_column: str,
+        aggregates: Sequence[str],
+        spec: WindowSpec,
+        output_basket: str,
+        group_column: Optional[str] = None,
+        group_atom: AtomType = AtomType.STR,
+        value_atom: AtomType = AtomType.DBL,
+    ):
+        self.input_basket = input_basket.lower()
+        self.value_column = value_column.lower()
+        self.aggregates = list(aggregates)
+        self.spec = spec
+        self.output_basket = output_basket.lower()
+        self.group_column = group_column.lower() if group_column else None
+        self.group_atom = group_atom
+        self.value_atom = value_atom
+        self.next_window = 0
+        self.values_processed = 0  # tuples the window scans read
+        self.windows_emitted = 0
+        self._buffer: Dict[str, BAT] = {
+            TIME_COLUMN: BAT(AtomType.TIMESTAMP),
+            self.value_column: BAT(value_atom),
+        }
+        if self.group_column:
+            self._buffer[self.group_column] = BAT(group_atom)
         self._offset = 0  # stream position of the buffer head
 
-    # -- buffering ------------------------------------------------------
-    def _buffered(self):
-        values = (
-            np.concatenate(self._values)
-            if self._values
-            else np.empty(0, dtype=np.float64)
-        )
-        nils = (
-            np.concatenate(self._nils)
-            if self._nils
-            else np.empty(0, dtype=bool)
-        )
-        times = (
-            np.concatenate(self._times)
-            if self._times
-            else np.empty(0, dtype=np.float64)
-        )
-        groups: Optional[List[Any]]
+    def output_schema(self) -> List[Tuple[str, AtomType]]:
+        """``window_id``, the group key and the aggregates, in order."""
+        cols: List[Tuple[str, AtomType]] = [("window_id", AtomType.LNG)]
         if self.group_column:
-            groups = [g for chunk in self._groups for g in chunk]
-        else:
-            groups = None
-        return values, nils, times, groups
+            cols.append((self.group_column, self.group_atom))
+        return cols + [
+            (name, aggregate_atom(name, self.value_atom))
+            for name in self.aggregates
+        ]
 
     def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
         snap = snapshots[self.input_basket]
         if snap.count:
-            value_bat = snap.column(self.value_column)
-            nils = value_bat.nil_positions()
-            self._values.append(
-                np.where(nils, 0.0, value_bat.tail.astype(np.float64))
-            )
-            self._nils.append(nils)
-            self._times.append(
-                snap.column(TIME_COLUMN).tail.astype(np.float64)
-            )
-            if self.group_column:
-                # python values keep the key's atom; NIL becomes None
-                self._groups.append(
-                    snap.column(self.group_column).python_list()
-                )
+            for name, bat in self._buffer.items():
+                bat.append_bat(snap.column(name))
         rows: List[Tuple[Any, ...]] = []
-        while True:
-            row_batch = self._try_emit()
-            if row_batch is None:
-                break
-            rows.extend(row_batch)
+        positions = self._closed_window()
+        while positions is not None:
+            rows.extend(self._evaluate(self.next_window, positions))
+            self.next_window += 1
+            self.windows_emitted += 1
+            self._expire()
+            positions = self._closed_window()
         if not rows:
             return PlanOutput()
         schema = self.output_schema()
-        columns = self._arrange(list(zip(*rows)))
         bats = [
             bat_from_values(atom, list(col))
-            for (_, atom), col in zip(schema, columns)
+            for (_, atom), col in zip(schema, zip(*rows))
         ]
         result = ResultSet([name for name, _ in schema], bats)
         return PlanOutput(results={self.output_basket: result})
 
-    # -- emission -------------------------------------------------------
-    def _try_emit(self) -> Optional[List[Tuple[Any, ...]]]:
-        values, nils, times, groups = self._buffered()
+    def _closed_window(self) -> Optional[np.ndarray]:
+        """Buffer positions of the next window's rows once it has closed,
+        else None."""
         k = self.next_window
+        start, end = self.spec.window_start(k), self.spec.window_end(k)
+        times = self._buffer[TIME_COLUMN].tail
         if self.spec.mode is WindowMode.COUNT:
-            start = int(self.spec.window_start(k)) - self._offset
-            end = int(self.spec.window_end(k)) - self._offset
-            if len(values) < end:
+            if self._offset + len(times) < end:
                 return None
-            in_window = slice(start, end)
-        else:
-            if len(times) == 0:
-                return None
-            watermark = float(times.max())
-            if watermark < self.spec.window_end(k):
-                return None
-            mask = (times >= self.spec.window_start(k)) & (
-                times < self.spec.window_end(k)
-            )
-            in_window = np.flatnonzero(mask)
-        rows = self._evaluate_window(k, values, nils, groups, in_window)
-        self.next_window += 1
-        self._expire()
-        self.windows_emitted += 1
-        return rows
+            return np.arange(int(start), int(end)) - self._offset
+        if not len(times) or times.max() < end:
+            return None
+        return np.flatnonzero((times >= start) & (times < end))
 
-    def _evaluate_window(self, k, values, nils, groups, in_window):
-        wvals = values[in_window]
-        wnils = nils[in_window]
-        self.values_processed += int(len(wvals))
-        if groups is None:
-            state = AggregateState()
-            state.add_array(wvals[~wnils])
-            return [self._row(k, None, state, int(len(wvals)))]
-        if isinstance(in_window, slice):
-            wgroups = groups[in_window]
-        else:
-            wgroups = [groups[i] for i in in_window]
-        per_group: Dict[Any, AggregateState] = {}
-        stars: Dict[Any, int] = {}
-        for value, nil, grp in zip(wvals, wnils, wgroups):
-            stars[grp] = stars.get(grp, 0) + 1
-            state = per_group.setdefault(grp, AggregateState())
-            if not nil:
-                state.add_value(float(value))
-        return [
-            self._row(k, grp, per_group[grp], stars[grp])
-            for grp in per_group
-        ]
-
-    def _row(self, k, group, state: AggregateState, star: int):
-        row: List[Any] = [k]
+    def _evaluate(self, k: int, positions: np.ndarray):
+        """Rows of window ``k``, whose tuples are at buffer ``positions``."""
+        self.values_processed += len(positions)
         if self.group_column:
-            row.append(group)
-        for name in self.aggregates:
-            if name == "count_star":
-                row.append(star)
-            else:
-                value = state.result(name)
-                if name == "count":
-                    row.append(value)
-                else:
-                    row.append(None if value is None else float(value))
-        return tuple(row)
+            keys = self._buffer[self.group_column]
+            gids, extents, ngroups = group(keys, positions)
+            columns = [keys.take_positions(positions[extents]).python_list()]
+        else:
+            zeros = np.zeros(len(positions), dtype=np.int64)
+            gids, ngroups = BAT.adopt(AtomType.OID, zeros), 1
+            columns = []
+        values = self._buffer[self.value_column]
+        columns += [
+            grouped_aggregate(name, values, gids, ngroups, positions)
+            .python_list()
+            for name in self.aggregates
+        ]
+        return [(k, *row) for row in zip(*columns)]
 
     def _expire(self) -> None:
-        """Drop buffer prefix no future window can reference."""
-        values, nils, times, groups = self._buffered()
+        """Drop the buffer prefix no future window can reference."""
+        start = self.spec.window_start(self.next_window)
+        times = self._buffer[TIME_COLUMN].tail
         if self.spec.mode is WindowMode.COUNT:
-            keep_from = int(self.spec.window_start(self.next_window))
-            drop = keep_from - self._offset
-            if drop <= 0:
-                return
-            keep = slice(drop, None)
-            self._offset = keep_from
+            keep = np.arange(int(start) - self._offset, len(times))
+            self._offset = int(start)
         else:
-            keep = times >= self.spec.window_start(self.next_window)
-        self._values = [values[keep]]
-        self._nils = [nils[keep]]
-        self._times = [times[keep]]
-        if groups is not None:
-            self._groups = [list(np.array(groups, dtype=object)[keep])]
+            keep = np.flatnonzero(times >= start)
+        self._buffer = {
+            name: bat.take_positions(keep)
+            for name, bat in self._buffer.items()
+        }
 
     def describe(self) -> str:
         return f"reeval-window({self.aggregates}, {self.spec})"

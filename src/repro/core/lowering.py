@@ -103,9 +103,11 @@ def lower_window(
     if len(shape.keys) > 1:
         raise fail("GROUP BY must name a single stream column")
     basket = source.basket
-    value = shape.value_column
-    if value is not None and basket.schema.atom(value) is AtomType.STR:
-        # the pane table's partials are float64; a string has none
+    # a count(*)-only query never reads its values
+    value = shape.value_column or TIME_COLUMN
+    value_atom = basket.schema.atom(value)
+    if value_atom is AtomType.STR:
+        # the pane table's partials are numeric; a string has none
         raise BindError(
             f"WINDOW queries: aggregates over VARCHAR column {value!r} "
             "are not supported"
@@ -113,13 +115,13 @@ def lower_window(
     key = shape.keys[0] if shape.keys else None
     plan = WindowAggregatePlan(
         basket.name,
-        # a count(*)-only query never reads its values
-        value or TIME_COLUMN,
+        value,
         list(shape.aggregates),
         query.window,
         output_basket,
         group_column=key,
         group_atom=basket.schema.atom(key) if key else AtomType.STR,
+        value_atom=value_atom,
     )
     # the plan's own order is (window_id, key, aggregates)
     first_agg = 1 + len(shape.keys)

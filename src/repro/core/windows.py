@@ -41,6 +41,7 @@ from ..durability.serde import (
     pack_frame,
 )
 from ..errors import DataCellError
+from ..kernel.aggregate import AGGREGATE_NAMES, aggregate_atom, store_numeric
 from ..kernel.bat import BAT
 from ..kernel.group import group
 from ..kernel.mal import ResultSet
@@ -111,72 +112,14 @@ def basic_window_width(spec: WindowSpec) -> float:
     return math.gcd(a, b) / scale
 
 
-def _aggregate_atom(name: str) -> AtomType:
-    return AtomType.LNG if name in ("count", "count_star") else AtomType.DBL
-
-
-class _WindowAggregateBase(ContinuousPlan):
-    """Configuration and output schema, shared with the re-eval reference.
-
-    ``group_atom`` is the atom of the group column: keys keep it from
-    basket to output row.
-    """
-
-    def __init__(
-        self,
-        input_basket: str,
-        value_column: str,
-        aggregates: Sequence[str],
-        spec: WindowSpec,
-        output_basket: str,
-        group_column: Optional[str] = None,
-        group_atom: AtomType = AtomType.STR,
-    ):
-        bad = [a for a in aggregates if a not in
-               ("sum", "count", "count_star", "avg", "min", "max")]
-        if bad:
-            raise DataCellError(f"unknown window aggregates: {bad}")
-        if not aggregates:
-            raise DataCellError("window plan needs at least one aggregate")
-        self.input_basket = input_basket.lower()
-        self.value_column = value_column.lower()
-        self.aggregates = list(aggregates)
-        self.spec = spec
-        self.output_basket = output_basket.lower()
-        self.group_column = group_column.lower() if group_column else None
-        self.group_atom = group_atom
-        self.next_window = 0
-        self.values_processed = 0  # tuples touched by aggregation work
-        self.windows_emitted = 0
-        #: the columns after ``window_id`` as a SQL select list orders and
-        #: names them: (name, position in the plan's own order); None
-        #: keeps that order (window id, group?, aggregates)
-        self.layout: Optional[List[Tuple[str, int]]] = None
-
-    def output_schema(self) -> List[Tuple[str, AtomType]]:
-        """Schema of the rows this plan emits."""
-        cols: List[Tuple[str, AtomType]] = [("window_id", AtomType.LNG)]
-        if self.group_column:
-            cols.append((self.group_column, self.group_atom))
-        for name in self.aggregates:
-            cols.append((name, _aggregate_atom(name)))
-        if self.layout is None:
-            return cols
-        return cols[:1] + [(name, cols[i][1]) for name, i in self.layout]
-
-    def _arrange(self, columns: List[Any]) -> List[Any]:
-        """Columns in the plan's own order → the output schema's."""
-        if self.layout is None:
-            return columns
-        return columns[:1] + [columns[i] for _, i in self.layout]
-
-
-#: pane-table planes.  Counts are float64 too (exact below 2**53), so the
-#: table is one array that grows, trims and checkpoints as a unit.
+#: pane-table planes: one array that grows, trims and checkpoints as a
+#: unit, int64 over an integral value atom (every partial exact) and
+#: float64 otherwise
 STARS, COUNT, SUM, MIN, MAX, FIRST = range(6)
-_IDENTITY = np.array([0.0, 0.0, 0.0, np.inf, -np.inf, np.inf])[:, None, None]
-#: format version of :meth:`WindowAggregatePlan.export_state`
-STATE_VERSION = 1
+#: format version of :meth:`WindowAggregatePlan.export_state`.  Version
+#: 1 is version 2 with a float64 table whatever the value atom, so only
+#: a plan whose table is float64 restores it
+STATE_VERSION = 2
 
 
 def _time_panes(times: np.ndarray, bw: float) -> np.ndarray:
@@ -189,7 +132,7 @@ def _time_panes(times: np.ndarray, bw: float) -> np.ndarray:
     return panes.astype(np.int64)
 
 
-class WindowAggregatePlan(_WindowAggregateBase):
+class WindowAggregatePlan(ContinuousPlan):
     """Sliding/tumbling window aggregate over a pane table.
 
     The table has one row per pane and one column per group key; its
@@ -206,21 +149,78 @@ class WindowAggregatePlan(_WindowAggregateBase):
     firings.  Groups are emitted in order of first arrival — the re-eval
     reference's row order.  ``values_processed`` counts tuples reduced
     into the table: each tuple once, whatever the overlap.
+
+    ``group_atom`` and ``value_atom`` are the atoms of the group and
+    value columns.  Keys keep theirs from basket to output row; results
+    take the kernel's :func:`~repro.kernel.aggregate.aggregate_atom` of
+    the value atom and its NULL storage, as a one-time GROUP BY does.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.bw = basic_window_width(self.spec)
-        self._slide_panes = int(round(self.spec.slide / self.bw))
-        self._size_panes = int(round(self.spec.size / self.bw))
-        self._table = np.empty((6, 0, 1))
+    def __init__(
+        self,
+        input_basket: str,
+        value_column: str,
+        aggregates: Sequence[str],
+        spec: WindowSpec,
+        output_basket: str,
+        group_column: Optional[str] = None,
+        group_atom: AtomType = AtomType.STR,
+        value_atom: AtomType = AtomType.DBL,
+    ):
+        bad = [a for a in aggregates if a not in AGGREGATE_NAMES]
+        if bad:
+            raise DataCellError(f"unknown window aggregates: {bad}")
+        if not aggregates:
+            raise DataCellError("window plan needs at least one aggregate")
+        self.input_basket = input_basket.lower()
+        self.value_column = value_column.lower()
+        self.aggregates = list(aggregates)
+        self.spec = spec
+        self.output_basket = output_basket.lower()
+        self.group_column = group_column.lower() if group_column else None
+        self.group_atom = group_atom
+        self.value_atom = value_atom
+        self._atoms = [aggregate_atom(a, value_atom) for a in aggregates]
+        self.next_window = 0
+        self.values_processed = 0  # tuples touched by aggregation work
+        self.windows_emitted = 0
+        #: the columns after ``window_id`` as a SQL select list orders and
+        #: names them: (name, position in the plan's own order); None
+        #: keeps that order (window id, group?, aggregates)
+        self.layout: Optional[List[Tuple[str, int]]] = None
+        self.bw = basic_window_width(spec)
+        self._slide_panes = int(round(spec.slide / self.bw))
+        self._size_panes = int(round(spec.size / self.bw))
+        self._table_atom = (
+            AtomType.LNG if value_atom.is_integral else AtomType.DBL
+        )
+        dtype = numpy_dtype(self._table_atom)
+        hi = np.iinfo(dtype).max if value_atom.is_integral else np.inf
+        self._identity = np.array([0, 0, 0, hi, -hi, hi], dtype)
+        self._table = np.empty((6, 0, 1), dtype)
         self._origin = 0  # absolute pane of table row 0
         self._top = 0  # one past the highest pane holding data
         self._codes: Dict[Any, int] = {}  # group key -> table column
         self._nil = -1  # the NIL key's table column, once seen
-        self._keys = np.empty(0, dtype=numpy_dtype(self.group_atom))
+        self._keys = np.empty(0, dtype=numpy_dtype(group_atom))
         self._position = 0  # tuples ingested: stream position, arrival seq
         self._watermark = -math.inf
+
+    def output_schema(self) -> List[Tuple[str, AtomType]]:
+        """Schema of the rows this plan emits."""
+        cols: List[Tuple[str, AtomType]] = [("window_id", AtomType.LNG)]
+        if self.group_column:
+            cols.append((self.group_column, self.group_atom))
+        cols += zip(self.aggregates, self._atoms)
+        if self.layout is None:
+            return cols
+        return cols[:1] + [(name, cols[i][1]) for name, i in self.layout]
+
+    def _arrange(self, columns: List[Any]) -> List[Any]:
+        """Columns in the plan's own order → the output schema's."""
+        if self.layout is None:
+            return columns
+        return columns[:1] + [columns[i] for _, i in self.layout]
 
     def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
         snap = snapshots[self.input_basket]
@@ -230,9 +230,9 @@ class WindowAggregatePlan(_WindowAggregateBase):
 
     # -- ingest ---------------------------------------------------------
     def _ingest(self, snap: BasketSnapshot) -> None:
-        value_bat = snap.column(self.value_column)
+        value_bat = self._column(snap, self.value_column, self.value_atom)
         nils = value_bat.nil_positions()
-        values = value_bat.tail.astype(np.float64)
+        values = value_bat.tail.astype(self._table.dtype)
         seq = np.arange(self._position, self._position + len(values))
         self._position += len(values)
         self.values_processed += len(values)
@@ -255,29 +255,36 @@ class WindowAggregatePlan(_WindowAggregateBase):
         top = int(panes.max()) + 1
         self._reserve(top, max(len(self._keys), 1))
         # each tuple folds straight into its (pane, group) cell; every
-        # operand is float64, as a casting ufunc.at is many times slower
+        # operand is in the table's dtype, as a casting ufunc.at is many
+        # times slower
         cells = (panes - self._origin) * self._table.shape[2] + codes
         flat = self._table.reshape(6, -1)
-        np.add.at(flat[STARS], cells, 1.0)
-        np.add.at(flat[COUNT], cells, 1.0 - nils)
-        np.add.at(flat[SUM], cells, np.where(nils, 0.0, values))
-        np.minimum.at(flat[MIN], cells, np.where(nils, np.inf, values))
-        np.maximum.at(flat[MAX], cells, np.where(nils, -np.inf, values))
-        np.minimum.at(flat[FIRST], cells, seq.astype(np.float64))
+        ident = self._identity
+        np.add.at(flat[STARS], cells, flat.dtype.type(1))
+        np.add.at(flat[COUNT], cells, (~nils).astype(flat.dtype))
+        np.add.at(flat[SUM], cells, np.where(nils, ident[SUM], values))
+        np.minimum.at(flat[MIN], cells, np.where(nils, ident[MIN], values))
+        np.maximum.at(flat[MAX], cells, np.where(nils, ident[MAX], values))
+        np.minimum.at(flat[FIRST], cells, seq.astype(flat.dtype, copy=False))
         self._top = max(self._top, top)
+
+    def _column(self, snap: BasketSnapshot, name: str, atom: AtomType) -> BAT:
+        """Column ``name`` of ``snap``, which must hold the atom the plan
+        was built for."""
+        bat = snap.column(name)
+        if bat.atom is not atom:
+            raise DataCellError(
+                f"window column {name!r} is {bat.atom.value}, the plan "
+                f"was built for {atom.value}"
+            )
+        return bat
 
     def _group_codes(self, snap: BasketSnapshot) -> np.ndarray:
         """Persistent table column of each tuple's group key, by a dict
         probe.  A snapshot with an unseen key is first factorised by the
         kernel's ``group.group``, which gives its new keys columns in
         order of first arrival."""
-        bat = snap.column(self.group_column)
-        if bat.atom is not self.group_atom:
-            raise DataCellError(
-                f"window group column {self.group_column!r} is "
-                f"{bat.atom.value}, the plan was built for "
-                f"{self.group_atom.value}"
-            )
+        bat = self._column(snap, self.group_column, self.group_atom)
         codes = self._probe(bat.tail)
         if (codes < 0).any():
             _, extents, _ = group(bat)
@@ -318,8 +325,8 @@ class WindowAggregatePlan(_WindowAggregateBase):
             6,
             max(2 * (max(top, self._top) - first), 8),
             cols if groups <= cols else max(groups, 2 * cols),
-        ))
-        table[:] = _IDENTITY
+        ), self._table.dtype)
+        table[:] = self._identity[:, None, None]
         table[:, : keep.shape[1], :cols] = keep
         self._table, self._origin = table, first
 
@@ -370,7 +377,7 @@ class WindowAggregatePlan(_WindowAggregateBase):
                 panes[:MIN], cuts, axis=1
             )[:, ::2]
         else:
-            prefix = np.zeros((MIN, span + 1, groups))
+            prefix = np.zeros((MIN, span + 1, groups), panes.dtype)
             np.cumsum(panes[:MIN], axis=1, out=prefix[:, 1:])
             stars, count, total = prefix[:, ends] - prefix[:, starts]
         if self.group_column:
@@ -381,34 +388,31 @@ class WindowAggregatePlan(_WindowAggregateBase):
             win = np.arange(k1 - k0)
             col = np.zeros_like(win)
         n = count[win, col]
-        empty = n == 0
-        columns = [k0 + win]
+        columns = [BAT.adopt(AtomType.LNG, k0 + win)]
         if self.group_column:
-            columns.append(self._keys[col])
-        for name in self.aggregates:
+            columns.append(BAT.adopt(self.group_atom, self._keys[col]))
+        # each column is stored by the kernel's rule, as a one-time
+        # GROUP BY stores it: the counts as they are, every other
+        # aggregate NULL in a window cell without a value
+        for name, atom in zip(self.aggregates, self._atoms):
+            counts = n
             if name == "count_star":
-                columns.append(stars[win, col])
-                continue
-            if name == "count":
-                columns.append(n)
-                continue
-            if name == "min":
+                value, counts = stars[win, col], None
+            elif name == "count":
+                value, counts = count[win, col], None
+            elif name == "min":
                 value = fold(MIN, np.minimum)[win, col]
             elif name == "max":
                 value = fold(MAX, np.maximum)[win, col]
             elif name == "sum":
                 value = total[win, col]
             else:
-                value = total[win, col] / np.where(empty, 1.0, n)
-            columns.append(np.where(empty, np.nan, value))
+                value = total[win, col] / np.maximum(n, 1)
+            columns.append(store_numeric(atom, value, counts))
         self.next_window = k1
         self.windows_emitted += k1 - k0
-        schema = self.output_schema()
-        bats = [
-            BAT.adopt(atom, values.astype(numpy_dtype(atom), copy=False))
-            for (_, atom), values in zip(schema, self._arrange(columns))
-        ]
-        result = ResultSet([name for name, _ in schema], bats)
+        names = [name for name, _ in self.output_schema()]
+        result = ResultSet(names, self._arrange(columns))
         return PlanOutput(results={self.output_basket: result})
 
     def tuples_needed(self) -> Optional[int]:
@@ -440,7 +444,7 @@ class WindowAggregatePlan(_WindowAggregateBase):
         return b"".join(pack_frame(column) for column in (
             encode_column(AtomType.LNG, np.array(header)),
             encode_column(AtomType.DBL, np.array([self._watermark])),
-            encode_column(AtomType.DBL, live.ravel()),
+            encode_column(self._table_atom, live.ravel()),
             encode_column(self.group_atom, self._keys),
         ))
 
@@ -456,11 +460,17 @@ class WindowAggregatePlan(_WindowAggregateBase):
         if torn or len(frames) != 4:
             raise corrupt("is corrupt (CRC or framing mismatch)")
         header = decode_column(AtomType.LNG, frames[0]).tolist()
-        if len(header) != 7 or header[0] != STATE_VERSION:
-            raise corrupt(f"has an unsupported format version {header[:1]}")
+        readable = (STATE_VERSION,) + (
+            (1,) if self._table_atom is AtomType.DBL else ()
+        )
+        if len(header) != 7 or header[0] not in readable:
+            raise corrupt(
+                f"has an unsupported format version {header[:1]} for a "
+                f"{self._table_atom.value} pane table"
+            )
         _, k, emitted, processed, position, rows, cols = header
         watermark = decode_column(AtomType.DBL, frames[1])
-        table = decode_column(AtomType.DBL, frames[2])
+        table = decode_column(self._table_atom, frames[2])
         keys = decode_column(self.group_atom, frames[3])
         if (len(watermark) != 1 or cols < max(len(keys), 1)
                 or table.size != 6 * rows * cols):

@@ -202,7 +202,7 @@ class RetractableAggState:
         return None
 
     def result(self, name: str) -> Any:
-        """Answer aggregate ``name`` (SQL NULL rules, as AggregateState)."""
+        """Answer aggregate ``name`` (SQL NULL rules)."""
         if name == "count_star":
             return self.star
         if name == "count":

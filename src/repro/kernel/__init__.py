@@ -5,7 +5,7 @@ lists, a MAL-style operator algebra, a catalog, and a MAL interpreter that
 executes compiled query plans.  See DESIGN.md §"System inventory" item 1.
 """
 
-from .aggregate import AggregateState, grouped_aggregate
+from .aggregate import grouped_aggregate
 from .bat import BAT, bat_from_values, check_aligned, empty_bat
 from .catalog import Catalog, ColumnDef, Schema, Table
 from .interpreter import MalInterpreter
@@ -28,6 +28,5 @@ __all__ = [
     "ResultSet",
     "Var",
     "MalInterpreter",
-    "AggregateState",
     "grouped_aggregate",
 ]

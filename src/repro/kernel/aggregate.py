@@ -7,17 +7,13 @@ row carries group id 0 and the group count is 1.
 SQL NULL semantics throughout: NULL inputs are skipped; a group with no
 value yields NULL for SUM/AVG/MIN/MAX and 0 for COUNT.  ``count_star``
 counts tuples regardless of NULLs.  Results are typed with
-:func:`aggregate_atom`.
-
-:class:`AggregateState` is a per-tuple mergeable summary
-(count/sum/min/max); only the re-evaluation reference
-(``repro.baselines.reeval``) uses it.
+:func:`aggregate_atom` and stored by :func:`store_numeric`, the two
+rules the window plan (``repro.core.windows``) follows too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +26,7 @@ from .types import AtomType, nil_mask, nil_value, numpy_dtype
 __all__ = [
     "aggregate_atom",
     "grouped_aggregate",
-    "AggregateState",
+    "store_numeric",
     "AGGREGATE_NAMES",
 ]
 
@@ -82,12 +78,12 @@ def grouped_aggregate(
     if len(gids) != len(tail):
         raise KernelError("groups BAT not aligned with aggregate input")
     if name == "count_star":
-        return _store_numeric(out_atom, _group_counts(gids, ngroups), None)
+        return store_numeric(out_atom, _group_counts(gids, ngroups), None)
     if nil.any():
         valid = ~nil
         gids, tail = gids[valid], tail[valid]
     if name == "count":
-        return _store_numeric(out_atom, _group_counts(gids, ngroups), None)
+        return store_numeric(out_atom, _group_counts(gids, ngroups), None)
     if bat.atom is AtomType.STR:
         return _grouped_str(name, tail, gids, ngroups)
     counts = _group_counts(gids, ngroups)
@@ -99,7 +95,7 @@ def grouped_aggregate(
             sums = np.bincount(gids, weights=floats, minlength=ngroups)
         with np.errstate(invalid="ignore", divide="ignore"):
             res = sums / np.maximum(counts, 1)
-        return _store_numeric(out_atom, res, counts)
+        return store_numeric(out_atom, res, counts)
     # integral atoms reduce in int64 so SUM/MIN/MAX stay exact past 2**53
     exact = bat.atom.is_integral
     values = tail.astype(np.int64 if exact else np.float64, copy=False)
@@ -111,7 +107,7 @@ def grouped_aggregate(
     else:
         fill = np.iinfo(np.int64).min if exact else -np.inf
         res = _reduce(np.maximum, fill, gids, values, ngroups)
-    return _store_numeric(out_atom, res, counts)
+    return store_numeric(out_atom, res, counts)
 
 
 def _group_counts(gids: np.ndarray, ngroups: int) -> np.ndarray:
@@ -134,7 +130,7 @@ def _reduce(ufunc, fill, gids, values, ngroups) -> np.ndarray:
     return res
 
 
-def _store_numeric(
+def store_numeric(
     atom: AtomType, values: np.ndarray, counts: Optional[np.ndarray]
 ) -> BAT:
     """Store per-group numeric results as ``atom``, NULLing the groups
@@ -167,66 +163,3 @@ def _grouped_str(name, tail, gids, ngroups) -> BAT:
     out = BAT(AtomType.STR, capacity=max(ngroups, 1))
     out.append_array(res)
     return out
-
-
-@dataclass
-class AggregateState:
-    """A mergeable aggregate summary — the basic-window ``bw`` summary.
-
-    Holds enough state to answer SUM/COUNT/AVG/MIN/MAX without re-reading
-    the covered tuples, and to merge with neighbouring summaries in O(1).
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: Optional[float] = None
-    maximum: Optional[float] = None
-
-    def add_value(self, value: float) -> None:
-        """Fold one non-NULL value into the summary."""
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    def add_array(self, values: np.ndarray) -> None:
-        """Fold an array of non-NULL values into the summary."""
-        if len(values) == 0:
-            return
-        self.count += int(len(values))
-        self.total += float(values.sum())
-        lo, hi = float(values.min()), float(values.max())
-        if self.minimum is None or lo < self.minimum:
-            self.minimum = lo
-        if self.maximum is None or hi > self.maximum:
-            self.maximum = hi
-
-    def merge(self, other: "AggregateState") -> "AggregateState":
-        """Return the summary of the union of the two covered ranges."""
-        merged = AggregateState(
-            count=self.count + other.count,
-            total=self.total + other.total,
-        )
-        mins = [m for m in (self.minimum, other.minimum) if m is not None]
-        maxs = [m for m in (self.maximum, other.maximum) if m is not None]
-        merged.minimum = min(mins) if mins else None
-        merged.maximum = max(maxs) if maxs else None
-        return merged
-
-    def result(self, name: str) -> Any:
-        """Answer aggregate ``name`` from the summary (SQL NULL rules)."""
-        if name in ("count", "count_star"):
-            return self.count
-        if self.count == 0:
-            return None
-        if name == "sum":
-            return self.total
-        if name == "avg":
-            return self.total / self.count
-        if name == "min":
-            return self.minimum
-        if name == "max":
-            return self.maximum
-        raise KernelError(f"unknown aggregate {name!r}")

@@ -415,7 +415,7 @@ def _run_time_window(
         plan = ReEvalWindowAggregatePlan(
             "s", "v", list(spec.aggregates),
             WindowSpec(WindowMode.TIME, size, slide), "w_out",
-            group_column=group_by,
+            group_column=group_by, value_atom=AtomType.LNG,
         )
         handle = cell.submit_plan("w", plan, ["s"], plan.output_schema())
     else:

@@ -531,11 +531,6 @@ class _SelectCompiler:
                 key_vars.append((expr_key(gexpr), var, atom))
                 grp_var, ext_var, n_var = self._group(var, grp_var)
             groups = (Var(grp_var), Var(n_var))
-        elif not all(is_aggregate(item.expr) for item in query.items):
-            raise BindError(
-                "without GROUP BY the select list may contain only "
-                "aggregates"
-            )
         # 2. aggregate columns (each aggregate once).  Without GROUP BY
         # every row is in group 0 of 1, so an empty input still gives
         # one row; the group ids align with the first aggregate's input.

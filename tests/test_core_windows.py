@@ -33,6 +33,15 @@ from repro.errors import DataCellError
 from repro.kernel.types import AtomType
 
 AGGS = ["sum", "count", "count_star", "avg", "min", "max"]
+#: drawn values per value atom: BIGINT values just past 2**53, where
+#: float64 loses the low bits, and sums of 80 below 2**63
+VALUES_OF = {
+    AtomType.DBL: st.floats(-100, 100),
+    AtomType.INT: st.integers(-(2**31) + 1, 2**31 - 1),
+    AtomType.LNG: st.one_of(
+        st.integers(-(2**56), 2**56), st.integers(2**53 + 1, 2**53 + 99)
+    ),
+}
 
 
 class TestWindowSpec:
@@ -79,17 +88,32 @@ def assert_rows_close(expected, got, key_columns=1):
                 assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def assert_rows_exact(expected, got, aggs, key_columns=1):
+    """Same rows in the same order and every aggregate exact, but avg
+    up to float rounding: the plan divides an exact int64 sum, the
+    kernel a float64 one."""
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert a[:key_columns] == b[:key_columns]
+        for name, x, y in zip(aggs, a[key_columns:], b[key_columns:]):
+            if name == "avg" and x is not None and y is not None:
+                assert math.isclose(x, y, rel_tol=1e-12)
+            else:
+                assert x == y
+
+
 def drive_count_window(plan_cls, spec, values, chunks=5, aggs=None,
-                       groups=None, group_atom=AtomType.STR):
+                       groups=None, group_atom=AtomType.STR,
+                       value_atom=AtomType.DBL):
     clock = LogicalClock()
-    columns = [("v", AtomType.DBL)]
+    columns = [("v", value_atom)]
     if groups is not None:
         columns.append(("g", group_atom))
     inp = Basket("w_in", columns, clock)
     plan = plan_cls(
         "w_in", "v", aggs or AGGS, spec, "w_out",
         group_column="g" if groups is not None else None,
-        group_atom=group_atom,
+        group_atom=group_atom, value_atom=value_atom,
     )
     out = Basket("w_out", plan.output_schema(), clock)
     factory = Factory("w", plan, [InputBinding(inp, ConsumeMode.ALL)], [out])
@@ -153,22 +177,31 @@ class TestCountWindows:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(
-            st.one_of(st.floats(-100, 100), st.none()),
-            min_size=0, max_size=80,
-        ),
+        st.sampled_from(list(VALUES_OF)),
         st.integers(1, 12),
         st.data(),
     )
-    def test_routes_equivalent(self, values, size, data):
+    def test_routes_equivalent(self, atom, size, data):
+        """Over an integral atom the plan's int64 partials are exact, so
+        the plan and the kernel's one-time aggregates agree exactly,
+        BIGINT values past 2**53 included."""
+        values = data.draw(st.lists(
+            st.one_of(VALUES_OF[atom], st.none()), max_size=80
+        ))
         slide = data.draw(st.integers(1, size))
         chunks = data.draw(st.integers(1, 6))
         spec = WindowSpec(WindowMode.COUNT, size, slide)
-        r1, _ = drive_count_window(
-            ReEvalWindowAggregatePlan, spec, values, chunks
+        r1, ref = drive_count_window(
+            ReEvalWindowAggregatePlan, spec, values, chunks, value_atom=atom
         )
-        r2, _ = drive_count_window(WindowAggregatePlan, spec, values, chunks)
-        assert_rows_close(r1, r2)
+        r2, plan = drive_count_window(
+            WindowAggregatePlan, spec, values, chunks, value_atom=atom
+        )
+        assert plan.output_schema() == ref.output_schema()
+        if atom is AtomType.DBL:
+            assert_rows_close(r1, r2)
+        else:
+            assert_rows_exact(r1, r2, AGGS)
 
     def test_incremental_touches_each_tuple_once(self):
         values = list(map(float, range(100)))
@@ -534,3 +567,62 @@ class TestPaneTable:
         with pytest.raises(DataCellError, match="version"):
             fresh.import_state(b"".join(pack_frame(f) for f in frames))
 
+    def test_integral_state_round_trips_exactly(self):
+        """A BIGINT partial sum past 2**53 is checkpointed as LNG: the
+        restored plan closes the window with the exact sum."""
+        spec = WindowSpec(WindowMode.COUNT, 4)
+        values = [2**53 + 1, 2, 2**60 + 3]
+        _, plan = drive_count_window(
+            WindowAggregatePlan, spec, values, 1, ["sum", "max"],
+            value_atom=AtomType.LNG,
+        )
+        twin = WindowAggregatePlan(
+            "w_in", "v", ["sum", "max"], spec, "w_out",
+            value_atom=AtomType.LNG,
+        )
+        twin.import_state(plan.export_state())
+        assert twin.export_state() == plan.export_state()
+        clock = LogicalClock()
+        inp = Basket("w_in", [("v", AtomType.LNG)], clock)
+        out = Basket("w_out", twin.output_schema(), clock)
+        factory = Factory(
+            "w", twin, [InputBinding(inp, ConsumeMode.ALL)], [out]
+        )
+        inp.insert_rows([(5,)])
+        factory.activate()
+        assert [r[:-1] for r in out.rows()] == [
+            (0, sum(values) + 5, 2**60 + 3)
+        ]
+
+    def test_version_1_state_restores_only_a_float_table(self):
+        """Version 1 wrote every pane table as float64.  A DOUBLE plan
+        reads it as its own table and answers as before; an integral
+        plan refuses it rather than decode float partials as LNG."""
+        spec = WindowSpec(WindowMode.COUNT, 6, 2)
+        values = [float(i % 5) for i in range(23)]
+        _, plan = drive_count_window(
+            WindowAggregatePlan, spec, values, 3, AGGS
+        )
+        frames, _ = frames_with_tail(plan.export_state())
+        header = decode_column(AtomType.LNG, frames[0])
+        header[0] = 1
+        frames[0] = encode_column(AtomType.LNG, header)
+        v1 = b"".join(pack_frame(f) for f in frames)
+        twin = WindowAggregatePlan("w_in", "v", AGGS, spec, "w_out")
+        twin.import_state(v1)
+        assert twin.export_state() == plan.export_state()
+
+        ints = [i % 5 for i in range(23)]
+        _, lng = drive_count_window(
+            WindowAggregatePlan, spec, ints, 3, AGGS,
+            value_atom=AtomType.LNG,
+        )
+        frames, _ = frames_with_tail(lng.export_state())
+        table = decode_column(AtomType.LNG, frames[2])
+        frames[0] = encode_column(AtomType.LNG, header)
+        frames[2] = encode_column(AtomType.DBL, table.astype(np.float64))
+        fresh = WindowAggregatePlan(
+            "w_in", "v", AGGS, spec, "w_out", value_atom=AtomType.LNG
+        )
+        with pytest.raises(DataCellError, match="version"):
+            fresh.import_state(b"".join(pack_frame(f) for f in frames))

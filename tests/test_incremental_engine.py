@@ -179,7 +179,7 @@ class TestDeltaWindows:
         )
         reference = ReEvalWindowAggregatePlan(
             "r", "v", aggs, WindowSpec(WindowMode.COUNT, size, slide),
-            "ref_out",
+            "ref_out", value_atom=AtomType.LNG,
         )
         ref = cell.submit_plan(
             "ref", reference, ["r"], reference.output_schema()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError, TypeMismatchError
-from repro.kernel.aggregate import AggregateState, grouped_aggregate
+from repro.kernel.aggregate import grouped_aggregate
 from repro.kernel.bat import bat_from_values
 from repro.kernel.calc import const_bat
 from repro.kernel.group import distinct_positions, group, subgroup
@@ -211,50 +211,6 @@ class TestGroupedAggregates:
         groups, _, n = group(ints([1, 2]))
         with pytest.raises(KernelError):
             grouped_aggregate("sum", ints([1]), groups, n)
-
-
-class TestAggregateState:
-    def test_add_and_result(self):
-        s = AggregateState()
-        for v in (1.0, 5.0, 3.0):
-            s.add_value(v)
-        assert s.result("count") == 3
-        assert s.result("sum") == 9.0
-        assert s.result("avg") == 3.0
-        assert s.result("min") == 1.0
-        assert s.result("max") == 5.0
-
-    def test_empty_results(self):
-        s = AggregateState()
-        assert s.result("count") == 0
-        assert s.result("sum") is None
-        assert s.result("min") is None
-
-    def test_merge_equals_bulk(self):
-        a, b = AggregateState(), AggregateState()
-        a.add_array(np.array([1.0, 2.0]))
-        b.add_array(np.array([10.0]))
-        merged = a.merge(b)
-        ref = AggregateState()
-        ref.add_array(np.array([1.0, 2.0, 10.0]))
-        assert merged.result("sum") == ref.result("sum")
-        assert merged.result("min") == ref.result("min")
-        assert merged.result("max") == ref.result("max")
-        assert merged.result("count") == ref.result("count")
-
-    @given(
-        st.lists(st.floats(-100, 100), max_size=50),
-        st.lists(st.floats(-100, 100), max_size=50),
-    )
-    def test_merge_commutes(self, left, right):
-        a, b = AggregateState(), AggregateState()
-        a.add_array(np.asarray(left))
-        b.add_array(np.asarray(right))
-        ab, ba = a.merge(b), b.merge(a)
-        for name in ("count", "min", "max"):
-            assert ab.result(name) == ba.result(name)
-        if ab.count:
-            assert abs(ab.result("sum") - ba.result("sum")) < 1e-9
 
 
 class TestSort:

@@ -91,7 +91,8 @@ class TestWindowsUnderAdversity:
         clock = LogicalClock()
         inp = Basket("s", [("v", AtomType.INT)], clock)
         plan = ReEvalWindowAggregatePlan(
-            "s", "v", ["sum"], WindowSpec(WindowMode.COUNT, 7, 3), "o"
+            "s", "v", ["sum"], WindowSpec(WindowMode.COUNT, 7, 3), "o",
+            value_atom=AtomType.INT,
         )
         out = Basket("o", plan.output_schema(), clock)
         factory = Factory("ref", plan, [InputBinding(inp)], [out])

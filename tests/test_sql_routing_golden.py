@@ -535,14 +535,14 @@ GOLDEN = {
     ),
     ("engine:window", "reeval"): (
         "WindowAggregatePlan",
-        "window_id:LNG k:INT sum:DBL min:DBL count_star:LNG",
+        "window_id:LNG k:INT sum:LNG min:INT count_star:LNG",
         False,
         "reeval",
         None,
     ),
     ("engine:window", "incremental"): (
         "WindowAggregatePlan",
-        "window_id:LNG k:INT sum:DBL min:DBL count_star:LNG",
+        "window_id:LNG k:INT sum:LNG min:INT count_star:LNG",
         False,
         "reeval",
         None,
@@ -688,10 +688,14 @@ GOLDEN = {
         "aggregate arguments must be plain stream columns",
     ),
     ("shape:expression-item", "reeval"): (
-        "error", "BindError",
+        "MalContinuousPlan", "col0:LNG", False, "reeval", None,
     ),
     ("shape:expression-item", "incremental"): (
-        "error", "BindError",
+        "MalContinuousPlan",
+        "col0:LNG",
+        False,
+        "reeval",
+        "select items must be group keys or aggregate calls",
     ),
     ("shape:group-expression", "reeval"): (
         "MalContinuousPlan", "sum:LNG", False, "reeval", None,
@@ -833,14 +837,14 @@ GOLDEN = {
     ),
     ("window:group-key-atom", "reeval"): (
         "WindowAggregatePlan",
-        "window_id:LNG k:INT sum:DBL count_star:LNG",
+        "window_id:LNG k:INT sum:LNG count_star:LNG",
         False,
         "reeval",
         None,
     ),
     ("window:group-key-atom", "incremental"): (
         "WindowAggregatePlan",
-        "window_id:LNG k:INT sum:DBL count_star:LNG",
+        "window_id:LNG k:INT sum:LNG count_star:LNG",
         False,
         "reeval",
         None,
@@ -965,28 +969,28 @@ GOLDEN = {
     ),
     ("window:alias", "reeval"): (
         "WindowAggregatePlan",
-        "window_id:LNG key:INT total:DBL",
+        "window_id:LNG key:INT total:LNG",
         False,
         "reeval",
         None,
     ),
     ("window:alias", "incremental"): (
         "WindowAggregatePlan",
-        "window_id:LNG key:INT total:DBL",
+        "window_id:LNG key:INT total:LNG",
         False,
         "reeval",
         None,
     ),
     ("window:item-order", "reeval"): (
         "WindowAggregatePlan",
-        "window_id:LNG sum:DBL k:INT",
+        "window_id:LNG sum:LNG k:INT",
         False,
         "reeval",
         None,
     ),
     ("window:item-order", "incremental"): (
         "WindowAggregatePlan",
-        "window_id:LNG sum:DBL k:INT",
+        "window_id:LNG sum:LNG k:INT",
         False,
         "reeval",
         None,
@@ -2323,6 +2327,40 @@ continuous select [0]
   from [0]
     basket feed [1]
   aggregate [3]
+  result [1]""",
+    ),
+    ("shape:expression-item", "reeval"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := batcalc.const(0, x.b, 'oid')
+    v3 := aggr.subsum(x.b, v2, 1)
+    v4 := batcalc.const(1, v3, 'lng')
+    v5 := batcalc.+(v3, v4)
+    v6 := sql.resultset(('col0',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [4]
+  result [1]""",
+    ),
+    ("shape:expression-item", "incremental"): (
+        """\
+function q(x.a, x.b, x.dc_time):
+    v1 := algebra.densecands(x.a)
+    v2 := batcalc.const(0, x.b, 'oid')
+    v3 := aggr.subsum(x.b, v2, 1)
+    v4 := batcalc.const(1, v3, 'lng')
+    v5 := batcalc.+(v3, v4)
+    v6 := sql.resultset(('col0',), v5)
+    return v6;
+--
+continuous select [0]
+  from [0]
+    basket feed [1]
+  aggregate [4]
   result [1]""",
     ),
     ("shape:group-expression", "reeval"): (

@@ -1,9 +1,12 @@
 """Tests for the WINDOW n [SLIDE m] language extension (§3.1 as syntax)."""
 
+import math
+
 import pytest
 
 from repro import DataCell, LogicalClock
 from repro.errors import BindError, SqlError, SqlSyntaxError
+from repro.kernel.types import AtomType
 from repro.sql.parser import parse_select
 
 
@@ -128,12 +131,12 @@ class TestExecution:
         cell.insert("s", [(a, 1), (nil, 2), (a, 3), (nil, 4), (b, 5), (b, 6)])
         cell.run_until_quiescent()
         assert q.fetch() == [
-            (0, a, 4.0, 2), (0, None, 6.0, 2),
-            (1, a, 3.0, 1), (1, None, 4.0, 1), (1, b, 11.0, 2),
+            (0, a, 4, 2), (0, None, 6, 2),
+            (1, a, 3, 1), (1, None, 4, 1), (1, b, 11, 2),
         ]
-        assert cell.basket(f"{q.name}_out").schema.atom("k") is (
-            cell.basket("s").schema.atom("k")
-        )
+        schema = cell.basket(f"{q.name}_out").schema
+        assert schema.atom("k") is cell.basket("s").schema.atom("k")
+        assert schema.atom("sum") is AtomType.LNG  # the kernel's INT sum
 
     def test_select_list_aliases_name_the_columns(self, cell):
         """Regression: WINDOW queries ignored select-list aliases."""
@@ -194,6 +197,95 @@ class TestExecution:
         )
         feed(cell)
         assert cell.basket("ticks").count == 0
+
+
+#: every aggregate of one value column, as a select list
+EVERY_AGGREGATE = (
+    "sum(x.v) s, count(x.v) c, count(*) n, avg(x.v) a, min(x.v) lo, "
+    "max(x.v) hi"
+)
+
+
+def output_atoms(cell, handle, skip=()):
+    return [
+        col.atom for col in cell.basket(f"{handle.name}_out").schema
+        if col.name not in ("dc_time", *skip)
+    ]
+
+
+class TestWindowAnswersLikeItsBatch:
+    """A ``WINDOW n`` query fed n-row batches answers each batch as the
+    same SELECT without WINDOW does: the same rows and output atoms,
+    once the window id is stripped.  Each query has a cell of its own,
+    as two queries over one basket compete for its tuples."""
+
+    N = 4
+    VALUES = {
+        "int": [7, None, -3, 7, None, None, None, None, 2**31 - 1, 1, -5, 0],
+        "bigint": [2**53 + 1, 2, None, -(2**60), None, None, None, None,
+                   2**62, 2**53, 3, None],
+        "double": [0.5, None, -2.25, 1e15, None, None, None, None,
+                   3.0, 0.1, 0.2, None],
+    }
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("ddl", sorted(VALUES))
+    def test_same_rows_and_atoms(self, ddl, grouped):
+        key, group = ("x.k, ", " group by x.k") if grouped else ("", "")
+        sql = f"select {key}{EVERY_AGGREGATE} from [select * from s] as x{group}"
+        cells, handles = [], []
+        for window in (f" window {self.N}", ""):
+            cell = DataCell(clock=LogicalClock())
+            cell.execute(f"create basket s (k int, v {ddl})")
+            cells.append(cell)
+            handles.append(cell.submit_continuous(sql + window))
+        values = self.VALUES[ddl]
+        rows = [(i % 3 or None, v) for i, v in enumerate(values)]
+        for start in range(0, len(rows), self.N):
+            for cell in cells:
+                cell.insert("s", rows[start : start + self.N])
+                cell.run_until_quiescent()
+            windowed, batch = (handle.fetch() for handle in handles)
+            assert [r[0] for r in windowed] == [start // self.N] * len(batch)
+            assert len(windowed) == len(batch)
+            avg = grouped + 3  # after the key, the sum and the counts
+            for got, want in zip(windowed, batch):
+                got = got[1:]
+                assert got[:avg] + got[avg + 1 :] == want[:avg] + want[avg + 1 :]
+                if want[avg] is None or got[avg] is None:
+                    assert got[avg] == want[avg]
+                else:
+                    assert math.isclose(got[avg], want[avg], rel_tol=1e-12)
+        windowed_atoms, batch_atoms = (
+            output_atoms(cell, handle)
+            for cell, handle in zip(cells, handles)
+        )
+        assert windowed_atoms == [AtomType.LNG] + batch_atoms
+
+    def test_int_and_bigint_windows_are_exact(self):
+        """The probe answers: an INT window sums to LNG and keeps INT
+        min/max; a BIGINT window is exact past 2**53."""
+        cell = DataCell(clock=LogicalClock())
+        cell.execute("create basket si (i int)")
+        cell.execute("create basket sx (x bigint)")
+        ints = cell.submit_continuous(
+            "select sum(z.i), min(z.i), max(z.i) "
+            "from [select * from si] as z window 2"
+        )
+        bigs = cell.submit_continuous(
+            "select sum(z.x), max(z.x) from [select * from sx] as z window 2"
+        )
+        cell.insert("si", [(1,), (2,)])
+        cell.insert("sx", [(2**53 + 1,), (2,)])
+        cell.run_until_quiescent()
+        assert ints.fetch() == [(0, 3, 1, 2)]
+        assert output_atoms(cell, ints) == [
+            AtomType.LNG, AtomType.LNG, AtomType.INT, AtomType.INT,
+        ]
+        assert bigs.fetch() == [(0, 9007199254740995, 9007199254740993)]
+        assert output_atoms(cell, bigs, skip=("window_id",)) == [
+            AtomType.LNG, AtomType.LNG,
+        ]
 
 
 class TestValidation:

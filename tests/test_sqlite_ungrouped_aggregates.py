@@ -5,7 +5,10 @@ group.  Each query below runs on the engine and on sqlite over the same
 rows: as a one-time query over a 40-row table, and as a continuous query
 whose every firing must answer what sqlite answers over that firing's
 batch.  The rows carry NULLs in every column and BIGINT values above
-2**53, where a float64 reduction would round.  The same rows check
+2**53, where a float64 reduction would round.  A select-list
+expression over the aggregates is one more query; a bare column beside
+an aggregate, which sqlite answers from an arbitrary row, is rejected.
+The same rows check
 one-time UNION [ALL] chains whose trailing ORDER BY / LIMIT orders and
 cuts the whole chain.
 """
@@ -17,6 +20,8 @@ import sqlite3
 import pytest
 
 from repro import DataCell
+from repro.errors import BindError
+from repro.incremental import integrate_weighted_rows
 
 SCHEMA = "(i int, x bigint, d double, s varchar(8))"
 WORDS = ("pear", "apple", "fig", "kiwi", "Plum", "date")
@@ -41,6 +46,12 @@ def make_rows(n=40, seed=7):
 
 ROWS = make_rows()
 
+#: expressions over aggregates without GROUP BY, past 2**53 too
+EXPRESSION_QUERY = (
+    "select max({a}i) - min({a}i) spread, sum({a}x) + count(*) sn, "
+    "avg({a}d) * 2 ad2 from {src}"
+)
+
 #: queries over ``{src}``, the table or the basket expression, whose
 #: columns ``{a}`` qualifies; a continuous query's output columns need
 #: distinct names
@@ -59,6 +70,8 @@ QUERIES = (
     "select sum({a}i) from {src} having count(*) > 100",
     "select count({a}x) from {src} having max({a}s) < 'q'",
     "select max({a}d) from {src} having sum({a}x) < 0",
+    # expressions over the aggregates: the one row, computed after them
+    EXPRESSION_QUERY,
 )
 
 
@@ -146,3 +159,48 @@ def test_union_order_limit_matches_sqlite(sql):
     cell.execute(f"create table t {SCHEMA}")
     cell.insert("t", ROWS)
     same(cell.query(sql), sqlite_answer(sql, ROWS))
+
+
+def test_bare_column_beside_an_aggregate_is_rejected():
+    """sqlite answers with the column of an arbitrary row; the engine
+    rejects the column that is neither grouped nor aggregated."""
+    sql = "select i, max(i) from t"
+    assert len(sqlite_answer(sql, ROWS)) == 1
+    cell = DataCell()
+    cell.execute(f"create table t {SCHEMA}")
+    with pytest.raises(BindError, match="must appear in GROUP BY or inside"):
+        cell.query(sql)
+
+
+@pytest.mark.parametrize("template", [
+    "select sum({a}i) si, count(*) n from {src}", EXPRESSION_QUERY,
+])
+def test_incremental_form_matches_or_falls_back(template):
+    """In incremental mode a query either runs as a circuit, whose
+    integrated rows answer every batch so far, or falls back to re-eval
+    with a reason and answers each batch on its own."""
+    cell = DataCell(execution="incremental")
+    cell.execute(f"create basket b {SCHEMA}")
+    query = cell.submit_continuous(
+        template.format(a="z.", src="[select * from b] as z"), name="q"
+    )
+    reference = template.format(a="", src="t")
+    fallbacks = dict(cell.incremental_fallbacks)
+    assert query.weighted != ("q" in fallbacks)
+    delivered = []
+    try:
+        start = 0
+        for size in (1, 7, 12, 20):
+            batch = ROWS[start:start + size]
+            start += size
+            cell.insert("b", batch)
+            cell.run_until_quiescent()
+            if query.weighted:
+                delivered += query.fetch()
+                same(integrate_weighted_rows(delivered),
+                     sqlite_answer(reference, ROWS[:start]))
+            else:
+                assert fallbacks["q"]
+                same(query.fetch(), sqlite_answer(reference, batch))
+    finally:
+        cell.stop()
