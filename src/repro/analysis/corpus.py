@@ -4,7 +4,7 @@ Two halves, both CI-gated:
 
 * a **good corpus** of continuous-query shapes drawn from the test and
   benchmark suites (filters, expressions, string/math functions, CASE,
-  GROUP BY with every aggregate, deltas/joins on the incremental path).
+  GROUP BY with every aggregate, aggregate and join views).
   Every entry must register cleanly (the engine verifies at
   registration) *and* produce zero error diagnostics — a false positive
   here is a CI failure.
@@ -39,62 +39,53 @@ __all__ = [
     "main",
 ]
 
-# (name, query, execution) — schemas created by _make_cell() below.
-GOOD_QUERIES: List[Tuple[str, str, str]] = [
-    ("passthrough", "select * from [select * from trades] as x", "reeval"),
+# (name, query) — schemas created by _make_cell() below.
+GOOD_QUERIES: List[Tuple[str, str]] = [
+    ("passthrough", "select * from [select * from trades] as x"),
     (
         "inner-filter",
         "select * from [select * from trades where trades.price > 5.0] as x",
-        "reeval",
     ),
     (
         "outer-filter",
         "select x.sym, x.price from [select * from trades] as x "
         "where x.qty >= 10 and x.price < 100.0",
-        "reeval",
     ),
     (
         "arith-projection",
         "select x.sym, x.price * x.qty, -x.qty from "
         "[select * from trades] as x",
-        "reeval",
     ),
     (
         "string-functions",
         "select upper(x.sym), length(x.sym), substring(x.sym, 1, 2) "
         "from [select * from trades] as x where x.sym like 'A%'",
-        "reeval",
     ),
     (
         "math-functions",
         "select abs(x.price), sqrt(x.price), round(x.price, 2), "
         "floor(x.qty) from [select * from trades] as x",
-        "reeval",
     ),
     (
         "case-when",
         "select x.sym, case when x.price > 50.0 then 1 else 0 end "
         "from [select * from trades] as x",
-        "reeval",
     ),
     (
         "between-in",
         "select x.sym from [select * from trades] as x "
         "where x.price between 1.0 and 9.0 and x.qty in (1, 2, 3)",
-        "reeval",
     ),
     (
         "scalar-aggregates",
         "select sum(x.price), count(*), avg(x.qty) from "
         "[select * from trades] as x",
-        "reeval",
     ),
     (
         "group-by-all-aggregates",
         "select x.sym, sum(x.qty), count(x.qty), avg(x.price), "
         "min(x.qty), max(x.price) from [select * from trades] as x "
         "group by x.sym",
-        "reeval",
     ),
     (
         "group-min-int",
@@ -102,50 +93,43 @@ GOOD_QUERIES: List[Tuple[str, str, str]] = [
         # keep the INT atom through the emitter boundary
         "select x.sym, min(x.qty), max(x.qty) from "
         "[select * from trades] as x group by x.sym",
-        "reeval",
     ),
     (
         "inner-limit",
         "select * from [select * from trades limit 3] as x",
-        "reeval",
     ),
     (
         "distinct",
         "select distinct x.sym from [select * from trades] as x",
-        "reeval",
     ),
     (
         "isnull",
         "select x.sym from [select * from trades] as x "
         "where x.price is not null",
-        "reeval",
     ),
     (
         "incremental-lift",
         "select x.sym, x.price from "
         "[select * from trades where trades.qty > 0] as x",
-        "incremental",
     ),
     (
         "incremental-aggregate",
-        "select x.sym, sum(x.qty), count(*) from "
+        "create view agg as select x.sym, sum(x.qty), count(*) from "
         "[select * from trades] as x group by x.sym",
-        "incremental",
     ),
     (
         "incremental-join",
-        "select l.sym, l.price, r.sector from "
+        "create view enriched as select l.sym, l.price, r.sector from "
         "[select * from trades] as l, [select * from refs] as r "
         "where l.sym = r.sym",
-        "incremental",
     ),
 ]
 
 
-def _make_cell(execution: str):
+def _make_cell():
     from ..core.engine import DataCell
 
-    cell = DataCell(execution=execution)
+    cell = DataCell()
     cell.create_basket(
         "trades",
         [
@@ -163,9 +147,9 @@ def _make_cell(execution: str):
 def run_good_corpus() -> List[Dict]:
     """Register every corpus query with verification on; collect results."""
     results: List[Dict] = []
-    for name, sql, execution in GOOD_QUERIES:
-        entry: Dict = {"name": name, "sql": sql, "execution": execution}
-        cell = _make_cell(execution)
+    for name, sql in GOOD_QUERIES:
+        entry: Dict = {"name": name, "sql": sql}
+        cell = _make_cell()
         try:
             cell.submit_continuous(sql)
             entry["registered"] = True

@@ -23,14 +23,12 @@ Row = Tuple[Any, ...]
 class ContinuousQuery:
     """A standing query registered with the DataCell.
 
-    ``execution`` records which route the engine chose for this query
-    (``"reeval"`` or ``"incremental"``); ``weighted`` is True when the
-    output rows carry a trailing ``dc_weight`` column (+1 insert / −1
-    retract) — :meth:`fetch_integrated` folds such a delta stream back
-    into the current multiset.
+    ``weighted`` is True for a view: its output rows carry a trailing
+    ``dc_weight`` column (+1 insert / −1 retract), and
+    :meth:`fetch_integrated` folds such a delta stream back into the
+    current multiset.
     """
 
-    execution = "reeval"
     weighted = False
 
     def __init__(

@@ -46,6 +46,7 @@ from ..obs.tracing import chrome_trace, write_json
 from ..sql.ast_nodes import (
     CreateBasket,
     CreateTable,
+    CreateView,
     Drop,
     Insert,
     Literal,
@@ -81,7 +82,6 @@ class DataCell:
         metrics: Optional[MetricsRegistry] = None,
         durability: Optional[DurabilityConfig] = None,
         system_streams: Union[bool, SystemStreamsConfig, None] = None,
-        execution: str = "reeval",
         lock_order: Optional[LockOrderRecorder] = None,
     ):
         self.clock = clock or WallClock()
@@ -92,18 +92,7 @@ class DataCell:
         if recorder is not None:
             self.catalog.lock_observer = recorder
         self.lock_order = recorder
-        # default execution mode for continuous queries: "reeval" runs
-        # every firing over the full MAL program; "incremental" compiles
-        # supported shapes to Z-set circuits (repro.incremental) and
-        # falls back to re-eval per query, recording the reason in
-        # ``incremental_fallbacks`` as (query name, reason) pairs.  Window
-        # queries run on the one window plan in either mode.
-        if execution not in ("reeval", "incremental"):
-            raise DataCellError(
-                f"execution must be 'reeval' or 'incremental', "
-                f"got {execution!r}"
-            )
-        self.execution = execution
+        # nothing falls back any more; benchmarks/suite/layers.py reads it
         self.incremental_fallbacks: List[Tuple[str, str]] = []
         # every component this cell creates publishes into one registry,
         # so stats()/render_dashboard() see the whole engine; pass
@@ -154,7 +143,8 @@ class DataCell:
 
         DDL returns ``None``; one-time SELECTs return a
         :class:`ResultSet`; continuous SELECTs (containing a basket
-        expression) are registered and return a :class:`ContinuousQuery`.
+        expression) and views are registered and return a
+        :class:`ContinuousQuery`.
         A commit point: with ``fsync="always"`` every WAL record written
         so far is durable when it returns.
         """
@@ -189,6 +179,8 @@ class DataCell:
         if isinstance(stmt, Insert):
             self._execute_insert(stmt)
             return None
+        if isinstance(stmt, CreateView):
+            return self._submit_select(stmt, sql)
         if isinstance(stmt, UnionSelect):
             compiled = compile_union(self.catalog, stmt)
         elif contains_basket_expr(stmt):
@@ -214,7 +206,8 @@ class DataCell:
         activation so far (the continuous EXPLAIN ANALYZE).  Given SQL
         text, lowers it as registration would (without registering or
         running) and returns each optimized MAL program, or the
-        description of a window plan.
+        description of a window plan.  ``CREATE VIEW`` text renders the
+        view circuit's lift stages.
         """
         for query in self._queries:
             if query.name == sql:
@@ -222,18 +215,21 @@ class DataCell:
         stmt = parse_statement(sql)
         if isinstance(stmt, UnionSelect):
             stages = [compile_union(self.catalog, stmt)]
-        elif isinstance(stmt, Select) and contains_basket_expr(stmt):
+        elif isinstance(stmt, CreateView) or (
+            isinstance(stmt, Select) and contains_basket_expr(stmt)
+        ):
             plan = lower_continuous(
-                self.catalog, stmt, self.interpreter, "explain_out",
-                self.execution,
-            ).plan
+                self.catalog, stmt, self.interpreter, "explain_out"
+            )
             if isinstance(plan, WindowAggregatePlan):
                 return plan.describe()
             stages = plan.stages
         elif isinstance(stmt, Select):
             stages = [compile_select(self.catalog, stmt)]
         else:
-            raise SqlError("EXPLAIN applies to SELECT statements")
+            raise SqlError(
+                "EXPLAIN applies to SELECT and CREATE VIEW statements"
+            )
         parts = []
         for stage in stages:
             report = _optimize(stage)
@@ -347,43 +343,45 @@ class DataCell:
         sql: str,
         name: Optional[str] = None,
         tenant: str = "default",
-        execution: Optional[str] = None,
     ) -> ContinuousQuery:
-        """Register a continuous SQL query; returns its handle.
+        """Register a continuous SELECT or a view; returns its handle.
 
         The query must contain a basket expression (``[select ...]``),
         which is what distinguishes continuous from one-time queries.
-        ``tenant`` labels the query's resource account so tenant-scoped
+        A continuous SELECT answers each firing over the tuples it
+        consumed; ``CREATE VIEW v AS <select>`` registers the running
+        result of the SELECT under the name ``v``, delivered as weighted
+        deltas (``handle.weighted``).  ``tenant`` labels the query's
+        resource account so tenant-scoped
         :class:`~repro.obs.resources.ResourceBudget` caps can aggregate
-        over it.  ``execution`` overrides the engine-wide mode for this
-        query (``"reeval"`` or ``"incremental"``).
+        over it.
         """
         stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
-            raise SqlError("submit_continuous expects a SELECT statement")
-        return self._submit_select(stmt, sql, name, tenant, execution)
+        if not isinstance(stmt, (Select, CreateView)):
+            raise SqlError(
+                "submit_continuous expects a SELECT or CREATE VIEW statement"
+            )
+        return self._submit_select(stmt, sql, name, tenant)
 
     def _submit_select(
         self,
-        stmt: Select,
+        stmt: Union[Select, CreateView],
         sql: str,
         name: Optional[str] = None,
         tenant: str = "default",
-        execution: Optional[str] = None,
     ) -> ContinuousQuery:
         """Lower ``stmt`` (:func:`~repro.core.lowering.lower_continuous`)
         and register its plan: the one registration path of SQL."""
-        execution = execution or self.execution
-        if execution not in ("reeval", "incremental"):
-            raise DataCellError(
-                f"execution must be 'reeval' or 'incremental', "
-                f"got {execution!r}"
-            )
+        if isinstance(stmt, CreateView):
+            if name is not None and name.lower() != stmt.name.lower():
+                raise SqlError(
+                    f"view {stmt.name!r} cannot be registered as {name!r}"
+                )
+            name = stmt.name
         name = name or self._fresh_name("q" if stmt.window is None else "w")
-        lowered = lower_continuous(
-            self.catalog, stmt, self.interpreter, f"{name}_out", execution
+        plan = lower_continuous(
+            self.catalog, stmt, self.interpreter, f"{name}_out"
         )
-        plan = lowered.plan
         if isinstance(plan, WindowAggregatePlan):
             bindings = [InputBinding(self.basket(plan.input_basket))]
         else:
@@ -424,12 +422,7 @@ class DataCell:
         handle = self._register_query(
             name, sql, plan, bindings, columns, tenant=tenant
         )
-        handle.execution = lowered.execution
         handle.weighted = handle.output_basket.weighted = plan.weighted
-        if lowered.fallback is not None:
-            # per-query fallback: the shape has no circuit — it runs on
-            # the re-eval path, and the reason is recorded
-            self.incremental_fallbacks.append((name, lowered.fallback))
         return handle
 
     def submit_plan(

@@ -1,28 +1,29 @@
-"""One lowering for continuous SQL: a parsed SELECT → the plan a factory runs.
+"""One lowering for continuous SQL: a statement → the plan a factory runs.
 
-:func:`lower_continuous` is the one entry of every continuous SELECT,
-for registration (``DataCell._submit_select``) and ``DataCell.explain``.
-It resolves the statement once (:func:`repro.sql.resolve.resolve`) and
-hands the resolved query to one code generator: a WINDOW query becomes
-the window aggregate plan in either mode (§3.1: windows by plan choice),
-an incremental aggregate or equi-join a Z-set circuit, and everything
-else — a linear incremental query too — the compiled MAL program.
+:func:`lower_continuous` is the one entry of every continuous SELECT and
+every ``CREATE VIEW``, for registration (``DataCell._submit_select``)
+and ``DataCell.explain``.  It resolves the statement once
+(:func:`repro.sql.resolve.resolve`) and hands the resolved query to one
+code generator, chosen by what the SQL text asks for:
+
+* a continuous SELECT answers each firing over the tuples it consumed
+  (§2.6): a WINDOW query becomes the window aggregate plan (§3.1:
+  windows by plan choice), everything else the compiled MAL program;
+* a view is the running result of its SELECT, maintained as a Z-set
+  circuit (DBSP); a shape with no circuit is a :class:`BindError` that
+  says why.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Union
 
 from ..errors import BindError, SqlError
-from ..incremental.compile import (
-    CircuitContinuousPlan,
-    IncrementalUnsupported,
-    compile_incremental,
-)
+from ..incremental.compile import CircuitContinuousPlan, compile_incremental
 from ..kernel.catalog import Catalog
 from ..kernel.interpreter import MalInterpreter
 from ..kernel.types import AtomType
-from ..sql.ast_nodes import Select
+from ..sql.ast_nodes import CreateView, Select
 from ..sql.compiler import MalContinuousPlan, generate_continuous
 from ..sql.resolve import (
     BasketFrom,
@@ -34,48 +35,33 @@ from ..sql.resolve import (
 from .basket import TIME_COLUMN
 from .windows import WindowAggregatePlan
 
-__all__ = ["Lowering", "lower_continuous", "lower_window"]
-
-
-class Lowering(NamedTuple):
-    """A lowered continuous query: its plan, the route that produced it
-    (``"reeval"`` or ``"incremental"``) and, when an incremental query
-    fell back to re-eval, the reason."""
-
-    plan: Union[
-        WindowAggregatePlan, CircuitContinuousPlan, MalContinuousPlan
-    ]
-    execution: str
-    fallback: Optional[str] = None
+__all__ = ["lower_continuous", "lower_window"]
 
 
 def lower_continuous(
     catalog: Catalog,
-    stmt: Select,
+    stmt: Union[Select, CreateView],
     interpreter: MalInterpreter,
     output_basket: str,
-    execution: str,
-) -> Lowering:
-    """Lower ``stmt`` to the plan its shape and ``execution`` call for."""
-    query = resolve(catalog, stmt)
+) -> Union[WindowAggregatePlan, CircuitContinuousPlan, MalContinuousPlan]:
+    """Lower a continuous SELECT, or a view over one, to its plan."""
+    view = isinstance(stmt, CreateView)
+    query = resolve(catalog, stmt.select if view else stmt)
     if query.window is not None:
+        if view:
+            raise BindError(
+                "a WINDOW query has no circuit: its continuous SELECT "
+                "emits one row per closed window"
+            )
         window = lower_window(query, output_basket)
         query.check_names()  # after the window's own limits
-        return Lowering(window, "reeval")
-    query.check_names()  # before a fallback is recorded
-    fallback: Optional[str] = None
-    if execution == "incremental":
-        try:
-            circuit = compile_incremental(query, interpreter, output_basket)
-        except IncrementalUnsupported as exc:
-            fallback, execution = str(exc), "reeval"
-        else:
-            if circuit is not None:
-                return Lowering(circuit, execution)
-    plan = MalContinuousPlan(
+        return window
+    query.check_names()
+    if view:
+        return compile_incremental(query, interpreter, output_basket)
+    return MalContinuousPlan(
         generate_continuous(query), interpreter, output_basket
     )
-    return Lowering(plan, execution, fallback)
 
 
 def lower_window(

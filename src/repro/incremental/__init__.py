@@ -1,10 +1,10 @@
 """Delta-stream (Z-set) incremental execution (DBSP model).
 
-This package implements the incremental execution mode selected with
-``DataCell(execution="incremental")``: streams are modelled as sequences
-of *Z-sets* (weighted multisets where a weight of ``+1`` is an insert and
-``-1`` a retraction), operators are *lifted* to work on deltas, and
-stateful operators (aggregates, joins) maintain integrated
+This package maintains ``CREATE VIEW`` results — the running answer of
+a continuous SELECT, delivered as weighted deltas.  Streams are modelled
+as sequences of *Z-sets* (weighted multisets where a weight of ``+1`` is
+an insert and ``-1`` a retraction), operators are *lifted* to work on
+deltas, and stateful operators (aggregates, joins) maintain integrated
 state so the cost of each firing is ``O(|delta|)`` instead of
 ``O(|state|)``.
 
@@ -15,13 +15,13 @@ Layers:
   z⁻¹, integrate, differentiate, incremental group-aggregate,
   incremental equi-join) and the retraction-capable aggregate state;
 * :mod:`~repro.incremental.compile` — the circuit code generator over
-  the query :func:`repro.sql.resolve.resolve` resolves, with per-query
-  fallback to the re-evaluation (MAL) path.
+  the query :func:`repro.sql.resolve.resolve` resolves; a shape with
+  no circuit is rejected with its reason.
 
-Every operator here has a re-evaluation twin; ``repro.simtest.incremental``
-is the differential harness proving the two produce identical output.
-Window aggregates are not here: every mode runs them on
-:class:`repro.core.windows.WindowAggregatePlan`.
+``repro.simtest.incremental`` is the differential harness proving that
+a view's integrated output equals the one-shot query over everything
+delivered.  Window aggregates are not here: a WINDOW query is a
+continuous SELECT on :class:`repro.core.windows.WindowAggregatePlan`.
 See ``docs/incremental.md``.
 """
 
@@ -36,7 +36,6 @@ from .circuit import (
 )
 from .compile import (
     CircuitContinuousPlan,
-    IncrementalUnsupported,
     compile_incremental,
 )
 from .zset import WEIGHT_COLUMN, ZSet, integrate_weighted_rows
@@ -53,6 +52,5 @@ __all__ = [
     "IncrementalJoin",
     "RetractableAggState",
     "CircuitContinuousPlan",
-    "IncrementalUnsupported",
     "compile_incremental",
 ]

@@ -43,6 +43,7 @@ import heapq
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from ..errors import DataCellError
+from ..kernel.aggregate import AGGREGATE_NAMES
 from .zset import Row, ZSet
 
 __all__ = [
@@ -137,8 +138,10 @@ class RetractableAggState:
     """A weighted aggregate summary supporting retraction.
 
     ``star`` counts tuples (COUNT(*)), ``count``/``total`` cover non-NULL
-    values.  When ``track_minmax`` is set, an exact value→weight counter
-    plus two lazy-deletion heaps answer MIN/MAX after arbitrary retraction
+    values.  Values fold as they come, so ``total`` over integral values
+    is an exact python int and AVG divides it once.  When
+    ``track_minmax`` is set, an exact value→weight counter plus two
+    lazy-deletion heaps answer MIN/MAX after arbitrary retraction
     sequences; without it MIN/MAX queries raise, keeping COUNT/SUM-only
     pipelines free of the counter overhead.
     """
@@ -149,19 +152,18 @@ class RetractableAggState:
     def __init__(self, track_minmax: bool = False) -> None:
         self.star = 0
         self.count = 0
-        self.total = 0.0
+        self.total: Any = 0
         self.track_minmax = track_minmax
-        self.value_weights: Dict[float, int] = {}
-        self.min_heap: List[float] = []
-        self.max_heap: List[float] = []  # negated values
+        self.value_weights: Dict[Any, int] = {}
+        self.min_heap: List[Any] = []
+        self.max_heap: List[Any] = []  # negated values
 
     # ------------------------------------------------------------------
-    def add(self, value: Optional[float], weight: int) -> None:
+    def add(self, value: Any, weight: int) -> None:
         """Fold ``weight`` copies of ``value`` (NULL allowed) in."""
         self.star += weight
         if value is None:
             return
-        value = float(value)
         self.count += weight
         self.total += value * weight
         if not self.track_minmax:
@@ -185,7 +187,7 @@ class RetractableAggState:
     def is_empty(self) -> bool:
         return self.star == 0 and self.count == 0 and not self.value_weights
 
-    def _minimum(self) -> Optional[float]:
+    def _minimum(self) -> Any:
         while self.min_heap:
             value = self.min_heap[0]
             if self.value_weights.get(value, 0) > 0:
@@ -193,7 +195,7 @@ class RetractableAggState:
             heapq.heappop(self.min_heap)  # lazily drop retracted entry
         return None
 
-    def _maximum(self) -> Optional[float]:
+    def _maximum(self) -> Any:
         while self.max_heap:
             value = -self.max_heap[0]
             if self.value_weights.get(value, 0) > 0:
@@ -239,8 +241,13 @@ class RetractableAggState:
         out = cls(track_minmax=state["track_minmax"])
         out.star = state["star"]
         out.count = state["count"]
-        out.total = state["total"]
-        out.value_weights = dict(state["value_weights"])
+        # states saved before values folded exactly hold float64s; an
+        # integral one continues as the int it stands for
+        out.total = _exact(state["total"])
+        out.value_weights = {
+            _exact(value): weight
+            for value, weight in state["value_weights"].items()
+        }
         out.min_heap = list(out.value_weights)
         heapq.heapify(out.min_heap)
         out.max_heap = [-v for v in out.value_weights]
@@ -252,6 +259,12 @@ class RetractableAggState:
         return 200 + per_entry * len(self.value_weights) + 8 * (
             len(self.min_heap) + len(self.max_heap)
         )
+
+
+def _exact(value: Any) -> Any:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 class IncrementalGroupAggregate(Operator):
@@ -269,8 +282,7 @@ class IncrementalGroupAggregate(Operator):
     """
 
     def __init__(self, aggregates: List[str]) -> None:
-        bad = [a for a in aggregates if a not in
-               ("sum", "count", "count_star", "avg", "min", "max")]
+        bad = [a for a in aggregates if a not in AGGREGATE_NAMES]
         if bad:
             raise DataCellError(f"unknown aggregates: {bad}")
         if not aggregates:
@@ -283,14 +295,7 @@ class IncrementalGroupAggregate(Operator):
         state = self.groups.get(key)
         if state is None or state.star == 0:
             return None
-        values = []
-        for name in self.aggregates:
-            value = state.result(name)
-            if name in ("count", "count_star"):
-                values.append(int(value))
-            else:
-                values.append(None if value is None else float(value))
-        return (*key, *values)
+        return (*key, *(state.result(name) for name in self.aggregates))
 
     def step(self, delta: ZSet) -> ZSet:
         # snapshot the pre-delta result row of every touched group, in

@@ -1,19 +1,15 @@
-"""SQL → incremental circuit code generation (+ fallback).
+"""SQL → incremental circuit code generation for ``CREATE VIEW``.
 
-:func:`compile_incremental` reads a resolved continuous ``SELECT``
-(:func:`repro.sql.resolve.resolve`) and, when it is in the supported
-matrix, generates a :class:`CircuitContinuousPlan` — a factory plan
-whose per-firing cost is O(|delta|).  Unsupported shapes raise
-:class:`IncrementalUnsupported` with a human-readable reason; the engine
-falls back to the re-evaluation (MAL) path *per query* and records it.
+:func:`compile_incremental` reads the resolved continuous ``SELECT`` of
+a view (:func:`repro.sql.resolve.resolve`) and, when it is in the
+supported matrix, generates a :class:`CircuitContinuousPlan` — a factory
+plan whose per-firing cost is O(|delta|) and whose output is the view's
+running result as weighted deltas.  A shape outside the matrix raises
+:class:`~repro.errors.BindError` with a human-readable reason, and the
+view registers nothing.
 
 Supported shapes (``docs/incremental.md``, "Query compilation"):
 
-``linear``
-    select/project/filter without aggregates, DISTINCT or LIMIT.  Its
-    re-eval ``MalContinuousPlan`` already is its own incremental version
-    (basket consumption makes each firing a pure delta), so
-    :func:`compile_incremental` returns ``None``.
 ``aggregate``
     ``SELECT [keys,] aggs FROM [..] as x [WHERE ...] [GROUP BY keys]``
     with COUNT/SUM/AVG/MIN/MAX over one value column: a lift stage of
@@ -28,9 +24,10 @@ Supported shapes (``docs/incremental.md``, "Query compilation"):
     against integrated per-key state; weighted output.
 
 A lift stage is MAL generated from a resolved sub-query of the one
-basket expression it reads.  Everything else — HAVING, DISTINCT,
-LIMIT, ORDER BY on aggregates, cross-side residual predicates, nested
-baskets in subqueries — falls back with a reason.
+basket expression it reads.  Everything else — a linear query (its
+continuous SELECT already answers each delta), HAVING, DISTINCT, LIMIT,
+ORDER BY on aggregates, cross-side residual predicates, nested baskets
+in subqueries — is rejected with a reason.
 """
 
 from __future__ import annotations
@@ -60,14 +57,9 @@ from .circuit import IncrementalGroupAggregate, IncrementalJoin
 from .zset import WEIGHT_COLUMN, ZSet
 
 __all__ = [
-    "IncrementalUnsupported",
     "CircuitContinuousPlan",
     "compile_incremental",
 ]
-
-
-class IncrementalUnsupported(DataCellError):
-    """The query's shape has no incremental circuit; fall back to re-eval."""
 
 
 # ======================================================================
@@ -155,15 +147,11 @@ class CircuitContinuousPlan:
     def _build_result(self, rows: List[Tuple[Any, ...]]) -> ResultSet:
         from ..kernel.bat import bat_from_values
 
-        columns = list(zip(*rows))
-        bats = []
-        for atom, col in zip(self.atoms, columns):
-            values = [
-                int(v) if atom.is_integral and isinstance(v, float) else v
-                for v in col
-            ]
-            bats.append(bat_from_values(atom, values))
-        return ResultSet(list(self.names), bats)
+        columns = zip(self.atoms, zip(*rows))
+        return ResultSet(
+            list(self.names),
+            [bat_from_values(atom, list(col)) for atom, col in columns],
+        )
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
@@ -247,42 +235,41 @@ def compile_incremental(
     query: ResolvedSelect,
     interpreter: MalInterpreter,
     output_basket: str,
-) -> Optional[CircuitContinuousPlan]:
-    """Generate the incremental circuit of a resolved continuous SELECT
-    (a WINDOW query takes the window plan instead).
+) -> CircuitContinuousPlan:
+    """Generate the incremental circuit of a view's resolved continuous
+    SELECT (a WINDOW query is rejected before it gets here).
 
-    Returns ``None`` for a linear query, whose re-eval MAL plan already
-    is its own incremental version.  Raises :class:`IncrementalUnsupported`
-    when the statement's shape is outside the supported matrix (see
-    module docstring) — the caller falls back to the re-evaluation path
-    for this query only.
+    Raises :class:`~repro.errors.BindError` when the statement's shape
+    is outside the supported matrix (see module docstring).
     """
     baskets = [s for s in query.leaves() if isinstance(s, BasketFrom)]
     if not baskets:
-        raise IncrementalUnsupported("not a continuous query")
+        raise BindError("not a continuous query")
     if query.aggregating:
         return _aggregate_circuit(query, interpreter, output_basket)
     if len(baskets) == 2 and len(query.from_items) == 2 and (
         query.joins[0] is not None or query.where
     ):
         _plain_output(query, "join")
-        if query.joins[0] is not None:
-            return _join_circuit(query, interpreter, output_basket)
+        if query.joins[0] is None:
+            raise BindError("join circuits need an equi-join key (a.k = b.k)")
+        return _join_circuit(query, interpreter, output_basket)
     if query.distinct:
-        raise IncrementalUnsupported(
+        raise BindError(
             "DISTINCT is not linear over multisets (dedup needs "
             "integrated state)"
         )
     if query.limit is not None:
-        raise IncrementalUnsupported(
-            "outer LIMIT truncates per firing, not per stream"
-        )
-    return None
+        raise BindError("outer LIMIT truncates per firing, not per stream")
+    raise BindError(
+        "a linear query has no circuit: its continuous SELECT already "
+        "emits each firing's delta"
+    )
 
 
 def _plain_output(query: ResolvedSelect, kind: str) -> None:
     if query.order or query.limit is not None or query.distinct:
-        raise IncrementalUnsupported(
+        raise BindError(
             f"ORDER BY / LIMIT / DISTINCT do not compose with delta {kind} "
             "output"
         )
@@ -292,19 +279,19 @@ def _aggregate_circuit(
     query: ResolvedSelect, interpreter, output_basket
 ) -> CircuitContinuousPlan:
     if query.group_filter is not None:
-        raise IncrementalUnsupported(
+        raise BindError(
             "HAVING over incremental aggregates is not supported yet"
         )
     _plain_output(query, "aggregate")
     source = query.from_items[0]
     if len(query.from_items) != 1 or not isinstance(source, BasketFrom):
-        raise IncrementalUnsupported(
+        raise BindError(
             "aggregate circuits need exactly one basket expression source"
         )
     try:
         shape = stream_aggregate(query)
     except ShapeError as exc:
-        raise IncrementalUnsupported(str(exc)) from None
+        raise BindError(str(exc)) from None
     # lift stage: (*keys, value) rows from the basket expression
     value: Expr = (
         ColumnRef(shape.value_column, source.alias)
@@ -323,6 +310,12 @@ def _aggregate_circuit(
     # atoms come from the compiled lift, so projections/renames inside
     # the basket expression are handled the same way re-eval handles them
     value_atom = compiled.output_atoms[-1]
+    if value_atom is AtomType.STR:
+        # the aggregate state sums and negates its values
+        raise BindError(
+            f"view aggregates over VARCHAR column {shape.value_column!r} "
+            "are not supported"
+        )
     atoms: List[AtomType] = []
     for role, index in shape.layout:
         if role == "key":
@@ -352,17 +345,17 @@ def _join_circuit(
     for conj in query.where:  # the conjuncts beside the equi key
         bare = [ref for ref in column_refs(conj.expr) if ref.table is None]
         if bare:
-            raise IncrementalUnsupported(
+            raise BindError(
                 f"join circuits need qualified column references "
                 f"(got bare {bare[0].name!r})"
             )
         if len(conj.reads) > 1:
-            raise IncrementalUnsupported(
+            raise BindError(
                 "predicates spanning both join sides (beyond the equi key) "
                 "are not supported"
             )
         if not conj.reads:
-            raise IncrementalUnsupported(
+            raise BindError(
                 "constant predicates in join WHERE are not supported"
             )
     # per side, the columns its lift stage reads: the equi key first
@@ -372,11 +365,11 @@ def _join_circuit(
     for item in query.items:
         expr = item.expr
         if item.star:
-            raise IncrementalUnsupported(
+            raise BindError(
                 "join circuits need an explicit select list (no *)"
             )
         if not isinstance(expr, ColumnRef) or expr.table is None:
-            raise IncrementalUnsupported(
+            raise BindError(
                 "join select items must be qualified column references"
             )
         side = aliases.index(expr.table.lower())

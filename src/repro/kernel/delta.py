@@ -1,11 +1,10 @@
 """Delta-aware columnar kernels: weighted (Z-set) column operations.
 
-The incremental execution mode (``repro.incremental``) represents change
-streams as rows carrying an integer weight column (+1 insert / −1
-retract).  These kernels are the columnar counterparts of the Z-set
-algebra — they operate on whole weight-annotated relations at BAT
-granularity, so the MAL layer can manipulate deltas without dropping to
-per-row python:
+Views (``repro.incremental``) represent change streams as rows carrying
+an integer weight column (+1 insert / −1 retract).  These kernels are
+the columnar counterparts of the Z-set algebra — they operate on whole
+weight-annotated relations at BAT granularity, so the MAL layer can
+manipulate deltas without dropping to per-row python:
 
 ``canonicalize``
     combine duplicate rows by summing weights and drop zero-weight rows —

@@ -64,9 +64,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="per-client DATA frame bound (default 1024)",
     )
     parser.add_argument(
-        "--execution", choices=("reeval", "incremental"), default="reeval",
-    )
-    parser.add_argument(
         "--durability", type=Path, default=None, metavar="DIR",
         help="enable WAL + checkpoints in DIR (recovers on boot)",
     )
@@ -81,7 +78,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     opts = parser.parse_args(argv)
 
     cell = DataCell(
-        execution=opts.execution,
         durability=(
             DurabilityConfig(directory=str(opts.durability))
             if opts.durability is not None

@@ -6,7 +6,9 @@ arbitrary firing boundary, recovering from the newest checkpoint plus
 the WAL suffix, and feeding the rest of the stream must deliver exactly
 the rows an uninterrupted run of the same episode delivers — no loss,
 no duplicates, same values, same order (window results ordered by
-window index, like the PR 3 oracle).
+window index, as ``simtest.oracle`` orders them).  A view's deltas
+follow the firing batches, which a restart changes, so for a view the
+integrated results must be equal instead.
 
 Each episode runs three phases over one scratch durability directory:
 
@@ -48,9 +50,18 @@ from typing import Any, List, Optional, Tuple
 from ..adapters.channels import InMemoryChannel
 from ..core.engine import DataCell
 from ..durability import DurabilityConfig, RecoveryReport
+from ..errors import DataCellError
+from ..incremental import integrate_weighted_rows
 from ..kernel.types import AtomType, nil_value
 from ..testing import current_seed
-from .oracle import CHANNEL, COLUMNS, ORACLE_CASES, STREAM, _quiet_metrics
+from .oracle import (
+    AGG_CASES,
+    CHANNEL,
+    COLUMNS,
+    ORACLE_CASES,
+    STREAM,
+    _quiet_metrics,
+)
 from .policies import policy_names
 from .sim import InputEvent, SimScheduler
 
@@ -80,11 +91,12 @@ class SimulatedCrash(Exception):
 class CrashSpec:
     """Everything that determines one crash episode, and nothing else.
 
-    ``case`` is an oracle case name (plain continuous query) or
-    ``"window"`` (a SQL COUNT-window aggregate per ``window`` /
-    ``window_aggregate``, grouped by a second column ``k`` of atom
-    ``window_group`` when one is given).  No channel faults: the crash
-    *is* the fault.
+    ``case`` is an oracle case name (plain continuous query), an
+    aggregate case name (registered as ``create view``, so its circuit
+    state rides the checkpoint/WAL machinery) or ``"window"`` (a SQL
+    COUNT-window aggregate per ``window`` / ``window_aggregate``,
+    grouped by a second column ``k`` of atom ``window_group`` when one
+    is given).  No channel faults: the crash *is* the fault.
     """
 
     seed: int
@@ -103,11 +115,6 @@ class CrashSpec:
     #: user-visible output must stay byte-identical, since system
     #: streams never enter the WAL or the checkpoints
     sampling: bool = False
-    #: execution route ("reeval" or "incremental") of non-window cases:
-    #: incremental circuit state rides the same checkpoint/WAL machinery,
-    #: so kill-and-restart must be byte-identical on both routes (window
-    #: cases run the one window plan either way)
-    execution: str = "reeval"
     #: ingest through the server's wire seam (frame encode/decode +
     #: ingest queue + pump) instead of a receptor — recovery must be
     #: byte-identical with the network front door attached too
@@ -160,7 +167,7 @@ def render_crash_repro(spec: CrashSpec) -> str:
         f"fsync={spec.fsync!r}, window={spec.window}, "
         f"window_aggregate={spec.window_aggregate!r}, "
         f"window_group={spec.window_group}, "
-        f"sampling={spec.sampling}, execution={spec.execution!r}, "
+        f"sampling={spec.sampling}, "
         f"via_server={spec.via_server}, rows={list(spec.rows)!r})"
     )
 
@@ -211,13 +218,13 @@ def _build(
     else:
         cell.add_receptor("tap", [STREAM], channel=channel)
     sim.bind_channel(CHANNEL, channel)
-    sql = (
-        _window_sql(spec) if spec.case == "window"
-        else ORACLE_CASES[spec.case].continuous_sql
-    )
-    handle = cell.submit_continuous(
-        sql, name=QUERY, execution=spec.execution
-    )
+    if spec.case == "window":
+        sql = _window_sql(spec)
+    elif spec.case in AGG_CASES:
+        sql = f"create view {QUERY} as {AGG_CASES[spec.case].continuous_sql}"
+    else:
+        sql = ORACLE_CASES[spec.case].continuous_sql
+    handle = cell.submit_continuous(sql, name=QUERY)
     return sim, cell, handle
 
 
@@ -304,6 +311,8 @@ def check_crash_episode(
     if spec.case == "window":
         combined = sorted(combined, key=lambda r: r[0])
         reference = sorted(reference, key=lambda r: r[0])
+    elif spec.case in AGG_CASES:
+        combined, reference = _integral(combined), _integral(reference)
     return CrashDifferentialResult(
         spec=spec,
         ok=combined == reference,
@@ -315,30 +324,45 @@ def check_crash_episode(
     )
 
 
+def _integral(rows: List[Row]) -> Optional[List[Row]]:
+    """A view's weighted rows folded to its result, in a fixed order;
+    None when a row nets a negative weight (a replayed retraction)."""
+    try:
+        return sorted(integrate_weighted_rows(rows), key=repr)
+    except DataCellError:
+        return None
+
+
 # ----------------------------------------------------------------------
 # seeded episode generation (CLI + CI gate)
 # ----------------------------------------------------------------------
 def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
     """Deterministic episode ``index`` of a run with ``base_seed``.
 
-    Cycles the oracle cases plus a window case, the firing policies, and
-    the fsync modes; rows, batching, crash point, and checkpoint cadence
-    all derive from the seed.  Every other window case is grouped, over
-    a varchar or an int key with rotating values and NILs drawn from a
-    stream of its own, so the values and the rest of the spec are the
-    ungrouped episode's.
+    Every third episode registers an aggregate view, cycling the
+    aggregate cases; the others cycle the oracle cases plus a window
+    case.  Policies and fsync modes cycle too; rows, batching, crash
+    point, and checkpoint cadence all derive from the seed.  Every other
+    window case is grouped, over a varchar or an int key with rotating
+    values and NILs drawn from a stream of its own, so the values and
+    the rest of the spec are the ungrouped episode's.
     """
     seed = base_seed + index
     rng = random.Random(f"datacell-crash-episode:{seed}")
     cases = sorted(ORACLE_CASES) + ["window"]
-    case = cases[index % len(cases)]
+    plain = index - (index + 1) // 3  # episodes before this one, no view
+    if index % 3 == 2:
+        views = sorted(AGG_CASES)
+        case = views[index // 3 % len(views)]
+    else:
+        case = cases[plain % len(cases)]
     group = None
     if case == "window":
         rows: Tuple[Row, ...] = tuple(
             (rng.randint(0, 50),) for _ in range(rng.randint(8, 60))
         )
-        if index // len(cases) % 2:
-            group = GROUP_ATOMS[index // len(cases) // 2 % 2]
+        if plain // len(cases) % 2:
+            group = GROUP_ATOMS[plain // len(cases) // 2 % 2]
             rows = tuple(
                 row + (key,) for row, key in zip(rows, _rotating_keys(
                     random.Random(f"datacell-crash-keys:{seed}"),
@@ -369,9 +393,6 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
         window_aggregate=AGGREGATES[index % len(AGGREGATES)],
         window_group=group,
         sampling=(index % 2 == 1),
-        # every third episode exercises the incremental route, so circuit
-        # state recovery is continuously gated
-        execution="incremental" if index % 3 == 2 else "reeval",
         # every 5th episode ingests through the server's wire seam
         via_server=(index % 5 == 3),
     )

@@ -1,21 +1,19 @@
-"""Incremental-vs-re-eval differential gate: every episode, two engines.
+"""Incremental differential gate: views and windows against references.
 
 The incremental subsystem's correctness claim (DBSP/Z-set theory made
 executable): for any delivered stream, any firing order, and any
-boundary fault, the incremental route must be *indistinguishable* from
-re-evaluation —
+boundary fault —
 
-* **linear** circuits emit row-for-row what the MAL re-eval route emits,
-  and both satisfy the one-shot oracle;
-* **aggregate/join** circuits emit weighted deltas whose integration at
+* **aggregate/join** views emit weighted deltas whose integration at
   every quiescent point equals the one-shot query over everything
   delivered so far;
 * **windows** (count and time geometry, in-order and out-of-order
   timestamps): the one window plan emits the exact row sequence of the
   re-eval and naive baselines;
-* **crash episodes** kill the incremental engine at a firing boundary
-  and require recovered output to be byte-identical to an uninterrupted
-  run (circuit state rides the checkpoint/WAL machinery).
+* **crash episodes** kill an engine running an aggregate view at a
+  firing boundary and require the recovered output to integrate to an
+  uninterrupted run's (circuit state rides the checkpoint/WAL
+  machinery).
 
 Episodes are pure functions of ``(seed, kind, policy, fault plan)``;
 a third get channel faults (drop/duplicate/reorder/delay) and a sixth
@@ -43,26 +41,21 @@ from ..adapters.channels import Channel, InMemoryChannel
 from ..baselines.reeval import ReEvalWindowAggregatePlan
 from ..core.engine import DataCell
 from ..core.windows import WindowMode, WindowSpec
-from ..incremental.zset import ZSet
 from ..kernel.types import AtomType
 from ..testing import current_seed
-from .crash import CrashSpec, check_crash_episode
+from .crash import CrashSpec, _integral, check_crash_episode
 from .faults import FaultPlan, FaultableChannel
 from .oracle import (
+    AGG_CASES,
     CHANNEL,
-    ORACLE_CASES,
     STREAM,
-    EpisodeSpec,
     _quiet_metrics,
-    check_episode,
     run_window_differential,
 )
 from .policies import policy_names
 from .sim import InputEvent, SimScheduler
 
 __all__ = [
-    "AggCase",
-    "AGG_CASES",
     "JOIN_CASE",
     "IncrementalEpisodeSpec",
     "IncrementalResult",
@@ -76,40 +69,6 @@ __all__ = [
 Row = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AggCase:
-    """A weighted-output aggregate query with its one-shot twin."""
-
-    name: str
-    continuous_sql: str
-    oneshot_sql: str
-
-
-AGG_CASES: Dict[str, AggCase] = {
-    case.name: case
-    for case in (
-        AggCase(
-            "agg_grouped",
-            "select x.a, sum(x.b), count(x.b), min(x.b), max(x.b) "
-            "from [select * from feed] as x group by x.a",
-            "select a, sum(b), count(b), min(b), max(b) "
-            "from feed group by a",
-        ),
-        AggCase(
-            "agg_filtered",
-            "select x.a, sum(x.b), avg(x.b) from [select * from feed] as x "
-            "where x.b > 2 group by x.a",
-            "select a, sum(b), avg(b) from feed where b > 2 group by a",
-        ),
-        AggCase(
-            "agg_global",
-            "select count(*), sum(x.b), min(x.b) "
-            "from [select * from feed] as x",
-            "select count(*), sum(b), min(b) from feed",
-        ),
-    )
-}
-
 #: the two-stream equi-join circuit and its one-shot twin
 JOIN_CASE = (
     "select x.k, x.a, y.b from [select * from jleft] as x, "
@@ -119,7 +78,6 @@ JOIN_CASE = (
 )
 
 EPISODE_KINDS = (
-    "linear",
     "aggregate",
     "join",
     "window_count",
@@ -144,7 +102,7 @@ class IncrementalEpisodeSpec:
     rows: Tuple[Row, ...]
     # join kind: the right-stream rows (left stream uses ``rows``)
     right_rows: Tuple[Row, ...] = ()
-    case: str = "filter"  # linear: ORACLE_CASES; aggregate: AGG_CASES
+    case: str = "agg_grouped"  # aggregate and crash: AGG_CASES
     policy: str = "random"
     batch_size: int = 3
     time_step: float = 0.25
@@ -161,7 +119,7 @@ class IncrementalEpisodeSpec:
 
 @dataclass
 class IncrementalResult:
-    """Verdict of one incremental-vs-re-eval episode."""
+    """Verdict of one incremental differential episode."""
 
     spec: IncrementalEpisodeSpec
     ok: bool
@@ -169,9 +127,9 @@ class IncrementalResult:
 
     def explain(self) -> str:
         if self.ok:
-            return "incremental ≡ re-eval"
+            return "incremental ≡ reference"
         return (
-            f"incremental != re-eval for "
+            f"incremental != reference for "
             f"{render_incremental_repro(self.spec)}: {self.detail}"
         )
 
@@ -190,54 +148,6 @@ def render_incremental_repro(spec: IncrementalEpisodeSpec) -> str:
         f"checkpoint_every={spec.checkpoint_every}, "
         f"rows={list(spec.rows)!r}, right_rows={list(spec.right_rows)!r})"
     )
-
-
-def _integrate(weighted_rows: Sequence[Row]) -> Optional[List[Row]]:
-    """Fold weighted output rows; None when a net weight is negative."""
-    z = ZSet()
-    for row in weighted_rows:
-        z.add(tuple(row[:-1]), int(row[-1]))
-    try:
-        return z.to_rows()
-    except Exception:
-        return None
-
-
-# ----------------------------------------------------------------------
-# kind: linear — the PR 3 oracle on both routes
-# ----------------------------------------------------------------------
-def _check_linear(spec: IncrementalEpisodeSpec) -> IncrementalResult:
-    base = EpisodeSpec(
-        seed=spec.seed,
-        rows=spec.rows,
-        case=spec.case,
-        policy=spec.policy,
-        batch_size=spec.batch_size,
-        time_step=spec.time_step,
-        batch_fault_rate=spec.batch_fault_rate,
-        exception_rate=spec.exception_rate,
-    )
-    for execution in ("incremental", "reeval"):
-        result = check_episode(replace(base, execution=execution))
-        if not result.ok:
-            return IncrementalResult(
-                spec, False, f"[{execution}] {result.explain()}"
-            )
-        if execution == "incremental":
-            inc_multiset = result.streaming
-        else:
-            ree_multiset = result.streaming
-    # with a fault-free channel both routes saw the same delivered
-    # stream, so their outputs must be the same multiset outright
-    if spec.batch_fault_rate == 0 and spec.exception_rate == 0:
-        if inc_multiset != ree_multiset:
-            return IncrementalResult(
-                spec,
-                False,
-                f"route outputs differ: incremental={dict(inc_multiset)} "
-                f"reeval={dict(ree_multiset)}",
-            )
-    return IncrementalResult(spec, True)
 
 
 # ----------------------------------------------------------------------
@@ -318,16 +228,12 @@ def _check_aggregate(spec: IncrementalEpisodeSpec) -> IncrementalResult:
     )
     cell.add_receptor("tap", [STREAM], channel=channels[CHANNEL])
     handle = cell.submit_continuous(
-        case.continuous_sql, execution="incremental"
+        f"create view v as {case.continuous_sql}"
     )
-    if cell.incremental_fallbacks:
-        return IncrementalResult(
-            spec, False, f"unexpected fallback: {cell.incremental_fallbacks}"
-        )
     sim.run_episode(
         _script(spec.rows, CHANNEL, spec.batch_size, spec.time_step)
     )
-    integrated = _integrate(handle.fetch())
+    integrated = _integral(handle.fetch())
     delivered = _delivered(channels[CHANNEL], spec.rows)
     ref = DataCell(metrics=_quiet_metrics())
     table = ref.create_table(
@@ -346,11 +252,7 @@ def _check_join(spec: IncrementalEpisodeSpec) -> IncrementalResult:
     cell.create_basket("jright", [("k", AtomType.INT), ("b", AtomType.INT)])
     cell.add_receptor("ltap", ["jleft"], channel=channels["lwire"])
     cell.add_receptor("rtap", ["jright"], channel=channels["rwire"])
-    handle = cell.submit_continuous(continuous_sql, execution="incremental")
-    if cell.incremental_fallbacks:
-        return IncrementalResult(
-            spec, False, f"unexpected fallback: {cell.incremental_fallbacks}"
-        )
+    handle = cell.submit_continuous(f"create view v as {continuous_sql}")
     events = _script(
         spec.rows, "lwire", spec.batch_size, spec.time_step
     ) + _script(
@@ -358,7 +260,7 @@ def _check_join(spec: IncrementalEpisodeSpec) -> IncrementalResult:
         phase=spec.time_step / 2,
     )
     sim.run_episode(events)
-    integrated = _integrate(handle.fetch())
+    integrated = _integral(handle.fetch())
     ref = DataCell(metrics=_quiet_metrics())
     for name, cols, channel, sent in (
         ("jleft", [("k", AtomType.INT), ("a", AtomType.INT)],
@@ -463,21 +365,17 @@ def _check_window_time(spec: IncrementalEpisodeSpec) -> IncrementalResult:
 
 
 # ----------------------------------------------------------------------
-# kind: crash — incremental state through kill-and-restart
+# kind: crash — view state through kill-and-restart
 # ----------------------------------------------------------------------
 def _check_crash(spec: IncrementalEpisodeSpec) -> IncrementalResult:
     crash = CrashSpec(
         seed=spec.seed,
-        rows=spec.rows if spec.case != "window"
-        else tuple((r[0],) for r in spec.rows),
+        rows=spec.rows,
         case=spec.case,
         policy=spec.policy,
         batch_size=spec.batch_size,
         crash_after=spec.crash_after,
         checkpoint_every=spec.checkpoint_every,
-        window=(int(spec.window[0]), int(spec.window[1])),
-        window_aggregate=spec.aggregates[0],
-        execution="incremental",
     )
     result = check_crash_episode(crash)
     if not result.ok:
@@ -488,7 +386,6 @@ def _check_crash(spec: IncrementalEpisodeSpec) -> IncrementalResult:
 _CHECKERS: Dict[
     str, Callable[[IncrementalEpisodeSpec], IncrementalResult]
 ] = {
-    "linear": _check_linear,
     "aggregate": _check_aggregate,
     "join": _check_join,
     "window_count": _check_window_count,
@@ -566,7 +463,7 @@ def incremental_episode_spec(
 ) -> IncrementalEpisodeSpec:
     """Deterministic episode ``index`` of a run with ``base_seed``.
 
-    Cycles the six kinds; within each kind, cases / geometries /
+    Cycles the five kinds; within each kind, cases / geometries /
     aggregates / policies cycle and everything else derives from the
     seed.  A third of eligible episodes get channel faults, a sixth
     injected exceptions; every other time-window episode is
@@ -591,21 +488,18 @@ def incremental_episode_spec(
         batch_size=rng.choice((1, 2, 3, 5, 8)),
         batch_fault_rate=(
             0.3
-            if cycle % 3 == 0 and kind in ("linear", "aggregate", "join",
-                                           "window_count")
+            if cycle % 3 == 0
+            and kind in ("aggregate", "join", "window_count")
             else 0.0
         ),
         exception_rate=(
             0.15
-            if cycle % 6 == 3 and kind in ("linear", "aggregate", "join")
+            if cycle % 6 == 3 and kind in ("aggregate", "join")
             else 0.0
         ),
     )
-    if kind == "linear":
-        cases = sorted(ORACLE_CASES)
-        return replace(spec, case=cases[cycle % len(cases)])
+    cases = sorted(AGG_CASES)
     if kind == "aggregate":
-        cases = sorted(AGG_CASES)
         return replace(spec, case=cases[cycle % len(cases)])
     if kind == "join":
         m = rng.randint(4, 40)
@@ -646,19 +540,12 @@ def incremental_episode_spec(
                 for _ in range(rng.randint(10, 70))
             ),
         )
-    # crash: cycle the oracle cases plus the window case
-    cases = sorted(ORACLE_CASES) + ["window"]
-    case = cases[cycle % len(cases)]
+    # crash: cycle the aggregate views
     batch = spec.batch_size
     est_firings = max(3, 3 * (len(rows) // batch + 1))
-    size, slide = WINDOW_GEOMETRIES[cycle % len(WINDOW_GEOMETRIES)]
     return replace(
         spec,
-        case=case,
-        window=(size, slide),
-        aggregates=(
-            ("sum", "count", "avg", "min", "max")[cycle % 5],
-        ),
+        case=cases[cycle % len(cases)],
         crash_after=rng.randint(1, est_firings),
         checkpoint_every=rng.choice((None, 2, 4, 7)),
         batch_fault_rate=0.0,
@@ -668,7 +555,8 @@ def incremental_episode_spec(
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="seeded incremental-vs-re-eval differential episodes"
+        description="seeded incremental differential episodes "
+        "(views and windows)"
     )
     parser.add_argument("--episodes", type=int, default=200)
     parser.add_argument(

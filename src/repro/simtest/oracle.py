@@ -45,6 +45,7 @@ from .sim import EpisodeResult, InputEvent, SimScheduler
 
 __all__ = [
     "OracleCase",
+    "AGG_CASES",
     "ORACLE_CASES",
     "EpisodeSpec",
     "DifferentialResult",
@@ -112,6 +113,33 @@ ORACLE_CASES: Dict[str, OracleCase] = {
     )
 }
 
+#: aggregates over ``feed``: registered as ``create view`` they run on a
+#: Z-set circuit, whose integrated output must equal the one-shot twin
+AGG_CASES: Dict[str, OracleCase] = {
+    case.name: case
+    for case in (
+        OracleCase(
+            "agg_grouped",
+            "select x.a, sum(x.b), count(x.b), min(x.b), max(x.b) "
+            "from [select * from feed] as x group by x.a",
+            "select a, sum(b), count(b), min(b), max(b) "
+            "from feed group by a",
+        ),
+        OracleCase(
+            "agg_filtered",
+            "select x.a, sum(x.b), avg(x.b) from [select * from feed] as x "
+            "where x.b > 2 group by x.a",
+            "select a, sum(b), avg(b) from feed where b > 2 group by a",
+        ),
+        OracleCase(
+            "agg_global",
+            "select count(*), sum(x.b), min(x.b) "
+            "from [select * from feed] as x",
+            "select count(*), sum(b), min(b) from feed",
+        ),
+    )
+}
+
 COLUMNS: List[Tuple[str, AtomType]] = [
     ("a", AtomType.INT),
     ("b", AtomType.INT),
@@ -130,13 +158,9 @@ class EpisodeSpec:
     time_step: float = 0.25
     batch_fault_rate: float = 0.0
     exception_rate: float = 0.0
-    #: execution route for the continuous side: "reeval" (MAL re-eval)
-    #: or "incremental" (Z-set circuits, repro.incremental) — the oracle
-    #: claim is route-independent, so both must pass every episode
-    execution: str = "reeval"
     #: ingest path: False = receptor (in-process), True = the network
     #: front door's wire seam (encode → decode → ingest queue → pump,
-    #: see simtest.server_episode) — the claim is path-independent too
+    #: see simtest.server_episode) — the claim is path-independent
     via_server: bool = False
 
     def fault_plan(self) -> Optional[FaultPlan]:
@@ -225,9 +249,7 @@ def run_streaming(
     else:
         cell.add_receptor("tap", [STREAM], channel=channel)
     sim.bind_channel(CHANNEL, channel)
-    handle = cell.submit_continuous(
-        case.continuous_sql, execution=spec.execution
-    )
+    handle = cell.submit_continuous(case.continuous_sql)
     if bug is not None:
         bug(handle)
     episode = sim.run_episode(spec.input_events())
@@ -336,7 +358,7 @@ def render_repro(spec: EpisodeSpec) -> str:
         f"time_step={spec.time_step}, "
         f"batch_fault_rate={spec.batch_fault_rate}, "
         f"exception_rate={spec.exception_rate}, "
-        f"execution={spec.execution!r}, via_server={spec.via_server}, "
+        f"via_server={spec.via_server}, "
         f"rows={list(spec.rows)!r})"
     )
 

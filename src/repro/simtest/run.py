@@ -44,9 +44,7 @@ WINDOW_GEOMETRIES = [
 AGGREGATES = ("sum", "count", "avg", "min", "max")
 
 
-def _episode_spec(
-    index: int, base_seed: int, execution: str = "reeval"
-) -> EpisodeSpec:
+def _episode_spec(index: int, base_seed: int) -> EpisodeSpec:
     seed = base_seed + index
     rng = random.Random(f"datacell-episode:{seed}")
     # every 7th episode ingests through the server's wire seam
@@ -66,7 +64,6 @@ def _episode_spec(
         batch_size=rng.choice((1, 2, 3, 5, 8)),
         batch_fault_rate=0.3 if index % 3 == 0 else 0.0,
         exception_rate=0.15 if index % 6 == 0 else 0.0,
-        execution=execution,
         via_server=via_server,
     )
 
@@ -117,13 +114,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write a JSON repro artifact here on failure",
     )
     parser.add_argument(
-        "--execution",
-        choices=("reeval", "incremental"),
-        default="reeval",
-        help="engine execution mode for every episode "
-        "(incremental = Z-set delta circuits)",
-    )
-    parser.add_argument(
         "--lock-order",
         action="store_true",
         help="install the acquisition-graph recorder "
@@ -152,7 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if message is not None:
                 failures.append(message)
             continue
-        spec = _episode_spec(index, args.seed, execution=args.execution)
+        spec = _episode_spec(index, args.seed)
         result = check_episode(spec)
         if result.ok:
             continue

@@ -40,6 +40,7 @@ __all__ = [
     "UnionSelect",
     "CreateTable",
     "CreateBasket",
+    "CreateView",
     "Insert",
     "Drop",
     "walk_sources",
@@ -250,6 +251,16 @@ class CreateTable(Statement):
 class CreateBasket(Statement):
     name: str
     columns: List[Tuple[str, str]]
+
+
+@dataclass
+class CreateView(Statement):
+    """``CREATE VIEW name AS <continuous select>``: the incrementally
+    maintained running result of ``select``, delivered as weighted
+    deltas (a plain continuous SELECT answers each firing instead)."""
+
+    name: str
+    select: Select
 
 
 @dataclass

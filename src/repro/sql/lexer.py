@@ -34,6 +34,7 @@ KEYWORDS = frozenset(
     into values int integer bigint smallint double float real varchar text
     string boolean bool timestamp true false join inner left outer on cross
     case when then else end cast exists union all every with window slide
+    view
     """.split()
 )
 

@@ -4,6 +4,7 @@ Grammar (informal)::
 
     statement   := select | create | insert | drop
     create      := CREATE (TABLE | BASKET | STREAM) name '(' coldefs ')'
+                 | CREATE VIEW name AS select
     insert      := INSERT INTO name ['(' names ')'] VALUES rowlist
     drop        := DROP (TABLE | BASKET | STREAM) name
     select      := SELECT [DISTINCT] items FROM sources [WHERE expr]
@@ -30,6 +31,7 @@ from .ast_nodes import (
     ColumnRef,
     CreateBasket,
     CreateTable,
+    CreateView,
     Drop,
     Expr,
     FuncCall,
@@ -180,8 +182,11 @@ class Parser:
 
     def _create(self) -> Statement:
         self._expect_keyword("create")
-        kind = self._expect_keyword("table", "basket", "stream")
+        kind = self._expect_keyword("table", "basket", "stream", "view")
         name = self._qualified_ident()
+        if kind.lowered == "view":
+            self._expect_keyword("as")
+            return CreateView(name, self.select())
         self._expect_punct("(")
         columns: List[Tuple[str, str]] = []
         while True:

@@ -225,8 +225,10 @@ class TestGoodCorpus:
         assert rejected == []
 
     def test_corpus_covers_both_execution_modes(self):
-        modes = {execution for _, _, execution in GOOD_QUERIES}
-        assert modes == {"reeval", "incremental"}
+        """Continuous SELECTs (re-evaluated per firing) and views
+        (incremental circuits) both register cleanly."""
+        views = {sql.startswith("create view ") for _, sql in GOOD_QUERIES}
+        assert views == {False, True}
 
 
 class TestPlantedBad:
@@ -299,8 +301,8 @@ class TestDeadCodeCrossCheck:
     def test_dead_warnings_match_optimizer_dce(self):
         """The verifier's liveness and the optimizer's DCE agree."""
         cell = _cell()
-        for _, sql, execution in GOOD_QUERIES:
-            if execution != "reeval" or "refs" in sql:
+        for _, sql in GOOD_QUERIES:
+            if sql.startswith("create view ") or "refs" in sql:
                 continue
             compiled = compile_continuous(cell.catalog, parse_select(sql))
             protected = [b.consumed_var for b in compiled.basket_inputs]

@@ -68,8 +68,8 @@ def sweeps(monkeypatch):
 def test_corpus_queries_quiesce_with_nothing_enabled(sweeps):
     rng = random.Random(7)
     syms = ["A", "B", "C"]
-    for _, sql, execution in GOOD_QUERIES:
-        cell = _make_cell(execution)
+    for _, sql in GOOD_QUERIES:
+        cell = _make_cell()
         cell.submit_continuous(sql)
         for _ in range(4):
             cell.insert("refs", [(s, f"sector{s}") for s in syms])

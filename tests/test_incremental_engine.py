@@ -1,29 +1,27 @@
-"""Engine-level differential tests for ``execution="incremental"``.
+"""Engine-level differential tests for ``CREATE VIEW``.
 
-Every incremental route must be indistinguishable from its re-eval twin
-at the API surface: linear circuits emit identical rows, weighted
-circuits (aggregate, join) integrate to the one-shot answer over the
-same input, unsupported shapes fall back with a recorded reason, and
-window aggregates run the one window plan in either mode, matching the
-re-eval reference row for row.
+A view's weighted circuit (aggregate, join) integrates to the one-shot
+answer over the same input; a shape with no circuit is rejected with its
+reason and registers nothing; and a WINDOW query, a continuous SELECT,
+matches the re-eval reference row for row.
 """
 
+import pickle
 from collections import Counter
 
 import pytest
 
 from repro import DataCell, WindowMode, WindowSpec
 from repro.baselines.reeval import ReEvalWindowAggregatePlan
-from repro.core.windows import WindowAggregatePlan
-from repro.errors import DataCellError
+from repro.errors import BindError, DataCellError
 from repro.incremental import WEIGHT_COLUMN
 from repro.kernel.types import AtomType
 
 ROWS = [(k % 4, v) for k, v in zip(range(24), range(-5, 19))]
 
 
-def _feed_cell(execution):
-    cell = DataCell(execution=execution)
+def _feed_cell():
+    cell = DataCell()
     cell.create_basket("feed", [("a", AtomType.INT), ("b", AtomType.INT)])
     return cell
 
@@ -35,27 +33,8 @@ def _drive(cell, rows=ROWS, basket="feed", batch=5):
 
 
 class TestLinearCircuits:
-    def test_execution_mode_is_validated(self):
-        with pytest.raises(DataCellError):
-            DataCell(execution="speculative")
-
-    def test_linear_matches_reeval_row_for_row(self):
-        sql = (
-            "select x.a, x.b from [select * from feed] as x "
-            "where x.b > 2"
-        )
-        outputs = {}
-        for execution in ("incremental", "reeval"):
-            cell = _feed_cell(execution)
-            handle = cell.submit_continuous(sql, name="q")
-            _drive(cell)
-            outputs[execution] = [tuple(r) for r in handle.fetch()]
-            assert handle.execution == execution
-            assert not handle.weighted
-        assert outputs["incremental"] == outputs["reeval"]
-
     def test_fetch_integrated_requires_weighted_output(self):
-        cell = _feed_cell("incremental")
+        cell = _feed_cell()
         handle = cell.submit_continuous(
             "select x.a from [select * from feed] as x"
         )
@@ -65,14 +44,13 @@ class TestLinearCircuits:
 
 class TestWeightedCircuits:
     def test_aggregate_integrates_to_one_shot(self):
-        cell = _feed_cell("incremental")
+        cell = _feed_cell()
         handle = cell.submit_continuous(
+            "create view agg as "
             "select x.a, sum(x.b), count(x.b), min(x.b), max(x.b) "
-            "from [select * from feed] as x group by x.a",
-            name="agg",
+            "from [select * from feed] as x group by x.a"
         )
-        assert handle.weighted
-        assert handle.execution == "incremental"
+        assert handle.weighted and handle.name == "agg"
         # the output basket carries the weight as its last column
         out_columns = [c.name for c in cell.basket("agg_out").user_columns]
         assert out_columns[-1] == WEIGHT_COLUMN
@@ -92,13 +70,12 @@ class TestWeightedCircuits:
         )
 
     def test_join_integrates_to_one_shot(self):
-        cell = DataCell(execution="incremental")
+        cell = DataCell()
         cell.create_basket("lt", [("k", AtomType.INT), ("a", AtomType.INT)])
         cell.create_basket("rt", [("k", AtomType.INT), ("b", AtomType.INT)])
-        handle = cell.submit_continuous(
-            "select x.k, x.a, y.b from [select * from lt] as x, "
-            "[select * from rt] as y where x.k = y.k",
-            name="j",
+        handle = cell.execute(
+            "create view j as select x.k, x.a, y.b from [select * from lt] "
+            "as x, [select * from rt] as y where x.k = y.k"
         )
         assert handle.weighted
         left = [(i % 3, i) for i in range(14)]
@@ -114,12 +91,12 @@ class TestWeightedCircuits:
         assert Counter(handle.fetch_integrated()) == expected
 
     def test_one_sided_tail_is_not_stranded(self):
-        cell = DataCell(execution="incremental")
+        cell = DataCell()
         cell.create_basket("lt", [("k", AtomType.INT), ("a", AtomType.INT)])
         cell.create_basket("rt", [("k", AtomType.INT), ("b", AtomType.INT)])
         handle = cell.submit_continuous(
-            "select x.k, x.a, y.b from [select * from lt] as x, "
-            "[select * from rt] as y where x.k = y.k"
+            "create view j as select x.k, x.a, y.b from [select * from lt] "
+            "as x, [select * from rt] as y where x.k = y.k"
         )
         cell.insert("lt", [[1, 10]])
         cell.run_until_quiescent()
@@ -130,45 +107,120 @@ class TestWeightedCircuits:
         assert handle.fetch_integrated() == [(1, 10, 20)]
 
 
-class TestFallback:
-    def test_unsupported_shape_falls_back_with_reason(self):
-        cell = _feed_cell("incremental")
-        handle = cell.submit_continuous(
-            "select distinct x.a from [select * from feed] as x",
-            name="d",
-        )
-        assert handle.execution == "reeval"
-        assert not handle.weighted
-        assert any(
-            name == "d" and "distinct" in reason.lower()
-            for name, reason in cell.incremental_fallbacks
-        )
+class TestExactAggregates:
+    """A view folds integral values as python ints, so BIGINT sums and
+    extrema past 2**53 answer what a one-time GROUP BY answers."""
 
-    def test_fallback_query_still_runs(self):
-        cell = _feed_cell("incremental")
-        handle = cell.submit_continuous(
-            "select distinct x.a from [select * from feed] as x"
+    SQL = (
+        "create view v as select x.k, sum(x.x), max(x.x), min(x.x) "
+        "from [select * from h] as x group by x.k"
+    )
+
+    def _cell(self):
+        cell = DataCell()
+        cell.execute("create basket h (k int, x bigint)")
+        return cell
+
+    def test_bigint_view_matches_one_time_group_by(self):
+        cell = self._cell()
+        view = cell.submit_continuous(self.SQL)
+        rows = [(1, 2**53 + 1), (1, 2)]
+        cell.insert("h", rows)
+        cell.run_until_quiescent()
+        cell.execute("create table t (k int, x bigint)")
+        cell.insert("t", rows)
+        oneshot = cell.query(
+            "select k, sum(x), max(x), min(x) from t group by k"
         )
+        assert oneshot == [(1, 2**53 + 3, 2**53 + 1, 2)]
+        assert view.fetch_integrated() == oneshot
+
+    def test_state_saved_with_float_totals_restores_exactly(self):
+        """A checkpoint written while the fold went through float64
+        holds float totals and values; an integral one restores as the
+        int it stands for, so the next fold is exact."""
+        cell = self._cell()
+        view = cell.submit_continuous(self.SQL)
+        group = {
+            "star": 1, "count": 1, "total": float(2**53),
+            "track_minmax": True, "value_weights": {float(2**53): 1},
+        }
+        view.factory.plan.import_state(pickle.dumps({
+            "kind": "aggregate", "deltas_processed": 1, "rows_emitted": 1,
+            "agg": {"aggregates": ["sum", "max", "min"],
+                    "groups": {(1,): group}},
+        }, protocol=4))
+        cell.insert("h", [(1, 1)])
+        cell.run_until_quiescent()
+        assert view.fetch() == [
+            (1, 2**53, 2**53, 2**53, -1),
+            (1, 2**53 + 1, 2**53, 1, 1),
+        ]
+
+
+#: a view of every shape without a circuit: (id, SELECT, reason)
+NO_CIRCUIT = [
+    ("linear", "select x.a from [select * from feed] as x",
+     "a linear query has no circuit"),
+    ("window", "select sum(x.b) from [select * from feed] as x window 4",
+     "a WINDOW query has no circuit"),
+    ("distinct", "select distinct x.a from [select * from feed] as x",
+     "DISTINCT is not linear"),
+    ("having", "select x.a, sum(x.b) from [select * from feed] as x "
+     "group by x.a having sum(x.b) > 3", "HAVING over incremental"),
+    ("order-by", "select x.a, sum(x.b) from [select * from feed] as x "
+     "group by x.a order by x.a", "ORDER BY / LIMIT / DISTINCT"),
+    ("limit", "select x.a from [select * from feed] as x limit 3",
+     "outer LIMIT truncates"),
+    ("non-equi-join", "select x.k, y.b from [select * from lt] as x, "
+     "[select * from rt] as y where x.a < y.b",
+     "join circuits need an equi-join key"),
+    ("cross-side-join", "select x.k from [select * from lt] as x, "
+     "[select * from rt] as y where x.k = y.k and x.a < y.b",
+     "predicates spanning both join sides"),
+    ("varchar-aggregate", "select count(y.sym) from [select * from st] as y",
+     "view aggregates over VARCHAR column 'sym'"),
+]
+
+
+class TestRejection:
+    @pytest.mark.parametrize(
+        "sql,reason",
+        [case[1:] for case in NO_CIRCUIT],
+        ids=[case[0] for case in NO_CIRCUIT],
+    )
+    def test_view_without_circuit_is_rejected(self, sql, reason):
+        cell = _feed_cell()
+        cell.execute("create basket lt (k int, a int)")
+        cell.execute("create basket rt (k int, b int)")
+        cell.execute("create basket st (sym varchar(4))")
+        with pytest.raises(BindError, match=reason):
+            cell.execute(f"create view v as {sql}")
+        assert not cell.catalog.has("v_out")
+        assert cell.continuous_queries() == []
+        assert cell.incremental_fallbacks == []
+
+
+class TestFallback:
+    def test_fallback_query_still_runs(self):
+        """A shape a view rejects still runs as a continuous SELECT,
+        under the name the rejected view would have taken."""
+        cell = _feed_cell()
+        sql = "select distinct x.a from [select * from feed] as x"
+        with pytest.raises(BindError):
+            cell.submit_continuous(f"create view d as {sql}")
+        handle = cell.submit_continuous(sql, name="d")
         _drive(cell)
         assert sorted(set(r[0] for r in handle.fetch())) == [0, 1, 2, 3]
-
-    def test_per_query_override_beats_engine_default(self):
-        cell = _feed_cell("reeval")
-        handle = cell.submit_continuous(
-            "select x.a from [select * from feed] as x",
-            execution="incremental",
-        )
-        assert handle.execution == "incremental"
-        assert not cell.incremental_fallbacks
 
 
 class TestDeltaWindows:
     @pytest.mark.parametrize("size,slide", [(4, 4), (5, 2), (8, 3)])
     def test_count_window_matches_reeval(self, size, slide):
-        """On an incremental engine the window plan matches the re-eval
-        reference row for row (both registered on the same engine)."""
+        """The window plan matches the re-eval reference row for row
+        (both registered on the same engine)."""
         values = [(i * 7) % 23 for i in range(40)]
-        cell = DataCell(execution="incremental")
+        cell = DataCell()
         cell.create_basket("s", [("v", AtomType.LNG)])
         cell.create_basket("r", [("v", AtomType.LNG)])
         aggs = ["sum", "count", "min", "max"]
@@ -191,32 +243,11 @@ class TestDeltaWindows:
         rows = handle.fetch()
         assert rows and rows == ref.fetch()
 
-    def test_window_plan_is_mode_independent(self):
-        """Both engine modes register the same plan class for a SQL
-        window and return identical rows, int group key included."""
-        sql = (
-            "select x.k, sum(x.v), min(x.v), count(*) "
-            "from [select * from s] as x group by x.k window 5 slide 2"
-        )
-        outputs, plans = {}, set()
-        for execution in ("reeval", "incremental"):
-            cell = DataCell(execution=execution)
-            cell.create_basket("s", [("k", AtomType.INT), ("v", AtomType.INT)])
-            handle = cell.submit_continuous(sql)
-            plans.add(type(handle.factory.plan))
-            _drive(cell, rows=ROWS, basket="s")
-            outputs[execution] = handle.fetch()
-            assert not cell.incremental_fallbacks
-        assert plans == {WindowAggregatePlan}
-        assert outputs["reeval"] == outputs["incremental"]
-        assert outputs["reeval"][0] == (0, 0, -6.0, -5.0, 2)
-
     def test_explain_analyze_renders_circuit_state(self):
-        cell = _feed_cell("incremental")
+        cell = _feed_cell()
         handle = cell.submit_continuous(
-            "select x.a, sum(x.b) from [select * from feed] as x "
-            "group by x.a",
-            name="agg",
+            "create view agg as select x.a, sum(x.b) "
+            "from [select * from feed] as x group by x.a"
         )
         _drive(cell)
         rendered = handle.explain_analyze()

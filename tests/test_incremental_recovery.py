@@ -1,8 +1,8 @@
 """Kill-and-restart recovery of incremental (Z-set) operator state.
 
-The durability contract does not weaken on the incremental route:
-circuit state (aggregate groups, join state, delta-window buffers)
-rides the same checkpoint/WAL machinery, so a crash at any firing
+The durability contract does not weaken for a view: circuit state
+(aggregate groups, join state) and window panes ride the same
+checkpoint/WAL machinery, so a crash at any firing
 boundary must recover to byte-identical output — pre-crash emission
 plus post-recovery emission equals the uninterrupted run, and weighted
 outputs still integrate to the one-shot answer over the full stream.
@@ -18,6 +18,7 @@ from repro.incremental import integrate_weighted_rows
 from repro.kernel.types import AtomType
 from repro.simtest.crash import CrashSpec, check_crash_episode
 from repro.simtest.incremental import incremental_episode_spec
+from repro.simtest.oracle import AGG_CASES
 
 ROWS = [(k % 4, v) for k, v in zip(range(30), range(-6, 24))]
 
@@ -30,6 +31,8 @@ ROWS = [(k % 4, v) for k, v in zip(range(30), range(-6, 24))]
 def test_linear_circuit_crash_recovers_byte_identically(
     case, checkpoint_every
 ):
+    """A linear query's continuous SELECT is its own circuit: each
+    firing's rows are the delta of its running result."""
     spec = CrashSpec(
         seed=101,
         rows=tuple(ROWS),
@@ -39,11 +42,28 @@ def test_linear_circuit_crash_recovers_byte_identically(
         crash_after=4,
         checkpoint_every=checkpoint_every,
         fsync="always",
-        execution="incremental",
     )
     result = check_crash_episode(spec)
     assert result.crashed
     assert result.ok, result.explain()
+
+
+@pytest.mark.parametrize("case", sorted(AGG_CASES))
+def test_view_crash_episode_recovers_its_integral(case):
+    spec = CrashSpec(
+        seed=103,
+        rows=tuple(ROWS),
+        case=case,
+        policy="random",
+        batch_size=3,
+        crash_after=25,
+        checkpoint_every=2,
+        fsync="always",
+    )
+    result = check_crash_episode(spec)
+    assert result.crashed
+    assert result.ok, result.explain()
+    assert result.pre_crash and result.post_recovery
 
 
 @pytest.mark.parametrize("size,slide,aggregate", [
@@ -65,7 +85,6 @@ def test_delta_window_crash_recovers_byte_identically(
         fsync="interval",
         window=(size, slide),
         window_aggregate=aggregate,
-        execution="incremental",
     )
     result = check_crash_episode(spec)
     assert result.crashed
@@ -73,7 +92,7 @@ def test_delta_window_crash_recovers_byte_identically(
 
 
 def test_seeded_corpus_cycles_incremental_crash_episodes():
-    """The CI generator must actually exercise incremental crashes."""
+    """The CI generator must actually exercise view crashes."""
     specs = [incremental_episode_spec(i, base_seed=0) for i in range(60)]
     crash_specs = [s for s in specs if s.kind == "crash"]
     assert len(crash_specs) >= 8
@@ -84,7 +103,6 @@ def test_seeded_corpus_cycles_incremental_crash_episodes():
 # ----------------------------------------------------------------------
 def _agg_cell(directory):
     cell = DataCell(
-        execution="incremental",
         durability=(
             DurabilityConfig(directory=directory, fsync="always")
             if directory is not None
@@ -93,9 +111,9 @@ def _agg_cell(directory):
     )
     cell.create_basket("feed", [("a", AtomType.INT), ("b", AtomType.INT)])
     handle = cell.submit_continuous(
+        "create view agg as "
         "select x.a, sum(x.b), count(x.b), min(x.b), max(x.b) "
-        "from [select * from feed] as x group by x.a",
-        name="agg",
+        "from [select * from feed] as x group by x.a"
     )
     return cell, handle
 
@@ -137,7 +155,6 @@ def test_aggregate_circuit_state_survives_crash(tmp_path):
 
 def _join_cell(directory):
     cell = DataCell(
-        execution="incremental",
         durability=(
             DurabilityConfig(directory=directory, fsync="always")
             if directory is not None
@@ -147,9 +164,8 @@ def _join_cell(directory):
     cell.create_basket("lt", [("k", AtomType.INT), ("a", AtomType.INT)])
     cell.create_basket("rt", [("k", AtomType.INT), ("b", AtomType.INT)])
     handle = cell.submit_continuous(
-        "select x.k, x.a, y.b from [select * from lt] as x, "
-        "[select * from rt] as y where x.k = y.k",
-        name="j",
+        "create view j as select x.k, x.a, y.b from [select * from lt] "
+        "as x, [select * from rt] as y where x.k = y.k"
     )
     return cell, handle
 

@@ -181,13 +181,13 @@ class TestAccounts:
         assert "engine.emitter" in account.opcode_cpu
 
     def test_plan_cpu_after_the_last_opcode_chain_is_the_plans(self):
-        # an incremental aggregate runs python after its MAL stage (the
+        # an aggregate view runs python after its MAL stage (the
         # circuit's step): that CPU is inside the plan boundary, and no
         # opcode is charged for it
         burn = 0.02
-        cell = build_cell(execution="incremental")
+        cell = build_cell()
         query = cell.submit_continuous(
-            "select s.sensor, count(*) as n from "
+            "create view v as select s.sensor, count(*) as n from "
             "[select * from sensors where sensors.temp > 30.0] as s "
             "group by s.sensor"
         )

@@ -11,7 +11,7 @@ file at a time, so they live here):
   root, or when an importer names that symbol.  Every ``repro`` module
   the walk misses must be excused by :data:`ALLOWED_UNREACHED`.
 * **Opcodes.**  Every routing-golden query and :data:`CONTINUOUS` query is
-  compiled in both execution modes, plus :data:`ONE_TIME` one-time
+  compiled in both forms (SELECT and view), plus :data:`ONE_TIME` one-time
   statements; the opcodes of the final optimized programs (so an
   optimizer rewrite counts) must cover
   :data:`~repro.kernel.interpreter.OPCODES` except
@@ -32,7 +32,7 @@ import pytest
 from repro import DataCell
 from repro.kernel.interpreter import OPCODES
 
-from .test_sql_routing_golden import QUERIES, _cell
+from .test_sql_routing_golden import FORMS, QUERIES, _cell
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -314,10 +314,10 @@ def continuous_opcodes() -> Set[str]:
     """Opcodes of every registered MAL stage of the continuous queries."""
     emitted: Set[str] = set()
     for sql in (*QUERIES.values(), *CONTINUOUS):
-        for execution in ("reeval", "incremental"):
-            cell = _cell(execution)
+        for form in FORMS.values():
+            cell = _cell()
             try:
-                handle = cell.submit_continuous(sql, name="q")
+                handle = cell.submit_continuous(form.format(sql), name="q")
             except Exception:  # a rejected query registers nothing
                 continue
             finally:

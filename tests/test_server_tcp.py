@@ -19,6 +19,7 @@ from repro.durability import DurabilityConfig, list_segments
 from repro.durability.serde import FRAME_HEADER, frames_with_tail
 from repro.durability.wal import SEGMENT_MAGIC, decode_record
 from repro.errors import ServerError
+from repro.incremental import integrate_weighted_rows
 from repro.kernel.types import INT_NIL, AtomType
 from repro.server.client import DataCellClient
 from repro.server.protocol import (
@@ -93,6 +94,36 @@ def test_null_numeric_columns_reach_the_client():
             assert rows == [(None, None), (1, 2.0)]
     finally:
         cell.stop()
+
+
+def test_subscribe_to_a_view_delivers_weighted_rows():
+    """SUBSCRIBE registers ``create view`` SQL like any continuous
+    query: the session gets the view's weighted deltas, ``dc_weight``
+    last, and they integrate to the running result."""
+    cell, server = _boot()
+    try:
+        with DataCellClient(*server.address) as db:
+            qname = db.subscribe(
+                "create view totals as select t.sym, sum(t.price) "
+                "from [select * from trades] as t group by t.sym"
+            )
+            assert qname == "totals"
+            assert db.columns["totals"] == [
+                ("sym", AtomType.STR), ("sum", AtomType.LNG),
+                ("dc_weight", AtomType.LNG),
+            ]
+            db.insert("trades", TRADE_COLUMNS, [(5, "X"), (7, "Y")])
+            rows = db.poll("totals", timeout=10.0, min_rows=2)
+            db.insert("trades", TRADE_COLUMNS, [(4, "X")])
+            rows += db.poll("totals", timeout=10.0, min_rows=2)
+            assert sorted(rows) == [
+                ("X", 5, -1), ("X", 5, 1), ("X", 9, 1), ("Y", 7, 1),
+            ]
+            assert sorted(integrate_weighted_rows(rows)) == [
+                ("X", 9), ("Y", 7),
+            ]
+    finally:
+        assert cell.stop() == []
 
 
 def test_create_basket_over_the_wire():

@@ -1,8 +1,9 @@
 """The kill-and-restart differential gate.
 
 Seeded episodes (the same generator the CI job runs) must all pass —
-recovered output byte-identical to the uninterrupted run — for plain
-continuous queries and COUNT-window aggregates alike, across all fsync
+recovered output byte-identical to the uninterrupted run, for a view its
+integral — for plain continuous queries, aggregate views and
+COUNT-window aggregates alike, across all fsync
 policies and checkpoint cadences.  A deliberately planted
 duplicate-delivery bug (high-water suppression disabled) must be
 *caught*, proving the differential has teeth.
@@ -18,6 +19,7 @@ from repro.simtest.crash import (
     check_crash_episode,
     crash_episode_spec,
 )
+from repro.simtest.oracle import AGG_CASES
 
 # 4 chunks x 25 = 100 seeded episodes, the acceptance floor; chunking
 # keeps per-test wall time visible and failures localized
@@ -37,6 +39,8 @@ def test_both_query_shapes_and_all_fsync_policies_are_exercised():
     cases = {s.case for s in specs}
     assert "window" in cases
     assert len(cases) >= 4
+    # every third episode registers an aggregate view
+    assert {s.case for s in specs[2::3]} == set(AGG_CASES)
     assert {s.fsync for s in specs} == {"interval", "off", "always"}
     assert any(s.checkpoint_every for s in specs)
     assert any(s.checkpoint_every is None for s in specs)

@@ -551,21 +551,19 @@ class TestRangeRule:
         assert got == expected
 
 
-@pytest.mark.parametrize("execution", ["reeval", "incremental"])
 class TestContinuousQueries:
-    """Continuous queries on a cell, in both execution modes."""
+    """Continuous queries on a cell."""
 
-    def cell(self, execution):
+    def cell(self):
         from repro import DataCell
 
-        cell = DataCell(execution=execution)
+        cell = DataCell()
         cell.execute("create basket s (a int, v int)")
         return cell
 
-    def test_having_without_group_by(self, execution):
-        """Regression: ungrouped HAVING was dropped in both modes (the
-        incremental one falls back to re-eval on HAVING)."""
-        cell = self.cell(execution)
+    def test_having_without_group_by(self):
+        """Regression: ungrouped HAVING was dropped."""
+        cell = self.cell()
         q = cell.submit_continuous(
             "select sum(x.v) from [select * from s] as x "
             "having sum(x.v) > 100"
@@ -587,15 +585,14 @@ class TestContinuousQueries:
         ],
     )
     def test_duplicate_output_names_rejected(
-        self, execution, items, tail, column
+        self, items, tail, column
     ):
         """Regression: a repeated output name failed late, at output
-        basket creation, after recording an incremental fallback."""
-        cell = self.cell(execution)
+        basket creation."""
+        cell = self.cell()
         sql = "select {} from [select * from s] as x" + tail
         with pytest.raises(BindError, match=f"'{column}'.*alias"):
             cell.submit_continuous(sql.format(items), name="dup")
-        assert cell.incremental_fallbacks == []
         assert not cell.catalog.has("dup_out")
         # an alias on the second item makes the query legal
         cell.submit_continuous(sql.format(items + " as other"), name="ok")
@@ -603,10 +600,10 @@ class TestContinuousQueries:
         assert "other" in names
         cell.stop()
 
-    def test_failed_registration_records_no_fallback(self, execution):
-        """A query that falls back and then fails to register (here on
-        the repeated ``k`` its ``*`` expands to) leaves no fallback."""
-        cell = self.cell(execution)
+    def test_failed_registration_records_no_fallback(self):
+        """A query that fails to register (here on the repeated ``k``
+        its ``*`` expands to) leaves nothing behind."""
+        cell = self.cell()
         cell.execute("create basket lt (k int, a int)")
         cell.execute("create basket rt (k int, b int)")
         with pytest.raises(CatalogError, match="duplicate column"):
@@ -615,4 +612,5 @@ class TestContinuousQueries:
                 "[select * from rt] as y where x.k = y.k"
             )
         assert cell.incremental_fallbacks == []
+        assert cell.continuous_queries() == []
         cell.stop()

@@ -107,7 +107,6 @@ class TestExecution:
             (0, "A", 4.0), (0, "B", 2.0), (1, "A", 12.0), (1, "B", 10.0),
         ]
 
-    @pytest.mark.parametrize("execution", ["reeval", "incremental"])
     @pytest.mark.parametrize(
         "ddl,keys",
         [
@@ -117,11 +116,11 @@ class TestExecution:
             ("varchar(4)", ["a", None, "b"]),
         ],
     )
-    def test_group_key_keeps_its_atom(self, execution, ddl, keys):
+    def test_group_key_keeps_its_atom(self, ddl, keys):
         """Regression: window GROUP BY stringified its keys, so an ``int``
         key raised ``TypeMismatchError: cannot append str BAT to int
         BAT`` at the first emit.  A NIL key forms one group."""
-        cell = DataCell(clock=LogicalClock(), execution=execution)
+        cell = DataCell(clock=LogicalClock())
         cell.execute(f"create basket s (k {ddl}, v int)")
         q = cell.submit_continuous(
             "select x.k, sum(x.v), count(*) from [select * from s] as x "
@@ -359,10 +358,9 @@ class TestValidation:
                 "from [select * from s] as x window 4"
             )
 
-    @pytest.mark.parametrize("execution", ["reeval", "incremental"])
     @pytest.mark.parametrize("agg", ["min", "max", "sum", "count"])
-    def test_rejects_aggregates_over_varchar_at_submit(self, execution, agg):
-        cell = DataCell(clock=LogicalClock(), execution=execution)
+    def test_rejects_aggregates_over_varchar_at_submit(self, agg):
+        cell = DataCell(clock=LogicalClock())
         cell.execute("create basket b (s varchar(8), v int)")
         with pytest.raises(BindError, match="VARCHAR column 's'"):
             cell.submit_continuous(

@@ -172,35 +172,34 @@ def test_bare_column_beside_an_aggregate_is_rejected():
         cell.query(sql)
 
 
-@pytest.mark.parametrize("template", [
-    "select sum({a}i) si, count(*) n from {src}", EXPRESSION_QUERY,
-])
-def test_incremental_form_matches_or_falls_back(template):
-    """In incremental mode a query either runs as a circuit, whose
-    integrated rows answer every batch so far, or falls back to re-eval
-    with a reason and answers each batch on its own."""
-    cell = DataCell(execution="incremental")
+@pytest.mark.parametrize("template,reason", [
+    ("select sum({a}x) sx, min({a}x) lo, max({a}x) hi, avg({a}x) ax, "
+     "count(*) n from {src}", None),
+    (EXPRESSION_QUERY, "select items must be group keys or aggregate calls"),
+], ids=["bigint", "expression"])
+def test_view_form_matches_or_is_rejected(template, reason):
+    """As a view a query either runs as a circuit, whose integrated rows
+    answer every batch so far — BIGINT sums and extrema past 2**53
+    exactly — or is rejected with the reason it has none."""
+    cell = DataCell()
     cell.execute(f"create basket b {SCHEMA}")
-    query = cell.submit_continuous(
-        template.format(a="z.", src="[select * from b] as z"), name="q"
-    )
+    sql = template.format(a="z.", src="[select * from b] as z")
     reference = template.format(a="", src="t")
-    fallbacks = dict(cell.incremental_fallbacks)
-    assert query.weighted != ("q" in fallbacks)
+    if reason is not None:
+        with pytest.raises(BindError, match=reason):
+            cell.submit_continuous(f"create view q as {sql}")
+        assert not cell.catalog.has("q_out")
+        return
+    query = cell.submit_continuous(f"create view q as {sql}")
     delivered = []
     try:
         start = 0
         for size in (1, 7, 12, 20):
-            batch = ROWS[start:start + size]
             start += size
-            cell.insert("b", batch)
+            cell.insert("b", ROWS[start - size:start])
             cell.run_until_quiescent()
-            if query.weighted:
-                delivered += query.fetch()
-                same(integrate_weighted_rows(delivered),
-                     sqlite_answer(reference, ROWS[:start]))
-            else:
-                assert fallbacks["q"]
-                same(query.fetch(), sqlite_answer(reference, batch))
+            delivered += query.fetch()
+            same(integrate_weighted_rows(delivered),
+                 sqlite_answer(reference, ROWS[:start]))
     finally:
         cell.stop()
