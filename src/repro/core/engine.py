@@ -423,6 +423,10 @@ class DataCell:
             name, sql, plan, bindings, columns, tenant=tenant
         )
         handle.weighted = handle.output_basket.weighted = plan.weighted
+        if plan.weighted:
+            initial = plan.initial_result()
+            if initial is not None:
+                handle.output_basket.append_result(initial)
         return handle
 
     def submit_plan(

@@ -11,27 +11,23 @@ state so the cost of each firing is ``O(|delta|)`` instead of
 Layers:
 
 * :mod:`~repro.incremental.zset` — the Z-set value type and its algebra;
-* :mod:`~repro.incremental.circuit` — stream operators (lift, delay
-  z⁻¹, integrate, differentiate, incremental group-aggregate,
-  incremental equi-join) and the retraction-capable aggregate state;
+* :mod:`~repro.incremental.circuit` — the stateful stream operators
+  (incremental group-aggregate, incremental equi-join) and the
+  retraction-capable aggregate state;
 * :mod:`~repro.incremental.compile` — the circuit code generator over
   the query :func:`repro.sql.resolve.resolve` resolves; a shape with
   no circuit is rejected with its reason.
 
-``repro.simtest.incremental`` is the differential harness proving that
-a view's integrated output equals the one-shot query over everything
-delivered.  Window aggregates are not here: a WINDOW query is a
+The view episodes of ``python -m repro.simtest.run`` prove that a
+view's integrated output equals the one-shot query over everything
+delivered, at every quiescent point.  Window aggregates are not here: a WINDOW query is a
 continuous SELECT on :class:`repro.core.windows.WindowAggregatePlan`.
 See ``docs/incremental.md``.
 """
 
 from .circuit import (
-    Delay,
-    Differentiate,
     IncrementalGroupAggregate,
     IncrementalJoin,
-    Integrate,
-    Lift,
     RetractableAggState,
 )
 from .compile import (
@@ -44,10 +40,6 @@ __all__ = [
     "ZSet",
     "WEIGHT_COLUMN",
     "integrate_weighted_rows",
-    "Lift",
-    "Delay",
-    "Integrate",
-    "Differentiate",
     "IncrementalGroupAggregate",
     "IncrementalJoin",
     "RetractableAggState",

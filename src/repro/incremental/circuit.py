@@ -1,23 +1,9 @@
 """DBSP stream operators over Z-set deltas.
 
-A *circuit* is a composition of operators mapping streams of Z-sets to
-streams of Z-sets, driven one *step* (factory firing) at a time.  The
-primitives follow the DBSP calculus:
-
-``Lift``
-    apply a per-row function pointwise — weights pass through unchanged.
-    Linear, hence already incremental: ``lift(f)`` of a delta stream *is*
-    the delta of ``lift(f)`` of the integrated stream.
-
-``Delay`` (z⁻¹)
-    emit the previous step's input; the unit of all feedback loops.
-
-``Integrate`` (I)
-    running sum of the deltas — reconstructs the full relation.
-
-``Differentiate`` (D)
-    current minus previous integrated value; ``D ∘ I = id`` (the property
-    suite pins this as ``differentiate(integrate(s)) == s``).
+A *circuit* maps streams of Z-sets to streams of Z-sets, driven one
+*step* (factory firing) at a time.  Its lift stages are compiled MAL
+programs (``repro.incremental.compile``); the stateful operators, which
+keep the integrated state, are here:
 
 ``IncrementalGroupAggregate``
     the incrementalized GROUP-BY aggregate: per-group
@@ -40,98 +26,17 @@ lazy-deletion heaps so retraction stays amortized O(log n).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from ..errors import DataCellError
 from ..kernel.aggregate import AGGREGATE_NAMES
 from .zset import Row, ZSet
 
 __all__ = [
-    "Lift",
-    "Delay",
-    "Integrate",
-    "Differentiate",
     "IncrementalGroupAggregate",
     "IncrementalJoin",
     "RetractableAggState",
 ]
-
-
-class Operator:
-    """A unary stream operator: one Z-set in, one Z-set out, per step."""
-
-    def step(self, delta: ZSet) -> ZSet:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    # state capture for durability (plans pickle operator __dict__s)
-    def state(self) -> Dict[str, Any]:
-        return self.__dict__
-
-    def nbytes(self) -> int:
-        from ..obs.resources import estimate_nbytes
-
-        return estimate_nbytes(self.__dict__)
-
-
-class Lift(Operator):
-    """Pointwise application of a row function; weights pass through.
-
-    ``fn(row) -> row | None | list[row]``: ``None`` filters the row out,
-    a list fans it out (projection with duplication).  Because the weight
-    is untouched, lifting commutes with integration — the linearity law
-    the property tests assert.
-    """
-
-    def __init__(self, fn: Callable[[Row], Any]) -> None:
-        self.fn = fn
-
-    def step(self, delta: ZSet) -> ZSet:
-        out = ZSet()
-        for row, weight in delta.items():
-            mapped = self.fn(row)
-            if mapped is None:
-                continue
-            if isinstance(mapped, list):
-                for m in mapped:
-                    out.add(tuple(m), weight)
-            else:
-                out.add(tuple(mapped), weight)
-        return out
-
-
-class Delay(Operator):
-    """z⁻¹: emits the previous step's input (initially the empty Z-set)."""
-
-    def __init__(self) -> None:
-        self.held = ZSet()
-
-    def step(self, delta: ZSet) -> ZSet:
-        out = self.held
-        self.held = delta.copy()
-        return out
-
-
-class Integrate(Operator):
-    """I: running sum of all deltas seen so far."""
-
-    def __init__(self) -> None:
-        self.current = ZSet()
-
-    def step(self, delta: ZSet) -> ZSet:
-        self.current.merge(delta)
-        return self.current.copy()
-
-
-class Differentiate(Operator):
-    """D: current value minus the previous one (D ∘ I = identity)."""
-
-    def __init__(self) -> None:
-        self.previous = ZSet()
-
-    def step(self, value: ZSet) -> ZSet:
-        out = value - self.previous
-        self.previous = value.copy()
-        return out
 
 
 class RetractableAggState:
@@ -267,14 +172,15 @@ def _exact(value: Any) -> Any:
     return value
 
 
-class IncrementalGroupAggregate(Operator):
+class IncrementalGroupAggregate:
     """Incremental GROUP-BY aggregate over a keyed delta stream.
 
     Input rows are ``(*group_keys, value)`` (value may be ``None`` for
     NULL); without GROUP BY the key is empty, so every row folds into
-    the one group ``()``.  The output delta retracts the group's
-    previous result row (weight −1) and inserts the new one (+1); a
-    group whose state empties only retracts.  Groups are visited in the
+    the one group ``()``, whose row exists over no rows too (the counts
+    0, the rest NULL), as in SQL.  The output delta retracts the group's
+    previous result row (weight −1) and inserts the new one (+1); any
+    other group whose state empties only retracts.  Groups are visited in the
     order the delta first touches them, retraction before insertion, so
     output row order is deterministic.
 
@@ -291,10 +197,13 @@ class IncrementalGroupAggregate(Operator):
         self.track_minmax = bool({"min", "max"} & set(aggregates))
         self.groups: Dict[Hashable, RetractableAggState] = {}
 
-    def _current_row(self, key: Hashable) -> Optional[Row]:
+    def current_row(self, key: Hashable) -> Optional[Row]:
+        """Group ``key``'s result row, None for an empty group."""
         state = self.groups.get(key)
         if state is None or state.star == 0:
-            return None
+            if key:
+                return None
+            state = RetractableAggState()
         return (*key, *(state.result(name) for name in self.aggregates))
 
     def step(self, delta: ZSet) -> ZSet:
@@ -305,7 +214,7 @@ class IncrementalGroupAggregate(Operator):
         for row, weight in delta.items():
             key, value = row[:-1], row[-1]
             if key not in before:
-                before[key] = self._current_row(key)
+                before[key] = self.current_row(key)
                 touched.append(key)
             state = self.groups.get(key)
             if state is None:
@@ -314,7 +223,7 @@ class IncrementalGroupAggregate(Operator):
             state.add(value, weight)
         out = ZSet()
         for key in touched:
-            after = self._current_row(key)
+            after = self.current_row(key)
             if before[key] == after:
                 continue
             if before[key] is not None:
@@ -352,7 +261,7 @@ class IncrementalGroupAggregate(Operator):
         )
 
 
-class IncrementalJoin(Operator):
+class IncrementalJoin:
     """Incremental equi-join: delta-probe against integrated state.
 
     Input rows carry their join key at ``key_index``; output rows are

@@ -129,6 +129,15 @@ class CircuitContinuousPlan:
             output.results[self.output_basket] = self._build_result(rows)
         return output
 
+    def initial_result(self) -> Optional[ResultSet]:
+        """What the view holds before its first firing: an aggregate
+        without GROUP BY answers one row over no rows; any other view
+        holds nothing."""
+        if self.agg is None or self.n_group_keys:
+            return None
+        empty = ZSet({self.agg.current_row(()): 1})
+        return self._build_result(self._aggregate_rows(empty))
+
     def _aggregate_rows(self, delta: ZSet) -> List[Tuple[Any, ...]]:
         """Map ``(*keys, *aggs)`` circuit rows to the select-item order,
         appending the weight column."""

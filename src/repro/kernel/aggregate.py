@@ -87,20 +87,14 @@ def grouped_aggregate(
     if bat.atom is AtomType.STR:
         return _grouped_str(name, tail, gids, ngroups)
     counts = _group_counts(gids, ngroups)
-    if name == "avg":
-        floats = tail.astype(np.float64, copy=False)
-        if ngroups == 1:
-            sums = floats.sum(keepdims=True)
-        else:
-            sums = np.bincount(gids, weights=floats, minlength=ngroups)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            res = sums / np.maximum(counts, 1)
-        return store_numeric(out_atom, res, counts)
-    # integral atoms reduce in int64 so SUM/MIN/MAX stay exact past 2**53
+    # integral atoms reduce in int64 so SUM/AVG/MIN/MAX stay exact past
+    # 2**53; avg divides the exact sum once
     exact = bat.atom.is_integral
     values = tail.astype(np.int64 if exact else np.float64, copy=False)
-    if name == "sum":
+    if name in ("sum", "avg"):
         res = _reduce(np.add, 0, gids, values, ngroups)
+        if name == "avg":
+            res = res / np.maximum(counts, 1)
     elif name == "min":
         fill = np.iinfo(np.int64).max if exact else np.inf
         res = _reduce(np.minimum, fill, gids, values, ngroups)

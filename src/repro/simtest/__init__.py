@@ -20,11 +20,14 @@ package provides the correctness substrate instead:
   which reads it).
 * :mod:`~repro.simtest.oracle` replays every simulated input stream
   through both the continuous-query pipeline and a one-shot execution of
-  the same SQL over the accumulated stream table (plus the ``baselines``
-  engines for window queries), asserting emitted-result equivalence up
-  to permutation — the "streaming must equal re-running the SQL"
-  property DataCell inherits from the relational kernel.  A shrinker
-  minimizes ``(stream, schedule)`` on failure.
+  the same SQL over the accumulated stream tables, at every quiescent
+  point, asserting equivalence up to permutation — the "streaming must
+  equal re-running the SQL" property DataCell inherits from the
+  relational kernel.  A continuous SELECT's rows are summed, a view's
+  weighted deltas integrated; window queries are checked against the
+  ``baselines`` engines instead.  A shrinker minimizes ``(stream,
+  schedule)`` on failure, and ``python -m repro.simtest.run`` is the
+  seeded gate over all of these.
 * :mod:`~repro.simtest.crash` kills seeded episodes at firing
   boundaries and requires recovery (checkpoint + WAL replay) to deliver
   byte-identically what the uninterrupted run delivers — the
@@ -40,11 +43,13 @@ rules, and how to reproduce a failure from a printed repro line.
 from .faults import FaultableChannel, FaultPlan, InjectedFault
 from .oracle import (
     ORACLE_CASES,
+    VIEW_CASES,
     DifferentialResult,
     EpisodeSpec,
     OracleCase,
     check_episode,
     render_repro,
+    run_time_window_differential,
     run_window_differential,
     shrink_episode,
 )
@@ -64,12 +69,14 @@ __all__ = [
     "InjectedFault",
     "OracleCase",
     "ORACLE_CASES",
+    "VIEW_CASES",
     "EpisodeSpec",
     "DifferentialResult",
     "check_episode",
     "shrink_episode",
     "render_repro",
     "run_window_differential",
+    "run_time_window_differential",
     "RandomPolicy",
     "RoundRobinPolicy",
     "PriorityInvertingPolicy",

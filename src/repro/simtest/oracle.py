@@ -9,6 +9,15 @@ batching, and any boundary fault that preserves the delivered stream.
 Purpose-built DSMSs cannot check themselves this cheaply; we can, so
 every simulated episode is checked.
 
+One check covers both query forms.  A continuous SELECT
+(``ORACLE_CASES``) answers each firing, so the rows it delivered,
+summed as a multiset, equal the one-shot SQL.  A view
+(``VIEW_CASES``: the aggregates of ``AGG_CASES`` and the two-stream
+``JOIN_CASE``) is DBSP's integral of its SELECT, so its weighted
+deltas, integrated, equal the same one-shot SQL.  The check runs at
+every quiescent point of the episode — each time nothing is enabled at
+the current virtual time — over what was delivered up to that point.
+
 Equivalence rules (also in ``docs/testing.md``):
 
 * comparison is **multiset** equality — emission order carries no
@@ -16,28 +25,31 @@ Equivalence rules (also in ``docs/testing.md``):
 * the one-shot side accumulates the *post-fault delivered* stream (a
   dropped batch is absent from both sides, a duplicated one present
   twice in both);
-* window queries are instead checked against the naive per-tuple
-  baseline (``baselines.reeval``), fed the delivered stream in
-  basket-ingest order, and compared as *sequences*
-  (window results are ordered by window index).
+* window queries are instead checked against references, compared as
+  *sequences* ordered by window index: a COUNT window against the naive
+  per-tuple baseline fed the delivered stream in basket-ingest order,
+  a TIME window against the re-eval plan fed the same stamped stream.
 
 On failure, :func:`shrink_episode` minimizes ``(stream, schedule)``:
 first it tries dropping the faults and simplifying the policy to the
-deterministic default, then greedily delta-debugs the input rows,
-re-running the full differential check on every candidate.  The shrunk
-spec renders as a one-line repro via :func:`render_repro`.
+deterministic default, then greedily delta-debugs the input rows of
+each stream, re-running the full differential check on every
+candidate.  The shrunk spec renders as a one-line repro via
+:func:`render_repro`.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adapters.channels import Channel, InMemoryChannel
-from ..baselines.reeval import NaiveReEvalWindow
+from ..baselines.reeval import NaiveReEvalWindow, ReEvalWindowAggregatePlan
 from ..core.continuous import ContinuousQuery
 from ..core.engine import DataCell
+from ..core.windows import WindowMode, WindowSpec
 from ..kernel.types import AtomType
 from ..obs.metrics import MetricsRegistry
 from .faults import FaultPlan, FaultableChannel
@@ -46,31 +58,34 @@ from .sim import EpisodeResult, InputEvent, SimScheduler
 __all__ = [
     "OracleCase",
     "AGG_CASES",
+    "JOIN_CASE",
     "ORACLE_CASES",
+    "VIEW_CASES",
     "EpisodeSpec",
     "DifferentialResult",
     "run_streaming",
-    "run_oneshot",
     "check_episode",
     "shrink_episode",
     "render_repro",
     "run_window_differential",
+    "run_time_window_differential",
 ]
 
 Row = Tuple[int, ...]
 BugHook = Callable[[ContinuousQuery], None]
 
-STREAM = "feed"  # the basket/table name every case queries
+STREAM = "feed"  # the basket/table name every one-stream case queries
 CHANNEL = "wire"
+VIEW = "v"  # the name a view case registers under (its factory's too)
 
 
 @dataclass(frozen=True)
 class OracleCase:
     """One continuous query with its one-shot twin.
 
-    Both statements are over a two-int-column stream ``feed(a, b)``;
-    integer values keep float summation order out of the equivalence
-    question.
+    Both statements are over two-int-column streams (``feed(a, b)``, or
+    the join's ``jleft(k, a)`` and ``jright(k, b)``); integer values
+    keep float summation order out of the equivalence question.
     """
 
     name: str
@@ -140,10 +155,43 @@ AGG_CASES: Dict[str, OracleCase] = {
     )
 }
 
+#: the two-stream equi-join view: ``jleft`` is fed ``EpisodeSpec.rows``,
+#: ``jright`` its ``right_rows``
+JOIN_CASE = OracleCase(
+    "join",
+    "select x.k, x.a, y.b from [select * from jleft] as x, "
+    "[select * from jright] as y where x.k = y.k",
+    "select jleft.k, jleft.a, jright.b from jleft, jright "
+    "where jleft.k = jright.k",
+)
+
+#: the cases registered as ``create view``
+VIEW_CASES: Dict[str, OracleCase] = {**AGG_CASES, JOIN_CASE.name: JOIN_CASE}
+
 COLUMNS: List[Tuple[str, AtomType]] = [
     ("a", AtomType.INT),
     ("b", AtomType.INT),
 ]
+
+Stream = Tuple[str, List[Tuple[str, AtomType]]]  # basket, columns
+
+#: the baskets a case reads, in the order the spec's row streams feed them
+_STREAMS: Dict[str, Tuple[Stream, ...]] = {
+    JOIN_CASE.name: (
+        ("jleft", [("k", AtomType.INT), ("a", AtomType.INT)]),
+        ("jright", [("k", AtomType.INT), ("b", AtomType.INT)]),
+    ),
+}
+
+
+def _case_streams(case: str) -> Tuple[Stream, ...]:
+    return _STREAMS.get(case, ((STREAM, COLUMNS),))
+
+
+def _suffix(i: int) -> str:
+    """Names of stream ``i``'s channel and ingress: ``wire``/``tap``,
+    then ``wire2``/``tap2``."""
+    return "" if i == 0 else str(i + 1)
 
 
 @dataclass(frozen=True)
@@ -152,7 +200,7 @@ class EpisodeSpec:
 
     seed: int
     rows: Tuple[Row, ...]
-    case: str = "filter"
+    case: str = "filter"  # a name in ORACLE_CASES or VIEW_CASES
     policy: str = "random"
     batch_size: int = 3
     time_step: float = 0.25
@@ -162,6 +210,8 @@ class EpisodeSpec:
     #: front door's wire seam (encode → decode → ingest queue → pump,
     #: see simtest.server_episode) — the claim is path-independent
     via_server: bool = False
+    #: the join case's second stream
+    right_rows: Tuple[Row, ...] = ()
 
     def fault_plan(self) -> Optional[FaultPlan]:
         if self.batch_fault_rate <= 0 and self.exception_rate <= 0:
@@ -173,27 +223,42 @@ class EpisodeSpec:
             delay_seconds=self.time_step * 2,
         )
 
+    def streams(self) -> List[Tuple[str, Tuple[Row, ...]]]:
+        """``(channel, rows)`` for each basket the case reads."""
+        rows = (self.rows, self.right_rows)
+        return [
+            (CHANNEL + _suffix(i), rows[i])
+            for i in range(len(_case_streams(self.case)))
+        ]
+
     def input_events(self) -> List[InputEvent]:
-        events = []
-        for i in range(0, len(self.rows), self.batch_size):
-            events.append(
-                InputEvent.make(
-                    at=(i // self.batch_size) * self.time_step,
-                    channel=CHANNEL,
-                    events=self.rows[i : i + self.batch_size],
-                )
+        """Each stream's batches, at the same virtual instants: a join's
+        two sides arrive together, so one firing may see both deltas."""
+        return [
+            InputEvent.make(
+                at=(i // self.batch_size) * self.time_step,
+                channel=channel,
+                events=rows[i : i + self.batch_size],
             )
-        return events
+            for channel, rows in self.streams()
+            for i in range(0, len(rows), self.batch_size)
+        ]
 
 
 @dataclass
 class StreamingOutcome:
-    """What the simulated continuous pipeline produced."""
+    """What the simulated continuous pipeline produced.
 
-    rows: List[Row]
-    delivered: List[Row]  # post-fault ground truth, in ingest order
+    ``streaming`` and ``oneshot`` are the two sides at the first
+    quiescent point where they differ, or else at the end of the episode.
+    """
+
+    rows: List[Row]  # as delivered (a view's carry their weight)
+    delivered: List[List[Row]]  # per stream, post-fault, in ingest order
     episode: EpisodeResult
     faults: Optional[FaultPlan]
+    streaming: "Counter[Row]"
+    oneshot: "Counter[Row]"
 
 
 @dataclass
@@ -222,58 +287,135 @@ def _quiet_metrics() -> MetricsRegistry:
     return MetricsRegistry(enabled=False)
 
 
+def _delivered(channel: Channel, sent: Sequence[Row]) -> List[Row]:
+    """What ``channel`` has handed its ingress so far, post-fault."""
+    if isinstance(channel, FaultableChannel):
+        return [tuple(e) for e in channel.delivered]
+    assert isinstance(channel, InMemoryChannel)
+    return [tuple(r) for r in sent[: channel.total_pushed - channel.pending()]]
+
+
+class _Differential:
+    """The check made at each quiescent point: what the query delivered
+    so far, summed (a view's rows by their weights), against the
+    one-shot SQL over what the channels delivered so far.  A reference
+    cell keeps the delivered rows as tables; the first mismatch stands.
+    """
+
+    def __init__(
+        self,
+        case: OracleCase,
+        handle: ContinuousQuery,
+        channels: List[Channel],
+        sent: List[Tuple[Row, ...]],
+    ):
+        self.case = case
+        self.handle = handle
+        self.channels = channels
+        self.sent = sent
+        self.reference = DataCell(metrics=_quiet_metrics())
+        self.tables = [
+            self.reference.create_table(basket, columns)
+            for basket, columns in _case_streams(case.name)
+        ]
+        self.loaded = [0] * len(self.tables)
+        self.rows: List[Row] = []
+        self.streaming: Counter = Counter()
+        self.oneshot: Counter = Counter()
+        self.failed = False
+
+    def delivered(self) -> List[List[Row]]:
+        return [
+            _delivered(channel, sent)
+            for channel, sent in zip(self.channels, self.sent)
+        ]
+
+    def __call__(self) -> None:
+        if self.failed:
+            return
+        fresh = [tuple(r) for r in self.handle.fetch()]
+        self.rows.extend(fresh)
+        for row in fresh:
+            key, weight = (
+                (row[:-1], row[-1]) if self.handle.weighted else (row, 1)
+            )
+            self.streaming[key] += weight
+            if not self.streaming[key]:
+                del self.streaming[key]
+        for i, rows in enumerate(self.delivered()):
+            if len(rows) > self.loaded[i]:
+                self.tables[i].append_rows(
+                    [list(r) for r in rows[self.loaded[i] :]]
+                )
+                self.loaded[i] = len(rows)
+        result = self.reference.execute(self.case.oneshot_sql)
+        self.oneshot = Counter(tuple(r) for r in result.rows())
+        # a retraction below zero shows as ``missing``
+        self.failed = bool(
+            self.oneshot - self.streaming or self.streaming - self.oneshot
+        )
+
+
 def run_streaming(
     spec: EpisodeSpec, bug: Optional[BugHook] = None
 ) -> StreamingOutcome:
-    """Drive the episode's rows through a simulated continuous pipeline.
+    """Drive the episode's rows through a simulated continuous pipeline,
+    making the differential check at every quiescent point.
 
     ``bug`` (tests only) mutates the registered query before the episode
     runs — how the deliberate consumption bug is planted to prove the
     oracle catches and shrinks it.
     """
-    case = ORACLE_CASES[spec.case]
+    view = spec.case in VIEW_CASES
+    case = VIEW_CASES[spec.case] if view else ORACLE_CASES[spec.case]
     faults = spec.fault_plan()
     metrics = _quiet_metrics()
     sim = SimScheduler(
         seed=spec.seed, policy=spec.policy, faults=faults, metrics=metrics
     )
     cell = DataCell(clock=sim.clock, scheduler=sim, metrics=metrics)
-    cell.create_basket(STREAM, COLUMNS)
-    channel: Channel = InMemoryChannel(CHANNEL)
-    if faults is not None:
-        channel = FaultableChannel(channel, faults, sim.clock)
-    if spec.via_server:
-        from .server_episode import attach_server_ingress
+    channels: List[Channel] = []
+    ingress = None
+    for i, (basket, columns) in enumerate(_case_streams(spec.case)):
+        cell.create_basket(basket, columns)
+        channel: Channel = InMemoryChannel(CHANNEL + _suffix(i))
+        if faults is not None:
+            channel = FaultableChannel(channel, faults, sim.clock)
+        if not spec.via_server:
+            cell.add_receptor("tap" + _suffix(i), [basket], channel=channel)
+        elif ingress is None:
+            from .server_episode import attach_server_ingress
 
-        attach_server_ingress(cell, channel, STREAM, COLUMNS)
-    else:
-        cell.add_receptor("tap", [STREAM], channel=channel)
-    sim.bind_channel(CHANNEL, channel)
-    handle = cell.submit_continuous(case.continuous_sql)
+            ingress = attach_server_ingress(cell, channel, basket, columns)
+        else:
+            # a second stream shares the server's ingest queue and pump
+            from .server_episode import WireIngress
+
+            cell.scheduler.register(WireIngress(
+                channel, basket, columns, ingress.queue,
+                name="server_wire" + _suffix(i),
+            ))
+        sim.bind_channel(CHANNEL + _suffix(i), channel)
+        channels.append(channel)
+    handle = cell.submit_continuous(
+        f"create view {VIEW} as {case.continuous_sql}"
+        if view else case.continuous_sql
+    )
     if bug is not None:
         bug(handle)
-    episode = sim.run_episode(spec.input_events())
+    check = _Differential(
+        case, handle, channels, [rows for _, rows in spec.streams()]
+    )
+    episode = sim.run_episode(spec.input_events(), on_quiescent=check)
     sim.attach_digests(cell.catalog.baskets())
-    if isinstance(channel, FaultableChannel):
-        delivered = [tuple(e) for e in channel.delivered]
-    else:
-        delivered = [tuple(r) for r in spec.rows]
     return StreamingOutcome(
-        rows=[tuple(r) for r in handle.fetch()],
-        delivered=delivered,
+        rows=check.rows,
+        delivered=check.delivered(),
         episode=episode,
         faults=faults,
+        streaming=check.streaming,
+        oneshot=check.oneshot,
     )
-
-
-def run_oneshot(case: OracleCase, delivered: Sequence[Row]) -> List[Row]:
-    """Re-run the query once over the accumulated stream table."""
-    cell = DataCell(metrics=_quiet_metrics())
-    table = cell.create_table(STREAM, COLUMNS)
-    if delivered:
-        table.append_rows([list(r) for r in delivered])
-    result = cell.execute(case.oneshot_sql)
-    return [tuple(r) for r in result.rows()]
 
 
 def check_episode(
@@ -281,9 +423,7 @@ def check_episode(
 ) -> DifferentialResult:
     """One full differential check: simulate, replay, compare multisets."""
     outcome = run_streaming(spec, bug=bug)
-    oneshot_rows = run_oneshot(ORACLE_CASES[spec.case], outcome.delivered)
-    streaming = Counter(outcome.rows)
-    oneshot = Counter(oneshot_rows)
+    streaming, oneshot = outcome.streaming, outcome.oneshot
     missing = oneshot - streaming
     extra = streaming - oneshot
     return DifferentialResult(
@@ -309,8 +449,9 @@ def shrink_episode(
 
     Schedule first — a repro without faults under the deterministic
     default policy is worth more than a short stream — then ddmin-style
-    greedy removal of input rows.  Every candidate re-runs the entire
-    differential check, so the result is guaranteed to still fail.
+    greedy removal of input rows, stream by stream.  Every candidate
+    re-runs the entire differential check, so the result is guaranteed
+    to still fail.
     """
     attempts = 0
 
@@ -323,27 +464,30 @@ def shrink_episode(
 
     current = spec
     # 1. simplify the schedule: drop faults, then the random policy
-    for simpler in (
-        replace(current, batch_fault_rate=0.0, exception_rate=0.0),
-        replace(current, policy="priority"),
+    for simplify in (
+        dict(batch_fault_rate=0.0, exception_rate=0.0),
+        dict(policy="priority"),
     ):
+        simpler = replace(current, **simplify)
         if simpler != current and fails(simpler):
             current = simpler
-    # 2. shrink the stream (greedy ddmin over row chunks)
-    rows = list(current.rows)
-    chunk = max(1, len(rows) // 2)
-    while True:
-        i = 0
-        while i < len(rows):
-            candidate = rows[:i] + rows[i + chunk :]
-            if candidate and fails(replace(current, rows=tuple(candidate))):
-                rows = candidate
-            else:
-                i += chunk
-        if chunk == 1:
-            break
-        chunk = max(1, chunk // 2)
-    return replace(current, rows=tuple(rows)), attempts
+    # 2. shrink each stream (greedy ddmin over row chunks)
+    for name in ("rows", "right_rows"):
+        rows = list(getattr(current, name))
+        chunk = max(1, len(rows) // 2)
+        while rows:
+            i = 0
+            while i < len(rows):
+                candidate = rows[:i] + rows[i + chunk :]
+                trial = replace(current, **{name: tuple(candidate)})
+                if candidate and fails(trial):
+                    rows, current = candidate, trial
+                else:
+                    i += chunk
+            if chunk == 1:
+                break
+            chunk = max(1, chunk // 2)
+    return current, attempts
 
 
 def render_repro(spec: EpisodeSpec) -> str:
@@ -352,6 +496,9 @@ def render_repro(spec: EpisodeSpec) -> str:
     Paste it back as ``check_episode(EpisodeSpec(...))`` — every field
     that determines the episode is in the line (see ``docs/testing.md``).
     """
+    right = (
+        f", right_rows={list(spec.right_rows)!r}" if spec.right_rows else ""
+    )
     return (
         f"EpisodeSpec(seed={spec.seed}, case={spec.case!r}, "
         f"policy={spec.policy!r}, batch_size={spec.batch_size}, "
@@ -359,7 +506,7 @@ def render_repro(spec: EpisodeSpec) -> str:
         f"batch_fault_rate={spec.batch_fault_rate}, "
         f"exception_rate={spec.exception_rate}, "
         f"via_server={spec.via_server}, "
-        f"rows={list(spec.rows)!r})"
+        f"rows={list(spec.rows)!r}{right})"
     )
 
 
@@ -437,3 +584,66 @@ def run_window_differential(
     for value in delivered:
         naive.insert(value)
     return streaming, [float(v) for v in naive.results], episode
+
+
+def run_time_window_differential(
+    size: float,
+    slide: float,
+    rows: Sequence[Row],
+    aggregates: Sequence[str] = ("sum",),
+    grouped: bool = False,
+    disorder: float = 0.0,
+    seed: int = 0,
+    batch_size: int = 3,
+) -> Tuple[List[Row], List[Row]]:
+    """SQL ``WINDOW size SECONDS SLIDE slide`` vs the re-eval reference.
+
+    ``rows`` are ``(value, key)`` pairs; grouped, the query groups by
+    ``"g" + str(key % 3)``.  Each row's stamp moves the stream head on by
+    up to half a slide and lags it by up to ``disorder`` seconds, so with
+    ``disorder`` stamps go backwards and tuples arrive late.  A receptor
+    stamps "now", so the rows are inserted straight into the basket with
+    their stamps, firing to quiescence every ``batch_size`` rows.  The
+    SQL query and :class:`~repro.baselines.reeval.ReEvalWindowAggregatePlan`
+    (registered by hand) see the identical stamped sequence; returns
+    ``(plan rows, reference rows)``, equal as sequences when correct.
+    """
+
+    def drive(reference: bool) -> List[Row]:
+        cell = DataCell(metrics=_quiet_metrics())
+        cell.create_basket("s", [("v", AtomType.LNG), ("g", AtomType.STR)])
+        if reference:
+            plan = ReEvalWindowAggregatePlan(
+                "s", "v", list(aggregates),
+                WindowSpec(WindowMode.TIME, size, slide), "w_out",
+                group_column="g" if grouped else None,
+                value_atom=AtomType.LNG,
+            )
+            handle = cell.submit_plan("w", plan, ["s"], plan.output_schema())
+        else:
+            # the reference's column order: the key, then the aggregates
+            key, group = ("x.g, ", " group by x.g") if grouped else ("", "")
+            aggs = ", ".join(f"{agg}(x.v)" for agg in aggregates)
+            handle = cell.submit_continuous(
+                f"select {key}{aggs} from [select * from s] as x{group} "
+                f"window {size} seconds slide {slide} seconds",
+                name="w",
+            )
+        basket = cell.basket("s")
+        rng = random.Random(f"datacell-time-window:{seed}")
+        out: List[Row] = []
+        t = 100.0
+        for i, (value, key_value) in enumerate(rows):
+            t += rng.random() * (slide / 2)
+            stamp = t - (rng.random() * disorder if disorder else 0.0)
+            basket.insert_rows(
+                [[value, "g" + str(key_value % 3)]], timestamp=stamp
+            )
+            if i % batch_size == 0:
+                cell.run_until_quiescent()
+                out.extend(tuple(r) for r in handle.fetch())
+        cell.run_until_quiescent()
+        out.extend(tuple(r) for r in handle.fetch())
+        return out
+
+    return drive(reference=False), drive(reference=True)

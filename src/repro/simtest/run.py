@@ -2,16 +2,23 @@
 
 Usage::
 
-    PYTHONPATH=src python -m repro.simtest.run --episodes 200 \\
+    PYTHONPATH=src python -m repro.simtest.run --episodes 400 \\
         --seed 0 --out benchmarks/simtest_repro.json
 
-Episodes cycle deterministically through the firing policies and oracle
-cases; a third get batch faults, a sixth get injected exceptions, and
-every fifth episode is a window-geometry differential instead of a SQL
-one.  Everything derives from ``--seed``, so a CI failure reproduces
-locally with the same invocation.  On failure the first failing episode
-is shrunk and the one-line repro (plus a JSON artifact for upload)
-is emitted; exit status is the number of failing episodes.
+Every differential of the simulator but crash recovery runs here.
+Episodes cycle deterministically through ``CYCLE``: of every five, two
+are *linear* (a continuous SELECT of ``ORACLE_CASES``), one a *view*
+(``create view`` over ``VIEW_CASES``; every other one is the two-stream
+*join*, the rest cycle the *aggregate* cases) and two windows, COUNT
+and TIME in turn (the engine against the naive per-tuple baseline, and
+against the re-eval plan, grouped or not, in or out of order).
+Linear and view episodes rotate their cases, then their firing
+policies; a third get batch faults, a sixth injected exceptions, a
+seventh ingest through the server's wire seam.  Everything derives
+from ``--seed``, so a CI failure reproduces locally with the same
+invocation.  On failure the first failing episode is shrunk and the
+one-line repro (plus a JSON artifact for upload) is emitted; exit
+status is the number of failing episodes.
 """
 
 from __future__ import annotations
@@ -20,20 +27,31 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
-from typing import List, Optional
+from collections import Counter
+from dataclasses import asdict, replace
+from typing import List, Optional, Tuple
 
 from .oracle import (
+    AGG_CASES,
+    JOIN_CASE,
     ORACLE_CASES,
+    VIEW,
     EpisodeSpec,
     check_episode,
     render_repro,
+    run_time_window_differential,
     run_window_differential,
     shrink_episode,
 )
 from .policies import policy_names
 from ..testing import current_seed
 
+#: one turn of the episode schedule
+CYCLE = ("linear", "view", "window", "linear", "window")
+#: the view episodes' cases: the join every other time
+VIEW_CYCLE = tuple(
+    case for agg in sorted(AGG_CASES) for case in (agg, JOIN_CASE.name)
+)
 WINDOW_GEOMETRIES = [
     (5, 2),  # overlapping slide
     (4, 4),  # tumbling
@@ -41,60 +59,136 @@ WINDOW_GEOMETRIES = [
     (8, 3),
     (30, 10),
 ]
+TIME_GEOMETRIES = ((8.0, 2.0), (5.0, 5.0), (12.0, 3.0))
 AGGREGATES = ("sum", "count", "avg", "min", "max")
+TIME_AGGREGATES = (
+    ("sum",), ("count",), ("avg",), ("min",), ("max",),
+    ("sum", "count", "min", "max"),
+)
+
+
+def episode_kind(index: int) -> Tuple[str, int]:
+    """Episode ``index``'s slot in ``CYCLE`` and its ordinal among the
+    episodes of that slot."""
+    turn, at = divmod(index, len(CYCLE))
+    slot = CYCLE[at]
+    return slot, turn * CYCLE.count(slot) + CYCLE[:at].count(slot)
+
+
+def kind_name(index: int) -> str:
+    """What episode ``index`` checks: ``linear``, ``aggregate``,
+    ``join``, ``count_window`` or ``time_window``."""
+    slot, ordinal = episode_kind(index)
+    if slot == "window":
+        return ("count_window", "time_window")[ordinal % 2]
+    if slot == "view":
+        case = VIEW_CYCLE[ordinal % len(VIEW_CYCLE)]
+        return "join" if case == JOIN_CASE.name else "aggregate"
+    return "linear"
 
 
 def _episode_spec(index: int, base_seed: int) -> EpisodeSpec:
+    """A linear or view episode.  Its case cycles fastest; each turn
+    through the cases takes the next policy, a third of the turns get
+    batch faults, a sixth injected exceptions too, and a seventh ingest
+    through the server's wire seam (encode → decode → ingest queue →
+    pump) instead of a receptor."""
     seed = base_seed + index
     rng = random.Random(f"datacell-episode:{seed}")
-    # every 7th episode ingests through the server's wire seam
-    # (encode → decode → ingest queue → pump) instead of a receptor
-    via_server = index % 7 == 2
-    starve = "starve:server_wire" if via_server else "starve:tap"
-    policies = list(policy_names()) + [starve]
-    case_names = sorted(ORACLE_CASES)
+    slot, ordinal = episode_kind(index)
+    cases = sorted(ORACLE_CASES) if slot == "linear" else VIEW_CYCLE
+    turn, case = divmod(ordinal, len(cases))
+    via_server = turn % 7 == 2
+    # a starved view factory fires once every delivered delta waits:
+    # both sides of a join in one firing
+    starve = (
+        VIEW if slot == "view" else "server_wire" if via_server else "tap"
+    )
+    policies = list(policy_names()) + [f"starve:{starve}"]
     n_rows = rng.randint(5, 60)
-    return EpisodeSpec(
+    spec = EpisodeSpec(
         seed=seed,
         rows=tuple(
             (rng.randint(-5, 30), rng.randint(0, 10)) for _ in range(n_rows)
         ),
-        case=case_names[index % len(case_names)],
-        policy=policies[index % len(policies)],
+        case=cases[case],
+        policy=policies[turn % len(policies)],
         batch_size=rng.choice((1, 2, 3, 5, 8)),
-        batch_fault_rate=0.3 if index % 3 == 0 else 0.0,
-        exception_rate=0.15 if index % 6 == 0 else 0.0,
+        batch_fault_rate=0.3 if turn % 3 == 0 else 0.0,
+        exception_rate=0.15 if turn % 6 == 0 else 0.0,
         via_server=via_server,
+    )
+    if spec.case != JOIN_CASE.name:
+        return spec
+    # join keys from a small domain, so the two sides match often
+    return replace(
+        spec,
+        rows=tuple(
+            (rng.randint(0, 8), rng.randint(0, 20)) for _ in range(n_rows)
+        ),
+        right_rows=tuple(
+            (rng.randint(0, 8), rng.randint(0, 20))
+            for _ in range(rng.randint(4, 40))
+        ),
     )
 
 
 def _run_window_episode(index: int, base_seed: int) -> Optional[str]:
-    """One window differential; returns a failure description or None."""
+    """One window differential, COUNT or TIME; returns a one-line repro
+    of the failure, or None."""
     seed = base_seed + index
     rng = random.Random(f"datacell-window-episode:{seed}")
-    size, slide = WINDOW_GEOMETRIES[index % len(WINDOW_GEOMETRIES)]
-    aggregate = AGGREGATES[index % len(AGGREGATES)]
-    policy = (list(policy_names()) + ["starve:tap"])[
-        index % (len(policy_names()) + 1)
-    ]
-    rows = [rng.randint(0, 50) for _ in range(rng.randint(size, 80))]
-    streaming, naive, _ = run_window_differential(
-        size,
-        slide,
-        rows,
-        aggregate=aggregate,
+    turn = episode_kind(index)[1] // 2
+    if kind_name(index) == "time_window":
+        size, slide = TIME_GEOMETRIES[turn % len(TIME_GEOMETRIES)]
+        call = dict(
+            size=size,
+            slide=slide,
+            rows=[
+                (rng.randint(0, 50), rng.randint(0, 5))
+                for _ in range(rng.randint(10, 70))
+            ],
+            aggregates=TIME_AGGREGATES[turn // 3 % len(TIME_AGGREGATES)],
+            grouped=turn % 2 == 0,
+            disorder=slide * 2.5 if turn // 2 % 2 else 0.0,
+            seed=seed,
+            batch_size=rng.choice((1, 2, 3, 5, 8)),
+        )
+        plan, reference = run_time_window_differential(**call)
+        if plan == reference:
+            return None
+        diverge = next(
+            (i for i, (a, b) in enumerate(zip(plan, reference)) if a != b),
+            min(len(plan), len(reference)),
+        )
+        detail = (
+            f"row {diverge}: plan={plan[diverge:diverge + 3]} "
+            f"reeval={reference[diverge:diverge + 3]} "
+            f"(lengths {len(plan)}/{len(reference)})"
+        )
+        return f"{_call('run_time_window_differential', call)}: {detail}"
+    size, slide = WINDOW_GEOMETRIES[turn % len(WINDOW_GEOMETRIES)]
+    call = dict(
+        size=size,
+        slide=slide,
+        rows=[rng.randint(0, 50) for _ in range(rng.randint(size, 80))],
+        aggregate=AGGREGATES[turn // len(WINDOW_GEOMETRIES) % len(AGGREGATES)],
         seed=seed,
-        policy=policy,
+        policy=rng.choice(list(policy_names()) + ["starve:tap"]),
         batch_size=rng.choice((1, 3, 7)),
         min_tuples=rng.choice((1, 1, 1, size + 2)),
-        batch_fault_rate=0.3 if index % 3 == 0 else 0.0,
+        batch_fault_rate=0.3 if turn % 3 == 0 else 0.0,
     )
+    streaming, naive, _ = run_window_differential(**call)
     if streaming == naive:
         return None
-    return (
-        f"window differential seed={seed} size={size} slide={slide} "
-        f"agg={aggregate} policy={policy}: {streaming} != {naive}"
-    )
+    return f"{_call('run_window_differential', call)}: {streaming} != {naive}"
+
+
+def _call(function: str, kwargs: dict) -> str:
+    """A paste-back call of a window differential."""
+    args = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
+    return f"{function}({args})"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -136,8 +230,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures: List[str] = []
     shrunk_artifact = None
+    per_kind: Counter = Counter()
     for index in range(args.episodes):
-        if index % 5 == 4:
+        per_kind[kind_name(index)] += 1
+        if episode_kind(index)[0] == "window":
             message = _run_window_episode(index, args.seed)
             if message is not None:
                 failures.append(message)
@@ -168,7 +264,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     print(
         f"simtest: {args.episodes - len(failures)}/{args.episodes} "
-        f"episodes passed (base seed {args.seed})"
+        f"episodes passed (base seed {args.seed}; "
+        + ", ".join(f"{k}={v}" for k, v in sorted(per_kind.items()))
+        + ")"
     )
     for message in failures:
         print(f"FAIL: {message}", file=sys.stderr)

@@ -246,6 +246,7 @@ class SimScheduler(Scheduler):
         inputs: Sequence[InputEvent] = (),
         max_firings: int = 200_000,
         on_firing: Optional[Callable[[int], None]] = None,
+        on_quiescent: Optional[Callable[[], None]] = None,
     ) -> EpisodeResult:
         """Drive the network through a scripted episode to quiescence.
 
@@ -257,6 +258,10 @@ class SimScheduler(Scheduler):
         ``on_firing`` (if given) is called with the running firing count
         after every successful firing; crash-injection harnesses raise
         from it to kill the episode at a chosen transition boundary.
+        ``on_quiescent`` (if given) is called each time nothing is
+        enabled at the current virtual time, before time moves on, and
+        so once more when the episode ends; the differential oracle
+        compares its two sides there.
         """
         self._pending_inputs = sorted(inputs, key=lambda e: e.at)
         fired = 0
@@ -273,6 +278,8 @@ class SimScheduler(Scheduler):
                         "firings (livelock?)"
                     )
                 continue
+            if on_quiescent is not None:
+                on_quiescent()
             # nothing enabled now: advance virtual time to the next
             # scripted arrival, delayed-batch release, or timer
             horizons = [

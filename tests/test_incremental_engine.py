@@ -43,6 +43,21 @@ class TestLinearCircuits:
 
 
 class TestWeightedCircuits:
+    def test_aggregate_without_group_by_has_its_row_over_no_rows(self):
+        """As the one-time query does, the view answers one row before
+        any input and while its WHERE has let nothing through."""
+        cell = _feed_cell()
+        handle = cell.submit_continuous(
+            "create view total as select count(*), sum(x.b), min(x.b) "
+            "from [select * from feed] as x where x.b > 10"
+        )
+        cell.run_until_quiescent()
+        assert handle.fetch_integrated() == [(0, None, None)]
+        _drive(cell, ROWS[:12])  # b runs up to 6
+        assert handle.fetch_integrated() == [(0, None, None)]
+        _drive(cell, ROWS[12:])
+        assert handle.fetch_integrated() == [(8, 116, 11)]
+
     def test_aggregate_integrates_to_one_shot(self):
         cell = _feed_cell()
         handle = cell.submit_continuous(

@@ -6,21 +6,28 @@ deliberately planted consumption bug must be caught *and* shrunk to a
 repro of at most 10 input tuples (no false negatives, and failures come
 back actionable).  The planted bug flips the query's input binding to
 PEEK, which re-emits unconsumed tuples — exactly the class of
-consumption-semantics mistake the harness exists to catch.
+consumption-semantics mistake the harness exists to catch.  A view
+gets the same two halves, with a planted bug that drops its
+retractions, and the seeded ``repro.simtest.run`` schedule is checked
+to reach every kind of episode.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.factory import ConsumeMode
+from repro.incremental import IncrementalJoin
 from repro.simtest import (
     ORACLE_CASES,
+    VIEW_CASES,
     EpisodeSpec,
     check_episode,
     render_repro,
     shrink_episode,
 )
+from repro.simtest import run as simtest_run
 
 
 def random_spec(seed, **overrides):
@@ -122,3 +129,125 @@ class TestRepro:
         return EpisodeSpec(
             seed=5, rows=((11, 7), (29, 4), (21, 8), (19, 0))
         )
+
+
+# ----------------------------------------------------------------------
+# views, TIME windows and the seeded schedule of ``simtest.run``
+# ----------------------------------------------------------------------
+def seeded_specs(kind, count):
+    """The first ``count`` episodes of ``kind`` in the seed-0 schedule."""
+    indices = [
+        i for i in range(400) if simtest_run.kind_name(i) == kind
+    ][:count]
+    return [simtest_run._episode_spec(i, 0) for i in indices]
+
+
+class TestSeededKinds:
+    @pytest.mark.parametrize("spec", seeded_specs("aggregate", 6),
+                             ids=lambda s: f"{s.case}-{s.policy}")
+    def test_aggregate_view_episodes(self, spec):
+        result = check_episode(spec)
+        assert result.ok, result.explain()
+        assert result.oneshot  # the episode had something to compare
+
+    @pytest.mark.parametrize("spec", seeded_specs("join", 5),
+                             ids=lambda s: f"{s.policy}-{s.seed}")
+    def test_join_view_episodes(self, spec):
+        result = check_episode(spec)
+        assert result.ok, result.explain()
+
+    def test_time_window_episodes(self):
+        indices = [
+            i for i in range(60) if simtest_run.kind_name(i) == "time_window"
+        ]
+        assert len(indices) >= 4
+        for index in indices:
+            assert simtest_run._run_window_episode(index, 0) is None
+
+    def test_schedule_reaches_every_kind_and_case(self):
+        kinds = Counter(simtest_run.kind_name(i) for i in range(400))
+        assert kinds == {
+            "linear": 160, "aggregate": 40, "join": 40,
+            "count_window": 80, "time_window": 80,
+        }
+        cases = {
+            simtest_run._episode_spec(i, 0).case
+            for i in range(400)
+            if simtest_run.kind_name(i) in ("linear", "aggregate", "join")
+        }
+        assert cases == set(ORACLE_CASES) | set(VIEW_CASES)
+
+    def test_a_join_firing_sees_both_deltas(self, monkeypatch):
+        """The two streams arrive at the same instants; with the view's
+        factory starved, a firing folds both sides' deltas — the only
+        firings where the ``dL ⋈ dR`` term is not empty."""
+        both = []
+        step_both = IncrementalJoin.step_both
+
+        def spy(self, dleft, dright):
+            both.append(bool(dleft) and bool(dright))
+            return step_both(self, dleft, dright)
+
+        monkeypatch.setattr(IncrementalJoin, "step_both", spy)
+        spec = next(
+            s for s in seeded_specs("join", 40) if s.policy == "starve:v"
+        )
+        assert check_episode(spec).ok
+        assert any(both)
+
+
+def retraction_bug(handle):
+    """The view forgets to retract a group's previous row."""
+    plan = handle.factory.plan
+    rows = plan._aggregate_rows
+    plan._aggregate_rows = lambda delta: [r for r in rows(delta) if r[-1] > 0]
+
+
+class TestPlantedViewBug:
+    SPEC = EpisodeSpec(
+        seed=3, case="agg_grouped", policy="random", batch_size=2,
+        batch_fault_rate=0.3,
+        rows=tuple((i % 4, i % 7) for i in range(30)),
+    )
+
+    def test_retraction_bug_is_caught_and_shrunk(self):
+        result = check_episode(self.SPEC, bug=retraction_bug)
+        assert not result.ok
+        assert result.extra  # the stale group rows are never retracted
+        shrunk, attempts = shrink_episode(self.SPEC, bug=retraction_bug)
+        assert len(shrunk.rows) <= 3
+        assert shrunk.policy == "priority"
+        assert shrunk.batch_fault_rate == 0.0
+        assert not check_episode(shrunk, bug=retraction_bug).ok
+        assert check_episode(shrunk).ok
+
+    def test_a_wrong_row_retracted_later_is_caught(self):
+        """The first firing inserts a row no query answers and the
+        second retracts it: the view ends right but was wrong between
+        the two, which only a check at every quiescent point sees."""
+        def transient_bug(handle):
+            plan = handle.factory.plan
+            rows = plan._aggregate_rows
+            firings = []
+
+            def buggy(delta):
+                firings.append(delta)
+                out = rows(delta)
+                if len(firings) <= 2:
+                    out.append((99, 0, 0, 0, 0, (1, -1)[len(firings) - 1]))
+                return out
+
+            plan._aggregate_rows = buggy
+
+        spec = EpisodeSpec(
+            seed=3, case="agg_grouped", policy="priority", batch_size=2,
+            rows=((1, 2), (3, 4), (1, 5)),
+        )
+        result = check_episode(spec, bug=transient_bug)
+        assert not result.ok
+        assert result.extra == {(99, 0, 0, 0, 0): 1}
+
+    def test_join_repro_round_trips(self):
+        spec = seeded_specs("join", 1)[0]
+        rebuilt = eval(render_repro(spec), {"EpisodeSpec": EpisodeSpec})
+        assert rebuilt.right_rows and check_episode(rebuilt).ok

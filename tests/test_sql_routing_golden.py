@@ -30,8 +30,7 @@ import pytest
 
 from repro import DataCell
 from repro.analysis.corpus import GOOD_QUERIES
-from repro.simtest.incremental import JOIN_CASE
-from repro.simtest.oracle import AGG_CASES, ORACLE_CASES
+from repro.simtest.oracle import AGG_CASES, JOIN_CASE, ORACLE_CASES
 
 SCHEMA = """
 create basket trades (price double, qty int, sym varchar(8));
@@ -57,7 +56,7 @@ QUERIES = {
     },
     **{f"oracle:{n}": c.continuous_sql for n, c in ORACLE_CASES.items()},
     **{f"oracle:{n}": c.continuous_sql for n, c in AGG_CASES.items()},
-    "oracle:join": JOIN_CASE[0],
+    "oracle:join": JOIN_CASE.continuous_sql,
     # tests/test_sql_window_syntax.py
     "window:fractional": (
         "select avg(x.p) from [select * from b] as x window 2.5"

@@ -1,7 +1,5 @@
 """Tests for the WINDOW n [SLIDE m] language extension (§3.1 as syntax)."""
 
-import math
-
 import pytest
 
 from repro import DataCell, LogicalClock
@@ -246,15 +244,7 @@ class TestWindowAnswersLikeItsBatch:
                 cell.run_until_quiescent()
             windowed, batch = (handle.fetch() for handle in handles)
             assert [r[0] for r in windowed] == [start // self.N] * len(batch)
-            assert len(windowed) == len(batch)
-            avg = grouped + 3  # after the key, the sum and the counts
-            for got, want in zip(windowed, batch):
-                got = got[1:]
-                assert got[:avg] + got[avg + 1 :] == want[:avg] + want[avg + 1 :]
-                if want[avg] is None or got[avg] is None:
-                    assert got[avg] == want[avg]
-                else:
-                    assert math.isclose(got[avg], want[avg], rel_tol=1e-12)
+            assert [r[1:] for r in windowed] == batch
         windowed_atoms, batch_atoms = (
             output_atoms(cell, handle)
             for cell, handle in zip(cells, handles)

@@ -133,6 +133,17 @@ def test_one_time_matches_sqlite(template):
     same(cell.query(sql), sqlite_answer(sql, ROWS))
 
 
+def test_one_time_avg_divides_the_exact_sum():
+    """avg over BIGINT divides the exact int64 sum, as a WINDOW does:
+    2**53 + 1 and 2 average to python's (2**53 + 3) / 2.  sqlite sums
+    in floats and reads 4503599627370497.0."""
+    cell = DataCell()
+    cell.execute("create table t (x bigint)")
+    cell.insert("t", [(2**53 + 1,), (2,)])
+    assert cell.query("select avg(x) from t") == [((2**53 + 3) / 2,)]
+    assert (2**53 + 3) / 2 == 4503599627370498.0
+
+
 @pytest.mark.parametrize("template", QUERIES)
 def test_each_firing_matches_sqlite_over_its_batch(template):
     cell = DataCell()
