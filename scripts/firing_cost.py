@@ -10,8 +10,9 @@ firing is the median over ``--firings`` firings, metrics lit or dark.
     PYTHONPATH=src python scripts/firing_cost.py [--firings N] [--markdown]
 
 The shapes (one firing each: ``insert`` → ``run_until_quiescent`` →
-``fetch``, except the server pump, which is one ``activate``) are the
-ones ``tests/test_firing_budget.py`` holds to a budget.
+``fetch``, except the server pump, which is one ``activate``, and the
+``/metrics`` scrape, which is one ``telemetry_response``) are the ones
+``tests/test_firing_budget.py`` holds to a budget.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from typing import Callable, Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro import AtomType, DataCell, MetricsRegistry
+from repro.core.clock import LogicalClock
 from repro.durability import DurabilityConfig
 from repro.server.ingest import IngestBatch, IngestQueue, ServerIngestPump
+from repro.server.server import telemetry_response
 
 SRC = os.path.dirname(sys.modules["repro"].__file__) + os.sep
 COMPREHENSIONS = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
@@ -47,6 +50,10 @@ JOIN_SQL = (
 WIN_SQL = (
     "select x.k, sum(x.v), count(x.v) from [select * from s] as x "
     "group by x.k window 20000 slide 200"
+)
+SCRAPE_SQL = (
+    "select x.k, sum(x.v), count(x.v) from [select * from s{}] as x "
+    "group by x.k"
 )
 #: one 8-row fig1 batch: three rows qualify
 FIG1_V = np.array([150, 5, 150, 5, 5, 5, 150, 5], dtype=np.int32)
@@ -168,12 +175,29 @@ def server_pump(dark: bool) -> Shape:
     return Shape(fire)
 
 
+def scrape(dark: bool) -> Shape:
+    """One ``/metrics`` scrape of a cell with system streams on and 20
+    grouped continuous aggregates, each fired five times (a logical
+    clock keeps the sampler from firing)."""
+    cell = _cell(dark, clock=LogicalClock(), system_streams=True)
+    batch = {"k": np.arange(8, dtype=np.int32) % 3, "v": FIG1_V}
+    for i in range(20):
+        cell.execute(f"create basket s{i} (k int, v int)")
+        cell.submit_continuous(SCRAPE_SQL.format(i), name=f"q{i}")
+    for _ in range(5):
+        for i in range(20):
+            cell.basket(f"s{i}").insert_columns(batch)
+        cell.run_until_quiescent()
+    return Shape(lambda: telemetry_response(cell, "/metrics"))
+
+
 SHAPES: Dict[str, Callable[[bool], Shape]] = {
     "fig1 8 rows": fig1,
     "win_slide 200 rows": win_slide,
     "wal_ingest 64 rows": wal_ingest,
     "join 64 rows": join,
     "server pump 16 rows": server_pump,
+    "/metrics scrape, 20 queries": scrape,
 }
 
 

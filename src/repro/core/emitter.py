@@ -277,7 +277,6 @@ class Emitter:
 
     def activate(self) -> ActivationResult:
         """Consume waiting results and fan them out to all subscribers."""
-        started = time.perf_counter()
         fresh_from = 0
         with self.source.lock:
             snapshot = self.source.drain()
@@ -334,7 +333,6 @@ class Emitter:
             tuples_in=snapshot.count,
             tuples_out=delivered * max(1, self.subscriber_count),
             consumed=snapshot.count,
-            elapsed=time.perf_counter() - started,
             drained=True,  # the whole source was consumed
             trace=snapshot.runs.first_token(),
         )

@@ -720,16 +720,19 @@ class DataCell:
 
             {"scheduler": {"iterations", "firings",
                            "transitions": {name: {"firings", "idle_polls",
-                                                  "activation_seconds"}}},
+                                                  "activation_seconds":
+                                                  {"count", "sum"}}}},
              "baskets":   {name: {"depth", "high_water", "inserted",
                                   "consumed", "shed"}},
              "queries":   {name: {"delivered", "activations", "latency"}},
              "mal":       {opcode: {"calls", "seconds"}},
              "spans":     {"batches_seen", "sampled_batches", "finished"}}
 
-        Histogram entries carry ``count/sum/min/max/p50/p95/p99``.  Works
-        in both driving modes; safe to call while threads run (values are
-        individually consistent, not a global atomic cut).
+        ``activation_seconds`` is the scheduler's wall time of ``count``
+        firings (``sum`` seconds); a query's ``latency`` histogram carries
+        ``count/sum/min/max/p50/p95/p99``.  Works in both driving modes;
+        safe to call while threads run (values are individually
+        consistent, not a global atomic cut).
         """
         m = self.metrics
         transitions = {}
@@ -737,13 +740,11 @@ class DataCell:
         for t in self.scheduler.transitions():
             if isinstance(t, Receptor):
                 receptors.append(t)
-            firings, idle_polls = self.scheduler.counts(t.name)
+            firings, idle_polls, seconds = self.scheduler.counts(t.name)
             transitions[t.name] = {
                 "firings": firings,
                 "idle_polls": idle_polls,
-                "activation_seconds": m.histogram_snapshot(
-                    "datacell_transition_activation_seconds", (t.name,)
-                ) or {},
+                "activation_seconds": {"count": firings, "sum": seconds},
             }
         baskets = {}
         for table in self.catalog.baskets():

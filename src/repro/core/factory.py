@@ -199,10 +199,9 @@ class CallablePlan(ContinuousPlan):
 
 @dataclass
 class ActivationResult:
-    """Statistics of one factory activation.
+    """Statistics of one transition activation (its wall time is the
+    scheduler's to measure).
 
-    ``plan_seconds`` is the time spent inside ``plan.run`` alone;
-    ``elapsed - plan_seconds`` is basket I/O (snapshot, consume, append).
     ``drained`` says the firing left the transition disabled until one of
     its input places changes, so the scheduler need not check it again
     before then; the default keeps a fired transition a candidate.
@@ -215,8 +214,6 @@ class ActivationResult:
     tuples_in: int = 0
     tuples_out: int = 0
     consumed: int = 0
-    elapsed: float = 0.0
-    plan_seconds: float = 0.0
     drained: bool = False
     trace: int = 0
     opcodes: Sequence[Any] = ()
@@ -249,7 +246,6 @@ class Factory:
         self.activations = 0
         self._tuples_in = Tally()
         self._tuples_out = Tally()
-        self.total_elapsed = 0.0
         self.metrics = metrics if metrics is not None else default_registry()
         # resource-accounting hub (ResourceAccountant); set by the engine
         # when accounting is enabled.  The factory reports plan thread-CPU,
@@ -269,16 +265,6 @@ class Factory:
             "Tuples emitted to output baskets",
             ("factory",),
         ).read_from(self._tuples_out, name)
-        self._m_plan = self.metrics.histogram(
-            "datacell_factory_plan_seconds",
-            "Time spent evaluating the continuous plan per activation",
-            ("factory",),
-        ).labels(name)
-        self._m_io = self.metrics.histogram(
-            "datacell_factory_io_seconds",
-            "Activation time outside the plan: snapshot/consume/append",
-            ("factory",),
-        ).labels(name)
         for binding in self.inputs:
             if binding.mode is ConsumeMode.SHARED:
                 binding.basket.register_reader(self.name)
@@ -352,7 +338,6 @@ class Factory:
         self.activations += 1
         self._tuples_in.value += result.tuples_in
         self._tuples_out.value += result.tuples_out
-        self.total_elapsed += result.elapsed
         return result
 
     def close(self) -> None:
@@ -415,14 +400,12 @@ class Factory:
         # atoms are its basket's, so the width is fixed
         widths: Dict[Any, int] = {}
         while True:
-            started = time.perf_counter()
             account = (
                 self.accountant.account_for(self.name)
                 if self.accountant is not None
                 else None
             )
             queue_wait = 0.0
-            waited = 0
             rows_fresh = 0
             bytes_in = 0
             bytes_out = 0
@@ -490,9 +473,7 @@ class Factory:
                                 rows_fresh += n_fresh
                                 bytes_in += n_fresh * basket.row_nbytes()
                                 queue_wait += runs.wait(now_mono, first)
-                                waited += n_fresh
                     snapshots[basket.name.lower()] = snap
-                plan_started = time.perf_counter()
                 if account is not None:
                     # one reading for two boundaries: the plan's start is
                     # the start of the interpreter's opcode chain
@@ -511,7 +492,6 @@ class Factory:
                 if account is not None:
                     account.cpu_mark = None
                     plan_cpu = time.thread_time() - plan_cpu_started
-                plan_seconds = time.perf_counter() - plan_started
                 consumed = self._consume(snapshots, output)
                 tuples_out = self._emit(output, origin_mono, origin_token)
                 # ALL and SHARED inputs are used up; only PLAN/PEEK
@@ -538,15 +518,11 @@ class Factory:
             finally:
                 for basket in reversed(ordered):
                     basket.lock.release()
-            elapsed = time.perf_counter() - started
-            self._m_plan.observe(plan_seconds)
-            self._m_io.observe(elapsed - plan_seconds)
             if account is not None:
                 self.accountant.record_activation(
                     account,
                     plan_cpu=plan_cpu,
                     queue_wait=queue_wait,
-                    waited_tuples=waited,
                     rows_in=rows_fresh,
                     bytes_in=bytes_in,
                     bytes_out=bytes_out,
@@ -556,8 +532,6 @@ class Factory:
                 tuples_in=tuples_in,
                 tuples_out=tuples_out,
                 consumed=consumed,
-                elapsed=elapsed,
-                plan_seconds=plan_seconds,
                 drained=drained,
                 trace=origin_token,
                 opcodes=opcodes,

@@ -10,7 +10,6 @@ place is the channel, and a push wakes it.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..adapters.channels import Channel, parse_tuple_text
@@ -99,7 +98,6 @@ class Receptor:
 
     def activate(self) -> ActivationResult:
         """Drain up to ``batch_size`` events into the target baskets."""
-        started = time.perf_counter()
         events = self.channel.poll(self.batch_size)
         rows = []
         for event in events:
@@ -122,7 +120,6 @@ class Receptor:
             fired=True,
             tuples_in=len(events),
             tuples_out=len(rows) * len(self.targets),
-            elapsed=time.perf_counter() - started,
             trace=token,
         )
 

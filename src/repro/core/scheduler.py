@@ -26,12 +26,13 @@ sequences are those of checking everything.  One core, three drivers:
 * **simulated** — :class:`repro.simtest.SimScheduler` fires one candidate
   at a time against a virtual clock.
 
-Every firing bumps a per-transition firing tally and observes an
-activation wall-time histogram, every failed check of a candidate bumps
-an idle-poll tally, and each firing is appended to the cell's
-:class:`~repro.obs.tracing.TraceLog`.  A transition's tallies are written
-only by the thread driving it; the metrics registry reads them when it
-exposes the series.
+:meth:`Scheduler._fire` is the one place that sees every activation, and
+the only one that times it: every firing bumps a per-transition firing
+tally and adds its wall time to a seconds tally, every failed check of a
+candidate bumps an idle-poll tally, and each firing is appended to the
+cell's :class:`~repro.obs.tracing.TraceLog` with the same wall time.  A
+transition's tallies are written only by the thread driving it; the
+metrics registry reads them when it exposes the series.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ class Scheduler:
             "Enablement checks of a candidate that found it not ready",
             ("transition",),
         )
-        self._m_activation = self.metrics.histogram(
-            "datacell_transition_activation_seconds",
-            "Wall time of one transition activation",
+        self._m_seconds = self.metrics.counter(
+            "datacell_transition_seconds_total",
+            "Wall time of transition activations, per transition",
             ("transition",),
         )
         # exposed from the first step() on: simulated and threaded
@@ -224,11 +225,11 @@ class Scheduler:
             "datacell_scheduler_iterations_total",
             "Synchronous scheduler iterations",
         )
-        # per transition name: (firings tally, idle-poll tally, activation
-        # histogram), opened once per registration and kept after
+        # per transition name: (firings, idle polls, activation seconds)
+        # tallies, opened once per registration and kept after
         # unregister, so a firing still in flight counts and the tallies
         # keep counting with the registry disabled
-        self._instruments: Dict[str, Tuple[Tally, Tally, Any]] = {}
+        self._instruments: Dict[str, Tuple[Tally, Tally, Tally]] = {}
         self._all_firings: List[Tally] = []  # every registration's
 
     @property
@@ -241,11 +242,16 @@ class Scheduler:
         """Synchronous :meth:`step` iterations so far."""
         return self._iterations.value
 
-    def counts(self, name: str) -> Tuple[int, int]:
-        """``(firings, idle polls)`` of the transition registered as
-        ``name``, read from its tallies."""
-        firings, idle, _ = self._instruments[name]
-        return int(firings.value), int(idle.value)
+    def tallies(self, name: str) -> Tuple[Tally, Tally, Tally]:
+        """The ``(firings, idle polls, activation seconds)`` tallies of
+        the transition registered as ``name``."""
+        return self._instruments[name]
+
+    def counts(self, name: str) -> Tuple[int, int, float]:
+        """``(firings, idle polls, activation seconds)`` of the transition
+        registered as ``name``, read from its tallies."""
+        firings, idle, seconds = self._instruments[name]
+        return int(firings.value), int(idle.value), seconds.value
 
     # ------------------------------------------------------------------
     # registration
@@ -258,13 +264,12 @@ class Scheduler:
                     f"transition {name!r} already registered"
                 )
             self._transitions[name] = transition
-            firings, idle = Tally(), Tally()
+            firings, idle, seconds = Tally(), Tally(), Tally(0.0)
             self._m_firings.read_from(firings, name)
             self._m_idle.read_from(idle, name)
+            self._m_seconds.read_from(seconds, name)
             self._all_firings.append(firings)
-            self._instruments[name] = (
-                firings, idle, self._m_activation.labels(name),
-            )
+            self._instruments[name] = (firings, idle, seconds)
             places = input_places(transition)
             if places is None:
                 self._placeless.add(name)
@@ -317,7 +322,7 @@ class Scheduler:
     # firing (shared by every driving mode)
     # ------------------------------------------------------------------
     def _fire(self, transition: SchedulableTransition) -> ActivationResult:
-        firings, _, activation_hist = self._instruments[transition.name]
+        firings, _, seconds = self._instruments[transition.name]
         token = (
             self.accountant.begin_firing(transition.name)
             if self.accountant is not None
@@ -334,44 +339,26 @@ class Scheduler:
                 self.accountant.end_firing(token)
         elapsed = time.perf_counter() - started
         firings.value += 1
-        activation_hist.observe(elapsed)
-        if result.trace:
-            self._record_span(transition, result, started, elapsed)
-        else:
-            self.trace.record(
-                "fire",
-                transition.name,
-                tuples_in=result.tuples_in,
-                tuples_out=result.tuples_out,
-                elapsed=elapsed,
-            )
-        return result
-
-    def _record_span(
-        self,
-        transition: SchedulableTransition,
-        result: ActivationResult,
-        started: float,
-        elapsed: float,
-    ) -> None:
-        """The ``fire`` record of a firing that worked on a sampled batch
-        is one of its spans (``obs.tracing.chrome_trace``): it also
-        carries the batch's token, the transition's stage, and a
-        factory's opcode timings, their starts made relative to the
-        firing's."""
+        seconds.value += elapsed
         detail: Dict[str, Any] = {
             "tuples_in": result.tuples_in,
             "tuples_out": result.tuples_out,
             "elapsed": elapsed,
-            "trace": result.trace,
-            "stage": type(transition).__name__.lower(),
         }
-        if result.opcodes:
-            detail["opcodes"] = [
-                (opcode, start - started, seconds, node)
-                for opcode, start, seconds, node in result.opcodes
-            ]
+        if result.trace:
+            # a firing on a sampled batch is one of its spans
+            # (``obs.tracing.chrome_trace``): it also carries the batch's
+            # token, the transition's stage, and a factory's opcode
+            # timings, their starts made relative to the firing's
+            detail["trace"] = result.trace
+            detail["stage"] = type(transition).__name__.lower()
+            if result.opcodes:
+                detail["opcodes"] = [
+                    (opcode, start - started, spent, node)
+                    for opcode, start, spent, node in result.opcodes
+                ]
         self.trace.record("fire", transition.name, **detail)
+        return result
 
     def _record_error(self, name: str, exc: BaseException) -> None:
         # the exception still propagates (or, under the dispatcher,

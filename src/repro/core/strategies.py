@@ -22,7 +22,6 @@ baskets, factories and auxiliary transitions into a runnable network:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -174,7 +173,6 @@ class ReplicatorTransition:
         return self.source.count >= max(1, self.source.min_count)
 
     def activate(self) -> ActivationResult:
-        started = time.perf_counter()
         snap = self.source.drain()
         names = [n for n in snap.names if n != TIME_COLUMN]
         result = ResultSet(
@@ -192,7 +190,6 @@ class ReplicatorTransition:
             tuples_in=snap.count,
             tuples_out=snap.count * len(self.targets),
             consumed=snap.count,
-            elapsed=time.perf_counter() - started,
             drained=True,  # the whole source was consumed
         )
 

@@ -71,19 +71,16 @@ def render_dashboard(
     if transitions:
         rows = []
         for name, t in sorted(transitions.items()):
-            hist = t.get("activation_seconds") or {}
+            timed = t.get("activation_seconds") or {}
             rows.append((
                 name,
                 int(t.get("firings") or 0),
                 int(t.get("idle_polls") or 0),
-                _ms(hist.get("p50")),
-                _ms(hist.get("p95")),
-                _ms(hist.get("max")),
+                _ms(timed.get("sum", 0.0) / max(1, timed.get("count", 0))),
             ))
         sections.append(format_table(
             "Transitions",
-            ["transition", "firings", "idle polls",
-             "p50 ms", "p95 ms", "max ms"],
+            ["transition", "firings", "idle polls", "mean ms"],
             rows,
         ))
 
@@ -152,7 +149,7 @@ def render_dashboard(
         )[:10]
         rows = []
         for name, a in ranked:
-            waited = int(a.get("queue_wait_tuples") or 0)
+            waited = int(a.get("rows_in") or 0)
             wait = a.get("queue_wait_seconds") or 0.0
             rows.append((
                 name,

@@ -250,7 +250,7 @@ class FlightRecorder:
                 "activations": transition.activations,
                 "tuples_in": transition.total_in,
                 "tuples_out": transition.total_out,
-                "total_elapsed": transition.total_elapsed,
+                "total_elapsed": cell.scheduler.counts(transition.name)[2],
                 "plan": transition.plan.describe(),
                 "inputs": [
                     {

@@ -127,9 +127,9 @@ class QueryResourceAccount:
     the firing thread, read from anywhere — individual fields are
     consistent under the GIL, the set of fields is not an atomic cut
     (same contract as :meth:`DataCell.stats`).  The totals the registry
-    exports (firing CPU and the four flow counters) live in tallies it
-    reads when it exposes them; activations and rows out are the
-    factory's own counts.
+    exports (firing CPU, queue wait and the flow counters) live in
+    tallies it reads when it exposes them; activations and rows out are
+    the factory's own counts, firings the scheduler's.
     """
 
     def __init__(self, name: str, tenant: str = "default"):
@@ -153,12 +153,11 @@ class QueryResourceAccount:
         # handed once to the MAL interpreter as the start of its opcode
         # chain (one clock read for both); None outside that window
         self.cpu_mark: Optional[float] = None
-        # queue-wait: insert -> consuming snapshot, per tuple
-        self.queue_wait_seconds = 0.0
-        self.queue_wait_tuples = 0
-        # scheduler firings, one tally per transition like the CPU above
-        self._factory_firings = Tally()
-        self._emitter_firings = Tally()
+        # queue-wait: insert -> consuming snapshot, summed over the
+        # consumed tuples (rows_in counts them)
+        self._queue_wait = Tally(0.0)
+        # the scheduler's firing tallies of the factory and the emitter
+        self._firings: Tuple[Tally, ...] = ()
         # flow (activations and rows out are the factory's own counts)
         self._rows_in = Tally()
         self._bytes_in = Tally()
@@ -173,7 +172,11 @@ class QueryResourceAccount:
     @property
     def firings(self) -> int:
         """Scheduler firings of the query's factory and emitter."""
-        return self._factory_firings.value + self._emitter_firings.value
+        return sum(t.value for t in self._firings)
+
+    @property
+    def queue_wait_seconds(self) -> float:
+        return self._queue_wait.value
 
     @property
     def rows_in(self) -> int:
@@ -239,7 +242,6 @@ class QueryResourceAccount:
             "plan_cpu_seconds": self.plan_cpu_seconds,
             "opcode_cpu_seconds": self.opcode_cpu_seconds,
             "queue_wait_seconds": self.queue_wait_seconds,
-            "queue_wait_tuples": self.queue_wait_tuples,
             "memory_bytes": self.memory_bytes(input_shares),
             "firings": self.firings,
             "activations": self.activations,
@@ -404,9 +406,9 @@ class ResourceAccountant:
             "Estimated bytes produced into output baskets, per query",
             ("query",),
         )
-        self._m_wait = m.histogram(
-            "datacell_query_queue_wait_seconds",
-            "Time a consumed tuple sat in its basket before the plan ran",
+        self._m_wait = m.counter(
+            "datacell_query_queue_wait_seconds_total",
+            "Time consumed tuples sat in their basket before the plan ran",
             ("query",),
         )
         self._m_memory = m.gauge(
@@ -431,16 +433,20 @@ class ResourceAccountant:
         account.input_baskets = [
             b.basket for b in handle.factory.inputs
         ]
+        account._firings = tuple(
+            self.cell.scheduler.tallies(t.name)[0]
+            for t in (handle.factory, handle.emitter)
+        )
         for family, tally in (
             (self._m_cpu, account._factory_cpu),
             (self._m_cpu, account._emitter_cpu),
+            (self._m_wait, account._queue_wait),
             (self._m_rows_in, account._rows_in),
             (self._m_rows_out, handle.factory._tuples_out),
             (self._m_bytes_in, account._bytes_in),
             (self._m_bytes_out, account._bytes_out),
         ):
             family.read_from(tally, handle.name)
-        account._m_wait = self._m_wait.labels(handle.name)
         with self._lock:
             self._accounts[handle.name] = account
             self._by_transition[handle.factory.name] = account
@@ -485,20 +491,16 @@ class ResourceAccountant:
             return None
         self._tls.account = account
         factory = account.factory
-        is_factory = factory is not None and transition_name == factory.name
-        return account, is_factory, time.thread_time()
+        if factory is not None and transition_name == factory.name:
+            return account._factory_cpu, time.thread_time()
+        return account._emitter_cpu, time.thread_time()
 
     def end_firing(self, token) -> None:
         """Close the firing boundary opened by :meth:`begin_firing`:
         charge the firing's thread CPU to the account's factory or
         emitter tally (see ``QueryResourceAccount.opcode_cpu``)."""
-        account, is_factory, cpu_start = token
-        if is_factory:
-            cpu, firings = account._factory_cpu, account._factory_firings
-        else:
-            cpu, firings = account._emitter_cpu, account._emitter_firings
-        cpu.value += time.thread_time() - cpu_start
-        firings.value += 1
+        cpu, started = token
+        cpu.value += time.thread_time() - started
         self._tls.account = None
 
     def current(self) -> Optional[QueryResourceAccount]:
@@ -513,19 +515,15 @@ class ResourceAccountant:
         account: QueryResourceAccount,
         plan_cpu: float,
         queue_wait: float,
-        waited_tuples: int,
         rows_in: int,
         bytes_in: int,
         bytes_out: int,
     ) -> None:
         account.plan_cpu_seconds += plan_cpu
-        account.queue_wait_seconds += queue_wait
-        account.queue_wait_tuples += waited_tuples
+        account._queue_wait.value += queue_wait
         account._rows_in.value += rows_in
         account._bytes_in.value += bytes_in
         account._bytes_out.value += bytes_out
-        if waited_tuples:
-            account._m_wait.observe(queue_wait / waited_tuples)
 
     # ------------------------------------------------------------------
     # interpreter hook: per-opcode CPU fold
@@ -670,11 +668,7 @@ class ResourceAccountant:
         )[: max(0, int(limit))]
         rows = []
         for a in ranked:
-            avg_wait = (
-                a.queue_wait_seconds / a.queue_wait_tuples
-                if a.queue_wait_tuples
-                else 0.0
-            )
+            avg_wait = a.queue_wait_seconds / a.rows_in if a.rows_in else 0.0
             rows.append((
                 a.name,
                 a.tenant,

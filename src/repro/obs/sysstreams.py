@@ -49,7 +49,6 @@ firing semantics and routes firings to callbacks and ``alert`` events.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -221,7 +220,6 @@ class TelemetrySampler:
     def activate(self):
         from ..core.factory import ActivationResult
 
-        started = time.perf_counter()
         now = float(self.cell.clock.now())
         rows_out = 0
         # resources before metrics so the engine-memory gauge the metrics
@@ -248,7 +246,6 @@ class TelemetrySampler:
             tuples_in=0,
             tuples_out=rows_out,
             consumed=0,
-            elapsed=time.perf_counter() - started,
         )
 
     # ------------------------------------------------------------------

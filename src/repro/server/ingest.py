@@ -20,7 +20,6 @@ scheduler — which is how ``repro.simtest`` covers the network path
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -164,7 +163,6 @@ class ServerIngestPump:
         return self.queue.pending() > 0
 
     def activate(self) -> ActivationResult:
-        started = time.perf_counter()
         batches = self.queue.take(self.batch_limit)
         applied = 0
         replies: List[Tuple[IngestBatch, Message]] = []
@@ -212,7 +210,6 @@ class ServerIngestPump:
             tuples_in=sum(b.rows for b in batches),
             tuples_out=applied,
             consumed=sum(b.rows for b in batches),
-            elapsed=time.perf_counter() - started,
             drained=len(batches) < self.batch_limit,  # the queue was empty
         )
 

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
-from ..adapters.channels import InMemoryChannel
 from ..core.engine import DataCell
 from ..durability import DurabilityConfig, RecoveryReport
 from ..errors import DataCellError
@@ -55,11 +54,14 @@ from ..incremental import integrate_weighted_rows
 from ..kernel.types import AtomType, nil_value
 from ..testing import current_seed
 from .oracle import (
-    AGG_CASES,
-    CHANNEL,
-    COLUMNS,
+    JOIN_CASE,
     ORACLE_CASES,
     STREAM,
+    VIEW_CASES,
+    EpisodeSpec,
+    Stream,
+    _attach_streams,
+    _case_streams,
     _quiet_metrics,
 )
 from .policies import policy_names
@@ -91,9 +93,11 @@ class SimulatedCrash(Exception):
 class CrashSpec:
     """Everything that determines one crash episode, and nothing else.
 
-    ``case`` is an oracle case name (plain continuous query), an
-    aggregate case name (registered as ``create view``, so its circuit
-    state rides the checkpoint/WAL machinery) or ``"window"`` (a SQL
+    ``case`` is an oracle case name (plain continuous query), a view
+    case name (an aggregate or the two-stream join, registered as
+    ``create view``, so its circuit state rides the checkpoint/WAL
+    machinery; the join's second stream is ``right_rows``) or
+    ``"window"`` (a SQL
     COUNT-window aggregate per ``window`` / ``window_aggregate``,
     grouped by a second column ``k`` of atom ``window_group`` when one
     is given).  No channel faults: the crash *is* the fault.
@@ -119,18 +123,15 @@ class CrashSpec:
     #: ingest queue + pump) instead of a receptor — recovery must be
     #: byte-identical with the network front door attached too
     via_server: bool = False
+    #: the join case's second stream
+    right_rows: Tuple[Row, ...] = ()
 
     def input_events(self) -> List[InputEvent]:
-        events = []
-        for i in range(0, len(self.rows), self.batch_size):
-            events.append(
-                InputEvent.make(
-                    at=(i // self.batch_size) * self.time_step,
-                    channel=CHANNEL,
-                    events=self.rows[i : i + self.batch_size],
-                )
-            )
-        return events
+        # the oracle's episode with the same streams and batching
+        return EpisodeSpec(
+            self.seed, self.rows, self.case, batch_size=self.batch_size,
+            time_step=self.time_step, right_rows=self.right_rows,
+        ).input_events()
 
 
 @dataclass
@@ -168,7 +169,10 @@ def render_crash_repro(spec: CrashSpec) -> str:
         f"window_aggregate={spec.window_aggregate!r}, "
         f"window_group={spec.window_group}, "
         f"sampling={spec.sampling}, "
-        f"via_server={spec.via_server}, rows={list(spec.rows)!r})"
+        f"via_server={spec.via_server}, rows={list(spec.rows)!r}"
+        + (f", right_rows={list(spec.right_rows)!r}" if spec.right_rows
+           else "")
+        + ")"
     )
 
 
@@ -204,28 +208,25 @@ def _build(
             else None
         ),
     )
-    columns = COLUMNS
-    if spec.case == "window":
-        columns = [("v", AtomType.INT)]
-        if spec.window_group is not None:
-            columns.append(("k", spec.window_group))
-    cell.create_basket(STREAM, columns)
-    channel = InMemoryChannel(CHANNEL)
-    if spec.via_server:
-        from .server_episode import attach_server_ingress
-
-        attach_server_ingress(cell, channel, STREAM, columns)
-    else:
-        cell.add_receptor("tap", [STREAM], channel=channel)
-    sim.bind_channel(CHANNEL, channel)
+    _attach_streams(cell, sim, _baskets(spec), spec.via_server)
     if spec.case == "window":
         sql = _window_sql(spec)
-    elif spec.case in AGG_CASES:
-        sql = f"create view {QUERY} as {AGG_CASES[spec.case].continuous_sql}"
+    elif spec.case in VIEW_CASES:
+        sql = f"create view {QUERY} as {VIEW_CASES[spec.case].continuous_sql}"
     else:
         sql = ORACLE_CASES[spec.case].continuous_sql
     handle = cell.submit_continuous(sql, name=QUERY)
     return sim, cell, handle
+
+
+def _baskets(spec: CrashSpec) -> Tuple[Stream, ...]:
+    """The baskets the episode's query reads, with their columns."""
+    if spec.case != "window":
+        return _case_streams(spec.case)
+    columns = [("v", AtomType.INT)]
+    if spec.window_group is not None:
+        columns.append(("k", spec.window_group))
+    return ((STREAM, columns),)
 
 
 def _window_sql(spec: CrashSpec) -> str:
@@ -277,15 +278,18 @@ def _recovery_run(
     # dropped by the emitter's recovered high-water mark)
     while sim.sim_fire() is not None:
         pass
-    # the stream suffix the dead process never ingested; ingest is FIFO
-    # through one receptor, so total_in is the exact resume point
-    remaining = spec.rows[cell.basket(STREAM).total_in :]
-    for i in range(0, len(remaining), spec.batch_size):
-        cell.basket(STREAM).insert_rows(
-            [list(r) for r in remaining[i : i + spec.batch_size]]
-        )
-        while sim.sim_fire() is not None:
-            pass
+    # each stream's suffix the dead process never ingested; ingest is
+    # FIFO through one receptor per stream, so a basket's total_in is
+    # the exact resume point
+    for (name, _), rows in zip(_baskets(spec), (spec.rows, spec.right_rows)):
+        basket = cell.basket(name)
+        remaining = rows[basket.total_in :]
+        for i in range(0, len(remaining), spec.batch_size):
+            basket.insert_rows(
+                [list(r) for r in remaining[i : i + spec.batch_size]]
+            )
+            while sim.sim_fire() is not None:
+                pass
     post = [tuple(r) for r in handle.fetch()]
     cell.durability.close()
     return post, report
@@ -311,7 +315,7 @@ def check_crash_episode(
     if spec.case == "window":
         combined = sorted(combined, key=lambda r: r[0])
         reference = sorted(reference, key=lambda r: r[0])
-    elif spec.case in AGG_CASES:
+    elif spec.case in VIEW_CASES:
         combined, reference = _integral(combined), _integral(reference)
     return CrashDifferentialResult(
         spec=spec,
@@ -339,9 +343,9 @@ def _integral(rows: List[Row]) -> Optional[List[Row]]:
 def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
     """Deterministic episode ``index`` of a run with ``base_seed``.
 
-    Every third episode registers an aggregate view, cycling the
-    aggregate cases; the others cycle the oracle cases plus a window
-    case.  Policies and fsync modes cycle too; rows, batching, crash
+    Every third episode registers a view, cycling the aggregate cases
+    and the two-stream join; the others cycle the oracle cases plus a
+    window case.  Policies and fsync modes cycle too; rows, batching, crash
     point, and checkpoint cadence all derive from the seed.  Every other
     window case is grouped, over a varchar or an int key with rotating
     values and NILs drawn from a stream of its own, so the values and
@@ -352,12 +356,22 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
     cases = sorted(ORACLE_CASES) + ["window"]
     plain = index - (index + 1) // 3  # episodes before this one, no view
     if index % 3 == 2:
-        views = sorted(AGG_CASES)
+        views = sorted(VIEW_CASES)
         case = views[index // 3 % len(views)]
     else:
         case = cases[plain % len(cases)]
     group = None
-    if case == "window":
+    right: Tuple[Row, ...] = ()
+    if case == JOIN_CASE.name:
+        # join keys from a small domain, so the two sides match often
+        def side(least: int) -> Tuple[Row, ...]:
+            return tuple(
+                (rng.randint(0, 8), rng.randint(0, 20))
+                for _ in range(rng.randint(least, 40))
+            )
+
+        rows, right = side(5), side(4)
+    elif case == "window":
         rows: Tuple[Row, ...] = tuple(
             (rng.randint(0, 50),) for _ in range(rng.randint(8, 60))
         )
@@ -395,6 +409,7 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
         sampling=(index % 2 == 1),
         # every 5th episode ingests through the server's wire seam
         via_server=(index % 5 == 3),
+        right_rows=right,
     )
 
 

@@ -32,9 +32,9 @@ Equivalence rules (also in ``docs/testing.md``):
 
 On failure, :func:`shrink_episode` minimizes ``(stream, schedule)``:
 first it tries dropping the faults and simplifying the policy to the
-deterministic default, then greedily delta-debugs the input rows of
-each stream, re-running the full differential check on every
-candidate.  The shrunk spec renders as a one-line repro via
+deterministic default (for a view, else to starving its factory), then
+greedily delta-debugs the input rows of each stream, re-running the
+full differential check on every candidate.  The shrunk spec renders as a one-line repro via
 :func:`render_repro`.
 """
 
@@ -192,6 +192,41 @@ def _suffix(i: int) -> str:
     """Names of stream ``i``'s channel and ingress: ``wire``/``tap``,
     then ``wire2``/``tap2``."""
     return "" if i == 0 else str(i + 1)
+
+
+def _attach_streams(
+    cell: DataCell,
+    sim: SimScheduler,
+    streams: Sequence[Stream],
+    via_server: bool,
+    faults: Optional[FaultPlan] = None,
+) -> List[Channel]:
+    """Create each stream's basket and channel, and ingest it through a
+    receptor or the server's wire seam (one ingest queue and pump for
+    every stream); returns the channels."""
+    channels: List[Channel] = []
+    ingress = None
+    for i, (basket, columns) in enumerate(streams):
+        cell.create_basket(basket, columns)
+        channel: Channel = InMemoryChannel(CHANNEL + _suffix(i))
+        if faults is not None:
+            channel = FaultableChannel(channel, faults, sim.clock)
+        if not via_server:
+            cell.add_receptor("tap" + _suffix(i), [basket], channel=channel)
+        elif ingress is None:
+            from .server_episode import attach_server_ingress
+
+            ingress = attach_server_ingress(cell, channel, basket, columns)
+        else:
+            from .server_episode import WireIngress
+
+            cell.scheduler.register(WireIngress(
+                channel, basket, columns, ingress.queue,
+                name="server_wire" + _suffix(i),
+            ))
+        sim.bind_channel(CHANNEL + _suffix(i), channel)
+        channels.append(channel)
+    return channels
 
 
 @dataclass(frozen=True)
@@ -374,29 +409,9 @@ def run_streaming(
         seed=spec.seed, policy=spec.policy, faults=faults, metrics=metrics
     )
     cell = DataCell(clock=sim.clock, scheduler=sim, metrics=metrics)
-    channels: List[Channel] = []
-    ingress = None
-    for i, (basket, columns) in enumerate(_case_streams(spec.case)):
-        cell.create_basket(basket, columns)
-        channel: Channel = InMemoryChannel(CHANNEL + _suffix(i))
-        if faults is not None:
-            channel = FaultableChannel(channel, faults, sim.clock)
-        if not spec.via_server:
-            cell.add_receptor("tap" + _suffix(i), [basket], channel=channel)
-        elif ingress is None:
-            from .server_episode import attach_server_ingress
-
-            ingress = attach_server_ingress(cell, channel, basket, columns)
-        else:
-            # a second stream shares the server's ingest queue and pump
-            from .server_episode import WireIngress
-
-            cell.scheduler.register(WireIngress(
-                channel, basket, columns, ingress.queue,
-                name="server_wire" + _suffix(i),
-            ))
-        sim.bind_channel(CHANNEL + _suffix(i), channel)
-        channels.append(channel)
+    channels = _attach_streams(
+        cell, sim, _case_streams(spec.case), spec.via_server, faults
+    )
     handle = cell.submit_continuous(
         f"create view {VIEW} as {case.continuous_sql}"
         if view else case.continuous_sql
@@ -447,8 +462,8 @@ def shrink_episode(
 ) -> Tuple[EpisodeSpec, int]:
     """Minimize a failing episode; returns ``(smallest spec, attempts)``.
 
-    Schedule first — a repro without faults under the deterministic
-    default policy is worth more than a short stream — then ddmin-style
+    Schedule first — a repro without faults under a deterministic
+    policy is worth more than a short stream — then ddmin-style
     greedy removal of input rows, stream by stream.  Every candidate
     re-runs the entire differential check, so the result is guaranteed
     to still fail.
@@ -463,31 +478,49 @@ def shrink_episode(
         return not check_episode(candidate, bug=bug).ok
 
     current = spec
-    # 1. simplify the schedule: drop faults, then the random policy
+    # 1. simplify the schedule: drop faults, then take a deterministic
+    #    policy, the default over one that starves a view's factory (a
+    #    firing waits for every delta of an instant: both join sides)
+    starve = [dict(policy=f"starve:{VIEW}")] if spec.case in VIEW_CASES else []
     for simplify in (
         dict(batch_fault_rate=0.0, exception_rate=0.0),
+        *starve,
         dict(policy="priority"),
     ):
         simpler = replace(current, **simplify)
         if simpler != current and fails(simpler):
             current = simpler
-    # 2. shrink each stream (greedy ddmin over row chunks)
-    for name in ("rows", "right_rows"):
-        rows = list(getattr(current, name))
-        chunk = max(1, len(rows) // 2)
-        while rows:
-            i = 0
-            while i < len(rows):
-                candidate = rows[:i] + rows[i + chunk :]
-                trial = replace(current, **{name: tuple(candidate)})
-                if candidate and fails(trial):
-                    rows, current = candidate, trial
-                else:
-                    i += chunk
-            if chunk == 1:
-                break
-            chunk = max(1, chunk // 2)
+    # 2. shrink each stream (greedy ddmin over row chunks), again while
+    #    a pass shrinks one: a shorter right stream moves the batches
+    #    the left rows must meet
+    shrunk = None
+    while shrunk != current:
+        shrunk = current
+        for name in ("rows", "right_rows"):
+            rows = _ddmin(
+                list(getattr(current, name)),
+                lambda rows: fails(replace(current, **{name: tuple(rows)})),
+            )
+            current = replace(current, **{name: tuple(rows)})
     return current, attempts
+
+
+def _ddmin(rows: List, fails: Callable[[List], bool]) -> List:
+    """Greedy delta debugging: drop chunks of ``rows``, halving the
+    chunk, while the shorter list still ``fails``; never empties it."""
+    chunk = max(1, len(rows) // 2)
+    while rows:
+        i = 0
+        while i < len(rows):
+            candidate = rows[:i] + rows[i + chunk :]
+            if candidate and fails(candidate):
+                rows = candidate
+            else:
+                i += chunk
+        if chunk == 1:
+            break
+        chunk = max(1, chunk // 2)
+    return rows
 
 
 def render_repro(spec: EpisodeSpec) -> str:

@@ -16,9 +16,11 @@ Linear and view episodes rotate their cases, then their firing
 policies; a third get batch faults, a sixth injected exceptions, a
 seventh ingest through the server's wire seam.  Everything derives
 from ``--seed``, so a CI failure reproduces locally with the same
-invocation.  On failure the first failing episode is shrunk and the
-one-line repro (plus a JSON artifact for upload) is emitted; exit
-status is the number of failing episodes.
+invocation.  On failure the first failing linear or view episode is
+shrunk and its one-line repro (plus a JSON artifact for upload) is
+emitted, and a failing window episode's rows are shrunk before its
+paste-back call is printed; exit status is the number of failing
+episodes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import asdict, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .oracle import (
     AGG_CASES,
@@ -37,6 +39,7 @@ from .oracle import (
     ORACLE_CASES,
     VIEW,
     EpisodeSpec,
+    _ddmin,
     check_episode,
     render_repro,
     run_time_window_differential,
@@ -133,15 +136,15 @@ def _episode_spec(index: int, base_seed: int) -> EpisodeSpec:
     )
 
 
-def _run_window_episode(index: int, base_seed: int) -> Optional[str]:
-    """One window differential, COUNT or TIME; returns a one-line repro
-    of the failure, or None."""
+def _window_call(index: int, base_seed: int) -> Tuple[Callable, dict]:
+    """Window episode ``index``'s differential, COUNT or TIME, and the
+    keyword arguments to call it with."""
     seed = base_seed + index
     rng = random.Random(f"datacell-window-episode:{seed}")
     turn = episode_kind(index)[1] // 2
     if kind_name(index) == "time_window":
         size, slide = TIME_GEOMETRIES[turn % len(TIME_GEOMETRIES)]
-        call = dict(
+        return run_time_window_differential, dict(
             size=size,
             slide=slide,
             rows=[
@@ -154,21 +157,8 @@ def _run_window_episode(index: int, base_seed: int) -> Optional[str]:
             seed=seed,
             batch_size=rng.choice((1, 2, 3, 5, 8)),
         )
-        plan, reference = run_time_window_differential(**call)
-        if plan == reference:
-            return None
-        diverge = next(
-            (i for i, (a, b) in enumerate(zip(plan, reference)) if a != b),
-            min(len(plan), len(reference)),
-        )
-        detail = (
-            f"row {diverge}: plan={plan[diverge:diverge + 3]} "
-            f"reeval={reference[diverge:diverge + 3]} "
-            f"(lengths {len(plan)}/{len(reference)})"
-        )
-        return f"{_call('run_time_window_differential', call)}: {detail}"
     size, slide = WINDOW_GEOMETRIES[turn % len(WINDOW_GEOMETRIES)]
-    call = dict(
+    return run_window_differential, dict(
         size=size,
         slide=slide,
         rows=[rng.randint(0, 50) for _ in range(rng.randint(size, 80))],
@@ -179,16 +169,37 @@ def _run_window_episode(index: int, base_seed: int) -> Optional[str]:
         min_tuples=rng.choice((1, 1, 1, size + 2)),
         batch_fault_rate=0.3 if turn % 3 == 0 else 0.0,
     )
-    streaming, naive, _ = run_window_differential(**call)
-    if streaming == naive:
+
+
+def _window_mismatch(function: Callable, call: dict) -> Optional[str]:
+    """Run a window differential; where its two sides differ, or None."""
+    if function is run_window_differential:
+        streaming, naive, _ = function(**call)
+        return None if streaming == naive else f"{streaming} != {naive}"
+    plan, reference = function(**call)
+    if plan == reference:
         return None
-    return f"{_call('run_window_differential', call)}: {streaming} != {naive}"
+    diverge = next(
+        (i for i, (a, b) in enumerate(zip(plan, reference)) if a != b),
+        min(len(plan), len(reference)),
+    )
+    return (
+        f"row {diverge}: plan={plan[diverge:diverge + 3]} "
+        f"reeval={reference[diverge:diverge + 3]} "
+        f"(lengths {len(plan)}/{len(reference)})"
+    )
 
 
-def _call(function: str, kwargs: dict) -> str:
-    """A paste-back call of a window differential."""
-    args = ", ".join(f"{k}={v!r}" for k, v in kwargs.items())
-    return f"{function}({args})"
+def _run_window_episode(index: int, base_seed: int) -> Optional[str]:
+    """One window differential; returns a one-line repro of the failure,
+    its rows shrunk by greedy ddmin, or None."""
+    function, call = _window_call(index, base_seed)
+    if _window_mismatch(function, call) is None:
+        return None
+    call["rows"] = _ddmin(call["rows"], lambda rows: _window_mismatch(
+        function, {**call, "rows": rows}) is not None)
+    args = ", ".join(f"{k}={v!r}" for k, v in call.items())
+    return f"{function.__name__}({args}): {_window_mismatch(function, call)}"
 
 
 def main(argv: Optional[List[str]] = None) -> int:

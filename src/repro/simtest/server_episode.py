@@ -20,7 +20,6 @@ claim over frame encoding, decoding, and the queue seam itself.
 
 from __future__ import annotations
 
-import time
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..adapters.channels import Channel
@@ -83,7 +82,6 @@ class WireIngress:
         return self.channel.pending() > 0
 
     def activate(self) -> ActivationResult:
-        started = time.perf_counter()
         events = self.channel.poll(self.batch_size)
         queued = 0
         if events:
@@ -118,7 +116,6 @@ class WireIngress:
             tuples_in=len(events),
             tuples_out=queued,
             consumed=len(events),
-            elapsed=time.perf_counter() - started,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,8 +4,10 @@ Wall-clock benches drift between sittings; python call counts do not.
 Each shape of ``scripts/firing_cost.py`` (one fig1 8-row firing, one
 win_slide 200-row firing, one wal_ingest 64-row firing under an
 fsync-always log, one 64-row batch joined to a 10,000-row table and
-grouped, one server ingest pump activation; metrics lit and dark) makes a committed number of calls into ``src/repro`` frames, with
-±5 % slack for interpreter differences.  A change that lowers a count
+grouped, one server ingest pump activation, one ``/metrics`` scrape of
+a 20-query cell; metrics lit and dark) makes a committed number of
+calls into ``src/repro`` frames, with ±5 % slack for interpreter
+differences.  A change that lowers a count
 lowers its budget here; one that raises a count says why in CHANGES.md.
 """
 
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.factory import Factory
+from repro.core.scheduler import Scheduler
 
 _SPEC = importlib.util.spec_from_file_location(
     "firing_cost", Path(__file__).parents[1] / "scripts" / "firing_cost.py"
@@ -25,16 +28,18 @@ _SPEC.loader.exec_module(firing_cost)
 #: (shape, metrics) -> calls into src/repro per firing, comprehension
 #: frames left out
 BUDGETS = {
-    ("fig1 8 rows", "lit"): 183,
-    ("fig1 8 rows", "dark"): 164,
-    ("win_slide 200 rows", "lit"): 182,
-    ("win_slide 200 rows", "dark"): 169,
-    ("wal_ingest 64 rows", "lit"): 242,
-    ("wal_ingest 64 rows", "dark"): 209,
-    ("join 64 rows", "lit"): 306,
-    ("join 64 rows", "dark"): 284,
+    ("fig1 8 rows", "lit"): 178,
+    ("fig1 8 rows", "dark"): 160,
+    ("win_slide 200 rows", "lit"): 178,
+    ("win_slide 200 rows", "dark"): 166,
+    ("wal_ingest 64 rows", "lit"): 237,
+    ("wal_ingest 64 rows", "dark"): 205,
+    ("join 64 rows", "lit"): 301,
+    ("join 64 rows", "dark"): 280,
     ("server pump 16 rows", "lit"): 25,
     ("server pump 16 rows", "dark"): 23,
+    ("/metrics scrape, 20 queries", "lit"): 4982,
+    ("/metrics scrape, 20 queries", "dark"): 4,
 }
 SLACK = 0.05
 
@@ -117,3 +122,21 @@ def test_join_budget_sees_the_table_steps_rerun(mode):
     assert within_budget("join 64 rows", mode, calls("join 64 rows", mode))
     forgetting = sum(firing_cost.count_calls(fire_forgetting).values())
     assert not within_budget("join 64 rows", mode, forgetting)
+
+
+def test_scrape_budget_sees_a_timing_histogram(monkeypatch):
+    # the scrape shape's own mutation check: a per-transition histogram
+    # observed on every firing, as the scheduler once kept, adds 22
+    # lines per transition to every scrape and breaks the budget
+    scrape = "/metrics scrape, 20 queries"
+    fire = Scheduler._fire
+
+    def timed(self, transition):
+        result = fire(self, transition)
+        self.metrics.histogram(
+            "planted_activation_seconds", "", ("transition",)
+        ).labels(transition.name).observe(0.001)
+        return result
+
+    monkeypatch.setattr(Scheduler, "_fire", timed)
+    assert not within_budget(scrape, "lit", calls(scrape, "lit"))

@@ -39,7 +39,8 @@ class TestSectionPresence:
     def test_all_sections_rendered(self):
         text = render_dashboard(_stats(
             transitions={"q1": {
-                "firings": 2, "idle_polls": 1, "activation_seconds": HIST,
+                "firings": 2, "idle_polls": 1,
+                "activation_seconds": {"count": 2, "sum": 0.01},
             }},
             baskets={"sensors": {
                 "depth": 1, "high_water": 4, "inserted": 5,
@@ -50,6 +51,10 @@ class TestSectionPresence:
         ))
         assert "scheduler: iterations=3 firings=7" in text
         assert "== Transitions ==" in text
+        # the scheduler's seconds per firing: 0.01 s over two firings
+        header, _, row = text.split("== Transitions ==")[1].split("\n")[1:4]
+        assert header.split()[-2:] == ["mean", "ms"]
+        assert row.split() == ["q1", "2", "1", "5.00"]
         assert "== Baskets ==" in text
         assert "== Continuous queries (insert → emit latency) ==" in text
         assert "== MAL opcodes (top 15 by cumulative time) ==" in text
@@ -144,13 +149,13 @@ class TestResourcesSection:
                     "tenant": "team-a", "cpu_seconds": 0.02,
                     "plan_cpu_seconds": 0.01, "opcode_cpu_seconds": 0.009,
                     "memory_bytes": 4096, "queue_wait_seconds": 0.5,
-                    "queue_wait_tuples": 10, "rows_in": 100, "rows_out": 40,
+                    "rows_in": 100, "rows_out": 40,
                 },
                 "cold": {
                     "tenant": "default", "cpu_seconds": 0.0,
                     "plan_cpu_seconds": 0.0, "opcode_cpu_seconds": 0.0,
                     "memory_bytes": 0, "queue_wait_seconds": 0.0,
-                    "queue_wait_tuples": 0, "rows_in": 0, "rows_out": 0,
+                    "rows_in": 0, "rows_out": 0,
                 },
             },
             "engine": {"memory_bytes": 8192, "accounts": 2},
@@ -174,7 +179,7 @@ class TestResourcesSection:
                     "tenant": "default", "cpu_seconds": 0.0,
                     "plan_cpu_seconds": 0.0, "opcode_cpu_seconds": 0.0,
                     "memory_bytes": 0, "queue_wait_seconds": 0.0,
-                    "queue_wait_tuples": 0, "rows_in": 0, "rows_out": 0,
+                    "rows_in": 0, "rows_out": 0,
                 },
             },
             "engine": {"memory_bytes": 0, "accounts": 1},

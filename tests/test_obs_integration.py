@@ -40,7 +40,26 @@ class TestStatsShape:
         q1 = sched["transitions"]["q1"]
         assert q1["firings"] == 1
         assert q1["activation_seconds"]["count"] == 1
-        assert q1["activation_seconds"]["p95"] > 0
+        assert q1["activation_seconds"]["sum"] > 0
+
+    def test_activation_seconds_are_the_fire_events(self):
+        # the scheduler times a firing once: its seconds tally and the
+        # firing's trace event carry the same wall time, lit or dark
+        for metrics in (None, MetricsRegistry(enabled=False)):
+            cell = DataCell(metrics=metrics)
+            cell.execute("create basket sensors (sensor int, temp double)")
+            cell.submit_continuous(CQ)
+            for temp in (45.0, 50.0, 55.0):
+                cell.insert("sensors", [(1, temp)])
+                cell.run_until_quiescent()
+            transitions = cell.stats()["scheduler"]["transitions"]
+            for name in ("q1", "q1_emitter"):
+                fired = [e.detail["elapsed"]
+                         for e in cell.trace.events(kind="fire")
+                         if e.component == name]
+                timed = transitions[name]["activation_seconds"]
+                assert timed == {"count": 3, "sum": sum(fired)}
+                assert timed["sum"] > 0
 
     def test_idle_polls_counted(self):
         cell, _ = build_cell()

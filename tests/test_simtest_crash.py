@@ -2,7 +2,7 @@
 
 Seeded episodes (the same generator the CI job runs) must all pass —
 recovered output byte-identical to the uninterrupted run, for a view its
-integral — for plain continuous queries, aggregate views and
+integral — for plain continuous queries, aggregate and join views and
 COUNT-window aggregates alike, across all fsync
 policies and checkpoint cadences.  A deliberately planted
 duplicate-delivery bug (high-water suppression disabled) must be
@@ -19,7 +19,7 @@ from repro.simtest.crash import (
     check_crash_episode,
     crash_episode_spec,
 )
-from repro.simtest.oracle import AGG_CASES
+from repro.simtest.oracle import JOIN_CASE, VIEW_CASES
 
 # 4 chunks x 25 = 100 seeded episodes, the acceptance floor; chunking
 # keeps per-test wall time visible and failures localized
@@ -39,8 +39,8 @@ def test_both_query_shapes_and_all_fsync_policies_are_exercised():
     cases = {s.case for s in specs}
     assert "window" in cases
     assert len(cases) >= 4
-    # every third episode registers an aggregate view
-    assert {s.case for s in specs[2::3]} == set(AGG_CASES)
+    # every third episode registers a view: an aggregate or the join
+    assert {s.case for s in specs[2::3]} == set(VIEW_CASES)
     assert {s.fsync for s in specs} == {"interval", "off", "always"}
     assert any(s.checkpoint_every for s in specs)
     assert any(s.checkpoint_every is None for s in specs)
@@ -52,6 +52,19 @@ def test_both_query_shapes_and_all_fsync_policies_are_exercised():
     assert {s.window_group for s in specs if s.case == "window"} == {
         None, AtomType.STR, AtomType.INT,
     }
+
+
+def test_seeded_generator_yields_a_join_view():
+    # the join's two streams arrive together: recovery resumes each at
+    # its own basket's total_in, and the view's integral still matches
+    joins = [
+        spec for spec in (crash_episode_spec(i, base_seed=0) for i in range(24))
+        if spec.case == JOIN_CASE.name
+    ]
+    assert joins and all(spec.rows and spec.right_rows for spec in joins)
+    result = check_crash_episode(joins[0])
+    assert result.ok, result.explain()
+    assert result.crashed and result.reference
 
 
 def test_explicit_mid_stream_crash_with_checkpoint():

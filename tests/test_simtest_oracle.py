@@ -7,8 +7,8 @@ repro of at most 10 input tuples (no false negatives, and failures come
 back actionable).  The planted bug flips the query's input binding to
 PEEK, which re-emits unconsumed tuples — exactly the class of
 consumption-semantics mistake the harness exists to catch.  A view
-gets the same two halves, with a planted bug that drops its
-retractions, and the seeded ``repro.simtest.run`` schedule is checked
+gets the same two halves, with planted bugs that drop its retractions
+or a join's dL ⋈ dR pairs, and the seeded ``repro.simtest.run`` schedule is checked
 to reach every kind of episode.
 """
 
@@ -17,17 +17,21 @@ from collections import Counter
 
 import pytest
 
+from repro.core.basket import TIME_COLUMN
 from repro.core.factory import ConsumeMode
-from repro.incremental import IncrementalJoin
+from repro.core.windows import WindowAggregatePlan
+from repro.incremental import IncrementalJoin, ZSet
 from repro.simtest import (
     ORACLE_CASES,
     VIEW_CASES,
     EpisodeSpec,
     check_episode,
     render_repro,
+    run_time_window_differential,
     shrink_episode,
 )
 from repro.simtest import run as simtest_run
+from repro.simtest.oracle import VIEW
 
 
 def random_spec(seed, **overrides):
@@ -164,6 +168,34 @@ class TestSeededKinds:
         for index in indices:
             assert simtest_run._run_window_episode(index, 0) is None
 
+    def test_failing_window_episode_prints_its_rows_shrunk(
+        self, monkeypatch
+    ):
+        # a planted watermark bug: the plan takes the batch's last stamp
+        # for the watermark, not the largest seen, so out of order a
+        # window closes late or never
+        ingest = WindowAggregatePlan._ingest
+
+        def last_stamp(self, snap):
+            ingest(self, snap)
+            self._watermark = float(snap.column(TIME_COLUMN).tail[-1])
+
+        monkeypatch.setattr(WindowAggregatePlan, "_ingest", last_stamp)
+        function, call = simtest_run._window_call(39, 0)
+        assert function is run_time_window_differential and call["disorder"]
+        message = simtest_run._run_window_episode(39, 0)
+        assert message is not None
+        # the printed call fails on at most a quarter of the rows, and
+        # passes once the bug is gone
+        paste_back = message.split("): ", 1)[0] + ")"
+        rows = eval(paste_back.replace(function.__name__, "dict", 1))["rows"]
+        assert len(rows) <= len(call["rows"]) // 4
+        plan, reference = eval(paste_back, {function.__name__: function})
+        assert plan != reference
+        monkeypatch.undo()
+        plan, reference = eval(paste_back, {function.__name__: function})
+        assert plan == reference
+
     def test_schedule_reaches_every_kind_and_case(self):
         kinds = Counter(simtest_run.kind_name(i) for i in range(400))
         assert kinds == {
@@ -201,6 +233,23 @@ def retraction_bug(handle):
     plan = handle.factory.plan
     rows = plan._aggregate_rows
     plan._aggregate_rows = lambda delta: [r for r in rows(delta) if r[-1] > 0]
+
+
+def late_left_fold(self, dleft, dright):
+    """``IncrementalJoin.step_both`` with dL folded into the left state
+    after the dR probe: a firing that sees both deltas loses dL ⋈ dR."""
+    out = ZSet()
+    for delta, key, state in (
+        (dleft, self.left_key, self.right_state),
+        (dright, self.right_key, self.left_state),
+    ):
+        for row, weight in delta.items():
+            for other, other_weight in state.get(row[key], ZSet()).items():
+                pair = (row, other) if delta is dleft else (other, row)
+                out.add(self._pair(*pair), weight * other_weight)
+    self._fold(self.left_state, self.left_key, dleft)
+    self._fold(self.right_state, self.right_key, dright)
+    return out
 
 
 class TestPlantedViewBug:
@@ -246,6 +295,22 @@ class TestPlantedViewBug:
         result = check_episode(spec, bug=transient_bug)
         assert not result.ok
         assert result.extra == {(99, 0, 0, 0, 0): 1}
+
+    def test_join_bug_shrinks_to_one_firing_of_both_deltas(
+        self, monkeypatch
+    ):
+        # the shrinker starves the view's factory, so both sides' rows
+        # of an instant meet in one firing
+        monkeypatch.setattr(IncrementalJoin, "step_both", late_left_fold)
+        spec = seeded_specs("join", 6)[5]
+        assert spec.policy == "round-robin"
+        assert not check_episode(spec).ok
+        shrunk, _ = shrink_episode(spec)
+        assert len(shrunk.rows) <= 2 and len(shrunk.right_rows) <= 2
+        assert shrunk.policy == f"starve:{VIEW}"
+        assert not check_episode(shrunk).ok
+        monkeypatch.undo()
+        assert check_episode(shrunk).ok
 
     def test_join_repro_round_trips(self):
         spec = seeded_specs("join", 1)[0]
