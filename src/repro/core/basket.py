@@ -28,30 +28,44 @@ Implementation notes
   this node, which window operators may use, but nothing reorders tuples.
 
 * **Sequence numbers ascend.**  Every append stamps ``next_seq,
-  next_seq + 1, ...`` after the last buffered tuple, and every removal
-  (consumption, shedding, retention trimming, shared-reader GC) keeps the
-  survivors in their order — so the hidden seq column is strictly
-  ascending at all times.  Several steps rely on it: a ``since_seq``
-  snapshot is the contiguous suffix starting at
+  next_seq + 1, ...`` after the last buffered tuple, and nothing ever
+  reorders the rows — a removal tombstones them in place, a compaction
+  keeps the survivors in their order — so the hidden seq column is
+  strictly ascending at all times.  Several steps rely on it: a
+  ``since_seq`` snapshot is the suffix starting at
   ``searchsorted(seqs, since_seq, "right")``; :meth:`Basket.unseen_count`
-  and :meth:`Basket.gc_shared` find their cut the same way; a snapshot's
-  last seq is its largest; tuples a reader has not seen yet form a suffix.
+  and :meth:`Basket.gc_shared` find their cut the same way; a
+  snapshot's last seq is its largest; tuples a reader has not seen yet
+  form a suffix; a stale snapshot's seqs are found by one search.
 
-* **Consume by position.**  Every mutation bumps the basket's
-  ``generation``.  A snapshot records the generation it was cut at and
-  the basket position of its first row (``start``).  While the generation
-  is unchanged, snapshot position *p* is basket position ``start + p``; a
-  factory holds the basket lock from snapshot to consume (Algorithm 1),
-  so its consumption is one boolean keep-mask over the snapshot's rows —
-  the rows before ``start`` are kept without a selection — or an O(1)
-  :meth:`Basket.consume_all` when it takes a whole-basket snapshot in
-  full.  A snapshot from an older generation is consumed by sequence
-  number instead (:meth:`Basket.consume_seqs`).
+* **Consume by tombstone.**  The physical columns are append-only: a
+  removal (consumption, load shedding, retention trimming, shared-reader
+  GC) copies nothing, it sets the rows' bits in a dead-row mask and
+  lowers the live :attr:`Basket.count`; a basket left with no live row
+  starts over on empty columns (so does :meth:`Basket.consume_all`).
+  The live rows are copied into new BATs only by a *compaction*: before
+  an append when dead rows outnumber live ones, and before a reader that
+  cannot skip dead rows takes the columns (:meth:`Basket.bat`,
+  :meth:`Basket.bats`, :meth:`Basket.drain`).  ``generation`` moves only
+  when physical positions do — a compaction or a start-over.  A snapshot
+  records the generation it was cut at; while it is unchanged, snapshot
+  position *p* maps to one physical row (``start + p`` for a view, the
+  position it ``picked`` otherwise), so a factory — which holds the
+  basket lock from snapshot to consume (Algorithm 1) — consumes by
+  setting bits, and a whole-basket snapshot taken in full is an O(1)
+  :meth:`Basket.consume_all`.  A snapshot from an older generation is
+  consumed by sequence number instead (:meth:`Basket.consume_seqs`).
+  Rows already dead are never removed or counted twice.
+
+* **Snapshots are views.**  Positions below the physical count are
+  never rewritten (appends write past it; a compaction or start-over
+  swaps in new arrays), so a snapshot whose rows hold no tombstone is a
+  read-only view of the basket's columns, not a copy.
 
 * **Drain by adoption.**  A reader that takes everything (an emitter, a
   replicator) calls :meth:`Basket.drain`: the snapshot it gets *is* the
-  basket's columns, and the basket starts over with empty ones, so
-  nothing is copied.
+  basket's (compacted) columns, and the basket starts over with empty
+  ones.
 """
 
 from __future__ import annotations
@@ -79,16 +93,18 @@ TIME_COLUMN = "dc_time"
 class BasketSnapshot:
     """An immutable view of a basket's content at activation time.
 
-    Columns are one copy of a contiguous run of the basket's rows (or,
-    from :meth:`Basket.drain`, the basket's former columns themselves),
-    re-based to a dense 0..n-1 head, so candidate lists produced by plans
-    are directly usable as positions when telling the basket which tuples
-    were consumed (:meth:`Basket.consume_positions`).  ``seqs`` carries
-    the stable, ascending per-tuple sequence numbers for the same
-    positions; ``runs`` the hidden arrival stamps and trace tokens of
-    the same rows, cut to the snapshot; ``generation`` and ``start`` say
-    which basket state the snapshot was cut from and where in it row 0
-    sat.
+    Columns are re-based to a dense 0..n-1 head, so candidate lists
+    produced by plans are directly usable as positions when telling the
+    basket which tuples were consumed (:meth:`Basket.consume_positions`).
+    When the rows it covers hold no tombstone, the columns are read-only
+    views of one contiguous run of the basket's columns, the run starting
+    at physical position ``start`` (from :meth:`Basket.drain`, the
+    basket's former columns themselves); otherwise they are one gathered
+    copy of the live rows, whose physical positions ``picked`` keeps.
+    ``seqs`` carries the stable, ascending per-tuple sequence numbers for
+    the same positions; ``runs`` the hidden arrival stamps and trace
+    tokens of the same rows; ``generation`` the basket state the physical
+    positions belong to.
     """
 
     def __init__(
@@ -99,6 +115,7 @@ class BasketSnapshot:
         runs: Runs,
         generation: int = -1,
         start: int = 0,
+        picked: Optional[np.ndarray] = None,
     ):
         self.names = list(names)
         self.bats = list(bats)
@@ -106,6 +123,7 @@ class BasketSnapshot:
         self.runs = runs
         self.generation = generation
         self.start = start
+        self.picked = picked
         self.count = len(seqs)
 
     def __len__(self) -> int:
@@ -167,8 +185,14 @@ class Basket(Table, Place):
         # hops exactly like the origin stamp
         self._runs = Runs()
         self._next_seq = 0
-        # bumped by every mutation; a snapshot cut at the current
-        # generation still maps its positions 1:1 onto the basket's
+        # tombstones: ``_dead[i]`` marks physical row ``i`` removed (rows
+        # past the mask's end are live; ``None`` when nothing is dead),
+        # and ``_ndead`` counts the marks
+        self._dead: Optional[np.ndarray] = None
+        self._ndead = 0
+        # bumped whenever physical positions move (a compaction or a
+        # start-over); a snapshot cut at the current generation still
+        # maps its positions onto the basket's physical rows
         self.generation = 0
         self._min_count = 1
         self.capacity: Optional[int] = None  # load-shedding high watermark
@@ -231,6 +255,11 @@ class Basket(Table, Place):
         self.changed()  # a lower threshold may enable a reader
 
     @property
+    def count(self) -> int:
+        """Live tuples: the physical rows less the tombstoned ones."""
+        return self._seq.count - self._ndead
+
+    @property
     def total_in(self) -> int:
         """Tuples ever appended (ingest and factory output)."""
         return self._inserted.value
@@ -252,7 +281,7 @@ class Basket(Table, Place):
 
     def _record_depth(self) -> None:
         """Refresh depth and high water (call under ``self.lock``)."""
-        depth = self._seq.count
+        depth = self._seq.count - self._ndead
         self._depth.value = depth
         if depth > self._high_water.value:
             self._high_water.value = depth
@@ -264,6 +293,19 @@ class Basket(Table, Place):
     def user_columns(self) -> List[ColumnDef]:
         """Schema without the implicit timestamp column."""
         return [c for c in self.schema if c.name != TIME_COLUMN]
+
+    def bat(self, column: str) -> BAT:
+        """The BAT storing ``column``, compacted first: a reader of the
+        columns cannot skip tombstoned rows."""
+        if self._ndead:
+            self._compact()
+        return super().bat(column)
+
+    def bats(self) -> List[BAT]:
+        """All column BATs in schema order, compacted first."""
+        if self._ndead:
+            self._compact()
+        return super().bats()
 
     # ------------------------------------------------------------------
     # ingest
@@ -291,10 +333,13 @@ class Basket(Table, Place):
                     f"basket {self.name!r}: row arity {len(row)} != {arity}"
                 )
         with self.lock:
+            if 2 * self._ndead > self._seq.count:
+                self._compact()
             # columnar ingest: transpose once, append one array per column
             columns = list(zip(*rows))
+            bats = self._bats
             for col, values in zip(user_cols, columns):
-                self.bat(col.name).append_many(values)
+                bats[col.name.lower()].append_many(values)
             n = len(rows)
             shed = self._ingested(n, stamp, trace_token)
         return n - shed
@@ -322,6 +367,8 @@ class Basket(Table, Place):
             raise BasketError("bulk insert arrays differ in length")
         n = lengths.pop()
         with self.lock:
+            if 2 * self._ndead > self._seq.count:
+                self._compact()
             bats = self._bats
             for name, values in columns.items():
                 bats[name.lower()].append_array(values)
@@ -351,7 +398,6 @@ class Basket(Table, Place):
         self._runs.append(self._seq.count, mono, trace_token)
         self._next_seq += n
         self._inserted.value += n
-        self.generation += 1
         self.changed()
 
     def _log_ingest(self, n: int, stamp: float) -> None:
@@ -369,17 +415,16 @@ class Basket(Table, Place):
             self.name,
             stamp,
             [(c.name.lower(), c.atom) for c in self.user_columns],
-            [self.bat(c.name).tail[-n:] for c in self.user_columns],
+            [self._bats[c.name.lower()].tail[-n:] for c in self.user_columns],
         )
 
     def _shed_if_over_capacity(self) -> int:
         """Drop oldest tuples beyond the capacity watermark (load shedding)."""
         if self.capacity is None or self.count <= self.capacity:
             return 0
-        overflow = self.count - self.capacity
-        self._rebuild_keeping(slice(overflow, None), self.capacity)
-        self._shed.value += overflow
-        return overflow
+        shed = self._kill(self._oldest(self.count - self.capacity))
+        self._shed.value += shed
+        return shed
 
     def _trim_to_retention(self) -> int:
         """Ring-buffer retention (call under ``self.lock``): drop oldest
@@ -388,10 +433,9 @@ class Basket(Table, Place):
         response."""
         if self.retention is None or self.count <= self.retention:
             return 0
-        overflow = self.count - self.retention
-        self._rebuild_keeping(slice(overflow, None), self.retention)
-        self.total_trimmed += overflow
-        return overflow
+        trimmed = self._kill(self._oldest(self.count - self.retention))
+        self.total_trimmed += trimmed
+        return trimmed
 
     # ------------------------------------------------------------------
     # snapshots & consumption
@@ -399,8 +443,10 @@ class Basket(Table, Place):
     def snapshot(self, since_seq: Optional[int] = None) -> BasketSnapshot:
         """Current content (optionally only tuples with seq > ``since_seq``).
 
-        One copy per column of one contiguous run: the whole basket, or —
-        seqs ascend — the suffix after the ``since_seq`` watermark.
+        One contiguous run of physical rows: the whole basket, or — seqs
+        ascend — the suffix after the ``since_seq`` watermark.  Without a
+        tombstone in it, the snapshot is a read-only view of the run (no
+        copy); with one, it is one gathered copy of the run's live rows.
         Caller should hold the basket lock for a consistent multi-column
         view; factories do (Algorithm 1 locks before reading).
         """
@@ -411,20 +457,28 @@ class Basket(Table, Place):
                 0 if since_seq is None
                 else int(seqs.searchsorted(since_seq, side="right"))
             )
-            bats = [bat.slice(start, n, 0) for bat in self._bats.values()]
+            dead = self._dead
+            if dead is None or not dead[start:n].any():
+                seqs = seqs[start:]
+                seqs.flags.writeable = False
+                return BasketSnapshot(
+                    self._names,
+                    [bat.view(start, n) for bat in self._bats.values()],
+                    seqs, self._runs.cut(start, n), self.generation, start,
+                )
+            picked = self._live_rows(start)
             return BasketSnapshot(
-                self._names, bats, seqs[start:].copy(),
-                self._runs.cut(start, n), self.generation, start,
+                self._names,
+                [bat.take_positions(picked) for bat in self._bats.values()],
+                seqs[picked], self._runs.pick(picked), self.generation,
+                start, picked,
             )
 
     def consume_all(self) -> int:
         """Remove every tuple (the bulk ``empty(input)`` of Algorithm 1)."""
         with self.lock:
-            removed = self.count
-            self._bats = {k: BAT(b.atom) for k, b in self._bats.items()}
-            self._seq = BAT(AtomType.LNG)
-            self._runs = Runs()
-            self.generation += 1
+            removed = self._seq.count - self._ndead
+            self._start_over()
             self._note_removed(removed)
             return removed
 
@@ -432,15 +486,18 @@ class Basket(Table, Place):
 
     def drain(self) -> BasketSnapshot:
         """Take every tuple: :meth:`snapshot` then :meth:`consume_all`,
-        without a copy — the snapshot adopts the basket's columns, and the
-        basket starts over with empty ones."""
+        without a copy unless rows are tombstoned — the snapshot adopts
+        the basket's (compacted) columns, and the basket starts over with
+        empty ones."""
         with self.lock:
-            seqs = self._seq.tail
+            if self._ndead:
+                self._compact()
             snapshot = BasketSnapshot(
-                self._names, list(self._bats.values()), seqs, self._runs,
-                self.generation,
+                self._names, list(self._bats.values()), self._seq.tail,
+                self._runs, self.generation,
             )
-            self.consume_all()
+            self._start_over()
+            self._note_removed(snapshot.count)
             return snapshot
 
     def consume_positions(
@@ -453,11 +510,11 @@ class Basket(Table, Place):
 
         ``positions`` index the snapshot, as the candidate list a plan's
         basket expression produced.  While the basket is still at the
-        snapshot's generation they are basket positions shifted by
-        ``snapshot.start``, so the removal is one boolean keep-mask and
-        no sequence-number search; a whole-basket snapshot consumed in
-        full is :meth:`consume_all`.  A snapshot from an older generation
-        is consumed through :meth:`consume_seqs`.
+        snapshot's generation they map to physical rows — shifted by the
+        view's ``start``, or through the rows the snapshot ``picked`` —
+        whose tombstones are set; a whole-basket view consumed in full
+        is :meth:`consume_all`.  A snapshot from an older generation is
+        consumed through :meth:`consume_seqs`.
         """
         if not snapshot.count:
             return 0
@@ -467,74 +524,116 @@ class Basket(Table, Place):
                 if positions is not None:
                     seqs = seqs[np.asarray(positions, dtype=np.int64)]
                 return self.consume_seqs(seqs)
-            start = snapshot.start
+            start, picked = snapshot.start, snapshot.picked
             if positions is None:
-                if not start:
+                if picked is not None:
+                    rows: Any = picked
+                elif not start and snapshot.count == self._seq.count:
                     return self.consume_all()
-                return self._remove(slice(0, start), start)
-            if not len(positions):
+                else:
+                    rows = slice(start, start + snapshot.count)
+            elif not len(positions):
                 return 0
-            # a keep-mask over the snapshot's rows only: the rows before
-            # ``start`` (a ``since_seq`` snapshot's prefix) stay as they are
-            keep = np.ones(self._seq.count - start, dtype=bool)
-            keep[np.asarray(positions, dtype=np.int64)] = False
-            return self._remove(keep, start + int(np.count_nonzero(keep)),
-                                start)
+            else:
+                rows = np.asarray(positions, dtype=np.int64)
+                rows = picked[rows] if picked is not None else rows + start
+            removed = self._kill(rows)
+            self._note_removed(removed)
+            return removed
 
     def consume_seqs(self, seqs: np.ndarray) -> int:
         """Remove the tuples with the given sequence numbers (a snapshot
-        the basket has changed since, or one that is not this basket's)."""
+        the basket has compacted since, or one that is not this
+        basket's); seqs no longer buffered are ignored."""
         if len(seqs) == 0:
             return 0
         with self.lock:
-            keep = ~np.isin(self._seq.tail, np.asarray(seqs, dtype=np.int64))
-            return self._remove(keep, int(np.count_nonzero(keep)))
-
-    def _remove(self, keep: Any, kept: int, start: int = 0) -> int:
-        """Keep the ``kept`` rows ``keep`` selects from position ``start``
-        on, and every row before it; count the rest out."""
-        removed = self._seq.count - kept
-        if removed:
-            self._rebuild_keeping(keep, kept, start)
-        self._note_removed(removed)
-        return removed
+            held = self._seq.tail
+            if not len(held):
+                return 0
+            seqs = np.asarray(seqs, dtype=np.int64)
+            rows = np.minimum(held.searchsorted(seqs), len(held) - 1)
+            rows = rows[held[rows] == seqs]
+            removed = self._kill(rows) if len(rows) else 0
+            self._note_removed(removed)
+            return removed
 
     def _note_removed(self, removed: int) -> None:
         self._consumed.value += removed
         self._record_depth()
 
-    def _rebuild_keeping(self, keep: Any, kept: int, start: int = 0) -> None:
-        """Swap in new BATs holding only the ``kept`` rows ``keep``
-        selects (under the lock).
-
-        ``keep`` selects sequenced positions: a slice, or a boolean mask
-        over the rows from ``start`` on, the rows before it all kept.
-        Each column is copied once; the hidden runs are re-cut.  New BATs
-        rather than a compaction in place: a one-time query may still
-        hold the old ones.
-        """
+    # ------------------------------------------------------------------
+    # tombstones (every helper below runs under the lock)
+    # ------------------------------------------------------------------
+    def _kill(self, rows: Any) -> int:
+        """Tombstone the physical ``rows`` (an index array or a slice);
+        returns how many of them were live.  A basket left with no live
+        row starts over on empty columns, which copies nothing."""
         n = self._seq.count
-        if isinstance(keep, slice):  # basic slicing does not copy
-
-            def select(bat: BAT) -> BAT:
-                return BAT.adopt(bat.atom, bat.tail[:n][keep].copy())
-
-        elif start:
-
-            def select(bat: BAT) -> BAT:
-                tail = bat.tail
-                return BAT.adopt(
-                    bat.atom, np.concatenate((tail[:start], tail[start:n][keep]))
-                )
-
+        dead = self._mask(n)
+        dead[rows] = True
+        ndead = int(np.count_nonzero(dead))
+        removed = ndead - self._ndead
+        if ndead == n:
+            self._start_over()
         else:
+            self._ndead = ndead
+        return removed
 
-            def select(bat: BAT) -> BAT:
-                return BAT.adopt(bat.atom, bat.tail[:n][keep])
+    def _mask(self, n: int) -> np.ndarray:
+        """The dead-row mask, grown to cover ``n`` physical rows."""
+        dead = self._dead
+        if dead is None or len(dead) < n:
+            grown = np.zeros(
+                n if dead is None else max(n, 2 * len(dead)), dtype=bool
+            )
+            if dead is not None:
+                grown[: len(dead)] = dead
+            self._dead = dead = grown
+        return dead
 
-        self._bats = {k: select(b) for k, b in self._bats.items()}
-        self._seq = select(self._seq)
-        self._runs = self._runs.keep(keep, kept, start)
+    def _live_rows(self, start: int = 0) -> np.ndarray:
+        """Physical positions of the live rows from ``start`` on."""
+        n = self._seq.count
+        live = np.flatnonzero(~self._mask(n)[start:n])
+        if start:
+            live += start
+        return live
+
+    def _oldest(self, k: int) -> Any:
+        """Physical rows of the ``k`` oldest live tuples."""
+        if self._dead is None:
+            return slice(0, k)
+        return self._live_rows()[:k]
+
+    def _compact(self) -> None:
+        """Swap in new BATs holding only the live rows: one copy per
+        column, the hidden runs re-cut, the tombstones forgotten.  An
+        append runs it first when dead rows outnumber live ones
+        (``2 * _ndead > _seq.count``), a column reader always.  New
+        BATs rather than a compaction in place: snapshot views and
+        one-time queries may still hold the old ones."""
+        with self.lock:  # re-entrant; a reader may call without it
+            if not self._ndead:
+                return
+            n = self._seq.count
+            live = np.flatnonzero(~self._mask(n)[:n])
+            self._bats = {
+                k: b.take_positions(live) for k, b in self._bats.items()
+            }
+            self._seq = self._seq.take_positions(live)
+            self._runs = self._runs.pick(live)
+            self._dead = None
+            self._ndead = 0
+            self.generation += 1
+
+    def _start_over(self) -> None:
+        """Empty columns and no tombstones, without a copy."""
+        self._bats = {k: BAT(b.atom) for k, b in self._bats.items()}
+        self._seq = BAT(AtomType.LNG)
+        self._runs = Runs()
+        self._dead = None
+        self._ndead = 0
         self.generation += 1
 
     def frontier_seq(self) -> int:
@@ -543,13 +642,11 @@ class Basket(Table, Place):
             return self._next_seq - 1
 
     def nbytes(self) -> int:
-        """Estimated bytes buffered: every schema column's BAT plus the
-        hidden sequence BAT.  The arrival stamps and trace tokens are
-        stored per run, not per row, and are not charged.  O(columns),
-        inherits the per-BAT estimate contract."""
-        with self.lock:
-            total = sum(self.bat(c.name).nbytes() for c in self.schema)
-            return total + self._seq.nbytes()
+        """Estimated bytes buffered: every schema column plus the hidden
+        sequence column, over the live rows.  The arrival stamps and
+        trace tokens are stored per run, not per row, and are not
+        charged.  O(columns), inherits the per-BAT estimate contract."""
+        return self.count * self.row_nbytes()
 
     def row_nbytes(self) -> int:
         """Estimated bytes per buffered tuple — the ``nbytes()`` contract
@@ -561,7 +658,8 @@ class Basket(Table, Place):
         if width is None:
             with self.lock:
                 width = sum(
-                    self.bat(c.name).element_nbytes() for c in self.schema
+                    self._bats[c.name.lower()].element_nbytes()
+                    for c in self.schema
                 )
                 width += self._seq.element_nbytes()
             self._row_nbytes = width
@@ -595,15 +693,29 @@ class Basket(Table, Place):
         import hashlib
 
         with self.lock:
+            seqs, arrays = self._live_columns()
             parts: List[str] = [
                 repr(self._next_seq),
-                repr(self._seq.tail.tolist()),
+                repr(seqs.tolist()),
                 repr(sorted(self._readers.items())),
             ]
-            for col in self.schema:
+            for col, array in zip(self.schema, arrays):
                 parts.append(col.name.lower())
-                parts.append(repr(self.bat(col.name).tail.tolist()))
+                parts.append(repr(array.tolist()))
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+    def _live_columns(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The live rows' seqs and schema-column tails (under the lock):
+        the physical tails themselves without a tombstone, else one
+        gathered copy — reading them leaves the basket as it is."""
+        bats = self._bats
+        columns = [self._seq] + [bats[c.name.lower()] for c in self.schema]
+        if not self._ndead:
+            tails = [bat.tail for bat in columns]
+        else:
+            live = self._live_rows()
+            tails = [bat.tail[live] for bat in columns]
+        return tails[0], tails[1:]
 
     # ------------------------------------------------------------------
     # durability export/import (checkpoint cut <-> recovery restore)
@@ -618,10 +730,13 @@ class Basket(Table, Place):
         from ..durability.checkpoint import BasketState
 
         with self.lock:
+            seqs, arrays = self._live_columns()
+            if not self._ndead:  # the physical tails, not a gathered copy
+                seqs, arrays = seqs.copy(), [a.copy() for a in arrays]
             return BasketState(
                 columns=[(c.name.lower(), c.atom) for c in self.schema],
-                arrays=[self.bat(c.name).tail.copy() for c in self.schema],
-                seqs=self._seq.tail.copy(),
+                arrays=arrays,
+                seqs=seqs,
                 next_seq=self._next_seq,
                 readers=dict(self._readers),
                 total_in=self.total_in,
@@ -657,6 +772,8 @@ class Basket(Table, Place):
             self._runs = Runs()
             if seq_bat.count:
                 self._runs.append(seq_bat.count, time.monotonic(), 0)
+            self._dead = None
+            self._ndead = 0
             self._next_seq = int(state.next_seq)
             self._readers = dict(state.readers)
             self._inserted.value = int(state.total_in)
@@ -682,7 +799,8 @@ class Basket(Table, Place):
                     f"reader {reader!r} already registered on {self.name!r}"
                 )
             if self.count:
-                self._readers[reader] = int(self._seq.tail[0]) - 1
+                first = self._live_rows()[0] if self._ndead else 0
+                self._readers[reader] = int(self._seq.tail[first]) - 1
             else:
                 self._readers[reader] = self._next_seq - 1
 
@@ -720,8 +838,11 @@ class Basket(Table, Place):
                     f"reader {reader!r} not registered on {self.name!r}"
                 )
             seqs = self._seq.tail
-            cursor = self._readers[reader]
-            return len(seqs) - int(seqs.searchsorted(cursor, side="right"))
+            cut = int(seqs.searchsorted(self._readers[reader], side="right"))
+            unseen = len(seqs) - cut
+            if self._ndead:
+                unseen -= int(np.count_nonzero(self._dead[cut:len(seqs)]))
+            return unseen
 
     def gc_shared(self) -> int:
         """Drop tuples every registered reader has seen (low-water mark).
@@ -735,9 +856,8 @@ class Basket(Table, Place):
                 return 0
             seqs = self._seq.tail
             cut = int(seqs.searchsorted(min(self._readers.values()), "right"))
-            removed = self.count - (len(seqs) - cut)
+            removed = self._kill(slice(0, cut)) if cut else 0
             if removed:
-                self._rebuild_keeping(slice(cut, None), len(seqs) - cut)
                 self._note_removed(removed)
             return removed
 
@@ -770,6 +890,8 @@ class Basket(Table, Place):
             )
         stamp = self.clock.now() if timestamp is None else float(timestamp)
         with self.lock:
+            if 2 * self._ndead > self._seq.count:
+                self._compact()
             for bat, appended in zip(self._bats.values(), result.bats):
                 bat.append_bat(appended)
             if not provides_time:

@@ -8,8 +8,8 @@ whole output with the earliest stamp and the first token of its inputs —
 so a basket stores them per *run*, not per row: one ``(end, stamp,
 token)`` entry per ingested or appended batch, the layout Arrow calls
 run-end encoding.  A basket usually holds one or two runs, so the runs
-are python lists; every operation is O(runs), never O(rows), except the
-re-cut after a boolean-mask removal that spans several runs.
+are python lists; every operation is O(runs), never O(rows) — a
+:meth:`Runs.pick` searches the picked positions once per run.
 
 Run *i* covers positions ``[ends[i-1], ends[i])`` (``ends[-1]`` is the
 row count); ends strictly ascend, so no run is ever empty.
@@ -18,7 +18,7 @@ row count); ends strictly ascend, so no run is ever empty.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,46 +92,19 @@ class Runs:
         cut[-1] = stop - start
         return Runs(cut, self.stamps[k:j], self.tokens[k:j])
 
-    def keep(self, selection: Any, kept: int, start: int = 0) -> "Runs":
-        """The runs of the ``kept`` rows ``selection`` picks.
-
-        ``selection`` is a slice or a boolean mask over the rows from
-        ``start`` on (the rows before it are kept) — the forms a basket
-        rebuilds its columns by.
-        """
-        if not kept:
-            return Runs()
-        ends = self.ends
-        if len(ends) == 1:
-            return Runs([kept], self.stamps[:], self.tokens[:])
-        if kept == ends[-1] or start >= ends[-2]:
-            # nothing removed, or only rows of the last run (a consume of
-            # the newest batch): the runs before it stand, and it shrinks
-            # to end at ``kept`` — or goes, if nothing of it is kept
-            return self.cut(0, kept)
-        if isinstance(selection, slice):
-            first, stop, _ = selection.indices(self.ends[-1])
-            return self.cut(first, stop)
-        # removed positions, ascending: only the runs from the first one
-        # hit change, and a consume usually hits the newest runs
-        gone = np.flatnonzero(~selection)
-        if start:
-            gone += start
-        k = bisect_right(self.ends, int(gone[0]))
-        tail = self.ends[k:]
-        ends = [
-            end - removed
-            for end, removed in zip(tail, gone.searchsorted(tail).tolist())
-        ]
-        return self._recut(k, ends)
-
-    def _recut(self, k: int, ends: List[int]) -> "Runs":
-        """Runs ``[0, k)`` as they are, then runs ``k…`` with new
-        ``ends``, dropping each one left empty."""
-        out = Runs(self.ends[:k], self.stamps[:k], self.tokens[:k])
-        last = out.ends[-1] if k else 0
-        for end, stamp, token in zip(ends, self.stamps[k:], self.tokens[k:]):
-            if end > last:
-                out.append(end, stamp, token)
-                last = end
-        return out
+    def pick(self, positions: np.ndarray) -> "Runs":
+        """The runs of the rows at ascending ``positions``, rebased so
+        that row *i* is the row at ``positions[i]`` — a gathered
+        snapshot's runs, or a compacted basket's.  Each run ends where
+        the picked rows before its old end do; a run none of whose rows
+        is picked goes."""
+        ends = positions.searchsorted(self.ends).tolist()
+        kept = [i for i, end in enumerate(ends) if end > (ends[i - 1] if i else 0)]
+        if len(kept) == len(ends):
+            return Runs(ends, self.stamps[:], self.tokens[:])
+        stamps, tokens = self.stamps, self.tokens
+        return Runs(
+            [ends[i] for i in kept],
+            [stamps[i] for i in kept],
+            [tokens[i] for i in kept],
+        )

@@ -238,6 +238,19 @@ class BAT:
             hseqbase = self.hseqbase + start
         return BAT.adopt(self.atom, self._data[start:stop].copy(), hseqbase)
 
+    def view(self, start: int, stop: int) -> "BAT":
+        """A read-only BAT over tail positions ``[start, stop)`` that
+        shares this BAT's storage — no copy; the head restarts at 0.
+
+        Sound only while the owner never rewrites those positions (a
+        basket only appends past its count).  The view's tail refuses
+        writes, so an operator that writes into its input fails loudly;
+        an append to the view reallocates, as after :meth:`adopt`.
+        """
+        array = self._data[start:stop]
+        array.flags.writeable = False
+        return BAT.adopt(self.atom, array)
+
     def take_positions(self, positions: np.ndarray, hseqbase: int = 0) -> "BAT":
         """New BAT with the tail values at the given 0-based positions."""
         if not len(positions):  # also covers an untyped (float) empty list

@@ -173,7 +173,7 @@ class Table:
             return removed
 
     def replace_bats(self, bats: Dict[str, BAT]) -> None:
-        """Swap in a new aligned generation of column BATs (consume path)."""
+        """Swap in a new aligned generation of column BATs (checkpoint restore)."""
         if set(bats) != set(self._bats):
             raise CatalogError("replacement must cover all columns")
         check_aligned(*bats.values())

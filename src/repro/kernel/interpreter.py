@@ -20,8 +20,10 @@ Every execution runs the binds; when each bound BAT is the same object
 with the same ``count`` as when the table steps last ran, their saved
 results go back into the environment and the steps are skipped
 (:class:`_TableSteps`).  That check is sound because BATs are
-append-only: an append moves ``count``, and ``Table.truncate`` and
-``Table.replace_bats`` swap in new BAT objects.  Skipped steps are not
+append-only: an append moves ``count``, and ``Table.truncate``,
+``Table.replace_bats`` and a basket's compaction of its dead rows (which
+``Basket.bat`` runs before it hands a column out) swap in new BAT
+objects.  Skipped steps are not
 counted as invocations anywhere (profile, metrics, EXPLAIN ANALYZE, a
 traced firing's opcode spans).
 """

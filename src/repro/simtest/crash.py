@@ -345,8 +345,10 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
 
     Every third episode registers a view, cycling the aggregate cases
     and the two-stream join; the others cycle the oracle cases plus a
-    window case.  Policies and fsync modes cycle too; rows, batching, crash
-    point, and checkpoint cadence all derive from the seed.  Every other
+    window case.  Policies and fsync modes cycle too — a view episode's
+    by its own turn through the view cases, so every view case meets
+    every policy and fsync mode; rows, batching, crash point, and
+    checkpoint cadence all derive from the seed.  Every other
     window case is grouped, over a varchar or an int key with rotating
     values and NILs drawn from a stream of its own, so the values and
     the rest of the spec are the ungrouped episode's.
@@ -355,9 +357,13 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
     rng = random.Random(f"datacell-crash-episode:{seed}")
     cases = sorted(ORACLE_CASES) + ["window"]
     plain = index - (index + 1) // 3  # episodes before this one, no view
+    turn = index  # what the policy and the fsync mode cycle by
     if index % 3 == 2:
         views = sorted(VIEW_CASES)
         case = views[index // 3 % len(views)]
+        # the view cycle's own counter: the index would tie a view case
+        # to one policy and every view episode to one fsync mode
+        turn = index // 3 // len(views)
     else:
         case = cases[plain % len(cases)]
     group = None
@@ -398,11 +404,11 @@ def crash_episode_spec(index: int, base_seed: int) -> CrashSpec:
         seed=seed,
         rows=rows,
         case=case,
-        policy=policies[index % len(policies)],
+        policy=policies[turn % len(policies)],
         batch_size=batch,
         crash_after=rng.randint(1, est_firings),
         checkpoint_every=rng.choice((None, 2, 4, 7)),
-        fsync=FSYNC_CYCLE[index % len(FSYNC_CYCLE)],
+        fsync=FSYNC_CYCLE[turn % len(FSYNC_CYCLE)],
         window=WINDOW_GEOMETRIES[index % len(WINDOW_GEOMETRIES)],
         window_aggregate=AGGREGATES[index % len(AGGREGATES)],
         window_group=group,

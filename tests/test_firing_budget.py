@@ -28,12 +28,12 @@ _SPEC.loader.exec_module(firing_cost)
 #: (shape, metrics) -> calls into src/repro per firing, comprehension
 #: frames left out
 BUDGETS = {
-    ("fig1 8 rows", "lit"): 178,
-    ("fig1 8 rows", "dark"): 160,
-    ("win_slide 200 rows", "lit"): 178,
-    ("win_slide 200 rows", "dark"): 166,
-    ("wal_ingest 64 rows", "lit"): 237,
-    ("wal_ingest 64 rows", "dark"): 205,
+    ("fig1 8 rows", "lit"): 158,
+    ("fig1 8 rows", "dark"): 140,
+    ("win_slide 200 rows", "lit"): 177,
+    ("win_slide 200 rows", "dark"): 165,
+    ("wal_ingest 64 rows", "lit"): 215,
+    ("wal_ingest 64 rows", "dark"): 183,
     ("join 64 rows", "lit"): 301,
     ("join 64 rows", "dark"): 280,
     ("server pump 16 rows", "lit"): 25,

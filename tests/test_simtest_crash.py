@@ -20,6 +20,7 @@ from repro.simtest.crash import (
     crash_episode_spec,
 )
 from repro.simtest.oracle import JOIN_CASE, VIEW_CASES
+from repro.simtest.policies import policy_names
 
 # 4 chunks x 25 = 100 seeded episodes, the acceptance floor; chunking
 # keeps per-test wall time visible and failures localized
@@ -52,6 +53,18 @@ def test_both_query_shapes_and_all_fsync_policies_are_exercised():
     assert {s.window_group for s in specs if s.case == "window"} == {
         None, AtomType.STR, AtomType.INT,
     }
+
+
+def test_view_episodes_meet_every_policy_and_fsync_mode():
+    # a view episode draws its policy and fsync mode from its turn
+    # through the view cases, not from the episode index, which would
+    # run every view under one fsync mode and each view under one policy
+    specs = [crash_episode_spec(i, base_seed=0) for i in range(220)]
+    for case in VIEW_CASES:
+        views = [s for s in specs if s.case == case]
+        assert {s.fsync for s in views} == {"interval", "off", "always"}, case
+    joins = [s for s in specs if s.case == JOIN_CASE.name]
+    assert {s.policy for s in joins} == set(policy_names())
 
 
 def test_seeded_generator_yields_a_join_view():
