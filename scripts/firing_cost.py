@@ -8,11 +8,14 @@ so the counts agree across the Python versions CI runs.  The time per
 firing is the median over ``--firings`` firings, metrics lit or dark.
 
     PYTHONPATH=src python scripts/firing_cost.py [--firings N] [--markdown]
+    PYTHONPATH=src python scripts/firing_cost.py --functions "fig1 8 rows"
 
 The shapes (one firing each: ``insert`` → ``run_until_quiescent`` →
 ``fetch``, except the server pump, which is one ``activate``, and the
 ``/metrics`` scrape, which is one ``telemetry_response``) are the ones
-``tests/test_firing_budget.py`` holds to a budget.
+``tests/test_firing_budget.py`` holds to a budget.  ``--functions SHAPE``
+prints that shape's calls per function instead, lit and dark, one
+``module:function`` a line, most called first within each module.
 """
 
 from __future__ import annotations
@@ -201,10 +204,10 @@ SHAPES: Dict[str, Callable[[bool], Shape]] = {
 }
 
 
-def count_calls(fire: Callable[[], object]) -> Counter:
-    """Calls into ``src/repro`` frames during ``fire()``, per layer (the
-    package under ``repro``: ``core``, ``kernel``, ``obs``, ``sql``...)."""
-    layers: Counter = Counter()
+def count_functions(fire: Callable[[], object]) -> Counter:
+    """Calls into ``src/repro`` frames during ``fire()``, per
+    ``(module path under repro, function name)``."""
+    functions: Counter = Counter()
 
     def profile(frame, event, arg) -> None:
         if event != "call":
@@ -212,14 +215,22 @@ def count_calls(fire: Callable[[], object]) -> Counter:
         code = frame.f_code
         path = code.co_filename
         if path.startswith(SRC) and code.co_name not in COMPREHENSIONS:
-            layer = path[len(SRC):].split(os.sep, 1)[0]
-            layers[layer.removesuffix(".py")] += 1
+            functions[path[len(SRC):], code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         fire()
     finally:
         sys.setprofile(None)
+    return functions
+
+
+def count_calls(fire: Callable[[], object]) -> Counter:
+    """Calls into ``src/repro`` frames during ``fire()``, per layer (the
+    package under ``repro``: ``core``, ``kernel``, ``obs``, ``sql``...)."""
+    layers: Counter = Counter()
+    for (path, _), calls in count_functions(fire).items():
+        layers[path.split(os.sep, 1)[0].removesuffix(".py")] += calls
     return layers
 
 
@@ -268,14 +279,50 @@ def render(rows: List[Tuple[str, str, Counter, float]], markdown: bool) -> str:
     )
 
 
+def render_functions(shape: str, markdown: bool) -> str:
+    """One firing of ``shape``, lit and dark, counted per function:
+    modules by their calls, functions by theirs within a module."""
+    counts = {}
+    for dark in (False, True):
+        built = SHAPES[shape](dark)
+        try:
+            counts["dark" if dark else "lit"] = count_functions(built.fire)
+        finally:
+            built.close()
+    keys = set(counts["lit"]) | set(counts["dark"])
+    per_module: Counter = Counter()
+    for path, name in keys:
+        per_module[path] += counts["lit"][path, name]
+    ordered = sorted(keys, key=lambda k: (
+        -per_module[k[0]], k[0], -counts["lit"][k], -counts["dark"][k], k[1]))
+    head = ["function", "lit", "dark"]
+    body = [[f"{path.removesuffix('.py')}:{name}", str(counts["lit"][path, name]),
+             str(counts["dark"][path, name])] for path, name in ordered]
+    body.append(["total", str(sum(counts["lit"].values())),
+                 str(sum(counts["dark"].values()))])
+    if markdown:
+        lines = [f"Calls per function, one `{shape}` firing", "",
+                 "| " + " | ".join(head) + " |", "|---|---|---|"]
+        lines += ["| " + " | ".join(row) + " |" for row in body]
+        return "\n".join(lines)
+    width = max(len(row[0]) for row in [head, *body])
+    return "\n".join(f"{row[0].ljust(width)}  {row[1]:>5}  {row[2]:>5}"
+                     for row in [head, *body])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--firings", type=int, default=200,
                         help="timed firings per shape and mode")
     parser.add_argument("--markdown", action="store_true",
                         help="print a markdown table")
+    parser.add_argument("--functions", metavar="SHAPE", choices=sorted(SHAPES),
+                        help="print one firing's calls per function instead")
     args = parser.parse_args(argv)
-    print(render(measure(args.firings), args.markdown))
+    if args.functions:
+        print(render_functions(args.functions, args.markdown))
+    else:
+        print(render(measure(args.firings), args.markdown))
     return 0
 
 

@@ -66,6 +66,15 @@ Implementation notes
   replicator) calls :meth:`Basket.drain`: the snapshot it gets *is* the
   basket's (compacted) columns, and the basket starts over with empty
   ones.
+
+* **Empty baskets allocate nothing.**  A basket with no physical row
+  holds its *blank* columns: zero-length BATs (and runs) made once per
+  basket, shared by every start-over and never written.  An insert into
+  an empty basket first swaps in new columns; a factory result appended
+  to one *becomes* its columns (:meth:`Basket.append_result` adopts each
+  result column's array where nothing else can write it, see
+  :meth:`~repro.kernel.bat.BAT.handed_over`), so a drained output basket
+  refilled by its factory copies nothing.
 """
 
 from __future__ import annotations
@@ -176,14 +185,16 @@ class Basket(Table, Place):
         self._names = [c.name.lower() for c in self.schema]
         self._user_names = frozenset(self._names[:-1])  # not dc_time
         self.clock = clock or WallClock()
-        self._seq = BAT(AtomType.LNG)
+        # the blank columns of an empty basket (see the module docstring)
+        self._blank = self._bats
+        self._blank_seq = self._seq = BAT(AtomType.LNG)
         # hidden monotonic arrival stamps and trace tokens, one run per
         # appended batch, covering the same rows as ``_seq``: latency
         # measurement must survive wall-clock jumps, so ``dc_time`` (wall)
         # is user-facing and the stamps feed the histograms; a non-zero
         # token marks a sampled batch, so span causality survives basket
         # hops exactly like the origin stamp
-        self._runs = Runs()
+        self._blank_runs = self._runs = Runs()
         self._next_seq = 0
         # tombstones: ``_dead[i]`` marks physical row ``i`` removed (rows
         # past the mask's end are live; ``None`` when nothing is dead),
@@ -335,9 +346,11 @@ class Basket(Table, Place):
         with self.lock:
             if 2 * self._ndead > self._seq.count:
                 self._compact()
+            if self._bats is self._blank:
+                self._unblank()
+            bats = self._bats
             # columnar ingest: transpose once, append one array per column
             columns = list(zip(*rows))
-            bats = self._bats
             for col, values in zip(user_cols, columns):
                 bats[col.name.lower()].append_many(values)
             n = len(rows)
@@ -369,11 +382,18 @@ class Basket(Table, Place):
         with self.lock:
             if 2 * self._ndead > self._seq.count:
                 self._compact()
+            if self._bats is self._blank:
+                self._unblank()
             bats = self._bats
             for name, values in columns.items():
                 bats[name.lower()].append_array(values)
             shed = self._ingested(n, stamp, trace_token)
         return n - shed
+
+    def _unblank(self) -> None:
+        """New columns for an ingest in place of the blank ones (under
+        the lock): an ingest appends into its basket's columns."""
+        self._bats = {k: BAT(b.atom) for k, b in self._blank.items()}
 
     def _ingested(self, n: int, stamp: float, trace_token: int) -> int:
         """Finish an ingest whose user columns are appended (under the
@@ -392,10 +412,13 @@ class Basket(Table, Place):
         """Give the ``n`` rows just appended their hidden columns — one
         run of arrival stamp and trace token, ascending seqs — count
         them in, and wake the readers."""
-        self._seq.append_array(
-            np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
-        )
-        self._runs.append(self._seq.count, mono, trace_token)
+        seqs = np.arange(self._next_seq, self._next_seq + n, dtype=np.int64)
+        if self._seq.count:
+            self._seq.append_array(seqs)
+            self._runs.append(self._seq.count, mono, trace_token)
+        else:  # the basket's only rows: new hidden columns
+            self._seq = BAT.adopt(AtomType.LNG, seqs)
+            self._runs = Runs([n], [mono], [trace_token])
         self._next_seq += n
         self._inserted.value += n
         self.changed()
@@ -458,7 +481,8 @@ class Basket(Table, Place):
                 else int(seqs.searchsorted(since_seq, side="right"))
             )
             dead = self._dead
-            if dead is None or not dead[start:n].any():
+            # count_nonzero: a fraction of any()'s reduction on a mask
+            if dead is None or not np.count_nonzero(dead[start:n]):
                 seqs = seqs[start:]
                 seqs.flags.writeable = False
                 return BasketSnapshot(
@@ -528,16 +552,18 @@ class Basket(Table, Place):
             if positions is None:
                 if picked is not None:
                     rows: Any = picked
+                    start = 0
                 elif not start and snapshot.count == self._seq.count:
                     return self.consume_all()
                 else:
-                    rows = slice(start, start + snapshot.count)
+                    rows = slice(0, snapshot.count)
             elif not len(positions):
                 return 0
             else:
                 rows = np.asarray(positions, dtype=np.int64)
-                rows = picked[rows] if picked is not None else rows + start
-            removed = self._kill(rows)
+                if picked is not None:
+                    rows, start = picked[rows], 0
+            removed = self._kill(rows, start)
             self._note_removed(removed)
             return removed
 
@@ -559,19 +585,21 @@ class Basket(Table, Place):
             return removed
 
     def _note_removed(self, removed: int) -> None:
+        # a removal never raises the high water: only the depth moves
         self._consumed.value += removed
-        self._record_depth()
+        self._depth.value = self._seq.count - self._ndead
 
     # ------------------------------------------------------------------
     # tombstones (every helper below runs under the lock)
     # ------------------------------------------------------------------
-    def _kill(self, rows: Any) -> int:
-        """Tombstone the physical ``rows`` (an index array or a slice);
-        returns how many of them were live.  A basket left with no live
-        row starts over on empty columns, which copies nothing."""
+    def _kill(self, rows: Any, start: int = 0) -> int:
+        """Tombstone the physical ``rows`` (an index array or a slice),
+        counted from physical row ``start``; returns how many of them
+        were live.  A basket left with no live row starts over on its
+        blank columns, which copies nothing."""
         n = self._seq.count
         dead = self._mask(n)
-        dead[rows] = True
+        (dead[start:] if start else dead)[rows] = True
         ndead = int(np.count_nonzero(dead))
         removed = ndead - self._ndead
         if ndead == n:
@@ -628,10 +656,10 @@ class Basket(Table, Place):
             self.generation += 1
 
     def _start_over(self) -> None:
-        """Empty columns and no tombstones, without a copy."""
-        self._bats = {k: BAT(b.atom) for k, b in self._bats.items()}
-        self._seq = BAT(AtomType.LNG)
-        self._runs = Runs()
+        """The blank columns and no tombstones: no copy, no allocation."""
+        self._bats = self._blank
+        self._seq = self._blank_seq
+        self._runs = self._blank_runs
         self._dead = None
         self._ndead = 0
         self.generation += 1
@@ -889,18 +917,29 @@ class Basket(Table, Place):
                 f"{self.name!r} ({n_user} user columns)"
             )
         stamp = self.clock.now() if timestamp is None else float(timestamp)
+        mono = time.monotonic() if mono is None else float(mono)
         with self.lock:
-            if 2 * self._ndead > self._seq.count:
-                self._compact()
-            for bat, appended in zip(self._bats.values(), result.bats):
-                bat.append_bat(appended)
-            if not provides_time:
-                self._bats[TIME_COLUMN].append_fill(stamp, rows_added)
-            self._sequence(
-                rows_added,
-                time.monotonic() if mono is None else float(mono),
-                trace_token,
-            )
+            if not self._seq.count:
+                # an empty basket adopts the result's columns
+                bats = {
+                    name: bat.handed_over(blank.atom)
+                    for (name, blank), bat in zip(
+                        self._blank.items(), result.bats
+                    )
+                }
+                if not provides_time:
+                    times = np.empty(rows_added)
+                    times.fill(stamp)
+                    bats[TIME_COLUMN] = BAT.adopt(AtomType.TIMESTAMP, times)
+                self._bats = bats
+            else:
+                if 2 * self._ndead > self._seq.count:
+                    self._compact()
+                for bat, appended in zip(self._bats.values(), result.bats):
+                    bat.append_bat(appended)
+                if not provides_time:
+                    self._bats[TIME_COLUMN].append_fill(stamp, rows_added)
+            self._sequence(rows_added, mono, trace_token)
             if self.capacity is not None:
                 self._shed_if_over_capacity()
             if self.retention is not None:

@@ -318,23 +318,27 @@ class Emitter:
         # batch keeps only its columns (and rows, if they were built)
         batch._memo = None
         delivered = batch.count
+        runs = snapshot.runs
         if snapshot.count and self._measure_latency:
             # insert→emit latency: monotonic now minus each tuple's
             # (propagated) monotonic origin stamp — immune to wall jumps;
             # one weighted observation per run of equal stamps
             now = time.monotonic()
             observe = self._m_latency.observe
-            for stamp, rows in snapshot.runs.counted():
-                observe(now - stamp, rows)
+            last = 0
+            for end, stamp in zip(runs.ends, runs.stamps):
+                observe(now - stamp, end - last)
+                last = end
         self.activations += 1
         self._delivered.value += delivered
         return ActivationResult(
             fired=True,
             tuples_in=snapshot.count,
-            tuples_out=delivered * max(1, self.subscriber_count),
+            tuples_out=delivered
+            * max(1, len(self._clients) + len(self._channels)),
             consumed=snapshot.count,
             drained=True,  # the whole source was consumed
-            trace=snapshot.runs.first_token(),
+            trace=runs.first_token(),
         )
 
     def _batch(self, snapshot, start: int = 0) -> DeliveryBatch:

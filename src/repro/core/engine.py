@@ -487,7 +487,6 @@ class DataCell:
         )
         self._queries.append(handle)
         if self.resources.enabled:
-            factory.accountant = self.resources
             self.resources.bind(handle, tenant)
         return handle
 

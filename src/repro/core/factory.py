@@ -247,10 +247,11 @@ class Factory:
         self._tuples_in = Tally()
         self._tuples_out = Tally()
         self.metrics = metrics if metrics is not None else default_registry()
-        # resource-accounting hub (ResourceAccountant); set by the engine
-        # when accounting is enabled.  The factory reports plan thread-CPU,
-        # queue-wait, and rows/bytes flow to its bound account.
-        self.accountant = None
+        # the query's resource account (QueryResourceAccount), bound by
+        # the accountant when accounting is enabled: the factory adds its
+        # plan thread-CPU, queue-wait and rows/bytes flow to it (the
+        # factory is the only writer of those slots)
+        self.account = None
         # durability hook (DurabilityManager); set by the engine when
         # durability is on.  Each productive activation is logged as a
         # firing boundary so recovery replays the same schedule.
@@ -397,14 +398,13 @@ class Factory:
         """
         ordered = self._lock_order()
         # bytes per result row, per output basket and arity: a result's
-        # atoms are its basket's, so the width is fixed
+        # atoms are its basket's, so the width is fixed; so is each input
+        # basket's row width
         widths: Dict[Any, int] = {}
+        row_widths = [binding.basket.row_nbytes() for binding in self.inputs]
+        keys = [binding.basket.name.lower() for binding in self.inputs]
         while True:
-            account = (
-                self.accountant.account_for(self.name)
-                if self.accountant is not None
-                else None
-            )
+            account = self.account
             queue_wait = 0.0
             rows_fresh = 0
             bytes_in = 0
@@ -427,7 +427,9 @@ class Factory:
                 tuples_in = 0
                 origin_mono: Optional[float] = None
                 origin_token = 0
-                for binding in self.inputs:
+                for binding, row_width, key in zip(
+                    self.inputs, row_widths, keys
+                ):
                     basket = binding.basket
                     prev_seen = binding.last_seen_seq
                     mode = binding.mode
@@ -471,9 +473,9 @@ class Factory:
                             n_fresh = count - first
                             if n_fresh:
                                 rows_fresh += n_fresh
-                                bytes_in += n_fresh * basket.row_nbytes()
+                                bytes_in += n_fresh * row_width
                                 queue_wait += runs.wait(now_mono, first)
-                    snapshots[basket.name.lower()] = snap
+                    snapshots[key] = snap
                 if account is not None:
                     # one reading for two boundaries: the plan's start is
                     # the start of the interpreter's opcode chain
@@ -519,14 +521,11 @@ class Factory:
                 for basket in reversed(ordered):
                     basket.lock.release()
             if account is not None:
-                self.accountant.record_activation(
-                    account,
-                    plan_cpu=plan_cpu,
-                    queue_wait=queue_wait,
-                    rows_in=rows_fresh,
-                    bytes_in=bytes_in,
-                    bytes_out=bytes_out,
-                )
+                account.plan_cpu_seconds += plan_cpu
+                account._queue_wait.value += queue_wait
+                account._rows_in.value += rows_fresh
+                account._bytes_in.value += bytes_in
+                account._bytes_out.value += bytes_out
             yield ActivationResult(
                 fired=True,
                 tuples_in=tuples_in,

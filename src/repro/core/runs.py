@@ -18,7 +18,7 @@ row count); ends strictly ascend, so no run is ever empty.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -49,13 +49,6 @@ class Runs:
     # ------------------------------------------------------------------
     # readers
     # ------------------------------------------------------------------
-    def counted(self) -> Iterator[Tuple[float, int]]:
-        """``(stamp, rows)`` per run."""
-        last = 0
-        for end, stamp in zip(self.ends, self.stamps):
-            yield stamp, end - last
-            last = end
-
     def oldest(self) -> float:
         """The earliest arrival stamp (the runs must not be empty)."""
         return min(self.stamps)

@@ -323,11 +323,19 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _fire(self, transition: SchedulableTransition) -> ActivationResult:
         firings, _, seconds = self._instruments[transition.name]
-        token = (
-            self.accountant.begin_firing(transition.name)
-            if self.accountant is not None
+        # the firing boundary of resource accounting: a transition bound
+        # to a query's account runs with that account on the thread (the
+        # MAL interpreter charges it) and its thread CPU is charged to it
+        accountant = self.accountant
+        charge = (
+            accountant.charges.get(transition.name)
+            if accountant is not None
             else None
         )
+        if charge is not None:
+            firing = accountant.firing
+            firing.account = charge[0]
+            cpu_started = time.thread_time()
         started = time.perf_counter()
         try:
             result = transition.activate()
@@ -335,8 +343,9 @@ class Scheduler:
             self._record_error(transition.name, exc)
             raise
         finally:
-            if token is not None:
-                self.accountant.end_firing(token)
+            if charge is not None:
+                charge[1].value += time.thread_time() - cpu_started
+                firing.account = None
         elapsed = time.perf_counter() - started
         firings.value += 1
         seconds.value += elapsed

@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import DataCellError
 from ..kernel.join import projection
 from ..kernel.mal import ResultSet
-from ..kernel.select import range_select
+from ..kernel.select import Range
 from ..kernel.types import AtomType
 from .basket import Basket, BasketSnapshot, TIME_COLUMN
 from .clock import Clock
@@ -77,6 +77,8 @@ class SelectPlan(ContinuousPlan):
         self.input_basket = input_basket.lower()
         self.output_basket = output_basket.lower()
         self.tuples_scanned = 0
+        # the range, resolved against the column on the first firing
+        self._hit = Range(query.low, query.high)
 
     def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
         snap = snapshots[self.input_basket]
@@ -84,7 +86,7 @@ class SelectPlan(ContinuousPlan):
             return PlanOutput()
         self.tuples_scanned += snap.count
         column = snap.column(self.query.column)
-        cands = range_select(column, self.query.low, self.query.high)
+        cands = self._hit(column)
         names = [n for n in snap.names if n != TIME_COLUMN]
         bats = [projection(cands, snap.column(n)) for n in names]
         return PlanOutput(
@@ -119,6 +121,9 @@ class ChainedSelectPlan(ContinuousPlan):
             leftover_basket.lower() if leftover_basket else None
         )
         self.tuples_scanned = 0
+        # the range and its complement, resolved on the first firing
+        self._hit = Range(query.low, query.high)
+        self._miss = Range(query.low, query.high, anti=True)
 
     def run(self, snapshots: Dict[str, BasketSnapshot]) -> PlanOutput:
         snap = snapshots[self.input_basket]
@@ -126,7 +131,7 @@ class ChainedSelectPlan(ContinuousPlan):
             return PlanOutput()
         self.tuples_scanned += snap.count
         column = snap.column(self.query.column)
-        hit = range_select(column, self.query.low, self.query.high)
+        hit = self._hit(column)
         names = [n for n in snap.names if n != TIME_COLUMN]
         results = {
             self.output_basket: ResultSet(
@@ -134,9 +139,7 @@ class ChainedSelectPlan(ContinuousPlan):
             )
         }
         if self.leftover_basket is not None:
-            miss = range_select(
-                column, self.query.low, self.query.high, anti=True
-            )
+            miss = self._miss(column)
             # anti-select drops NULLs; keep them flowing down the chain
             nil_pos = np.flatnonzero(column.nil_positions()).astype(np.int64)
             miss = np.union1d(miss, nil_pos)

@@ -82,15 +82,6 @@ class DurabilityManager:
         self.checkpoint_dir = self.root / "checkpoints"
         self.root.mkdir(parents=True, exist_ok=True)
         metrics = engine.metrics
-        self._m_records = metrics.counter(
-            "datacell_wal_records_total", "Records appended to the WAL"
-        )
-        self._m_bytes = metrics.counter(
-            "datacell_wal_bytes_total", "Bytes appended to the WAL"
-        )
-        self._m_fsyncs = metrics.counter(
-            "datacell_wal_fsyncs_total", "fsync calls issued by the WAL"
-        )
         self._m_checkpoints = metrics.counter(
             "datacell_checkpoints_total", "Checkpoints completed"
         )
@@ -103,18 +94,20 @@ class DurabilityManager:
             "Wall time of one recovery (load checkpoint + replay WAL)",
         )
 
-        def _on_append(nbytes: int) -> None:
-            self._m_records.inc()
-            self._m_bytes.inc(nbytes)
-
         self.wal = WalWriter(
             self.wal_dir,
             fsync=config.fsync,
             fsync_interval=config.fsync_interval,
             segment_max_bytes=config.segment_max_bytes,
-            on_append=_on_append,
-            on_fsync=self._m_fsyncs.inc,
         )
+        # the writer counts; the series read its tallies (summed, so a
+        # writer made again under the same registry continues them)
+        for (name, help), tally in zip((
+            ("datacell_wal_records_total", "Records appended to the WAL"),
+            ("datacell_wal_bytes_total", "Bytes appended to the WAL"),
+            ("datacell_wal_fsyncs_total", "fsync calls issued by the WAL"),
+        ), self.wal.tallies()):
+            metrics.counter(name, help).read_from(tally)
         # recovery must ignore records this process writes after restart:
         # everything before this segment is the pre-crash log
         self._recovery_stop_segment = self.wal.current_segment

@@ -61,12 +61,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import DurabilityError
 from ..kernel.types import AtomType
+from ..obs.metrics import Tally
 from .checkpoint import _fsync_dir
 from .serde import decode_column, encode_column, frames_with_tail, pack_frame
 
@@ -281,25 +282,22 @@ class WalWriter:
         fsync: FsyncPolicy = FsyncPolicy.INTERVAL,
         fsync_interval: float = 0.05,
         segment_max_bytes: int = 8 * 1024 * 1024,
-        on_append: Optional[Callable[[int], None]] = None,
-        on_fsync: Optional[Callable[[], None]] = None,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = fsync
         self.fsync_interval = float(fsync_interval)
         self.segment_max_bytes = int(segment_max_bytes)
-        # observability hooks: bytes appended / fsyncs issued
-        self._on_append = on_append
-        self._on_fsync = on_fsync
         self._lock = threading.Lock()
         # one committer at a time; taken before (never under) _lock
         self._commit_lock = threading.Lock()
         self._last_fsync = time.monotonic()
         self._synced = 0
-        self.records_written = 0
-        self.bytes_written = 0
-        self.fsyncs = 0
+        # records and bytes appended, fsyncs issued: tallies (written
+        # under _lock, or by the one committer) a metrics registry reads
+        self._records = Tally()
+        self._bytes = Tally()
+        self._fsyncs = Tally()
         existing = list_segments(self.directory)
         # never reuse a pre-crash segment: its tail may be torn
         self._segment_seq = existing[-1][0] + 1 if existing else 0
@@ -315,9 +313,25 @@ class WalWriter:
         return self._segment_seq
 
     @property
+    def records_written(self) -> int:
+        return self._records.value
+
+    @property
+    def bytes_written(self) -> int:
+        return self._bytes.value
+
+    @property
+    def fsyncs(self) -> int:
+        return self._fsyncs.value
+
+    def tallies(self) -> Tuple[Tally, Tally, Tally]:
+        """The records, bytes and fsyncs tallies, for ``read_from``."""
+        return self._records, self._bytes, self._fsyncs
+
+    @property
     def dirty(self) -> bool:
         """Whether anything was written since the newest fsync."""
-        return self._synced < self.records_written
+        return self._synced < self._records.value
 
     def _open_segment(self, seq: int) -> None:
         self._segment_seq = seq
@@ -374,10 +388,8 @@ class WalWriter:
             # flush to the OS unconditionally: a process crash (kill -9)
             # then loses nothing; fsync is the power-loss dial
             self._file.flush()
-            self.records_written += 1
-            self.bytes_written += len(frame)
-            if self._on_append is not None:
-                self._on_append(len(frame))
+            self._records.value += 1
+            self._bytes.value += len(frame)
             if self.fsync_policy is FsyncPolicy.INTERVAL:
                 now = time.monotonic()
                 if now - self._last_fsync >= self.fsync_interval:
@@ -391,13 +403,8 @@ class WalWriter:
         if not self._entry_synced:
             _fsync_dir(self.directory)
             self._entry_synced = True
-        self._synced = self.records_written
-        self._count_fsync()
-
-    def _count_fsync(self) -> None:
-        self.fsyncs += 1
-        if self._on_fsync is not None:
-            self._on_fsync()
+        self._synced = self._records.value
+        self._fsyncs.value += 1
 
     # ------------------------------------------------------------------
     def commit(self) -> None:
@@ -412,7 +419,7 @@ class WalWriter:
         if self.fsync_policy is not FsyncPolicy.ALWAYS:
             return
         # this thread's own appends are already counted
-        target = self.records_written
+        target = self._records.value
         if self._synced >= target:
             return
         with self._commit_lock:
@@ -421,7 +428,7 @@ class WalWriter:
             with self._lock:
                 if self._file is None:
                     return
-                written = self.records_written
+                written = self._records.value
                 segment, entry_synced = self._segment_seq, self._entry_synced
                 # a rotation may close the segment during the wait: sync
                 # a duplicate descriptor of the same file
@@ -436,7 +443,7 @@ class WalWriter:
                 if segment == self._segment_seq:
                     self._entry_synced = True
                 self._synced = max(self._synced, written)
-                self._count_fsync()
+                self._fsyncs.value += 1
 
     # ------------------------------------------------------------------
     def rotate(self) -> int:

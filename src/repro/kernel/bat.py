@@ -259,13 +259,37 @@ class BAT:
 
     def take_oids(self, oids: np.ndarray, hseqbase: int = 0) -> "BAT":
         """New BAT with tail values for the given head oids (fetch join)."""
-        oids = np.asarray(oids, dtype=np.int64)
-        if len(oids):
-            positions = oids - self.hseqbase
-            if positions.min() < 0 or positions.max() >= self.count:
-                raise KernelError("oid out of BAT head range")
-            return self.take_positions(positions, hseqbase=hseqbase)
-        return BAT(self.atom, hseqbase=hseqbase)
+        positions = np.asarray(oids, dtype=np.int64)
+        if not len(positions):
+            return BAT(self.atom, hseqbase=hseqbase)
+        if self.hseqbase:
+            positions = positions - self.hseqbase
+        # the extremes by position: argmin/argmax cost a fraction of
+        # min/max's reduction on short candidate lists
+        if (
+            positions[positions.argmin()] < 0
+            or positions[positions.argmax()] >= self.count
+        ):
+            raise KernelError("oid out of BAT head range")
+        return BAT.adopt(self.atom, self._data[positions], hseqbase)
+
+    def handed_over(self, atom: AtomType) -> "BAT":
+        """A BAT (head 0) over this one's values that a new owner may
+        append to: it shares the tail array when nothing can write it —
+        a read-only view (a basket snapshot's) or an array holding
+        exactly this BAT's values, which an append to this BAT would
+        reallocate — and holds a copy of the tail otherwise.  ``atom``
+        is the new owner's, which must be this BAT's."""
+        if atom is not self.atom:
+            raise TypeMismatchError(
+                f"cannot append {self.atom.value} BAT to {atom.value} BAT"
+            )
+        data = self._data
+        if data.flags.writeable and (
+            data.base is not None or len(data) != self.count
+        ):
+            data = data[: self.count].copy()
+        return BAT.adopt(atom, data)
 
     def copy(self) -> "BAT":
         """Deep copy (same head sequence)."""

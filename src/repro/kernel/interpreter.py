@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import threading
 import time
+from threading import get_ident
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -83,6 +83,10 @@ class Opcode:
     value, any other argument's atom (``None``: unknown) — and returns an
     atom (``None``: unknown) or raises :class:`~repro.errors.KernelError`.
     The kernel operator behind ``fn`` types its output with the same rule.
+
+    ``bind`` lets an instruction whose arguments from the first
+    ``scalar`` parameter on are constants run as ``bind(*those)(*rest)``:
+    work that does not depend on the data is done once, at bind time.
     """
 
     fn: Primitive
@@ -91,6 +95,12 @@ class Opcode:
     varargs: Optional[str] = None
     atom: Optional[AtomRule] = None
     pure: bool = False
+    bind: Optional[Callable[..., Callable[..., Any]]] = None
+
+    @property
+    def bound_arity(self) -> int:
+        """How many leading arguments a :attr:`bind` result takes."""
+        return [p.startswith("scalar") for p in self.params].index(True)
 
     @property
     def min_arity(self) -> int:
@@ -118,12 +128,14 @@ def primitive(
     varargs: Optional[str] = None,
     atom: Any = None,
     pure: bool = False,
+    bind: Optional[Callable[..., Callable[..., Any]]] = None,
 ) -> Callable[[Primitive], Primitive]:
     """Register ``fn`` as the implementation of MAL ``name``.
 
     ``params`` and ``returns`` are space-separated kind specs (see
     :class:`Opcode`); an :class:`AtomType` ``atom`` is a fixed result atom;
-    ``pure`` marks a deterministic primitive.
+    ``pure`` marks a deterministic primitive; ``bind`` is
+    :attr:`Opcode.bind`.
     """
     rule = (lambda *_: atom) if isinstance(atom, AtomType) else atom
 
@@ -132,7 +144,7 @@ def primitive(
             raise MalError(f"duplicate primitive {name}")
         OPCODES[name] = Opcode(
             fn, tuple(params.split()), tuple(returns.split()), varargs, rule,
-            pure,
+            pure, bind,
         )
         return fn
 
@@ -146,29 +158,51 @@ class MalContext:
         self.catalog = catalog
 
 
-class _Step:
-    """One instruction, resolved for execution.
+def _unknown(ins: Instr) -> Primitive:
+    def fail(*_: Any) -> Any:
+        raise MalError(f"unknown MAL primitive {ins.module}.{ins.fn}")
 
-    ``fn`` is the primitive (``None`` if the opcode is unknown),
-    ``template`` the argument list with every constant in place and
-    ``slots`` the ``(position, variable)`` pairs filled from the
-    environment; ``key`` and ``node`` index the program's profile-key and
-    plan-node tables (:class:`_Bound`).
+    return fail
+
+
+class _Step:
+    """One instruction, resolved for execution: ``fn(*args)`` runs it,
+    ``args`` being ``template`` with each ``(position, variable)`` of
+    ``slots`` filled from the environment.
+
+    ``fn`` is the primitive with the context bound in; for an opcode
+    that binds its trailing arguments (:attr:`Opcode.bind`) and an
+    instruction passing them as constants, it is what they bound, and
+    the template holds only the leading arguments.  ``key`` and ``node``
+    index the program's profile-key and plan-node tables (:class:`_Bound`).
     """
 
     __slots__ = ("fn", "template", "slots", "results", "single", "key",
                  "node", "ins")
 
-    def __init__(self, ins: Instr, key: int, node: int):
+    def __init__(self, ins: Instr, key: int, node: int, ctx: MalContext):
         opcode = OPCODES.get(f"{ins.module}.{ins.fn}")
-        self.fn = opcode.fn if opcode is not None else None
+        args = ins.args
+        if opcode is None:
+            fn = _unknown(ins)
+        elif (
+            opcode.bind is not None
+            and len(args) == len(opcode.params)
+            and all(
+                isinstance(arg, Const) for arg in args[opcode.bound_arity:]
+            )
+        ):
+            kept = opcode.bound_arity
+            fn = opcode.bind(*(arg.value for arg in args[kept:]))
+            args = args[:kept]
+        else:
+            fn = partial(opcode.fn, ctx)
+        self.fn = fn
         self.template = [
-            None if isinstance(arg, Var) else _const(arg, ins)
-            for arg in ins.args
+            None if isinstance(arg, Var) else _const(arg, ins) for arg in args
         ]
         self.slots = tuple(
-            (i, arg.name) for i, arg in enumerate(ins.args)
-            if isinstance(arg, Var)
+            (i, arg.name) for i, arg in enumerate(args) if isinstance(arg, Var)
         )
         self.results = ins.results
         self.single = ins.results[0] if len(ins.results) == 1 else None
@@ -184,24 +218,36 @@ def _const(arg: Any, ins: Instr) -> Any:
 
 
 class _Bound:
-    """A program's instructions bound once, on first execution.
+    """A program's instructions bound once, on first execution, for one
+    interpreter's context.
 
     ``keys`` holds each distinct ``module.fn`` profile key with its call
     count per execution; ``nodes`` each plan node id with its call count
     and its instructions' result variables, last first (a node's row count
     is what its final row-producing instruction produced).  ``table`` is
     the program's :class:`_TableSteps` (``None``: it has none), and
-    ``segments`` the one step list a program without them runs.  Kept on
-    the :class:`Program` as ``_bound``; a program whose instruction list
-    is replaced or grows is bound again.
+    ``segments`` the one step list a program without them runs.
+
+    The profile slots an execution adds to are resolved here too:
+    ``slots`` are the opcode slots (aligned with ``keys``) of the thread
+    that ``thread`` names, ``cells`` the program's ``node_stats`` entries
+    (aligned with ``nodes``, each made when its node first runs) and
+    ``cpu`` the thread CPU charged to each key under resource accounting;
+    ``account`` is the query account ``cpu`` has been reported to.  Kept
+    on the :class:`Program` as ``_bound``; a program whose instruction
+    list is replaced or grows, or that another interpreter runs, is bound
+    again.
     """
 
-    __slots__ = ("instructions", "length", "steps", "keys", "nodes",
-                 "table", "segments")
+    __slots__ = ("instructions", "length", "ctx", "inputs", "steps", "keys",
+                 "nodes", "table", "segments", "thread", "slots", "cells",
+                 "cpu", "account")
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, ctx: MalContext):
         self.instructions = program.instructions
         self.length = len(program.instructions)
+        self.ctx = ctx
+        self.inputs = frozenset(program.inputs)
         key_index: Dict[str, int] = {}
         node_index: Dict[Optional[int], int] = {}
         keys: List[List[Any]] = []
@@ -219,11 +265,16 @@ class _Bound:
             nodes[n][1] += 1
             if ins.results:
                 nodes[n][2].insert(0, ins.results[0])
-            self.steps.append(_Step(ins, k, n))
+            self.steps.append(_Step(ins, k, n, ctx))
         self.keys = [(key, calls) for key, calls in keys]
         self.nodes = [(node, calls, tuple(rows)) for node, calls, rows in nodes]
         self.segments = (self.steps,)
         self.table = _TableSteps.mark(program, self)
+        self.thread: Optional[int] = None
+        self.slots: List[List[Optional[Tally]]] = []
+        self.cells: List[Optional[List[float]]] = [None] * len(nodes)
+        self.cpu = [0.0] * len(keys)
+        self.account: Any = None
 
 
 class _TableSteps:
@@ -311,29 +362,21 @@ class _TableSteps:
         yield self.rest
 
 
-def _bound(program: Program) -> _Bound:
-    bound = program._bound
-    if (
-        bound is None
-        or bound.instructions is not program.instructions
-        or bound.length != len(program.instructions)
-    ):
-        bound = program._bound = _Bound(program)
-    return bound
-
-
 class MalInterpreter:
     """Executes MAL programs against a catalog.
 
-    Each program is bound once (:class:`_Bound`): primitives resolved,
+    Each program is bound once (:class:`_Bound`): primitives resolved
+    with the context bound in, constant selection bounds bound,
     constants placed, profile keys and plan nodes numbered.  When built
     against an enabled metrics registry the interpreter keeps an opcode
     profile: per-``module.fn`` invocation counts and cumulative wall time.
     An execution reads ``perf_counter`` once per instruction boundary
-    into per-key and per-node slots and flushes them once at the end;
-    under resource accounting it reads the thread-CPU clock only at the
-    two ends of the instruction chain.
-    :meth:`render_profile` is the ``explain``-style view.
+    and adds the times, without a lock, to slots its thread owns: one
+    set of opcode tallies per thread (the registry sums them) and the
+    program's per-node EXPLAIN ANALYZE cells.  Under resource accounting
+    it reads the thread-CPU clock only at the two ends of the
+    instruction chain.  :meth:`render_profile` is the ``explain``-style
+    view.
     """
 
     def __init__(
@@ -343,21 +386,23 @@ class MalInterpreter:
         accountant: Optional[Any] = None,
     ):
         self.catalog = catalog
+        self._ctx = MalContext(catalog)
         self.metrics = metrics if metrics is not None else default_registry()
         self._profiling = self.metrics.enabled
-        # resource accounting: when enabled, per-instruction thread-CPU
-        # deltas are captured alongside wall time and folded into the
-        # currently-firing query's account (accountant.current()).
-        self.accountant = (
-            accountant
+        # resource accounting: when enabled, an execution inside an
+        # accounted firing (the accountant's thread-local account) charges
+        # its chain's thread CPU to the account, per opcode
+        self._firing = (
+            accountant.firing
             if accountant is not None and accountant.enabled
             else None
         )
+        # per thread id, per opcode: [calls, wall seconds, thread-CPU
+        # seconds] tallies the registry reads; only that thread adds to
+        # them.  The lock guards making them; the CPU tally (and its
+        # series) is opened when CPU is first measured for the opcode
         self._profile_lock = threading.Lock()
-        # per opcode: [calls, wall seconds, thread-CPU seconds] tallies,
-        # which the registry reads; the CPU tally (and its series) is
-        # opened when CPU is first measured for the opcode
-        self._opcode_stats: Dict[str, List[Optional[Tally]]] = {}
+        self._thread_slots: Dict[int, Dict[str, List[Optional[Tally]]]] = {}
         self._m_calls = self.metrics.counter(
             "datacell_mal_opcode_invocations_total",
             "MAL primitive invocations, per opcode",
@@ -383,144 +428,190 @@ class MalInterpreter:
 
         ``env`` must provide every name in ``program.inputs``.
         """
-        env = dict(env or {})
-        if not env.keys() >= set(program.inputs):
+        env = dict(env) if env else {}
+        bound = program._bound
+        if (
+            bound is None
+            or bound.instructions is not program.instructions
+            or bound.length != len(program.instructions)
+            or bound.ctx is not self._ctx
+        ):
+            bound = program._bound = _Bound(program, self._ctx)
+        if not env.keys() >= bound.inputs:
             missing = [name for name in program.inputs if name not in env]
             raise MalError(f"missing program inputs: {missing}")
-        ctx = MalContext(self.catalog)
-        bound = _bound(program)
         table = bound.table
         segments = bound.segments if table is None else table.segments(env)
-        run = self._run
-        if not self._profiling:
-            for steps in segments:
-                for step in steps:
-                    run(ctx, step, env)
-            return env
-        key_secs = [0.0] * len(bound.keys)
-        node_secs = [0.0] * len(bound.nodes)
-        # a traced factory firing collects its opcode timings here
-        opcodes = traced_firing.opcodes
-        # opcode thread-CPU is only measured when a resource account is on
-        # the thread (i.e. inside an accounted continuous-query firing),
-        # and only at the chain's two ends: the start is the factory's
-        # plan-boundary reading when it handed one over.  The chain's CPU
-        # — interpreter bookkeeping between steps included, so it stays
-        # inside the plan's attributed total — is shared out over the
-        # opcodes in proportion to their wall time.
-        account = (
-            self.accountant.current() if self.accountant is not None else None
-        )
-        if account is not None:
-            cpu_started = account.cpu_mark
-            if cpu_started is None:
-                cpu_started = time.thread_time()
-            else:
-                account.cpu_mark = None  # a reading is shared once
-        # one clock reading per instruction boundary: an instruction's
-        # time runs from the previous one's end to its own
-        clock = time.perf_counter
-        started = clock()
+        profiling = self._profiling
+        if profiling:
+            key_secs = [0.0] * len(bound.keys)
+            node_secs = [0.0] * len(bound.nodes)
+            # a traced factory firing collects its opcode timings here
+            opcodes = traced_firing.opcodes
+            # opcode thread-CPU is only measured inside an accounted
+            # continuous-query firing, and only at the chain's two ends:
+            # the start is the factory's plan-boundary reading when it
+            # handed one over.  The chain's CPU — interpreter bookkeeping
+            # between steps included, so it stays inside the plan's
+            # attributed total — is shared out over the opcodes in
+            # proportion to their wall time.
+            firing = self._firing
+            account = firing.account if firing is not None else None
+            if account is not None:
+                cpu_started = account.cpu_mark
+                if cpu_started is None:
+                    cpu_started = time.thread_time()
+                else:
+                    account.cpu_mark = None  # a reading is shared once
+            # one clock reading per instruction boundary: an instruction's
+            # time runs from the previous one's end to its own
+            clock = time.perf_counter
+            started = clock()
         for steps in segments:
             for step in steps:
-                run(ctx, step, env)
-                ended = clock()
-                elapsed = ended - started
-                key_secs[step.key] += elapsed
-                node_secs[step.node] += elapsed
-                if opcodes is not None:
-                    opcodes.append(
-                        (bound.keys[step.key][0], started, elapsed,
-                         step.ins.node)
-                    )
-                started = ended
-        key_cpu = None
-        if account is not None:
-            chain_cpu = time.thread_time() - cpu_started
-            wall = sum(key_secs)
-            if wall > 0.0:
-                scale = chain_cpu / wall
-                key_cpu = [seconds * scale for seconds in key_secs]
-        self._flush(program, bound, env, key_secs, key_cpu, node_secs)
-        if key_cpu is not None:
-            self.accountant.fold_opcode_cpu(account, bound.keys, key_cpu)
-        return env
-
-    def _flush(
-        self,
-        program: Program,
-        bound: _Bound,
-        env: Dict[str, Any],
-        key_secs: List[float],
-        key_cpu: Optional[List[float]],
-        node_secs: List[float],
-    ) -> None:
-        """Fold one execution's measurements into the opcode profile
-        (whose tallies the registry's opcode series read) and the
-        program's per-node EXPLAIN ANALYZE stats under one lock (the
-        program is the natural per-query aggregation point: cumulative
-        node stats *are* the query's EXPLAIN ANALYZE state).  Only the
-        steps that ran are counted: skipped table steps are not."""
-        cpus = key_cpu if key_cpu is not None else repeat(0.0)
-        table = bound.table
+                args = step.template
+                if step.slots:
+                    args = args.copy()
+                    try:
+                        for position, name in step.slots:
+                            args[position] = env[name]
+                    except KeyError as exc:
+                        raise MalError(
+                            f"undefined variable {exc.args[0]!r} in "
+                            f"{step.ins.render()}"
+                        ) from None
+                try:
+                    value = step.fn(*args)
+                except MalError:
+                    raise
+                except Exception as exc:
+                    raise MalError(
+                        f"primitive failed in {step.ins.render()}: {exc}"
+                    ) from exc
+                if step.single is not None:
+                    env[step.single] = value
+                elif step.results:
+                    _assign(step, value, env)
+                if profiling:
+                    ended = clock()
+                    elapsed = ended - started
+                    key_secs[step.key] += elapsed
+                    node_secs[step.node] += elapsed
+                    if opcodes is not None:
+                        opcodes.append(
+                            (bound.keys[step.key][0], started, elapsed,
+                             step.ins.node)
+                        )
+                    started = ended
+        if not profiling:
+            return env
+        # only the steps that ran are counted: skipped table steps are not
         ran = table if table is not None and table.hit else bound
-        with self._profile_lock:
-            stats = self._opcode_stats
-            for (key, calls), seconds, cpu in zip(ran.keys, key_secs, cpus):
-                if not calls:
-                    continue
-                slot = stats.get(key)
-                if slot is None:
-                    slot = stats[key] = [Tally(), Tally(), None]
-                    self._m_calls.read_from(slot[0], key)
-                    self._m_seconds.read_from(slot[1], key)
+        slots = bound.slots
+        if bound.thread != get_ident():
+            slots = self._bind_slots(bound)
+        for (_, calls), slot, seconds in zip(ran.keys, slots, key_secs):
+            if calls:
                 slot[0].value += calls
                 slot[1].value += seconds
-                if cpu:
-                    if slot[2] is None:
-                        slot[2] = Tally()
-                        self._m_cpu_seconds.read_from(slot[2], key)
-                    slot[2].value += cpu
-            node_stats = program.node_stats
-            for (node_id, calls, results), seconds in zip(
-                ran.nodes, node_secs
-            ):
-                if not calls:
-                    continue
-                rows = _rows_out(results, env)
-                slot = node_stats.get(node_id)
+        if account is not None:
+            self._charge_cpu(
+                bound, account, key_secs, time.thread_time() - cpu_started
+            )
+        cells = bound.cells
+        node_stats = program.node_stats
+        for n, (node_id, calls, results) in enumerate(ran.nodes):
+            if not calls:
+                continue
+            cell = cells[n]
+            if cell is None:
+                cell = cells[n] = node_stats.setdefault(node_id, [0, 0.0, 0])
+            cell[0] += calls
+            cell[1] += node_secs[n]
+            # the node's rows: its last row-producing result's count
+            for name in results:
+                value = env.get(name)
+                kind = type(value)
+                if kind is BAT or kind is ResultSet:
+                    cell[2] += value.count
+                    break
+                if kind is np.ndarray:
+                    cell[2] += len(value)
+                    break
+        if table is not None:
+            for node_id in table.node_ids:
+                runs = program.table_runs.setdefault(node_id, [0, 0])
+                runs[0] += not table.hit
+                runs[1] += 1
+        return env
+
+    def _bind_slots(self, bound: _Bound) -> List[List[Optional[Tally]]]:
+        """Resolve ``bound``'s opcode slots for the calling thread,
+        making (and exposing) the ones it lacks."""
+        thread = get_ident()
+        with self._profile_lock:
+            owned = self._thread_slots.setdefault(thread, {})
+            slots = []
+            for key, _ in bound.keys:
+                slot = owned.get(key)
                 if slot is None:
-                    node_stats[node_id] = [calls, seconds, rows]
-                else:
-                    slot[0] += calls
-                    slot[1] += seconds
-                    slot[2] += rows
-            if table is not None:
-                for node_id in table.node_ids:
-                    runs = program.table_runs.setdefault(node_id, [0, 0])
-                    runs[0] += not table.hit
-                    runs[1] += 1
+                    slot = owned[key] = [Tally(), Tally(), None]
+                    self._m_calls.read_from(slot[0], key)
+                    self._m_seconds.read_from(slot[1], key)
+                slots.append(slot)
+        bound.slots, bound.thread = slots, thread
+        return slots
+
+    def _charge_cpu(
+        self,
+        bound: _Bound,
+        account: Any,
+        key_secs: List[float],
+        chain_cpu: float,
+    ) -> None:
+        """Share one accounted execution's chain CPU out over its opcodes
+        by wall time: into the thread's opcode slots and the program's
+        per-key CPU, which ``account`` reads (it is told of the program
+        once)."""
+        wall = sum(key_secs)
+        if wall <= 0.0:
+            return
+        if bound.account is not account:
+            bound.account = account
+            account.programs.append(bound)
+        scale = chain_cpu / wall
+        for k, seconds in enumerate(key_secs):
+            if seconds:
+                slot = bound.slots[k]
+                if slot[2] is None:
+                    slot[2] = Tally(0.0)
+                    self._m_cpu_seconds.read_from(slot[2], bound.keys[k][0])
+                slot[2].value += seconds * scale
+                bound.cpu[k] += seconds * scale
 
     # ------------------------------------------------------------------
     # opcode profile surface
     # ------------------------------------------------------------------
     def profile(self) -> Dict[str, Dict[str, float]]:
-        """Per-opcode invocation counts and cumulative seconds.
+        """Per-opcode invocation counts and cumulative seconds, summed
+        over the threads that ran them.
 
         ``cpu_seconds`` stays 0.0 unless resource accounting is on —
         thread-CPU deltas are only captured with an enabled accountant.
         """
         with self._profile_lock:
-            return {
-                key: {
-                    "calls": int(calls.value),
-                    "seconds": seconds.value,
-                    "cpu_seconds": cpu.value if cpu is not None else 0.0,
-                }
-                for key, (calls, seconds, cpu) in sorted(
-                    self._opcode_stats.items()
+            owned = [dict(slots) for slots in self._thread_slots.values()]
+        out: Dict[str, Dict[str, float]] = {}
+        for slots in owned:
+            for key, (calls, seconds, cpu) in slots.items():
+                entry = out.setdefault(
+                    key, {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0}
                 )
-            }
+                entry["calls"] += int(calls.value)
+                entry["seconds"] += seconds.value
+                if cpu is not None:
+                    entry["cpu_seconds"] += cpu.value
+        return dict(sorted(out.items()))
 
     def render_profile(self) -> str:
         """Aligned text profile, hottest opcode first (explain-style)."""
@@ -551,49 +642,17 @@ class MalInterpreter:
                 f"program never bound output {program.output!r}"
             ) from None
 
-    @staticmethod
-    def _run(ctx: MalContext, step: _Step, env: Dict[str, Any]) -> None:
+
+def _assign(step: _Step, value: Any, env: Dict[str, Any]) -> None:
+    """Bind a multi-result instruction's results."""
+    results = step.results
+    if not isinstance(value, tuple) or len(value) != len(results):
         ins = step.ins
-        if step.fn is None:
-            raise MalError(f"unknown MAL primitive {ins.module}.{ins.fn}")
-        args = step.template
-        if step.slots:
-            args = args.copy()
-            try:
-                for position, name in step.slots:
-                    args[position] = env[name]
-            except KeyError as exc:
-                raise MalError(
-                    f"undefined variable {exc.args[0]!r} in {ins.render()}"
-                ) from None
-        try:
-            value = step.fn(ctx, *args)
-        except MalError:
-            raise
-        except Exception as exc:
-            raise MalError(f"primitive failed in {ins.render()}: {exc}") from exc
-        if step.single is not None:
-            env[step.single] = value
-        elif step.results:
-            results = step.results
-            if not isinstance(value, tuple) or len(value) != len(results):
-                raise MalError(
-                    f"{ins.module}.{ins.fn} returned wrong arity for "
-                    f"{results}"
-                )
-            for name, item in zip(results, value):
-                env[name] = item
-
-
-def _rows_out(results: Tuple[str, ...], env: Dict[str, Any]) -> float:
-    """Row count of a node's last row-producing instruction (0 if none)."""
-    for name in results:
-        value = env.get(name)
-        if isinstance(value, (BAT, ResultSet)):
-            return float(value.count)
-        if isinstance(value, np.ndarray):
-            return float(len(value))
-    return 0.0
+        raise MalError(
+            f"{ins.module}.{ins.fn} returned wrong arity for {results}"
+        )
+    for name, item in zip(results, value):
+        env[name] = item
 
 
 # ----------------------------------------------------------------------
@@ -620,6 +679,7 @@ def _sql_resultset(ctx: MalContext, names: Any, *bats: BAT) -> ResultSet:
         column, low, high
     ),
     pure=True,
+    bind=_select.Range,
 )
 def _algebra_select(
     ctx: MalContext,
@@ -640,6 +700,7 @@ def _algebra_select(
         column, op, value
     ),
     pure=True,
+    bind=_select.Range.theta,
 )
 def _algebra_thetaselect(
     ctx: MalContext, bat: BAT, cands: Optional[np.ndarray], op: str, value: Any

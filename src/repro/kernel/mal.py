@@ -301,10 +301,8 @@ class ResultSet:
             raise MalError(f"result set columns differ in length: {counts}")
         self.names = list(names)
         self.bats = list(bats)
-
-    @property
-    def count(self) -> int:
-        return self.bats[0].count if self.bats else 0
+        #: rows (the columns are fixed, so it is counted once)
+        self.count = counts.pop() if counts else 0
 
     def __len__(self) -> int:
         return self.count

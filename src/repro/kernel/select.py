@@ -9,10 +9,21 @@ NULL semantics: NULL tail values never qualify for any comparison except the
 explicit :func:`select_nil` / inverse selections.  A bound must compare with
 the column (:func:`~repro.kernel.types.compare_atom`): a STR column takes STR
 bounds only, a numeric column numeric ones.
+
+A selection's bounds are resolved against the column's atom once, by a
+:class:`Range`, as SQL compares numbers: a bound is never truncated to the
+column's type.  On an integral column (INT, BIGINT, OID, BOOL) a fractional
+bound rounds toward the inside of the range (``v < 5.5`` is ``v <= 5``,
+``v >= 5.1`` is ``v >= 6``), so ``= 5.5`` matches nothing and ``<> 5.5``
+every non-NULL row; a bound beyond the atom's domain makes the range empty
+or leaves that side unbounded.  A plan whose bounds are constants keeps its
+:class:`Range` and resolves it only on its first column (the MAL
+interpreter binds ``algebra.select``/``thetaselect`` steps this way).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Any, Optional
 
@@ -23,14 +34,14 @@ from .bat import BAT
 from .types import (
     OID_NIL,
     AtomType,
-    coerce_scalar,
     compare_atom,
     literal_atom,
     nil_mask,
-    nil_value,
+    numpy_dtype,
 )
 
 __all__ = [
+    "Range",
     "range_select",
     "theta_select",
     "select_nil",
@@ -39,15 +50,25 @@ __all__ = [
     "theta_check",
 ]
 
-_THETA_OPS = {
-    "==": operator.eq,
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+#: theta operator -> (low side?, high side?, inclusive, anti): the range
+#: ``op value`` selects
+_THETA_RANGES = {
+    "==": (True, True, True, False),
+    "=": (True, True, True, False),
+    "!=": (True, True, True, True),
+    "<>": (True, True, True, True),
+    "<": (False, True, False, False),
+    "<=": (False, True, True, False),
+    ">": (True, False, False, False),
+    ">=": (True, False, True, False),
+}
+
+#: the values an integral atom can hold besides its NIL, ``(min, max)``
+_DOMAINS = {
+    AtomType.INT: (-(2**31) + 1, 2**31 - 1),
+    AtomType.LNG: (-(2**63) + 1, 2**63 - 1),
+    AtomType.OID: (-(2**63), int(OID_NIL) - 1),
+    AtomType.BOOL: (0, 1),
 }
 
 
@@ -62,7 +83,7 @@ def check_bounds(atom: Optional[AtomType], *bounds: Any) -> None:
 def theta_check(atom: Optional[AtomType], op: str, value: Any) -> None:
     """What :func:`theta_select` accepts: a known operator and a bound
     that compares with the column."""
-    if op not in _THETA_OPS:
+    if op not in _THETA_RANGES:
         raise KernelError(f"unknown theta operator {op!r}")
     check_bounds(atom, value)
 
@@ -78,15 +99,187 @@ def _masked_tail(bat: BAT, candidates: Optional[np.ndarray]):
     return positions, bat.tail[positions]
 
 
-def _rejects_nil(atom: AtomType, low: Any, high: Any) -> bool:
-    """Whether the (coerced) bounds' comparisons are already false at
-    ``atom``'s NIL, so no NIL mask is needed: NaN compares false, INT/
-    LNG/BOOL's NIL is the smallest value and OID's the largest."""
-    if atom is AtomType.DBL or atom is AtomType.TIMESTAMP:
-        return low is not None or high is not None
-    if atom is AtomType.OID:
-        return high is not None and high != OID_NIL
-    return low is not None and low != nil_value(atom)
+#: a resolved bound no value satisfies
+_EMPTY = object()
+
+
+def _integral_bound(value: Any, low: bool, inclusive: bool,
+                    domain: tuple) -> Any:
+    """An integral column's inclusive bound for ``value`` (exact python
+    int arithmetic): ``None`` for a side every value satisfies and
+    :data:`_EMPTY` for one none does."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if not inclusive:
+            value += 1 if low else -1
+    else:
+        value = float(value)
+        if math.isnan(value):
+            return _EMPTY
+        if math.isinf(value):
+            return None if (value < 0) == low else _EMPTY
+        if low:
+            value = math.ceil(value) if inclusive else math.floor(value) + 1
+        else:
+            value = math.floor(value) if inclusive else math.ceil(value) - 1
+    smallest, largest = domain
+    if low:
+        return None if value <= smallest else _EMPTY if value > largest else value
+    return None if value >= largest else _EMPTY if value < smallest else value
+
+
+def _float_bound(value: Any, low: bool) -> Any:
+    """A floating column's bound for ``value`` (``None``: unbounded,
+    :data:`_EMPTY`: a NaN, which compares false)."""
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the largest double
+        value = math.inf if value > 0 else -math.inf
+    if math.isnan(value):
+        return _EMPTY
+    if math.isinf(value) and (value < 0) == low:
+        return None
+    return value
+
+
+class Range:
+    """``low <= value <= high`` over one column (either side ``None``:
+    unbounded; each side inclusive or not), or its complement with
+    ``anti``; NULLs never qualify.
+
+    The bounds are resolved against the atom of the first column the
+    range selects from, and again only when a later column has another
+    atom: the type check, the coercion to the column's storage and which
+    side already rejects NIL are decided once.  A range is called with
+    ``(bat, candidates)`` and returns the qualifying oids.
+    """
+
+    __slots__ = ("bounds", "never", "anti", "atom", "low", "high",
+                 "low_inclusive", "high_inclusive", "empty", "nils")
+
+    def __init__(
+        self,
+        low: Any = None,
+        high: Any = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+        anti: bool = False,
+    ):
+        self.bounds = (low, high, bool(low_inclusive), bool(high_inclusive))
+        self.never = False  # a comparison with NULL
+        self.anti = bool(anti)
+        self.atom: Optional[AtomType] = None
+
+    @classmethod
+    def theta(cls, op: str, value: Any) -> "Range":
+        """The range ``column op value`` selects (``op`` one of ``== !=
+        < <= > >=`` or the SQL spellings ``=``/``<>``).  Comparing with
+        NULL selects nothing, ``<>`` included."""
+        if op not in _THETA_RANGES:
+            raise KernelError(f"unknown theta operator {op!r}")
+        low, high, inclusive, anti = _THETA_RANGES[op]
+        if value is None:
+            rng = cls()
+            rng.never = True
+            return rng
+        return cls(value if low else None, value if high else None,
+                   inclusive, inclusive, anti)
+
+    def resolve(self, atom: AtomType) -> "Range":
+        """Resolve the bounds for a column of ``atom`` (see the class
+        docstring); returns ``self``."""
+        low, high, low_inclusive, high_inclusive = self.bounds
+        check_bounds(atom, low, high)
+        empty = self.never
+        if atom is not AtomType.STR and not empty:
+            domain = _DOMAINS.get(atom)
+            if domain is not None:  # integral: inclusive int bounds
+                if low is not None:
+                    low = _integral_bound(low, True, low_inclusive, domain)
+                if high is not None:
+                    high = _integral_bound(high, False, high_inclusive, domain)
+                low_inclusive = high_inclusive = True
+                if (low is not None and high is not None
+                        and low is not _EMPTY and high is not _EMPTY
+                        and low > high):
+                    low = _EMPTY
+            else:
+                if low is not None:
+                    low = _float_bound(low, True)
+                if high is not None:
+                    high = _float_bound(high, False)
+            empty = low is _EMPTY or high is _EMPTY
+            if not empty:  # compared in the column's own dtype
+                kind = numpy_dtype(atom).type
+                low = None if low is None else kind(low)
+                high = None if high is None else kind(high)
+        self.low, self.high = low, high
+        self.low_inclusive, self.high_inclusive = low_inclusive, high_inclusive
+        self.empty = empty
+        # whether the mask must drop NILs itself: numeric NILs fail the
+        # comparisons of a bounded side (NaN always; INT/LNG/BOOL's NIL
+        # is below every lower bound, OID's above every upper bound), a
+        # STR comparison skips None
+        if empty:
+            self.nils = self.anti
+        elif self.anti:
+            self.nils = True
+        elif atom in (AtomType.STR, AtomType.DBL, AtomType.TIMESTAMP):
+            self.nils = low is None and high is None
+        elif atom is AtomType.OID:
+            self.nils = high is None
+        else:
+            self.nils = low is None
+        # last: a caller that finds the atom resolved reads the rest
+        self.atom = atom
+        return self
+
+    def __call__(
+        self, bat: BAT, candidates: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        atom = bat.atom
+        if atom is not self.atom:
+            self.resolve(atom)
+        base = bat.hseqbase
+        if candidates is None:
+            tail = bat.tail
+        else:
+            candidates = np.asarray(candidates, dtype=np.int64)
+            tail = bat.tail[candidates - base if base else candidates]
+        low, high = self.low, self.high
+        if self.empty:
+            mask = np.zeros(len(tail), dtype=bool)
+        elif atom is AtomType.STR:
+            mask = np.ones(len(tail), dtype=bool)
+            if low is not None:
+                cmp_lo = operator.ge if self.low_inclusive else operator.gt
+                mask &= np.fromiter(
+                    (v is not None and cmp_lo(v, low) for v in tail),
+                    bool, count=len(tail),
+                )
+            if high is not None:
+                cmp_hi = operator.le if self.high_inclusive else operator.lt
+                mask &= np.fromiter(
+                    (v is not None and cmp_hi(v, high) for v in tail),
+                    bool, count=len(tail),
+                )
+        else:
+            mask = None
+            if low is not None:
+                mask = (tail >= low) if self.low_inclusive else (tail > low)
+            if high is not None:
+                upper = (tail <= high) if self.high_inclusive else (tail < high)
+                mask = upper if mask is None else mask & upper
+            if mask is None:
+                mask = np.ones(len(tail), dtype=bool)
+        if self.anti:
+            mask = ~mask
+        if self.nils:
+            mask &= ~nil_mask(atom, tail)
+        hits = mask.nonzero()[0]
+        if candidates is not None:
+            return candidates[hits]
+        return hits + base if base else hits
 
 
 def range_select(
@@ -103,47 +296,9 @@ def range_select(
     ``None`` for either bound means unbounded on that side.  ``anti=True``
     inverts the range (but still never matches NULLs).
     """
-    check_bounds(bat.atom, low, high)
-    positions, tail = _masked_tail(bat, candidates)
-    if bat.atom is AtomType.STR:
-        # Object arrays: compare via python, skipping Nones.
-        mask = np.ones(len(tail), dtype=bool)
-        nils = np.fromiter((v is None for v in tail), bool, count=len(tail))
-        if low is not None:
-            cmp_lo = operator.ge if low_inclusive else operator.gt
-            mask &= np.fromiter(
-                (v is not None and cmp_lo(v, low) for v in tail),
-                bool,
-                count=len(tail),
-            )
-        if high is not None:
-            cmp_hi = operator.le if high_inclusive else operator.lt
-            mask &= np.fromiter(
-                (v is not None and cmp_hi(v, high) for v in tail),
-                bool,
-                count=len(tail),
-            )
-        if anti:
-            mask = ~mask
-        mask &= ~nils
-    else:
-        atom = bat.atom
-        mask = None
-        if low is not None:
-            low = coerce_scalar(atom, low)
-            mask = (tail >= low) if low_inclusive else (tail > low)
-        if high is not None:
-            high = coerce_scalar(atom, high)
-            upper = (tail <= high) if high_inclusive else (tail < high)
-            mask = upper if mask is None else mask & upper
-        if mask is None:
-            mask = np.ones(len(tail), dtype=bool)
-        if anti:
-            mask = ~mask
-        if anti or not _rejects_nil(atom, low, high):
-            mask &= ~nil_mask(atom, tail)
-    hits = np.flatnonzero(mask)
-    return (hits if positions is None else positions[hits]) + bat.hseqbase
+    return Range(low, high, low_inclusive, high_inclusive, anti)(
+        bat, candidates
+    )
 
 
 def theta_select(
@@ -157,22 +312,7 @@ def theta_select(
     ``op`` is one of ``== != < <= > >=`` (SQL spellings ``=`` and ``<>``
     accepted).  Comparing against NULL yields the empty candidate list.
     """
-    theta_check(bat.atom, op, value)
-    if value is None:
-        return np.empty(0, dtype=np.int64)
-    positions, tail = _masked_tail(bat, candidates)
-    fn = _THETA_OPS[op]
-    if bat.atom is AtomType.STR:
-        mask = np.fromiter(
-            (v is not None and fn(v, value) for v in tail),
-            bool,
-            count=len(tail),
-        )
-    else:
-        value = coerce_scalar(bat.atom, value)
-        mask = fn(tail, value) & ~nil_mask(bat.atom, tail)
-    hits = np.flatnonzero(mask)
-    return (hits if positions is None else positions[hits]) + bat.hseqbase
+    return Range.theta(op, value)(bat, candidates)
 
 
 def select_nil(

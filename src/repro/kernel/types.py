@@ -62,6 +62,11 @@ class AtomType(enum.Enum):
     STR = "str"
     TIMESTAMP = "timestamp"
 
+    # members are singletons that compare by identity: hash them by
+    # identity too, in C (``Enum.__hash__`` is a python call, paid on
+    # every dict lookup keyed by an atom)
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AtomType.{self.name}"
 
@@ -206,12 +211,15 @@ def literal_atom(value: Any) -> Optional[AtomType]:
 
     A NULL literal has no atom of its own: the operator it feeds decides
     (``calc.const_atom`` makes it DBL, a selection bound leaves the range
-    open).
+    open).  An integer BIGINT cannot hold (its NIL sentinel included) is
+    a DBL literal, as SQL reads an oversized integer literal.
     """
     if isinstance(value, (bool, np.bool_)):
         return AtomType.BOOL
     if isinstance(value, (int, np.integer)):
-        return AtomType.LNG
+        if -(2**63) < value < 2**63:
+            return AtomType.LNG
+        return AtomType.DBL
     if isinstance(value, (float, np.floating)):
         return AtomType.DBL
     if isinstance(value, str):
@@ -256,7 +264,7 @@ def coerce_scalar(atom: AtomType, value: Any) -> Any:
             return np.int32(iv)
         # OID / LNG
         return np.int64(int(value))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TypeMismatchError(
             f"cannot coerce {value!r} to {atom.value}"
         ) from exc
@@ -295,10 +303,22 @@ def python_values(atom: AtomType, tail: np.ndarray) -> list:
             return values
     else:
         values = tail.tolist()
-    mask = nil_mask(atom, tail)
-    if np.count_nonzero(mask):
-        for position in np.flatnonzero(mask).tolist():
-            values[position] = None
+        if not values:
+            return values
+        # every other NIL is an extreme of its storage: INT/LNG's is the
+        # smallest value, OID's the largest, and argmax finds a NaN
+        # first — one arg-extremum proves "no NIL" for less than the mask
+        if atom is AtomType.INT or atom is AtomType.LNG:
+            nil = INT_NIL if atom is AtomType.INT else LNG_NIL
+            if tail[tail.argmin()] != nil:
+                return values
+        elif atom is AtomType.OID:
+            if tail[tail.argmax()] != OID_NIL:
+                return values
+        elif not math.isnan(tail[tail.argmax()]):
+            return values
+    for position in nil_mask(atom, tail).nonzero()[0].tolist():
+        values[position] = None
     return values
 
 

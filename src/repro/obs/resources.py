@@ -9,10 +9,13 @@ what*.  This module closes that gap with one passive accounting seam:
 
 * **CPU** — ``time.thread_time()`` deltas captured at three nested
   boundaries that bracket each other: the scheduler's firing boundary
-  (:meth:`ResourceAccountant.begin_firing` / ``end_firing``, covering
-  the whole activation including basket I/O), the factory's plan
-  boundary (``plan.run`` alone), and the MAL interpreter's per-opcode
-  fold.  ``opcode <= plan <= firing`` by construction, and the
+  (``Scheduler._fire``, for the transitions in
+  :attr:`ResourceAccountant.charges`, covering the whole activation
+  including basket I/O), the factory's plan boundary (``plan.run``
+  alone), and the MAL interpreter's opcode chains, whose CPU each
+  program keeps per opcode.  Each boundary adds to slots of the account
+  that only its firing thread writes.  ``opcode <= plan <= firing`` by
+  construction, and the
   per-bucket breakdown is *exhaustive*: firing CPU the interpreter did
   not claim as a real opcode is reported, when the breakdown is read,
   in synthetic ``engine.factory`` / ``engine.emitter`` buckets, so the
@@ -45,8 +48,7 @@ telemetry-sampler tick, with each breach recorded once per
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,13 +144,15 @@ class QueryResourceAccount:
         self.input_baskets: List[Any] = []
         # CPU, outermost to innermost boundary: the scheduler's firing
         # boundary, one tally per transition (each written only by the
-        # thread driving that transition), plan.run alone, and the per-MAL-
-        # opcode fold
+        # thread driving that transition), plan.run alone (the factory
+        # adds it), and the MAL opcode chains: the programs the query's
+        # firings executed, each holding the CPU its chains charged per
+        # opcode (the interpreter adds to it and lists the program here
+        # once)
         self._factory_cpu = Tally(0.0)
         self._emitter_cpu = Tally(0.0)
         self.plan_cpu_seconds = 0.0
-        self.opcode_cpu_seconds = 0.0
-        self._opcode_cpu: Dict[str, float] = {}
+        self.programs: List[Any] = []
         # a thread-CPU reading the factory took at its plan boundary,
         # handed once to the MAL interpreter as the start of its opcode
         # chain (one clock read for both); None outside that window
@@ -199,6 +203,20 @@ class QueryResourceAccount:
     def bytes_out(self) -> int:
         return self._bytes_out.value
 
+    def _opcode_breakdown(self) -> Dict[str, float]:
+        """The CPU the query's opcode chains charged, per opcode."""
+        breakdown: Dict[str, float] = {}
+        for program in list(self.programs):
+            for (key, _), cpu in zip(program.keys, program.cpu):
+                if cpu:
+                    breakdown[key] = breakdown.get(key, 0.0) + cpu
+        return breakdown
+
+    @property
+    def opcode_cpu_seconds(self) -> float:
+        """Thread CPU of the query's MAL opcode chains."""
+        return sum(self._opcode_breakdown().values())
+
     @property
     def opcode_cpu(self) -> Dict[str, float]:
         """Firing CPU broken down per MAL opcode, made exhaustive by two
@@ -209,10 +227,10 @@ class QueryResourceAccount:
         so the buckets sum to the scheduler-measured total, the >=90%
         attribution contract pinned by ``tests/test_obs_resources.py``.
         """
-        breakdown = dict(self._opcode_cpu)
+        breakdown = self._opcode_breakdown()
+        opcode_cpu = sum(breakdown.values())
         for stage, residual in (
-            ("engine.factory",
-             self._factory_cpu.value - self.opcode_cpu_seconds),
+            ("engine.factory", self._factory_cpu.value - opcode_cpu),
             ("engine.emitter", self._emitter_cpu.value),
         ):
             if residual > 0:
@@ -360,10 +378,10 @@ class ResourceAccountant:
 
     One per :class:`~repro.core.engine.DataCell`.  When ``enabled`` the
     engine wires it into the scheduler (firing-boundary CPU via the
-    thread-local *current account*), the MAL interpreter (per-opcode
-    CPU fold), and every factory (plan CPU, queue-wait, rows/bytes);
-    when disabled none of those hooks are installed and the hot path
-    pays nothing.
+    thread-local *current account*), the MAL interpreter (opcode-chain
+    CPU, per program) and, by binding a query, its factory (plan CPU,
+    queue-wait, rows/bytes); when disabled none of those hooks are
+    installed and the hot path pays nothing.
     """
 
     def __init__(
@@ -376,9 +394,13 @@ class ResourceAccountant:
         self.enabled = enabled
         self.metrics = metrics if metrics is not None else cell.metrics
         self._lock = threading.Lock()
-        self._tls = _FiringAccount()
+        # the account of the transition firing on each thread (set by the
+        # scheduler for a bound transition, read by the MAL interpreter)
+        self.firing = _FiringAccount()
         self._accounts: Dict[str, QueryResourceAccount] = {}
-        self._by_transition: Dict[str, QueryResourceAccount] = {}
+        # per bound transition: its account and the firing-CPU tally the
+        # scheduler charges its firings to (see Scheduler._fire)
+        self.charges: Dict[str, Tuple[QueryResourceAccount, Tally]] = {}
         self.budgets: Dict[str, ResourceBudget] = {}
         m = self.metrics
         self._m_cpu = m.counter(
@@ -428,6 +450,7 @@ class ResourceAccountant:
         """Open an account for one registered continuous query."""
         account = QueryResourceAccount(handle.name, tenant)
         account.factory = handle.factory
+        handle.factory.account = account
         account.emitter = handle.emitter
         account.output_basket = handle.output_basket
         account.input_baskets = [
@@ -449,8 +472,8 @@ class ResourceAccountant:
             family.read_from(tally, handle.name)
         with self._lock:
             self._accounts[handle.name] = account
-            self._by_transition[handle.factory.name] = account
-            self._by_transition[handle.emitter.name] = account
+            self.charges[handle.factory.name] = (account, account._factory_cpu)
+            self.charges[handle.emitter.name] = (account, account._emitter_cpu)
         return account
 
     def unbind(self, name: str) -> None:
@@ -458,94 +481,22 @@ class ResourceAccountant:
             account = self._accounts.pop(name, None)
             if account is None:
                 return
+            if account.factory is not None:
+                account.factory.account = None
             for key in (
                 account.factory.name if account.factory else None,
                 account.emitter.name if account.emitter else None,
             ):
-                if key is not None and self._by_transition.get(key) is account:
-                    self._by_transition.pop(key, None)
+                charge = self.charges.get(key)
+                if charge is not None and charge[0] is account:
+                    self.charges.pop(key, None)
 
     def account(self, name: str) -> Optional[QueryResourceAccount]:
         return self._accounts.get(name)
 
-    def account_for(self, transition_name: str) -> Optional[QueryResourceAccount]:
-        """The account a factory/emitter transition is bound to."""
-        return self._by_transition.get(transition_name)
-
     def accounts(self) -> List[QueryResourceAccount]:
         with self._lock:
             return list(self._accounts.values())
-
-    # ------------------------------------------------------------------
-    # scheduler hook: firing-boundary CPU + the thread-local account
-    # ------------------------------------------------------------------
-    def begin_firing(self, transition_name: str):
-        """Called by the scheduler just before ``activate()``.
-
-        Returns an opaque token for :meth:`end_firing`, or ``None`` for
-        transitions not bound to any account (receptors, the sampler) —
-        the scheduler then skips ``end_firing`` entirely.
-        """
-        account = self._by_transition.get(transition_name)
-        if account is None:
-            return None
-        self._tls.account = account
-        factory = account.factory
-        if factory is not None and transition_name == factory.name:
-            return account._factory_cpu, time.thread_time()
-        return account._emitter_cpu, time.thread_time()
-
-    def end_firing(self, token) -> None:
-        """Close the firing boundary opened by :meth:`begin_firing`:
-        charge the firing's thread CPU to the account's factory or
-        emitter tally (see ``QueryResourceAccount.opcode_cpu``)."""
-        cpu, started = token
-        cpu.value += time.thread_time() - started
-        self._tls.account = None
-
-    def current(self) -> Optional[QueryResourceAccount]:
-        """The account of the transition firing on *this* thread."""
-        return self._tls.account
-
-    # ------------------------------------------------------------------
-    # factory hook: plan CPU, queue-wait, flow counters
-    # ------------------------------------------------------------------
-    def record_activation(
-        self,
-        account: QueryResourceAccount,
-        plan_cpu: float,
-        queue_wait: float,
-        rows_in: int,
-        bytes_in: int,
-        bytes_out: int,
-    ) -> None:
-        account.plan_cpu_seconds += plan_cpu
-        account._queue_wait.value += queue_wait
-        account._rows_in.value += rows_in
-        account._bytes_in.value += bytes_in
-        account._bytes_out.value += bytes_out
-
-    # ------------------------------------------------------------------
-    # interpreter hook: per-opcode CPU fold
-    # ------------------------------------------------------------------
-    def fold_opcode_cpu(
-        self,
-        account: QueryResourceAccount,
-        keys: Sequence[Tuple[str, int]],
-        cpus: Sequence[float],
-    ) -> None:
-        """Fold one program execution's CPU per opcode (``cpus`` aligned
-        with the bound program's ``(opcode, calls)`` ``keys``) into the
-        account — once per ``execute``, not per instruction.  Only the
-        account's factory thread folds, so there is no lock, as for its
-        tallies; readers copy the dict whole."""
-        cpu = account._opcode_cpu
-        total = 0.0
-        for (key, _), seconds in zip(keys, cpus):
-            if seconds:
-                total += seconds
-                cpu[key] = cpu.get(key, 0.0) + seconds
-        account.opcode_cpu_seconds += total
 
     # ------------------------------------------------------------------
     # memory rollup

@@ -12,12 +12,14 @@ lowers its budget here; one that raises a count says why in CHANGES.md.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.core.factory import Factory
 from repro.core.scheduler import Scheduler
+from repro.kernel.select import Range
 
 _SPEC = importlib.util.spec_from_file_location(
     "firing_cost", Path(__file__).parents[1] / "scripts" / "firing_cost.py"
@@ -28,14 +30,14 @@ _SPEC.loader.exec_module(firing_cost)
 #: (shape, metrics) -> calls into src/repro per firing, comprehension
 #: frames left out
 BUDGETS = {
-    ("fig1 8 rows", "lit"): 158,
-    ("fig1 8 rows", "dark"): 140,
-    ("win_slide 200 rows", "lit"): 177,
-    ("win_slide 200 rows", "dark"): 165,
-    ("wal_ingest 64 rows", "lit"): 215,
-    ("wal_ingest 64 rows", "dark"): 183,
-    ("join 64 rows", "lit"): 301,
-    ("join 64 rows", "dark"): 280,
+    ("fig1 8 rows", "lit"): 102,
+    ("fig1 8 rows", "dark"): 99,
+    ("win_slide 200 rows", "lit"): 134,
+    ("win_slide 200 rows", "dark"): 132,
+    ("wal_ingest 64 rows", "lit"): 130,
+    ("wal_ingest 64 rows", "dark"): 127,
+    ("join 64 rows", "lit"): 218,
+    ("join 64 rows", "dark"): 215,
     ("server pump 16 rows", "lit"): 25,
     ("server pump 16 rows", "dark"): 23,
     ("/metrics scrape, 20 queries", "lit"): 4982,
@@ -140,3 +142,50 @@ def test_scrape_budget_sees_a_timing_histogram(monkeypatch):
 
     monkeypatch.setattr(Scheduler, "_fire", timed)
     assert not within_budget(scrape, "lit", calls(scrape, "lit"))
+
+
+@pytest.mark.parametrize("mode", ["lit", "dark"])
+def test_fig1_budget_sees_bounds_resolved_per_call(monkeypatch, mode):
+    # the selection's own mutation check: a range that checks and coerces
+    # its bounds on every call instead of once breaks the budget
+    select = Range.__call__
+
+    def resolving(self, bat, candidates=None):
+        self.resolve(bat.atom)
+        return select(self, bat, candidates)
+
+    monkeypatch.setattr(Range, "__call__", resolving)
+    planted = calls("fig1 8 rows", mode)
+    assert not within_budget("fig1 8 rows", mode, planted)
+
+
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_warm_lit_firing_takes_no_profile_lock():
+    # the opcode profile's own mutation check: a warm firing adds to the
+    # slots its thread owns without the profile lock, and a lock planted
+    # back into each execution (here: the slots resolved again on every
+    # execution, which takes it) is seen
+    shape = firing_cost.fig1(False)
+    interpreter = shape.query.factory.plan.interpreter
+    interpreter._profile_lock = lock = CountingLock()
+    shape.fire()
+    assert lock.taken == 0
+    bound = shape.query.program()._bound
+    for _ in range(3):
+        bound.thread = None
+        shape.fire()
+    assert lock.taken == 3

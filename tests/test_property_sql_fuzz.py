@@ -1,8 +1,12 @@
 """SQL fuzz tests: generated queries checked against a python oracle.
 
 Hypothesis builds random WHERE predicates and select expressions over a
-random table; the compiled MAL plan must agree with direct evaluation of
-the same predicate in python (NULL-aware three-valued logic included).
+random table (an INT and a BIGINT column); the compiled MAL plan must
+agree with direct evaluation of the same predicate in python (NULL-aware
+three-valued logic included).  A predicate's literals are small integers,
+fractions and integers past INT's and BIGINT's domains: python compares
+an int with a float exactly, as SQL does, so a bound truncated or
+refused on an integral column shows.
 """
 
 import operator
@@ -19,6 +23,18 @@ from repro.sql.parser import parse_select
 from repro.testing import current_seed
 
 
+#: comparison literals: small integers, fractions (quarters), and
+#: integers at and past the edges of INT's and BIGINT's domains
+LITERALS = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-100, 100).map(lambda quarters: quarters / 4),
+    st.sampled_from([
+        2**31 - 1, 2**31, -(2**31), -(2**31) + 1, 3_000_000_000,
+        -3_000_000_000, 2**63 - 1, 2**63, -(2**63), 10**19, -(10**19),
+    ]),
+)
+
+
 # ----------------------------------------------------------------------
 # predicate AST (mirrors the SQL subset we fuzz)
 # ----------------------------------------------------------------------
@@ -28,7 +44,7 @@ def predicates(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         column = draw(st.sampled_from(["a", "b"]))
         op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
-        value = draw(st.integers(-20, 20))
+        value = draw(LITERALS)
         fns = {
             "=": operator.eq,
             "<>": operator.ne,
@@ -56,8 +72,10 @@ def predicates(draw, depth=0):
         return f"not ({text})", neg
     if kind == "between":
         column = draw(st.sampled_from(["a", "b"]))
-        lo = draw(st.integers(-20, 10))
-        hi = lo + draw(st.integers(0, 15))
+        lo = draw(LITERALS)
+        hi = draw(st.one_of(
+            st.just(lo + draw(st.integers(0, 15))), LITERALS
+        ))
 
         def between(row, c=column, lo=lo, hi=hi):
             x = row[c]
@@ -121,7 +139,7 @@ def run(catalog, sql, rewrite=None):
 def build_catalog(rows):
     catalog = Catalog()
     table = catalog.create_table(
-        "d", [("a", AtomType.INT), ("b", AtomType.INT)]
+        "d", [("a", AtomType.INT), ("b", AtomType.LNG)]
     )
     table.append_rows(rows)
     return catalog
