@@ -11,7 +11,8 @@ firing is the median over ``--firings`` firings, metrics lit or dark.
     PYTHONPATH=src python scripts/firing_cost.py --functions "fig1 8 rows"
 
 The shapes (one firing each: ``insert`` → ``run_until_quiescent`` →
-``fetch``, except the server pump, which is one ``activate``, and the
+``fetch``, except the server pump, which is one ``activate``, the
+table load, which is one ``insert`` into an emptied table, and the
 ``/metrics`` scrape, which is one ``telemetry_response``) are the ones
 ``tests/test_firing_budget.py`` holds to a budget.  ``--functions SHAPE``
 prints that shape's calls per function instead, lit and dark, one
@@ -21,6 +22,7 @@ prints that shape's calls per function instead, lit and dark, one
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import statistics
@@ -178,6 +180,22 @@ def server_pump(dark: bool) -> Shape:
     return Shape(fire)
 
 
+def table_load(dark: bool) -> Shape:
+    """join_agg's setup: one 10,000-row load of its ``dim`` table through
+    ``DataCell.insert`` (the table is emptied before each load)."""
+    cell = _cell(dark)
+    cell.execute("create table dim (k int, region int)")
+    rng = np.random.default_rng(42)
+    rows = list(enumerate(rng.integers(0, 200, 10_000).tolist()))
+    table = cell.catalog.get("dim")
+
+    def fire() -> object:
+        table.truncate()
+        return cell.insert("dim", rows)
+
+    return Shape(fire)
+
+
 def scrape(dark: bool) -> Shape:
     """One ``/metrics`` scrape of a cell with system streams on and 20
     grouped continuous aggregates, each fired five times (a logical
@@ -200,6 +218,7 @@ SHAPES: Dict[str, Callable[[bool], Shape]] = {
     "wal_ingest 64 rows": wal_ingest,
     "join 64 rows": join,
     "server pump 16 rows": server_pump,
+    "table load 10000 rows": table_load,
     "/metrics scrape, 20 queries": scrape,
 }
 
@@ -217,6 +236,9 @@ def count_functions(fire: Callable[[], object]) -> Counter:
         if path.startswith(SRC) and code.co_name not in COMPREHENSIONS:
             functions[path[len(SRC):], code.co_name] += 1
 
+    # garbage from earlier engines (a factory's co-routine, closed when
+    # collected) must not be collected, and counted, inside the firing
+    gc.collect()
     sys.setprofile(profile)
     try:
         fire()

@@ -167,6 +167,7 @@ class Basket(Table, Place):
     """
 
     weighted = False
+    ingest_error = BasketError
 
     def __init__(
         self,
@@ -183,7 +184,7 @@ class Basket(Table, Place):
         defs.append(ColumnDef(TIME_COLUMN, AtomType.TIMESTAMP))
         super().__init__(name, Schema(defs), is_basket=True)
         self._names = [c.name.lower() for c in self.schema]
-        self._user_names = frozenset(self._names[:-1])  # not dc_time
+        self._user_columns = self.schema.columns[:-1]  # not dc_time
         self.clock = clock or WallClock()
         # the blank columns of an empty basket (see the module docstring)
         self._blank = self._bats
@@ -303,7 +304,7 @@ class Basket(Table, Place):
     @property
     def user_columns(self) -> List[ColumnDef]:
         """Schema without the implicit timestamp column."""
-        return [c for c in self.schema if c.name != TIME_COLUMN]
+        return list(self._user_columns)
 
     def bat(self, column: str) -> BAT:
         """The BAT storing ``column``, compacted first: a reader of the
@@ -330,83 +331,61 @@ class Basket(Table, Place):
         """Append user-arity tuples, stamping arrival time and sequence.
 
         Returns the number of tuples appended (after load shedding, if a
-        ``capacity`` watermark is set).
+        ``capacity`` watermark is set).  All or nothing: every column is
+        converted before the first is appended, so a batch with a bad
+        row or value appends, logs and counts nothing.
         """
         rows = list(rows)
         if not rows:
             return 0
-        stamp = self.clock.now() if timestamp is None else float(timestamp)
-        user_cols = self.user_columns
-        arity = len(user_cols)
-        for row in rows:
-            if len(row) != arity:
-                raise BasketError(
-                    f"basket {self.name!r}: row arity {len(row)} != {arity}"
-                )
-        with self.lock:
-            if 2 * self._ndead > self._seq.count:
-                self._compact()
-            if self._bats is self._blank:
-                self._unblank()
-            bats = self._bats
-            # columnar ingest: transpose once, append one array per column
-            columns = list(zip(*rows))
-            for col, values in zip(user_cols, columns):
-                bats[col.name.lower()].append_many(values)
-            n = len(rows)
-            shed = self._ingested(n, stamp, trace_token)
-        return n - shed
+        arrays = self._row_arrays(self._user_columns, rows)
+        return self._ingest(arrays, len(rows), timestamp, trace_token)
 
     def insert_columns(
         self,
-        columns: Dict[str, np.ndarray],
+        columns: Dict[str, Any],
         timestamp: Optional[float] = None,
         trace_token: int = 0,
     ) -> int:
         """Columnar bulk ingest (receptor fast path).
 
-        ``columns`` covers the user columns only; ``dc_time`` and sequence
-        numbers are filled in here.
+        ``columns`` covers the user columns only (storage arrays are
+        taken as they are); ``dc_time`` and sequence numbers are filled
+        in here.  All or nothing, as :meth:`insert_rows`.
         """
+        arrays = self._column_arrays(self._user_columns, columns)
+        return self._ingest(arrays, len(arrays[0]), timestamp, trace_token)
+
+    def _ingest(
+        self,
+        arrays: List[np.ndarray],
+        n: int,
+        timestamp: Optional[float],
+        trace_token: int,
+    ) -> int:
+        """Append converted user columns of ``n`` rows, then stamp,
+        sequence, WAL, shed and trim; returns the rows kept."""
         stamp = self.clock.now() if timestamp is None else float(timestamp)
-        provided = set(map(str.lower, columns))
-        if provided != self._user_names:
-            raise BasketError(
-                f"bulk insert must cover exactly the user columns "
-                f"{sorted(self._user_names)}, got {sorted(provided)}"
-            )
-        lengths = set(map(len, columns.values()))
-        if len(lengths) != 1:
-            raise BasketError("bulk insert arrays differ in length")
-        n = lengths.pop()
         with self.lock:
             if 2 * self._ndead > self._seq.count:
                 self._compact()
-            if self._bats is self._blank:
-                self._unblank()
+            if self._bats is self._blank:  # new columns to append into
+                self._bats = {k: BAT(b.atom) for k, b in self._blank.items()}
             bats = self._bats
-            for name, values in columns.items():
-                bats[name.lower()].append_array(values)
-            shed = self._ingested(n, stamp, trace_token)
+            for col, array in zip(self._user_columns, arrays):
+                bats[col.name.lower()].append_array(array)
+            bats[TIME_COLUMN].append_fill(stamp, n)
+            self._sequence(n, time.monotonic(), trace_token)
+            if self.wal_sink is not None:
+                self._log_ingest(n, stamp)
+            shed = (
+                self._shed_if_over_capacity()
+                if self.capacity is not None else 0
+            )
+            if self.retention is not None:
+                self._trim_to_retention()
+            self._record_depth()
         return n - shed
-
-    def _unblank(self) -> None:
-        """New columns for an ingest in place of the blank ones (under
-        the lock): an ingest appends into its basket's columns."""
-        self._bats = {k: BAT(b.atom) for k, b in self._blank.items()}
-
-    def _ingested(self, n: int, stamp: float, trace_token: int) -> int:
-        """Finish an ingest whose user columns are appended (under the
-        lock): stamp, sequence, WAL, shed, trim.  Returns rows shed."""
-        self._bats[TIME_COLUMN].append_fill(stamp, n)
-        self._sequence(n, time.monotonic(), trace_token)
-        if self.wal_sink is not None:
-            self._log_ingest(n, stamp)
-        shed = self._shed_if_over_capacity() if self.capacity is not None else 0
-        if self.retention is not None:
-            self._trim_to_retention()
-        self._record_depth()
-        return shed
 
     def _sequence(self, n: int, mono: float, trace_token: int) -> None:
         """Give the ``n`` rows just appended their hidden columns — one
@@ -437,8 +416,8 @@ class Basket(Table, Place):
         self.wal_sink.log_insert(
             self.name,
             stamp,
-            [(c.name.lower(), c.atom) for c in self.user_columns],
-            [self._bats[c.name.lower()].tail[-n:] for c in self.user_columns],
+            [(c.name.lower(), c.atom) for c in self._user_columns],
+            [self._bats[c.name.lower()].tail[-n:] for c in self._user_columns],
         )
 
     def _shed_if_over_capacity(self) -> int:

@@ -24,9 +24,14 @@ import numpy as np
 from ..errors import AlignmentError, KernelError, TypeMismatchError
 from .types import AtomType, coerce_scalar, nil_mask, numpy_dtype, python_values
 
-__all__ = ["BAT", "bat_from_values", "empty_bat", "check_aligned"]
+__all__ = [
+    "BAT", "bat_from_values", "empty_bat", "check_aligned", "storage_array",
+]
 
 _INITIAL_CAPACITY = 16
+_DTYPES = {atom: numpy_dtype(atom) for atom in AtomType}
+_STR_TYPES = frozenset((str, type(None)))
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 class BAT:
@@ -167,28 +172,9 @@ class BAT:
         self.count += 1
 
     def append_many(self, values: Iterable[Any]) -> None:
-        """Append an iterable of python values, coercing each.
-
-        Fast path: for non-STR/BOOL atoms, clean batches (no ``None``)
-        are converted with one vectorized ``np.asarray`` call; anything
-        that fails conversion falls back to per-value coercion.  BOOL is
-        excluded because its domain check (only -1/0/1) would be skipped.
-        """
-        values = list(values)
-        if not values:
-            return
-        if self.atom not in (AtomType.STR, AtomType.BOOL):
-            try:
-                self.append_array(
-                    np.asarray(values, dtype=self._data.dtype)
-                )
-                return
-            except (TypeError, ValueError, OverflowError):
-                pass
-        self._reserve(len(values))
-        for value in values:
-            self._data[self.count] = coerce_scalar(self.atom, value)
-            self.count += 1
+        """Append an iterable of python values, coercing each (see
+        :func:`storage_array`)."""
+        self.append_array(storage_array(self.atom, values))
 
     def append_array(self, array: np.ndarray) -> None:
         """Append a numpy array already in storage representation."""
@@ -298,6 +284,63 @@ class BAT:
     def nil_positions(self) -> np.ndarray:
         """Boolean mask of NULL tail positions."""
         return nil_mask(self.atom, self.tail)
+
+
+def storage_array(atom: AtomType, values: Iterable[Any]) -> np.ndarray:
+    """``values`` in ``atom``'s storage dtype: the array
+    ``[coerce_scalar(atom, v) for v in values]`` would fill, raising
+    :class:`TypeMismatchError` where that would.
+
+    The one conversion of a column on its way into a BAT.  An array
+    already in the storage dtype is returned as is (a BOOL one once its
+    values are in BOOL's domain; a STR one, an object array, unchecked:
+    a type check per value would be a python pass over every varchar
+    column ingested); one that casts to it exactly is cast.  Python
+    values go through one vectorised ``np.asarray`` — numpy converts
+    each with ``int()``/``float()`` and checks the dtype's range, as
+    :func:`coerce_scalar` does — or, for STR and BOOL, one check of
+    their types; only a *dirty* column (NULLs in an integral or BOOL
+    column, mixed types, out-of-range values) is coerced value by value.
+    """
+    dtype = _DTYPES[atom]
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1:
+            if values.dtype != dtype:
+                if atom is not AtomType.STR and np.can_cast(
+                    values.dtype, dtype, "safe"
+                ):
+                    return values.astype(dtype)
+            elif atom is not AtomType.BOOL or not (
+                (values < -1) | (values > 1)
+            ).any():
+                return values
+        if atom is AtomType.STR and values.dtype.kind != "U":
+            values = list(values)  # str(float32(x)) is not str(float(x))
+        else:
+            values = values.tolist()
+    elif not isinstance(values, (list, tuple)):
+        values = list(values)
+    if atom is AtomType.STR:
+        if set(map(type, values)) <= _STR_TYPES:
+            out = np.empty(len(values), dtype)
+            out[:] = values
+            return out
+    elif atom is AtomType.BOOL:
+        # only bools: BOOL's domain is -1/0/1, not int8's
+        if set(map(type, values)) <= _BOOL_TYPES:
+            return np.asarray(values, dtype=dtype)
+    else:
+        try:
+            out = np.asarray(values, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if out.ndim == 1:
+                return out
+    out = np.empty(len(values), dtype)
+    for i, value in enumerate(values):
+        out[i] = coerce_scalar(atom, value)
+    return out
 
 
 def bat_from_values(

@@ -260,9 +260,10 @@ def _concat_str(vals_l, vals_r, hseqbase: int, count: int) -> BAT:
 def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
     """Element-wise comparison producing a ``bool`` BAT (NULL-aware).
 
-    Any comparison involving NULL yields NULL (three-valued logic).  Two
-    integral operands compare exactly in ``int64``, as the kernel
-    selections do; any other numeric pair compares as ``float64``.
+    Any comparison involving NULL yields NULL (three-valued logic).  An
+    integral operand compares exactly with an integral or a floating one,
+    as the kernel selections do (BIGINT ``2**53 + 1`` is greater than
+    DOUBLE ``2**53``); any other numeric pair compares as ``float64``.
     """
     atom_l, vals_l, atom_r, vals_r, hseqbase, count = _broadcast(left, right)
     out_atom = compare_atom(atom_l, atom_r)
@@ -286,7 +287,11 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
             count=count,
         )
     else:
-        if not (atom_l.is_integral and atom_r.is_integral):
+        if atom_l.is_integral and atom_r in _FLOATING:
+            vals_l, vals_r = _int_float_order(vals_l, vals_r), 0
+        elif atom_r.is_integral and atom_l in _FLOATING:
+            vals_l, vals_r = 0, _int_float_order(vals_r, vals_l)
+        elif not (atom_l.is_integral and atom_r.is_integral):
             vals_l, vals_r = _as_float(vals_l), _as_float(vals_r)
         with np.errstate(invalid="ignore"):
             raw = np.broadcast_to(fn(vals_l, vals_r), (count,))
@@ -296,6 +301,28 @@ def calc_compare(op: str, left: Operand, right: Operand) -> BAT:
     out = BAT(out_atom, hseqbase=hseqbase, capacity=max(count, 1))
     out.append_array(stored)
     return out
+
+
+_FLOATING = (AtomType.DBL, AtomType.TIMESTAMP)
+
+
+def _int_float_order(ints, floats):
+    """The sign of ``ints - floats`` (-1, 0 or 1), computed exactly:
+    ``float64`` cannot hold every ``int64``, so the floats are split
+    into an integral floor and a fraction instead of the ints being
+    rounded.  NULL rows (NaN, an integral NIL) get an arbitrary sign."""
+    ints = np.asarray(ints, dtype=np.int64)
+    floats = np.asarray(floats, dtype=np.float64)
+    # a float outside int64's range is past every int on its side
+    above = floats >= 2.0**63
+    below = floats < -(2.0**63)
+    floor = np.floor(np.where(above | below | np.isnan(floats), 0, floats))
+    whole = floor.astype(np.int64)
+    return np.select(
+        [above, below, ints < whole, ints > whole, floats > floor],
+        [-1, 1, -1, 1, -1],
+        0,
+    )
 
 
 def _bool_tail(operand: Operand):

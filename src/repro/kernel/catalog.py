@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..errors import CatalogError
-from .bat import BAT, check_aligned
+from ..errors import CatalogError, ReproError
+from .bat import BAT, check_aligned, storage_array
 from .types import AtomType, python_values
 
 __all__ = ["ColumnDef", "Schema", "Table", "Catalog"]
@@ -127,38 +127,76 @@ class Table:
     # ------------------------------------------------------------------
     def append_row(self, values: Sequence[Any]) -> None:
         """Append one tuple given in schema order."""
-        if len(values) != len(self.schema):
-            raise CatalogError(
-                f"row arity {len(values)} != schema arity {len(self.schema)}"
-            )
-        with self.lock:
-            for col, value in zip(self.schema, values):
-                self._bats[col.name.lower()].append(value)
+        self.append_rows((values,))
 
     def append_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append many tuples; returns the number appended."""
+        """Append many tuples; returns the number appended.  All or
+        nothing: a batch with a bad row or value appends no row."""
         rows = list(rows)
+        arrays = self._row_arrays(self.schema.columns, rows)
         with self.lock:
-            for row in rows:
-                self.append_row(row)
+            for bat, array in zip(self.bats(), arrays):
+                bat.append_array(array)
         return len(rows)
 
-    def append_columns(self, columns: Dict[str, np.ndarray]) -> int:
-        """Columnar bulk append: dict of column name → storage array.
-
-        All provided arrays must have equal length and cover the full
-        schema — the cheap path receptors use for batched ingest.
-        """
-        lengths = {len(v) for v in columns.values()}
-        if len(lengths) > 1:
-            raise CatalogError("column arrays have differing lengths")
-        if set(c.lower() for c in columns) != set(self._bats):
-            raise CatalogError("bulk append must cover all columns")
-        n = lengths.pop() if lengths else 0
+    def append_columns(self, columns: Dict[str, Any]) -> int:
+        """Columnar bulk append: dict of column name → values (storage
+        arrays are taken as they are), covering the full schema.  All or
+        nothing, as :meth:`append_rows`."""
+        arrays = self._column_arrays(self.schema.columns, columns)
         with self.lock:
-            for name, values in columns.items():
-                self._bats[name.lower()].append_array(np.asarray(values))
-        return n
+            for bat, array in zip(self.bats(), arrays):
+                bat.append_array(array)
+        return len(arrays[0])
+
+    # -- the one ingest conversion of tables and baskets ----------------
+    #: what a malformed batch raises (a basket raises its own error)
+    ingest_error: Type[ReproError] = CatalogError
+
+    def _row_arrays(
+        self, columns: Sequence[ColumnDef], rows: List[Sequence[Any]]
+    ) -> List[np.ndarray]:
+        """A batch of rows as one storage array per column of
+        ``columns``, every column converted before the caller appends
+        the first (the ingest of tables and baskets is all or nothing).
+        The arity is checked for the whole batch in one pass."""
+        arity = len(columns)
+        if rows and set(map(len, rows)) != {arity}:
+            width = next(len(row) for row in rows if len(row) != arity)
+            raise self.ingest_error(
+                f"row arity {width} != schema arity {arity} in {self.name!r}"
+            )
+        values: Iterable[Sequence[Any]] = zip(*rows) if rows else [()] * arity
+        return [storage_array(col.atom, v) for col, v in zip(columns, values)]
+
+    def _column_arrays(
+        self, columns: Sequence[ColumnDef], given: Dict[str, Any]
+    ) -> List[np.ndarray]:
+        """``given`` (column name → values, exactly ``columns``) as one
+        storage array per column, in ``columns`` order, every column
+        converted before the caller appends the first."""
+        values: Optional[List[Any]] = None
+        if len(given) == len(columns):
+            try:  # names as the schema spells them, or in any case
+                values = [given[col.name] for col in columns]
+            except KeyError:
+                by_name = {name.lower(): v for name, v in given.items()}
+                if by_name.keys() == {col.name.lower() for col in columns}:
+                    values = [by_name[col.name.lower()] for col in columns]
+        if values is None:
+            raise self.ingest_error(
+                f"a bulk insert into {self.name!r} must cover exactly "
+                f"{[col.name for col in columns]}, got {list(given)}"
+            )
+        arrays = [
+            storage_array(col.atom, column)
+            for col, column in zip(columns, values)
+        ]
+        if len(set(map(len, arrays))) > 1:
+            raise self.ingest_error(
+                f"bulk insert arrays for {self.name!r} differ in length"
+            )
+        return arrays
 
     def truncate(self) -> int:
         """Remove all tuples; returns how many were removed.

@@ -147,7 +147,7 @@ def is_nil(atom: AtomType, value: Any) -> bool:
             return False
     try:
         return int(value) == int(_NILS[atom])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: inf
         return False
 
 

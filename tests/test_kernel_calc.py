@@ -238,6 +238,71 @@ class TestComparison:
             assert cell.query(f"select x from t where x = {literal}") == (
                 [(9007199254740993,)] if equal else [])
 
+    @given(
+        st.lists(st.one_of(st.integers(-3, 3), st.none()), max_size=20),
+        st.integers(-(2**63) + 4, 2**63 - 4),
+        st.one_of(st.none(), st.floats(allow_nan=False)),
+        st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+        st.booleans(),
+    )
+    def test_bigint_compares_with_double_exactly(
+        self, offsets, base, double, op, flipped
+    ):
+        import operator as _op
+
+        fn = {"==": _op.eq, "!=": _op.ne, "<": _op.lt, "<=": _op.le,
+              ">": _op.gt, ">=": _op.ge}[op]
+        if double is None:  # the double float64 rounds the values onto
+            double = float(base)
+        # python compares an int with a float exactly; float64 cannot
+        values = [None if d is None else base + d for d in offsets]
+        doubles = bat_from_values(AtomType.DBL, [double] * len(values))
+        for right in (double, doubles):
+            args = (right, ints(values)) if flipped else (ints(values), right)
+            out = calc_compare(op, *args)
+            assert out.python_list() == [
+                None if v is None
+                else fn(double, v) if flipped else fn(v, double)
+                for v in values
+            ]
+
+    def test_bigint_against_double_agrees_with_sqlite(self):
+        """Regression: a BIGINT compared with a DOUBLE in float64, so
+        2**53 + 1 equalled 2**53.0 in a projection and under NOT."""
+        import sqlite3
+
+        from repro import DataCell
+
+        values = [2**53 + 1, 2**53, 2**53 - 1, -(2**53) - 1, 2**63 - 1,
+                  -(2**63) + 1, 0, 5, None]
+        cell = DataCell()
+        cell.execute("create table t (b bigint, d double)")
+        cell.insert("t", [(v, 2.0**53) for v in values])
+        db = sqlite3.connect(":memory:")
+        db.execute("create table t (b integer, d real)")
+        db.executemany("insert into t values (?, ?)",
+                       [(v, 2.0**53) for v in values])
+
+        def order(row):
+            return row[0] is None, row[0] or 0
+
+        for right in ("9007199254740992.0", "9007199254740993.0",
+                      "9.223372036854776e18", "-9.223372036854776e18",
+                      "5.5", "1e300", "t.d"):
+            for op in ("=", "<>", "<", "<=", ">", ">="):
+                for sql in (
+                    f"select t.b from t where not (t.b {op} {right})",
+                    f"select t.b from t where not ({right} {op} t.b)",
+                    f"select t.b {op} {right} from t",
+                ):
+                    ours = [tuple(None if v is None else int(v) for v in row)
+                            for row in cell.query(sql)]
+                    theirs = db.execute(
+                        sql.replace("t.b", "b").replace("t.d", "d")
+                    ).fetchall()
+                    assert sorted(ours, key=order) == sorted(
+                        theirs, key=order), sql
+
 
 class TestBoolean:
     def test_and_truth_table(self):

@@ -142,6 +142,14 @@ class TestCoerce:
     def test_dbl_accepts_int(self):
         assert coerce_scalar(AtomType.DBL, 3) == 3.0
 
+    @pytest.mark.parametrize(
+        "atom", [AtomType.OID, AtomType.BOOL, AtomType.INT, AtomType.LNG])
+    def test_integral_rejects_infinity(self, atom):
+        # the NIL test must not overflow before the domain check
+        assert not is_nil(atom, float("inf"))
+        with pytest.raises(TypeMismatchError):
+            coerce_scalar(atom, float("-inf"))
+
 
 class TestPythonValue:
     def test_nil_becomes_none(self):

@@ -270,6 +270,31 @@ def test_unknown_basket_and_unknown_query_errors():
         cell.stop()
 
 
+def test_a_rejected_insert_frame_changes_nothing():
+    """A frame that declares a VARCHAR column for an INT basket column
+    gets an ERROR reply, and the basket is as before: the good column
+    ahead of it was not appended, so the next frame's rows arrive
+    unchanged."""
+    cell, server = _boot()
+    cell.execute("create basket pairs (a int, b int)")
+    good = [("a", AtomType.INT), ("b", AtomType.INT)]
+    try:
+        with DataCellClient(*server.address) as db:
+            db.subscribe(
+                "select p.a, p.b from [select * from pairs] as p", name="p"
+            )
+            basket = cell.basket("pairs")
+            before = (basket.total_in, basket.state_digest())
+            with pytest.raises(ServerError, match="ingest"):
+                db.insert("pairs", [("a", AtomType.INT), ("b", AtomType.STR)],
+                          [(1, "x"), (3, "y")])
+            assert (basket.total_in, basket.state_digest()) == before
+            assert db.insert("pairs", good, [(7, 8)])["rows"] == 1
+            assert db.poll("p", timeout=10.0, min_rows=1) == [(7, 8)]
+    finally:
+        cell.stop()
+
+
 def test_hello_gate_and_version_check():
     cell, server = _boot()
     try:
