@@ -356,6 +356,22 @@ class Basket(Table, Place):
         arrays = self._column_arrays(self._user_columns, columns)
         return self._ingest(arrays, len(arrays[0]), timestamp, trace_token)
 
+    def append_rows(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Refused (and so is ``append_row``): a table's append would
+        leave the rows without the sequence numbers, arrival stamps, WAL
+        record and reader wake-up every basket row has."""
+        raise BasketError(self._refused("append_rows"))
+
+    def append_columns(self, columns: Dict[str, Any]) -> int:
+        """Refused, as :meth:`append_rows`."""
+        raise BasketError(self._refused("append_columns"))
+
+    def _refused(self, method: str) -> str:
+        return (
+            f"{method} is a table append and skips basket {self.name!r}'s "
+            "bookkeeping; ingest with insert_rows or insert_columns"
+        )
+
     def _ingest(
         self,
         arrays: List[np.ndarray],

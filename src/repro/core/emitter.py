@@ -114,6 +114,15 @@ class CollectingClient:
             batches = list(self.batches)
         return _flatten(batches)
 
+    def rows_since(self, deliveries: int) -> List[Row]:
+        """The rows of the deliveries made after the first
+        ``deliveries`` (an earlier :attr:`deliveries`), in delivery order,
+        less any that :meth:`take` drained."""
+        with self._lock:
+            kept = len(self.batches) - (self.deliveries - deliveries)
+            batches = self.batches[max(kept, 0):]
+        return _flatten(batches)
+
     def take(self) -> List[Row]:
         """Drain: the rows delivered since the last ``take``."""
         with self._lock:

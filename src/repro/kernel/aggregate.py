@@ -70,36 +70,44 @@ def grouped_aggregate(
     """Per-group reduction; returns a BAT of ``ngroups`` values.
 
     ``groups`` is the aligned group-id BAT produced by
-    :func:`repro.kernel.group.group` on the same candidate set.
+    :func:`repro.kernel.group.group` on the same candidate set.  The rows
+    per group are the histogram that grouping kept on ``groups`` when
+    every row counts (no candidates, no NULL in ``bat``), and are counted
+    here otherwise.
     """
     out_atom = aggregate_atom(name, bat.atom)
     tail, nil = _valid_tail(bat, candidates)
     gids = groups.tail
     if len(gids) != len(tail):
         raise KernelError("groups BAT not aligned with aggregate input")
-    if name == "count_star":
-        return store_numeric(out_atom, _group_counts(gids, ngroups), None)
-    if nil.any():
+    # the rows per group: the grouping's histogram when every row counts
+    counts = groups.histogram if candidates is None else None
+    if name != "count_star" and nil.any():
         valid = ~nil
         gids, tail = gids[valid], tail[valid]
-    if name == "count":
-        return store_numeric(out_atom, _group_counts(gids, ngroups), None)
-    if bat.atom is AtomType.STR:
+        counts = None  # the histogram counts the NULLs too
+    if bat.atom is AtomType.STR and name in ("min", "max"):
         return _grouped_str(name, tail, gids, ngroups)
-    counts = _group_counts(gids, ngroups)
-    # integral atoms reduce in int64 so SUM/AVG/MIN/MAX stay exact past
-    # 2**53; avg divides the exact sum once
+    if counts is None or len(counts) != ngroups:
+        counts = _group_counts(gids, ngroups)
+    if name in ("count", "count_star"):
+        return store_numeric(out_atom, counts.copy(), None)
     exact = bat.atom.is_integral
-    values = tail.astype(np.int64 if exact else np.float64, copy=False)
     if name in ("sum", "avg"):
+        # integral atoms sum in int64 so SUM/AVG stay exact past 2**53;
+        # avg divides the exact sum once
+        values = tail.astype(np.int64 if exact else np.float64, copy=False)
         res = _reduce(np.add, 0, gids, values, ngroups)
         if name == "avg":
             res = res / np.maximum(counts, 1)
-    elif name == "min":
-        fill = np.iinfo(np.int64).max if exact else np.inf
+        return store_numeric(out_atom, res, counts)
+    # integral MIN/MAX reduce in the column's own dtype: exact, no copy
+    values = tail if exact else tail.astype(np.float64, copy=False)
+    if name == "min":
+        fill = np.iinfo(values.dtype).max if exact else np.inf
         res = _reduce(np.minimum, fill, gids, values, ngroups)
     else:
-        fill = np.iinfo(np.int64).min if exact else -np.inf
+        fill = np.iinfo(values.dtype).min if exact else -np.inf
         res = _reduce(np.maximum, fill, gids, values, ngroups)
     return store_numeric(out_atom, res, counts)
 

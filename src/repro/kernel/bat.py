@@ -53,8 +53,12 @@ class BAT:
     # itself writes it.  ``join_index`` is the equi-join index built on
     # this BAT's tail (:class:`repro.kernel.join.JoinIndex`, or ``None``):
     # it records the ``count`` it indexes, and an append moves ``count``
-    # past it, so a stale index is never used.
-    __slots__ = ("atom", "hseqbase", "_data", "count", "join_index")
+    # past it, so a stale index is never used.  ``histogram`` is the rows
+    # per group id of a groups BAT that ``group.group``/``subgroup`` made
+    # (``None`` on any other BAT); such a BAT is adopted, so an append
+    # reallocates its tail, and a reallocation drops the histogram.
+    __slots__ = ("atom", "hseqbase", "_data", "count", "join_index",
+                 "histogram")
 
     def __init__(self, atom: AtomType, hseqbase: int = 0, capacity: int = 0):
         self.atom = atom
@@ -63,7 +67,7 @@ class BAT:
             max(capacity, _INITIAL_CAPACITY), dtype=numpy_dtype(atom)
         )
         self.count = 0
-        self.join_index = None
+        self.join_index = self.histogram = None
 
     @classmethod
     def adopt(cls, atom: AtomType, array: np.ndarray, hseqbase: int = 0) -> "BAT":
@@ -79,7 +83,7 @@ class BAT:
         out.hseqbase = int(hseqbase)
         out._data = array
         out.count = len(array)
-        out.join_index = None
+        out.join_index = out.histogram = None
         return out
 
     # ------------------------------------------------------------------
@@ -164,6 +168,7 @@ class BAT:
         grown = np.empty(new_cap, dtype=self._data.dtype)
         grown[: self.count] = self._data[: self.count]
         self._data = grown
+        self.histogram = None
 
     def append(self, value: Any) -> None:
         """Append one (coerced) value to the tail."""

@@ -2,7 +2,12 @@
 
 MonetDB's operators accept an optional *candidate list* restricting which
 head oids participate.  We represent candidates as sorted ``int64`` numpy
-arrays of oids.  ``None`` means "all tuples of the BAT".
+arrays of oids.  ``None`` means "all tuples of the BAT": the all-rows
+candidate, MonetDB's dense candidate list, kept virtual as a BAT's head
+is.  Operators produce it too: an equi-join whose probe matched every
+probe row exactly once returns it for its left side
+(:func:`repro.kernel.join.hash_join`), and a projection through it is
+the column itself.  Every operator taking candidates accepts ``None``.
 """
 
 from __future__ import annotations

@@ -18,9 +18,14 @@ GROUP BY semantics: NULLs group together).
 Both are bulk operators: keys are factorised to integer codes — through a
 direct-address table when the integer keys span at most
 ``DENSE_SPAN`` × the row count, otherwise by sorting — and the codes are
-re-ranked by first occurrence.  STR keys become integer codes first, in
-:func:`str_codes`, the one place the kernel's bulk operators touch python
-string objects; joins and STR MIN/MAX use it too.
+re-ranked by first occurrence.  One histogram pass counts the rows per
+code; the first positions are looked for in a prefix of the rows, and
+past it only for codes the prefix did not hold.  The histogram, in group
+id order, stays on the ``groups`` BAT (``BAT.histogram``), where the
+aggregates read their per-group row counts.  STR keys become integer
+codes first, in :func:`str_codes`, the one place the kernel's bulk
+operators touch python string objects; joins and STR MIN/MAX use it
+too.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ __all__ = ["group", "subgroup", "distinct_positions", "str_codes", "dense_span"]
 #: integer keys whose span is at most this multiple of the row count are
 #: looked up in a direct-address table instead of by sorting
 DENSE_SPAN = 4
+
+#: first positions are looked for in the first ``max(FIRST_PREFIX, 8 ×
+#: codes)`` rows; the rest are read only for codes not seen there
+FIRST_PREFIX = 1024
 
 
 def str_codes(
@@ -90,21 +99,23 @@ def _group_codes(bat: BAT, tail: np.ndarray) -> Tuple[np.ndarray, int]:
         return codes, len(strings)
     if tail.dtype.kind == "f":
         return _factorise(tail)  # np.unique folds every NaN into one key
-    keys = tail.astype(np.int64)
+    keys = tail
     nil = nil_mask(bat.atom, tail)
     if nil.any():
         # below every valid key, so NILs group together and the span
         # stays the valid keys' span plus one
+        keys = tail.astype(np.int64)
         keys[nil] = keys[~nil].min() - 1 if not nil.all() else 0
     return _factorise(keys)
 
 
 def _factorise(keys: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Codes in ``[0, ncodes)``: equal keys, and only they, share a code."""
+    """Fresh ``int64`` codes in ``[0, ncodes)``: equal keys, and only
+    they, share a code."""
     dense = dense_span(keys, len(keys))
     if dense is not None:
         lo, span = dense
-        return keys - lo, span
+        return np.subtract(keys, lo, dtype=np.int64), span
     uniq, inverse = np.unique(keys, return_inverse=True)
     return inverse.reshape(-1), len(uniq)
 
@@ -112,18 +123,29 @@ def _factorise(keys: np.ndarray) -> Tuple[np.ndarray, int]:
 def _by_first_occurrence(
     codes: np.ndarray, ncodes: int
 ) -> Tuple[BAT, np.ndarray, int]:
-    """Renumber codes as group ids in first-occurrence order."""
+    """Renumber codes as group ids in first-occurrence order; the groups
+    BAT keeps the rows per group id as its histogram."""
     rows = len(codes)
+    sizes = np.bincount(codes, minlength=ncodes)
     first = np.full(ncodes, rows, dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(rows, dtype=np.int64))
+    seen = min(rows, max(FIRST_PREFIX, 8 * ncodes))
+    np.minimum.at(first, codes[:seen], np.arange(seen, dtype=np.int64))
+    late = (first == rows) & (sizes > 0)
+    if late.any():  # codes first met past the prefix: find only them
+        at = seen + np.flatnonzero(late[codes[seen:]])
+        np.minimum.at(first, codes[at], at)
     if ncodes and first[-1] < rows and (first[1:] > first[:-1]).all():
         extents = first  # every code present, numbered by first occurrence
     else:
         extents = np.sort(first[first < rows])
+        present = codes[extents]
         gid_of = np.empty(ncodes, dtype=np.int64)
-        gid_of[codes[extents]] = np.arange(len(extents), dtype=np.int64)
+        gid_of[present] = np.arange(len(extents), dtype=np.int64)
         codes = gid_of[codes]
-    return BAT.adopt(AtomType.OID, codes), extents, len(extents)
+        sizes = sizes[present]
+    groups = BAT.adopt(AtomType.OID, codes)
+    groups.histogram = sizes
+    return groups, extents, len(extents)
 
 
 def group(

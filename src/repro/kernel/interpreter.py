@@ -223,8 +223,10 @@ class _Bound:
 
     ``keys`` holds each distinct ``module.fn`` profile key with its call
     count per execution; ``nodes`` each plan node id with its call count
-    and its instructions' result variables, last first (a node's row count
-    is what its final row-producing instruction produced).  ``table`` is
+    and its instructions' result variables, the last instruction's first
+    (a node's row count is what its final row-producing instruction
+    produced: its first result that holds rows — a join's right oids when
+    its left side is the all-rows candidate ``None``).  ``table`` is
     the program's :class:`_TableSteps` (``None``: it has none), and
     ``segments`` the one step list a program without them runs.
 
@@ -263,8 +265,7 @@ class _Bound:
             if n == len(nodes):
                 nodes.append([ins.node, 0, []])
             nodes[n][1] += 1
-            if ins.results:
-                nodes[n][2].insert(0, ins.results[0])
+            nodes[n][2][:0] = ins.results
             self.steps.append(_Step(ins, k, n, ctx))
         self.keys = [(key, calls) for key, calls in keys]
         self.nodes = [(node, calls, tuple(rows)) for node, calls, rows in nodes]
@@ -734,7 +735,9 @@ def _algebra_likeselect(ctx, bat, cands, pattern, negated=False):
     "algebra.projection", "cand bat",
     atom=lambda cands, column: column, pure=True,
 )
-def _algebra_projection(ctx: MalContext, cands: np.ndarray, bat: BAT) -> BAT:
+def _algebra_projection(
+    ctx: MalContext, cands: Optional[np.ndarray], bat: BAT
+) -> BAT:
     return _join.projection(cands, bat)
 
 
@@ -795,12 +798,18 @@ def _algebra_densecands(ctx: MalContext, bat: BAT) -> np.ndarray:
 
 
 @primitive("algebra.compose", "cand cand", "cand", pure=True)
-def _algebra_compose(ctx, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+def _algebra_compose(
+    ctx, outer: Optional[np.ndarray], inner: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
     """Compose candidate lists: positions-of-positions.
 
     ``outer`` maps an intermediate relation back to the base; ``inner``
-    selects positions of the intermediate.  Result: base positions.
+    selects positions of the intermediate.  Result: base positions.  The
+    all-rows candidate ``None`` on either side maps positions to
+    themselves.
     """
+    if outer is None or inner is None:
+        return inner if outer is None else outer
     outer = np.asarray(outer, dtype=np.int64)
     inner = np.asarray(inner, dtype=np.int64)
     return outer[inner]

@@ -27,7 +27,13 @@ with the probe side), float keys and candidate-restricted build sides are
 indexed per call.
 
 Output contract: pairs come out in probe-side scan order; one probe row's
-matches come out in build-side position order.  NULL never joins.
+matches come out in build-side position order.  NULL never joins.  When
+every probe row matched exactly once (a foreign key into its table), the
+left side of the pairs *is* the probe side, in order, and the join
+returns the probe's own candidates for it: the all-rows candidate
+``None`` (MonetDB's dense candidate list) without probe candidates, the
+given candidate list with them.  :func:`projection` through ``None``
+fetches nothing; it hands out the tail as it is.
 Mixed numeric keys compare as ``int64`` when both sides are integral and
 as ``float64`` otherwise; STR keys compare as :func:`group.str_codes`.
 """
@@ -51,9 +57,13 @@ __all__ = [
 ]
 
 
-def projection(candidates: np.ndarray, tail: BAT, hseqbase: int = 0) -> BAT:
-    """Fetch ``tail`` values for each candidate oid, in candidate order."""
-    return tail.take_oids(np.asarray(candidates, dtype=np.int64), hseqbase=hseqbase)
+def projection(candidates: Optional[np.ndarray], tail: BAT) -> BAT:
+    """Fetch ``tail`` values for each candidate oid, in candidate order;
+    the all-rows candidate ``None`` fetches every value, as a read-only
+    view of ``tail``."""
+    if candidates is None:
+        return tail.view(0, tail.count)
+    return tail.take_oids(np.asarray(candidates, dtype=np.int64))
 
 
 class JoinIndex:
@@ -116,10 +126,11 @@ class JoinIndex:
 
     def probe(
         self, keys: np.ndarray, nil: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """``(probe positions, build oids)`` of every match of ``keys``,
         in probe order; ``nil`` marks probe keys that must not match
-        (``None``: none can)."""
+        (``None``: none can).  The positions are ``None`` when every key
+        matched exactly once: they would be ``0 .. len(keys) - 1``."""
         if self.ordered is not None:
             starts = np.searchsorted(self.ordered, keys, "left")
             counts = np.searchsorted(self.ordered, keys, "right") - starts
@@ -130,23 +141,27 @@ class JoinIndex:
         # the range check: ``key - lo`` wraps (as unsigned) above ``span``
         # below the range, so one minimum sends every miss to the sentinel
         slots = np.subtract(keys, self.lo, dtype=np.int64).view(np.uint64)
-        slots = np.minimum(slots, self.span).view(np.int64)
+        slots = np.minimum(slots, self.span, out=slots).view(np.int64)
         if nil is not None:
             slots[nil] = self.span
         if self.table is None:
             runs, build = _expand(self.firsts[slots], self.sizes[slots])
             return runs, self.oids[build]
         oids = self.table[slots]
-        found = oids >= 0
-        if found.all():  # e.g. a foreign key into its table
-            return np.arange(len(oids), dtype=np.int64), oids
-        hits = np.flatnonzero(found)
+        if oids.min(initial=0) >= 0:  # e.g. a foreign key into its table
+            return None, oids
+        hits = np.flatnonzero(oids >= 0)
         return hits, oids[hits]
 
 
-def _expand(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand runs into ``(run index, build index)`` of every match."""
+def _expand(
+    starts: np.ndarray, counts: np.ndarray
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Expand runs into ``(run index, build index)`` of every match; the
+    run index is ``None`` when every run holds one match."""
     if counts.max(initial=0) <= 1:  # e.g. a key join: no run to widen
+        if counts.all():
+            return None, starts
         runs = np.flatnonzero(counts)
         return runs, starts[runs]
     runs = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
@@ -179,13 +194,15 @@ def hash_join(
     right: BAT,
     left_cands: Optional[np.ndarray] = None,
     right_cands: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Equi-join on tail values.
 
-    Returns ``(left_oids, right_oids)``: parallel arrays such that
-    ``left[left_oids[i]] == right[right_oids[i]]``.  NULLs never match.
-    Pairs come out in left (probe) scan order, and one left row's matches
-    in right position order.
+    Returns ``(left_oids, right_oids)``: parallel candidate lists such
+    that ``left[left_oids[i]] == right[right_oids[i]]``.  NULLs never
+    match.  Pairs come out in left (probe) scan order, and one left row's
+    matches in right position order.  When every probe row matched
+    exactly once, ``left_oids`` is ``left_cands`` itself: ``None``, the
+    all-rows candidate, when the probe covered all of ``left``.
     """
     compare_atom(left.atom, right.atom)
     lpos = None if left_cands is None else resolve_positions(left, left_cands)
@@ -209,6 +226,8 @@ def hash_join(
             if index.covers(dtype(nil_value(left.atom))) else None
         )
     hits, right_oids = index.probe(lkeys, nil)
+    if hits is None:  # every probe row matched once, in order
+        return left_cands, right_oids
     if lpos is not None:
         hits = lpos[hits]
     return hits + left.hseqbase, right_oids

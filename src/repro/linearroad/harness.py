@@ -21,6 +21,7 @@ from ..core.clock import LogicalClock
 from ..core.emitter import CollectingClient, Emitter
 from ..core.engine import DataCell
 from ..core.factory import ConsumeMode, Factory, InputBinding
+from ..errors import LinearRoadError
 from .generator import LinearRoadConfig, LinearRoadGenerator
 from .model import (
     BALANCE_REQUEST_COLUMNS,
@@ -90,6 +91,7 @@ class LinearRoadHarness:
         self.clock = LogicalClock()
         self.cell = DataCell(clock=self.clock)
         self.toll_state = TollState()
+        self._replayed = False  # whether a run has fed the network
         self._build_network()
 
     def _build_network(self) -> None:
@@ -194,7 +196,22 @@ class LinearRoadHarness:
         ticks_per_batch: int = 1,
         validate: bool = True,
     ) -> LinearRoadResult:
-        """Replay a report log through the network tick by tick."""
+        """Replay a report log through the network tick by tick.
+
+        The network keeps its state between calls, so a log may be
+        replayed in chunks, one call each; a call's result holds the
+        notifications it delivered.  ``validate`` checks them against a
+        reference computed from this call's log alone, so it applies only
+        to the first call: later ones raise :class:`LinearRoadError`.
+        """
+        if validate and self._replayed:
+            raise LinearRoadError(
+                "cannot validate a later replay: its reference would lack "
+                "the reports replayed before it; validate the whole log "
+                "on a fresh harness"
+            )
+        clients = (self.toll_client, self.alert_client, self.balance_client)
+        marks = [client.deliveries for client in clients]
         generator = LinearRoadGenerator(self.config)
         if reports is None:
             reports = generator.generate()
@@ -226,23 +243,23 @@ class LinearRoadHarness:
             self.cell.run_until_quiescent()
             latencies.append(time.perf_counter() - tick_started)
         wall = time.perf_counter() - started
-
+        self._replayed = self._replayed or bool(ticks)
+        tolls, alerts, balances = (
+            client.rows_since(mark) for client, mark in zip(clients, marks)
+        )
         problems: List[str] = []
         if validate:
             reference = LinearRoadReference(list(reports)).compute()
             problems = validate_outputs(
-                reference,
-                self.toll_client.rows,
-                self.alert_client.rows,
-                self.balance_client.rows,
+                reference, tolls, alerts, balances,
                 reference.expected_balances(list(balance_requests)),
             )
         return LinearRoadResult(
             scale=self.config.scale,
             reports=len(list(reports)),
-            tolls=list(self.toll_client.rows),
-            alerts=list(self.alert_client.rows),
-            balances=list(self.balance_client.rows),
+            tolls=tolls,
+            alerts=alerts,
+            balances=balances,
             tick_latencies=latencies,
             wall_time=wall,
             validation_problems=problems,

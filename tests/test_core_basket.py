@@ -78,6 +78,25 @@ class TestIngest:
         with pytest.raises(BasketError):
             basket.insert_columns({"v": np.array([1], dtype=np.int32)})
 
+    def test_table_appends_are_refused(self, basket):
+        # a table append would grow the columns past the basket's count
+        # and sequence numbers, with no WAL record and no reader wake-up
+        basket.insert_rows([(1, "x")])
+        for append in (
+            lambda: basket.append_row((3, "y", 0.0)),
+            lambda: basket.append_rows([(3, "y", 0.0)]),
+            lambda: basket.append_columns({
+                "v": np.array([3], dtype=np.int32),
+                "s": np.array(["y"], dtype=object),
+                TIME_COLUMN: np.array([0.0]),
+            }),
+        ):
+            with pytest.raises(BasketError, match="insert_rows or insert_columns"):
+                append()
+        assert basket.count == 1
+        assert [bat.count for bat in basket.bats()] == [1, 1, 1]
+        assert basket.rows() == [(1, "x", 0.0)]
+
     def test_statistics(self, basket):
         basket.insert_rows([(1, "a"), (2, "b")])
         assert basket.total_in == 2

@@ -171,3 +171,50 @@ class TestCompilerNodeTree:
         program = Program("p")
         with pytest.raises(MalError):
             program.end_node()
+
+
+class TestKeyJoin:
+    """A foreign-key join's probe matches every row once: its left side
+    is the all-rows candidate ``None``, which rows and times still see."""
+
+    def test_join_agg_is_attributed_to_join_aggregate_and_result(self):
+        cell = DataCell()
+        cell.execute("create basket s (k int, v int)")
+        cell.execute("create table dim (k int, region int)")
+        cell.insert("dim", [(k, k % 3) for k in range(10)])
+        query = cell.submit_continuous(
+            "select d.region, sum(t.v), count(t.v), max(t.v) from "
+            "[select * from s where s.v >= 100] as t "
+            "join dim d on t.k = d.k group by d.region",
+            name="q",
+        )
+        for _ in range(2):
+            cell.insert("s", [(k, 100 + k) for k in range(10)])
+            cell.run_until_quiescent()
+        assert sorted(query.fetch()) == sorted(2 * [
+            (0, 418, 4, 109), (1, 312, 3, 107), (2, 315, 3, 108)])
+        lines = {
+            line.strip().split("  [")[0]: line
+            for line in cell.explain("q").splitlines() if "  [" in line
+        }
+        assert "rows=20" in lines["join"]  # 10 pairs in each firing
+        for label in ("join", "aggregate", "result"):
+            assert re.search(r"time=\d+\.\d+ ms, calls=[1-9]", lines[label])
+
+    def test_a_join_node_counts_its_pairs(self):
+        from repro.kernel.bat import bat_from_values
+        from repro.kernel.catalog import Catalog
+        from repro.kernel.interpreter import MalInterpreter
+        from repro.kernel.mal import Program, Var
+        from repro.kernel.types import AtomType
+        from repro.obs.metrics import MetricsRegistry
+
+        program = Program(inputs=["l", "r"])
+        with program.node("join"):
+            program.emit("algebra", "join", [Var("l"), Var("r")], results=2)
+        keys = bat_from_values(AtomType.INT, [2, 0, 2])
+        env = {"l": keys, "r": bat_from_values(AtomType.INT, [0, 1, 2])}
+        interpreter = MalInterpreter(Catalog(), MetricsRegistry())
+        assert interpreter.execute(program, env)["v1"] is None
+        (node,) = program.nodes
+        assert program.node_stats[node][2] == 3

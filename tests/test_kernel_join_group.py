@@ -65,7 +65,7 @@ class TestHashJoin:
         assert set(zip(l.tolist(), r.tolist())) == {(1, 1)}
 
     def test_respects_hseqbase(self):
-        l, r = hash_join(ints([7], hseqbase=10), ints([7], hseqbase=20))
+        l, r = hash_join(ints([7, 8], hseqbase=10), ints([7], hseqbase=20))
         assert l.tolist() == [10] and r.tolist() == [20]
 
     def test_string_join(self):
@@ -405,9 +405,12 @@ def ref_group(keys, prev=None):
     return gids, extents
 
 
-def _pairs(result):
-    left, right = result
-    return list(zip(left.tolist(), right.tolist()))
+def _pairs(left, result):
+    """A join's oid pairs, its all-rows left side (``None``) spelt out."""
+    lefts, rights = result
+    if lefts is None:
+        lefts = left.head_oids()
+    return list(zip(lefts.tolist(), rights.tolist()))
 
 
 class TestKernelsMatchReference:
@@ -415,7 +418,7 @@ class TestKernelsMatchReference:
     @given(_join_inputs())
     def test_hash_join(self, inputs):
         (left, lc), (right, rc) = inputs
-        assert _pairs(hash_join(left, right, lc, rc)) == ref_join(
+        assert _pairs(left, hash_join(left, right, lc, rc)) == ref_join(
             left, lc, right, rc
         )
 
@@ -512,5 +515,159 @@ class TestKernelsMatchReference:
         keys = np.array([2**62, -(2**62)], dtype=np.int64)
         assert dense_span(keys, len(keys)) is None
         assert dense_span(np.array([3, 9, 4]), 3) == (3, 7)
-        l, r = hash_join(ints([2**62, -(2**62), 5]), ints([-(2**62), 2**62]))
-        assert _pairs((l, r)) == [(0, 1), (1, 0)]
+        left = ints([2**62, -(2**62), 5])
+        l, r = hash_join(left, ints([-(2**62), 2**62]))
+        assert _pairs(left, (l, r)) == [(0, 1), (1, 0)]
+
+
+# ----------------------------------------------------------------------
+# the all-rows candidate of a full-match probe, and the group histogram
+# ----------------------------------------------------------------------
+@st.composite
+def _key_join_inputs(draw):
+    """A probe side drawn mostly from the build side's keys (a foreign
+    key), so full matches are common; NULLs, duplicate build keys,
+    misses and candidates on either side keep partial ones in play."""
+    latom, ratom, kinds = draw(st.sampled_from(_JOIN_CASES))
+    pool = draw(st.lists(_POOLS[draw(st.sampled_from(kinds))], min_size=1,
+                         max_size=6))
+    right, rc = draw(_column(ratom, pool, min_size=1))
+    values = right.python_list()
+    keys = [values[p] for p in _positions(right, rc)]
+    foreign = [v for v in keys if v is not None and _fits(latom, v)]
+    if foreign and draw(st.booleans()):
+        pool = foreign
+    return draw(_column(latom, pool)), (right, rc)
+
+
+def _unique_grouping(keys):
+    """Group ids by first occurrence, extents and rows per group, from
+    ``np.unique``."""
+    _, first, inverse, sizes = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order], sizes[order]
+
+
+def _check_grouping(result, keys):
+    groups, extents, n = result
+    gids, firsts, sizes = _unique_grouping(keys)
+    assert groups.tail.tolist() == gids.tolist()
+    assert extents.tolist() == firsts.tolist() and n == len(firsts)
+    assert groups.histogram.tolist() == sizes.tolist()
+    assert groups.histogram.tolist() == np.bincount(
+        groups.tail, minlength=n).tolist()
+
+
+class TestAllRowsCandidate:
+    @settings(max_examples=300, deadline=None)
+    @given(_key_join_inputs())
+    def test_all_rows_and_materialised_paths_answer_alike(self, inputs):
+        (left, lc), (right, rc) = inputs
+        lefts, rights = hash_join(left, right, lc, rc)
+        # the same probe through explicit candidates spells its left out
+        explicit = left.head_oids() if lc is None else lc
+        listed, listed_rights = hash_join(left, right, explicit, rc)
+        assert listed is not None
+        assert rights.tolist() == listed_rights.tolist()
+        pairs = list(zip(listed.tolist(), listed_rights.tolist()))
+        assert _pairs(left, (lefts, rights)) == pairs
+        assert pairs == ref_join(left, lc, right, rc)
+        if lefts is None:  # every left row matched once, in order
+            assert lc is None
+            assert listed.tolist() == left.head_oids().tolist()
+        assert (projection(lefts, left).python_list()
+                == projection(listed, left).python_list())
+
+    @pytest.mark.parametrize("build, probe", [
+        ([30, 10, 20], [20, 30, 20, 10]),  # dense unique keys: slot table
+        ([30, 10, 20, 40, 40], [20, 30, 10]),  # dense, with duplicates
+        ([2**40, 7, -(2**40)], [7, 2**40, 7]),  # sparse: sorted keys
+    ])
+    def test_a_full_match_returns_the_all_rows_candidate(self, build, probe):
+        left, right = ints(probe, hseqbase=5), ints(build, hseqbase=9)
+        lefts, rights = hash_join(left, right)
+        assert lefts is None
+        assert right.tail[rights - 9].tolist() == probe
+        cands = np.array([5, 7], dtype=np.int64)
+        assert hash_join(left, right, left_cands=cands)[0] is cands
+        left.append(12345)  # one probe row more, which misses
+        lefts, _ = hash_join(left, right)
+        assert lefts.tolist() == list(range(5, 5 + len(probe)))
+
+    def test_a_full_string_match_returns_the_all_rows_candidate(self):
+        lefts, rights = hash_join(strs(["b", "a", "b"]), strs(["a", "b", "c"]))
+        assert lefts is None and rights.tolist() == [1, 0, 1]
+
+    def test_projection_through_all_rows_is_a_read_only_view(self):
+        tail = ints([10, 20, 30], hseqbase=4)
+        out = projection(None, tail)
+        assert out.hseqbase == 0 and out.python_list() == [10, 20, 30]
+        assert np.shares_memory(out.tail, tail.tail)
+        with pytest.raises(ValueError):
+            out.tail[0] = 1
+
+    def test_compose_reads_the_all_rows_candidate(self):
+        from repro.kernel.interpreter import OPCODES
+
+        compose = OPCODES["algebra.compose"].fn
+        cands = np.array([1, 3], dtype=np.int64)
+        assert compose(None, None, cands) is cands
+        assert compose(None, cands, None) is cands
+        assert compose(None, None, None) is None
+        assert compose(None, np.array([4, 6, 8, 9]), cands).tolist() == [6, 9]
+
+
+class TestGroupHistogram:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4000),
+           st.integers(1, 300), st.integers(0, 3), st.booleans())
+    def test_numbering_and_histograms_match_unique(
+        self, seed, rows, ncodes, late, nils
+    ):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, ncodes, rows)
+        if rows:
+            # keys first met in the last quarter: past the prefix that
+            # first positions are looked for in, once rows outgrow it
+            at = rng.integers(rows * 3 // 4, rows, late)
+            keys[at] = ncodes + np.arange(late)
+        values = keys.tolist()
+        if nils:  # a NIL group
+            for i in rng.integers(0, max(rows, 1), 3 if rows else 0):
+                values[i] = None
+        column = ints(values)
+        result = group(column)
+        _check_grouping(result, column.tail)
+        second = rng.integers(0, 3, rows)
+        refined = subgroup(ints(second.tolist()), result[0])
+        _check_grouping(refined, _unique_grouping(column.tail)[0] * 3 + second)
+
+    def test_aggregates_read_the_histogram_only_when_every_row_counts(self):
+        keys = ints([1, 2, 1, 3, 1])
+        groups, _, n = group(keys)
+        assert groups.histogram.tolist() == [3, 1, 1]
+        groups.histogram = np.array([30, 10, 10])  # shows where it is read
+        full, holey = ints([5, 4, 7, 1, 2]), ints([5, None, 7, 1, 2])
+        for name in ("count", "count_star"):
+            assert grouped_aggregate(name, full, groups, n).python_list() == [
+                30, 10, 10]
+        assert grouped_aggregate("avg", full, groups, n).python_list() == [
+            14 / 30, 0.4, 0.1]
+        # a NULL in the values: counted, not read
+        assert grouped_aggregate("count", holey, groups, n).python_list() == [
+            3, 0, 1]
+        assert grouped_aggregate("avg", holey, groups, n).python_list() == [
+            14 / 3, None, 1.0]
+        # candidates: counted, not read
+        cands = np.array([0, 1, 2], dtype=np.int64)
+        picked, _, m = group(keys, cands)
+        picked.histogram = picked.histogram + 10
+        assert grouped_aggregate(
+            "count_star", full, picked, m, cands).python_list() == [2, 1]
+        # an append drops the histogram: it no longer counts every row
+        groups.append(0)
+        assert groups.histogram is None

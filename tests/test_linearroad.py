@@ -227,6 +227,28 @@ class TestHarness:
         assert result.max_response_time >= result.avg_response_time >= 0
         assert result.tick_latencies
 
+    def test_chunked_runs_partition_a_single_runs_notifications(self):
+        gen = LinearRoadGenerator(CONGESTED)
+        reports = gen.generate()
+        requests = gen.balance_requests(reports, rate=0.02)
+        whole = LinearRoadHarness(CONGESTED).run(reports, requests)
+        assert whole.valid, whole.validation_problems
+        cut = REPORT_INTERVAL * (max(r.t for r in reports) // REPORT_INTERVAL // 2)
+        chunked = LinearRoadHarness(CONGESTED)
+        first = chunked.run([r for r in reports if r.t < cut],
+                            [q for q in requests if q[0] < cut])
+        assert first.valid, first.validation_problems
+        second = chunked.run([r for r in reports if r.t >= cut],
+                             [q for q in requests if q[0] >= cut],
+                             validate=False)
+        assert first.tolls and second.tolls
+        assert first.tolls + second.tolls == whole.tolls
+        assert first.alerts + second.alerts == whole.alerts
+        assert first.balances + second.balances == whole.balances
+        # a later call's reference would lack the first call's reports
+        with pytest.raises(LinearRoadError, match="later replay"):
+            chunked.run([], [])
+
     def test_plan_state_is_bounded(self):
         """Replaying D and then 2D ticks keeps state to what later
         reports can read: LAV-window stats minutes and live spans."""
