@@ -280,6 +280,8 @@ class Factory:
         # is called, a thread is created ... the next time it is called it
         # continues from the point where it stopped").
         self._coroutine: Optional[Iterator[ActivationResult]] = None
+        # the exception the co-routine died with, once it has
+        self._failure: Optional[Exception] = None
 
     @property
     def total_in(self) -> int:
@@ -333,9 +335,20 @@ class Factory:
 
     def activate(self) -> ActivationResult:
         """Resume the factory co-routine for one iteration of its loop."""
+        if self._failure is not None:
+            # the co-routine died with its first error; resuming it would
+            # raise a bare StopIteration
+            raise DataCellError(
+                f"query {self.name!r} stopped at an earlier firing: "
+                f"{type(self._failure).__name__}: {self._failure}"
+            ) from self._failure
         if self._coroutine is None:
             self._coroutine = self._loop()
-        result = next(self._coroutine)
+        try:
+            result = next(self._coroutine)
+        except Exception as exc:
+            self._failure = exc
+            raise
         self.activations += 1
         self._tuples_in.value += result.tuples_in
         self._tuples_out.value += result.tuples_out

@@ -8,14 +8,18 @@ relational primitives — exactly the paper's design goal.
 One plan evaluates every window aggregate, :class:`WindowAggregatePlan`.
 Its unit is the paper's basic window (Zhu & Shasha [25]), here called a
 *pane*: a window of size ``w`` sliding by ``s`` is cut into panes of
-``bw = gcd(w, s)`` tuples (COUNT) or seconds (TIME).  Each tuple of a
-snapshot is folded once into its cell of a table of per-(pane, group)
-partials, and a window is the fold of the ``w/bw`` panes it covers, so a
-tuple is aggregated once however much the windows overlap, and a firing
-costs its batch plus the windows it closes.  In DBSP terms (PAPERS.md)
-the window is an integrated collection: each entering pane is added,
-each leaving pane retracted.  Full re-evaluation survives only as the differential
-reference, :class:`repro.baselines.reeval.ReEvalWindowAggregatePlan`.
+``bw = gcd(w, s)`` tuples (COUNT) or seconds (TIME).  The plan keeps a
+table of the kernel's partials (``repro.kernel.aggregate``) with one
+cell per (pane, group): each tuple of a snapshot is folded once into its
+cell (``fold``), a window is the merge of the ``w/bw`` panes it covers
+(``merge``), and each aggregate column is finalized as a one-time GROUP
+BY finalizes it (``finalize``).  So a tuple is aggregated once however
+much the windows overlap, a firing costs its batch plus the windows it
+closes, and a window answers with a GROUP BY's atoms, NULLs and exact
+sums.  In DBSP terms (PAPERS.md) the window is an integrated collection
+of partials: each entering pane is added, each leaving pane retracted.
+Full re-evaluation survives only as the differential reference,
+:class:`repro.baselines.reeval.ReEvalWindowAggregatePlan`.
 
 Window boundaries are aligned to the stream origin: count window ``k``
 covers tuple positions ``[k*slide, k*slide + size)``; time window ``k``
@@ -41,7 +45,17 @@ from ..durability.serde import (
     pack_frame,
 )
 from ..errors import DataCellError
-from ..kernel.aggregate import AGGREGATE_NAMES, aggregate_atom, store_numeric
+from ..kernel.aggregate import (
+    IDENTITIES,
+    MIN,
+    NEEDS,
+    PLANES,
+    STAR,
+    aggregate_atom,
+    finalize,
+    fold,
+    merge,
+)
 from ..kernel.bat import BAT
 from ..kernel.group import group
 from ..kernel.mal import ResultSet
@@ -112,10 +126,9 @@ def basic_window_width(spec: WindowSpec) -> float:
     return math.gcd(a, b) / scale
 
 
-#: pane-table planes: one array that grows, trims and checkpoints as a
-#: unit, int64 over an integral value atom (every partial exact) and
-#: float64 otherwise
-STARS, COUNT, SUM, MIN, MAX, FIRST = range(6)
+#: the pane table's last plane, after the kernel's partials: each
+#: cell's first arrival seq, folded and merged by minimum
+FIRST = PLANES
 #: format version of :meth:`WindowAggregatePlan.export_state`.  Version
 #: 1 is version 2 with a float64 table whatever the value atom, so only
 #: a plan whose table is float64 restores it
@@ -136,24 +149,25 @@ class WindowAggregatePlan(ContinuousPlan):
     """Sliding/tumbling window aggregate over a pane table.
 
     The table has one row per pane and one column per group key; its
-    planes hold, per cell, the tuple count (``count(*)``), the non-NULL
-    count, sum, min, max and the first arrival seq.  A group key maps to
-    its persistent column by a dict probe; only a snapshot with an unseen
-    key is factorised by the kernel's ``group.group``.  Each tuple folds
-    straight into its (pane, group) cell.  A firing folds every window
-    that closed in one vectorised pass: min/max, and sums and counts too
-    when ``W * size <= 4 * span`` (every one-window firing), as a
-    reduction over each window's panes; sums and counts of a catch-up
-    firing that closes many overlapping windows as differences of prefix
-    sums, restarted at its first live pane so nothing drifts across
-    firings.  Groups are emitted in order of first arrival — the re-eval
-    reference's row order.  ``values_processed`` counts tuples reduced
-    into the table: each tuple once, whatever the overlap.
+    planes are the kernel's partials of each cell (tuple count, non-NULL
+    count, sum, min, max) and its first arrival seq.  It is one array
+    that grows, trims and checkpoints as a unit, in the kernel's partial
+    dtype: int64 over an integral value atom, float64 otherwise.  A
+    group key maps to its persistent column by a dict probe; only a
+    snapshot with an unseen key is factorised by the kernel's
+    ``group.group``.  Each tuple folds straight into its (pane, group)
+    cell, into the planes the aggregates need.  A firing merges every
+    window that closed in one kernel ``merge`` over their panes, then
+    finalizes each aggregate column.  Groups are emitted in order of
+    first arrival — the re-eval reference's row order.
+    ``values_processed`` counts tuples reduced into the table: each
+    tuple once, whatever the overlap.
 
     ``group_atom`` and ``value_atom`` are the atoms of the group and
     value columns.  Keys keep theirs from basket to output row; results
     take the kernel's :func:`~repro.kernel.aggregate.aggregate_atom` of
-    the value atom and its NULL storage, as a one-time GROUP BY does.
+    the value atom and its NULL storage, as a one-time GROUP BY does,
+    and the kernel refuses an unknown aggregate.
     """
 
     def __init__(
@@ -167,9 +181,6 @@ class WindowAggregatePlan(ContinuousPlan):
         group_atom: AtomType = AtomType.STR,
         value_atom: AtomType = AtomType.DBL,
     ):
-        bad = [a for a in aggregates if a not in AGGREGATE_NAMES]
-        if bad:
-            raise DataCellError(f"unknown window aggregates: {bad}")
         if not aggregates:
             raise DataCellError("window plan needs at least one aggregate")
         self.input_basket = input_basket.lower()
@@ -191,13 +202,14 @@ class WindowAggregatePlan(ContinuousPlan):
         self.bw = basic_window_width(spec)
         self._slide_panes = int(round(spec.slide / self.bw))
         self._size_panes = int(round(spec.size / self.bw))
+        #: the planes a firing folds and merges: STAR finds its cells
+        self._planes = sorted({STAR}.union(*(NEEDS[a] for a in aggregates)))
+        ident = IDENTITIES[value_atom]
+        self._identity = np.append(ident, ident[MIN])
         self._table_atom = (
-            AtomType.LNG if value_atom.is_integral else AtomType.DBL
+            AtomType.LNG if ident.dtype.kind == "i" else AtomType.DBL
         )
-        dtype = numpy_dtype(self._table_atom)
-        hi = np.iinfo(dtype).max if value_atom.is_integral else np.inf
-        self._identity = np.array([0, 0, 0, hi, -hi, hi], dtype)
-        self._table = np.empty((6, 0, 1), dtype)
+        self._table = np.empty((PLANES + 1, 0, 1), ident.dtype)
         self._origin = 0  # absolute pane of table row 0
         self._top = 0  # one past the highest pane holding data
         self._codes: Dict[Any, int] = {}  # group key -> table column
@@ -232,7 +244,7 @@ class WindowAggregatePlan(ContinuousPlan):
     def _ingest(self, snap: BasketSnapshot) -> None:
         value_bat = self._column(snap, self.value_column, self.value_atom)
         nils = value_bat.nil_positions()
-        values = value_bat.tail.astype(self._table.dtype)
+        values = value_bat.tail
         seq = np.arange(self._position, self._position + len(values))
         self._position += len(values)
         self.values_processed += len(values)
@@ -254,17 +266,11 @@ class WindowAggregatePlan(ContinuousPlan):
                 return
         top = int(panes.max()) + 1
         self._reserve(top, max(len(self._keys), 1))
-        # each tuple folds straight into its (pane, group) cell; every
-        # operand is in the table's dtype, as a casting ufunc.at is many
-        # times slower
+        # each tuple folds straight into its (pane, group) cell
         cells = (panes - self._origin) * self._table.shape[2] + codes
-        flat = self._table.reshape(6, -1)
-        ident = self._identity
-        np.add.at(flat[STARS], cells, flat.dtype.type(1))
-        np.add.at(flat[COUNT], cells, (~nils).astype(flat.dtype))
-        np.add.at(flat[SUM], cells, np.where(nils, ident[SUM], values))
-        np.minimum.at(flat[MIN], cells, np.where(nils, ident[MIN], values))
-        np.maximum.at(flat[MAX], cells, np.where(nils, ident[MAX], values))
+        flat = self._table.reshape(PLANES + 1, -1)
+        fold(self.value_atom, cells, values, nils, self._planes,
+             into=flat[:FIRST])
         np.minimum.at(flat[FIRST], cells, seq.astype(flat.dtype, copy=False))
         self._top = max(self._top, top)
 
@@ -322,7 +328,7 @@ class WindowAggregatePlan(ContinuousPlan):
         first = self.next_window * self._slide_panes
         keep = self._table[:, first - self._origin : self._top - self._origin]
         table = np.empty((
-            6,
+            PLANES + 1,
             max(2 * (max(top, self._top) - first), 8),
             cols if groups <= cols else max(groups, 2 * cols),
         ), self._table.dtype)
@@ -357,58 +363,26 @@ class WindowAggregatePlan(ContinuousPlan):
         groups = max(len(self._keys), 1)
         self._reserve(first + span, groups)
         lo = first - self._origin
-        panes = self._table[:, lo : lo + span, :groups]
         starts = np.arange(k1 - k0) * slide
-        ends = starts + size
-        # reduceat folds [cuts[i], cuts[i+1]): the even slots are the
-        # windows (the last one runs to the end of the span), the odd
-        # slots span the gaps between windows and are discarded
-        cuts = np.empty(2 * len(starts) - 1, dtype=np.int64)
-        cuts[0::2], cuts[1::2] = starts, ends[:-1]
-
-        def fold(plane: int, reduce: np.ufunc) -> np.ndarray:
-            return reduce.reduceat(panes[plane], cuts, axis=0)[::2]
-
-        # a choice on the firing's shape, like the kernel's DENSE_SPAN:
-        # a few windows fold their own panes, many overlapping ones
-        # share one prefix sum
-        if (k1 - k0) * size <= 4 * span:
-            stars, count, total = np.add.reduceat(
-                panes[:MIN], cuts, axis=1
-            )[:, ::2]
-        else:
-            prefix = np.zeros((MIN, span + 1, groups), panes.dtype)
-            np.cumsum(panes[:MIN], axis=1, out=prefix[:, 1:])
-            stars, count, total = prefix[:, ends] - prefix[:, starts]
+        # one kernel merge closes every window, its FIRST plane too
+        windows = merge(
+            self.value_atom, self._table[:, lo : lo + span, :groups],
+            starts, starts + size, self._planes,
+        )
         if self.group_column:
-            win, col = np.nonzero(stars)
-            order = np.lexsort((fold(FIRST, np.minimum)[win, col], win))
+            win, col = np.nonzero(windows[STAR])
+            order = np.lexsort((windows[FIRST, win, col], win))
             win, col = win[order], col[order]
         else:
             win = np.arange(k1 - k0)
             col = np.zeros_like(win)
-        n = count[win, col]
+        cells = windows[:, win, col]
         columns = [BAT.adopt(AtomType.LNG, k0 + win)]
         if self.group_column:
             columns.append(BAT.adopt(self.group_atom, self._keys[col]))
-        # each column is stored by the kernel's rule, as a one-time
-        # GROUP BY stores it: the counts as they are, every other
-        # aggregate NULL in a window cell without a value
-        for name, atom in zip(self.aggregates, self._atoms):
-            counts = n
-            if name == "count_star":
-                value, counts = stars[win, col], None
-            elif name == "count":
-                value, counts = count[win, col], None
-            elif name == "min":
-                value = fold(MIN, np.minimum)[win, col]
-            elif name == "max":
-                value = fold(MAX, np.maximum)[win, col]
-            elif name == "sum":
-                value = total[win, col]
-            else:
-                value = total[win, col] / np.maximum(n, 1)
-            columns.append(store_numeric(atom, value, counts))
+        columns += [
+            finalize(name, self.value_atom, cells) for name in self.aggregates
+        ]
         self.next_window = k1
         self.windows_emitted += k1 - k0
         names = [name for name, _ in self.output_schema()]

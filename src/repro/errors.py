@@ -25,6 +25,15 @@ class AlignmentError(KernelError):
     """Two BATs that must be tuple-order aligned are not."""
 
 
+class AggregateOverflowError(KernelError):
+    """An integral SUM left the BIGINT range."""
+
+    def __init__(
+        self, message: str = "integer overflow: SUM leaves the BIGINT range"
+    ) -> None:
+        super().__init__(message)
+
+
 class CatalogError(ReproError):
     """Schema-level failure: unknown table/column, duplicate definition."""
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, Hashable, List, Optional
 
-from ..errors import DataCellError
-from ..kernel.aggregate import AGGREGATE_NAMES
+from ..errors import AggregateOverflowError, DataCellError
+from ..kernel.aggregate import AGGREGATE_NAMES, SUM_LIMIT
 from .zset import Row, ZSet
 
 __all__ = [
@@ -117,6 +117,9 @@ class RetractableAggState:
         if self.count == 0:
             return None
         if name == "sum":
+            # the kernel's rule: a sum past BIGINT is refused
+            if isinstance(self.total, int) and abs(self.total) > SUM_LIMIT:
+                raise AggregateOverflowError()
             return self.total
         if name == "avg":
             return self.total / self.count

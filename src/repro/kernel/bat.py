@@ -297,10 +297,10 @@ def storage_array(atom: AtomType, values: Iterable[Any]) -> np.ndarray:
     :class:`TypeMismatchError` where that would.
 
     The one conversion of a column on its way into a BAT.  An array
-    already in the storage dtype is returned as is (a BOOL one once its
-    values are in BOOL's domain; a STR one, an object array, unchecked:
-    a type check per value would be a python pass over every varchar
-    column ingested); one that casts to it exactly is cast.  Python
+    already in the storage dtype is returned as is once its values are
+    in the atom's domain (BOOL's -1/0/1; STR's object array once one
+    pass over its value types finds only strings and ``None``); one
+    that casts to it exactly is cast.  Python
     values go through one vectorised ``np.asarray`` — numpy converts
     each with ``int()``/``float()`` and checks the dtype's range, as
     :func:`coerce_scalar` does — or, for STR and BOOL, one check of
@@ -315,6 +315,9 @@ def storage_array(atom: AtomType, values: Iterable[Any]) -> np.ndarray:
                     values.dtype, dtype, "safe"
                 ):
                     return values.astype(dtype)
+            elif atom is AtomType.STR:
+                if set(map(type, values.tolist())) <= _STR_TYPES:
+                    return values
             elif atom is not AtomType.BOOL or not (
                 (values < -1) | (values > 1)
             ).any():

@@ -24,8 +24,7 @@ past it only for codes the prefix did not hold.  The histogram, in group
 id order, stays on the ``groups`` BAT (``BAT.histogram``), where the
 aggregates read their per-group row counts.  STR keys become integer
 codes first, in :func:`str_codes`, the one place the kernel's bulk
-operators touch python string objects; joins and STR MIN/MAX use it
-too.
+operators hash python string objects; joins use it too.
 """
 
 from __future__ import annotations

@@ -39,13 +39,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import MalError, TypeMismatchError
+from ..errors import AggregateOverflowError, MalError, TypeMismatchError
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.tracing import traced_firing
 from . import aggregate as _aggregate
 from . import calc as _calc
 from . import candidates as _cand
-from . import delta as _delta
 from . import group as _group
 from . import join as _join
 from . import mathops as _mathops
@@ -483,8 +482,8 @@ class MalInterpreter:
                         ) from None
                 try:
                     value = step.fn(*args)
-                except MalError:
-                    raise
+                except (MalError, AggregateOverflowError):
+                    raise  # an overflow is the data's, not the program's
                 except Exception as exc:
                     raise MalError(
                         f"primitive failed in {step.ins.render()}: {exc}"
@@ -992,39 +991,6 @@ def _bat_concat(ctx, left: BAT, right: BAT) -> BAT:
     )
     out.append_bat(left)
     out.append_bat(right)
-    return out
-
-
-# ----------------------------------------------------------------------
-# delta module — weighted (Z-set) relations for incremental execution
-# ----------------------------------------------------------------------
-@primitive("delta.canonicalize", "result", "result")
-def _delta_canonicalize(ctx, result):
-    return _delta.canonicalize(result)
-
-
-@primitive("delta.expand", "result", "result")
-def _delta_expand(ctx, result):
-    return _delta.expand(result)
-
-
-@primitive("delta.subsum", "bat bat bat scalar", atom=AtomType.DBL)
-def _delta_subsum(ctx, values: BAT, weights: BAT, gids, ngroups: int):
-    sums = _delta.weighted_grouped_sum(
-        values.tail, weights.tail, gids.tail, int(ngroups)
-    )
-    out = BAT(AtomType.DBL, capacity=max(len(sums), 1))
-    out.append_array(sums)
-    return out
-
-
-@primitive("delta.subcount", "bat bat scalar", atom=AtomType.LNG)
-def _delta_subcount(ctx, weights: BAT, gids, ngroups: int):
-    counts = _delta.weighted_grouped_count(
-        weights.tail, gids.tail, int(ngroups)
-    )
-    out = BAT(AtomType.LNG, capacity=max(len(counts), 1))
-    out.append_array(counts)
     return out
 
 

@@ -84,14 +84,6 @@ def _grouped(draw, n):
     return {1: groups, 2: k, 3: OMIT}
 
 
-def _delta(draw, n, first):
-    groups, k = _groups(draw, n)
-    weights = bat_from_values(AtomType.LNG, draw(
-        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
-    ))
-    return dict(enumerate(first + [weights, groups, k]))
-
-
 NULLABLE = st.one_of(st.none(), LITERALS)
 # arguments whose meaning a generic draw would miss, by opcode; a key
 # ending in "." or "sub" covers a family
@@ -116,10 +108,6 @@ OVERRIDES = {
     "batmath.": lambda d, n: {1: d(st.integers(0, 2))},
     "aggr.sub": _grouped,
     "group.subgroup": lambda d, n: {1: _groups(d, n)[0], 2: OMIT},
-    "delta.subsum": lambda d, n: _delta(d, n, [_bats(d, n, [
-        a for a in ATOMS if a.is_numeric
-    ])]),
-    "delta.subcount": lambda d, n: _delta(d, n, []),
 }
 
 

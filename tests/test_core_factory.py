@@ -82,6 +82,27 @@ class TestActivation:
         with pytest.raises(DataCellError):
             f.activate()
 
+    def test_a_failed_plan_names_its_first_error_afterwards(self, clock):
+        """The co-routine dies with the plan's error; each later
+        activation raises a DataCellError naming the query and that
+        error, not a bare StopIteration."""
+        inp, out = make_baskets(clock)
+
+        def plan(snaps):
+            raise ValueError("bad value")
+
+        f = Factory("q", CallablePlan(plan), [inp], [out])
+        inp.insert_rows([(1,)])
+        with pytest.raises(ValueError, match="bad value"):
+            f.activate()
+        for _ in range(2):
+            with pytest.raises(DataCellError, match=(
+                "query 'q' stopped at an earlier firing: "
+                "ValueError: bad value"
+            )) as raised:
+                f.activate()
+            assert isinstance(raised.value.__cause__, ValueError)
+
     def test_statistics_accumulate(self, clock):
         inp, out = make_baskets(clock)
         f = Factory("q", select_plan(0, 100), [inp], [out])

@@ -29,7 +29,7 @@ from repro.durability.serde import (
     frames_with_tail,
     pack_frame,
 )
-from repro.errors import DataCellError
+from repro.errors import AggregateOverflowError, DataCellError
 from repro.kernel.types import AtomType
 
 AGGS = ["sum", "count", "count_star", "avg", "min", "max"]
@@ -510,6 +510,37 @@ class TestPaneTable:
                 assert a[0] == b[0]
                 for x, y in zip(a[1:], b[1:]):
                     assert math.isclose(x, y, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("chunks", [17, 1], ids=["one-window", "catch-up"])
+    def test_bigint_windows_that_fit_are_exact(self, chunks):
+        """Windows of 8 tuples of 2**59 sum to 2**62.  One tuple per
+        firing folds each window's panes; one firing of all 17 closes
+        10 windows by differences of a prefix sum that passes 2**63 and
+        wraps: each window's own sum fits, so it is exact."""
+        spec = WindowSpec(WindowMode.COUNT, 8, 1)
+        rows, _ = drive_count_window(
+            WindowAggregatePlan, spec, [2**59] * 17, chunks, ["sum", "avg"],
+            value_atom=AtomType.LNG,
+        )
+        assert rows == [(k, 2**62, 2.0**59) for k in range(10)]
+
+    @pytest.mark.parametrize("chunks", [60, 1], ids=["one-window", "catch-up"])
+    def test_a_bigint_window_past_int64_refuses_its_sum(self, chunks):
+        """Panes of 4 tuples of 2**58 sum to 2**60 and fit; a window of
+        8 panes sums to 2**63, past int64, by either fold.  Its sum is
+        refused; its average divides the exact sum."""
+        spec = WindowSpec(WindowMode.COUNT, 32, 4)
+        values = [2**58] * 60
+        with pytest.raises(AggregateOverflowError):
+            drive_count_window(
+                WindowAggregatePlan, spec, values, chunks, ["sum"],
+                value_atom=AtomType.LNG,
+            )
+        rows, _ = drive_count_window(
+            WindowAggregatePlan, spec, values, chunks, ["avg"],
+            value_atom=AtomType.LNG,
+        )
+        assert rows == [(k, 2.0**58) for k in range(8)]
 
     def test_state_round_trips_without_pickle(self):
         spec = WindowSpec(WindowMode.COUNT, 6, 2)

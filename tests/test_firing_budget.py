@@ -37,8 +37,8 @@ BUDGETS = {
     ("win_slide 200 rows", "dark"): 134,
     ("wal_ingest 64 rows", "lit"): 129,
     ("wal_ingest 64 rows", "dark"): 126,
-    ("join 64 rows", "lit"): 218,
-    ("join 64 rows", "dark"): 215,
+    ("join 64 rows", "lit"): 213,
+    ("join 64 rows", "dark"): 210,
     ("server pump 16 rows", "lit"): 28,
     ("server pump 16 rows", "dark"): 26,
     ("table load 10000 rows", "lit"): 20,

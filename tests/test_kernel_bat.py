@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import AlignmentError, KernelError, TypeMismatchError
-from repro.kernel.bat import bat_from_values, check_aligned, empty_bat
+from repro.kernel.bat import (
+    bat_from_values,
+    check_aligned,
+    empty_bat,
+    storage_array,
+)
 from repro.kernel.types import AtomType
 
 
@@ -32,6 +37,15 @@ class TestConstruction:
     def test_str_bat(self):
         b = bat_from_values(AtomType.STR, ["x", None, "y"])
         assert b.python_list() == ["x", None, "y"]
+
+    def test_str_object_array_is_checked(self):
+        """A varchar column handed over as an object array is taken as
+        is only when it holds strings and NULLs; anything else is
+        coerced as a python list would be."""
+        clean = np.array(["x", None], dtype=object)
+        assert storage_array(AtomType.STR, clean) is clean
+        dirty = storage_array(AtomType.STR, np.array([1, 2.5], dtype=object))
+        assert dirty.tolist() == ["1", "2.5"]
 
 
 class TestAppend:

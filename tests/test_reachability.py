@@ -56,8 +56,6 @@ ALLOWED_UNREACHED = {
 
 #: opcode prefix -> why no code generator emits it
 ALLOWED_UNEMITTED = {
-    "delta.": "weighted Z-set primitives; ROADMAP item 8 decides whether "
-              "the incremental circuits use them or they go",
     "language.pass": "the optimizer's CSE alias for a merged output or "
                      "protected root; no compiled SQL program merges "
                      "one",
@@ -373,9 +371,7 @@ class TestOpcodes:
             f"or add them to ALLOWED_UNEMITTED with a reason")
         assert idle == [], (
             f"ALLOWED_UNEMITTED entries that excuse nothing: {idle}")
-        assert set(OPCODES) - emitted == {
-            op for op in OPCODES if op.startswith("delta.")
-        } | {"language.pass"}
+        assert set(OPCODES) - emitted == {"language.pass"}
 
     def test_one_time_sql_reaches_the_scalar_functions(self, one_time):
         assert {

@@ -20,7 +20,7 @@ import sqlite3
 import pytest
 
 from repro import DataCell
-from repro.errors import BindError
+from repro.errors import AggregateOverflowError, BindError
 from repro.incremental import integrate_weighted_rows
 
 SCHEMA = "(i int, x bigint, d double, s varchar(8))"
@@ -214,3 +214,68 @@ def test_view_form_matches_or_is_rejected(template, reason):
                  sqlite_answer(reference, ROWS[:start]))
     finally:
         cell.stop()
+
+
+#: BIGINT rows whose sum leaves int64 (sqlite: "integer overflow") and
+#: whose average, 2**63 / 3 + 1/3, does not
+PAST_INT64 = [(None, 2**62, None, None), (None, 2**62, None, None),
+              (None, 1, None, None)]
+
+
+def routes(template):
+    """``template``'s answer over :data:`PAST_INT64` by every route: a
+    one-time query, a per-firing query, a one-window WINDOW query (its
+    window id stripped) and a view (integrated).  An error is its
+    type."""
+
+    def run(form):
+        cell = DataCell()
+        try:
+            if form == "one-time":
+                cell.execute(f"create table t {SCHEMA}")
+                cell.insert("t", PAST_INT64)
+                return cell.query(template.format(a="", src="t", w=""))
+            cell.execute(f"create basket b {SCHEMA}")
+            sql = template.format(
+                a="z.", src="[select * from b] as z",
+                w=f" window {len(PAST_INT64)}" if form == "window" else "",
+            )
+            if form == "view":
+                sql = f"create view q as {sql}"
+            query = cell.submit_continuous(sql)
+            cell.insert("b", PAST_INT64)
+            cell.run_until_quiescent()
+            if form == "view":
+                return integrate_weighted_rows(query.fetch())
+            rows = query.fetch()
+            return [row[1:] for row in rows] if form == "window" else rows
+        except AggregateOverflowError as exc:
+            return type(exc)
+        finally:
+            cell.stop()
+
+    return {form: run(form)
+            for form in ("one-time", "firing", "window", "view")}
+
+
+def test_bigint_sum_past_int64_is_refused_on_every_route():
+    """sqlite raises "integer overflow"; every route raises the kernel's
+    one error, where the int64 sum used to wrap to LNG's NIL (NULL)."""
+    with pytest.raises(sqlite3.OperationalError, match="integer overflow"):
+        sqlite_answer("select sum(x) from t", PAST_INT64)
+    answers = routes("select sum({a}x) s from {src}{w}")
+    assert answers == dict.fromkeys(answers, AggregateOverflowError)
+
+
+def test_bigint_avg_past_int64_divides_the_exact_sum():
+    """avg divides the exact sum, so the sign is sqlite's, not the
+    wrapped sum's.  A window's pane table holds int64 partials: a pane
+    whose own sum leaves int64 is refused there, for avg too."""
+    (expected,), = sqlite_answer("select avg(x) from t", PAST_INT64)
+    assert expected == (2**63 + 1) / 3 > 0
+    answers = routes("select avg({a}x) a from {src}{w}")
+    assert answers == {
+        "one-time": [(expected,)], "firing": [(expected,)],
+        "window": AggregateOverflowError, "view": [(expected,)],
+    }
+
