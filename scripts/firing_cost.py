@@ -56,6 +56,10 @@ WIN_SQL = (
     "select x.k, sum(x.v), count(x.v) from [select * from s] as x "
     "group by x.k window 20000 slide 200"
 )
+VIEW_SQL = (
+    "create view q as select x.k, sum(x.v), count(x.v), min(x.v), "
+    "max(x.v), avg(x.v) from [select * from s] as x group by x.k"
+)
 SCRAPE_SQL = (
     "select x.k, sum(x.v), count(x.v) from [select * from s{}] as x "
     "group by x.k"
@@ -145,6 +149,21 @@ def join(dark: bool) -> Shape:
     return _chain(cell, JOIN_SQL, iter(lambda: batch, None), 5)
 
 
+def view(dark: bool, rows: int = 64) -> Shape:
+    """A view: one ``rows``-row batch over 16 INT keys folded into its
+    five aggregates, the changed groups' rows retracted and inserted."""
+    cell = _cell(dark)
+    cell.execute("create basket s (k int, v int)")
+    rng = np.random.default_rng(42)
+
+    def batches() -> Iterator[Dict[str, np.ndarray]]:
+        while True:
+            yield {"k": rng.integers(0, 16, rows, dtype=np.int32),
+                   "v": rng.integers(0, 1_000, rows, dtype=np.int32)}
+
+    return _chain(cell, VIEW_SQL, batches(), 5)
+
+
 def wal_ingest(dark: bool) -> Shape:
     """wal_ingest: one 64-row fig1 batch under an fsync-always WAL."""
     directory = tempfile.mkdtemp(prefix="firing-cost-")
@@ -217,6 +236,7 @@ SHAPES: Dict[str, Callable[[bool], Shape]] = {
     "win_slide 200 rows": win_slide,
     "wal_ingest 64 rows": wal_ingest,
     "join 64 rows": join,
+    "view 64 rows": view,
     "server pump 16 rows": server_pump,
     "table load 10000 rows": table_load,
     "/metrics scrape, 20 queries": scrape,

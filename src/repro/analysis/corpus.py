@@ -406,8 +406,9 @@ def _make_circuit(kind: str, names, atoms, with_agg: bool):
         atoms=list(atoms),
     )
     if with_agg:
-        plan.agg = IncrementalGroupAggregate(["sum"])
-        plan.n_group_keys = 1
+        plan.agg = IncrementalGroupAggregate(
+            ["sum"], [AtomType.INT], AtomType.INT
+        )
         plan.item_plan = [("key", 0), ("agg", 0)]
     return plan
 

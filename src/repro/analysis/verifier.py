@@ -479,7 +479,7 @@ def verify_circuit(plan, catalog=None) -> List[Diagnostic]:
 
 def _check_aggregate_shape(plan, sink: DiagnosticSink) -> None:
     item_plan = list(getattr(plan, "item_plan", ()))
-    n_keys = getattr(plan, "n_group_keys", 0)
+    n_keys = len(getattr(plan.agg, "key_atoms", ()))
     n_aggs = len(getattr(plan.agg, "aggregates", ()))
     if len(item_plan) != len(plan.names) - 1:
         sink.report(

@@ -44,7 +44,7 @@ from ..durability.serde import (
     frames_with_tail,
     pack_frame,
 )
-from ..errors import DataCellError
+from ..errors import AggregateOverflowError, DataCellError
 from ..kernel.aggregate import (
     IDENTITIES,
     MIN,
@@ -269,8 +269,10 @@ class WindowAggregatePlan(ContinuousPlan):
         # each tuple folds straight into its (pane, group) cell
         cells = (panes - self._origin) * self._table.shape[2] + codes
         flat = self._table.reshape(PLANES + 1, -1)
-        fold(self.value_atom, cells, values, nils, self._planes,
-             into=flat[:FIRST])
+        folded = fold(self.value_atom, cells, values, nils, self._planes,
+                      into=flat[:FIRST])
+        if folded.dtype != flat.dtype:  # a pane's sum left int64
+            raise AggregateOverflowError()
         np.minimum.at(flat[FIRST], cells, seq.astype(flat.dtype, copy=False))
         self._top = max(self._top, top)
 

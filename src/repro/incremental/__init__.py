@@ -11,9 +11,9 @@ state so the cost of each firing is ``O(|delta|)`` instead of
 Layers:
 
 * :mod:`~repro.incremental.zset` — the Z-set value type and its algebra;
-* :mod:`~repro.incremental.circuit` — the stateful stream operators
-  (incremental group-aggregate, incremental equi-join) and the
-  retraction-capable aggregate state;
+* :mod:`~repro.incremental.circuit` — the stateful stream operators:
+  the incremental group-aggregate, which folds each delta into the
+  kernel's partials, and the incremental equi-join;
 * :mod:`~repro.incremental.compile` — the circuit code generator over
   the query :func:`repro.sql.resolve.resolve` resolves; a shape with
   no circuit is rejected with its reason.
@@ -28,7 +28,6 @@ See ``docs/incremental.md``.
 from .circuit import (
     IncrementalGroupAggregate,
     IncrementalJoin,
-    RetractableAggState,
 )
 from .compile import (
     CircuitContinuousPlan,
@@ -42,7 +41,6 @@ __all__ = [
     "integrate_weighted_rows",
     "IncrementalGroupAggregate",
     "IncrementalJoin",
-    "RetractableAggState",
     "CircuitContinuousPlan",
     "compile_incremental",
 ]

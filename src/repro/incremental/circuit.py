@@ -6,10 +6,9 @@ programs (``repro.incremental.compile``); the stateful operators, which
 keep the integrated state, are here:
 
 ``IncrementalGroupAggregate``
-    the incrementalized GROUP-BY aggregate: per-group
-    :class:`RetractableAggState` is updated by the delta only, and the
-    output delta retracts the group's previous result row and inserts the
-    new one.  Cost per step is ``O(groups touched by the delta)``.
+    the incrementalized GROUP-BY aggregate: the delta folds into the
+    kernel's per-group partials, and the output delta retracts each
+    changed group's previous result row and inserts the new one.
 
 ``IncrementalJoin``
     the bilinear equi-join incrementalized as
@@ -17,251 +16,216 @@ keep the integrated state, are here:
     contains ``dL`` — the three classic delta-join terms folded into two
     probes against keyed integrated state.
 
-MIN/MAX need real retraction support (removing the current extremum must
-reveal the runner-up), which plain fold-only summaries cannot do;
-:class:`RetractableAggState` keeps an exact value→weight counter plus
-lazy-deletion heaps so retraction stays amortized O(log n).
+A view's input is insert-only (a lift stage reads a basket), so a GROUP
+BY's integral is a fold into partials that never answers a retraction.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..errors import AggregateOverflowError, DataCellError
-from ..kernel.aggregate import AGGREGATE_NAMES, SUM_LIMIT
+import numpy as np
+
+from ..errors import DataCellError
+from ..kernel.aggregate import (
+    IDENTITIES,
+    MAX,
+    MIN,
+    NEEDS,
+    PLANES,
+    SUM,
+    SUM_LIMIT,
+    finalize,
+    fold,
+)
+from ..kernel.bat import BAT, storage_array
+from ..kernel.group import group, subgroup
+from ..kernel.types import AtomType, numpy_dtype, python_values
 from .zset import Row, ZSet
 
 __all__ = [
     "IncrementalGroupAggregate",
     "IncrementalJoin",
-    "RetractableAggState",
 ]
 
-
-class RetractableAggState:
-    """A weighted aggregate summary supporting retraction.
-
-    ``star`` counts tuples (COUNT(*)), ``count``/``total`` cover non-NULL
-    values.  Values fold as they come, so ``total`` over integral values
-    is an exact python int and AVG divides it once.  When
-    ``track_minmax`` is set, an exact value→weight counter plus two
-    lazy-deletion heaps answer MIN/MAX after arbitrary retraction
-    sequences; without it MIN/MAX queries raise, keeping COUNT/SUM-only
-    pipelines free of the counter overhead.
-    """
-
-    __slots__ = ("star", "count", "total", "track_minmax", "value_weights",
-                 "min_heap", "max_heap")
-
-    def __init__(self, track_minmax: bool = False) -> None:
-        self.star = 0
-        self.count = 0
-        self.total: Any = 0
-        self.track_minmax = track_minmax
-        self.value_weights: Dict[Any, int] = {}
-        self.min_heap: List[Any] = []
-        self.max_heap: List[Any] = []  # negated values
-
-    # ------------------------------------------------------------------
-    def add(self, value: Any, weight: int) -> None:
-        """Fold ``weight`` copies of ``value`` (NULL allowed) in."""
-        self.star += weight
-        if value is None:
-            return
-        self.count += weight
-        self.total += value * weight
-        if not self.track_minmax:
-            return
-        prev = self.value_weights.get(value, 0)
-        new = prev + weight
-        if new < 0:
-            raise DataCellError(
-                f"retraction below zero for value {value} "
-                f"(weight {prev} + {weight})"
-            )
-        if new == 0:
-            self.value_weights.pop(value, None)
-        else:
-            self.value_weights[value] = new
-            if prev == 0:
-                heapq.heappush(self.min_heap, value)
-                heapq.heappush(self.max_heap, -value)
-
-    # ------------------------------------------------------------------
-    def is_empty(self) -> bool:
-        return self.star == 0 and self.count == 0 and not self.value_weights
-
-    def _minimum(self) -> Any:
-        while self.min_heap:
-            value = self.min_heap[0]
-            if self.value_weights.get(value, 0) > 0:
-                return value
-            heapq.heappop(self.min_heap)  # lazily drop retracted entry
-        return None
-
-    def _maximum(self) -> Any:
-        while self.max_heap:
-            value = -self.max_heap[0]
-            if self.value_weights.get(value, 0) > 0:
-                return value
-            heapq.heappop(self.max_heap)
-        return None
-
-    def result(self, name: str) -> Any:
-        """Answer aggregate ``name`` (SQL NULL rules)."""
-        if name == "count_star":
-            return self.star
-        if name == "count":
-            return self.count
-        if self.count == 0:
-            return None
-        if name == "sum":
-            # the kernel's rule: a sum past BIGINT is refused
-            if isinstance(self.total, int) and abs(self.total) > SUM_LIMIT:
-                raise AggregateOverflowError()
-            return self.total
-        if name == "avg":
-            return self.total / self.count
-        if name in ("min", "max"):
-            if not self.track_minmax:
-                raise DataCellError(
-                    "aggregate state built without min/max tracking"
-                )
-            return self._minimum() if name == "min" else self._maximum()
-        raise DataCellError(f"unknown aggregate {name!r}")
-
-    # ------------------------------------------------------------------
-    # durability: heaps may hold stale (fully retracted) values; compact
-    # on export so the blob is a pure function of the live multiset and
-    # recovered state digests stay byte-identical across crash points.
-    def export_state(self) -> Dict[str, Any]:
-        return {
-            "star": self.star,
-            "count": self.count,
-            "total": self.total,
-            "track_minmax": self.track_minmax,
-            "value_weights": dict(sorted(self.value_weights.items())),
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "RetractableAggState":
-        out = cls(track_minmax=state["track_minmax"])
-        out.star = state["star"]
-        out.count = state["count"]
-        # states saved before values folded exactly hold float64s; an
-        # integral one continues as the int it stands for
-        out.total = _exact(state["total"])
-        out.value_weights = {
-            _exact(value): weight
-            for value, weight in state["value_weights"].items()
-        }
-        out.min_heap = list(out.value_weights)
-        heapq.heapify(out.min_heap)
-        out.max_heap = [-v for v in out.value_weights]
-        heapq.heapify(out.max_heap)
-        return out
-
-    def nbytes(self) -> int:
-        per_entry = 96
-        return 200 + per_entry * len(self.value_weights) + 8 * (
-            len(self.min_heap) + len(self.max_heap)
-        )
-
-
-def _exact(value: Any) -> Any:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+#: the layout of a saved aggregate state; the one before it, a python
+#: summary per group, is read too
+STATE_VERSION = 2
 
 
 class IncrementalGroupAggregate:
-    """Incremental GROUP-BY aggregate over a keyed delta stream.
+    """The integral of a GROUP BY over an insert-only delta stream.
 
-    Input rows are ``(*group_keys, value)`` (value may be ``None`` for
-    NULL); without GROUP BY the key is empty, so every row folds into
-    the one group ``()``, whose row exists over no rows too (the counts
-    0, the rest NULL), as in SQL.  The output delta retracts the group's
-    previous result row (weight −1) and inserts the new one (+1); any
-    other group whose state empties only retracts.  Groups are visited in the
-    order the delta first touches them, retraction before insertion, so
-    output row order is deterministic.
+    Groups are the cells of ``(PLANES, capacity)`` partials over the
+    value atom (:mod:`repro.kernel.aggregate`), in order of first
+    arrival; one storage array per GROUP BY key holds their keys, and a
+    dict maps a key tuple (python values, NULL ``None``) to its cell.
+    Without GROUP BY the one cell 0 exists over no rows too, as in SQL.
 
-    Output rows: ``(*group_key, *aggregate_values)``.
+    A step looks up only the delta's distinct key tuples, folds the
+    delta into the partials in row order and finalizes the touched cells
+    before and after.  Its output columns ``(*keys, *aggregates,
+    weight)`` hold, per touched group whose row changed, in first-touch
+    order, the old row (−1; a new group has none) and the new one (+1).
     """
 
-    def __init__(self, aggregates: List[str]) -> None:
-        bad = [a for a in aggregates if a not in AGGREGATE_NAMES]
-        if bad:
-            raise DataCellError(f"unknown aggregates: {bad}")
-        if not aggregates:
-            raise DataCellError("need at least one aggregate")
+    def __init__(
+        self,
+        aggregates: Sequence[str],
+        key_atoms: Sequence[AtomType],
+        value_atom: AtomType,
+    ) -> None:
         self.aggregates = list(aggregates)
-        self.track_minmax = bool({"min", "max"} & set(aggregates))
-        self.groups: Dict[Hashable, RetractableAggState] = {}
+        self.key_atoms = list(key_atoms)
+        self.value_atom = value_atom
+        self._planes = sorted(set().union(*(NEEDS[a] for a in aggregates)))
+        self._restore(
+            [np.empty(0, numpy_dtype(atom)) for atom in key_atoms],
+            np.empty((PLANES, 0), IDENTITIES[value_atom].dtype),
+        )
 
-    def current_row(self, key: Hashable) -> Optional[Row]:
-        """Group ``key``'s result row, None for an empty group."""
-        state = self.groups.get(key)
-        if state is None or state.star == 0:
-            if key:
-                return None
-            state = RetractableAggState()
-        return (*key, *(state.result(name) for name in self.aggregates))
+    def _restore(self, keys: List[np.ndarray], partials: np.ndarray) -> None:
+        """Take ``keys`` and their groups' ``partials`` as the state."""
+        self._keys = list(keys)
+        self.groups = partials.shape[1] if keys else 1
+        tuples = zip(*(
+            python_values(atom, stored)
+            for atom, stored in zip(self.key_atoms, keys)
+        ))
+        self._cells: Dict[Tuple[Any, ...], int] = dict(
+            zip(tuples, range(self.groups))
+        )
+        self._partials = partials[:, :0]
+        self._reserve(max(self.groups, 8))
+        self._partials[:, : partials.shape[1]] = partials
 
-    def step(self, delta: ZSet) -> ZSet:
-        # snapshot the pre-delta result row of every touched group, in
-        # first-touch order, then fold the whole delta before emitting
-        touched: List[Hashable] = []
-        before: Dict[Hashable, Optional[Row]] = {}
-        for row, weight in delta.items():
-            key, value = row[:-1], row[-1]
-            if key not in before:
-                before[key] = self.current_row(key)
-                touched.append(key)
-            state = self.groups.get(key)
-            if state is None:
-                state = RetractableAggState(track_minmax=self.track_minmax)
-                self.groups[key] = state
-            state.add(value, weight)
-        out = ZSet()
-        for key in touched:
-            after = self.current_row(key)
-            if before[key] == after:
-                continue
-            if before[key] is not None:
-                out.add(before[key], -1)
-            if after is not None:
-                out.add(after, +1)
-            state = self.groups.get(key)
-            if state is not None and state.is_empty():
-                del self.groups[key]
-        return out
+    def _reserve(self, groups: int) -> None:
+        """Make the partials hold ``groups`` cells, new ones identities."""
+        capacity = self._partials.shape[1]
+        if groups > capacity:
+            grown = np.empty(
+                (PLANES, max(groups, 2 * capacity)), self._partials.dtype
+            )
+            grown[:] = IDENTITIES[self.value_atom][:, None]
+            grown[:, :capacity] = self._partials
+            self._partials = grown
+
+    def result(self, cells: np.ndarray) -> List[BAT]:
+        """Each aggregate's column over ``cells``."""
+        partials = self._partials[:, cells]  # a copy finalize may write
+        return [finalize(a, self.value_atom, partials) for a in self.aggregates]
+
+    def step(self, keys: List[BAT], values: BAT) -> Optional[List[BAT]]:
+        """Fold one delta, ``values`` keyed by ``keys``; the output
+        delta's columns, None when no group's row changed."""
+        if not values.count:
+            return None
+        if keys:
+            cells, touched, new = self._lookup(keys)
+        else:
+            cells = np.zeros(values.count, np.int64)
+            touched, new = cells[:1], np.zeros(1, bool)
+        before = self.result(touched)
+        self._partials = fold(
+            self.value_atom, cells, values.tail, values.nil_positions(),
+            self._planes, into=self._partials,
+        )
+        after = self.result(touched)
+        changed = new.copy()
+        for old, now in zip(before, after):
+            o, n = old.tail, now.tail
+            changed |= (o != n) & ((o == o) | (n == n))  # NULL (NaN) == NULL
+        m = len(touched)
+        # rows of before ++ after: per changed group, old then new
+        rows = np.arange(2 * m).reshape(2, m).T[
+            np.stack([changed & ~new, changed], axis=1)
+        ]
+        if not len(rows):
+            return None
+        columns = [
+            BAT.adopt(atom, stored[touched[rows % m]])
+            for atom, stored in zip(self.key_atoms, self._keys)
+        ] + [
+            BAT.adopt(old.atom, np.concatenate([old.tail, now.tail])[rows])
+            for old, now in zip(before, after)
+        ]
+        weights = np.where(rows < m, -1, 1).astype(np.int64)
+        return columns + [BAT.adopt(AtomType.LNG, weights)]
+
+    def _lookup(self, keys: List[BAT]) -> Tuple[np.ndarray, ...]:
+        """Each row's cell; the touched cells in first-touch order, and
+        which of them are new groups, given the next cells."""
+        groups, extents, _ = group(keys[0])
+        for bat in keys[1:]:
+            groups, extents, _ = subgroup(bat, groups)
+        firsts = [bat.tail[extents] for bat in keys]
+        cells = self._cells
+        touched = np.array([
+            cells.setdefault(key, len(cells)) for key in zip(*(
+                python_values(bat.atom, tail)
+                for bat, tail in zip(keys, firsts)
+            ))
+        ], np.int64)
+        new = touched >= self.groups
+        if new.any():
+            self._keys = [
+                np.concatenate([stored, tail[new]])
+                for stored, tail in zip(self._keys, firsts)
+            ]
+            self.groups = len(cells)
+            self._reserve(self.groups)
+        return touched[groups.tail], touched, new
 
     # -- durability -----------------------------------------------------
     def export_state(self) -> Dict[str, Any]:
         return {
+            "version": STATE_VERSION,
             "aggregates": self.aggregates,
-            "groups": {
-                key: state.export_state()
-                for key, state in sorted(
-                    self.groups.items(), key=lambda kv: repr(kv[0])
-                )
-            },
+            "keys": self._keys,
+            "partials": self._partials[:, : self.groups],
         }
 
-    def import_state(self, state: Dict[str, Any]) -> None:
-        self.aggregates = list(state["aggregates"])
-        self.track_minmax = bool({"min", "max"} & set(self.aggregates))
-        self.groups = {
-            key: RetractableAggState.from_state(blob)
-            for key, blob in state["groups"].items()
-        }
+    def import_state(self, state: Dict[str, Any], view: str) -> None:
+        """Restore a saved state of ``view``, this layout or the one
+        before it; any other raises."""
+        if state.get("version") == STATE_VERSION:
+            keys, partials = state["keys"], state["partials"]
+        elif set(state) == {"aggregates", "groups"}:
+            keys, partials = self._from_summaries(state["groups"])
+        else:
+            keys = partials = None
+        fits = (self.aggregates, len(self.key_atoms))
+        if keys is None or (state["aggregates"], len(keys)) != fits:
+            raise DataCellError(
+                f"view {view!r}: saved aggregate state has another layout"
+            )
+        self._restore(keys, partials)
+
+    def _from_summaries(
+        self, groups: Dict[Tuple[Any, ...], Dict[str, Any]]
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Keys and partials of the per-group summaries a view saved
+        before it folded into partials: ``star``, ``count``, an exact
+        ``total`` and its values' weights."""
+        ident = IDENTITIES[self.value_atom]
+        partials = np.array([
+            [blob["star"], blob["count"], blob["total"],
+             min(blob["value_weights"], default=ident[MIN]),
+             max(blob["value_weights"], default=ident[MAX])]
+            for blob in groups.values()
+        ], dtype=object).reshape(-1, PLANES).T
+        if ident.dtype.kind != "i" or (abs(partials[SUM]) <= SUM_LIMIT).all():
+            partials = partials.astype(ident.dtype)  # integral floats exact
+        return [
+            storage_array(atom, [key[i] for key in groups])
+            for i, atom in enumerate(self.key_atoms)
+        ], partials
 
     def nbytes(self) -> int:
-        return 200 + sum(
-            64 + state.nbytes() for state in self.groups.values()
-        )
+        from ..obs.resources import estimate_nbytes
+
+        keyed = 96 * len(self._cells)  # a dict slot and key tuple each
+        return estimate_nbytes([self._partials, *self._keys]) + keyed
 
 
 class IncrementalJoin:

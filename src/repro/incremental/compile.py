@@ -35,8 +35,11 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import BindError, DataCellError, TypeMismatchError
 from ..kernel.aggregate import aggregate_atom
+from ..kernel.bat import BAT, bat_from_values
 from ..kernel.interpreter import MalInterpreter
 from ..kernel.mal import ResultSet
 from ..kernel.types import AtomType
@@ -101,7 +104,6 @@ class CircuitContinuousPlan:
         self.join: Optional[IncrementalJoin] = None
         # aggregate shape: output item -> ("key", i) | ("agg", j)
         self.item_plan: List[Tuple[str, int]] = []
-        self.n_group_keys = 0
         # join shape: output item -> position in the joined row
         self.out_positions: List[int] = []
         self.deltas_processed = 0  # delta rows folded through the circuit
@@ -115,50 +117,56 @@ class CircuitContinuousPlan:
         from ..core.factory import PlanOutput
 
         output = PlanOutput()
-        deltas = []
-        for stage in self._stage_plans:
-            result = stage.evaluate(snapshots, output.consumed)
-            self.deltas_processed += result.count
-            deltas.append(ZSet.from_rows(result.rows()))
+        results = [
+            stage.evaluate(snapshots, output.consumed)
+            for stage in self._stage_plans
+        ]
+        self.deltas_processed += sum(result.count for result in results)
         if self.kind == "aggregate":
-            rows = self._aggregate_rows(self.agg.step(*deltas))
+            *keys, values = results[0].bats
+            columns = self.agg.step(keys, values)
+            delta = None if columns is None else self._aggregate_result(
+                columns
+            )
         else:  # join
-            rows = self._join_rows(self.join.step_both(*deltas))
-        self.rows_emitted += len(rows)
-        if rows:
-            output.results[self.output_basket] = self._build_result(rows)
+            delta = self._join_result(self.join.step_both(*(
+                ZSet.from_rows(result.rows()) for result in results
+            )))
+        if delta is not None:
+            self.rows_emitted += delta.count
+            output.results[self.output_basket] = delta
         return output
 
     def initial_result(self) -> Optional[ResultSet]:
         """What the view holds before its first firing: an aggregate
         without GROUP BY answers one row over no rows; any other view
         holds nothing."""
-        if self.agg is None or self.n_group_keys:
+        if self.agg is None or self.agg.key_atoms:
             return None
-        empty = ZSet({self.agg.current_row(()): 1})
-        return self._build_result(self._aggregate_rows(empty))
+        weight = BAT.adopt(AtomType.LNG, np.ones(1, np.int64))
+        return self._aggregate_result(
+            self.agg.result(np.zeros(1, np.int64)) + [weight]
+        )
 
-    def _aggregate_rows(self, delta: ZSet) -> List[Tuple[Any, ...]]:
-        """Map ``(*keys, *aggs)`` circuit rows to the select-item order,
-        appending the weight column."""
-        offset = {"key": 0, "agg": self.n_group_keys}
-        return [
-            (*[row[offset[role] + i] for role, i in self.item_plan], weight)
-            for row, weight in delta.items()
-        ]
+    def _aggregate_result(self, columns: List[BAT]) -> ResultSet:
+        """The operator's ``(*keys, *aggregates, weight)`` columns in the
+        select-item order, the weight last."""
+        offset = {"key": 0, "agg": len(self.agg.key_atoms)}
+        return ResultSet(self.names, [
+            columns[offset[role] + i] for role, i in self.item_plan
+        ] + columns[-1:])
 
-    def _join_rows(self, delta: ZSet) -> List[Tuple[Any, ...]]:
-        return [
+    def _join_result(self, delta: ZSet) -> Optional[ResultSet]:
+        """The joined rows' output columns, the weight last."""
+        rows = [
             (*[row[p] for p in self.out_positions], weight)
             for row, weight in delta.items()
         ]
-
-    def _build_result(self, rows: List[Tuple[Any, ...]]) -> ResultSet:
-        from ..kernel.bat import bat_from_values
-
+        if not rows:
+            return None
         columns = zip(self.atoms, zip(*rows))
         return ResultSet(
-            list(self.names),
+            self.names,
             [bat_from_values(atom, list(col)) for atom, col in columns],
         )
 
@@ -171,7 +179,7 @@ class CircuitContinuousPlan:
         if self.agg is not None:
             lines.append(
                 f"  aggregate: {self.agg.aggregates} "
-                f"(groups={len(self.agg.groups)})"
+                f"(groups={self.agg.groups})"
             )
         if self.join is not None:
             lines.append(
@@ -230,7 +238,7 @@ class CircuitContinuousPlan:
         self.deltas_processed = state["deltas_processed"]
         self.rows_emitted = state["rows_emitted"]
         if self.agg is not None:
-            self.agg.import_state(state["agg"])
+            self.agg.import_state(state["agg"], self.stages[0].program.name)
         if self.join is not None:
             self.join.import_state(state["join"])
 
@@ -319,21 +327,12 @@ def _aggregate_circuit(
     # atoms come from the compiled lift, so projections/renames inside
     # the basket expression are handled the same way re-eval handles them
     value_atom = compiled.output_atoms[-1]
-    if value_atom is AtomType.STR:
-        # the aggregate state sums and negates its values
-        raise BindError(
-            f"view aggregates over VARCHAR column {shape.value_column!r} "
-            "are not supported"
-        )
-    atoms: List[AtomType] = []
-    for role, index in shape.layout:
-        if role == "key":
-            atoms.append(compiled.output_atoms[index])
-            continue
-        try:
-            atoms.append(aggregate_atom(shape.aggregates[index], value_atom))
-        except TypeMismatchError as exc:
-            raise BindError(str(exc)) from None
+    try:  # SUM and AVG over VARCHAR are refused
+        typed = [aggregate_atom(name, value_atom) for name in shape.aggregates]
+    except TypeMismatchError as exc:
+        raise BindError(str(exc)) from None
+    roles = {"key": compiled.output_atoms, "agg": typed}
+    atoms = [roles[role][index] for role, index in shape.layout]
     plan = CircuitContinuousPlan(
         "aggregate",
         [compiled],
@@ -342,9 +341,10 @@ def _aggregate_circuit(
         query.names + [WEIGHT_COLUMN],
         atoms + [AtomType.LNG],
     )
-    plan.agg = IncrementalGroupAggregate(list(shape.aggregates))
+    plan.agg = IncrementalGroupAggregate(
+        shape.aggregates, compiled.output_atoms[:-1], value_atom
+    )
     plan.item_plan = list(shape.layout)
-    plan.n_group_keys = len(shape.keys)
     return plan
 
 

@@ -9,9 +9,10 @@ reduces runs of cells (panes into windows), :func:`finalize` types an
 aggregate by :func:`aggregate_atom` and stores it by
 :func:`store_numeric`: NULL for a cell without a value, but 0 for the
 counts.  A BIGINT sum is exact or refused: a fold or merge whose sum
-leaves int64 keeps it as a python int in fresh partials, so AVG divides
-it exactly, while SUM's :func:`finalize` and a fold into existing int64
-partials (a pane table) raise :class:`~repro.errors.AggregateOverflowError`.
+leaves int64 returns partials holding it as a python int, so AVG divides
+it exactly, while SUM's :func:`finalize` raises
+:class:`~repro.errors.AggregateOverflowError` (as does a window, whose
+pane table holds int64 partials only).
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def fold(
     Row ``i`` holds ``values[i]`` (NULL where ``nil`` is set) and goes
     to cell ``cells[i]`` of ``into``, ``(PLANES, ncells)`` partials
     folded in place, or of fresh ones (int64 when ``planes`` are only
-    counts).  Only ``planes`` are folded, and filled when fresh.
+    counts).  Only ``planes`` are folded, and filled when fresh.  A sum
+    leaving int64 returns a python-int copy of ``into`` instead.
     ``counts``, the rows per cell where the caller knows them (a
     grouping's histogram), are taken for STAR, and for COUNT when no
     value is NULL.
@@ -159,25 +161,32 @@ def fold(
             # the magnitudes allow a sum past int64: sum exactly
             exact = into[SUM].astype(object)
             np.add.at(exact, cells, values.astype(object))
-            into = _with_sums(into, exact, refuse=not fresh)
+            into = _with_sums(into, exact)
         elif ncells == 1:
             # the column reduces in its own dtype, no cast copy of it
             reduced = ufunc.reduce(values, keepdims=True)
             into[plane, :1] = ufunc(into[plane, :1], reduced)
+        elif fresh and plane != SUM and into.dtype.kind == "i" and (
+            values.dtype != into.dtype
+        ):
+            # an INT column's MIN or MAX too, from its dtype's extreme: a
+            # cell without a value keeps it, and finalizes NULL by COUNT
+            info = np.iinfo(values.dtype)
+            reduced = np.full(
+                ncells, info.max if plane == MIN else info.min, values.dtype
+            )
+            ufunc.at(reduced, cells, values)
+            into[plane] = reduced
         else:
             # ufunc.at casting its operand is many times slower than a copy
             ufunc.at(into[plane], cells, values.astype(into.dtype, copy=False))
     return into
 
 
-def _with_sums(
-    partials: np.ndarray, sums: np.ndarray, refuse: bool = False
-) -> np.ndarray:
-    """``partials`` with the exact ``sums``, python ints where one leaves
-    int64 — which ``refuse`` refuses."""
+def _with_sums(partials: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """``partials`` with the exact ``sums``, as python ints where one
+    leaves int64."""
     if (np.abs(sums) > SUM_LIMIT).any():
-        if refuse:
-            raise AggregateOverflowError()
         partials = partials.astype(object)
     partials[SUM] = sums
     return partials

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import AggregateOverflowError, MalError, TypeMismatchError
+from ..errors import MalError, ReproError, TypeMismatchError
 from ..obs.metrics import MetricsRegistry, Tally, default_registry
 from ..obs.tracing import traced_firing
 from . import aggregate as _aggregate
@@ -482,9 +482,9 @@ class MalInterpreter:
                         ) from None
                 try:
                     value = step.fn(*args)
-                except (MalError, AggregateOverflowError):
-                    raise  # an overflow is the data's, not the program's
-                except Exception as exc:
+                except ReproError:
+                    raise  # the library's own errors keep their class
+                except Exception as exc:  # a python bug in a primitive
                     raise MalError(
                         f"primitive failed in {step.ins.render()}: {exc}"
                     ) from exc

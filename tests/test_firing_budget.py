@@ -4,8 +4,9 @@ Wall-clock benches drift between sittings; python call counts do not.
 Each shape of ``scripts/firing_cost.py`` (one fig1 8-row firing, one
 win_slide 200-row firing, one wal_ingest 64-row firing under an
 fsync-always log, one 64-row batch joined to a 10,000-row table and
-grouped, one server ingest pump activation, one 10,000-row table load,
-one ``/metrics`` scrape of a 20-query cell; metrics lit and dark) makes
+grouped, one 64-row batch folded into a grouped view, one server ingest
+pump activation, one 10,000-row table load, one ``/metrics`` scrape of
+a 20-query cell; metrics lit and dark) makes
 a committed number of calls into ``src/repro`` frames, with ±5 % slack
 for interpreter differences.  A change that lowers a count lowers its
 budget here; one that raises a count says why in CHANGES.md.
@@ -19,8 +20,10 @@ import pytest
 
 from repro.core.factory import Factory
 from repro.core.scheduler import Scheduler
+from repro.incremental import IncrementalGroupAggregate
 from repro.kernel.catalog import Table
 from repro.kernel.select import Range
+from repro.kernel.types import coerce_scalar
 
 _SPEC = importlib.util.spec_from_file_location(
     "firing_cost", Path(__file__).parents[1] / "scripts" / "firing_cost.py"
@@ -39,6 +42,8 @@ BUDGETS = {
     ("wal_ingest 64 rows", "dark"): 126,
     ("join 64 rows", "lit"): 213,
     ("join 64 rows", "dark"): 210,
+    ("view 64 rows", "lit"): 226,
+    ("view 64 rows", "dark"): 223,
     ("server pump 16 rows", "lit"): 28,
     ("server pump 16 rows", "dark"): 26,
     ("table load 10000 rows", "lit"): 20,
@@ -127,6 +132,33 @@ def test_join_budget_sees_the_table_steps_rerun(mode):
     assert within_budget("join 64 rows", mode, calls("join 64 rows", mode))
     forgetting = sum(firing_cost.count_calls(fire_forgetting).values())
     assert not within_budget("join 64 rows", mode, forgetting)
+
+
+def view_calls(mode, rows):
+    built = firing_cost.view(mode == "dark", rows)
+    return sum(firing_cost.count_calls(built.fire).values())
+
+
+@pytest.mark.parametrize("mode", ["lit", "dark"])
+def test_view_calls_do_not_grow_with_the_batch(mode):
+    # a view folds its delta in numpy: 1,000 rows cost the calls of 64
+    assert within_budget("view 64 rows", mode, view_calls(mode, 1_000))
+
+
+@pytest.mark.parametrize("mode", ["lit", "dark"])
+def test_view_budget_sees_a_per_row_fold(monkeypatch, mode):
+    # the view shape's own mutation check: a python call per delta row,
+    # as the per-row aggregate state once made, breaks the 1,000-row
+    # firing's budget
+    step = IncrementalGroupAggregate.step
+
+    def per_row(self, keys, values):
+        for value in values.tail.tolist():
+            coerce_scalar(self.value_atom, value)
+        return step(self, keys, values)
+
+    monkeypatch.setattr(IncrementalGroupAggregate, "step", per_row)
+    assert not within_budget("view 64 rows", mode, view_calls(mode, 1_000))
 
 
 @pytest.mark.parametrize("mode", ["lit", "dark"])

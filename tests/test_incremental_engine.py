@@ -172,6 +172,15 @@ class TestExactAggregates:
             (1, 2**53 + 1, 2**53, 1, 1),
         ]
 
+    def test_state_of_another_layout_is_refused_naming_the_view(self):
+        view = self._cell().submit_continuous(self.SQL)
+        blob = pickle.dumps({
+            "kind": "aggregate", "deltas_processed": 0, "rows_emitted": 0,
+            "agg": {"aggregates": ["sum", "max", "min"], "cells": []},
+        }, protocol=4)
+        with pytest.raises(DataCellError, match="view 'v': saved aggregate"):
+            view.factory.plan.import_state(blob)
+
 
 #: a view of every shape without a circuit: (id, SELECT, reason)
 NO_CIRCUIT = [
@@ -193,9 +202,33 @@ NO_CIRCUIT = [
     ("cross-side-join", "select x.k from [select * from lt] as x, "
      "[select * from rt] as y where x.k = y.k and x.a < y.b",
      "predicates spanning both join sides"),
-    ("varchar-aggregate", "select count(y.sym) from [select * from st] as y",
-     "view aggregates over VARCHAR column 'sym'"),
+    ("varchar-sum", "select sum(y.sym) from [select * from st] as y",
+     "aggregate sum undefined on str"),
 ]
+
+
+class TestVarcharAggregates:
+    def test_count_min_max_over_varchar_match_one_time_group_by(self):
+        """The kernel's STR partials answer a view's count, min and max
+        as they answer the one-time GROUP BY."""
+        cell = DataCell()
+        cell.execute("create basket st (k int, sym varchar(4))")
+        cell.execute("create table t (k int, sym varchar(4))")
+        view = cell.submit_continuous(
+            "create view v as select y.k, count(y.sym), min(y.sym), "
+            "max(y.sym) from [select * from st] as y group by y.k"
+        )
+        rows = [(1, "b"), (2, None), (1, "a"), (1, None), (2, "zz")]
+        for i in range(0, len(rows), 2):
+            cell.insert("st", rows[i : i + 2])
+            cell.insert("t", rows[i : i + 2])
+            cell.run_until_quiescent()
+            assert Counter(view.fetch_integrated()) == Counter(cell.query(
+                "select k, count(sym), min(sym), max(sym) from t group by k"
+            ))
+        assert sorted(view.fetch_integrated()) == [
+            (1, 2, "a", "b"), (2, 1, "zz", "zz"),
+        ]
 
 
 class TestRejection:

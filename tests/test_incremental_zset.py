@@ -1,13 +1,12 @@
-"""Property tests for the Z-set algebra and the incremental operators.
+"""Property tests for the Z-set algebra and the incremental join.
 
 Hypothesis hammers the algebraic laws views rest on: Z-sets form an
-abelian group under merge with eager zero elimination, and the stateful
-operators (group aggregate with retraction, equi-join against
-integrated state) agree with brute-force recomputation over the
-integrated input — including MIN/MAX under adversarial insert/retract
-sequences, where a retraction of the current extremum forces the state
-to resurrect the runner-up.  The view episodes of
-``python -m repro.simtest.run`` check the same operators end to end.
+abelian group under merge with eager zero elimination, and the
+equi-join against integrated state agrees with brute-force
+recomputation over the integrated input.  The aggregate views are
+checked against the one-time GROUP BY in
+``tests/test_incremental_aggregate.py``; the view episodes of
+``python -m repro.simtest.run`` check both operators end to end.
 """
 
 from collections import Counter
@@ -16,12 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.incremental import (
-    IncrementalGroupAggregate,
-    IncrementalJoin,
-    ZSet,
-    integrate_weighted_rows,
-)
+from repro.incremental import IncrementalJoin, ZSet, integrate_weighted_rows
 from repro.testing import current_seed
 
 # rows are small tuples of small ints: collisions (and hence weight
@@ -107,110 +101,6 @@ def test_integrate_weighted_rows_cancels():
 
 
 # ----------------------------------------------------------------------
-# incremental group aggregate vs brute force, with retraction
-# ----------------------------------------------------------------------
-# an op sequence: True = insert a fresh (key, value); False = retract
-# one previously inserted element (chosen by index into the live set)
-agg_ops_st = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.integers(0, 2),  # key
-        st.integers(-5, 5),  # value
-        st.integers(0, 10 ** 6),  # retract choice
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-def _expected_agg_rows(live, aggregates):
-    """Brute-force ``(key, *aggs)`` rows over the live multiset."""
-    by_key = {}
-    for key, value in live:
-        by_key.setdefault(key, []).append(value)
-    rows = []
-    for key, values in by_key.items():
-        out = [key]
-        for name in aggregates:
-            if name == "sum":
-                out.append(float(sum(values)))
-            elif name in ("count", "count_star"):
-                out.append(len(values))
-            elif name == "avg":
-                out.append(float(sum(values)) / len(values))
-            elif name == "min":
-                out.append(float(min(values)))
-            elif name == "max":
-                out.append(float(max(values)))
-        rows.append(tuple(out))
-    return Counter(rows)
-
-
-def _drive_aggregate(ops, aggregates, batch=3):
-    op = IncrementalGroupAggregate(list(aggregates))
-    integrated = ZSet()
-    live = []  # multiset of (key, value) currently inserted
-    pending = ZSet()
-    staged = 0
-    for insert, key, value, choice in ops:
-        if insert:
-            live.append((key, value))
-            pending.add((key, value), +1)
-        elif live:
-            key, value = live.pop(choice % len(live))
-            pending.add((key, value), -1)
-        else:
-            continue
-        staged += 1
-        if staged >= batch:
-            integrated.merge(op.step(pending))
-            pending, staged = ZSet(), 0
-    if pending or staged:
-        integrated.merge(op.step(pending))
-    return integrated, live
-
-
-@seed(current_seed())
-@settings(max_examples=100, deadline=None)
-@given(agg_ops_st, st.integers(1, 4))
-def test_group_aggregate_integrates_to_brute_force(ops, batch):
-    aggregates = ("sum", "count", "avg")
-    integrated, live = _drive_aggregate(ops, aggregates, batch=batch)
-    assert integrated.is_positive()
-    assert (
-        Counter(integrated.to_rows())
-        == _expected_agg_rows(live, aggregates)
-    )
-
-
-@seed(current_seed())
-@settings(max_examples=100, deadline=None)
-@given(agg_ops_st, st.integers(1, 4))
-def test_minmax_survive_adversarial_retraction(ops, batch):
-    """Retracting the current extremum must resurrect the runner-up."""
-    aggregates = ("min", "max", "count")
-    integrated, live = _drive_aggregate(ops, aggregates, batch=batch)
-    assert (
-        Counter(integrated.to_rows())
-        == _expected_agg_rows(live, aggregates)
-    )
-
-
-def test_minmax_retraction_explicit():
-    op = IncrementalGroupAggregate(["max"])
-    # ungrouped lift rows carry no key: ``(value,)``; over no rows the
-    # one group's row is SQL's, max NULL, which a view holds from the start
-    out = ZSet({op.current_row(()): 1})
-    assert out.to_rows() == [(None,)]
-    out.merge(op.step(ZSet.from_rows([(5,), (9,), (3,)])))
-    assert out.to_rows() == [(9.0,)]
-    out.merge(op.step(ZSet({(9,): -1})))  # retract the max
-    assert out.to_rows() == [(5.0,)]
-    out.merge(op.step(ZSet({(5,): -1, (3,): -1})))
-    assert out.to_rows() == [(None,)]  # emptied: back to no rows' row
-
-
-# ----------------------------------------------------------------------
 # incremental join vs brute force
 # ----------------------------------------------------------------------
 join_row_st = st.tuples(st.integers(0, 3), st.integers(0, 5))
@@ -283,23 +173,6 @@ def test_join_retraction_cancels_pairs():
 # ----------------------------------------------------------------------
 # operator state round-trips (durability contract)
 # ----------------------------------------------------------------------
-@seed(current_seed())
-@settings(max_examples=40, deadline=None)
-@given(agg_ops_st)
-def test_aggregate_state_round_trip_preserves_behaviour(ops):
-    aggregates = ("sum", "min", "max", "count")
-    original = IncrementalGroupAggregate(list(aggregates))
-    for insert, key, value, _ in ops:
-        weight = 1 if insert else -1
-        if weight < 0:
-            continue  # keep the state a valid multiset
-        original.step(ZSet({(key, value): weight}))
-    clone = IncrementalGroupAggregate(list(aggregates))
-    clone.import_state(original.export_state())
-    probe = ZSet.from_rows([(0, 99), (1, -99)])
-    assert original.step(probe.copy()) == clone.step(probe.copy())
-
-
 def test_join_state_round_trip_preserves_behaviour():
     original = IncrementalJoin(0, 0)
     original.step_both(

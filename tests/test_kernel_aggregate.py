@@ -25,6 +25,9 @@ from repro.core.windows import WindowAggregatePlan, WindowMode, WindowSpec
 from repro.errors import AggregateOverflowError
 from repro.kernel.aggregate import (
     AGGREGATE_NAMES,
+    IDENTITIES,
+    MAX,
+    MIN,
     PLANES,
     SUM,
     SUM_LIMIT,
@@ -143,6 +146,27 @@ def test_a_split_folds_and_merges_to_the_whole_and_to_group_by(batch, data):
         assert same(folded, outcome(lambda: grouped_aggregate(
             name, column, groups, ngroups
         ).python_list())), name
+
+
+def test_int_extremes_with_nulls_fold_in_the_column_dtype():
+    """Fresh partials reduce an INT column's MIN and MAX over several
+    groups in int32: ±(2**31 - 1) answer as themselves and a group of
+    NULLs answers NULL; a fold into a pane table keeps its identities."""
+    column = bat_from_values(
+        AtomType.INT, [2**31 - 1, None, -(2**31) + 1, None, 5, 2**31 - 1]
+    )
+    groups, ngroups = grouping([0, 1, 0, 2, 2, 3])
+    assert grouped_aggregate(
+        "min", column, groups, ngroups
+    ).python_list() == [-(2**31) + 1, None, 5, 2**31 - 1]
+    assert grouped_aggregate(
+        "max", column, groups, ngroups
+    ).python_list() == [2**31 - 1, None, 5, 2**31 - 1]
+    table = np.repeat(IDENTITIES[AtomType.INT][:, None], ngroups, axis=1)
+    fold(AtomType.INT, groups.tail, column.tail, column.nil_positions(),
+         into=table)
+    assert table[MIN].tolist() == [-(2**31) + 1, SUM_LIMIT, 5, 2**31 - 1]
+    assert table[MAX].tolist() == [2**31 - 1, -SUM_LIMIT, 5, 2**31 - 1]
 
 
 def window_rows(atom, values, keys, bw, chunks):

@@ -1,11 +1,14 @@
 """Unit tests for MAL programs, the interpreter, and Algorithm 1 fidelity."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import MalError
+from repro import DataCell
+from repro.errors import CatalogError, MalError, TypeMismatchError
 from repro.kernel.bat import bat_from_values
 from repro.kernel.catalog import Catalog
-from repro.kernel.interpreter import MalInterpreter
+from repro.kernel.interpreter import OPCODES, MalInterpreter
 from repro.kernel.mal import Const, Instr, Program, ResultSet, Var
 from repro.kernel.types import AtomType
 
@@ -128,11 +131,32 @@ class TestInterpreter:
         with pytest.raises(MalError):
             MalInterpreter(catalog).execute(p)
 
-    def test_primitive_failure_wrapped(self, catalog):
+    def test_primitive_failure_wrapped(self, catalog, monkeypatch):
+        # a library error keeps its class; only a foreign exception, a
+        # python bug in a primitive, is wrapped
         p = Program()
         p.emit("sql", "bind", [Const("readings"), Const("nope")])
-        with pytest.raises(MalError):
+        with pytest.raises(CatalogError):
             MalInterpreter(catalog).execute(p)
+
+        def broken(ctx, value=None):
+            raise ValueError("planted")
+
+        monkeypatch.setitem(OPCODES, "language.pass", dataclasses.replace(
+            OPCODES["language.pass"], fn=broken))
+        p = Program()
+        p.emit("language", "pass", [Const(1)])
+        with pytest.raises(MalError, match="planted") as failure:
+            MalInterpreter(catalog).execute(p)
+        assert isinstance(failure.value.__cause__, ValueError)
+
+    def test_one_time_cast_error_keeps_its_class(self):
+        # as the window and view routes raise it
+        cell = DataCell()
+        cell.execute("create table t (s varchar(8))")
+        cell.insert("t", [("abc",)])
+        with pytest.raises(TypeMismatchError, match="cannot coerce 'abc'"):
+            cell.query("select cast(s as int) from t")
 
     def test_multi_result_instruction(self, catalog):
         p = Program()

@@ -194,11 +194,11 @@ class TestAccounts:
         agg = query.factory.plan.agg
         step = agg.step
 
-        def burning_step(delta):
+        def burning_step(keys, values):
             started = time.thread_time()
             while time.thread_time() - started < burn:
                 pass
-            return step(delta)
+            return step(keys, values)
 
         agg.step = burning_step
         firings = 3

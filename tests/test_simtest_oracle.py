@@ -21,6 +21,8 @@ from repro.core.basket import TIME_COLUMN
 from repro.core.factory import ConsumeMode
 from repro.core.windows import WindowAggregatePlan
 from repro.incremental import IncrementalJoin, ZSet
+from repro.kernel.bat import BAT, bat_from_values
+from repro.kernel.mal import ResultSet
 from repro.simtest import (
     ORACLE_CASES,
     VIEW_CASES,
@@ -231,8 +233,16 @@ class TestSeededKinds:
 def retraction_bug(handle):
     """The view forgets to retract a group's previous row."""
     plan = handle.factory.plan
-    rows = plan._aggregate_rows
-    plan._aggregate_rows = lambda delta: [r for r in rows(delta) if r[-1] > 0]
+    result = plan._aggregate_result
+
+    def forgetful(columns):
+        out = result(columns)
+        keep = out.bats[-1].tail > 0
+        return ResultSet(
+            out.names, [BAT.adopt(b.atom, b.tail[keep]) for b in out.bats]
+        )
+
+    plan._aggregate_result = forgetful
 
 
 def late_left_fold(self, dleft, dright):
@@ -276,17 +286,21 @@ class TestPlantedViewBug:
         the two, which only a check at every quiescent point sees."""
         def transient_bug(handle):
             plan = handle.factory.plan
-            rows = plan._aggregate_rows
+            result = plan._aggregate_result
             firings = []
 
-            def buggy(delta):
-                firings.append(delta)
-                out = rows(delta)
-                if len(firings) <= 2:
-                    out.append((99, 0, 0, 0, 0, (1, -1)[len(firings) - 1]))
-                return out
+            def buggy(columns):
+                firings.append(columns)
+                out = result(columns)
+                if len(firings) > 2:
+                    return out
+                row = (99, 0, 0, 0, 0, (1, -1)[len(firings) - 1])
+                return ResultSet(out.names, [
+                    bat_from_values(b.atom, b.python_list() + [value])
+                    for b, value in zip(out.bats, row)
+                ])
 
-            plan._aggregate_rows = buggy
+            plan._aggregate_result = buggy
 
         spec = EpisodeSpec(
             seed=3, case="agg_grouped", policy="priority", batch_size=2,
