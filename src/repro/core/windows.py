@@ -10,15 +10,17 @@ Its unit is the paper's basic window (Zhu & Shasha [25]), here called a
 *pane*: a window of size ``w`` sliding by ``s`` is cut into panes of
 ``bw = gcd(w, s)`` tuples (COUNT) or seconds (TIME).  The plan keeps a
 table of the kernel's partials (``repro.kernel.aggregate``) with one
-cell per (pane, group): each tuple of a snapshot is folded once into its
-cell (``fold``), a window is the merge of the ``w/bw`` panes it covers
-(``merge``), and each aggregate column is finalized as a one-time GROUP
-BY finalizes it (``finalize``).  So a tuple is aggregated once however
-much the windows overlap, a firing costs its batch plus the windows it
-closes, and a window answers with a GROUP BY's atoms, NULLs and exact
-sums.  In DBSP terms (PAPERS.md) the window is an integrated collection
-of partials: each entering pane is added, each leaving pane retracted.
-Full re-evaluation survives only as the differential reference,
+cell per (pane, group), the group's column found by the kernel's key map
+(``repro.kernel.group.KeyMap``), as a view finds its cells: each tuple
+of a snapshot is folded once into its cell (``fold``), a window is the
+merge of the ``w/bw`` panes it covers (``merge``), and each aggregate
+column is finalized as a one-time GROUP BY finalizes it (``finalize``).
+So a tuple is aggregated once however much the windows overlap, a firing
+costs its batch plus the windows it closes, and a window answers with a
+GROUP BY's atoms, NULLs and exact sums.  In DBSP terms (PAPERS.md) the
+window is an integrated collection of partials: each entering pane is
+added, each leaving pane retracted.  Full re-evaluation survives only as
+the differential reference,
 :class:`repro.baselines.reeval.ReEvalWindowAggregatePlan`.
 
 Window boundaries are aligned to the stream origin: count window ``k``
@@ -33,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,9 +58,9 @@ from ..kernel.aggregate import (
     merge,
 )
 from ..kernel.bat import BAT
-from ..kernel.group import group
+from ..kernel.group import KeyMap
 from ..kernel.mal import ResultSet
-from ..kernel.types import AtomType, nil_mask, numpy_dtype
+from ..kernel.types import AtomType, numpy_dtype
 from .basket import BasketSnapshot, TIME_COLUMN
 from .factory import ContinuousPlan, PlanOutput
 
@@ -152,16 +153,14 @@ class WindowAggregatePlan(ContinuousPlan):
     planes are the kernel's partials of each cell (tuple count, non-NULL
     count, sum, min, max) and its first arrival seq.  It is one array
     that grows, trims and checkpoints as a unit, in the kernel's partial
-    dtype: int64 over an integral value atom, float64 otherwise.  A
-    group key maps to its persistent column by a dict probe; only a
-    snapshot with an unseen key is factorised by the kernel's
-    ``group.group``.  Each tuple folds straight into its (pane, group)
-    cell, into the planes the aggregates need.  A firing merges every
-    window that closed in one kernel ``merge`` over their panes, then
-    finalizes each aggregate column.  Groups are emitted in order of
-    first arrival — the re-eval reference's row order.
-    ``values_processed`` counts tuples reduced into the table: each
-    tuple once, whatever the overlap.
+    dtype: int64 over an integral value atom, float64 otherwise.  Its
+    columns are the key map's cells, one in an ungrouped window.  Each
+    tuple folds straight into its (pane, group) cell, into the planes
+    the aggregates need.  A firing merges every window that closed in
+    one kernel ``merge`` over their panes, then finalizes each aggregate
+    column.  Groups are emitted in order of first arrival — the re-eval
+    reference's row order.  ``values_processed`` counts tuples reduced
+    into the table: each tuple once, whatever the overlap.
 
     ``group_atom`` and ``value_atom`` are the atoms of the group and
     value columns.  Keys keep theirs from basket to output row; results
@@ -212,9 +211,7 @@ class WindowAggregatePlan(ContinuousPlan):
         self._table = np.empty((PLANES + 1, 0, 1), ident.dtype)
         self._origin = 0  # absolute pane of table row 0
         self._top = 0  # one past the highest pane holding data
-        self._codes: Dict[Any, int] = {}  # group key -> table column
-        self._nil = -1  # the NIL key's table column, once seen
-        self._keys = np.empty(0, dtype=numpy_dtype(group_atom))
+        self._map = KeyMap([group_atom] if self.group_column else [])
         self._position = 0  # tuples ingested: stream position, arrival seq
         self._watermark = -math.inf
 
@@ -254,20 +251,21 @@ class WindowAggregatePlan(ContinuousPlan):
             times = snap.column(TIME_COLUMN).tail
             self._watermark = max(self._watermark, float(times.max()))
             panes = _time_panes(times, self.bw)
-        codes = self._group_codes(snap) if self.group_column else 0
+        keys = [self._column(snap, self.group_column, atom)
+                for atom in self._map.atoms]
         live = panes >= self.next_window * self._slide_panes
         if not live.all():  # late: no open or future window holds them
             panes, values, nils, seq = (
                 panes[live], values[live], nils[live], seq[live]
             )
-            if self.group_column:
-                codes = codes[live]
+            keys = [BAT.adopt(bat.atom, bat.tail[live]) for bat in keys]
             if not len(panes):
                 return
+        groups = self._map.cells(keys, len(panes))
         top = int(panes.max()) + 1
-        self._reserve(top, max(len(self._keys), 1))
+        self._reserve(top)
         # each tuple folds straight into its (pane, group) cell
-        cells = (panes - self._origin) * self._table.shape[2] + codes
+        cells = (panes - self._origin) * self._table.shape[2] + groups
         flat = self._table.reshape(PLANES + 1, -1)
         folded = fold(self.value_atom, cells, values, nils, self._planes,
                       into=flat[:FIRST])
@@ -287,56 +285,19 @@ class WindowAggregatePlan(ContinuousPlan):
             )
         return bat
 
-    def _group_codes(self, snap: BasketSnapshot) -> np.ndarray:
-        """Persistent table column of each tuple's group key, by a dict
-        probe.  A snapshot with an unseen key is first factorised by the
-        kernel's ``group.group``, which gives its new keys columns in
-        order of first arrival."""
-        bat = self._column(snap, self.group_column, self.group_atom)
-        codes = self._probe(bat.tail)
-        if (codes < 0).any():
-            _, extents, _ = group(bat)
-            reps = bat.tail[extents]
-            self._learn(reps[self._probe(reps) < 0])
-            codes = self._probe(bat.tail)
-        return codes
-
-    def _probe(self, keys: np.ndarray) -> np.ndarray:
-        """Table column of each key, -1 for an unseen one."""
-        codes = np.fromiter(
-            map(self._codes.get, keys.tolist(), repeat(-1)),
-            dtype=np.int64, count=len(keys),
-        )
-        if self._nil >= 0 and keys.dtype.kind == "f":
-            codes[np.isnan(keys)] = self._nil  # NaN never equals itself
-        return codes
-
-    def _learn(self, keys: np.ndarray) -> None:
-        """Give distinct unseen ``keys`` the next table columns; a NIL's
-        column is also kept in ``_nil``, where a NaN probe finds it."""
-        first = len(self._keys)
-        self._keys = np.concatenate([self._keys, keys])
-        self._codes.update(zip(keys.tolist(), range(first, len(self._keys))))
-        nil = np.flatnonzero(nil_mask(self.group_atom, keys))
-        if len(nil):
-            self._nil = first + int(nil[0])
-
-    def _reserve(self, top: int, groups: int) -> None:
-        """Make the table reach pane ``top`` (exclusive) and hold
-        ``groups`` columns; panes before the open window are dropped."""
+    def _reserve(self, top: int) -> None:
+        """Make the table reach pane ``top`` (exclusive) and hold a column
+        per group key; panes before the open window are dropped."""
         _, rows, cols = self._table.shape
-        if top - self._origin <= rows and groups <= cols:
+        if top - self._origin <= rows and self._map.size <= cols:
             return
         first = self.next_window * self._slide_panes
         keep = self._table[:, first - self._origin : self._top - self._origin]
-        table = np.empty((
-            PLANES + 1,
-            max(2 * (max(top, self._top) - first), 8),
-            cols if groups <= cols else max(groups, 2 * cols),
-        ), self._table.dtype)
+        panes = max(2 * (max(top, self._top) - first), 8)
+        table = np.empty((PLANES + 1, panes, cols), self._table.dtype)
         table[:] = self._identity[:, None, None]
-        table[:, : keep.shape[1], :cols] = keep
-        self._table, self._origin = table, first
+        table[:, : keep.shape[1]] = keep
+        self._table, self._origin = self._map.fit(table, self._identity), first
 
     # -- emission -------------------------------------------------------
     def _closed(self) -> int:
@@ -362,27 +323,24 @@ class WindowAggregatePlan(ContinuousPlan):
         slide, size = self._slide_panes, self._size_panes
         first = k0 * slide
         span = (k1 - k0 - 1) * slide + size
-        groups = max(len(self._keys), 1)
-        self._reserve(first + span, groups)
+        self._reserve(first + span)
         lo = first - self._origin
         starts = np.arange(k1 - k0) * slide
         # one kernel merge closes every window, its FIRST plane too
         windows = merge(
-            self.value_atom, self._table[:, lo : lo + span, :groups],
+            self.value_atom, self._table[:, lo : lo + span, : self._map.size],
             starts, starts + size, self._planes,
         )
-        if self.group_column:
-            win, col = np.nonzero(windows[STAR])
-            order = np.lexsort((windows[FIRST, win, col], win))
-            win, col = win[order], col[order]
-        else:
-            win = np.arange(k1 - k0)
-            col = np.zeros_like(win)
+        # an ungrouped window answers over no tuples too, as SQL does
+        stars = windows[STAR] if self.group_column else windows[STAR] + 1
+        win, col = np.nonzero(stars)
+        order = np.lexsort((windows[FIRST, win, col], win))
+        win, col = win[order], col[order]
         cells = windows[:, win, col]
-        columns = [BAT.adopt(AtomType.LNG, k0 + win)]
-        if self.group_column:
-            columns.append(BAT.adopt(self.group_atom, self._keys[col]))
-        columns += [
+        columns = [BAT.adopt(AtomType.LNG, k0 + win)] + [
+            BAT.adopt(atom, keys[col])
+            for atom, keys in zip(self._map.atoms, self._map.keys)
+        ] + [
             finalize(name, self.value_atom, cells) for name in self.aggregates
         ]
         self.next_window = k1
@@ -421,7 +379,8 @@ class WindowAggregatePlan(ContinuousPlan):
             encode_column(AtomType.LNG, np.array(header)),
             encode_column(AtomType.DBL, np.array([self._watermark])),
             encode_column(self._table_atom, live.ravel()),
-            encode_column(self.group_atom, self._keys),
+            encode_column(self.group_atom, np.concatenate(
+                [np.empty(0, numpy_dtype(self.group_atom)), *self._map.keys])),
         ))
 
     def import_state(self, blob: Optional[bytes]) -> None:
@@ -457,16 +416,14 @@ class WindowAggregatePlan(ContinuousPlan):
         self._table = table.reshape(6, rows, cols)
         self._origin = k * self._slide_panes
         self._top = self._origin + rows
-        self._keys = keys[:0]
-        self._codes, self._nil = {}, -1
-        self._learn(keys)
+        self._map.restore([keys] if self.group_column else [])
 
     def nbytes(self) -> int:
         """Bytes of the pane table and the group keys (what
         :meth:`export_state` captures, plus growth slack)."""
         from ..obs.resources import estimate_nbytes
 
-        return int(self._table.nbytes) + estimate_nbytes(self._keys)
+        return int(self._table.nbytes) + estimate_nbytes(self._map.keys)
 
     def describe(self) -> str:
         return f"window({self.aggregates}, {self.spec}, bw={self.bw})"

@@ -7,8 +7,9 @@ keep the integrated state, are here:
 
 ``IncrementalGroupAggregate``
     the incrementalized GROUP-BY aggregate: the delta folds into the
-    kernel's per-group partials, and the output delta retracts each
-    changed group's previous result row and inserts the new one.
+    kernel's per-group partials, whose cells the kernel's key map finds
+    as it finds a window's, and the output delta retracts each changed
+    group's previous result row and inserts the new one.
 
 ``IncrementalJoin``
     the bilinear equi-join incrementalized as
@@ -39,8 +40,8 @@ from ..kernel.aggregate import (
     fold,
 )
 from ..kernel.bat import BAT, storage_array
-from ..kernel.group import group, subgroup
-from ..kernel.types import AtomType, numpy_dtype, python_values
+from ..kernel.group import KeyMap
+from ..kernel.types import AtomType
 from .zset import Row, ZSet
 
 __all__ = [
@@ -57,16 +58,16 @@ class IncrementalGroupAggregate:
     """The integral of a GROUP BY over an insert-only delta stream.
 
     Groups are the cells of ``(PLANES, capacity)`` partials over the
-    value atom (:mod:`repro.kernel.aggregate`), in order of first
-    arrival; one storage array per GROUP BY key holds their keys, and a
-    dict maps a key tuple (python values, NULL ``None``) to its cell.
-    Without GROUP BY the one cell 0 exists over no rows too, as in SQL.
+    value atom (:mod:`repro.kernel.aggregate`); the kernel's
+    :class:`~repro.kernel.group.KeyMap` numbers them by first arrival
+    and holds their keys.  Without GROUP BY its one cell 0 exists over
+    no rows too, as in SQL.
 
-    A step looks up only the delta's distinct key tuples, folds the
-    delta into the partials in row order and finalizes the touched cells
-    before and after.  Its output columns ``(*keys, *aggregates,
-    weight)`` hold, per touched group whose row changed, in first-touch
-    order, the old row (−1; a new group has none) and the new one (+1).
+    A step finds the delta's cells in the map, folds the delta into the
+    partials in row order and finalizes the touched cells before and
+    after.  Its output columns ``(*keys, *aggregates, weight)`` hold,
+    per touched group whose row changed, in first-touch order, the old
+    row (−1; a new group has none) and the new one (+1).
     """
 
     def __init__(
@@ -79,36 +80,9 @@ class IncrementalGroupAggregate:
         self.key_atoms = list(key_atoms)
         self.value_atom = value_atom
         self._planes = sorted(set().union(*(NEEDS[a] for a in aggregates)))
-        self._restore(
-            [np.empty(0, numpy_dtype(atom)) for atom in key_atoms],
-            np.empty((PLANES, 0), IDENTITIES[value_atom].dtype),
-        )
-
-    def _restore(self, keys: List[np.ndarray], partials: np.ndarray) -> None:
-        """Take ``keys`` and their groups' ``partials`` as the state."""
-        self._keys = list(keys)
-        self.groups = partials.shape[1] if keys else 1
-        tuples = zip(*(
-            python_values(atom, stored)
-            for atom, stored in zip(self.key_atoms, keys)
-        ))
-        self._cells: Dict[Tuple[Any, ...], int] = dict(
-            zip(tuples, range(self.groups))
-        )
-        self._partials = partials[:, :0]
-        self._reserve(max(self.groups, 8))
-        self._partials[:, : partials.shape[1]] = partials
-
-    def _reserve(self, groups: int) -> None:
-        """Make the partials hold ``groups`` cells, new ones identities."""
-        capacity = self._partials.shape[1]
-        if groups > capacity:
-            grown = np.empty(
-                (PLANES, max(groups, 2 * capacity)), self._partials.dtype
-            )
-            grown[:] = IDENTITIES[self.value_atom][:, None]
-            grown[:, :capacity] = self._partials
-            self._partials = grown
+        self._identity = IDENTITIES[value_atom]
+        self.key_map = KeyMap(key_atoms)
+        self._partials = self._identity[:, None].copy()  # fit grows it
 
     def result(self, cells: np.ndarray) -> List[BAT]:
         """Each aggregate's column over ``cells``."""
@@ -120,11 +94,8 @@ class IncrementalGroupAggregate:
         delta's columns, None when no group's row changed."""
         if not values.count:
             return None
-        if keys:
-            cells, touched, new = self._lookup(keys)
-        else:
-            cells = np.zeros(values.count, np.int64)
-            touched, new = cells[:1], np.zeros(1, bool)
+        cells, touched, new = self.key_map.lookup(keys, values.count)
+        self._partials = self.key_map.fit(self._partials, self._identity)
         before = self.result(touched)
         self._partials = fold(
             self.value_atom, cells, values.tail, values.nil_positions(),
@@ -144,7 +115,7 @@ class IncrementalGroupAggregate:
             return None
         columns = [
             BAT.adopt(atom, stored[touched[rows % m]])
-            for atom, stored in zip(self.key_atoms, self._keys)
+            for atom, stored in zip(self.key_atoms, self.key_map.keys)
         ] + [
             BAT.adopt(old.atom, np.concatenate([old.tail, now.tail])[rows])
             for old, now in zip(before, after)
@@ -152,37 +123,13 @@ class IncrementalGroupAggregate:
         weights = np.where(rows < m, -1, 1).astype(np.int64)
         return columns + [BAT.adopt(AtomType.LNG, weights)]
 
-    def _lookup(self, keys: List[BAT]) -> Tuple[np.ndarray, ...]:
-        """Each row's cell; the touched cells in first-touch order, and
-        which of them are new groups, given the next cells."""
-        groups, extents, _ = group(keys[0])
-        for bat in keys[1:]:
-            groups, extents, _ = subgroup(bat, groups)
-        firsts = [bat.tail[extents] for bat in keys]
-        cells = self._cells
-        touched = np.array([
-            cells.setdefault(key, len(cells)) for key in zip(*(
-                python_values(bat.atom, tail)
-                for bat, tail in zip(keys, firsts)
-            ))
-        ], np.int64)
-        new = touched >= self.groups
-        if new.any():
-            self._keys = [
-                np.concatenate([stored, tail[new]])
-                for stored, tail in zip(self._keys, firsts)
-            ]
-            self.groups = len(cells)
-            self._reserve(self.groups)
-        return touched[groups.tail], touched, new
-
     # -- durability -----------------------------------------------------
     def export_state(self) -> Dict[str, Any]:
         return {
             "version": STATE_VERSION,
             "aggregates": self.aggregates,
-            "keys": self._keys,
-            "partials": self._partials[:, : self.groups],
+            "keys": self.key_map.keys,
+            "partials": self._partials[:, : self.key_map.size],
         }
 
     def import_state(self, state: Dict[str, Any], view: str) -> None:
@@ -199,7 +146,8 @@ class IncrementalGroupAggregate:
             raise DataCellError(
                 f"view {view!r}: saved aggregate state has another layout"
             )
-        self._restore(keys, partials)
+        self.key_map.restore(keys)
+        self._partials = partials.copy()
 
     def _from_summaries(
         self, groups: Dict[Tuple[Any, ...], Dict[str, Any]]
@@ -224,8 +172,8 @@ class IncrementalGroupAggregate:
     def nbytes(self) -> int:
         from ..obs.resources import estimate_nbytes
 
-        keyed = 96 * len(self._cells)  # a dict slot and key tuple each
-        return estimate_nbytes([self._partials, *self._keys]) + keyed
+        keyed = 96 * self.key_map.size  # a dict slot and key tuple each
+        return estimate_nbytes([self._partials, *self.key_map.keys]) + keyed
 
 
 class IncrementalJoin:

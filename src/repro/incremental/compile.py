@@ -179,7 +179,7 @@ class CircuitContinuousPlan:
         if self.agg is not None:
             lines.append(
                 f"  aggregate: {self.agg.aggregates} "
-                f"(groups={self.agg.groups})"
+                f"(groups={self.agg.key_map.size})"
             )
         if self.join is not None:
             lines.append(

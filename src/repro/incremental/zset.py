@@ -102,24 +102,11 @@ class ZSet:
             return NotImplemented
         return self._weights == other._weights
 
-    def __hash__(self) -> int:  # pragma: no cover - ZSets are mutable
-        raise TypeError("ZSet is unhashable")
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self._weights)
-
-    def __len__(self) -> int:
-        """Number of distinct rows (not total multiplicity)."""
-        return len(self._weights)
-
-    def __iter__(self) -> Iterator[Tuple[Row, int]]:
-        return iter(self._weights.items())
-
-    def weight(self, row: Row) -> int:
-        return self._weights.get(tuple(row), 0)
 
     def items(self) -> Iterator[Tuple[Row, int]]:
         return iter(self._weights.items())

@@ -59,6 +59,7 @@ class BAT:
     # reallocates its tail, and a reallocation drops the histogram.
     __slots__ = ("atom", "hseqbase", "_data", "count", "join_index",
                  "histogram")
+    histogram: Optional[np.ndarray]
 
     def __init__(self, atom: AtomType, hseqbase: int = 0, capacity: int = 0):
         self.atom = atom

@@ -23,22 +23,23 @@ code; the first positions are looked for in a prefix of the rows, and
 past it only for codes the prefix did not hold.  The histogram, in group
 id order, stays on the ``groups`` BAT (``BAT.histogram``), where the
 aggregates read their per-group row counts.  STR keys become integer
-codes first, in :func:`str_codes`, the one place the kernel's bulk
-operators hash python string objects; joins use it too.
+codes first, in :func:`str_codes`; joins use it too.  A window's or a
+view's groups live across batches, in the cells of a :class:`KeyMap`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import KernelError
 from .bat import BAT
 from .candidates import candidate_tail
-from .types import AtomType, nil_mask
+from .types import AtomType, nil_mask, numpy_dtype, python_values
 
-__all__ = ["group", "subgroup", "distinct_positions", "str_codes", "dense_span"]
+__all__ = ["group", "subgroup", "str_codes", "dense_span", "KeyMap"]
 
 #: integer keys whose span is at most this multiple of the row count are
 #: looked up in a direct-address table instead of by sorting
@@ -176,9 +177,101 @@ def subgroup(
     return _by_first_occurrence(*_factorise(combined))
 
 
-def distinct_positions(
-    bat: BAT, candidates: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Candidate-order positions of the first occurrence of each value."""
-    _, extents, _ = group(bat, candidates)
-    return extents
+class KeyMap:
+    """The persistent cells of an aggregate's key tuples over ``atoms``,
+    numbered by first arrival; ``keys`` holds one storage array per key
+    column in cell order, ``size`` counts the cells.  NIL is one key for
+    every atom, NaN too; no key columns make one cell, 0.  Only a batch's
+    distinct key tuples are looked up in the dict from key (NIL ``None``)
+    to cell; a lone STR key's dictionary of strings is that dict.
+    """
+
+    def __init__(self, atoms: Sequence[AtomType]) -> None:
+        self.atoms = list(atoms)
+        self._lone_str = self.atoms == [AtomType.STR]
+        self.restore([np.empty(0, numpy_dtype(atom)) for atom in atoms])
+
+    def restore(self, keys: Sequence[np.ndarray]) -> None:
+        """Take ``keys``, one array per key column, as the cells 0, 1, …"""
+        self.keys = [stored[:0] for stored in keys]
+        self.size = 0 if keys else 1
+        self._cells: Dict[Any, int] = {}
+        self._strings: List[Dict[Any, int]] = (
+            [self._cells] if self._lone_str else [{} for _ in keys]
+        )
+        if keys:
+            self.lookup(list(map(BAT.adopt, self.atoms, keys)), len(keys[0]))
+            if self.size != len(keys[0]):
+                raise KernelError("saved group keys repeat a key")
+
+    def cells(self, bats: Sequence[BAT], rows: int) -> np.ndarray:
+        """The cell of each of ``rows`` rows keyed by ``bats``."""
+        if self._lone_str:
+            cells = _string_codes(self._cells, bats[0].tail)
+            if len(self._cells) == self.size:  # else lookup takes new keys
+                return cells
+        return self.lookup(bats, rows)[0]
+
+    def lookup(
+        self, bats: Sequence[BAT], rows: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`cells`, the distinct cells in order of first touch, and
+        which of those are new; unseen keys take the next cells."""
+        if not bats:
+            zero = np.zeros(rows, np.int64)
+            return zero, zero[:1], zero[:1] < 0
+        groups, extents, _ = _by_first_occurrence(*self._codes(bats))
+        reps = [bat.tail[extents] for bat in bats]
+        columns = list(map(python_values, self.atoms, reps))
+        cells = self._cells
+        touched = np.array([
+            cells.setdefault(key, len(cells))
+            for key in (zip(*columns) if len(columns) > 1 else columns[0])
+        ], np.int64)
+        new = touched >= self.size
+        if new.any():
+            self.keys = list(map(np.append, self.keys, [r[new] for r in reps]))
+            self.size = len(cells)
+        return touched[groups.tail], touched, new
+
+    def _codes(self, bats: Sequence[BAT]) -> Tuple[np.ndarray, int]:
+        """A batch's codes, one per distinct key tuple, and the code count:
+        a STR column is coded by the map's dictionary of its strings, any
+        other by the kernel's factorisation, combined as :func:`subgroup`
+        combines columns."""
+        codes = np.empty(0, np.int64)
+        for strings, bat in zip(self._strings, bats):
+            if bat.atom is AtomType.STR:
+                more, n = _factorise(_string_codes(strings, bat.tail))
+            else:
+                more, n = _group_codes(bat, bat.tail)
+            if len(codes):  # ranked first, the product stays small
+                rank = np.cumsum(np.bincount(codes) > 0) - 1
+                more, n = _factorise(rank[codes] * n + more)
+            codes = more
+        return codes, n
+
+    def fit(self, partials: np.ndarray, identity: np.ndarray) -> np.ndarray:
+        """``partials``, whose last axis is its cells, grown to hold every
+        cell; new cells hold ``identity``, one value per (first axis) plane."""
+        capacity = partials.shape[-1]
+        if self.size <= capacity:
+            return partials
+        shape = partials.shape[:-1] + (max(self.size, 2 * capacity),)
+        grown = np.empty(shape, partials.dtype)
+        grown[:] = identity.reshape((-1,) + (1,) * (partials.ndim - 1))
+        grown[..., :capacity] = partials
+        return grown
+
+
+def _string_codes(strings: Dict[Any, int], tail: np.ndarray) -> np.ndarray:
+    """Codes of STR ``tail`` in ``strings``, which numbers the strings by
+    first arrival and takes in the unseen ones: one dict probe a row."""
+    rows = tail.tolist()  # lists iterate faster
+    codes = np.fromiter(
+        map(strings.get, rows, repeat(-1)), np.int64, len(rows)
+    )
+    if codes.min(initial=0) < 0:
+        new = np.flatnonzero(codes < 0).tolist()
+        codes[new] = [strings.setdefault(rows[i], len(strings)) for i in new]
+    return codes

@@ -16,7 +16,6 @@ from repro.core.basket import Basket
 from repro.core.clock import LogicalClock
 from repro.core.factory import ConsumeMode, Factory, InputBinding
 from repro.baselines.reeval import ReEvalWindowAggregatePlan
-from repro.core import windows
 from repro.core.windows import (
     WindowAggregatePlan,
     WindowMode,
@@ -30,6 +29,7 @@ from repro.durability.serde import (
     pack_frame,
 )
 from repro.errors import AggregateOverflowError, DataCellError
+from repro.kernel import group as group_module
 from repro.kernel.types import AtomType
 
 AGGS = ["sum", "count", "count_star", "avg", "min", "max"]
@@ -289,42 +289,37 @@ class TestGroupedWindows:
         # same rows in the same order: groups by first arrival per window
         assert_rows_close(r1, r2, key_columns=2)
 
-    @staticmethod
-    def count_group_calls(monkeypatch):
-        calls, group = [], windows.group
-
-        def counting(bat, *args):
-            calls.append(len(bat))
-            return group(bat, *args)
-
-        monkeypatch.setattr(windows, "group", counting)
-        return calls
-
     def test_steady_state_firings_do_not_factorise(self, monkeypatch):
-        """Known keys are a dict probe: only a snapshot holding an unseen
-        key is factorised by the kernel's ``group``."""
-        calls = self.count_group_calls(monkeypatch)
+        """Known VARCHAR keys are one dict probe per tuple: only a
+        snapshot holding an unseen key goes on to the key map's lookup,
+        which factorises it."""
+        calls, lookup = [], group_module.KeyMap.lookup
+        monkeypatch.setattr(
+            group_module.KeyMap, "lookup",
+            lambda self, bats, rows: calls.append(rows)
+            or lookup(self, bats, rows),
+        )
         spec = WindowSpec(WindowMode.COUNT, 40, 10)
         keys = [f"k{i % 7}" for i in range(510)] + ["new"] * 10
         rows, _ = drive_count_window(
             WindowAggregatePlan, spec, [1.0] * 520, 52, ["count"], keys
         )
-        assert len(calls) == 2  # the first firing and the "new" one
+        # the first snapshot and the "new" one; 0 rows: the empty map
+        assert calls == [0, 10, 10]
         assert len(rows) == 7 * 49 + 1
 
     @pytest.mark.parametrize("atom, key", [
         (AtomType.INT, 4), (AtomType.DBL, 0.5), (AtomType.STR, "a"),
     ])
-    def test_nil_keys_are_probed(self, monkeypatch, atom, key):
-        """An INT NIL is a sentinel and a DBL NIL a NaN: once seen, a
-        NIL key no longer sends a firing to ``group``."""
-        calls = self.count_group_calls(monkeypatch)
+    def test_nil_keys_are_probed(self, atom, key):
+        """An INT NIL is a sentinel and a DBL NIL a NaN: either is one
+        key of the plan's key map, found again by every later firing."""
         spec = WindowSpec(WindowMode.COUNT, 4, 2)
         keys = [key, None] * 50
-        rows, _ = drive_count_window(
+        rows, plan = drive_count_window(
             WindowAggregatePlan, spec, [1.0] * 100, 50, ["sum"], keys, atom
         )
-        assert len(calls) == 1
+        assert plan._map.size == 2
         assert [r[1] for r in rows[:2]] == [key, None]
         assert len(rows) == 2 * 49
 
@@ -560,7 +555,7 @@ class TestPaneTable:
         twin.import_state(blob)
         assert twin.export_state() == blob
         assert twin.next_window == plan.next_window
-        assert twin._codes == plan._codes
+        assert twin._map._cells == plan._map._cells
 
     def test_tampered_state_is_rejected(self):
         spec = WindowSpec(WindowMode.COUNT, 4, 2)

@@ -9,7 +9,7 @@ from repro.errors import AggregateOverflowError, KernelError, TypeMismatchError
 from repro.kernel.aggregate import grouped_aggregate
 from repro.kernel.bat import bat_from_values
 from repro.kernel.calc import const_bat
-from repro.kernel.group import distinct_positions, group, subgroup
+from repro.kernel.group import group, subgroup
 from repro.kernel.join import (
     cross_positions,
     hash_join,
@@ -117,10 +117,6 @@ class TestGroup:
         g2, extents, n2 = subgroup(ints([1, 2, 1, 1]), g1)
         assert n2 == 3
         assert g2.python_list() == [0, 1, 2, 2]
-
-    def test_distinct_positions(self):
-        pos = distinct_positions(ints([5, 5, 7, 5, 7]))
-        assert pos.tolist() == [0, 2]
 
     def test_group_with_candidates(self):
         cands = np.array([1, 2], dtype=np.int64)
